@@ -19,11 +19,11 @@
 //! [`super::compute_trial`].
 
 use super::{
-    build_secondary, check_inputs, compute_trial, AggregateEngine, AggregateOptions, Meter,
+    build_secondary, check_inputs, compute_trial, layer_elts, AggregateEngine, AggregateOptions,
+    Meter,
 };
 use crate::portfolio::Portfolio;
 use crate::secondary::SecondaryTable;
-use parking_lot::Mutex;
 use riskpipe_exec::ThreadPool;
 use riskpipe_simgpu::{
     BlockCtx, ConstMem, DeviceSpec, GlobalBuf, Kernel, LaunchConfig, LaunchStats, MemCounters,
@@ -240,7 +240,6 @@ pub struct GpuEngine {
     chunking: GpuChunking,
     pool: PoolRef,
     block_threads: u32,
-    last_stats: Mutex<Option<LaunchStats>>,
 }
 
 enum PoolRef {
@@ -256,7 +255,6 @@ impl GpuEngine {
             chunking,
             pool: PoolRef::Owned(pool),
             block_threads: 128,
-            last_stats: Mutex::new(None),
         }
     }
 
@@ -267,7 +265,6 @@ impl GpuEngine {
             chunking,
             pool: PoolRef::Global(riskpipe_exec::global_pool()),
             block_threads: 128,
-            last_stats: Mutex::new(None),
         }
     }
 
@@ -277,28 +274,27 @@ impl GpuEngine {
         self
     }
 
-    fn pool(&self) -> &ThreadPool {
-        match &self.pool {
-            PoolRef::Owned(p) => p,
-            PoolRef::Global(p) => p,
-        }
-    }
-
-    /// Launch statistics of the most recent run (traffic counters,
-    /// occupancy) — the measurements behind the chunking experiment.
-    pub fn last_stats(&self) -> Option<LaunchStats> {
-        *self.last_stats.lock()
-    }
-
-    /// Run and return both the YLT and the launch statistics.
+    /// Run and return both the YLT and the launch statistics (traffic
+    /// counters, occupancy — the measurements behind the chunking
+    /// experiment), building the secondary tables `opts` asks for first.
     pub fn run_with_stats(
         &self,
         portfolio: &Portfolio,
         yet: &YearEventTable,
         opts: &AggregateOptions,
     ) -> RiskResult<(Ylt, LaunchStats)> {
-        check_inputs(portfolio, yet)?;
-        let secondary = build_secondary(portfolio, opts);
+        let secondary = build_secondary(layer_elts(portfolio), opts, self.pool());
+        self.launch(portfolio, yet, secondary.as_deref())
+    }
+
+    /// One kernel launch over prepared tables.
+    fn launch(
+        &self,
+        portfolio: &Portfolio,
+        yet: &YearEventTable,
+        secondary: Option<&[SecondaryTable]>,
+    ) -> RiskResult<(Ylt, LaunchStats)> {
+        check_inputs(portfolio, yet, secondary)?;
         let trials = yet.trials();
         let mut terms_flat = Vec::with_capacity(portfolio.len() * 5);
         for l in portfolio.layers() {
@@ -307,7 +303,7 @@ impl GpuEngine {
         let terms = ConstMem::from_f64s(&terms_flat, self.device.const_mem_bytes)?;
         let kernel = AggKernel {
             portfolio,
-            secondary: secondary.as_deref(),
+            secondary,
             yet,
             _terms: terms,
             chunking: self.chunking,
@@ -318,7 +314,6 @@ impl GpuEngine {
         };
         let cfg = LaunchConfig::cover(trials, self.block_threads);
         let stats = self.device.launch(&kernel, cfg, self.pool())?;
-        *self.last_stats.lock() = Some(stats);
         let ylt = Ylt::from_columns(
             kernel.out_agg.into_vec(),
             kernel.out_max.into_vec(),
@@ -336,14 +331,20 @@ impl AggregateEngine for GpuEngine {
         }
     }
 
-    fn run(
+    fn pool(&self) -> &ThreadPool {
+        match &self.pool {
+            PoolRef::Owned(p) => p,
+            PoolRef::Global(p) => p,
+        }
+    }
+
+    fn run_prepared(
         &self,
         portfolio: &Portfolio,
         yet: &YearEventTable,
-        opts: &AggregateOptions,
+        secondary: Option<&[SecondaryTable]>,
     ) -> RiskResult<Ylt> {
-        self.run_with_stats(portfolio, yet, opts)
-            .map(|(ylt, _)| ylt)
+        self.launch(portfolio, yet, secondary).map(|(ylt, _)| ylt)
     }
 }
 
@@ -536,16 +537,16 @@ mod tests {
     }
 
     #[test]
-    fn stats_accessible_after_run() {
+    fn run_with_stats_reports_the_launch() {
         let (p, yet) = fixture(2, 128);
         let eng = GpuEngine::new(
             DeviceSpec::fermi_like(),
             GpuChunking::SharedTiles,
             Arc::new(ThreadPool::new(2)),
         );
-        assert!(eng.last_stats().is_none());
-        eng.run(&p, &yet, &AggregateOptions::default()).unwrap();
-        let stats = eng.last_stats().unwrap();
+        let (_, stats) = eng
+            .run_with_stats(&p, &yet, &AggregateOptions::default())
+            .unwrap();
         assert!(stats.blocks >= 1);
         assert!(stats.occupancy > 0.0);
         assert!(stats.peak_shared_bytes > 0);

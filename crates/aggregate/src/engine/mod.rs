@@ -29,8 +29,9 @@ pub use seq::SequentialEngine;
 
 use crate::portfolio::Portfolio;
 use crate::secondary::{QuantileMode, SecondaryTable};
+use riskpipe_exec::ThreadPool;
 use riskpipe_tables::yet::YearEventTable;
-use riskpipe_tables::Ylt;
+use riskpipe_tables::{Elt, Ylt};
 use riskpipe_types::{EventId, RiskError, RiskResult};
 use std::sync::Arc;
 
@@ -55,45 +56,104 @@ impl Default for AggregateOptions {
 }
 
 /// An aggregate-analysis engine: portfolio × YET → YLT.
+///
+/// There is one engine path: [`AggregateEngine::run_prepared`] runs the
+/// trial loop over secondary tables the caller already holds (the
+/// session's stage-1 cache builds them once per model run), and the
+/// provided [`AggregateEngine::run`] is "build the tables the options
+/// ask for, then delegate".
 pub trait AggregateEngine {
     /// Engine name for reports.
     fn name(&self) -> &'static str;
 
-    /// Run the analysis.
+    /// The pool [`AggregateEngine::run`] builds secondary tables on: the
+    /// engine's own, or the global pool for an engine without one.
+    fn pool(&self) -> &ThreadPool {
+        riskpipe_exec::global_pool()
+    }
+
+    /// Run the analysis over prepared secondary tables: `Some(tables)`
+    /// applies secondary uncertainty through `tables[i]` for layer `i`,
+    /// `None` uses each ELT row's mean loss.
+    ///
+    /// # Errors
+    /// [`RiskError::InvalidParameter`] when the portfolio or YET is empty,
+    /// or when `tables` does not hold exactly one table per layer with
+    /// exactly one row per row of that layer's ELT.
+    fn run_prepared(
+        &self,
+        portfolio: &Portfolio,
+        yet: &YearEventTable,
+        secondary: Option<&[SecondaryTable]>,
+    ) -> RiskResult<Ylt>;
+
+    /// Run the analysis, building the secondary tables `opts` asks for
+    /// on [`AggregateEngine::pool`] first.
     fn run(
         &self,
         portfolio: &Portfolio,
         yet: &YearEventTable,
         opts: &AggregateOptions,
-    ) -> RiskResult<Ylt>;
+    ) -> RiskResult<Ylt> {
+        let secondary = build_secondary(layer_elts(portfolio), opts, self.pool());
+        self.run_prepared(portfolio, yet, secondary.as_deref())
+    }
 }
 
-/// Validation shared by all engines.
-pub(crate) fn check_inputs(portfolio: &Portfolio, yet: &YearEventTable) -> RiskResult<()> {
+/// Validation shared by all engines: non-empty inputs, and prepared
+/// tables that line up with the portfolio row for row (so the trial
+/// loop's `tables[layer].loss(row, z)` can never index out of bounds).
+pub(crate) fn check_inputs(
+    portfolio: &Portfolio,
+    yet: &YearEventTable,
+    secondary: Option<&[SecondaryTable]>,
+) -> RiskResult<()> {
     if portfolio.is_empty() {
         return Err(RiskError::invalid("portfolio has no layers"));
     }
     if yet.trials() == 0 {
         return Err(RiskError::invalid("YET has no trials"));
     }
+    let Some(tables) = secondary else {
+        return Ok(());
+    };
+    if tables.len() != portfolio.len() {
+        return Err(RiskError::invalid(format!(
+            "{} secondary tables for {} layers",
+            tables.len(),
+            portfolio.len()
+        )));
+    }
+    for (li, (table, layer)) in tables.iter().zip(portfolio.layers()).enumerate() {
+        if table.len() != layer.elt.len() {
+            return Err(RiskError::invalid(format!(
+                "secondary table {li} has {} rows, its layer's ELT has {}",
+                table.len(),
+                layer.elt.len()
+            )));
+        }
+    }
     Ok(())
 }
 
-/// Build per-layer secondary tables if the options ask for them.
-pub(crate) fn build_secondary(
-    portfolio: &Portfolio,
+/// The ELTs of a portfolio's layers, in layer order.
+fn layer_elts(portfolio: &Portfolio) -> impl Iterator<Item = &Elt> {
+    portfolio.layers().iter().map(|l| &*l.elt)
+}
+
+/// One secondary table per ELT, in order, built on `pool` — or `None`
+/// when the options switch secondary uncertainty off. A pure function
+/// of the ELTs and [`AggregateOptions::quantile_mode`].
+pub fn build_secondary<'a>(
+    elts: impl IntoIterator<Item = &'a Elt>,
     opts: &AggregateOptions,
+    pool: &ThreadPool,
 ) -> Option<Vec<SecondaryTable>> {
-    if !opts.secondary_uncertainty {
-        return None;
-    }
-    Some(
-        portfolio
-            .layers()
-            .iter()
-            .map(|l| SecondaryTable::build(&l.elt, opts.quantile_mode))
-            .collect(),
-    )
+    opts.secondary_uncertainty.then(|| {
+        elts.into_iter()
+            .map(|elt| SecondaryTable::build_on(elt, opts.quantile_mode, pool))
+            .collect()
+    })
 }
 
 /// Semantic memory events of the inner loop; see the module docs.
@@ -198,8 +258,8 @@ pub fn run_per_layer(
     yet: &YearEventTable,
     opts: &AggregateOptions,
 ) -> RiskResult<Vec<Ylt>> {
-    check_inputs(portfolio, yet)?;
-    let secondary = build_secondary(portfolio, opts);
+    check_inputs(portfolio, yet, None)?;
+    let secondary = build_secondary(layer_elts(portfolio), opts, riskpipe_exec::global_pool());
     let trials = yet.trials();
     let layers = portfolio.layers();
     let mut ylts: Vec<Ylt> = (0..layers.len()).map(|_| Ylt::zeroed(trials)).collect();
@@ -314,36 +374,60 @@ impl AggregateRunner {
         &self.opts
     }
 
-    /// Run the analysis on the attached pool (or the global pool).
+    /// Run the analysis under the runner's options on the attached pool
+    /// (or the global pool), building secondary tables first.
     pub fn run(&self, portfolio: &Portfolio, yet: &YearEventTable) -> RiskResult<Ylt> {
+        AggregateEngine::run(self, portfolio, yet, &self.opts)
+    }
+
+    /// Hand `f` the engine this runner dispatches to.
+    fn with_engine<R>(&self, f: impl FnOnce(&dyn AggregateEngine) -> R) -> R {
         match (&self.pool, self.kind) {
-            (_, EngineKind::Sequential) => SequentialEngine.run(portfolio, yet, &self.opts),
-            (Some(pool), EngineKind::CpuParallel) => {
-                CpuParallelEngine::new(Arc::clone(pool)).run(portfolio, yet, &self.opts)
-            }
-            (Some(pool), EngineKind::GpuGlobal) => GpuEngine::new(
+            (_, EngineKind::Sequential) => f(&SequentialEngine),
+            (Some(pool), EngineKind::CpuParallel) => f(&CpuParallelEngine::new(Arc::clone(pool))),
+            (Some(pool), EngineKind::GpuGlobal) => f(&GpuEngine::new(
                 riskpipe_simgpu::DeviceSpec::host_native(pool.thread_count()),
                 GpuChunking::GlobalOnly,
                 Arc::clone(pool),
-            )
-            .run(portfolio, yet, &self.opts),
-            (Some(pool), EngineKind::GpuChunked) => GpuEngine::new(
+            )),
+            (Some(pool), EngineKind::GpuChunked) => f(&GpuEngine::new(
                 riskpipe_simgpu::DeviceSpec::host_native(pool.thread_count()),
                 GpuChunking::SharedTiles,
                 Arc::clone(pool),
-            )
-            .run(portfolio, yet, &self.opts),
-            (None, EngineKind::CpuParallel) => {
-                CpuParallelEngine::with_pool_ref(riskpipe_exec::global_pool())
-                    .run(portfolio, yet, &self.opts)
-            }
-            (None, EngineKind::GpuGlobal) => {
-                GpuEngine::on_global_pool(GpuChunking::GlobalOnly).run(portfolio, yet, &self.opts)
-            }
+            )),
+            (None, EngineKind::CpuParallel) => f(&CpuParallelEngine::with_pool_ref(
+                riskpipe_exec::global_pool(),
+            )),
+            (None, EngineKind::GpuGlobal) => f(&GpuEngine::on_global_pool(GpuChunking::GlobalOnly)),
             (None, EngineKind::GpuChunked) => {
-                GpuEngine::on_global_pool(GpuChunking::SharedTiles).run(portfolio, yet, &self.opts)
+                f(&GpuEngine::on_global_pool(GpuChunking::SharedTiles))
             }
         }
+    }
+}
+
+/// The runner is itself an engine: the dispatched engine's prepared
+/// path, with tables for [`AggregateEngine::run`] built on the attached
+/// pool whichever engine is selected.
+impl AggregateEngine for AggregateRunner {
+    fn name(&self) -> &'static str {
+        self.with_engine(|engine| engine.name())
+    }
+
+    fn pool(&self) -> &ThreadPool {
+        match &self.pool {
+            Some(pool) => pool,
+            None => riskpipe_exec::global_pool(),
+        }
+    }
+
+    fn run_prepared(
+        &self,
+        portfolio: &Portfolio,
+        yet: &YearEventTable,
+        secondary: Option<&[SecondaryTable]>,
+    ) -> RiskResult<Ylt> {
+        self.with_engine(|engine| engine.run_prepared(portfolio, yet, secondary))
     }
 }
 

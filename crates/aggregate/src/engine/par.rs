@@ -2,10 +2,9 @@
 //! pool — the paper's "accumulation of large memory" strategy on a
 //! many-core host.
 
-use super::{
-    build_secondary, check_inputs, compute_trial, AggregateEngine, AggregateOptions, NoMeter,
-};
+use super::{check_inputs, compute_trial, AggregateEngine, NoMeter};
 use crate::portfolio::Portfolio;
+use crate::secondary::SecondaryTable;
 use riskpipe_exec::{par_chunks_mut, suggest_grain, ThreadPool};
 use riskpipe_tables::yet::YearEventTable;
 use riskpipe_tables::Ylt;
@@ -38,13 +37,6 @@ impl CpuParallelEngine {
             pool: PoolRef::Global(pool),
         }
     }
-
-    fn pool(&self) -> &ThreadPool {
-        match &self.pool {
-            PoolRef::Owned(p) => p,
-            PoolRef::Global(p) => p,
-        }
-    }
 }
 
 impl AggregateEngine for CpuParallelEngine {
@@ -52,47 +44,52 @@ impl AggregateEngine for CpuParallelEngine {
         "cpu-parallel"
     }
 
-    fn run(
+    fn pool(&self) -> &ThreadPool {
+        match &self.pool {
+            PoolRef::Owned(p) => p,
+            PoolRef::Global(p) => p,
+        }
+    }
+
+    fn run_prepared(
         &self,
         portfolio: &Portfolio,
         yet: &YearEventTable,
-        opts: &AggregateOptions,
+        secondary: Option<&[SecondaryTable]>,
     ) -> RiskResult<Ylt> {
-        check_inputs(portfolio, yet)?;
-        let secondary = build_secondary(portfolio, opts);
+        check_inputs(portfolio, yet, secondary)?;
         let trials = yet.trials();
         let pool = self.pool();
         let grain = suggest_grain(trials, pool.thread_count(), 256);
-        let mut rows = vec![(0.0f64, 0.0f64, 0u32); trials];
-        par_chunks_mut(pool, &mut rows, grain, |chunk_idx, chunk| {
+        let mut ylt = Ylt::zeroed(trials);
+        // Each task owns one grain-sized block of all three YLT columns
+        // and writes its trials' rows in place.
+        let (agg, max_occ, counts) = ylt.columns_mut();
+        let mut blocks: Vec<_> = agg
+            .chunks_mut(grain)
+            .zip(max_occ.chunks_mut(grain))
+            .zip(counts.chunks_mut(grain))
+            .collect();
+        par_chunks_mut(pool, &mut blocks, 1, |block_idx, block| {
+            let ((agg, max_occ), counts) = &mut block[0];
             // Per-task scratch: one accumulator per layer, reused across
-            // the chunk's trials (no per-trial allocation).
+            // the block's trials (no per-trial allocation).
             let mut scratch = vec![0.0f64; portfolio.len()];
-            let base = chunk_idx * grain;
-            for (j, slot) in chunk.iter_mut().enumerate() {
+            let base = block_idx * grain;
+            for j in 0..agg.len() {
                 let trial = TrialId::new((base + j) as u32);
                 let (events, _days, zs) = yet.trial_slices(trial);
-                *slot = compute_trial(
-                    portfolio,
-                    secondary.as_deref(),
-                    events,
-                    zs,
-                    &mut scratch,
-                    &NoMeter,
-                );
+                (agg[j], max_occ[j], counts[j]) =
+                    compute_trial(portfolio, secondary, events, zs, &mut scratch, &NoMeter);
             }
         });
-        let mut ylt = Ylt::zeroed(trials);
-        for (t, (agg, max_occ, count)) in rows.into_iter().enumerate() {
-            ylt.set_trial(TrialId::new(t as u32), agg, max_occ, count);
-        }
         Ok(ylt)
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::super::SequentialEngine;
+    use super::super::{AggregateOptions, SequentialEngine};
     use super::*;
     use crate::portfolio::Layer;
     use crate::terms::LayerTerms;

@@ -1,10 +1,9 @@
 //! The sequential reference engine — the baseline of the paper's "15×
 //! faster than the sequential counterpart" comparison.
 
-use super::{
-    build_secondary, check_inputs, compute_trial, AggregateEngine, AggregateOptions, NoMeter,
-};
+use super::{check_inputs, compute_trial, AggregateEngine, NoMeter};
 use crate::portfolio::Portfolio;
+use crate::secondary::SecondaryTable;
 use riskpipe_tables::yet::YearEventTable;
 use riskpipe_tables::Ylt;
 use riskpipe_types::{RiskResult, TrialId};
@@ -18,28 +17,21 @@ impl AggregateEngine for SequentialEngine {
         "sequential"
     }
 
-    fn run(
+    fn run_prepared(
         &self,
         portfolio: &Portfolio,
         yet: &YearEventTable,
-        opts: &AggregateOptions,
+        secondary: Option<&[SecondaryTable]>,
     ) -> RiskResult<Ylt> {
-        check_inputs(portfolio, yet)?;
-        let secondary = build_secondary(portfolio, opts);
+        check_inputs(portfolio, yet, secondary)?;
         let trials = yet.trials();
         let mut ylt = Ylt::zeroed(trials);
         let mut scratch = vec![0.0f64; portfolio.len()];
         for t in 0..trials {
             let trial = TrialId::new(t as u32);
             let (events, _days, zs) = yet.trial_slices(trial);
-            let (agg, max_occ, count) = compute_trial(
-                portfolio,
-                secondary.as_deref(),
-                events,
-                zs,
-                &mut scratch,
-                &NoMeter,
-            );
+            let (agg, max_occ, count) =
+                compute_trial(portfolio, secondary, events, zs, &mut scratch, &NoMeter);
             ylt.set_trial(trial, agg, max_occ, count);
         }
         Ok(ylt)
@@ -48,6 +40,7 @@ impl AggregateEngine for SequentialEngine {
 
 #[cfg(test)]
 mod tests {
+    use super::super::AggregateOptions;
     use super::*;
     use crate::portfolio::Layer;
     use crate::terms::LayerTerms;

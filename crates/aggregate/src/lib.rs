@@ -39,8 +39,8 @@ pub mod secondary;
 pub mod terms;
 
 pub use engine::{
-    engines_agree, run_per_layer, AggregateEngine, AggregateOptions, AggregateRunner,
-    CpuParallelEngine, EngineKind, GpuChunking, GpuEngine, SequentialEngine,
+    build_secondary, engines_agree, run_per_layer, AggregateEngine, AggregateOptions,
+    AggregateRunner, CpuParallelEngine, EngineKind, GpuChunking, GpuEngine, SequentialEngine,
 };
 pub use marginal::{marginal_impact, MarginalImpact};
 pub use portfolio::{Layer, Portfolio};

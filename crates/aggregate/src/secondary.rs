@@ -13,7 +13,22 @@
 //! answer lookups with linear interpolation. The approximation is
 //! monotone in `z` and identical across all engines (they share the
 //! table), preserving cross-engine bit-equality.
+//!
+//! ## Who builds the table, and when
+//!
+//! A table is a pure function of `(ELT, QuantileMode)` — layer terms
+//! never enter it — so it belongs to the *model run*, not to the
+//! analysis run. `RiskSession` builds one table per book **once per
+//! cached model run**: the stage-1 cache leader builds them on the
+//! session's pool right after the model run is built (or decoded from
+//! the disk tier), retains them beside the `Stage1Output` under the
+//! same LRU/byte budget, and every scenario sharing the `stage1_key`
+//! reads them through the engines' prepared entry point
+//! ([`AggregateEngine::run_prepared`](crate::AggregateEngine::run_prepared)).
+//! Only the options-taking `run(.., opts)` convenience builds tables
+//! itself, once per call, on the engine's own pool.
 
+use riskpipe_exec::{par_chunks_mut, suggest_grain, ThreadPool};
 use riskpipe_tables::Elt;
 use riskpipe_types::dist::Beta;
 
@@ -36,7 +51,7 @@ impl Default for QuantileMode {
 }
 
 /// Per-ELT-row secondary-uncertainty parameters, precomputed once per
-/// analysis run.
+/// cached model run (see the module docs).
 #[derive(Debug, Clone)]
 pub struct SecondaryTable {
     exposure: Vec<f64>,
@@ -49,8 +64,14 @@ pub struct SecondaryTable {
 }
 
 impl SecondaryTable {
-    /// Build the table for an ELT.
+    /// Build the table for an ELT on the global pool.
     pub fn build(elt: &Elt, mode: QuantileMode) -> Self {
+        Self::build_on(elt, mode, riskpipe_exec::global_pool())
+    }
+
+    /// Build the table for an ELT, tabulating rows in parallel on
+    /// `pool`. The table is identical on any pool and thread count.
+    pub fn build_on(elt: &Elt, mode: QuantileMode, pool: &ThreadPool) -> Self {
         let (_ids, mean, sigma_i, sigma_c, exposure) = elt.columns();
         let n = mean.len();
         let mut betas = Vec::with_capacity(n);
@@ -65,28 +86,22 @@ impl SecondaryTable {
             QuantileMode::Exact => (Vec::new(), 0),
             QuantileMode::Interpolated(g) => {
                 let g = g.max(2) as usize;
-                // Each row's grid is independent; the Newton inversions
-                // dominate analysis start-up, so build rows in parallel
-                // (index-ordered collection keeps the table, and thus
-                // every engine's output, deterministic).
-                let pool = riskpipe_exec::global_pool();
-                let grain = riskpipe_exec::suggest_grain(n, pool.thread_count(), 8);
-                let rows: Vec<Vec<f64>> = riskpipe_exec::par_map_collect(pool, n, grain, |i| {
-                    let beta = &betas[i];
-                    (0..g)
-                        .map(|k| {
-                            // Grid over (0,1) excluding the exact
-                            // endpoints: u_k = (k + 0.5) / g keeps
-                            // quantiles finite.
-                            let u = (k as f64 + 0.5) / g as f64;
-                            beta.quantile(u)
-                        })
-                        .collect()
+                // Grid over (0,1) excluding the exact endpoints:
+                // u_k = (k + 0.5) / g keeps quantiles finite.
+                let us: Vec<f64> = (0..g).map(|k| (k as f64 + 0.5) / g as f64).collect();
+                // Each row's grid is independent and the Newton
+                // inversions dominate the build, so tasks tabulate
+                // disjoint row blocks straight into the one allocation
+                // (row `i` always lands at `i * g`, so the table, and
+                // thus every engine's output, is deterministic).
+                let mut grid = vec![0.0f64; n * g];
+                let rows_per_task = suggest_grain(n, pool.thread_count(), 8);
+                par_chunks_mut(pool, &mut grid, rows_per_task * g, |task, block| {
+                    let first = task * rows_per_task;
+                    for (j, row) in block.chunks_exact_mut(g).enumerate() {
+                        betas[first + j].quantiles_into(&us, row);
+                    }
                 });
-                let mut grid = Vec::with_capacity(n * g);
-                for row in rows {
-                    grid.extend_from_slice(&row);
-                }
                 (grid, g)
             }
         };
@@ -244,6 +259,38 @@ mod tests {
         let near1 = t.loss(0, 1.0 - 1e-12);
         assert!(near0 >= 0.0);
         assert!(near1 >= near0);
+    }
+
+    #[test]
+    fn grid_cells_are_the_rows_exact_quantiles_bitwise() {
+        // The batched build kernel (one ln B(a, b) per row, rows
+        // written in place by pool tasks) must tabulate exactly what a
+        // per-cell `Beta::quantile` would, on any pool width.
+        let elt = sample_elt();
+        let (_, mean, sigma_i, sigma_c, exposure) = elt.columns();
+        for g in [2usize, 17, 33] {
+            let mode = QuantileMode::Interpolated(g as u32);
+            let reference = SecondaryTable::build(&elt, mode);
+            assert_eq!(reference.grid.len(), elt.len() * g);
+            for row in 0..elt.len() {
+                let sigma = (sigma_i[row] * sigma_i[row] + sigma_c[row] * sigma_c[row]).sqrt();
+                let beta =
+                    Beta::from_mean_sd_clamped(mean[row] / exposure[row], sigma / exposure[row]);
+                for k in 0..g {
+                    let want = beta.quantile((k as f64 + 0.5) / g as f64);
+                    assert_eq!(
+                        reference.grid[row * g + k].to_bits(),
+                        want.to_bits(),
+                        "g {g} row {row} cell {k}"
+                    );
+                }
+            }
+            for threads in [1usize, 3] {
+                let pool = ThreadPool::new(threads);
+                let t = SecondaryTable::build_on(&elt, mode, &pool);
+                assert_eq!(t.grid, reference.grid, "g {g} on {threads} threads");
+            }
+        }
     }
 
     #[test]

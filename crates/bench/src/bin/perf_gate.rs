@@ -48,20 +48,39 @@ fn env_f64(name: &str, default: f64) -> f64 {
 
 /// E11's shape (same fixture builders): a model-heavy same-key sweep
 /// where the stage-1 cache must keep the per-scenario cost to the
-/// Monte-Carlo pass.
+/// Monte-Carlo pass — one model run and one set of secondary tables
+/// for all eight scenarios. The two counters catch a regression to
+/// per-scenario builds on any machine; the budget (7x the 0.7 s the
+/// 2-vCPU reference box measures, the headroom the old 30 s budget had
+/// over the 4.3 s it took with per-scenario table builds) catches it
+/// on a comparable one.
 fn check_sweep_cache() -> f64 {
     let sweep = pricing_sweep(model_heavy_small(0xE11, 200), 8);
-    let session = RiskSession::builder().pool_threads(4).build().unwrap();
+    let telemetry = riskpipe_obs::Telemetry::new();
+    let session = RiskSession::builder()
+        .pool_threads(4)
+        .telemetry(telemetry.clone())
+        .build()
+        .unwrap();
     let t0 = Instant::now();
     let mut summary = SweepSummary::new();
     session.run_stream(&sweep, &mut summary).unwrap();
+    let elapsed = t0.elapsed().as_secs_f64();
     assert_eq!(summary.scenarios(), 8);
     assert_eq!(
         session.stage1_cache_stats().misses,
         1,
         "stage-1 cache stopped sharing the model run"
     );
-    t0.elapsed().as_secs_f64()
+    assert_eq!(
+        telemetry
+            .snapshot()
+            .metrics()
+            .counter("stage2.secondary_builds"),
+        1,
+        "stage-1 cache stopped sharing the secondary tables"
+    );
+    elapsed
 }
 
 /// E12's nightly shape: a paper-scale (`medium()`) pricing sweep
@@ -277,7 +296,7 @@ fn main() {
         (
             "sweep_cache (e11 shape)",
             check_sweep_cache,
-            env_f64("PERF_GATE_SWEEP_CACHE_BUDGET_S", 30.0),
+            env_f64("PERF_GATE_SWEEP_CACHE_BUDGET_S", 5.0),
         ),
         (
             "sweep_analytics (e12 medium)",

@@ -1,6 +1,7 @@
 //! Ablation: the secondary-uncertainty quantile scheme — the design
-//! choice DESIGN.md §5 calls out (exact inverse-incomplete-beta per
-//! lookup vs. the GPU papers' pre-tabulated interpolation grids).
+//! choice `riskpipe_aggregate::secondary` documents (exact
+//! inverse-incomplete-beta per lookup vs. the GPU papers' pre-tabulated
+//! interpolation grids).
 //!
 //! Reports, per scheme: table build time, simulation time, table
 //! memory, and the accuracy of the resulting portfolio tail against the

@@ -2,8 +2,8 @@
 //!
 //! The experiment harness: shared fixtures for the Criterion benches
 //! (`benches/`) and the table-producing report binaries (`src/bin/`)
-//! that regenerate every quantitative claim of the paper (E1–E10; see
-//! DESIGN.md §4 for the claim-to-target map).
+//! that regenerate every quantitative claim of the paper (E1–E10; each
+//! binary's module doc names the claim it regenerates).
 
 #![warn(missing_docs)]
 

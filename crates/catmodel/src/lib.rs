@@ -22,8 +22,8 @@
 //! the "millions of alternative views of a contractual year" consumed by
 //! stage 2.
 //!
-//! Everything here substitutes for proprietary vendor models (RMS/AIR)
-//! per DESIGN.md: parametric but *structurally faithful* — attenuation
+//! Everything here substitutes for proprietary vendor models
+//! (RMS/AIR): parametric but *structurally faithful* — attenuation
 //! decays with distance, damage ratios are monotone in intensity and
 //! bounded by exposed value, rates follow Gutenberg–Richter-style
 //! frequency-severity scaling.

@@ -6,8 +6,10 @@
 //! uses), the DFA company configuration, an [`IntermediateStore`]
 //! deciding where stage-2 YELT intermediates live, and a keyed stage-1
 //! cache ([`Stage1CacheStats`]) so scenarios sharing a catalogue
-//! seed/config fingerprint reuse one model run instead of regenerating
-//! the catalogue, event set and ELTs per scenario.
+//! seed/config fingerprint reuse one model run — and the
+//! secondary-uncertainty tables derived from its ELTs — instead of
+//! regenerating the catalogue, event set, ELTs and beta-quantile grids
+//! per scenario.
 //!
 //! Execution comes in three shapes, all bit-identical per scenario:
 //!
@@ -45,7 +47,9 @@ use crate::config::{ScenarioConfig, Stage1Bundle};
 use crate::report::{money, TextTable};
 use crate::sink::ReportSink;
 use crate::stage1disk::DiskStage1Cache;
-use riskpipe_aggregate::{AggregateOptions, AggregateRunner, EngineKind};
+use riskpipe_aggregate::{
+    build_secondary, AggregateEngine, AggregateOptions, AggregateRunner, EngineKind, SecondaryTable,
+};
 use riskpipe_catmodel::Stage1Output;
 use riskpipe_dfa::{CompanyConfig, DfaEngine};
 use riskpipe_exec::lockwitness::{Condvar, Mutex};
@@ -390,9 +394,12 @@ pub struct Stage1CacheStats {
     pub evictions: u64,
     /// Distinct keys currently retained.
     pub entries: usize,
-    /// Estimated bytes currently retained (sum of each cached model
-    /// run's [`Stage1Output::memory_bytes`]) — what the
-    /// [`RiskSessionBuilder::stage1_cache_bytes`] budget bounds.
+    /// Estimated bytes currently retained — what the
+    /// [`RiskSessionBuilder::stage1_cache_bytes`] budget bounds. Each
+    /// entry is charged its model run's [`Stage1Output::memory_bytes`]
+    /// plus the [`SecondaryTable::memory_bytes`] of the per-book
+    /// secondary-uncertainty tables cached beside it (none when the
+    /// session's options switch secondary uncertainty off).
     pub bytes: u64,
     /// Cumulative wall time spent building stage-1 model runs, in
     /// nanoseconds (every build counts: cache misses, redundant racer
@@ -453,6 +460,31 @@ impl TimingRing {
     }
 }
 
+/// What one cache entry holds: a stage-1 model run plus everything
+/// stage 2 derives from it that no scenario's terms can change — today
+/// the per-book secondary-uncertainty tables, a pure function of each
+/// book's ELT and the session's fixed [`AggregateOptions`]. Built once
+/// by the key's leader, `Arc`-shared with every follower.
+struct ModelRun {
+    output: Arc<Stage1Output>,
+    /// One table per book, in book order; `None` when the session's
+    /// options switch secondary uncertainty off.
+    secondary: Option<Vec<SecondaryTable>>,
+}
+
+impl ModelRun {
+    /// What the entry is charged against the cache's byte budget.
+    fn memory_bytes(&self) -> usize {
+        let tables: usize = self
+            .secondary
+            .iter()
+            .flatten()
+            .map(SecondaryTable::memory_bytes)
+            .sum();
+        self.output.memory_bytes() + tables
+    }
+}
+
 /// One key's cache entry. `Building` marks an in-progress build so
 /// concurrent requesters know not to expect a value yet; they build
 /// redundantly rather than wait (see [`Stage1Cache::get_or_build`]).
@@ -461,12 +493,12 @@ enum SlotState {
     #[default]
     Empty,
     Building,
-    Ready(Arc<Stage1Output>),
+    Ready(Arc<ModelRun>),
 }
 
 struct CacheSlot {
     state: Mutex<SlotState>,
-    /// Estimated bytes of the published output (0 while `Building`) —
+    /// Estimated bytes of the published entry (0 while `Building`) —
     /// readable without the state lock so budget enforcement under the
     /// index lock never orders against a slot lock.
     bytes: AtomicUsize,
@@ -569,8 +601,8 @@ impl CacheIndex {
 }
 
 /// A keyed cache of stage-1 model runs ([`Stage1Output`]: catalogue,
-/// per-contract books, YET), shared across every scenario a session
-/// executes. Keys come from [`ScenarioConfig::stage1_key`] — a stable
+/// per-contract books, YET) and the secondary tables derived from them
+/// ([`ModelRun`]), shared across every scenario a session executes. Keys come from [`ScenarioConfig::stage1_key`] — a stable
 /// fingerprint of the generating configs — so a sweep that varies only
 /// pricing terms (or report names) regenerates nothing. Eviction is
 /// LRU under two independent bounds: an entry-count capacity and an
@@ -645,7 +677,9 @@ impl Stage1Cache {
         matches!(*state, SlotState::Ready(_))
     }
 
-    /// Look up `key`, building (and retaining) on a miss.
+    /// Look up `key`; on a miss, obtain the model run (disk tier, else
+    /// `build` with write-through), hand it to `derive` for the tables
+    /// cached beside it, and retain the result.
     ///
     /// This NEVER blocks on another request's build. Pipeline tasks run
     /// on pool workers whose nested scopes *steal and inline other
@@ -658,24 +692,21 @@ impl Stage1Cache {
     /// finishes first publishes. [`RiskSession::run_stream`] holds back
     /// same-key followers until the key's first scenario deposits, so
     /// within one streaming/batch call the redundant path never fires
-    /// and stage 1 builds exactly once per distinct key.
+    /// and stage 1 — `derive` included — runs exactly once per distinct
+    /// key.
     fn get_or_build(
         &self,
         key: u64,
         build: impl FnOnce() -> RiskResult<Stage1Output>,
-    ) -> RiskResult<Arc<Stage1Output>> {
+        derive: impl FnOnce(Stage1Output) -> ModelRun,
+    ) -> RiskResult<Arc<ModelRun>> {
         if self.capacity == 0 {
             self.misses.fetch_add(1, Ordering::Relaxed);
             riskpipe_obs::counter_add("stage1.misses", 1);
             // The disk tier is independent of the RAM cache: with
             // capacity 0 every lookup misses RAM, but a warm tier
             // still avoids the rebuild.
-            if let Some(output) = self.disk_load(key)? {
-                return Ok(Arc::new(output));
-            }
-            let output = Arc::new(self.timed_build(key, build)?);
-            self.disk_store(key, &output)?;
-            return Ok(output);
+            return Ok(Arc::new(derive(self.load_or_build(key, build)?)));
         }
         let slot = {
             // lint: allow(C1) — index mutex covers map insert/evict
@@ -708,10 +739,10 @@ impl Stage1Cache {
             // is never waited on), so no holder can park this worker.
             let mut state = slot.state.lock();
             match &*state {
-                SlotState::Ready(output) => {
+                SlotState::Ready(run) => {
                     self.hits.fetch_add(1, Ordering::Relaxed);
                     riskpipe_obs::counter_add("stage1.hits", 1);
-                    return Ok(Arc::clone(output));
+                    return Ok(Arc::clone(run));
                 }
                 SlotState::Building => {} // redundant build below
                 SlotState::Empty => *state = SlotState::Building,
@@ -719,65 +750,29 @@ impl Stage1Cache {
         }
         self.misses.fetch_add(1, Ordering::Relaxed);
         riskpipe_obs::counter_add("stage1.misses", 1);
-        // RAM missed; a complete disk entry serves the slot without a
-        // build (bit-identical — stage 1 is a pure function of the
-        // key, and the codec round trip is exact).
-        match self.disk_load(key) {
-            Ok(Some(output)) => {
-                let output = Arc::new(output);
+        match self.load_or_build(key, build) {
+            Ok(output) => {
+                let run = Arc::new(derive(output));
                 // Sized outside the lock: the footprint is a pure
                 // accessor and the critical section stays tag-only.
-                let output_bytes = output.memory_bytes();
-                // lint: allow(C1) — tag-only publish of a completed
-                // disk hit; bounded critical section, no nested waits.
-                let mut state = slot.state.lock();
-                if !matches!(*state, SlotState::Ready(_)) {
-                    *state = SlotState::Ready(Arc::clone(&output));
-                    slot.bytes.store(output_bytes, Ordering::Relaxed);
-                }
-                drop(state);
-                self.enforce_byte_budget(key);
-                return Ok(output);
-            }
-            Ok(None) => {}
-            Err(e) => {
-                // lint: allow(C1) — tag-only rollback on a disk-tier
-                // error; bounded critical section, no nested waits.
-                let mut state = slot.state.lock();
-                if matches!(*state, SlotState::Building) {
-                    *state = SlotState::Empty;
-                }
-                return Err(e);
-            }
-        }
-        let built = self.timed_build(key, build).and_then(|output| {
-            let output = Arc::new(output);
-            // Write through before publishing, so a disk-tier error
-            // takes the same retry path as a failed build instead of
-            // leaving RAM and disk disagreeing.
-            self.disk_store(key, &output)?;
-            Ok(output)
-        });
-        match built {
-            Ok(output) => {
-                // Sized outside the lock, as in the disk-hit path.
-                let output_bytes = output.memory_bytes();
+                let run_bytes = run.memory_bytes();
                 // lint: allow(C1) — tag-only publish after an unlocked
-                // build; bounded critical section, no nested waits.
+                // load or build; bounded critical section, no nested
+                // waits.
                 let mut state = slot.state.lock();
                 if !matches!(*state, SlotState::Ready(_)) {
-                    *state = SlotState::Ready(Arc::clone(&output));
-                    slot.bytes.store(output_bytes, Ordering::Relaxed);
+                    *state = SlotState::Ready(Arc::clone(&run));
+                    slot.bytes.store(run_bytes, Ordering::Relaxed);
                 }
                 drop(state);
                 self.enforce_byte_budget(key);
-                Ok(output)
+                Ok(run)
             }
             Err(e) => {
                 // Re-open the slot so a later request retries, unless a
                 // concurrent build already published.
-                // lint: allow(C1) — tag-only rollback of a failed
-                // build; bounded critical section, no nested waits.
+                // lint: allow(C1) — tag-only rollback of a failed load
+                // or build; bounded critical section, no nested waits.
                 let mut state = slot.state.lock();
                 if matches!(*state, SlotState::Building) {
                     *state = SlotState::Empty;
@@ -785,6 +780,25 @@ impl Stage1Cache {
                 Err(e)
             }
         }
+    }
+
+    /// RAM missed: a complete disk entry serves `key` without a build
+    /// (bit-identical — stage 1 is a pure function of the key, and the
+    /// codec round trip is exact); otherwise build it and write it
+    /// through *before* the caller publishes, so a disk-tier error
+    /// takes the same retry path as a failed build instead of leaving
+    /// RAM and disk disagreeing.
+    fn load_or_build(
+        &self,
+        key: u64,
+        build: impl FnOnce() -> RiskResult<Stage1Output>,
+    ) -> RiskResult<Stage1Output> {
+        if let Some(output) = self.disk_load(key)? {
+            return Ok(output);
+        }
+        let output = self.timed_build(key, build)?;
+        self.disk_store(key, &output)?;
+        Ok(output)
     }
 
     /// Consult the disk tier for `key`. A corrupt or key-mismatched
@@ -1043,7 +1057,8 @@ impl RiskSessionBuilder {
     /// Retain at most `capacity` distinct stage-1 model runs (LRU
     /// eviction; 0 disables the cache). Size this to the number of
     /// distinct catalogues a sweep revisits — each retained entry holds
-    /// a full catalogue + books + YET.
+    /// a full catalogue + books + YET, plus one secondary-uncertainty
+    /// table per book.
     pub fn stage1_cache_capacity(mut self, capacity: usize) -> Self {
         self.stage1_capacity = capacity;
         self
@@ -1051,9 +1066,12 @@ impl RiskSessionBuilder {
 
     /// Bound the stage-1 cache by *bytes* instead of (or on top of)
     /// the entry count: after each build publishes, least-recently-used
-    /// entries are evicted until the retained model runs' estimated
-    /// footprints ([`Stage1Output::memory_bytes`]) fit `bytes`. The
-    /// just-published entry always survives, so a budget smaller than
+    /// entries are evicted until the retained entries' estimated
+    /// footprints fit `bytes` — an entry is charged its model run
+    /// ([`Stage1Output::memory_bytes`]) plus the secondary tables
+    /// cached beside it ([`SecondaryTable::memory_bytes`] per book), and
+    /// an evicted entry drops both. The just-published entry always
+    /// survives, so a budget smaller than
     /// one model run degrades to caching only the latest run. The
     /// never-blocking leader/follower protocol is unchanged — eviction
     /// happens under the index lock alone and in-flight builds are
@@ -1370,7 +1388,7 @@ impl RiskSession {
                     let _scenario_span = riskpipe_obs::span_key("sweep.scenario", i as u64);
                     let result = self
                         .acquire_stage1(key, scenario)
-                        .and_then(|(output, stage1)| {
+                        .and_then(|(model, stage1)| {
                             // The key's cache entry is ready: wake the
                             // control loop so same-key followers start
                             // now instead of after this scenario's
@@ -1381,7 +1399,7 @@ impl RiskSession {
                             // it, so acquisition is bounded.
                             state.lock().stage1_published = true;
                             completed.notify_all();
-                            self.finish_pipeline(scenario, Some(i), run, output, stage1)
+                            self.finish_pipeline(scenario, Some(i), run, &model, stage1)
                         });
                     // lint: allow(C1) — result deposit: map insert +
                     // notify under a micro critical section; no holder
@@ -1576,44 +1594,66 @@ impl RiskSession {
         slot: Option<usize>,
         run: u64,
     ) -> RiskResult<PipelineReport> {
-        let (output, stage1) = self.acquire_stage1(scenario.stage1_key(), scenario)?;
-        self.finish_pipeline(scenario, slot, run, output, stage1)
+        let (model, stage1) = self.acquire_stage1(scenario.stage1_key(), scenario)?;
+        self.finish_pipeline(scenario, slot, run, &model, stage1)
     }
 
     /// Stage 1 for one scenario, through the keyed cache: the model run
-    /// (catalogue, books, YET) is built or reused under `key` — the
-    /// caller's precomputed [`ScenarioConfig::stage1_key`]. On a hit
-    /// this is microseconds.
+    /// (catalogue, books, YET) and its secondary tables are built or
+    /// reused under `key` — the caller's precomputed
+    /// [`ScenarioConfig::stage1_key`]. On a hit this is microseconds.
     fn acquire_stage1(
         &self,
         key: u64,
         scenario: &ScenarioConfig,
-    ) -> RiskResult<(Arc<Stage1Output>, StageTiming)> {
+    ) -> RiskResult<(Arc<ModelRun>, StageTiming)> {
         let _span = riskpipe_obs::span_key("stage1.acquire", key);
         // lint: allow(D3) — reading flows only into the StageTiming
         // diagnostic attached to the report, never into loss numerics.
         let t0 = Instant::now();
-        let output = self
-            .stage1
-            .get_or_build(key, || scenario.build_stage1_output_on(&self.pool))?;
+        let model = self.stage1.get_or_build(
+            key,
+            || scenario.build_stage1_output_on(&self.pool),
+            |output| self.derive_model_run(key, output),
+        )?;
         let stage1 = StageTiming {
             stage: 1,
             elapsed: t0.elapsed(),
         };
-        Ok((output, stage1))
+        Ok((model, stage1))
     }
 
-    /// Stages 2 and 3 on an already-acquired stage-1 output; only the
+    /// Complete a cache entry: build the per-book secondary tables
+    /// every scenario sharing `key` reads, on the session's pool. They
+    /// depend on the ELTs and the session's options only, so the cache
+    /// key needs nothing added.
+    fn derive_model_run(&self, key: u64, output: Stage1Output) -> ModelRun {
+        let opts = self.runner.options();
+        let _span = opts
+            .secondary_uncertainty
+            .then(|| riskpipe_obs::span_key("stage2.secondary", key));
+        let elts = output.books.iter().map(|book| &*book.elt);
+        let secondary = build_secondary(elts, opts, &self.pool);
+        if secondary.is_some() {
+            riskpipe_obs::counter_add("stage2.secondary_builds", 1);
+        }
+        ModelRun {
+            output: Arc::new(output),
+            secondary,
+        }
+    }
+
+    /// Stages 2 and 3 on an already-acquired model run; only the
     /// portfolio's layer terms are derived per scenario.
     fn finish_pipeline(
         &self,
         scenario: &ScenarioConfig,
         slot: Option<usize>,
         run: u64,
-        output: Arc<Stage1Output>,
+        model: &ModelRun,
         stage1: StageTiming,
     ) -> RiskResult<PipelineReport> {
-        let bundle: Stage1Bundle = scenario.bundle_from_output(output)?;
+        let bundle: Stage1Bundle = scenario.bundle_from_output(Arc::clone(&model.output))?;
         // Span keys: the sweep slot when streaming, 0 for single runs.
         let span_key = slot.map_or(0, |s| s as u64);
 
@@ -1625,30 +1665,34 @@ impl RiskSession {
         let yet = bundle.year_event_table();
         let ylt = {
             let _engine_span = riskpipe_obs::span_key("stage2.engine", span_key);
-            self.runner.run(&portfolio, &yet)?
+            self.runner
+                .run_prepared(&portfolio, &yet, model.secondary.as_deref())?
         };
 
         // Materialise the YELT for the first book under the configured
         // store (the drill-down table; at scale this is the artifact
-        // that decides memory vs files).
-        let yelt = Yelt::from_yet_elt(&yet, &bundle.output.books[0].elt);
-        let yelt_file_bytes = {
+        // that decides memory vs files). Once persisted only its size
+        // is reported, so it is dropped before stage 3 allocates —
+        // concurrent scenarios' YELTs and DFA columns then never stack.
+        let (yelt_rows, yelt_memory_bytes, yelt_file_bytes) = {
+            let yelt = Yelt::from_yet_elt(&yet, &bundle.output.books[0].elt);
             let _persist_span = riskpipe_obs::span_key("stage2.persist_yelt", span_key);
-            self.store.persist_yelt(
+            let file_bytes = self.store.persist_yelt(
                 RunLabel {
                     scenario: &scenario.name,
                     slot,
                     run,
                 },
                 &yelt,
-            )?
+            )?;
+            (yelt.rows(), yelt.memory_bytes() as u64, file_bytes)
         };
         let stage2 = StageTiming {
             stage: 2,
             elapsed: t0.elapsed(),
         };
         riskpipe_obs::counter_add("stage2.scenarios", 1);
-        riskpipe_obs::counter_add("stage2.yelt_rows", yelt.rows() as u64);
+        riskpipe_obs::counter_add("stage2.yelt_rows", yelt_rows as u64);
         riskpipe_obs::histogram_record("stage2.trials", STAGE2_TRIALS_BOUNDS, ylt.trials() as u64);
 
         // ---------------- stage 3: DFA ----------------
@@ -1684,8 +1728,8 @@ impl RiskSession {
             timings: [stage1, stage2, stage3],
             elt_rows: portfolio.total_elt_rows(),
             yet_occurrences: yet.total_occurrences(),
-            yelt_rows: yelt.rows(),
-            yelt_memory_bytes: yelt.memory_bytes() as u64,
+            yelt_rows,
+            yelt_memory_bytes,
             yelt_file_bytes,
             ylt_encoded_bytes: codec::encoded_ylt_len(ylt.trials()) as u64,
             measures,

@@ -34,6 +34,26 @@ unsafe impl<T> Send for SendPtr<T> {}
 // documented on `Send` above, so concurrent `&SendPtr` access cannot race.
 unsafe impl<T> Sync for SendPtr<T> {}
 
+/// Run `f(item)` as one pool task per item and wait for all of them —
+/// the one nested-scope site every helper below shares.
+fn spawn_each<T, F>(pool: &ThreadPool, items: impl Iterator<Item = T>, f: F)
+where
+    T: Send,
+    F: Fn(T) + Sync,
+{
+    // lint: allow(C1) — nested scope from a pool worker: a thread
+    // waiting on scope completion help-first steals and executes
+    // queued tasks instead of parking (see `ThreadPool::scope` and
+    // `worker_loop`), so the wait always makes progress and is
+    // deadlock-free by construction.
+    pool.scope(|s| {
+        for item in items {
+            let f = &f;
+            s.spawn(move || f(item));
+        }
+    });
+}
+
 /// Run `f` over `0..len` split into ranges of at most `grain` elements,
 /// in parallel. Runs inline when a single range suffices.
 pub fn par_for<F>(pool: &ThreadPool, len: usize, grain: usize, f: F)
@@ -48,12 +68,7 @@ where
         f(0..len);
         return;
     }
-    pool.scope(|s| {
-        for r in ranges {
-            let f = &f;
-            s.spawn(move || f(r));
-        }
-    });
+    spawn_each(pool, ranges.into_iter(), f);
 }
 
 /// Compute `f(i)` for every `i in 0..len` in parallel, collecting results
@@ -78,26 +93,16 @@ where
             unsafe { (*base.0.add(i)).write(f(i)) };
         }
     } else {
-        // lint: allow(C1) — nested scope from a pool worker: a thread
-        // waiting on scope completion help-first steals and executes
-        // queued tasks instead of parking (see `ThreadPool::scope` and
-        // `worker_loop`), so the wait always makes progress and is
-        // deadlock-free by construction.
-        pool.scope(|s| {
-            for r in ranges {
-                let f = &f;
-                s.spawn(move || {
-                    // Capture the whole SendPtr wrapper (edition-2021
-                    // disjoint capture would otherwise grab the bare
-                    // pointer field, which is !Send).
-                    let base = base;
-                    for i in r {
-                        // SAFETY: ranges are disjoint, each slot written
-                        // exactly once, and the scope keeps `out` alive
-                        // until all tasks finish.
-                        unsafe { (*base.0.add(i)).write(f(i)) };
-                    }
-                });
+        spawn_each(pool, ranges.into_iter(), move |r: Range<usize>| {
+            // Capture the whole SendPtr wrapper (edition-2021 disjoint
+            // capture would otherwise grab the bare pointer field,
+            // which is !Send).
+            let base = base;
+            for i in r {
+                // SAFETY: ranges are disjoint, each slot written
+                // exactly once, and the scope keeps `out` alive until
+                // all tasks finish.
+                unsafe { (*base.0.add(i)).write(f(i)) };
             }
         });
     }
@@ -126,12 +131,7 @@ where
         f(0, data);
         return;
     }
-    pool.scope(|s| {
-        for (i, c) in data.chunks_mut(chunk).enumerate() {
-            let f = &f;
-            s.spawn(move || f(i, c));
-        }
-    });
+    spawn_each(pool, data.chunks_mut(chunk).enumerate(), |(i, c)| f(i, c));
 }
 
 /// Parallel map-reduce over `0..len`: each range starts from

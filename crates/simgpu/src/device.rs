@@ -131,7 +131,7 @@ impl DeviceSpec {
             blocks: cfg.grid_blocks,
             threads_per_block: cfg.block_threads,
             wall: start.elapsed(),
-            traffic: counters.snapshot(),
+            traffic: counters.traffic(),
             peak_shared_bytes: peak,
             occupancy: self.occupancy(&cfg, peak),
         })

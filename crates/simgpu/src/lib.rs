@@ -1,8 +1,7 @@
 //! # riskpipe-simgpu
 //!
 //! A software model of a 2012-era many-core GPU, standing in for the
-//! CUDA hardware of the paper's aggregate-analysis experiments (see the
-//! substitution table in DESIGN.md).
+//! CUDA hardware of the paper's aggregate-analysis experiments.
 //!
 //! What the model preserves — the properties the paper's claims rest on:
 //!

@@ -68,8 +68,8 @@ impl MemCounters {
         self.const_read.fetch_add(bytes, Ordering::Relaxed);
     }
 
-    /// Snapshot the counters.
-    pub fn snapshot(&self) -> MemTraffic {
+    /// The traffic tallied so far.
+    pub fn traffic(&self) -> MemTraffic {
         MemTraffic {
             global_read: self.global_read.load(Ordering::Relaxed),
             global_write: self.global_write.load(Ordering::Relaxed),
@@ -303,7 +303,7 @@ mod tests {
         c.shared_read(16);
         c.shared_write(32);
         c.const_read(8);
-        let t = c.snapshot();
+        let t = c.traffic();
         assert_eq!(t.global_read, 16);
         assert_eq!(t.global_write, 4);
         assert_eq!(t.shared_read, 16);
@@ -342,7 +342,7 @@ mod tests {
         for (i, &v) in values.iter().enumerate() {
             assert_eq!(cm.read_f64(i, &c), v);
         }
-        assert_eq!(c.snapshot().const_read, 24);
+        assert_eq!(c.traffic().const_read, 24);
     }
 
     #[test]
@@ -359,7 +359,7 @@ mod tests {
         buf.write(3, 7.5, &c);
         assert_eq!(buf.read(3, &c), 7.5);
         assert_eq!(buf.read(0, &c), 0.0);
-        let t = c.snapshot();
+        let t = c.traffic();
         assert_eq!(t.global_write, 8);
         assert_eq!(t.global_read, 16);
         assert_eq!(buf.len(), 8);

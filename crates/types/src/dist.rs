@@ -19,7 +19,7 @@
 
 use crate::error::{RiskError, RiskResult};
 use crate::rng::Rng64;
-use crate::special::{inv_inc_beta, normal_icdf};
+use crate::special::{inv_inc_beta, inv_inc_beta_with, ln_beta, normal_icdf};
 
 /// A real-valued distribution that can be sampled from an [`Rng64`].
 pub trait Distribution {
@@ -295,6 +295,21 @@ impl Beta {
     pub fn quantile(&self, u: f64) -> f64 {
         inv_inc_beta(u.clamp(Self::EPS, 1.0 - Self::EPS), self.a, self.b)
     }
+
+    /// `out[k] = self.quantile(us[k])` for every `k`, bit for bit, with
+    /// the distribution's `ln B(a, b)` evaluated once for the whole
+    /// batch instead of once per Newton iteration — the tabulation
+    /// kernel of the secondary-uncertainty grid.
+    ///
+    /// # Panics
+    /// If `us` and `out` differ in length.
+    pub fn quantiles_into(&self, us: &[f64], out: &mut [f64]) {
+        assert_eq!(us.len(), out.len(), "one output slot per abscissa");
+        let ln_b = ln_beta(self.a, self.b);
+        for (q, &u) in out.iter_mut().zip(us) {
+            *q = inv_inc_beta_with(u.clamp(Self::EPS, 1.0 - Self::EPS), self.a, self.b, ln_b);
+        }
+    }
 }
 
 impl Distribution for Beta {
@@ -486,6 +501,24 @@ mod tests {
         // Degenerate inputs survive too.
         let b = Beta::from_mean_sd_clamped(0.0, 0.0);
         assert!(b.quantile(0.5).is_finite());
+    }
+
+    #[test]
+    fn beta_batched_quantiles_equal_single_lookups_bitwise() {
+        // Out-of-range abscissae included: both paths clamp alike.
+        let us = [-0.5, 0.0, 1e-9, 0.015, 0.3, 0.5, 0.77, 0.985, 1.0, 2.0];
+        for (mean, sd) in [(0.3, 0.1), (0.02, 0.05), (0.9, 5.0), (0.0, 0.0)] {
+            let b = Beta::from_mean_sd_clamped(mean, sd);
+            let mut out = [0.0; 10];
+            b.quantiles_into(&us, &mut out);
+            for (q, &u) in out.iter().zip(&us) {
+                assert_eq!(
+                    q.to_bits(),
+                    b.quantile(u).to_bits(),
+                    "({mean}, {sd}) at {u}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -101,6 +101,14 @@ fn beta_cf(a: f64, b: f64, x: f64) -> f64 {
 /// `a, b > 0`, `x ∈ [0, 1]`. This is the CDF of the Beta(a, b)
 /// distribution evaluated at `x`.
 pub fn inc_beta(a: f64, b: f64, x: f64) -> f64 {
+    inc_beta_with(a, b, x, ln_beta(a, b))
+}
+
+/// [`inc_beta`] with `ln_b = ln_beta(a, b)` supplied by the caller —
+/// three Lanczos evaluations a Newton inversion would otherwise repeat
+/// on every iteration. Same operations in the same order, so the
+/// result is bit-identical to [`inc_beta`].
+fn inc_beta_with(a: f64, b: f64, x: f64, ln_b: f64) -> f64 {
     debug_assert!(a > 0.0 && b > 0.0, "inc_beta requires a,b > 0");
     if x <= 0.0 {
         return 0.0;
@@ -108,7 +116,7 @@ pub fn inc_beta(a: f64, b: f64, x: f64) -> f64 {
     if x >= 1.0 {
         return 1.0;
     }
-    let ln_bt = a * x.ln() + b * (1.0 - x).ln() - ln_beta(a, b);
+    let ln_bt = a * x.ln() + b * (1.0 - x).ln() - ln_b;
     let bt = ln_bt.exp();
     if x < (a + 1.0) / (a + b + 2.0) {
         bt * beta_cf(a, b, x) / a
@@ -122,6 +130,13 @@ pub fn inc_beta(a: f64, b: f64, x: f64) -> f64 {
 /// Solves `I_x(a, b) = p` with a bracketed Newton iteration (bisection
 /// fallback keeps it unconditionally convergent). Accuracy ~1e-12 in `x`.
 pub fn inv_inc_beta(p: f64, a: f64, b: f64) -> f64 {
+    inv_inc_beta_with(p, a, b, ln_beta(a, b))
+}
+
+/// [`inv_inc_beta`] with `ln_b = ln_beta(a, b)` supplied by the caller,
+/// so many quantiles of one distribution share one evaluation of it
+/// (bit-identical to [`inv_inc_beta`]).
+pub(crate) fn inv_inc_beta_with(p: f64, a: f64, b: f64, ln_b: f64) -> f64 {
     debug_assert!(a > 0.0 && b > 0.0);
     if p <= 0.0 {
         return 0.0;
@@ -129,13 +144,13 @@ pub fn inv_inc_beta(p: f64, a: f64, b: f64) -> f64 {
     if p >= 1.0 {
         return 1.0;
     }
-    let ln_norm = -ln_beta(a, b);
+    let ln_norm = -ln_b;
     let (mut lo, mut hi) = (0.0f64, 1.0f64);
     // Mean as the starting point is robust for the moderate (a, b) that
     // moment-matched damage ratios produce.
     let mut x = (a / (a + b)).clamp(1e-12, 1.0 - 1e-12);
     for _ in 0..100 {
-        let f = inc_beta(a, b, x) - p;
+        let f = inc_beta_with(a, b, x, ln_b) - p;
         if f > 0.0 {
             hi = x;
         } else {

@@ -3,9 +3,13 @@
 //! the same inputs — the property that makes the speedup comparisons of
 //! experiment E1 meaningful.
 
-use riskpipe::aggregate::{engines_agree, AggregateOptions, QuantileMode};
+use riskpipe::aggregate::{
+    build_secondary, engines_agree, AggregateEngine, AggregateOptions, AggregateRunner, EngineKind,
+    QuantileMode, SecondaryTable,
+};
 use riskpipe::core::ScenarioConfig;
 use riskpipe::exec::ThreadPool;
+use riskpipe::types::RiskError;
 use std::sync::Arc;
 
 #[test]
@@ -64,4 +68,92 @@ fn all_engines_agree_with_exact_quantiles() {
         pool,
     )
     .expect("engines diverged");
+}
+
+/// The three option shapes the engines distinguish.
+fn option_shapes() -> [AggregateOptions; 3] {
+    [
+        AggregateOptions::default(),
+        AggregateOptions {
+            secondary_uncertainty: false,
+            ..AggregateOptions::default()
+        },
+        AggregateOptions {
+            secondary_uncertainty: true,
+            quantile_mode: QuantileMode::Exact,
+        },
+    ]
+}
+
+#[test]
+fn prepared_tables_runs_equal_option_runs_bitwise_on_every_engine() {
+    let stage1 = ScenarioConfig::small()
+        .with_seed(34)
+        .with_trials(300)
+        .build_stage1()
+        .unwrap();
+    let (portfolio, yet) = (stage1.portfolio(), stage1.year_event_table());
+    let pool = Arc::new(ThreadPool::new(3));
+    for opts in option_shapes() {
+        // Built once, on a pool none of the runners use: the tables are
+        // a pure function of (ELT, mode).
+        let elts = portfolio.layers().iter().map(|l| &*l.elt);
+        let tables = build_secondary(elts, &opts, &ThreadPool::new(2));
+        assert_eq!(tables.is_some(), opts.secondary_uncertainty);
+        for kind in EngineKind::ALL {
+            for attached in [None, Some(Arc::clone(&pool))] {
+                let mut runner = AggregateRunner::new(kind).with_options(opts);
+                if let Some(pool) = attached {
+                    runner = runner.with_pool(pool);
+                }
+                let built = runner.run(&portfolio, &yet).unwrap();
+                let prepared = runner
+                    .run_prepared(&portfolio, &yet, tables.as_deref())
+                    .unwrap();
+                assert_eq!(prepared, built, "{kind:?} under {opts:?}");
+            }
+        }
+    }
+}
+
+#[test]
+fn mismatched_prepared_tables_are_a_typed_error_on_every_engine() {
+    let stage1 = ScenarioConfig::small()
+        .with_seed(35)
+        .with_trials(50)
+        .build_stage1()
+        .unwrap();
+    let (portfolio, yet) = (stage1.portfolio(), stage1.year_event_table());
+    let mode = QuantileMode::default();
+    let good: Vec<SecondaryTable> = portfolio
+        .layers()
+        .iter()
+        .map(|l| SecondaryTable::build(&l.elt, mode))
+        .collect();
+    // One table too few, one too many, and the right count with one
+    // table built for a differently sized ELT (the out-of-bounds hazard).
+    let other = good
+        .iter()
+        .find(|t| t.len() != good[0].len())
+        .expect("books differ in ELT rows");
+    let mut wrong_rows = good.clone();
+    wrong_rows[0] = other.clone();
+    let mut extra = good.clone();
+    extra.push(good[0].clone());
+    let bad_shapes = [&good[1..], &extra[..], &wrong_rows[..]];
+    for kind in EngineKind::ALL {
+        let runner = AggregateRunner::new(kind).with_pool(Arc::new(ThreadPool::new(2)));
+        for tables in bad_shapes {
+            let err = runner
+                .run_prepared(&portfolio, &yet, Some(tables))
+                .unwrap_err();
+            assert!(
+                matches!(err, RiskError::InvalidParameter(_)),
+                "{kind:?}: {err}"
+            );
+        }
+        runner
+            .run_prepared(&portfolio, &yet, Some(&good))
+            .expect("matching tables run");
+    }
 }

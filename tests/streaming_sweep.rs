@@ -10,9 +10,12 @@
 //! keep holding until the shim is removed.
 #![allow(deprecated)]
 
+use riskpipe::aggregate::{AggregateOptions, SecondaryTable};
 use riskpipe::core::{
-    PersistingSink, ReportStream, RiskSession, ScenarioConfig, ShardedFilesStore, SweepSummary,
+    PersistingSink, PipelineReport, ReportStream, RiskSession, ScenarioConfig, ShardedFilesStore,
+    SweepSummary,
 };
+use riskpipe::obs::Telemetry;
 use riskpipe::types::{RiskError, RiskResult};
 use std::sync::Arc;
 
@@ -347,5 +350,194 @@ fn run_after_stream_reuses_the_cache() -> RiskResult<()> {
     let stats = session.stage1_cache_stats();
     assert_eq!(stats.misses, misses_after_sweep);
     assert!(stats.hits >= 3);
+    Ok(())
+}
+
+// ---------------------------------------------------------------------
+// Secondary tables ride the stage-1 cache entry: built once per distinct
+// key by the key's leader, charged to the byte budget, rebuilt from the
+// decoded ELTs on a disk-tier hit — and never visible in a result bit.
+// ---------------------------------------------------------------------
+
+/// Everything a report derives from its YLT, for bit comparisons.
+fn result_bits(report: &PipelineReport) -> (Vec<u64>, Vec<u64>, Vec<u32>, u64) {
+    let (agg, max_occ, counts) = report.ylt.columns();
+    (
+        agg.iter().map(|x| x.to_bits()).collect(),
+        max_occ.iter().map(|x| x.to_bits()).collect(),
+        counts.to_vec(),
+        report.measures.tvar99.to_bits(),
+    )
+}
+
+fn collect_stream(
+    session: &RiskSession,
+    scenarios: &[ScenarioConfig],
+) -> RiskResult<Vec<PipelineReport>> {
+    let mut reports = Vec::new();
+    session.run_stream(scenarios, |_, report| {
+        reports.push(report);
+        Ok(())
+    })?;
+    Ok(reports)
+}
+
+#[test]
+fn same_key_sweep_builds_secondary_tables_once_per_key_on_any_thread_count() -> RiskResult<()> {
+    let sweep = pricing_sweep(200, 8);
+    let mut two_keys = pricing_sweep(201, 4);
+    two_keys.extend(pricing_sweep(202, 4));
+
+    let uncached = RiskSession::builder()
+        .pool_threads(2)
+        .stage1_cache(false)
+        .build()?;
+    let want: Vec<_> = collect_stream(&uncached, &sweep)?
+        .iter()
+        .map(result_bits)
+        .collect();
+
+    for threads in [1, 2, 8] {
+        let telemetry = Telemetry::new();
+        let session = RiskSession::builder()
+            .pool_threads(threads)
+            .telemetry(telemetry.clone())
+            .build()?;
+        let got = collect_stream(&session, &sweep)?;
+        let stats = session.stage1_cache_stats();
+        assert_eq!(
+            (stats.builds, stats.misses, stats.hits),
+            (1, 1, 7),
+            "{threads} threads"
+        );
+        let metrics = telemetry.snapshot().metrics().clone();
+        assert_eq!(
+            metrics.counter("stage2.secondary_builds"),
+            1,
+            "{threads} threads: one table set for the one key"
+        );
+        for (slot, report) in got.iter().enumerate() {
+            assert_eq!(
+                result_bits(report),
+                want[slot],
+                "slot {slot} on {threads} threads vs cache-off"
+            );
+        }
+
+        telemetry.reset();
+        collect_stream(&session, &two_keys)?;
+        let metrics = telemetry.snapshot().metrics().clone();
+        assert_eq!(metrics.counter("stage2.secondary_builds"), 2);
+        assert_eq!(metrics.counter("stage1.builds"), 2);
+    }
+
+    // Cache off there is nothing to share: every scenario builds its own.
+    let telemetry = Telemetry::new();
+    let uncached = RiskSession::builder()
+        .pool_threads(2)
+        .stage1_cache(false)
+        .telemetry(telemetry.clone())
+        .build()?;
+    collect_stream(&uncached, &sweep)?;
+    let metrics = telemetry.snapshot().metrics().clone();
+    assert_eq!(metrics.counter("stage2.secondary_builds"), 8);
+    Ok(())
+}
+
+#[test]
+fn cache_bytes_charge_the_secondary_tables_and_eviction_drops_them() -> RiskResult<()> {
+    let (a, b) = (scenario(210), scenario(211));
+    let table_bytes = |s: &ScenarioConfig| -> RiskResult<u64> {
+        let mode = AggregateOptions::default().quantile_mode;
+        Ok(s.build_stage1()?
+            .output
+            .books
+            .iter()
+            .map(|book| SecondaryTable::build(&book.elt, mode).memory_bytes() as u64)
+            .sum())
+    };
+
+    // The same entry with and without tables differs by exactly the
+    // tables' footprint.
+    let with_tables = RiskSession::builder().pool_threads(2).build()?;
+    let without = RiskSession::builder()
+        .pool_threads(2)
+        .options(AggregateOptions {
+            secondary_uncertainty: false,
+            ..AggregateOptions::default()
+        })
+        .build()?;
+    let first = with_tables.run(&a)?;
+    without.run(&a)?;
+    let charged = with_tables.stage1_cache_stats().bytes;
+    assert!(table_bytes(&a)? > 0);
+    assert_eq!(
+        charged - without.stage1_cache_stats().bytes,
+        table_bytes(&a)?
+    );
+
+    // A budget below one entry keeps only the latest: B evicts A — its
+    // tables with it — and coming back to A rebuilds both, bit-equal.
+    let telemetry = Telemetry::new();
+    let tight = RiskSession::builder()
+        .pool_threads(2)
+        .stage1_cache_bytes(1)
+        .telemetry(telemetry.clone())
+        .build()?;
+    tight.run(&a)?;
+    assert_eq!(tight.stage1_cache_stats().bytes, charged);
+    tight.run(&b)?;
+    let stats = tight.stage1_cache_stats();
+    assert_eq!((stats.entries, stats.evictions), (1, 1));
+    assert_eq!(
+        stats.bytes,
+        {
+            let solo = RiskSession::builder().pool_threads(2).build()?;
+            solo.run(&b)?;
+            solo.stage1_cache_stats().bytes
+        },
+        "only B's model run and tables stay charged"
+    );
+    let again = tight.run(&a)?;
+    assert_eq!(tight.stage1_cache_stats().builds, 3);
+    let metrics = telemetry.snapshot().metrics().clone();
+    assert_eq!(metrics.counter("stage2.secondary_builds"), 3);
+    assert_eq!(result_bits(&again), result_bits(&first));
+    Ok(())
+}
+
+#[test]
+fn disk_warm_session_rebuilds_tables_from_decoded_elts() -> RiskResult<()> {
+    let dir = std::env::temp_dir().join(format!("riskpipe-s1tables-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let mut scenarios = pricing_sweep(220, 3);
+    scenarios.extend(pricing_sweep(221, 3));
+
+    let cold = RiskSession::builder()
+        .pool_threads(2)
+        .stage1_disk_cache(&dir)
+        .build()?;
+    let want = collect_stream(&cold, &scenarios)?;
+    assert_eq!(cold.stage1_cache_stats().builds, 2);
+
+    let telemetry = Telemetry::new();
+    let warm = RiskSession::builder()
+        .pool_threads(2)
+        .stage1_disk_cache(&dir)
+        .telemetry(telemetry.clone())
+        .build()?;
+    let got = collect_stream(&warm, &scenarios)?;
+    let stats = warm.stage1_cache_stats();
+    assert_eq!((stats.builds, stats.disk_hits), (0, 2));
+    let metrics = telemetry.snapshot().metrics().clone();
+    assert_eq!(
+        metrics.counter("stage2.secondary_builds"),
+        2,
+        "tables are derived after the decode, once per key"
+    );
+    for (slot, (g, w)) in got.iter().zip(&want).enumerate() {
+        assert_eq!(result_bits(g), result_bits(w), "slot {slot}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
     Ok(())
 }

@@ -80,6 +80,11 @@ fn metrics_snapshots_are_bit_identical_across_thread_counts() -> RiskResult<()> 
     assert_eq!(m.counter("stage1.builds"), 4, "one build per distinct key");
     assert_eq!(m.counter("stage1.misses"), 4);
     assert_eq!(m.counter("stage2.scenarios"), 4);
+    assert_eq!(
+        m.counter("stage2.secondary_builds"),
+        4,
+        "one table set per distinct key"
+    );
     assert_eq!(m.counter("sweep.delivered"), 4);
     assert!(m.counter("sink.deliveries") >= 4, "fan-out delivered");
     assert_eq!(m.counter("warehouse.reports"), 4);
@@ -133,7 +138,8 @@ fn span_tree_covers_every_stage_of_a_full_plan() -> RiskResult<()> {
         ("sweep.run_stream", 1),
         ("sweep.scenario", n),
         ("stage1.acquire", n),
-        ("stage1.build", n), // distinct seeds → one build each
+        ("stage1.build", n),     // distinct seeds → one build each
+        ("stage2.secondary", n), // … and one table set each
         ("stage2.engine", n),
         ("stage2.persist_yelt", n),
         ("stage3.dfa", n),
@@ -159,6 +165,20 @@ fn span_tree_covers_every_stage_of_a_full_plan() -> RiskResult<()> {
             snap.spans_named(name).count() > 0,
             "no {name} span recorded"
         );
+    }
+
+    // The secondary tables belong to the cached model run: each build
+    // is a child of its key's `stage1.acquire`, keyed by `stage1_key`.
+    for secondary in snap.spans_named("stage2.secondary") {
+        let parent = snap
+            .spans_named("stage1.acquire")
+            .find(|a| a.key == secondary.key)
+            .expect("an acquire span for the same stage-1 key");
+        assert!(scenarios.iter().any(|s| s.stage1_key() == secondary.key));
+        assert_eq!(parent.thread, secondary.thread);
+        assert_eq!(parent.depth + 1, secondary.depth);
+        assert!(parent.start_ns <= secondary.start_ns);
+        assert!(secondary.start_ns + secondary.dur_ns <= parent.start_ns + parent.dur_ns);
     }
 
     // Stitched order is deterministic: thread-then-sequence.
@@ -211,6 +231,11 @@ fn reset_windows_cumulative_telemetry() -> RiskResult<()> {
     let second = session.sweep(&scenarios).summary().drive()?;
     let m2 = second.telemetry().expect("telemetry requested").metrics();
     assert_eq!(m2.counter("stage1.builds"), 0, "warm cache: no rebuilds");
+    assert_eq!(
+        m2.counter("stage2.secondary_builds"),
+        0,
+        "tables cached too"
+    );
     assert_eq!(m2.counter("stage1.hits"), 4);
     assert_eq!(m2.counter("stage2.scenarios"), 4, "fresh window counts");
     Ok(())

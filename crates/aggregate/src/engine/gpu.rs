@@ -14,23 +14,26 @@
 //! 48 KiB arena, traffic tallied per the table in the engine module
 //! docs) rather than physically copied — on the host, the cache
 //! hierarchy plays the role of shared memory, and a physical copy would
-//! only distort the host-side wall-clock comparison. Loss arithmetic is
-//! byte-identical to the other engines because all engines execute
-//! [`super::compute_trial`].
+//! only distort the host-side wall-clock comparison.
+//!
+//! This is the one place the paper's one-probe-per-layer loop
+//! (`compute_trial`) survives: the traffic model meters exactly that
+//! access pattern. It probes each layer's own ELT index and reads the
+//! hit's payload out of the shared [`EventJoin`] through its row → hit
+//! column, visiting layers in ascending order — the order the host
+//! kernel's hit stream has — so loss arithmetic is bit-identical to the
+//! other engines although the loop is a different one.
 
-use super::{
-    build_secondary, check_inputs, compute_trial, layer_elts, AggregateEngine, AggregateOptions,
-    Meter,
-};
-use crate::portfolio::Portfolio;
-use crate::secondary::SecondaryTable;
+use super::{build_join, check_inputs, AggregateEngine, AggregateOptions};
+use crate::join::EventJoin;
+use crate::portfolio::{Layer, Portfolio};
 use riskpipe_exec::ThreadPool;
 use riskpipe_simgpu::{
     BlockCtx, ConstMem, DeviceSpec, GlobalBuf, Kernel, LaunchConfig, LaunchStats, MemCounters,
 };
 use riskpipe_tables::yet::YearEventTable;
 use riskpipe_tables::Ylt;
-use riskpipe_types::{RiskError, RiskResult, TrialId};
+use riskpipe_types::{EventId, RiskError, RiskResult, TrialId};
 use std::sync::Arc;
 
 /// Bytes of one YET row in the kernel's view (event u32 + day u16 + z f64).
@@ -54,6 +57,74 @@ pub enum GpuChunking {
     /// The paper's design: YET rows staged through shared-memory tiles,
     /// terms in constant memory.
     SharedTiles,
+}
+
+/// Semantic memory events of the kernel's inner loop; see the engine
+/// module docs for the byte costs.
+trait Meter {
+    /// A YET row moved global → shared (staging); free for a strategy
+    /// that does not stage.
+    #[inline]
+    fn on_occurrence_staged(&self) {}
+    /// A YET row consumed by one layer.
+    fn on_occurrence_fetch(&self);
+    /// One hash-probe slot touched.
+    fn on_probe(&self);
+    /// An ELT hit's payload fetched.
+    fn on_hit_payload(&self, secondary: bool);
+    /// One layer's terms fetched.
+    fn on_terms_read(&self);
+}
+
+/// One trial of aggregate analysis as the device kernel runs it:
+/// occurrences-outer / layers-inner, one metered hash probe per layer,
+/// matching the GPU kernel of the companion paper. `scratch` must hold
+/// one slot per layer; it is reset here. Returns `(aggregate_loss,
+/// max_occurrence_loss, loss_causing_occurrences)`.
+#[inline]
+fn compute_trial<M: Meter>(
+    layers: &[Layer],
+    join: &EventJoin,
+    events: &[u32],
+    zs: &[f64],
+    scratch: &mut [f64],
+    meter: &M,
+) -> (f64, f64, u32) {
+    debug_assert_eq!(scratch.len(), layers.len());
+    scratch.fill(0.0);
+    let secondary = join.has_secondary();
+    let mut max_occ = 0.0f64;
+    let mut count = 0u32;
+    for (&e, &z) in events.iter().zip(zs) {
+        meter.on_occurrence_staged();
+        let event = EventId::new(e);
+        let mut occ_total = 0.0f64;
+        for (li, layer) in layers.iter().enumerate() {
+            meter.on_occurrence_fetch();
+            meter.on_probe();
+            if let Some(row) = layer.elt.row_of(event) {
+                meter.on_hit_payload(secondary);
+                let gross = join.gross_at(join.hit_of(li, row), z);
+                let net = layer.terms.apply_occurrence(gross);
+                if net > 0.0 {
+                    scratch[li] += net;
+                    occ_total += net * layer.terms.share;
+                }
+            }
+        }
+        if occ_total > 0.0 {
+            count += 1;
+            if occ_total > max_occ {
+                max_occ = occ_total;
+            }
+        }
+    }
+    let mut agg_total = 0.0f64;
+    for (layer, &annual) in layers.iter().zip(scratch.iter()) {
+        meter.on_terms_read();
+        agg_total += layer.terms.apply_aggregate(annual);
+    }
+    (agg_total, max_occ, count)
 }
 
 // Meters accumulate into per-block `Cell`s and flush to the shared
@@ -159,12 +230,12 @@ impl Meter for TiledMeter<'_> {
 }
 
 struct AggKernel<'a> {
-    portfolio: &'a Portfolio,
-    secondary: Option<&'a [SecondaryTable]>,
+    layers: &'a [Layer],
+    join: &'a EventJoin,
     yet: &'a YearEventTable,
     /// Portfolio terms resident in constant memory (capacity-checked at
-    /// engine start; reads are metered, values come from `portfolio` to
-    /// share `compute_trial` with the CPU engines).
+    /// engine start; reads are metered, values come from `layers` so
+    /// both kernels apply the very same terms).
     _terms: ConstMem,
     chunking: GpuChunking,
     trials: usize,
@@ -193,7 +264,7 @@ impl Kernel for AggKernel<'_> {
             let tile_f64s = (per_thread * ctx.block_threads as u64 * TILE_ROW_BYTES / 8) as usize;
             let _tile = ctx.shared.alloc_f64(tile_f64s)?;
         }
-        let mut scratch = vec![0.0f64; self.portfolio.len()];
+        let mut scratch = vec![0.0f64; self.layers.len()];
         // One meter per block, flushed to the shared counters on drop.
         let global_meter;
         let tiled_meter;
@@ -215,12 +286,8 @@ impl Kernel for AggKernel<'_> {
             }
             let (events, _days, zs) = self.yet.trial_slices(TrialId::new(g as u32));
             let (agg, max_occ, count) = match (&global_meter, &tiled_meter) {
-                (Some(m), _) => {
-                    compute_trial(self.portfolio, self.secondary, events, zs, &mut scratch, m)
-                }
-                (_, Some(m)) => {
-                    compute_trial(self.portfolio, self.secondary, events, zs, &mut scratch, m)
-                }
+                (Some(m), _) => compute_trial(self.layers, self.join, events, zs, &mut scratch, m),
+                (_, Some(m)) => compute_trial(self.layers, self.join, events, zs, &mut scratch, m),
                 _ => unreachable!("one meter is always constructed"),
             };
             // Output writes batched with the block's other traffic.
@@ -276,25 +343,26 @@ impl GpuEngine {
 
     /// Run and return both the YLT and the launch statistics (traffic
     /// counters, occupancy — the measurements behind the chunking
-    /// experiment), building the secondary tables `opts` asks for first.
+    /// experiment), building and joining the secondary tables `opts`
+    /// asks for first.
     pub fn run_with_stats(
         &self,
         portfolio: &Portfolio,
         yet: &YearEventTable,
         opts: &AggregateOptions,
     ) -> RiskResult<(Ylt, LaunchStats)> {
-        let secondary = build_secondary(layer_elts(portfolio), opts, self.pool());
-        self.launch(portfolio, yet, secondary.as_deref())
+        let join = build_join(portfolio, opts, self.pool())?;
+        self.launch(portfolio, yet, &join)
     }
 
-    /// One kernel launch over prepared tables.
+    /// One kernel launch over a prepared join.
     fn launch(
         &self,
         portfolio: &Portfolio,
         yet: &YearEventTable,
-        secondary: Option<&[SecondaryTable]>,
+        join: &EventJoin,
     ) -> RiskResult<(Ylt, LaunchStats)> {
-        check_inputs(portfolio, yet, secondary)?;
+        check_inputs(portfolio, yet, join)?;
         let trials = yet.trials();
         let mut terms_flat = Vec::with_capacity(portfolio.len() * 5);
         for l in portfolio.layers() {
@@ -302,8 +370,8 @@ impl GpuEngine {
         }
         let terms = ConstMem::from_f64s(&terms_flat, self.device.const_mem_bytes)?;
         let kernel = AggKernel {
-            portfolio,
-            secondary,
+            layers: portfolio.layers(),
+            join,
             yet,
             _terms: terms,
             chunking: self.chunking,
@@ -342,9 +410,9 @@ impl AggregateEngine for GpuEngine {
         &self,
         portfolio: &Portfolio,
         yet: &YearEventTable,
-        secondary: Option<&[SecondaryTable]>,
+        join: &EventJoin,
     ) -> RiskResult<Ylt> {
-        self.launch(portfolio, yet, secondary).map(|(ylt, _)| ylt)
+        self.launch(portfolio, yet, join).map(|(ylt, _)| ylt)
     }
 }
 

@@ -1,14 +1,30 @@
 //! The aggregate-analysis engines.
 //!
-//! All engines share one trial computation (`compute_trial`) so their
-//! outputs are bit-identical; they differ only in *where* the loop runs
-//! (host thread, thread pool, simulated GPU) and in the memory-traffic
-//! metering hooks the GPU engine uses for the chunking experiment.
+//! There are exactly two trial kernels, and every engine's YLT is
+//! bit-identical because both add the same values in the same order
+//! (ascending layer index within an occurrence — the
+//! [`EventJoin`] ordering invariant):
+//!
+//! * **the host kernel** ([`joined_trial`]) — occurrences-outer,
+//!   hits-inner over the [`EventJoin`]: one map lookup per occurrence,
+//!   the interpolation cell computed once per occurrence, then a
+//!   contiguous stream over the event's hits. [`SequentialEngine`],
+//!   [`CpuParallelEngine`] and [`run_per_layer`] run it; it is the
+//!   paper's "pre-join once, then scan flat tables" applied to stage 2.
+//! * **the simulated device's kernel** (`engine/gpu.rs`) —
+//!   occurrences-outer, layers-inner with one hash probe per layer, as
+//!   in the GPU companion paper. It stays because that access pattern
+//!   is what experiment E8 meters: over a join both chunking modes
+//!   would fetch each YET row once and staging would have nothing to
+//!   save. It reads hit payloads out of the same [`EventJoin`].
+//!
+//! Two kernels, one table: the cross-engine equality tests are a real
+//! cross-kernel oracle, not one function called four ways.
 //!
 //! ## The traffic model (E8)
 //!
-//! The `Meter` trait marks the semantic memory events of the inner
-//! loop; byte costs follow the table layouts:
+//! The simulated device's kernel marks the semantic memory events of
+//! its inner loop; byte costs follow the table layouts:
 //!
 //! | event | bytes | meaning |
 //! |---|---|---|
@@ -27,12 +43,13 @@ pub use gpu::{GpuChunking, GpuEngine};
 pub use par::CpuParallelEngine;
 pub use seq::SequentialEngine;
 
-use crate::portfolio::Portfolio;
+use crate::join::EventJoin;
+use crate::portfolio::{Layer, Portfolio};
 use crate::secondary::{QuantileMode, SecondaryTable};
 use riskpipe_exec::ThreadPool;
 use riskpipe_tables::yet::YearEventTable;
 use riskpipe_tables::{Elt, Ylt};
-use riskpipe_types::{EventId, RiskError, RiskResult};
+use riskpipe_types::{RiskError, RiskResult, TrialId};
 use std::sync::Arc;
 
 /// Options shared by all engines.
@@ -58,10 +75,10 @@ impl Default for AggregateOptions {
 /// An aggregate-analysis engine: portfolio × YET → YLT.
 ///
 /// There is one engine path: [`AggregateEngine::run_prepared`] runs the
-/// trial loop over secondary tables the caller already holds (the
-/// session's stage-1 cache builds them once per model run), and the
-/// provided [`AggregateEngine::run`] is "build the tables the options
-/// ask for, then delegate".
+/// trial loop over an [`EventJoin`] the caller already holds (the
+/// session's stage-1 cache builds one per model run), and the provided
+/// [`AggregateEngine::run`] is "build the tables the options ask for,
+/// join them, then delegate".
 pub trait AggregateEngine {
     /// Engine name for reports.
     fn name(&self) -> &'static str;
@@ -72,41 +89,41 @@ pub trait AggregateEngine {
         riskpipe_exec::global_pool()
     }
 
-    /// Run the analysis over prepared secondary tables: `Some(tables)`
-    /// applies secondary uncertainty through `tables[i]` for layer `i`,
-    /// `None` uses each ELT row's mean loss.
+    /// Run the analysis over a prepared join of the portfolio's ELTs
+    /// (whether it carries secondary uncertainty was decided when it
+    /// was built).
     ///
     /// # Errors
     /// [`RiskError::InvalidParameter`] when the portfolio or YET is empty,
-    /// or when `tables` does not hold exactly one table per layer with
-    /// exactly one row per row of that layer's ELT.
+    /// or when `join` does not hold exactly one layer per portfolio
+    /// layer with exactly one row per row of that layer's ELT.
     fn run_prepared(
         &self,
         portfolio: &Portfolio,
         yet: &YearEventTable,
-        secondary: Option<&[SecondaryTable]>,
+        join: &EventJoin,
     ) -> RiskResult<Ylt>;
 
     /// Run the analysis, building the secondary tables `opts` asks for
-    /// on [`AggregateEngine::pool`] first.
+    /// on [`AggregateEngine::pool`] and joining them first.
     fn run(
         &self,
         portfolio: &Portfolio,
         yet: &YearEventTable,
         opts: &AggregateOptions,
     ) -> RiskResult<Ylt> {
-        let secondary = build_secondary(layer_elts(portfolio), opts, self.pool());
-        self.run_prepared(portfolio, yet, secondary.as_deref())
+        let join = build_join(portfolio, opts, self.pool())?;
+        self.run_prepared(portfolio, yet, &join)
     }
 }
 
-/// Validation shared by all engines: non-empty inputs, and prepared
-/// tables that line up with the portfolio row for row (so the trial
-/// loop's `tables[layer].loss(row, z)` can never index out of bounds).
+/// Validation shared by all engines: non-empty inputs, and a join that
+/// lines up with the portfolio layer for layer and row for row (so no
+/// kernel can index a layer or a hit out of bounds).
 pub(crate) fn check_inputs(
     portfolio: &Portfolio,
     yet: &YearEventTable,
-    secondary: Option<&[SecondaryTable]>,
+    join: &EventJoin,
 ) -> RiskResult<()> {
     if portfolio.is_empty() {
         return Err(RiskError::invalid("portfolio has no layers"));
@@ -114,21 +131,18 @@ pub(crate) fn check_inputs(
     if yet.trials() == 0 {
         return Err(RiskError::invalid("YET has no trials"));
     }
-    let Some(tables) = secondary else {
-        return Ok(());
-    };
-    if tables.len() != portfolio.len() {
+    if join.layers() != portfolio.len() {
         return Err(RiskError::invalid(format!(
-            "{} secondary tables for {} layers",
-            tables.len(),
+            "join over {} layers for a portfolio of {}",
+            join.layers(),
             portfolio.len()
         )));
     }
-    for (li, (table, layer)) in tables.iter().zip(portfolio.layers()).enumerate() {
-        if table.len() != layer.elt.len() {
+    for (li, layer) in portfolio.layers().iter().enumerate() {
+        if join.layer_rows(li) != layer.elt.len() {
             return Err(RiskError::invalid(format!(
-                "secondary table {li} has {} rows, its layer's ELT has {}",
-                table.len(),
+                "join layer {li} has {} rows, the portfolio layer's ELT has {}",
+                join.layer_rows(li),
                 layer.elt.len()
             )));
         }
@@ -143,7 +157,8 @@ fn layer_elts(portfolio: &Portfolio) -> impl Iterator<Item = &Elt> {
 
 /// One secondary table per ELT, in order, built on `pool` — or `None`
 /// when the options switch secondary uncertainty off. A pure function
-/// of the ELTs and [`AggregateOptions::quantile_mode`].
+/// of the ELTs and [`AggregateOptions::quantile_mode`]; the input of
+/// [`EventJoin::build`].
 pub fn build_secondary<'a>(
     elts: impl IntoIterator<Item = &'a Elt>,
     opts: &AggregateOptions,
@@ -156,82 +171,45 @@ pub fn build_secondary<'a>(
     })
 }
 
-/// Semantic memory events of the inner loop; see the module docs.
-/// Default impls are no-ops so CPU engines compile the hooks away.
-pub(crate) trait Meter {
-    /// A YET row moved global → shared (staging).
-    #[inline]
-    fn on_occurrence_staged(&self) {}
-    /// A YET row consumed by one layer.
-    #[inline]
-    fn on_occurrence_fetch(&self) {}
-    /// One hash-probe slot touched.
-    #[inline]
-    fn on_probe(&self) {}
-    /// An ELT hit's payload fetched.
-    #[inline]
-    fn on_hit_payload(&self, _secondary: bool) {}
-    /// One layer's terms fetched.
-    #[inline]
-    fn on_terms_read(&self) {}
-    /// One YLT row written.
-    #[inline]
-    fn on_output_write(&self) {}
+/// The join of a portfolio's ELTs under `opts`, tables built on `pool`.
+fn build_join(
+    portfolio: &Portfolio,
+    opts: &AggregateOptions,
+    pool: &ThreadPool,
+) -> RiskResult<EventJoin> {
+    let tables = build_secondary(layer_elts(portfolio), opts, pool);
+    EventJoin::build(layer_elts(portfolio), tables)
 }
 
-/// The no-op meter for CPU engines.
-pub(crate) struct NoMeter;
-impl Meter for NoMeter {}
-
-/// One trial of aggregate analysis. `scratch` must hold one slot per
-/// layer; it is reset here. Returns `(aggregate_loss, max_occurrence
-/// _loss, loss_causing_occurrences)`.
+/// One trial of aggregate analysis on the host: `scratch` must hold one
+/// slot per layer; it is reset here. Returns `(aggregate_loss,
+/// max_occurrence_loss, loss_causing_occurrences)`.
 ///
-/// The double loop is occurrences-outer / layers-inner, matching the
-/// GPU kernel of the companion paper; every engine calls exactly this
-/// function so floating-point order — hence the YLT — is identical
-/// everywhere.
+/// Occurrences-outer / hits-inner over the join. Hits arrive in
+/// ascending layer order, so the additions below happen in the order
+/// the one-probe-per-layer kernel performs them.
 #[inline]
-pub(crate) fn compute_trial<M: Meter>(
-    portfolio: &Portfolio,
-    secondary: Option<&[SecondaryTable]>,
+pub(crate) fn joined_trial(
+    layers: &[Layer],
+    join: &EventJoin,
     events: &[u32],
     zs: &[f64],
     scratch: &mut [f64],
-    meter: &M,
 ) -> (f64, f64, u32) {
-    debug_assert_eq!(scratch.len(), portfolio.len());
-    for a in scratch.iter_mut() {
-        *a = 0.0;
-    }
-    let layers = portfolio.layers();
+    debug_assert_eq!(scratch.len(), layers.len());
+    scratch.fill(0.0);
     let mut max_occ = 0.0f64;
     let mut count = 0u32;
-    for (i, &e) in events.iter().enumerate() {
-        meter.on_occurrence_staged();
-        let event = EventId::new(e);
+    for (&event, &z) in events.iter().zip(zs) {
         let mut occ_total = 0.0f64;
-        for (li, layer) in layers.iter().enumerate() {
-            meter.on_occurrence_fetch();
-            meter.on_probe();
-            if let Some(row) = layer.elt.row_of(event) {
-                let gross = match secondary {
-                    Some(tables) => {
-                        meter.on_hit_payload(true);
-                        tables[li].loss(row, zs[i])
-                    }
-                    None => {
-                        meter.on_hit_payload(false);
-                        layer.elt.mean_loss_at(row)
-                    }
-                };
-                let net = layer.terms.apply_occurrence(gross);
-                if net > 0.0 {
-                    scratch[li] += net;
-                    occ_total += net * layer.terms.share;
-                }
+        join.for_each_hit(event, z, |li, gross| {
+            let terms = &layers[li].terms;
+            let net = terms.apply_occurrence(gross);
+            if net > 0.0 {
+                scratch[li] += net;
+                occ_total += net * terms.share;
             }
-        }
+        });
         if occ_total > 0.0 {
             count += 1;
             if occ_total > max_occ {
@@ -240,11 +218,9 @@ pub(crate) fn compute_trial<M: Meter>(
         }
     }
     let mut agg_total = 0.0f64;
-    for (li, layer) in layers.iter().enumerate() {
-        meter.on_terms_read();
-        agg_total += layer.terms.apply_aggregate(scratch[li]);
+    for (layer, &annual) in layers.iter().zip(scratch.iter()) {
+        agg_total += layer.terms.apply_aggregate(annual);
     }
-    meter.on_output_write();
     (agg_total, max_occ, count)
 }
 
@@ -253,13 +229,16 @@ pub(crate) fn compute_trial<M: Meter>(
 /// equals the per-layer aggregates summed trial-wise (bitwise — same
 /// summation order), which `run_per_layer`'s tests pin down; underwriters
 /// use the per-layer view for marginal pricing and cession allocation.
+///
+/// The host kernel's hit stream with one accumulator set per layer
+/// instead of one for the portfolio.
 pub fn run_per_layer(
     portfolio: &Portfolio,
     yet: &YearEventTable,
     opts: &AggregateOptions,
 ) -> RiskResult<Vec<Ylt>> {
-    check_inputs(portfolio, yet, None)?;
-    let secondary = build_secondary(layer_elts(portfolio), opts, riskpipe_exec::global_pool());
+    let join = build_join(portfolio, opts, riskpipe_exec::global_pool())?;
+    check_inputs(portfolio, yet, &join)?;
     let trials = yet.trials();
     let layers = portfolio.layers();
     let mut ylts: Vec<Ylt> = (0..layers.len()).map(|_| Ylt::zeroed(trials)).collect();
@@ -267,30 +246,24 @@ pub fn run_per_layer(
     let mut max_occ = vec![0.0f64; layers.len()];
     let mut counts = vec![0u32; layers.len()];
     for t in 0..trials {
-        let trial = riskpipe_types::TrialId::new(t as u32);
+        let trial = TrialId::new(t as u32);
         let (events, _days, zs) = yet.trial_slices(trial);
-        agg.iter_mut().for_each(|a| *a = 0.0);
-        max_occ.iter_mut().for_each(|m| *m = 0.0);
-        counts.iter_mut().for_each(|c| *c = 0);
-        for (i, &e) in events.iter().enumerate() {
-            let event = EventId::new(e);
-            for (li, layer) in layers.iter().enumerate() {
-                if let Some(row) = layer.elt.row_of(event) {
-                    let gross = match &secondary {
-                        Some(tables) => tables[li].loss(row, zs[i]),
-                        None => layer.elt.mean_loss_at(row),
-                    };
-                    let net = layer.terms.apply_occurrence(gross);
-                    if net > 0.0 {
-                        agg[li] += net;
-                        let shared = net * layer.terms.share;
-                        if shared > max_occ[li] {
-                            max_occ[li] = shared;
-                        }
-                        counts[li] += 1;
+        agg.fill(0.0);
+        max_occ.fill(0.0);
+        counts.fill(0);
+        for (&event, &z) in events.iter().zip(zs) {
+            join.for_each_hit(event, z, |li, gross| {
+                let terms = &layers[li].terms;
+                let net = terms.apply_occurrence(gross);
+                if net > 0.0 {
+                    agg[li] += net;
+                    let shared = net * terms.share;
+                    if shared > max_occ[li] {
+                        max_occ[li] = shared;
                     }
+                    counts[li] += 1;
                 }
-            }
+            });
         }
         for (li, layer) in layers.iter().enumerate() {
             ylts[li].set_trial(
@@ -375,7 +348,7 @@ impl AggregateRunner {
     }
 
     /// Run the analysis under the runner's options on the attached pool
-    /// (or the global pool), building secondary tables first.
+    /// (or the global pool), building and joining secondary tables first.
     pub fn run(&self, portfolio: &Portfolio, yet: &YearEventTable) -> RiskResult<Ylt> {
         AggregateEngine::run(self, portfolio, yet, &self.opts)
     }
@@ -407,8 +380,8 @@ impl AggregateRunner {
 }
 
 /// The runner is itself an engine: the dispatched engine's prepared
-/// path, with tables for [`AggregateEngine::run`] built on the attached
-/// pool whichever engine is selected.
+/// path, with the join for [`AggregateEngine::run`] built on the
+/// attached pool whichever engine is selected.
 impl AggregateEngine for AggregateRunner {
     fn name(&self) -> &'static str {
         self.with_engine(|engine| engine.name())
@@ -425,9 +398,9 @@ impl AggregateEngine for AggregateRunner {
         &self,
         portfolio: &Portfolio,
         yet: &YearEventTable,
-        secondary: Option<&[SecondaryTable]>,
+        join: &EventJoin,
     ) -> RiskResult<Ylt> {
-        self.with_engine(|engine| engine.run_prepared(portfolio, yet, secondary))
+        self.with_engine(|engine| engine.run_prepared(portfolio, yet, join))
     }
 }
 
@@ -439,8 +412,10 @@ pub fn engines_agree(
     opts: &AggregateOptions,
     pool: Arc<riskpipe_exec::ThreadPool>,
 ) -> RiskResult<Ylt> {
-    let reference = SequentialEngine.run(portfolio, yet, opts)?;
-    let par = CpuParallelEngine::new(Arc::clone(&pool)).run(portfolio, yet, opts)?;
+    // One join for all four runs: it is a pure function of the inputs.
+    let join = build_join(portfolio, opts, &pool)?;
+    let reference = SequentialEngine.run_prepared(portfolio, yet, &join)?;
+    let par = CpuParallelEngine::new(Arc::clone(&pool)).run_prepared(portfolio, yet, &join)?;
     if par != reference {
         return Err(RiskError::InvalidState(
             "CPU-parallel engine diverged from sequential".into(),
@@ -452,7 +427,7 @@ pub fn engines_agree(
             chunking,
             Arc::clone(&pool),
         )
-        .run(portfolio, yet, opts)?;
+        .run_prepared(portfolio, yet, &join)?;
         if gpu != reference {
             return Err(RiskError::InvalidState(format!(
                 "GPU engine ({chunking:?}) diverged from sequential"
@@ -470,7 +445,7 @@ mod per_layer_tests {
     use riskpipe_tables::elt::{EltBuilder, EltRecord};
     use riskpipe_tables::yet::{Occurrence, YetBuilder};
     use riskpipe_types::rng::{Rng64, SplitMix64};
-    use riskpipe_types::LayerId;
+    use riskpipe_types::{EventId, LayerId};
 
     fn fixture() -> (Portfolio, YearEventTable) {
         let mut rng = SplitMix64::new(404);

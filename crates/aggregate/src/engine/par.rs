@@ -2,9 +2,9 @@
 //! pool — the paper's "accumulation of large memory" strategy on a
 //! many-core host.
 
-use super::{check_inputs, compute_trial, AggregateEngine, NoMeter};
+use super::{check_inputs, joined_trial, AggregateEngine};
+use crate::join::EventJoin;
 use crate::portfolio::Portfolio;
-use crate::secondary::SecondaryTable;
 use riskpipe_exec::{par_chunks_mut, suggest_grain, ThreadPool};
 use riskpipe_tables::yet::YearEventTable;
 use riskpipe_tables::Ylt;
@@ -55,10 +55,11 @@ impl AggregateEngine for CpuParallelEngine {
         &self,
         portfolio: &Portfolio,
         yet: &YearEventTable,
-        secondary: Option<&[SecondaryTable]>,
+        join: &EventJoin,
     ) -> RiskResult<Ylt> {
-        check_inputs(portfolio, yet, secondary)?;
+        check_inputs(portfolio, yet, join)?;
         let trials = yet.trials();
+        let layers = portfolio.layers();
         let pool = self.pool();
         let grain = suggest_grain(trials, pool.thread_count(), 256);
         let mut ylt = Ylt::zeroed(trials);
@@ -74,13 +75,13 @@ impl AggregateEngine for CpuParallelEngine {
             let ((agg, max_occ), counts) = &mut block[0];
             // Per-task scratch: one accumulator per layer, reused across
             // the block's trials (no per-trial allocation).
-            let mut scratch = vec![0.0f64; portfolio.len()];
+            let mut scratch = vec![0.0f64; layers.len()];
             let base = block_idx * grain;
             for j in 0..agg.len() {
                 let trial = TrialId::new((base + j) as u32);
                 let (events, _days, zs) = yet.trial_slices(trial);
                 (agg[j], max_occ[j], counts[j]) =
-                    compute_trial(portfolio, secondary, events, zs, &mut scratch, &NoMeter);
+                    joined_trial(layers, join, events, zs, &mut scratch);
             }
         });
         Ok(ylt)

@@ -1,9 +1,9 @@
 //! The sequential reference engine — the baseline of the paper's "15×
 //! faster than the sequential counterpart" comparison.
 
-use super::{check_inputs, compute_trial, AggregateEngine, NoMeter};
+use super::{check_inputs, joined_trial, AggregateEngine};
+use crate::join::EventJoin;
 use crate::portfolio::Portfolio;
-use crate::secondary::SecondaryTable;
 use riskpipe_tables::yet::YearEventTable;
 use riskpipe_tables::Ylt;
 use riskpipe_types::{RiskResult, TrialId};
@@ -21,17 +21,17 @@ impl AggregateEngine for SequentialEngine {
         &self,
         portfolio: &Portfolio,
         yet: &YearEventTable,
-        secondary: Option<&[SecondaryTable]>,
+        join: &EventJoin,
     ) -> RiskResult<Ylt> {
-        check_inputs(portfolio, yet, secondary)?;
+        check_inputs(portfolio, yet, join)?;
         let trials = yet.trials();
+        let layers = portfolio.layers();
         let mut ylt = Ylt::zeroed(trials);
-        let mut scratch = vec![0.0f64; portfolio.len()];
+        let mut scratch = vec![0.0f64; layers.len()];
         for t in 0..trials {
             let trial = TrialId::new(t as u32);
             let (events, _days, zs) = yet.trial_slices(trial);
-            let (agg, max_occ, count) =
-                compute_trial(portfolio, secondary, events, zs, &mut scratch, &NoMeter);
+            let (agg, max_occ, count) = joined_trial(layers, join, events, zs, &mut scratch);
             ylt.set_trial(trial, agg, max_occ, count);
         }
         Ok(ylt)

@@ -27,10 +27,19 @@
 //! Bit-identity holds because every stochastic choice is pre-simulated
 //! (the YET) or a pure function of it (beta quantiles of `z`), so
 //! scheduling cannot reorder any floating-point reduction that matters.
+//!
+//! All engines read one prepared table, the [`EventJoin`] — every
+//! layer's ELT joined on event id, with each hit's loss payload in hit
+//! order — through one of two trial kernels (see [`engine`]): the host
+//! engines stream an occurrence's hits after a single lookup, the
+//! simulated GPU keeps the one-probe-per-layer loop its traffic model
+//! meters. Both visit layers in ascending order, so they add the same
+//! values in the same order.
 
 #![warn(missing_docs)]
 
 pub mod engine;
+pub mod join;
 pub mod marginal;
 pub mod portfolio;
 pub mod reinstate;
@@ -42,6 +51,7 @@ pub use engine::{
     build_secondary, engines_agree, run_per_layer, AggregateEngine, AggregateOptions,
     AggregateRunner, CpuParallelEngine, EngineKind, GpuChunking, GpuEngine, SequentialEngine,
 };
+pub use join::EventJoin;
 pub use marginal::{marginal_impact, MarginalImpact};
 pub use portfolio::{Layer, Portfolio};
 pub use reinstate::{price_with_reinstatements, ReinstatementPricing, ReinstatementTerms};

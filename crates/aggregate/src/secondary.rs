@@ -18,15 +18,18 @@
 //!
 //! A table is a pure function of `(ELT, QuantileMode)` — layer terms
 //! never enter it — so it belongs to the *model run*, not to the
-//! analysis run. `RiskSession` builds one table per book **once per
-//! cached model run**: the stage-1 cache leader builds them on the
+//! analysis run. It is also not what the engines read: tables are the
+//! *input* of [`EventJoin::build`](crate::EventJoin::build), which
+//! moves their rows into event-major hit order and drops them.
+//! `RiskSession` builds one table per book and joins them **once per
+//! cached model run**: the stage-1 cache leader does both on the
 //! session's pool right after the model run is built (or decoded from
-//! the disk tier), retains them beside the `Stage1Output` under the
+//! the disk tier), retains the join beside the `Stage1Output` under the
 //! same LRU/byte budget, and every scenario sharing the `stage1_key`
-//! reads them through the engines' prepared entry point
+//! reads it through the engines' prepared entry point
 //! ([`AggregateEngine::run_prepared`](crate::AggregateEngine::run_prepared)).
 //! Only the options-taking `run(.., opts)` convenience builds tables
-//! itself, once per call, on the engine's own pool.
+//! and a join itself, once per call, on the engine's own pool.
 
 use riskpipe_exec::{par_chunks_mut, suggest_grain, ThreadPool};
 use riskpipe_tables::Elt;
@@ -50,17 +53,63 @@ impl Default for QuantileMode {
     }
 }
 
+/// Where a uniform `z` falls on a `g`-point quantile grid with
+/// abscissae `u_k = (k + 0.5) / g`. It depends on `z` and `g` alone, so
+/// the joined kernel locates it once per occurrence and reads every
+/// hit's row through it; [`SecondaryTable::loss`] locates it per lookup.
+/// Both go through these two functions, so the arithmetic — and the
+/// bits — cannot drift apart.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum GridCell {
+    /// At or below the first abscissa: the row's first cell.
+    First,
+    /// At or beyond the last abscissa: the row's last cell.
+    Last,
+    /// Between abscissae `k` and `k + 1`, a fraction `w` of the way.
+    Between { k: usize, w: f64 },
+}
+
+impl GridCell {
+    /// Invert `z` to a fractional grid index, clamped to the grid ends.
+    #[inline]
+    pub(crate) fn locate(z: f64, g: usize) -> Self {
+        let pos = z * g as f64 - 0.5;
+        if pos <= 0.0 {
+            return GridCell::First;
+        }
+        let k = pos as usize;
+        if k + 1 >= g {
+            return GridCell::Last;
+        }
+        GridCell::Between {
+            k,
+            w: pos - k as f64,
+        }
+    }
+
+    /// The linearly interpolated quantile from one row's `g` cells.
+    #[inline]
+    pub(crate) fn read(self, row: &[f64]) -> f64 {
+        match self {
+            GridCell::First => row[0],
+            GridCell::Last => row[row.len() - 1],
+            GridCell::Between { k, w } => row[k] * (1.0 - w) + row[k + 1] * w,
+        }
+    }
+}
+
 /// Per-ELT-row secondary-uncertainty parameters, precomputed once per
-/// cached model run (see the module docs).
+/// cached model run (see the module docs). Fields are crate-visible so
+/// [`EventJoin::build`](crate::EventJoin::build) can move the rows out.
 #[derive(Debug, Clone)]
 pub struct SecondaryTable {
-    exposure: Vec<f64>,
+    pub(crate) exposure: Vec<f64>,
     /// Per-row beta parameters (exact mode).
-    betas: Vec<Beta>,
+    pub(crate) betas: Vec<Beta>,
     /// Interpolation grid (empty in exact mode): row-major
     /// `rows × grid_n` quantile values.
-    grid: Vec<f64>,
-    grid_n: usize,
+    pub(crate) grid: Vec<f64>,
+    pub(crate) grid_n: usize,
 }
 
 impl SecondaryTable {
@@ -139,19 +188,7 @@ impl SecondaryTable {
     #[inline]
     fn interp(&self, row: usize, z: f64) -> f64 {
         let g = self.grid_n;
-        let base = row * g;
-        // Grid abscissae are u_k = (k + 0.5)/g; invert to a fractional
-        // index and clamp to the grid ends.
-        let pos = z * g as f64 - 0.5;
-        if pos <= 0.0 {
-            return self.grid[base];
-        }
-        let k = pos as usize;
-        if k + 1 >= g {
-            return self.grid[base + g - 1];
-        }
-        let w = pos - k as f64;
-        self.grid[base + k] * (1.0 - w) + self.grid[base + k + 1] * w
+        GridCell::locate(z, g).read(&self.grid[row * g..(row + 1) * g])
     }
 
     /// Heap footprint in bytes (the interpolation grid dominates).

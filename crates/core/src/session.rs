@@ -6,10 +6,10 @@
 //! uses), the DFA company configuration, an [`IntermediateStore`]
 //! deciding where stage-2 YELT intermediates live, and a keyed stage-1
 //! cache ([`Stage1CacheStats`]) so scenarios sharing a catalogue
-//! seed/config fingerprint reuse one model run — and the
-//! secondary-uncertainty tables derived from its ELTs — instead of
-//! regenerating the catalogue, event set, ELTs and beta-quantile grids
-//! per scenario.
+//! seed/config fingerprint reuse one model run — and the event-major
+//! join of its books stage 2 reads — instead of regenerating the
+//! catalogue, event set, ELTs, beta-quantile grids and the join per
+//! scenario.
 //!
 //! Execution comes in three shapes, all bit-identical per scenario:
 //!
@@ -48,7 +48,7 @@ use crate::report::{money, TextTable};
 use crate::sink::ReportSink;
 use crate::stage1disk::DiskStage1Cache;
 use riskpipe_aggregate::{
-    build_secondary, AggregateEngine, AggregateOptions, AggregateRunner, EngineKind, SecondaryTable,
+    build_secondary, AggregateEngine, AggregateOptions, AggregateRunner, EngineKind, EventJoin,
 };
 use riskpipe_catmodel::Stage1Output;
 use riskpipe_dfa::{CompanyConfig, DfaEngine};
@@ -397,9 +397,9 @@ pub struct Stage1CacheStats {
     /// Estimated bytes currently retained — what the
     /// [`RiskSessionBuilder::stage1_cache_bytes`] budget bounds. Each
     /// entry is charged its model run's [`Stage1Output::memory_bytes`]
-    /// plus the [`SecondaryTable::memory_bytes`] of the per-book
-    /// secondary-uncertainty tables cached beside it (none when the
-    /// session's options switch secondary uncertainty off).
+    /// plus the [`EventJoin::memory_bytes`] of the join of its books
+    /// cached beside it (quantile grids included when the session's
+    /// options switch secondary uncertainty on).
     pub bytes: u64,
     /// Cumulative wall time spent building stage-1 model runs, in
     /// nanoseconds (every build counts: cache misses, redundant racer
@@ -461,27 +461,20 @@ impl TimingRing {
 }
 
 /// What one cache entry holds: a stage-1 model run plus everything
-/// stage 2 derives from it that no scenario's terms can change — today
-/// the per-book secondary-uncertainty tables, a pure function of each
-/// book's ELT and the session's fixed [`AggregateOptions`]. Built once
-/// by the key's leader, `Arc`-shared with every follower.
+/// stage 2 derives from it that no scenario's terms can change — the
+/// event-major join of its books, a pure function of the books' ELTs
+/// and the session's fixed [`AggregateOptions`]. Built once by the
+/// key's leader, `Arc`-shared with every follower.
 struct ModelRun {
     output: Arc<Stage1Output>,
-    /// One table per book, in book order; `None` when the session's
-    /// options switch secondary uncertainty off.
-    secondary: Option<Vec<SecondaryTable>>,
+    /// The books joined in book order — the table the engines read.
+    join: EventJoin,
 }
 
 impl ModelRun {
     /// What the entry is charged against the cache's byte budget.
     fn memory_bytes(&self) -> usize {
-        let tables: usize = self
-            .secondary
-            .iter()
-            .flatten()
-            .map(SecondaryTable::memory_bytes)
-            .sum();
-        self.output.memory_bytes() + tables
+        self.output.memory_bytes() + self.join.memory_bytes()
     }
 }
 
@@ -601,7 +594,7 @@ impl CacheIndex {
 }
 
 /// A keyed cache of stage-1 model runs ([`Stage1Output`]: catalogue,
-/// per-contract books, YET) and the secondary tables derived from them
+/// per-contract books, YET) and the join of their books
 /// ([`ModelRun`]), shared across every scenario a session executes. Keys come from [`ScenarioConfig::stage1_key`] — a stable
 /// fingerprint of the generating configs — so a sweep that varies only
 /// pricing terms (or report names) regenerates nothing. Eviction is
@@ -678,7 +671,7 @@ impl Stage1Cache {
     }
 
     /// Look up `key`; on a miss, obtain the model run (disk tier, else
-    /// `build` with write-through), hand it to `derive` for the tables
+    /// `build` with write-through), hand it to `derive` for the join
     /// cached beside it, and retain the result.
     ///
     /// This NEVER blocks on another request's build. Pipeline tasks run
@@ -698,7 +691,7 @@ impl Stage1Cache {
         &self,
         key: u64,
         build: impl FnOnce() -> RiskResult<Stage1Output>,
-        derive: impl FnOnce(Stage1Output) -> ModelRun,
+        derive: impl FnOnce(Stage1Output) -> RiskResult<ModelRun>,
     ) -> RiskResult<Arc<ModelRun>> {
         if self.capacity == 0 {
             self.misses.fetch_add(1, Ordering::Relaxed);
@@ -706,7 +699,7 @@ impl Stage1Cache {
             // The disk tier is independent of the RAM cache: with
             // capacity 0 every lookup misses RAM, but a warm tier
             // still avoids the rebuild.
-            return Ok(Arc::new(derive(self.load_or_build(key, build)?)));
+            return Ok(Arc::new(derive(self.load_or_build(key, build)?)?));
         }
         let slot = {
             // lint: allow(C1) — index mutex covers map insert/evict
@@ -750,9 +743,9 @@ impl Stage1Cache {
         }
         self.misses.fetch_add(1, Ordering::Relaxed);
         riskpipe_obs::counter_add("stage1.misses", 1);
-        match self.load_or_build(key, build) {
-            Ok(output) => {
-                let run = Arc::new(derive(output));
+        match self.load_or_build(key, build).and_then(derive) {
+            Ok(run) => {
+                let run = Arc::new(run);
                 // Sized outside the lock: the footprint is a pure
                 // accessor and the critical section stays tag-only.
                 let run_bytes = run.memory_bytes();
@@ -1057,8 +1050,8 @@ impl RiskSessionBuilder {
     /// Retain at most `capacity` distinct stage-1 model runs (LRU
     /// eviction; 0 disables the cache). Size this to the number of
     /// distinct catalogues a sweep revisits — each retained entry holds
-    /// a full catalogue + books + YET, plus one secondary-uncertainty
-    /// table per book.
+    /// a full catalogue + books + YET, plus the event-major join of the
+    /// books (every book's quantile grid, in hit order).
     pub fn stage1_cache_capacity(mut self, capacity: usize) -> Self {
         self.stage1_capacity = capacity;
         self
@@ -1068,9 +1061,9 @@ impl RiskSessionBuilder {
     /// the entry count: after each build publishes, least-recently-used
     /// entries are evicted until the retained entries' estimated
     /// footprints fit `bytes` — an entry is charged its model run
-    /// ([`Stage1Output::memory_bytes`]) plus the secondary tables
-    /// cached beside it ([`SecondaryTable::memory_bytes`] per book), and
-    /// an evicted entry drops both. The just-published entry always
+    /// ([`Stage1Output::memory_bytes`]) plus the join of its books
+    /// cached beside it ([`EventJoin::memory_bytes`]), and an evicted
+    /// entry drops both. The just-published entry always
     /// survives, so a budget smaller than
     /// one model run degrades to caching only the latest run. The
     /// never-blocking leader/follower protocol is unchanged — eviction
@@ -1599,7 +1592,7 @@ impl RiskSession {
     }
 
     /// Stage 1 for one scenario, through the keyed cache: the model run
-    /// (catalogue, books, YET) and its secondary tables are built or
+    /// (catalogue, books, YET) and the join of its books are built or
     /// reused under `key` — the caller's precomputed
     /// [`ScenarioConfig::stage1_key`]. On a hit this is microseconds.
     fn acquire_stage1(
@@ -1623,24 +1616,32 @@ impl RiskSession {
         Ok((model, stage1))
     }
 
-    /// Complete a cache entry: build the per-book secondary tables
-    /// every scenario sharing `key` reads, on the session's pool. They
-    /// depend on the ELTs and the session's options only, so the cache
-    /// key needs nothing added.
-    fn derive_model_run(&self, key: u64, output: Stage1Output) -> ModelRun {
+    /// Complete a cache entry: build the per-book secondary tables on
+    /// the session's pool and join the books — the one table every
+    /// scenario sharing `key` reads. Both depend on the ELTs and the
+    /// session's options only, so the cache key needs nothing added.
+    fn derive_model_run(&self, key: u64, output: Stage1Output) -> RiskResult<ModelRun> {
         let opts = self.runner.options();
-        let _span = opts
-            .secondary_uncertainty
-            .then(|| riskpipe_obs::span_key("stage2.secondary", key));
-        let elts = output.books.iter().map(|book| &*book.elt);
-        let secondary = build_secondary(elts, opts, &self.pool);
+        let elts = || output.books.iter().map(|book| &*book.elt);
+        let secondary = {
+            let _span = opts
+                .secondary_uncertainty
+                .then(|| riskpipe_obs::span_key("stage2.secondary", key));
+            build_secondary(elts(), opts, &self.pool)
+        };
         if secondary.is_some() {
             riskpipe_obs::counter_add("stage2.secondary_builds", 1);
         }
-        ModelRun {
+        let join = {
+            let _span = riskpipe_obs::span_key("stage2.join", key);
+            EventJoin::build(elts(), secondary)?
+        };
+        riskpipe_obs::counter_add("stage2.join_builds", 1);
+        riskpipe_obs::counter_add("stage2.join_hits", join.hits() as u64);
+        Ok(ModelRun {
             output: Arc::new(output),
-            secondary,
-        }
+            join,
+        })
     }
 
     /// Stages 2 and 3 on an already-acquired model run; only the
@@ -1665,8 +1666,7 @@ impl RiskSession {
         let yet = bundle.year_event_table();
         let ylt = {
             let _engine_span = riskpipe_obs::span_key("stage2.engine", span_key);
-            self.runner
-                .run_prepared(&portfolio, &yet, model.secondary.as_deref())?
+            self.runner.run_prepared(&portfolio, &yet, &model.join)?
         };
 
         // Materialise the YELT for the first book under the configured

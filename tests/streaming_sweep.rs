@@ -10,11 +10,12 @@
 //! keep holding until the shim is removed.
 #![allow(deprecated)]
 
-use riskpipe::aggregate::{AggregateOptions, SecondaryTable};
+use riskpipe::aggregate::{build_secondary, AggregateOptions, EventJoin};
 use riskpipe::core::{
     PersistingSink, PipelineReport, ReportStream, RiskSession, ScenarioConfig, ShardedFilesStore,
     SweepSummary,
 };
+use riskpipe::exec::ThreadPool;
 use riskpipe::obs::Telemetry;
 use riskpipe::types::{RiskError, RiskResult};
 use std::sync::Arc;
@@ -354,7 +355,8 @@ fn run_after_stream_reuses_the_cache() -> RiskResult<()> {
 }
 
 // ---------------------------------------------------------------------
-// Secondary tables ride the stage-1 cache entry: built once per distinct
+// The event-major join of a model run's books (secondary tables moved
+// into hit order) rides the stage-1 cache entry: built once per distinct
 // key by the key's leader, charged to the byte budget, rebuilt from the
 // decoded ELTs on a disk-tier hit — and never visible in a result bit.
 // ---------------------------------------------------------------------
@@ -383,7 +385,7 @@ fn collect_stream(
 }
 
 #[test]
-fn same_key_sweep_builds_secondary_tables_once_per_key_on_any_thread_count() -> RiskResult<()> {
+fn same_key_sweep_builds_tables_and_join_once_per_key_on_any_thread_count() -> RiskResult<()> {
     let sweep = pricing_sweep(200, 8);
     let mut two_keys = pricing_sweep(201, 4);
     two_keys.extend(pricing_sweep(202, 4));
@@ -416,6 +418,16 @@ fn same_key_sweep_builds_secondary_tables_once_per_key_on_any_thread_count() -> 
             1,
             "{threads} threads: one table set for the one key"
         );
+        assert_eq!(
+            metrics.counter("stage2.join_builds"),
+            1,
+            "{threads} threads: one join for the one key"
+        );
+        assert_eq!(
+            metrics.counter("stage2.join_hits"),
+            got[0].elt_rows as u64,
+            "one hit per ELT row over the key's books"
+        );
         for (slot, report) in got.iter().enumerate() {
             assert_eq!(
                 result_bits(report),
@@ -428,6 +440,7 @@ fn same_key_sweep_builds_secondary_tables_once_per_key_on_any_thread_count() -> 
         collect_stream(&session, &two_keys)?;
         let metrics = telemetry.snapshot().metrics().clone();
         assert_eq!(metrics.counter("stage2.secondary_builds"), 2);
+        assert_eq!(metrics.counter("stage2.join_builds"), 2);
         assert_eq!(metrics.counter("stage1.builds"), 2);
     }
 
@@ -441,43 +454,46 @@ fn same_key_sweep_builds_secondary_tables_once_per_key_on_any_thread_count() -> 
     collect_stream(&uncached, &sweep)?;
     let metrics = telemetry.snapshot().metrics().clone();
     assert_eq!(metrics.counter("stage2.secondary_builds"), 8);
+    assert_eq!(metrics.counter("stage2.join_builds"), 8);
     Ok(())
 }
 
 #[test]
-fn cache_bytes_charge_the_secondary_tables_and_eviction_drops_them() -> RiskResult<()> {
+fn cache_bytes_charge_the_join_and_eviction_drops_it() -> RiskResult<()> {
     let (a, b) = (scenario(210), scenario(211));
-    let table_bytes = |s: &ScenarioConfig| -> RiskResult<u64> {
-        let mode = AggregateOptions::default().quantile_mode;
-        Ok(s.build_stage1()?
-            .output
-            .books
-            .iter()
-            .map(|book| SecondaryTable::build(&book.elt, mode).memory_bytes() as u64)
-            .sum())
+    let no_secondary = AggregateOptions {
+        secondary_uncertainty: false,
+        ..AggregateOptions::default()
+    };
+    // What an entry for `s` must be charged under `opts`: the model run
+    // plus the join of its books.
+    let entry_bytes = |s: &ScenarioConfig, opts: &AggregateOptions| -> RiskResult<u64> {
+        let output = s.build_stage1()?.output;
+        let elts = || output.books.iter().map(|book| &*book.elt);
+        let tables = build_secondary(elts(), opts, &ThreadPool::new(2));
+        let join = EventJoin::build(elts(), tables)?;
+        Ok((output.memory_bytes() + join.memory_bytes()) as u64)
     };
 
-    // The same entry with and without tables differs by exactly the
-    // tables' footprint.
-    let with_tables = RiskSession::builder().pool_threads(2).build()?;
+    // With secondary uncertainty the join carries every book's quantile
+    // grid, without it only mean losses — the charge follows.
+    let with_grids = RiskSession::builder().pool_threads(2).build()?;
     let without = RiskSession::builder()
         .pool_threads(2)
-        .options(AggregateOptions {
-            secondary_uncertainty: false,
-            ..AggregateOptions::default()
-        })
+        .options(no_secondary)
         .build()?;
-    let first = with_tables.run(&a)?;
+    let first = with_grids.run(&a)?;
     without.run(&a)?;
-    let charged = with_tables.stage1_cache_stats().bytes;
-    assert!(table_bytes(&a)? > 0);
+    let charged = with_grids.stage1_cache_stats().bytes;
+    assert_eq!(charged, entry_bytes(&a, &AggregateOptions::default())?);
     assert_eq!(
-        charged - without.stage1_cache_stats().bytes,
-        table_bytes(&a)?
+        without.stage1_cache_stats().bytes,
+        entry_bytes(&a, &no_secondary)?
     );
+    assert!(charged > without.stage1_cache_stats().bytes);
 
     // A budget below one entry keeps only the latest: B evicts A — its
-    // tables with it — and coming back to A rebuilds both, bit-equal.
+    // join with it — and coming back to A rebuilds both, bit-equal.
     let telemetry = Telemetry::new();
     let tight = RiskSession::builder()
         .pool_threads(2)
@@ -496,18 +512,19 @@ fn cache_bytes_charge_the_secondary_tables_and_eviction_drops_them() -> RiskResu
             solo.run(&b)?;
             solo.stage1_cache_stats().bytes
         },
-        "only B's model run and tables stay charged"
+        "only B's model run and join stay charged"
     );
     let again = tight.run(&a)?;
     assert_eq!(tight.stage1_cache_stats().builds, 3);
     let metrics = telemetry.snapshot().metrics().clone();
     assert_eq!(metrics.counter("stage2.secondary_builds"), 3);
+    assert_eq!(metrics.counter("stage2.join_builds"), 3);
     assert_eq!(result_bits(&again), result_bits(&first));
     Ok(())
 }
 
 #[test]
-fn disk_warm_session_rebuilds_tables_from_decoded_elts() -> RiskResult<()> {
+fn disk_warm_session_rebuilds_the_join_from_decoded_elts() -> RiskResult<()> {
     let dir = std::env::temp_dir().join(format!("riskpipe-s1tables-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let mut scenarios = pricing_sweep(220, 3);
@@ -534,6 +551,11 @@ fn disk_warm_session_rebuilds_tables_from_decoded_elts() -> RiskResult<()> {
         metrics.counter("stage2.secondary_builds"),
         2,
         "tables are derived after the decode, once per key"
+    );
+    assert_eq!(
+        metrics.counter("stage2.join_builds"),
+        2,
+        "and so is the join: it is not persisted in the disk tier"
     );
     for (slot, (g, w)) in got.iter().zip(&want).enumerate() {
         assert_eq!(result_bits(g), result_bits(w), "slot {slot}");

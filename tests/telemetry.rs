@@ -85,6 +85,21 @@ fn metrics_snapshots_are_bit_identical_across_thread_counts() -> RiskResult<()> 
         4,
         "one table set per distinct key"
     );
+    assert_eq!(
+        m.counter("stage2.join_builds"),
+        4,
+        "one join per distinct key"
+    );
+    let elt_rows: usize = grid(0x0B5)
+        .0
+        .iter()
+        .map(|s| Ok(s.build_stage1()?.portfolio().total_elt_rows()))
+        .sum::<RiskResult<usize>>()?;
+    assert_eq!(
+        m.counter("stage2.join_hits"),
+        elt_rows as u64,
+        "one hit per ELT row over every key's books"
+    );
     assert_eq!(m.counter("sweep.delivered"), 4);
     assert!(m.counter("sink.deliveries") >= 4, "fan-out delivered");
     assert_eq!(m.counter("warehouse.reports"), 4);
@@ -140,6 +155,7 @@ fn span_tree_covers_every_stage_of_a_full_plan() -> RiskResult<()> {
         ("stage1.acquire", n),
         ("stage1.build", n),     // distinct seeds → one build each
         ("stage2.secondary", n), // … and one table set each
+        ("stage2.join", n),      // … joined once each
         ("stage2.engine", n),
         ("stage2.persist_yelt", n),
         ("stage3.dfa", n),
@@ -167,18 +183,22 @@ fn span_tree_covers_every_stage_of_a_full_plan() -> RiskResult<()> {
         );
     }
 
-    // The secondary tables belong to the cached model run: each build
-    // is a child of its key's `stage1.acquire`, keyed by `stage1_key`.
-    for secondary in snap.spans_named("stage2.secondary") {
+    // The secondary tables and the join of the books belong to the
+    // cached model run: each build is a child of its key's
+    // `stage1.acquire`, keyed by `stage1_key` — siblings, tables first.
+    for derived in snap
+        .spans_named("stage2.secondary")
+        .chain(snap.spans_named("stage2.join"))
+    {
         let parent = snap
             .spans_named("stage1.acquire")
-            .find(|a| a.key == secondary.key)
+            .find(|a| a.key == derived.key)
             .expect("an acquire span for the same stage-1 key");
-        assert!(scenarios.iter().any(|s| s.stage1_key() == secondary.key));
-        assert_eq!(parent.thread, secondary.thread);
-        assert_eq!(parent.depth + 1, secondary.depth);
-        assert!(parent.start_ns <= secondary.start_ns);
-        assert!(secondary.start_ns + secondary.dur_ns <= parent.start_ns + parent.dur_ns);
+        assert!(scenarios.iter().any(|s| s.stage1_key() == derived.key));
+        assert_eq!(parent.thread, derived.thread);
+        assert_eq!(parent.depth + 1, derived.depth);
+        assert!(parent.start_ns <= derived.start_ns);
+        assert!(derived.start_ns + derived.dur_ns <= parent.start_ns + parent.dur_ns);
     }
 
     // Stitched order is deterministic: thread-then-sequence.
@@ -236,6 +256,7 @@ fn reset_windows_cumulative_telemetry() -> RiskResult<()> {
         0,
         "tables cached too"
     );
+    assert_eq!(m2.counter("stage2.join_builds"), 0, "and the join");
     assert_eq!(m2.counter("stage1.hits"), 4);
     assert_eq!(m2.counter("stage2.scenarios"), 4, "fresh window counts");
     Ok(())

@@ -1,22 +1,26 @@
 //! Ingest: turning a streaming sweep's reports into sketch-valued
-//! warehouse cells, the MapReduce way.
+//! warehouse cells — sort once, slice, fold.
 //!
 //! [`WarehouseSink`] is a [`ReportSink`]: as `run_stream` delivers
 //! each report (input order, calling thread), the sink
 //!
-//! 1. assigns every trial a return-period band from its loss rank
-//!    (the one step that needs the whole column),
-//! 2. spills the report's `(trial, band, loss)` rows to a sharded
-//!    per-report store — the "distributed file space" data strategy —
-//! 3. runs [`YltFactJob`] over the spill: map `(band) → loss`,
-//!    shuffle, reduce to per-band sorted loss columns, and
-//! 4. folds each band column into its base cell — one
-//!    [`SketchCell::absorb_sorted`] weighted merge per band.
+//! 1. takes the report's aggregate-loss column sorted ascending by
+//!    `total_cmp` — borrowed from the report, which sorted it once for
+//!    every consumer ([`PipelineReport::sorted_agg`]); a bare YLT
+//!    ([`WarehouseSink::ingest`], the rebuild path) is sorted here,
+//! 2. cuts it at the return-period band boundaries, which depend on
+//!    the trial count alone ([`band_bounds`]), and
+//! 3. folds each non-empty slice into its base cell, ascending band
+//!    order — one [`SketchCell::absorb_sorted`] weighted merge per
+//!    band.
 //!
-//! Because delivery is input-ordered and the job's output is
-//! deterministic for any shard/reduce/thread layout, the accumulated
-//! cells are bit-identical on any thread count, and identical whether
-//! the YLTs come from the live sweep or are reloaded from a
+//! A band is a rank interval, so its sorted column *is* the slice; the
+//! tie argument that makes this bit-identical to grouping trials by
+//! [`rp_bands`](crate::rp_bands) and sorting each group is written
+//! down at [`band_bounds`]. Nothing here touches a disk, a pool or a
+//! lock, and delivery is input-ordered, so the accumulated cells are
+//! bit-identical on any thread count, and identical whether the YLTs
+//! come from the live sweep or are reloaded from a
 //! [`ShardedFilesStore`](riskpipe_core::ShardedFilesStore) spill.
 //!
 //! [`WarehouseStore`] is the [`IntermediateStore`] decorator variant:
@@ -26,34 +30,26 @@
 //! drill-down cubes for free alongside the durable per-report
 //! artifacts.
 
+use crate::band_bounds;
 use crate::dims::DrilldownLayout;
 use crate::drilldown::Drilldown;
-use crate::rp_bands;
 use riskpipe_core::{IntermediateStore, PipelineReport, ReportSink, RunLabel};
 use riskpipe_exec::lockwitness::Mutex;
 use riskpipe_exec::ThreadPool;
-use riskpipe_mapreduce::YltFactJob;
-use riskpipe_tables::{shard, ShardedReader, Yelt, Ylt};
-use riskpipe_types::{LocationId, RiskResult};
+use riskpipe_tables::{Yelt, Ylt};
+use riskpipe_types::RiskResult;
 use riskpipe_warehouse::{KeyCodec, LevelSelect, SketchCell, SketchCuboid};
 use std::collections::BTreeMap;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// Aggregate MapReduce metrics across every ingested report.
+/// What the sink has ingested so far.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct IngestStats {
     /// Reports ingested.
     pub reports: u64,
     /// Trials (fact rows) ingested.
     pub trials: u64,
-    /// Rows read by mappers across all per-report jobs.
-    pub input_rows: u64,
-    /// Shuffle records emitted across all jobs.
-    pub shuffle_records: u64,
-    /// Bytes written to shuffle spill files across all jobs.
-    pub spill_bytes: u64,
 }
 
 /// The ingest sink: accumulates a sweep into sketch-valued base cells
@@ -63,67 +59,34 @@ pub struct WarehouseSink {
     layout: DrilldownLayout,
     codec: KeyCodec,
     cells: BTreeMap<u64, SketchCell>,
-    pool: Arc<ThreadPool>,
-    work_dir: PathBuf,
-    /// Whether the sink generated `work_dir` itself (and therefore
-    /// removes it on drop); caller-supplied directories are left alone.
-    owns_work_dir: bool,
-    shards: u32,
-    reduce_tasks: usize,
     stats: IngestStats,
 }
 
-fn fresh_work_dir() -> PathBuf {
-    static NONCE: AtomicU64 = AtomicU64::new(0);
-    let n = NONCE.fetch_add(1, Ordering::Relaxed);
-    std::env::temp_dir().join(format!("riskpipe-olap-{}-{n}", std::process::id()))
-}
-
 impl WarehouseSink {
-    /// A sink for `layout`, with its own small shuffle pool and a
-    /// fresh temp work directory. The sink deliberately does **not**
-    /// share the session's pool: delivery happens inside the session
-    /// pool's scope, and the per-report job must make progress even
-    /// while every session worker is busy with scenarios.
+    /// A sink for `layout`.
     pub fn new(layout: DrilldownLayout) -> RiskResult<Self> {
         let codec = KeyCodec::new(layout.schema(), LevelSelect::BASE)?;
         Ok(Self {
             layout,
             codec,
             cells: BTreeMap::new(),
-            pool: Arc::new(ThreadPool::try_new(2)?),
-            work_dir: fresh_work_dir(),
-            owns_work_dir: true,
-            shards: 4,
-            reduce_tasks: 2,
             stats: IngestStats::default(),
         })
     }
 
-    /// Run the per-report shuffle on `pool` instead of the sink's own.
-    pub fn with_pool(mut self, pool: Arc<ThreadPool>) -> Self {
-        self.pool = pool;
+    /// Inert: ingest runs no job, so there is no pool to choose. Kept
+    /// only so `riskbench/src/workloads.rs::warehouse_sink` — its one
+    /// caller, frozen by the benchmark contract — keeps compiling;
+    /// goes when a benchmark-only PR stops calling it.
+    #[doc(hidden)]
+    pub fn with_pool(self, _pool: Arc<ThreadPool>) -> Self {
         self
     }
 
-    /// Spill per-report shards under `dir` instead of a temp dir. The
-    /// sink still removes per-report subdirectories as it goes, but a
-    /// caller-supplied directory itself is never deleted.
-    pub fn with_work_dir(mut self, dir: impl Into<PathBuf>) -> Self {
-        self.work_dir = dir.into();
-        self.owns_work_dir = false;
-        self
-    }
-
-    /// Shard count of the per-report spill (map-task fan-out).
-    pub fn with_shards(mut self, shards: u32) -> Self {
-        self.shards = shards.max(1);
-        self
-    }
-
-    /// Reduce-task count of the per-report job.
-    pub fn with_reduce_tasks(mut self, tasks: usize) -> Self {
-        self.reduce_tasks = tasks.max(1);
+    /// Inert: ingest spills nothing, so there is no work directory.
+    /// Same single caller and same fate as [`WarehouseSink::with_pool`].
+    #[doc(hidden)]
+    pub fn with_work_dir(self, _dir: impl Into<PathBuf>) -> Self {
         self
     }
 
@@ -137,61 +100,50 @@ impl WarehouseSink {
         self.stats
     }
 
-    /// Ingest one report's YLT as sweep slot `slot` (the live sink
-    /// path calls this per delivery; the rebuild path calls it per
-    /// reloaded YLT — both produce bit-identical cells).
+    /// Ingest one bare YLT as sweep slot `slot`, sorting its aggregate
+    /// column once (the rebuild path calls this per reloaded YLT; the
+    /// live sink path borrows the delivered report's sorted column
+    /// instead — both produce bit-identical cells).
     pub fn ingest(&mut self, slot: usize, ylt: &Ylt) -> RiskResult<()> {
         let _span = riskpipe_obs::span_key("warehouse.ingest", slot as u64);
+        self.fold_sorted(slot, &ylt.sorted_agg_losses())
+    }
+
+    /// Ingest a delivered report: its shared sorted column when it
+    /// still carries one, else one sort of its YLT.
+    fn ingest_report(&mut self, slot: usize, report: &PipelineReport) -> RiskResult<()> {
+        let _span = riskpipe_obs::span_key("warehouse.ingest", slot as u64);
+        self.fold_sorted(slot, &report.sorted_agg())
+    }
+
+    /// Fold slot `slot`'s ascending sorted aggregate column into its
+    /// base cells, one rank-interval slice per return-period band.
+    fn fold_sorted(&mut self, slot: usize, sorted: &[f64]) -> RiskResult<()> {
         let dims = self.layout.slot_dims(slot)?;
-        let agg = ylt.agg_losses();
-        if agg.is_empty() {
+        if sorted.is_empty() {
             return Ok(());
         }
-        let bands = rp_bands(agg);
-
-        // Spill (trial, band, loss) rows to a sharded per-report store
-        // (the band rides in the YELLT event field — see YltFactJob),
-        // then shuffle them into per-band sorted columns. The spill is
-        // removed whether or not any step failed.
-        let dir = self.work_dir.join(format!("report-{slot:05}"));
-        let _ = std::fs::remove_dir_all(&dir);
-        let result = (|| {
-            let mut writer = shard::ShardedWriter::create(&dir, self.shards)?;
-            for (t, (&band, &loss)) in bands.iter().zip(agg.iter()).enumerate() {
-                writer.push_row(t as u32, band, LocationId::new(0), loss)?;
-            }
-            writer.finish()?;
-            let reader = ShardedReader::open(&dir)?;
-            // lint: calls(run_job) — `YltFactJob::run` is a thin
-            // wrapper over riskpipe_mapreduce's run_job; the linker
-            // cannot follow the hyper-generic name `run`, and the lock
-            // graph needs the sink → sleep_lock edge this call creates.
-            YltFactJob { band_map: None }.run(&reader, self.reduce_tasks, &self.pool)
-        })();
-        let _ = std::fs::remove_dir_all(&dir);
-        let (band_columns, job_stats) = result?;
-
-        // Fold each band column into its base cell.
         let k = self.layout.sketch_k();
-        for column in band_columns {
+        let bounds = band_bounds(sorted.len());
+        for (band, range) in bounds.windows(2).enumerate() {
+            let column = &sorted[range[0]..range[1]];
+            if column.is_empty() {
+                continue;
+            }
             let key = self
                 .codec
-                .encode([dims.region, dims.peril, slot as u32, column.band]);
+                .encode([dims.region, dims.peril, slot as u32, band as u32]);
             self.cells
                 .entry(key)
                 .or_insert_with(|| SketchCell::empty(k))
-                .absorb_sorted(&column.losses);
+                .absorb_sorted(column);
         }
         self.stats.reports += 1;
-        self.stats.trials += agg.len() as u64;
-        self.stats.input_rows += job_stats.input_rows;
-        self.stats.shuffle_records += job_stats.shuffle_records;
-        self.stats.spill_bytes += job_stats.spill_bytes;
-        // Deterministic quantities only (the shuffle job records its
-        // own `shuffle.*` counters); ingestion order is input order,
-        // so these are bit-identical across thread counts.
+        self.stats.trials += sorted.len() as u64;
+        // Deterministic quantities only; ingestion order is input
+        // order, so these are bit-identical across thread counts.
         riskpipe_obs::counter_add("warehouse.reports", 1);
-        riskpipe_obs::counter_add("warehouse.trials", agg.len() as u64);
+        riskpipe_obs::counter_add("warehouse.trials", sorted.len() as u64);
         Ok(())
     }
 
@@ -207,27 +159,14 @@ impl WarehouseSink {
         Ok(Drilldown::new(self.layout.clone(), base, self.stats))
     }
 
-    /// Consume the sink into the queryable [`Drilldown`] (dropping
-    /// the sink removes its generated work directory).
-    pub fn finish(mut self) -> RiskResult<Drilldown> {
-        let cells = std::mem::take(&mut self.cells);
+    /// Consume the sink into the queryable [`Drilldown`].
+    pub fn finish(self) -> RiskResult<Drilldown> {
         let base = SketchCuboid::from_entries(
             self.layout.schema(),
             LevelSelect::BASE,
-            cells.into_iter().collect(),
+            self.cells.into_iter().collect(),
         )?;
-        Ok(Drilldown::new(self.layout.clone(), base, self.stats))
-    }
-}
-
-impl Drop for WarehouseSink {
-    fn drop(&mut self) {
-        // Per-report spills are removed as ingestion goes; the parent
-        // work dir (only when the sink generated it) goes here so
-        // sinks never accumulate empty temp directories.
-        if self.owns_work_dir {
-            let _ = std::fs::remove_dir_all(&self.work_dir);
-        }
+        Ok(Drilldown::new(self.layout, base, self.stats))
     }
 }
 
@@ -243,23 +182,23 @@ impl std::fmt::Debug for WarehouseSink {
 
 impl ReportSink for WarehouseSink {
     fn accept(&mut self, slot: usize, report: PipelineReport) -> RiskResult<()> {
-        self.ingest(slot, &report.ylt)
+        self.ingest_report(slot, &report)
     }
 
     fn accept_shared(&mut self, slot: usize, report: &PipelineReport) -> RiskResult<()> {
-        // Fan-out delivery: ingest reads the shared report's YLT in
-        // place — no clone, same bits as owning delivery.
-        self.ingest(slot, &report.ylt)
+        // Fan-out delivery: ingest reads the shared report's sorted
+        // column in place — no clone, same bits as owning delivery.
+        self.ingest_report(slot, report)
     }
 }
 
 impl ReportSink for &mut WarehouseSink {
     fn accept(&mut self, slot: usize, report: PipelineReport) -> RiskResult<()> {
-        self.ingest(slot, &report.ylt)
+        self.ingest_report(slot, &report)
     }
 
     fn accept_shared(&mut self, slot: usize, report: &PipelineReport) -> RiskResult<()> {
-        self.ingest(slot, &report.ylt)
+        self.ingest_report(slot, report)
     }
 }
 
@@ -313,20 +252,13 @@ impl IntermediateStore for WarehouseStore {
 
     fn persist_report(&self, label: RunLabel<'_>, report: &PipelineReport) -> RiskResult<u64> {
         let bytes = self.inner.persist_report(label, report)?;
-        // lint: allow(C1) — sink mutex serializes whole-report
-        // ingestion, and a holder does run a shuffle job on the pool.
-        // Deadlock-free because (a) nothing inside that job touches
-        // the sink (no recursive acquisition) and (b) pool scopes
-        // inline-steal while waiting, so the holder always makes
-        // progress and releases; the wait is bounded by one ingest.
+        // lint: allow(C1) — sink mutex serialises whole-report
+        // ingestion. A holder sorts at most one column and folds its
+        // band slices into the sink's own cells: no I/O, no pool work,
+        // nothing another queued task produces — the wait is bounded by
+        // one in-memory ingest.
         let mut sink = self.sink.lock();
-        // lint: allow(L2) — the guard is held across the shuffle job
-        // by design: the sink's cells are the job's output target, and
-        // the proof above (no recursive sink acquisition; scope
-        // holders inline-steal, so the pool always drains) bounds the
-        // hold. The lock graph records the resulting sink → sleep_lock
-        // edge, and the runtime lockwitness checks it.
-        sink.ingest(label.slot.unwrap_or(0), &report.ylt)?;
+        sink.ingest_report(label.slot.unwrap_or(0), report)?;
         Ok(bytes)
     }
 

@@ -1,24 +1,28 @@
 //! # riskpipe-analytics
 //!
-//! The stage-3 drill-down subsystem: **sweep → MapReduce → warehouse**,
-//! queryable from [`RiskSession`](riskpipe_core::RiskSession).
+//! The stage-3 drill-down subsystem: **sweep → sorted column →
+//! warehouse**, queryable from [`RiskSession`](riskpipe_core::RiskSession).
 //!
 //! The paper's central data challenge is not producing YLTs but
 //! *consuming* them: fine-grained drill-down — by peril, region,
 //! layer, return-period band — over trial data far too large to
-//! rescan per question. This crate wires the pipeline's previously
-//! disconnected substrate (`riskpipe-mapreduce`'s jobs,
-//! `riskpipe-warehouse`'s cuboid lattice) into the execution core as
-//! three layers:
+//! rescan per question. Its stage-3 prescription is to scan flat,
+//! pre-organised tables, and this crate wires the pipeline's substrate
+//! (`riskpipe-core`'s reports, `riskpipe-warehouse`'s cuboid lattice)
+//! into the execution core as three layers:
 //!
 //! * **ingest** ([`ingest`]) — [`WarehouseSink`] consumes a streaming
-//!   sweep report-by-report: each report's YLT is banded by
-//!   return-period rank, spilled to a sharded per-report store, and
-//!   shuffled through [`riskpipe_mapreduce::YltFactJob`] into
-//!   per-band sorted loss columns that fold into sketch-valued base
-//!   cells. [`WarehouseStore`] is the `IntermediateStore` decorator:
+//!   sweep report-by-report: **sort once → slice → fold**. The report
+//!   already carries its aggregate-loss column sorted ascending; a
+//!   return-period band is a rank interval of that column
+//!   ([`band_bounds`]), so each band's slice folds straight into its
+//!   sketch-valued base cell. No spill, no shuffle, no pool.
+//!   [`WarehouseStore`] is the `IntermediateStore` decorator:
 //!   `PersistingSink` users get cubes for free alongside durable
-//!   per-report artifacts.
+//!   per-report artifacts. (`riskpipe_mapreduce::YltFactJob`, the
+//!   shuffle formulation of the same grouping, remains as the
+//!   MapReduce experiment and as the reference `tests/drilldown.rs`
+//!   compares this path against.)
 //! * **build** ([`drilldown`]) — cuboid materialisation over the
 //!   lattice under a *byte* budget
 //!   ([`Drilldown::materialize_budget`], HRU benefit-per-byte with
@@ -94,13 +98,58 @@ pub use ingest::{IngestStats, WarehouseSink, WarehouseStore};
 pub use plan::{SweepPlanAnalytics, WarehouseOutcome, WarehousePlan};
 pub use session_ext::{AnalyticsHandle, SessionAnalytics};
 
+/// Where an `n`-trial report's return-period bands fall in its
+/// ascending sorted loss column: sorted positions
+/// `bounds[b]..bounds[b + 1]` are band `b` (an empty range when the
+/// report has too few trials to reach the band). The trial at sorted
+/// position `pos` has 1-based rank `n - pos` from the top, empirical
+/// return period `n / (n - pos)`, and lands in
+/// [`band_of_return_period`]'s band — a function of `n` and `pos`
+/// alone, so the boundaries need no loss values.
+///
+/// **Why slicing is enough (the tie argument).** A band is a *rank
+/// interval*, so band `b`'s ascending loss column is
+/// `sorted[bounds[b]..bounds[b + 1]]`, whoever its members are. Which
+/// *trial* sits on which side of a boundary is a tie-break question
+/// ([`rp_bands`] breaks ties by trial index), but trials that tie
+/// compare `Equal` under `total_cmp`, which means they carry the same
+/// bits — so every valid tie-break produces the same sorted column,
+/// and anything folded from it (count, sum in sorted order, max,
+/// sketch) is bit-identical to grouping the trials by [`rp_bands`] and
+/// sorting each group, which is what the `YltFactJob` shuffle does.
+///
+/// IEEE division is monotone in its divisor, so the band never
+/// decreases with `pos` and each boundary is found by bisection over
+/// the same float expression every position would evaluate.
+pub fn band_bounds(n: usize) -> [usize; RETURN_PERIOD_BANDS as usize + 1] {
+    let band_at = |pos: usize| band_of_return_period(n as f64 / (n - pos) as f64);
+    let mut bounds = [n; RETURN_PERIOD_BANDS as usize + 1];
+    bounds[0] = 0;
+    for band in 1..RETURN_PERIOD_BANDS {
+        // First position at or past the previous boundary whose band
+        // is >= `band`.
+        let (mut lo, mut hi) = (bounds[band as usize - 1], n);
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            if band_at(mid) < band {
+                lo = mid + 1;
+            } else {
+                hi = mid;
+            }
+        }
+        bounds[band as usize] = lo;
+    }
+    bounds
+}
+
 /// Assign every trial its return-period band from the loss rank: the
 /// trial whose aggregate loss has 1-based rank `r` from the top (ties
 /// broken by trial index, so the assignment is total and
 /// deterministic) has empirical return period `n / r` and lands in
 /// [`band_of_return_period`]'s band. The lowest-loss trial is band 0;
 /// a 500-trial report's single worst year reaches the top (≥250y)
-/// band.
+/// band. The rank intervals are [`band_bounds`]' — the per-trial and
+/// the per-slice view of the banding cannot disagree at an edge.
 pub fn rp_bands(agg_losses: &[f64]) -> Vec<u32> {
     let n = agg_losses.len();
     let mut order: Vec<u32> = (0..n as u32).collect();
@@ -109,10 +158,12 @@ pub fn rp_bands(agg_losses: &[f64]) -> Vec<u32> {
             .total_cmp(&agg_losses[b as usize])
             .then(a.cmp(&b))
     });
+    let bounds = band_bounds(n);
     let mut bands = vec![0u32; n];
-    for (pos, &t) in order.iter().enumerate() {
-        let rank_from_top = (n - pos) as f64;
-        bands[t as usize] = band_of_return_period(n as f64 / rank_from_top);
+    for (band, range) in bounds.windows(2).enumerate() {
+        for &t in &order[range[0]..range[1]] {
+            bands[t as usize] = band as u32;
+        }
     }
     bands
 }
@@ -148,5 +199,23 @@ mod tests {
     #[test]
     fn rp_bands_empty() {
         assert!(rp_bands(&[]).is_empty());
+        assert_eq!(band_bounds(0), [0; RETURN_PERIOD_BANDS as usize + 1]);
+    }
+
+    #[test]
+    fn band_bounds_match_the_per_position_expression() {
+        // Every n up to a few hundred plus the counts whose return
+        // periods land exactly on band edges: the bisected boundaries
+        // must agree with evaluating the band at every position.
+        for n in (1..=300).chain([500, 1000, 1999, 2000, 10_000]) {
+            let bounds = band_bounds(n);
+            assert_eq!((bounds[0], bounds[RETURN_PERIOD_BANDS as usize]), (0, n));
+            for (band, range) in bounds.windows(2).enumerate() {
+                for pos in range[0]..range[1] {
+                    let direct = band_of_return_period(n as f64 / (n - pos) as f64);
+                    assert_eq!(direct, band as u32, "n = {n}, pos = {pos}");
+                }
+            }
+        }
     }
 }

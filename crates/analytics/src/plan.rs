@@ -40,18 +40,16 @@ use crate::session_ext::check_layout;
 use riskpipe_core::{
     IntermediateStore, PersistedRun, ReportSink, SweepOutcome, SweepPlan, SweepSummary, Tee,
 };
-use riskpipe_exec::ThreadPool;
 use riskpipe_types::RiskResult;
 use riskpipe_warehouse::ViewSelection;
-use std::path::PathBuf;
 use std::sync::Arc;
 
 /// Extension trait adding the warehouse consumer to [`SweepPlan`].
 pub trait SweepPlanAnalytics<'s> {
     /// Attach a drill-down warehouse build: the driven sweep's reports
-    /// are banded, shuffled and folded into sketch-valued cells shaped
-    /// by `layout` (see [`WarehouseSink`]), alongside whatever other
-    /// consumers the plan declares — all from one streaming pass.
+    /// are cut into return-period bands and folded into sketch-valued
+    /// cells shaped by `layout` (see [`WarehouseSink`]), alongside the
+    /// plan's other consumers — all from one streaming pass.
     fn warehouse(self, layout: DrilldownLayout) -> WarehousePlan<'s>;
 }
 
@@ -61,27 +59,19 @@ impl<'s> SweepPlanAnalytics<'s> for SweepPlan<'s> {
             plan: self,
             layout,
             budget: None,
-            shards: None,
-            reduce_tasks: None,
-            work_dir: None,
-            pool: None,
         }
     }
 }
 
 /// A [`SweepPlan`] extended with a warehouse consumer. The core plan's
 /// consumers stay configurable through the forwarding methods, and the
-/// warehouse-side knobs (rp-band sketch capacity via the layout,
-/// shuffle shards/reduce tasks/work dir, materialisation byte budget)
-/// ride the same builder. Finish with [`WarehousePlan::drive`].
+/// two warehouse-side knobs (rp-band sketch capacity via the layout,
+/// materialisation byte budget) ride the same builder. Finish with
+/// [`WarehousePlan::drive`].
 pub struct WarehousePlan<'s> {
     plan: SweepPlan<'s>,
     layout: DrilldownLayout,
     budget: Option<u64>,
-    shards: Option<u32>,
-    reduce_tasks: Option<usize>,
-    work_dir: Option<PathBuf>,
-    pool: Option<Arc<ThreadPool>>,
 }
 
 impl<'s> WarehousePlan<'s> {
@@ -138,34 +128,6 @@ impl<'s> WarehousePlan<'s> {
         self
     }
 
-    /// Shard count of the ingest sink's per-report spill
-    /// ([`WarehouseSink::with_shards`]).
-    pub fn shards(mut self, shards: u32) -> Self {
-        self.shards = Some(shards);
-        self
-    }
-
-    /// Reduce-task count of the ingest sink's per-report shuffle
-    /// ([`WarehouseSink::with_reduce_tasks`]).
-    pub fn reduce_tasks(mut self, tasks: usize) -> Self {
-        self.reduce_tasks = Some(tasks);
-        self
-    }
-
-    /// Spill the ingest sink's per-report shards under `dir` instead
-    /// of a generated temp dir ([`WarehouseSink::with_work_dir`]).
-    pub fn work_dir(mut self, dir: impl Into<PathBuf>) -> Self {
-        self.work_dir = Some(dir.into());
-        self
-    }
-
-    /// Run the ingest sink's per-report shuffle on `pool` instead of
-    /// the sink's own small pool ([`WarehouseSink::with_pool`]).
-    pub fn shuffle_pool(mut self, pool: Arc<ThreadPool>) -> Self {
-        self.pool = Some(pool);
-        self
-    }
-
     /// Execute the extended plan: one streaming sweep feeding the core
     /// consumers *and* the warehouse sink, then (optionally) budgeted
     /// view materialisation. Validates the layout against the sweep
@@ -186,27 +148,15 @@ impl<'s> WarehousePlan<'s> {
         finish(sink, sweep, budget)
     }
 
-    /// Validate and split into the core plan, the configured ingest
-    /// sink, and the materialisation budget.
+    /// Validate and split into the core plan, the ingest sink, and
+    /// the materialisation budget.
     fn into_parts(self) -> RiskResult<(SweepPlan<'s>, WarehouseSink, Option<u64>)> {
         check_layout(
             self.plan.session(),
             self.plan.scenarios().len(),
             &self.layout,
         )?;
-        let mut sink = WarehouseSink::new(self.layout)?;
-        if let Some(shards) = self.shards {
-            sink = sink.with_shards(shards);
-        }
-        if let Some(tasks) = self.reduce_tasks {
-            sink = sink.with_reduce_tasks(tasks);
-        }
-        if let Some(dir) = self.work_dir {
-            sink = sink.with_work_dir(dir);
-        }
-        if let Some(pool) = self.pool {
-            sink = sink.with_pool(pool);
-        }
+        let sink = WarehouseSink::new(self.layout)?;
         Ok((self.plan, sink, self.budget))
     }
 }
@@ -274,9 +224,10 @@ impl WarehouseOutcome {
 
     /// The sweep's telemetry snapshot, when the session was built with
     /// a telemetry handle (forward of [`SweepOutcome::telemetry`]).
-    /// Warehouse ingestion spans (`warehouse.ingest`, `shuffle.map`,
-    /// `shuffle.reduce`) appear here because ingestion rides the
-    /// sweep's delivery path.
+    /// One `warehouse.ingest` span per scenario (a leaf: ingest runs
+    /// no job, so no `shuffle.*` spans or counters) and the
+    /// `warehouse.reports` / `warehouse.trials` counters appear here
+    /// because ingestion rides the sweep's delivery path.
     pub fn telemetry(&self) -> Option<&riskpipe_obs::TelemetrySnapshot> {
         self.sweep.telemetry()
     }

@@ -1,12 +1,12 @@
-//! E13 — the stage-3 drill-down subsystem: sweep → MapReduce →
+//! E13 — the stage-3 drill-down subsystem: sweep → sorted column →
 //! warehouse, then OLAP queries over sketch-valued cells.
 //!
 //! Measures each layer separately:
 //!
 //! * `ingest` — a full sweep streamed through a `WarehouseSink`
-//!   (per-report band assignment, sharded spill, `YltFactJob`
-//!   shuffle, sketch folds) — the end-to-end cost of building the
-//!   warehouse while the sweep runs;
+//!   (per report: band slices of the shared sorted loss column,
+//!   sketch folds) — the end-to-end cost of building the warehouse
+//!   while the sweep runs;
 //! * `rebuild` — reconstructing the same warehouse from a
 //!   `ShardedFilesStore` spill instead of re-running the sweep (the
 //!   overnight-batch shape);
@@ -155,9 +155,8 @@ fn bench_build_and_query(c: &mut Criterion) {
 }
 
 fn bench_ingest_worker(c: &mut Criterion) {
-    // The sink in isolation: ingesting one 20k-trial YLT (band
-    // assignment + spill + shuffle + sketch fold), no pipeline around
-    // it.
+    // The sink in isolation: ingesting one bare 20k-trial YLT (one
+    // sort + band slices + sketch fold), no pipeline around it.
     let (_, dims) = grid();
     let losses: Vec<f64> = (0..20_000)
         .map(|i| (((i * 104729) % 99991) as f64).powf(1.3))
@@ -175,7 +174,7 @@ fn bench_ingest_worker(c: &mut Criterion) {
                     .unwrap();
             let mut sink = WarehouseSink::new(layout).unwrap();
             sink.ingest(0, &ylt).unwrap();
-            sink.stats().shuffle_records
+            sink.stats().trials
         })
     });
     group.finish();

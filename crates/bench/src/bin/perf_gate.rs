@@ -120,7 +120,8 @@ fn check_kernel() -> f64 {
 
 /// E12's nightly shape: a paper-scale (`medium()`) pricing sweep
 /// streamed into pooled sweep analytics, exercising the sketched
-/// (compacting) path.
+/// (compacting) path. Budget: 7x the 7.0 s the 2-vCPU reference box
+/// measures.
 fn check_sweep_analytics() -> f64 {
     let sweep = pricing_sweep(ScenarioConfig::medium().with_seed(0xE12), 4);
     let session = RiskSession::builder().build().unwrap();
@@ -143,8 +144,12 @@ fn check_sweep_analytics() -> f64 {
 }
 
 /// E13's shape: the stage-3 drill-down subsystem end to end — sweep
-/// through the MapReduce-backed `WarehouseSink`, byte-budgeted view
-/// materialisation, and the three acceptance query shapes.
+/// through the `WarehouseSink` (band slices of each report's sorted
+/// loss column folded into sketch cells), byte-budgeted view
+/// materialisation, and the three acceptance query shapes. Budget: 7x
+/// the 0.48 s the 2-vCPU reference box measures (the eight 500-trial
+/// scenarios themselves are most of that; ingest is no longer visible
+/// in it).
 fn check_drilldown() -> f64 {
     let mut scenarios = Vec::new();
     let mut dims = Vec::new();
@@ -337,7 +342,7 @@ fn main() {
         (
             "sweep_analytics (e12 medium)",
             check_sweep_analytics,
-            env_f64("PERF_GATE_ANALYTICS_BUDGET_S", 300.0),
+            env_f64("PERF_GATE_ANALYTICS_BUDGET_S", 49.0),
         ),
         (
             "fanout (e12 shape)",
@@ -347,7 +352,7 @@ fn main() {
         (
             "drilldown (e13 shape)",
             check_drilldown,
-            env_f64("PERF_GATE_DRILLDOWN_BUDGET_S", 120.0),
+            env_f64("PERF_GATE_DRILLDOWN_BUDGET_S", 3.4),
         ),
         (
             "obs_overhead (e12 shape)",

@@ -216,22 +216,13 @@ impl SweepSummary {
         // weighted merge (a single bulk append + one compaction pass)
         // instead of a push per trial. Reports whose shared sorted
         // columns were dropped (run_batch keeps collected batches at
-        // one copy per column) are re-sorted here. Welford moments
-        // keep YLT order.
+        // one copy per column) are re-sorted by the accessors.
+        // Welford moments keep YLT order.
         for &x in report.ylt.agg_losses() {
             self.agg_stats.push(x);
         }
-        let trials = report.ylt.trials();
-        if report.agg_sorted.len() == trials {
-            self.aep.merge_sorted(&report.agg_sorted);
-        } else {
-            self.aep.merge_sorted(&report.ylt.sorted_agg_losses());
-        }
-        if report.occ_sorted.len() == trials {
-            self.oep.merge_sorted(&report.occ_sorted);
-        } else {
-            self.oep.merge_sorted(&report.ylt.sorted_max_occ_losses());
-        }
+        self.aep.merge_sorted(&report.sorted_agg());
+        self.oep.merge_sorted(&report.sorted_occ());
     }
 
     /// Scenarios folded in so far.

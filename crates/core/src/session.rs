@@ -58,6 +58,7 @@ use riskpipe_metrics::RiskMeasures;
 use riskpipe_tables::{codec, durable, shard, ScaleSpec, Yelt, Ylt};
 use riskpipe_types::stats::quantile_sorted;
 use riskpipe_types::{LocationId, RiskError, RiskResult, RunningStats, TrialId};
+use std::borrow::Cow;
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -1832,11 +1833,12 @@ pub struct PipelineReport {
     /// with one weighted sketch merge instead of re-sorting per
     /// consumer. May be empty on reports that outlive delivery
     /// ([`RiskSession::run_batch`] clears it to keep collected batches
-    /// at one copy per column); consumers must fall back to sorting
+    /// at one copy per column); consumers read it through
+    /// [`PipelineReport::sorted_agg`], which falls back to sorting
     /// [`PipelineReport::ylt`] when `agg_sorted.len() != ylt.trials()`.
     pub agg_sorted: Vec<f64>,
     /// The maximum-occurrence column, likewise sorted (and likewise
-    /// possibly empty).
+    /// possibly empty; read it through [`PipelineReport::sorted_occ`]).
     pub occ_sorted: Vec<f64>,
     /// The portfolio YLT (for downstream analysis).
     pub ylt: Ylt,
@@ -1880,6 +1882,27 @@ impl PipelineReport {
     /// The paper-scale sizing block for context in reports.
     pub fn paper_scale_context() -> ScaleSpec {
         ScaleSpec::paper_example()
+    }
+
+    /// The aggregate-loss column sorted ascending by `total_cmp`: the
+    /// shared [`agg_sorted`](Self::agg_sorted) buffer when the report
+    /// still carries it (`len == ylt.trials()`), otherwise one sort of
+    /// [`ylt`](Self::ylt). The one place that fallback rule lives.
+    pub fn sorted_agg(&self) -> Cow<'_, [f64]> {
+        if self.agg_sorted.len() == self.ylt.trials() {
+            Cow::Borrowed(&self.agg_sorted)
+        } else {
+            Cow::Owned(self.ylt.sorted_agg_losses())
+        }
+    }
+
+    /// The maximum-occurrence twin of [`sorted_agg`](Self::sorted_agg).
+    pub fn sorted_occ(&self) -> Cow<'_, [f64]> {
+        if self.occ_sorted.len() == self.ylt.trials() {
+            Cow::Borrowed(&self.occ_sorted)
+        } else {
+            Cow::Owned(self.ylt.sorted_max_occ_losses())
+        }
     }
 }
 

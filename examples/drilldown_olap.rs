@@ -15,10 +15,10 @@
 //!    `session.sweep(..).summary().persist_to(store).warehouse(layout)
 //!    .materialize_budget(..).drive()` — pooled analytics, durable
 //!    per-report artifacts, and a warehouse from a single streaming
-//!    pass. The warehouse ingest is the MapReduce path: each report is
-//!    banded by return-period rank, spilled to a sharded per-report
-//!    store, shuffled through the `YltFactJob` job, and folded into
-//!    sketch-valued cells;
+//!    pass. The warehouse ingest scans what the report already
+//!    carries: its sorted aggregate-loss column is cut at the
+//!    return-period band boundaries and each slice folds into a
+//!    sketch-valued cell;
 //! 2. **budgeted materialisation**: HRU greedy view selection under a
 //!    byte budget picks which cuboids to pre-compute (a plan knob);
 //! 3. **three query shapes** — rollup, slice, dice with a
@@ -112,8 +112,8 @@ fn main() -> RiskResult<()> {
     let wh = outcome.into_drilldown();
     let ingest = wh.ingest_stats();
     println!(
-        "ingested {} reports / {} trials through MapReduce ({} shuffle records, {} spill bytes)",
-        ingest.reports, ingest.trials, ingest.shuffle_records, ingest.spill_bytes
+        "ingested {} reports / {} trials as rank-interval slices of each sorted loss column",
+        ingest.reports, ingest.trials
     );
 
     // ---- 2. budgeted view materialisation (plan knob) -------------

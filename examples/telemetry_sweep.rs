@@ -10,7 +10,7 @@
 //!
 //! * `RiskSessionBuilder::telemetry(..)` arms a [`Telemetry`] handle;
 //!   every layer the sweep touches then records spans (stage-1 builds,
-//!   stage-2 engine runs, sink deliveries, warehouse shuffle tasks,
+//!   stage-2 engine runs, sink deliveries, warehouse ingests,
 //!   durable fsyncs) and bumps deterministic counters;
 //! * `SweepOutcome::telemetry()` returns the stitched snapshot — span
 //!   timings are diagnostic-only, while the metrics half is

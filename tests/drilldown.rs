@@ -7,10 +7,15 @@
 //! after an intentional numerical change.
 
 use proptest::prelude::*;
+use riskpipe::analytics::{band_bounds, band_of_return_period, rp_bands, RETURN_PERIOD_BANDS};
 use riskpipe::core::{PersistingSink, ShardedFilesStore};
+use riskpipe::exec::ThreadPool;
+use riskpipe::mapreduce::YltFactJob;
 use riskpipe::prelude::*;
-use riskpipe::warehouse::{dim, LevelSelect, SketchCell, SketchCuboid, SketchRow};
+use riskpipe::tables::{ShardedReader, ShardedWriter};
+use riskpipe::warehouse::{dim, KeyCodec, LevelSelect, SketchCell, SketchCuboid, SketchRow};
 use riskpipe_types::stats::sort_f64;
+use riskpipe_types::{LocationId, TrialId};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -200,6 +205,243 @@ fn print_drilldown_golden() {
     let (rows, _) = wh.answer(&queries()[0]).unwrap();
     for (codes, count, var, tvar) in signature(&rows) {
         println!("    ({codes:?}, {count}, 0x{var:016X}, 0x{tvar:016X}),");
+    }
+}
+
+// ---------------------------------------------------------------------
+// Oracle: the slice ingest against the shuffle ingest it replaced.
+// ---------------------------------------------------------------------
+
+/// A layout with one slot per loss column.
+fn oracle_layout(slots: usize) -> DrilldownLayout {
+    let dims = (0..slots as u32)
+        .map(|i| ScenarioDims {
+            region: i % 2,
+            peril: (i / 2) % 2,
+            attachment_band: 1,
+        })
+        .collect();
+    DrilldownLayout::new(dims, EngineKind::CpuParallel).unwrap()
+}
+
+fn ylt_of(losses: &[f64]) -> Ylt {
+    let mut ylt = Ylt::zeroed(losses.len());
+    for (t, &x) in losses.iter().enumerate() {
+        ylt.set_trial(TrialId::new(t as u32), x, x / 2.0, 1);
+    }
+    ylt
+}
+
+/// The reference ingest, assembled from public APIs: band every trial
+/// by rank (`rp_bands`), spill `(trial, band, loss)` rows to a sharded
+/// store, shuffle them through `YltFactJob` on a `threads`-wide pool
+/// into per-band sorted columns, fold each into its cell — the
+/// MapReduce formulation `WarehouseSink::ingest` used to run.
+fn shuffle_ingest(layout: &DrilldownLayout, columns: &[Vec<f64>], threads: usize) -> SketchCuboid {
+    let pool = ThreadPool::new(threads);
+    let codec = KeyCodec::new(layout.schema(), LevelSelect::BASE).unwrap();
+    let mut entries = Vec::new();
+    for (slot, losses) in columns.iter().enumerate() {
+        let dir = temp("oracle");
+        let mut writer = ShardedWriter::create(&dir, 4).unwrap();
+        for (t, (&band, &loss)) in rp_bands(losses).iter().zip(losses).enumerate() {
+            writer
+                .push_row(t as u32, band, LocationId::new(0), loss)
+                .unwrap();
+        }
+        writer.finish().unwrap();
+        let reader = ShardedReader::open(&dir).unwrap();
+        let (band_columns, _) = YltFactJob { band_map: None }
+            .run(&reader, 2, &pool)
+            .unwrap();
+        std::fs::remove_dir_all(&dir).ok();
+        let d = layout.dims()[slot];
+        for column in band_columns {
+            let mut cell = SketchCell::empty(layout.sketch_k());
+            cell.absorb_sorted(&column.losses);
+            let key = codec.encode([d.region, d.peril, slot as u32, column.band]);
+            entries.push((key, cell));
+        }
+    }
+    SketchCuboid::from_entries(layout.schema(), LevelSelect::BASE, entries).unwrap()
+}
+
+/// Every cell equal to the bit: codes, count, sum, max and the sketch
+/// (exactness, retained size, a quantile ladder, the tail mean).
+fn assert_cells_bit_equal(got: &SketchCuboid, want: &SketchCuboid, what: &str) {
+    assert_eq!(got.keys(), want.keys(), "{what}: cell keys");
+    for i in 0..want.cells() {
+        let ((codes, a), (_, b)) = (got.cell_at(i), want.cell_at(i));
+        assert_eq!(a.count, b.count, "{what}: count of {codes:?}");
+        assert_eq!(a.sum.to_bits(), b.sum.to_bits(), "{what}: sum of {codes:?}");
+        assert_eq!(a.max.to_bits(), b.max.to_bits(), "{what}: max of {codes:?}");
+        assert_eq!(
+            a.sketch.is_exact(),
+            b.sketch.is_exact(),
+            "{what}: {codes:?}"
+        );
+        assert_eq!(
+            a.sketch.retained(),
+            b.sketch.retained(),
+            "{what}: {codes:?}"
+        );
+        for q in [0.0, 0.01, 0.25, 0.5, 0.9, 0.99, 0.996, 1.0] {
+            assert_eq!(
+                a.sketch.quantile(q).to_bits(),
+                b.sketch.quantile(q).to_bits(),
+                "{what}: q{q} of {codes:?}"
+            );
+        }
+        assert_eq!(
+            a.sketch.tail_mean(0.99).to_bits(),
+            b.sketch.tail_mean(0.99).to_bits(),
+            "{what}: tail mean of {codes:?}"
+        );
+    }
+}
+
+/// Distinct-looking losses with a heavy tail, deterministic in `n`.
+fn scattered(n: usize) -> Vec<f64> {
+    (0..n)
+        .map(|i| (((i * 104_729) % 99_991) as f64).powf(1.3))
+        .collect()
+}
+
+/// Columns chosen to sit on the banding's edges: ties that straddle
+/// band boundaries, signed zeros, fewer trials than bands, and trial
+/// counts whose return periods land exactly on
+/// `RETURN_PERIOD_BAND_EDGES`.
+fn awkward_columns() -> Vec<Vec<f64>> {
+    let mut columns = vec![
+        // All-equal: every boundary splits one tie group.
+        vec![5.0; 300],
+        // Attachment above most years: 95 % zeros straddle the 2y, 5y,
+        // 10y and 20y edges.
+        (0..1000)
+            .map(|i| if i % 20 == 7 { (i * i) as f64 } else { 0.0 })
+            .collect(),
+        // -0.0 and 0.0 are equal as floats but distinct (and ordered)
+        // under total_cmp, so they are not a tie.
+        (0..400)
+            .map(|i| match i % 5 {
+                0 | 3 => -0.0,
+                4 => 1e6 + i as f64,
+                _ => 0.0,
+            })
+            .collect(),
+        // Band 0 alone outgrows the default k = 1024 sketch.
+        scattered(5000)
+            .into_iter()
+            .map(|x| x.floor() % 64.0)
+            .collect(),
+    ];
+    for n in [1, 2, 3, 7, 250, 500, 1000] {
+        columns.push(scattered(n));
+    }
+    columns
+}
+
+#[test]
+fn slice_ingest_matches_shuffle_ingest_on_awkward_columns() {
+    let columns = awkward_columns();
+    let layout = oracle_layout(columns.len());
+    let mut sink = WarehouseSink::new(layout.clone()).unwrap();
+    for (slot, losses) in columns.iter().enumerate() {
+        sink.ingest(slot, &ylt_of(losses)).unwrap();
+    }
+    let sliced = sink.finish().unwrap();
+    let trials: usize = columns.iter().map(Vec::len).sum();
+    assert_eq!(sliced.ingest_stats().reports, columns.len() as u64);
+    assert_eq!(sliced.ingest_stats().trials, trials as u64);
+    for threads in [1usize, 2, 8] {
+        let reference = shuffle_ingest(&layout, &columns, threads);
+        assert_eq!(reference.total_count(), trials as u64);
+        assert_cells_bit_equal(
+            sliced.base(),
+            &reference,
+            &format!("slice vs {threads}-thread shuffle"),
+        );
+    }
+}
+
+#[test]
+fn delivered_reports_match_shuffle_ingest_with_and_without_shared_columns() {
+    // Real reports from a sweep, as the delivery paths see them: first
+    // with the shared sorted column intact (borrowed), then cleared the
+    // way collected batches clear it (ingest falls back to one sort).
+    let (scenarios, dims) = fixture();
+    let session = RiskSession::builder().pool_threads(2).build().unwrap();
+    let layout = DrilldownLayout::new(dims, session.engine()).unwrap();
+    let mut reports: Vec<PipelineReport> = Vec::new();
+    session
+        .run_stream(&scenarios, |_slot: usize, report: PipelineReport| {
+            reports.push(report);
+            Ok(())
+        })
+        .unwrap();
+    assert!(reports
+        .iter()
+        .all(|r| r.agg_sorted.len() == r.ylt.trials() && r.ylt.trials() == 200));
+    let columns: Vec<Vec<f64>> = reports
+        .iter()
+        .map(|r| r.ylt.agg_losses().to_vec())
+        .collect();
+    let reference = shuffle_ingest(&layout, &columns, 2);
+
+    let deliver = |reports: &[PipelineReport]| {
+        let mut sink = WarehouseSink::new(layout.clone()).unwrap();
+        for (slot, report) in reports.iter().enumerate() {
+            sink.accept_shared(slot, report).unwrap();
+        }
+        sink.finish().unwrap()
+    };
+    assert_cells_bit_equal(deliver(&reports).base(), &reference, "shared column");
+    for report in &mut reports {
+        report.agg_sorted = Vec::new();
+        report.occ_sorted = Vec::new();
+    }
+    assert_cells_bit_equal(deliver(&reports).base(), &reference, "cleared column");
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// `band_bounds(n)` cuts the sorted column exactly where
+    /// `rp_bands` assigns trials — and, because ties carry equal bits,
+    /// each slice is bit for bit the sorted column of its band's
+    /// members.
+    #[test]
+    fn band_bounds_partition_as_rp_bands_assigns(
+        picks in prop::collection::vec(0usize..6, 1..2000),
+    ) {
+        const VALUES: [f64; 6] = [-0.0, 0.0, 1.0, 1.0e3, 2.5e6, f64::INFINITY];
+        let losses: Vec<f64> = picks.iter().map(|&i| VALUES[i]).collect();
+        let n = losses.len();
+        let bands = rp_bands(&losses);
+        let bounds = band_bounds(n);
+        prop_assert_eq!(bounds[0], 0);
+        prop_assert_eq!(bounds[RETURN_PERIOD_BANDS as usize], n);
+
+        // Trials in rank order (ties by trial index, as rp_bands ranks).
+        let mut order: Vec<usize> = (0..n).collect();
+        order.sort_unstable_by(|&a, &b| losses[a].total_cmp(&losses[b]).then(a.cmp(&b)));
+        let mut sorted = losses.clone();
+        sorted.sort_unstable_by(f64::total_cmp);
+        for (band, range) in bounds.windows(2).enumerate() {
+            for pos in range[0]..range[1] {
+                prop_assert_eq!(bands[order[pos]], band as u32);
+                let rp = n as f64 / (n - pos) as f64;
+                prop_assert_eq!(band_of_return_period(rp), band as u32);
+            }
+            let mut members: Vec<f64> = (0..n)
+                .filter(|&t| bands[t] == band as u32)
+                .map(|t| losses[t])
+                .collect();
+            members.sort_unstable_by(f64::total_cmp);
+            let slice = &sorted[range[0]..range[1]];
+            prop_assert_eq!(members.len(), slice.len());
+            prop_assert!(members.iter().zip(slice).all(|(a, b)| a.to_bits() == b.to_bits()));
+        }
     }
 }
 

@@ -104,9 +104,17 @@ fn metrics_snapshots_are_bit_identical_across_thread_counts() -> RiskResult<()> 
     assert!(m.counter("sink.deliveries") >= 4, "fan-out delivered");
     assert_eq!(m.counter("warehouse.reports"), 4);
     assert!(m.counter("warehouse.trials") > 0);
-    assert!(m.counter("shuffle.map_tasks") > 0);
-    assert!(m.counter("shuffle.reduce_tasks") > 0);
-    assert!(m.counter("shuffle.records") > 0);
+    // Warehouse ingest folds slices of the report's sorted column: it
+    // runs no MapReduce job, so the shuffle counters are not merely
+    // zero but never registered (the `shuffle.*` instrumentation is
+    // pinned where it lives, in riskpipe-mapreduce's runtime tests).
+    for name in [
+        "shuffle.map_tasks",
+        "shuffle.reduce_tasks",
+        "shuffle.records",
+    ] {
+        assert!(!m.counters.contains_key(name), "{name} registered");
+    }
     assert!(m.counter("durable.writes") > 0, "persistence wrote files");
     assert!(m.counter("durable.bytes") > 0);
     let trials = m
@@ -120,8 +128,9 @@ fn metrics_snapshots_are_bit_identical_across_thread_counts() -> RiskResult<()> 
 
 /// One telemetry-enabled drive of a summary + persist + warehouse plan
 /// records a span for every stage the ISSUE names: stage-1 builds,
-/// stage-2 engine runs per scenario, per-sink deliveries, shuffle
-/// map/reduce tasks, and durable write/fsync.
+/// stage-2 engine runs per scenario, per-sink deliveries, one
+/// warehouse ingest per scenario (and no shuffle beneath it), and
+/// durable write/fsync.
 #[test]
 fn span_tree_covers_every_stage_of_a_full_plan() -> RiskResult<()> {
     let telemetry = Telemetry::new();
@@ -171,8 +180,6 @@ fn span_tree_covers_every_stage_of_a_full_plan() -> RiskResult<()> {
     let present = [
         "pool.task",
         "sink.deliver",
-        "shuffle.map",
-        "shuffle.reduce",
         "durable.write",
         "durable.fsync",
     ];
@@ -181,6 +188,11 @@ fn span_tree_covers_every_stage_of_a_full_plan() -> RiskResult<()> {
             snap.spans_named(name).count() > 0,
             "no {name} span recorded"
         );
+    }
+
+    // Ingest is a leaf: no per-report job, so no shuffle spans.
+    for name in ["shuffle.map", "shuffle.reduce"] {
+        assert_eq!(snap.spans_named(name).count(), 0, "{name} span recorded");
     }
 
     // The secondary tables and the join of the books belong to the

@@ -13,7 +13,7 @@
 //! 1 — not on runner noise. Override per check with
 //! `PERF_GATE_SWEEP_CACHE_BUDGET_S` / `PERF_GATE_ANALYTICS_BUDGET_S` /
 //! `PERF_GATE_FANOUT_BUDGET_S` / `PERF_GATE_DRILLDOWN_BUDGET_S` (the
-//! kernel check has a fixed budget), or
+//! stage-1 and kernel checks have fixed budgets), or
 //! scale all with `PERF_GATE_SCALE` (a float multiplier, e.g. `2` on
 //! slow runners). The fan-out check additionally asserts its overhead
 //! against a single-sink run of the same sweep
@@ -114,6 +114,54 @@ fn check_kernel() -> f64 {
         telemetry.snapshot().metrics().counter("stage2.join_builds"),
         1,
         "stage-1 cache stopped sharing the join of the books"
+    );
+    elapsed
+}
+
+/// The cold-models shape (riskbench's `cold_models`): four distinct
+/// stage-1 keys, each a 500-event catalogue against four books of
+/// 12 000 clustered locations, 500 trials — so catalogue, ELT
+/// generation and the per-key join carry the run. The budget is 7x the
+/// 0.30 s the 2-vCPU reference box measures with the footprint walk
+/// (the exhaustive event x location loop took 0.74 s); the armed
+/// counters catch a regression to that loop on any machine: the pairs
+/// that ran the exact loss chain must stay under 5 % of the event x
+/// location product.
+fn check_stage1() -> f64 {
+    let scenarios: Vec<ScenarioConfig> = (0..4u64)
+        .map(|k| {
+            let mut s = ScenarioConfig::small()
+                .with_seed(0xE17 + k)
+                .with_trials(500);
+            s.events = 500;
+            s.contracts = 4;
+            s.locations_per_contract = 12_000;
+            s
+        })
+        .collect();
+    let telemetry = riskpipe_obs::Telemetry::new();
+    let session = RiskSession::builder()
+        .pool_threads(4)
+        .telemetry(telemetry.clone())
+        .build()
+        .unwrap();
+    let t0 = Instant::now();
+    let mut summary = SweepSummary::new();
+    session.run_stream(&scenarios, &mut summary).unwrap();
+    let elapsed = t0.elapsed().as_secs_f64();
+    assert_eq!(summary.scenarios(), 4);
+    let snap = telemetry.snapshot();
+    let metrics = snap.metrics();
+    assert_eq!(
+        metrics.counter("stage1.builds"),
+        4,
+        "four distinct keys build four model runs"
+    );
+    let product = 4 * 4 * 500 * 12_000u64;
+    let pairs = metrics.counter("stage1.elt_pairs");
+    assert!(
+        pairs >= metrics.counter("stage1.elt_damaging") && pairs * 20 < product,
+        "ELT generation ran the loss chain on {pairs} of {product} pairs"
     );
     elapsed
 }
@@ -332,12 +380,13 @@ fn main() {
         .map(load_history)
         .unwrap_or_default();
 
-    let checks: [Check; 6] = [
+    let checks: [Check; 7] = [
         (
             "sweep_cache (e11 shape)",
             check_sweep_cache,
             env_f64("PERF_GATE_SWEEP_CACHE_BUDGET_S", 5.0),
         ),
+        ("stage1 (cold-models shape)", check_stage1, 2.1),
         ("kernel (deep-trials shape)", check_kernel, 6.3),
         (
             "sweep_analytics (e12 medium)",

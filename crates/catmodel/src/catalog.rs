@@ -151,18 +151,16 @@ impl EventCatalog {
         for (e, raw) in events.iter_mut().zip(raw_rates) {
             e.rate = raw * scale;
         }
-        Ok(Self {
-            events,
-            total_rate: cfg.total_annual_rate,
-        })
+        Self::from_parts(events, cfg.total_annual_rate)
     }
 
-    /// Reassemble a catalogue from previously generated events — the
-    /// decode path of the stage-1 disk cache
-    /// ([`crate::stage1io`]). Event ids must be dense `0..n` in order
-    /// (the invariant [`EventCatalog::event`] indexes by), and
-    /// `total_rate` is carried verbatim so a round trip is bit-exact
-    /// rather than re-derived from a float sum.
+    /// Assemble a catalogue from event records — the one door into the
+    /// type, used by [`EventCatalog::generate`] and by the decode path
+    /// of the stage-1 disk cache ([`crate::stage1io`]). Event ids must
+    /// be dense `0..n` in order (the invariant [`EventCatalog::event`]
+    /// indexes by), every event's `rate`, `magnitude` and `center` must
+    /// be finite, and `total_rate` is carried verbatim so a round trip
+    /// is bit-exact rather than re-derived from a float sum.
     pub fn from_parts(events: Vec<CatalogEvent>, total_rate: f64) -> RiskResult<Self> {
         if events.is_empty() {
             return Err(RiskError::invalid("catalogue needs at least one event"));
@@ -175,6 +173,12 @@ impl EventCatalog {
                 return Err(RiskError::invalid(format!(
                     "catalogue event ids must be dense 0..n: found {} at {i}",
                     e.id
+                )));
+            }
+            let fields = [e.rate, e.magnitude, e.center.x, e.center.y];
+            if !fields.iter().all(|x| x.is_finite()) {
+                return Err(RiskError::invalid(format!(
+                    "catalogue event {i}: rate, magnitude and centre must be finite"
                 )));
             }
         }
@@ -294,6 +298,32 @@ mod tests {
         };
         let cat = EventCatalog::generate(&cfg).unwrap();
         assert!(cat.events().iter().all(|e| e.peril == Peril::Earthquake));
+    }
+
+    #[test]
+    fn from_parts_rejects_non_finite_rows() {
+        let good = EventCatalog::generate(&CatalogConfig {
+            events: 4,
+            ..CatalogConfig::default()
+        })
+        .unwrap();
+        assert!(EventCatalog::from_parts(good.events().to_vec(), good.total_rate()).is_ok());
+        type Edit = fn(&mut CatalogEvent);
+        let edits: [(&str, Edit); 4] = [
+            ("NaN rate", |e| e.rate = f64::NAN),
+            ("inf magnitude", |e| e.magnitude = f64::INFINITY),
+            ("NaN centre x", |e| e.center.x = f64::NAN),
+            ("-inf centre y", |e| e.center.y = f64::NEG_INFINITY),
+        ];
+        for (what, edit) in edits {
+            let mut rows = good.events().to_vec();
+            edit(&mut rows[2]);
+            let err = EventCatalog::from_parts(rows, good.total_rate()).unwrap_err();
+            assert!(
+                matches!(err, RiskError::InvalidParameter(_)) && err.to_string().contains('2'),
+                "{what}: {err}"
+            );
+        }
     }
 
     #[test]

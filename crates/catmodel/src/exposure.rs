@@ -143,22 +143,48 @@ impl ExposurePortfolio {
             });
             total_tiv += tiv;
         }
-        Ok(Self {
-            locations,
-            total_tiv,
-        })
+        Self::from_parts(locations, total_tiv)
     }
 
-    /// Reassemble a portfolio from previously generated locations — the
+    /// Assemble a portfolio from location records — the one door into
+    /// the type, used by [`ExposurePortfolio::generate`] and by the
     /// decode path of the stage-1 disk cache ([`crate::stage1io`]).
     /// `total_tiv` is carried verbatim so a round trip is bit-exact
     /// rather than re-derived from a float sum.
+    ///
+    /// Every row is checked, so the loss chain and the ELT generator's
+    /// location index never meet a value they cannot order: positions
+    /// are finite, `tiv` is finite and positive, `deductible` and
+    /// `limit` are finite and non-negative.
     pub fn from_parts(locations: Vec<ExposureLocation>, total_tiv: f64) -> RiskResult<Self> {
         if locations.is_empty() {
             return Err(RiskError::invalid("exposure needs at least one location"));
         }
+        if u32::try_from(locations.len()).is_err() {
+            return Err(RiskError::invalid(
+                "exposure has more locations than a LocationId can number",
+            ));
+        }
         if total_tiv <= 0.0 || !total_tiv.is_finite() {
             return Err(RiskError::invalid("total TIV must be positive"));
+        }
+        let non_negative = |x: f64| x.is_finite() && x >= 0.0;
+        for (i, l) in locations.iter().enumerate() {
+            if !(l.position.x.is_finite() && l.position.y.is_finite()) {
+                return Err(RiskError::invalid(format!(
+                    "location {i}: position must be finite"
+                )));
+            }
+            if !(l.tiv.is_finite() && l.tiv > 0.0) {
+                return Err(RiskError::invalid(format!(
+                    "location {i}: TIV must be finite and positive"
+                )));
+            }
+            if !(non_negative(l.deductible) && non_negative(l.limit)) {
+                return Err(RiskError::invalid(format!(
+                    "location {i}: deductible and limit must be finite and non-negative"
+                )));
+            }
         }
         Ok(Self {
             locations,
@@ -261,6 +287,44 @@ mod tests {
         let a = ExposurePortfolio::generate(&cfg).unwrap();
         let b = ExposurePortfolio::generate(&cfg).unwrap();
         assert_eq!(a.locations()[5], b.locations()[5]);
+    }
+
+    #[test]
+    fn from_parts_rejects_unusable_rows() {
+        let good = ExposurePortfolio::generate(&ExposureConfig {
+            locations: 5,
+            ..ExposureConfig::default()
+        })
+        .unwrap();
+        let total = good.total_tiv();
+        assert!(ExposurePortfolio::from_parts(good.locations().to_vec(), total).is_ok());
+        type Edit = fn(&mut ExposureLocation);
+        let edits: [(&str, Edit); 10] = [
+            ("NaN x", |l| l.position.x = f64::NAN),
+            ("inf y", |l| l.position.y = f64::INFINITY),
+            ("NaN tiv", |l| l.tiv = f64::NAN),
+            ("zero tiv", |l| l.tiv = 0.0),
+            ("negative tiv", |l| l.tiv = -1.0),
+            ("inf tiv", |l| l.tiv = f64::INFINITY),
+            ("NaN deductible", |l| l.deductible = f64::NAN),
+            ("negative deductible", |l| l.deductible = -0.5),
+            ("inf limit", |l| l.limit = f64::INFINITY),
+            ("negative limit", |l| l.limit = -1.0),
+        ];
+        for (what, edit) in edits {
+            let mut rows = good.locations().to_vec();
+            edit(&mut rows[3]);
+            let err = ExposurePortfolio::from_parts(rows, total).unwrap_err();
+            assert!(
+                matches!(err, RiskError::InvalidParameter(_)) && err.to_string().contains('3'),
+                "{what}: {err}"
+            );
+        }
+        // Zero deductible and zero limit are legitimate terms.
+        let mut rows = good.locations().to_vec();
+        rows[0].deductible = 0.0;
+        rows[1].limit = 0.0;
+        assert!(ExposurePortfolio::from_parts(rows, total).is_ok());
     }
 
     #[test]

@@ -36,6 +36,7 @@ pub mod exposure;
 pub mod financial;
 pub mod geo;
 pub mod hazard;
+mod index;
 pub mod peril;
 pub mod postevent;
 pub mod stage1io;
@@ -43,7 +44,7 @@ pub mod vulnerability;
 pub mod yetgen;
 
 pub use catalog::{CatalogConfig, CatalogEvent, EventCatalog};
-pub use eltgen::{EltGenConfig, GroundUpModel, Stage1Output};
+pub use eltgen::{EltGenConfig, EltGenCounts, GroundUpModel, Stage1Output};
 pub use exposure::{ExposureConfig, ExposureLocation, ExposurePortfolio};
 pub use geo::{GeoPoint, Region};
 pub use hazard::site_intensity;

@@ -7,13 +7,12 @@
 //! observed event's footprint — not the whole stochastic catalogue —
 //! against the live exposure database.
 
-use crate::eltgen::EltGenConfig;
+use crate::catalog::CatalogEvent;
+use crate::eltgen::{pair_loss, EltGenConfig, EventLoss};
 use crate::exposure::ExposurePortfolio;
-use crate::financial::location_loss;
 use crate::geo::GeoPoint;
-use crate::hazard::intensity_at_distance;
 use crate::peril::Peril;
-use riskpipe_types::{LocationId, RiskError, RiskResult};
+use riskpipe_types::{EventId, LocationId, RiskError, RiskResult};
 
 /// An observed (actual) catastrophe event.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -53,43 +52,37 @@ pub fn rapid_estimate(
     if !event.magnitude.is_finite() || event.magnitude <= 0.0 {
         return Err(RiskError::invalid("magnitude must be positive"));
     }
-    let mut mean = 0.0f64;
-    let mut var_sum = 0.0f64;
-    let mut sd_sum = 0.0f64;
-    let mut affected = 0usize;
+    // An observed event is a catalogue event that has happened: it
+    // has no id and no rate, and the loss chain reads neither.
+    let event = CatalogEvent {
+        id: EventId::new(0),
+        peril: event.peril,
+        rate: 0.0,
+        magnitude: event.magnitude,
+        center: event.center,
+    };
+    // One event against the whole live book: every location runs the
+    // chain — indexing a book pays off only across a catalogue.
+    let mut sums = EventLoss::default();
     let mut per_location: Vec<(LocationId, f64)> = Vec::new();
     for loc in exposure.locations() {
-        let d = event.center.distance_km(&loc.position);
-        let intensity = intensity_at_distance(event.peril, event.magnitude, d);
-        if intensity <= 0.0 {
+        let Some(pair) = pair_loss(&event, loc) else {
             continue;
-        }
-        let mdr = loc.construction.mean_damage_ratio(intensity);
-        if mdr <= 0.0 {
-            continue;
-        }
-        let loss = location_loss(loc, mdr);
-        if loss <= 0.0 {
-            continue;
-        }
-        affected += 1;
-        mean += loss;
-        let sd_loc = loc.construction.damage_ratio_sd(mdr) * loc.tiv;
-        var_sum += sd_loc * sd_loc;
-        sd_sum += sd_loc;
+        };
+        sums.absorb(loc, &pair);
         if top_n > 0 {
-            per_location.push((loc.id, loss));
+            per_location.push((loc.id, pair.loss));
         }
     }
     let w = cfg.correlation_weight;
-    let sigma_i2 = (1.0 - w) * var_sum;
-    let sigma_c = w * sd_sum;
+    let sigma_i2 = (1.0 - w) * sums.var_sum;
+    let sigma_c = w * sums.sd_sum;
     per_location.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.raw().cmp(&b.0.raw())));
     per_location.truncate(top_n);
     Ok(PostEventEstimate {
-        mean_loss: mean,
+        mean_loss: sums.mean,
         sigma: (sigma_i2 + sigma_c * sigma_c).sqrt(),
-        affected_locations: affected,
+        affected_locations: sums.damaged,
         top_locations: per_location,
     })
 }

@@ -301,6 +301,7 @@ mod tests {
             &pool,
         )
         .unwrap()
+        .0
     }
 
     fn assert_outputs_identical(a: &Stage1Output, b: &Stage1Output) {
@@ -389,6 +390,51 @@ mod tests {
         let out = sample_output();
         let bytes = codec::encode_yet(&out.yet);
         assert!(decode_stage1(&bytes).is_err());
+    }
+
+    /// Rows a CRC cannot vouch for: the header frame is patched and
+    /// then *re-framed*, so the checksum is valid and only the row
+    /// validation in `from_parts` stands between a non-finite or
+    /// negative field and the loss chain. Typed error, never a panic.
+    #[test]
+    fn crc_valid_unusable_rows_are_corrupt() {
+        let out = sample_output();
+        let bytes = encode_stage1(7, &out);
+        let (_, payload, header_len) = codec::unframe(&bytes).unwrap();
+        // Layout (see the module docs): 24 header bytes, 37 per event,
+        // then n_books (8) + the first book's total_tiv and n_locs (16).
+        let event0 = 24;
+        let loc0 = 24 + 37 * out.catalog.len() + 8 + 16;
+        let patches: [(&str, usize, f64); 13] = [
+            ("event rate NaN", event0 + 5, f64::NAN),
+            ("event magnitude inf", event0 + 13, f64::INFINITY),
+            ("event cx NaN", event0 + 21, f64::NAN),
+            ("event cy -inf", event0 + 29, f64::NEG_INFINITY),
+            ("loc px NaN", loc0 + 4, f64::NAN),
+            ("loc py inf", loc0 + 12, f64::INFINITY),
+            ("loc tiv NaN", loc0 + 20, f64::NAN),
+            ("loc tiv zero", loc0 + 20, 0.0),
+            ("loc tiv negative", loc0 + 20, -5.0),
+            ("loc deductible NaN", loc0 + 29, f64::NAN),
+            ("loc deductible negative", loc0 + 29, -1.0),
+            ("loc limit inf", loc0 + 37, f64::INFINITY),
+            ("loc limit negative", loc0 + 37, -1.0),
+        ];
+        for (what, at, value) in patches {
+            let mut p = payload.to_vec();
+            p[at..at + 8].copy_from_slice(&value.to_le_bytes());
+            let mut bad = codec::frame(TableKind::Stage1, &p).to_vec();
+            bad.extend_from_slice(&bytes[header_len..]);
+            match decode_stage1(&bad) {
+                Err(RiskError::Corrupt(_)) => {}
+                other => panic!("{what}: expected Corrupt, got {:?}", other.map(|(k, _)| k)),
+            }
+        }
+        // The unpatched payload re-framed the same way still decodes:
+        // the table above fails for its patches, not for the re-frame.
+        let mut same = codec::frame(TableKind::Stage1, payload).to_vec();
+        same.extend_from_slice(&bytes[header_len..]);
+        assert!(decode_stage1(&same).is_ok());
     }
 
     #[test]

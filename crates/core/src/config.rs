@@ -2,8 +2,8 @@
 
 use riskpipe_aggregate::{LayerTerms, Portfolio};
 use riskpipe_catmodel::{
-    CatalogConfig, EltGenConfig, EventCatalog, ExposureConfig, ExposurePortfolio, Stage1Output,
-    YetConfig,
+    CatalogConfig, EltGenConfig, EltGenCounts, EventCatalog, ExposureConfig, ExposurePortfolio,
+    Stage1Output, YetConfig,
 };
 use riskpipe_exec::ThreadPool;
 use riskpipe_tables::yet::YearEventTable;
@@ -149,6 +149,16 @@ impl ScenarioConfig {
     /// exposure portfolio and ELT per contract, and the YET. Everything
     /// here is a pure function of [`ScenarioConfig::stage1_key`].
     pub fn build_stage1_output_on(&self, pool: &ThreadPool) -> RiskResult<Stage1Output> {
+        Ok(self.build_stage1_counted_on(pool)?.0)
+    }
+
+    /// [`ScenarioConfig::build_stage1_output_on`] together with the
+    /// work counts of its ELT generation — what the session feeds the
+    /// `stage1.elt_pairs` / `stage1.elt_damaging` counters from.
+    pub fn build_stage1_counted_on(
+        &self,
+        pool: &ThreadPool,
+    ) -> RiskResult<(Stage1Output, EltGenCounts)> {
         self.validate()?;
         let catalog = EventCatalog::generate(&self.catalog_config())?;
         let exposures: Vec<ExposurePortfolio> = (0..self.contracts)

@@ -50,7 +50,7 @@ use crate::stage1disk::DiskStage1Cache;
 use riskpipe_aggregate::{
     build_secondary, AggregateEngine, AggregateOptions, AggregateRunner, EngineKind, EventJoin,
 };
-use riskpipe_catmodel::Stage1Output;
+use riskpipe_catmodel::{EltGenCounts, Stage1Output};
 use riskpipe_dfa::{CompanyConfig, DfaEngine};
 use riskpipe_exec::lockwitness::{Condvar, Mutex};
 use riskpipe_exec::ThreadPool;
@@ -691,7 +691,7 @@ impl Stage1Cache {
     fn get_or_build(
         &self,
         key: u64,
-        build: impl FnOnce() -> RiskResult<Stage1Output>,
+        build: impl FnOnce() -> RiskResult<(Stage1Output, EltGenCounts)>,
         derive: impl FnOnce(Stage1Output) -> RiskResult<ModelRun>,
     ) -> RiskResult<Arc<ModelRun>> {
         if self.capacity == 0 {
@@ -785,7 +785,7 @@ impl Stage1Cache {
     fn load_or_build(
         &self,
         key: u64,
-        build: impl FnOnce() -> RiskResult<Stage1Output>,
+        build: impl FnOnce() -> RiskResult<(Stage1Output, EltGenCounts)>,
     ) -> RiskResult<Stage1Output> {
         if let Some(output) = self.disk_load(key)? {
             return Ok(output);
@@ -833,18 +833,20 @@ impl Stage1Cache {
     fn timed_build(
         &self,
         key: u64,
-        build: impl FnOnce() -> RiskResult<Stage1Output>,
+        build: impl FnOnce() -> RiskResult<(Stage1Output, EltGenCounts)>,
     ) -> RiskResult<Stage1Output> {
         let _build_span = riskpipe_obs::span_key("stage1.build", key);
         // lint: allow(D3) — reading flows only into the cumulative
         // build_nanos stats counter and the diagnostic timing ring,
         // never into model output.
         let t0 = Instant::now();
-        let output = build()?;
+        let (output, elt) = build()?;
         let nanos = t0.elapsed().as_nanos().min(u64::MAX as u128) as u64;
         self.build_nanos.fetch_add(nanos, Ordering::Relaxed);
         self.builds.fetch_add(1, Ordering::Relaxed);
         riskpipe_obs::counter_add("stage1.builds", 1);
+        riskpipe_obs::counter_add("stage1.elt_pairs", elt.pairs);
+        riskpipe_obs::counter_add("stage1.elt_damaging", elt.damaging);
         let newly_dropped = {
             // lint: allow(C1) — timing-ring mutex guards a bounded
             // deque push; no holder blocks or enqueues pool work under
@@ -1607,7 +1609,7 @@ impl RiskSession {
         let t0 = Instant::now();
         let model = self.stage1.get_or_build(
             key,
-            || scenario.build_stage1_output_on(&self.pool),
+            || scenario.build_stage1_counted_on(&self.pool),
             |output| self.derive_model_run(key, output),
         )?;
         let stage1 = StageTiming {

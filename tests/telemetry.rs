@@ -7,6 +7,8 @@
 //! schema stays pinned at version 1.
 
 use riskpipe::analytics::{DrilldownLayout, ScenarioDims, SweepPlanAnalytics};
+use riskpipe::catmodel::financial::location_loss;
+use riskpipe::catmodel::site_intensity;
 use riskpipe::core::{RiskSession, ScenarioConfig, ShardedFilesStore};
 use riskpipe::obs::JSON_SCHEMA_VERSION;
 use riskpipe::prelude::{MetricsSnapshot, RiskResult, Telemetry};
@@ -36,6 +38,28 @@ fn grid(seed: u64) -> (Vec<ScenarioConfig>, Vec<ScenarioDims>) {
         }
     }
     (scenarios, dims)
+}
+
+/// How many (event, location) pairs of a scenario's model run produce
+/// a positive insured loss, counted the exhaustive way: every event of
+/// the catalogue against every location of every book, through the
+/// public hazard → vulnerability → financial functions. The oracle for
+/// `stage1.elt_damaging`; also returns the size of that product.
+fn exhaustive_damaging(scenario: &ScenarioConfig) -> RiskResult<(u64, u64)> {
+    let output = scenario.build_stage1()?.output;
+    let (mut damaging, mut product) = (0u64, 0u64);
+    for book in &output.books {
+        for event in output.catalog.events() {
+            for loc in book.exposure.locations() {
+                let mdr = loc
+                    .construction
+                    .mean_damage_ratio(site_intensity(event, &loc.position));
+                damaging += u64::from(mdr > 0.0 && location_loss(loc, mdr) > 0.0);
+                product += 1;
+            }
+        }
+    }
+    Ok((damaging, product))
 }
 
 /// Drive the full summary + persist + warehouse plan on a fresh
@@ -100,6 +124,18 @@ fn metrics_snapshots_are_bit_identical_across_thread_counts() -> RiskResult<()> 
         elt_rows as u64,
         "one hit per ELT row over every key's books"
     );
+    // ELT generation reports its work as counts: the damaging pairs
+    // are exactly the exhaustive loop's, and the pairs that ran the
+    // exact chain lie between them and the full product.
+    let (mut damaging, mut product) = (0, 0);
+    for s in &grid(0x0B5).0 {
+        let (d, p) = exhaustive_damaging(s)?;
+        damaging += d;
+        product += p;
+    }
+    assert_eq!(m.counter("stage1.elt_damaging"), damaging);
+    let pairs = m.counter("stage1.elt_pairs");
+    assert!(damaging > 0 && pairs >= damaging && pairs < product);
     assert_eq!(m.counter("sweep.delivered"), 4);
     assert!(m.counter("sink.deliveries") >= 4, "fan-out delivered");
     assert_eq!(m.counter("warehouse.reports"), 4);
@@ -123,6 +159,49 @@ fn metrics_snapshots_are_bit_identical_across_thread_counts() -> RiskResult<()> 
         .expect("stage2 trial histogram registered");
     assert_eq!(trials.total, 4, "one histogram sample per scenario");
     assert_eq!(trials.sum, 4 * 300);
+    Ok(())
+}
+
+/// On a `cold_models`-sized book (12 000 clustered locations) the
+/// footprint walk evaluates under 5 % of the event × location product
+/// — a regression to the all-pairs loop shows up as a count, on any
+/// machine — while the damaging pairs stay exactly the exhaustive
+/// loop's, on 1, 2 and 8 threads alike.
+#[test]
+fn elt_counters_show_the_footprint_walk_is_selective() -> RiskResult<()> {
+    let scenario = ScenarioConfig {
+        name: "one-large-book".into(),
+        events: 150,
+        annual_rate: 20.0,
+        contracts: 1,
+        locations_per_contract: 12_000,
+        trials: 100,
+        seed: 12_345,
+        attachment_factor: 0.5,
+    };
+    let (damaging, product) = exhaustive_damaging(&scenario)?;
+    assert_eq!(product, 150 * 12_000);
+    for threads in [1usize, 2, 8] {
+        let telemetry = Telemetry::new();
+        let session = RiskSession::builder()
+            .pool_threads(threads)
+            .telemetry(telemetry.clone())
+            .build()?;
+        session.run(&scenario)?;
+        let m = telemetry.snapshot().metrics().clone();
+        assert_eq!(m.counter("stage1.builds"), 1);
+        assert_eq!(
+            m.counter("stage1.elt_damaging"),
+            damaging,
+            "{threads} threads"
+        );
+        let pairs = m.counter("stage1.elt_pairs");
+        assert!(pairs >= damaging);
+        assert!(
+            pairs * 20 < product,
+            "{threads} threads: {pairs} of {product} pairs ran the chain"
+        );
+    }
     Ok(())
 }
 

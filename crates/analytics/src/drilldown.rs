@@ -8,10 +8,10 @@
 //! up once to measure its exact footprint (sketch bytes included —
 //! cell counts alone would misprice sketch-heavy views), then
 //! [`greedy_select_budget`] picks by benefit-per-byte until the budget
-//! is spent. Queries ([`Drilldown::answer`]) are planned like the
-//! plain warehouse: the smallest materialised cuboid that is
-//! finer-or-equal on every dimension serves the query, with
-//! per-query cost accounting.
+//! is spent. Queries ([`Drilldown::answer`]) are planned by the plain
+//! warehouse's own rule ([`SketchCuboid::smallest_covering`]): the
+//! smallest materialised cuboid that is finer-or-equal on every
+//! dimension serves the query, with per-query cost accounting.
 
 use crate::dims::DrilldownLayout;
 use crate::ingest::IngestStats;
@@ -72,19 +72,25 @@ impl Drilldown {
         self.base.memory_bytes() + self.views.values().map(|v| v.memory_bytes()).sum::<usize>()
     }
 
-    /// Materialise one view, derived from the smallest already-
-    /// materialised finer cuboid (cell cost, not ingest cost).
+    /// The cuboid the planner reads for `select`: the smallest retained
+    /// one that covers it. The base is offered first, so a view
+    /// displaces it only by being strictly smaller, and it is finer
+    /// than everything, so a source always exists — stage 3 never
+    /// rescans facts; the base *is* the finest retained aggregate.
+    fn source_for(&self, select: LevelSelect) -> &SketchCuboid {
+        let retained = std::iter::once(&self.base).chain(self.views.values());
+        SketchCuboid::smallest_covering(retained, select).unwrap_or(&self.base)
+    }
+
+    /// Materialise one view, derived from the smallest retained finer
+    /// cuboid (cell cost, not ingest cost).
     pub fn materialize(&mut self, select: LevelSelect) -> RiskResult<()> {
         if select == self.base.select() || self.views.contains_key(&select) {
             return Ok(());
         }
-        let source = self
-            .views
-            .values()
-            .filter(|v| v.select().finer_eq(&select))
-            .min_by_key(|v| v.cells())
-            .unwrap_or(&self.base);
-        let view = source.rollup(self.layout.schema(), select)?;
+        let view = self
+            .source_for(select)
+            .rollup(self.layout.schema(), select)?;
         self.views.insert(select, view);
         Ok(())
     }
@@ -127,19 +133,11 @@ impl Drilldown {
         Ok(selection)
     }
 
-    /// Answer `query` from the smallest materialised cuboid that can
-    /// serve it (the base always can — stage 3 never rescans facts;
-    /// the base *is* the finest retained aggregate). Returns the rows
-    /// and the cost record in the plain warehouse's vocabulary.
+    /// Answer `query` from the smallest retained cuboid that can serve
+    /// it. Returns the rows and the cost record in the plain
+    /// warehouse's vocabulary.
     pub fn answer(&self, query: &Query) -> RiskResult<(Vec<SketchRow>, QueryCost)> {
-        // The base (LevelSelect::BASE) is finer than everything, so a
-        // source always exists; views only ever shrink the cell count.
-        let mut source = &self.base;
-        for view in self.views.values() {
-            if view.select().finer_eq(&query.select) && view.cells() < source.cells() {
-                source = view;
-            }
-        }
+        let source = self.source_for(query.select);
         let rows = source.answer(self.layout.schema(), query)?;
         let rows_out = rows.len() as u64;
         Ok((
@@ -151,5 +149,59 @@ impl Drilldown {
                 rows_out,
             },
         ))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{ScenarioDims, WarehouseSink};
+    use riskpipe_aggregate::EngineKind;
+    use riskpipe_tables::Ylt;
+
+    /// Three slots, each in its own attachment band, all on one engine:
+    /// the contract hierarchy's band level has exactly as many cells as
+    /// its layer level, and its engine and "all" levels both collapse
+    /// to a single code.
+    fn tied_warehouse() -> Drilldown {
+        let dims = (0..3)
+            .map(|slot| ScenarioDims {
+                region: slot % 2,
+                peril: 0,
+                attachment_band: slot,
+            })
+            .collect();
+        let layout = DrilldownLayout::new(dims, EngineKind::Sequential).unwrap();
+        let mut sink = WarehouseSink::new(layout).unwrap();
+        for slot in 0..3 {
+            let losses: Vec<f64> = (0..40).map(|t| ((t * 7 + slot * 3) % 41) as f64).collect();
+            let ylt = Ylt::from_columns(losses.clone(), losses, vec![1; 40]).unwrap();
+            sink.ingest(slot, &ylt).unwrap();
+        }
+        sink.finish().unwrap()
+    }
+
+    #[test]
+    fn planner_ties_keep_the_base_then_the_lower_select() {
+        let mut wh = tied_warehouse();
+        let base_cells = wh.base().cells();
+
+        // A view exactly as large as the base does not displace it.
+        let by_band = LevelSelect([0, 0, 1, 0]);
+        wh.materialize(by_band).unwrap();
+        assert_eq!(wh.views[&by_band].cells(), base_cells);
+        let (_, cost) = wh.answer(&Query::group_by(by_band)).unwrap();
+        assert_eq!(cost.source, Source::Materialized(LevelSelect::BASE));
+
+        // Of two equally small covering views the lower select serves,
+        // whichever was materialised first.
+        let (by_engine, pooled) = (LevelSelect([0, 0, 2, 0]), LevelSelect([0, 0, 3, 0]));
+        wh.materialize(pooled).unwrap();
+        wh.materialize(by_engine).unwrap();
+        assert_eq!(wh.views[&by_engine].cells(), wh.views[&pooled].cells());
+        assert!(wh.views[&pooled].cells() < base_cells);
+        let (_, cost) = wh.answer(&Query::group_by(pooled)).unwrap();
+        assert_eq!(cost.source, Source::Materialized(by_engine));
+        assert_eq!(cost.cells_read, wh.views[&by_engine].cells() as u64);
     }
 }

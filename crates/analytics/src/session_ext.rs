@@ -9,8 +9,7 @@
 use crate::dims::DrilldownLayout;
 use crate::drilldown::Drilldown;
 use crate::ingest::WarehouseSink;
-use crate::plan::SweepPlanAnalytics;
-use riskpipe_core::{RiskSession, ScenarioConfig, ShardedFilesStore};
+use riskpipe_core::{RiskSession, ShardedFilesStore};
 use riskpipe_types::{RiskError, RiskResult};
 
 /// A sweep/layout compatibility check shared by every path that builds
@@ -54,8 +53,9 @@ impl SessionAnalytics for RiskSession {
     }
 }
 
-/// A borrowed session plus a sweep layout: runs sweeps into queryable
-/// warehouses and rebuilds them from persisted spills.
+/// A borrowed session plus a sweep layout: rebuilds queryable
+/// warehouses from persisted spills. (A live sweep declares its
+/// warehouse on the plan: `session.sweep(..).warehouse(layout)`.)
 #[derive(Debug)]
 pub struct AnalyticsHandle<'s> {
     session: &'s RiskSession,
@@ -66,25 +66,6 @@ impl AnalyticsHandle<'_> {
     /// The layout this handle builds against.
     pub fn layout(&self) -> &DrilldownLayout {
         &self.layout
-    }
-
-    /// Run the sweep through a [`WarehouseSink`] on this session and
-    /// return the queryable warehouse. Now a thin configuration of the
-    /// declarative [`SweepPlan`](riskpipe_core::SweepPlan): delivery
-    /// order, determinism and the resulting cells are unchanged.
-    #[deprecated(
-        since = "0.1.0",
-        note = "declare the sweep instead: \
-                `session.sweep(scenarios).warehouse(layout).drive()?.into_drilldown()` \
-                (add `.summary()`/`.persist()` to consume the same pass further)"
-    )]
-    pub fn sweep_to_warehouse(&self, scenarios: &[ScenarioConfig]) -> RiskResult<Drilldown> {
-        Ok(self
-            .session
-            .sweep(scenarios)
-            .warehouse(self.layout.clone())
-            .drive()?
-            .into_drilldown())
     }
 
     /// Rebuild the warehouse from a prior run's persisted reports (a

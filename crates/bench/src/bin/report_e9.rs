@@ -22,8 +22,7 @@ use riskpipe_tables::sizing::human_bytes;
 use riskpipe_tables::{ShardedReader, ShardedWriter};
 use riskpipe_types::LocationId;
 use riskpipe_warehouse::{
-    dim, enumerate, greedy_select, rollup, Cuboid, FactTable, Filter, LevelSelect, Query, Schema,
-    Warehouse,
+    dim, enumerate, greedy_select, Cuboid, FactTable, Filter, LevelSelect, Query, Schema, Warehouse,
 };
 use std::time::Instant;
 
@@ -178,13 +177,9 @@ fn main() {
     // Finest first so coarser cuboids find a small source.
     order.sort_by_key(|s| (s.0.iter().map(|&l| l as u32).sum::<u32>(), *s));
     for sel in order {
-        let source = computed
-            .iter()
-            .filter(|(s, _)| s.finer_eq(&sel) && *s != sel)
-            .min_by_key(|(_, c)| c.cells());
-        let cub = match source {
-            Some((_, src)) if src.cells() < sel_facts.rows() => {
-                rollup(&sel_schema, src, sel).expect("rollup")
+        let cub = match Cuboid::smallest_covering(computed.iter().map(|(_, c)| c), sel) {
+            Some(src) if src.cells() < sel_facts.rows() => {
+                src.rollup(&sel_schema, sel).expect("rollup")
             }
             _ => Cuboid::build(&sel_schema, &sel_facts, sel, Some(&pool)).expect("build"),
         };

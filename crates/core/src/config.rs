@@ -228,9 +228,6 @@ impl Stage1Bundle {
     }
 }
 
-/// Backwards-compatible alias used in examples and docs.
-pub type PipelineConfig = ScenarioConfig;
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -267,6 +264,9 @@ mod tests {
         assert!(cfg.build_stage1().is_err());
         let mut cfg = ScenarioConfig::small();
         cfg.contracts = 0;
+        assert!(cfg.build_stage1().is_err());
+        let mut cfg = ScenarioConfig::small();
+        cfg.events = 0;
         assert!(cfg.build_stage1().is_err());
     }
 

@@ -23,25 +23,20 @@
 //! catalogue seed/config fingerprint ([`ScenarioConfig::stage1_key`])
 //! reuse one cached stage-1 model run. [`elastic`] converts measured
 //! throughputs into the paper's processor-burst arithmetic (<10
-//! processors for stage 1, thousands for stages 2–3). The pre-facade
-//! [`Pipeline`] and the collecting `run_batch` remain as deprecated
-//! shims.
+//! processors for stage 1, thousands for stages 2–3).
 
 #![warn(missing_docs)]
 
 pub mod config;
 pub mod elastic;
-pub mod pipeline;
 pub mod report;
 pub mod session;
 pub mod sink;
 pub mod stage1disk;
 pub mod sweep;
 
-pub use config::{PipelineConfig, ScenarioConfig, Stage1Bundle};
+pub use config::{ScenarioConfig, Stage1Bundle};
 pub use elastic::{Deadline, ElasticModel, ProcessorPlan, StageThroughput};
-#[allow(deprecated)]
-pub use pipeline::Pipeline;
 pub use report::{money, SweepSummary, TextTable};
 pub use session::{
     DataStrategy, InMemoryStore, IntermediateStore, PipelineReport, ReportStream, RiskSession,

@@ -215,7 +215,7 @@ impl SweepSummary {
         // each whole pre-sorted column into the pooled sketch as one
         // weighted merge (a single bulk append + one compaction pass)
         // instead of a push per trial. Reports whose shared sorted
-        // columns were dropped (run_batch keeps collected batches at
+        // columns were dropped (a collecting sweep keeps its batch at
         // one copy per column) are re-sorted by the accessors.
         // Welford moments keep YLT order.
         for &x in report.ylt.agg_losses() {
@@ -579,7 +579,7 @@ mod tests {
 
     #[test]
     fn push_falls_back_when_sorted_columns_were_dropped() {
-        // run_batch clears the shared sorted columns on collected
+        // A collecting sweep clears the shared sorted columns on its
         // reports; pooled analytics must re-sort instead of silently
         // folding nothing.
         let xs: Vec<f64> = (0..250).map(|i| ((i * 53) % 199) as f64).collect();

@@ -27,9 +27,6 @@
 //!   thousands-of-scenarios sweeps need; [`RiskSession::stream`] is
 //!   the iterator adapter.
 //!
-//! The collecting [`RiskSession::run_batch`] survives as a deprecated
-//! shim over `sweep(..).collect()`.
-//!
 //! ```
 //! use riskpipe_core::{RiskSession, ScenarioConfig};
 //! use riskpipe_aggregate::EngineKind;
@@ -95,16 +92,16 @@ pub enum DataStrategy {
 pub struct RunLabel<'a> {
     /// Scenario name.
     pub scenario: &'a str,
-    /// Position within a `run_batch`/`run_stream` call; `None` for
-    /// single runs.
+    /// Position within a sweep (`run_stream` call); `None` for single
+    /// runs.
     pub slot: Option<usize>,
-    /// Which `run`/`run_batch`/`run_stream` call on the session this is
-    /// (0-based; one batch counts as one run).
+    /// Which `run`/`run_stream` call on the session this is (0-based;
+    /// one sweep counts as one run).
     pub run: u64,
 }
 
 /// A backend for stage-2 YELT intermediates. Implementations must be
-/// callable from multiple scenarios at once (`run_batch` persists
+/// callable from multiple scenarios at once (a sweep persists
 /// concurrently). New backends — a MapReduce spill, a warehouse loader
 /// — implement this and plug into [`RiskSessionBuilder::store`] without
 /// the session or the engines changing.
@@ -168,8 +165,7 @@ impl IntermediateStore for InMemoryStore {
 /// call.
 ///
 /// Layout: the session's **first** single run writes `dir` itself (so
-/// a reader opens the directory the caller configured, and the
-/// deprecated `Pipeline` shim keeps its historical layout); the first
+/// a reader opens the directory the caller configured); the first
 /// batch writes `dir/batch-NNN` per slot. Later runs of the same
 /// session get a `run-NNN` level so a long-lived session never
 /// collides with its own earlier spills. Stale spills are reclaimed
@@ -1184,7 +1180,7 @@ pub struct RiskSession {
     store: Arc<dyn IntermediateStore>,
     company: CompanyConfig,
     stage1: Stage1Cache,
-    /// Completed `run`/`run_batch`/`run_stream` calls — sequences
+    /// Completed `run`/`run_stream` calls — sequences
     /// [`RunLabel::run`] so a long-lived session's spills never collide.
     runs: AtomicU64,
     /// Telemetry handle attached at build time; installed as the
@@ -1271,7 +1267,7 @@ impl RiskSession {
     /// fresh per-run directories as usual.
     ///
     /// Not synchronised with executing scenarios: call it only while no
-    /// `run`/`run_batch`/`run_stream` is in flight on this session, or
+    /// `run`/`run_stream` is in flight on this session, or
     /// an active spill's directory can be deleted mid-write and that
     /// run fails.
     pub fn clear_store(&self) -> RiskResult<()> {
@@ -1292,8 +1288,7 @@ impl RiskSession {
     /// `riskpipe-analytics` in scope, a drill-down warehouse) that all
     /// receive the reports of **one** streaming pass when the plan is
     /// driven. This is the preferred multi-consumer surface; the
-    /// `run_batch` shim and the single-sink `run_stream` remain for
-    /// respectively legacy and fully custom consumption.
+    /// single-sink `run_stream` remains for fully custom consumption.
     pub fn sweep<'s>(&'s self, scenarios: &'s [ScenarioConfig]) -> crate::SweepPlan<'s> {
         crate::SweepPlan::new(self, scenarios)
     }
@@ -1560,25 +1555,6 @@ impl RiskSession {
         }
     }
 
-    /// Run many scenarios concurrently on the shared pool and collect
-    /// every report. Now a thin configuration of the declarative
-    /// [`SweepPlan`](crate::SweepPlan): ordering, bit-identity and
-    /// error semantics are unchanged, and the returned `Vec` is still
-    /// O(scenarios) with the shared sorted columns cleared.
-    #[deprecated(
-        since = "0.1.0",
-        note = "declare the sweep instead: `session.sweep(scenarios).collect().drive()?` \
-                (add `.summary()`/`.persist()` to consume the same pass further)"
-    )]
-    pub fn run_batch(&self, scenarios: &[ScenarioConfig]) -> RiskResult<Vec<PipelineReport>> {
-        Ok(self
-            .sweep(scenarios)
-            .collect()
-            .drive()?
-            .into_reports()
-            .unwrap_or_default())
-    }
-
     fn next_run_id(&self) -> u64 {
         self.runs.fetch_add(1, Ordering::Relaxed)
     }
@@ -1834,8 +1810,8 @@ pub struct PipelineReport {
     /// and shares the buffer, so streaming sinks fold pooled analytics
     /// with one weighted sketch merge instead of re-sorting per
     /// consumer. May be empty on reports that outlive delivery
-    /// ([`RiskSession::run_batch`] clears it to keep collected batches
-    /// at one copy per column); consumers read it through
+    /// (a collecting [`SweepPlan`](crate::SweepPlan) clears it to keep
+    /// collected sweeps at one copy per column); consumers read it through
     /// [`PipelineReport::sorted_agg`], which falls back to sorting
     /// [`PipelineReport::ylt`] when `agg_sorted.len() != ylt.trials()`.
     pub agg_sorted: Vec<f64>,
@@ -1933,8 +1909,14 @@ mod tests {
         let report = session.run(&ScenarioConfig::small().with_seed(3)).unwrap();
         assert_eq!(report.ylt.trials(), 2_000);
         assert!(report.elt_rows > 0);
+        assert!(report.yet_occurrences > 0);
+        assert!(report.measures.mean >= 0.0);
         assert!(report.measures.tvar99 >= report.measures.var99);
+        assert!(report.pml_100.is_some());
         assert_eq!(report.yelt_file_bytes, 0);
+        let text = report.to_string();
+        assert!(text.contains("stage 1"));
+        assert!(text.contains("economic capital"));
     }
 
     #[test]
@@ -2084,13 +2066,15 @@ mod tests {
             .unwrap();
         let report = session.run(&ScenarioConfig::small().with_seed(4)).unwrap();
         assert!(report.yelt_file_bytes > 0);
+        // The first single run spills into the configured directory
+        // itself, with the configured shard count.
         let reader = riskpipe_tables::ShardedReader::open(&dir).unwrap();
         assert_eq!(reader.rows() as usize, report.yelt_rows);
+        assert_eq!(reader.shard_count(), 4);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
-    #[allow(deprecated)] // run_batch's layout contract must hold until removal
     fn sharded_session_is_reusable_across_runs() {
         let dir = temp("reuse");
         let session = RiskSession::builder()
@@ -2109,7 +2093,13 @@ mod tests {
         // their own run-NNN level instead of colliding.
         let second = session.run(&scenario).unwrap();
         assert_eq!(second.ylt, first.ylt);
-        let batch = session.run_batch(std::slice::from_ref(&scenario)).unwrap();
+        let batch = session
+            .sweep(std::slice::from_ref(&scenario))
+            .collect()
+            .drive()
+            .unwrap()
+            .into_reports()
+            .unwrap();
         assert_eq!(batch[0].ylt, first.ylt);
         for sub in [
             dir.clone(),
@@ -2215,7 +2205,6 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)] // run_batch's layout contract must hold until removal
     fn batch_slots_get_own_directories() {
         let dir = temp("batchdirs");
         let session = RiskSession::builder()
@@ -2230,7 +2219,8 @@ mod tests {
             ScenarioConfig::small().with_seed(61).with_trials(300),
             ScenarioConfig::small().with_seed(62).with_trials(300),
         ];
-        let reports = session.run_batch(&scenarios).unwrap();
+        let outcome = session.sweep(&scenarios).collect().drive().unwrap();
+        let reports = outcome.into_reports().unwrap();
         assert_eq!(reports.len(), 2);
         for (i, report) in reports.iter().enumerate() {
             let sub = dir.join(format!("batch-{i:03}"));
@@ -2241,13 +2231,12 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)] // run_batch's error contract must hold until removal
     fn batch_propagates_scenario_errors() {
         let session = RiskSession::builder().pool_threads(2).build().unwrap();
         let mut bad = ScenarioConfig::small();
         bad.trials = 0;
-        let result = session.run_batch(&[ScenarioConfig::small().with_trials(200), bad]);
-        assert!(result.is_err());
+        let scenarios = [ScenarioConfig::small().with_trials(200), bad];
+        assert!(session.sweep(&scenarios).collect().drive().is_err());
     }
 
     #[test]

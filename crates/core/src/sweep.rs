@@ -2,12 +2,11 @@
 //! per sweep, many consumers of its report stream.
 //!
 //! The paper's stage-2/stage-3 pipeline is one dataflow — simulate,
-//! aggregate, persist, cube — but the pre-plan API exposed it as four
-//! disjoint entry points (`run`, `run_stream`, `stream`, `run_batch`)
-//! each feeding exactly *one* consumer. A [`SweepPlan`] instead
-//! **declares** what a sweep should produce and drives the streaming
-//! core once, fanning every report out to all requested consumers via
-//! [`FanoutSink`](crate::FanoutSink):
+//! aggregate, persist, cube — while the streaming core
+//! ([`RiskSession::run_stream`]) feeds exactly *one* consumer. A
+//! [`SweepPlan`] **declares** what a sweep should produce and drives
+//! the streaming core once, fanning every report out to all requested
+//! consumers via [`FanoutSink`](crate::FanoutSink):
 //!
 //! ```no_run
 //! use riskpipe_core::{RiskSession, ScenarioConfig};
@@ -150,11 +149,10 @@ impl<'s> SweepPlan<'s> {
     }
 
     /// Request the collected reports themselves: the outcome carries
-    /// every [`PipelineReport`] in input order (O(scenarios) memory —
-    /// the old `run_batch` shape). As with `run_batch`, the collected
-    /// reports' shared sorted columns are cleared to keep the batch at
-    /// one copy per column; other consumers on the same plan read them
-    /// before the clear.
+    /// every [`PipelineReport`] in input order (O(scenarios) memory).
+    /// The collected reports' shared sorted columns are cleared to keep
+    /// the batch at one copy per column; other consumers on the same
+    /// plan read them before the clear.
     pub fn collect(mut self) -> Self {
         self.collect = true;
         self
@@ -268,9 +266,8 @@ impl std::fmt::Debug for SweepPlan<'_> {
 }
 
 /// The owning collector behind [`SweepPlan::collect`]: sits in the
-/// [`Tee`]'s owning slot so no report is ever cloned, and mirrors the
-/// historical `run_batch` contract of clearing the shared sorted
-/// columns on retained reports.
+/// [`Tee`]'s owning slot so no report is ever cloned, and clears the
+/// shared sorted columns on retained reports.
 #[derive(Default)]
 struct CollectSink {
     reports: Vec<PipelineReport>,

@@ -114,8 +114,8 @@ impl FileModel {
         model
     }
 
-    /// The file stem, lower-cased (`crates/warehouse/src/rollup.rs` →
-    /// `rollup`).
+    /// The file stem, lower-cased (`crates/warehouse/src/lattice.rs` →
+    /// `lattice`).
     pub fn stem(&self) -> String {
         self.path
             .rsplit('/')

@@ -7,16 +7,24 @@
 //! parallel data warehousing" technique the paper prescribes for stage
 //! 3's data volumes (experiment E9).
 //!
-//! Builds are chunk-deterministic: facts are partitioned into fixed
-//! ranges, each range is aggregated independently (optionally on the
-//! thread pool), and partials merge in range order — so the sequential
-//! and parallel builds produce bit-identical cells, the same discipline
-//! the aggregate-analysis engines follow.
+//! [`Cuboid`] is generic over its cell ([`Measure`]): the same sorted
+//! key column carries plain count/sum/max [`Cell`]s or sketch-valued
+//! [`SketchCell`](crate::sketchcube::SketchCell)s, and rolling up,
+//! answering a [`Query`] and folding in a delta cuboid are one private
+//! grouping loop over either.
+//!
+//! Fact-scan builds are chunk-deterministic: facts are partitioned into
+//! fixed ranges, each range is aggregated independently (optionally on
+//! the thread pool), and partials merge in range order — so the
+//! sequential and parallel builds produce bit-identical cells, the same
+//! discipline the aggregate-analysis engines follow.
 
 use crate::dimension::{Schema, NDIMS};
 use crate::fact::FactTable;
+use crate::query::{Query, Row};
 use riskpipe_exec::{par_map_collect, ThreadPool};
 use riskpipe_types::{RiskError, RiskResult};
+use std::collections::btree_map::{BTreeMap, Entry};
 use std::collections::HashMap;
 
 /// A choice of hierarchy level per dimension — one node of the cuboid
@@ -44,6 +52,19 @@ impl LevelSelect {
             .iter()
             .enumerate()
             .all(|(d, &l)| (l as usize) < schema.dim(d).level_count())
+    }
+
+    /// [`LevelSelect::is_valid`] as a typed error naming `what` the
+    /// selection was meant to be.
+    pub(crate) fn check(&self, schema: &Schema, what: &str) -> RiskResult<()> {
+        if self.is_valid(schema) {
+            Ok(())
+        } else {
+            Err(RiskError::invalid(format!(
+                "{what} {:?} invalid for schema",
+                self.0
+            )))
+        }
     }
 
     /// `self` is finer than or equal to `other` on every dimension —
@@ -140,7 +161,57 @@ impl KeyCodec {
     }
 }
 
-/// The aggregate measures of one cell.
+/// Per-dimension code tables lifting cell (or fact) codes from one level
+/// selection up to a coarser one — the hierarchy walk resolved once, so
+/// the grouping loops do `NDIMS` array reads per cell instead of
+/// pointer-chasing the hierarchy. The default value is the identity.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Lift([Option<Vec<u32>>; NDIMS]);
+
+impl Lift {
+    /// Tables from `from`'s levels to `to`'s (`None` where they agree).
+    /// `from` must be finer-or-equal to `to`; `Lift::new(schema,
+    /// LevelSelect::BASE, select)` lifts raw fact codes.
+    pub(crate) fn new(schema: &Schema, from: LevelSelect, to: LevelSelect) -> Self {
+        Lift(std::array::from_fn(|d| {
+            let (f, t) = (from.level(d), to.level(d));
+            (f != t).then(|| {
+                let dim = schema.dim(d);
+                (0..dim.cardinality(f)).map(|c| dim.lift(f, t, c)).collect()
+            })
+        }))
+    }
+
+    /// Lift one cell's codes.
+    #[inline]
+    pub(crate) fn apply(&self, codes: [u32; NDIMS]) -> [u32; NDIMS] {
+        let mut out = codes;
+        for d in 0..NDIMS {
+            if let Some(lut) = &self.0[d] {
+                out[d] = lut[codes[d] as usize];
+            }
+        }
+        out
+    }
+}
+
+/// What the cuboid algebra asks of a cell — nothing else about a cell
+/// is visible to [`Cuboid`], the planner or view selection.
+pub trait Measure: Clone {
+    /// Merge another cell in. Must be a pure function of the two
+    /// operand states, so a fixed merge order (source key order in
+    /// every cuboid operation) is bit-reproducible.
+    fn merge(&mut self, other: &Self);
+    /// Facts pooled in the cell.
+    fn count(&self) -> u64;
+    /// Total loss — the top-k order of [`Query::top`].
+    fn sum(&self) -> f64;
+    /// Heap footprint in bytes — what a space-budgeted view selection
+    /// charges for the cell.
+    fn memory_bytes(&self) -> usize;
+}
+
+/// The plain aggregate measures of one cell.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Cell {
     /// Number of facts in the cell.
@@ -168,34 +239,48 @@ impl Cell {
             self.max = loss;
         }
     }
+}
 
-    /// Merge another cell (associative).
+impl Measure for Cell {
     #[inline]
-    pub fn merge(&mut self, other: &Cell) {
+    fn merge(&mut self, other: &Cell) {
         self.count += other.count;
         self.sum += other.sum;
         if other.max > self.max {
             self.max = other.max;
         }
     }
+
+    fn count(&self) -> u64 {
+        self.count
+    }
+
+    fn sum(&self) -> f64 {
+        self.sum
+    }
+
+    fn memory_bytes(&self) -> usize {
+        24
+    }
 }
 
 /// A materialised cuboid: sorted keys and their cells, in parallel
-/// columns.
+/// columns. The cell type decides what a cell can answer — [`Cell`]
+/// carries count/sum/max, [`SketchCell`](crate::sketchcube::SketchCell)
+/// adds a quantile sketch — and every operation below is written once
+/// for both.
 #[derive(Debug, Clone)]
-pub struct Cuboid {
+pub struct Cuboid<M = Cell> {
     select: LevelSelect,
     codec: KeyCodec,
     keys: Vec<u64>,
-    counts: Vec<u64>,
-    sums: Vec<f64>,
-    maxs: Vec<f64>,
+    cells: Vec<M>,
 }
 
 /// Default fact rows per aggregation chunk.
 pub const DEFAULT_BUILD_GRAIN: usize = 64 * 1024;
 
-impl Cuboid {
+impl Cuboid<Cell> {
     /// Group the fact table by `select`, sequentially or on `pool`.
     ///
     /// The chunk structure (and therefore every floating-point addition
@@ -219,56 +304,27 @@ impl Cuboid {
         pool: Option<&ThreadPool>,
         grain: usize,
     ) -> RiskResult<Self> {
-        if !select.is_valid(schema) {
-            return Err(RiskError::invalid(format!(
-                "level select {:?} invalid for schema",
-                select.0
-            )));
-        }
+        select.check(schema, "level select")?;
         let grain = grain.max(1);
         let codec = KeyCodec::new(schema, select)?;
-
-        // Pre-resolve the base→select level walk per dimension into a
-        // flat lookup table; the inner loop then does NDIMS array reads
-        // per fact instead of pointer-chasing the hierarchy.
-        let luts: Vec<Option<Vec<u32>>> = (0..NDIMS)
-            .map(|d| {
-                let lvl = select.level(d);
-                if lvl == 0 {
-                    None // identity: use the fact code directly
-                } else {
-                    let dim = schema.dim(d);
-                    Some(
-                        (0..dim.cardinality(0))
-                            .map(|c| dim.code_at(lvl, c))
-                            .collect(),
-                    )
-                }
-            })
-            .collect();
+        let lift = Lift::new(schema, LevelSelect::BASE, select);
 
         let rows = facts.rows();
         let nchunks = rows.div_ceil(grain).max(1);
-        let cols = facts.code_columns();
         let losses = facts.losses();
 
         let fold_chunk = |ci: usize| -> HashMap<u64, Cell> {
             let lo = ci * grain;
             let hi = ((ci + 1) * grain).min(rows);
-            let mut acc: HashMap<u64, Cell> = HashMap::new();
+            let mut partial: HashMap<u64, Cell> = HashMap::new();
             for row in lo..hi {
-                let mut codes = [0u32; NDIMS];
-                for d in 0..NDIMS {
-                    let base = cols[d][row];
-                    codes[d] = match &luts[d] {
-                        None => base,
-                        Some(lut) => lut[base as usize],
-                    };
-                }
-                let key = codec.encode(codes);
-                acc.entry(key).or_insert(Cell::EMPTY).absorb(losses[row]);
+                let key = codec.encode(lift.apply(facts.row_codes(row)));
+                partial
+                    .entry(key)
+                    .or_insert(Cell::EMPTY)
+                    .absorb(losses[row]);
             }
-            acc
+            partial
         };
 
         let partials: Vec<HashMap<u64, Cell>> = match pool {
@@ -288,51 +344,40 @@ impl Cuboid {
         }
         let mut entries: Vec<(u64, Cell)> = merged.into_iter().collect();
         entries.sort_unstable_by_key(|&(k, _)| k);
+        Ok(Self::from_sorted(select, codec, entries))
+    }
+}
 
-        let mut keys = Vec::with_capacity(entries.len());
-        let mut counts = Vec::with_capacity(entries.len());
-        let mut sums = Vec::with_capacity(entries.len());
-        let mut maxs = Vec::with_capacity(entries.len());
-        for (k, c) in entries {
-            keys.push(k);
-            counts.push(c.count);
-            sums.push(c.sum);
-            maxs.push(c.max);
+impl<M: Measure> Cuboid<M> {
+    /// Assemble a cuboid from accumulated `(key, cell)` entries
+    /// (sorted by key here; duplicate keys are rejected).
+    pub fn from_entries(
+        schema: &Schema,
+        select: LevelSelect,
+        mut entries: Vec<(u64, M)>,
+    ) -> RiskResult<Self> {
+        select.check(schema, "level select")?;
+        let codec = KeyCodec::new(schema, select)?;
+        entries.sort_by_key(|&(k, _)| k);
+        if entries.windows(2).any(|w| w[0].0 == w[1].0) {
+            return Err(RiskError::invalid("duplicate cuboid cell keys"));
         }
-        Ok(Self {
-            select,
-            codec,
-            keys,
-            counts,
-            sums,
-            maxs,
-        })
+        Ok(Self::from_sorted(select, codec, entries))
     }
 
-    /// Construct from pre-aggregated sorted cells (rollup path).
-    pub(crate) fn from_cells(
+    /// Split entries already in strictly ascending key order into the
+    /// two columns.
+    fn from_sorted(
         select: LevelSelect,
         codec: KeyCodec,
-        mut entries: Vec<(u64, Cell)>,
+        entries: impl IntoIterator<Item = (u64, M)>,
     ) -> Self {
-        entries.sort_unstable_by_key(|&(k, _)| k);
-        let mut keys = Vec::with_capacity(entries.len());
-        let mut counts = Vec::with_capacity(entries.len());
-        let mut sums = Vec::with_capacity(entries.len());
-        let mut maxs = Vec::with_capacity(entries.len());
-        for (k, c) in entries {
-            keys.push(k);
-            counts.push(c.count);
-            sums.push(c.sum);
-            maxs.push(c.max);
-        }
+        let (keys, cells) = entries.into_iter().unzip();
         Self {
             select,
             codec,
             keys,
-            counts,
-            sums,
-            maxs,
+            cells,
         }
     }
 
@@ -346,7 +391,8 @@ impl Cuboid {
         &self.codec
     }
 
-    /// Number of cells.
+    /// Number of cells — also what reading the cuboid costs (rollups
+    /// and answers visit every cell once), the planner's cost model.
     pub fn cells(&self) -> usize {
         self.keys.len()
     }
@@ -356,55 +402,104 @@ impl Cuboid {
         &self.keys
     }
 
+    /// The cells, parallel to [`Cuboid::keys`].
+    pub(crate) fn measures(&self) -> &[M] {
+        &self.cells
+    }
+
     /// Cell at index `i` as `(codes, cell)`.
     #[inline]
-    pub fn cell_at(&self, i: usize) -> ([u32; NDIMS], Cell) {
-        (
-            self.codec.decode(self.keys[i]),
-            Cell {
-                count: self.counts[i],
-                sum: self.sums[i],
-                max: self.maxs[i],
-            },
-        )
+    pub fn cell_at(&self, i: usize) -> ([u32; NDIMS], &M) {
+        (self.codec.decode(self.keys[i]), &self.cells[i])
     }
 
     /// Binary-search a cell by its codes. Codes outside the codec's
     /// packing range cannot name any cell and return `None`.
-    pub fn find(&self, codes: [u32; NDIMS]) -> Option<Cell> {
-        for d in 0..NDIMS {
-            let limit = 1u64 << self.codec.width[d];
-            if codes[d] as u64 >= limit {
-                return None;
-            }
+    pub fn find(&self, codes: [u32; NDIMS]) -> Option<&M> {
+        if (0..NDIMS).any(|d| codes[d] as u64 >= 1u64 << self.codec.width[d]) {
+            return None;
         }
         let key = self.codec.encode(codes);
-        self.keys
-            .binary_search(&key)
-            .ok()
-            .map(|i| self.cell_at(i).1)
+        self.keys.binary_search(&key).ok().map(|i| &self.cells[i])
     }
 
     /// Sum of all cell counts (must equal the fact row count).
     pub fn total_count(&self) -> u64 {
-        self.counts.iter().sum()
+        self.cells.iter().map(M::count).sum()
     }
 
     /// Sum of all cell sums (must equal the fact total loss up to fp
     /// association).
     pub fn total_sum(&self) -> f64 {
-        let k: riskpipe_types::KahanSum = self.sums.iter().copied().collect();
+        let k: riskpipe_types::KahanSum = self.cells.iter().map(M::sum).collect();
         k.total()
     }
 
-    /// Heap footprint in bytes.
+    /// Heap footprint in bytes (keys plus every cell) — the quantity a
+    /// byte-budgeted view selection charges.
     pub fn memory_bytes(&self) -> usize {
-        self.keys.len() * 8 + self.counts.len() * 8 + self.sums.len() * 8 + self.maxs.len() * 8
+        self.keys.len() * 8 + self.cells.iter().map(M::memory_bytes).sum::<usize>()
     }
 
-    /// Raw cell columns `(keys, counts, sums, maxs)` for codecs.
-    pub fn columns(&self) -> (&[u64], &[u64], &[f64], &[f64]) {
-        (&self.keys, &self.counts, &self.sums, &self.maxs)
+    /// The planner's pick rule, for materialising and for answering
+    /// alike: among `candidates` finer-or-equal to `select` on every
+    /// dimension, the one with the fewest cells; ties go to the
+    /// earliest candidate. `None` when no candidate covers `select`.
+    pub fn smallest_covering<'a>(
+        candidates: impl IntoIterator<Item = &'a Cuboid<M>>,
+        select: LevelSelect,
+    ) -> Option<&'a Cuboid<M>>
+    where
+        M: 'a,
+    {
+        candidates
+            .into_iter()
+            .filter(|c| c.select.finer_eq(&select))
+            .min_by_key(|c| c.cells())
+    }
+
+    /// Re-aggregate at the coarser `target` selection — what makes
+    /// pre-computation compound: the base cuboid is built from the
+    /// facts once, and every coarser view derives from an
+    /// already-aggregated cuboid at the cost of its *cells*, which
+    /// shrink geometrically up the lattice. Fails unless this cuboid is
+    /// finer-or-equal to `target` on every dimension (a cuboid can only
+    /// be rolled *up*). Repeated rollups are bit-identical.
+    pub fn rollup(&self, schema: &Schema, target: LevelSelect) -> RiskResult<Cuboid<M>> {
+        target.check(schema, "rollup target")?;
+        if !self.select.finer_eq(&target) {
+            return Err(RiskError::invalid(format!(
+                "cannot roll up {:?} to {:?}: target must be coarser on every dimension",
+                self.select.0, target.0
+            )));
+        }
+        let codec = KeyCodec::new(schema, target)?;
+        let lift = Lift::new(schema, self.select, target);
+        let grouped = Self::group(&[self], &lift, &codec, |_| true);
+        Ok(Self::from_sorted(target, codec, grouped))
+    }
+
+    /// Answer `query` from this cuboid: lift each cell to the query's
+    /// levels, apply the dice filters, merge cells landing on one
+    /// output cell, and apply the top-k cut. Rows come back in cell-key
+    /// order, or by descending sum when `top_k` is set. Fails unless
+    /// this cuboid is finer-or-equal to the query on every dimension.
+    pub fn answer(&self, schema: &Schema, query: &Query) -> RiskResult<Vec<Row<M>>> {
+        query.validate(schema)?;
+        if !self.select.finer_eq(&query.select) {
+            return Err(RiskError::invalid(format!(
+                "cuboid {:?} cannot serve coarser-than-{:?} query",
+                self.select.0, query.select.0
+            )));
+        }
+        let codec = KeyCodec::new(schema, query.select)?;
+        let lift = Lift::new(schema, self.select, query.select);
+        let grouped = Self::group(&[self], &lift, &codec, |codes| query.accepts(codes));
+        let rows = grouped.into_iter().map(|(k, cell)| Row {
+            codes: codec.decode(k),
+            cell,
+        });
+        Ok(query.cut(rows.collect()))
     }
 
     /// Merge another cuboid of the *same selection* into this one —
@@ -412,51 +507,49 @@ impl Cuboid {
     /// from newly arrived facts folds into the materialised view at
     /// cell cost, no fact rescan. Cells are additive, so the merged
     /// view equals a full rebuild (up to float association).
-    pub fn merge(&mut self, delta: &Cuboid) -> RiskResult<()> {
+    pub fn merge(&mut self, delta: &Cuboid<M>) -> RiskResult<()> {
         if delta.select != self.select {
             return Err(RiskError::invalid(format!(
                 "cannot merge cuboid {:?} into {:?}: selections differ",
                 delta.select.0, self.select.0
             )));
         }
-        // Two-pointer merge of sorted key arrays.
-        let n = self.keys.len() + delta.keys.len();
-        let mut keys = Vec::with_capacity(n);
-        let mut counts = Vec::with_capacity(n);
-        let mut sums = Vec::with_capacity(n);
-        let mut maxs = Vec::with_capacity(n);
-        let (mut i, mut j) = (0usize, 0usize);
-        while i < self.keys.len() || j < delta.keys.len() {
-            let take_self =
-                j >= delta.keys.len() || (i < self.keys.len() && self.keys[i] < delta.keys[j]);
-            let take_both =
-                i < self.keys.len() && j < delta.keys.len() && self.keys[i] == delta.keys[j];
-            if take_both {
-                keys.push(self.keys[i]);
-                counts.push(self.counts[i] + delta.counts[j]);
-                sums.push(self.sums[i] + delta.sums[j]);
-                maxs.push(self.maxs[i].max(delta.maxs[j]));
-                i += 1;
-                j += 1;
-            } else if take_self {
-                keys.push(self.keys[i]);
-                counts.push(self.counts[i]);
-                sums.push(self.sums[i]);
-                maxs.push(self.maxs[i]);
-                i += 1;
-            } else {
-                keys.push(delta.keys[j]);
-                counts.push(delta.counts[j]);
-                sums.push(delta.sums[j]);
-                maxs.push(delta.maxs[j]);
-                j += 1;
+        let grouped = Self::group(&[self, delta], &Lift::default(), &self.codec, |_| true);
+        *self = Self::from_sorted(self.select, self.codec, grouped);
+        Ok(())
+    }
+
+    /// The one grouping loop behind [`Cuboid::rollup`],
+    /// [`Cuboid::answer`] and [`Cuboid::merge`]: visit each source's
+    /// cells in key order (sources in the order given), lift their
+    /// codes, drop those `keep` rejects, and group the rest by their
+    /// key under `codec` — the first cell landing on a key is cloned,
+    /// later ones are merged into it in visit order, which is what
+    /// makes every caller deterministic. (Starting each group from [`Cell::EMPTY`], as the
+    /// fact scans do, differs only for cells no fold from `EMPTY` can
+    /// produce — a `-0.0` sum, a negative max — i.e. only for cells
+    /// that arrived through `decode_cuboid`.)
+    fn group(
+        sources: &[&Cuboid<M>],
+        lift: &Lift,
+        codec: &KeyCodec,
+        keep: impl Fn(&[u32; NDIMS]) -> bool,
+    ) -> BTreeMap<u64, M> {
+        let mut grouped: BTreeMap<u64, M> = BTreeMap::new();
+        for source in sources {
+            for (&key, cell) in source.keys.iter().zip(&source.cells) {
+                let out = lift.apply(source.codec.decode(key));
+                if keep(&out) {
+                    match grouped.entry(codec.encode(out)) {
+                        Entry::Occupied(mut slot) => slot.get_mut().merge(cell),
+                        Entry::Vacant(slot) => {
+                            slot.insert(cell.clone());
+                        }
+                    }
+                }
             }
         }
-        self.keys = keys;
-        self.counts = counts;
-        self.sums = sums;
-        self.maxs = maxs;
-        Ok(())
+        grouped
     }
 }
 
@@ -464,9 +557,47 @@ impl Cuboid {
 mod tests {
     use super::*;
     use crate::dimension::{dim, Schema};
+    use crate::sketchcube::{SketchCell, SketchCuboid};
 
     fn schema() -> Schema {
         Schema::standard(20, 4, 15, 3, 6, 2).unwrap()
+    }
+
+    /// The sketch-valued twin of [`Cuboid::build`]: the same facts
+    /// grouped at `select`, each cell's losses folded in ascending
+    /// order. Same keys and counts as the plain cuboid, so every
+    /// cell-agnostic property below runs over both cells.
+    fn sketch_build(s: &Schema, facts: &FactTable, select: LevelSelect) -> SketchCuboid {
+        let codec = KeyCodec::new(s, select).unwrap();
+        let lift = Lift::new(s, LevelSelect::BASE, select);
+        let mut columns: BTreeMap<u64, Vec<f64>> = BTreeMap::new();
+        for row in 0..facts.rows() {
+            let key = codec.encode(lift.apply(facts.row_codes(row)));
+            columns.entry(key).or_default().push(facts.losses()[row]);
+        }
+        let entries = columns
+            .into_iter()
+            .map(|(k, mut losses)| {
+                riskpipe_types::stats::sort_f64(&mut losses);
+                let mut cell = SketchCell::empty(64);
+                cell.absorb_sorted(&losses);
+                (k, cell)
+            })
+            .collect();
+        SketchCuboid::from_entries(s, select, entries).unwrap()
+    }
+
+    /// Same cells up to float association: keys, counts and maxima
+    /// exact, sums within tolerance (addition order differs between
+    /// cells-of-cells and cells-of-facts).
+    fn assert_same_cells<M: Measure>(a: &Cuboid<M>, b: &Cuboid<M>, max: impl Fn(&M) -> f64) {
+        assert_eq!(a.select(), b.select());
+        assert_eq!(a.keys(), b.keys(), "select {:?}", a.select());
+        for (x, y) in a.measures().iter().zip(b.measures()) {
+            assert_eq!(x.count(), y.count());
+            assert!((x.sum() - y.sum()).abs() <= 1e-9 * y.sum().abs().max(1.0));
+            assert_eq!(max(x), max(y));
+        }
     }
 
     #[test]
@@ -556,12 +687,12 @@ mod tests {
             let seq = Cuboid::build_with_grain(&s, &facts, sel, None, 1024).unwrap();
             let par = Cuboid::build_with_grain(&s, &facts, sel, Some(&pool), 1024).unwrap();
             assert_eq!(seq.keys(), par.keys());
-            assert_eq!(seq.counts, par.counts);
             // Bitwise float equality: same chunking ⇒ same addition order.
-            let seq_bits: Vec<u64> = seq.sums.iter().map(|f| f.to_bits()).collect();
-            let par_bits: Vec<u64> = par.sums.iter().map(|f| f.to_bits()).collect();
-            assert_eq!(seq_bits, par_bits, "select {sel:?}");
-            assert_eq!(seq.maxs, par.maxs);
+            let bits = |c: &Cuboid| -> Vec<(u64, u64, u64)> {
+                let cell_bits = |c: &Cell| (c.count, c.sum.to_bits(), c.max.to_bits());
+                c.measures().iter().map(cell_bits).collect()
+            };
+            assert_eq!(bits(&seq), bits(&par), "select {sel:?}");
         }
     }
 
@@ -594,14 +725,24 @@ mod tests {
 
     #[test]
     fn find_locates_cells() {
+        fn check<M: Measure>(cub: &Cuboid<M>) {
+            for i in 0..cub.cells() {
+                let (codes, cell) = cub.cell_at(i);
+                assert!(cub.find(codes).is_some_and(|c| std::ptr::eq(c, cell)));
+            }
+            // Region packs into 2 bits: 999, and 4 = 2^width, are out
+            // of range (4 would alias onto the next dimension's bits).
+            assert!(cub.find([999, 0, 0, 0]).is_none());
+            assert!(cub.find([4, 0, 0, 0]).is_none());
+            // "All" levels are zero bits wide: only code 0 names a cell.
+            assert!(cub.find([0, 1, 0, 0]).is_none());
+            assert!(cub.find([0, 0, 0, 1]).is_none());
+        }
         let s = schema();
         let facts = FactTable::synthetic(&s, 2_000, 8);
-        let cub = Cuboid::build(&s, &facts, LevelSelect([1, 2, 2, 3]), None).unwrap();
-        for i in 0..cub.cells() {
-            let (codes, cell) = cub.cell_at(i);
-            assert_eq!(cub.find(codes), Some(cell));
-        }
-        assert_eq!(cub.find([999, 0, 0, 0]), None);
+        let sel = LevelSelect([1, 2, 2, 3]);
+        check(&Cuboid::build(&s, &facts, sel, None).unwrap());
+        check(&sketch_build(&s, &facts, sel));
     }
 
     #[test]
@@ -618,5 +759,136 @@ mod tests {
         let s = schema();
         let facts = FactTable::synthetic(&s, 10, 1);
         assert!(Cuboid::build(&s, &facts, LevelSelect([9, 0, 0, 0]), None).is_err());
+    }
+
+    // Rollup and delta-merge: each property is one generic body, run
+    // over the plain base cuboid and its sketch-valued twin.
+
+    fn rollup_setup() -> (Schema, FactTable, Cuboid, SketchCuboid) {
+        let s = Schema::standard(24, 4, 18, 3, 6, 3).unwrap();
+        let facts = FactTable::synthetic(&s, 12_000, 21);
+        let base = Cuboid::build(&s, &facts, LevelSelect::BASE, None).unwrap();
+        let sketched = sketch_build(&s, &facts, LevelSelect::BASE);
+        (s, facts, base, sketched)
+    }
+
+    #[test]
+    fn rollup_equals_direct_build() {
+        let (s, facts, base, sketched) = rollup_setup();
+        for target in [
+            LevelSelect([1, 0, 0, 0]),
+            LevelSelect([1, 1, 1, 1]),
+            LevelSelect([2, 1, 0, 2]),
+            LevelSelect::apex(&s),
+        ] {
+            let direct = Cuboid::build(&s, &facts, target, None).unwrap();
+            assert_same_cells(&base.rollup(&s, target).unwrap(), &direct, |c| c.max);
+            let direct = sketch_build(&s, &facts, target);
+            assert_same_cells(&sketched.rollup(&s, target).unwrap(), &direct, |c| c.max);
+        }
+    }
+
+    #[test]
+    fn rollup_is_transitive() {
+        fn check<M: Measure>(s: &Schema, base: &Cuboid<M>, max: impl Fn(&M) -> f64) {
+            let mid = base.rollup(s, LevelSelect([1, 1, 0, 1])).unwrap();
+            let top_direct = base.rollup(s, LevelSelect([2, 1, 1, 2])).unwrap();
+            let top_via_mid = mid.rollup(s, LevelSelect([2, 1, 1, 2])).unwrap();
+            assert_same_cells(&top_direct, &top_via_mid, max);
+        }
+        let (s, _facts, base, sketched) = rollup_setup();
+        check(&s, &base, |c| c.max);
+        check(&s, &sketched, |c| c.max);
+    }
+
+    #[test]
+    fn rollup_conserves_totals() {
+        fn check<M: Measure>(s: &Schema, facts: &FactTable, base: &Cuboid<M>) {
+            let apex = base.rollup(s, LevelSelect::apex(s)).unwrap();
+            assert_eq!(apex.cells(), 1);
+            let (_, cell) = apex.cell_at(0);
+            assert_eq!(cell.count(), facts.rows() as u64);
+            let rel = (cell.sum() - facts.total_loss()).abs() / facts.total_loss();
+            assert!(rel < 1e-12);
+        }
+        let (s, facts, base, sketched) = rollup_setup();
+        check(&s, &facts, &base);
+        check(&s, &facts, &sketched);
+    }
+
+    #[test]
+    fn rollup_rejects_downward_moves() {
+        fn check<M: Measure>(s: &Schema, base: &Cuboid<M>) {
+            let coarse = base.rollup(s, LevelSelect([1, 1, 1, 1])).unwrap();
+            // Down on geo.
+            assert!(coarse.rollup(s, LevelSelect([0, 1, 1, 1])).is_err());
+            // Incomparable (down on one, up on another).
+            assert!(coarse.rollup(s, LevelSelect([0, 2, 2, 2])).is_err());
+            // Invalid level.
+            assert!(base.rollup(s, LevelSelect([7, 0, 0, 0])).is_err());
+        }
+        let (s, _facts, base, sketched) = rollup_setup();
+        check(&s, &base);
+        check(&s, &sketched);
+    }
+
+    #[test]
+    fn identity_rollup_is_a_copy() {
+        let (s, _facts, base, sketched) = rollup_setup();
+        let same = base.rollup(&s, LevelSelect::BASE).unwrap();
+        assert_eq!(same.keys(), base.keys());
+        assert_eq!(same.measures(), base.measures());
+        assert_same_cells(
+            &sketched.rollup(&s, LevelSelect::BASE).unwrap(),
+            &sketched,
+            |c| c.max,
+        );
+    }
+
+    #[test]
+    fn cell_counts_shrink_up_the_lattice() {
+        fn check<M: Measure>(s: &Schema, base: &Cuboid<M>) {
+            let l1 = base.rollup(s, LevelSelect([1, 1, 1, 1])).unwrap();
+            let l2 = l1.rollup(s, LevelSelect([2, 2, 2, 3])).unwrap();
+            assert!(base.cells() > l1.cells());
+            assert!(l1.cells() > l2.cells());
+            assert_eq!(l2.cells(), 1);
+            // Cells are the cost model and bytes the budget: both shrink.
+            assert!(base.memory_bytes() > l1.memory_bytes());
+            assert!(l1.memory_bytes() > l2.memory_bytes());
+        }
+        let (s, _facts, base, sketched) = rollup_setup();
+        check(&s, &base);
+        check(&s, &sketched);
+        assert_eq!(base.memory_bytes(), base.cells() * 32);
+    }
+
+    #[test]
+    fn merging_a_delta_equals_building_over_all_facts() {
+        fn check<M: Measure>(
+            s: &Schema,
+            sel: LevelSelect,
+            build: impl Fn(&FactTable, LevelSelect) -> Cuboid<M>,
+            max: impl Fn(&M) -> f64,
+        ) {
+            let first = FactTable::synthetic(s, 4_000, 5);
+            let second = FactTable::synthetic(s, 3_000, 6);
+            let mut view = build(&first, sel);
+            view.merge(&build(&second, sel)).unwrap();
+            let mut all = first.clone();
+            all.extend(&second);
+            assert_same_cells(&view, &build(&all, sel), max);
+            // Only same-selection cuboids merge.
+            assert!(view.merge(&build(&second, LevelSelect::BASE)).is_err());
+        }
+        let s = schema();
+        let sel = LevelSelect([1, 1, 1, 1]);
+        check(
+            &s,
+            sel,
+            |f, sel| Cuboid::build(&s, f, sel, None).unwrap(),
+            |c| c.max,
+        );
+        check(&s, sel, |f, sel| sketch_build(&s, f, sel), |c| c.max);
     }
 }

@@ -88,22 +88,47 @@ pub struct ViewSelection {
 /// maximising the total cost reduction across the lattice; ties break
 /// toward the lexicographically smaller select (deterministic).
 pub fn greedy_select(sizes: &[(LevelSelect, u64)], k: usize) -> ViewSelection {
+    greedy(sizes, k, u64::MAX, |benefit, _| benefit)
+}
+
+/// Greedy selection under a *space budget* in the units of `sizes`
+/// (cells, or bytes when the caller measured bytes): picks views by
+/// benefit per unit of storage (the HRU "benefit per unit space"
+/// variant) until nothing that still helps fits. Use when the
+/// constraint is memory, not view count — a small view with modest
+/// benefit can beat a huge view with slightly more.
+pub fn greedy_select_budget(sizes: &[(LevelSelect, u64)], budget: u64) -> ViewSelection {
+    greedy(sizes, usize::MAX, budget, |benefit, size| {
+        benefit as f64 / size.max(1) as f64
+    })
+}
+
+/// The greedy loop behind both selections: at most `max_picks` rounds,
+/// each picking — among the views that still fit in `space` and still
+/// reduce some node's cost — the one `score(benefit, size)` ranks
+/// highest, ties to the smaller select; stops early when no view
+/// qualifies.
+fn greedy<S: PartialOrd>(
+    sizes: &[(LevelSelect, u64)],
+    max_picks: usize,
+    mut space: u64,
+    score: impl Fn(u64, u64) -> S,
+) -> ViewSelection {
     // Cost of answering each node from the current materialised set.
     // Initially: everything from base.
     let base_size = sizes
         .iter()
-        .find(|(s, _)| *s == LevelSelect([0; NDIMS]))
-        .map(|&(_, n)| n)
-        .unwrap_or(0);
-    let mut cost: Vec<u64> = sizes.iter().map(|_| base_size).collect();
+        .find(|(s, _)| *s == LevelSelect::BASE)
+        .map_or(0, |&(_, n)| n);
+    let mut cost = vec![base_size; sizes.len()];
+    let cost_before: u64 = cost.iter().sum();
     let mut picked: Vec<LevelSelect> = Vec::new();
     let mut benefits: Vec<u64> = Vec::new();
-    let cost_before: u64 = cost.iter().sum();
 
-    for _round in 0..k {
-        let mut best: Option<(u64, LevelSelect, u64)> = None; // (benefit, view, view_size)
+    while picked.len() < max_picks {
+        let mut best: Option<(S, u64, LevelSelect, u64)> = None; // (score, benefit, view, size)
         for &(v, v_size) in sizes {
-            if v == LevelSelect([0; NDIMS]) || picked.contains(&v) {
+            if v == LevelSelect::BASE || picked.contains(&v) || v_size > space {
                 continue;
             }
             // Benefit: every node w that v can answer (v finer_eq w)
@@ -114,84 +139,20 @@ pub fn greedy_select(sizes: &[(LevelSelect, u64)], k: usize) -> ViewSelection {
                     benefit += cost[i] - v_size;
                 }
             }
-            let candidate = (benefit, v, v_size);
-            best = match best {
-                None => Some(candidate),
-                Some((bb, bv, bs)) => {
-                    if benefit > bb || (benefit == bb && v < bv) {
-                        Some(candidate)
-                    } else {
-                        Some((bb, bv, bs))
-                    }
-                }
-            };
-        }
-        let Some((benefit, view, view_size)) = best else {
-            break;
-        };
-        if benefit == 0 {
-            break; // No remaining view helps.
-        }
-        for (i, &(w, _)) in sizes.iter().enumerate() {
-            if view.finer_eq(&w) && view_size < cost[i] {
-                cost[i] = view_size;
-            }
-        }
-        picked.push(view);
-        benefits.push(benefit);
-    }
-
-    ViewSelection {
-        picked,
-        benefits,
-        cost_before,
-        cost_after: cost.iter().sum(),
-    }
-}
-
-/// Greedy selection under a *space budget*: picks views by benefit per
-/// cell of storage (the HRU "benefit per unit space" variant) until the
-/// budget is spent. Use when the constraint is memory, not view count —
-/// a small view with modest benefit can beat a huge view with slightly
-/// more.
-pub fn greedy_select_budget(sizes: &[(LevelSelect, u64)], budget_cells: u64) -> ViewSelection {
-    let base_size = sizes
-        .iter()
-        .find(|(s, _)| *s == LevelSelect([0; NDIMS]))
-        .map(|&(_, n)| n)
-        .unwrap_or(0);
-    let mut cost: Vec<u64> = sizes.iter().map(|_| base_size).collect();
-    let mut picked: Vec<LevelSelect> = Vec::new();
-    let mut benefits: Vec<u64> = Vec::new();
-    let cost_before: u64 = cost.iter().sum();
-    let mut remaining = budget_cells;
-
-    loop {
-        let mut best: Option<(f64, u64, LevelSelect, u64)> = None; // (ratio, benefit, view, size)
-        for &(v, v_size) in sizes {
-            if v == LevelSelect([0; NDIMS]) || picked.contains(&v) || v_size > remaining {
-                continue;
-            }
-            let mut benefit = 0u64;
-            for (i, &(w, _)) in sizes.iter().enumerate() {
-                if v.finer_eq(&w) && v_size < cost[i] {
-                    benefit += cost[i] - v_size;
-                }
-            }
             if benefit == 0 {
                 continue;
             }
-            let ratio = benefit as f64 / v_size.max(1) as f64;
+            let rank = score(benefit, v_size);
             let better = match &best {
                 None => true,
-                Some((br, _, bv, _)) => ratio > *br || (ratio == *br && v < *bv),
+                Some((top, _, top_view, _)) => rank > *top || (rank == *top && v < *top_view),
             };
             if better {
-                best = Some((ratio, benefit, v, v_size));
+                best = Some((rank, benefit, v, v_size));
             }
         }
         let Some((_, benefit, view, view_size)) = best else {
-            break;
+            break; // No remaining view both fits and helps.
         };
         for (i, &(w, _)) in sizes.iter().enumerate() {
             if view.finer_eq(&w) && view_size < cost[i] {
@@ -200,7 +161,7 @@ pub fn greedy_select_budget(sizes: &[(LevelSelect, u64)], budget_cells: u64) -> 
         }
         picked.push(view);
         benefits.push(benefit);
-        remaining -= view_size;
+        space -= view_size;
     }
 
     ViewSelection {

@@ -17,26 +17,27 @@
 //!   day→month→season).
 //! * [`fact`] — the columnar loss fact table, scanned never randomly
 //!   accessed, like every other table in the pipeline.
-//! * [`cube`] — cuboids (materialised group-bys) built with
-//!   chunk-deterministic parallel aggregation on the [`riskpipe_exec`]
-//!   pool: sequential and parallel builds agree bit-for-bit.
-//! * [`mod@rollup`] — deriving coarser cuboids from finer ones at
-//!   cell-count cost instead of fact-scan cost: why pre-computation
-//!   compounds.
+//! * [`cube`] — cuboids (materialised group-bys), generic over their
+//!   cell ([`Measure`]): built from the facts with chunk-deterministic
+//!   parallel aggregation on the [`riskpipe_exec`] pool (sequential and
+//!   parallel builds agree bit-for-bit), rolled up into coarser cuboids
+//!   at cell-count cost instead of fact-scan cost (why pre-computation
+//!   compounds), queried and delta-merged — one grouping loop for all
+//!   three.
 //! * [`lattice`] — the cuboid lattice and Harinarayan–Rajaraman–Ullman
-//!   greedy view selection under a memory budget.
-//! * [`query`] — the planner: each query is served by the smallest
-//!   materialised view that covers it, with per-query cost accounting
-//!   (experiment E9's measured quantity). New facts fold into the
-//!   materialised views incrementally (delta cuboid + merge), no
-//!   rebuild.
+//!   greedy view selection under a view-count or space budget.
+//! * [`query`] — queries and the planner: each query is served by the
+//!   smallest materialised view that covers it, with per-query cost
+//!   accounting (experiment E9's measured quantity). New facts fold
+//!   into the materialised views incrementally (delta cuboid + merge),
+//!   no rebuild.
 //! * [`store`] — views persist through the same CRC-checked frame
 //!   format as every other riskpipe table; corruption is detected at
 //!   load.
-//! * [`sketchcube`] — sketch-valued cells: each drill-down cell
-//!   carries a mergeable quantile sketch of its pooled losses, so
-//!   slices answer VaR99/TVaR99/EP points, not just sums (the stage-3
-//!   drill-down subsystem builds on these).
+//! * [`sketchcube`] — the sketch-valued cell: a mergeable quantile
+//!   sketch of the cell's pooled losses beside count/sum/max, so
+//!   slices of a `Cuboid<SketchCell>` answer VaR99/TVaR99/EP points,
+//!   not just sums (the stage-3 drill-down subsystem builds on these).
 //!
 //! ## Quickstart
 //!
@@ -68,17 +69,14 @@ pub mod cube;
 pub mod dimension;
 pub mod fact;
 pub mod lattice;
-mod proptests;
 pub mod query;
-pub mod rollup;
 pub mod sketchcube;
 pub mod store;
 
-pub use cube::{Cell, Cuboid, KeyCodec, LevelSelect};
+pub use cube::{Cell, Cuboid, KeyCodec, LevelSelect, Measure};
 pub use dimension::{dim, Dimension, Level, Schema, NDIMS};
 pub use fact::{FactBuilder, FactTable};
 pub use lattice::{enumerate, greedy_select, greedy_select_budget, ViewSelection};
-pub use query::{Filter, Query, QueryCost, ResultRow, Source, Warehouse};
-pub use rollup::rollup;
+pub use query::{Filter, Query, QueryCost, ResultRow, Row, Source, Warehouse};
 pub use sketchcube::{SketchCell, SketchCuboid, SketchRow};
 pub use store::{decode_cuboid, encode_cuboid, load_views, save_views};

@@ -3,16 +3,15 @@
 //! A query names a granularity (one level per dimension), optional
 //! dice filters, and an optional top-k cut. The planner answers it
 //! from the *smallest materialised cuboid that is finer-or-equal on
-//! every dimension*, rolling up and filtering on the fly; only when no
-//! view qualifies does it fall back to scanning the facts. The
-//! returned [`QueryCost`] records which source served the query and
-//! how many cells/facts it touched — the quantities experiment E9
-//! compares.
+//! every dimension* ([`Cuboid::smallest_covering`]), rolling up and
+//! filtering on the fly; only when no view qualifies does it fall back
+//! to scanning the facts. The returned [`QueryCost`] records which
+//! source served the query and how many cells/facts it touched — the
+//! quantities experiment E9 compares.
 
-use crate::cube::{Cell, Cuboid, KeyCodec, LevelSelect};
+use crate::cube::{Cell, Cuboid, KeyCodec, LevelSelect, Lift, Measure};
 use crate::dimension::{Schema, NDIMS};
 use crate::fact::FactTable;
-use crate::rollup::rollup;
 use riskpipe_exec::ThreadPool;
 use riskpipe_types::{RiskError, RiskResult};
 use std::collections::{BTreeMap, HashMap};
@@ -34,11 +33,6 @@ impl Filter {
             dim,
             codes: vec![code],
         }
-    }
-
-    #[inline]
-    fn accepts(&self, codes: &[u32; NDIMS]) -> bool {
-        self.codes.contains(&codes[self.dim])
     }
 }
 
@@ -74,17 +68,66 @@ impl Query {
         self.top_k = Some(k);
         self
     }
+
+    /// Reject a query `schema` cannot express: a level select or filter
+    /// dimension out of range, or a filter code beyond its dimension's
+    /// cardinality at the query's level.
+    pub(crate) fn validate(&self, schema: &Schema) -> RiskResult<()> {
+        self.select.check(schema, "query select")?;
+        for f in &self.filters {
+            if f.dim >= NDIMS {
+                return Err(RiskError::invalid(format!(
+                    "filter dimension {} out of range",
+                    f.dim
+                )));
+            }
+            let card = schema.dim(f.dim).cardinality(self.select.level(f.dim));
+            if f.codes.iter().any(|&c| c >= card) {
+                return Err(RiskError::invalid(format!(
+                    "filter code out of range for dimension {} at query level",
+                    f.dim
+                )));
+            }
+        }
+        Ok(())
+    }
+
+    /// Whether a cell with `codes` (at the query's levels) passes every
+    /// dice filter.
+    #[inline]
+    pub(crate) fn accepts(&self, codes: &[u32; NDIMS]) -> bool {
+        self.filters.iter().all(|f| f.codes.contains(&codes[f.dim]))
+    }
+
+    /// The top-k cut: with `top_k` set, order `rows` by descending loss
+    /// sum (ties by ascending codes) and keep the first `k`; otherwise
+    /// return them as given (cell-key order).
+    pub(crate) fn cut<M: Measure>(&self, mut rows: Vec<Row<M>>) -> Vec<Row<M>> {
+        if let Some(k) = self.top_k {
+            rows.sort_by(|a, b| {
+                b.cell
+                    .sum()
+                    .total_cmp(&a.cell.sum())
+                    .then_with(|| a.codes.cmp(&b.codes))
+            });
+            rows.truncate(k);
+        }
+        rows
+    }
 }
 
-/// One result row: the cell's codes at the query's levels and its
-/// aggregate measures.
+/// One result row: the cell's codes at the query's levels and the
+/// merged cell.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ResultRow {
+pub struct Row<M> {
     /// Cell codes, one per dimension at the query's level.
     pub codes: [u32; NDIMS],
-    /// Aggregates.
-    pub cell: Cell,
+    /// The merged cell.
+    pub cell: M,
 }
+
+/// A result row of plain aggregates.
+pub type ResultRow = Row<Cell>;
 
 /// Where a query was answered from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -165,20 +208,14 @@ impl Warehouse {
         if self.views.contains_key(&select) {
             return Ok(0);
         }
-        // Best = fewest cells among materialised views finer_eq select.
-        let best: Option<(&LevelSelect, &Cuboid)> = self
-            .views
-            .iter()
-            .filter(|(s, _)| s.finer_eq(&select) && **s != select)
-            .min_by_key(|(_, c)| c.cells());
-        let (cuboid, cost) = match best {
-            Some((_, src)) if (src.cells() as u64) < self.facts.rows() as u64 => {
-                let cost = src.cells() as u64;
-                (rollup(&self.schema, src, select)?, cost)
+        let rows = self.facts.rows() as u64;
+        let (cuboid, cost) = match Cuboid::smallest_covering(self.views.values(), select) {
+            Some(src) if (src.cells() as u64) < rows => {
+                (src.rollup(&self.schema, select)?, src.cells() as u64)
             }
             _ => (
                 Cuboid::build(&self.schema, &self.facts, select, pool)?,
-                self.facts.rows() as u64,
+                rows,
             ),
         };
         self.views.insert(select, cuboid);
@@ -240,66 +277,28 @@ impl Warehouse {
     /// Answer `query`, returning result rows (sorted by cell key, or
     /// by descending sum when `top_k` is set) and the cost record.
     pub fn answer(&self, query: &Query) -> RiskResult<(Vec<ResultRow>, QueryCost)> {
-        if !query.select.is_valid(&self.schema) {
-            return Err(RiskError::invalid(format!(
-                "query select {:?} invalid for schema",
-                query.select.0
-            )));
-        }
-        for f in &query.filters {
-            if f.dim >= NDIMS {
-                return Err(RiskError::invalid(format!(
-                    "filter dimension {} out of range",
-                    f.dim
-                )));
-            }
-            let card = self
-                .schema
-                .dim(f.dim)
-                .cardinality(query.select.level(f.dim));
-            if f.codes.iter().any(|&c| c >= card) {
-                return Err(RiskError::invalid(format!(
-                    "filter code out of range for dimension {} at query level",
-                    f.dim
-                )));
-            }
-        }
-
-        // Plan: smallest materialised view that can serve the query.
-        let source = self
-            .views
-            .iter()
-            .filter(|(s, _)| s.finer_eq(&query.select))
-            .min_by_key(|(_, c)| c.cells());
-
-        match source {
-            Some((&vsel, view)) => {
-                let (rows, cells_read) = self.answer_from_view(view, query)?;
-                let rows_out = rows.len() as u64;
-                Ok((
-                    rows,
-                    QueryCost {
-                        source: Source::Materialized(vsel),
-                        cells_read,
-                        facts_read: 0,
-                        rows_out,
-                    },
-                ))
-            }
-            None => {
-                let rows = self.answer_from_facts(query)?;
-                let rows_out = rows.len() as u64;
-                Ok((
-                    rows,
-                    QueryCost {
-                        source: Source::FactScan,
-                        cells_read: 0,
-                        facts_read: self.facts.rows() as u64,
-                        rows_out,
-                    },
-                ))
-            }
-        }
+        let (rows, source, cells_read, facts_read) =
+            match Cuboid::smallest_covering(self.views.values(), query.select) {
+                Some(view) => (
+                    view.answer(&self.schema, query)?,
+                    Source::Materialized(view.select()),
+                    view.cells() as u64,
+                    0,
+                ),
+                None => (
+                    self.answer_from_facts(query)?,
+                    Source::FactScan,
+                    0,
+                    self.facts.rows() as u64,
+                ),
+            };
+        let cost = QueryCost {
+            source,
+            cells_read,
+            facts_read,
+            rows_out: rows.len() as u64,
+        };
+        Ok((rows, cost))
     }
 
     /// Answer a batch of queries concurrently on `pool` — parallel
@@ -315,104 +314,30 @@ impl Warehouse {
         riskpipe_exec::par_map_collect(pool, queries.len(), 1, |i| self.answer(&queries[i]))
     }
 
-    fn answer_from_view(&self, view: &Cuboid, query: &Query) -> RiskResult<(Vec<ResultRow>, u64)> {
-        let codec = KeyCodec::new(&self.schema, query.select)?;
-        let vsel = view.select();
-        // Lift tables from the view's levels to the query's levels.
-        let lifts: Vec<Option<Vec<u32>>> = (0..NDIMS)
-            .map(|d| {
-                let from = vsel.level(d);
-                let to = query.select.level(d);
-                if from == to {
-                    None
-                } else {
-                    let dim = self.schema.dim(d);
-                    Some(
-                        (0..dim.cardinality(from))
-                            .map(|c| dim.lift(from, to, c))
-                            .collect(),
-                    )
-                }
-            })
-            .collect();
-        let mut acc: HashMap<u64, Cell> = HashMap::new();
-        let cells_read = view.cells() as u64;
-        for i in 0..view.cells() {
-            let (codes, cell) = view.cell_at(i);
-            let mut out = [0u32; NDIMS];
-            for d in 0..NDIMS {
-                out[d] = match &lifts[d] {
-                    None => codes[d],
-                    Some(lut) => lut[codes[d] as usize],
-                };
-            }
-            if query.filters.iter().all(|f| f.accepts(&out)) {
-                acc.entry(codec.encode(out))
-                    .or_insert(Cell::EMPTY)
-                    .merge(&cell);
-            }
-        }
-        Ok((Self::finish(acc, &codec, query), cells_read))
-    }
-
+    /// The fallback when no view covers `query`: one pass over the
+    /// facts, filtering before aggregating.
     fn answer_from_facts(&self, query: &Query) -> RiskResult<Vec<ResultRow>> {
+        query.validate(&self.schema)?;
         let codec = KeyCodec::new(&self.schema, query.select)?;
-        let luts: Vec<Option<Vec<u32>>> = (0..NDIMS)
-            .map(|d| {
-                let lvl = query.select.level(d);
-                if lvl == 0 {
-                    None
-                } else {
-                    let dim = self.schema.dim(d);
-                    Some(
-                        (0..dim.cardinality(0))
-                            .map(|c| dim.code_at(lvl, c))
-                            .collect(),
-                    )
-                }
-            })
-            .collect();
-        let cols = self.facts.code_columns();
+        let lift = Lift::new(&self.schema, LevelSelect::BASE, query.select);
         let losses = self.facts.losses();
-        let mut acc: HashMap<u64, Cell> = HashMap::new();
+        let mut scanned: HashMap<u64, Cell> = HashMap::new();
         for row in 0..self.facts.rows() {
-            let mut out = [0u32; NDIMS];
-            for d in 0..NDIMS {
-                let base = cols[d][row];
-                out[d] = match &luts[d] {
-                    None => base,
-                    Some(lut) => lut[base as usize],
-                };
-            }
-            if query.filters.iter().all(|f| f.accepts(&out)) {
-                acc.entry(codec.encode(out))
+            let out = lift.apply(self.facts.row_codes(row));
+            if query.accepts(&out) {
+                scanned
+                    .entry(codec.encode(out))
                     .or_insert(Cell::EMPTY)
                     .absorb(losses[row]);
             }
         }
-        Ok(Self::finish(acc, &codec, query))
-    }
-
-    fn finish(acc: HashMap<u64, Cell>, codec: &KeyCodec, query: &Query) -> Vec<ResultRow> {
-        let mut entries: Vec<(u64, Cell)> = acc.into_iter().collect();
+        let mut entries: Vec<(u64, Cell)> = scanned.into_iter().collect();
         entries.sort_unstable_by_key(|&(k, _)| k);
-        let mut rows: Vec<ResultRow> = entries
-            .into_iter()
-            .map(|(k, cell)| ResultRow {
-                codes: codec.decode(k),
-                cell,
-            })
-            .collect();
-        if let Some(k) = query.top_k {
-            rows.sort_by(|a, b| {
-                b.cell
-                    .sum
-                    .total_cmp(&a.cell.sum)
-                    .then_with(|| a.codes.cmp(&b.codes))
-            });
-            rows.truncate(k);
-        }
-        rows
+        let rows = entries.into_iter().map(|(k, cell)| Row {
+            codes: codec.decode(k),
+            cell,
+        });
+        Ok(query.cut(rows.collect()))
     }
 }
 

@@ -1,4 +1,4 @@
-//! Sketch-valued cuboids: cells that answer quantiles, not just sums.
+//! Sketch-valued cells: cells that answer quantiles, not just sums.
 //!
 //! A plain [`Cell`](crate::cube::Cell) carries count/sum/max — enough
 //! for loss attribution, useless for tail risk: a drill-down cell
@@ -11,18 +11,14 @@
 //! merge in key order, and the same ingest order yields bit-identical
 //! state on any thread count.
 //!
-//! The module mirrors the plain-cell machinery: [`SketchCuboid`] is a
-//! sorted key column plus cells, [`SketchCuboid::rollup`] derives a
-//! coarser cuboid at cell cost, and [`SketchCuboid::answer`] serves a
-//! [`Query`] (slice/dice/rollup + filters + top-k) by lifting,
-//! filtering and merging cells.
+//! This module is only the cell. The cuboid around it is the generic
+//! [`Cuboid`] — [`SketchCuboid`] and [`SketchRow`] are aliases — so
+//! rollups, [`Query`](crate::query::Query) answers and the planner's
+//! view pick are the very code the plain cells run through.
 
-use crate::cube::{KeyCodec, LevelSelect};
-use crate::dimension::{Schema, NDIMS};
-use crate::query::Query;
+use crate::cube::{Cuboid, Measure};
+use crate::query::Row;
 use riskpipe_metrics::QuantileSketch;
-use riskpipe_types::{RiskError, RiskResult};
-use std::collections::BTreeMap;
 
 /// One sketch-valued cell: the additive measures of a plain cell plus
 /// a quantile sketch of the cell's pooled losses.
@@ -38,6 +34,14 @@ pub struct SketchCell {
     /// Mergeable sketch of the cell's pooled loss distribution.
     pub sketch: QuantileSketch,
 }
+
+/// A cuboid of sketch-valued cells. Every cell must share one sketch
+/// capacity so rollups can merge them.
+pub type SketchCuboid = Cuboid<SketchCell>;
+
+/// One sketch-valued result row (the merged cell's sketch answers any
+/// quantile).
+pub type SketchRow = Row<SketchCell>;
 
 impl SketchCell {
     /// An empty cell whose sketch holds `k` values per level.
@@ -66,18 +70,6 @@ impl SketchCell {
         self.sketch.merge_sorted(sorted);
     }
 
-    /// Merge another cell in (deterministic: a pure function of the
-    /// two operand states, so a fixed merge order — e.g. source key
-    /// order during a rollup — is bit-reproducible).
-    pub fn merge(&mut self, other: &SketchCell) {
-        self.count += other.count;
-        self.sum += other.sum;
-        if other.max.total_cmp(&self.max).is_gt() {
-            self.max = other.max;
-        }
-        self.sketch.merge(&other.sketch);
-    }
-
     /// 99% VaR of the cell's pooled losses (`None` when empty).
     pub fn var99(&self) -> Option<f64> {
         (self.count > 0).then(|| self.sketch.quantile(0.99))
@@ -97,247 +89,47 @@ impl SketchCell {
         assert!(years > 1.0, "return period must exceed 1 year");
         (self.count as f64 >= years).then(|| self.sketch.quantile(1.0 - 1.0 / years))
     }
+}
 
-    /// Approximate heap footprint in bytes.
-    pub fn memory_bytes(&self) -> usize {
+impl Measure for SketchCell {
+    fn merge(&mut self, other: &SketchCell) {
+        self.count += other.count;
+        self.sum += other.sum;
+        if other.max.total_cmp(&self.max).is_gt() {
+            self.max = other.max;
+        }
+        self.sketch.merge(&other.sketch);
+    }
+
+    fn count(&self) -> u64 {
+        self.count
+    }
+
+    fn sum(&self) -> f64 {
+        self.sum
+    }
+
+    /// Approximate: the three scalars plus the sketch's retained values.
+    fn memory_bytes(&self) -> usize {
         24 + self.sketch.retained() * 8
     }
-}
-
-/// One sketch-valued result row: the cell's codes at the query's
-/// levels and the merged cell (whose sketch answers any quantile).
-#[derive(Debug, Clone)]
-pub struct SketchRow {
-    /// Cell codes, one per dimension at the query's level.
-    pub codes: [u32; NDIMS],
-    /// The merged sketch-valued cell.
-    pub cell: SketchCell,
-}
-
-/// A materialised sketch-valued cuboid: sorted keys and their cells.
-#[derive(Debug, Clone)]
-pub struct SketchCuboid {
-    select: LevelSelect,
-    codec: KeyCodec,
-    keys: Vec<u64>,
-    cells: Vec<SketchCell>,
-}
-
-impl SketchCuboid {
-    /// Assemble a cuboid from accumulated `(key, cell)` entries
-    /// (sorted by key here). Every cell must share one sketch capacity
-    /// so rollups can merge them.
-    pub fn from_entries(
-        schema: &Schema,
-        select: LevelSelect,
-        entries: Vec<(u64, SketchCell)>,
-    ) -> RiskResult<Self> {
-        if !select.is_valid(schema) {
-            return Err(RiskError::invalid(format!(
-                "level select {:?} invalid for schema",
-                select.0
-            )));
-        }
-        let codec = KeyCodec::new(schema, select)?;
-        let mut entries = entries;
-        entries.sort_by_key(|&(k, _)| k);
-        if entries.windows(2).any(|w| w[0].0 == w[1].0) {
-            return Err(RiskError::invalid("duplicate sketch-cuboid cell keys"));
-        }
-        let mut keys = Vec::with_capacity(entries.len());
-        let mut cells = Vec::with_capacity(entries.len());
-        for (k, c) in entries {
-            keys.push(k);
-            cells.push(c);
-        }
-        Ok(Self {
-            select,
-            codec,
-            keys,
-            cells,
-        })
-    }
-
-    /// The level selection this cuboid is grouped by.
-    pub fn select(&self) -> LevelSelect {
-        self.select
-    }
-
-    /// Number of cells.
-    pub fn cells(&self) -> usize {
-        self.keys.len()
-    }
-
-    /// Sorted cell keys.
-    pub fn keys(&self) -> &[u64] {
-        &self.keys
-    }
-
-    /// Cell at index `i` as `(codes, cell)`.
-    pub fn cell_at(&self, i: usize) -> ([u32; NDIMS], &SketchCell) {
-        (self.codec.decode(self.keys[i]), &self.cells[i])
-    }
-
-    /// Binary-search a cell by its codes.
-    pub fn find(&self, codes: [u32; NDIMS]) -> Option<&SketchCell> {
-        let key = self.codec.encode(codes);
-        self.keys.binary_search(&key).ok().map(|i| &self.cells[i])
-    }
-
-    /// Sum of all cell counts.
-    pub fn total_count(&self) -> u64 {
-        self.cells.iter().map(|c| c.count).sum()
-    }
-
-    /// Approximate heap footprint in bytes (keys plus every cell's
-    /// sketch) — the quantity a byte-budgeted view selection charges.
-    pub fn memory_bytes(&self) -> usize {
-        self.keys.len() * 8 + self.cells.iter().map(|c| c.memory_bytes()).sum::<usize>()
-    }
-
-    /// Re-aggregate at the coarser `target` selection — the derived-
-    /// materialisation primitive, at cell cost instead of ingest cost.
-    /// Source cells are visited in key order, so repeated rollups are
-    /// bit-identical (sketch merges included).
-    pub fn rollup(&self, schema: &Schema, target: LevelSelect) -> RiskResult<SketchCuboid> {
-        if !target.is_valid(schema) {
-            return Err(RiskError::invalid(format!(
-                "rollup target {:?} invalid for schema",
-                target.0
-            )));
-        }
-        if !self.select.finer_eq(&target) {
-            return Err(RiskError::invalid(format!(
-                "cannot roll up {:?} to {:?}: target must be coarser on every dimension",
-                self.select.0, target.0
-            )));
-        }
-        let codec = KeyCodec::new(schema, target)?;
-        let lifts = lift_tables(schema, self.select, target);
-        let mut acc: BTreeMap<u64, SketchCell> = BTreeMap::new();
-        for i in 0..self.cells() {
-            let (codes, cell) = self.cell_at(i);
-            let key = codec.encode(lift_codes(&lifts, codes));
-            match acc.get_mut(&key) {
-                Some(existing) => existing.merge(cell),
-                None => {
-                    acc.insert(key, cell.clone());
-                }
-            }
-        }
-        SketchCuboid::from_entries(schema, target, acc.into_iter().collect())
-    }
-
-    /// Answer `query` from this cuboid: lift each cell to the query's
-    /// levels, apply the dice filters, merge cells landing on one
-    /// output cell (in source key order — deterministic), and apply
-    /// the top-k cut by loss sum. Fails unless this cuboid is
-    /// finer-or-equal to the query on every dimension.
-    pub fn answer(&self, schema: &Schema, query: &Query) -> RiskResult<Vec<SketchRow>> {
-        if !query.select.is_valid(schema) {
-            return Err(RiskError::invalid(format!(
-                "query select {:?} invalid for schema",
-                query.select.0
-            )));
-        }
-        if !self.select.finer_eq(&query.select) {
-            return Err(RiskError::invalid(format!(
-                "cuboid {:?} cannot serve coarser-than-{:?} query",
-                self.select.0, query.select.0
-            )));
-        }
-        for f in &query.filters {
-            if f.dim >= NDIMS {
-                return Err(RiskError::invalid(format!(
-                    "filter dimension {} out of range",
-                    f.dim
-                )));
-            }
-            let card = schema.dim(f.dim).cardinality(query.select.level(f.dim));
-            if f.codes.iter().any(|&c| c >= card) {
-                return Err(RiskError::invalid(format!(
-                    "filter code out of range for dimension {} at query level",
-                    f.dim
-                )));
-            }
-        }
-        let codec = KeyCodec::new(schema, query.select)?;
-        let lifts = lift_tables(schema, self.select, query.select);
-        let mut acc: BTreeMap<u64, SketchCell> = BTreeMap::new();
-        for i in 0..self.cells() {
-            let (codes, cell) = self.cell_at(i);
-            let out = lift_codes(&lifts, codes);
-            if query.filters.iter().all(|f| f.codes.contains(&out[f.dim])) {
-                let key = codec.encode(out);
-                match acc.get_mut(&key) {
-                    Some(existing) => existing.merge(cell),
-                    None => {
-                        acc.insert(key, cell.clone());
-                    }
-                }
-            }
-        }
-        let mut rows: Vec<SketchRow> = acc
-            .into_iter()
-            .map(|(k, cell)| SketchRow {
-                codes: codec.decode(k),
-                cell,
-            })
-            .collect();
-        if let Some(k) = query.top_k {
-            rows.sort_by(|a, b| {
-                b.cell
-                    .sum
-                    .total_cmp(&a.cell.sum)
-                    .then_with(|| a.codes.cmp(&b.codes))
-            });
-            rows.truncate(k);
-        }
-        Ok(rows)
-    }
-}
-
-/// Per-dimension lift tables from `from` levels to `to` levels
-/// (`None` = identity).
-fn lift_tables(schema: &Schema, from: LevelSelect, to: LevelSelect) -> Vec<Option<Vec<u32>>> {
-    (0..NDIMS)
-        .map(|d| {
-            let (f, t) = (from.level(d), to.level(d));
-            if f == t {
-                None
-            } else {
-                let dim = schema.dim(d);
-                Some((0..dim.cardinality(f)).map(|c| dim.lift(f, t, c)).collect())
-            }
-        })
-        .collect()
-}
-
-#[inline]
-fn lift_codes(lifts: &[Option<Vec<u32>>], codes: [u32; NDIMS]) -> [u32; NDIMS] {
-    let mut out = [0u32; NDIMS];
-    for d in 0..NDIMS {
-        out[d] = match &lifts[d] {
-            None => codes[d],
-            Some(lut) => lut[codes[d] as usize],
-        };
-    }
-    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dimension::dim;
-    use crate::query::Filter;
+    use crate::cube::{Cell, KeyCodec, LevelSelect};
+    use crate::dimension::{dim, Schema};
+    use crate::query::{Filter, Query};
     use riskpipe_types::stats::{quantile_sorted, sort_f64, tail_mean_sorted};
 
     fn schema() -> Schema {
         Schema::standard(6, 2, 4, 2, 3, 1).unwrap()
     }
 
-    /// Deterministic per-(geo,event) loss columns: 10 losses each.
-    fn base_cuboid(s: &Schema, k: usize) -> SketchCuboid {
+    /// Deterministic per-(geo,event) loss columns, 10 ascending losses
+    /// each, folded into whichever cell `cell_of` makes of a column.
+    fn base_of<M: Measure>(s: &Schema, cell_of: impl Fn(&[f64]) -> M) -> Cuboid<M> {
         let codec = KeyCodec::new(s, LevelSelect::BASE).unwrap();
         let mut entries = Vec::new();
         for g in 0..6u32 {
@@ -346,12 +138,27 @@ mod tests {
                     .map(|i| ((g * 31 + e * 7 + i) % 23) as f64 + 1.0)
                     .collect();
                 sort_f64(&mut losses);
-                let mut cell = SketchCell::empty(k);
-                cell.absorb_sorted(&losses);
-                entries.push((codec.encode([g, e, 0, 0]), cell));
+                entries.push((codec.encode([g, e, 0, 0]), cell_of(&losses)));
             }
         }
-        SketchCuboid::from_entries(s, LevelSelect::BASE, entries).unwrap()
+        Cuboid::from_entries(s, LevelSelect::BASE, entries).unwrap()
+    }
+
+    fn base_cuboid(s: &Schema, k: usize) -> SketchCuboid {
+        base_of(s, |losses| {
+            let mut cell = SketchCell::empty(k);
+            cell.absorb_sorted(losses);
+            cell
+        })
+    }
+
+    /// The plain-cell cuboid over the same loss columns.
+    fn plain_cuboid(s: &Schema) -> Cuboid {
+        base_of(s, |losses| {
+            let mut cell = Cell::EMPTY;
+            losses.iter().for_each(|&x| cell.absorb(x));
+            cell
+        })
     }
 
     #[test]
@@ -431,37 +238,56 @@ mod tests {
 
     #[test]
     fn answer_filters_and_merges() {
+        fn check<M: Measure>(s: &Schema, base: &Cuboid<M>) {
+            // Dice: region×peril, restricted to region 1.
+            let q = Query::group_by(LevelSelect([1, 1, 1, 1])).filter(Filter::slice(dim::GEO, 1));
+            let rows = base.answer(s, &q).unwrap();
+            assert!(!rows.is_empty());
+            assert!(rows.iter().all(|r| r.codes[dim::GEO] == 1));
+            // The filtered counts sum to the region's fact share:
+            // 3 locations in region 1 × 4 events × 10 losses.
+            let total: u64 = rows.iter().map(|r| r.cell.count()).sum();
+            assert_eq!(total, 3 * 4 * 10);
+            // Rows are a filtered rollup: the same cells, key order.
+            let coarse = base.rollup(s, q.select).unwrap();
+            for row in &rows {
+                let cell = coarse.find(row.codes).unwrap();
+                assert_eq!(row.cell.sum().to_bits(), cell.sum().to_bits());
+            }
+            assert!(rows.windows(2).all(|w| w[0].codes < w[1].codes));
+            // Top-k ordering.
+            let top = base
+                .answer(s, &Query::group_by(LevelSelect([1, 1, 1, 1])).top(2))
+                .unwrap();
+            assert_eq!(top.len(), 2);
+            assert!(top[0].cell.sum() >= top[1].cell.sum());
+            let largest = coarse.measures().iter().map(M::sum).fold(0.0, f64::max);
+            assert_eq!(top[0].cell.sum(), largest);
+        }
         let s = schema();
-        let base = base_cuboid(&s, 1024);
-        // Dice: region×peril, restricted to region 1.
-        let q = Query::group_by(LevelSelect([1, 1, 1, 1])).filter(Filter::slice(dim::GEO, 1));
-        let rows = base.answer(&s, &q).unwrap();
-        assert!(!rows.is_empty());
-        assert!(rows.iter().all(|r| r.codes[dim::GEO] == 1));
-        // The filtered counts sum to the region's fact share.
-        let total: u64 = rows.iter().map(|r| r.cell.count).sum();
-        assert_eq!(total, 3 * 4 * 10); // 3 locations in region 1 × 4 events × 10 losses
-                                       // Top-k ordering.
-        let top = base
-            .answer(&s, &Query::group_by(LevelSelect([1, 1, 1, 1])).top(2))
-            .unwrap();
-        assert_eq!(top.len(), 2);
-        assert!(top[0].cell.sum >= top[1].cell.sum);
+        check(&s, &base_cuboid(&s, 1024));
+        check(&s, &plain_cuboid(&s));
     }
 
     #[test]
     fn answer_rejects_finer_queries_and_bad_filters() {
+        fn check<M: Measure>(s: &Schema, base: &Cuboid<M>) {
+            let coarse = base.rollup(s, LevelSelect([1, 1, 1, 1])).unwrap();
+            assert!(coarse
+                .answer(s, &Query::group_by(LevelSelect::BASE))
+                .is_err());
+            let group = Query::group_by(LevelSelect([1, 1, 1, 1]));
+            let bad_code = group.clone().filter(Filter::slice(dim::GEO, 99));
+            assert!(base.answer(s, &bad_code).is_err());
+            let bad_dim = group.filter(Filter::slice(7, 0));
+            assert!(base.answer(s, &bad_dim).is_err());
+            assert!(base
+                .answer(s, &Query::group_by(LevelSelect([9, 0, 0, 0])))
+                .is_err());
+        }
         let s = schema();
-        let base = base_cuboid(&s, 64);
-        let coarse = base.rollup(&s, LevelSelect([1, 1, 1, 1])).unwrap();
-        assert!(coarse
-            .answer(&s, &Query::group_by(LevelSelect::BASE))
-            .is_err());
-        let bad = Query::group_by(LevelSelect([1, 1, 1, 1])).filter(Filter::slice(dim::GEO, 99));
-        assert!(base.answer(&s, &bad).is_err());
-        assert!(base
-            .answer(&s, &Query::group_by(LevelSelect([9, 0, 0, 0])))
-            .is_err());
+        check(&s, &base_cuboid(&s, 64));
+        check(&s, &plain_cuboid(&s));
     }
 
     #[test]
@@ -481,5 +307,9 @@ mod tests {
         let apex = base.rollup(&s, LevelSelect::apex(&s)).unwrap();
         assert!(base.memory_bytes() > apex.memory_bytes());
         assert!(apex.memory_bytes() > 0);
+        // The formula view selection prices with: 8 B/key plus, per
+        // cell, 24 B of scalars and 8 B per retained sketch value.
+        let retained: usize = base.measures().iter().map(|c| c.sketch.retained()).sum();
+        assert_eq!(base.memory_bytes(), base.cells() * 32 + retained * 8);
     }
 }

@@ -25,11 +25,12 @@ use std::path::Path;
 /// likewise. Measures stay raw `f64` (effectively incompressible and
 /// bit-exactness matters).
 pub fn encode_cuboid(cuboid: &Cuboid) -> RiskResult<Bytes> {
-    let (keys, counts, sums, maxs) = cuboid.columns();
+    let (keys, cells) = (cuboid.keys(), cuboid.measures());
     // Cuboid keys are sorted by construction; a violation surfaces as
     // a typed error rather than a worker-path panic.
     let packed_keys = compress_u64s_sorted(keys)?;
-    let packed_counts = compress_u64s(counts);
+    let counts: Vec<u64> = cells.iter().map(|c| c.count).collect();
+    let packed_counts = compress_u64s(&counts);
     let mut p =
         BytesMut::with_capacity(16 + packed_keys.len() + packed_counts.len() + keys.len() * 16);
     for d in 0..NDIMS {
@@ -38,11 +39,11 @@ pub fn encode_cuboid(cuboid: &Cuboid) -> RiskResult<Bytes> {
     p.put_u64_le(keys.len() as u64);
     p.put_slice(&packed_keys);
     p.put_slice(&packed_counts);
-    for &s in sums {
-        p.put_f64_le(s);
+    for c in cells {
+        p.put_f64_le(c.sum);
     }
-    for &m in maxs {
-        p.put_f64_le(m);
+    for c in cells {
+        p.put_f64_le(c.max);
     }
     Ok(frame(TableKind::Cuboid, &p))
 }
@@ -128,7 +129,7 @@ pub fn decode_cuboid(data: &[u8], schema: &Schema) -> RiskResult<(Cuboid, usize)
         .zip(maxs)
         .map(|(((k, count), sum), max)| (k, Cell { count, sum, max }))
         .collect();
-    Ok((Cuboid::from_cells(select, codec, entries), consumed))
+    Ok((Cuboid::from_entries(schema, select, entries)?, consumed))
 }
 
 /// Write a set of views to one file as consecutive frames. The write
@@ -178,14 +179,12 @@ mod tests {
             assert_eq!(consumed, bytes.len());
             assert_eq!(back.select(), v.select());
             assert_eq!(back.keys(), v.keys());
-            let (_, c0, s0, m0) = v.columns();
-            let (_, c1, s1, m1) = back.columns();
-            assert_eq!(c0, c1);
-            // Bitwise: persistence must not perturb sums.
-            let a: Vec<u64> = s0.iter().map(|f| f.to_bits()).collect();
-            let b: Vec<u64> = s1.iter().map(|f| f.to_bits()).collect();
-            assert_eq!(a, b);
-            assert_eq!(m0, m1);
+            for (a, b) in v.measures().iter().zip(back.measures()) {
+                assert_eq!(a.count, b.count);
+                // Bitwise: persistence must not perturb sums.
+                assert_eq!(a.sum.to_bits(), b.sum.to_bits());
+                assert_eq!(a.max, b.max);
+            }
         }
     }
 
@@ -239,10 +238,9 @@ mod tests {
                         views[2].keys(),
                         "byte {i} silently changed data"
                     );
-                    let (_, c0, s0, _) = views[2].columns();
-                    let (_, c1, s1, _) = back.columns();
-                    assert_eq!(c0, c1, "byte {i}");
-                    assert_eq!(s0, s1, "byte {i}");
+                    for (a, b) in views[2].measures().iter().zip(back.measures()) {
+                        assert_eq!((a.count, a.sum), (b.count, b.sum), "byte {i}");
+                    }
                 }
             }
         }

@@ -1,13 +1,9 @@
 //! Property tests over the warehouse invariants.
 
-#![cfg(test)]
-
-use crate::cube::{Cuboid, KeyCodec, LevelSelect};
-use crate::dimension::{Schema, NDIMS};
-use crate::fact::{FactBuilder, FactTable};
-use crate::query::{Query, Warehouse};
-use crate::rollup::rollup;
 use proptest::prelude::*;
+use riskpipe_warehouse::{
+    Cuboid, FactBuilder, FactTable, KeyCodec, LevelSelect, Query, Schema, Source, Warehouse, NDIMS,
+};
 
 fn small_schema() -> Schema {
     Schema::standard(12, 3, 10, 2, 4, 2).unwrap()
@@ -42,11 +38,9 @@ proptest! {
         // Derive in-range codes from the seed.
         let mut codes = [0u32; NDIMS];
         let mut x = seedless;
-        for d in 0..NDIMS {
+        for (d, code) in codes.iter_mut().enumerate() {
             let card = s.dim(d).cardinality(sel.level(d));
-            // lint: allow(S2) — x % card is strictly below card, which
-            // is itself a u32 cardinality, so the value fits u32.
-            codes[d] = (x % card as u64) as u32;
+            *code = u32::try_from(x % u64::from(card)).unwrap();
             x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
         }
         prop_assert_eq!(codec.decode(codec.encode(codes)), codes);
@@ -66,14 +60,10 @@ proptest! {
     #[test]
     fn rollup_matches_direct_build(facts in any_facts(), fine in any_select(), coarse in any_select()) {
         // Force comparability: lift `coarse` to be ≥ `fine` per dim.
-        let mut c = coarse.0;
-        for d in 0..NDIMS {
-            c[d] = c[d].max(fine.0[d]);
-        }
-        let coarse = LevelSelect(c);
+        let coarse = LevelSelect(std::array::from_fn(|d| coarse.0[d].max(fine.0[d])));
         let s = small_schema();
         let base = Cuboid::build(&s, &facts, fine, None).unwrap();
-        let up = rollup(&s, &base, coarse).unwrap();
+        let up = base.rollup(&s, coarse).unwrap();
         let direct = Cuboid::build(&s, &facts, coarse, None).unwrap();
         prop_assert_eq!(up.keys(), direct.keys());
         for i in 0..direct.cells() {
@@ -94,8 +84,8 @@ proptest! {
         let query = Query::group_by(q);
         let (a, ca) = cold.answer(&query).unwrap();
         let (b, cb) = warm.answer(&query).unwrap();
-        prop_assert_eq!(ca.source, crate::query::Source::FactScan);
-        prop_assert!(matches!(cb.source, crate::query::Source::Materialized(_)));
+        prop_assert_eq!(ca.source, Source::FactScan);
+        prop_assert!(matches!(cb.source, Source::Materialized(_)));
         prop_assert_eq!(a.len(), b.len());
         for (x, y) in a.iter().zip(b.iter()) {
             prop_assert_eq!(x.codes, y.codes);

@@ -81,10 +81,6 @@ fn signature(rows: &[SketchRow]) -> Vec<CellSig> {
         .collect()
 }
 
-// The deprecated sweep_to_warehouse shim feeds the golden pins below
-// on purpose: it must keep producing bit-identical cells until
-// removal (tests/sweep_plan.rs pins the plan path against it).
-#[allow(deprecated)]
 fn warehouse_on(threads: usize) -> Drilldown {
     let (scenarios, dims) = fixture();
     let session = RiskSession::builder()
@@ -93,9 +89,11 @@ fn warehouse_on(threads: usize) -> Drilldown {
         .unwrap();
     let layout = DrilldownLayout::new(dims, session.engine()).unwrap();
     let mut wh = session
-        .analytics(layout)
-        .sweep_to_warehouse(&scenarios)
-        .unwrap();
+        .sweep(&scenarios)
+        .warehouse(layout)
+        .drive()
+        .unwrap()
+        .into_drilldown();
     wh.materialize_budget(256 * 1024).unwrap();
     wh
 }
@@ -139,7 +137,6 @@ fn drilldown_cells_bit_identical_across_threads_and_pinned() {
 }
 
 #[test]
-#[allow(deprecated)] // sweep_to_warehouse must stay bit-identical until removal
 fn live_sink_store_decorator_and_rebuild_agree_bitwise() {
     let (scenarios, dims) = fixture();
     let session = RiskSession::builder().pool_threads(2).build().unwrap();
@@ -147,7 +144,12 @@ fn live_sink_store_decorator_and_rebuild_agree_bitwise() {
     let handle = session.analytics(layout.clone());
 
     // Path A: live WarehouseSink.
-    let live = handle.sweep_to_warehouse(&scenarios).unwrap();
+    let live = session
+        .sweep(&scenarios)
+        .warehouse(layout.clone())
+        .drive()
+        .unwrap()
+        .into_drilldown();
 
     // Path B: PersistingSink over a WarehouseStore decorating a
     // ShardedFilesStore — durable spill + cubes for free.

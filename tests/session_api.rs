@@ -68,7 +68,6 @@ fn every_engine_and_store_yields_the_same_ylt() -> RiskResult<()> {
 }
 
 #[test]
-#[allow(deprecated)] // the run_batch shim's contract must hold until removal
 fn run_batch_matches_sequential_runs_on_any_thread_count() -> RiskResult<()> {
     let scenarios = [scenario(21), scenario(22), scenario(23)];
 
@@ -81,7 +80,8 @@ fn run_batch_matches_sequential_runs_on_any_thread_count() -> RiskResult<()> {
 
     for threads in [1, 2, 8] {
         let session = RiskSession::builder().pool_threads(threads).build()?;
-        let batch = session.run_batch(&scenarios)?;
+        let outcome = session.sweep(&scenarios).collect().drive()?;
+        let batch = outcome.into_reports().unwrap_or_default();
         assert_eq!(batch.len(), scenarios.len());
         for (i, (got, want)) in batch.iter().zip(&reference).enumerate() {
             assert_eq!(
@@ -95,24 +95,27 @@ fn run_batch_matches_sequential_runs_on_any_thread_count() -> RiskResult<()> {
 }
 
 #[test]
-#[allow(deprecated)] // the run_batch shim's contract must hold until removal
 fn run_batch_keeps_input_order() -> RiskResult<()> {
     let session = RiskSession::builder().pool_threads(4).build()?;
     let scenarios: Vec<ScenarioConfig> = (0..6)
         .map(|i| ScenarioConfig::small().with_seed(100 + i).with_trials(200))
         .collect();
-    let reports = session.run_batch(&scenarios)?;
+    let outcome = session.sweep(&scenarios).collect().drive()?;
+    let reports = outcome.into_reports().unwrap_or_default();
+    assert_eq!(reports.len(), scenarios.len());
     for (s, r) in scenarios.iter().zip(&reports) {
         // Names match slot-for-slot, and each slot equals its own
         // solo run.
         assert_eq!(r.scenario_name, s.name);
         assert_eq!(session.run(s)?.ylt, r.ylt);
+        // The collecting sweep's memory contract: retained reports
+        // drop the shared sorted columns.
+        assert!(r.agg_sorted.is_empty() && r.occ_sorted.is_empty());
     }
     Ok(())
 }
 
 #[test]
-#[allow(deprecated)] // the run_batch shim's contract must hold until removal
 fn one_session_serves_many_scenarios_and_stores_stay_isolated() -> RiskResult<()> {
     let dir = temp("iso");
     let session = RiskSession::builder()
@@ -122,7 +125,9 @@ fn one_session_serves_many_scenarios_and_stores_stay_isolated() -> RiskResult<()
         })
         .pool_threads(2)
         .build()?;
-    let reports = session.run_batch(&[scenario(31), scenario(32)])?;
+    let scenarios = [scenario(31), scenario(32)];
+    let outcome = session.sweep(&scenarios).collect().drive()?;
+    let reports = outcome.into_reports().unwrap_or_default();
     // Distinct seeds → distinct YLTs, each slot's spill readable on its
     // own.
     assert_ne!(reports[0].ylt, reports[1].ylt);

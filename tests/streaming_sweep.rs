@@ -1,14 +1,9 @@
 //! The streaming execution contract: `run_stream` (and the iterator
-//! adapter) deliver input-ordered reports bit-identical to `run_batch`
-//! and to solo `run` calls on any thread count, the shared stage-1
+//! adapter) deliver input-ordered reports bit-identical to a collecting
+//! sweep and to solo `run` calls on any thread count, the shared stage-1
 //! cache rebuilds the model run exactly once per distinct key, and
 //! sweep sinks (`SweepSummary`, `PersistingSink`) produce pooled
 //! analytics / durable artifacts without retaining per-scenario YLTs.
-//!
-//! `run_batch` is deprecated in favour of the declarative `SweepPlan`
-//! (see `tests/sweep_plan.rs`), but its contract — pinned here — must
-//! keep holding until the shim is removed.
-#![allow(deprecated)]
 
 use riskpipe::aggregate::{build_secondary, AggregateOptions, EventJoin};
 use riskpipe::core::{
@@ -22,6 +17,15 @@ use std::sync::Arc;
 
 fn scenario(seed: u64) -> ScenarioConfig {
     ScenarioConfig::small().with_seed(seed).with_trials(300)
+}
+
+/// Every report of one sweep, collected in input order.
+fn collected(
+    session: &RiskSession,
+    scenarios: &[ScenarioConfig],
+) -> RiskResult<Vec<PipelineReport>> {
+    let outcome = session.sweep(scenarios).collect().drive()?;
+    Ok(outcome.into_reports().unwrap_or_default())
 }
 
 /// An attachment-factor sweep: every scenario shares one stage-1 key.
@@ -54,7 +58,7 @@ fn run_stream_is_bit_identical_to_batch_and_solo_on_any_thread_count() -> RiskRe
 
     for threads in [1, 2, 8] {
         let session = RiskSession::builder().pool_threads(threads).build()?;
-        let batch = session.run_batch(&scenarios)?;
+        let batch = collected(&session, &scenarios)?;
 
         let mut streamed = Vec::new();
         let delivered = session.run_stream(&scenarios, |i, report| {
@@ -87,8 +91,8 @@ fn caching_never_changes_results() -> RiskResult<()> {
         .pool_threads(4)
         .stage1_cache(false)
         .build()?;
-    let a = cached.run_batch(&scenarios)?;
-    let b = uncached.run_batch(&scenarios)?;
+    let a = collected(&cached, &scenarios)?;
+    let b = collected(&uncached, &scenarios)?;
     for (x, y) in a.iter().zip(&b) {
         assert_eq!(x.ylt, y.ylt);
         assert_eq!(x.measures, y.measures);
@@ -108,7 +112,7 @@ fn shared_key_sweep_builds_stage1_exactly_once() -> RiskResult<()> {
         assert_eq!(s.stage1_key(), key, "sweep must share one stage-1 key");
     }
     let session = RiskSession::builder().pool_threads(4).build()?;
-    let reports = session.run_batch(&scenarios)?;
+    let reports = collected(&session, &scenarios)?;
     assert_eq!(reports.len(), 6);
     let stats = session.stage1_cache_stats();
     assert_eq!(stats.misses, 1, "stage 1 must build exactly once per key");
@@ -126,7 +130,7 @@ fn distinct_keys_each_build_once() -> RiskResult<()> {
         scenarios.extend(pricing_sweep(seed, 3));
     }
     let session = RiskSession::builder().pool_threads(4).build()?;
-    session.run_batch(&scenarios)?;
+    collected(&session, &scenarios)?;
     let stats = session.stage1_cache_stats();
     assert_eq!(stats.misses, 2, "one build per distinct key");
     assert_eq!(stats.hits, 4);
@@ -138,7 +142,7 @@ fn distinct_keys_each_build_once() -> RiskResult<()> {
 fn iterator_adapter_matches_run_stream() -> RiskResult<()> {
     let scenarios = [scenario(111), scenario(112), scenario(113)];
     let session = Arc::new(RiskSession::builder().pool_threads(2).build()?);
-    let reference = session.run_batch(&scenarios)?;
+    let reference = collected(&session, &scenarios)?;
 
     let stream: ReportStream = session.stream(scenarios.to_vec());
     let collected: Vec<_> = stream.collect::<RiskResult<Vec<_>>>()?;
@@ -230,7 +234,7 @@ fn pooled_sweep_analytics_bit_identical_across_threads() -> RiskResult<()> {
     // Exact reference: pool every trial of every report from a batch
     // run (which retains YLTs) and sort once.
     let reference_session = RiskSession::builder().pool_threads(1).build()?;
-    let reports = reference_session.run_batch(&scenarios)?;
+    let reports = collected(&reference_session, &scenarios)?;
     let mut pooled: Vec<f64> = reports
         .iter()
         .flat_map(|r| r.ylt.agg_losses().iter().copied())

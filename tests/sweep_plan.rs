@@ -7,7 +7,9 @@
 //! results are independent of how many sinks ride the sweep.
 
 use proptest::prelude::*;
-use riskpipe::analytics::{DrilldownLayout, ScenarioDims, SessionAnalytics, SweepPlanAnalytics};
+use riskpipe::analytics::{
+    DrilldownLayout, ScenarioDims, SessionAnalytics, SweepPlanAnalytics, WarehouseSink,
+};
 use riskpipe::core::{
     FanoutSink, PersistingSink, PipelineReport, ReportSink, RiskSession, ScenarioConfig,
     ShardedFilesStore, StageTiming, SweepSummary,
@@ -228,14 +230,12 @@ fn summary_warehouse_plan_matches_single_sink_paths() -> RiskResult<()> {
     let (scenarios, dims) = grid(0x53);
     let mut seen: Vec<Vec<CellBits>> = Vec::new();
     for threads in [1usize, 2, 8] {
-        // Hand-composed pre-redesign warehouse path (the deprecated
-        // single-sink shim must stay bit-identical until removal).
+        // Hand-composed warehouse: the sink as the sweep's only consumer.
         let session = RiskSession::builder().pool_threads(threads).build()?;
         let layout = DrilldownLayout::new(dims.clone(), session.engine())?;
-        #[allow(deprecated)]
-        let hand_wh = session
-            .analytics(layout.clone())
-            .sweep_to_warehouse(&scenarios)?;
+        let mut hand_sink = WarehouseSink::new(layout.clone())?;
+        session.run_stream(&scenarios, &mut hand_sink)?;
+        let hand_wh = hand_sink.finish()?;
         // Hand-composed summary.
         let mut hand_summary = SweepSummary::new();
         let session = RiskSession::builder().pool_threads(threads).build()?;
@@ -333,10 +333,9 @@ fn one_drive_feeds_summary_persistence_and_warehouse_from_one_pass() -> RiskResu
     );
 
     let session = RiskSession::builder().pool_threads(1).build()?;
-    #[allow(deprecated)]
-    let ref_wh = session
-        .analytics(layout.clone())
-        .sweep_to_warehouse(&scenarios)?;
+    let mut ref_sink = WarehouseSink::new(layout.clone())?;
+    session.run_stream(&scenarios, &mut ref_sink)?;
+    let ref_wh = ref_sink.finish()?;
     assert_eq!(warehouse_bits(outcome.drilldown()), warehouse_bits(&ref_wh));
 
     // The plan's spill even rebuilds the same warehouse.
@@ -351,30 +350,6 @@ fn one_drive_feeds_summary_persistence_and_warehouse_from_one_pass() -> RiskResu
 
     for dir in [plan_dir, ref_dir] {
         std::fs::remove_dir_all(&dir).ok();
-    }
-    Ok(())
-}
-
-#[test]
-fn collect_plan_matches_deprecated_run_batch() -> RiskResult<()> {
-    let scenarios = pricing_sweep(0x55, 4);
-    let session = RiskSession::builder().pool_threads(2).build()?;
-    #[allow(deprecated)]
-    let batch = session.run_batch(&scenarios)?;
-    let collected = session
-        .sweep(&scenarios)
-        .collect()
-        .drive()?
-        .into_reports()
-        .expect("collection was requested");
-    assert_eq!(collected.len(), batch.len());
-    for (got, want) in collected.iter().zip(&batch) {
-        assert_eq!(got.scenario_name, want.scenario_name);
-        assert_eq!(got.ylt, want.ylt);
-        assert_eq!(got.measures, want.measures);
-        // The historical memory contract: collected reports drop the
-        // shared sorted columns.
-        assert!(got.agg_sorted.is_empty() && got.occ_sorted.is_empty());
     }
     Ok(())
 }

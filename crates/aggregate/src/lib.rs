@@ -40,7 +40,6 @@
 
 pub mod engine;
 pub mod join;
-pub mod marginal;
 pub mod portfolio;
 pub mod reinstate;
 pub mod rt;
@@ -52,7 +51,6 @@ pub use engine::{
     AggregateRunner, CpuParallelEngine, EngineKind, GpuChunking, GpuEngine, SequentialEngine,
 };
 pub use join::EventJoin;
-pub use marginal::{marginal_impact, MarginalImpact};
 pub use portfolio::{Layer, Portfolio};
 pub use reinstate::{price_with_reinstatements, ReinstatementPricing, ReinstatementTerms};
 pub use rt::{PricingResult, RealTimePricer};

@@ -9,7 +9,7 @@ use crate::exposure::ExposureLocation;
 
 /// Apply site deductible and limit to a ground-up loss.
 #[inline]
-pub fn apply_site_terms(ground_up: f64, deductible: f64, limit: f64) -> f64 {
+fn apply_site_terms(ground_up: f64, deductible: f64, limit: f64) -> f64 {
     debug_assert!(deductible >= 0.0 && limit >= 0.0);
     (ground_up - deductible).max(0.0).min(limit)
 }

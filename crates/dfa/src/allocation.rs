@@ -20,7 +20,7 @@
 //! The gap between a unit's standalone TVaR and its co-TVaR share is
 //! that unit's diversification benefit in capital terms.
 
-use riskpipe_types::stats::{quantile_sorted, tail_mean_sorted};
+use riskpipe_types::stats::tail_mean_sorted;
 use riskpipe_types::{KahanSum, RiskError, RiskResult};
 
 /// Allocation method.
@@ -228,26 +228,6 @@ pub fn allocate(
     })
 }
 
-/// VaR of the summed enterprise column at `alpha` (for reports that
-/// show VaR next to the allocated TVaR).
-pub fn enterprise_var(units: &[Vec<f64>], alpha: f64) -> RiskResult<f64> {
-    if units.is_empty() || units[0].is_empty() {
-        return Err(RiskError::invalid("no losses"));
-    }
-    let trials = units[0].len();
-    let mut s = vec![0.0f64; trials];
-    for col in units {
-        if col.len() != trials {
-            return Err(RiskError::invalid("unit columns must share a trial count"));
-        }
-        for (t, &v) in col.iter().enumerate() {
-            s[t] += v;
-        }
-    }
-    s.sort_unstable_by(f64::total_cmp);
-    Ok(quantile_sorted(&s, alpha))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -376,15 +356,6 @@ mod tests {
         assert!(allocate(&names(1), &u, -0.1, AllocationMethod::CoTvar).is_err());
         let empty = vec![Vec::new()];
         assert!(allocate(&names(1), &empty, 0.9, AllocationMethod::CoTvar).is_err());
-    }
-
-    #[test]
-    fn enterprise_var_sums_columns() {
-        let units = vec![vec![1.0, 2.0, 3.0, 4.0], vec![1.0, 1.0, 1.0, 1.0]];
-        let v = enterprise_var(&units, 0.5).unwrap();
-        // Summed column: [2,3,4,5]; median (type-7) = 3.5.
-        assert!((v - 3.5).abs() < 1e-12);
-        assert!(enterprise_var(&[], 0.5).is_err());
     }
 
     mod properties {

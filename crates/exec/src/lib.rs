@@ -27,7 +27,7 @@ mod pool;
 mod stats;
 
 pub use par::{par_chunks_mut, par_for, par_map_collect, par_reduce};
-pub use partition::{chunk_ranges, grain_ranges, suggest_grain};
+pub use partition::{grain_ranges, suggest_grain};
 pub use pool::{Scope, ThreadPool};
 pub use stats::ExecStats;
 

@@ -2,26 +2,6 @@
 
 use std::ops::Range;
 
-/// Split `0..len` into exactly `n` near-equal contiguous ranges (the
-/// first `len % n` ranges get one extra element). Empty ranges are
-/// omitted, so fewer than `n` ranges are returned when `len < n`.
-pub fn chunk_ranges(len: usize, n: usize) -> Vec<Range<usize>> {
-    assert!(n > 0, "cannot split into 0 chunks");
-    let base = len / n;
-    let extra = len % n;
-    let mut out = Vec::with_capacity(n.min(len));
-    let mut start = 0;
-    for i in 0..n {
-        let size = base + usize::from(i < extra);
-        if size == 0 {
-            break;
-        }
-        out.push(start..start + size);
-        start += size;
-    }
-    out
-}
-
 /// Split `0..len` into ranges of at most `grain` elements.
 pub fn grain_ranges(len: usize, grain: usize) -> Vec<Range<usize>> {
     assert!(grain > 0, "grain must be positive");
@@ -47,36 +27,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn chunk_ranges_cover_exactly() {
-        for len in [0usize, 1, 7, 100, 101] {
-            for n in [1usize, 2, 3, 8] {
-                let rs = chunk_ranges(len, n);
-                let mut covered = 0;
-                let mut expect_start = 0;
-                for r in &rs {
-                    assert_eq!(r.start, expect_start, "gap in coverage");
-                    covered += r.len();
-                    expect_start = r.end;
-                }
-                assert_eq!(covered, len, "len={len} n={n}");
-            }
-        }
-    }
-
-    #[test]
-    fn chunk_ranges_are_balanced() {
-        let rs = chunk_ranges(10, 3);
-        let sizes: Vec<usize> = rs.iter().map(|r| r.len()).collect();
-        assert_eq!(sizes, vec![4, 3, 3]);
-    }
-
-    #[test]
-    fn chunk_ranges_omit_empties() {
-        assert_eq!(chunk_ranges(2, 5).len(), 2);
-        assert!(chunk_ranges(0, 3).is_empty());
-    }
-
-    #[test]
     fn grain_ranges_respect_grain() {
         let rs = grain_ranges(10, 4);
         assert_eq!(rs, vec![0..4, 4..8, 8..10]);
@@ -91,11 +41,5 @@ mod tests {
         assert_eq!(suggest_grain(10, 8, 64), 64);
         // Zero threads treated as one.
         assert!(suggest_grain(100, 0, 1) >= 25);
-    }
-
-    #[test]
-    #[should_panic]
-    fn zero_chunks_panics() {
-        chunk_ranges(10, 0);
     }
 }

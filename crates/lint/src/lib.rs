@@ -28,13 +28,24 @@
 //! * **C2** — no raw filesystem writes (`fs::write`, `File::create`,
 //!   truncating `OpenOptions`) in persistence paths outside
 //!   `riskpipe_tables::durable`;
-//! * **W1** — (warn) no `unwrap`/`expect`/`panic!` in non-test library
-//!   code of the serving-path crates, ratcheted by the CI baseline.
+//! * **L1**/**L2**/**L3** — the lock-flow rules over the same call
+//!   graph: no cycle in the workspace lock-order graph, no guard held
+//!   across a spawn/`par_*`/scope boundary or a blocking site, no guard
+//!   held across a call into another crate;
+//! * **W1** — no `unwrap`/`expect`/`panic!` in non-test library code of
+//!   the serving-path crates.
 //!
-//! The engine is two-pass: pass 1 lexes and summarises every file in
-//! parallel (definitions, call sites, aliases, blocking sites, task
-//! closures); pass 2 links the summaries into a call graph and runs
-//! reachability from the pool-task roots (see [`crate::graph`]).
+//! Every rule is deny-level; the only warn-level finding today is an
+//! unused suppression (`--deny-warnings` fails on those too, and is
+//! what CI runs).
+//!
+//! The engine is two sequential passes: pass 1 lexes and summarises
+//! each file in turn (definitions, call sites, aliases, blocking
+//! sites, task closures) and runs the per-file rules; pass 2 links the
+//! summaries into a call graph and runs reachability from the
+//! pool-task roots (see [`crate::graph`]). A whole-workspace scan is
+//! about a tenth of a second in release, so there is no thread
+//! fan-out and no cache to keep coherent.
 //!
 //! Suppression is per-site and auditable:
 //!
@@ -53,15 +64,12 @@
 //! run by the tier-1 `workspace_clean` test.
 
 mod analysis;
-pub mod baseline;
-mod cache;
 pub mod graph;
 mod lexer;
 mod rules;
 pub mod summary;
 
 pub use analysis::{FileModel, HashKind, Scope, Suppression};
-pub use baseline::{Baseline, Regression};
 pub use lexer::{lex, Tok, TokKind};
 pub use rules::RawFinding;
 pub use summary::{FileSummary, FnNode, RootKind};
@@ -129,15 +137,25 @@ impl RuleId {
     }
 
     /// Default severity. New rules enter the catalogue at `Warn` and
-    /// graduate to `Deny` once the workspace is clean (S2 graduated
-    /// with the durable-format work; C1/C2 entered at deny because the
-    /// workspace was audited to zero in the same change). W1 stays at
-    /// warn, ratcheted by the CI `--baseline` job.
+    /// graduate to `Deny` once the workspace is clean; every rule in
+    /// the catalogue has graduated (S2 with the durable-format work,
+    /// W1 and L3 when their last sites were burned down), so a new
+    /// rule's warning period is the only reason to add a `Warn` arm
+    /// here.
     pub fn severity(self) -> Severity {
-        match self {
-            RuleId::W1 | RuleId::L3 => Severity::Warn,
-            _ => Severity::Deny,
-        }
+        Severity::Deny
+    }
+
+    /// The catalogue's codes, space-separated, for "known rules"
+    /// messages. `SUP` can be explained but is not a rule a suppression
+    /// can name, so the suppression message leaves it out.
+    pub fn code_list(with_sup: bool) -> String {
+        let codes: Vec<&str> = RuleId::ALL
+            .iter()
+            .filter(|r| with_sup || **r != RuleId::Sup)
+            .map(|r| r.code())
+            .collect();
+        codes.join(" ")
     }
 
     /// One-line summary for `--rules` listings.
@@ -153,10 +171,8 @@ impl RuleId {
             RuleId::C2 => "no raw fs writes in persistence paths outside riskpipe_tables::durable",
             RuleId::L1 => "no cycle in the workspace lock-order graph (call-graph rule)",
             RuleId::L2 => "no guard held across a spawn/par_*/scope boundary or blocking site",
-            RuleId::L3 => "no guard held across a call into another crate (baseline-ratcheted)",
-            RuleId::W1 => {
-                "no unwrap/expect/panic! in serving-path library code (baseline-ratcheted)"
-            }
+            RuleId::L3 => "no guard held across a call into another crate",
+            RuleId::W1 => "no unwrap/expect/panic! in serving-path library code",
             RuleId::Sup => "suppressions must name a known rule and carry a reason, and be used",
         }
     }
@@ -380,44 +396,46 @@ impl RuleId {
                  never touched by work reachable from the boundary."
             }
             RuleId::L3 => {
-                "L3 — guard held across a call into another crate (warn)\n\
+                "L3 — guard held across a call into another crate (deny)\n\
                  \n\
                  WHY   A cross-crate call made while holding a lock makes the\n\
                  lock order depend on a callee the holder's crate does not\n\
                  control — today's leaf call is tomorrow's callback that takes\n\
                  another lock, and the order edge it creates is invisible at\n\
                  the call site. Order-opaque holds are how lock hierarchies\n\
-                 rot; the rule keeps them enumerable and ratcheted.\n\
+                 rot; the rule keeps each one an audited suppression.\n\
                  \n\
                  FIRES when a tracked guard is live across a call whose every\n\
                  resolved definition lives in a different crate (same-crate\n\
                  candidates win — Rust resolution prefers local items).\n\
                  Calls into designated lock-leaf crates (default: riskpipe-obs,\n\
                  whose registry locks never call back out) are exempt, the\n\
-                 same shape as D3's timing modules. Warn severity, ratcheted\n\
-                 by the CI `--baseline` job like W1.\n\
+                 same shape as D3's timing modules.\n\
                  \n\
                  FIX   Narrow the guard (copy data out, drop before calling),\n\
-                 or keep the call and pay for it in the baseline; promote a\n\
-                 genuinely leaf-like callee crate into `lock_leaf_crates` only\n\
-                 with an audit that its internal locks never call out."
+                 or suppress with a written argument that the callee takes no\n\
+                 lock; promote a genuinely leaf-like callee crate into\n\
+                 `lock_leaf_crates` only with an audit that its internal locks\n\
+                 never call out."
             }
             RuleId::W1 => {
-                "W1 — unwrap/expect/panic! in serving-path library code (warn)\n\
+                "W1 — unwrap/expect/panic! in serving-path library code (deny)\n\
                  \n\
                  WHY   A panic inside a pool task aborts the whole pipeline run\n\
                  and poisons shared mutexes; the serving path should surface\n\
-                 typed errors instead. The rule is warn-severity — existing debt\n\
-                 is tolerated — but the nightly CI job runs with `--baseline`\n\
-                 against a committed snapshot, so the count per (rule, file) can\n\
-                 only go down.\n\
+                 typed errors instead — above all for a value that was decoded\n\
+                 from a frame or a spill file, which a torn write can make\n\
+                 anything.\n\
                  \n\
                  FIRES on `.unwrap(`, `.expect(`, and `panic!` in non-test code\n\
                  under the serving-path crates (core, exec, tables, metrics,\n\
-                 warehouse, analytics, mapreduce).\n\
+                 warehouse, analytics, mapreduce, obs).\n\
                  \n\
-                 FIX   Return a Result, use unwrap_or/_default, or keep the call\n\
-                 and pay for it in the baseline (new code should not add any)."
+                 FIX   Return a Result (`RiskError::corrupt` for anything read\n\
+                 from a decoded frame) or use unwrap_or/_default. Where the\n\
+                 value is infallible by an invariant established a few lines\n\
+                 up, keep the call under `// lint: allow(W1) — <the invariant,\n\
+                 in words>`; never on a site that reads decoded bytes."
             }
             RuleId::Sup => {
                 "SUP — suppression hygiene (deny for malformed, warn for unused)\n\
@@ -543,12 +561,6 @@ pub struct Config {
     /// call into them creates no opaque order edge (L3 exempts them —
     /// the telemetry registry is the canonical case).
     pub lock_leaf_crates: Vec<String>,
-    /// Pass-1 worker threads. 0 = one per available core (capped).
-    pub jobs: usize,
-    /// Directory for the incremental pass-1 summary cache (one file
-    /// per (config, path, contents) fingerprint; atomic writes).
-    /// `None` disables caching.
-    pub summary_cache: Option<PathBuf>,
 }
 
 impl Default for Config {
@@ -585,8 +597,6 @@ impl Default for Config {
                 "build_stage1_output_on".to_string(),
             ],
             lock_leaf_crates: vec!["crates/obs/".to_string()],
-            jobs: 0,
-            summary_cache: None,
         }
     }
 }
@@ -604,115 +614,21 @@ pub fn lint_source(path: &str, source: &str, cfg: &Config) -> Vec<Finding> {
     report.findings
 }
 
-/// Pass-1 product for one file: everything the cross-file pass and the
-/// suppression pass need — deliberately *not* the full [`FileModel`],
-/// so a summary-cache hit can skip re-lexing entirely.
-struct FileUnit {
-    path: String,
-    suppressions: Vec<Suppression>,
-    raw: Vec<RawFinding>,
-    summary: summary::FileSummary,
-}
-
-fn build_unit(path: &str, source: &str, cfg: &Config) -> FileUnit {
-    let model = FileModel::build(path, lex(source));
-    let raw = rules::run_all(&model, cfg);
-    let summary = summary::summarize(&model, cfg);
-    FileUnit {
-        path: model.path.clone(),
-        suppressions: model.suppressions,
-        raw,
-        summary,
-    }
-}
-
-/// Build one unit, consulting the summary cache when configured. A
-/// corrupt or stale cache entry is a miss, never an error.
-fn build_unit_cached(path: &str, source: &str, cfg: &Config, stats: &CacheStats) -> FileUnit {
-    let Some(dir) = &cfg.summary_cache else {
-        return build_unit(path, source, cfg);
-    };
-    let key = cache::entry_key(path, source, cfg);
-    if let Some(unit) = cache::lookup(dir, key) {
-        stats
-            .hits
-            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        return unit;
-    }
-    stats
-        .misses
-        .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-    let unit = build_unit(path, source, cfg);
-    // Best-effort: a failed cache write degrades to a cold run.
-    let _ = cache::write_entry(dir, key, &unit);
-    unit
-}
-
-/// Hit/miss counters for one run's summary-cache traffic.
-#[derive(Debug, Default)]
-struct CacheStats {
-    hits: std::sync::atomic::AtomicUsize,
-    misses: std::sync::atomic::AtomicUsize,
-}
-
-/// Pass 1 over all files, fanned out across threads. Work items are
-/// claimed from a shared counter; results are stitched back in input
-/// order, so the output is bit-identical to a sequential pass.
-fn pass1(files: &[(String, String)], cfg: &Config, stats: &CacheStats) -> Vec<FileUnit> {
-    let jobs = if cfg.jobs == 0 {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-            .min(8)
-    } else {
-        cfg.jobs
-    }
-    .min(files.len().max(1));
-    if jobs <= 1 || files.len() < 4 {
-        return files
-            .iter()
-            .map(|(p, s)| build_unit_cached(p, s, cfg, stats))
-            .collect();
-    }
-    let next = std::sync::atomic::AtomicUsize::new(0);
-    let mut slots: Vec<Option<FileUnit>> = Vec::with_capacity(files.len());
-    slots.resize_with(files.len(), || None);
-    std::thread::scope(|workers| {
-        let mut handles = Vec::with_capacity(jobs);
-        for _ in 0..jobs {
-            let next = &next;
-            handles.push(workers.spawn(move || {
-                let mut mine: Vec<(usize, FileUnit)> = Vec::new();
-                loop {
-                    let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                    let Some((p, s)) = files.get(i) else { break };
-                    mine.push((i, build_unit_cached(p, s, cfg, stats)));
-                }
-                mine
-            }));
-        }
-        for h in handles {
-            // A worker panic means a rule panicked on real input —
-            // propagate rather than report a partial scan as clean.
-            for (i, unit) in h.join().expect("lint pass-1 worker panicked") {
-                slots[i] = Some(unit);
-            }
-        }
-    });
-    slots
-        .into_iter()
-        .map(|u| u.expect("every pass-1 slot filled"))
-        .collect()
-}
-
 /// Lint a set of already-read sources as one workspace: per-file rules
 /// plus the cross-file call-graph passes (C1 reachability and the
 /// L1/L2/L3 lock-flow analysis), then per-file suppression processing
 /// over the combined findings.
 pub fn lint_sources(files: &[(String, String)], cfg: &Config) -> Report {
-    let stats = CacheStats::default();
-    let units = pass1(files, cfg, &stats);
-    let summaries: Vec<summary::FileSummary> = units.iter().map(|u| u.summary.clone()).collect();
+    // Pass 1, file by file in input order. Only the summary, the raw
+    // per-file findings and the suppressions outlive a file's tokens.
+    let mut summaries = Vec::with_capacity(files.len());
+    let mut per_file = Vec::with_capacity(files.len());
+    for (path, source) in files {
+        let model = FileModel::build(path, lex(source));
+        let raw = rules::run_all(&model, cfg);
+        summaries.push(summary::summarize(&model, cfg));
+        per_file.push((raw, model.suppressions));
+    }
     let mut graph_findings = graph::check(&summaries);
     let (lock_findings, lock_graph) = graph::lock_analysis(&summaries, cfg);
     for (path, mut extra) in lock_findings {
@@ -721,20 +637,17 @@ pub fn lint_sources(files: &[(String, String)], cfg: &Config) -> Report {
 
     let mut report = Report {
         findings: Vec::new(),
-        files_scanned: units.len(),
+        files_scanned: files.len(),
         lock_graph,
-        cache_hits: stats.hits.load(std::sync::atomic::Ordering::Relaxed),
-        cache_misses: stats.misses.load(std::sync::atomic::Ordering::Relaxed),
     };
-    for unit in units {
-        let mut raw = unit.raw;
-        if let Some(mut extra) = graph_findings.remove(&unit.path) {
+    for (summary, (mut raw, suppressions)) in summaries.iter().zip(per_file) {
+        if let Some(mut extra) = graph_findings.remove(&summary.path) {
             raw.append(&mut extra);
         }
         raw.sort_by_key(|a| (a.line, a.rule));
         report
             .findings
-            .extend(apply_suppressions(&unit.path, &unit.suppressions, raw));
+            .extend(apply_suppressions(&summary.path, &suppressions, raw));
     }
     report
         .findings
@@ -781,8 +694,8 @@ fn apply_suppressions(
                     path: path.to_string(),
                     line: sup.line,
                     message: format!(
-                        "suppression names unknown rule `{r}` — known rules: \
-                         D1 D2 D3 D4 S1 S2 C1 C2 L1 L2 L3 W1"
+                        "suppression names unknown rule `{r}` — known rules: {}",
+                        RuleId::code_list(false)
                     ),
                     trace: Vec::new(),
                     chains: Vec::new(),
@@ -831,10 +744,6 @@ pub struct Report {
     /// exported by `--emit-lock-graph` as DOT plus the runtime witness
     /// manifest.
     pub lock_graph: graph::LockGraph,
-    /// Summary-cache hits this run (0 when caching is disabled).
-    pub cache_hits: usize,
-    /// Summary-cache misses this run.
-    pub cache_misses: usize,
 }
 
 impl Report {
@@ -960,6 +869,9 @@ pub(crate) fn json_escape(s: &str) -> String {
 
 /// Collect the `.rs` files a scan of `paths` (relative to `root`)
 /// covers, in sorted order — the pass itself must be deterministic.
+/// A path that does not exist, or a scan that finds no file at all, is
+/// an error: a typo in a CI step must not turn the gate into "0 files
+/// scanned, 0 findings".
 pub fn collect_rs_files(
     root: &Path,
     paths: &[PathBuf],
@@ -976,7 +888,18 @@ pub fn collect_rs_files(
             out.push(abs);
         } else if abs.is_dir() {
             walk_dir(&abs, cfg, &mut out)?;
+        } else {
+            return Err(std::io::Error::new(
+                std::io::ErrorKind::NotFound,
+                format!("no such file or directory: {}", abs.display()),
+            ));
         }
+    }
+    if out.is_empty() {
+        return Err(std::io::Error::new(
+            std::io::ErrorKind::InvalidInput,
+            "no .rs file under the given paths — nothing to lint",
+        ));
     }
     out.sort();
     out.dedup();

@@ -6,17 +6,14 @@
 //! riskpipe-lint --json               # machine-readable output (v3)
 //! riskpipe-lint --explain L1         # why a rule exists and how to fix
 //! riskpipe-lint --rules              # list the catalogue
-//! riskpipe-lint --deny-warnings      # warn findings also fail
-//! riskpipe-lint --deny-warnings --baseline lint-baseline.json
-//!                                    # warns fail only beyond the ratchet
-//! riskpipe-lint --write-baseline lint-baseline.json
-//!                                    # snapshot current warn counts
+//! riskpipe-lint --deny-warnings      # warn findings also fail (CI)
 //! ```
 //!
 //! Exit codes: 0 clean, 1 findings at failing severity, 2 usage or I/O
-//! error.
+//! error (a PATH that does not exist, or a scan that finds no file, is
+//! a usage error — never a clean run).
 
-use riskpipe_lint::{find_workspace_root, lint_paths, Baseline, Config, RuleId, Severity};
+use riskpipe_lint::{find_workspace_root, lint_paths, Config, Finding, RuleId, Severity};
 use std::path::PathBuf;
 use std::process::ExitCode;
 
@@ -36,14 +33,8 @@ OPTIONS:
     --json            emit the machine-readable JSON report (schema v3:
                       C1/L2/L3 findings carry a call-chain `trace`,
                       L1 findings carry the cycle's `chains`)
-    --deny-warnings   exit nonzero on warn-level findings too
-    --baseline <F>    tolerate warn findings up to the per-(rule, path)
-                      counts recorded in F; only growth fails (deny
-                      findings are never baselined)
-    --write-baseline <F>  snapshot current warn counts to F and exit 0
-    --jobs <N>        pass-1 scan threads (default: one per core)
-    --summary-cache <DIR>  incremental pass-1 cache: re-lex only files
-                      whose contents (or the lint config) changed
+    --deny-warnings   exit nonzero on warn-level findings too (unused
+                      suppressions, and any rule in its warning period)
     --emit-lock-graph <DIR>  write the workspace lock-order graph as
                       lock-order.dot + lock-order.manifest (the runtime
                       lockwitness asserts against the manifest)
@@ -58,10 +49,6 @@ fn main() -> ExitCode {
     let mut deny_warnings = false;
     let mut root: Option<PathBuf> = None;
     let mut paths: Vec<PathBuf> = Vec::new();
-    let mut baseline_path: Option<PathBuf> = None;
-    let mut write_baseline: Option<PathBuf> = None;
-    let mut jobs: usize = 0;
-    let mut summary_cache: Option<PathBuf> = None;
     let mut emit_lock_graph: Option<PathBuf> = None;
 
     while let Some(arg) = args.next() {
@@ -84,7 +71,8 @@ fn main() -> ExitCode {
             "--explain" => {
                 let Some(code) = args.next() else {
                     eprintln!(
-                        "--explain needs a rule code (one of D1 D2 D3 D4 S1 S2 C1 C2 L1 L2 L3 W1 SUP)"
+                        "--explain needs a rule code (one of {})",
+                        RuleId::code_list(true)
                     );
                     return ExitCode::from(2);
                 };
@@ -94,44 +82,13 @@ fn main() -> ExitCode {
                         return ExitCode::SUCCESS;
                     }
                     None => {
-                        eprintln!(
-                            "unknown rule `{code}` — known: D1 D2 D3 D4 S1 S2 C1 C2 L1 L2 L3 W1 SUP"
-                        );
+                        eprintln!("unknown rule `{code}` — known: {}", RuleId::code_list(true));
                         return ExitCode::from(2);
                     }
                 }
             }
             "--json" => json = true,
             "--deny-warnings" => deny_warnings = true,
-            "--baseline" => {
-                let Some(f) = args.next() else {
-                    eprintln!("--baseline needs a file");
-                    return ExitCode::from(2);
-                };
-                baseline_path = Some(PathBuf::from(f));
-            }
-            "--write-baseline" => {
-                let Some(f) = args.next() else {
-                    eprintln!("--write-baseline needs a file");
-                    return ExitCode::from(2);
-                };
-                write_baseline = Some(PathBuf::from(f));
-            }
-            "--jobs" => {
-                let parsed = args.next().and_then(|n| n.parse::<usize>().ok());
-                let Some(n) = parsed else {
-                    eprintln!("--jobs needs a thread count");
-                    return ExitCode::from(2);
-                };
-                jobs = n;
-            }
-            "--summary-cache" => {
-                let Some(dir) = args.next() else {
-                    eprintln!("--summary-cache needs a directory");
-                    return ExitCode::from(2);
-                };
-                summary_cache = Some(PathBuf::from(dir));
-            }
             "--emit-lock-graph" => {
                 let Some(dir) = args.next() else {
                     eprintln!("--emit-lock-graph needs a directory");
@@ -173,35 +130,10 @@ fn main() -> ExitCode {
             .collect();
     }
 
-    let baseline = match &baseline_path {
-        None => None,
-        Some(p) => {
-            let text = match std::fs::read_to_string(p) {
-                Ok(t) => t,
-                Err(e) => {
-                    eprintln!("riskpipe-lint: cannot read baseline {}: {e}", p.display());
-                    return ExitCode::from(2);
-                }
-            };
-            match Baseline::parse_json(&text) {
-                Ok(b) => Some(b),
-                Err(e) => {
-                    eprintln!("riskpipe-lint: bad baseline {}: {e}", p.display());
-                    return ExitCode::from(2);
-                }
-            }
-        }
-    };
-
-    let cfg = Config {
-        jobs,
-        summary_cache,
-        ..Config::default()
-    };
-    let report = match lint_paths(&root, &paths, &cfg) {
+    let report = match lint_paths(&root, &paths, &Config::default()) {
         Ok(r) => r,
         Err(e) => {
-            eprintln!("riskpipe-lint: I/O error: {e}");
+            eprintln!("riskpipe-lint: {e}");
             return ExitCode::from(2);
         }
     };
@@ -230,45 +162,14 @@ fn main() -> ExitCode {
         );
     }
 
-    if let Some(out) = write_baseline {
-        let snapshot = Baseline::from_report(&report);
-        if let Err(e) = std::fs::write(&out, snapshot.render_json()) {
-            eprintln!(
-                "riskpipe-lint: cannot write baseline {}: {e}",
-                out.display()
-            );
-            return ExitCode::from(2);
-        }
-        eprintln!(
-            "riskpipe-lint: wrote baseline ({} entries) to {}",
-            snapshot.counts.len(),
-            out.display()
-        );
-        return ExitCode::SUCCESS;
-    }
-
     if json {
         print!("{}", report.render_json());
     } else {
         print!("{}", report.render_text());
     }
 
-    let any_deny = report.findings.iter().any(|f| f.severity == Severity::Deny);
-    let warns_fail = if !deny_warnings {
-        false
-    } else if let Some(b) = &baseline {
-        let regressions = b.regressions(&report);
-        for r in &regressions {
-            eprintln!(
-                "riskpipe-lint: {}:{} warn count {} exceeds baseline {}",
-                r.rule, r.path, r.have, r.allowed
-            );
-        }
-        !regressions.is_empty()
-    } else {
-        report.findings.iter().any(|f| f.severity == Severity::Warn)
-    };
-    if any_deny || warns_fail {
+    let fails = |f: &Finding| deny_warnings || f.severity == Severity::Deny;
+    if report.findings.iter().any(fails) {
         ExitCode::FAILURE
     } else {
         ExitCode::SUCCESS

@@ -659,7 +659,7 @@ fn c2_raw_persistence_writes(model: &FileModel, cfg: &Config, out: &mut Vec<RawF
 }
 
 /// **W1** — `unwrap`/`expect`/`panic!` in non-test library code of the
-/// serving-path crates (warn; ratcheted by the CI baseline).
+/// serving-path crates.
 fn w1_panic_paths(model: &FileModel, cfg: &Config, out: &mut Vec<RawFinding>) {
     if !cfg
         .serving_crates

@@ -196,7 +196,7 @@ struct ActiveGuard {
 
 fn finish_guard(fns: &mut [FnNode], g: ActiveGuard) {
     // Event-free spans carry no lock-flow signal; drop them to keep
-    // summaries (and the summary cache) lean.
+    // summaries lean.
     if !(g.span.acquires.is_empty() && g.span.calls.is_empty() && g.span.crossings.is_empty()) {
         fns[g.node].guards.push(g.span);
     }

@@ -381,7 +381,7 @@ fn l3_warns_on_guard_across_cross_crate_call() {
     let l3: Vec<_> = findings.iter().filter(|f| f.rule == RuleId::L3).collect();
     assert_eq!(l3.len(), 1, "{findings:?}");
     let f = l3[0];
-    assert_eq!(f.severity, Severity::Warn);
+    assert_eq!(f.severity, Severity::Deny);
     assert!(f.message.contains("cross-crate"), "{}", f.message);
     assert!(f.message.contains("`outbox`"), "{}", f.message);
 }
@@ -389,7 +389,7 @@ fn l3_warns_on_guard_across_cross_crate_call() {
 #[test]
 fn l3_same_crate_call_is_silent() {
     // The identical pair linted as one crate: order is readable
-    // in-crate, so no warning.
+    // in-crate, so no finding.
     let files = vec![
         (
             "crates/feed/src/publish.rs".to_string(),
@@ -432,9 +432,9 @@ fn w1_warns_on_panic_paths_in_serving_crates() {
     assert_eq!(
         w1.len(),
         2,
-        "the unwrap and the panic! should both warn: {findings:?}"
+        "the unwrap and the panic! should both fire: {findings:?}"
     );
-    assert!(w1.iter().all(|f| f.severity == Severity::Warn));
+    assert!(w1.iter().all(|f| f.severity == Severity::Deny));
 }
 
 #[test]
@@ -570,69 +570,26 @@ fn cli_json_v3_carries_the_c1_call_chain_trace() {
 }
 
 #[test]
-fn cli_baseline_ratchets_warn_findings() {
+fn cli_mistyped_path_is_a_usage_error_not_a_clean_scan() {
     let root = env!("CARGO_MANIFEST_DIR");
-    let tmp = Path::new(env!("CARGO_TARGET_TMPDIR")).join("baseline");
-    std::fs::create_dir_all(&tmp).expect("mkdir");
-    let snapshot = tmp.join("lint-baseline.json");
-    let snapshot_arg = snapshot.to_str().expect("utf8 path");
-    // Snapshot the warn debt of the unused-suppression fixture...
-    let wrote = bin()
-        .args([
-            "--root",
-            root,
-            "--write-baseline",
-            snapshot_arg,
-            "tests/fixtures/sup_unused.rs",
-        ])
+    // A PATH that does not exist must not lint clean...
+    let typo = bin()
+        .args(["--root", root, "tests/fixturez"])
         .output()
         .expect("run riskpipe-lint");
-    assert_eq!(wrote.status.code(), Some(0), "{wrote:?}");
-    // ...which then passes --deny-warnings against its own baseline...
-    let ok = bin()
-        .args([
-            "--root",
-            root,
-            "--deny-warnings",
-            "--baseline",
-            snapshot_arg,
-            "tests/fixtures/sup_unused.rs",
-        ])
+    assert_eq!(typo.status.code(), Some(2), "{typo:?}");
+    assert!(typo.stdout.is_empty(), "{typo:?}");
+    let stderr = String::from_utf8(typo.stderr).expect("utf8");
+    assert!(stderr.contains("tests/fixturez"), "{stderr}");
+    // ...and neither must an existing directory with no `.rs` file in it.
+    let tmp = Path::new(env!("CARGO_TARGET_TMPDIR")).join("no_rs_files");
+    std::fs::create_dir_all(tmp.join("crates")).expect("mkdir");
+    let nothing = bin()
+        .args(["--root", tmp.to_str().expect("utf8 path"), "crates"])
         .output()
         .expect("run riskpipe-lint");
-    assert_eq!(ok.status.code(), Some(0), "{ok:?}");
-    // ...while an empty baseline treats the same warns as regressions.
-    let empty = tmp.join("empty-baseline.json");
-    std::fs::write(&empty, "{\"version\": 1, \"entries\": []}\n").expect("write");
-    let denied = bin()
-        .args([
-            "--root",
-            root,
-            "--deny-warnings",
-            "--baseline",
-            empty.to_str().expect("utf8 path"),
-            "tests/fixtures/sup_unused.rs",
-        ])
-        .output()
-        .expect("run riskpipe-lint");
-    assert_eq!(denied.status.code(), Some(1), "{denied:?}");
-    let stderr = String::from_utf8(denied.stderr).expect("utf8");
-    assert!(stderr.contains("exceeds baseline"), "{stderr}");
-    // A malformed baseline is a usage error, not a silent pass.
-    let bad = tmp.join("bad-baseline.json");
-    std::fs::write(&bad, "{\"version\": 9}").expect("write");
-    let usage = bin()
-        .args([
-            "--root",
-            root,
-            "--deny-warnings",
-            "--baseline",
-            bad.to_str().expect("utf8 path"),
-            "tests/fixtures/sup_unused.rs",
-        ])
-        .output()
-        .expect("run riskpipe-lint");
-    assert_eq!(usage.status.code(), Some(2), "{usage:?}");
+    assert_eq!(nothing.status.code(), Some(2), "{nothing:?}");
+    assert!(nothing.stdout.is_empty(), "{nothing:?}");
 }
 
 #[test]

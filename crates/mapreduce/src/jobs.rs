@@ -2,7 +2,9 @@
 //! analyses the paper says are "almost impossible" in conventional
 //! portfolio-management tools.
 
-use crate::kv::{key_u32, parse_key_u32, parse_val_f64, parse_val_u32_f64, val_f64, val_u32_f64};
+use crate::kv::{
+    bytes_at, key_u32, parse_key_u32, parse_val_f64, parse_val_u32_f64, val_f64, val_u32_f64,
+};
 use crate::runtime::{run_job, JobConfig, Mapper, Reducer};
 use riskpipe_exec::ThreadPool;
 use riskpipe_tables::yellt::YelltChunk;
@@ -40,10 +42,15 @@ struct LocationReducer {
     alpha: f64,
 }
 impl Reducer for LocationReducer {
-    fn reduce(&self, key: &[u8], values: &[Vec<u8>], emit: &mut dyn FnMut(Vec<u8>, Vec<u8>)) {
+    fn reduce(
+        &self,
+        key: &[u8],
+        values: &[Vec<u8>],
+        emit: &mut dyn FnMut(Vec<u8>, Vec<u8>),
+    ) -> RiskResult<()> {
         let mut annual = vec![0.0f64; self.trials];
         for v in values {
-            let (trial, loss) = parse_val_u32_f64(v).expect("well-formed shuffle value");
+            let (trial, loss) = parse_val_u32_f64(v)?;
             annual[trial as usize] += loss;
         }
         let mean = annual.iter().sum::<f64>() / self.trials as f64;
@@ -57,6 +64,7 @@ impl Reducer for LocationReducer {
         tvar_key.push(b't');
         emit(mean_key, val_f64(mean));
         emit(tvar_key, val_f64(tvar));
+        Ok(())
     }
 }
 
@@ -138,12 +146,18 @@ impl Mapper for EventMapper {
 
 struct SumReducer;
 impl Reducer for SumReducer {
-    fn reduce(&self, key: &[u8], values: &[Vec<u8>], emit: &mut dyn FnMut(Vec<u8>, Vec<u8>)) {
+    fn reduce(
+        &self,
+        key: &[u8],
+        values: &[Vec<u8>],
+        emit: &mut dyn FnMut(Vec<u8>, Vec<u8>),
+    ) -> RiskResult<()> {
         let total: f64 = values
             .iter()
-            .map(|v| parse_val_f64(v).expect("well-formed shuffle value"))
-            .sum();
+            .map(|v| parse_val_f64(v))
+            .sum::<RiskResult<_>>()?;
         emit(key.to_vec(), val_f64(total));
+        Ok(())
     }
 }
 
@@ -231,12 +245,17 @@ impl Mapper for CubeMapper<'_> {
 
 struct CellReducer;
 impl Reducer for CellReducer {
-    fn reduce(&self, key: &[u8], values: &[Vec<u8>], emit: &mut dyn FnMut(Vec<u8>, Vec<u8>)) {
+    fn reduce(
+        &self,
+        key: &[u8],
+        values: &[Vec<u8>],
+        emit: &mut dyn FnMut(Vec<u8>, Vec<u8>),
+    ) -> RiskResult<()> {
         let mut count = 0u64;
         let mut sum = 0.0f64;
         let mut max = 0.0f64;
         for v in values {
-            let loss = parse_val_f64(v).expect("well-formed shuffle value");
+            let loss = parse_val_f64(v)?;
             count += 1;
             sum += loss;
             if loss > max {
@@ -248,6 +267,7 @@ impl Reducer for CellReducer {
         out.extend_from_slice(&sum.to_le_bytes());
         out.extend_from_slice(&max.to_le_bytes());
         emit(key.to_vec(), out);
+        Ok(())
     }
 }
 
@@ -276,17 +296,12 @@ impl CubeBuildJob {
                     "malformed cube cell record",
                 ));
             }
-            let geo = u32::from_be_bytes(key[0..4].try_into().expect("4 bytes"));
-            let event = u32::from_be_bytes(key[4..8].try_into().expect("4 bytes"));
-            let count = u64::from_le_bytes(val[0..8].try_into().expect("8 bytes"));
-            let sum = f64::from_le_bytes(val[8..16].try_into().expect("8 bytes"));
-            let max = f64::from_le_bytes(val[16..24].try_into().expect("8 bytes"));
             out.push(CubeCell {
-                geo,
-                event,
-                count,
-                sum,
-                max,
+                geo: u32::from_be_bytes(bytes_at(&key, 0)?),
+                event: u32::from_be_bytes(bytes_at(&key, 4)?),
+                count: u64::from_le_bytes(bytes_at(&val, 0)?),
+                sum: f64::from_le_bytes(bytes_at(&val, 8)?),
+                max: f64::from_le_bytes(bytes_at(&val, 16)?),
             });
         }
         out.sort_by_key(|c| (c.geo, c.event));
@@ -345,17 +360,23 @@ impl Mapper for YltFactMapper<'_> {
 
 struct SortedColumnReducer;
 impl Reducer for SortedColumnReducer {
-    fn reduce(&self, key: &[u8], values: &[Vec<u8>], emit: &mut dyn FnMut(Vec<u8>, Vec<u8>)) {
-        let mut losses: Vec<f64> = values
-            .iter()
-            .map(|v| parse_val_f64(v).expect("well-formed shuffle value"))
-            .collect();
+    fn reduce(
+        &self,
+        key: &[u8],
+        values: &[Vec<u8>],
+        emit: &mut dyn FnMut(Vec<u8>, Vec<u8>),
+    ) -> RiskResult<()> {
+        let mut losses = Vec::with_capacity(values.len());
+        for v in values {
+            losses.push(parse_val_f64(v)?);
+        }
         losses.sort_unstable_by(f64::total_cmp);
         let mut out = Vec::with_capacity(losses.len() * 8);
         for l in losses {
             out.extend_from_slice(&l.to_le_bytes());
         }
         emit(key.to_vec(), out);
+        Ok(())
     }
 }
 
@@ -384,10 +405,10 @@ impl YltFactJob {
                     "malformed sorted-column record",
                 ));
             }
-            let losses: Vec<f64> = val
-                .chunks_exact(8)
-                .map(|c| f64::from_le_bytes(c.try_into().expect("8 bytes")))
-                .collect();
+            let mut losses = Vec::with_capacity(val.len() / 8);
+            for c in val.chunks_exact(8) {
+                losses.push(parse_val_f64(c)?);
+            }
             out.push(YltFactBand { band, losses });
         }
         out.sort_by_key(|b| b.band);

@@ -50,9 +50,20 @@ pub fn parse_val_u32_f64(val: &[u8]) -> RiskResult<(u32, f64)> {
     if val.len() != 12 {
         return Err(RiskError::corrupt("value is not 12 bytes"));
     }
-    let a = u32::from_le_bytes(val[0..4].try_into().expect("4 bytes"));
-    let b = f64::from_le_bytes(val[4..12].try_into().expect("8 bytes"));
+    let a = u32::from_le_bytes(bytes_at(val, 0)?);
+    let b = f64::from_le_bytes(bytes_at(val, 4)?);
     Ok((a, b))
+}
+
+/// The `N` bytes at offset `at` of a fixed-layout record — every
+/// multi-field key or value is taken apart through this, so a record
+/// that came back from a spill file shorter than its layout is a typed
+/// corruption error on the reduce task, never a slice panic.
+pub fn bytes_at<const N: usize>(record: &[u8], at: usize) -> RiskResult<[u8; N]> {
+    record
+        .get(at..at + N)
+        .and_then(|bytes| bytes.try_into().ok())
+        .ok_or_else(|| RiskError::corrupt("shuffle record shorter than its layout"))
 }
 
 /// Append one record to a spill buffer.
@@ -122,6 +133,9 @@ mod tests {
         assert!(parse_key_u32(&[1, 2]).is_err());
         assert!(parse_val_f64(&[0; 7]).is_err());
         assert!(parse_val_u32_f64(&[0; 11]).is_err());
+        assert_eq!(bytes_at::<2>(&[1, 2, 3], 1).unwrap(), [2, 3]);
+        assert!(bytes_at::<4>(&[1, 2, 3], 0).is_err());
+        assert!(bytes_at::<2>(&[1, 2, 3], 2).is_err());
     }
 
     #[test]

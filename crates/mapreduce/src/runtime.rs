@@ -19,8 +19,15 @@ pub trait Mapper: Sync {
 
 /// A reduce function over a key's grouped values.
 pub trait Reducer: Sync {
-    /// Process one key group, emitting output key/value pairs.
-    fn reduce(&self, key: &[u8], values: &[Vec<u8>], emit: &mut dyn FnMut(Vec<u8>, Vec<u8>));
+    /// Process one key group, emitting output key/value pairs. The
+    /// values were read back from spill files: one that does not decode
+    /// is an error, which fails the job.
+    fn reduce(
+        &self,
+        key: &[u8],
+        values: &[Vec<u8>],
+        emit: &mut dyn FnMut(Vec<u8>, Vec<u8>),
+    ) -> RiskResult<()>;
 }
 
 /// Job configuration.
@@ -156,7 +163,7 @@ pub fn run_job<M: Mapper, R: Reducer>(
                     j += 1;
                 }
                 let values: Vec<Vec<u8>> = records[i..j].iter().map(|(_, v)| v.clone()).collect();
-                reducer.reduce(&records[i].0, &values, &mut emit);
+                reducer.reduce(&records[i].0, &values, &mut emit)?;
                 i = j;
             }
             Ok(out)
@@ -236,9 +243,18 @@ mod tests {
     }
     struct SumReducer;
     impl Reducer for SumReducer {
-        fn reduce(&self, key: &[u8], values: &[Vec<u8>], emit: &mut dyn FnMut(Vec<u8>, Vec<u8>)) {
-            let total: f64 = values.iter().map(|v| parse_val_f64(v).unwrap()).sum();
+        fn reduce(
+            &self,
+            key: &[u8],
+            values: &[Vec<u8>],
+            emit: &mut dyn FnMut(Vec<u8>, Vec<u8>),
+        ) -> RiskResult<()> {
+            let total: f64 = values
+                .iter()
+                .map(|v| parse_val_f64(v))
+                .sum::<RiskResult<_>>()?;
             emit(key.to_vec(), val_f64(total));
+            Ok(())
         }
     }
 

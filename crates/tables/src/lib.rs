@@ -24,7 +24,6 @@
 
 #![warn(missing_docs)]
 
-pub mod chunk;
 pub mod codec;
 pub mod compress;
 pub mod durable;
@@ -37,7 +36,6 @@ pub mod yelt;
 pub mod yet;
 pub mod ylt;
 
-pub use chunk::ChunkedColumn;
 pub use elt::{Elt, EltBuilder, EltRecord};
 pub use hash::EventRowMap;
 pub use shard::{ShardManifest, ShardedReader, ShardedWriter};

@@ -61,7 +61,7 @@ impl Yelt {
         losses: Vec<f64>,
     ) -> Self {
         debug_assert_eq!(offsets.first().copied(), Some(0));
-        debug_assert_eq!(*offsets.last().expect("offsets") as usize, event_ids.len());
+        debug_assert_eq!(offsets.last().map(|&o| o as usize), Some(event_ids.len()));
         Self {
             offsets,
             event_ids,

@@ -91,16 +91,16 @@ impl YearEventTable {
         days: Vec<u16>,
         z_values: Vec<f64>,
     ) -> RiskResult<Self> {
-        if offsets.is_empty() {
+        let Some(&last) = offsets.last() else {
             return Err(RiskError::corrupt("YET offsets empty"));
-        }
+        };
         if offsets[0] != 0 {
             return Err(RiskError::corrupt("YET offsets must start at 0"));
         }
         if offsets.windows(2).any(|w| w[0] > w[1]) {
             return Err(RiskError::corrupt("YET offsets must be non-decreasing"));
         }
-        let n = *offsets.last().expect("non-empty") as usize;
+        let n = last as usize;
         if event_ids.len() != n || days.len() != n || z_values.len() != n {
             return Err(RiskError::corrupt("YET column lengths disagree"));
         }

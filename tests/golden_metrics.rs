@@ -53,6 +53,12 @@ const GOLDEN_TVAR99_BITS: u64 = 0x41A7_ABEB_4E97_BBBA; // 198_571_431.296…
 const GOLDEN_VAR996_BITS: u64 = 0x41A5_892F_4BE7_96E4; // 180_656_037.952…
 const GOLDEN_OEP_PML100_BITS: u64 = 0x4191_5DA1_FAF6_78DE; // 72_837_246.741…
 
+// Stage 3: the DFA metrics read every factor column and the
+// Iman–Conover reorder, so a change to either moves at least one.
+const GOLDEN_PROB_RUIN_BITS: u64 = 0x0000_0000_0000_0000; // 0.0
+const GOLDEN_MEAN_NET_INCOME_BITS: u64 = 0x41A5_CF0E_B589_9699; // 182_945_626.768…
+const GOLDEN_ECONOMIC_CAPITAL_BITS: u64 = 0x41BE_801C_2E5F_97EC; // 511_712_302.373…
+
 fn assert_golden(report: &PipelineReport, context: &str) {
     assert_eq!(
         ylt_checksum(report),
@@ -73,6 +79,21 @@ fn assert_golden(report: &PipelineReport, context: &str) {
         ("tvar99", m.tvar99.to_bits(), GOLDEN_TVAR99_BITS),
         ("var996", m.var996.to_bits(), GOLDEN_VAR996_BITS),
         ("oep_pml100", m.oep_pml100.to_bits(), GOLDEN_OEP_PML100_BITS),
+        (
+            "prob_ruin",
+            report.prob_ruin.to_bits(),
+            GOLDEN_PROB_RUIN_BITS,
+        ),
+        (
+            "mean_net_income",
+            report.mean_net_income.to_bits(),
+            GOLDEN_MEAN_NET_INCOME_BITS,
+        ),
+        (
+            "economic_capital",
+            report.economic_capital.to_bits(),
+            GOLDEN_ECONOMIC_CAPITAL_BITS,
+        ),
     ] {
         assert_eq!(
             got,
@@ -184,6 +205,9 @@ fn print_golden_values() -> RiskResult<()> {
         ("tvar99", r.measures.tvar99),
         ("var996", r.measures.var996),
         ("oep_pml100", r.measures.oep_pml100),
+        ("prob_ruin", r.prob_ruin),
+        ("mean_net_income", r.mean_net_income),
+        ("economic_capital", r.economic_capital),
     ] {
         println!("{name:15} 0x{:016X} // {v:?}", v.to_bits());
     }

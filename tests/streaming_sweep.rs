@@ -365,14 +365,20 @@ fn run_after_stream_reuses_the_cache() -> RiskResult<()> {
 // decoded ELTs on a disk-tier hit — and never visible in a result bit.
 // ---------------------------------------------------------------------
 
-/// Everything a report derives from its YLT, for bit comparisons.
-fn result_bits(report: &PipelineReport) -> (Vec<u64>, Vec<u64>, Vec<u32>, u64) {
+/// Everything a report derives from its YLT — the stage-3 DFA metrics
+/// included — for bit comparisons.
+fn result_bits(report: &PipelineReport) -> (Vec<u64>, Vec<u64>, Vec<u32>, [u64; 4]) {
     let (agg, max_occ, counts) = report.ylt.columns();
     (
         agg.iter().map(|x| x.to_bits()).collect(),
         max_occ.iter().map(|x| x.to_bits()).collect(),
         counts.to_vec(),
-        report.measures.tvar99.to_bits(),
+        [
+            report.measures.tvar99.to_bits(),
+            report.prob_ruin.to_bits(),
+            report.mean_net_income.to_bits(),
+            report.economic_capital.to_bits(),
+        ],
     )
 }
 

@@ -48,9 +48,9 @@ use riskpipe_aggregate::{
     build_secondary, AggregateEngine, AggregateOptions, AggregateRunner, EngineKind, EventJoin,
 };
 use riskpipe_catmodel::{EltGenCounts, Stage1Output};
-use riskpipe_dfa::{CompanyConfig, DfaEngine};
+use riskpipe_dfa::{CompanyConfig, DfaEngine, DfaFactors};
 use riskpipe_exec::lockwitness::{Condvar, Mutex};
-use riskpipe_exec::ThreadPool;
+use riskpipe_exec::{par_map_collect, ThreadPool};
 use riskpipe_metrics::RiskMeasures;
 use riskpipe_tables::{codec, durable, shard, ScaleSpec, Yelt, Ylt};
 use riskpipe_types::stats::quantile_sorted;
@@ -396,7 +396,9 @@ pub struct Stage1CacheStats {
     /// entry is charged its model run's [`Stage1Output::memory_bytes`]
     /// plus the [`EventJoin::memory_bytes`] of the join of its books
     /// cached beside it (quantile grids included when the session's
-    /// options switch secondary uncertainty on).
+    /// options switch secondary uncertainty on) plus the
+    /// [`DfaFactors::memory_bytes`] of its stage-3 factor block
+    /// (7 × 8 B × trials).
     pub bytes: u64,
     /// Cumulative wall time spent building stage-1 model runs, in
     /// nanoseconds (every build counts: cache misses, redundant racer
@@ -458,20 +460,25 @@ impl TimingRing {
 }
 
 /// What one cache entry holds: a stage-1 model run plus everything
-/// stage 2 derives from it that no scenario's terms can change — the
-/// event-major join of its books, a pure function of the books' ELTs
-/// and the session's fixed [`AggregateOptions`]. Built once by the
-/// key's leader, `Arc`-shared with every follower.
+/// stages 2 and 3 derive from it that no scenario's terms can change —
+/// the event-major join of its books, a pure function of the books'
+/// ELTs and the session's fixed [`AggregateOptions`], and the DFA
+/// factor block, a pure function of the key's seed and trial count and
+/// the session's fixed company. Built once by the key's leader,
+/// `Arc`-shared with every follower.
 struct ModelRun {
     output: Arc<Stage1Output>,
     /// The books joined in book order — the table the engines read.
     join: EventJoin,
+    /// Stage 3's seven factor columns, Iman–Conover already applied;
+    /// a scenario only runs the accounting identity over them.
+    dfa_factors: DfaFactors,
 }
 
 impl ModelRun {
     /// What the entry is charged against the cache's byte budget.
     fn memory_bytes(&self) -> usize {
-        self.output.memory_bytes() + self.join.memory_bytes()
+        self.output.memory_bytes() + self.join.memory_bytes() + self.dfa_factors.memory_bytes()
     }
 }
 
@@ -591,8 +598,9 @@ impl CacheIndex {
 }
 
 /// A keyed cache of stage-1 model runs ([`Stage1Output`]: catalogue,
-/// per-contract books, YET) and the join of their books
-/// ([`ModelRun`]), shared across every scenario a session executes. Keys come from [`ScenarioConfig::stage1_key`] — a stable
+/// per-contract books, YET), the join of their books and their DFA
+/// factor block ([`ModelRun`]), shared across every scenario a session
+/// executes. Keys come from [`ScenarioConfig::stage1_key`] — a stable
 /// fingerprint of the generating configs — so a sweep that varies only
 /// pricing terms (or report names) regenerates nothing. Eviction is
 /// LRU under two independent bounds: an entry-count capacity and an
@@ -669,7 +677,7 @@ impl Stage1Cache {
 
     /// Look up `key`; on a miss, obtain the model run (disk tier, else
     /// `build` with write-through), hand it to `derive` for the join
-    /// cached beside it, and retain the result.
+    /// and factor block cached beside it, and retain the result.
     ///
     /// This NEVER blocks on another request's build. Pipeline tasks run
     /// on pool workers whose nested scopes *steal and inline other
@@ -1061,8 +1069,9 @@ impl RiskSessionBuilder {
     /// entries are evicted until the retained entries' estimated
     /// footprints fit `bytes` — an entry is charged its model run
     /// ([`Stage1Output::memory_bytes`]) plus the join of its books
-    /// cached beside it ([`EventJoin::memory_bytes`]), and an evicted
-    /// entry drops both. The just-published entry always
+    /// ([`EventJoin::memory_bytes`]) and the DFA factor block
+    /// ([`DfaFactors::memory_bytes`]) cached beside it, and an evicted
+    /// entry drops all three. The just-published entry always
     /// survives, so a budget smaller than
     /// one model run degrades to caching only the latest run. The
     /// never-blocking leader/follower protocol is unchanged — eviction
@@ -1586,7 +1595,7 @@ impl RiskSession {
         let model = self.stage1.get_or_build(
             key,
             || scenario.build_stage1_counted_on(&self.pool),
-            |output| self.derive_model_run(key, output),
+            |output| self.derive_model_run(key, scenario.seed, output),
         )?;
         let stage1 = StageTiming {
             stage: 1,
@@ -1597,9 +1606,12 @@ impl RiskSession {
 
     /// Complete a cache entry: build the per-book secondary tables on
     /// the session's pool and join the books — the one table every
-    /// scenario sharing `key` reads. Both depend on the ELTs and the
-    /// session's options only, so the cache key needs nothing added.
-    fn derive_model_run(&self, key: u64, output: Stage1Output) -> RiskResult<ModelRun> {
+    /// scenario sharing `key` reads — then build stage 3's factor block
+    /// on the same pool. The first two depend on the ELTs and the
+    /// session's options only; the block on `seed` (the scenario's,
+    /// which `key` fingerprints), the YET's trial count and the
+    /// session's company — so the cache key needs nothing added.
+    fn derive_model_run(&self, key: u64, seed: u64, output: Stage1Output) -> RiskResult<ModelRun> {
         let opts = self.runner.options();
         let elts = || output.books.iter().map(|book| &*book.elt);
         let secondary = {
@@ -1617,9 +1629,19 @@ impl RiskSession {
         };
         riskpipe_obs::counter_add("stage2.join_builds", 1);
         riskpipe_obs::counter_add("stage2.join_hits", join.hits() as u64);
+        let dfa_factors = {
+            let _span = riskpipe_obs::span_key("stage3.dfa_factors", key);
+            DfaEngine::typical(self.company).simulate_factors(
+                output.yet.trials(),
+                seed ^ 0xDFA,
+                &|n, task| par_map_collect(&self.pool, n, 1, task),
+            )?
+        };
+        riskpipe_obs::counter_add("stage3.dfa_factor_builds", 1);
         Ok(ModelRun {
             output: Arc::new(output),
             join,
+            dfa_factors,
         })
     }
 
@@ -1681,7 +1703,7 @@ impl RiskSession {
         let dfa = DfaEngine::typical(self.company);
         let dfa_result = {
             let _dfa_span = riskpipe_obs::span_key("stage3.dfa", span_key);
-            dfa.run(&ylt, scenario.seed ^ 0xDFA)?
+            dfa.apply(&model.dfa_factors, &ylt)?
         };
         let stage3 = StageTiming {
             stage: 3,

@@ -7,6 +7,33 @@
 //! distribution-free: each factor keeps its exact marginal (the values
 //! are only *reordered*), while the reordering imposes the desired
 //! Spearman correlation structure.
+//!
+//! # What may run in pieces, and what may not
+//!
+//! Iman–Conover hands its independent pieces to a [`TaskMap`] (the
+//! session's pool under [`DfaEngine::simulate_factors`], [`serial_map`]
+//! under [`iman_conover`]) and must return the same bits whatever that
+//! map does with them:
+//!
+//! * **Chunk-addressable** (cut at fixed [`TASK_CHUNK`] row
+//!   boundaries): the van der Waerden scores — `normal_icdf(i / (n+1))`
+//!   is a function of the row index alone — and the `M·A` product,
+//!   whose row `r` reads row `r` of `M` and the k×k matrix `A`, each
+//!   output element its own k-term sum in a fixed order.
+//! * **Column-addressable** (one task per column): step 4's rank-sort
+//!   of the score column, sort of the data column and gather. Column
+//!   `c` reads nothing of column `c'`; both sorts use `total_cmp`, so
+//!   ties are bit-equal and the sorted column does not depend on how
+//!   the sort broke them.
+//! * **Order-bound, always serial:** the k Fisher–Yates shuffles draw
+//!   from *one* sequential `Pcg64` — column `c`'s permutation starts
+//!   where column `c − 1`'s stopped, so neither the columns nor the
+//!   swaps within one can be reordered — and the k² score-correlation
+//!   entries are each a running floating-point sum over all `n` rows:
+//!   splitting a sum into per-chunk partials changes its rounding.
+//!   Both are O(n·k) with tiny constants next to the pieces above.
+//!
+//! [`DfaEngine::simulate_factors`]: crate::DfaEngine::simulate_factors
 
 use riskpipe_types::rng::{Pcg64, Rng64};
 use riskpipe_types::special::normal_icdf;
@@ -118,16 +145,53 @@ fn invert_lower(l: &[f64], k: usize) -> Vec<f64> {
     inv
 }
 
+/// Rows (or trials) per task wherever the factor block is cut into
+/// independent pieces. Fixed — never derived from a thread count — so
+/// the pieces, and with them every bit of the result, are the same on
+/// any pool.
+pub const TASK_CHUNK: usize = 8_192;
+
+/// How the factor block runs its independent pieces: `map(n, task)`
+/// calls `task(i)` once for every `i in 0..n` — in any order, on any
+/// threads — and returns the results **in index order**. Taking this as
+/// a parameter keeps the crate free of a thread-pool dependency; the
+/// session passes its pool's `par_map_collect`, everything else passes
+/// [`serial_map`].
+pub type TaskMap<'a> = dyn Fn(usize, &(dyn Fn(usize) -> Vec<f64> + Sync)) -> Vec<Vec<f64>> + 'a;
+
+/// The in-order, single-threaded [`TaskMap`].
+pub fn serial_map(n: usize, task: &(dyn Fn(usize) -> Vec<f64> + Sync)) -> Vec<Vec<f64>> {
+    (0..n).map(task).collect()
+}
+
+/// Rows `i·TASK_CHUNK ..` of an `n`-row table, clipped to `n`.
+pub(crate) fn chunk_rows(i: usize, n: usize) -> std::ops::Range<usize> {
+    i * TASK_CHUNK..((i + 1) * TASK_CHUNK).min(n)
+}
+
 /// Reorder `columns` in place so their Spearman rank correlation
 /// approximates `target`, preserving each column's marginal exactly
 /// (Iman & Conover, 1982).
 ///
-/// All columns must share the same length `n ≥ 2`; `columns.len()` must
-/// equal `target.dim()`.
+/// All columns must share the same length `n`, with more rows than
+/// columns (`n > columns.len()`: the score sample's correlation must
+/// have full rank); `columns.len()` must equal `target.dim()`.
 pub fn iman_conover(
     columns: &mut [Vec<f64>],
     target: &CorrelationMatrix,
     seed: u64,
+) -> RiskResult<()> {
+    iman_conover_on(columns, target, seed, &serial_map)
+}
+
+/// [`iman_conover`] with its independent pieces run through `map`; the
+/// result is bit-identical for every conforming [`TaskMap`] (see the
+/// module docs for which pieces those are).
+pub(crate) fn iman_conover_on(
+    columns: &mut [Vec<f64>],
+    target: &CorrelationMatrix,
+    seed: u64,
+    map: &TaskMap<'_>,
 ) -> RiskResult<()> {
     let k = columns.len();
     if k != target.dim() {
@@ -145,16 +209,26 @@ pub fn iman_conover(
     if columns.iter().any(|c| c.len() != n) {
         return Err(RiskError::invalid("columns must have equal length"));
     }
-    if n < 2 {
-        return Err(RiskError::invalid("need at least 2 rows"));
+    if n <= k {
+        // With n ≤ k rows the k score columns are linearly dependent,
+        // their sample correlation is singular and step 3's Cholesky
+        // would fail — blaming a matrix the caller never supplied.
+        return Err(RiskError::invalid(format!(
+            "Iman–Conover needs more rows than columns: {n} rows for {k} columns"
+        )));
     }
+    let chunks = n.div_ceil(TASK_CHUNK);
 
     // 1. Score matrix: van der Waerden scores, independently shuffled
-    //    per column (row-major n×k).
+    //    per column (row-major n×k). The scores are a pure function of
+    //    the row index; the shuffles share one sequential generator.
+    let base_scores: Vec<f64> = map(chunks, &|i| {
+        chunk_rows(i, n)
+            .map(|r| normal_icdf((r + 1) as f64 / (n + 1) as f64))
+            .collect()
+    })
+    .concat();
     let mut rng = Pcg64::new(seed);
-    let base_scores: Vec<f64> = (1..=n)
-        .map(|i| normal_icdf(i as f64 / (n + 1) as f64))
-        .collect();
     let mut m = vec![0.0f64; n * k];
     for c in 0..k {
         let mut perm: Vec<usize> = (0..n).collect();
@@ -167,8 +241,10 @@ pub fn iman_conover(
             m[r * k + c] = base_scores[perm[r]];
         }
     }
+    drop(base_scores);
 
-    // 2. Current correlation of the scores.
+    // 2. Current correlation of the scores. Each entry is one running
+    //    sum over all rows, in row order.
     let mut cur = vec![0.0f64; k * k];
     for a in 0..k {
         for b in 0..k {
@@ -189,7 +265,15 @@ pub fn iman_conover(
     }
 
     // 3. Transform: M* = M (Q⁻¹)ᵀ Tᵀ with Q = chol(cur), T = chol(target).
-    let q = cur_norm.cholesky()?;
+    // n > k makes a singular score sample unlikely, not impossible (two
+    // columns can draw the same permutation when n is tiny): name it,
+    // so the target matrix is not blamed for it.
+    let q = cur_norm.cholesky().map_err(|_| {
+        RiskError::invalid(format!(
+            "Iman–Conover's shuffled score sample ({n} rows x {k} columns) is \
+             rank-deficient under this seed; use more rows"
+        ))
+    })?;
     let t = target.cholesky()?;
     let q_inv = invert_lower(&q, k);
     // A = (Q⁻¹)ᵀ Tᵀ, i.e. A[p][c] = Σ_w q_inv[w][p] * t[c][w].
@@ -203,31 +287,42 @@ pub fn iman_conover(
             a[p * k + c] = s;
         }
     }
-    let mut m_star = vec![0.0f64; n * k];
-    for r in 0..n {
-        for c in 0..k {
-            let mut s = 0.0;
-            for p in 0..k {
-                s += m[r * k + p] * a[p * k + c];
+    // Row r of M* reads row r of M only: one task per row chunk.
+    let m_star: Vec<Vec<f64>> = map(chunks, &|i| {
+        let mut out = Vec::with_capacity(chunk_rows(i, n).len() * k);
+        for r in chunk_rows(i, n) {
+            for c in 0..k {
+                let mut s = 0.0;
+                for p in 0..k {
+                    s += m[r * k + p] * a[p * k + c];
+                }
+                out.push(s);
             }
-            m_star[r * k + c] = s;
         }
-    }
+        out
+    });
+    drop(m);
 
     // 4. Reorder each data column to match the ranks of its score
     //    column: the smallest data value goes where the smallest score
-    //    sits, and so on.
-    for c in 0..k {
-        let score_col: Vec<f64> = (0..n).map(|r| m_star[r * k + c]).collect();
+    //    sits, and so on. Column c reads column c only: one task each.
+    let reordered = map(k, &|c| {
+        let mut score_col = Vec::with_capacity(n);
+        for rows in &m_star {
+            score_col.extend(rows.chunks_exact(k).map(|row| row[c]));
+        }
         let score_ranks = ranks(&score_col); // 1-based average ranks
+        drop(score_col);
         let mut sorted = columns[c].clone();
         sorted.sort_unstable_by(f64::total_cmp);
-        let col = &mut columns[c];
-        for r in 0..n {
+        score_ranks
+            .iter()
             // rank 1 → smallest.
-            let idx = (score_ranks[r].round() as usize - 1).min(n - 1);
-            col[r] = sorted[idx];
-        }
+            .map(|rank| sorted[(rank.round() as usize - 1).min(n - 1)])
+            .collect()
+    });
+    for (col, new) in columns.iter_mut().zip(reordered) {
+        *col = new;
     }
     Ok(())
 }
@@ -349,5 +444,23 @@ mod tests {
         assert!(iman_conover(&mut cols, &target, 1).is_err());
         let mut uneven = vec![vec![1.0, 2.0], vec![1.0]];
         assert!(iman_conover(&mut uneven, &CorrelationMatrix::identity(2), 1).is_err());
+    }
+
+    #[test]
+    fn too_few_rows_rejected_by_name() {
+        // n ≤ k rows make the score sample rank-deficient; the error
+        // must say so instead of calling the target "not positive
+        // definite".
+        let target = CorrelationMatrix::exchangeable(3, 0.5).unwrap();
+        for n in 0..=3 {
+            let mut cols = sample_columns(n);
+            let msg = iman_conover(&mut cols, &target, 1).unwrap_err().to_string();
+            assert!(
+                msg.contains(&format!("{n} rows for 3 columns")),
+                "n = {n}: {msg}"
+            );
+        }
+        let mut cols = sample_columns(4);
+        iman_conover(&mut cols, &target, 1).unwrap();
     }
 }

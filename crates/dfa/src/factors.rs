@@ -4,8 +4,21 @@
 //!
 //! Every model simulates a per-trial column deterministically from the
 //! master seed: factor `f`, trial `t` draws from Philox stream
-//! `(seed, f·2⁴⁰ + t)`, so columns are independent across factors and
+//! `(seed, f·2⁴⁰ ^ t)`, so columns are independent across factors and
 //! reproducible in isolation (engines can simulate any subset).
+//!
+//! **Everything here is chunk-addressable.** A trial's value depends on
+//! its own stream and the model's parameters only — no state is carried
+//! from trial `t` to `t + 1` — so `simulate_range(a..b)` yields exactly
+//! elements `a..b` of `simulate(trials)`, bit for bit, whatever else
+//! has or has not been simulated. That is what lets
+//! [`DfaEngine::simulate_factors`](crate::DfaEngine::simulate_factors)
+//! cut the seven columns into (factor, trial-chunk) tasks and run them
+//! in any order on any number of threads. Nothing in this module is
+//! order-bound; the order-bound pieces of the factor block live in
+//! [`correlate`](crate::correlate).
+
+use std::ops::Range;
 
 use riskpipe_types::dist::{Distribution, LogNormal, Poisson};
 use riskpipe_types::rng::{Rng64, SeedStream};
@@ -44,7 +57,12 @@ pub struct InvestmentModel {
 impl InvestmentModel {
     /// Per-trial investment income (can be negative).
     pub fn simulate(&self, trials: usize, streams: &SeedStream) -> Vec<f64> {
-        (0..trials)
+        self.simulate_range(0..trials, streams)
+    }
+
+    /// Elements `range` of [`Self::simulate`].
+    pub(crate) fn simulate_range(&self, range: Range<usize>, streams: &SeedStream) -> Vec<f64> {
+        range
             .map(|t| {
                 let mut rng = factor_rng(streams, factor_ids::INVESTMENT, t as u64);
                 let z = normal_icdf(rng.next_f64_open());
@@ -72,9 +90,14 @@ pub struct VasicekModel {
 impl VasicekModel {
     /// Per-trial average short rate over 12 monthly steps.
     pub fn simulate(&self, trials: usize, streams: &SeedStream) -> Vec<f64> {
+        self.simulate_range(0..trials, streams)
+    }
+
+    /// Elements `range` of [`Self::simulate`].
+    pub(crate) fn simulate_range(&self, range: Range<usize>, streams: &SeedStream) -> Vec<f64> {
         let dt = 1.0f64 / 12.0;
         let sqdt = dt.sqrt();
-        (0..trials)
+        range
             .map(|t| {
                 let mut rng = factor_rng(streams, factor_ids::RATES, t as u64);
                 let mut r = self.r0;
@@ -103,7 +126,12 @@ pub struct MarketCycleModel {
 impl MarketCycleModel {
     /// Per-trial premium adequacy factor.
     pub fn simulate(&self, trials: usize, streams: &SeedStream) -> Vec<f64> {
-        (0..trials)
+        self.simulate_range(0..trials, streams)
+    }
+
+    /// Elements `range` of [`Self::simulate`].
+    pub(crate) fn simulate_range(&self, range: Range<usize>, streams: &SeedStream) -> Vec<f64> {
+        range
             .map(|t| {
                 let mut rng = factor_rng(streams, factor_ids::CYCLE, t as u64);
                 let z = normal_icdf(rng.next_f64_open());
@@ -127,7 +155,12 @@ pub struct CounterpartyModel {
 impl CounterpartyModel {
     /// Per-trial fraction of recoverables *lost* (0 when no default).
     pub fn simulate(&self, trials: usize, streams: &SeedStream) -> Vec<f64> {
-        (0..trials)
+        self.simulate_range(0..trials, streams)
+    }
+
+    /// Elements `range` of [`Self::simulate`].
+    pub(crate) fn simulate_range(&self, range: Range<usize>, streams: &SeedStream) -> Vec<f64> {
+        range
             .map(|t| {
                 let mut rng = factor_rng(streams, factor_ids::COUNTERPARTY, t as u64);
                 if rng.next_f64() < self.default_prob {
@@ -154,9 +187,14 @@ pub struct OperationalModel {
 impl OperationalModel {
     /// Per-trial total operational loss.
     pub fn simulate(&self, trials: usize, streams: &SeedStream) -> Vec<f64> {
+        self.simulate_range(0..trials, streams)
+    }
+
+    /// Elements `range` of [`Self::simulate`].
+    pub(crate) fn simulate_range(&self, range: Range<usize>, streams: &SeedStream) -> Vec<f64> {
         let freq = Poisson::new(self.frequency.max(1e-12));
         let sev = LogNormal::from_mean_cv(self.severity_mean, self.severity_cv);
-        (0..trials)
+        range
             .map(|t| {
                 let mut rng = factor_rng(streams, factor_ids::OPERATIONAL, t as u64);
                 let n = freq.sample_count(&mut rng);
@@ -180,8 +218,13 @@ pub struct ReserveModel {
 impl ReserveModel {
     /// Per-trial adverse development.
     pub fn simulate(&self, trials: usize, streams: &SeedStream) -> Vec<f64> {
+        self.simulate_range(0..trials, streams)
+    }
+
+    /// Elements `range` of [`Self::simulate`].
+    pub(crate) fn simulate_range(&self, range: Range<usize>, streams: &SeedStream) -> Vec<f64> {
         let factor = LogNormal::from_mean_cv(1.0, self.cv);
-        (0..trials)
+        range
             .map(|t| {
                 let mut rng = factor_rng(streams, factor_ids::RESERVE, t as u64);
                 self.reserves * (factor.sample(&mut rng) - 1.0)
@@ -203,18 +246,29 @@ pub struct AttritionalModel {
 impl AttritionalModel {
     /// Validate and simulate per-trial attritional losses.
     pub fn simulate(&self, trials: usize, streams: &SeedStream) -> RiskResult<Vec<f64>> {
+        self.validate()?;
+        Ok(self.simulate_range(0..trials, streams))
+    }
+
+    pub(crate) fn validate(&self) -> RiskResult<()> {
         if self.expected <= 0.0 || self.cv <= 0.0 {
             return Err(RiskError::invalid(
                 "attritional parameters must be positive",
             ));
         }
+        Ok(())
+    }
+
+    /// Elements `range` of [`Self::simulate`]; the caller has run
+    /// [`Self::validate`].
+    pub(crate) fn simulate_range(&self, range: Range<usize>, streams: &SeedStream) -> Vec<f64> {
         let d = LogNormal::from_mean_cv(self.expected, self.cv);
-        Ok((0..trials)
+        range
             .map(|t| {
                 let mut rng = factor_rng(streams, factor_ids::ATTRITIONAL, t as u64);
                 d.sample(&mut rng)
             })
-            .collect())
+            .collect()
     }
 }
 

@@ -91,8 +91,13 @@ pub fn run_horizon(
         return Err(RiskError::invalid("cycle_phi must be in [0,1)"));
     }
     let trials = cat_ylt.trials();
-    if trials < 2 {
-        return Err(RiskError::invalid("horizon needs at least 2 trials"));
+    // Each year runs Iman–Conover over every column but the cycle's
+    // (see below): dim − 1 columns, which need dim rows.
+    let min_trials = engine.correlation.dim();
+    if trials < min_trials {
+        return Err(RiskError::invalid(format!(
+            "horizon needs at least {min_trials} trials, got {trials}"
+        )));
     }
     let c = engine.company;
     let base = SeedStream::new(cfg.seed);
@@ -291,5 +296,11 @@ mod tests {
             }
         )
         .is_err());
+        // Four correlated columns per year need five trials.
+        let msg = run_horizon(&engine, &cat_ylt(4, 1.0), &HorizonConfig::default())
+            .unwrap_err()
+            .to_string();
+        assert!(msg.contains("at least 5 trials, got 4"), "{msg}");
+        run_horizon(&engine, &cat_ylt(5, 1.0), &HorizonConfig::default()).unwrap();
     }
 }

@@ -26,11 +26,11 @@ pub mod horizon;
 pub mod statement;
 
 pub use allocation::{allocate, AllocationMethod, CapitalAllocation, UnitAllocation};
-pub use correlate::{iman_conover, CorrelationMatrix};
+pub use correlate::{iman_conover, serial_map, CorrelationMatrix, TaskMap, TASK_CHUNK};
 pub use enterprise::{BusinessUnit, EnterpriseResult, EnterpriseRollup};
 pub use factors::{
     CounterpartyModel, InvestmentModel, MarketCycleModel, OperationalModel, ReserveModel,
     VasicekModel,
 };
 pub use horizon::{run_horizon, HorizonConfig, HorizonResult};
-pub use statement::{CompanyConfig, DfaEngine, DfaResult};
+pub use statement::{CompanyConfig, DfaEngine, DfaFactors, DfaResult};

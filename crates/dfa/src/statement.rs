@@ -20,7 +20,9 @@
 //! markets, and keeping the alignment preserves drill-down back to the
 //! event level).
 
-use crate::correlate::{iman_conover, CorrelationMatrix};
+use crate::correlate::{
+    chunk_rows, iman_conover_on, serial_map, CorrelationMatrix, TaskMap, TASK_CHUNK,
+};
 use crate::factors::{
     AttritionalModel, CounterpartyModel, InvestmentModel, MarketCycleModel, OperationalModel,
     ReserveModel, VasicekModel,
@@ -154,44 +156,87 @@ impl DfaEngine {
         }
     }
 
-    /// Run DFA against a catastrophe YLT.
+    /// Run DFA against a catastrophe YLT: build the factor block for
+    /// its trial count single-threaded, then [`Self::apply`] it.
     pub fn run(&self, cat_ylt: &Ylt, seed: u64) -> RiskResult<DfaResult> {
-        self.company.validate()?;
-        let trials = cat_ylt.trials();
-        if trials < 2 {
-            return Err(RiskError::invalid("DFA needs at least 2 trials"));
-        }
-        let streams = SeedStream::new(seed);
+        let factors = self.simulate_factors(cat_ylt.trials(), seed, &serial_map)?;
+        self.apply(&factors, cat_ylt)
+    }
 
-        // Simulate the factor columns.
-        let investment = self.investment.simulate(trials, &streams);
-        let rates = self.rates.simulate(trials, &streams);
-        let cycle = self.cycle.simulate(trials, &streams);
+    /// Everything DFA needs that no catastrophe loss can change: the
+    /// seven factor columns for `trials` trials under `seed`, the five
+    /// market/underwriting ones already reordered by Iman–Conover. The
+    /// independent pieces — each factor column in [`TASK_CHUNK`]-trial
+    /// chunks, then the pieces of Iman–Conover that
+    /// [`correlate`](crate::correlate) lists — run through `map`; the
+    /// block is bit-identical for every conforming [`TaskMap`].
+    pub fn simulate_factors(
+        &self,
+        trials: usize,
+        seed: u64,
+        map: &TaskMap<'_>,
+    ) -> RiskResult<DfaFactors> {
+        self.company.validate()?;
+        let min_trials = self.correlation.dim() + 1;
+        if trials < min_trials {
+            return Err(RiskError::invalid(format!(
+                "DFA needs at least {min_trials} trials, got {trials}"
+            )));
+        }
         let attritional = AttritionalModel {
             expected: self.company.attritional_expected,
             cv: self.company.attritional_cv,
-        }
-        .simulate(trials, &streams)?;
-        let reserve_dev = self.reserve.simulate(trials, &streams);
-        let counterparty = self.counterparty.simulate(trials, &streams);
-        let operational = self.operational.simulate(trials, &streams);
+        };
+        attritional.validate()?;
+        let streams = SeedStream::new(seed);
+
+        // Simulate the factor columns, in `DfaFactors::columns` order:
+        // task i is chunk i % chunks of column i / chunks.
+        let chunks = trials.div_ceil(TASK_CHUNK);
+        let mut pieces = map(7 * chunks, &|i| {
+            let range = chunk_rows(i % chunks, trials);
+            match i / chunks {
+                0 => self.investment.simulate_range(range, &streams),
+                1 => self.rates.simulate_range(range, &streams),
+                2 => self.cycle.simulate_range(range, &streams),
+                3 => attritional.simulate_range(range, &streams),
+                4 => self.reserve.simulate_range(range, &streams),
+                5 => self.counterparty.simulate_range(range, &streams),
+                _ => self.operational.simulate_range(range, &streams),
+            }
+        })
+        .into_iter();
+        let mut columns: [Vec<f64>; 7] =
+            std::array::from_fn(|_| pieces.by_ref().take(chunks).collect::<Vec<_>>().concat());
 
         // Correlate the market/underwriting columns.
-        let mut cols = vec![investment, rates, cycle, attritional, reserve_dev];
-        iman_conover(&mut cols, &self.correlation, streams.derive(0xC0_44))?;
-        let [investment, rates, cycle, attritional, reserve_dev]: [Vec<f64>; 5] =
-            cols.try_into().expect("five columns");
+        let shuffle_seed = streams.derive(0xC0_44);
+        iman_conover_on(&mut columns[..5], &self.correlation, shuffle_seed, map)?;
+        Ok(DfaFactors { columns })
+    }
 
-        // Assemble statements.
+    /// Assemble the per-trial statements: the accounting identity over
+    /// a prebuilt factor block and a catastrophe YLT of the same trial
+    /// count.
+    pub fn apply(&self, factors: &DfaFactors, cat_ylt: &Ylt) -> RiskResult<DfaResult> {
+        self.company.validate()?;
+        let trials = cat_ylt.trials();
+        if factors.trials() != trials {
+            return Err(RiskError::invalid(format!(
+                "DFA factor block holds {} trials but the YLT has {trials}",
+                factors.trials()
+            )));
+        }
         let c = &self.company;
+        let [investment, rates, cycle, attritional, reserve_dev, counterparty, operational] =
+            &factors.columns;
         let mut net_income = Vec::with_capacity(trials);
         let mut ending_capital = Vec::with_capacity(trials);
         let mut underwriting = Vec::with_capacity(trials);
-        let cat = cat_ylt.agg_losses();
-        for t in 0..trials {
+        for (t, &cat_gross) in cat_ylt.agg_losses().iter().enumerate() {
             let (uw, ni) = trial_result(
                 c,
-                cat[t],
+                cat_gross,
                 cycle[t],
                 attritional[t],
                 reserve_dev[t],
@@ -210,6 +255,38 @@ impl DfaEngine {
             underwriting_result: underwriting,
             initial_capital: c.initial_capital,
         })
+    }
+}
+
+/// The terms-independent half of a DFA run: seven per-trial factor
+/// columns, post-correlation, for one `(engine, trials, seed)`. Built by
+/// [`DfaEngine::simulate_factors`], consumed by [`DfaEngine::apply`] —
+/// once per scenario that shares the seed and trial count.
+#[derive(Debug)]
+pub struct DfaFactors {
+    /// Investment, rates, cycle, attritional, reserve development (the
+    /// five Iman–Conover reorders), then counterparty, operational.
+    columns: [Vec<f64>; 7],
+}
+
+impl DfaFactors {
+    /// Trials per column.
+    pub fn trials(&self) -> usize {
+        self.columns[0].len()
+    }
+
+    /// The columns in a fixed order: investment, rates, cycle,
+    /// attritional, reserve development, counterparty, operational.
+    pub fn columns(&self) -> &[Vec<f64>; 7] {
+        &self.columns
+    }
+
+    /// Heap bytes held: 7 columns × 8 B × trials.
+    pub fn memory_bytes(&self) -> usize {
+        self.columns
+            .iter()
+            .map(|c| std::mem::size_of_val(&c[..]))
+            .sum()
     }
 }
 
@@ -380,6 +457,105 @@ mod tests {
         assert!(e2.run(&cat_ylt(100, 1.0), 0).is_err());
         // Too few trials.
         assert!(engine.run(&Ylt::zeroed(1), 0).is_err());
+    }
+
+    #[test]
+    fn minimum_trial_count_is_stated_and_true() {
+        // Iman–Conover over five columns needs six rows; anything less
+        // is refused up front, by name, not by a Cholesky failure deep
+        // inside that blames the (valid) target matrix.
+        let engine = DfaEngine::typical(CompanyConfig::typical());
+        for trials in 2..=5 {
+            let err = engine.run(&cat_ylt(trials, 1.0), 0).unwrap_err();
+            assert!(matches!(err, RiskError::InvalidParameter(_)), "{err}");
+            let msg = err.to_string();
+            assert!(
+                msg.contains("at least 6 trials") && msg.contains(&format!("got {trials}")),
+                "{trials} trials: {msg}"
+            );
+        }
+        assert_eq!(engine.run(&cat_ylt(6, 1.0), 0).unwrap().trials(), 6);
+    }
+
+    /// A conforming [`TaskMap`] that runs the tasks last to first.
+    fn reverse_map(n: usize, task: &(dyn Fn(usize) -> Vec<f64> + Sync)) -> Vec<Vec<f64>> {
+        let mut out: Vec<Vec<f64>> = (0..n).rev().map(task).collect();
+        out.reverse();
+        out
+    }
+
+    fn column_bits(factors: &DfaFactors) -> Vec<Vec<u64>> {
+        let bits = |c: &Vec<f64>| c.iter().map(|x| x.to_bits()).collect();
+        factors.columns().iter().map(bits).collect()
+    }
+
+    #[test]
+    fn factor_block_is_bit_identical_whatever_order_the_tasks_run_in() {
+        let engine = DfaEngine::typical(CompanyConfig::typical());
+        for trials in [
+            100, // below one chunk
+            TASK_CHUNK - 1,
+            TASK_CHUNK,
+            TASK_CHUNK + 1,
+            2 * TASK_CHUNK + 777, // not a multiple
+        ] {
+            let serial = engine.simulate_factors(trials, 9, &serial_map).unwrap();
+            let reversed = engine.simulate_factors(trials, 9, &reverse_map).unwrap();
+            assert_eq!(serial.trials(), trials);
+            assert_eq!(serial.memory_bytes(), 7 * 8 * trials);
+            assert_eq!(column_bits(&serial), column_bits(&reversed), "{trials}");
+        }
+    }
+
+    #[test]
+    fn factor_columns_keep_their_marginals_across_chunk_seams() {
+        // The two uncorrelated columns come straight out of the chunked
+        // simulation: element t must be what the model draws for trial
+        // t, on either side of a chunk boundary.
+        let engine = DfaEngine::typical(CompanyConfig::typical());
+        let trials = TASK_CHUNK + 3;
+        let streams = SeedStream::new(4);
+        let block = engine.simulate_factors(trials, 4, &serial_map).unwrap();
+        let [.., counterparty, operational] = block.columns();
+        assert_eq!(
+            counterparty,
+            &engine.counterparty.simulate(trials, &streams)
+        );
+        assert_eq!(operational, &engine.operational.simulate(trials, &streams));
+    }
+
+    #[test]
+    fn run_is_apply_over_the_simulated_block() {
+        let engine = DfaEngine::typical(CompanyConfig::typical());
+        let ylt = cat_ylt(3_000, 3.0);
+        let whole = engine.run(&ylt, 11).unwrap();
+        let block = engine.simulate_factors(3_000, 11, &reverse_map).unwrap();
+        let split = engine.apply(&block, &ylt).unwrap();
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&whole.net_income), bits(&split.net_income));
+        assert_eq!(
+            bits(&whole.underwriting_result),
+            bits(&split.underwriting_result)
+        );
+        assert_eq!(bits(&whole.ending_capital), bits(&split.ending_capital));
+        // One block serves any YLT of its length.
+        let heavier = engine.apply(&block, &cat_ylt(3_000, 9.0)).unwrap();
+        assert!(heavier.mean_net_income() < split.mean_net_income());
+    }
+
+    #[test]
+    fn apply_rejects_a_ylt_of_another_length() {
+        let engine = DfaEngine::typical(CompanyConfig::typical());
+        let block = engine.simulate_factors(200, 1, &serial_map).unwrap();
+        for trials in [199, 201] {
+            let err = engine.apply(&block, &cat_ylt(trials, 1.0)).unwrap_err();
+            assert!(matches!(err, RiskError::InvalidParameter(_)), "{err}");
+            let msg = err.to_string();
+            assert!(
+                msg.contains("200") && msg.contains(&trials.to_string()),
+                "{msg}"
+            );
+        }
     }
 
     #[test]

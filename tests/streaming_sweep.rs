@@ -10,6 +10,8 @@ use riskpipe::core::{
     PersistingSink, PipelineReport, ReportStream, RiskSession, ScenarioConfig, ShardedFilesStore,
     SweepSummary,
 };
+use riskpipe::dfa::{serial_map, CompanyConfig, DfaEngine, TASK_CHUNK};
+use riskpipe::exec::par_map_collect;
 use riskpipe::exec::ThreadPool;
 use riskpipe::obs::Telemetry;
 use riskpipe::types::{RiskError, RiskResult};
@@ -360,9 +362,10 @@ fn run_after_stream_reuses_the_cache() -> RiskResult<()> {
 
 // ---------------------------------------------------------------------
 // The event-major join of a model run's books (secondary tables moved
-// into hit order) rides the stage-1 cache entry: built once per distinct
-// key by the key's leader, charged to the byte budget, rebuilt from the
-// decoded ELTs on a disk-tier hit — and never visible in a result bit.
+// into hit order) and stage 3's DFA factor block ride the stage-1 cache
+// entry: built once per distinct key by the key's leader, charged to the
+// byte budget, rebuilt from the decoded model run on a disk-tier hit —
+// and never visible in a result bit.
 // ---------------------------------------------------------------------
 
 /// Everything a report derives from its YLT — the stage-3 DFA metrics
@@ -438,6 +441,11 @@ fn same_key_sweep_builds_tables_and_join_once_per_key_on_any_thread_count() -> R
             got[0].elt_rows as u64,
             "one hit per ELT row over the key's books"
         );
+        assert_eq!(
+            metrics.counter("stage3.dfa_factor_builds"),
+            1,
+            "{threads} threads: one factor block for the one key"
+        );
         for (slot, report) in got.iter().enumerate() {
             assert_eq!(
                 result_bits(report),
@@ -451,6 +459,7 @@ fn same_key_sweep_builds_tables_and_join_once_per_key_on_any_thread_count() -> R
         let metrics = telemetry.snapshot().metrics().clone();
         assert_eq!(metrics.counter("stage2.secondary_builds"), 2);
         assert_eq!(metrics.counter("stage2.join_builds"), 2);
+        assert_eq!(metrics.counter("stage3.dfa_factor_builds"), 2);
         assert_eq!(metrics.counter("stage1.builds"), 2);
     }
 
@@ -465,6 +474,7 @@ fn same_key_sweep_builds_tables_and_join_once_per_key_on_any_thread_count() -> R
     let metrics = telemetry.snapshot().metrics().clone();
     assert_eq!(metrics.counter("stage2.secondary_builds"), 8);
     assert_eq!(metrics.counter("stage2.join_builds"), 8);
+    assert_eq!(metrics.counter("stage3.dfa_factor_builds"), 8);
     Ok(())
 }
 
@@ -476,13 +486,19 @@ fn cache_bytes_charge_the_join_and_eviction_drops_it() -> RiskResult<()> {
         ..AggregateOptions::default()
     };
     // What an entry for `s` must be charged under `opts`: the model run
-    // plus the join of its books.
+    // plus the join of its books plus the DFA factor block.
     let entry_bytes = |s: &ScenarioConfig, opts: &AggregateOptions| -> RiskResult<u64> {
         let output = s.build_stage1()?.output;
         let elts = || output.books.iter().map(|book| &*book.elt);
         let tables = build_secondary(elts(), opts, &ThreadPool::new(2));
         let join = EventJoin::build(elts(), tables)?;
-        Ok((output.memory_bytes() + join.memory_bytes()) as u64)
+        let factors = DfaEngine::typical(CompanyConfig::typical()).simulate_factors(
+            s.trials,
+            s.seed ^ 0xDFA,
+            &serial_map,
+        )?;
+        assert_eq!(factors.memory_bytes(), 7 * 8 * s.trials);
+        Ok((output.memory_bytes() + join.memory_bytes() + factors.memory_bytes()) as u64)
     };
 
     // With secondary uncertainty the join carries every book's quantile
@@ -503,7 +519,8 @@ fn cache_bytes_charge_the_join_and_eviction_drops_it() -> RiskResult<()> {
     assert!(charged > without.stage1_cache_stats().bytes);
 
     // A budget below one entry keeps only the latest: B evicts A — its
-    // join with it — and coming back to A rebuilds both, bit-equal.
+    // join and factor block with it — and coming back to A rebuilds all
+    // three, bit-equal.
     let telemetry = Telemetry::new();
     let tight = RiskSession::builder()
         .pool_threads(2)
@@ -522,13 +539,14 @@ fn cache_bytes_charge_the_join_and_eviction_drops_it() -> RiskResult<()> {
             solo.run(&b)?;
             solo.stage1_cache_stats().bytes
         },
-        "only B's model run and join stay charged"
+        "only B's model run, join and factor block stay charged"
     );
     let again = tight.run(&a)?;
     assert_eq!(tight.stage1_cache_stats().builds, 3);
     let metrics = telemetry.snapshot().metrics().clone();
     assert_eq!(metrics.counter("stage2.secondary_builds"), 3);
     assert_eq!(metrics.counter("stage2.join_builds"), 3);
+    assert_eq!(metrics.counter("stage3.dfa_factor_builds"), 3);
     assert_eq!(result_bits(&again), result_bits(&first));
     Ok(())
 }
@@ -567,9 +585,62 @@ fn disk_warm_session_rebuilds_the_join_from_decoded_elts() -> RiskResult<()> {
         2,
         "and so is the join: it is not persisted in the disk tier"
     );
+    assert_eq!(
+        metrics.counter("stage3.dfa_factor_builds"),
+        2,
+        "nor is the factor block"
+    );
     for (slot, (g, w)) in got.iter().zip(&want).enumerate() {
         assert_eq!(result_bits(g), result_bits(w), "slot {slot}");
     }
     std::fs::remove_dir_all(&dir).ok();
+    Ok(())
+}
+
+#[test]
+fn dfa_factor_block_is_bit_identical_on_any_pool() -> RiskResult<()> {
+    // The session builds the block through its pool's
+    // `par_map_collect`; `DfaEngine::run` builds it serially. Same
+    // columns, bit for bit, at trial counts on both sides of every
+    // chunk seam.
+    let engine = DfaEngine::typical(CompanyConfig::typical());
+    let bits = |trials: usize, map: &riskpipe::dfa::TaskMap<'_>| -> RiskResult<Vec<Vec<u64>>> {
+        let block = engine.simulate_factors(trials, 0xDFA ^ 230, map)?;
+        let col = |c: &Vec<f64>| c.iter().map(|x| x.to_bits()).collect();
+        Ok(block.columns().iter().map(col).collect())
+    };
+    let pools: Vec<ThreadPool> = [1, 2, 8].into_iter().map(ThreadPool::new).collect();
+    for trials in [
+        300,
+        TASK_CHUNK - 1,
+        TASK_CHUNK,
+        TASK_CHUNK + 1,
+        2 * TASK_CHUNK + 777,
+    ] {
+        let want = bits(trials, &serial_map)?;
+        for pool in &pools {
+            let got = bits(trials, &|n, task| par_map_collect(pool, n, 1, task))?;
+            assert!(
+                got == want,
+                "{trials} trials on {} threads",
+                pool.thread_count()
+            );
+        }
+    }
+    Ok(())
+}
+
+#[test]
+fn too_few_trials_for_dfa_is_a_named_error_not_a_blamed_matrix() -> RiskResult<()> {
+    let session = RiskSession::builder().pool_threads(2).build()?;
+    let err = session
+        .run(&scenario(231).with_trials(3))
+        .expect_err("3 trials cannot carry a 5-column Iman–Conover");
+    assert!(matches!(err, RiskError::InvalidParameter(_)), "{err}");
+    let msg = err.to_string();
+    assert!(msg.contains("at least 6 trials, got 3"), "{msg}");
+    // The failed key is not poisoned, and the minimum really is 6.
+    assert!(session.run(&scenario(231).with_trials(3)).is_err());
+    assert_eq!(session.run(&scenario(231).with_trials(6))?.ylt.trials(), 6);
     Ok(())
 }

@@ -114,6 +114,11 @@ fn metrics_snapshots_are_bit_identical_across_thread_counts() -> RiskResult<()> 
         4,
         "one join per distinct key"
     );
+    assert_eq!(
+        m.counter("stage3.dfa_factor_builds"),
+        4,
+        "one DFA factor block per distinct key"
+    );
     let elt_rows: usize = grid(0x0B5)
         .0
         .iter()
@@ -241,9 +246,10 @@ fn span_tree_covers_every_stage_of_a_full_plan() -> RiskResult<()> {
         ("sweep.run_stream", 1),
         ("sweep.scenario", n),
         ("stage1.acquire", n),
-        ("stage1.build", n),     // distinct seeds → one build each
-        ("stage2.secondary", n), // … and one table set each
-        ("stage2.join", n),      // … joined once each
+        ("stage1.build", n),       // distinct seeds → one build each
+        ("stage2.secondary", n),   // … and one table set each
+        ("stage2.join", n),        // … joined once each
+        ("stage3.dfa_factors", n), // … and one DFA factor block each
         ("stage2.engine", n),
         ("stage2.persist_yelt", n),
         ("stage3.dfa", n),
@@ -274,12 +280,14 @@ fn span_tree_covers_every_stage_of_a_full_plan() -> RiskResult<()> {
         assert_eq!(snap.spans_named(name).count(), 0, "{name} span recorded");
     }
 
-    // The secondary tables and the join of the books belong to the
-    // cached model run: each build is a child of its key's
-    // `stage1.acquire`, keyed by `stage1_key` — siblings, tables first.
+    // The secondary tables, the join of the books and the DFA factor
+    // block belong to the cached model run: each build is a child of
+    // its key's `stage1.acquire`, keyed by `stage1_key` — siblings,
+    // tables first.
     for derived in snap
         .spans_named("stage2.secondary")
         .chain(snap.spans_named("stage2.join"))
+        .chain(snap.spans_named("stage3.dfa_factors"))
     {
         let parent = snap
             .spans_named("stage1.acquire")
@@ -348,6 +356,11 @@ fn reset_windows_cumulative_telemetry() -> RiskResult<()> {
         "tables cached too"
     );
     assert_eq!(m2.counter("stage2.join_builds"), 0, "and the join");
+    assert_eq!(
+        m2.counter("stage3.dfa_factor_builds"),
+        0,
+        "and the DFA factor block"
+    );
     assert_eq!(m2.counter("stage1.hits"), 4);
     assert_eq!(m2.counter("stage2.scenarios"), 4, "fresh window counts");
     Ok(())

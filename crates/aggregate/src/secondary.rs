@@ -21,19 +21,35 @@
 //! analysis run. It is also not what the engines read: tables are the
 //! *input* of [`EventJoin::build`](crate::EventJoin::build), which
 //! moves their rows into event-major hit order and drops them.
-//! `RiskSession` builds one table per book and joins them **once per
+//! `RiskSession` obtains one table per book and joins them **once per
 //! cached model run**: the stage-1 cache leader does both on the
-//! session's pool right after the model run is built (or decoded from
-//! the disk tier), retains the join beside the `Stage1Output` under the
+//! session's pool right after the model run is built or decoded from
+//! the disk tier, retains the join beside the `Stage1Output` under the
 //! same LRU/byte budget, and every scenario sharing the `stage1_key`
 //! reads it through the engines' prepared entry point
 //! ([`AggregateEngine::run_prepared`](crate::AggregateEngine::run_prepared)).
 //! Only the options-taking `run(.., opts)` convenience builds tables
 //! and a join itself, once per call, on the engine's own pool.
+//!
+//! "Obtains", because a table has a cheap part and an expensive part.
+//! Exposure and the per-row betas are a handful of flops per ELT row;
+//! the interpolation grid is `rows × g` Newton inversions and is
+//! essentially the whole build. So the grid — and only the grid — is
+//! what a tier-attached session persists: after
+//! [`SecondaryTable::build_on`] the leader appends each book's grid to
+//! the key's disk entry ([`SecondaryTable::encode_grid_into`], one
+//! CRC-checked frame per book), and a later process that decodes the
+//! entry calls [`SecondaryTable::adopt_grid`] instead of `build_on`:
+//! the cheap part recomputed from the decoded ELT, the grid taken from
+//! the frame after checking it is one a build over that ELT could have
+//! produced. The adopted table is the built one bit for bit, and the
+//! join is rebuilt from it exactly as after a build — no join structure
+//! is ever serialised. Exact mode has no grid and persists nothing.
 
 use riskpipe_exec::{par_chunks_mut, suggest_grain, ThreadPool};
-use riskpipe_tables::Elt;
+use riskpipe_tables::{codec, Elt};
 use riskpipe_types::dist::Beta;
+use riskpipe_types::{RiskError, RiskResult};
 
 /// How beta quantiles are evaluated at run time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -43,6 +59,17 @@ pub enum QuantileMode {
     /// Pre-tabulated quantiles at `n` grid points, linear interpolation
     /// between them (the GPU-paper scheme). `n >= 2`.
     Interpolated(u32),
+}
+
+impl QuantileMode {
+    /// Grid points per row a table built under this mode tabulates —
+    /// `None` for [`QuantileMode::Exact`], which has no grid.
+    pub fn grid_points(self) -> Option<usize> {
+        match self {
+            QuantileMode::Exact => None,
+            QuantileMode::Interpolated(g) => Some(g.max(2) as usize),
+        }
+    }
 }
 
 impl Default for QuantileMode {
@@ -121,20 +148,11 @@ impl SecondaryTable {
     /// Build the table for an ELT, tabulating rows in parallel on
     /// `pool`. The table is identical on any pool and thread count.
     pub fn build_on(elt: &Elt, mode: QuantileMode, pool: &ThreadPool) -> Self {
-        let (_ids, mean, sigma_i, sigma_c, exposure) = elt.columns();
-        let n = mean.len();
-        let mut betas = Vec::with_capacity(n);
-        for i in 0..n {
-            let exp = exposure[i];
-            let mean_dr = mean[i] / exp;
-            let sigma = (sigma_i[i] * sigma_i[i] + sigma_c[i] * sigma_c[i]).sqrt();
-            let sd_dr = sigma / exp;
-            betas.push(Beta::from_mean_sd_clamped(mean_dr, sd_dr));
-        }
-        let (grid, grid_n) = match mode {
-            QuantileMode::Exact => (Vec::new(), 0),
-            QuantileMode::Interpolated(g) => {
-                let g = g.max(2) as usize;
+        let betas = row_betas(elt);
+        let n = betas.len();
+        let (grid, grid_n) = match mode.grid_points() {
+            None => (Vec::new(), 0),
+            Some(g) => {
                 // Grid over (0,1) excluding the exact endpoints:
                 // u_k = (k + 0.5) / g keeps quantiles finite.
                 let us: Vec<f64> = (0..g).map(|k| (k as f64 + 0.5) / g as f64).collect();
@@ -155,11 +173,64 @@ impl SecondaryTable {
             }
         };
         Self {
-            exposure: exposure.to_vec(),
+            exposure: elt.columns().4.to_vec(),
             betas,
             grid,
             grid_n,
         }
+    }
+
+    /// Grid points per row (0 in exact mode).
+    pub fn grid_points(&self) -> usize {
+        self.grid_n
+    }
+
+    /// Append the table's grid to `out` as one CRC-checked
+    /// [`codec::TableKind::QuantileGrid`] frame — the expensive part of
+    /// the table, and the only part [`SecondaryTable::adopt_grid`] does
+    /// not recompute. An exact-mode table has no grid and appends
+    /// nothing.
+    pub fn encode_grid_into(&self, out: &mut Vec<u8>) {
+        if self.grid_n > 0 {
+            out.extend_from_slice(&codec::encode_quantile_grid(self.grid_n, &self.grid));
+        }
+    }
+
+    /// The table for `elt` around the grid frame at the front of `data`
+    /// instead of a fresh inversion; returns it and the bytes consumed.
+    /// Exposure and betas are recomputed from the ELT, so a table
+    /// adopted from the bytes [`SecondaryTable::encode_grid_into`] wrote
+    /// for the same ELT equals the built one bit for bit.
+    ///
+    /// # Errors
+    /// [`RiskError::Corrupt`] unless the frame verifies and holds what a
+    /// build over this ELT could have produced: one row per ELT row, at
+    /// least two points per row, every cell a damage-ratio quantile —
+    /// finite and in `[0, 1]`. (Which grid size the caller wants is the
+    /// caller's check: [`SecondaryTable::grid_points`].)
+    pub fn adopt_grid(elt: &Elt, data: &[u8]) -> RiskResult<(Self, usize)> {
+        let (frame, used) = codec::decode_quantile_grid(data)?;
+        if frame.rows != elt.len() || frame.g < 2 {
+            return Err(RiskError::corrupt(format!(
+                "quantile grid of {} rows x {} points for an ELT of {} rows",
+                frame.rows,
+                frame.g,
+                elt.len()
+            )));
+        }
+        if let Some(i) = frame.cells.iter().position(|q| !(0.0..=1.0).contains(q)) {
+            return Err(RiskError::corrupt(format!(
+                "quantile grid cell {i} is {}, not a damage ratio",
+                frame.cells[i]
+            )));
+        }
+        let table = Self {
+            exposure: elt.columns().4.to_vec(),
+            betas: row_betas(elt),
+            grid: frame.cells,
+            grid_n: frame.g,
+        };
+        Ok((table, used))
     }
 
     /// Number of rows.
@@ -195,6 +266,18 @@ impl SecondaryTable {
     pub fn memory_bytes(&self) -> usize {
         self.exposure.len() * 8 + self.betas.len() * 16 + self.grid.len() * 8
     }
+}
+
+/// Each ELT row's damage-ratio beta, moment-matched to
+/// `(mean / exposure, sigma / exposure)`.
+fn row_betas(elt: &Elt) -> Vec<Beta> {
+    let (_ids, mean, sigma_i, sigma_c, exposure) = elt.columns();
+    (0..mean.len())
+        .map(|i| {
+            let sigma = (sigma_i[i] * sigma_i[i] + sigma_c[i] * sigma_c[i]).sqrt();
+            Beta::from_mean_sd_clamped(mean[i] / exposure[i], sigma / exposure[i])
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -328,6 +411,59 @@ mod tests {
                 assert_eq!(t.grid, reference.grid, "g {g} on {threads} threads");
             }
         }
+    }
+
+    #[test]
+    fn adopted_grid_is_the_built_table_bit_for_bit() {
+        let elt = sample_elt();
+        let built = SecondaryTable::build(&elt, QuantileMode::Interpolated(17));
+        let mut bytes = vec![0xAA]; // frames append; they do not own `out`
+        built.encode_grid_into(&mut bytes);
+        let (adopted, used) = SecondaryTable::adopt_grid(&elt, &bytes[1..]).unwrap();
+        assert_eq!(used, bytes.len() - 1);
+        assert_eq!(adopted.grid_points(), 17);
+        let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&adopted.grid), bits(&built.grid));
+        assert_eq!(bits(&adopted.exposure), bits(&built.exposure));
+        assert_eq!(adopted.betas, built.betas);
+        // Exact mode has no grid to persist.
+        let mut none = Vec::new();
+        SecondaryTable::build(&elt, QuantileMode::Exact).encode_grid_into(&mut none);
+        assert!(none.is_empty());
+    }
+
+    #[test]
+    fn crc_valid_grids_no_build_could_produce_are_corrupt() {
+        // The CRC vouches for the bytes, not for their meaning: every
+        // frame here verifies, and none is adopted.
+        let elt = sample_elt();
+        let g = 5;
+        let good: Vec<f64> = SecondaryTable::build(&elt, QuantileMode::Interpolated(g as u32)).grid;
+        let patched = |cell: usize, value: f64| {
+            let mut cells = good.clone();
+            cells[cell] = value;
+            codec::encode_quantile_grid(g, &cells)
+        };
+        let frames = [
+            ("NaN cell", patched(7, f64::NAN)),
+            ("cell above 1", patched(0, 1.5)),
+            ("negative cell", patched(99, -1e-9)),
+            ("infinite cell", patched(50, f64::INFINITY)),
+            ("one row short", codec::encode_quantile_grid(g, &good[g..])),
+            (
+                "one-point grid",
+                codec::encode_quantile_grid(1, &good[..elt.len()]),
+            ),
+            // rows × g is the right cell count, transposed.
+            ("transposed", codec::encode_quantile_grid(elt.len(), &good)),
+        ];
+        for (what, frame) in frames {
+            match SecondaryTable::adopt_grid(&elt, &frame) {
+                Err(RiskError::Corrupt(_)) => {}
+                other => panic!("{what}: expected Corrupt, got {:?}", other.map(|(_, n)| n)),
+            }
+        }
+        assert!(SecondaryTable::adopt_grid(&elt, &codec::encode_quantile_grid(g, &good)).is_ok());
     }
 
     #[test]

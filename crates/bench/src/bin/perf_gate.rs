@@ -126,7 +126,10 @@ fn check_kernel() -> f64 {
 /// (the exhaustive event x location loop took 0.74 s); the armed
 /// counters catch a regression to that loop on any machine: the pairs
 /// that ran the exact loss chain must stay under 5 % of the event x
-/// location product.
+/// location product. The timed session writes through to a disk tier
+/// (riskbench's cold pass does too); a second, untimed session over
+/// the same tier then pins "disk-warm means warm" by count alone: no
+/// model run rebuilt and no beta inverted, on any machine.
 fn check_stage1() -> f64 {
     let scenarios: Vec<ScenarioConfig> = (0..4u64)
         .map(|k| {
@@ -139,23 +142,41 @@ fn check_stage1() -> f64 {
             s
         })
         .collect();
-    let telemetry = riskpipe_obs::Telemetry::new();
-    let session = RiskSession::builder()
-        .pool_threads(4)
-        .telemetry(telemetry.clone())
-        .build()
-        .unwrap();
-    let t0 = Instant::now();
-    let mut summary = SweepSummary::new();
-    session.run_stream(&scenarios, &mut summary).unwrap();
-    let elapsed = t0.elapsed().as_secs_f64();
-    assert_eq!(summary.scenarios(), 4);
-    let snap = telemetry.snapshot();
+    let tier = std::env::temp_dir().join(format!("riskpipe-perfgate-s1-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&tier);
+    let tiered_sweep = || {
+        let telemetry = riskpipe_obs::Telemetry::new();
+        let session = RiskSession::builder()
+            .pool_threads(4)
+            .stage1_disk_cache(&tier)
+            .telemetry(telemetry.clone())
+            .build()
+            .unwrap();
+        let t0 = Instant::now();
+        let mut summary = SweepSummary::new();
+        session.run_stream(&scenarios, &mut summary).unwrap();
+        let elapsed = t0.elapsed().as_secs_f64();
+        assert_eq!(summary.scenarios(), 4);
+        (elapsed, telemetry.snapshot())
+    };
+    let (elapsed, snap) = tiered_sweep();
+    let (_, warm) = tiered_sweep();
+    let _ = std::fs::remove_dir_all(&tier);
     let metrics = snap.metrics();
     assert_eq!(
         metrics.counter("stage1.builds"),
         4,
         "four distinct keys build four model runs"
+    );
+    let warm = warm.metrics();
+    assert_eq!(
+        (
+            warm.counter("stage1.builds"),
+            warm.counter("stage1.disk_hits"),
+            warm.counter("stage2.secondary_builds"),
+        ),
+        (0, 4, 0),
+        "a disk-warm session rebuilt a model run or re-inverted its betas"
     );
     let product = 4 * 4 * 500 * 12_000u64;
     let pairs = metrics.counter("stage1.elt_pairs");

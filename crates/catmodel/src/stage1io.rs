@@ -11,6 +11,19 @@
 //! [`RiskError::corrupt`](riskpipe_types::RiskError) — a disk tier can
 //! then treat it as a miss and rebuild.
 //!
+//! ```text
+//! stage-1 frame        key, catalogue, per-book exposure (below)
+//! ELT frame × n_books  riskpipe_tables::codec::encode_elt
+//! YET frame            riskpipe_tables::codec::encode_yet
+//! ```
+//!
+//! That is the whole of [`encode_stage1`] / [`decode_stage1`]. A
+//! disk-tier *entry* (`riskpipe-core::stage1disk`) is this encoding
+//! followed by zero or `n_books` quantile-grid frames — derived data
+//! this crate knows nothing about — which is what
+//! [`decode_stage1_prefix`] is for: it decodes the same three parts and
+//! reports where they end.
+//!
 //! Stage-1 header payload, little-endian:
 //!
 //! ```text
@@ -224,6 +237,21 @@ fn decode_header(payload: &[u8]) -> RiskResult<(u64, EventCatalog, Vec<ExposureP
 /// invalid tables — always with `RiskError::corrupt`-family errors,
 /// never a panic.
 pub fn decode_stage1(data: &[u8]) -> RiskResult<(u64, Stage1Output)> {
+    let (key, output, used) = decode_stage1_prefix(data)?;
+    if used != data.len() {
+        return Err(RiskError::corrupt(format!(
+            "stage1 stream has {} trailing bytes",
+            data.len() - used
+        )));
+    }
+    Ok((key, output))
+}
+
+/// [`decode_stage1`] for a stream that may go on: decodes the stage-1
+/// encoding at the front of `data` and also returns the bytes it
+/// consumed, leaving what follows (a disk-tier entry's quantile-grid
+/// frames) to the caller — who then owes the exact-consumption check.
+pub fn decode_stage1_prefix(data: &[u8]) -> RiskResult<(u64, Stage1Output, usize)> {
     let (kind, payload, mut off) = codec::unframe(data)?;
     if kind != TableKind::Stage1 {
         return Err(RiskError::corrupt(format!(
@@ -233,7 +261,7 @@ pub fn decode_stage1(data: &[u8]) -> RiskResult<(u64, Stage1Output)> {
     let (key, catalog, exposures) = decode_header(payload)?;
     let mut books = Vec::with_capacity(exposures.len());
     for exposure in exposures {
-        let (_, _, used) = codec::unframe(&data[off..])?;
+        let used = codec::frame_len(&data[off..])?;
         let elt = codec::decode_elt(&data[off..off + used])?;
         off += used;
         books.push(Book {
@@ -241,23 +269,15 @@ pub fn decode_stage1(data: &[u8]) -> RiskResult<(u64, Stage1Output)> {
             elt: Arc::new(elt),
         });
     }
-    let (_, _, used) = codec::unframe(&data[off..])?;
+    let used = codec::frame_len(&data[off..])?;
     let yet = codec::decode_yet(&data[off..off + used])?;
     off += used;
-    if off != data.len() {
-        return Err(RiskError::corrupt(format!(
-            "stage1 stream has {} trailing bytes",
-            data.len() - off
-        )));
-    }
-    Ok((
-        key,
-        Stage1Output {
-            catalog: Arc::new(catalog),
-            books,
-            yet: Arc::new(yet),
-        },
-    ))
+    let output = Stage1Output {
+        catalog: Arc::new(catalog),
+        books,
+        yet: Arc::new(yet),
+    };
+    Ok((key, output, off))
 }
 
 #[cfg(test)]

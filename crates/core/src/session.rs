@@ -46,6 +46,7 @@ use crate::sink::ReportSink;
 use crate::stage1disk::DiskStage1Cache;
 use riskpipe_aggregate::{
     build_secondary, AggregateEngine, AggregateOptions, AggregateRunner, EngineKind, EventJoin,
+    SecondaryTable,
 };
 use riskpipe_catmodel::{EltGenCounts, Stage1Output};
 use riskpipe_dfa::{CompanyConfig, DfaEngine, DfaFactors};
@@ -414,8 +415,10 @@ pub struct Stage1CacheStats {
     /// RAM misses served by the disk tier
     /// ([`RiskSessionBuilder::stage1_disk_cache`]) instead of a build.
     pub disk_hits: u64,
-    /// Entries written through to the disk tier (one per successful
-    /// build while the tier is attached).
+    /// Entries written through to the disk tier: one per successful
+    /// build while the tier is attached, plus one per disk hit whose
+    /// entry lacked the quantile grids this session tabulates (it is
+    /// rewritten with them, so the next process inverts nothing).
     pub disk_writes: u64,
     /// Build timings aged out of the fixed-capacity timing ring
     /// ([`RiskSessionBuilder::stage1_timing_capacity`]) — when this is
@@ -480,6 +483,19 @@ impl ModelRun {
     fn memory_bytes(&self) -> usize {
         self.output.memory_bytes() + self.join.memory_bytes() + self.dfa_factors.memory_bytes()
     }
+}
+
+/// A model run as a RAM miss obtained it, before anything is derived
+/// from it: freshly built, or decoded from the disk tier together with
+/// whatever grids its entry carried.
+struct Acquired {
+    output: Stage1Output,
+    /// One secondary table per book, adopted from the disk entry's grid
+    /// frames; empty after a build, and when the entry carried none.
+    grids: Vec<SecondaryTable>,
+    /// Whether the disk tier already holds an entry for the key (a disk
+    /// hit). A build still has to be written through.
+    on_disk: bool,
 }
 
 /// One key's cache entry. `Building` marks an in-progress build so
@@ -676,8 +692,13 @@ impl Stage1Cache {
     }
 
     /// Look up `key`; on a miss, obtain the model run (disk tier, else
-    /// `build` with write-through), hand it to `derive` for the join
-    /// and factor block cached beside it, and retain the result.
+    /// `build`), hand it to `derive` for the join and factor block
+    /// cached beside it — and for the write-through, which waits for
+    /// the grids `derive` tabulates so they ride in the same entry
+    /// ([`Stage1Cache::disk_store`]) — and retain the result. Nothing
+    /// is published before `derive` returns, so a disk-tier error takes
+    /// the same retry path as a failed build instead of leaving RAM and
+    /// disk disagreeing.
     ///
     /// This NEVER blocks on another request's build. Pipeline tasks run
     /// on pool workers whose nested scopes *steal and inline other
@@ -696,7 +717,7 @@ impl Stage1Cache {
         &self,
         key: u64,
         build: impl FnOnce() -> RiskResult<(Stage1Output, EltGenCounts)>,
-        derive: impl FnOnce(Stage1Output) -> RiskResult<ModelRun>,
+        derive: impl FnOnce(Acquired) -> RiskResult<ModelRun>,
     ) -> RiskResult<Arc<ModelRun>> {
         if self.capacity == 0 {
             self.misses.fetch_add(1, Ordering::Relaxed);
@@ -782,36 +803,39 @@ impl Stage1Cache {
 
     /// RAM missed: a complete disk entry serves `key` without a build
     /// (bit-identical — stage 1 is a pure function of the key, and the
-    /// codec round trip is exact); otherwise build it and write it
-    /// through *before* the caller publishes, so a disk-tier error
-    /// takes the same retry path as a failed build instead of leaving
-    /// RAM and disk disagreeing.
+    /// codec round trip is exact); otherwise build it.
     fn load_or_build(
         &self,
         key: u64,
         build: impl FnOnce() -> RiskResult<(Stage1Output, EltGenCounts)>,
-    ) -> RiskResult<Stage1Output> {
-        if let Some(output) = self.disk_load(key)? {
-            return Ok(output);
+    ) -> RiskResult<Acquired> {
+        if let Some((output, grids)) = self.disk_load(key)? {
+            return Ok(Acquired {
+                output,
+                grids,
+                on_disk: true,
+            });
         }
-        let output = self.timed_build(key, build)?;
-        self.disk_store(key, &output)?;
-        Ok(output)
+        Ok(Acquired {
+            output: self.timed_build(key, build)?,
+            grids: Vec::new(),
+            on_disk: false,
+        })
     }
 
     /// Consult the disk tier for `key`. A corrupt or key-mismatched
-    /// entry self-heals: the bad file is removed and the lookup
-    /// reports a miss, so the caller rebuilds and the write-through
-    /// atomically replaces it.
-    fn disk_load(&self, key: u64) -> RiskResult<Option<Stage1Output>> {
+    /// entry — a damaged grid frame included — self-heals: the bad file
+    /// is removed and the lookup reports a miss, so the caller rebuilds
+    /// and the write-through atomically replaces it.
+    fn disk_load(&self, key: u64) -> RiskResult<Option<(Stage1Output, Vec<SecondaryTable>)>> {
         let Some(disk) = &self.disk else {
             return Ok(None);
         };
-        match disk.load(key) {
-            Ok(Some(output)) => {
+        match disk.load_entry(key) {
+            Ok(Some(entry)) => {
                 self.disk_hits.fetch_add(1, Ordering::Relaxed);
                 riskpipe_obs::counter_add("stage1.disk_hits", 1);
-                Ok(Some(output))
+                Ok(Some(entry))
             }
             Ok(None) => Ok(None),
             Err(RiskError::Corrupt(_)) => {
@@ -822,10 +846,16 @@ impl Stage1Cache {
         }
     }
 
-    /// Write `output` through to the disk tier, if attached.
-    fn disk_store(&self, key: u64, output: &Stage1Output) -> RiskResult<()> {
+    /// Write `output` and its books' `tables` (their grids; empty for
+    /// none) through to the disk tier, if attached.
+    fn disk_store(
+        &self,
+        key: u64,
+        output: &Stage1Output,
+        tables: &[SecondaryTable],
+    ) -> RiskResult<()> {
         if let Some(disk) = &self.disk {
-            disk.store(key, output)?;
+            disk.store_entry(key, output, tables)?;
             self.disk_writes.fetch_add(1, Ordering::Relaxed);
             riskpipe_obs::counter_add("stage1.disk_writes", 1);
         }
@@ -1167,7 +1197,7 @@ impl RiskSessionBuilder {
                 .with_pool(Arc::clone(&pool)),
             pool,
             store,
-            company: self.company,
+            dfa: DfaEngine::typical(self.company),
             stage1: Stage1Cache::new(
                 self.stage1_capacity,
                 self.stage1_bytes,
@@ -1187,7 +1217,9 @@ pub struct RiskSession {
     pool: Arc<ThreadPool>,
     runner: AggregateRunner,
     store: Arc<dyn IntermediateStore>,
-    company: CompanyConfig,
+    /// Stage 3's engine for the session's company, built once: every
+    /// key's factor block and every scenario's statement borrow it.
+    dfa: DfaEngine,
     stage1: Stage1Cache,
     /// Completed `run`/`run_stream` calls — sequences
     /// [`RunLabel::run`] so a long-lived session's spills never collide.
@@ -1595,7 +1627,7 @@ impl RiskSession {
         let model = self.stage1.get_or_build(
             key,
             || scenario.build_stage1_counted_on(&self.pool),
-            |output| self.derive_model_run(key, scenario.seed, output),
+            |acquired| self.derive_model_run(key, scenario.seed, acquired),
         )?;
         let stage1 = StageTiming {
             stage: 1,
@@ -1604,24 +1636,52 @@ impl RiskSession {
         Ok((model, stage1))
     }
 
-    /// Complete a cache entry: build the per-book secondary tables on
-    /// the session's pool and join the books — the one table every
-    /// scenario sharing `key` reads — then build stage 3's factor block
-    /// on the same pool. The first two depend on the ELTs and the
-    /// session's options only; the block on `seed` (the scenario's,
-    /// which `key` fingerprints), the YET's trial count and the
-    /// session's company — so the cache key needs nothing added.
-    fn derive_model_run(&self, key: u64, seed: u64, output: Stage1Output) -> RiskResult<ModelRun> {
+    /// Complete a cache entry: the per-book secondary tables — adopted
+    /// from the disk entry when it carried this session's grids, built
+    /// on the session's pool otherwise — joined into the one table
+    /// every scenario sharing `key` reads, then stage 3's factor block
+    /// on the same pool. Between the two sits the disk write-through:
+    /// a fresh build is stored with its grids, and a disk hit whose
+    /// entry lacked them (written with secondary uncertainty off, under
+    /// another grid size, or before the tier carried grids) is
+    /// rewritten with them, so the next process adopts instead of
+    /// inverting. The tables depend on the ELTs and the session's
+    /// options only; the block on `seed` (the scenario's, which `key`
+    /// fingerprints), the YET's trial count and the session's company —
+    /// so the cache key needs nothing added.
+    fn derive_model_run(&self, key: u64, seed: u64, acquired: Acquired) -> RiskResult<ModelRun> {
+        let Acquired {
+            output,
+            grids,
+            on_disk,
+        } = acquired;
         let opts = self.runner.options();
         let elts = || output.books.iter().map(|book| &*book.elt);
-        let secondary = {
+        // The grid size this session tabulates, if it tabulates one.
+        let grid_points = opts
+            .secondary_uncertainty
+            .then(|| opts.quantile_mode.grid_points())
+            .flatten();
+        let adopted = grid_points.is_some_and(|g| {
+            !grids.is_empty() && grids.iter().all(|table| table.grid_points() == g)
+        });
+        let secondary = if adopted {
+            Some(grids)
+        } else {
             let _span = opts
                 .secondary_uncertainty
                 .then(|| riskpipe_obs::span_key("stage2.secondary", key));
-            build_secondary(elts(), opts, &self.pool)
+            let built = build_secondary(elts(), opts, &self.pool);
+            if built.is_some() {
+                riskpipe_obs::counter_add("stage2.secondary_builds", 1);
+            }
+            built
         };
-        if secondary.is_some() {
-            riskpipe_obs::counter_add("stage2.secondary_builds", 1);
+        // A session that tabulates no grid leaves a disk entry as it
+        // found it: the grids there are another session's to use.
+        if !on_disk || (grid_points.is_some() && !adopted) {
+            self.stage1
+                .disk_store(key, &output, secondary.as_deref().unwrap_or_default())?;
         }
         let join = {
             let _span = riskpipe_obs::span_key("stage2.join", key);
@@ -1631,11 +1691,10 @@ impl RiskSession {
         riskpipe_obs::counter_add("stage2.join_hits", join.hits() as u64);
         let dfa_factors = {
             let _span = riskpipe_obs::span_key("stage3.dfa_factors", key);
-            DfaEngine::typical(self.company).simulate_factors(
-                output.yet.trials(),
-                seed ^ 0xDFA,
-                &|n, task| par_map_collect(&self.pool, n, 1, task),
-            )?
+            self.dfa
+                .simulate_factors(output.yet.trials(), seed ^ 0xDFA, &|n, task| {
+                    par_map_collect(&self.pool, n, 1, task)
+                })?
         };
         riskpipe_obs::counter_add("stage3.dfa_factor_builds", 1);
         Ok(ModelRun {
@@ -1700,10 +1759,9 @@ impl RiskSession {
         // lint: allow(D3) — reading flows only into the stage-3
         // StageTiming diagnostic, never into loss numerics.
         let t0 = Instant::now();
-        let dfa = DfaEngine::typical(self.company);
         let dfa_result = {
             let _dfa_span = riskpipe_obs::span_key("stage3.dfa", span_key);
-            dfa.apply(&model.dfa_factors, &ylt)?
+            self.dfa.apply(&model.dfa_factors, &ylt)?
         };
         let stage3 = StageTiming {
             stage: 3,

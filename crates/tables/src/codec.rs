@@ -50,13 +50,18 @@ pub enum TableKind {
     /// A materialised warehouse cuboid (payload layout owned by
     /// `riskpipe-warehouse::store`).
     Cuboid = 6,
-    /// A cached stage-1 output (payload layout owned by
-    /// `riskpipe-core::stage1disk`).
+    /// The leading frame of a cached stage-1 output (payload layout
+    /// owned by `riskpipe-catmodel::stage1io`).
     Stage1 = 7,
     /// A per-run manifest enumerating the slots a sweep persisted
     /// (payload layout owned by `riskpipe-core::session`). Written
     /// last, so its presence certifies the run completed.
     RunManifest = 8,
+    /// One book's inverted secondary-uncertainty quantile grid, carried
+    /// at the tail of a stage-1 disk-tier entry (see
+    /// [`encode_quantile_grid`]; adopted by
+    /// `riskpipe-aggregate::secondary`).
+    QuantileGrid = 9,
 }
 
 impl TableKind {
@@ -71,17 +76,22 @@ impl TableKind {
             6 => Ok(TableKind::Cuboid),
             7 => Ok(TableKind::Stage1),
             8 => Ok(TableKind::RunManifest),
+            9 => Ok(TableKind::QuantileGrid),
             _ => Err(RiskError::corrupt(format!("unknown table kind {v}"))),
         }
     }
 }
 
 // ---------------------------------------------------------------------
-// CRC-32 (IEEE 802.3), table-driven, computed at compile time.
+// CRC-32 (IEEE 802.3), slice-by-8, tables computed at compile time.
 // ---------------------------------------------------------------------
 
-const fn build_crc_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+/// `CRC_TABLES[0]` is the classic byte-at-a-time table; `CRC_TABLES[k]`
+/// advances a byte that is followed by `k` more bytes of the same
+/// 8-byte word, so one word costs eight independent lookups instead of
+/// eight dependent ones.
+const fn build_crc_tables() -> [[u32; 256]; 8] {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         // lint: allow(S2) — loop bound keeps i < 256, so the usize
@@ -96,66 +106,109 @@ const fn build_crc_table() -> [u32; 256] {
             };
             k += 1;
         }
-        table[i] = c;
+        tables[0][i] = c;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = tables[0][(prev & 0xFF) as usize] ^ (prev >> 8);
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
 }
 
-static CRC_TABLE: [u32; 256] = build_crc_table();
+static CRC_TABLES: [[u32; 256]; 8] = build_crc_tables();
 
-/// IEEE CRC-32 of a byte slice.
-pub fn crc32(data: &[u8]) -> u32 {
-    let mut c = 0xFFFF_FFFFu32;
+/// Advance the (pre-inverted) CRC register over `data` one byte at a
+/// time: the tail of [`crc32`], and the whole of the test oracle.
+fn crc32_bytes(mut c: u32, data: &[u8]) -> u32 {
     for &b in data {
-        c = CRC_TABLE[((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8);
+        c = CRC_TABLES[0][((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8);
     }
-    c ^ 0xFFFF_FFFF
+    c
+}
+
+/// IEEE CRC-32 of a byte slice (polynomial 0xEDB88320, reflected) —
+/// slice-by-8: eight bytes per step, the same value the byte-at-a-time
+/// loop gives, so every frame ever written still verifies.
+pub fn crc32(data: &[u8]) -> u32 {
+    let (words, tail) = data.as_chunks::<8>();
+    let mut c = 0xFFFF_FFFFu32;
+    for w in words {
+        let lo = c ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+        c = CRC_TABLES[7][(lo & 0xFF) as usize]
+            ^ CRC_TABLES[6][((lo >> 8) & 0xFF) as usize]
+            ^ CRC_TABLES[5][((lo >> 16) & 0xFF) as usize]
+            ^ CRC_TABLES[4][(lo >> 24) as usize]
+            ^ CRC_TABLES[3][w[4] as usize]
+            ^ CRC_TABLES[2][w[5] as usize]
+            ^ CRC_TABLES[1][w[6] as usize]
+            ^ CRC_TABLES[0][w[7] as usize];
+    }
+    crc32_bytes(c, tail) ^ 0xFFFF_FFFF
 }
 
 // ---------------------------------------------------------------------
-// Column put/get helpers.
+// Column put/get helpers: a u64 element count, then the elements'
+// little-endian bytes, moved in one pass over the whole column.
 // ---------------------------------------------------------------------
 
-fn put_u16s(buf: &mut BytesMut, xs: &[u16]) {
+/// A column element of fixed little-endian width.
+trait LeElem: Copy {
+    const WIDTH: usize;
+    fn write_le(self, dst: &mut [u8]);
+    fn read_le(src: &[u8]) -> Self;
+}
+
+macro_rules! le_elem {
+    ($($t:ty),*) => {$(
+        impl LeElem for $t {
+            const WIDTH: usize = std::mem::size_of::<$t>();
+            #[inline]
+            fn write_le(self, dst: &mut [u8]) {
+                dst.copy_from_slice(&self.to_le_bytes());
+            }
+            #[inline]
+            fn read_le(src: &[u8]) -> Self {
+                let mut b = [0u8; std::mem::size_of::<$t>()];
+                b.copy_from_slice(src);
+                <$t>::from_le_bytes(b)
+            }
+        }
+    )*};
+}
+le_elem!(u16, u32, u64, f64);
+
+/// Encoded size of a column of `n` elements of `T`.
+const fn column_len<T: LeElem>(n: usize) -> usize {
+    8 + n * T::WIDTH
+}
+
+fn put_column<T: LeElem>(buf: &mut Vec<u8>, xs: &[T]) {
     buf.put_u64_le(xs.len() as u64);
-    for &x in xs {
-        buf.put_u16_le(x);
+    let start = buf.len();
+    buf.resize(start + xs.len() * T::WIDTH, 0);
+    for (dst, &x) in buf[start..].chunks_exact_mut(T::WIDTH).zip(xs) {
+        x.write_le(dst);
     }
 }
 
-fn put_u32s(buf: &mut BytesMut, xs: &[u32]) {
-    buf.put_u64_le(xs.len() as u64);
-    for &x in xs {
-        buf.put_u32_le(x);
-    }
-}
-
-fn put_u64s(buf: &mut BytesMut, xs: &[u64]) {
-    buf.put_u64_le(xs.len() as u64);
-    for &x in xs {
-        buf.put_u64_le(x);
-    }
-}
-
-fn put_f64s(buf: &mut BytesMut, xs: &[f64]) {
-    buf.put_u64_le(xs.len() as u64);
-    for &x in xs {
-        buf.put_f64_le(x);
-    }
-}
-
-fn check_remaining(buf: &impl Buf, need: usize, what: &str) -> RiskResult<()> {
-    if buf.remaining() < need {
+fn check_remaining(buf: &[u8], need: usize, what: &str) -> RiskResult<()> {
+    if buf.len() < need {
         return Err(RiskError::corrupt(format!(
             "truncated column {what}: need {need} bytes, have {}",
-            buf.remaining()
+            buf.len()
         )));
     }
     Ok(())
 }
 
-fn get_len(buf: &mut impl Buf, what: &str) -> RiskResult<usize> {
+fn get_len(buf: &mut &[u8], what: &str) -> RiskResult<usize> {
     check_remaining(buf, 8, what)?;
     let n = buf.get_u64_le();
     if n > (1 << 40) {
@@ -177,28 +230,13 @@ fn column_bytes(n: usize, width: usize, what: &str) -> RiskResult<usize> {
     })
 }
 
-fn get_u16s(buf: &mut impl Buf, what: &str) -> RiskResult<Vec<u16>> {
+fn get_column<T: LeElem>(buf: &mut &[u8], what: &str) -> RiskResult<Vec<T>> {
     let n = get_len(buf, what)?;
-    check_remaining(buf, column_bytes(n, 2, what)?, what)?;
-    Ok((0..n).map(|_| buf.get_u16_le()).collect())
-}
-
-fn get_u32s(buf: &mut impl Buf, what: &str) -> RiskResult<Vec<u32>> {
-    let n = get_len(buf, what)?;
-    check_remaining(buf, column_bytes(n, 4, what)?, what)?;
-    Ok((0..n).map(|_| buf.get_u32_le()).collect())
-}
-
-fn get_u64s(buf: &mut impl Buf, what: &str) -> RiskResult<Vec<u64>> {
-    let n = get_len(buf, what)?;
-    check_remaining(buf, column_bytes(n, 8, what)?, what)?;
-    Ok((0..n).map(|_| buf.get_u64_le()).collect())
-}
-
-fn get_f64s(buf: &mut impl Buf, what: &str) -> RiskResult<Vec<f64>> {
-    let n = get_len(buf, what)?;
-    check_remaining(buf, column_bytes(n, 8, what)?, what)?;
-    Ok((0..n).map(|_| buf.get_f64_le()).collect())
+    let bytes = column_bytes(n, T::WIDTH, what)?;
+    check_remaining(buf, bytes, what)?;
+    let (column, rest) = buf.split_at(bytes);
+    *buf = rest;
+    Ok(column.chunks_exact(T::WIDTH).map(T::read_le).collect())
 }
 
 // ---------------------------------------------------------------------
@@ -220,9 +258,10 @@ pub fn frame(kind: TableKind, payload: &[u8]) -> Bytes {
     buf.freeze()
 }
 
-/// Parse the next frame from `data`, returning `(kind, payload,
-/// bytes_consumed)`.
-pub fn unframe(data: &[u8]) -> RiskResult<(TableKind, &[u8], usize)> {
+/// The header fields of the frame at the front of `data`: kind, stored
+/// CRC, and the frame's total length (header + payload), which is
+/// checked to lie inside `data`.
+fn parse_header(data: &[u8]) -> RiskResult<(TableKind, u32, usize)> {
     if data.len() < HEADER_BYTES {
         return Err(RiskError::corrupt("frame header truncated"));
     }
@@ -249,6 +288,21 @@ pub fn unframe(data: &[u8]) -> RiskResult<(TableKind, &[u8], usize)> {
             "frame payload truncated: want {len} bytes"
         )));
     }
+    Ok((kind, crc_expect, total))
+}
+
+/// Total length of the frame at the front of `data`, from its header
+/// alone — for a reader walking concatenated frames that hands each to
+/// a decoder (which verifies the payload) and should not checksum it
+/// twice.
+pub fn frame_len(data: &[u8]) -> RiskResult<usize> {
+    parse_header(data).map(|(_, _, total)| total)
+}
+
+/// Parse the next frame from `data`, returning `(kind, payload,
+/// bytes_consumed)`.
+pub fn unframe(data: &[u8]) -> RiskResult<(TableKind, &[u8], usize)> {
+    let (kind, crc_expect, total) = parse_header(data)?;
     let payload = &data[HEADER_BYTES..total];
     let crc_actual = crc32(payload);
     if crc_actual != crc_expect {
@@ -266,12 +320,13 @@ pub fn unframe(data: &[u8]) -> RiskResult<(TableKind, &[u8], usize)> {
 /// Encode an ELT as one frame.
 pub fn encode_elt(elt: &Elt) -> Bytes {
     let (ids, mean, si, sc, exp) = elt.columns();
-    let mut p = BytesMut::new();
-    put_u32s(&mut p, ids);
-    put_f64s(&mut p, mean);
-    put_f64s(&mut p, si);
-    put_f64s(&mut p, sc);
-    put_f64s(&mut p, exp);
+    let n = ids.len();
+    let mut p = Vec::with_capacity(column_len::<u32>(n) + 4 * column_len::<f64>(n));
+    put_column(&mut p, ids);
+    put_column(&mut p, mean);
+    put_column(&mut p, si);
+    put_column(&mut p, sc);
+    put_column(&mut p, exp);
     frame(TableKind::Elt, &p)
 }
 
@@ -284,22 +339,27 @@ pub fn decode_elt(data: &[u8]) -> RiskResult<Elt> {
         )));
     }
     let mut p = payload;
-    let ids = get_u32s(&mut p, "elt.event_ids")?;
-    let mean = get_f64s(&mut p, "elt.mean_loss")?;
-    let si = get_f64s(&mut p, "elt.sigma_i")?;
-    let sc = get_f64s(&mut p, "elt.sigma_c")?;
-    let exp = get_f64s(&mut p, "elt.exposure")?;
+    let ids = get_column(&mut p, "elt.event_ids")?;
+    let mean = get_column(&mut p, "elt.mean_loss")?;
+    let si = get_column(&mut p, "elt.sigma_i")?;
+    let sc = get_column(&mut p, "elt.sigma_c")?;
+    let exp = get_column(&mut p, "elt.exposure")?;
     elt_from_columns(ids, mean, si, sc, exp)
 }
 
 /// Encode a YET as one frame.
 pub fn encode_yet(yet: &YearEventTable) -> Bytes {
     let (off, ids, days, z) = yet.columns();
-    let mut p = BytesMut::new();
-    put_u64s(&mut p, off);
-    put_u32s(&mut p, ids);
-    put_u16s(&mut p, days);
-    put_f64s(&mut p, z);
+    let mut p = Vec::with_capacity(
+        column_len::<u64>(off.len())
+            + column_len::<u32>(ids.len())
+            + column_len::<u16>(days.len())
+            + column_len::<f64>(z.len()),
+    );
+    put_column(&mut p, off);
+    put_column(&mut p, ids);
+    put_column(&mut p, days);
+    put_column(&mut p, z);
     frame(TableKind::Yet, &p)
 }
 
@@ -312,21 +372,26 @@ pub fn decode_yet(data: &[u8]) -> RiskResult<YearEventTable> {
         )));
     }
     let mut p = payload;
-    let off = get_u64s(&mut p, "yet.offsets")?;
-    let ids = get_u32s(&mut p, "yet.event_ids")?;
-    let days = get_u16s(&mut p, "yet.days")?;
-    let z = get_f64s(&mut p, "yet.z")?;
+    let off = get_column(&mut p, "yet.offsets")?;
+    let ids = get_column(&mut p, "yet.event_ids")?;
+    let days = get_column(&mut p, "yet.days")?;
+    let z = get_column(&mut p, "yet.z")?;
     YearEventTable::from_columns(off, ids, days, z)
 }
 
 /// Encode a YELT as one frame.
 pub fn encode_yelt(yelt: &Yelt) -> Bytes {
     let (off, ids, days, losses) = yelt.columns();
-    let mut p = BytesMut::new();
-    put_u64s(&mut p, off);
-    put_u32s(&mut p, ids);
-    put_u16s(&mut p, days);
-    put_f64s(&mut p, losses);
+    let mut p = Vec::with_capacity(
+        column_len::<u64>(off.len())
+            + column_len::<u32>(ids.len())
+            + column_len::<u16>(days.len())
+            + column_len::<f64>(losses.len()),
+    );
+    put_column(&mut p, off);
+    put_column(&mut p, ids);
+    put_column(&mut p, days);
+    put_column(&mut p, losses);
     frame(TableKind::Yelt, &p)
 }
 
@@ -339,10 +404,10 @@ pub fn decode_yelt(data: &[u8]) -> RiskResult<Yelt> {
         )));
     }
     let mut p = payload;
-    let off = get_u64s(&mut p, "yelt.offsets")?;
-    let ids = get_u32s(&mut p, "yelt.event_ids")?;
-    let days = get_u16s(&mut p, "yelt.days")?;
-    let losses = get_f64s(&mut p, "yelt.losses")?;
+    let off = get_column(&mut p, "yelt.offsets")?;
+    let ids = get_column(&mut p, "yelt.event_ids")?;
+    let days = get_column(&mut p, "yelt.days")?;
+    let losses = get_column(&mut p, "yelt.losses")?;
     // Validate CSR before constructing.
     if off.first().copied() != Some(0)
         || off.windows(2).any(|w| w[0] > w[1])
@@ -358,10 +423,10 @@ pub fn decode_yelt(data: &[u8]) -> RiskResult<Yelt> {
 /// Encode a YLT as one frame.
 pub fn encode_ylt(ylt: &Ylt) -> Bytes {
     let (agg, maxo, cnt) = ylt.columns();
-    let mut p = BytesMut::new();
-    put_f64s(&mut p, agg);
-    put_f64s(&mut p, maxo);
-    put_u32s(&mut p, cnt);
+    let mut p = Vec::with_capacity(encoded_ylt_len(agg.len()) - HEADER_BYTES);
+    put_column(&mut p, agg);
+    put_column(&mut p, maxo);
+    put_column(&mut p, cnt);
     frame(TableKind::Ylt, &p)
 }
 
@@ -384,9 +449,9 @@ pub fn decode_ylt(data: &[u8]) -> RiskResult<Ylt> {
         )));
     }
     let mut p = payload;
-    let agg = get_f64s(&mut p, "ylt.agg")?;
-    let maxo = get_f64s(&mut p, "ylt.max_occ")?;
-    let cnt = get_u32s(&mut p, "ylt.count")?;
+    let agg = get_column(&mut p, "ylt.agg")?;
+    let maxo = get_column(&mut p, "ylt.max_occ")?;
+    let cnt = get_column(&mut p, "ylt.count")?;
     Ylt::from_columns(agg, maxo, cnt)
 }
 
@@ -397,7 +462,7 @@ pub fn decode_ylt(data: &[u8]) -> RiskResult<Ylt> {
 /// the manifest but not a slot has found corruption, not a shorter
 /// sweep.
 pub fn encode_run_manifest(run: u64, slots: u64) -> Bytes {
-    let mut p = BytesMut::with_capacity(16);
+    let mut p = Vec::with_capacity(16);
     p.put_u64_le(run);
     p.put_u64_le(slots);
     frame(TableKind::RunManifest, &p)
@@ -412,7 +477,7 @@ pub fn decode_run_manifest(data: &[u8]) -> RiskResult<(u64, u64)> {
         )));
     }
     let mut p = payload;
-    check_remaining(&p, 16, "run_manifest")?;
+    check_remaining(p, 16, "run_manifest")?;
     let run = p.get_u64_le();
     let slots = p.get_u64_le();
     if p.has_remaining() {
@@ -424,13 +489,65 @@ pub fn decode_run_manifest(data: &[u8]) -> RiskResult<(u64, u64)> {
     Ok((run, slots))
 }
 
+/// One book's inverted secondary-uncertainty quantile grid as a
+/// stage-1 disk-tier entry carries it: `rows × g` cells, row-major.
+#[derive(Debug, Clone, PartialEq)]
+pub struct QuantileGrid {
+    /// ELT rows the grid was tabulated for.
+    pub rows: usize,
+    /// Grid points per row.
+    pub g: usize,
+    /// The `rows × g` quantile cells, row `i` at `i * g`.
+    pub cells: Vec<f64>,
+}
+
+/// Encode a row-major `g`-point quantile grid as one frame: `rows u64`,
+/// `g u64`, then the cell column. `rows` is recorded beside the column
+/// length so a decoder can tell a `g × rows` transposition — same byte
+/// count — from the grid it expects.
+pub fn encode_quantile_grid(g: usize, cells: &[f64]) -> Bytes {
+    let rows = cells.len().checked_div(g).unwrap_or(0);
+    let mut p = Vec::with_capacity(16 + column_len::<f64>(cells.len()));
+    p.put_u64_le(rows as u64);
+    p.put_u64_le(g as u64);
+    put_column(&mut p, cells);
+    frame(TableKind::QuantileGrid, &p)
+}
+
+/// Decode the quantile-grid frame at the front of `data`, returning it
+/// and the bytes consumed. Checks the shape only — `rows × g` (by
+/// `checked_mul`) must be the column's length and the payload must end
+/// there; whether the cells are quantiles, and of which ELT, is the
+/// adopter's call.
+pub fn decode_quantile_grid(data: &[u8]) -> RiskResult<(QuantileGrid, usize)> {
+    let (kind, payload, consumed) = unframe(data)?;
+    if kind != TableKind::QuantileGrid {
+        return Err(RiskError::corrupt(format!(
+            "expected quantile-grid frame, got {kind:?}"
+        )));
+    }
+    let mut p = payload;
+    let rows = get_len(&mut p, "grid.rows")?;
+    let g = get_len(&mut p, "grid.g")?;
+    let cells: Vec<f64> = get_column(&mut p, "grid.cells")?;
+    if rows.checked_mul(g) != Some(cells.len()) || !p.is_empty() {
+        return Err(RiskError::corrupt(format!(
+            "quantile grid of {rows} rows x {g} points carries {} cells and {} trailing bytes",
+            cells.len(),
+            p.len()
+        )));
+    }
+    Ok((QuantileGrid { rows, g, cells }, consumed))
+}
+
 /// Encode one YELLT chunk as one frame.
 pub fn encode_yellt_chunk(chunk: &YelltChunk) -> Bytes {
-    let mut p = BytesMut::new();
-    put_u32s(&mut p, &chunk.trials);
-    put_u32s(&mut p, &chunk.events);
-    put_u32s(&mut p, &chunk.locations);
-    put_f64s(&mut p, &chunk.losses);
+    let n = chunk.trials.len();
+    let mut p = Vec::with_capacity(3 * column_len::<u32>(n) + column_len::<f64>(n));
+    put_column(&mut p, &chunk.trials);
+    put_column(&mut p, &chunk.events);
+    put_column(&mut p, &chunk.locations);
+    put_column(&mut p, &chunk.losses);
     frame(TableKind::YelltChunk, &p)
 }
 
@@ -444,10 +561,10 @@ pub fn decode_yellt_chunk(data: &[u8]) -> RiskResult<(YelltChunk, usize)> {
     }
     let mut p = payload;
     let chunk = YelltChunk {
-        trials: get_u32s(&mut p, "yellt.trials")?,
-        events: get_u32s(&mut p, "yellt.events")?,
-        locations: get_u32s(&mut p, "yellt.locations")?,
-        losses: get_f64s(&mut p, "yellt.losses")?,
+        trials: get_column(&mut p, "yellt.trials")?,
+        events: get_column(&mut p, "yellt.events")?,
+        locations: get_column(&mut p, "yellt.locations")?,
+        losses: get_column(&mut p, "yellt.losses")?,
     };
     chunk.validate()?;
     Ok((chunk, consumed))
@@ -490,11 +607,90 @@ mod tests {
         b.build()
     }
 
+    /// The byte-at-a-time CRC every frame before the slice-by-8 kernel
+    /// was written with — the oracle for [`crc32`].
+    pub(super) fn crc32_bytewise(data: &[u8]) -> u32 {
+        crc32_bytes(0xFFFF_FFFF, data) ^ 0xFFFF_FFFF
+    }
+
     #[test]
     fn crc32_known_vectors() {
         // Standard test vector: "123456789" -> 0xCBF43926.
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+    }
+
+    #[test]
+    fn crc32_equals_the_bytewise_loop_at_every_short_length_and_offset() {
+        // Every split of a buffer into 8-byte words + tail, at every
+        // alignment of its first byte.
+        let buf: Vec<u8> = (0..80u32)
+            .map(|i| (i.wrapping_mul(167) ^ (i >> 2)) as u8)
+            .collect();
+        for start in 0..8 {
+            for len in 0..=64 {
+                let data = &buf[start..start + len];
+                assert_eq!(crc32(data), crc32_bytewise(data), "start {start} len {len}");
+            }
+        }
+    }
+
+    #[test]
+    fn frame_written_before_slice_by_8_still_unframes() {
+        // `encode_ylt` of a 3-trial YLT, bytes as the byte-at-a-time
+        // commit (c6ac945) wrote them: the stored CRC must still match.
+        const OLD: &str = "52505442010004005400000000000000b541d3b70300000000000000\
+            0000000000448f400000000000449f40000000000073a74003000000000000000000\
+            0000007287400000000000729740000000008095a140030000000000000001000000\
+            0200000003000000";
+        let hex: Vec<u8> = OLD.bytes().filter(u8::is_ascii_hexdigit).collect();
+        let bytes: Vec<u8> = hex
+            .chunks_exact(2)
+            .map(|d| u8::from_str_radix(std::str::from_utf8(d).unwrap(), 16).unwrap())
+            .collect();
+        let (kind, payload, used) = unframe(&bytes).unwrap();
+        assert_eq!((kind, used), (TableKind::Ylt, bytes.len()));
+        assert_eq!(crc32(payload), 0xB7D3_41B5);
+        let mut ylt = Ylt::zeroed(3);
+        for t in 0..3u32 {
+            let k = (t + 1) as f64;
+            ylt.set_trial(TrialId::new(t), 1000.5 * k, 750.25 * k, t + 1);
+        }
+        assert_eq!(decode_ylt(&bytes).unwrap(), ylt);
+        assert_eq!(&*encode_ylt(&ylt), &bytes[..], "and today's encoder agrees");
+    }
+
+    #[test]
+    fn quantile_grid_round_trip_and_shape_checks() {
+        let cells: Vec<f64> = (0..12).map(|i| i as f64 / 12.0).collect();
+        let bytes = encode_quantile_grid(4, &cells);
+        let (grid, used) = decode_quantile_grid(&bytes).unwrap();
+        assert_eq!(used, bytes.len());
+        assert_eq!((grid.rows, grid.g), (3, 4));
+        assert_eq!(grid.cells, cells);
+        assert!(decode_quantile_grid(&encode_ylt(&Ylt::zeroed(2))).is_err());
+        // Valid CRC, wrong shape: a transposed header, an overflowing
+        // product, a short column, trailing payload bytes.
+        let (_, payload, _) = unframe(&bytes).unwrap();
+        let reframed = |edit: &dyn Fn(&mut Vec<u8>)| {
+            let mut p = payload.to_vec();
+            edit(&mut p);
+            decode_quantile_grid(&frame(TableKind::QuantileGrid, &p))
+        };
+        assert!(reframed(&|_| {}).is_ok());
+        for (what, rows, g) in [
+            ("rows off by one", 4u64, 4u64),
+            ("rows x g overflows", 1 << 40, 1 << 40),
+            ("zero g", 3, 0),
+        ] {
+            let bad = reframed(&|p| {
+                p[..8].copy_from_slice(&rows.to_le_bytes());
+                p[8..16].copy_from_slice(&g.to_le_bytes());
+            });
+            assert!(matches!(bad, Err(RiskError::Corrupt(_))), "{what}");
+        }
+        assert!(reframed(&|p| p.push(0)).is_err());
+        assert!(reframed(&|p| p.truncate(p.len() - 8)).is_err());
     }
 
     #[test]
@@ -654,6 +850,17 @@ mod proptests {
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Slice-by-8 and the byte-at-a-time loop agree on arbitrary
+        /// bytes at arbitrary alignment.
+        #[test]
+        fn crc32_equals_the_bytewise_loop(
+            data in prop::collection::vec(0u8..=255, 0..600),
+            skip in 0usize..8,
+        ) {
+            let data = &data[skip.min(data.len())..];
+            prop_assert_eq!(crc32(data), super::tests::crc32_bytewise(data));
+        }
 
         /// Arbitrary valid ELTs survive the frame round trip exactly.
         #[test]

@@ -16,9 +16,13 @@
 //! previous file (or no file), never a half-written one. Readers only
 //! have to handle "absent" and "complete"; "torn" cannot happen.
 //!
-//! Leftover `*.rptmp` files are the footprint of an interrupted write
-//! and are safe to delete at any time; [`is_tmp_path`] identifies them
-//! and [`remove_stale_tmps`] sweeps a directory.
+//! Leftover `*.rptmp` files are the footprint of an interrupted write;
+//! [`is_tmp_path`] identifies them and [`remove_stale_tmps`] sweeps a
+//! directory. Temporary names carry the writer's `<pid>-<seq>`, and the
+//! sweep skips the current process's: those are writes in flight on
+//! other threads (a failed write removes its own temporary), not
+//! leftovers. Another process's temporary cannot be told from a crashed
+//! writer's, so it is swept — see [`remove_stale_tmps`].
 
 use riskpipe_types::RiskResult;
 use std::fs;
@@ -118,8 +122,24 @@ const WRITE_BYTES_BOUNDS: &[u64] = &[
     256 << 20,
 ];
 
+/// Whether `name` is a temporary this process created: `tmp_path_for`
+/// names them `<final>.<pid>-<seq>.rptmp`.
+fn is_own_tmp(name: &str) -> bool {
+    name.strip_suffix(TMP_SUFFIX)
+        .and_then(|stem| stem.rsplit_once('.'))
+        .and_then(|(_, tag)| tag.split_once('-'))
+        .is_some_and(|(pid, _)| pid.parse() == Ok(std::process::id()))
+}
+
 /// Remove leftover `*.rptmp` files in `dir` (non-recursive). Returns
 /// how many were removed; a missing directory counts as zero.
+///
+/// Temporaries of the current process are left alone: a sweep racing
+/// another thread's [`write_atomic`] between its create and its rename
+/// would otherwise delete the file under it and fail that write. A
+/// temporary of *another* process is removed whether that process
+/// crashed or is still writing — in the second case its rename fails
+/// with `NotFound` and its `write_atomic` returns the error.
 pub fn remove_stale_tmps(dir: &Path) -> RiskResult<usize> {
     let entries = match fs::read_dir(dir) {
         Ok(e) => e,
@@ -130,7 +150,7 @@ pub fn remove_stale_tmps(dir: &Path) -> RiskResult<usize> {
     for entry in entries {
         let entry = entry?;
         let p = entry.path();
-        if p.is_file() && is_tmp_path(&p) {
+        if p.is_file() && is_tmp_path(&p) && !is_own_tmp(&entry.file_name().to_string_lossy()) {
             fs::remove_file(&p)?;
             removed += 1;
         }
@@ -197,6 +217,28 @@ mod tests {
         assert_eq!(remove_stale_tmps(&dir).unwrap(), 1);
         assert!(!stale.exists());
         assert!(keep.exists());
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn sweep_spares_this_process_and_takes_every_other() {
+        let dir = temp_dir("ownpid");
+        fs::create_dir_all(&dir).unwrap();
+        let own = tmp_path_for(&dir.join("stage1-00aa.rps"));
+        let foreign = dir.join(format!(
+            "stage1-00aa.rps.{}-0{TMP_SUFFIX}",
+            std::process::id().wrapping_add(1)
+        ));
+        // Not `<pid>-<seq>` shaped: nothing this process could have
+        // created, so nothing it may still be writing.
+        let odd = dir.join(format!("{}{TMP_SUFFIX}", std::process::id()));
+        for p in [&own, &foreign, &odd] {
+            fs::write(p, b"in flight").unwrap();
+        }
+        assert_eq!(remove_stale_tmps(&dir).unwrap(), 2);
+        assert!(own.exists() && !foreign.exists() && !odd.exists());
+        // The spared temporary is still the writer's to finish.
+        fs::rename(&own, dir.join("stage1-00aa.rps")).unwrap();
         fs::remove_dir_all(&dir).unwrap();
     }
 

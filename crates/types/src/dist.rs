@@ -19,7 +19,7 @@
 
 use crate::error::{RiskError, RiskResult};
 use crate::rng::Rng64;
-use crate::special::{inv_inc_beta, inv_inc_beta_with, ln_beta, normal_icdf};
+use crate::special::{inv_inc_beta, normal_icdf, BetaNewton};
 
 /// A real-valued distribution that can be sampled from an [`Rng64`].
 pub trait Distribution {
@@ -297,17 +297,19 @@ impl Beta {
     }
 
     /// `out[k] = self.quantile(us[k])` for every `k`, bit for bit, with
-    /// the distribution's `ln B(a, b)` evaluated once for the whole
-    /// batch instead of once per Newton iteration — the tabulation
-    /// kernel of the secondary-uncertainty grid.
+    /// everything that does not depend on `u` evaluated once for the
+    /// batch: `ln B(a, b)`, and the first Newton iterate — every
+    /// inversion starts at the mean, so its CDF and pdf there are one
+    /// evaluation per distribution, not one per abscissa. The
+    /// tabulation kernel of the secondary-uncertainty grid.
     ///
     /// # Panics
     /// If `us` and `out` differ in length.
     pub fn quantiles_into(&self, us: &[f64], out: &mut [f64]) {
         assert_eq!(us.len(), out.len(), "one output slot per abscissa");
-        let ln_b = ln_beta(self.a, self.b);
+        let start = BetaNewton::start(self.a, self.b);
         for (q, &u) in out.iter_mut().zip(us) {
-            *q = inv_inc_beta_with(u.clamp(Self::EPS, 1.0 - Self::EPS), self.a, self.b, ln_b);
+            *q = start.solve(u.clamp(Self::EPS, 1.0 - Self::EPS));
         }
     }
 }

@@ -109,6 +109,13 @@ pub fn inc_beta(a: f64, b: f64, x: f64) -> f64 {
 /// on every iteration. Same operations in the same order, so the
 /// result is bit-identical to [`inc_beta`].
 fn inc_beta_with(a: f64, b: f64, x: f64, ln_b: f64) -> f64 {
+    inc_beta_from_logs(a, b, x, x.ln(), (1.0 - x).ln(), ln_b)
+}
+
+/// [`inc_beta_with`] with `ln_x = x.ln()` and `ln_1mx = (1 - x).ln()`
+/// supplied too: the beta pdf at `x` is built from the same two
+/// logarithms, so a Newton step takes each once.
+fn inc_beta_from_logs(a: f64, b: f64, x: f64, ln_x: f64, ln_1mx: f64, ln_b: f64) -> f64 {
     debug_assert!(a > 0.0 && b > 0.0, "inc_beta requires a,b > 0");
     if x <= 0.0 {
         return 0.0;
@@ -116,7 +123,7 @@ fn inc_beta_with(a: f64, b: f64, x: f64, ln_b: f64) -> f64 {
     if x >= 1.0 {
         return 1.0;
     }
-    let ln_bt = a * x.ln() + b * (1.0 - x).ln() - ln_b;
+    let ln_bt = a * ln_x + b * ln_1mx - ln_b;
     let bt = ln_bt.exp();
     if x < (a + 1.0) / (a + b + 2.0) {
         bt * beta_cf(a, b, x) / a
@@ -125,54 +132,81 @@ fn inc_beta_with(a: f64, b: f64, x: f64, ln_b: f64) -> f64 {
     }
 }
 
-/// Inverse of the regularized incomplete beta: the Beta(a, b) quantile.
-///
-/// Solves `I_x(a, b) = p` with a bracketed Newton iteration (bisection
-/// fallback keeps it unconditionally convergent). Accuracy ~1e-12 in `x`.
-pub fn inv_inc_beta(p: f64, a: f64, b: f64) -> f64 {
-    inv_inc_beta_with(p, a, b, ln_beta(a, b))
+/// One Newton iterate of the Beta(a, b) quantile search: where the
+/// iteration stands, the CDF there and the (floored) pdf there — all
+/// the next step reads, and none of it depends on the target `p`.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct BetaNewton {
+    a: f64,
+    b: f64,
+    ln_b: f64,
+    x: f64,
+    cdf: f64,
+    pdf: f64,
 }
 
-/// [`inv_inc_beta`] with `ln_b = ln_beta(a, b)` supplied by the caller,
-/// so many quantiles of one distribution share one evaluation of it
-/// (bit-identical to [`inv_inc_beta`]).
-pub(crate) fn inv_inc_beta_with(p: f64, a: f64, b: f64, ln_b: f64) -> f64 {
-    debug_assert!(a > 0.0 && b > 0.0);
-    if p <= 0.0 {
-        return 0.0;
+impl BetaNewton {
+    /// The iterate every quantile of Beta(a, b) starts from: the mean,
+    /// robust for the moderate `(a, b)` that moment-matched damage
+    /// ratios produce. Evaluated once, it serves any number of targets.
+    pub(crate) fn start(a: f64, b: f64) -> Self {
+        debug_assert!(a > 0.0 && b > 0.0);
+        let x = (a / (a + b)).clamp(1e-12, 1.0 - 1e-12);
+        Self::at(a, b, ln_beta(a, b), x)
     }
-    if p >= 1.0 {
-        return 1.0;
+
+    fn at(a: f64, b: f64, ln_b: f64, x: f64) -> Self {
+        let (ln_x, ln_1mx) = (x.ln(), (1.0 - x).ln());
+        let cdf = inc_beta_from_logs(a, b, x, ln_x, ln_1mx, ln_b);
+        let ln_pdf = (a - 1.0) * ln_x + (b - 1.0) * ln_1mx - ln_b;
+        Self {
+            a,
+            b,
+            ln_b,
+            x,
+            cdf,
+            pdf: ln_pdf.exp().max(1e-290),
+        }
     }
-    let ln_norm = -ln_b;
-    let (mut lo, mut hi) = (0.0f64, 1.0f64);
-    // Mean as the starting point is robust for the moderate (a, b) that
-    // moment-matched damage ratios produce.
-    let mut x = (a / (a + b)).clamp(1e-12, 1.0 - 1e-12);
-    for _ in 0..100 {
-        let f = inc_beta_with(a, b, x, ln_b) - p;
-        if f > 0.0 {
-            hi = x;
-        } else {
-            lo = x;
+
+    /// Solve `I_x(a, b) = p` from this iterate with a bracketed Newton
+    /// iteration (the beta pdf is the derivative; a bisection fallback
+    /// keeps it unconditionally convergent). Accuracy ~1e-12 in `x`.
+    pub(crate) fn solve(mut self, p: f64) -> f64 {
+        if p <= 0.0 {
+            return 0.0;
         }
-        if f.abs() < 1e-14 {
-            break;
+        if p >= 1.0 {
+            return 1.0;
         }
-        // Newton step using the beta pdf as derivative.
-        let ln_pdf = (a - 1.0) * x.ln() + (b - 1.0) * (1.0 - x).ln() + ln_norm;
-        let step = f / ln_pdf.exp().max(1e-290);
-        let mut next = x - step;
-        if !next.is_finite() || next <= lo || next >= hi {
-            next = 0.5 * (lo + hi);
+        let (mut lo, mut hi) = (0.0f64, 1.0f64);
+        for _ in 0..100 {
+            let f = self.cdf - p;
+            if f > 0.0 {
+                hi = self.x;
+            } else {
+                lo = self.x;
+            }
+            if f.abs() < 1e-14 {
+                break;
+            }
+            let mut next = self.x - f / self.pdf;
+            if !next.is_finite() || next <= lo || next >= hi {
+                next = 0.5 * (lo + hi);
+            }
+            if (next - self.x).abs() < 1e-15 {
+                return next;
+            }
+            self = Self::at(self.a, self.b, self.ln_b, next);
         }
-        if (next - x).abs() < 1e-15 {
-            x = next;
-            break;
-        }
-        x = next;
+        self.x
     }
-    x
+}
+
+/// Inverse of the regularized incomplete beta: the Beta(a, b) quantile
+/// — one [`BetaNewton::solve`] from a fresh [`BetaNewton::start`].
+pub fn inv_inc_beta(p: f64, a: f64, b: f64) -> f64 {
+    BetaNewton::start(a, b).solve(p)
 }
 
 /// Complementary error function, Chebyshev fit (Numerical Recipes

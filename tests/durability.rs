@@ -317,10 +317,97 @@ fn corrupt_disk_tier_entry_self_heals_with_identical_results() {
 }
 
 #[test]
+fn damage_in_any_frame_of_a_tier_entry_heals_with_exactly_one_rebuild() {
+    use riskpipe::tables::codec;
+    let tier = temp("healframes");
+    let (scenarios, _) = grid(0xD6);
+    let n_keys = scenarios.len() as u64;
+    let sweep = || {
+        let telemetry = riskpipe::obs::Telemetry::new();
+        let session = RiskSession::builder()
+            .pool_threads(2)
+            .stage1_disk_cache(&tier)
+            .telemetry(telemetry.clone())
+            .build()
+            .unwrap();
+        let outcome = session.sweep(&scenarios).summary().drive().unwrap();
+        let inversions = telemetry
+            .snapshot()
+            .metrics()
+            .counter("stage2.secondary_builds");
+        (
+            summary_bits(outcome.summary().unwrap()),
+            session.stage1_cache_stats(),
+            inversions,
+        )
+    };
+    let (reference, _, _) = sweep();
+
+    let entry = fs::read_dir(&tier)
+        .unwrap()
+        .filter_map(|e| e.ok())
+        .map(|e| e.path())
+        .find(|p| p.extension().is_some_and(|x| x == "rps"))
+        .expect("tier holds entries");
+    let intact = fs::read(&entry).unwrap();
+    // Entry = stage-1 frame, one ELT frame per book, the YET frame,
+    // one grid frame per book.
+    let mut starts = vec![0usize];
+    while *starts.last().unwrap() < intact.len() {
+        let at = *starts.last().unwrap();
+        starts.push(at + codec::frame_len(&intact[at..]).unwrap());
+    }
+    let books = ScenarioConfig::small().contracts;
+    assert_eq!(starts.len() - 1, 1 + books + 1 + books);
+    let mid = |frame: usize| (starts[frame] + codec::HEADER_BYTES + starts[frame + 1]) / 2;
+    let flip = |at: usize| {
+        let mut bytes = intact.clone();
+        bytes[at] ^= 0x04;
+        bytes
+    };
+    let damaged: [(&str, Vec<u8>); 7] = [
+        ("bit flip in the stage-1 frame", flip(mid(0))),
+        ("bit flip in an ELT frame", flip(mid(2))),
+        ("bit flip in the YET frame", flip(mid(1 + books))),
+        ("bit flip in the first grid frame", flip(mid(2 + books))),
+        ("bit flip in the last grid frame", flip(intact.len() - 1)),
+        ("cut inside a grid frame", intact[..mid(2 + books)].to_vec()),
+        (
+            "cut between grid frames",
+            intact[..starts[3 + books]].to_vec(),
+        ),
+    ];
+    for (what, bytes) in damaged {
+        fs::write(&entry, bytes).unwrap();
+        let (healed, stats, inversions) = sweep();
+        assert_eq!(stats.builds, 1, "{what}: only the damaged key rebuilds");
+        assert_eq!(stats.disk_hits, n_keys - 1, "{what}");
+        assert_eq!(
+            stats.disk_writes, 1,
+            "{what}: the healed entry is rewritten"
+        );
+        assert_eq!(inversions, 1, "{what}: the other keys' grids are adopted");
+        assert_eq!(healed, reference, "{what}: self-heal changed the answer");
+        assert_eq!(
+            fs::read(&entry).unwrap(),
+            intact,
+            "{what}: the rewrite is the entry a clean build stores"
+        );
+    }
+    let (after, stats, inversions) = sweep();
+    assert_eq!((stats.builds, stats.disk_hits), (0, n_keys));
+    assert_eq!((stats.disk_writes, inversions), (0, 0));
+    assert_eq!(after, reference);
+    fs::remove_dir_all(&tier).ok();
+}
+
+#[test]
 fn disk_tier_sweeps_stale_tmp_files_on_open() {
     let tier = temp("tiertmp");
     fs::create_dir_all(&tier).unwrap();
-    let stale = tier.join("stage1-00deadbeef.rps.42-1.rptmp");
+    // A pid no live process has, so never this one's (whose
+    // temporaries the sweep spares).
+    let stale = tier.join(format!("stage1-00deadbeef.rps.{}-1.rptmp", u32::MAX));
     fs::write(&stale, b"half a cache entry").unwrap();
     let cache = DiskStage1Cache::new(&tier).unwrap();
     assert!(!stale.exists(), "stale tmp survived tier open");

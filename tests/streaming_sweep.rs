@@ -5,10 +5,10 @@
 //! sweep sinks (`SweepSummary`, `PersistingSink`) produce pooled
 //! analytics / durable artifacts without retaining per-scenario YLTs.
 
-use riskpipe::aggregate::{build_secondary, AggregateOptions, EventJoin};
+use riskpipe::aggregate::{build_secondary, AggregateOptions, EventJoin, QuantileMode};
 use riskpipe::core::{
     PersistingSink, PipelineReport, ReportStream, RiskSession, ScenarioConfig, ShardedFilesStore,
-    SweepSummary,
+    Stage1CacheStats, SweepSummary,
 };
 use riskpipe::dfa::{serial_map, CompanyConfig, DfaEngine, TASK_CHUNK};
 use riskpipe::exec::par_map_collect;
@@ -551,48 +551,161 @@ fn cache_bytes_charge_the_join_and_eviction_drops_it() -> RiskResult<()> {
     Ok(())
 }
 
-#[test]
-fn disk_warm_session_rebuilds_the_join_from_decoded_elts() -> RiskResult<()> {
-    let dir = std::env::temp_dir().join(format!("riskpipe-s1tables-{}", std::process::id()));
+/// A fresh tier directory for one test.
+fn tier_dir(tag: &str) -> std::path::PathBuf {
+    let dir = std::env::temp_dir().join(format!("riskpipe-s1{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    let mut scenarios = pricing_sweep(220, 3);
-    scenarios.extend(pricing_sweep(221, 3));
+    dir
+}
 
-    let cold = RiskSession::builder()
-        .pool_threads(2)
-        .stage1_disk_cache(&dir)
-        .build()?;
-    let want = collect_stream(&cold, &scenarios)?;
-    assert_eq!(cold.stage1_cache_stats().builds, 2);
-
+/// One tier-attached sweep under `options` on a fresh, telemetry-armed
+/// session: its reports, cache stats and the three derive counters
+/// `(secondary_builds, join_builds, dfa_factor_builds)`.
+fn tier_sweep(
+    dir: &std::path::Path,
+    options: AggregateOptions,
+    ram_cache: bool,
+    scenarios: &[ScenarioConfig],
+) -> RiskResult<(Vec<PipelineReport>, Stage1CacheStats, [u64; 3])> {
     let telemetry = Telemetry::new();
-    let warm = RiskSession::builder()
+    let session = RiskSession::builder()
         .pool_threads(2)
-        .stage1_disk_cache(&dir)
+        .options(options)
+        .stage1_cache(ram_cache)
+        .stage1_disk_cache(dir)
         .telemetry(telemetry.clone())
         .build()?;
-    let got = collect_stream(&warm, &scenarios)?;
-    let stats = warm.stage1_cache_stats();
-    assert_eq!((stats.builds, stats.disk_hits), (0, 2));
+    let reports = collect_stream(&session, scenarios)?;
     let metrics = telemetry.snapshot().metrics().clone();
-    assert_eq!(
+    let derived = [
         metrics.counter("stage2.secondary_builds"),
-        2,
-        "tables are derived after the decode, once per key"
-    );
-    assert_eq!(
         metrics.counter("stage2.join_builds"),
-        2,
-        "and so is the join: it is not persisted in the disk tier"
-    );
-    assert_eq!(
         metrics.counter("stage3.dfa_factor_builds"),
-        2,
-        "nor is the factor block"
-    );
-    for (slot, (g, w)) in got.iter().zip(&want).enumerate() {
-        assert_eq!(result_bits(g), result_bits(w), "slot {slot}");
+    ];
+    Ok((reports, session.stage1_cache_stats(), derived))
+}
+
+fn assert_same_bits(got: &[PipelineReport], want: &[PipelineReport], what: &str) {
+    assert_eq!(got.len(), want.len(), "{what}");
+    for (slot, (g, w)) in got.iter().zip(want).enumerate() {
+        assert_eq!(result_bits(g), result_bits(w), "{what}: slot {slot}");
     }
+}
+
+#[test]
+fn disk_warm_session_adopts_the_stored_grids_and_inverts_no_beta() -> RiskResult<()> {
+    let dir = tier_dir("grids");
+    let mut scenarios = pricing_sweep(220, 3);
+    scenarios.extend(pricing_sweep(221, 3));
+    let opts = AggregateOptions::default();
+
+    let (want, cold, derived) = tier_sweep(&dir, opts, true, &scenarios)?;
+    assert_eq!((cold.builds, cold.disk_writes), (2, 2));
+    assert_eq!(derived, [2, 2, 2], "a cold key derives everything once");
+
+    // A second process: the model run *and* its quantile grids come
+    // off the disk; only the cheap parts are derived again.
+    let (got, warm, derived) = tier_sweep(&dir, opts, true, &scenarios)?;
+    assert_eq!((warm.builds, warm.disk_hits, warm.disk_writes), (0, 2, 0));
+    assert_eq!(
+        derived,
+        [0, 2, 2],
+        "no beta is inverted; the join and the factor block are not in the tier"
+    );
+    assert_same_bits(&got, &want, "disk-warm");
+
+    // With the RAM cache off every lookup is a disk hit — still zero
+    // inversions, and nothing is written back.
+    let (got, off, derived) = tier_sweep(&dir, opts, false, &scenarios)?;
+    assert_eq!((off.builds, off.disk_hits, off.disk_writes), (0, 6, 0));
+    assert_eq!(derived, [0, 6, 6]);
+    assert_same_bits(&got, &want, "disk-warm, RAM cache off");
+    std::fs::remove_dir_all(&dir).ok();
+    Ok(())
+}
+
+#[test]
+fn gridless_tier_entry_is_upgraded_by_the_first_session_that_wants_grids() -> RiskResult<()> {
+    // What the parent commit's tier looks like to this one, and what a
+    // secondary-off session still writes: stage-1 frames only.
+    let dir = tier_dir("upgrade");
+    let scenarios = [scenario(240), scenario(241)];
+    let mean_only = AggregateOptions {
+        secondary_uncertainty: false,
+        ..AggregateOptions::default()
+    };
+    let (_, writer, derived) = tier_sweep(&dir, mean_only, true, &scenarios)?;
+    assert_eq!((writer.builds, writer.disk_writes), (2, 2));
+    assert_eq!(derived[0], 0, "no tables, so no grids to store");
+
+    let plain = RiskSession::builder().pool_threads(2).build()?;
+    let want = collect_stream(&plain, &scenarios)?;
+
+    // Not corrupt: the stage-1 part is served from disk, the grids are
+    // derived once and the entry is rewritten with them.
+    let opts = AggregateOptions::default();
+    let (got, upgrade, derived) = tier_sweep(&dir, opts, true, &scenarios)?;
+    assert_eq!(
+        (upgrade.builds, upgrade.disk_hits, upgrade.disk_writes),
+        (0, 2, 2)
+    );
+    assert_eq!(derived[0], 2);
+    assert_same_bits(&got, &want, "upgrading session");
+
+    let (got, third, derived) = tier_sweep(&dir, opts, true, &scenarios)?;
+    assert_eq!(
+        (third.builds, third.disk_hits, third.disk_writes),
+        (0, 2, 0)
+    );
+    assert_eq!(derived[0], 0, "the rewrite made the next process warm");
+    assert_same_bits(&got, &want, "third session");
+
+    // A session with no use for grids leaves them where they are.
+    let (_, reader, _) = tier_sweep(&dir, mean_only, true, &scenarios)?;
+    assert_eq!(
+        (reader.builds, reader.disk_hits, reader.disk_writes),
+        (0, 2, 0)
+    );
+    let (_, fourth, derived) = tier_sweep(&dir, opts, true, &scenarios)?;
+    assert_eq!((fourth.disk_writes, derived[0]), (0, 0));
+    std::fs::remove_dir_all(&dir).ok();
+    Ok(())
+}
+
+#[test]
+fn grids_of_another_size_are_rederived_not_reported_corrupt() -> RiskResult<()> {
+    let dir = tier_dir("gridsize");
+    let scenarios = [scenario(250)];
+    let coarse = AggregateOptions {
+        quantile_mode: QuantileMode::Interpolated(17),
+        ..AggregateOptions::default()
+    };
+    let (_, writer, _) = tier_sweep(&dir, coarse, true, &scenarios)?;
+    assert_eq!((writer.builds, writer.disk_writes), (1, 1));
+
+    let plain = RiskSession::builder().pool_threads(2).build()?;
+    let want = collect_stream(&plain, &scenarios)?;
+    // A corrupt entry would self-heal through a rebuild; a 17-point
+    // entry read by a 33-point session is merely not what it wants.
+    let (got, reader, derived) = tier_sweep(&dir, AggregateOptions::default(), true, &scenarios)?;
+    assert_eq!(
+        (reader.builds, reader.disk_hits, reader.disk_writes),
+        (0, 1, 1)
+    );
+    assert_eq!(derived[0], 1);
+    assert_same_bits(&got, &want, "33-point session over a 17-point entry");
+
+    // Exact mode tabulates nothing: it builds its (cheap) tables and
+    // leaves the 33-point entry for whoever wants it.
+    let exact = AggregateOptions {
+        quantile_mode: QuantileMode::Exact,
+        ..AggregateOptions::default()
+    };
+    let (_, reader, derived) = tier_sweep(&dir, exact, true, &scenarios)?;
+    assert_eq!((reader.builds, reader.disk_writes, derived[0]), (0, 0, 1));
+    let (got, again, derived) = tier_sweep(&dir, AggregateOptions::default(), true, &scenarios)?;
+    assert_eq!((again.builds, again.disk_writes, derived[0]), (0, 0, 0));
+    assert_same_bits(&got, &want, "adopting session");
     std::fs::remove_dir_all(&dir).ok();
     Ok(())
 }

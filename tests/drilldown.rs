@@ -13,9 +13,12 @@ use riskpipe::exec::ThreadPool;
 use riskpipe::mapreduce::YltFactJob;
 use riskpipe::prelude::*;
 use riskpipe::tables::{ShardedReader, ShardedWriter};
-use riskpipe::warehouse::{dim, KeyCodec, LevelSelect, SketchCell, SketchCuboid, SketchRow};
+use riskpipe::warehouse::{
+    dim, enumerate, KeyCodec, LevelSelect, SketchCell, SketchCuboid, SketchRow, Source,
+    ViewSelection,
+};
 use riskpipe_types::stats::sort_f64;
-use riskpipe_types::{LocationId, TrialId};
+use riskpipe_types::{Fingerprint, LocationId, TrialId};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -207,6 +210,239 @@ fn print_drilldown_golden() {
     let (rows, _) = wh.answer(&queries()[0]).unwrap();
     for (codes, count, var, tvar) in signature(&rows) {
         println!("    ({codes:?}, {count}, 0x{var:016X}, 0x{tvar:016X}),");
+    }
+}
+
+// ---------------------------------------------------------------------
+// Compacted-sketch pins: the goldens above are 400-loss cells that
+// never leave the exact path, so they cannot see a change in how a
+// sketch compacts or in how a query pools compacted cells.
+// ---------------------------------------------------------------------
+
+/// Trials per slot of the compacting fixture: the rp < 2y band alone
+/// holds half of them, ten times the default `sketch_k`.
+const COMPACTING_TRIALS: usize = 20_000;
+
+/// Slot `slot`'s loss column: heavy-tailed, with duplicate plateaus and
+/// — the higher the attachment — a growing mass of zero-loss years.
+/// Integer arithmetic plus exactly rounded `*` / `-` only, so the bits
+/// are the same on every platform.
+fn compacting_column(slot: usize, attach: u32) -> Vec<f64> {
+    (0..COMPACTING_TRIALS)
+        .map(|i| {
+            let x = ((i * 104_729 + slot * 7_919) % 99_991) as f64;
+            let ground_up = (x * x * x * 1e-6).floor() * (1.0 + slot as f64);
+            (ground_up - 2.0e7 * attach as f64).max(0.0)
+        })
+        .collect()
+}
+
+/// riskbench's `rebuild_query` grid in miniature: 2 regions × 2 perils
+/// × 3 attachment points, one 20 000-trial column each, at the default
+/// `sketch_k`, with views picked under riskbench's budget (70 % of the
+/// base). No pipeline run behind it: the pins move only with the
+/// sketch, the cuboid algebra or view selection.
+fn compacting_warehouse() -> (Drilldown, ViewSelection) {
+    let mut dims = Vec::new();
+    for region in 0..2u32 {
+        for peril in 0..2u32 {
+            for attachment_band in 0..3u32 {
+                dims.push(ScenarioDims {
+                    region,
+                    peril,
+                    attachment_band,
+                });
+            }
+        }
+    }
+    let layout = DrilldownLayout::new(dims.clone(), EngineKind::CpuParallel).unwrap();
+    assert_eq!(layout.sketch_k(), DrilldownLayout::DEFAULT_SKETCH_K);
+    let mut sink = WarehouseSink::new(layout).unwrap();
+    for (slot, d) in dims.iter().enumerate() {
+        let ylt = ylt_of(&compacting_column(slot, d.attachment_band));
+        sink.ingest(slot, &ylt).unwrap();
+    }
+    let mut wh = sink.finish().unwrap();
+    let budget = wh.base().memory_bytes() as u64 * 7 / 10;
+    let selection = wh.materialize_budget(budget).unwrap();
+    (wh, selection)
+}
+
+/// riskbench's four query shapes: view-served rollup, geo slice, time
+/// dice, base-grain group-by.
+fn bench_shapes() -> [Query; 4] {
+    [
+        Query::group_by(LevelSelect([0, 0, 3, 1])),
+        Query::group_by(LevelSelect([0, 0, 1, 1])).filter(Filter::slice(dim::GEO, 1)),
+        Query::group_by(LevelSelect([0, 0, 3, 0])).filter(Filter {
+            dim: dim::TIME,
+            codes: vec![6, 7],
+        }),
+        Query::group_by(LevelSelect::BASE),
+    ]
+}
+
+/// Everything a compaction or a pooled copy could move in one row:
+/// codes, count, sum / VaR99 / TVaR99 bits, retained items, error
+/// bound bits.
+type CompactedSig = ([u32; 4], u64, u64, u64, u64, usize, u64);
+
+fn compacted_signature(rows: &[SketchRow]) -> Vec<CompactedSig> {
+    rows.iter()
+        .map(|r| {
+            (
+                r.codes,
+                r.cell.count,
+                r.cell.sum.to_bits(),
+                r.cell.var99().expect("non-empty cell").to_bits(),
+                r.cell.tvar99().expect("non-empty cell").to_bits(),
+                r.cell.sketch.retained(),
+                r.cell.sketch.rank_error_bound().to_bits(),
+            )
+        })
+        .collect()
+}
+
+/// FNV-1a over every field of every row, in row order.
+fn signature_digest(sigs: &[CompactedSig]) -> u64 {
+    let mut fp = Fingerprint::new("drilldown-compacted-rows");
+    for &(codes, count, sum, var, tvar, retained, bound) in sigs {
+        for c in codes {
+            fp.push_u64(u64::from(c));
+        }
+        for v in [count, sum, var, tvar, retained as u64, bound] {
+            fp.push_u64(v);
+        }
+    }
+    fp.finish()
+}
+
+/// `memory_bytes()` of every lattice node rolled up from the base, in
+/// `enumerate` order — the sizes `materialize_budget` prices with.
+fn lattice_bytes(wh: &Drilldown) -> Vec<([u8; 4], usize)> {
+    enumerate(wh.schema())
+        .into_iter()
+        .map(|select| {
+            let node = wh.base().rollup(wh.schema(), select).unwrap();
+            (select.0, node.memory_bytes())
+        })
+        .collect()
+}
+
+// The view-served rollup's rows, pinned field by field.
+#[rustfmt::skip]
+const GOLDEN_COMPACTED_ROLLUP: [CompactedSig; 4] = [
+    ([0, 0, 0, 0], 60000, 0x42BA5C5D50BDBD00, 0x41E415703BA851F8, 0x41E51085465C0000, 2202, 0x3F6FCFF0B550F6DA),
+    ([0, 1, 0, 0], 60000, 0x42D0D046C793F400, 0x41F43B6F040D70B3, 0x41F5369946340000, 2202, 0x3F6FCFF0B550F6DA),
+    ([1, 0, 0, 0], 60000, 0x42DB0B3519598140, 0x41FE6D6F463547C5, 0x41FFE6B6ABE0E148, 2202, 0x3F6FCFF0B550F6DA),
+    ([1, 1, 0, 0], 60000, 0x42E2A1C5FD9B1600, 0x420461B48AA228FD, 0x42054BA7B974B17E, 2202, 0x3F6FCFF0B550F6DA),
+];
+
+// Per shape: rows returned and the digest of all of them.
+const GOLDEN_SHAPE_DIGESTS: [(usize, u64); 4] = [
+    (4, 0xEE2D0E7D1146351E),
+    (6, 0x9C05EE8323D75A74),
+    (8, 0x9A2EF256063647A0),
+    (96, 0x49D2F0FF3357D0F0),
+];
+
+// The views riskbench's budget buys, in pick order.
+const GOLDEN_PICKS: [[u8; 4]; 4] = [[1, 1, 2, 1], [0, 0, 2, 1], [1, 1, 2, 0], [1, 1, 1, 1]];
+
+const GOLDEN_LATTICE_BYTES: [([u8; 4], usize); 32] = [
+    ([0, 0, 0, 0], 365472),
+    ([0, 0, 0, 1], 285984),
+    ([0, 0, 1, 0], 365472),
+    ([0, 0, 1, 1], 285984),
+    ([0, 0, 2, 0], 249024),
+    ([0, 0, 2, 1], 70592),
+    ([0, 0, 3, 0], 249024),
+    ([0, 0, 3, 1], 70592),
+    ([0, 1, 0, 0], 365472),
+    ([0, 1, 0, 1], 285984),
+    ([0, 1, 1, 0], 221136),
+    ([0, 1, 1, 1], 152592),
+    ([0, 1, 2, 0], 134112),
+    ([0, 1, 2, 1], 34896),
+    ([0, 1, 3, 0], 134112),
+    ([0, 1, 3, 1], 34896),
+    ([1, 0, 0, 0], 365472),
+    ([1, 0, 0, 1], 285984),
+    ([1, 0, 1, 0], 221136),
+    ([1, 0, 1, 1], 152592),
+    ([1, 0, 2, 0], 134112),
+    ([1, 0, 2, 1], 34896),
+    ([1, 0, 3, 0], 134112),
+    ([1, 0, 3, 1], 34896),
+    ([1, 1, 0, 0], 365472),
+    ([1, 1, 0, 1], 285984),
+    ([1, 1, 1, 0], 134568),
+    ([1, 1, 1, 1], 90264),
+    ([1, 1, 2, 0], 72336),
+    ([1, 1, 2, 1], 17040),
+    ([1, 1, 3, 0], 72336),
+    ([1, 1, 3, 1], 17040),
+];
+
+#[test]
+fn compacted_cells_through_the_four_bench_shapes_are_pinned() {
+    let (wh, selection) = compacting_warehouse();
+    // The fixture does what it is for: every base cell of the four
+    // most populated bands (10 000, 6 000, 2 000 and 1 200 losses)
+    // compacted.
+    let compacted = (0..wh.base().cells())
+        .filter(|&i| !wh.base().cell_at(i).1.sketch.is_exact())
+        .count();
+    assert_eq!(compacted, 12 * 4);
+    let picks: Vec<[u8; 4]> = selection.picked.iter().map(|s| s.0).collect();
+    assert_eq!(picks, GOLDEN_PICKS.to_vec(), "materialize_budget picks");
+    assert_eq!(lattice_bytes(&wh), GOLDEN_LATTICE_BYTES.to_vec());
+
+    for (i, q) in bench_shapes().iter().enumerate() {
+        let (rows, cost) = wh.answer(q).unwrap();
+        assert_eq!(cost.facts_read, 0);
+        let sigs = compacted_signature(&rows);
+        if i == 0 {
+            // Served by a view as coarse as the query: one cell per row.
+            assert_ne!(cost.source, Source::Materialized(LevelSelect::BASE));
+            assert_eq!(cost.cells_read, cost.rows_out);
+            assert!(rows.iter().all(|r| r.cell.sketch.rank_error_bound() > 0.0));
+            assert_eq!(sigs, GOLDEN_COMPACTED_ROLLUP.to_vec());
+        }
+        assert_eq!(
+            (sigs.len(), signature_digest(&sigs)),
+            GOLDEN_SHAPE_DIGESTS[i],
+            "shape {i} drifted; re-pin via print_compacted_golden only \
+             after an intentional numerical change"
+        );
+    }
+}
+
+#[test]
+#[ignore = "probe: prints the compacted-sketch goldens to pin after an intentional numerical change"]
+fn print_compacted_golden() {
+    let (wh, selection) = compacting_warehouse();
+    println!(
+        "picks: {:?}",
+        selection.picked.iter().map(|s| s.0).collect::<Vec<_>>()
+    );
+    for (select, bytes) in lattice_bytes(&wh) {
+        println!("    ({select:?}, {bytes}),");
+    }
+    for (i, q) in bench_shapes().iter().enumerate() {
+        let sigs = compacted_signature(&wh.answer(q).unwrap().0);
+        println!(
+            "shape {i}: ({}, 0x{:016X}),",
+            sigs.len(),
+            signature_digest(&sigs)
+        );
+        if i == 0 {
+            for (codes, count, sum, var, tvar, retained, bound) in sigs {
+                println!(
+                    "    ({codes:?}, {count}, 0x{sum:016X}, 0x{var:016X}, 0x{tvar:016X}, {retained}, 0x{bound:016X}),"
+                );
+            }
+        }
     }
 }
 

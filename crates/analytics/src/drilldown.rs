@@ -18,7 +18,7 @@ use crate::ingest::IngestStats;
 use riskpipe_types::RiskResult;
 use riskpipe_warehouse::{
     enumerate, greedy_select_budget, LevelSelect, Query, QueryCost, Schema, SketchCuboid,
-    SketchRow, Source, ViewSelection,
+    SketchRow, ViewSelection,
 };
 use std::collections::BTreeMap;
 
@@ -135,20 +135,18 @@ impl Drilldown {
 
     /// Answer `query` from the smallest retained cuboid that can serve
     /// it. Returns the rows and the cost record in the plain
-    /// warehouse's vocabulary.
-    pub fn answer(&self, query: &Query) -> RiskResult<(Vec<SketchRow>, QueryCost)> {
+    /// warehouse's vocabulary. Rows fed by one cell borrow it from this
+    /// warehouse (see [`Row`](riskpipe_warehouse::Row)); take
+    /// [`into_owned`](riskpipe_warehouse::Row::into_owned) rows to
+    /// re-materialise while holding an answer.
+    pub fn answer(&self, query: &Query) -> RiskResult<(Vec<SketchRow<'_>>, QueryCost)> {
         let source = self.source_for(query.select);
-        let rows = source.answer(self.layout.schema(), query)?;
-        let rows_out = rows.len() as u64;
-        Ok((
-            rows,
-            QueryCost {
-                source: Source::Materialized(source.select()),
-                cells_read: source.cells() as u64,
-                facts_read: 0,
-                rows_out,
-            },
-        ))
+        let (rows, cost) = source.answer(self.layout.schema(), query)?;
+        // Deterministic quantities only: a pure function of the
+        // retained cuboids and the query.
+        riskpipe_obs::counter_add("warehouse.answer.rows_borrowed", cost.rows_borrowed);
+        riskpipe_obs::counter_add("warehouse.answer.cells_merged", cost.cells_merged);
+        Ok((rows, cost))
     }
 }
 
@@ -158,6 +156,7 @@ mod tests {
     use crate::{ScenarioDims, WarehouseSink};
     use riskpipe_aggregate::EngineKind;
     use riskpipe_tables::Ylt;
+    use riskpipe_warehouse::Source;
 
     /// Three slots, each in its own attachment band, all on one engine:
     /// the contract hierarchy's band level has exactly as many cells as

@@ -215,7 +215,10 @@ fn check_sweep_analytics() -> f64 {
 /// E13's shape: the stage-3 drill-down subsystem end to end — sweep
 /// through the `WarehouseSink` (band slices of each report's sorted
 /// loss column folded into sketch cells), byte-budgeted view
-/// materialisation, and the three acceptance query shapes. Budget: 7x
+/// materialisation, the three acceptance query shapes, and a group-by
+/// at every retained cuboid's own grain, which must borrow its rows (a
+/// reintroduced per-row copy fails here, whatever the clock says).
+/// Budget: 7x
 /// the 0.48 s the 2-vCPU reference box measures (the eight 500-trial
 /// scenarios themselves are most of that; ingest is no longer visible
 /// in it).
@@ -259,6 +262,18 @@ fn check_drilldown() -> f64 {
         assert!(!rows.is_empty(), "drill-down query returned no cells");
         assert_eq!(cost.facts_read, 0, "drill-down must not rescan facts");
         assert!(rows.iter().all(|r| r.cell.var99().unwrap() > 0.0));
+    }
+    // Copies, not wall clock: a group-by at the grain of a retained
+    // cuboid — the base, or any view the budget bought — hands back
+    // that cuboid's cells and merges none.
+    assert!(!wh.views().is_empty(), "the budget bought no view");
+    for select in std::iter::once(LevelSelect::BASE).chain(wh.views()) {
+        let (rows, cost) = wh.answer(&Query::group_by(select)).unwrap();
+        assert_eq!(cost.cells_merged, 0, "{select:?} merged cells");
+        assert!(
+            !rows.is_empty() && rows.iter().all(|r| r.is_borrowed()),
+            "{select:?} copied a cell it could have borrowed"
+        );
     }
     t0.elapsed().as_secs_f64()
 }

@@ -21,9 +21,10 @@
 
 use crate::dimension::{Schema, NDIMS};
 use crate::fact::FactTable;
-use crate::query::{Query, Row};
+use crate::query::{Query, QueryCost, Row, Source};
 use riskpipe_exec::{par_map_collect, ThreadPool};
 use riskpipe_types::{RiskError, RiskResult};
+use std::borrow::Cow;
 use std::collections::btree_map::{BTreeMap, Entry};
 use std::collections::HashMap;
 
@@ -475,16 +476,24 @@ impl<M: Measure> Cuboid<M> {
         }
         let codec = KeyCodec::new(schema, target)?;
         let lift = Lift::new(schema, self.select, target);
-        let grouped = Self::group(&[self], &lift, &codec, |_| true);
-        Ok(Self::from_sorted(target, codec, grouped))
+        let (grouped, _) = Self::group(&[self], &lift, &codec, |_| true);
+        Ok(Self::from_sorted(target, codec, owned(grouped)))
     }
 
     /// Answer `query` from this cuboid: lift each cell to the query's
     /// levels, apply the dice filters, merge cells landing on one
     /// output cell, and apply the top-k cut. Rows come back in cell-key
-    /// order, or by descending sum when `top_k` is set. Fails unless
-    /// this cuboid is finer-or-equal to the query on every dimension.
-    pub fn answer(&self, schema: &Schema, query: &Query) -> RiskResult<Vec<Row<M>>> {
+    /// order, or by descending sum when `top_k` is set, with the cost
+    /// record of the read. A row fed by a single cell *borrows* it from
+    /// this cuboid — a group-by at the cuboid's own grain copies
+    /// nothing; only a row that pooled several cells owns its merged
+    /// cell. Fails unless this cuboid is finer-or-equal to the query on
+    /// every dimension.
+    pub fn answer(
+        &self,
+        schema: &Schema,
+        query: &Query,
+    ) -> RiskResult<(Vec<Row<'_, M>>, QueryCost)> {
         query.validate(schema)?;
         if !self.select.finer_eq(&query.select) {
             return Err(RiskError::invalid(format!(
@@ -494,12 +503,22 @@ impl<M: Measure> Cuboid<M> {
         }
         let codec = KeyCodec::new(schema, query.select)?;
         let lift = Lift::new(schema, self.select, query.select);
-        let grouped = Self::group(&[self], &lift, &codec, |codes| query.accepts(codes));
+        let (grouped, cells_merged) =
+            Self::group(&[self], &lift, &codec, |codes| query.accepts(codes));
         let rows = grouped.into_iter().map(|(k, cell)| Row {
             codes: codec.decode(k),
             cell,
         });
-        Ok(query.cut(rows.collect()))
+        let rows = query.cut(rows.collect());
+        let cost = QueryCost {
+            source: Source::Materialized(self.select),
+            cells_read: self.cells() as u64,
+            facts_read: 0,
+            rows_out: rows.len() as u64,
+            rows_borrowed: rows.iter().filter(|r| r.is_borrowed()).count() as u64,
+            cells_merged,
+        };
+        Ok((rows, cost))
     }
 
     /// Merge another cuboid of the *same selection* into this one —
@@ -514,8 +533,8 @@ impl<M: Measure> Cuboid<M> {
                 delta.select.0, self.select.0
             )));
         }
-        let grouped = Self::group(&[self, delta], &Lift::default(), &self.codec, |_| true);
-        *self = Self::from_sorted(self.select, self.codec, grouped);
+        let (grouped, _) = Self::group(&[self, delta], &Lift::default(), &self.codec, |_| true);
+        (self.keys, self.cells) = owned(grouped).unzip();
         Ok(())
     }
 
@@ -523,34 +542,45 @@ impl<M: Measure> Cuboid<M> {
     /// [`Cuboid::answer`] and [`Cuboid::merge`]: visit each source's
     /// cells in key order (sources in the order given), lift their
     /// codes, drop those `keep` rejects, and group the rest by their
-    /// key under `codec` — the first cell landing on a key is cloned,
-    /// later ones are merged into it in visit order, which is what
-    /// makes every caller deterministic. (Starting each group from [`Cell::EMPTY`], as the
-    /// fact scans do, differs only for cells no fold from `EMPTY` can
-    /// produce — a `-0.0` sum, a negative max — i.e. only for cells
-    /// that arrived through `decode_cuboid`.)
-    fn group(
-        sources: &[&Cuboid<M>],
+    /// key under `codec` — the first cell landing on a key is borrowed,
+    /// and the second makes the group an owned copy of the first that
+    /// it and later ones merge into in visit order, which is what makes
+    /// every caller deterministic. Returns the groups and how many
+    /// cells were merged into an earlier one. (Starting each group from
+    /// [`Cell::EMPTY`], as the fact scans do, differs only for cells no
+    /// fold from `EMPTY` can produce — a `-0.0` sum, a negative max —
+    /// i.e. only for cells that arrived through `decode_cuboid`.)
+    fn group<'a>(
+        sources: &[&'a Cuboid<M>],
         lift: &Lift,
         codec: &KeyCodec,
         keep: impl Fn(&[u32; NDIMS]) -> bool,
-    ) -> BTreeMap<u64, M> {
-        let mut grouped: BTreeMap<u64, M> = BTreeMap::new();
+    ) -> (BTreeMap<u64, Cow<'a, M>>, u64) {
+        let mut grouped: BTreeMap<u64, Cow<'a, M>> = BTreeMap::new();
+        let mut merged = 0;
         for source in sources {
             for (&key, cell) in source.keys.iter().zip(&source.cells) {
                 let out = lift.apply(source.codec.decode(key));
                 if keep(&out) {
                     match grouped.entry(codec.encode(out)) {
-                        Entry::Occupied(mut slot) => slot.get_mut().merge(cell),
+                        Entry::Occupied(mut slot) => {
+                            slot.get_mut().to_mut().merge(cell);
+                            merged += 1;
+                        }
                         Entry::Vacant(slot) => {
-                            slot.insert(cell.clone());
+                            slot.insert(Cow::Borrowed(cell));
                         }
                     }
                 }
             }
         }
-        grouped
+        (grouped, merged)
     }
+}
+
+/// The groups of [`Cuboid::group`] as owned entries, in key order.
+fn owned<M: Measure>(grouped: BTreeMap<u64, Cow<'_, M>>) -> impl Iterator<Item = (u64, M)> + '_ {
+    grouped.into_iter().map(|(k, cell)| (k, cell.into_owned()))
 }
 
 #[cfg(test)]

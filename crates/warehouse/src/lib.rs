@@ -28,9 +28,10 @@
 //!   greedy view selection under a view-count or space budget.
 //! * [`query`] — queries and the planner: each query is served by the
 //!   smallest materialised view that covers it, with per-query cost
-//!   accounting (experiment E9's measured quantity). New facts fold
-//!   into the materialised views incrementally (delta cuboid + merge),
-//!   no rebuild.
+//!   accounting (experiment E9's measured quantity). A result row fed
+//!   by one cell of its source borrows that cell — an answer costs what
+//!   it reads, not what it copies. New facts fold into the materialised
+//!   views incrementally (delta cuboid + merge), no rebuild.
 //! * [`store`] — views persist through the same CRC-checked frame
 //!   format as every other riskpipe table; corruption is detected at
 //!   load.

@@ -14,6 +14,7 @@ use crate::dimension::{Schema, NDIMS};
 use crate::fact::FactTable;
 use riskpipe_exec::ThreadPool;
 use riskpipe_types::{RiskError, RiskResult};
+use std::borrow::Cow;
 use std::collections::{BTreeMap, HashMap};
 
 /// A dice filter: keep cells whose code for `dim` (at the query's
@@ -102,7 +103,7 @@ impl Query {
     /// The top-k cut: with `top_k` set, order `rows` by descending loss
     /// sum (ties by ascending codes) and keep the first `k`; otherwise
     /// return them as given (cell-key order).
-    pub(crate) fn cut<M: Measure>(&self, mut rows: Vec<Row<M>>) -> Vec<Row<M>> {
+    pub(crate) fn cut<'a, M: Measure>(&self, mut rows: Vec<Row<'a, M>>) -> Vec<Row<'a, M>> {
         if let Some(k) = self.top_k {
             rows.sort_by(|a, b| {
                 b.cell
@@ -117,17 +118,41 @@ impl Query {
 }
 
 /// One result row: the cell's codes at the query's levels and the
-/// merged cell.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Row<M> {
+/// merged cell. A row fed by a single source cell borrows it from the
+/// cuboid that served the query (so the rows hold that warehouse
+/// borrowed while they live); a row that pooled several cells owns the
+/// merge. Either way `row.cell` derefs to the cell.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Row<'a, M: Clone> {
     /// Cell codes, one per dimension at the query's level.
     pub codes: [u32; NDIMS],
     /// The merged cell.
-    pub cell: M,
+    pub cell: Cow<'a, M>,
+}
+
+impl<M: Clone> Row<'_, M> {
+    /// Whether the row's cell is the serving cuboid's own (one source
+    /// cell, nothing copied).
+    pub fn is_borrowed(&self) -> bool {
+        matches!(self.cell, Cow::Borrowed(_))
+    }
+
+    /// The row with its cell copied out if it was borrowed — for
+    /// callers whose rows must outlive (or survive a mutation of) the
+    /// warehouse that answered.
+    pub fn into_owned(self) -> Row<'static, M>
+    where
+        M: 'static,
+    {
+        Row {
+            codes: self.codes,
+            cell: Cow::Owned(self.cell.into_owned()),
+        }
+    }
 }
 
 /// A result row of plain aggregates.
-pub type ResultRow = Row<Cell>;
+pub type ResultRow<'a> = Row<'a, Cell>;
 
 /// Where a query was answered from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -149,6 +174,13 @@ pub struct QueryCost {
     pub facts_read: u64,
     /// Result rows returned.
     pub rows_out: u64,
+    /// Returned rows whose cell is borrowed from the source cuboid: one
+    /// source cell each, nothing copied.
+    pub rows_borrowed: u64,
+    /// Source cells merged into a cell an earlier one had started (0
+    /// when the source is as coarse as the query). A high share of
+    /// `cells_read` says the view set does not fit the query mix.
+    pub cells_merged: u64,
 }
 
 impl QueryCost {
@@ -276,29 +308,22 @@ impl Warehouse {
 
     /// Answer `query`, returning result rows (sorted by cell key, or
     /// by descending sum when `top_k` is set) and the cost record.
-    pub fn answer(&self, query: &Query) -> RiskResult<(Vec<ResultRow>, QueryCost)> {
-        let (rows, source, cells_read, facts_read) =
-            match Cuboid::smallest_covering(self.views.values(), query.select) {
-                Some(view) => (
-                    view.answer(&self.schema, query)?,
-                    Source::Materialized(view.select()),
-                    view.cells() as u64,
-                    0,
-                ),
-                None => (
-                    self.answer_from_facts(query)?,
-                    Source::FactScan,
-                    0,
-                    self.facts.rows() as u64,
-                ),
-            };
-        let cost = QueryCost {
-            source,
-            cells_read,
-            facts_read,
-            rows_out: rows.len() as u64,
-        };
-        Ok((rows, cost))
+    pub fn answer(&self, query: &Query) -> RiskResult<(Vec<ResultRow<'_>>, QueryCost)> {
+        match Cuboid::smallest_covering(self.views.values(), query.select) {
+            Some(view) => view.answer(&self.schema, query),
+            None => {
+                let rows = self.answer_from_facts(query)?;
+                let cost = QueryCost {
+                    source: Source::FactScan,
+                    cells_read: 0,
+                    facts_read: self.facts.rows() as u64,
+                    rows_out: rows.len() as u64,
+                    rows_borrowed: 0,
+                    cells_merged: 0,
+                };
+                Ok((rows, cost))
+            }
+        }
     }
 
     /// Answer a batch of queries concurrently on `pool` — parallel
@@ -310,13 +335,13 @@ impl Warehouse {
         &self,
         queries: &[Query],
         pool: &ThreadPool,
-    ) -> Vec<RiskResult<(Vec<ResultRow>, QueryCost)>> {
+    ) -> Vec<RiskResult<(Vec<ResultRow<'_>>, QueryCost)>> {
         riskpipe_exec::par_map_collect(pool, queries.len(), 1, |i| self.answer(&queries[i]))
     }
 
     /// The fallback when no view covers `query`: one pass over the
-    /// facts, filtering before aggregating.
-    fn answer_from_facts(&self, query: &Query) -> RiskResult<Vec<ResultRow>> {
+    /// facts, filtering before aggregating. Every row owns its cell.
+    fn answer_from_facts(&self, query: &Query) -> RiskResult<Vec<ResultRow<'static>>> {
         query.validate(&self.schema)?;
         let codec = KeyCodec::new(&self.schema, query.select)?;
         let lift = Lift::new(&self.schema, LevelSelect::BASE, query.select);
@@ -335,7 +360,7 @@ impl Warehouse {
         entries.sort_unstable_by_key(|&(k, _)| k);
         let rows = entries.into_iter().map(|(k, cell)| Row {
             codes: codec.decode(k),
-            cell,
+            cell: Cow::Owned(cell),
         });
         Ok(query.cut(rows.collect()))
     }
@@ -376,6 +401,12 @@ mod tests {
             let (b, cb) = warm.answer(q).unwrap();
             assert_eq!(ca.source, Source::FactScan);
             assert!(matches!(cb.source, Source::Materialized(_)));
+            // A scan aggregates fresh cells: nothing to borrow, no cell
+            // merged. The base view pools cells into every one of these
+            // coarser rows.
+            assert!(a.iter().all(|r| !r.is_borrowed()));
+            assert_eq!((ca.rows_borrowed, ca.cells_merged), (0, 0));
+            assert!(cb.cells_merged > 0);
             assert_eq!(a.len(), b.len());
             for (x, y) in a.iter().zip(b.iter()) {
                 assert_eq!(x.codes, y.codes);

@@ -41,7 +41,7 @@ pub type SketchCuboid = Cuboid<SketchCell>;
 
 /// One sketch-valued result row (the merged cell's sketch answers any
 /// quantile).
-pub type SketchRow = Row<SketchCell>;
+pub type SketchRow<'a> = Row<'a, SketchCell>;
 
 impl SketchCell {
     /// An empty cell whose sketch holds `k` values per level.
@@ -118,10 +118,11 @@ impl Measure for SketchCell {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cube::{Cell, KeyCodec, LevelSelect};
+    use crate::cube::{Cell, KeyCodec, LevelSelect, Lift};
     use crate::dimension::{dim, Schema};
     use crate::query::{Filter, Query};
     use riskpipe_types::stats::{quantile_sorted, sort_f64, tail_mean_sorted};
+    use std::borrow::Cow;
 
     fn schema() -> Schema {
         Schema::standard(6, 2, 4, 2, 3, 1).unwrap()
@@ -241,7 +242,7 @@ mod tests {
         fn check<M: Measure>(s: &Schema, base: &Cuboid<M>) {
             // Dice: region×peril, restricted to region 1.
             let q = Query::group_by(LevelSelect([1, 1, 1, 1])).filter(Filter::slice(dim::GEO, 1));
-            let rows = base.answer(s, &q).unwrap();
+            let (rows, _) = base.answer(s, &q).unwrap();
             assert!(!rows.is_empty());
             assert!(rows.iter().all(|r| r.codes[dim::GEO] == 1));
             // The filtered counts sum to the region's fact share:
@@ -256,7 +257,7 @@ mod tests {
             }
             assert!(rows.windows(2).all(|w| w[0].codes < w[1].codes));
             // Top-k ordering.
-            let top = base
+            let (top, _) = base
                 .answer(s, &Query::group_by(LevelSelect([1, 1, 1, 1])).top(2))
                 .unwrap();
             assert_eq!(top.len(), 2);
@@ -267,6 +268,95 @@ mod tests {
         let s = schema();
         check(&s, &base_cuboid(&s, 1024));
         check(&s, &plain_cuboid(&s));
+    }
+
+    #[test]
+    fn rows_borrow_single_cells_and_own_pooled_ones() {
+        fn check<M: Measure + 'static>(
+            s: &Schema,
+            base: &Cuboid<M>,
+            bits: impl Fn(&M) -> Vec<u64>,
+        ) {
+            // At the source's own grain every row is the source's cell.
+            let own = Query::group_by(base.select());
+            let (rows, cost) = base.answer(s, &own).unwrap();
+            assert_eq!(rows.len(), base.cells());
+            assert_eq!(cost.rows_borrowed, rows.len() as u64);
+            assert_eq!(cost.cells_merged, 0);
+            for (row, cell) in rows.iter().zip(base.measures()) {
+                assert!(matches!(row.cell, Cow::Borrowed(c) if std::ptr::eq(c, cell)));
+            }
+
+            // Coarser: a row is owned exactly when it pooled several
+            // cells, and is then the rollup's cell to the bit. A region
+            // pools its three locations; lifting only the dimensions
+            // the fixture keeps at one code pools nothing.
+            let pooled = Query::group_by(LevelSelect([1, 0, 1, 1]));
+            let single =
+                Query::group_by(LevelSelect([0, 0, 1, 1])).filter(Filter::slice(dim::GEO, 2));
+            for (q, want_merged) in [(&pooled, base.cells() as u64 - 8), (&single, 0)] {
+                let coarse = base.rollup(s, q.select).unwrap();
+                let (rows, cost) = base.answer(s, q).unwrap();
+                let lift = Lift::new(s, base.select(), q.select);
+                let fed = |row: &Row<'_, M>| {
+                    let feeds = |i: &usize| {
+                        let lifted = lift.apply(base.cell_at(*i).0);
+                        lifted == row.codes && q.accepts(&lifted)
+                    };
+                    (0..base.cells()).filter(feeds).count()
+                };
+                let mut merged = 0;
+                for row in &rows {
+                    let sources = fed(row);
+                    assert_eq!(row.is_borrowed(), sources == 1, "{:?}", row.codes);
+                    merged += sources as u64 - 1;
+                    assert_eq!(bits(&row.cell), bits(coarse.find(row.codes).unwrap()));
+                }
+                assert_eq!(cost.cells_merged, merged);
+                assert_eq!(cost.cells_merged, want_merged);
+                let borrowed = rows.iter().filter(|r| r.is_borrowed()).count();
+                assert_eq!(cost.rows_borrowed, borrowed as u64);
+            }
+
+            // The top-k cut orders and truncates borrowed rows like any
+            // others, and counts what it returns.
+            let (all, _) = base.answer(s, &own).unwrap();
+            let (top, cost) = base.answer(s, &own.clone().top(5)).unwrap();
+            let mut want: Vec<&Row<'_, M>> = all.iter().collect();
+            want.sort_by(|a, b| {
+                let by_sum = b.cell.sum().total_cmp(&a.cell.sum());
+                by_sum.then_with(|| a.codes.cmp(&b.codes))
+            });
+            assert_eq!(top.len(), 5);
+            assert_eq!((cost.rows_out, cost.rows_borrowed), (5, 5));
+            for (got, want) in top.iter().zip(want) {
+                assert_eq!(got.codes, want.codes);
+                assert!(got.is_borrowed());
+            }
+
+            // `into_owned` rows outlive the cuboid that answered.
+            let kept: Vec<Row<'static, M>> = {
+                let scoped = base.clone();
+                let (rows, _) = scoped.answer(s, &own).unwrap();
+                rows.into_iter().map(Row::into_owned).collect()
+            };
+            assert!(kept.iter().all(|r| !r.is_borrowed()));
+            for (row, cell) in kept.iter().zip(base.measures()) {
+                assert_eq!(bits(&row.cell), bits(cell));
+            }
+        }
+        let s = schema();
+        check(&s, &base_cuboid(&s, 16), |c: &SketchCell| {
+            let mut out = vec![c.count, c.sum.to_bits(), c.max.to_bits()];
+            out.push(c.sketch.retained() as u64);
+            out.push(c.sketch.rank_error_bound().to_bits());
+            let ladder = c.sketch.quantiles(&[0.0, 0.25, 0.5, 0.9, 0.99, 1.0]);
+            out.extend(ladder.iter().map(|q| q.to_bits()));
+            out
+        });
+        check(&s, &plain_cuboid(&s), |c: &Cell| {
+            vec![c.count, c.sum.to_bits(), c.max.to_bits()]
+        });
     }
 
     #[test]

@@ -55,7 +55,7 @@ fn grid() -> (Vec<ScenarioConfig>, Vec<ScenarioDims>) {
     (scenarios, dims)
 }
 
-fn print_rows(label: &str, rows: &[SketchRow], cost: &riskpipe::warehouse::QueryCost) {
+fn print_rows(label: &str, rows: &[SketchRow<'_>], cost: &riskpipe::warehouse::QueryCost) {
     println!(
         "\n{label} (source {:?}, {} cells read):",
         cost.source, cost.cells_read

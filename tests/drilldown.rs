@@ -71,7 +71,7 @@ fn queries() -> [Query; 3] {
 type CellSig = ([u32; 4], u64, u64, u64);
 
 /// A query result reduced to a comparable bit-level signature.
-fn signature(rows: &[SketchRow]) -> Vec<CellSig> {
+fn signature(rows: &[SketchRow<'_>]) -> Vec<CellSig> {
     rows.iter()
         .map(|r| {
             (
@@ -287,7 +287,7 @@ fn bench_shapes() -> [Query; 4] {
 /// bound bits.
 type CompactedSig = ([u32; 4], u64, u64, u64, u64, usize, u64);
 
-fn compacted_signature(rows: &[SketchRow]) -> Vec<CompactedSig> {
+fn compacted_signature(rows: &[SketchRow<'_>]) -> Vec<CompactedSig> {
     rows.iter()
         .map(|r| {
             (

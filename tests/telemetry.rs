@@ -11,7 +11,8 @@ use riskpipe::catmodel::financial::location_loss;
 use riskpipe::catmodel::site_intensity;
 use riskpipe::core::{RiskSession, ScenarioConfig, ShardedFilesStore};
 use riskpipe::obs::JSON_SCHEMA_VERSION;
-use riskpipe::prelude::{MetricsSnapshot, RiskResult, Telemetry};
+use riskpipe::prelude::{MetricsSnapshot, Query, RiskResult, Telemetry};
+use riskpipe::warehouse::{LevelSelect, Source};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -207,6 +208,66 @@ fn elt_counters_show_the_footprint_walk_is_selective() -> RiskResult<()> {
             "{threads} threads: {pairs} of {product} pairs ran the chain"
         );
     }
+    Ok(())
+}
+
+/// Each answered drill-down query reports how its rows came to be: a
+/// query a view serves at its own grain borrows every row and merges
+/// nothing; one rolled up from the base owns every row and merged the
+/// cells behind them. The operator's signal that the view set does not
+/// fit the query mix — and, being counts of cells, the same on 1, 2 and
+/// 8 threads.
+#[test]
+fn answer_counters_tell_borrowed_rows_from_merged_cells() -> RiskResult<()> {
+    let by_book = LevelSelect([0, 0, 3, 1]);
+    let by_layer = LevelSelect([0, 0, 0, 1]);
+    let mut seen = Vec::new();
+    for threads in [1usize, 2, 8] {
+        let telemetry = Telemetry::new();
+        let (scenarios, dims) = grid(0x0BA);
+        let session = RiskSession::builder()
+            .pool_threads(threads)
+            .telemetry(telemetry.clone())
+            .build()?;
+        let layout = DrilldownLayout::new(dims, session.engine())?;
+        let mut wh = session
+            .sweep(&scenarios)
+            .warehouse(layout)
+            .drive()?
+            .into_drilldown();
+        wh.materialize(by_book)?;
+
+        // Queries run on the caller's thread: install the handle there.
+        let _ctx = riskpipe::obs::install(&telemetry);
+        let counters = || {
+            let m = telemetry.snapshot().metrics().clone();
+            (
+                m.counter("warehouse.answer.rows_borrowed"),
+                m.counter("warehouse.answer.cells_merged"),
+            )
+        };
+        assert_eq!(counters(), (0, 0), "the sweep answers no query");
+
+        let (rows, cost) = wh.answer(&Query::group_by(by_book))?;
+        assert_eq!(cost.source, Source::Materialized(by_book));
+        assert!(rows.iter().all(|r| r.is_borrowed()));
+        let view_served = counters();
+        assert_eq!(view_served, (4, 0), "one borrowed row per book");
+
+        let (rows, cost) = wh.answer(&Query::group_by(by_layer))?;
+        assert_eq!(cost.source, Source::Materialized(LevelSelect::BASE));
+        assert!(rows.iter().all(|r| !r.is_borrowed()));
+        let base_cells = wh.base().cells() as u64;
+        let rolled_up = counters();
+        assert_eq!(
+            rolled_up,
+            (4, base_cells - 4),
+            "every base cell but each row's first is merged"
+        );
+        seen.push((view_served, rolled_up));
+    }
+    assert_eq!(seen[0], seen[1], "1-thread vs 2-thread counters diverged");
+    assert_eq!(seen[1], seen[2], "2-thread vs 8-thread counters diverged");
     Ok(())
 }
 

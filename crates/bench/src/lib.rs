@@ -1,9 +1,13 @@
 //! # riskpipe-bench
 //!
-//! The experiment harness: shared fixtures for the Criterion benches
-//! (`benches/`) and the table-producing report binaries (`src/bin/`)
-//! that regenerate every quantitative claim of the paper (E1–E10; each
-//! binary's module doc names the claim it regenerates).
+//! The experiment harness: shared fixtures for the two binaries in
+//! `src/bin/`. `report <id>...` regenerates the paper's quantitative
+//! claims as tables (E1–E10 plus the ablation; each report function's
+//! doc names its claim, and `report all` writes every one to
+//! `reports/<id>.txt`). `perf_gate` holds the sweep shapes E11–E13
+//! (and riskbench's `cold_models` / `deep_trials`) to wall-clock
+//! budgets and pinned counters. Per-PR timing of those shapes is
+//! riskbench's job (`riskbench/`), not this crate's.
 
 #![warn(missing_docs)]
 
@@ -44,7 +48,7 @@ impl FixtureSize {
         }
     }
 
-    /// A smaller fixture for fast sanity benches.
+    /// A smaller fixture for the quick reports.
     pub fn small() -> Self {
         Self {
             events: 2_000,
@@ -59,8 +63,7 @@ impl FixtureSize {
 /// An attachment-factor pricing sweep over one stage-1 key: only the
 /// name and the attachment vary across points, so the whole sweep
 /// shares a single cached stage-1 model run. One definition serves
-/// E11, E12 and the nightly `perf_gate` — keeping the workload the
-/// gate guards identical to the one the benches measure.
+/// every same-key sweep check of the nightly `perf_gate`.
 pub fn pricing_sweep(
     base: riskpipe_core::ScenarioConfig,
     points: usize,
@@ -74,7 +77,7 @@ pub fn pricing_sweep(
         .collect()
 }
 
-/// The model-heavy sweep base E11 and the perf gate use: big
+/// The model-heavy sweep base of the perf gate's E11/E12 shapes: big
 /// catalogue × exposure, modest trials — the production shape where
 /// the per-scenario cost a stage-1 cache can remove is the event-loss
 /// model run, not the Monte-Carlo pass.

@@ -39,7 +39,7 @@ pub use config::{ScenarioConfig, Stage1Bundle};
 pub use elastic::{Deadline, ElasticModel, ProcessorPlan, StageThroughput};
 pub use report::{money, SweepSummary, TextTable};
 pub use session::{
-    DataStrategy, InMemoryStore, IntermediateStore, PipelineReport, ReportStream, RiskSession,
+    InMemoryStore, IntermediateStore, PipelineReport, ReportStream, RiskSession,
     RiskSessionBuilder, RunLabel, ShardedFilesStore, Stage1CacheStats, StageTiming,
 };
 pub use sink::{FanoutSink, PersistingSink, ReportSink, Tee};

@@ -67,25 +67,6 @@ use std::time::{Duration, Instant};
 // Intermediate stores.
 // ---------------------------------------------------------------------
 
-/// Where stage-2 intermediates live — the paper's two data-management
-/// strategies, as builder-friendly configuration. Each variant maps to
-/// an [`IntermediateStore`] implementation; custom backends skip the
-/// enum and hand the builder a store directly.
-#[derive(Debug, Clone)]
-pub enum DataStrategy {
-    /// Accumulate everything in (large) memory.
-    InMemory,
-    /// Spill the YELT to sharded files (distributed-file-space mode);
-    /// the directory must not already hold a store.
-    ShardedFiles {
-        /// Store directory (batch runs write one subdirectory per
-        /// scenario slot).
-        dir: PathBuf,
-        /// Number of shards.
-        shards: u32,
-    },
-}
-
 /// Identifies one run within a session, so stores can keep concurrent
 /// batch scenarios — and successive runs of one long-lived session —
 /// from clobbering each other.
@@ -363,17 +344,6 @@ impl IntermediateStore for ShardedFilesStore {
     }
 }
 
-impl DataStrategy {
-    fn into_store(self) -> RiskResult<Arc<dyn IntermediateStore>> {
-        Ok(match self {
-            DataStrategy::InMemory => Arc::new(InMemoryStore),
-            DataStrategy::ShardedFiles { dir, shards } => {
-                Arc::new(ShardedFilesStore::new(dir, shards)?)
-            }
-        })
-    }
-}
-
 // ---------------------------------------------------------------------
 // The stage-1 cache.
 // ---------------------------------------------------------------------
@@ -401,12 +371,6 @@ pub struct Stage1CacheStats {
     /// [`DfaFactors::memory_bytes`] of its stage-3 factor block
     /// (7 × 8 B × trials).
     pub bytes: u64,
-    /// Cumulative wall time spent building stage-1 model runs, in
-    /// nanoseconds (every build counts: cache misses, redundant racer
-    /// builds, and cache-off builds) — the capacity-planning number
-    /// next to the hit/miss counters; see
-    /// [`RiskSession::stage1_build_timings`] for the per-key split.
-    pub build_nanos: u64,
     /// Stage-1 model runs actually built (a RAM miss the disk tier
     /// also missed, plus redundant racer builds). With a warm disk
     /// tier this stays at zero — the number the "cold process replays
@@ -420,46 +384,6 @@ pub struct Stage1CacheStats {
     /// entry lacked the quantile grids this session tabulates (it is
     /// rewritten with them, so the next process inverts nothing).
     pub disk_writes: u64,
-    /// Build timings aged out of the fixed-capacity timing ring
-    /// ([`RiskSessionBuilder::stage1_timing_capacity`]) — when this is
-    /// non-zero, [`RiskSession::stage1_build_timings`] no longer covers
-    /// every build the session ever ran, only the most recent ones.
-    pub timing_drops: u64,
-}
-
-/// Fixed-capacity retention of recent per-key build timings. A
-/// long-lived session builds stage 1 indefinitely; recording one
-/// timing per build forever is an unbounded leak, so the ring keeps
-/// the most recent `capacity` builds and counts what it ages out
-/// (surfaced through [`Stage1CacheStats::timing_drops`] and the
-/// `stage1.timing_drops` telemetry counter).
-struct TimingRing {
-    capacity: usize,
-    /// `(stage1 key, build nanos)`, oldest first.
-    entries: VecDeque<(u64, u64)>,
-    dropped: u64,
-}
-
-impl TimingRing {
-    fn new(capacity: usize) -> Self {
-        Self {
-            capacity,
-            entries: VecDeque::new(),
-            dropped: 0,
-        }
-    }
-
-    fn push(&mut self, key: u64, nanos: u64) {
-        if self.capacity == 0 {
-            self.dropped += 1;
-            return;
-        }
-        while self.entries.len() >= self.capacity {
-            self.entries.pop_front();
-            self.dropped += 1;
-        }
-        self.entries.push_back((key, nanos));
-    }
 }
 
 /// What one cache entry holds: a stage-1 model run plus everything
@@ -633,34 +557,24 @@ struct Stage1Cache {
     /// processes (see [`DiskStage1Cache`]).
     disk: Option<DiskStage1Cache>,
     index: Mutex<CacheIndex>,
-    /// Recent per-key build timings, bounded (see [`TimingRing`]).
-    timings: Mutex<TimingRing>,
     hits: AtomicU64,
     misses: AtomicU64,
     evictions: AtomicU64,
-    build_nanos: AtomicU64,
     builds: AtomicU64,
     disk_hits: AtomicU64,
     disk_writes: AtomicU64,
 }
 
 impl Stage1Cache {
-    fn new(
-        capacity: usize,
-        budget_bytes: Option<u64>,
-        disk: Option<DiskStage1Cache>,
-        timing_capacity: usize,
-    ) -> Self {
+    fn new(capacity: usize, budget_bytes: Option<u64>, disk: Option<DiskStage1Cache>) -> Self {
         Self {
             capacity,
             budget_bytes,
             disk,
             index: Mutex::new("index", CacheIndex::default()),
-            timings: Mutex::new("timings", TimingRing::new(timing_capacity)),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
-            build_nanos: AtomicU64::new(0),
             builds: AtomicU64::new(0),
             disk_hits: AtomicU64::new(0),
             disk_writes: AtomicU64::new(0),
@@ -862,35 +776,19 @@ impl Stage1Cache {
         Ok(())
     }
 
-    /// Run `build` under a wall clock, feeding the cumulative
-    /// build-time counter and the bounded timing ring.
+    /// Run `build` under the `stage1.build` span — keyed, so a
+    /// telemetry snapshot carries the per-key wall time — and count it.
     fn timed_build(
         &self,
         key: u64,
         build: impl FnOnce() -> RiskResult<(Stage1Output, EltGenCounts)>,
     ) -> RiskResult<Stage1Output> {
         let _build_span = riskpipe_obs::span_key("stage1.build", key);
-        // lint: allow(D3) — reading flows only into the cumulative
-        // build_nanos stats counter and the diagnostic timing ring,
-        // never into model output.
-        let t0 = Instant::now();
         let (output, elt) = build()?;
-        let nanos = t0.elapsed().as_nanos().min(u64::MAX as u128) as u64;
-        self.build_nanos.fetch_add(nanos, Ordering::Relaxed);
         self.builds.fetch_add(1, Ordering::Relaxed);
         riskpipe_obs::counter_add("stage1.builds", 1);
         riskpipe_obs::counter_add("stage1.elt_pairs", elt.pairs);
         riskpipe_obs::counter_add("stage1.elt_damaging", elt.damaging);
-        let newly_dropped = {
-            // lint: allow(C1) — timing-ring mutex guards a bounded
-            // deque push; no holder blocks or enqueues pool work under
-            // it, so the wait is bounded by another push.
-            let mut ring = self.timings.lock();
-            let before = ring.dropped;
-            ring.push(key, nanos);
-            ring.dropped - before
-        };
-        riskpipe_obs::counter_add("stage1.timing_drops", newly_dropped);
         Ok(output)
     }
 
@@ -944,27 +842,10 @@ impl Stage1Cache {
             evictions: self.evictions.load(Ordering::Relaxed),
             entries,
             bytes,
-            build_nanos: self.build_nanos.load(Ordering::Relaxed),
             builds: self.builds.load(Ordering::Relaxed),
             disk_hits: self.disk_hits.load(Ordering::Relaxed),
             disk_writes: self.disk_writes.load(Ordering::Relaxed),
-            timing_drops: self.timings.lock().dropped,
         }
-    }
-
-    /// Per-key wall time of recent builds from the bounded timing
-    /// ring, most recent build per key, sorted by key.
-    fn build_timings(&self) -> Vec<(u64, Duration)> {
-        let ring = self.timings.lock();
-        let mut latest: BTreeMap<u64, u64> = BTreeMap::new();
-        for &(key, nanos) in &ring.entries {
-            // Entries are oldest-first, so the last write per key wins.
-            latest.insert(key, nanos);
-        }
-        latest
-            .into_iter()
-            .map(|(key, nanos)| (key, Duration::from_nanos(nanos)))
-            .collect()
     }
 
     fn clear(&self) {
@@ -991,14 +872,12 @@ enum PoolChoice {
 pub struct RiskSessionBuilder {
     engine: EngineKind,
     options: AggregateOptions,
-    strategy: Option<DataStrategy>,
     store: Option<Arc<dyn IntermediateStore>>,
     pool: PoolChoice,
     company: CompanyConfig,
     stage1_capacity: usize,
     stage1_bytes: Option<u64>,
     stage1_disk_dir: Option<PathBuf>,
-    stage1_timing_capacity: usize,
     telemetry: Option<riskpipe_obs::Telemetry>,
 }
 
@@ -1007,14 +886,12 @@ impl Default for RiskSessionBuilder {
         Self {
             engine: EngineKind::CpuParallel,
             options: AggregateOptions::default(),
-            strategy: None,
             store: None,
             pool: PoolChoice::Default,
             company: CompanyConfig::typical(),
             stage1_capacity: RiskSession::DEFAULT_STAGE1_CACHE_CAPACITY,
             stage1_bytes: None,
             stage1_disk_dir: None,
-            stage1_timing_capacity: RiskSession::DEFAULT_STAGE1_TIMING_CAPACITY,
             telemetry: None,
         }
     }
@@ -1034,20 +911,12 @@ impl RiskSessionBuilder {
         self
     }
 
-    /// Select a built-in data-management strategy (default: in-memory).
-    /// Last call wins between `strategy` and
-    /// [`RiskSessionBuilder::store`].
-    pub fn strategy(mut self, strategy: DataStrategy) -> Self {
-        self.strategy = Some(strategy);
-        self.store = None;
-        self
-    }
-
-    /// Attach a custom intermediate-store backend. Last call wins
-    /// between `store` and [`RiskSessionBuilder::strategy`].
+    /// Choose where stage-2 intermediates live (default:
+    /// [`InMemoryStore`]) — the paper's other data-management strategy
+    /// is `Arc::new(ShardedFilesStore::new(dir, shards)?)`, and custom
+    /// backends plug in the same way.
     pub fn store(mut self, store: Arc<dyn IntermediateStore>) -> Self {
         self.store = Some(store);
-        self.strategy = None;
         self
     }
 
@@ -1071,24 +940,14 @@ impl RiskSessionBuilder {
         self
     }
 
-    /// Enable or disable the stage-1 cache (enabled by default, at
-    /// [`RiskSession::DEFAULT_STAGE1_CACHE_CAPACITY`]). Caching never
-    /// changes results — stage 1 is a pure function of its key — only
-    /// whether shared model runs are rebuilt.
-    pub fn stage1_cache(mut self, enabled: bool) -> Self {
-        self.stage1_capacity = if enabled {
-            RiskSession::DEFAULT_STAGE1_CACHE_CAPACITY
-        } else {
-            0
-        };
-        self
-    }
-
     /// Retain at most `capacity` distinct stage-1 model runs (LRU
-    /// eviction; 0 disables the cache). Size this to the number of
-    /// distinct catalogues a sweep revisits — each retained entry holds
-    /// a full catalogue + books + YET, plus the event-major join of the
-    /// books (every book's quantile grid, in hit order).
+    /// eviction; default [`RiskSession::DEFAULT_STAGE1_CACHE_CAPACITY`];
+    /// 0 disables the cache). Caching never changes results — stage 1
+    /// is a pure function of its key — only whether shared model runs
+    /// are rebuilt. Size this to the number of distinct catalogues a
+    /// sweep revisits — each retained entry holds a full catalogue +
+    /// books + YET, plus the event-major join of the books (every
+    /// book's quantile grid, in hit order).
     pub fn stage1_cache_capacity(mut self, capacity: usize) -> Self {
         self.stage1_capacity = capacity;
         self
@@ -1124,20 +983,6 @@ impl RiskSessionBuilder {
     /// works even with the RAM cache disabled.
     pub fn stage1_disk_cache(mut self, dir: impl Into<PathBuf>) -> Self {
         self.stage1_disk_dir = Some(dir.into());
-        self
-    }
-
-    /// Retain at most `capacity` recent stage-1 build timings for
-    /// [`RiskSession::stage1_build_timings`] (default
-    /// [`RiskSession::DEFAULT_STAGE1_TIMING_CAPACITY`]; 0 retains
-    /// none). A long-lived session builds stage 1 indefinitely, so
-    /// retention is a ring: the oldest timing ages out first, and
-    /// aged-out timings are counted in
-    /// [`Stage1CacheStats::timing_drops`] (and the
-    /// `stage1.timing_drops` telemetry counter) so capacity planning
-    /// knows the view is partial.
-    pub fn stage1_timing_capacity(mut self, capacity: usize) -> Self {
-        self.stage1_timing_capacity = capacity;
         self
     }
 
@@ -1185,11 +1030,7 @@ impl RiskSessionBuilder {
             PoolChoice::Shared(pool) => pool,
             PoolChoice::Default => Arc::new(ThreadPool::try_default()?),
         };
-        let store = match (self.store, self.strategy) {
-            (Some(store), _) => store,
-            (None, Some(strategy)) => strategy.into_store()?,
-            (None, None) => Arc::new(InMemoryStore),
-        };
+        let store = self.store.unwrap_or_else(|| Arc::new(InMemoryStore));
         let disk = self.stage1_disk_dir.map(DiskStage1Cache::new).transpose()?;
         Ok(RiskSession {
             runner: AggregateRunner::new(self.engine)
@@ -1198,12 +1039,7 @@ impl RiskSessionBuilder {
             pool,
             store,
             dfa: DfaEngine::typical(self.company),
-            stage1: Stage1Cache::new(
-                self.stage1_capacity,
-                self.stage1_bytes,
-                disk,
-                self.stage1_timing_capacity,
-            ),
+            stage1: Stage1Cache::new(self.stage1_capacity, self.stage1_bytes, disk),
             runs: AtomicU64::new(0),
             telemetry: self.telemetry,
         })
@@ -1233,10 +1069,6 @@ impl RiskSession {
     /// Default number of distinct stage-1 model runs a session retains
     /// (see [`RiskSessionBuilder::stage1_cache_capacity`]).
     pub const DEFAULT_STAGE1_CACHE_CAPACITY: usize = 8;
-
-    /// Default number of recent stage-1 build timings retained (see
-    /// [`RiskSessionBuilder::stage1_timing_capacity`]).
-    pub const DEFAULT_STAGE1_TIMING_CAPACITY: usize = 256;
 
     /// Start configuring a session.
     pub fn builder() -> RiskSessionBuilder {
@@ -1287,14 +1119,6 @@ impl RiskSession {
     /// The stage-1 cache's hit/miss counters.
     pub fn stage1_cache_stats(&self) -> Stage1CacheStats {
         self.stage1.stats()
-    }
-
-    /// Wall time of each retained stage-1 entry's publishing build, as
-    /// `(stage1_key, duration)` sorted by key — the per-key split of
-    /// [`Stage1CacheStats::build_nanos`], for capacity planning (which
-    /// catalogues are worth a bigger budget).
-    pub fn stage1_build_timings(&self) -> Vec<(u64, Duration)> {
-        self.stage1.build_timings()
     }
 
     /// Drop every retained stage-1 model run (counters survive; they
@@ -2035,7 +1859,7 @@ mod tests {
         assert_eq!(stats.entries, 2);
         assert_eq!(stats.evictions, 2);
         assert!(stats.bytes > 0);
-        assert!(stats.build_nanos > 0);
+        assert_eq!(stats.builds, 4);
     }
 
     #[test]
@@ -2100,27 +1924,34 @@ mod tests {
 
     #[test]
     fn per_key_build_timings_are_exposed() {
-        let session = RiskSession::builder().pool_threads(2).build().unwrap();
+        // The per-key build timing is the keyed `stage1.build` span: one
+        // per distinct key, none for a hit.
+        let telemetry = riskpipe_obs::Telemetry::new();
+        let session = RiskSession::builder()
+            .pool_threads(2)
+            .telemetry(telemetry.clone())
+            .build()
+            .unwrap();
         let a = ScenarioConfig::small().with_seed(96).with_trials(200);
         let b = ScenarioConfig::small().with_seed(97).with_trials(200);
         session.run(&a).unwrap();
         session.run(&b).unwrap();
-        session.run(&a).unwrap(); // hit: no extra timing entry
-        let timings = session.stage1_build_timings();
-        assert_eq!(timings.len(), 2);
-        let keys: Vec<u64> = timings.iter().map(|&(k, _)| k).collect();
-        assert!(keys.contains(&a.stage1_key()) && keys.contains(&b.stage1_key()));
-        assert!(timings.iter().all(|&(_, d)| d > Duration::ZERO));
-        // Cumulative counter covers at least the per-key entries.
-        let total: u64 = timings.iter().map(|&(_, d)| d.as_nanos() as u64).sum();
-        assert!(session.stage1_cache_stats().build_nanos >= total);
+        session.run(&a).unwrap(); // hit: no extra build span
+        let snap = telemetry.snapshot();
+        let builds: Vec<_> = snap.spans_named("stage1.build").collect();
+        let mut keys: Vec<u64> = builds.iter().map(|s| s.key).collect();
+        keys.sort_unstable();
+        let mut expected = vec![a.stage1_key(), b.stage1_key()];
+        expected.sort_unstable();
+        assert_eq!(keys, expected);
+        assert!(builds.iter().all(|s| s.dur_ns > 0));
     }
 
     #[test]
     fn disabled_cache_rebuilds_every_time() {
         let session = RiskSession::builder()
             .pool_threads(2)
-            .stage1_cache(false)
+            .stage1_cache_capacity(0)
             .build()
             .unwrap();
         let scenario = ScenarioConfig::small().with_seed(41).with_trials(300);
@@ -2137,10 +1968,7 @@ mod tests {
     fn sharded_store_writes_and_is_readable() {
         let dir = temp("shards");
         let session = RiskSession::builder()
-            .strategy(DataStrategy::ShardedFiles {
-                dir: dir.clone(),
-                shards: 4,
-            })
+            .store(Arc::new(ShardedFilesStore::new(&dir, 4).unwrap()))
             .pool_threads(2)
             .build()
             .unwrap();
@@ -2158,10 +1986,7 @@ mod tests {
     fn sharded_session_is_reusable_across_runs() {
         let dir = temp("reuse");
         let session = RiskSession::builder()
-            .strategy(DataStrategy::ShardedFiles {
-                dir: dir.clone(),
-                shards: 2,
-            })
+            .store(Arc::new(ShardedFilesStore::new(&dir, 2).unwrap()))
             .pool_threads(2)
             .build()
             .unwrap();
@@ -2250,15 +2075,12 @@ mod tests {
         // disabled cache is a contradiction, not a configuration.
         for builder in [
             RiskSession::builder()
-                .stage1_cache(false)
-                .stage1_cache_bytes(1 << 20),
-            RiskSession::builder()
                 .stage1_cache_capacity(0)
                 .stage1_cache_bytes(1),
             // Order must not matter.
             RiskSession::builder()
                 .stage1_cache_bytes(1 << 20)
-                .stage1_cache(false),
+                .stage1_cache_capacity(0),
         ] {
             let err = builder.build();
             assert!(err.is_err());
@@ -2275,23 +2097,16 @@ mod tests {
 
     #[test]
     fn zero_shards_rejected_at_build_time() {
-        let err = RiskSession::builder()
-            .strategy(DataStrategy::ShardedFiles {
-                dir: temp("zero"),
-                shards: 0,
-            })
-            .build();
-        assert!(err.is_err());
+        // The store is built before the session, so a zero-shard spill
+        // never reaches `build()`.
+        assert!(ShardedFilesStore::new(temp("zero"), 0).is_err());
     }
 
     #[test]
     fn batch_slots_get_own_directories() {
         let dir = temp("batchdirs");
         let session = RiskSession::builder()
-            .strategy(DataStrategy::ShardedFiles {
-                dir: dir.clone(),
-                shards: 2,
-            })
+            .store(Arc::new(ShardedFilesStore::new(&dir, 2).unwrap()))
             .pool_threads(2)
             .build()
             .unwrap();

@@ -7,9 +7,10 @@
 //! cargo run --release --example portfolio_rollup
 //! ```
 
-use riskpipe_core::{DataStrategy, RiskSession, ScenarioConfig};
+use riskpipe_core::{RiskSession, ScenarioConfig, ShardedFilesStore};
 use riskpipe_tables::ScaleSpec;
 use riskpipe_types::RiskResult;
+use std::sync::Arc;
 
 fn main() -> RiskResult<()> {
     let scenario = ScenarioConfig::small().with_seed(11).with_trials(5_000);
@@ -23,10 +24,7 @@ fn main() -> RiskResult<()> {
     let dir = std::env::temp_dir().join(format!("riskpipe-rollup-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let sharded = RiskSession::builder()
-        .strategy(DataStrategy::ShardedFiles {
-            dir: dir.clone(),
-            shards: 8,
-        })
+        .store(Arc::new(ShardedFilesStore::new(&dir, 8)?))
         .build()?;
     let report = sharded.run(&scenario)?;
     println!("{report}\n");

@@ -85,9 +85,9 @@ pub mod prelude {
     pub use riskpipe_catmodel::Stage1Output;
     pub use riskpipe_cloud::{pipeline_week, simulate, PipelineWeekSpec, SimConfig};
     pub use riskpipe_core::{
-        DataStrategy, FanoutSink, IntermediateStore, PersistedRun, PersistingSink, PipelineReport,
+        FanoutSink, InMemoryStore, IntermediateStore, PersistedRun, PersistingSink, PipelineReport,
         ReportSink, ReportStream, RiskSession, RiskSessionBuilder, ScenarioConfig,
-        Stage1CacheStats, SweepOutcome, SweepPlan, SweepSummary, Tee,
+        ShardedFilesStore, Stage1CacheStats, SweepOutcome, SweepPlan, SweepSummary, Tee,
     };
     pub use riskpipe_dfa::{AllocationMethod, EnterpriseRollup};
     pub use riskpipe_metrics::{EpCurve, EpPoint, QuantileSketch};

@@ -218,12 +218,13 @@ fn cold_session_over_warm_disk_tier_builds_nothing_and_matches_bitwise() {
     };
 
     let run = |threads: usize, ram_cache: bool| {
-        let session = RiskSession::builder()
+        let mut builder = RiskSession::builder()
             .pool_threads(threads)
-            .stage1_cache(ram_cache)
-            .stage1_disk_cache(&tier)
-            .build()
-            .unwrap();
+            .stage1_disk_cache(&tier);
+        if !ram_cache {
+            builder = builder.stage1_cache_capacity(0);
+        }
+        let session = builder.build().unwrap();
         let layout = DrilldownLayout::new(dims.clone(), session.engine()).unwrap();
         let outcome = session
             .sweep(&scenarios)

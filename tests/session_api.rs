@@ -3,10 +3,11 @@
 //! and batch determinism on any thread count.
 
 use riskpipe::aggregate::EngineKind;
-use riskpipe::core::{DataStrategy, RiskSession, ScenarioConfig};
+use riskpipe::core::{RiskSession, ScenarioConfig, ShardedFilesStore};
 use riskpipe::types::RiskResult;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 fn temp(tag: &str) -> PathBuf {
     static N: AtomicU64 = AtomicU64::new(0);
@@ -53,10 +54,7 @@ fn every_engine_and_store_yields_the_same_ylt() -> RiskResult<()> {
         let dir = temp("equiv");
         let report = RiskSession::builder()
             .engine(kind)
-            .strategy(DataStrategy::ShardedFiles {
-                dir: dir.clone(),
-                shards: 3,
-            })
+            .store(Arc::new(ShardedFilesStore::new(&dir, 3)?))
             .pool_threads(2)
             .build()?
             .run(&scenario)?;
@@ -119,10 +117,7 @@ fn run_batch_keeps_input_order() -> RiskResult<()> {
 fn one_session_serves_many_scenarios_and_stores_stay_isolated() -> RiskResult<()> {
     let dir = temp("iso");
     let session = RiskSession::builder()
-        .strategy(DataStrategy::ShardedFiles {
-            dir: dir.clone(),
-            shards: 2,
-        })
+        .store(Arc::new(ShardedFilesStore::new(&dir, 2)?))
         .pool_threads(2)
         .build()?;
     let scenarios = [scenario(31), scenario(32)];

@@ -51,7 +51,7 @@ fn run_stream_is_bit_identical_to_batch_and_solo_on_any_thread_count() -> RiskRe
     // cache-disabled session (the most conservative configuration).
     let single = RiskSession::builder()
         .pool_threads(1)
-        .stage1_cache(false)
+        .stage1_cache_capacity(0)
         .build()?;
     let reference: Vec<_> = scenarios
         .iter()
@@ -91,7 +91,7 @@ fn caching_never_changes_results() -> RiskResult<()> {
     let cached = RiskSession::builder().pool_threads(4).build()?;
     let uncached = RiskSession::builder()
         .pool_threads(4)
-        .stage1_cache(false)
+        .stage1_cache_capacity(0)
         .build()?;
     let a = collected(&cached, &scenarios)?;
     let b = collected(&uncached, &scenarios)?;
@@ -405,7 +405,7 @@ fn same_key_sweep_builds_tables_and_join_once_per_key_on_any_thread_count() -> R
 
     let uncached = RiskSession::builder()
         .pool_threads(2)
-        .stage1_cache(false)
+        .stage1_cache_capacity(0)
         .build()?;
     let want: Vec<_> = collect_stream(&uncached, &sweep)?
         .iter()
@@ -467,7 +467,7 @@ fn same_key_sweep_builds_tables_and_join_once_per_key_on_any_thread_count() -> R
     let telemetry = Telemetry::new();
     let uncached = RiskSession::builder()
         .pool_threads(2)
-        .stage1_cache(false)
+        .stage1_cache_capacity(0)
         .telemetry(telemetry.clone())
         .build()?;
     collect_stream(&uncached, &sweep)?;
@@ -568,13 +568,15 @@ fn tier_sweep(
     scenarios: &[ScenarioConfig],
 ) -> RiskResult<(Vec<PipelineReport>, Stage1CacheStats, [u64; 3])> {
     let telemetry = Telemetry::new();
-    let session = RiskSession::builder()
+    let mut builder = RiskSession::builder()
         .pool_threads(2)
         .options(options)
-        .stage1_cache(ram_cache)
         .stage1_disk_cache(dir)
-        .telemetry(telemetry.clone())
-        .build()?;
+        .telemetry(telemetry.clone());
+    if !ram_cache {
+        builder = builder.stage1_cache_capacity(0);
+    }
+    let session = builder.build()?;
     let reports = collect_stream(&session, scenarios)?;
     let metrics = telemetry.snapshot().metrics().clone();
     let derived = [

@@ -262,7 +262,8 @@ fn cloud_simulator_handles_degenerate_and_hostile_configs() {
 
 #[test]
 fn concurrent_sessions_spill_to_disjoint_stores_and_clean_up() {
-    use riskpipe::core::{DataStrategy, RiskSession, ScenarioConfig};
+    use riskpipe::core::{RiskSession, ScenarioConfig, ShardedFilesStore};
+    use std::sync::Arc;
 
     let parent = temp("concurrent-sessions");
     std::fs::create_dir_all(&parent).unwrap();
@@ -271,10 +272,7 @@ fn concurrent_sessions_spill_to_disjoint_stores_and_clean_up() {
             let dir = parent.join(format!("session-{t}"));
             std::thread::spawn(move || -> RiskResult<PathBuf> {
                 let session = RiskSession::builder()
-                    .strategy(DataStrategy::ShardedFiles {
-                        dir: dir.clone(),
-                        shards: 2,
-                    })
+                    .store(Arc::new(ShardedFilesStore::new(&dir, 2)?))
                     .pool_threads(2)
                     .build()?;
                 let scenarios = [
@@ -319,16 +317,13 @@ fn concurrent_sessions_spill_to_disjoint_stores_and_clean_up() {
 
 #[test]
 fn one_session_shared_across_threads_never_collides() {
-    use riskpipe::core::{DataStrategy, RiskSession, ScenarioConfig};
+    use riskpipe::core::{RiskSession, ScenarioConfig, ShardedFilesStore};
     use std::sync::Arc;
 
     let dir = temp("shared-session");
     let session = Arc::new(
         RiskSession::builder()
-            .strategy(DataStrategy::ShardedFiles {
-                dir: dir.clone(),
-                shards: 2,
-            })
+            .store(Arc::new(ShardedFilesStore::new(&dir, 2).unwrap()))
             .pool_threads(2)
             .build()
             .unwrap(),

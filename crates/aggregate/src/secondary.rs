@@ -14,6 +14,20 @@
 //! monotone in `z` and identical across all engines (they share the
 //! table), preserving cross-engine bit-equality.
 //!
+//! ## One descent per grid row
+//!
+//! A row's `g` inversions are one call, [`Beta::quantiles_into`], and
+//! they share their work. Each solve starts at the mean inside the
+//! bracket `(0, 1)` and mostly bisects, so solves for neighbouring
+//! abscissae walk the same ladder of iterates before they part. The
+//! row's solves run in abscissa order over one trail of iterates: when
+//! step `i` of a solve lands on an `x` with the same bits as the
+//! trail's step `i`, the CDF and pdf there are read from the trail, not
+//! evaluated. They are pure functions of the row's beta and that `x`, so
+//! each cell is bit-identical to a lone `Beta::quantile`. On the
+//! benchmark's models a 33-point row runs ≈ 4.5 CDF evaluations per
+//! cell instead of ≈ 22 (`stage2.secondary_evals` counts them).
+//!
 //! ## Who builds the table, and when
 //!
 //! A table is a pure function of `(ELT, QuantileMode)` — layer terms
@@ -50,6 +64,7 @@ use riskpipe_exec::{par_chunks_mut, suggest_grain, ThreadPool};
 use riskpipe_tables::{codec, Elt};
 use riskpipe_types::dist::Beta;
 use riskpipe_types::{RiskError, RiskResult};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// How beta quantiles are evaluated at run time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -137,6 +152,8 @@ pub struct SecondaryTable {
     /// `rows × grid_n` quantile values.
     pub(crate) grid: Vec<f64>,
     pub(crate) grid_n: usize,
+    /// Beta CDF evaluations the grid's inversion ran (0 without one).
+    cdf_evals: u64,
 }
 
 impl SecondaryTable {
@@ -150,6 +167,7 @@ impl SecondaryTable {
     pub fn build_on(elt: &Elt, mode: QuantileMode, pool: &ThreadPool) -> Self {
         let betas = row_betas(elt);
         let n = betas.len();
+        let cdf_evals = AtomicU64::new(0);
         let (grid, grid_n) = match mode.grid_points() {
             None => (Vec::new(), 0),
             Some(g) => {
@@ -160,14 +178,19 @@ impl SecondaryTable {
                 // inversions dominate the build, so tasks tabulate
                 // disjoint row blocks straight into the one allocation
                 // (row `i` always lands at `i * g`, so the table, and
-                // thus every engine's output, is deterministic).
+                // thus every engine's output, is deterministic). The
+                // evaluation count is a sum of per-row counts, so it
+                // too is the same on any split.
                 let mut grid = vec![0.0f64; n * g];
                 let rows_per_task = suggest_grain(n, pool.thread_count(), 8);
                 par_chunks_mut(pool, &mut grid, rows_per_task * g, |task, block| {
                     let first = task * rows_per_task;
-                    for (j, row) in block.chunks_exact_mut(g).enumerate() {
-                        betas[first + j].quantiles_into(&us, row);
-                    }
+                    let evals: u64 = block
+                        .chunks_exact_mut(g)
+                        .enumerate()
+                        .map(|(j, row)| betas[first + j].quantiles_into(&us, row))
+                        .sum();
+                    cdf_evals.fetch_add(evals, Ordering::Relaxed);
                 });
                 (grid, g)
             }
@@ -177,12 +200,21 @@ impl SecondaryTable {
             betas,
             grid,
             grid_n,
+            cdf_evals: cdf_evals.into_inner(),
         }
     }
 
     /// Grid points per row (0 in exact mode).
     pub fn grid_points(&self) -> usize {
         self.grid_n
+    }
+
+    /// Beta CDF evaluations [`SecondaryTable::build_on`] ran to invert
+    /// this table's grid, each row's start point included — what the
+    /// `stage2.secondary_evals` counter sums. 0 for an adopted grid
+    /// and in exact mode.
+    pub fn cdf_evals(&self) -> u64 {
+        self.cdf_evals
     }
 
     /// Append the table's grid to `out` as one CRC-checked
@@ -229,6 +261,7 @@ impl SecondaryTable {
             betas: row_betas(elt),
             grid: frame.cells,
             grid_n: frame.g,
+            cdf_evals: 0,
         };
         Ok((table, used))
     }

@@ -30,7 +30,8 @@ use std::time::Instant;
 /// per-scenario builds on any machine; the budget (7x the 0.7 s the
 /// 2-vCPU reference box measures, the headroom the old 30 s budget had
 /// over the 4.3 s it took with per-scenario table builds) catches it
-/// on a comparable one.
+/// on a comparable one. A third counter pins the shared descent of a
+/// grid row's inversions: [`MAX_EVALS_PER_CELL`].
 fn check_sweep_cache() -> f64 {
     let sweep = pricing_sweep(model_heavy_small(0xE11, 200), 8);
     let telemetry = riskpipe_obs::Telemetry::new();
@@ -49,16 +50,30 @@ fn check_sweep_cache() -> f64 {
         1,
         "stage-1 cache stopped sharing the model run"
     );
+    let snap = telemetry.snapshot();
+    let metrics = snap.metrics();
     assert_eq!(
-        telemetry
-            .snapshot()
-            .metrics()
-            .counter("stage2.secondary_builds"),
+        metrics.counter("stage2.secondary_builds"),
         1,
         "stage-1 cache stopped sharing the secondary tables"
     );
+    // One row per hit, 33 cells per row (the default grid).
+    let cells = metrics.counter("stage2.join_hits") * 33;
+    let per_cell = metrics.counter("stage2.secondary_evals") as f64 / cells as f64;
+    assert!(
+        per_cell < MAX_EVALS_PER_CELL,
+        "grid inversions ran {per_cell:.2} beta CDF evaluations per cell: \
+         a row's solves stopped sharing their descent"
+    );
     elapsed
 }
+
+/// Beta CDF evaluations per grid cell `check_sweep_cache` allows:
+/// halfway between the 20.83 that solving every cell from scratch runs
+/// on its fixture and the 4.63 a row's solves run over one shared
+/// trail. Losing the reuse makes the table build ≈ 3.7x slower, which
+/// the wall-clock budget alone would not catch.
+const MAX_EVALS_PER_CELL: f64 = 12.7;
 
 /// The deep-trials shape (riskbench's `deep_trials`): trials far
 /// outnumber ELT rows — 100 000 trials over 16 books of a 300-event

@@ -1496,8 +1496,12 @@ impl RiskSession {
                 .secondary_uncertainty
                 .then(|| riskpipe_obs::span_key("stage2.secondary", key));
             let built = build_secondary(elts(), opts, &self.pool);
-            if built.is_some() {
+            if let Some(tables) = &built {
                 riskpipe_obs::counter_add("stage2.secondary_builds", 1);
+                riskpipe_obs::counter_add(
+                    "stage2.secondary_evals",
+                    tables.iter().map(SecondaryTable::cdf_evals).sum(),
+                );
             }
             built
         };

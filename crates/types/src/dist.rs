@@ -298,19 +298,23 @@ impl Beta {
 
     /// `out[k] = self.quantile(us[k])` for every `k`, bit for bit, with
     /// everything that does not depend on `u` evaluated once for the
-    /// batch: `ln B(a, b)`, and the first Newton iterate — every
-    /// inversion starts at the mean, so its CDF and pdf there are one
-    /// evaluation per distribution, not one per abscissa. The
-    /// tabulation kernel of the secondary-uncertainty grid.
+    /// batch: `ln B(a, b)` and the start iterate at the mean. The
+    /// abscissae are solved in order over one trail of iterates, so a
+    /// CDF evaluation an earlier solve already ran at the same step and
+    /// the same `x` bits is reused, not repeated (see `BetaNewton` in
+    /// [`crate::special`]). The tabulation kernel of the
+    /// secondary-uncertainty grid. Returns the CDF evaluations it ran,
+    /// the start point's included.
     ///
     /// # Panics
     /// If `us` and `out` differ in length.
-    pub fn quantiles_into(&self, us: &[f64], out: &mut [f64]) {
+    pub fn quantiles_into(&self, us: &[f64], out: &mut [f64]) -> u64 {
         assert_eq!(us.len(), out.len(), "one output slot per abscissa");
-        let start = BetaNewton::start(self.a, self.b);
+        let mut newton = BetaNewton::new(self.a, self.b);
         for (q, &u) in out.iter_mut().zip(us) {
-            *q = start.solve(u.clamp(Self::EPS, 1.0 - Self::EPS));
+            *q = newton.solve(u.clamp(Self::EPS, 1.0 - Self::EPS));
         }
+        newton.evals()
     }
 }
 
@@ -505,22 +509,102 @@ mod tests {
         assert!(b.quantile(0.5).is_finite());
     }
 
+    /// `g` grid abscissae `(k + 0.5) / g`, as the secondary table lays
+    /// them out.
+    fn grid(g: usize) -> Vec<f64> {
+        (0..g).map(|k| (k as f64 + 0.5) / g as f64).collect()
+    }
+
     #[test]
     fn beta_batched_quantiles_equal_single_lookups_bitwise() {
-        // Out-of-range abscissae included: both paths clamp alike.
-        let us = [-0.5, 0.0, 1e-9, 0.015, 0.3, 0.5, 0.77, 0.985, 1.0, 2.0];
-        for (mean, sd) in [(0.3, 0.1), (0.02, 0.05), (0.9, 5.0), (0.0, 0.0)] {
-            let b = Beta::from_mean_sd_clamped(mean, sd);
-            let mut out = [0.0; 10];
-            b.quantiles_into(&us, &mut out);
-            for (q, &u) in out.iter().zip(&us) {
+        // The batch reuses iterates across abscissae; every cell must
+        // still be the single lookup's bits, whatever the abscissae's
+        // order. Out-of-range abscissae included: both paths clamp
+        // alike.
+        let mut rng = SplitMix64::new(0xBE7A);
+        // Clamp corners, then the (a, b) shapes the workloads produce.
+        let corners = [
+            (0.3, 0.1),
+            (0.02, 0.05),
+            (0.9, 5.0),
+            (0.0, 0.0),
+            (1.0, 0.0),
+            (1.0, 1.0),
+            (-1.0, 0.5),
+            (2.0, 0.0),
+            (0.5, 1e-12),
+            (1e-9, 1.0),
+        ];
+        let mut betas: Vec<Beta> = corners
+            .iter()
+            .map(|&(mean, sd)| Beta::from_mean_sd_clamped(mean, sd))
+            .collect();
+        let shapes = [(1e-6, 1e-6), (5.8e-5, 0.024), (0.105, 7.6), (0.56, 17.8)];
+        betas.extend(shapes.iter().map(|&(a, b)| Beta::new(a, b)));
+        // 2 000 drawn pairs: the mean log-uniform over (1e-7, 1) from
+        // either end, the sd a log-uniform fraction of its largest
+        // admissible value (past 1, so the variance clamp fires too).
+        for _ in 0..2_000 {
+            let tail = 10f64.powf(-7.0 * rng.next_f64());
+            let mean = if rng.next_below(2) == 0 {
+                tail
+            } else {
+                1.0 - tail
+            };
+            let sd = (mean * (1.0 - mean)).sqrt() * 10f64.powf(4.5 * rng.next_f64() - 4.0);
+            betas.push(Beta::from_mean_sd_clamped(mean, sd));
+        }
+        let edges = vec![-0.5, 0.0, 1e-9, 0.015, 0.3, 0.5, 0.77, 0.985, 1.0, 2.0];
+        let descending: Vec<f64> = grid(33).into_iter().rev().collect();
+        let duplicated: Vec<f64> = grid(17).iter().flat_map(|&u| [u, u]).collect();
+        let mut shuffled = grid(33);
+        for (i, beta) in betas.iter().enumerate() {
+            let us = match i % 9 {
+                0 => grid(2),
+                1 => grid(17),
+                2 => grid(33),
+                3 => grid(65),
+                4 => grid(129),
+                5 => {
+                    for k in (1..shuffled.len()).rev() {
+                        shuffled.swap(k, rng.next_below(k as u32 + 1) as usize);
+                    }
+                    shuffled.clone()
+                }
+                6 => descending.clone(),
+                7 => duplicated.clone(),
+                _ => edges.clone(),
+            };
+            let mut out = vec![0.0; us.len()];
+            beta.quantiles_into(&us, &mut out);
+            for (k, (q, &u)) in out.iter().zip(&us).enumerate() {
                 assert_eq!(
                     q.to_bits(),
-                    b.quantile(u).to_bits(),
-                    "({mean}, {sd}) at {u}"
+                    beta.quantile(u).to_bits(),
+                    "{beta:?}, cell {k} of {} at {u}",
+                    us.len()
                 );
             }
         }
+    }
+
+    #[test]
+    fn one_batch_runs_fewer_evaluations_than_one_per_abscissa() {
+        // A `price_sweep`-shaped row on the default 33-point grid: the
+        // solves share most of their descent.
+        let beta = Beta::new(0.105, 7.6);
+        let us = grid(33);
+        let mut out = vec![0.0; 33];
+        let batched = beta.quantiles_into(&us, &mut out);
+        let one_by_one: u64 = us
+            .iter()
+            .zip(&mut out)
+            .map(|(u, q)| beta.quantiles_into(std::slice::from_ref(u), std::slice::from_mut(q)))
+            .sum();
+        assert!(
+            batched * 2 < one_by_one,
+            "{batched} evaluations batched vs {one_by_one} one by one"
+        );
     }
 
     #[test]

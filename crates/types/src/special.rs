@@ -132,47 +132,98 @@ fn inc_beta_from_logs(a: f64, b: f64, x: f64, ln_x: f64, ln_1mx: f64, ln_b: f64)
     }
 }
 
-/// One Newton iterate of the Beta(a, b) quantile search: where the
-/// iteration stands, the CDF there and the (floored) pdf there — all
-/// the next step reads, and none of it depends on the target `p`.
+/// One iterate of the Beta(a, b) quantile search: where the iteration
+/// stands, the CDF there and the (floored) pdf there — all the next
+/// step reads, and none of it depends on the target `p`.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct BetaNewton {
-    a: f64,
-    b: f64,
-    ln_b: f64,
+struct Iterate {
     x: f64,
     cdf: f64,
     pdf: f64,
 }
 
-impl BetaNewton {
-    /// The iterate every quantile of Beta(a, b) starts from: the mean,
-    /// robust for the moderate `(a, b)` that moment-matched damage
-    /// ratios produce. Evaluated once, it serves any number of targets.
-    pub(crate) fn start(a: f64, b: f64) -> Self {
-        debug_assert!(a > 0.0 && b > 0.0);
-        let x = (a / (a + b)).clamp(1e-12, 1.0 - 1e-12);
-        Self::at(a, b, ln_beta(a, b), x)
-    }
+impl Iterate {
+    /// An unwritten trail slot: NaN shares its bits with no iterate
+    /// (every step lands on a finite `x`), so it never matches.
+    const EMPTY: Self = Self {
+        x: f64::NAN,
+        cdf: f64::NAN,
+        pdf: f64::NAN,
+    };
 
     fn at(a: f64, b: f64, ln_b: f64, x: f64) -> Self {
         let (ln_x, ln_1mx) = (x.ln(), (1.0 - x).ln());
         let cdf = inc_beta_from_logs(a, b, x, ln_x, ln_1mx, ln_b);
         let ln_pdf = (a - 1.0) * ln_x + (b - 1.0) * ln_1mx - ln_b;
         Self {
-            a,
-            b,
-            ln_b,
             x,
             cdf,
             pdf: ln_pdf.exp().max(1e-290),
         }
     }
+}
 
-    /// Solve `I_x(a, b) = p` from this iterate with a bracketed Newton
-    /// iteration (the beta pdf is the derivative; a bisection fallback
-    /// keeps it unconditionally convergent). Accuracy ~1e-12 in `x`.
-    pub(crate) fn solve(mut self, p: f64) -> f64 {
+/// Most steps one solve takes — and so the trail's length.
+const MAX_STEPS: usize = 100;
+
+/// The Beta(a, b) quantile solver: a bracketed Newton iteration from
+/// the mean, plus the trail of the iterates its solves have visited.
+///
+/// **One descent per grid row.** Every solve starts at the same point
+/// with the same bracket `(0, 1)`, and most of its steps are bisections
+/// (Newton overshoots the bracket), so solves for nearby targets walk
+/// one shared ladder of iterates down from the mean before they part.
+/// The trail keeps, for each step index `i`, the last iterate a solve
+/// reached at step `i`. When a solve's step `i` lands on an `x` with
+/// the same bits, its CDF and pdf are read from the trail instead of
+/// being evaluated. An iterate is a pure function of `(a, b, ln B, x)`,
+/// so a reused one is the very value a fresh evaluation would return:
+/// every quantile is bit-identical to a solve with an empty trail, in
+/// any target order. On the benchmark's 33-point grids this skips
+/// 72–81 % of the CDF evaluations. The start point, both tolerances,
+/// the bisection rule and the step cap decide the bits; none of them
+/// depends on the trail.
+#[derive(Debug)]
+pub(crate) struct BetaNewton {
+    a: f64,
+    b: f64,
+    ln_b: f64,
+    /// The mean, clamped into `(0, 1)`: robust for the moderate
+    /// `(a, b)` that moment-matched damage ratios produce. Evaluated
+    /// once, it serves any number of targets.
+    start: Iterate,
+    /// `trail[i]` is the iterate some solve reached after `i + 1` steps.
+    trail: [Iterate; MAX_STEPS],
+    /// CDF evaluations run so far, the start point's included.
+    evals: u64,
+}
+
+impl BetaNewton {
+    /// A solver for Beta(a, b) with an empty trail.
+    pub(crate) fn new(a: f64, b: f64) -> Self {
+        debug_assert!(a > 0.0 && b > 0.0);
+        let ln_b = ln_beta(a, b);
+        let x = (a / (a + b)).clamp(1e-12, 1.0 - 1e-12);
+        Self {
+            a,
+            b,
+            ln_b,
+            start: Iterate::at(a, b, ln_b, x),
+            trail: [Iterate::EMPTY; MAX_STEPS],
+            evals: 1,
+        }
+    }
+
+    /// CDF evaluations this solver has run, the start point's included.
+    pub(crate) fn evals(&self) -> u64 {
+        self.evals
+    }
+
+    /// Solve `I_x(a, b) = p` with a bracketed Newton iteration (the beta
+    /// pdf is the derivative; a bisection fallback keeps it
+    /// unconditionally convergent). Accuracy ~1e-12 in `x`. Each step's
+    /// iterate comes from the trail when its `x` matches bit for bit.
+    pub(crate) fn solve(&mut self, p: f64) -> f64 {
         if p <= 0.0 {
             return 0.0;
         }
@@ -180,33 +231,39 @@ impl BetaNewton {
             return 1.0;
         }
         let (mut lo, mut hi) = (0.0f64, 1.0f64);
-        for _ in 0..100 {
-            let f = self.cdf - p;
+        let mut it = self.start;
+        for step in 0..MAX_STEPS {
+            let f = it.cdf - p;
             if f > 0.0 {
-                hi = self.x;
+                hi = it.x;
             } else {
-                lo = self.x;
+                lo = it.x;
             }
             if f.abs() < 1e-14 {
                 break;
             }
-            let mut next = self.x - f / self.pdf;
+            let mut next = it.x - f / it.pdf;
             if !next.is_finite() || next <= lo || next >= hi {
                 next = 0.5 * (lo + hi);
             }
-            if (next - self.x).abs() < 1e-15 {
+            if (next - it.x).abs() < 1e-15 {
                 return next;
             }
-            self = Self::at(self.a, self.b, self.ln_b, next);
+            let slot = &mut self.trail[step];
+            if slot.x.to_bits() != next.to_bits() {
+                *slot = Iterate::at(self.a, self.b, self.ln_b, next);
+                self.evals += 1;
+            }
+            it = *slot;
         }
-        self.x
+        it.x
     }
 }
 
 /// Inverse of the regularized incomplete beta: the Beta(a, b) quantile
-/// — one [`BetaNewton::solve`] from a fresh [`BetaNewton::start`].
+/// — one `BetaNewton::solve` with an empty trail.
 pub fn inv_inc_beta(p: f64, a: f64, b: f64) -> f64 {
-    BetaNewton::start(a, b).solve(p)
+    BetaNewton::new(a, b).solve(p)
 }
 
 /// Complementary error function, Chebyshev fit (Numerical Recipes

@@ -130,6 +130,12 @@ fn metrics_snapshots_are_bit_identical_across_thread_counts() -> RiskResult<()> 
         elt_rows as u64,
         "one hit per ELT row over every key's books"
     );
+    // The grid inversions report their work as a count: at least each
+    // row's start point, and the same on every split of rows to tasks.
+    assert!(
+        m.counter("stage2.secondary_evals") >= elt_rows as u64,
+        "every inverted row evaluates its start point"
+    );
     // ELT generation reports its work as counts: the damaging pairs
     // are exactly the exhaustive loop's, and the pairs that ran the
     // exact chain lie between them and the full product.
@@ -415,6 +421,11 @@ fn reset_windows_cumulative_telemetry() -> RiskResult<()> {
         m2.counter("stage2.secondary_builds"),
         0,
         "tables cached too"
+    );
+    assert_eq!(
+        m2.counter("stage2.secondary_evals"),
+        0,
+        "so no beta is inverted"
     );
     assert_eq!(m2.counter("stage2.join_builds"), 0, "and the join");
     assert_eq!(

@@ -23,20 +23,17 @@
 //! come from the live sweep or are reloaded from a
 //! [`ShardedFilesStore`](riskpipe_core::ShardedFilesStore) spill.
 //!
-//! [`WarehouseStore`] is the [`IntermediateStore`] decorator variant:
-//! it forwards every call to an inner store and additionally feeds a
-//! `WarehouseSink` from `persist_report` — so a plain
-//! [`PersistingSink`](riskpipe_core::PersistingSink) user gets
-//! drill-down cubes for free alongside the durable per-report
-//! artifacts.
+//! Cubes alongside a durable spill need no special store: put a
+//! `WarehouseSink` and a [`PersistingSink`](riskpipe_core::PersistingSink)
+//! in one [`FanoutSink`](riskpipe_core::FanoutSink), or declare
+//! `.persist().warehouse(layout)` on a sweep plan.
 
 use crate::band_bounds;
 use crate::dims::DrilldownLayout;
 use crate::drilldown::Drilldown;
-use riskpipe_core::{IntermediateStore, PipelineReport, ReportSink, RunLabel};
-use riskpipe_exec::lockwitness::Mutex;
+use riskpipe_core::{PipelineReport, ReportSink};
 use riskpipe_exec::ThreadPool;
-use riskpipe_tables::{Yelt, Ylt};
+use riskpipe_tables::Ylt;
 use riskpipe_types::RiskResult;
 use riskpipe_warehouse::{KeyCodec, LevelSelect, SketchCell, SketchCuboid};
 use std::collections::BTreeMap;
@@ -147,18 +144,6 @@ impl WarehouseSink {
         Ok(())
     }
 
-    /// A queryable snapshot of everything ingested so far (the sink
-    /// keeps accumulating — used by [`WarehouseStore`], which cannot
-    /// consume itself).
-    pub fn snapshot(&self) -> RiskResult<Drilldown> {
-        let base = SketchCuboid::from_entries(
-            self.layout.schema(),
-            LevelSelect::BASE,
-            self.cells.iter().map(|(&k, c)| (k, c.clone())).collect(),
-        )?;
-        Ok(Drilldown::new(self.layout.clone(), base, self.stats))
-    }
-
     /// Consume the sink into the queryable [`Drilldown`].
     pub fn finish(self) -> RiskResult<Drilldown> {
         let base = SketchCuboid::from_entries(
@@ -199,74 +184,5 @@ impl ReportSink for &mut WarehouseSink {
 
     fn accept_shared(&mut self, slot: usize, report: &PipelineReport) -> RiskResult<()> {
         self.ingest_report(slot, report)
-    }
-}
-
-/// An [`IntermediateStore`] decorator: every call delegates to the
-/// inner store, and `persist_report` *additionally* feeds the embedded
-/// [`WarehouseSink`] — so the session's normal persistence path (a
-/// `PersistingSink` over this store) builds drill-down cubes as a side
-/// effect of spilling reports.
-pub struct WarehouseStore {
-    inner: Arc<dyn IntermediateStore>,
-    sink: Mutex<WarehouseSink>,
-}
-
-impl WarehouseStore {
-    /// Decorate `inner` with warehouse ingestion through `sink`.
-    pub fn new(inner: Arc<dyn IntermediateStore>, sink: WarehouseSink) -> Self {
-        Self {
-            inner,
-            sink: Mutex::new("sink", sink),
-        }
-    }
-
-    /// A queryable snapshot of everything persisted so far.
-    pub fn drilldown(&self) -> RiskResult<Drilldown> {
-        self.sink.lock().snapshot()
-    }
-
-    /// Aggregate ingest metrics so far.
-    pub fn ingest_stats(&self) -> IngestStats {
-        self.sink.lock().stats()
-    }
-}
-
-impl std::fmt::Debug for WarehouseStore {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("WarehouseStore")
-            .field("inner", &self.inner.name())
-            .field("sink", &*self.sink.lock())
-            .finish()
-    }
-}
-
-impl IntermediateStore for WarehouseStore {
-    fn name(&self) -> &'static str {
-        "warehouse"
-    }
-
-    fn persist_yelt(&self, label: RunLabel<'_>, yelt: &Yelt) -> RiskResult<u64> {
-        self.inner.persist_yelt(label, yelt)
-    }
-
-    fn persist_report(&self, label: RunLabel<'_>, report: &PipelineReport) -> RiskResult<u64> {
-        let bytes = self.inner.persist_report(label, report)?;
-        // lint: allow(C1) — sink mutex serialises whole-report
-        // ingestion. A holder sorts at most one column and folds its
-        // band slices into the sink's own cells: no I/O, no pool work,
-        // nothing another queued task produces — the wait is bounded by
-        // one in-memory ingest.
-        let mut sink = self.sink.lock();
-        sink.ingest_report(label.slot.unwrap_or(0), report)?;
-        Ok(bytes)
-    }
-
-    fn finish_run(&self, run: u64, slots: usize) -> RiskResult<u64> {
-        self.inner.finish_run(run, slots)
-    }
-
-    fn clear_runs(&self) -> RiskResult<()> {
-        self.inner.clear_runs()
     }
 }

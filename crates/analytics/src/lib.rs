@@ -16,10 +16,11 @@
 //!   already carries its aggregate-loss column sorted ascending; a
 //!   return-period band is a rank interval of that column
 //!   ([`band_bounds`]), so each band's slice folds straight into its
-//!   sketch-valued base cell. No spill, no shuffle, no pool.
-//!   [`WarehouseStore`] is the `IntermediateStore` decorator:
-//!   `PersistingSink` users get cubes for free alongside durable
-//!   per-report artifacts. (`riskpipe_mapreduce::YltFactJob`, the
+//!   sketch-valued base cell. No spill, no shuffle, no pool. Cubes
+//!   alongside durable per-report artifacts are one plan,
+//!   `.persist().warehouse(layout)`, or a `FanoutSink` of a
+//!   `PersistingSink` and a `WarehouseSink`.
+//!   (`riskpipe_mapreduce::YltFactJob`, the
 //!   shuffle formulation of the same grouping, remains as the
 //!   MapReduce experiment and as the reference `tests/drilldown.rs`
 //!   compares this path against.)
@@ -94,7 +95,7 @@ pub use dims::{
     RETURN_PERIOD_BANDS, RETURN_PERIOD_BAND_EDGES,
 };
 pub use drilldown::Drilldown;
-pub use ingest::{IngestStats, WarehouseSink, WarehouseStore};
+pub use ingest::{IngestStats, WarehouseSink};
 pub use plan::{SweepPlanAnalytics, WarehouseOutcome, WarehousePlan};
 pub use session_ext::{AnalyticsHandle, SessionAnalytics};
 

@@ -5,11 +5,11 @@
 //! [`SessionAnalytics`](crate::SessionAnalytics) for the session — the
 //! plan gains its warehouse consumer through an extension trait:
 //! import [`SweepPlanAnalytics`] (or the umbrella prelude) and every
-//! [`SweepPlan`] offers [`SweepPlanAnalytics::warehouse`]. The
-//! returned [`WarehousePlan`] wraps the core plan, keeps its other
-//! consumers configurable, and rides the same single streaming pass: a
-//! [`WarehouseSink`] joins the fan-out (shared-report delivery, no
-//! YLT copies) and [`WarehousePlan::drive`] returns a
+//! [`SweepPlan`] offers [`SweepPlanAnalytics::warehouse`]. Declare the
+//! core plan's consumers first and `.warehouse(layout)` last: the
+//! returned [`WarehousePlan`] wraps the finished core plan and rides
+//! its single streaming pass — a [`WarehouseSink`] joins the fan-out
+//! (no YLT copies) and [`WarehousePlan::drive`] returns a
 //! [`WarehouseOutcome`] carrying the queryable [`Drilldown`] next to
 //! the core [`SweepOutcome`] artifacts.
 //!
@@ -37,12 +37,9 @@ use crate::dims::DrilldownLayout;
 use crate::drilldown::Drilldown;
 use crate::ingest::WarehouseSink;
 use crate::session_ext::check_layout;
-use riskpipe_core::{
-    IntermediateStore, PersistedRun, ReportSink, SweepOutcome, SweepPlan, SweepSummary, Tee,
-};
+use riskpipe_core::{PersistedRun, SweepOutcome, SweepPlan, SweepSummary};
 use riskpipe_types::RiskResult;
 use riskpipe_warehouse::ViewSelection;
-use std::sync::Arc;
 
 /// Extension trait adding the warehouse consumer to [`SweepPlan`].
 pub trait SweepPlanAnalytics<'s> {
@@ -63,10 +60,9 @@ impl<'s> SweepPlanAnalytics<'s> for SweepPlan<'s> {
     }
 }
 
-/// A [`SweepPlan`] extended with a warehouse consumer. The core plan's
-/// consumers stay configurable through the forwarding methods, and the
-/// two warehouse-side knobs (rp-band sketch capacity via the layout,
-/// materialisation byte budget) ride the same builder. Finish with
+/// A [`SweepPlan`] extended with a warehouse consumer. Its one knob is
+/// the materialisation byte budget; the rp-band sketch capacity rides
+/// the layout ([`DrilldownLayout::with_sketch_k`]). Finish with
 /// [`WarehousePlan::drive`].
 pub struct WarehousePlan<'s> {
     plan: SweepPlan<'s>,
@@ -74,52 +70,7 @@ pub struct WarehousePlan<'s> {
     budget: Option<u64>,
 }
 
-impl<'s> WarehousePlan<'s> {
-    /// Forward of [`SweepPlan::summary`].
-    pub fn summary(mut self) -> Self {
-        self.plan = self.plan.summary();
-        self
-    }
-
-    /// Forward of [`SweepPlan::summary_with`].
-    pub fn summary_with(mut self, summary: SweepSummary) -> Self {
-        self.plan = self.plan.summary_with(summary);
-        self
-    }
-
-    /// Forward of [`SweepPlan::persist`].
-    pub fn persist(mut self) -> Self {
-        self.plan = self.plan.persist();
-        self
-    }
-
-    /// Forward of [`SweepPlan::persist_to`] (the plan-level store
-    /// override).
-    pub fn persist_to(mut self, store: Arc<dyn IntermediateStore>) -> Self {
-        self.plan = self.plan.persist_to(store);
-        self
-    }
-
-    /// Forward of [`SweepPlan::persist_run`].
-    pub fn persist_run(mut self, run: u64) -> Self {
-        self.plan = self.plan.persist_run(run);
-        self
-    }
-
-    /// Forward of [`SweepPlan::collect`].
-    pub fn collect(mut self) -> Self {
-        self.plan = self.plan.collect();
-        self
-    }
-
-    /// Replace the layout's per-cell sketch capacity (the rp-band
-    /// cells' accuracy/memory knob; see
-    /// [`DrilldownLayout::with_sketch_k`]).
-    pub fn sketch_k(mut self, k: usize) -> Self {
-        self.layout = self.layout.with_sketch_k(k);
-        self
-    }
-
+impl WarehousePlan<'_> {
     /// After the sweep, materialise lattice views under this byte
     /// budget ([`Drilldown::materialize_budget`]); the selection is
     /// reported on the outcome.
@@ -131,52 +82,26 @@ impl<'s> WarehousePlan<'s> {
     /// Execute the extended plan: one streaming sweep feeding the core
     /// consumers *and* the warehouse sink, then (optionally) budgeted
     /// view materialisation. Validates the layout against the sweep
-    /// shape and session engine first, exactly as
-    /// `SessionAnalytics::analytics` did.
+    /// shape and session engine first.
     pub fn drive(self) -> RiskResult<WarehouseOutcome> {
-        let (plan, mut sink, budget) = self.into_parts()?;
-        let sweep = plan.drive_with(&mut sink)?;
-        finish(sink, sweep, budget)
-    }
-
-    /// Like [`WarehousePlan::drive`], with one extra ad-hoc consumer
-    /// riding the same fan-out next to the warehouse sink (parity
-    /// with [`SweepPlan::drive_with`]).
-    pub fn drive_with<S: ReportSink>(self, extra: S) -> RiskResult<WarehouseOutcome> {
-        let (plan, mut sink, budget) = self.into_parts()?;
-        let sweep = plan.drive_with(Tee::new(&mut sink, extra))?;
-        finish(sink, sweep, budget)
-    }
-
-    /// Validate and split into the core plan, the ingest sink, and
-    /// the materialisation budget.
-    fn into_parts(self) -> RiskResult<(SweepPlan<'s>, WarehouseSink, Option<u64>)> {
         check_layout(
             self.plan.session(),
             self.plan.scenarios().len(),
             &self.layout,
         )?;
-        let sink = WarehouseSink::new(self.layout)?;
-        Ok((self.plan, sink, self.budget))
+        let mut sink = WarehouseSink::new(self.layout)?;
+        let sweep = self.plan.drive_with(&mut sink)?;
+        let mut drilldown = sink.finish()?;
+        let selection = match self.budget {
+            Some(bytes) => Some(drilldown.materialize_budget(bytes)?),
+            None => None,
+        };
+        Ok(WarehouseOutcome {
+            sweep,
+            drilldown,
+            selection,
+        })
     }
-}
-
-/// Fold a driven sweep's warehouse sink into the typed outcome.
-fn finish(
-    sink: WarehouseSink,
-    sweep: SweepOutcome,
-    budget: Option<u64>,
-) -> RiskResult<WarehouseOutcome> {
-    let mut drilldown = sink.finish()?;
-    let selection = match budget {
-        Some(bytes) => Some(drilldown.materialize_budget(bytes)?),
-        None => None,
-    };
-    Ok(WarehouseOutcome {
-        sweep,
-        drilldown,
-        selection,
-    })
 }
 
 impl std::fmt::Debug for WarehousePlan<'_> {
@@ -237,11 +162,6 @@ impl WarehouseOutcome {
         &self.drilldown
     }
 
-    /// Mutable warehouse access (e.g. to materialise further views).
-    pub fn drilldown_mut(&mut self) -> &mut Drilldown {
-        &mut self.drilldown
-    }
-
     /// The budgeted view selection, when
     /// [`WarehousePlan::materialize_budget`] was set.
     pub fn selection(&self) -> Option<&ViewSelection> {
@@ -251,10 +171,5 @@ impl WarehouseOutcome {
     /// Consume the outcome, keeping the warehouse.
     pub fn into_drilldown(self) -> Drilldown {
         self.drilldown
-    }
-
-    /// Split into the core outcome and the warehouse.
-    pub fn into_parts(self) -> (SweepOutcome, Drilldown) {
-        (self.sweep, self.drilldown)
     }
 }

@@ -40,8 +40,8 @@ pub use elastic::{Deadline, ElasticModel, ProcessorPlan, StageThroughput};
 pub use report::{money, SweepSummary, TextTable};
 pub use session::{
     InMemoryStore, IntermediateStore, PipelineReport, ReportStream, RiskSession,
-    RiskSessionBuilder, RunLabel, ShardedFilesStore, Stage1CacheStats, StageTiming,
+    RiskSessionBuilder, RunLabel, ShardedFilesStore, Stage1CacheStats,
 };
-pub use sink::{FanoutSink, PersistingSink, ReportSink, Tee};
+pub use sink::{FanoutSink, PersistingSink, ReportSink};
 pub use stage1disk::DiskStage1Cache;
 pub use sweep::{PersistedRun, SweepOutcome, SweepPlan};

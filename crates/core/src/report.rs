@@ -469,13 +469,8 @@ mod tests {
         }
         let agg_sorted = ylt.sorted_agg_losses();
         let occ_sorted = ylt.sorted_max_occ_losses();
-        let stage = |n| crate::StageTiming {
-            stage: n,
-            elapsed: std::time::Duration::ZERO,
-        };
         crate::PipelineReport {
             scenario_name: name.into(),
-            timings: [stage(1), stage(2), stage(3)],
             elt_rows: 0,
             yet_occurrences: 0,
             yelt_rows: trials,

@@ -61,7 +61,6 @@ use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
 // ---------------------------------------------------------------------
 // Intermediate stores.
@@ -82,11 +81,14 @@ pub struct RunLabel<'a> {
     pub run: u64,
 }
 
-/// A backend for stage-2 YELT intermediates. Implementations must be
-/// callable from multiple scenarios at once (a sweep persists
-/// concurrently). New backends — a MapReduce spill, a warehouse loader
-/// — implement this and plug into [`RiskSessionBuilder::store`] without
-/// the session or the engines changing.
+/// A backend for stage-2 YELT intermediates and persisted reports.
+/// Implementations must be callable from multiple scenarios at once (a
+/// sweep persists concurrently). A store only stores: new durable
+/// backends implement this and plug into [`RiskSessionBuilder::store`]
+/// without the session or the engines changing, while consumers that
+/// derive something from the reports (pooled analytics, a drill-down
+/// warehouse) are [`ReportSink`](crate::ReportSink)s riding the same
+/// [`FanoutSink`](crate::FanoutSink).
 pub trait IntermediateStore: Send + Sync {
     /// Backend name for reports.
     fn name(&self) -> &'static str;
@@ -1242,21 +1244,19 @@ impl RiskSession {
                 let completed = &completed;
                 scope.spawn(move || {
                     let _scenario_span = riskpipe_obs::span_key("sweep.scenario", i as u64);
-                    let result = self
-                        .acquire_stage1(key, scenario)
-                        .and_then(|(model, stage1)| {
-                            // The key's cache entry is ready: wake the
-                            // control loop so same-key followers start
-                            // now instead of after this scenario's
-                            // stages 2–3.
-                            // lint: allow(C1) — StreamState mutex is a
-                            // micro critical section (flag write +
-                            // notify); no holder parks or spawns under
-                            // it, so acquisition is bounded.
-                            state.lock().stage1_published = true;
-                            completed.notify_all();
-                            self.finish_pipeline(scenario, Some(i), run, &model, stage1)
-                        });
+                    let result = self.acquire_stage1(key, scenario).and_then(|model| {
+                        // The key's cache entry is ready: wake the
+                        // control loop so same-key followers start
+                        // now instead of after this scenario's
+                        // stages 2–3.
+                        // lint: allow(C1) — StreamState mutex is a
+                        // micro critical section (flag write +
+                        // notify); no holder parks or spawns under
+                        // it, so acquisition is bounded.
+                        state.lock().stage1_published = true;
+                        completed.notify_all();
+                        self.finish_pipeline(scenario, Some(i), run, &model)
+                    });
                     // lint: allow(C1) — result deposit: map insert +
                     // notify under a micro critical section; no holder
                     // blocks under the StreamState mutex.
@@ -1431,33 +1431,21 @@ impl RiskSession {
         slot: Option<usize>,
         run: u64,
     ) -> RiskResult<PipelineReport> {
-        let (model, stage1) = self.acquire_stage1(scenario.stage1_key(), scenario)?;
-        self.finish_pipeline(scenario, slot, run, &model, stage1)
+        let model = self.acquire_stage1(scenario.stage1_key(), scenario)?;
+        self.finish_pipeline(scenario, slot, run, &model)
     }
 
     /// Stage 1 for one scenario, through the keyed cache: the model run
     /// (catalogue, books, YET) and the join of its books are built or
     /// reused under `key` — the caller's precomputed
     /// [`ScenarioConfig::stage1_key`]. On a hit this is microseconds.
-    fn acquire_stage1(
-        &self,
-        key: u64,
-        scenario: &ScenarioConfig,
-    ) -> RiskResult<(Arc<ModelRun>, StageTiming)> {
+    fn acquire_stage1(&self, key: u64, scenario: &ScenarioConfig) -> RiskResult<Arc<ModelRun>> {
         let _span = riskpipe_obs::span_key("stage1.acquire", key);
-        // lint: allow(D3) — reading flows only into the StageTiming
-        // diagnostic attached to the report, never into loss numerics.
-        let t0 = Instant::now();
-        let model = self.stage1.get_or_build(
+        self.stage1.get_or_build(
             key,
             || scenario.build_stage1_counted_on(&self.pool),
             |acquired| self.derive_model_run(key, scenario.seed, acquired),
-        )?;
-        let stage1 = StageTiming {
-            stage: 1,
-            elapsed: t0.elapsed(),
-        };
-        Ok((model, stage1))
+        )
     }
 
     /// Complete a cache entry: the per-book secondary tables — adopted
@@ -1540,16 +1528,12 @@ impl RiskSession {
         slot: Option<usize>,
         run: u64,
         model: &ModelRun,
-        stage1: StageTiming,
     ) -> RiskResult<PipelineReport> {
         let bundle: Stage1Bundle = scenario.bundle_from_output(Arc::clone(&model.output))?;
         // Span keys: the sweep slot when streaming, 0 for single runs.
         let span_key = slot.map_or(0, |s| s as u64);
 
         // ---------------- stage 2: aggregate analysis ----------------
-        // lint: allow(D3) — reading flows only into the stage-2
-        // StageTiming diagnostic, never into loss numerics.
-        let t0 = Instant::now();
         let portfolio = bundle.portfolio();
         let yet = bundle.year_event_table();
         let ylt = {
@@ -1575,25 +1559,14 @@ impl RiskSession {
             )?;
             (yelt.rows(), yelt.memory_bytes() as u64, file_bytes)
         };
-        let stage2 = StageTiming {
-            stage: 2,
-            elapsed: t0.elapsed(),
-        };
         riskpipe_obs::counter_add("stage2.scenarios", 1);
         riskpipe_obs::counter_add("stage2.yelt_rows", yelt_rows as u64);
         riskpipe_obs::histogram_record("stage2.trials", STAGE2_TRIALS_BOUNDS, ylt.trials() as u64);
 
         // ---------------- stage 3: DFA ----------------
-        // lint: allow(D3) — reading flows only into the stage-3
-        // StageTiming diagnostic, never into loss numerics.
-        let t0 = Instant::now();
         let dfa_result = {
             let _dfa_span = riskpipe_obs::span_key("stage3.dfa", span_key);
             self.dfa.apply(&model.dfa_factors, &ylt)?
-        };
-        let stage3 = StageTiming {
-            stage: 3,
-            elapsed: t0.elapsed(),
         };
 
         // Sort each YLT loss column exactly once and share the buffers:
@@ -1612,7 +1585,6 @@ impl RiskSession {
         };
         Ok(PipelineReport {
             scenario_name: scenario.name.clone(),
-            timings: [stage1, stage2, stage3],
             elt_rows: portfolio.total_elt_rows(),
             yet_occurrences: yet.total_occurrences(),
             yelt_rows,
@@ -1675,22 +1647,11 @@ impl Drop for ReportStream {
 // Reports.
 // ---------------------------------------------------------------------
 
-/// Wall-clock timing of one stage.
-#[derive(Debug, Clone, Copy)]
-pub struct StageTiming {
-    /// Stage label index (1..=3).
-    pub stage: u8,
-    /// Elapsed wall time.
-    pub elapsed: Duration,
-}
-
 /// Everything a scenario run produced, plus a rendered summary.
 #[derive(Debug, Clone)]
 pub struct PipelineReport {
     /// Scenario name.
     pub scenario_name: String,
-    /// Per-stage wall timings.
-    pub timings: [StageTiming; 3],
     /// Total ELT rows across the portfolio.
     pub elt_rows: usize,
     /// YET occurrences.
@@ -1733,14 +1694,6 @@ pub struct PipelineReport {
 impl std::fmt::Display for PipelineReport {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         writeln!(f, "pipeline report: {}", self.scenario_name)?;
-        let mut timing = TextTable::new(&["stage", "elapsed (ms)"]);
-        for t in &self.timings {
-            timing.row(&[
-                format!("stage {}", t.stage),
-                format!("{:.1}", t.elapsed.as_secs_f64() * 1e3),
-            ]);
-        }
-        writeln!(f, "{timing}")?;
         let mut data = TextTable::new(&["table", "size"]);
         data.row(&["ELT rows (portfolio)".into(), self.elt_rows.to_string()]);
         data.row(&["YET occurrences".into(), self.yet_occurrences.to_string()]);
@@ -1823,7 +1776,7 @@ mod tests {
         assert!(report.pml_100.is_some());
         assert_eq!(report.yelt_file_bytes, 0);
         let text = report.to_string();
-        assert!(text.contains("stage 1"));
+        assert!(text.contains("YLT encoded"));
         assert!(text.contains("economic capital"));
     }
 

@@ -5,7 +5,7 @@
 //! sink runs on the *calling* thread, and the stream's in-flight
 //! window only reopens after the sink returns — so a slow sink (one
 //! persisting to disk, say) backpressures the sweep to its own pace
-//! instead of letting undelivered reports pile up. Four families of
+//! instead of letting undelivered reports pile up. Three families of
 //! sink ship in-tree:
 //!
 //! * any `FnMut(usize, PipelineReport) -> RiskResult<()>` closure via
@@ -16,18 +16,18 @@
 //! * [`SweepSummary`]: folds each report into online pooled analytics
 //!   and drops it;
 //! * [`PersistingSink`]: writes each report's YLT and risk measures to
-//!   an [`IntermediateStore`] as it arrives, folds it into an embedded
-//!   [`SweepSummary`], and drops it — the ROADMAP's "persist reports
-//!   as they arrive" shape, with durable per-scenario artifacts plus
-//!   in-memory pooled analytics and nothing else retained;
-//! * the **fan-out combinators** [`FanoutSink`] and
-//!   [`ReportSink::tee`] ([`Tee`]): one sweep, many consumers. Each
-//!   delivered report is *shared by reference* across the attached
-//!   sinks (see [`ReportSink::accept_shared`]), so pooled analytics,
-//!   persistence and warehouse ingestion all read one report — the
-//!   YLT is materialised exactly once per scenario no matter how many
-//!   sinks are attached. [`SweepPlan`](crate::SweepPlan) is the
-//!   declarative front end over these combinators.
+//!   an [`IntermediateStore`] as it arrives and drops it — the
+//!   ROADMAP's "persist reports as they arrive" shape, with durable
+//!   per-scenario artifacts and nothing else retained.
+//!
+//! Consumers compose through one combinator, [`FanoutSink`]: one
+//! sweep, many consumers. Every member but the last reads each report
+//! *by reference* (see [`ReportSink::accept_shared`]) and the last
+//! receives it by value, so pooled analytics, persistence, warehouse
+//! ingestion and collection all read one report — the YLT is
+//! materialised exactly once per scenario no matter how many sinks
+//! are attached. [`SweepPlan`](crate::SweepPlan) is the declarative
+//! front end over it.
 //!
 //! ## Shared delivery and bit-identity
 //!
@@ -52,14 +52,14 @@ pub trait ReportSink {
     fn accept(&mut self, slot: usize, report: PipelineReport) -> RiskResult<()>;
 
     /// Accept a report that other sinks also read — the fan-out
-    /// delivery path ([`FanoutSink`], [`Tee`]). The default clones the
-    /// report and forwards to [`ReportSink::accept`], so custom sinks
-    /// keep working unchanged inside a fan-out; every in-tree sink
+    /// delivery path ([`FanoutSink`]). The default clones the report
+    /// and forwards to [`ReportSink::accept`], so custom sinks keep
+    /// working unchanged inside a fan-out; every in-tree sink
     /// overrides it to read the shared report in place, which is what
     /// keeps a multi-sink sweep at **one** YLT materialisation per
     /// scenario. A sink that needs ownership (e.g. one collecting
-    /// reports) should sit in the owning slot of a [`Tee`] instead of
-    /// a [`FanoutSink`].
+    /// reports) should be the last member of a [`FanoutSink`], which
+    /// hands it the report by value.
     fn accept_shared(&mut self, slot: usize, report: &PipelineReport) -> RiskResult<()> {
         self.accept(slot, report.clone())
     }
@@ -74,21 +74,6 @@ pub trait ReportSink {
     /// incomplete. Default: no-op.
     fn finish(&mut self) -> RiskResult<()> {
         Ok(())
-    }
-
-    /// Chain another sink after this one: `a.tee(b)` delivers each
-    /// report to `a` by shared reference, then hands *ownership* to
-    /// `b` — so the terminal sink of a tee chain receives the report
-    /// without any clone. See [`Tee`].
-    fn tee<B>(self, second: B) -> Tee<Self, B>
-    where
-        Self: Sized,
-        B: ReportSink,
-    {
-        Tee {
-            first: self,
-            second,
-        }
     }
 }
 
@@ -144,14 +129,14 @@ impl ReportSink for &mut SweepSummary {
 
 /// A sink that persists each report through
 /// [`IntermediateStore::persist_report`] the moment it is delivered,
-/// folds it into an embedded [`SweepSummary`], and drops it. The
-/// store write happens inline on the delivering thread, so storage
-/// throughput backpressures the sweep (the paper's data challenge:
-/// analytics must not outrun what the data layer can absorb).
+/// and drops it. The store write happens inline on the delivering
+/// thread, so storage throughput backpressures the sweep (the paper's
+/// data challenge: analytics must not outrun what the data layer can
+/// absorb). Pooled analytics alongside the spill are a second
+/// [`FanoutSink`] member, a [`SweepSummary`].
 pub struct PersistingSink {
     store: Arc<dyn IntermediateStore>,
     run: u64,
-    summary: SweepSummary,
     reports_persisted: u64,
     bytes_persisted: u64,
 }
@@ -169,7 +154,6 @@ impl PersistingSink {
         Self {
             store,
             run: 0,
-            summary: SweepSummary::new(),
             reports_persisted: 0,
             bytes_persisted: 0,
         }
@@ -183,13 +167,6 @@ impl PersistingSink {
         self
     }
 
-    /// Replace the embedded summary (e.g. one built with a custom
-    /// sketch capacity via [`SweepSummary::with_sketch_k`]).
-    pub fn with_summary(mut self, summary: SweepSummary) -> Self {
-        self.summary = summary;
-        self
-    }
-
     /// The store this sink persists through.
     pub fn store(&self) -> &Arc<dyn IntermediateStore> {
         &self.store
@@ -198,16 +175,6 @@ impl PersistingSink {
     /// The run number persisted artifacts are labelled with.
     pub fn run(&self) -> u64 {
         self.run
-    }
-
-    /// The pooled analytics accumulated so far.
-    pub fn summary(&self) -> &SweepSummary {
-        &self.summary
-    }
-
-    /// Consume the sink, keeping the pooled analytics.
-    pub fn into_summary(self) -> SweepSummary {
-        self.summary
     }
 
     /// Reports persisted so far.
@@ -244,7 +211,6 @@ impl PersistingSink {
         )?;
         self.bytes_persisted += bytes;
         self.reports_persisted += 1;
-        self.summary.push(report);
         Ok(())
     }
 }
@@ -288,87 +254,23 @@ impl ReportSink for &mut PersistingSink {
     }
 }
 
-/// Two sinks in sequence over one report: `first` reads it shared,
-/// `second` takes ownership — the building block behind
-/// [`ReportSink::tee`]. Chains compose: `a.tee(b).tee(c)` delivers to
-/// `a` and `b` by reference and hands the report to `c`. The owning
-/// slot makes tees the right shape when one consumer genuinely needs
-/// the report itself (collection, forwarding) while others only fold
-/// aggregates from it.
-#[derive(Debug)]
-pub struct Tee<A, B> {
-    first: A,
-    second: B,
-}
-
-impl<A, B> Tee<A, B> {
-    /// Compose `first` (shared delivery) with `second` (owning
-    /// delivery).
-    pub fn new(first: A, second: B) -> Self {
-        Self { first, second }
-    }
-
-    /// The shared-delivery sink.
-    pub fn first(&self) -> &A {
-        &self.first
-    }
-
-    /// The owning-delivery sink.
-    pub fn second(&self) -> &B {
-        &self.second
-    }
-
-    /// Take both sinks back (e.g. to read accumulated results after
-    /// the sweep).
-    pub fn into_inner(self) -> (A, B) {
-        (self.first, self.second)
-    }
-}
-
-impl<A, B> ReportSink for Tee<A, B>
-where
-    A: ReportSink,
-    B: ReportSink,
-{
-    fn accept(&mut self, slot: usize, report: PipelineReport) -> RiskResult<()> {
-        // Tee legs get spans but no delivery counter: a tee often
-        // wraps a FanoutSink (whose members count themselves), and
-        // double-counting would make `sink.deliveries` meaningless.
-        {
-            let _span = riskpipe_obs::span_key("sink.tee", 0);
-            self.first.accept_shared(slot, &report)?;
-        }
-        let _span = riskpipe_obs::span_key("sink.tee", 1);
-        self.second.accept(slot, report)
-    }
-
-    fn accept_shared(&mut self, slot: usize, report: &PipelineReport) -> RiskResult<()> {
-        {
-            let _span = riskpipe_obs::span_key("sink.tee", 0);
-            self.first.accept_shared(slot, report)?;
-        }
-        let _span = riskpipe_obs::span_key("sink.tee", 1);
-        self.second.accept_shared(slot, report)
-    }
-
-    fn finish(&mut self) -> RiskResult<()> {
-        self.first.finish()?;
-        self.second.finish()
-    }
-}
-
-/// The N-way fan-out combinator: every attached sink receives every
-/// report by shared reference, in attachment order, on the delivering
-/// thread — then the report drops once. With in-tree sinks (which
-/// override [`ReportSink::accept_shared`]) a report's YLT is therefore
-/// materialised exactly once across all consumers; a closure sink
-/// falls back to a per-delivery clone, so put an owning consumer in a
-/// [`Tee`]'s second slot instead when that matters.
+/// The N-way fan-out combinator — the one way to compose consumers.
+/// Delivery runs in attachment order on the delivering thread, under
+/// one ownership rule:
 ///
-/// A fan-out of one sink forwards ownership directly (no indirection
-/// cost, no clone even for closures); an empty fan-out accepts and
-/// drops every report, which makes "run the sweep for its side
-/// effects" a valid degenerate plan.
+/// * [`ReportSink::accept`] (owned delivery): members `0..n-1` read the
+///   report by reference ([`ReportSink::accept_shared`]) and the
+///   **last member receives it by value**. A consumer that needs the
+///   report itself (collection, forwarding, a closure) therefore goes
+///   last and costs no clone; a fan-out of one is just the `n = 1` case.
+/// * [`ReportSink::accept_shared`] (the fan-out is itself a member of
+///   another fan-out): every member reads the report by reference.
+///
+/// With in-tree sinks (which override [`ReportSink::accept_shared`]) a
+/// report's YLT is materialised exactly once across all consumers; a
+/// closure anywhere but last falls back to a per-delivery clone. An
+/// empty fan-out accepts and drops every report, which makes "run the
+/// sweep for its side effects" a valid degenerate plan.
 #[derive(Default)]
 pub struct FanoutSink<'a> {
     sinks: Vec<Box<dyn ReportSink + 'a>>,
@@ -413,31 +315,36 @@ impl std::fmt::Debug for FanoutSink<'_> {
     }
 }
 
-impl ReportSink for FanoutSink<'_> {
-    fn accept(&mut self, slot: usize, report: PipelineReport) -> RiskResult<()> {
-        // A single attached sink gets ownership outright so even
-        // clone-fallback sinks pay nothing for riding a fan-out alone.
-        if self.sinks.len() == 1 {
-            let _span = riskpipe_obs::span_key("sink.deliver", 0);
-            self.sinks[0].accept(slot, report)?;
-            riskpipe_obs::counter_add("sink.deliveries", 1);
-            return Ok(());
-        }
-        self.accept_shared(slot, &report)
-    }
-
-    fn accept_shared(&mut self, slot: usize, report: &PipelineReport) -> RiskResult<()> {
-        for (i, sink) in self.sinks.iter_mut().enumerate() {
-            // One span and one delivery count per consumer (span key =
-            // attachment index), so a sweep's flame view shows which
-            // consumer backpressures delivery. Counted after the sink
-            // returns: failed deliveries abort the sweep, so the
-            // counter stays deterministic across thread counts.
+impl FanoutSink<'_> {
+    /// Deliver to members `0..end` by reference. One span and one
+    /// delivery count per member (span key = attachment index), so a
+    /// sweep's flame view shows which consumer backpressures delivery.
+    /// Counted after the member returns: failed deliveries abort the
+    /// sweep, so the counter stays deterministic across thread counts.
+    fn share(&mut self, end: usize, slot: usize, report: &PipelineReport) -> RiskResult<()> {
+        for (i, sink) in self.sinks[..end].iter_mut().enumerate() {
             let _span = riskpipe_obs::span_key("sink.deliver", i as u64);
             sink.accept_shared(slot, report)?;
             riskpipe_obs::counter_add("sink.deliveries", 1);
         }
         Ok(())
+    }
+}
+
+impl ReportSink for FanoutSink<'_> {
+    fn accept(&mut self, slot: usize, report: PipelineReport) -> RiskResult<()> {
+        let Some(last) = self.sinks.len().checked_sub(1) else {
+            return Ok(());
+        };
+        self.share(last, slot, &report)?;
+        let _span = riskpipe_obs::span_key("sink.deliver", last as u64);
+        self.sinks[last].accept(slot, report)?;
+        riskpipe_obs::counter_add("sink.deliveries", 1);
+        Ok(())
+    }
+
+    fn accept_shared(&mut self, slot: usize, report: &PipelineReport) -> RiskResult<()> {
+        self.share(self.sinks.len(), slot, report)
     }
 
     fn finish(&mut self) -> RiskResult<()> {

@@ -46,7 +46,7 @@
 use crate::config::ScenarioConfig;
 use crate::report::SweepSummary;
 use crate::session::{IntermediateStore, PipelineReport, RiskSession};
-use crate::sink::{FanoutSink, PersistingSink, ReportSink, Tee};
+use crate::sink::{FanoutSink, PersistingSink, ReportSink};
 use riskpipe_types::RiskResult;
 use std::sync::Arc;
 
@@ -67,7 +67,7 @@ struct PersistRequest {
 pub struct SweepPlan<'s> {
     session: &'s RiskSession,
     scenarios: &'s [ScenarioConfig],
-    summary: Option<SweepSummary>,
+    summary: bool,
     persist: Option<PersistRequest>,
     collect: bool,
 }
@@ -77,7 +77,7 @@ impl<'s> SweepPlan<'s> {
         Self {
             session,
             scenarios,
-            summary: None,
+            summary: false,
             persist: None,
             collect: false,
         }
@@ -96,15 +96,8 @@ impl<'s> SweepPlan<'s> {
     /// Request pooled sweep analytics: the outcome carries a
     /// [`SweepSummary`] folded over every report (pooled AEP/OEP
     /// points, VaR/TVaR, rp-band tail means).
-    pub fn summary(self) -> Self {
-        self.summary_with(SweepSummary::new())
-    }
-
-    /// Like [`SweepPlan::summary`], but folding into a caller-built
-    /// accumulator (e.g. one with a custom sketch capacity via
-    /// [`SweepSummary::with_sketch_k`]).
-    pub fn summary_with(mut self, summary: SweepSummary) -> Self {
-        self.summary = Some(summary);
+    pub fn summary(mut self) -> Self {
+        self.summary = true;
         self
     }
 
@@ -150,9 +143,11 @@ impl<'s> SweepPlan<'s> {
 
     /// Request the collected reports themselves: the outcome carries
     /// every [`PipelineReport`] in input order (O(scenarios) memory).
-    /// The collected reports' shared sorted columns are cleared to keep
-    /// the batch at one copy per column; other consumers on the same
-    /// plan read them before the clear.
+    /// The collector is the fan-out's last member, so it takes each
+    /// report by value — never a clone. The collected reports' shared
+    /// sorted columns are cleared to keep the batch at one copy per
+    /// column; other consumers on the same plan read them before the
+    /// clear.
     pub fn collect(mut self) -> Self {
         self.collect = true;
         self
@@ -168,10 +163,12 @@ impl<'s> SweepPlan<'s> {
     }
 
     /// Execute the plan with one extra ad-hoc consumer riding the same
-    /// fan-out (shared delivery — see [`ReportSink::accept_shared`]
-    /// for the clone-fallback caveat on closures). Extension crates
-    /// build their typed plan surfaces on this: attach a sink, drive,
-    /// then read the sink back.
+    /// fan-out, after the plan's own consumers. It receives each report
+    /// by value unless [`SweepPlan::collect`] was requested (the
+    /// collector goes last), in which case it reads it shared — see
+    /// [`ReportSink::accept_shared`] for the clone-fallback caveat on
+    /// closures. Extension crates build their typed plan surfaces on
+    /// this: attach a sink, drive, then read the sink back.
     pub fn drive_with<S: ReportSink>(self, mut extra: S) -> RiskResult<SweepOutcome> {
         self.drive_impl(Some(&mut extra))
     }
@@ -179,7 +176,6 @@ impl<'s> SweepPlan<'s> {
     fn drive_impl(self, extra: Option<&mut dyn ReportSink>) -> RiskResult<SweepOutcome> {
         let session = self.session;
         let scenarios = self.scenarios;
-        let want_summary = self.summary.is_some();
 
         // Install the session's telemetry over the whole drive so the
         // outcome's snapshot covers plan composition and sink teardown,
@@ -188,24 +184,14 @@ impl<'s> SweepPlan<'s> {
         let _obs = session.install_telemetry();
         let drive_span = riskpipe_obs::span_key("sweep.drive", scenarios.len() as u64);
 
-        // When both pooled analytics and persistence are requested,
-        // the persisting sink's embedded summary serves the summary
-        // request — exactly the hand-composed `PersistingSink` shape,
-        // one fold per report instead of two.
-        let mut persisting: Option<PersistingSink> = None;
-        let mut summary: Option<SweepSummary> = None;
-        match (self.persist, self.summary) {
-            (Some(req), requested) => {
-                let store = req.store.unwrap_or_else(|| session.store());
-                let mut sink = PersistingSink::new(store).with_run(req.run);
-                if let Some(s) = requested {
-                    sink = sink.with_summary(s);
-                }
-                persisting = Some(sink);
-            }
-            (None, requested) => summary = requested,
-        }
-
+        // Each requested consumer is one fan-out member; the collector
+        // goes last so it owns what it keeps.
+        let mut summary = self.summary.then(SweepSummary::new);
+        let mut persisting = self.persist.map(|req| {
+            let store = req.store.unwrap_or_else(|| session.store());
+            PersistingSink::new(store).with_run(req.run)
+        });
+        let mut collector = self.collect.then(CollectSink::default);
         let mut fan = FanoutSink::new();
         if let Some(s) = summary.as_mut() {
             fan.push(s);
@@ -216,13 +202,10 @@ impl<'s> SweepPlan<'s> {
         if let Some(x) = extra {
             fan.push(x);
         }
-
-        let mut collector = CollectSink::default();
-        let delivered = if self.collect {
-            session.run_stream(scenarios, Tee::new(fan, &mut collector))?
-        } else {
-            session.run_stream(scenarios, fan)?
-        };
+        if let Some(c) = collector.as_mut() {
+            fan.push(c);
+        }
+        let delivered = session.run_stream(scenarios, fan)?;
 
         // Close the drive span before snapshotting, so the snapshot
         // contains the completed span (open spans are omitted from
@@ -230,27 +213,18 @@ impl<'s> SweepPlan<'s> {
         drop(drive_span);
         let telemetry = session.telemetry().map(|t| t.snapshot());
 
-        let mut outcome = SweepOutcome {
+        Ok(SweepOutcome {
             delivered,
-            summary: None,
-            persisted: None,
-            reports: self.collect.then_some(collector.reports),
-            telemetry,
-        };
-        if let Some(p) = persisting {
-            outcome.persisted = Some(PersistedRun {
+            summary,
+            persisted: persisting.map(|p| PersistedRun {
                 store: Arc::clone(p.store()),
                 run: p.run(),
                 reports: p.reports_persisted(),
                 bytes: p.bytes_persisted(),
-            });
-            if want_summary {
-                outcome.summary = Some(p.into_summary());
-            }
-        } else {
-            outcome.summary = summary;
-        }
-        Ok(outcome)
+            }),
+            reports: collector.map(|c| c.reports),
+            telemetry,
+        })
     }
 }
 
@@ -258,16 +232,16 @@ impl std::fmt::Debug for SweepPlan<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SweepPlan")
             .field("scenarios", &self.scenarios.len())
-            .field("summary", &self.summary.is_some())
+            .field("summary", &self.summary)
             .field("persist", &self.persist.is_some())
             .field("collect", &self.collect)
             .finish()
     }
 }
 
-/// The owning collector behind [`SweepPlan::collect`]: sits in the
-/// [`Tee`]'s owning slot so no report is ever cloned, and clears the
-/// shared sorted columns on retained reports.
+/// The owning collector behind [`SweepPlan::collect`]: the last
+/// fan-out member, so it receives every report by value and none is
+/// ever cloned; clears the shared sorted columns on retained reports.
 #[derive(Default)]
 struct CollectSink {
     reports: Vec<PipelineReport>,
@@ -391,18 +365,5 @@ impl SweepOutcome {
     /// Consume the outcome, keeping the telemetry snapshot.
     pub fn into_telemetry(self) -> Option<riskpipe_obs::TelemetrySnapshot> {
         self.telemetry
-    }
-
-    /// Split the outcome into its artifacts (each `None` unless
-    /// requested): `(summary, persisted, reports)`.
-    #[allow(clippy::type_complexity)]
-    pub fn into_parts(
-        self,
-    ) -> (
-        Option<SweepSummary>,
-        Option<PersistedRun>,
-        Option<Vec<PipelineReport>>,
-    ) {
-        (self.summary, self.persisted, self.reports)
     }
 }

@@ -342,12 +342,12 @@ mod tests {
 
     // The witness manifest is process-global (`OnceLock` + the real
     // committed manifest), so tests use real workspace lock names:
-    // `sink -> index` is a manifest edge, `index -> sink` is not.
+    // `threads -> events` is a manifest edge, `events -> threads` is not.
 
     #[test]
     fn manifest_edge_order_is_accepted() {
-        let outer = Mutex::new("sink", ());
-        let inner = Mutex::new("index", 0u32);
+        let outer = Mutex::new("threads", ());
+        let inner = Mutex::new("events", 0u32);
         let g = outer.lock();
         let v = inner.lock();
         assert_eq!(*v, 0);
@@ -357,8 +357,8 @@ mod tests {
 
     #[test]
     fn reversed_order_panics_before_blocking() {
-        let outer = Mutex::new("index", 0u32);
-        let inner = Mutex::new("sink", ());
+        let outer = Mutex::new("events", 0u32);
+        let inner = Mutex::new("threads", ());
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             let _g = outer.lock();
             let _v = inner.lock();

@@ -233,7 +233,7 @@ impl RuleId {
                  and perf-gate harness). Inline #[cfg(test)] modules are exempt.\n\
                  \n\
                  FIX   Route the timing through the existing stats/counter structs\n\
-                 (StageTiming, ExecStats, Stage1CacheStats...) in a designated\n\
+                 (ExecStats, Stage1CacheStats...) or telemetry spans in a designated\n\
                  module, or suppress with a reason documenting exactly where the\n\
                  reading flows and why it cannot reach numeric output."
             }

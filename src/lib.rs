@@ -80,14 +80,14 @@ pub mod prelude {
     pub use riskpipe_aggregate::{AggregateOptions, AggregateRunner, EngineKind, Portfolio};
     pub use riskpipe_analytics::{
         Drilldown, DrilldownLayout, ScenarioDims, SessionAnalytics, SweepPlanAnalytics,
-        WarehouseOutcome, WarehousePlan, WarehouseSink, WarehouseStore,
+        WarehouseOutcome, WarehousePlan, WarehouseSink,
     };
     pub use riskpipe_catmodel::Stage1Output;
     pub use riskpipe_cloud::{pipeline_week, simulate, PipelineWeekSpec, SimConfig};
     pub use riskpipe_core::{
         FanoutSink, InMemoryStore, IntermediateStore, PersistedRun, PersistingSink, PipelineReport,
         ReportSink, ReportStream, RiskSession, RiskSessionBuilder, ScenarioConfig,
-        ShardedFilesStore, Stage1CacheStats, SweepOutcome, SweepPlan, SweepSummary, Tee,
+        ShardedFilesStore, Stage1CacheStats, SweepOutcome, SweepPlan, SweepSummary,
     };
     pub use riskpipe_dfa::{AllocationMethod, EnterpriseRollup};
     pub use riskpipe_metrics::{EpCurve, EpPoint, QuantileSketch};

@@ -8,7 +8,7 @@
 
 use proptest::prelude::*;
 use riskpipe::analytics::{band_bounds, band_of_return_period, rp_bands, RETURN_PERIOD_BANDS};
-use riskpipe::core::{PersistingSink, ShardedFilesStore};
+use riskpipe::core::ShardedFilesStore;
 use riskpipe::exec::ThreadPool;
 use riskpipe::mapreduce::YltFactJob;
 use riskpipe::prelude::*;
@@ -140,32 +140,25 @@ fn drilldown_cells_bit_identical_across_threads_and_pinned() {
 }
 
 #[test]
-fn live_sink_store_decorator_and_rebuild_agree_bitwise() {
+fn live_sink_and_rebuild_agree_bitwise() {
     let (scenarios, dims) = fixture();
     let session = RiskSession::builder().pool_threads(2).build().unwrap();
     let layout = DrilldownLayout::new(dims, session.engine()).unwrap();
     let handle = session.analytics(layout.clone());
 
-    // Path A: live WarehouseSink.
-    let live = session
-        .sweep(&scenarios)
-        .warehouse(layout.clone())
-        .drive()
-        .unwrap()
-        .into_drilldown();
-
-    // Path B: PersistingSink over a WarehouseStore decorating a
-    // ShardedFilesStore — durable spill + cubes for free.
+    // Path A: live WarehouseSink, riding the same pass as a durable
+    // ShardedFilesStore spill.
     let dir = temp("spill");
     let files = Arc::new(ShardedFilesStore::new(&dir, 2).unwrap());
-    let decorated = Arc::new(WarehouseStore::new(
-        files.clone(),
-        WarehouseSink::new(layout.clone()).unwrap(),
-    ));
-    let mut sink = PersistingSink::new(decorated.clone());
-    session.run_stream(&scenarios, &mut sink).unwrap();
-    assert_eq!(sink.reports_persisted(), scenarios.len() as u64);
-    let from_decorator = decorated.drilldown().unwrap();
+    let outcome = session
+        .sweep(&scenarios)
+        .persist_to(files.clone())
+        .warehouse(layout.clone())
+        .drive()
+        .unwrap();
+    let persisted = outcome.persisted().expect("persistence was requested");
+    assert_eq!(persisted.reports(), scenarios.len() as u64);
+    let live = outcome.into_drilldown();
 
     // Path C: rebuild from the spill alone.
     let rebuilt = handle.rebuild_from_store(&files, 0).unwrap();
@@ -173,10 +166,8 @@ fn live_sink_store_decorator_and_rebuild_agree_bitwise() {
 
     for q in queries() {
         let want = signature(&live.answer(&q).unwrap().0);
-        for (label, wh) in [("decorator", &from_decorator), ("rebuild", &rebuilt)] {
-            let got = signature(&wh.answer(&q).unwrap().0);
-            assert_eq!(got, want, "{label} path drifted for {q:?}");
-        }
+        let got = signature(&rebuilt.answer(&q).unwrap().0);
+        assert_eq!(got, want, "rebuild path drifted for {q:?}");
     }
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -2,13 +2,14 @@
 //! adapter) deliver input-ordered reports bit-identical to a collecting
 //! sweep and to solo `run` calls on any thread count, the shared stage-1
 //! cache rebuilds the model run exactly once per distinct key, and
-//! sweep sinks (`SweepSummary`, `PersistingSink`) produce pooled
-//! analytics / durable artifacts without retaining per-scenario YLTs.
+//! sweep sinks (`SweepSummary`, `PersistingSink`, and the two together
+//! on one `FanoutSink`) produce pooled analytics / durable artifacts
+//! without retaining per-scenario YLTs.
 
 use riskpipe::aggregate::{build_secondary, AggregateOptions, EventJoin, QuantileMode};
 use riskpipe::core::{
-    PersistingSink, PipelineReport, ReportStream, RiskSession, ScenarioConfig, ShardedFilesStore,
-    Stage1CacheStats, SweepSummary,
+    FanoutSink, PersistingSink, PipelineReport, ReportStream, RiskSession, ScenarioConfig,
+    ShardedFilesStore, Stage1CacheStats, SweepSummary,
 };
 use riskpipe::dfa::{serial_map, CompanyConfig, DfaEngine, TASK_CHUNK};
 use riskpipe::exec::par_map_collect;
@@ -305,13 +306,17 @@ fn persisting_sink_spills_each_report_and_pools_analytics() -> RiskResult<()> {
     let store = Arc::new(ShardedFilesStore::new(&dir, 2)?);
     let scenarios = pricing_sweep(180, 4);
     // The session itself keeps intermediates in memory; the *sink*
-    // persists each completed report as it arrives, then drops it.
+    // persists each completed report as it arrives, then drops it,
+    // while a summary member of the same fan-out pools analytics.
     let session = RiskSession::builder().pool_threads(2).build()?;
+    let mut summary = SweepSummary::new();
     let mut sink = PersistingSink::new(store.clone());
-    session.run_stream(&scenarios, &mut sink)?;
+    session.run_stream(
+        &scenarios,
+        FanoutSink::new().with(&mut summary).with(&mut sink),
+    )?;
     assert_eq!(sink.reports_persisted(), 4);
     assert!(sink.bytes_persisted() > 0);
-    let summary = sink.summary();
     assert_eq!(summary.scenarios(), 4);
     assert!(summary.pooled_tvar99().is_some());
 
@@ -334,14 +339,19 @@ fn persisting_sink_spills_each_report_and_pools_analytics() -> RiskResult<()> {
 #[test]
 fn persisting_sink_through_default_store_is_memory_only() -> RiskResult<()> {
     // InMemoryStore's persist_report default keeps nothing durable but
-    // the sink still pools analytics.
+    // the sink still counts every report, and a summary riding the
+    // same fan-out still pools analytics.
     let session = RiskSession::builder().pool_threads(2).build()?;
     let scenarios = pricing_sweep(190, 3);
+    let mut summary = SweepSummary::new();
     let mut sink = PersistingSink::new(Arc::new(riskpipe::core::InMemoryStore));
-    session.run_stream(&scenarios, &mut sink)?;
+    session.run_stream(
+        &scenarios,
+        FanoutSink::new().with(&mut summary).with(&mut sink),
+    )?;
     assert_eq!(sink.reports_persisted(), 3);
     assert_eq!(sink.bytes_persisted(), 0);
-    assert_eq!(sink.into_summary().scenarios(), 3);
+    assert_eq!(summary.scenarios(), 3);
     Ok(())
 }
 

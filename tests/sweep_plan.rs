@@ -4,7 +4,8 @@
 //! what the pre-redesign single-sink path produced — on any thread
 //! count, with any combination of other consumers attached. Also
 //! proptests the `FanoutSink` combinator: delivery order and per-sink
-//! results are independent of how many sinks ride the sweep.
+//! results are independent of how many sinks ride the sweep, and the
+//! last member receives each owned report by value.
 
 use proptest::prelude::*;
 use riskpipe::analytics::{
@@ -12,15 +13,15 @@ use riskpipe::analytics::{
 };
 use riskpipe::core::{
     FanoutSink, PersistingSink, PipelineReport, ReportSink, RiskSession, ScenarioConfig,
-    ShardedFilesStore, StageTiming, SweepSummary,
+    ShardedFilesStore, SweepSummary,
 };
 use riskpipe::metrics::RiskMeasures;
 use riskpipe::prelude::{LevelSelect, Query, RiskResult};
 use riskpipe::types::TrialId;
+use std::cell::RefCell;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
 
 fn temp(tag: &str) -> PathBuf {
     static N: AtomicU64 = AtomicU64::new(0);
@@ -180,23 +181,29 @@ fn summary_only_plan_matches_hand_composed_sink_and_goldens() -> RiskResult<()> 
 fn summary_persist_plan_matches_hand_composed_persisting_sink() -> RiskResult<()> {
     let scenarios = pricing_sweep(0x52, 4);
     for threads in [1usize, 2, 8] {
-        // Hand-composed pre-redesign path: a PersistingSink (embedded
-        // summary) as the only sink.
+        // Hand-composed path: a SweepSummary and a PersistingSink as
+        // the two members of one fan-out.
         let hand_dir = temp("hand");
         let hand_store = Arc::new(ShardedFilesStore::new(&hand_dir, 2)?);
         let session = RiskSession::builder().pool_threads(threads).build()?;
+        let mut hand_summary = SweepSummary::new();
         let mut hand = PersistingSink::new(hand_store.clone());
-        session.run_stream(&scenarios, &mut hand)?;
+        session.run_stream(
+            &scenarios,
+            FanoutSink::new().with(&mut hand_summary).with(&mut hand),
+        )?;
 
-        // Plan path into its own directory.
+        // Plan path into its own directory, with an ad-hoc consumer
+        // riding the same pass via drive_with.
         let plan_dir = temp("plan");
         let plan_store = Arc::new(ShardedFilesStore::new(&plan_dir, 2)?);
         let session = RiskSession::builder().pool_threads(threads).build()?;
+        let mut extra = SweepSummary::new();
         let outcome = session
             .sweep(&scenarios)
             .summary()
             .persist_to(plan_store.clone())
-            .drive()?;
+            .drive_with(&mut extra)?;
 
         let persisted = outcome.persisted().expect("persistence was requested");
         assert_eq!(persisted.reports(), hand.reports_persisted());
@@ -204,8 +211,13 @@ fn summary_persist_plan_matches_hand_composed_persisting_sink() -> RiskResult<()
         assert_eq!(persisted.run(), 0);
         assert_eq!(
             summary_bits(outcome.summary().unwrap()),
-            summary_bits(hand.summary()),
-            "plan vs PersistingSink summary on {threads} threads"
+            summary_bits(&hand_summary),
+            "plan vs hand-composed fan-out summary on {threads} threads"
+        );
+        assert_eq!(
+            summary_bits(&extra),
+            summary_bits(&hand_summary),
+            "the drive_with extra sink must see the same stream on {threads} threads"
         );
         // Durable artifacts are byte-identical, slot for slot.
         assert_eq!(
@@ -282,22 +294,15 @@ fn one_drive_feeds_summary_persistence_and_warehouse_from_one_pass() -> RiskResu
     let plan_store = Arc::new(ShardedFilesStore::new(&plan_dir, 2)?);
     let session = RiskSession::builder().pool_threads(2).build()?;
     let layout = DrilldownLayout::new(dims.clone(), session.engine())?;
-    // A fourth, ad-hoc consumer rides the same pass via drive_with.
-    let mut extra = SweepSummary::new();
     let outcome = session
         .sweep(&scenarios)
         .summary()
         .persist_to(plan_store.clone())
         .warehouse(layout.clone())
         .materialize_budget(256 * 1024)
-        .drive_with(&mut extra)?;
+        .drive()?;
     assert_eq!(outcome.delivered(), scenarios.len());
     assert!(outcome.selection().is_some(), "budget was requested");
-    assert_eq!(
-        summary_bits(&extra),
-        summary_bits(outcome.summary().unwrap()),
-        "the drive_with extra sink must see the same stream"
-    );
     // One pass: the shared-key stage-1 gating saw each distinct
     // catalogue exactly once despite three consumers.
     assert_eq!(
@@ -388,13 +393,8 @@ fn synthetic_report(name: &str, losses: &[f64]) -> PipelineReport {
     }
     let agg_sorted = ylt.sorted_agg_losses();
     let occ_sorted = ylt.sorted_max_occ_losses();
-    let stage = |n| StageTiming {
-        stage: n,
-        elapsed: Duration::ZERO,
-    };
     PipelineReport {
         scenario_name: name.into(),
-        timings: [stage(1), stage(2), stage(3)],
         elt_rows: 0,
         yet_occurrences: 0,
         yelt_rows: losses.len(),
@@ -416,6 +416,63 @@ fn synthetic_report(name: &str, losses: &[f64]) -> PipelineReport {
         agg_sorted,
         occ_sorted,
         ylt,
+    }
+}
+
+/// Pooled trials, VaR99 and TVaR99 as bits (defined for any trial
+/// count, unlike [`summary_bits`]' 100-year PML).
+fn pooled_bits(s: &SweepSummary) -> (u64, Option<u64>, Option<u64>) {
+    (
+        s.trials(),
+        s.pooled_var99().map(f64::to_bits),
+        s.pooled_tvar99().map(f64::to_bits),
+    )
+}
+
+/// How a fan-out member received one report.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Delivery {
+    Shared,
+    Owned,
+}
+
+/// One delivery as a probe saw it: (member, slot, mode, address of the
+/// report's YLT aggregate column).
+type Seen = (usize, usize, Delivery, usize);
+
+/// A fan-out member that logs every delivery into a log shared by its
+/// siblings (so the log is in delivery order) and folds a summary.
+struct Probe<'l> {
+    id: usize,
+    summary: SweepSummary,
+    log: &'l RefCell<Vec<Seen>>,
+}
+
+impl<'l> Probe<'l> {
+    fn new(id: usize, log: &'l RefCell<Vec<Seen>>) -> Self {
+        Self {
+            id,
+            summary: SweepSummary::new(),
+            log,
+        }
+    }
+
+    fn record(&mut self, slot: usize, report: &PipelineReport, how: Delivery) {
+        let addr = report.ylt.agg_losses().as_ptr() as usize;
+        self.log.borrow_mut().push((self.id, slot, how, addr));
+        self.summary.push(report);
+    }
+}
+
+impl ReportSink for &mut Probe<'_> {
+    fn accept(&mut self, slot: usize, report: PipelineReport) -> RiskResult<()> {
+        self.record(slot, &report, Delivery::Owned);
+        Ok(())
+    }
+
+    fn accept_shared(&mut self, slot: usize, report: &PipelineReport) -> RiskResult<()> {
+        self.record(slot, report, Delivery::Shared);
+        Ok(())
     }
 }
 
@@ -479,11 +536,20 @@ proptest! {
         }
     }
 
-    /// Tee ownership: the second sink receives the very report the
-    /// first read shared — same slots, same bits, no perturbation.
+    /// The fan-out ownership rule: under owned delivery (`accept`)
+    /// members `0..n-1` read the report shared, in attachment order,
+    /// and the last member receives the very report passed in — its
+    /// YLT column sits at the same address, so nothing was cloned.
+    /// Under shared delivery (`accept_shared`) every member reads the
+    /// caller's report in place. Every member folds the same bits as a
+    /// lone summary.
     #[test]
-    fn tee_delivers_shared_then_owned(seed in 0u64..512) {
-        let reports: Vec<PipelineReport> = (0..3)
+    fn fanout_last_member_owns_the_report(
+        members in 1usize..=4,
+        nreports in 1usize..=4,
+        seed in 0u64..512,
+    ) {
+        let reports: Vec<PipelineReport> = (0..nreports)
             .map(|r| {
                 let losses: Vec<f64> = (0..30)
                     .map(|i| (((seed + r as u64) * 37 + i) % 211) as f64)
@@ -496,29 +562,58 @@ proptest! {
             reference.push(report);
         }
 
-        let mut shared = SweepSummary::new();
-        let mut owned: Vec<(usize, PipelineReport)> = Vec::new();
+        // Owned delivery: each report is a fresh clone moved into the
+        // fan-out; its column address is what every member must see.
+        let log = RefCell::new(Vec::new());
+        let mut probes: Vec<Probe> = (0..members).map(|id| Probe::new(id, &log)).collect();
+        let mut addrs = Vec::new();
         {
-            let mut tee = ReportSink::tee(&mut shared, |slot, report: PipelineReport| {
-                owned.push((slot, report));
-                Ok(())
-            });
+            let mut fan = FanoutSink::new();
+            for p in probes.iter_mut() {
+                fan.push(p);
+            }
             for (slot, report) in reports.iter().enumerate() {
-                tee.accept(slot, report.clone()).unwrap();
+                let owned = report.clone();
+                addrs.push(owned.ylt.agg_losses().as_ptr() as usize);
+                fan.accept(slot, owned).unwrap();
             }
         }
-        prop_assert_eq!(
-            shared.pooled_tvar99().unwrap().to_bits(),
-            reference.pooled_tvar99().unwrap().to_bits()
-        );
-        prop_assert_eq!(owned.len(), reports.len());
-        for (i, (slot, report)) in owned.iter().enumerate() {
-            prop_assert_eq!(*slot, i);
-            prop_assert_eq!(&report.ylt, &reports[i].ylt);
-            // Ownership passed through untouched: the shared sorted
-            // columns are still attached (only `collect()` clears
-            // them).
-            prop_assert_eq!(report.agg_sorted.len(), reports[i].ylt.trials());
+        let want: Vec<Seen> = (0..nreports)
+            .flat_map(|slot| {
+                let addr = addrs[slot];
+                (0..members).map(move |id| {
+                    let how = if id + 1 == members { Delivery::Owned } else { Delivery::Shared };
+                    (id, slot, how, addr)
+                })
+            })
+            .collect();
+        prop_assert_eq!(log.take(), want);
+        for p in &probes {
+            prop_assert_eq!(pooled_bits(&p.summary), pooled_bits(&reference));
+        }
+
+        // Shared delivery: no member owns, none clones.
+        let mut probes: Vec<Probe> = (0..members).map(|id| Probe::new(id, &log)).collect();
+        {
+            let mut fan = FanoutSink::new();
+            for p in probes.iter_mut() {
+                fan.push(p);
+            }
+            for (slot, report) in reports.iter().enumerate() {
+                fan.accept_shared(slot, report).unwrap();
+            }
+        }
+        let want: Vec<Seen> = reports
+            .iter()
+            .enumerate()
+            .flat_map(|(slot, report)| {
+                let addr = report.ylt.agg_losses().as_ptr() as usize;
+                (0..members).map(move |id| (id, slot, Delivery::Shared, addr))
+            })
+            .collect();
+        prop_assert_eq!(log.take(), want);
+        for p in &probes {
+            prop_assert_eq!(pooled_bits(&p.summary), pooled_bits(&reference));
         }
     }
 }

@@ -9,7 +9,7 @@
 use riskpipe::analytics::{DrilldownLayout, ScenarioDims, SweepPlanAnalytics};
 use riskpipe::catmodel::financial::location_loss;
 use riskpipe::catmodel::site_intensity;
-use riskpipe::core::{RiskSession, ScenarioConfig, ShardedFilesStore};
+use riskpipe::core::{InMemoryStore, RiskSession, ScenarioConfig, ShardedFilesStore};
 use riskpipe::obs::JSON_SCHEMA_VERSION;
 use riskpipe::prelude::{MetricsSnapshot, Query, RiskResult, Telemetry};
 use riskpipe::warehouse::{LevelSelect, Source};
@@ -374,6 +374,34 @@ fn span_tree_covers_every_stage_of_a_full_plan() -> RiskResult<()> {
         .all(|w| (w[0].thread, w[0].seq) < (w[1].thread, w[1].seq)));
 
     std::fs::remove_dir_all(&dir).ok();
+    Ok(())
+}
+
+/// `sink.deliveries` counts one delivery per fan-out member per report,
+/// the collector included: a summary + persist + collect plan over `n`
+/// scenarios delivers `3n` times, each under its own `sink.deliver`
+/// span, and no other combinator sits between the plan and its
+/// consumers.
+#[test]
+fn delivery_counter_counts_every_member_of_the_plan() -> RiskResult<()> {
+    let telemetry = Telemetry::new();
+    let (scenarios, _) = grid(0x0BB);
+    let session = RiskSession::builder()
+        .pool_threads(2)
+        .telemetry(telemetry.clone())
+        .build()?;
+    let outcome = session
+        .sweep(&scenarios)
+        .summary()
+        .persist_to(Arc::new(InMemoryStore))
+        .collect()
+        .drive()?;
+    let n = scenarios.len();
+    assert_eq!(outcome.reports().map(<[_]>::len), Some(n));
+    let snap = outcome.telemetry().expect("session has telemetry");
+    assert_eq!(snap.metrics().counter("sink.deliveries"), 3 * n as u64);
+    assert_eq!(snap.spans_named("sink.deliver").count(), 3 * n);
+    assert_eq!(snap.spans_named("sink.tee").count(), 0);
     Ok(())
 }
 

@@ -5,7 +5,7 @@
 //! (ascending layer index within an occurrence — the
 //! [`EventJoin`] ordering invariant):
 //!
-//! * **the host kernel** ([`joined_trial`]) — occurrences-outer,
+//! * **the host kernel** (`joined_trial`) — occurrences-outer,
 //!   hits-inner over the [`EventJoin`]: one map lookup per occurrence,
 //!   the interpolation cell computed once per occurrence, then a
 //!   contiguous stream over the event's hits. [`SequentialEngine`],

@@ -10,10 +10,10 @@
 //!
 //! | dim index (warehouse name) | levels (finest → coarsest)          |
 //! |----------------------------|-------------------------------------|
-//! | 0 ([`dim::GEO`])           | region → all                        |
-//! | 1 ([`dim::EVENT`])         | peril → all                         |
-//! | 2 ([`dim::CONTRACT`])      | layer → attachment band → engine → all |
-//! | 3 ([`dim::TIME`])          | return-period band → all            |
+//! | 0 ([`dim::GEO`][GEO])      | region → all                        |
+//! | 1 ([`dim::EVENT`][EVENT])  | peril → all                         |
+//! | 2 ([`dim::CONTRACT`][CONTRACT]) | layer → attachment band → engine → all |
+//! | 3 ([`dim::TIME`][TIME])    | return-period band → all            |
 //!
 //! The contract hierarchy folds each sweep slot ("layer") into its
 //! attachment band, and every band into the session's engine code — a
@@ -22,7 +22,10 @@
 //! produced the data rather than partitioning it), and it survives
 //! rollups and rebuilds.
 //!
-//! [`dim`]: riskpipe_warehouse::dim
+//! [GEO]: riskpipe_warehouse::dim::GEO
+//! [EVENT]: riskpipe_warehouse::dim::EVENT
+//! [CONTRACT]: riskpipe_warehouse::dim::CONTRACT
+//! [TIME]: riskpipe_warehouse::dim::TIME
 
 use riskpipe_aggregate::EngineKind;
 use riskpipe_core::ScenarioConfig;

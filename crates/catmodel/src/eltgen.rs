@@ -21,7 +21,7 @@
 //! 2. **Candidates.** A per-book location index (`index.rs`, built in
 //!    O(locations), dropped with the model) lists the locations within
 //!    that radius, in ascending location index.
-//! 3. **Exact chain.** Each candidate runs [`pair_loss`] — the one
+//! 3. **Exact chain.** Each candidate runs `pair_loss` — the one
 //!    place `site_intensity → mean_damage_ratio → location_loss` is
 //!    written — and the survivors are accumulated.
 //!
@@ -231,7 +231,7 @@ impl<'a> GroundUpModel<'a> {
 
     /// The ELT row for one event, or `None` if the event's mean loss is
     /// below threshold: σᵢ from the independent part of
-    /// [`EventLoss`], σc from the correlated part weighted by the
+    /// `EventLoss`, σc from the correlated part weighted by the
     /// correlation weight.
     pub fn event_record(&self, event_index: usize) -> Option<EltRecord> {
         self.event_row(event_index).0

@@ -18,10 +18,10 @@
 //! [`RiskSession::sweep`] (a [`SweepPlan`] fanning one streaming pass
 //! out to every requested consumer — pooled analytics, persistence,
 //! collection, downstream warehouses), and the streaming core
-//! [`RiskSession::run_stream`] / [`RiskSession::stream`] (input-order
-//! delivery at O(pool width) peak memory). Scenarios sharing a
-//! catalogue seed/config fingerprint ([`ScenarioConfig::stage1_key`])
-//! reuse one cached stage-1 model run. [`elastic`] converts measured
+//! [`RiskSession::run_stream`] (input-order delivery at O(pool width)
+//! peak memory). Scenarios sharing a catalogue seed/config fingerprint
+//! ([`ScenarioConfig::stage1_key`]) reuse one cached stage-1 model run
+//! (LRU over eight keys, plus an optional disk tier). [`elastic`] converts measured
 //! throughputs into the paper's processor-burst arithmetic (<10
 //! processors for stage 1, thousands for stages 2–3).
 
@@ -39,8 +39,8 @@ pub use config::{ScenarioConfig, Stage1Bundle};
 pub use elastic::{Deadline, ElasticModel, ProcessorPlan, StageThroughput};
 pub use report::{money, SweepSummary, TextTable};
 pub use session::{
-    InMemoryStore, IntermediateStore, PipelineReport, ReportStream, RiskSession,
-    RiskSessionBuilder, RunLabel, ShardedFilesStore, Stage1CacheStats,
+    InMemoryStore, IntermediateStore, PipelineReport, RiskSession, RiskSessionBuilder, RunLabel,
+    ShardedFilesStore, Stage1CacheStats,
 };
 pub use sink::{FanoutSink, PersistingSink, ReportSink};
 pub use stage1disk::DiskStage1Cache;

@@ -9,7 +9,9 @@
 //! seed/config fingerprint reuse one model run — and the event-major
 //! join of its books stage 2 reads — instead of regenerating the
 //! catalogue, event set, ELTs, beta-quantile grids and the join per
-//! scenario.
+//! scenario. The cache has one policy: LRU over the last eight distinct
+//! keys, plus the optional disk tier
+//! ([`RiskSessionBuilder::stage1_disk_cache`]).
 //!
 //! Execution comes in three shapes, all bit-identical per scenario:
 //!
@@ -24,8 +26,7 @@
 //!   (in-flight capped at pool width) and each [`PipelineReport`] is
 //!   handed to a sink *in input order* as it completes, then dropped —
 //!   peak memory is O(pool width) reports, the shape the paper's
-//!   thousands-of-scenarios sweeps need; [`RiskSession::stream`] is
-//!   the iterator adapter.
+//!   thousands-of-scenarios sweeps need.
 //!
 //! ```
 //! use riskpipe_core::{RiskSession, ScenarioConfig};
@@ -87,7 +88,7 @@ pub struct RunLabel<'a> {
 /// backends implement this and plug into [`RiskSessionBuilder::store`]
 /// without the session or the engines changing, while consumers that
 /// derive something from the reports (pooled analytics, a drill-down
-/// warehouse) are [`ReportSink`](crate::ReportSink)s riding the same
+/// warehouse) are [`ReportSink`]s riding the same
 /// [`FanoutSink`](crate::FanoutSink).
 pub trait IntermediateStore: Send + Sync {
     /// Backend name for reports.
@@ -350,6 +351,10 @@ impl IntermediateStore for ShardedFilesStore {
 // The stage-1 cache.
 // ---------------------------------------------------------------------
 
+/// Distinct stage-1 model runs a session retains in RAM, least recently
+/// used evicted first.
+const DEFAULT_STAGE1_CACHE_CAPACITY: usize = 8;
+
 /// Hit/miss counters for a session's stage-1 cache — exposed for
 /// observability (how much model-run work a sweep actually shared) and
 /// for tests pinning "stage 1 built exactly once per distinct key".
@@ -357,15 +362,15 @@ impl IntermediateStore for ShardedFilesStore {
 pub struct Stage1CacheStats {
     /// Lookups served from a cached [`Stage1Output`].
     pub hits: u64,
-    /// Lookups that had to build stage 1 (including every lookup when
-    /// the cache is disabled).
+    /// Lookups the RAM cache could not serve: served by the disk tier
+    /// or built.
     pub misses: u64,
-    /// Entries displaced by the LRU capacity or byte-budget bound.
+    /// Entries displaced by the LRU capacity bound.
     pub evictions: u64,
     /// Distinct keys currently retained.
     pub entries: usize,
-    /// Estimated bytes currently retained — what the
-    /// [`RiskSessionBuilder::stage1_cache_bytes`] budget bounds. Each
+    /// Estimated bytes currently retained (observability only; nothing
+    /// bounds it but the entry count). Each
     /// entry is charged its model run's [`Stage1Output::memory_bytes`]
     /// plus the [`EventJoin::memory_bytes`] of the join of its books
     /// cached beside it (quantile grids included when the session's
@@ -405,7 +410,7 @@ struct ModelRun {
 }
 
 impl ModelRun {
-    /// What the entry is charged against the cache's byte budget.
+    /// What the entry is charged in [`Stage1CacheStats::bytes`].
     fn memory_bytes(&self) -> usize {
         self.output.memory_bytes() + self.join.memory_bytes() + self.dfa_factors.memory_bytes()
     }
@@ -438,8 +443,8 @@ enum SlotState {
 struct CacheSlot {
     state: Mutex<SlotState>,
     /// Estimated bytes of the published entry (0 while `Building`) —
-    /// readable without the state lock so budget enforcement under the
-    /// index lock never orders against a slot lock.
+    /// readable without the state lock so summing them under the index
+    /// lock never orders against a slot lock.
     bytes: AtomicUsize,
 }
 
@@ -520,17 +525,6 @@ impl CacheIndex {
         self.recency.values().next().copied()
     }
 
-    /// Retained keys, least-recently-used first.
-    fn keys_lru_first(&self) -> Vec<u64> {
-        self.recency.values().copied().collect()
-    }
-
-    fn clear(&mut self) {
-        self.map.clear();
-        self.stamps.clear();
-        self.recency.clear();
-    }
-
     fn retained_bytes(&self) -> u64 {
         self.map
             .values()
@@ -545,15 +539,8 @@ impl CacheIndex {
 /// executes. Keys come from [`ScenarioConfig::stage1_key`] — a stable
 /// fingerprint of the generating configs — so a sweep that varies only
 /// pricing terms (or report names) regenerates nothing. Eviction is
-/// LRU under two independent bounds: an entry-count capacity and an
-/// optional byte budget over the retained outputs' estimated
-/// footprints.
+/// LRU over [`DEFAULT_STAGE1_CACHE_CAPACITY`] entries.
 struct Stage1Cache {
-    capacity: usize,
-    /// Optional byte budget over retained entries; enforced after each
-    /// publish, never evicting the entry just published (a budget
-    /// smaller than one model run would otherwise cache nothing).
-    budget_bytes: Option<u64>,
     /// Optional durable tier consulted on RAM miss and written through
     /// on every build — survives the process and is shared across
     /// processes (see [`DiskStage1Cache`]).
@@ -568,10 +555,8 @@ struct Stage1Cache {
 }
 
 impl Stage1Cache {
-    fn new(capacity: usize, budget_bytes: Option<u64>, disk: Option<DiskStage1Cache>) -> Self {
+    fn new(disk: Option<DiskStage1Cache>) -> Self {
         Self {
-            capacity,
-            budget_bytes,
             disk,
             index: Mutex::new("index", CacheIndex::default()),
             hits: AtomicU64::new(0),
@@ -583,26 +568,12 @@ impl Stage1Cache {
         }
     }
 
-    /// Whether caching is on at all (capacity above zero).
-    fn enabled(&self) -> bool {
-        self.capacity > 0
-    }
-
     /// Whether `key` has a completed build ready to serve.
     fn is_ready(&self, key: u64) -> bool {
-        if self.capacity == 0 {
-            return false;
-        }
-        // lint: allow(C1) — index mutex guards a map lookup only; no
-        // holder blocks or enqueues pool work under it, so the wait is
-        // bounded by another lookup, never by a queued task.
         let slot = match self.index.lock().map.get(&key) {
             Some(slot) => Arc::clone(slot),
             None => return false,
         };
-        // lint: allow(C1) — slot state mutex protects an enum tag; it
-        // is never held across a build (builds run unlocked and only
-        // re-acquire to publish), so acquisition is bounded.
         let state = slot.state.lock();
         matches!(*state, SlotState::Ready(_))
     }
@@ -635,14 +606,6 @@ impl Stage1Cache {
         build: impl FnOnce() -> RiskResult<(Stage1Output, EltGenCounts)>,
         derive: impl FnOnce(Acquired) -> RiskResult<ModelRun>,
     ) -> RiskResult<Arc<ModelRun>> {
-        if self.capacity == 0 {
-            self.misses.fetch_add(1, Ordering::Relaxed);
-            riskpipe_obs::counter_add("stage1.misses", 1);
-            // The disk tier is independent of the RAM cache: with
-            // capacity 0 every lookup misses RAM, but a warm tier
-            // still avoids the rebuild.
-            return Ok(Arc::new(derive(self.load_or_build(key, build)?)?));
-        }
         let slot = {
             // lint: allow(C1) — index mutex covers map insert/evict
             // bookkeeping only; builds never run under it, so the
@@ -654,7 +617,7 @@ impl Stage1Cache {
                 index.touch(key);
                 slot
             } else {
-                while index.len() >= self.capacity {
+                while index.len() >= DEFAULT_STAGE1_CACHE_CAPACITY {
                     match index.lru_key() {
                         Some(old) => {
                             index.remove(old);
@@ -699,8 +662,6 @@ impl Stage1Cache {
                     *state = SlotState::Ready(Arc::clone(&run));
                     slot.bytes.store(run_bytes, Ordering::Relaxed);
                 }
-                drop(state);
-                self.enforce_byte_budget(key);
                 Ok(run)
             }
             Err(e) => {
@@ -794,45 +755,6 @@ impl Stage1Cache {
         Ok(output)
     }
 
-    /// Evict least-recently-used published entries until the retained
-    /// bytes fit the budget. The entry just published under `keep` is
-    /// never evicted (so a budget smaller than one model run degrades
-    /// to caching exactly the latest run instead of nothing), and
-    /// in-flight `Building` slots (bytes 0) are skipped — evicting one
-    /// would only discard a build already paid for.
-    fn enforce_byte_budget(&self, keep: u64) {
-        let Some(budget) = self.budget_bytes else {
-            return;
-        };
-        // lint: allow(C1) — index mutex held for eviction bookkeeping
-        // only (map walks and removals); no holder blocks or enqueues
-        // pool work under it, so the wait is bounded.
-        let mut index = self.index.lock();
-        let mut total = index.retained_bytes();
-        if total <= budget {
-            return;
-        }
-        for key in index.keys_lru_first() {
-            if total <= budget {
-                break;
-            }
-            if key == keep {
-                continue;
-            }
-            let bytes = index
-                .map
-                .get(&key)
-                .map(|s| s.bytes.load(Ordering::Relaxed) as u64)
-                .unwrap_or(0);
-            if bytes == 0 {
-                continue;
-            }
-            index.remove(key);
-            total -= bytes;
-            self.evictions.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
     fn stats(&self) -> Stage1CacheStats {
         let (entries, bytes) = {
             let index = self.index.lock();
@@ -848,10 +770,6 @@ impl Stage1Cache {
             disk_hits: self.disk_hits.load(Ordering::Relaxed),
             disk_writes: self.disk_writes.load(Ordering::Relaxed),
         }
-    }
-
-    fn clear(&self) {
-        self.index.lock().clear();
     }
 }
 
@@ -877,8 +795,6 @@ pub struct RiskSessionBuilder {
     store: Option<Arc<dyn IntermediateStore>>,
     pool: PoolChoice,
     company: CompanyConfig,
-    stage1_capacity: usize,
-    stage1_bytes: Option<u64>,
     stage1_disk_dir: Option<PathBuf>,
     telemetry: Option<riskpipe_obs::Telemetry>,
 }
@@ -891,8 +807,6 @@ impl Default for RiskSessionBuilder {
             store: None,
             pool: PoolChoice::Default,
             company: CompanyConfig::typical(),
-            stage1_capacity: RiskSession::DEFAULT_STAGE1_CACHE_CAPACITY,
-            stage1_bytes: None,
             stage1_disk_dir: None,
             telemetry: None,
         }
@@ -942,37 +856,6 @@ impl RiskSessionBuilder {
         self
     }
 
-    /// Retain at most `capacity` distinct stage-1 model runs (LRU
-    /// eviction; default [`RiskSession::DEFAULT_STAGE1_CACHE_CAPACITY`];
-    /// 0 disables the cache). Caching never changes results — stage 1
-    /// is a pure function of its key — only whether shared model runs
-    /// are rebuilt. Size this to the number of distinct catalogues a
-    /// sweep revisits — each retained entry holds a full catalogue +
-    /// books + YET, plus the event-major join of the books (every
-    /// book's quantile grid, in hit order).
-    pub fn stage1_cache_capacity(mut self, capacity: usize) -> Self {
-        self.stage1_capacity = capacity;
-        self
-    }
-
-    /// Bound the stage-1 cache by *bytes* instead of (or on top of)
-    /// the entry count: after each build publishes, least-recently-used
-    /// entries are evicted until the retained entries' estimated
-    /// footprints fit `bytes` — an entry is charged its model run
-    /// ([`Stage1Output::memory_bytes`]) plus the join of its books
-    /// ([`EventJoin::memory_bytes`]) and the DFA factor block
-    /// ([`DfaFactors::memory_bytes`]) cached beside it, and an evicted
-    /// entry drops all three. The just-published entry always
-    /// survives, so a budget smaller than
-    /// one model run degrades to caching only the latest run. The
-    /// never-blocking leader/follower protocol is unchanged — eviction
-    /// happens under the index lock alone and in-flight builds are
-    /// never discarded.
-    pub fn stage1_cache_bytes(mut self, bytes: u64) -> Self {
-        self.stage1_bytes = Some(bytes);
-        self
-    }
-
     /// Attach a disk-backed stage-1 cache tier under `dir` (commonly a
     /// subdirectory of the session's store dir). The tier is consulted
     /// on every RAM-cache miss and written through on every build, so
@@ -981,8 +864,8 @@ impl RiskSessionBuilder {
     /// stage-1 builds ([`Stage1CacheStats::builds`]) with bit-identical
     /// results. Entries are written atomically ([`DiskStage1Cache`]),
     /// and a corrupt entry self-heals as a rebuild-and-replace, never a
-    /// wrong answer. Independent of the RAM cache's capacity — it
-    /// works even with the RAM cache disabled.
+    /// wrong answer. A key the RAM cache evicted is served from the tier
+    /// again instead of rebuilt.
     pub fn stage1_disk_cache(mut self, dir: impl Into<PathBuf>) -> Self {
         self.stage1_disk_dir = Some(dir.into());
         self
@@ -1008,23 +891,14 @@ impl RiskSessionBuilder {
     /// Build the session.
     ///
     /// # Errors
-    /// Pathological knob combinations are rejected here with
-    /// [`RiskError::invalid`] instead of being silently "fixed" at run
-    /// time (the [`ShardedFilesStore::new`] zero-shards precedent):
-    /// a zero-thread pool ([`RiskSessionBuilder::pool_threads`]`(0)`),
-    /// and a stage-1 byte budget with the cache disabled
-    /// ([`RiskSessionBuilder::stage1_cache_bytes`] alongside capacity
-    /// 0 — a budget over a cache that retains nothing is a
-    /// contradiction, not a configuration).
+    /// A zero-thread pool ([`RiskSessionBuilder::pool_threads`]`(0)`)
+    /// is rejected here with [`RiskError::invalid`] instead of being
+    /// silently "fixed" at run time (the [`ShardedFilesStore::new`]
+    /// zero-shards precedent).
     pub fn build(self) -> RiskResult<RiskSession> {
         if let PoolChoice::Sized(0) = self.pool {
             return Err(RiskError::invalid(
                 "session pool needs at least one thread (pool_threads(0))",
-            ));
-        }
-        if self.stage1_capacity == 0 && self.stage1_bytes.is_some() {
-            return Err(RiskError::invalid(
-                "stage-1 cache byte budget set but the cache is disabled (capacity 0)",
             ));
         }
         let pool = match self.pool {
@@ -1041,7 +915,7 @@ impl RiskSessionBuilder {
             pool,
             store,
             dfa: DfaEngine::typical(self.company),
-            stage1: Stage1Cache::new(self.stage1_capacity, self.stage1_bytes, disk),
+            stage1: Stage1Cache::new(disk),
             runs: AtomicU64::new(0),
             telemetry: self.telemetry,
         })
@@ -1068,10 +942,6 @@ pub struct RiskSession {
 }
 
 impl RiskSession {
-    /// Default number of distinct stage-1 model runs a session retains
-    /// (see [`RiskSessionBuilder::stage1_cache_capacity`]).
-    pub const DEFAULT_STAGE1_CACHE_CAPACITY: usize = 8;
-
     /// Start configuring a session.
     pub fn builder() -> RiskSessionBuilder {
         RiskSessionBuilder::default()
@@ -1123,12 +993,6 @@ impl RiskSession {
         self.stage1.stats()
     }
 
-    /// Drop every retained stage-1 model run (counters survive; they
-    /// are cumulative observability, not cache contents).
-    pub fn clear_stage1_cache(&self) {
-        self.stage1.clear();
-    }
-
     /// Remove everything the intermediate store persisted across this
     /// session's runs (no-op for in-memory backends). Later runs spill
     /// fresh per-run directories as usual.
@@ -1146,7 +1010,8 @@ impl RiskSession {
         let _obs = self.install_telemetry();
         let _span = riskpipe_obs::span("session.run");
         let run = self.next_run_id();
-        self.execute(scenario, None, run)
+        let model = self.acquire_stage1(scenario.stage1_key(), scenario)?;
+        self.finish_pipeline(scenario, None, run, &model)
     }
 
     /// Start declaring a sweep over `scenarios`: the returned
@@ -1226,11 +1091,6 @@ impl RiskSession {
         let mut delivered = 0usize;
         let mut failure: Option<RiskError> = None;
 
-        // lint: allow(C1) — this scope IS the coordinator: run_stream
-        // executes on the caller's OS thread (the serving entry point),
-        // never on a pool worker. The call-graph path here is a name
-        // collision (`SeedStream::stream` linking to this fn's
-        // `stream` wrapper); no worker-executed code calls back in.
         self.pool.scope(|scope| {
             // Per-scenario tasks never block (acquire stage 1 →
             // publish → finish → deposit → notify), so one being stolen
@@ -1271,17 +1131,14 @@ impl RiskSession {
             let mut pending: VecDeque<usize> = (0..n).collect();
             // Started minus delivered — the O(pool width) memory bound.
             let mut in_window = 0usize;
-            // With the cache on: keys whose first scenario (the
-            // "leader") is in flight and has not yet deposited.
-            // Followers of a leader hold back until the leader's
-            // stage-1 build publishes (or, if it fails, until its
-            // deposit clears the entry so the next same-key slot can
-            // retry as leader), so each distinct key's stage-1 model
-            // builds exactly once per sweep and no task ever contends
-            // on a cache slot another task is filling. With the cache
-            // off there is nothing to share or contend on, so no
-            // gating.
-            let gating = self.stage1.enabled();
+            // Keys whose first scenario (the "leader") is in flight
+            // and has not yet deposited. Followers of a leader hold
+            // back until the leader's stage-1 build publishes (or, if
+            // it fails, until its deposit clears the entry so the next
+            // same-key slot can retry as leader), so each distinct
+            // key's stage-1 model builds exactly once per sweep and no
+            // task ever contends on a cache slot another task is
+            // filling.
             let mut leaders: HashMap<u64, usize> = HashMap::new();
             let spawn_eligible =
                 |pending: &mut VecDeque<usize>,
@@ -1294,7 +1151,7 @@ impl RiskSession {
                             break;
                         }
                         let key = keys[i];
-                        let gated = gating && !self.stage1.is_ready(key);
+                        let gated = !self.stage1.is_ready(key);
                         if gated && leaders.contains_key(&key) {
                             held.push_back(i);
                             continue;
@@ -1313,14 +1170,8 @@ impl RiskSession {
             spawn_eligible(&mut pending, &mut in_window, &mut leaders);
             while delivered < n {
                 let (arrivals, deliverable) = {
-                    // lint: allow(C1) — control loop runs inside the
-                    // scope closure on the calling OS thread, not a
-                    // pool worker; it is the one legitimate waiter.
                     let mut st = state.lock();
                     while st.arrivals.is_empty() && !st.stage1_published {
-                        // lint: allow(C1) — coordinator-side condvar
-                        // wait: workers only ever notify here, they
-                        // never wait, so no pool thread parks on it.
                         completed.wait(&mut st);
                     }
                     st.stage1_published = false;
@@ -1378,61 +1229,8 @@ impl RiskSession {
         }
     }
 
-    /// The iterator adapter over [`RiskSession::run_stream`]: reports
-    /// arrive in input order as they complete, through a channel
-    /// bounded at pool width. Requires `Arc<RiskSession>` because the
-    /// sweep runs on a background thread that must co-own the session.
-    ///
-    /// Dropping the iterator early cancels the sweep: no further
-    /// scenarios start, and the drop blocks only until in-flight ones
-    /// drain.
-    pub fn stream(self: &Arc<Self>, scenarios: Vec<ScenarioConfig>) -> ReportStream {
-        let session = Arc::clone(self);
-        let (tx, rx) = std::sync::mpsc::sync_channel(self.pool.thread_count().max(1));
-        let err_tx = tx.clone();
-        let worker = std::thread::Builder::new()
-            .name("riskpipe-stream".into())
-            .spawn(move || {
-                let outcome = session.run_stream(&scenarios, |_, report| {
-                    tx.send(Ok(report))
-                        .map_err(|_| RiskError::invalid("report stream receiver dropped"))
-                });
-                if let Err(e) = outcome {
-                    // Surface sweep errors in-band; a send failure just
-                    // means the consumer is gone.
-                    let _ = tx.send(Err(e));
-                }
-            });
-        let worker = match worker {
-            Ok(handle) => Some(handle),
-            Err(e) => {
-                // The OS refused the worker thread: deliver the
-                // failure in-band as the stream's one item instead of
-                // panicking — the iterator yields `Err` and ends,
-                // exactly like a sweep that aborted on its first slot.
-                let _ = err_tx.send(Err(e.into()));
-                None
-            }
-        };
-        ReportStream {
-            rx: Some(rx),
-            worker,
-        }
-    }
-
     fn next_run_id(&self) -> u64 {
         self.runs.fetch_add(1, Ordering::Relaxed)
-    }
-
-    /// The three stages for one scenario.
-    fn execute(
-        &self,
-        scenario: &ScenarioConfig,
-        slot: Option<usize>,
-        run: u64,
-    ) -> RiskResult<PipelineReport> {
-        let model = self.acquire_stage1(scenario.stage1_key(), scenario)?;
-        self.finish_pipeline(scenario, slot, run, &model)
     }
 
     /// Stage 1 for one scenario, through the keyed cache: the model run
@@ -1615,34 +1413,6 @@ impl std::fmt::Debug for RiskSession {
     }
 }
 
-/// The blocking iterator returned by [`RiskSession::stream`]: yields
-/// `Ok(report)` per scenario in input order, or one final `Err` if the
-/// sweep aborted. Dropping it early cancels the rest of the sweep.
-#[derive(Debug)]
-pub struct ReportStream {
-    rx: Option<std::sync::mpsc::Receiver<RiskResult<PipelineReport>>>,
-    worker: Option<std::thread::JoinHandle<()>>,
-}
-
-impl Iterator for ReportStream {
-    type Item = RiskResult<PipelineReport>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        self.rx.as_ref().and_then(|rx| rx.recv().ok())
-    }
-}
-
-impl Drop for ReportStream {
-    fn drop(&mut self) {
-        // Closing the channel makes the producer's next send fail,
-        // which aborts the sweep; then reap the worker thread.
-        self.rx.take();
-        if let Some(worker) = self.worker.take() {
-            let _ = worker.join();
-        }
-    }
-}
-
 // ---------------------------------------------------------------------
 // Reports.
 // ---------------------------------------------------------------------
@@ -1791,92 +1561,48 @@ mod tests {
         assert_eq!(stats.misses, 1);
         assert_eq!(stats.hits, 1);
         assert_eq!(stats.entries, 1);
-        // Clearing drops contents but keeps cumulative counters.
-        session.clear_stage1_cache();
-        assert_eq!(session.stage1_cache_stats().entries, 0);
-        let c = session.run(&scenario).unwrap();
-        assert_eq!(c.ylt, a.ylt);
-        assert_eq!(session.stage1_cache_stats().misses, 2);
     }
 
     #[test]
     fn cache_capacity_bounds_entries() {
-        let session = RiskSession::builder()
-            .pool_threads(2)
-            .stage1_cache_capacity(2)
-            .build()
-            .unwrap();
-        for seed in 50..54 {
+        let session = RiskSession::builder().pool_threads(2).build().unwrap();
+        let keys = DEFAULT_STAGE1_CACHE_CAPACITY as u64 + 1;
+        for seed in 50..50 + keys {
             session
                 .run(&ScenarioConfig::small().with_seed(seed).with_trials(200))
                 .unwrap();
         }
         let stats = session.stage1_cache_stats();
-        assert_eq!(stats.misses, 4);
-        assert_eq!(stats.entries, 2);
-        assert_eq!(stats.evictions, 2);
+        assert_eq!(stats.misses, keys);
+        assert_eq!(stats.entries, DEFAULT_STAGE1_CACHE_CAPACITY);
+        assert_eq!(stats.evictions, 1);
         assert!(stats.bytes > 0);
-        assert_eq!(stats.builds, 4);
+        assert_eq!(stats.builds, keys);
     }
 
     #[test]
     fn cache_eviction_is_lru_not_fifo() {
-        // Access pattern A B A C B with capacity 2. LRU: the A re-access
-        // makes B least-recent, so C evicts B and the final B misses
-        // (4 misses, 1 hit). FIFO would have evicted A and served the
-        // final B from cache (3 misses, 2 hits).
-        let session = RiskSession::builder()
-            .pool_threads(2)
-            .stage1_cache_capacity(2)
-            .build()
-            .unwrap();
-        let scenario = |seed| ScenarioConfig::small().with_seed(seed).with_trials(200);
-        let (a, b, c) = (scenario(80), scenario(81), scenario(82));
-        for s in [&a, &b, &a, &c, &b] {
-            session.run(s).unwrap();
+        // Fill K1…K8, touch K1, add K9. LRU: the touch makes K2
+        // least-recent, so K9 evicts K2 and a revisited K1 still hits
+        // while K2 misses (10 misses, 2 hits). FIFO would have evicted
+        // K1 instead (11 misses, 1 hit).
+        let session = RiskSession::builder().pool_threads(2).build().unwrap();
+        let k = |i: u64| ScenarioConfig::small().with_seed(79 + i).with_trials(200);
+        let cap = DEFAULT_STAGE1_CACHE_CAPACITY as u64;
+        for i in 1..=cap {
+            session.run(&k(i)).unwrap();
+        }
+        for i in [1, cap + 1, 1, 2] {
+            session.run(&k(i)).unwrap();
         }
         let stats = session.stage1_cache_stats();
-        assert_eq!(stats.misses, 4, "LRU must evict B, not the touched A");
-        assert_eq!(stats.hits, 1);
+        assert_eq!(
+            stats.misses,
+            cap + 2,
+            "LRU must evict K2, not the touched K1"
+        );
+        assert_eq!(stats.hits, 2);
         assert_eq!(stats.evictions, 2);
-    }
-
-    #[test]
-    fn cache_byte_budget_evicts_lru_but_keeps_latest() {
-        // A 1-byte budget is smaller than any model run: after every
-        // publish only the just-published entry survives.
-        let session = RiskSession::builder()
-            .pool_threads(2)
-            .stage1_cache_bytes(1)
-            .build()
-            .unwrap();
-        let scenario = |seed| ScenarioConfig::small().with_seed(seed).with_trials(200);
-        session.run(&scenario(90)).unwrap();
-        assert_eq!(session.stage1_cache_stats().entries, 1);
-        session.run(&scenario(91)).unwrap();
-        let stats = session.stage1_cache_stats();
-        assert_eq!(stats.entries, 1, "budget must keep only the latest run");
-        assert_eq!(stats.evictions, 1);
-        // The latest run still serves hits.
-        session.run(&scenario(91)).unwrap();
-        assert_eq!(session.stage1_cache_stats().hits, 1);
-    }
-
-    #[test]
-    fn cache_byte_budget_retains_what_fits() {
-        // A generous budget changes nothing: both runs stay cached.
-        let session = RiskSession::builder()
-            .pool_threads(2)
-            .stage1_cache_bytes(1 << 30)
-            .build()
-            .unwrap();
-        let scenario = |seed| ScenarioConfig::small().with_seed(seed).with_trials(200);
-        session.run(&scenario(94)).unwrap();
-        session.run(&scenario(95)).unwrap();
-        let stats = session.stage1_cache_stats();
-        assert_eq!(stats.entries, 2);
-        assert_eq!(stats.evictions, 0);
-        assert!(stats.bytes > 0 && stats.bytes <= 1 << 30);
     }
 
     #[test]
@@ -1902,23 +1628,6 @@ mod tests {
         expected.sort_unstable();
         assert_eq!(keys, expected);
         assert!(builds.iter().all(|s| s.dur_ns > 0));
-    }
-
-    #[test]
-    fn disabled_cache_rebuilds_every_time() {
-        let session = RiskSession::builder()
-            .pool_threads(2)
-            .stage1_cache_capacity(0)
-            .build()
-            .unwrap();
-        let scenario = ScenarioConfig::small().with_seed(41).with_trials(300);
-        let a = session.run(&scenario).unwrap();
-        let b = session.run(&scenario).unwrap();
-        assert_eq!(a.ylt, b.ylt);
-        let stats = session.stage1_cache_stats();
-        assert_eq!(stats.hits, 0);
-        assert_eq!(stats.misses, 2);
-        assert_eq!(stats.entries, 0);
     }
 
     #[test]
@@ -2024,32 +1733,6 @@ mod tests {
         assert!(err.is_err());
         let msg = format!("{}", err.err().unwrap());
         assert!(msg.contains("pool"), "{msg}");
-    }
-
-    #[test]
-    fn byte_budget_without_cache_rejected_at_build_time() {
-        // Regression (builder validation): a stage-1 byte budget over a
-        // disabled cache is a contradiction, not a configuration.
-        for builder in [
-            RiskSession::builder()
-                .stage1_cache_capacity(0)
-                .stage1_cache_bytes(1),
-            // Order must not matter.
-            RiskSession::builder()
-                .stage1_cache_bytes(1 << 20)
-                .stage1_cache_capacity(0),
-        ] {
-            let err = builder.build();
-            assert!(err.is_err());
-            let msg = format!("{}", err.err().unwrap());
-            assert!(msg.contains("byte budget"), "{msg}");
-        }
-        // The budget with the cache enabled stays valid.
-        assert!(RiskSession::builder()
-            .stage1_cache_bytes(1 << 20)
-            .pool_threads(1)
-            .build()
-            .is_ok());
     }
 
     #[test]

@@ -69,7 +69,8 @@ pub trait ReportSink {
     /// calls this exactly once, *only* when the sweep completed without
     /// error — so sinks with durable side effects can write their
     /// completion marker here ([`PersistingSink`] writes the run
-    /// manifest that [`IntermediateStore::persisted_report_slots`]
+    /// manifest that
+    /// [`ShardedFilesStore::persisted_report_slots`](crate::ShardedFilesStore::persisted_report_slots)
     /// requires), and an aborted or crashed sweep stays detectably
     /// incomplete. Default: no-op.
     fn finish(&mut self) -> RiskResult<()> {

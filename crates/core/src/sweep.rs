@@ -6,7 +6,7 @@
 //! ([`RiskSession::run_stream`]) feeds exactly *one* consumer. A
 //! [`SweepPlan`] **declares** what a sweep should produce and drives
 //! the streaming core once, fanning every report out to all requested
-//! consumers via [`FanoutSink`](crate::FanoutSink):
+//! consumers via [`FanoutSink`]:
 //!
 //! ```no_run
 //! use riskpipe_core::{RiskSession, ScenarioConfig};

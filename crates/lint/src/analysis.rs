@@ -86,7 +86,7 @@ pub struct FileModel {
     /// practice, and a false positive is one suppression away).
     pub hash_idents: BTreeMap<String, HashKind>,
     pub suppressions: Vec<Suppression>,
-    /// Explicit call-edge declarations (see [`CallHint`]).
+    /// Explicit call-edge declarations (see `CallHint`).
     pub call_hints: Vec<CallHint>,
 }
 

@@ -24,10 +24,9 @@ use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 /// Method/function names too generic to carry call-graph signal. An
 /// edge is never created *into* a definition with one of these names
-/// (`ReportStream::next` holds a `recv()`, `ThreadPool::drop` joins
-/// its workers — both are coordinator-side by construction, and every
-/// `.next()`/`drop()` call in the workspace would otherwise link to
-/// them).
+/// (`ThreadPool::drop` joins its workers — coordinator-side by
+/// construction, and every `drop()` call in the workspace would
+/// otherwise link to it).
 const STOPLIST: &[&str] = &[
     "new",
     "default",

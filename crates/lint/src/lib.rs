@@ -8,7 +8,7 @@
 //! diff*. It tokenizes every `.rs` file in `crates/`, `src/`,
 //! `examples/` and `tests/` with a hand-rolled lexer (no external
 //! dependencies — the workspace builds offline) and enforces the rule
-//! catalogue [`RULES`]:
+//! catalogue [`RuleId::ALL`]:
 //!
 //! * **D1** — no iteration over `HashMap`/`HashSet` in
 //!   fold/merge/sink/rollup code (use `BTreeMap` or a sorted drain);

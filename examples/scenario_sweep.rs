@@ -22,18 +22,15 @@
 //!   scenario into mergeable quantile sketches — pooled AEP/OEP
 //!   points, VaR99/TVaR99, PML, and OEP-conditional tail means per
 //!   return-period band — without retaining a single per-scenario YLT;
-//! * the raw sink layer beneath the plan (`run_stream` with a closure)
-//!   and the lazy iterator adapter (`stream`).
+//! * the raw sink layer beneath the plan (`run_stream` with a closure).
 
 use riskpipe::prelude::*;
 use std::sync::Arc;
 
 fn main() -> RiskResult<()> {
-    let session = Arc::new(
-        RiskSession::builder()
-            .engine(EngineKind::CpuParallel)
-            .build()?,
-    );
+    let session = RiskSession::builder()
+        .engine(EngineKind::CpuParallel)
+        .build()?;
     println!(
         "session: {:?} engine, {} threads, {} store",
         session.engine(),
@@ -133,16 +130,5 @@ fn main() -> RiskResult<()> {
         );
         Ok(())
     })?;
-
-    // Iterator form: same sweep, consumed lazily; dropping the iterator
-    // early would cancel the remainder.
-    println!("\niterator form, first three only:");
-    for report in session.stream(sweep).take(3) {
-        let report = report?;
-        println!(
-            "  {:<12} mean {:>16.0}",
-            report.scenario_name, report.measures.mean
-        );
-    }
     Ok(())
 }

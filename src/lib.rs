@@ -35,8 +35,8 @@
 //! (input order, O(pool width) peak memory) and fans each report out
 //! to all requested consumers — pooled analytics, durable persistence,
 //! report collection, and (with the analytics prelude) a queryable
-//! drill-down warehouse. `run_stream`/`stream` remain the raw
-//! single-sink streaming core beneath the plan.
+//! drill-down warehouse. `run_stream` remains the raw single-sink
+//! streaming core beneath the plan.
 //!
 //! ```
 //! use riskpipe::prelude::*;
@@ -86,8 +86,8 @@ pub mod prelude {
     pub use riskpipe_cloud::{pipeline_week, simulate, PipelineWeekSpec, SimConfig};
     pub use riskpipe_core::{
         FanoutSink, InMemoryStore, IntermediateStore, PersistedRun, PersistingSink, PipelineReport,
-        ReportSink, ReportStream, RiskSession, RiskSessionBuilder, ScenarioConfig,
-        ShardedFilesStore, Stage1CacheStats, SweepOutcome, SweepPlan, SweepSummary,
+        ReportSink, RiskSession, RiskSessionBuilder, ScenarioConfig, ShardedFilesStore,
+        Stage1CacheStats, SweepOutcome, SweepPlan, SweepSummary,
     };
     pub use riskpipe_dfa::{AllocationMethod, EnterpriseRollup};
     pub use riskpipe_metrics::{EpCurve, EpPoint, QuantileSketch};

@@ -217,14 +217,12 @@ fn cold_session_over_warm_disk_tier_builds_nothing_and_matches_bitwise() {
         keys.len() as u64
     };
 
-    let run = |threads: usize, ram_cache: bool| {
-        let mut builder = RiskSession::builder()
+    let run = |threads: usize| {
+        let session = RiskSession::builder()
             .pool_threads(threads)
-            .stage1_disk_cache(&tier);
-        if !ram_cache {
-            builder = builder.stage1_cache_capacity(0);
-        }
-        let session = builder.build().unwrap();
+            .stage1_disk_cache(&tier)
+            .build()
+            .unwrap();
         let layout = DrilldownLayout::new(dims.clone(), session.engine()).unwrap();
         let outcome = session
             .sweep(&scenarios)
@@ -240,7 +238,7 @@ fn cold_session_over_warm_disk_tier_builds_nothing_and_matches_bitwise() {
     };
 
     // First session: every key is built once and written through.
-    let (reference, stats) = run(2, true);
+    let (reference, stats) = run(2);
     assert_eq!(stats.builds, distinct_keys);
     assert_eq!(stats.disk_writes, distinct_keys);
     assert_eq!(stats.disk_hits, 0);
@@ -251,17 +249,25 @@ fn cold_session_over_warm_disk_tier_builds_nothing_and_matches_bitwise() {
 
     // A fresh session (cold RAM cache — the in-process stand-in for a
     // cold process) replays the sweep from the tier alone.
-    let (replay, stats) = run(4, true);
+    let (replay, stats) = run(4);
     assert_eq!(stats.builds, 0, "warm tier must eliminate stage-1 builds");
     assert_eq!(stats.disk_hits, distinct_keys);
     assert_eq!(stats.disk_writes, 0);
     assert_eq!(replay, reference, "disk-tier replay drifted");
 
-    // Even with the RAM cache disabled the tier serves every lookup.
-    let (no_ram, stats) = run(2, false);
-    assert_eq!(stats.builds, 0);
-    assert_eq!(stats.disk_hits, scenarios.len() as u64);
-    assert_eq!(no_ram, reference, "RAM-less disk-tier replay drifted");
+    // A fresh session per scenario shares no RAM entry: the tier serves
+    // every lookup, bit-equal to a fresh session without a tier.
+    for s in &scenarios {
+        let tiered = RiskSession::builder()
+            .pool_threads(2)
+            .stage1_disk_cache(&tier)
+            .build()
+            .unwrap();
+        let plain = RiskSession::builder().pool_threads(2).build().unwrap();
+        assert_eq!(tiered.run(s).unwrap().ylt, plain.run(s).unwrap().ylt);
+        let stats = tiered.stage1_cache_stats();
+        assert_eq!((stats.builds, stats.disk_hits), (0, 1));
+    }
 
     fs::remove_dir_all(&tier).ok();
 }

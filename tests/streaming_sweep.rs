@@ -1,6 +1,6 @@
-//! The streaming execution contract: `run_stream` (and the iterator
-//! adapter) deliver input-ordered reports bit-identical to a collecting
-//! sweep and to solo `run` calls on any thread count, the shared stage-1
+//! The streaming execution contract: `run_stream` delivers
+//! input-ordered reports bit-identical to a collecting sweep and to
+//! solo `run` calls on any thread count, the shared stage-1
 //! cache rebuilds the model run exactly once per distinct key, and
 //! sweep sinks (`SweepSummary`, `PersistingSink`, and the two together
 //! on one `FanoutSink`) produce pooled analytics / durable artifacts
@@ -8,8 +8,8 @@
 
 use riskpipe::aggregate::{build_secondary, AggregateOptions, EventJoin, QuantileMode};
 use riskpipe::core::{
-    FanoutSink, PersistingSink, PipelineReport, ReportStream, RiskSession, ScenarioConfig,
-    ShardedFilesStore, Stage1CacheStats, SweepSummary,
+    FanoutSink, PersistingSink, PipelineReport, RiskSession, ScenarioConfig, ShardedFilesStore,
+    Stage1CacheStats, SweepSummary,
 };
 use riskpipe::dfa::{serial_map, CompanyConfig, DfaEngine, TASK_CHUNK};
 use riskpipe::exec::par_map_collect;
@@ -48,15 +48,11 @@ fn pricing_sweep(seed: u64, points: usize) -> Vec<ScenarioConfig> {
 fn run_stream_is_bit_identical_to_batch_and_solo_on_any_thread_count() -> RiskResult<()> {
     let scenarios = [scenario(81), scenario(82), scenario(83), scenario(84)];
 
-    // Reference: each scenario alone on a single-threaded,
-    // cache-disabled session (the most conservative configuration).
-    let single = RiskSession::builder()
-        .pool_threads(1)
-        .stage1_cache_capacity(0)
-        .build()?;
+    // Reference: each scenario alone on its own fresh single-threaded
+    // session (the most conservative configuration: nothing is shared).
     let reference: Vec<_> = scenarios
         .iter()
-        .map(|s| single.run(s))
+        .map(|s| RiskSession::builder().pool_threads(1).build()?.run(s))
         .collect::<RiskResult<_>>()?;
 
     for threads in [1, 2, 8] {
@@ -90,18 +86,16 @@ fn run_stream_is_bit_identical_to_batch_and_solo_on_any_thread_count() -> RiskRe
 fn caching_never_changes_results() -> RiskResult<()> {
     let scenarios = pricing_sweep(91, 4);
     let cached = RiskSession::builder().pool_threads(4).build()?;
-    let uncached = RiskSession::builder()
-        .pool_threads(4)
-        .stage1_cache_capacity(0)
-        .build()?;
     let a = collected(&cached, &scenarios)?;
-    let b = collected(&uncached, &scenarios)?;
-    for (x, y) in a.iter().zip(&b) {
+    assert!(cached.stage1_cache_stats().hits > 0);
+    // Reference: a fresh session per scenario shares nothing.
+    for (x, s) in a.iter().zip(&scenarios) {
+        let fresh = RiskSession::builder().pool_threads(4).build()?;
+        let y = fresh.run(s)?;
+        assert_eq!(fresh.stage1_cache_stats().hits, 0);
         assert_eq!(x.ylt, y.ylt);
         assert_eq!(x.measures, y.measures);
     }
-    assert!(cached.stage1_cache_stats().hits > 0);
-    assert_eq!(uncached.stage1_cache_stats().hits, 0);
     Ok(())
 }
 
@@ -142,36 +136,6 @@ fn distinct_keys_each_build_once() -> RiskResult<()> {
 }
 
 #[test]
-fn iterator_adapter_matches_run_stream() -> RiskResult<()> {
-    let scenarios = [scenario(111), scenario(112), scenario(113)];
-    let session = Arc::new(RiskSession::builder().pool_threads(2).build()?);
-    let reference = collected(&session, &scenarios)?;
-
-    let stream: ReportStream = session.stream(scenarios.to_vec());
-    let collected: Vec<_> = stream.collect::<RiskResult<Vec<_>>>()?;
-    assert_eq!(collected.len(), reference.len());
-    for (got, want) in collected.iter().zip(&reference) {
-        assert_eq!(got.scenario_name, want.scenario_name);
-        assert_eq!(got.ylt, want.ylt);
-    }
-    Ok(())
-}
-
-#[test]
-fn dropping_the_iterator_early_cancels_cleanly() -> RiskResult<()> {
-    let session = Arc::new(RiskSession::builder().pool_threads(2).build()?);
-    let scenarios: Vec<ScenarioConfig> = (0..8).map(|i| scenario(120 + i)).collect();
-    let mut stream = session.stream(scenarios);
-    let first = stream.next().expect("at least one report")?;
-    assert_eq!(first.ylt.trials(), 300);
-    drop(stream); // must neither hang nor panic
-                  // The session stays fully usable afterwards.
-    let report = session.run(&scenario(120))?;
-    assert_eq!(report.ylt, first.ylt);
-    Ok(())
-}
-
-#[test]
 fn stream_propagates_scenario_errors_in_input_order() -> RiskResult<()> {
     let session = RiskSession::builder().pool_threads(4).build()?;
     let mut bad = scenario(130);
@@ -185,18 +149,6 @@ fn stream_propagates_scenario_errors_in_input_order() -> RiskResult<()> {
     assert!(err.is_err());
     // Only the slot before the failure was delivered.
     assert_eq!(delivered, vec![0]);
-    Ok(())
-}
-
-#[test]
-fn iterator_surfaces_errors_in_band() -> RiskResult<()> {
-    let session = Arc::new(RiskSession::builder().pool_threads(2).build()?);
-    let mut bad = scenario(140);
-    bad.trials = 0;
-    let results: Vec<Result<_, RiskError>> = session.stream(vec![scenario(141), bad]).collect();
-    assert_eq!(results.len(), 2);
-    assert!(results[0].is_ok());
-    assert!(results[1].is_err());
     Ok(())
 }
 
@@ -373,8 +325,8 @@ fn run_after_stream_reuses_the_cache() -> RiskResult<()> {
 // ---------------------------------------------------------------------
 // The event-major join of a model run's books (secondary tables moved
 // into hit order) and stage 3's DFA factor block ride the stage-1 cache
-// entry: built once per distinct key by the key's leader, charged to the
-// byte budget, rebuilt from the decoded model run on a disk-tier hit —
+// entry: built once per distinct key by the key's leader, charged in the
+// cache's byte count, rebuilt from the decoded model run on a disk-tier hit —
 // and never visible in a result bit.
 // ---------------------------------------------------------------------
 
@@ -413,14 +365,23 @@ fn same_key_sweep_builds_tables_and_join_once_per_key_on_any_thread_count() -> R
     let mut two_keys = pricing_sweep(201, 4);
     two_keys.extend(pricing_sweep(202, 4));
 
-    let uncached = RiskSession::builder()
-        .pool_threads(2)
-        .stage1_cache_capacity(0)
-        .build()?;
-    let want: Vec<_> = collect_stream(&uncached, &sweep)?
+    // Reference: a fresh session per scenario shares nothing, so every
+    // scenario builds its own tables, join and factor block.
+    let fresh_telemetry = Telemetry::new();
+    let want: Vec<_> = sweep
         .iter()
-        .map(result_bits)
-        .collect();
+        .map(|s| {
+            let fresh = RiskSession::builder()
+                .pool_threads(2)
+                .telemetry(fresh_telemetry.clone())
+                .build()?;
+            Ok(result_bits(&fresh.run(s)?))
+        })
+        .collect::<RiskResult<_>>()?;
+    let metrics = fresh_telemetry.snapshot().metrics().clone();
+    assert_eq!(metrics.counter("stage2.secondary_builds"), 8);
+    assert_eq!(metrics.counter("stage2.join_builds"), 8);
+    assert_eq!(metrics.counter("stage3.dfa_factor_builds"), 8);
 
     for threads in [1, 2, 8] {
         let telemetry = Telemetry::new();
@@ -460,7 +421,7 @@ fn same_key_sweep_builds_tables_and_join_once_per_key_on_any_thread_count() -> R
             assert_eq!(
                 result_bits(report),
                 want[slot],
-                "slot {slot} on {threads} threads vs cache-off"
+                "slot {slot} on {threads} threads vs fresh sessions"
             );
         }
 
@@ -472,25 +433,12 @@ fn same_key_sweep_builds_tables_and_join_once_per_key_on_any_thread_count() -> R
         assert_eq!(metrics.counter("stage3.dfa_factor_builds"), 2);
         assert_eq!(metrics.counter("stage1.builds"), 2);
     }
-
-    // Cache off there is nothing to share: every scenario builds its own.
-    let telemetry = Telemetry::new();
-    let uncached = RiskSession::builder()
-        .pool_threads(2)
-        .stage1_cache_capacity(0)
-        .telemetry(telemetry.clone())
-        .build()?;
-    collect_stream(&uncached, &sweep)?;
-    let metrics = telemetry.snapshot().metrics().clone();
-    assert_eq!(metrics.counter("stage2.secondary_builds"), 8);
-    assert_eq!(metrics.counter("stage2.join_builds"), 8);
-    assert_eq!(metrics.counter("stage3.dfa_factor_builds"), 8);
     Ok(())
 }
 
 #[test]
 fn cache_bytes_charge_the_join_and_eviction_drops_it() -> RiskResult<()> {
-    let (a, b) = (scenario(210), scenario(211));
+    let a = scenario(210);
     let no_secondary = AggregateOptions {
         secondary_uncertainty: false,
         ..AggregateOptions::default()
@@ -528,35 +476,41 @@ fn cache_bytes_charge_the_join_and_eviction_drops_it() -> RiskResult<()> {
     );
     assert!(charged > without.stage1_cache_stats().bytes);
 
-    // A budget below one entry keeps only the latest: B evicts A — its
-    // join and factor block with it — and coming back to A rebuilds all
-    // three, bit-equal.
+    // A session retains eight keys: the ninth evicts A — its join and
+    // factor block with it — and coming back to A rebuilds all three,
+    // bit-equal.
+    let others: Vec<_> = (211..219).map(scenario).collect();
+    let (newest, older) = others.split_last().expect("eight other keys");
     let telemetry = Telemetry::new();
-    let tight = RiskSession::builder()
+    let session = RiskSession::builder()
         .pool_threads(2)
-        .stage1_cache_bytes(1)
         .telemetry(telemetry.clone())
         .build()?;
-    tight.run(&a)?;
-    assert_eq!(tight.stage1_cache_stats().bytes, charged);
-    tight.run(&b)?;
-    let stats = tight.stage1_cache_stats();
-    assert_eq!((stats.entries, stats.evictions), (1, 1));
+    session.run(&a)?;
+    assert_eq!(session.stage1_cache_stats().bytes, charged);
+    for s in older {
+        session.run(s)?;
+    }
+    let full = session.stage1_cache_stats();
+    assert_eq!((full.entries, full.evictions), (8, 0));
+    session.run(newest)?;
+    let stats = session.stage1_cache_stats();
+    assert_eq!((stats.entries, stats.evictions), (8, 1));
     assert_eq!(
         stats.bytes,
-        {
+        full.bytes - charged + {
             let solo = RiskSession::builder().pool_threads(2).build()?;
-            solo.run(&b)?;
+            solo.run(newest)?;
             solo.stage1_cache_stats().bytes
         },
-        "only B's model run, join and factor block stay charged"
+        "A's model run, join and factor block are no longer charged"
     );
-    let again = tight.run(&a)?;
-    assert_eq!(tight.stage1_cache_stats().builds, 3);
+    let again = session.run(&a)?;
+    assert_eq!(session.stage1_cache_stats().builds, 10);
     let metrics = telemetry.snapshot().metrics().clone();
-    assert_eq!(metrics.counter("stage2.secondary_builds"), 3);
-    assert_eq!(metrics.counter("stage2.join_builds"), 3);
-    assert_eq!(metrics.counter("stage3.dfa_factor_builds"), 3);
+    assert_eq!(metrics.counter("stage2.secondary_builds"), 10);
+    assert_eq!(metrics.counter("stage2.join_builds"), 10);
+    assert_eq!(metrics.counter("stage3.dfa_factor_builds"), 10);
     assert_eq!(result_bits(&again), result_bits(&first));
     Ok(())
 }
@@ -574,19 +528,15 @@ fn tier_dir(tag: &str) -> std::path::PathBuf {
 fn tier_sweep(
     dir: &std::path::Path,
     options: AggregateOptions,
-    ram_cache: bool,
     scenarios: &[ScenarioConfig],
 ) -> RiskResult<(Vec<PipelineReport>, Stage1CacheStats, [u64; 3])> {
     let telemetry = Telemetry::new();
-    let mut builder = RiskSession::builder()
+    let session = RiskSession::builder()
         .pool_threads(2)
         .options(options)
         .stage1_disk_cache(dir)
-        .telemetry(telemetry.clone());
-    if !ram_cache {
-        builder = builder.stage1_cache_capacity(0);
-    }
-    let session = builder.build()?;
+        .telemetry(telemetry.clone())
+        .build()?;
     let reports = collect_stream(&session, scenarios)?;
     let metrics = telemetry.snapshot().metrics().clone();
     let derived = [
@@ -611,13 +561,13 @@ fn disk_warm_session_adopts_the_stored_grids_and_inverts_no_beta() -> RiskResult
     scenarios.extend(pricing_sweep(221, 3));
     let opts = AggregateOptions::default();
 
-    let (want, cold, derived) = tier_sweep(&dir, opts, true, &scenarios)?;
+    let (want, cold, derived) = tier_sweep(&dir, opts, &scenarios)?;
     assert_eq!((cold.builds, cold.disk_writes), (2, 2));
     assert_eq!(derived, [2, 2, 2], "a cold key derives everything once");
 
     // A second process: the model run *and* its quantile grids come
     // off the disk; only the cheap parts are derived again.
-    let (got, warm, derived) = tier_sweep(&dir, opts, true, &scenarios)?;
+    let (got, warm, derived) = tier_sweep(&dir, opts, &scenarios)?;
     assert_eq!((warm.builds, warm.disk_hits, warm.disk_writes), (0, 2, 0));
     assert_eq!(
         derived,
@@ -626,12 +576,17 @@ fn disk_warm_session_adopts_the_stored_grids_and_inverts_no_beta() -> RiskResult
     );
     assert_same_bits(&got, &want, "disk-warm");
 
-    // With the RAM cache off every lookup is a disk hit — still zero
-    // inversions, and nothing is written back.
-    let (got, off, derived) = tier_sweep(&dir, opts, false, &scenarios)?;
-    assert_eq!((off.builds, off.disk_hits, off.disk_writes), (0, 6, 0));
-    assert_eq!(derived, [0, 6, 6]);
-    assert_same_bits(&got, &want, "disk-warm, RAM cache off");
+    // A fresh session per scenario shares no RAM entry, so every lookup
+    // is a disk hit — still zero inversions, and nothing is written back.
+    for (slot, s) in scenarios.iter().enumerate() {
+        let (got, fresh, derived) = tier_sweep(&dir, opts, std::slice::from_ref(s))?;
+        assert_eq!(
+            (fresh.builds, fresh.disk_hits, fresh.disk_writes),
+            (0, 1, 0)
+        );
+        assert_eq!(derived, [0, 1, 1]);
+        assert_same_bits(&got, &want[slot..=slot], "disk-warm, fresh session");
+    }
     std::fs::remove_dir_all(&dir).ok();
     Ok(())
 }
@@ -646,7 +601,7 @@ fn gridless_tier_entry_is_upgraded_by_the_first_session_that_wants_grids() -> Ri
         secondary_uncertainty: false,
         ..AggregateOptions::default()
     };
-    let (_, writer, derived) = tier_sweep(&dir, mean_only, true, &scenarios)?;
+    let (_, writer, derived) = tier_sweep(&dir, mean_only, &scenarios)?;
     assert_eq!((writer.builds, writer.disk_writes), (2, 2));
     assert_eq!(derived[0], 0, "no tables, so no grids to store");
 
@@ -656,7 +611,7 @@ fn gridless_tier_entry_is_upgraded_by_the_first_session_that_wants_grids() -> Ri
     // Not corrupt: the stage-1 part is served from disk, the grids are
     // derived once and the entry is rewritten with them.
     let opts = AggregateOptions::default();
-    let (got, upgrade, derived) = tier_sweep(&dir, opts, true, &scenarios)?;
+    let (got, upgrade, derived) = tier_sweep(&dir, opts, &scenarios)?;
     assert_eq!(
         (upgrade.builds, upgrade.disk_hits, upgrade.disk_writes),
         (0, 2, 2)
@@ -664,7 +619,7 @@ fn gridless_tier_entry_is_upgraded_by_the_first_session_that_wants_grids() -> Ri
     assert_eq!(derived[0], 2);
     assert_same_bits(&got, &want, "upgrading session");
 
-    let (got, third, derived) = tier_sweep(&dir, opts, true, &scenarios)?;
+    let (got, third, derived) = tier_sweep(&dir, opts, &scenarios)?;
     assert_eq!(
         (third.builds, third.disk_hits, third.disk_writes),
         (0, 2, 0)
@@ -673,12 +628,12 @@ fn gridless_tier_entry_is_upgraded_by_the_first_session_that_wants_grids() -> Ri
     assert_same_bits(&got, &want, "third session");
 
     // A session with no use for grids leaves them where they are.
-    let (_, reader, _) = tier_sweep(&dir, mean_only, true, &scenarios)?;
+    let (_, reader, _) = tier_sweep(&dir, mean_only, &scenarios)?;
     assert_eq!(
         (reader.builds, reader.disk_hits, reader.disk_writes),
         (0, 2, 0)
     );
-    let (_, fourth, derived) = tier_sweep(&dir, opts, true, &scenarios)?;
+    let (_, fourth, derived) = tier_sweep(&dir, opts, &scenarios)?;
     assert_eq!((fourth.disk_writes, derived[0]), (0, 0));
     std::fs::remove_dir_all(&dir).ok();
     Ok(())
@@ -692,14 +647,14 @@ fn grids_of_another_size_are_rederived_not_reported_corrupt() -> RiskResult<()> 
         quantile_mode: QuantileMode::Interpolated(17),
         ..AggregateOptions::default()
     };
-    let (_, writer, _) = tier_sweep(&dir, coarse, true, &scenarios)?;
+    let (_, writer, _) = tier_sweep(&dir, coarse, &scenarios)?;
     assert_eq!((writer.builds, writer.disk_writes), (1, 1));
 
     let plain = RiskSession::builder().pool_threads(2).build()?;
     let want = collect_stream(&plain, &scenarios)?;
     // A corrupt entry would self-heal through a rebuild; a 17-point
     // entry read by a 33-point session is merely not what it wants.
-    let (got, reader, derived) = tier_sweep(&dir, AggregateOptions::default(), true, &scenarios)?;
+    let (got, reader, derived) = tier_sweep(&dir, AggregateOptions::default(), &scenarios)?;
     assert_eq!(
         (reader.builds, reader.disk_hits, reader.disk_writes),
         (0, 1, 1)
@@ -713,9 +668,9 @@ fn grids_of_another_size_are_rederived_not_reported_corrupt() -> RiskResult<()> 
         quantile_mode: QuantileMode::Exact,
         ..AggregateOptions::default()
     };
-    let (_, reader, derived) = tier_sweep(&dir, exact, true, &scenarios)?;
+    let (_, reader, derived) = tier_sweep(&dir, exact, &scenarios)?;
     assert_eq!((reader.builds, reader.disk_writes, derived[0]), (0, 0, 1));
-    let (got, again, derived) = tier_sweep(&dir, AggregateOptions::default(), true, &scenarios)?;
+    let (got, again, derived) = tier_sweep(&dir, AggregateOptions::default(), &scenarios)?;
     assert_eq!((again.builds, again.disk_writes, derived[0]), (0, 0, 0));
     assert_same_bits(&got, &want, "adopting session");
     std::fs::remove_dir_all(&dir).ok();

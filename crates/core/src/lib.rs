@@ -32,6 +32,7 @@ pub mod elastic;
 pub mod report;
 pub mod session;
 pub mod sink;
+mod stage1cache;
 pub mod stage1disk;
 pub mod sweep;
 
@@ -40,8 +41,9 @@ pub use elastic::{Deadline, ElasticModel, ProcessorPlan, StageThroughput};
 pub use report::{money, SweepSummary, TextTable};
 pub use session::{
     InMemoryStore, IntermediateStore, PipelineReport, RiskSession, RiskSessionBuilder, RunLabel,
-    ShardedFilesStore, Stage1CacheStats,
+    ShardedFilesStore,
 };
 pub use sink::{FanoutSink, PersistingSink, ReportSink};
+pub use stage1cache::Stage1CacheStats;
 pub use stage1disk::DiskStage1Cache;
 pub use sweep::{PersistedRun, SweepOutcome, SweepPlan};

@@ -80,8 +80,9 @@ const MAX_EVALS_PER_CELL: f64 = 12.7;
 /// catalogue, two scenarios sharing one stage-1 key — so the stage-2
 /// trial kernel carries the run. The budget is 7x the 0.9 s the 2-vCPU
 /// reference box measures with the event-major join; one hash probe
-/// per layer per occurrence took 1.6x that, and a join rebuilt per
-/// scenario shows in the armed counter on any machine.
+/// per layer per occurrence took 1.6x that, and a join rebuilt — or a
+/// first-book YELT row count redone — per scenario shows in the armed
+/// counters on any machine.
 fn check_kernel() -> f64 {
     let mut base = ScenarioConfig::small()
         .with_seed(0xE15)
@@ -101,10 +102,16 @@ fn check_kernel() -> f64 {
     session.run_stream(&sweep, &mut summary).unwrap();
     let elapsed = t0.elapsed().as_secs_f64();
     assert_eq!(summary.trials(), 2 * 100_000);
+    let snap = telemetry.snapshot();
     assert_eq!(
-        telemetry.snapshot().metrics().counter("stage2.join_builds"),
+        snap.metrics().counter("stage2.join_builds"),
         1,
         "stage-1 cache stopped sharing the join of the books"
+    );
+    assert_eq!(
+        snap.metrics().counter("stage2.yelt_counts"),
+        1,
+        "the first book's YELT row count went back to once per scenario"
     );
     elapsed
 }

@@ -5,14 +5,22 @@
 //! Per trial: the number of occurrences is Poisson with the catalogue's
 //! total rate; each occurrence picks an event by rate-weighted alias
 //! sampling, a day uniformly in the year, and a uniform `z` for
-//! downstream secondary uncertainty. Trials are generated in parallel,
-//! each from its own counter-based Philox stream keyed by
-//! `(seed, trial)` — the table is bit-identical regardless of thread
-//! count.
+//! downstream secondary uncertainty. Every trial draws from its own
+//! counter-based Philox stream keyed by `(seed, trial)` — the table is
+//! bit-identical regardless of thread count.
+//!
+//! The table is simulated straight into its columns, in two parallel
+//! passes over the same streams. The first draws only each trial's
+//! Poisson count (the first draw of its stream); a prefix sum turns the
+//! counts into the CSR offsets, and the three columns are allocated once
+//! at their final size. The second hands each grain of trials its
+//! disjoint slices of the columns and redraws the trials into one
+//! per-task scratch buffer, day-sorted, then scattered in place — no
+//! per-trial allocation and no table-sized temporary.
 
 use crate::catalog::EventCatalog;
-use riskpipe_exec::{par_map_collect, suggest_grain, ThreadPool};
-use riskpipe_tables::yet::{Occurrence, YearEventTable, YetBuilder};
+use riskpipe_exec::{grain_ranges, par_chunks_mut, suggest_grain, ThreadPool};
+use riskpipe_tables::yet::{Occurrence, YearEventTable};
 use riskpipe_types::dist::{AliasTable, Poisson};
 use riskpipe_types::rng::{Rng64, SeedStream};
 use riskpipe_types::{EventId, RiskError, RiskResult};
@@ -45,16 +53,18 @@ impl YetConfig {
     }
 }
 
-/// Simulate one trial's occurrences (deterministic in `(seed, trial)`).
+/// Simulate one trial's occurrences (deterministic in `(seed, trial)`)
+/// into `occs`, replacing what it held.
 fn simulate_trial(
     streams: &SeedStream,
     trial: u64,
     freq: &Poisson,
     alias: &AliasTable,
-) -> Vec<Occurrence> {
+    occs: &mut Vec<Occurrence>,
+) {
     let mut rng = streams.stream(trial);
     let n = freq.sample_count(&mut rng);
-    let mut occs = Vec::with_capacity(n as usize);
+    occs.clear();
     for _ in 0..n {
         let event_index = alias.sample(&mut rng);
         let day = rng.next_below(365) as u16;
@@ -68,10 +78,9 @@ fn simulate_trial(
     // Temporal order within the year (stable: ties keep sample order,
     // which is itself deterministic).
     occs.sort_by_key(|o| o.day);
-    occs
 }
 
-/// Pre-simulate a YET for a catalogue.
+/// Pre-simulate a YET for a catalogue (two passes; see the module docs).
 pub fn simulate_yet(
     catalog: &EventCatalog,
     cfg: &YetConfig,
@@ -83,23 +92,142 @@ pub fn simulate_yet(
     let alias = AliasTable::new(&catalog.rates())?;
     let freq = Poisson::new(catalog.total_rate());
     let streams = SeedStream::new(cfg.seed);
-    let grain = suggest_grain(cfg.trials, pool.thread_count(), 64);
-    let per_trial: Vec<Vec<Occurrence>> = par_map_collect(pool, cfg.trials, grain, |t| {
-        simulate_trial(&streams, t as u64, &freq, &alias)
+    let trials = cfg.trials;
+    let grain = suggest_grain(trials, pool.thread_count(), 64);
+
+    // Pass 1: trial t's count lands in offsets[t + 1]; the prefix sum
+    // then makes offsets[t]..offsets[t + 1] its occurrence range.
+    let mut offsets = vec![0u64; trials + 1];
+    par_chunks_mut(pool, &mut offsets[1..], grain, |chunk, counts| {
+        let base = chunk * grain;
+        for (j, count) in counts.iter_mut().enumerate() {
+            *count = freq.sample_count(&mut streams.stream((base + j) as u64));
+        }
     });
-    let total: usize = per_trial.iter().map(|v| v.len()).sum();
-    let mut builder = YetBuilder::with_capacity(cfg.trials, total);
-    for occs in &per_trial {
-        builder.push_trial(occs);
+    for t in 1..=trials {
+        offsets[t] += offsets[t - 1];
     }
-    Ok(builder.build())
+    let total = usize::try_from(offsets[trials])
+        .map_err(|_| RiskError::invalid("YET occurrence count overflows usize"))?;
+    let mut event_ids = vec![0u32; total];
+    let mut days = vec![0u16; total];
+    let mut z_values = vec![0.0f64; total];
+
+    // Pass 2: each grain of trials owns the disjoint column slices its
+    // occurrence range spans.
+    let mut blocks = Vec::with_capacity(trials.div_ceil(grain));
+    let (mut events_rest, mut days_rest, mut z_rest) =
+        (&mut event_ids[..], &mut days[..], &mut z_values[..]);
+    for range in grain_ranges(trials, grain) {
+        let len = (offsets[range.end] - offsets[range.start]) as usize;
+        let (events, e_tail) = std::mem::take(&mut events_rest).split_at_mut(len);
+        let (days, d_tail) = std::mem::take(&mut days_rest).split_at_mut(len);
+        let (zs, z_tail) = std::mem::take(&mut z_rest).split_at_mut(len);
+        (events_rest, days_rest, z_rest) = (e_tail, d_tail, z_tail);
+        blocks.push((range, events, days, zs));
+    }
+    par_chunks_mut(pool, &mut blocks, 1, |_, block| {
+        let (range, events, days, zs) = &mut block[0];
+        let base = offsets[range.start];
+        let mut occs = Vec::new();
+        for t in range.clone() {
+            simulate_trial(&streams, t as u64, &freq, &alias, &mut occs);
+            let lo = (offsets[t] - base) as usize;
+            let hi = (offsets[t + 1] - base) as usize;
+            // The redraw repeats pass 1's count draw, so `occs` fills
+            // `lo..hi` exactly.
+            debug_assert_eq!(occs.len(), hi - lo);
+            for (k, o) in (lo..hi).zip(&occs) {
+                events[k] = o.event_id.raw();
+                days[k] = o.day;
+                zs[k] = o.z;
+            }
+        }
+    });
+    // A slot the fill missed still holds z = 0.0, which the CSR check
+    // rejects instead of publishing.
+    YearEventTable::from_columns(offsets, event_ids, days, z_values)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::catalog::CatalogConfig;
+    use riskpipe_exec::par_map_collect;
+    use riskpipe_tables::yet::YetBuilder;
     use riskpipe_types::TrialId;
+
+    /// The single-pass simulator this module replaced, kept as the bit
+    /// oracle: one `Vec` per trial, then a serial copy through
+    /// [`YetBuilder`].
+    fn reference_yet(catalog: &EventCatalog, cfg: &YetConfig, pool: &ThreadPool) -> YearEventTable {
+        let alias = AliasTable::new(&catalog.rates()).unwrap();
+        let freq = Poisson::new(catalog.total_rate());
+        let streams = SeedStream::new(cfg.seed);
+        let grain = suggest_grain(cfg.trials, pool.thread_count(), 64);
+        let per_trial: Vec<Vec<Occurrence>> = par_map_collect(pool, cfg.trials, grain, |t| {
+            let mut rng = streams.stream(t as u64);
+            let n = freq.sample_count(&mut rng);
+            let mut occs = Vec::with_capacity(n as usize);
+            for _ in 0..n {
+                let event_index = alias.sample(&mut rng);
+                let day = rng.next_below(365) as u16;
+                let z = rng.next_f64_open();
+                occs.push(Occurrence {
+                    event_id: EventId::new(event_index as u32),
+                    day,
+                    z,
+                });
+            }
+            occs.sort_by_key(|o| o.day);
+            occs
+        });
+        let total: usize = per_trial.iter().map(|v| v.len()).sum();
+        let mut builder = YetBuilder::with_capacity(cfg.trials, total);
+        for occs in &per_trial {
+            builder.push_trial(occs);
+        }
+        builder.build()
+    }
+
+    /// Column-by-column bit equality (`z` compared as bits).
+    fn assert_same_bits(a: &YearEventTable, b: &YearEventTable, what: &str) {
+        let (ao, ae, ad, az) = a.columns();
+        let (bo, be, bd, bz) = b.columns();
+        assert_eq!(ao, bo, "{what}: offsets");
+        assert_eq!(ae, be, "{what}: event ids");
+        assert_eq!(ad, bd, "{what}: days");
+        assert!(
+            az.iter()
+                .map(|z| z.to_bits())
+                .eq(bz.iter().map(|z| z.to_bits())),
+            "{what}: z values"
+        );
+    }
+
+    #[test]
+    fn two_pass_fill_equals_the_per_trial_reference_bitwise() {
+        let pools: Vec<ThreadPool> = [1, 2, 8].into_iter().map(ThreadPool::new).collect();
+        for rate in [0.5, 20.0, 200.0] {
+            let cat = catalog(rate);
+            for trials in [1, 63, 64, 65, 1_000, 20_000] {
+                let cfg = YetConfig {
+                    trials,
+                    seed: 0x0_7E7 ^ trials as u64,
+                };
+                let want = reference_yet(&cat, &cfg, &pools[0]);
+                assert_eq!(want.trials(), trials);
+                for pool in &pools {
+                    let got = simulate_yet(&cat, &cfg, pool).unwrap();
+                    let what = format!(
+                        "rate {rate}, {trials} trials, {} threads",
+                        pool.thread_count()
+                    );
+                    assert_same_bits(&got, &want, &what);
+                }
+            }
+        }
+    }
 
     fn catalog(rate: f64) -> EventCatalog {
         EventCatalog::generate(&CatalogConfig {

@@ -52,11 +52,11 @@ use riskpipe_aggregate::{
 };
 use riskpipe_dfa::{CompanyConfig, DfaEngine};
 use riskpipe_exec::lockwitness::{Condvar, Mutex};
-use riskpipe_exec::{par_map_collect, ThreadPool};
+use riskpipe_exec::{par_map_collect, par_reduce, suggest_grain, ThreadPool};
 use riskpipe_metrics::RiskMeasures;
-use riskpipe_tables::{codec, durable, shard, ScaleSpec, Yelt, Ylt};
+use riskpipe_tables::{codec, durable, shard, Elt, ScaleSpec, YearEventTable, Yelt, Ylt};
 use riskpipe_types::stats::quantile_sorted;
-use riskpipe_types::{LocationId, RiskError, RiskResult, RunningStats, TrialId};
+use riskpipe_types::{EventId, LocationId, RiskError, RiskResult, RunningStats, TrialId};
 use std::borrow::Cow;
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::path::PathBuf;
@@ -90,13 +90,22 @@ pub struct RunLabel<'a> {
 /// derive something from the reports (pooled analytics, a drill-down
 /// warehouse) are [`ReportSink`]s riding the same
 /// [`FanoutSink`](crate::FanoutSink).
+///
+/// The session never materialises a YELT for a store: it hands over the
+/// two tables the YELT is the join of, and a store that keeps one
+/// streams it ([`ShardedFilesStore`]) while one that does not reads
+/// nothing ([`InMemoryStore`]). The report's row count and footprint
+/// come from the stage-1 cache, counted once per key.
 pub trait IntermediateStore: Send + Sync {
     /// Backend name for reports.
     fn name(&self) -> &'static str;
 
-    /// Persist one scenario's YELT; returns the bytes written to
-    /// durable storage (0 for purely in-memory backends).
-    fn persist_yelt(&self, label: RunLabel<'_>, yelt: &Yelt) -> RiskResult<u64>;
+    /// Persist one scenario's first-book YELT, given as the join of
+    /// `yet` with `elt` ([`Yelt::from_yet_elt`]'s rows, trial by trial,
+    /// without the table itself). Returns the bytes written to durable
+    /// storage (0 for purely in-memory backends).
+    fn persist_yelt(&self, label: RunLabel<'_>, yet: &YearEventTable, elt: &Elt)
+        -> RiskResult<u64>;
 
     /// Persist one completed report's YLT and risk measures — the
     /// sink-side artifact a [`PersistingSink`](crate::PersistingSink)
@@ -130,8 +139,10 @@ pub trait IntermediateStore: Send + Sync {
     }
 }
 
-/// The accumulate-in-large-memory strategy: the YELT already lives in
-/// the report; nothing to persist.
+/// The accumulate-in-large-memory strategy: the YET and the ELTs the
+/// YELT joins already live in the stage-1 cache, so nothing is built or
+/// persisted — [`IntermediateStore::persist_yelt`] returns 0 without
+/// reading either table.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct InMemoryStore;
 
@@ -140,14 +151,20 @@ impl IntermediateStore for InMemoryStore {
         "in-memory"
     }
 
-    fn persist_yelt(&self, _label: RunLabel<'_>, _yelt: &Yelt) -> RiskResult<u64> {
+    fn persist_yelt(
+        &self,
+        _label: RunLabel<'_>,
+        _yet: &YearEventTable,
+        _elt: &Elt,
+    ) -> RiskResult<u64> {
         Ok(0)
     }
 }
 
 /// The distributed-file-space strategy: spill the YELT to a sharded
-/// store under `dir`, one whole trial per [`shard::ShardedWriter::push_trial`]
-/// call.
+/// store under `dir`, streamed one whole trial per
+/// [`shard::ShardedWriter::push_trial`] call through two reused
+/// buffers — the table is never held whole.
 ///
 /// Layout: the session's **first** single run writes `dir` itself (so
 /// a reader opens the directory the caller configured); the first
@@ -305,13 +322,27 @@ impl IntermediateStore for ShardedFilesStore {
         "sharded-files"
     }
 
-    fn persist_yelt(&self, label: RunLabel<'_>, yelt: &Yelt) -> RiskResult<u64> {
+    fn persist_yelt(
+        &self,
+        label: RunLabel<'_>,
+        yet: &YearEventTable,
+        elt: &Elt,
+    ) -> RiskResult<u64> {
         let mut writer = shard::ShardedWriter::create(self.run_dir(label), self.shards)?;
-        for t in 0..yelt.trials() {
-            let (events, _days, losses) = yelt.trial_slices(TrialId::new(t as u32));
+        let (mut events, mut losses) = (Vec::new(), Vec::new());
+        for t in 0..yet.trials() {
+            // One trial's YELT rows, as `Yelt::from_yet_elt` joins them.
+            events.clear();
+            losses.clear();
+            for &e in yet.trial_slices(TrialId::new(t as u32)).0 {
+                if let Some(row) = elt.row_of(EventId::new(e)) {
+                    events.push(e);
+                    losses.push(elt.mean_loss_at(row));
+                }
+            }
             // Location detail is book-level here; location 0 marks
             // "whole book" rows.
-            writer.push_trial(t as u32, events, LocationId::new(0), losses)?;
+            writer.push_trial(t as u32, &events, LocationId::new(0), &losses)?;
         }
         let manifest = writer.finish()?;
         Ok(manifest.rows * riskpipe_tables::yellt::YELLT_BYTES_PER_ROW as u64)
@@ -829,10 +860,12 @@ impl RiskSession {
     /// entry lacked them (written with secondary uncertainty off, under
     /// another grid size, or before the tier carried grids) is
     /// rewritten with them, so the next process adopts instead of
-    /// inverting. The tables depend on the ELTs and the session's
-    /// options only; the block on `seed` (the scenario's, which `key`
-    /// fingerprints), the YET's trial count and the session's company —
-    /// so the cache key needs nothing added.
+    /// inverting. The first book's YELT row count follows the join —
+    /// a count, not a table: no store needs the YELT built, and the
+    /// count depends on the YET and book 0's ELT only. The tables depend
+    /// on the ELTs and the session's options only; the block on `seed`
+    /// (the scenario's, which `key` fingerprints), the YET's trial count
+    /// and the session's company — so the cache key needs nothing added.
     fn derive_model_run(&self, key: u64, seed: u64, acquired: Acquired) -> RiskResult<ModelRun> {
         let Acquired {
             output,
@@ -877,6 +910,14 @@ impl RiskSession {
         };
         riskpipe_obs::counter_add("stage2.join_builds", 1);
         riskpipe_obs::counter_add("stage2.join_hits", join.hits() as u64);
+        let yelt_rows = {
+            let _span = riskpipe_obs::span_key("stage2.yelt_count", key);
+            output
+                .books
+                .first()
+                .map_or(0, |book| yelt_row_count(&output.yet, &book.elt, &self.pool))
+        };
+        riskpipe_obs::counter_add("stage2.yelt_counts", 1);
         let dfa_factors = {
             let _span = riskpipe_obs::span_key("stage3.dfa_factors", key);
             self.dfa
@@ -888,6 +929,7 @@ impl RiskSession {
         Ok(ModelRun {
             output: Arc::new(output),
             join,
+            yelt_rows,
             dfa_factors,
         })
     }
@@ -913,23 +955,24 @@ impl RiskSession {
             self.runner.run_prepared(&portfolio, &yet, &model.join)?
         };
 
-        // Materialise the YELT for the first book under the configured
-        // store (the drill-down table; at scale this is the artifact
-        // that decides memory vs files). Once persisted only its size
-        // is reported, so it is dropped before stage 3 allocates —
-        // concurrent scenarios' YELTs and DFA columns then never stack.
-        let (yelt_rows, yelt_memory_bytes, yelt_file_bytes) = {
-            let yelt = Yelt::from_yet_elt(&yet, &bundle.output.books[0].elt);
+        // The first book's YELT (the drill-down table; at scale this is
+        // the artifact that decides memory vs files) goes to the store
+        // as the join it is — a files store streams it, an in-memory
+        // one keeps nothing — and the report only carries its size,
+        // counted once per key, so no scenario ever holds the table.
+        let yelt_rows = model.yelt_rows;
+        let yelt_memory_bytes = Yelt::memory_bytes_for(yet.trials(), yelt_rows) as u64;
+        let yelt_file_bytes = {
             let _persist_span = riskpipe_obs::span_key("stage2.persist_yelt", span_key);
-            let file_bytes = self.store.persist_yelt(
+            self.store.persist_yelt(
                 RunLabel {
                     scenario: &scenario.name,
                     slot,
                     run,
                 },
-                &yelt,
-            )?;
-            (yelt.rows(), yelt.memory_bytes() as u64, file_bytes)
+                &yet,
+                &bundle.output.books[0].elt,
+            )?
         };
         riskpipe_obs::counter_add("stage2.scenarios", 1);
         riskpipe_obs::counter_add("stage2.yelt_rows", yelt_rows as u64);
@@ -975,6 +1018,27 @@ impl RiskSession {
     }
 }
 
+/// Rows of the YELT joining `yet` with `elt` — the occurrences whose
+/// event has a row in the ELT, what `Yelt::from_yet_elt(yet, elt).rows()`
+/// counts — as a parallel integer reduce over the YET's event column.
+fn yelt_row_count(yet: &YearEventTable, elt: &Elt, pool: &ThreadPool) -> usize {
+    let (_, events, _, _) = yet.columns();
+    let grain = suggest_grain(events.len(), pool.thread_count(), 16 * 1024);
+    par_reduce(
+        pool,
+        events.len(),
+        grain,
+        || 0,
+        |range, rows| {
+            rows + events[range]
+                .iter()
+                .filter(|&&e| elt.row_of(EventId::new(e)).is_some())
+                .count()
+        },
+        |a, b| a + b,
+    )
+}
+
 impl std::fmt::Debug for RiskSession {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("RiskSession")
@@ -1002,7 +1066,8 @@ pub struct PipelineReport {
     pub yet_occurrences: usize,
     /// YELT rows (book 0).
     pub yelt_rows: usize,
-    /// YELT in-memory footprint.
+    /// What the book-0 YELT would occupy in memory
+    /// ([`Yelt::memory_bytes_for`]; the session never builds it).
     pub yelt_memory_bytes: u64,
     /// YELT bytes written to shard files (0 for in-memory runs).
     pub yelt_file_bytes: u64,
@@ -1093,6 +1158,7 @@ impl PipelineReport {
 mod tests {
     use super::*;
     use crate::stage1cache::DEFAULT_STAGE1_CACHE_CAPACITY;
+    use std::path::Path;
 
     fn temp(tag: &str) -> PathBuf {
         static N: AtomicU64 = AtomicU64::new(0);
@@ -1221,6 +1287,84 @@ mod tests {
         assert_eq!(reader.rows() as usize, report.yelt_rows);
         assert_eq!(reader.shard_count(), 4);
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// The first-book spill as it was written before the store streamed
+    /// it: the YELT materialised, then pushed trial by trial. Returns the
+    /// bytes `persist_yelt` reports for it.
+    fn persist_materialised(dir: &Path, shards: u32, yet: &YearEventTable, elt: &Elt) -> u64 {
+        let yelt = Yelt::from_yet_elt(yet, elt);
+        let mut writer = shard::ShardedWriter::create(dir, shards).unwrap();
+        for t in 0..yelt.trials() {
+            let (events, _days, losses) = yelt.trial_slices(TrialId::new(t as u32));
+            writer
+                .push_trial(t as u32, events, LocationId::new(0), losses)
+                .unwrap();
+        }
+        writer.finish().unwrap().rows * riskpipe_tables::yellt::YELLT_BYTES_PER_ROW as u64
+    }
+
+    /// Every file in `dir`, by name, with its bytes.
+    fn dir_bytes(dir: &Path) -> BTreeMap<String, Vec<u8>> {
+        std::fs::read_dir(dir)
+            .unwrap()
+            .map(|entry| {
+                let entry = entry.unwrap();
+                let name = entry.file_name().to_string_lossy().into_owned();
+                (name, std::fs::read(entry.path()).unwrap())
+            })
+            .collect()
+    }
+
+    #[test]
+    fn yelt_is_counted_and_streamed_exactly_as_materialised() {
+        let scenario = ScenarioConfig::small().with_seed(23).with_trials(16_000);
+        let stage1 = scenario.build_stage1().unwrap();
+        let (yet, elt) = (&stage1.output.yet, &stage1.output.books[0].elt);
+        let yelt = Yelt::from_yet_elt(yet, elt);
+        let (dir, reference) = (temp("streamed"), temp("materialised"));
+        let want_file_bytes = persist_materialised(&reference, 2, yet, elt);
+
+        let in_memory = RiskSession::builder()
+            .pool_threads(2)
+            .build()
+            .unwrap()
+            .run(&scenario)
+            .unwrap();
+        let files = RiskSession::builder()
+            .store(Arc::new(ShardedFilesStore::new(&dir, 2).unwrap()))
+            .pool_threads(2)
+            .build()
+            .unwrap()
+            .run(&scenario)
+            .unwrap();
+        for report in [&in_memory, &files] {
+            assert_eq!(report.yelt_rows, yelt.rows());
+            assert_eq!(report.yelt_memory_bytes, yelt.memory_bytes() as u64);
+        }
+        assert_eq!(in_memory.yelt_file_bytes, 0);
+        assert_eq!(files.yelt_file_bytes, want_file_bytes);
+
+        // Byte for byte the same shard files and manifest — and each
+        // shard holds several frames, so the frame cuts match too.
+        let (got, want) = (dir_bytes(&dir), dir_bytes(&reference));
+        assert_eq!(
+            got.keys().collect::<Vec<_>>(),
+            ["MANIFEST.txt", "shard-0000.rpt", "shard-0001.rpt"]
+        );
+        assert!(
+            got == want,
+            "streamed spill differs from the materialised one"
+        );
+        let reader = riskpipe_tables::ShardedReader::open(&dir).unwrap();
+        for s in 0..2 {
+            assert!(
+                reader.read_shard(s).unwrap().len() > 1,
+                "shard {s}: one frame"
+            );
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+        std::fs::remove_dir_all(&reference).unwrap();
     }
 
     #[test]
@@ -1385,8 +1529,14 @@ mod tests {
             fn name(&self) -> &'static str {
                 "counting"
             }
-            fn persist_yelt(&self, _label: RunLabel<'_>, yelt: &Yelt) -> RiskResult<u64> {
-                self.rows.fetch_add(yelt.rows() as u64, Ordering::Relaxed);
+            fn persist_yelt(
+                &self,
+                _label: RunLabel<'_>,
+                yet: &YearEventTable,
+                elt: &Elt,
+            ) -> RiskResult<u64> {
+                let rows = Yelt::from_yet_elt(yet, elt).rows();
+                self.rows.fetch_add(rows as u64, Ordering::Relaxed);
                 Ok(0)
             }
         }

@@ -65,6 +65,10 @@ pub(crate) struct ModelRun {
     pub(crate) output: Arc<Stage1Output>,
     /// The books joined in book order — the table the engines read.
     pub(crate) join: EventJoin,
+    /// Rows of the first book's YELT (the YET joined with book 0's
+    /// ELT): every scenario's report carries it, and no scenario's
+    /// terms can change it. A count — the table itself is never built.
+    pub(crate) yelt_rows: usize,
     /// Stage 3's seven factor columns, Iman–Conover already applied;
     /// a scenario only runs the accounting identity over them.
     pub(crate) dfa_factors: DfaFactors,

@@ -150,10 +150,14 @@ impl Yelt {
 
     /// Heap footprint in bytes.
     pub fn memory_bytes(&self) -> usize {
-        self.offsets.len() * 8
-            + self.event_ids.len() * 4
-            + self.days.len() * 2
-            + self.losses.len() * 8
+        Self::memory_bytes_for(self.trials(), self.rows())
+    }
+
+    /// Heap footprint in bytes of a YELT with `trials` trials and `rows`
+    /// rows — what [`Yelt::memory_bytes`] reports, known without
+    /// building the table.
+    pub fn memory_bytes_for(trials: usize, rows: usize) -> usize {
+        (trials + 1) * 8 + rows * (4 + 2 + 8)
     }
 }
 

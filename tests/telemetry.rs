@@ -12,6 +12,7 @@ use riskpipe::catmodel::site_intensity;
 use riskpipe::core::{InMemoryStore, RiskSession, ScenarioConfig, ShardedFilesStore};
 use riskpipe::obs::JSON_SCHEMA_VERSION;
 use riskpipe::prelude::{MetricsSnapshot, Query, RiskResult, Telemetry};
+use riskpipe::tables::Yelt;
 use riskpipe::warehouse::{LevelSelect, Source};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -120,15 +121,26 @@ fn metrics_snapshots_are_bit_identical_across_thread_counts() -> RiskResult<()> 
         4,
         "one DFA factor block per distinct key"
     );
-    let elt_rows: usize = grid(0x0B5)
-        .0
-        .iter()
-        .map(|s| Ok(s.build_stage1()?.portfolio().total_elt_rows()))
-        .sum::<RiskResult<usize>>()?;
+    assert_eq!(
+        m.counter("stage2.yelt_counts"),
+        m.counter("stage2.join_builds"),
+        "the first book's YELT rows are counted once per distinct key"
+    );
+    let (mut elt_rows, mut yelt_rows) = (0, 0);
+    for s in &grid(0x0B5).0 {
+        let stage1 = s.build_stage1()?;
+        elt_rows += stage1.portfolio().total_elt_rows();
+        yelt_rows += Yelt::from_yet_elt(&stage1.output.yet, &stage1.output.books[0].elt).rows();
+    }
     assert_eq!(
         m.counter("stage2.join_hits"),
         elt_rows as u64,
         "one hit per ELT row over every key's books"
+    );
+    assert_eq!(
+        m.counter("stage2.yelt_rows"),
+        yelt_rows as u64,
+        "every scenario reports its materialised YELT's row count"
     );
     // The grid inversions report their work as a count: at least each
     // row's start point, and the same on every split of rows to tasks.
@@ -316,6 +328,7 @@ fn span_tree_covers_every_stage_of_a_full_plan() -> RiskResult<()> {
         ("stage1.build", n),       // distinct seeds → one build each
         ("stage2.secondary", n),   // … and one table set each
         ("stage2.join", n),        // … joined once each
+        ("stage2.yelt_count", n),  // … its first book's YELT counted once
         ("stage3.dfa_factors", n), // … and one DFA factor block each
         ("stage2.engine", n),
         ("stage2.persist_yelt", n),
@@ -347,13 +360,14 @@ fn span_tree_covers_every_stage_of_a_full_plan() -> RiskResult<()> {
         assert_eq!(snap.spans_named(name).count(), 0, "{name} span recorded");
     }
 
-    // The secondary tables, the join of the books and the DFA factor
-    // block belong to the cached model run: each build is a child of
-    // its key's `stage1.acquire`, keyed by `stage1_key` — siblings,
-    // tables first.
+    // The secondary tables, the join of the books, the YELT row count
+    // and the DFA factor block belong to the cached model run: each
+    // build is a child of its key's `stage1.acquire`, keyed by
+    // `stage1_key` — siblings, tables first.
     for derived in snap
         .spans_named("stage2.secondary")
         .chain(snap.spans_named("stage2.join"))
+        .chain(snap.spans_named("stage2.yelt_count"))
         .chain(snap.spans_named("stage3.dfa_factors"))
     {
         let parent = snap

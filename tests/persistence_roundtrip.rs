@@ -175,6 +175,195 @@ fn ylt_one_flip_per_header_region_is_corrupt() {
     }
 }
 
+// ---------------------------------------------------------------------
+// Byte pins: the length and CRC-32 of every persisted encoding, from
+// small fixed fixtures. A codec change that moves any byte of any frame
+// kind, of a stage-1 disk-tier entry, of a persisted `YLT.bin` or of a
+// sharded YELT spill fails here.
+// ---------------------------------------------------------------------
+
+/// `(artifact, byte length, crc32)` of every pinned encoding.
+const BYTE_PINS: &[(&str, usize, u32)] = &[
+    ("elt", 276, 0xef381774),
+    ("yet", 156, 0xe897600a),
+    ("yelt", 156, 0xa8285898),
+    ("ylt", 124, 0x7ef10041),
+    ("yellt_chunk", 152, 0xbca9936c),
+    ("cuboid", 1168, 0xc03940f0),
+    ("stage1", 60884, 0x8e1a6c2b),
+    ("run_manifest", 36, 0x39ba46be),
+    ("quantile_grid", 92, 0x3c6a5954),
+    ("tier_entry", 61140, 0xc6f654f6),
+    ("spill/MANIFEST.txt", 59, 0xa9f76b4a),
+    ("spill/shard-0000.rpt", 72, 0x8771e09a),
+    ("spill/shard-0001.rpt", 72, 0x392fe211),
+    ("spill/YLT.bin", 4044, 0x3b5a8b49),
+];
+
+/// The hand-built tables every frame kind is pinned over.
+fn pinned_tables() -> (
+    riskpipe::tables::Elt,
+    riskpipe::tables::YearEventTable,
+    riskpipe::tables::Ylt,
+    riskpipe::tables::YelltChunk,
+) {
+    use riskpipe::tables::{EltBuilder, EltRecord, YelltChunk, YetBuilder, Ylt};
+    use riskpipe_types::{EventId, LocationId, TrialId};
+    let mut b = EltBuilder::new();
+    for i in 1..=6u32 {
+        b.push(EltRecord {
+            event_id: EventId::new(i * 3),
+            mean_loss: 1000.25 * i as f64,
+            sigma_i: 100.5 * i as f64,
+            sigma_c: 50.125 * i as f64,
+            exposure: 20_000.0 * i as f64,
+        })
+        .unwrap();
+    }
+    let elt = b.build().unwrap();
+    let mut yb = YetBuilder::new();
+    for t in 0..5u32 {
+        let occs: Vec<riskpipe::tables::yet::Occurrence> = (0..t % 3)
+            .map(|k| riskpipe::tables::yet::Occurrence {
+                event_id: EventId::new(3 * (1 + (t + k) % 7)),
+                day: (40 * t + 11 * k) as u16,
+                z: 0.125 + 0.25 * k as f64,
+            })
+            .collect();
+        yb.push_trial(&occs);
+    }
+    let yet = yb.build();
+    let mut ylt = Ylt::zeroed(4);
+    for t in 0..4u32 {
+        ylt.set_trial(TrialId::new(t), 10.5 * t as f64, 7.25 * t as f64, t);
+    }
+    let mut chunk = YelltChunk::with_capacity(5);
+    for i in 0..5u32 {
+        chunk.push(i / 2, 3 * i, LocationId::new(i % 2), 2.5 * i as f64);
+    }
+    (elt, yet, ylt, chunk)
+}
+
+/// A two-book scenario small enough to encode in a test.
+fn pinned_scenario() -> ScenarioConfig {
+    let mut scenario = ScenarioConfig::small().with_seed(0xB17E).with_trials(200);
+    scenario.events = 30;
+    scenario.contracts = 2;
+    scenario.locations_per_contract = 8;
+    scenario
+}
+
+/// The pinned scenario's stage-1 model run and its books' 3-point
+/// secondary tables.
+fn pinned_stage1() -> (
+    riskpipe::catmodel::Stage1Output,
+    Vec<riskpipe::aggregate::SecondaryTable>,
+) {
+    use riskpipe::aggregate::{QuantileMode, SecondaryTable};
+    let pool = riskpipe::exec::ThreadPool::new(1);
+    let output = pinned_scenario().build_stage1_output_on(&pool).unwrap();
+    let tables = output
+        .books
+        .iter()
+        .map(|b| SecondaryTable::build_on(&b.elt, QuantileMode::Interpolated(3), &pool))
+        .collect();
+    (output, tables)
+}
+
+#[test]
+fn every_frame_kind_is_byte_pinned() {
+    use riskpipe::core::{DiskStage1Cache, RiskSession, ShardedFilesStore};
+    use riskpipe::warehouse::{encode_cuboid, Cuboid, FactTable, LevelSelect, Schema};
+    use std::sync::Arc;
+
+    let (elt, yet, ylt, chunk) = pinned_tables();
+    let yelt = Yelt::from_yet_elt(&yet, &elt);
+    let schema = Schema::standard(6, 2, 5, 2, 3, 2).unwrap();
+    let facts = FactTable::synthetic(&schema, 200, 5);
+    let cuboid = Cuboid::build(&schema, &facts, LevelSelect([1, 1, 1, 1]), None).unwrap();
+    let grid: Vec<f64> = (0..6).map(|i| i as f64 / 8.0).collect();
+    let (output, tables) = pinned_stage1();
+
+    let mut encoded: Vec<(String, Vec<u8>)> = vec![
+        ("elt".into(), codec::encode_elt(&elt).to_vec()),
+        ("yet".into(), codec::encode_yet(&yet).to_vec()),
+        ("yelt".into(), codec::encode_yelt(&yelt).to_vec()),
+        ("ylt".into(), codec::encode_ylt(&ylt).to_vec()),
+        (
+            "yellt_chunk".into(),
+            codec::encode_yellt_chunk(&chunk).to_vec(),
+        ),
+        ("cuboid".into(), encode_cuboid(&cuboid).unwrap().to_vec()),
+        (
+            "stage1".into(),
+            riskpipe::catmodel::stage1io::encode_stage1(0x5EED, &output),
+        ),
+        (
+            "run_manifest".into(),
+            codec::encode_run_manifest(7, 42).to_vec(),
+        ),
+        (
+            "quantile_grid".into(),
+            codec::encode_quantile_grid(3, &grid).to_vec(),
+        ),
+    ];
+
+    // A stage-1 disk-tier entry with grids, as the tier writes it.
+    let dir = temp("pins");
+    let _ = fs::remove_dir_all(&dir);
+    let tier = DiskStage1Cache::new(dir.join("tier")).unwrap();
+    tier.store_entry(0x5EED, &output, &tables).unwrap();
+    encoded.push((
+        "tier_entry".into(),
+        fs::read(tier.path_for(0x5EED)).unwrap(),
+    ));
+
+    // A one-scenario persisted sweep through a 2-shard files store: the
+    // YELT spill (shard files + manifest) and the persisted YLT.
+    let spill = dir.join("spill");
+    let store = Arc::new(ShardedFilesStore::new(&spill, 2).unwrap());
+    let session = RiskSession::builder()
+        .pool_threads(1)
+        .store(store.clone())
+        .build()
+        .unwrap();
+    session
+        .sweep(&[pinned_scenario()])
+        .persist_to(store)
+        .drive()
+        .unwrap();
+    let slot = spill.join("batch-000");
+    let mut spilled: Vec<String> = fs::read_dir(&slot)
+        .unwrap()
+        .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+        .filter(|name| name.starts_with("shard-") || name == "MANIFEST.txt")
+        .collect();
+    spilled.sort();
+    assert_eq!(
+        spilled,
+        ["MANIFEST.txt", "shard-0000.rpt", "shard-0001.rpt"],
+        "a 2-shard spill is two shard files and a manifest"
+    );
+    spilled.push("YLT.bin".into());
+    for name in spilled {
+        encoded.push((format!("spill/{name}"), fs::read(slot.join(&name)).unwrap()));
+    }
+    fs::remove_dir_all(&dir).unwrap();
+
+    let actual: Vec<(&str, usize, u32)> = encoded
+        .iter()
+        .map(|(name, bytes)| (name.as_str(), bytes.len(), codec::crc32(bytes)))
+        .collect();
+    let rendered: String = actual
+        .iter()
+        .map(|(name, len, crc)| format!("    ({name:?}, {len}, {crc:#010x}),\n"))
+        .collect();
+    assert_eq!(
+        actual, BYTE_PINS,
+        "persisted bytes moved; actual pins:\n{rendered}"
+    );
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 

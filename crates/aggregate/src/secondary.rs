@@ -61,7 +61,8 @@
 //! is ever serialised. Exact mode has no grid and persists nothing.
 
 use riskpipe_exec::{par_chunks_mut, suggest_grain, ThreadPool};
-use riskpipe_tables::{codec, Elt};
+use riskpipe_tables::codec::{self, FrameWriter, QuantileGrid, TableKind};
+use riskpipe_tables::Elt;
 use riskpipe_types::dist::Beta;
 use riskpipe_types::{RiskError, RiskResult};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -224,7 +225,9 @@ impl SecondaryTable {
     /// nothing.
     pub fn encode_grid_into(&self, out: &mut Vec<u8>) {
         if self.grid_n > 0 {
-            out.extend_from_slice(&codec::encode_quantile_grid(self.grid_n, &self.grid));
+            let mut w = FrameWriter::new(out, TableKind::QuantileGrid);
+            QuantileGrid::put_cells(&mut w, self.grid_n, &self.grid);
+            w.finish();
         }
     }
 
@@ -241,7 +244,7 @@ impl SecondaryTable {
     /// finite and in `[0, 1]`. (Which grid size the caller wants is the
     /// caller's check: [`SecondaryTable::grid_points`].)
     pub fn adopt_grid(elt: &Elt, data: &[u8]) -> RiskResult<(Self, usize)> {
-        let (frame, used) = codec::decode_quantile_grid(data)?;
+        let (frame, used) = codec::decode_prefix::<QuantileGrid>(data)?;
         if frame.rows != elt.len() || frame.g < 2 {
             return Err(RiskError::corrupt(format!(
                 "quantile grid of {} rows x {} points for an ELT of {} rows",
@@ -472,23 +475,27 @@ mod tests {
         let elt = sample_elt();
         let g = 5;
         let good: Vec<f64> = SecondaryTable::build(&elt, QuantileMode::Interpolated(g as u32)).grid;
+        let grid = |g: usize, cells: &[f64]| {
+            codec::encode(&QuantileGrid {
+                rows: cells.len() / g,
+                g,
+                cells: cells.to_vec(),
+            })
+        };
         let patched = |cell: usize, value: f64| {
             let mut cells = good.clone();
             cells[cell] = value;
-            codec::encode_quantile_grid(g, &cells)
+            grid(g, &cells)
         };
         let frames = [
             ("NaN cell", patched(7, f64::NAN)),
             ("cell above 1", patched(0, 1.5)),
             ("negative cell", patched(99, -1e-9)),
             ("infinite cell", patched(50, f64::INFINITY)),
-            ("one row short", codec::encode_quantile_grid(g, &good[g..])),
-            (
-                "one-point grid",
-                codec::encode_quantile_grid(1, &good[..elt.len()]),
-            ),
+            ("one row short", grid(g, &good[g..])),
+            ("one-point grid", grid(1, &good[..elt.len()])),
             // rows × g is the right cell count, transposed.
-            ("transposed", codec::encode_quantile_grid(elt.len(), &good)),
+            ("transposed", grid(elt.len(), &good)),
         ];
         for (what, frame) in frames {
             match SecondaryTable::adopt_grid(&elt, &frame) {
@@ -496,7 +503,7 @@ mod tests {
                 other => panic!("{what}: expected Corrupt, got {:?}", other.map(|(_, n)| n)),
             }
         }
-        assert!(SecondaryTable::adopt_grid(&elt, &codec::encode_quantile_grid(g, &good)).is_ok());
+        assert!(SecondaryTable::adopt_grid(&elt, &grid(g, &good)).is_ok());
     }
 
     #[test]

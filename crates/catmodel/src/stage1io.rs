@@ -1,28 +1,30 @@
 //! Frame codec for a complete [`Stage1Output`] — the on-disk format of
 //! the stage-1 cache tier.
 //!
-//! The encoding reuses the table frames that already exist
-//! ([`riskpipe_tables::codec`]): a leading [`TableKind::Stage1`] frame
-//! carries the cache key plus the generated catalogue and per-book
-//! exposure records (the parts no table codec covers), followed by one
-//! ELT frame per book and the YET frame. Every frame is CRC-checked
-//! independently, and the decoder requires exact consumption, so a
-//! truncated or corrupted cache file surfaces as
-//! [`RiskError::corrupt`](riskpipe_types::RiskError) — a disk tier can
-//! then treat it as a miss and rebuild.
+//! The encoding is a run of [`riskpipe_tables::codec`] frames written
+//! into one buffer: a leading [`TableKind::Stage1`] frame carries the
+//! cache key plus the generated catalogue and per-book exposure records
+//! (the parts no table schema covers), followed by one ELT frame per
+//! book and the YET frame. The header payload needs no schema of its
+//! own: it goes straight through the codec's [`FrameWriter`] and
+//! [`FrameReader`], whose counts are checked against the bytes left
+//! before anything is allocated. Every frame is CRC-checked
+//! independently and consumed exactly, so a truncated or corrupted
+//! cache file surfaces as [`RiskError::corrupt`](riskpipe_types::RiskError)
+//! — a disk tier can then treat it as a miss and rebuild.
 //!
 //! ```text
 //! stage-1 frame        key, catalogue, per-book exposure (below)
-//! ELT frame × n_books  riskpipe_tables::codec::encode_elt
-//! YET frame            riskpipe_tables::codec::encode_yet
+//! ELT frame × n_books  riskpipe_tables::codec schema
+//! YET frame            riskpipe_tables::codec schema
 //! ```
 //!
 //! That is the whole of [`encode_stage1`] / [`decode_stage1`]. A
 //! disk-tier *entry* (`riskpipe-core::stage1disk`) is this encoding
 //! followed by zero or `n_books` quantile-grid frames — derived data
-//! this crate knows nothing about — which is what
-//! [`decode_stage1_prefix`] is for: it decodes the same three parts and
-//! reports where they end.
+//! this crate knows nothing about, appended to the same buffer — which
+//! is what [`decode_stage1_prefix`] is for: it decodes the same frames
+//! and reports where they end.
 //!
 //! Stage-1 header payload, little-endian:
 //!
@@ -45,138 +47,75 @@ use crate::exposure::{ExposureLocation, ExposurePortfolio};
 use crate::geo::GeoPoint;
 use crate::peril::Peril;
 use crate::vulnerability::ConstructionClass;
-use riskpipe_tables::codec::{self, TableKind};
+use riskpipe_tables::codec::{self, FrameReader, FrameWriter, TableKind};
+use riskpipe_tables::{Elt, YearEventTable};
 use riskpipe_types::{EventId, LocationId, RiskError, RiskResult};
 use std::sync::Arc;
 
-fn put_u32(buf: &mut Vec<u8>, x: u32) {
-    buf.extend_from_slice(&x.to_le_bytes());
-}
-
-fn put_u64(buf: &mut Vec<u8>, x: u64) {
-    buf.extend_from_slice(&x.to_le_bytes());
-}
-
-fn put_f64(buf: &mut Vec<u8>, x: f64) {
-    buf.extend_from_slice(&x.to_le_bytes());
-}
-
-/// A bounds-checked little-endian reader over a frame payload.
-struct Cursor<'a> {
-    data: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn new(data: &'a [u8]) -> Self {
-        Self { data, pos: 0 }
-    }
-
-    fn take(&mut self, n: usize, what: &str) -> RiskResult<&'a [u8]> {
-        let end = self.pos.checked_add(n).ok_or_else(|| {
-            RiskError::corrupt(format!("stage1 payload offset overflow reading {what}"))
-        })?;
-        if end > self.data.len() {
-            return Err(RiskError::corrupt(format!(
-                "stage1 payload truncated reading {what}: need {n} bytes, have {}",
-                self.data.len() - self.pos
-            )));
-        }
-        let s = &self.data[self.pos..end];
-        self.pos = end;
-        Ok(s)
-    }
-
-    fn get_u8(&mut self, what: &str) -> RiskResult<u8> {
-        Ok(self.take(1, what)?[0])
-    }
-
-    fn get_u32(&mut self, what: &str) -> RiskResult<u32> {
-        let b = self.take(4, what)?;
-        Ok(u32::from_le_bytes(b.try_into().expect("4-byte slice")))
-    }
-
-    fn get_u64(&mut self, what: &str) -> RiskResult<u64> {
-        let b = self.take(8, what)?;
-        Ok(u64::from_le_bytes(b.try_into().expect("8-byte slice")))
-    }
-
-    fn get_f64(&mut self, what: &str) -> RiskResult<f64> {
-        let b = self.take(8, what)?;
-        Ok(f64::from_le_bytes(b.try_into().expect("8-byte slice")))
-    }
-
-    fn get_count(&mut self, what: &str) -> RiskResult<usize> {
-        let n = self.get_u64(what)?;
-        if n > (1 << 32) {
-            return Err(RiskError::corrupt(format!(
-                "implausible stage1 count {n} for {what}"
-            )));
-        }
-        usize::try_from(n)
-            .map_err(|_| RiskError::corrupt(format!("stage1 count {n} for {what} exceeds usize")))
-    }
-
-    fn finished(&self) -> bool {
-        self.pos == self.data.len()
-    }
-}
+/// Encoded bytes of one catalogue event in the header payload.
+const EVENT_BYTES: usize = 4 + 1 + 4 * 8;
+/// Encoded bytes of one exposure location in the header payload.
+const LOCATION_BYTES: usize = 4 + 3 * 8 + 1 + 2 * 8;
+/// Encoded bytes of a book's header before its locations.
+const BOOK_BYTES: usize = 8 + 8;
 
 /// Encode a complete stage-1 output (keyed by its
 /// `ScenarioConfig::stage1_key`) as a self-contained multi-frame byte
 /// stream.
 pub fn encode_stage1(key: u64, out: &Stage1Output) -> Vec<u8> {
-    let mut p = Vec::with_capacity(64 + out.catalog.len() * 37);
-    put_u64(&mut p, key);
-    put_u64(&mut p, out.catalog.len() as u64);
-    put_f64(&mut p, out.catalog.total_rate());
+    let mut bytes = Vec::new();
+    let mut w = FrameWriter::new(&mut bytes, TableKind::Stage1);
+    w.put(key);
+    w.put(out.catalog.len() as u64);
+    w.put(out.catalog.total_rate());
     for e in out.catalog.events() {
-        put_u32(&mut p, e.id.raw());
-        p.push(e.peril.code());
-        put_f64(&mut p, e.rate);
-        put_f64(&mut p, e.magnitude);
-        put_f64(&mut p, e.center.x);
-        put_f64(&mut p, e.center.y);
+        w.put(e.id.raw());
+        w.put(e.peril.code());
+        w.put(e.rate);
+        w.put(e.magnitude);
+        w.put(e.center.x);
+        w.put(e.center.y);
     }
-    put_u64(&mut p, out.books.len() as u64);
+    w.put(out.books.len() as u64);
     for book in &out.books {
-        put_f64(&mut p, book.exposure.total_tiv());
-        put_u64(&mut p, book.exposure.len() as u64);
+        w.put(book.exposure.total_tiv());
+        w.put(book.exposure.len() as u64);
         for l in book.exposure.locations() {
-            put_u32(&mut p, l.id.raw());
-            put_f64(&mut p, l.position.x);
-            put_f64(&mut p, l.position.y);
-            put_f64(&mut p, l.tiv);
-            p.push(l.construction.code());
-            put_f64(&mut p, l.deductible);
-            put_f64(&mut p, l.limit);
+            w.put(l.id.raw());
+            w.put(l.position.x);
+            w.put(l.position.y);
+            w.put(l.tiv);
+            w.put(l.construction.code());
+            w.put(l.deductible);
+            w.put(l.limit);
         }
     }
-    let mut bytes = codec::frame(TableKind::Stage1, &p).to_vec();
+    w.finish();
     for book in &out.books {
-        bytes.extend_from_slice(&codec::encode_elt(&book.elt));
+        codec::encode_into(&mut bytes, &*book.elt);
     }
-    bytes.extend_from_slice(&codec::encode_yet(&out.yet));
+    codec::encode_into(&mut bytes, &*out.yet);
     bytes
 }
 
-fn decode_header(payload: &[u8]) -> RiskResult<(u64, EventCatalog, Vec<ExposurePortfolio>)> {
-    let mut c = Cursor::new(payload);
-    let key = c.get_u64("key")?;
-    let n_events = c.get_count("n_events")?;
-    let total_rate = c.get_f64("total_rate")?;
+fn decode_header(
+    r: &mut FrameReader<'_>,
+) -> RiskResult<(u64, EventCatalog, Vec<ExposurePortfolio>)> {
+    let key = r.get("key")?;
+    let n_events = r.get_count("n_events", EVENT_BYTES)?;
+    let total_rate = r.get("total_rate")?;
     let mut events = Vec::with_capacity(n_events);
     for i in 0..n_events {
-        let id = EventId::new(c.get_u32("event.id")?);
-        let peril_code = c.get_u8("event.peril")?;
+        let id = EventId::new(r.get("event.id")?);
+        let peril_code = r.get("event.peril")?;
         let peril = Peril::from_code(peril_code).ok_or_else(|| {
             RiskError::corrupt(format!("unknown peril code {peril_code} at event {i}"))
         })?;
-        let rate = c.get_f64("event.rate")?;
-        let magnitude = c.get_f64("event.magnitude")?;
+        let rate = r.get("event.rate")?;
+        let magnitude = r.get("event.magnitude")?;
         let center = GeoPoint {
-            x: c.get_f64("event.cx")?,
-            y: c.get_f64("event.cy")?,
+            x: r.get("event.cx")?,
+            y: r.get("event.cy")?,
         };
         events.push(CatalogEvent {
             id,
@@ -188,27 +127,27 @@ fn decode_header(payload: &[u8]) -> RiskResult<(u64, EventCatalog, Vec<ExposureP
     }
     let catalog = EventCatalog::from_parts(events, total_rate)
         .map_err(|e| RiskError::corrupt(format!("stage1 catalogue rejected: {e}")))?;
-    let n_books = c.get_count("n_books")?;
+    let n_books = r.get_count("n_books", BOOK_BYTES)?;
     let mut exposures = Vec::with_capacity(n_books);
     for _ in 0..n_books {
-        let total_tiv = c.get_f64("book.total_tiv")?;
-        let n_locs = c.get_count("book.n_locs")?;
+        let total_tiv = r.get("book.total_tiv")?;
+        let n_locs = r.get_count("book.n_locs", LOCATION_BYTES)?;
         let mut locations = Vec::with_capacity(n_locs);
         for i in 0..n_locs {
-            let id = LocationId::new(c.get_u32("loc.id")?);
+            let id = LocationId::new(r.get("loc.id")?);
             let position = GeoPoint {
-                x: c.get_f64("loc.px")?,
-                y: c.get_f64("loc.py")?,
+                x: r.get("loc.px")?,
+                y: r.get("loc.py")?,
             };
-            let tiv = c.get_f64("loc.tiv")?;
-            let cons_code = c.get_u8("loc.construction")?;
+            let tiv = r.get("loc.tiv")?;
+            let cons_code = r.get("loc.construction")?;
             let construction = ConstructionClass::from_code(cons_code).ok_or_else(|| {
                 RiskError::corrupt(format!(
                     "unknown construction code {cons_code} at location {i}"
                 ))
             })?;
-            let deductible = c.get_f64("loc.deductible")?;
-            let limit = c.get_f64("loc.limit")?;
+            let deductible = r.get("loc.deductible")?;
+            let limit = r.get("loc.limit")?;
             locations.push(ExposureLocation {
                 id,
                 position,
@@ -221,12 +160,6 @@ fn decode_header(payload: &[u8]) -> RiskResult<(u64, EventCatalog, Vec<ExposureP
         let exposure = ExposurePortfolio::from_parts(locations, total_tiv)
             .map_err(|e| RiskError::corrupt(format!("stage1 exposure rejected: {e}")))?;
         exposures.push(exposure);
-    }
-    if !c.finished() {
-        return Err(RiskError::corrupt(format!(
-            "stage1 header payload has {} trailing bytes",
-            payload.len() - c.pos
-        )));
     }
     Ok((key, catalog, exposures))
 }
@@ -252,25 +185,19 @@ pub fn decode_stage1(data: &[u8]) -> RiskResult<(u64, Stage1Output)> {
 /// consumed, leaving what follows (a disk-tier entry's quantile-grid
 /// frames) to the caller — who then owes the exact-consumption check.
 pub fn decode_stage1_prefix(data: &[u8]) -> RiskResult<(u64, Stage1Output, usize)> {
-    let (kind, payload, mut off) = codec::unframe(data)?;
-    if kind != TableKind::Stage1 {
-        return Err(RiskError::corrupt(format!(
-            "expected stage1 frame, got {kind:?}"
-        )));
-    }
-    let (key, catalog, exposures) = decode_header(payload)?;
+    let (mut r, mut off) = FrameReader::open(data, TableKind::Stage1)?;
+    let (key, catalog, exposures) = decode_header(&mut r)?;
+    r.finish()?;
     let mut books = Vec::with_capacity(exposures.len());
     for exposure in exposures {
-        let used = codec::frame_len(&data[off..])?;
-        let elt = codec::decode_elt(&data[off..off + used])?;
+        let (elt, used) = codec::decode_prefix::<Elt>(&data[off..])?;
         off += used;
         books.push(Book {
             exposure: Arc::new(exposure),
             elt: Arc::new(elt),
         });
     }
-    let used = codec::frame_len(&data[off..])?;
-    let yet = codec::decode_yet(&data[off..off + used])?;
+    let (yet, used) = codec::decode_prefix::<YearEventTable>(&data[off..])?;
     off += used;
     let output = Stage1Output {
         catalog: Arc::new(catalog),
@@ -408,7 +335,7 @@ mod tests {
     #[test]
     fn wrong_leading_kind_is_corrupt() {
         let out = sample_output();
-        let bytes = codec::encode_yet(&out.yet);
+        let bytes = codec::encode(&*out.yet);
         assert!(decode_stage1(&bytes).is_err());
     }
 
@@ -425,25 +352,39 @@ mod tests {
         // then n_books (8) + the first book's total_tiv and n_locs (16).
         let event0 = 24;
         let loc0 = 24 + 37 * out.catalog.len() + 8 + 16;
-        let patches: [(&str, usize, f64); 13] = [
-            ("event rate NaN", event0 + 5, f64::NAN),
-            ("event magnitude inf", event0 + 13, f64::INFINITY),
-            ("event cx NaN", event0 + 21, f64::NAN),
-            ("event cy -inf", event0 + 29, f64::NEG_INFINITY),
-            ("loc px NaN", loc0 + 4, f64::NAN),
-            ("loc py inf", loc0 + 12, f64::INFINITY),
-            ("loc tiv NaN", loc0 + 20, f64::NAN),
-            ("loc tiv zero", loc0 + 20, 0.0),
-            ("loc tiv negative", loc0 + 20, -5.0),
-            ("loc deductible NaN", loc0 + 29, f64::NAN),
-            ("loc deductible negative", loc0 + 29, -1.0),
-            ("loc limit inf", loc0 + 37, f64::INFINITY),
-            ("loc limit negative", loc0 + 37, -1.0),
+        let nan = f64::NAN.to_le_bytes();
+        let patches: [(&str, usize, [u8; 8]); 16] = [
+            ("event rate NaN", event0 + 5, nan),
+            (
+                "event magnitude inf",
+                event0 + 13,
+                f64::INFINITY.to_le_bytes(),
+            ),
+            ("event cx NaN", event0 + 21, nan),
+            (
+                "event cy -inf",
+                event0 + 29,
+                f64::NEG_INFINITY.to_le_bytes(),
+            ),
+            ("loc px NaN", loc0 + 4, nan),
+            ("loc py inf", loc0 + 12, f64::INFINITY.to_le_bytes()),
+            ("loc tiv NaN", loc0 + 20, nan),
+            ("loc tiv zero", loc0 + 20, 0f64.to_le_bytes()),
+            ("loc tiv negative", loc0 + 20, (-5f64).to_le_bytes()),
+            ("loc deductible NaN", loc0 + 29, nan),
+            ("loc deductible negative", loc0 + 29, (-1f64).to_le_bytes()),
+            ("loc limit inf", loc0 + 37, f64::INFINITY.to_le_bytes()),
+            ("loc limit negative", loc0 + 37, (-1f64).to_le_bytes()),
+            // Counts the payload cannot hold: corrupt before anything
+            // is allocated for them.
+            ("n_events 2^32", 8, (1u64 << 32).to_le_bytes()),
+            ("n_books u64::MAX", loc0 - 24, u64::MAX.to_le_bytes()),
+            ("n_locs 2^32", loc0 - 8, (1u64 << 32).to_le_bytes()),
         ];
         for (what, at, value) in patches {
             let mut p = payload.to_vec();
-            p[at..at + 8].copy_from_slice(&value.to_le_bytes());
-            let mut bad = codec::frame(TableKind::Stage1, &p).to_vec();
+            p[at..at + 8].copy_from_slice(&value);
+            let mut bad = codec::frame(TableKind::Stage1, &p);
             bad.extend_from_slice(&bytes[header_len..]);
             match decode_stage1(&bad) {
                 Err(RiskError::Corrupt(_)) => {}
@@ -452,7 +393,7 @@ mod tests {
         }
         // The unpatched payload re-framed the same way still decodes:
         // the table above fails for its patches, not for the re-frame.
-        let mut same = codec::frame(TableKind::Stage1, payload).to_vec();
+        let mut same = codec::frame(TableKind::Stage1, payload);
         same.extend_from_slice(&bytes[header_len..]);
         assert!(decode_stage1(&same).is_ok());
     }

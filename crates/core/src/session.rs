@@ -54,7 +54,8 @@ use riskpipe_dfa::{CompanyConfig, DfaEngine};
 use riskpipe_exec::lockwitness::{Condvar, Mutex};
 use riskpipe_exec::{par_map_collect, par_reduce, suggest_grain, ThreadPool};
 use riskpipe_metrics::RiskMeasures;
-use riskpipe_tables::{codec, durable, shard, Elt, ScaleSpec, YearEventTable, Yelt, Ylt};
+use riskpipe_tables::codec::{self, RunManifest};
+use riskpipe_tables::{durable, shard, Elt, ScaleSpec, YearEventTable, Yelt, Ylt};
 use riskpipe_types::stats::quantile_sorted;
 use riskpipe_types::{EventId, LocationId, RiskError, RiskResult, RunningStats, TrialId};
 use std::borrow::Cow;
@@ -254,7 +255,7 @@ impl ShardedFilesStore {
             run,
         });
         let path = dir.join(Self::YLT_FILE);
-        shard::read_ylt_file(&path).map_err(|e| match e {
+        shard::read_table_file(&path).map_err(|e| match e {
             // A slot the run manifest promised but the filesystem lost
             // is corruption of the run's artifact set, not a lookup
             // miss — readers iterating manifest-enumerated slots must
@@ -292,16 +293,18 @@ impl ShardedFilesStore {
                 path.display()
             ))
         })?;
-        let (stored_run, slots) = codec::decode_run_manifest(&data)?;
-        if stored_run != run {
+        let manifest: RunManifest = codec::decode(&data)?;
+        if manifest.run != run {
             return Err(RiskError::corrupt(format!(
-                "run manifest {} records run {stored_run}, expected {run}",
-                path.display()
+                "run manifest {} records run {}, expected {run}",
+                path.display(),
+                manifest.run
             )));
         }
-        usize::try_from(slots).map_err(|_| {
+        usize::try_from(manifest.slots).map_err(|_| {
             RiskError::corrupt(format!(
-                "implausible slot count {slots} in {}",
+                "implausible slot count {} in {}",
+                manifest.slots,
                 path.display()
             ))
         })
@@ -350,7 +353,7 @@ impl IntermediateStore for ShardedFilesStore {
 
     fn persist_report(&self, label: RunLabel<'_>, report: &PipelineReport) -> RiskResult<u64> {
         let dir = self.run_dir(label);
-        let encoded = codec::encode_ylt(&report.ylt);
+        let encoded = codec::encode(&report.ylt);
         let measures = format!(
             "scenario: {}\ntrials: {}\n{}\n",
             report.scenario_name,
@@ -372,7 +375,10 @@ impl IntermediateStore for ShardedFilesStore {
     }
 
     fn finish_run(&self, run: u64, slots: usize) -> RiskResult<u64> {
-        let encoded = codec::encode_run_manifest(run, slots as u64);
+        let encoded = codec::encode(&RunManifest {
+            run,
+            slots: slots as u64,
+        });
         durable::write_atomic(&self.run_manifest_path(run), &encoded)?;
         Ok(encoded.len() as u64)
     }

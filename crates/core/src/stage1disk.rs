@@ -3,15 +3,16 @@
 //!
 //! The RAM cache inside a [`RiskSession`](crate::RiskSession) dies with
 //! the process; this tier does not. Each entry is one file,
-//! `stage1-<key:016x>.rps`, written in a single
-//! [`riskpipe_tables::durable::write_atomic`]:
+//! `stage1-<key:016x>.rps`, built in one buffer — every frame written
+//! in place by the [`riskpipe_tables::codec`] writer, nothing copied —
+//! and published by a single [`riskpipe_tables::durable::write_atomic`]:
 //!
 //! ```text
 //! stage-1 frame     key, catalogue, per-book exposure   ┐ the encoding of
 //! ELT frame × books                                     │ riskpipe_catmodel::
 //! YET frame                                             ┘ stage1io
 //! grid frame × (0 | books)   each book's inverted secondary-uncertainty
-//!                            quantile grid (TableKind::QuantileGrid)
+//!                            quantile grid (codec::QuantileGrid)
 //! ```
 //!
 //! The grid frames are the one derivation that dominates a cold key —
@@ -208,7 +209,7 @@ mod tests {
     use crate::config::ScenarioConfig;
     use riskpipe_aggregate::QuantileMode;
     use riskpipe_exec::ThreadPool;
-    use riskpipe_tables::codec::{self, TableKind};
+    use riskpipe_tables::codec::{self, QuantileGrid, TableKind};
     use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
     use std::sync::Barrier;
 
@@ -350,15 +351,18 @@ mod tests {
             &bytes[starts[4]..starts[5]],
             &bytes[starts[5]..],
         );
-        let (last, _) = codec::decode_quantile_grid(grid_b).unwrap();
+        let last: QuantileGrid = codec::decode(grid_b).unwrap();
         // What tells the books' grids apart is their row count.
         assert_ne!(output.books[0].elt.len(), output.books[1].elt.len());
         let patched = |cell: usize, value: f64| {
             let mut cells = last.cells.clone();
             cells[cell] = value;
-            codec::encode_quantile_grid(last.g, &cells).to_vec()
+            codec::encode(&QuantileGrid {
+                cells,
+                ..last.clone()
+            })
         };
-        let empty = codec::frame(TableKind::QuantileGrid, &[]).to_vec();
+        let empty = codec::frame(TableKind::QuantileGrid, &[]);
         let (nan, high) = (patched(0, f64::NAN), patched(1, 1.5));
         let cases: [(&str, Vec<&[u8]>); 7] = [
             ("one grid for two books", vec![stage1, grid_a]),

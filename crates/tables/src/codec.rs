@@ -10,20 +10,44 @@
 //! _pad    u8    reserved, zero
 //! len     u64   payload byte length
 //! crc32   u32   IEEE CRC-32 of the payload
-//! payload [u8]  column data: per column, a u64 element count followed
-//!               by the raw little-endian element bytes
+//! payload [u8]  the kind's scalars and columns, in schema order
 //! ```
 //!
-//! Several frames may be concatenated in one file (the sharded YELLT
-//! spill writes one frame per chunk), so decoding is streaming-friendly:
-//! a reader can skip a frame from its header alone.
+//! Every frame is written in place by a [`FrameWriter`] and read by a
+//! [`FrameReader`], which bounds-checks every read and fails on any
+//! unconsumed byte. A scalar is its little-endian bytes; a column is a
+//! `u64` element count, then the elements.
+//!
+//! ## Schema
+//!
+//! A table that decodes from its frame alone implements [`Framed`];
+//! [`encode`] / [`decode`] add the frame, kind check and exact
+//! consumption. Columns, except where marked scalar:
+//!
+//! | kind | payload, in order | validated by |
+//! |---|---|---|
+//! | ELT | ids u32, mean f64, σi f64, σc f64, exposure f64 | `elt_from_columns` |
+//! | YET | offsets u64, events u32, days u16, z f64 | `YearEventTable::from_columns` |
+//! | YELT | offsets u64, events u32, days u16, losses f64 | `Yelt::from_columns` |
+//! | YLT | agg f64, max_occ f64, count u32 | `Ylt::from_columns` |
+//! | YELLT chunk | trials u32, events u32, locations u32, losses f64 | `YelltChunk::validate` |
+//! | QuantileGrid | rows u64, g u64 (scalars), cells f64 | `rows × g == cells` |
+//! | RunManifest | run u64, slots u64 (scalars) | — |
+//!
+//! The stage-1 header (`riskpipe-catmodel::stage1io`) and a warehouse
+//! cuboid (`riskpipe-warehouse::store`) need outside context to decode,
+//! so they drive the writer and reader themselves.
+//!
+//! Frames may be concatenated in one file (a shard holds one per YELLT
+//! chunk, a stage-1 cache entry one per table): [`decode_prefix`]
+//! reports where the next frame starts, and [`frame_len`] skips a frame
+//! from its header alone.
 
 use crate::elt::{elt_from_columns, Elt};
 use crate::yellt::YelltChunk;
 use crate::yelt::Yelt;
 use crate::yet::YearEventTable;
 use crate::ylt::Ylt;
-use bytes::{Buf, BufMut, Bytes, BytesMut};
 use riskpipe_types::{RiskError, RiskResult};
 
 /// Frame magic: "RPTB" little-endian.
@@ -54,13 +78,12 @@ pub enum TableKind {
     /// owned by `riskpipe-catmodel::stage1io`).
     Stage1 = 7,
     /// A per-run manifest enumerating the slots a sweep persisted
-    /// (payload layout owned by `riskpipe-core::session`). Written
-    /// last, so its presence certifies the run completed.
+    /// ([`RunManifest`]). Written last, so its presence certifies the
+    /// run completed.
     RunManifest = 8,
-    /// One book's inverted secondary-uncertainty quantile grid, carried
-    /// at the tail of a stage-1 disk-tier entry (see
-    /// [`encode_quantile_grid`]; adopted by
-    /// `riskpipe-aggregate::secondary`).
+    /// One book's inverted secondary-uncertainty quantile grid
+    /// ([`QuantileGrid`]), carried at the tail of a stage-1 disk-tier
+    /// entry and adopted by `riskpipe-aggregate::secondary`.
     QuantileGrid = 9,
 }
 
@@ -154,20 +177,23 @@ pub fn crc32(data: &[u8]) -> u32 {
 }
 
 // ---------------------------------------------------------------------
-// Column put/get helpers: a u64 element count, then the elements'
-// little-endian bytes, moved in one pass over the whole column.
+// The writer and the reader.
 // ---------------------------------------------------------------------
 
-/// A column element of fixed little-endian width.
-trait LeElem: Copy {
+/// A fixed-width little-endian value a frame carries: a scalar, or one
+/// element of a column.
+pub trait LeValue: Copy {
+    /// Encoded width in bytes.
     const WIDTH: usize;
+    /// Write the value into `dst` (exactly [`LeValue::WIDTH`] bytes).
     fn write_le(self, dst: &mut [u8]);
+    /// Read the value from `src` (exactly [`LeValue::WIDTH`] bytes).
     fn read_le(src: &[u8]) -> Self;
 }
 
-macro_rules! le_elem {
+macro_rules! le_value {
     ($($t:ty),*) => {$(
-        impl LeElem for $t {
+        impl LeValue for $t {
             const WIDTH: usize = std::mem::size_of::<$t>();
             #[inline]
             fn write_le(self, dst: &mut [u8]) {
@@ -182,61 +208,147 @@ macro_rules! le_elem {
         }
     )*};
 }
-le_elem!(u16, u32, u64, f64);
+le_value!(u8, u16, u32, u64, f64);
 
-/// Encoded size of a column of `n` elements of `T`.
-const fn column_len<T: LeElem>(n: usize) -> usize {
-    8 + n * T::WIDTH
+/// Appends one frame to a caller's buffer. The header goes in first with
+/// its length and CRC as placeholders, the payload is written in place
+/// after it, and [`FrameWriter::finish`] patches both in — so a
+/// multi-frame stream is built in one buffer, each column written once.
+#[must_use = "a frame's length and CRC are placeholders until `finish`"]
+pub struct FrameWriter<'a> {
+    out: &'a mut Vec<u8>,
+    start: usize,
 }
 
-fn put_column<T: LeElem>(buf: &mut Vec<u8>, xs: &[T]) {
-    buf.put_u64_le(xs.len() as u64);
-    let start = buf.len();
-    buf.resize(start + xs.len() * T::WIDTH, 0);
-    for (dst, &x) in buf[start..].chunks_exact_mut(T::WIDTH).zip(xs) {
-        x.write_le(dst);
+impl<'a> FrameWriter<'a> {
+    /// Start a `kind` frame at the end of `out`.
+    pub fn new(out: &'a mut Vec<u8>, kind: TableKind) -> Self {
+        let start = out.len();
+        out.extend_from_slice(&MAGIC.to_le_bytes());
+        out.extend_from_slice(&VERSION.to_le_bytes());
+        // lint: allow(S2) — TableKind is #[repr(u8)], so the discriminant
+        // cast is lossless by construction.
+        out.push(kind as u8);
+        out.resize(start + HEADER_BYTES, 0);
+        Self { out, start }
+    }
+
+    /// Append one scalar.
+    pub fn put<T: LeValue>(&mut self, x: T) {
+        self.put_elems(std::slice::from_ref(&x));
+    }
+
+    /// Append a column: its element count, then its elements.
+    pub fn put_column<T: LeValue>(&mut self, xs: &[T]) {
+        self.put(xs.len() as u64);
+        self.put_elems(xs);
+    }
+
+    /// Append raw payload bytes.
+    pub fn put_bytes(&mut self, bytes: &[u8]) {
+        self.out.extend_from_slice(bytes);
+    }
+
+    fn put_elems<T: LeValue>(&mut self, xs: &[T]) {
+        let at = self.out.len();
+        self.out.resize(at + xs.len() * T::WIDTH, 0);
+        for (dst, &x) in self.out[at..].chunks_exact_mut(T::WIDTH).zip(xs) {
+            x.write_le(dst);
+        }
+    }
+
+    /// Patch the payload's length and CRC into the header.
+    pub fn finish(self) {
+        let payload = &self.out[self.start + HEADER_BYTES..];
+        let (len, crc) = (payload.len() as u64, crc32(payload));
+        let header = &mut self.out[self.start..self.start + HEADER_BYTES];
+        header[8..16].copy_from_slice(&len.to_le_bytes());
+        header[16..].copy_from_slice(&crc.to_le_bytes());
     }
 }
 
-fn check_remaining(buf: &[u8], need: usize, what: &str) -> RiskResult<()> {
-    if buf.len() < need {
-        return Err(RiskError::corrupt(format!(
-            "truncated column {what}: need {need} bytes, have {}",
-            buf.len()
-        )));
+/// Reads one CRC-verified payload front to back. Every read checks the
+/// bytes left first and fails as [`RiskError::Corrupt`], never past the
+/// end; [`FrameReader::finish`] fails on any byte left unread.
+#[derive(Debug)]
+pub struct FrameReader<'a> {
+    rest: &'a [u8],
+}
+
+impl<'a> FrameReader<'a> {
+    /// Verify the frame at the front of `data` — header, CRC, and that
+    /// it is a `kind` frame — and read its payload. Also returns the
+    /// frame's total length: where the next frame starts.
+    pub fn open(data: &'a [u8], kind: TableKind) -> RiskResult<(Self, usize)> {
+        let (found, payload, used) = unframe(data)?;
+        if found != kind {
+            return Err(RiskError::corrupt(format!(
+                "expected {kind:?} frame, got {found:?}"
+            )));
+        }
+        Ok((Self { rest: payload }, used))
     }
-    Ok(())
-}
 
-fn get_len(buf: &mut &[u8], what: &str) -> RiskResult<usize> {
-    check_remaining(buf, 8, what)?;
-    let n = buf.get_u64_le();
-    if n > (1 << 40) {
-        return Err(RiskError::corrupt(format!(
-            "implausible column length {n} for {what}"
-        )));
+    /// The next `n` raw bytes.
+    pub fn take(&mut self, n: usize, what: &str) -> RiskResult<&'a [u8]> {
+        if self.rest.len() < n {
+            return Err(RiskError::corrupt(format!(
+                "truncated {what}: need {n} bytes, have {}",
+                self.rest.len()
+            )));
+        }
+        let (head, rest) = self.rest.split_at(n);
+        self.rest = rest;
+        Ok(head)
     }
-    Ok(n as usize)
-}
 
-/// `n * width` with overflow surfaced as corruption, not a wrap or a
-/// debug-build panic: a hostile length field must never turn into a
-/// too-small bounds check.
-fn column_bytes(n: usize, width: usize, what: &str) -> RiskResult<usize> {
-    n.checked_mul(width).ok_or_else(|| {
-        RiskError::corrupt(format!(
-            "column byte count overflows for {what}: {n} x {width}"
-        ))
-    })
-}
+    /// One scalar.
+    pub fn get<T: LeValue>(&mut self, what: &str) -> RiskResult<T> {
+        self.take(T::WIDTH, what).map(T::read_le)
+    }
 
-fn get_column<T: LeElem>(buf: &mut &[u8], what: &str) -> RiskResult<Vec<T>> {
-    let n = get_len(buf, what)?;
-    let bytes = column_bytes(n, T::WIDTH, what)?;
-    check_remaining(buf, bytes, what)?;
-    let (column, rest) = buf.split_at(bytes);
-    *buf = rest;
-    Ok(column.chunks_exact(T::WIDTH).map(T::read_le).collect())
+    /// A `u64` count of items each at least `min_bytes` long in the rest
+    /// of the payload. A count the bytes left cannot hold is corrupt
+    /// here, before anything is allocated for it.
+    pub fn get_count(&mut self, what: &str, min_bytes: usize) -> RiskResult<usize> {
+        let (n, left) = (self.get::<u64>(what)?, self.rest.len());
+        match usize::try_from(n) {
+            Ok(n) if n.saturating_mul(min_bytes) <= left => Ok(n),
+            _ => Err(RiskError::corrupt(format!(
+                "implausible count {n} for {what}: {left} bytes left"
+            ))),
+        }
+    }
+
+    /// A column: its element count, then its elements.
+    pub fn get_column<T: LeValue>(&mut self, what: &str) -> RiskResult<Vec<T>> {
+        let n = self.get_count(what, T::WIDTH)?;
+        self.get_elems(n, what)
+    }
+
+    /// `n` elements with no count before them.
+    pub fn get_elems<T: LeValue>(&mut self, n: usize, what: &str) -> RiskResult<Vec<T>> {
+        // A hostile count must not wrap into a bounds check that passes.
+        let bytes = n.checked_mul(T::WIDTH).ok_or_else(|| {
+            RiskError::corrupt(format!("{what}: {n} elements overflow the byte count"))
+        })?;
+        let column = self.take(bytes, what)?;
+        Ok(column.chunks_exact(T::WIDTH).map(T::read_le).collect())
+    }
+
+    /// The unread rest of the payload, for a decoder that reports how
+    /// much it used (the caller then [`take`](FrameReader::take)s that).
+    pub fn remaining(&self) -> &'a [u8] {
+        self.rest
+    }
+
+    /// End the payload: an unread byte is corruption.
+    pub fn finish(self) -> RiskResult<()> {
+        match self.rest.len() {
+            0 => Ok(()),
+            n => Err(RiskError::corrupt(format!("{n} trailing payload bytes"))),
+        }
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -244,44 +356,36 @@ fn get_column<T: LeElem>(buf: &mut &[u8], what: &str) -> RiskResult<Vec<T>> {
 // ---------------------------------------------------------------------
 
 /// Wrap a payload in a checked frame.
-pub fn frame(kind: TableKind, payload: &[u8]) -> Bytes {
-    let mut buf = BytesMut::with_capacity(HEADER_BYTES + payload.len());
-    buf.put_u32_le(MAGIC);
-    buf.put_u16_le(VERSION);
-    // lint: allow(S2) — TableKind is #[repr(u8)], so the discriminant
-    // cast is lossless by construction.
-    buf.put_u8(kind as u8);
-    buf.put_u8(0);
-    buf.put_u64_le(payload.len() as u64);
-    buf.put_u32_le(crc32(payload));
-    buf.put_slice(payload);
-    buf.freeze()
+pub fn frame(kind: TableKind, payload: &[u8]) -> Vec<u8> {
+    let mut out = Vec::with_capacity(HEADER_BYTES + payload.len());
+    let mut w = FrameWriter::new(&mut out, kind);
+    w.put_bytes(payload);
+    w.finish();
+    out
 }
 
 /// The header fields of the frame at the front of `data`: kind, stored
 /// CRC, and the frame's total length (header + payload), which is
 /// checked to lie inside `data`.
 fn parse_header(data: &[u8]) -> RiskResult<(TableKind, u32, usize)> {
-    if data.len() < HEADER_BYTES {
-        return Err(RiskError::corrupt("frame header truncated"));
-    }
-    let mut h = &data[..HEADER_BYTES];
-    let magic = h.get_u32_le();
+    let mut h = FrameReader { rest: data };
+    let magic: u32 = h.get("frame magic")?;
     if magic != MAGIC {
         return Err(RiskError::corrupt(format!("bad magic {magic:#010x}")));
     }
-    let version = h.get_u16_le();
+    let version: u16 = h.get("frame version")?;
     if version != VERSION {
         return Err(RiskError::corrupt(format!("unsupported version {version}")));
     }
-    let kind = TableKind::from_u8(h.get_u8())?;
-    let _pad = h.get_u8();
-    let len = h.get_u64_le() as usize;
-    let crc_expect = h.get_u32_le();
+    let kind = TableKind::from_u8(h.get("frame kind")?)?;
+    let _pad: u8 = h.get("frame pad")?;
+    let len: u64 = h.get("frame length")?;
+    let crc_expect: u32 = h.get("frame crc")?;
     // A corrupt header can carry any 64-bit length; the addition must
     // not wrap into a bounds check that passes.
-    let total = HEADER_BYTES
-        .checked_add(len)
+    let total = usize::try_from(len)
+        .ok()
+        .and_then(|len| HEADER_BYTES.checked_add(len))
         .ok_or_else(|| RiskError::corrupt(format!("implausible frame length {len}")))?;
     if data.len() < total {
         return Err(RiskError::corrupt(format!(
@@ -292,9 +396,8 @@ fn parse_header(data: &[u8]) -> RiskResult<(TableKind, u32, usize)> {
 }
 
 /// Total length of the frame at the front of `data`, from its header
-/// alone — for a reader walking concatenated frames that hands each to
-/// a decoder (which verifies the payload) and should not checksum it
-/// twice.
+/// alone — for a reader walking concatenated frames without verifying
+/// them.
 pub fn frame_len(data: &[u8]) -> RiskResult<usize> {
     parse_header(data).map(|(_, _, total)| total)
 }
@@ -314,183 +417,197 @@ pub fn unframe(data: &[u8]) -> RiskResult<(TableKind, &[u8], usize)> {
 }
 
 // ---------------------------------------------------------------------
-// Table codecs.
+// Table schemas.
 // ---------------------------------------------------------------------
 
-/// Encode an ELT as one frame.
-pub fn encode_elt(elt: &Elt) -> Bytes {
-    let (ids, mean, si, sc, exp) = elt.columns();
-    let n = ids.len();
-    let mut p = Vec::with_capacity(column_len::<u32>(n) + 4 * column_len::<f64>(n));
-    put_column(&mut p, ids);
-    put_column(&mut p, mean);
-    put_column(&mut p, si);
-    put_column(&mut p, sc);
-    put_column(&mut p, exp);
-    frame(TableKind::Elt, &p)
+/// A table that decodes from its frame alone (see the module docs'
+/// schema): its frame kind, how its payload is written, and how it is
+/// read back and validated.
+pub trait Framed: Sized {
+    /// The kind in this table's frame header.
+    const KIND: TableKind;
+    /// Write the payload.
+    fn put(&self, w: &mut FrameWriter<'_>);
+    /// Read and validate the payload (the caller checks that it ends).
+    fn get(r: &mut FrameReader<'_>) -> RiskResult<Self>;
 }
 
-/// Decode an ELT frame.
-pub fn decode_elt(data: &[u8]) -> RiskResult<Elt> {
-    let (kind, payload, _) = unframe(data)?;
-    if kind != TableKind::Elt {
-        return Err(RiskError::corrupt(format!(
-            "expected ELT frame, got {kind:?}"
-        )));
+/// Encode a table as one frame.
+pub fn encode<T: Framed>(table: &T) -> Vec<u8> {
+    let mut out = Vec::new();
+    encode_into(&mut out, table);
+    out
+}
+
+/// Append a table's frame to `out`.
+pub fn encode_into<T: Framed>(out: &mut Vec<u8>, table: &T) {
+    let mut w = FrameWriter::new(out, T::KIND);
+    table.put(&mut w);
+    w.finish();
+}
+
+/// Decode `data`, which must be exactly one `T` frame.
+pub fn decode<T: Framed>(data: &[u8]) -> RiskResult<T> {
+    match decode_prefix(data)? {
+        (table, used) if used == data.len() => Ok(table),
+        (_, used) => Err(RiskError::corrupt(format!(
+            "{} bytes after the {:?} frame",
+            data.len() - used,
+            T::KIND
+        ))),
     }
-    let mut p = payload;
-    let ids = get_column(&mut p, "elt.event_ids")?;
-    let mean = get_column(&mut p, "elt.mean_loss")?;
-    let si = get_column(&mut p, "elt.sigma_i")?;
-    let sc = get_column(&mut p, "elt.sigma_c")?;
-    let exp = get_column(&mut p, "elt.exposure")?;
-    elt_from_columns(ids, mean, si, sc, exp)
 }
 
-/// Encode a YET as one frame.
-pub fn encode_yet(yet: &YearEventTable) -> Bytes {
-    let (off, ids, days, z) = yet.columns();
-    let mut p = Vec::with_capacity(
-        column_len::<u64>(off.len())
-            + column_len::<u32>(ids.len())
-            + column_len::<u16>(days.len())
-            + column_len::<f64>(z.len()),
-    );
-    put_column(&mut p, off);
-    put_column(&mut p, ids);
-    put_column(&mut p, days);
-    put_column(&mut p, z);
-    frame(TableKind::Yet, &p)
+/// Decode the `T` frame at the front of `data`, returning it and the
+/// bytes consumed; what follows is the caller's.
+pub fn decode_prefix<T: Framed>(data: &[u8]) -> RiskResult<(T, usize)> {
+    let (mut r, used) = FrameReader::open(data, T::KIND)?;
+    let table = T::get(&mut r)?;
+    r.finish()?;
+    Ok((table, used))
 }
 
-/// Decode a YET frame.
-pub fn decode_yet(data: &[u8]) -> RiskResult<YearEventTable> {
-    let (kind, payload, _) = unframe(data)?;
-    if kind != TableKind::Yet {
-        return Err(RiskError::corrupt(format!(
-            "expected YET frame, got {kind:?}"
-        )));
+impl Framed for Elt {
+    const KIND: TableKind = TableKind::Elt;
+
+    fn put(&self, w: &mut FrameWriter<'_>) {
+        let (ids, mean, si, sc, exp) = self.columns();
+        w.put_column(ids);
+        w.put_column(mean);
+        w.put_column(si);
+        w.put_column(sc);
+        w.put_column(exp);
     }
-    let mut p = payload;
-    let off = get_column(&mut p, "yet.offsets")?;
-    let ids = get_column(&mut p, "yet.event_ids")?;
-    let days = get_column(&mut p, "yet.days")?;
-    let z = get_column(&mut p, "yet.z")?;
-    YearEventTable::from_columns(off, ids, days, z)
-}
 
-/// Encode a YELT as one frame.
-pub fn encode_yelt(yelt: &Yelt) -> Bytes {
-    let (off, ids, days, losses) = yelt.columns();
-    let mut p = Vec::with_capacity(
-        column_len::<u64>(off.len())
-            + column_len::<u32>(ids.len())
-            + column_len::<u16>(days.len())
-            + column_len::<f64>(losses.len()),
-    );
-    put_column(&mut p, off);
-    put_column(&mut p, ids);
-    put_column(&mut p, days);
-    put_column(&mut p, losses);
-    frame(TableKind::Yelt, &p)
-}
-
-/// Decode a YELT frame.
-pub fn decode_yelt(data: &[u8]) -> RiskResult<Yelt> {
-    let (kind, payload, _) = unframe(data)?;
-    if kind != TableKind::Yelt {
-        return Err(RiskError::corrupt(format!(
-            "expected YELT frame, got {kind:?}"
-        )));
+    fn get(r: &mut FrameReader<'_>) -> RiskResult<Self> {
+        elt_from_columns(
+            r.get_column("elt.event_ids")?,
+            r.get_column("elt.mean_loss")?,
+            r.get_column("elt.sigma_i")?,
+            r.get_column("elt.sigma_c")?,
+            r.get_column("elt.exposure")?,
+        )
     }
-    let mut p = payload;
-    let off = get_column(&mut p, "yelt.offsets")?;
-    let ids = get_column(&mut p, "yelt.event_ids")?;
-    let days = get_column(&mut p, "yelt.days")?;
-    let losses = get_column(&mut p, "yelt.losses")?;
-    // Validate CSR before constructing.
-    if off.first().copied() != Some(0)
-        || off.windows(2).any(|w| w[0] > w[1])
-        || off.last().copied().unwrap_or(1) as usize != ids.len()
-        || ids.len() != days.len()
-        || ids.len() != losses.len()
-    {
-        return Err(RiskError::corrupt("YELT CSR invariants violated"));
+}
+
+impl Framed for YearEventTable {
+    const KIND: TableKind = TableKind::Yet;
+
+    fn put(&self, w: &mut FrameWriter<'_>) {
+        let (off, ids, days, z) = self.columns();
+        w.put_column(off);
+        w.put_column(ids);
+        w.put_column(days);
+        w.put_column(z);
     }
-    Ok(Yelt::from_raw(off, ids, days, losses))
-}
 
-/// Encode a YLT as one frame.
-pub fn encode_ylt(ylt: &Ylt) -> Bytes {
-    let (agg, maxo, cnt) = ylt.columns();
-    let mut p = Vec::with_capacity(encoded_ylt_len(agg.len()) - HEADER_BYTES);
-    put_column(&mut p, agg);
-    put_column(&mut p, maxo);
-    put_column(&mut p, cnt);
-    frame(TableKind::Ylt, &p)
-}
-
-/// The exact size [`encode_ylt`] produces for a YLT of `trials` rows,
-/// without materialising the encoding. The format is uncompressed —
-/// frame header, three length-prefixed columns (two `f64`, one `u32`)
-/// — so the size is a pure function of the trial count; reports that
-/// only need the byte count (sizing tables, memory-vs-file
-/// comparisons) use this instead of a throwaway encode.
-pub const fn encoded_ylt_len(trials: usize) -> usize {
-    HEADER_BYTES + 3 * 8 + trials * (8 + 8 + 4)
-}
-
-/// Decode a YLT frame.
-pub fn decode_ylt(data: &[u8]) -> RiskResult<Ylt> {
-    let (kind, payload, _) = unframe(data)?;
-    if kind != TableKind::Ylt {
-        return Err(RiskError::corrupt(format!(
-            "expected YLT frame, got {kind:?}"
-        )));
+    fn get(r: &mut FrameReader<'_>) -> RiskResult<Self> {
+        YearEventTable::from_columns(
+            r.get_column("yet.offsets")?,
+            r.get_column("yet.event_ids")?,
+            r.get_column("yet.days")?,
+            r.get_column("yet.z")?,
+        )
     }
-    let mut p = payload;
-    let agg = get_column(&mut p, "ylt.agg")?;
-    let maxo = get_column(&mut p, "ylt.max_occ")?;
-    let cnt = get_column(&mut p, "ylt.count")?;
-    Ylt::from_columns(agg, maxo, cnt)
 }
 
-/// Encode a per-run manifest frame: the run number and the number of
-/// consecutive slots (from 0) the run persisted. Written *last* by a
-/// completed persisted sweep, so its presence certifies the run's
-/// per-slot artifacts are all expected to exist — a rebuild that finds
-/// the manifest but not a slot has found corruption, not a shorter
-/// sweep.
-pub fn encode_run_manifest(run: u64, slots: u64) -> Bytes {
-    let mut p = Vec::with_capacity(16);
-    p.put_u64_le(run);
-    p.put_u64_le(slots);
-    frame(TableKind::RunManifest, &p)
+impl Framed for Yelt {
+    const KIND: TableKind = TableKind::Yelt;
+
+    fn put(&self, w: &mut FrameWriter<'_>) {
+        let (off, ids, days, losses) = self.columns();
+        w.put_column(off);
+        w.put_column(ids);
+        w.put_column(days);
+        w.put_column(losses);
+    }
+
+    fn get(r: &mut FrameReader<'_>) -> RiskResult<Self> {
+        Yelt::from_columns(
+            r.get_column("yelt.offsets")?,
+            r.get_column("yelt.event_ids")?,
+            r.get_column("yelt.days")?,
+            r.get_column("yelt.losses")?,
+        )
+    }
 }
 
-/// Decode a per-run manifest frame into `(run, slots)`.
-pub fn decode_run_manifest(data: &[u8]) -> RiskResult<(u64, u64)> {
-    let (kind, payload, _) = unframe(data)?;
-    if kind != TableKind::RunManifest {
-        return Err(RiskError::corrupt(format!(
-            "expected run-manifest frame, got {kind:?}"
-        )));
+impl Framed for Ylt {
+    const KIND: TableKind = TableKind::Ylt;
+
+    fn put(&self, w: &mut FrameWriter<'_>) {
+        let (agg, maxo, cnt) = self.columns();
+        w.put_column(agg);
+        w.put_column(maxo);
+        w.put_column(cnt);
     }
-    let mut p = payload;
-    check_remaining(p, 16, "run_manifest")?;
-    let run = p.get_u64_le();
-    let slots = p.get_u64_le();
-    if p.has_remaining() {
-        return Err(RiskError::corrupt(format!(
-            "run-manifest frame has {} trailing bytes",
-            p.remaining()
-        )));
+
+    fn get(r: &mut FrameReader<'_>) -> RiskResult<Self> {
+        Ylt::from_columns(
+            r.get_column("ylt.agg")?,
+            r.get_column("ylt.max_occ")?,
+            r.get_column("ylt.count")?,
+        )
     }
-    Ok((run, slots))
+}
+
+impl Framed for YelltChunk {
+    const KIND: TableKind = TableKind::YelltChunk;
+
+    fn put(&self, w: &mut FrameWriter<'_>) {
+        w.put_column(&self.trials);
+        w.put_column(&self.events);
+        w.put_column(&self.locations);
+        w.put_column(&self.losses);
+    }
+
+    fn get(r: &mut FrameReader<'_>) -> RiskResult<Self> {
+        let chunk = YelltChunk {
+            trials: r.get_column("yellt.trials")?,
+            events: r.get_column("yellt.events")?,
+            locations: r.get_column("yellt.locations")?,
+            losses: r.get_column("yellt.losses")?,
+        };
+        chunk.validate()?;
+        Ok(chunk)
+    }
+}
+
+/// A per-run manifest: the run number and the number of consecutive
+/// slots (from 0) the run persisted. Written *last* by a completed
+/// persisted sweep, so its presence certifies the run's per-slot
+/// artifacts are all expected to exist — a rebuild that finds the
+/// manifest but not a slot has found corruption, not a shorter sweep.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RunManifest {
+    /// The run the manifest certifies.
+    pub run: u64,
+    /// Slots `0..slots` the run persisted.
+    pub slots: u64,
+}
+
+impl Framed for RunManifest {
+    const KIND: TableKind = TableKind::RunManifest;
+
+    fn put(&self, w: &mut FrameWriter<'_>) {
+        w.put(self.run);
+        w.put(self.slots);
+    }
+
+    fn get(r: &mut FrameReader<'_>) -> RiskResult<Self> {
+        Ok(Self {
+            run: r.get("run_manifest.run")?,
+            slots: r.get("run_manifest.slots")?,
+        })
+    }
 }
 
 /// One book's inverted secondary-uncertainty quantile grid as a
 /// stage-1 disk-tier entry carries it: `rows × g` cells, row-major.
+/// `rows` is framed beside the cell column so a decoder can tell a
+/// `g × rows` transposition — same byte count — from the grid it
+/// expects. Decoding checks the shape only; whether the cells are
+/// quantiles, and of which ELT, is the adopter's call.
 #[derive(Debug, Clone, PartialEq)]
 pub struct QuantileGrid {
     /// ELT rows the grid was tabulated for.
@@ -501,73 +618,60 @@ pub struct QuantileGrid {
     pub cells: Vec<f64>,
 }
 
-/// Encode a row-major `g`-point quantile grid as one frame: `rows u64`,
-/// `g u64`, then the cell column. `rows` is recorded beside the column
-/// length so a decoder can tell a `g × rows` transposition — same byte
-/// count — from the grid it expects.
-pub fn encode_quantile_grid(g: usize, cells: &[f64]) -> Bytes {
-    let rows = cells.len().checked_div(g).unwrap_or(0);
-    let mut p = Vec::with_capacity(16 + column_len::<f64>(cells.len()));
-    p.put_u64_le(rows as u64);
-    p.put_u64_le(g as u64);
-    put_column(&mut p, cells);
-    frame(TableKind::QuantileGrid, &p)
+impl QuantileGrid {
+    /// [`Framed::put`] over borrowed cells: the payload of a row-major
+    /// `g`-point grid of `cells.len() / g` rows, for a caller that keeps
+    /// its cells rather than move them into a `QuantileGrid`.
+    pub fn put_cells(w: &mut FrameWriter<'_>, g: usize, cells: &[f64]) {
+        w.put(cells.len().checked_div(g).unwrap_or(0) as u64);
+        w.put(g as u64);
+        w.put_column(cells);
+    }
 }
 
-/// Decode the quantile-grid frame at the front of `data`, returning it
-/// and the bytes consumed. Checks the shape only — `rows × g` (by
-/// `checked_mul`) must be the column's length and the payload must end
-/// there; whether the cells are quantiles, and of which ELT, is the
-/// adopter's call.
-pub fn decode_quantile_grid(data: &[u8]) -> RiskResult<(QuantileGrid, usize)> {
-    let (kind, payload, consumed) = unframe(data)?;
-    if kind != TableKind::QuantileGrid {
-        return Err(RiskError::corrupt(format!(
-            "expected quantile-grid frame, got {kind:?}"
-        )));
+impl Framed for QuantileGrid {
+    const KIND: TableKind = TableKind::QuantileGrid;
+
+    fn put(&self, w: &mut FrameWriter<'_>) {
+        Self::put_cells(w, self.g, &self.cells);
     }
-    let mut p = payload;
-    let rows = get_len(&mut p, "grid.rows")?;
-    let g = get_len(&mut p, "grid.g")?;
-    let cells: Vec<f64> = get_column(&mut p, "grid.cells")?;
-    if rows.checked_mul(g) != Some(cells.len()) || !p.is_empty() {
-        return Err(RiskError::corrupt(format!(
-            "quantile grid of {rows} rows x {g} points carries {} cells and {} trailing bytes",
-            cells.len(),
-            p.len()
-        )));
+
+    fn get(r: &mut FrameReader<'_>) -> RiskResult<Self> {
+        let rows = r.get_count("grid.rows", 0)?;
+        let g = r.get_count("grid.g", 0)?;
+        let cells: Vec<f64> = r.get_column("grid.cells")?;
+        if rows.checked_mul(g) != Some(cells.len()) {
+            return Err(RiskError::corrupt(format!(
+                "quantile grid of {rows} rows x {g} points carries {} cells",
+                cells.len()
+            )));
+        }
+        Ok(Self { rows, g, cells })
     }
-    Ok((QuantileGrid { rows, g, cells }, consumed))
 }
 
-/// Encode one YELLT chunk as one frame.
-pub fn encode_yellt_chunk(chunk: &YelltChunk) -> Bytes {
-    let n = chunk.trials.len();
-    let mut p = Vec::with_capacity(3 * column_len::<u32>(n) + column_len::<f64>(n));
-    put_column(&mut p, &chunk.trials);
-    put_column(&mut p, &chunk.events);
-    put_column(&mut p, &chunk.locations);
-    put_column(&mut p, &chunk.losses);
-    frame(TableKind::YelltChunk, &p)
+/// [`encode`] for a YLT — kept only because the frozen benchmark harness
+/// (`riskbench`) names it; it goes when the harness is unfrozen
+/// (ROADMAP item 1).
+pub fn encode_ylt(ylt: &Ylt) -> Vec<u8> {
+    encode(ylt)
 }
 
-/// Decode one YELLT chunk frame.
-pub fn decode_yellt_chunk(data: &[u8]) -> RiskResult<(YelltChunk, usize)> {
-    let (kind, payload, consumed) = unframe(data)?;
-    if kind != TableKind::YelltChunk {
-        return Err(RiskError::corrupt(format!(
-            "expected YELLT chunk frame, got {kind:?}"
-        )));
-    }
-    let mut p = payload;
-    let chunk = YelltChunk {
-        trials: get_column(&mut p, "yellt.trials")?,
-        events: get_column(&mut p, "yellt.events")?,
-        locations: get_column(&mut p, "yellt.locations")?,
-        losses: get_column(&mut p, "yellt.losses")?,
-    };
-    chunk.validate()?;
-    Ok((chunk, consumed))
+/// [`decode`] for a YLT — kept only because the frozen benchmark harness
+/// (`riskbench`) names it; it goes when the harness is unfrozen
+/// (ROADMAP item 1).
+pub fn decode_ylt(data: &[u8]) -> RiskResult<Ylt> {
+    decode(data)
+}
+
+/// The exact size [`encode`] produces for a YLT of `trials` rows,
+/// without materialising the encoding. The format is uncompressed —
+/// frame header, three length-prefixed columns (two `f64`, one `u32`)
+/// — so the size is a pure function of the trial count; reports that
+/// only need the byte count (sizing tables, memory-vs-file
+/// comparisons) use this instead of a throwaway encode.
+pub const fn encoded_ylt_len(trials: usize) -> usize {
+    HEADER_BYTES + 3 * 8 + trials * (8 + 8 + 4)
 }
 
 #[cfg(test)]
@@ -637,7 +741,7 @@ mod tests {
 
     #[test]
     fn frame_written_before_slice_by_8_still_unframes() {
-        // `encode_ylt` of a 3-trial YLT, bytes as the byte-at-a-time
+        // The encoding of a 3-trial YLT, bytes as the byte-at-a-time
         // commit (c6ac945) wrote them: the stored CRC must still match.
         const OLD: &str = "52505442010004005400000000000000b541d3b70300000000000000\
             0000000000448f400000000000449f40000000000073a74003000000000000000000\
@@ -656,26 +760,30 @@ mod tests {
             let k = (t + 1) as f64;
             ylt.set_trial(TrialId::new(t), 1000.5 * k, 750.25 * k, t + 1);
         }
-        assert_eq!(decode_ylt(&bytes).unwrap(), ylt);
-        assert_eq!(&*encode_ylt(&ylt), &bytes[..], "and today's encoder agrees");
+        assert_eq!(decode::<Ylt>(&bytes).unwrap(), ylt);
+        assert_eq!(encode(&ylt), bytes, "and today's encoder agrees");
     }
 
     #[test]
     fn quantile_grid_round_trip_and_shape_checks() {
         let cells: Vec<f64> = (0..12).map(|i| i as f64 / 12.0).collect();
-        let bytes = encode_quantile_grid(4, &cells);
-        let (grid, used) = decode_quantile_grid(&bytes).unwrap();
+        let grid = QuantileGrid {
+            rows: 3,
+            g: 4,
+            cells,
+        };
+        let bytes = encode(&grid);
+        let (back, used) = decode_prefix::<QuantileGrid>(&bytes).unwrap();
         assert_eq!(used, bytes.len());
-        assert_eq!((grid.rows, grid.g), (3, 4));
-        assert_eq!(grid.cells, cells);
-        assert!(decode_quantile_grid(&encode_ylt(&Ylt::zeroed(2))).is_err());
+        assert_eq!(back, grid);
+        assert!(decode::<QuantileGrid>(&encode(&Ylt::zeroed(2))).is_err());
         // Valid CRC, wrong shape: a transposed header, an overflowing
         // product, a short column, trailing payload bytes.
         let (_, payload, _) = unframe(&bytes).unwrap();
         let reframed = |edit: &dyn Fn(&mut Vec<u8>)| {
             let mut p = payload.to_vec();
             edit(&mut p);
-            decode_quantile_grid(&frame(TableKind::QuantileGrid, &p))
+            decode::<QuantileGrid>(&frame(TableKind::QuantileGrid, &p))
         };
         assert!(reframed(&|_| {}).is_ok());
         for (what, rows, g) in [
@@ -696,8 +804,7 @@ mod tests {
     #[test]
     fn elt_round_trip() {
         let elt = sample_elt();
-        let bytes = encode_elt(&elt);
-        let back = decode_elt(&bytes).unwrap();
+        let back: Elt = decode(&encode(&elt)).unwrap();
         assert_eq!(back.len(), elt.len());
         for (a, b) in back.iter().zip(elt.iter()) {
             assert_eq!(a, b);
@@ -707,8 +814,7 @@ mod tests {
     #[test]
     fn yet_round_trip() {
         let yet = sample_yet();
-        let bytes = encode_yet(&yet);
-        let back = decode_yet(&bytes).unwrap();
+        let back: YearEventTable = decode(&encode(&yet)).unwrap();
         assert_eq!(back.trials(), yet.trials());
         assert_eq!(back.total_occurrences(), yet.total_occurrences());
         for t in 0..yet.trials() {
@@ -720,8 +826,7 @@ mod tests {
     #[test]
     fn yelt_round_trip() {
         let yelt = Yelt::from_yet_elt(&sample_yet(), &sample_elt());
-        let bytes = encode_yelt(&yelt);
-        let back = decode_yelt(&bytes).unwrap();
+        let back: Yelt = decode(&encode(&yelt)).unwrap();
         assert_eq!(back.trials(), yelt.trials());
         assert_eq!(back.rows(), yelt.rows());
         let (a, _) = back.scan_aggregate_by_trial();
@@ -735,8 +840,7 @@ mod tests {
         for t in 0..10 {
             ylt.set_trial(TrialId::new(t), t as f64 * 5.0, t as f64 * 3.0, t);
         }
-        let back = decode_ylt(&encode_ylt(&ylt)).unwrap();
-        assert_eq!(back, ylt);
+        assert_eq!(decode::<Ylt>(&encode(&ylt)).unwrap(), ylt);
     }
 
     #[test]
@@ -744,7 +848,7 @@ mod tests {
         for trials in [0usize, 1, 10, 500] {
             let ylt = Ylt::zeroed(trials);
             assert_eq!(
-                encode_ylt(&ylt).len(),
+                encode(&ylt).len(),
                 encoded_ylt_len(trials),
                 "trials={trials}"
             );
@@ -757,63 +861,61 @@ mod tests {
         for i in 0..10u32 {
             c.push(i, i * 2, LocationId::new(i % 3), i as f64 * 1.5);
         }
-        let bytes = encode_yellt_chunk(&c);
-        let (back, consumed) = decode_yellt_chunk(&bytes).unwrap();
+        let bytes = encode(&c);
+        let (back, consumed) = decode_prefix::<YelltChunk>(&bytes).unwrap();
         assert_eq!(back, c);
         assert_eq!(consumed, bytes.len());
     }
 
     #[test]
     fn run_manifest_round_trip() {
-        let bytes = encode_run_manifest(7, 42);
-        assert_eq!(decode_run_manifest(&bytes).unwrap(), (7, 42));
+        let manifest = RunManifest { run: 7, slots: 42 };
+        let bytes = encode(&manifest);
+        assert_eq!(decode::<RunManifest>(&bytes).unwrap(), manifest);
         // Wrong kind and trailing garbage are both rejected.
-        assert!(decode_run_manifest(&encode_elt(&sample_elt())).is_err());
-        let mut long = BytesMut::new();
-        long.put_u64_le(7);
-        long.put_u64_le(42);
-        long.put_u8(0);
-        assert!(decode_run_manifest(&frame(TableKind::RunManifest, &long)).is_err());
+        assert!(decode::<RunManifest>(&encode(&sample_elt())).is_err());
+        let mut long = bytes[HEADER_BYTES..].to_vec();
+        long.push(0);
+        assert!(decode::<RunManifest>(&frame(TableKind::RunManifest, &long)).is_err());
     }
 
     #[test]
     fn huge_len_header_is_corrupt_not_panic() {
-        let mut bytes = encode_elt(&sample_elt()).to_vec();
+        let mut bytes = encode(&sample_elt());
         // Overwrite the len field (bytes 8..16) with u64::MAX.
         bytes[8..16].copy_from_slice(&u64::MAX.to_le_bytes());
-        let err = decode_elt(&bytes).unwrap_err();
+        let err = decode::<Elt>(&bytes).unwrap_err();
         assert!(err.to_string().contains("corrupt"), "got: {err}");
     }
 
     #[test]
     fn corrupted_payload_fails_crc() {
-        let elt = sample_elt();
-        let mut bytes = encode_elt(&elt).to_vec();
+        let mut bytes = encode(&sample_elt());
         let n = bytes.len();
         bytes[n - 1] ^= 0xFF; // flip a payload bit
-        let err = decode_elt(&bytes).unwrap_err();
+        let err = decode::<Elt>(&bytes).unwrap_err();
         assert!(err.to_string().contains("crc"), "got: {err}");
     }
 
     #[test]
     fn corrupted_magic_fails() {
-        let mut bytes = encode_elt(&sample_elt()).to_vec();
+        let mut bytes = encode(&sample_elt());
         bytes[0] = 0;
-        assert!(decode_elt(&bytes).is_err());
+        assert!(decode::<Elt>(&bytes).is_err());
     }
 
     #[test]
     fn truncated_frame_fails() {
-        let bytes = encode_elt(&sample_elt());
-        assert!(decode_elt(&bytes[..HEADER_BYTES - 1]).is_err());
-        assert!(decode_elt(&bytes[..bytes.len() - 4]).is_err());
+        let bytes = encode(&sample_elt());
+        assert!(decode::<Elt>(&bytes[..HEADER_BYTES - 1]).is_err());
+        assert!(decode::<Elt>(&bytes[..bytes.len() - 4]).is_err());
     }
 
     #[test]
     fn wrong_kind_is_rejected() {
-        let bytes = encode_elt(&sample_elt());
-        assert!(decode_yet(&bytes).is_err());
-        assert!(decode_ylt(&bytes).is_err());
+        let bytes = encode(&sample_elt());
+        assert!(decode::<YearEventTable>(&bytes).is_err());
+        assert!(decode::<Ylt>(&bytes).is_err());
     }
 
     #[test]
@@ -822,20 +924,22 @@ mod tests {
         c1.push(0, 1, LocationId::new(0), 1.0);
         let mut c2 = YelltChunk::with_capacity(2);
         c2.push(1, 2, LocationId::new(1), 2.0);
-        let mut stream = encode_yellt_chunk(&c1).to_vec();
-        stream.extend_from_slice(&encode_yellt_chunk(&c2));
-        let (back1, used1) = decode_yellt_chunk(&stream).unwrap();
-        let (back2, used2) = decode_yellt_chunk(&stream[used1..]).unwrap();
+        let mut stream = encode(&c1);
+        encode_into(&mut stream, &c2);
+        let (back1, used1) = decode_prefix::<YelltChunk>(&stream).unwrap();
+        let (back2, used2) = decode_prefix::<YelltChunk>(&stream[used1..]).unwrap();
         assert_eq!(back1, c1);
         assert_eq!(back2, c2);
         assert_eq!(used1 + used2, stream.len());
+        // The whole stream is not one frame.
+        assert!(decode::<YelltChunk>(&stream).is_err());
     }
 
     #[test]
     fn unframe_rejects_future_version() {
-        let mut bytes = encode_elt(&sample_elt()).to_vec();
+        let mut bytes = encode(&sample_elt());
         bytes[4] = 99; // version low byte
-        assert!(decode_elt(&bytes).is_err());
+        assert!(decode::<Elt>(&bytes).is_err());
     }
 }
 
@@ -843,10 +947,33 @@ mod tests {
 mod proptests {
     use super::*;
     use crate::elt::{EltBuilder, EltRecord};
-    use crate::yet::YetBuilder;
+    use crate::yet::{Occurrence, YetBuilder};
     use crate::ylt::Ylt;
     use proptest::prelude::*;
     use riskpipe_types::{EventId, LocationId, TrialId};
+
+    /// What every [`Framed`] kind must pass: the round trip is exact
+    /// (re-encoding the decoded table gives the same bytes), and every
+    /// strict prefix and every `flip` of a byte but the reserved pad
+    /// (byte 7) fails to decode.
+    fn damage_is_detected<T: Framed>(table: &T, flip: u8) -> Result<(), String> {
+        let bytes = encode(table);
+        let back: T = decode(&bytes).map_err(|e| format!("{:?}: {e}", T::KIND))?;
+        prop_assert_eq!(&encode(&back), &bytes, "{:?} round trip", T::KIND);
+        for cut in 0..bytes.len() {
+            prop_assert!(
+                decode::<T>(&bytes[..cut]).is_err(),
+                "{:?} prefix {cut}",
+                T::KIND
+            );
+        }
+        for pos in (0..bytes.len()).filter(|&pos| pos != 7) {
+            let mut bad = bytes.clone();
+            bad[pos] ^= flip;
+            prop_assert!(decode::<T>(&bad).is_err(), "{:?} flip at {pos}", T::KIND);
+        }
+        Ok(())
+    }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
@@ -878,7 +1005,7 @@ mod proptests {
                 }).unwrap();
             }
             let elt = b.build().unwrap();
-            let back = decode_elt(&encode_elt(&elt)).unwrap();
+            let back: Elt = decode(&encode(&elt)).unwrap();
             prop_assert_eq!(back.len(), elt.len());
             for (a, b) in back.iter().zip(elt.iter()) {
                 prop_assert_eq!(a, b);
@@ -892,13 +1019,13 @@ mod proptests {
         ) {
             let mut yb = YetBuilder::new();
             for t in &trials {
-                let occs: Vec<crate::yet::Occurrence> = t.iter().map(|&(e, d, z)| crate::yet::Occurrence {
+                let occs: Vec<Occurrence> = t.iter().map(|&(e, d, z)| Occurrence {
                     event_id: EventId::new(e), day: d, z,
                 }).collect();
                 yb.push_trial(&occs);
             }
             let yet = yb.build();
-            let back = decode_yet(&encode_yet(&yet)).unwrap();
+            let back: YearEventTable = decode(&encode(&yet)).unwrap();
             prop_assert_eq!(back.trials(), yet.trials());
             for t in 0..yet.trials() {
                 let t = TrialId::new(t as u32);
@@ -916,7 +1043,7 @@ mod proptests {
                 // by the codec).
                 ylt.set_trial(TrialId::new(t as u32), agg.max(max), max, cnt);
             }
-            let back = decode_ylt(&encode_ylt(&ylt)).unwrap();
+            let back: Ylt = decode(&encode(&ylt)).unwrap();
             prop_assert_eq!(back, ylt);
         }
 
@@ -931,44 +1058,64 @@ mod proptests {
             for &(t, e, l, loss) in &rows {
                 c.push(t, e, LocationId::new(l), loss);
             }
-            let bytes = encode_yellt_chunk(&c);
-            let (back, used) = decode_yellt_chunk(&bytes).unwrap();
+            let bytes = encode(&c);
+            let (back, used) = decode_prefix::<YelltChunk>(&bytes).unwrap();
             prop_assert_eq!(&back, &c);
             prop_assert_eq!(used, bytes.len());
             // Any strict prefix must fail.
             let cut = ((bytes.len() as f64) * cut_frac) as usize;
-            prop_assert!(decode_yellt_chunk(&bytes[..cut]).is_err());
+            prop_assert!(decode::<YelltChunk>(&bytes[..cut]).is_err());
         }
 
-        /// Flipping any single byte of an encoded frame is detected (CRC
-        /// or structural validation), never silently accepted as a
-        /// different table.
+        /// Every [`Framed`] kind, built from one set of small random
+        /// rows, round-trips exactly, and any truncation or single-byte
+        /// flip outside the pad byte is detected (CRC or structural
+        /// validation) — never silently accepted as a different table.
         #[test]
-        fn single_byte_corruption_detected(pos_seed in 0usize..10_000) {
+        fn single_byte_corruption_detected(
+            rows in prop::collection::btree_map(
+                0u32..64, (1.0..1e6f64, 0u16..365, 0u32..9), 1..10),
+            trials in prop::collection::vec(prop::collection::vec(0u32..64, 0..4), 1..6),
+            g in 1usize..4,
+            manifest in (any::<u64>(), any::<u64>()),
+            bit in 0u8..8,
+        ) {
+            let flip = 1u8 << bit;
             let mut b = EltBuilder::new();
-            for i in 1..=20u32 {
+            for (&id, &(loss, _, _)) in &rows {
                 b.push(EltRecord {
-                    event_id: EventId::new(i),
-                    mean_loss: i as f64,
-                    sigma_i: 0.1,
-                    sigma_c: 0.1,
-                    exposure: i as f64 * 2.0,
+                    event_id: EventId::new(id),
+                    mean_loss: loss,
+                    sigma_i: loss / 4.0,
+                    sigma_c: loss / 8.0,
+                    exposure: 2.0 * loss + 1.0,
                 }).unwrap();
             }
-            let bytes = encode_elt(&b.build().unwrap()).to_vec();
-            let pos = pos_seed % bytes.len();
-            let mut bad = bytes.clone();
-            bad[pos] ^= 0x01;
-            match decode_elt(&bad) {
-                Err(_) => {} // detected
-                Ok(decoded) => {
-                    // The only acceptable "success" is a flip in the
-                    // reserved pad byte (byte 7), which the format
-                    // ignores by design.
-                    prop_assert_eq!(pos, 7, "corruption at byte {} accepted", pos);
-                    prop_assert_eq!(decoded.len(), 20);
-                }
+            let elt = b.build().unwrap();
+            let mut yb = YetBuilder::new();
+            for (t, events) in trials.iter().enumerate() {
+                let occs: Vec<Occurrence> = events.iter().enumerate().map(|(k, &e)| Occurrence {
+                    event_id: EventId::new(e),
+                    day: (t * 31 + k) as u16,
+                    z: (k as f64 + 0.5) / 4.0,
+                }).collect();
+                yb.push_trial(&occs);
             }
+            let yet = yb.build();
+            let mut ylt = Ylt::zeroed(rows.len());
+            let mut chunk = YelltChunk::with_capacity(rows.len());
+            for (t, (&id, &(loss, day, count))) in rows.iter().enumerate() {
+                ylt.set_trial(TrialId::new(t as u32), loss, loss / 2.0, count);
+                chunk.push(t as u32, id, LocationId::new(u32::from(day)), loss);
+            }
+            let cells: Vec<f64> = rows.values().take(rows.len() / g * g).map(|r| r.0).collect();
+            damage_is_detected(&elt, flip)?;
+            damage_is_detected(&yet, flip)?;
+            damage_is_detected(&Yelt::from_yet_elt(&yet, &elt), flip)?;
+            damage_is_detected(&ylt, flip)?;
+            damage_is_detected(&chunk, flip)?;
+            damage_is_detected(&QuantileGrid { rows: cells.len() / g, g, cells }, flip)?;
+            damage_is_detected(&RunManifest { run: manifest.0, slots: manifest.1 }, flip)?;
         }
     }
 }

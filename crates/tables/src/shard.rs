@@ -9,9 +9,9 @@
 //! framed [`YelltChunk`]s (see [`crate::codec`]), each CRC-checked.
 //!
 //! Single-frame tables (ELT/YET/YELT/YLT) use the simpler
-//! [`write_table_file`]/`read_*_file` helpers.
+//! [`write_table_file`] / [`read_table_file`] pair.
 
-use crate::codec::{self, TableKind};
+use crate::codec::{self, Framed, TableKind};
 use crate::durable;
 use crate::yellt::YelltChunk;
 use riskpipe_types::{LocationId, RiskError, RiskResult};
@@ -63,15 +63,13 @@ impl ShardManifest {
                 .split_once('=')
                 .ok_or_else(|| RiskError::corrupt(format!("bad manifest line: {line}")))?;
             match k {
+                // Shard files hold YELLT chunk frames only: that is all
+                // `ShardedWriter` writes and all `read_shard` decodes.
+                "kind" if v == "YelltChunk" => kind = Some(TableKind::YelltChunk),
                 "kind" => {
-                    kind = Some(match v {
-                        "Elt" => TableKind::Elt,
-                        "Yet" => TableKind::Yet,
-                        "Yelt" => TableKind::Yelt,
-                        "Ylt" => TableKind::Ylt,
-                        "YelltChunk" => TableKind::YelltChunk,
-                        _ => return Err(RiskError::corrupt(format!("unknown kind {v}"))),
-                    })
+                    return Err(RiskError::corrupt(format!(
+                        "shard manifest kind {v}: shard stores hold YelltChunk frames"
+                    )))
                 }
                 "shards" => {
                     shards =
@@ -116,7 +114,6 @@ pub struct ShardedWriter {
     buffers: Vec<YelltChunk>,
     chunk_rows: usize,
     rows: u64,
-    finished: bool,
 }
 
 impl ShardedWriter {
@@ -165,7 +162,6 @@ impl ShardedWriter {
             buffers,
             chunk_rows,
             rows: 0,
-            finished: false,
         })
     }
 
@@ -233,8 +229,7 @@ impl ShardedWriter {
         if self.buffers[s].is_empty() {
             return Ok(());
         }
-        let bytes = codec::encode_yellt_chunk(&self.buffers[s]);
-        self.writers[s].write_all(&bytes)?;
+        self.writers[s].write_all(&codec::encode(&self.buffers[s]))?;
         self.buffers[s].clear();
         Ok(())
     }
@@ -265,17 +260,7 @@ impl ShardedWriter {
             rows: self.rows,
         };
         durable::write_atomic(&self.dir.join("MANIFEST.txt"), manifest.render().as_bytes())?;
-        self.finished = true;
         Ok(manifest)
-    }
-}
-
-impl Drop for ShardedWriter {
-    fn drop(&mut self) {
-        if !self.finished && self.rows > 0 {
-            // Deliberately no panic: an unfinished store simply has no
-            // manifest and will be rejected by readers.
-        }
     }
 }
 
@@ -326,7 +311,7 @@ impl ShardedReader {
         let mut chunks = Vec::new();
         let mut off = 0usize;
         while off < data.len() {
-            let (chunk, used) = codec::decode_yellt_chunk(&data[off..])?;
+            let (chunk, used) = codec::decode_prefix::<YelltChunk>(&data[off..])?;
             chunks.push(chunk);
             off += used;
         }
@@ -349,24 +334,10 @@ pub fn write_table_file(path: &Path, encoded: &[u8]) -> RiskResult<()> {
     durable::write_atomic(path, encoded)
 }
 
-/// Read an ELT from a single-frame file.
-pub fn read_elt_file(path: &Path) -> RiskResult<crate::elt::Elt> {
-    codec::decode_elt(&fs::read(path)?)
-}
-
-/// Read a YET from a single-frame file.
-pub fn read_yet_file(path: &Path) -> RiskResult<crate::yet::YearEventTable> {
-    codec::decode_yet(&fs::read(path)?)
-}
-
-/// Read a YELT from a single-frame file.
-pub fn read_yelt_file(path: &Path) -> RiskResult<crate::yelt::Yelt> {
-    codec::decode_yelt(&fs::read(path)?)
-}
-
-/// Read a YLT from a single-frame file.
-pub fn read_ylt_file(path: &Path) -> RiskResult<crate::ylt::Ylt> {
-    codec::decode_ylt(&fs::read(path)?)
+/// Read a table from a file that must be exactly its one frame: a
+/// byte after the frame is corruption, not slack.
+pub fn read_table_file<T: Framed>(path: &Path) -> RiskResult<T> {
+    codec::decode(&fs::read(path)?)
 }
 
 #[cfg(test)]
@@ -504,6 +475,16 @@ mod tests {
         .unwrap();
         // Missing rows key.
         assert!(ShardedReader::open(&dir).is_err());
+        // A kind no shard holds: rejected at open, not at first read.
+        fs::write(
+            dir.join("MANIFEST.txt"),
+            "riskpipe-shard-manifest v1\nkind=Ylt\nshards=0\nrows=0\n",
+        )
+        .unwrap();
+        assert!(matches!(
+            ShardedReader::open(&dir),
+            Err(RiskError::Corrupt(_))
+        ));
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -567,8 +548,8 @@ mod tests {
         .unwrap();
         let elt = b.build().unwrap();
         let path = dir.join("t.elt");
-        write_table_file(&path, &codec::encode_elt(&elt)).unwrap();
-        let back = read_elt_file(&path).unwrap();
+        write_table_file(&path, &codec::encode(&elt)).unwrap();
+        let back: crate::elt::Elt = read_table_file(&path).unwrap();
         assert_eq!(back.len(), 1);
         fs::remove_dir_all(&dir).unwrap();
     }

@@ -10,7 +10,7 @@
 use crate::elt::Elt;
 use crate::yet::YearEventTable;
 use crate::ScanStats;
-use riskpipe_types::{EventId, KahanSum, TrialId};
+use riskpipe_types::{EventId, KahanSum, RiskError, RiskResult, TrialId};
 
 /// Columnar year-event-loss table (CSR by trial).
 #[derive(Debug, Clone)]
@@ -51,23 +51,29 @@ impl Yelt {
         }
     }
 
-    /// Construct directly from CSR columns (codec/shard path). CSR
-    /// invariants are the caller's responsibility here; the codec layer
-    /// validates before calling.
-    pub fn from_raw(
+    /// Rebuild from raw CSR columns (the codec path), validating the CSR
+    /// invariants: offsets start at 0, never decrease and end at the row
+    /// count, and every row column has that many rows.
+    pub fn from_columns(
         offsets: Vec<u64>,
         event_ids: Vec<u32>,
         days: Vec<u16>,
         losses: Vec<f64>,
-    ) -> Self {
-        debug_assert_eq!(offsets.first().copied(), Some(0));
-        debug_assert_eq!(offsets.last().map(|&o| o as usize), Some(event_ids.len()));
-        Self {
+    ) -> RiskResult<Self> {
+        if offsets.first().copied() != Some(0)
+            || offsets.windows(2).any(|w| w[0] > w[1])
+            || offsets.last().copied().unwrap_or(1) as usize != event_ids.len()
+            || event_ids.len() != days.len()
+            || event_ids.len() != losses.len()
+        {
+            return Err(RiskError::corrupt("YELT CSR invariants violated"));
+        }
+        Ok(Self {
             offsets,
             event_ids,
             days,
             losses,
-        }
+        })
     }
 
     /// Number of trials.
@@ -256,7 +262,7 @@ mod tests {
         let yet = yet_with(&[&[(1, 0)], &[(1, 1)]]);
         let yelt = Yelt::from_yet_elt(&yet, &elt);
         let (o, e, d, l) = yelt.columns();
-        let back = Yelt::from_raw(o.to_vec(), e.to_vec(), d.to_vec(), l.to_vec());
+        let back = Yelt::from_columns(o.to_vec(), e.to_vec(), d.to_vec(), l.to_vec()).unwrap();
         assert_eq!(back.trials(), 2);
         assert_eq!(back.rows(), 2);
     }

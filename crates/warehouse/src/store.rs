@@ -5,12 +5,23 @@
 //! all week, which means views must survive the process: cuboids are
 //! framed with the same magic/version/CRC envelope as every other
 //! riskpipe table ([`riskpipe_tables::codec`]), so a flipped byte in a
-//! view file is detected at load, never silently aggregated.
+//! view file is detected at load, never silently aggregated. A cuboid
+//! decodes only against its [`Schema`], so it has no codec schema of
+//! its own: it drives the codec's [`FrameWriter`] / [`FrameReader`]
+//! directly, and its frame, like every other, is consumed exactly.
+//!
+//! ```text
+//! select    NDIMS × u8        the cuboid's level per dimension
+//! cells     u64               cell count
+//! keys      varint, sorted    delta-packed cell keys
+//! counts    varint            per-cell fact counts
+//! sums      cells × f64
+//! maxs      cells × f64
+//! ```
 
 use crate::cube::{Cell, Cuboid, KeyCodec, LevelSelect};
 use crate::dimension::{Schema, NDIMS};
-use bytes::{Buf, BufMut, Bytes, BytesMut};
-use riskpipe_tables::codec::{frame, unframe, TableKind};
+use riskpipe_tables::codec::{FrameReader, FrameWriter, TableKind};
 use riskpipe_tables::compress::{
     compress_u64s, compress_u64s_sorted, decompress_u64s, decompress_u64s_sorted,
 };
@@ -24,47 +35,38 @@ use std::path::Path;
 /// cell instead of 8; counts are small integers and varint-compress
 /// likewise. Measures stay raw `f64` (effectively incompressible and
 /// bit-exactness matters).
-pub fn encode_cuboid(cuboid: &Cuboid) -> RiskResult<Bytes> {
+pub fn encode_cuboid(cuboid: &Cuboid) -> RiskResult<Vec<u8>> {
     let (keys, cells) = (cuboid.keys(), cuboid.measures());
     // Cuboid keys are sorted by construction; a violation surfaces as
     // a typed error rather than a worker-path panic.
     let packed_keys = compress_u64s_sorted(keys)?;
     let counts: Vec<u64> = cells.iter().map(|c| c.count).collect();
-    let packed_counts = compress_u64s(&counts);
-    let mut p =
-        BytesMut::with_capacity(16 + packed_keys.len() + packed_counts.len() + keys.len() * 16);
+    let mut out = Vec::new();
+    let mut w = FrameWriter::new(&mut out, TableKind::Cuboid);
     for d in 0..NDIMS {
-        p.put_u8(cuboid.select().0[d]);
+        w.put(cuboid.select().0[d]);
     }
-    p.put_u64_le(keys.len() as u64);
-    p.put_slice(&packed_keys);
-    p.put_slice(&packed_counts);
+    w.put(keys.len() as u64);
+    w.put_bytes(&packed_keys);
+    w.put_bytes(&compress_u64s(&counts));
     for c in cells {
-        p.put_f64_le(c.sum);
+        w.put(c.sum);
     }
     for c in cells {
-        p.put_f64_le(c.max);
+        w.put(c.max);
     }
-    Ok(frame(TableKind::Cuboid, &p))
+    w.finish();
+    Ok(out)
 }
 
 /// Decode one cuboid frame, validating the selection against `schema`
 /// and every key against the codec's packing range. Returns the
 /// cuboid and the bytes consumed.
 pub fn decode_cuboid(data: &[u8], schema: &Schema) -> RiskResult<(Cuboid, usize)> {
-    let (kind, payload, consumed) = unframe(data)?;
-    if kind != TableKind::Cuboid {
-        return Err(RiskError::corrupt(format!(
-            "expected cuboid frame, got {kind:?}"
-        )));
-    }
-    let mut p = payload;
-    if p.remaining() < NDIMS + 8 {
-        return Err(RiskError::corrupt("cuboid header truncated"));
-    }
+    let (mut r, consumed) = FrameReader::open(data, TableKind::Cuboid)?;
     let mut sel = [0u8; NDIMS];
     for s in sel.iter_mut() {
-        *s = p.get_u8();
+        *s = r.get("cuboid.select")?;
     }
     let select = LevelSelect(sel);
     if !select.is_valid(schema) {
@@ -73,14 +75,12 @@ pub fn decode_cuboid(data: &[u8], schema: &Schema) -> RiskResult<(Cuboid, usize)
         )));
     }
     let codec = KeyCodec::new(schema, select)?;
-    let cells = p.get_u64_le() as usize;
-    if cells > (1 << 40) {
-        return Err(RiskError::corrupt("implausible cuboid cell count"));
-    }
-    let (keys, used) = decompress_u64s_sorted(p)?;
-    p.advance(used);
-    let (counts, used) = decompress_u64s(p)?;
-    p.advance(used);
+    // Each cell carries at least its two raw measures.
+    let cells = r.get_count("cuboid.cells", 16)?;
+    let (keys, used) = decompress_u64s_sorted(r.remaining())?;
+    r.take(used, "cuboid.keys")?;
+    let (counts, used) = decompress_u64s(r.remaining())?;
+    r.take(used, "cuboid.counts")?;
     if keys.len() != cells || counts.len() != cells {
         return Err(RiskError::corrupt(format!(
             "cuboid columns disagree: header {cells}, keys {}, counts {}",
@@ -88,16 +88,9 @@ pub fn decode_cuboid(data: &[u8], schema: &Schema) -> RiskResult<(Cuboid, usize)
             counts.len()
         )));
     }
-    let need = cells
-        .checked_mul(16)
-        .ok_or_else(|| RiskError::corrupt("cuboid cell count overflows"))?;
-    if p.remaining() < need {
-        return Err(RiskError::corrupt(format!(
-            "cuboid payload truncated: {cells} cells need {need} measure bytes"
-        )));
-    }
-    let sums: Vec<f64> = (0..cells).map(|_| p.get_f64_le()).collect();
-    let maxs: Vec<f64> = (0..cells).map(|_| p.get_f64_le()).collect();
+    let sums: Vec<f64> = r.get_elems(cells, "cuboid.sums")?;
+    let maxs: Vec<f64> = r.get_elems(cells, "cuboid.maxs")?;
+    r.finish()?;
 
     // Integrity beyond the CRC: keys strictly ascending (sorted, no
     // duplicates), codes within the schema's cardinalities, finite
@@ -225,7 +218,7 @@ mod tests {
                                                        // error (CRC for payload bytes, header checks otherwise) —
                                                        // never a silently different cuboid.
         for i in 0..bytes.len() {
-            let mut bad = bytes.to_vec();
+            let mut bad = bytes.clone();
             bad[i] ^= 0x40;
             match decode_cuboid(&bad, &s) {
                 Err(_) => {}
@@ -273,7 +266,7 @@ mod tests {
     fn wrong_frame_kind_is_rejected() {
         let (s, _views) = setup();
         let ylt = riskpipe_tables::Ylt::zeroed(4);
-        let bytes = riskpipe_tables::codec::encode_ylt(&ylt);
+        let bytes = riskpipe_tables::codec::encode(&ylt);
         assert!(decode_cuboid(&bytes, &s).is_err());
     }
 

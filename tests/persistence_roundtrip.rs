@@ -4,12 +4,13 @@
 use proptest::prelude::*;
 use riskpipe::aggregate::{AggregateRunner, EngineKind};
 use riskpipe::core::ScenarioConfig;
+use riskpipe::tables::codec::Framed;
 use riskpipe::tables::codec::HEADER_BYTES;
-use riskpipe::tables::Yelt;
 use riskpipe::tables::{codec, shard};
+use riskpipe::tables::{Elt, YearEventTable, Yelt, Ylt};
 use riskpipe_types::{RiskError, RiskResult};
 use std::fs;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::OnceLock;
 
 fn temp(tag: &str) -> PathBuf {
@@ -28,16 +29,16 @@ fn full_scenario_tables_round_trip_through_files() {
     // ELT.
     let elt = &stage1.output.books[0].elt;
     let path = dir.join("book0.elt");
-    shard::write_table_file(&path, &codec::encode_elt(elt)).unwrap();
-    let elt_back = shard::read_elt_file(&path).unwrap();
+    shard::write_table_file(&path, &codec::encode(&**elt)).unwrap();
+    let elt_back: Elt = shard::read_table_file(&path).unwrap();
     assert_eq!(elt_back.len(), elt.len());
     assert_eq!(elt_back.total_mean_loss(), elt.total_mean_loss());
 
     // YET.
     let yet = stage1.year_event_table();
     let path = dir.join("scenario.yet");
-    shard::write_table_file(&path, &codec::encode_yet(&yet)).unwrap();
-    let yet_back = shard::read_yet_file(&path).unwrap();
+    shard::write_table_file(&path, &codec::encode(&*yet)).unwrap();
+    let yet_back: YearEventTable = shard::read_table_file(&path).unwrap();
     assert_eq!(yet_back.trials(), yet.trials());
     assert_eq!(yet_back.total_occurrences(), yet.total_occurrences());
 
@@ -46,8 +47,8 @@ fn full_scenario_tables_round_trip_through_files() {
     let yelt_file = Yelt::from_yet_elt(&yet_back, &elt_back);
     assert_eq!(yelt_mem.rows(), yelt_file.rows());
     let path = dir.join("book0.yelt");
-    shard::write_table_file(&path, &codec::encode_yelt(&yelt_mem)).unwrap();
-    let yelt_back = shard::read_yelt_file(&path).unwrap();
+    shard::write_table_file(&path, &codec::encode(&yelt_mem)).unwrap();
+    let yelt_back: Yelt = shard::read_table_file(&path).unwrap();
     let (sums_a, _) = yelt_mem.scan_aggregate_by_trial();
     let (sums_b, _) = yelt_back.scan_aggregate_by_trial();
     assert_eq!(sums_a, sums_b);
@@ -58,8 +59,8 @@ fn full_scenario_tables_round_trip_through_files() {
         .run(&portfolio, &yet)
         .unwrap();
     let path = dir.join("portfolio.ylt");
-    shard::write_table_file(&path, &codec::encode_ylt(&ylt)).unwrap();
-    let ylt_back = shard::read_ylt_file(&path).unwrap();
+    shard::write_table_file(&path, &codec::encode(&ylt)).unwrap();
+    let ylt_back: Ylt = shard::read_table_file(&path).unwrap();
     assert_eq!(ylt_back, ylt);
 
     fs::remove_dir_all(&dir).unwrap();
@@ -75,7 +76,7 @@ fn corrupted_files_are_rejected_not_misread() {
     let dir = temp("corrupt");
     fs::create_dir_all(&dir).unwrap();
     let path = dir.join("t.yet");
-    shard::write_table_file(&path, &codec::encode_yet(&stage1.year_event_table())).unwrap();
+    shard::write_table_file(&path, &codec::encode(&*stage1.year_event_table())).unwrap();
 
     let original = fs::read(&path).unwrap();
     // Flip one byte at several positions: header, length, payload.
@@ -84,7 +85,7 @@ fn corrupted_files_are_rejected_not_misread() {
         bad[pos] ^= 0x40;
         fs::write(&path, &bad).unwrap();
         assert!(
-            shard::read_yet_file(&path).is_err(),
+            shard::read_table_file::<YearEventTable>(&path).is_err(),
             "corruption at byte {pos} went undetected"
         );
     }
@@ -109,15 +110,15 @@ fn encoded_ylt() -> &'static [u8] {
         let ylt = AggregateRunner::new(EngineKind::Sequential)
             .run(&stage1.portfolio(), &stage1.year_event_table())
             .unwrap();
-        codec::encode_ylt(&ylt).to_vec()
+        codec::encode(&ylt)
     })
 }
 
 /// Write `bytes` to a scratch file and load it back as a YLT.
-fn load_damaged(bytes: &[u8], tag: &str) -> RiskResult<riskpipe::tables::Ylt> {
+fn load_damaged(bytes: &[u8], tag: &str) -> RiskResult<Ylt> {
     let path = temp(tag);
     fs::write(&path, bytes).unwrap();
-    let result = shard::read_ylt_file(&path);
+    let result = shard::read_table_file(&path);
     fs::remove_file(&path).ok();
     result
 }
@@ -244,6 +245,15 @@ fn pinned_tables() -> (
     (elt, yet, ylt, chunk)
 }
 
+/// A small mid-level warehouse cuboid and its schema.
+fn pinned_cuboid() -> (riskpipe::warehouse::Schema, riskpipe::warehouse::Cuboid) {
+    use riskpipe::warehouse::{Cuboid, FactTable, LevelSelect, Schema};
+    let schema = Schema::standard(6, 2, 5, 2, 3, 2).unwrap();
+    let facts = FactTable::synthetic(&schema, 200, 5);
+    let cuboid = Cuboid::build(&schema, &facts, LevelSelect([1, 1, 1, 1]), None).unwrap();
+    (schema, cuboid)
+}
+
 /// A two-book scenario small enough to encode in a test.
 fn pinned_scenario() -> ScenarioConfig {
     let mut scenario = ScenarioConfig::small().with_seed(0xB17E).with_trials(200);
@@ -273,38 +283,38 @@ fn pinned_stage1() -> (
 #[test]
 fn every_frame_kind_is_byte_pinned() {
     use riskpipe::core::{DiskStage1Cache, RiskSession, ShardedFilesStore};
-    use riskpipe::warehouse::{encode_cuboid, Cuboid, FactTable, LevelSelect, Schema};
+    use riskpipe::tables::codec::{QuantileGrid, RunManifest};
+    use riskpipe::warehouse::encode_cuboid;
     use std::sync::Arc;
 
     let (elt, yet, ylt, chunk) = pinned_tables();
     let yelt = Yelt::from_yet_elt(&yet, &elt);
-    let schema = Schema::standard(6, 2, 5, 2, 3, 2).unwrap();
-    let facts = FactTable::synthetic(&schema, 200, 5);
-    let cuboid = Cuboid::build(&schema, &facts, LevelSelect([1, 1, 1, 1]), None).unwrap();
+    let (_, cuboid) = pinned_cuboid();
     let grid: Vec<f64> = (0..6).map(|i| i as f64 / 8.0).collect();
     let (output, tables) = pinned_stage1();
 
     let mut encoded: Vec<(String, Vec<u8>)> = vec![
-        ("elt".into(), codec::encode_elt(&elt).to_vec()),
-        ("yet".into(), codec::encode_yet(&yet).to_vec()),
-        ("yelt".into(), codec::encode_yelt(&yelt).to_vec()),
-        ("ylt".into(), codec::encode_ylt(&ylt).to_vec()),
-        (
-            "yellt_chunk".into(),
-            codec::encode_yellt_chunk(&chunk).to_vec(),
-        ),
-        ("cuboid".into(), encode_cuboid(&cuboid).unwrap().to_vec()),
+        ("elt".into(), codec::encode(&elt)),
+        ("yet".into(), codec::encode(&yet)),
+        ("yelt".into(), codec::encode(&yelt)),
+        ("ylt".into(), codec::encode(&ylt)),
+        ("yellt_chunk".into(), codec::encode(&chunk)),
+        ("cuboid".into(), encode_cuboid(&cuboid).unwrap()),
         (
             "stage1".into(),
             riskpipe::catmodel::stage1io::encode_stage1(0x5EED, &output),
         ),
         (
             "run_manifest".into(),
-            codec::encode_run_manifest(7, 42).to_vec(),
+            codec::encode(&RunManifest { run: 7, slots: 42 }),
         ),
         (
             "quantile_grid".into(),
-            codec::encode_quantile_grid(3, &grid).to_vec(),
+            codec::encode(&QuantileGrid {
+                rows: 2,
+                g: 3,
+                cells: grid,
+            }),
         ),
     ];
 
@@ -362,6 +372,101 @@ fn every_frame_kind_is_byte_pinned() {
         actual, BYTE_PINS,
         "persisted bytes moved; actual pins:\n{rendered}"
     );
+}
+
+/// Write `bytes` to a scratch file, `load` it, and remove it.
+fn load_file(bytes: &[u8], tag: &str, load: impl Fn(&Path) -> RiskResult<()>) -> RiskResult<()> {
+    let path = temp(tag);
+    fs::write(&path, bytes).unwrap();
+    let result = load(&path);
+    fs::remove_file(&path).ok();
+    result
+}
+
+/// Decodes a buffer, or loads a file holding one, discarding the table.
+type Check = Box<dyn Fn(&[u8]) -> RiskResult<()>>;
+
+/// A self-contained frame kind's encoding, its decode, and its load
+/// through the whole-file reader.
+fn framed_kind<T: Framed + 'static>(
+    name: &'static str,
+    table: &T,
+) -> (&'static str, Vec<u8>, Check, Check) {
+    (
+        name,
+        codec::encode(table),
+        Box::new(|bytes| codec::decode::<T>(bytes).map(drop)),
+        Box::new(move |bytes| load_file(bytes, name, |p| shard::read_table_file::<T>(p).map(drop))),
+    )
+}
+
+#[test]
+fn a_trailing_byte_after_any_frame_kind_is_corrupt() {
+    use riskpipe::catmodel::stage1io::{decode_stage1, encode_stage1};
+    use riskpipe::core::DiskStage1Cache;
+    use riskpipe::tables::codec::{QuantileGrid, RunManifest};
+    use riskpipe::warehouse::{decode_cuboid, encode_cuboid, load_views};
+
+    let (elt, yet, ylt, chunk) = pinned_tables();
+    let yelt = Yelt::from_yet_elt(&yet, &elt);
+    let grid = QuantileGrid {
+        rows: 2,
+        g: 2,
+        cells: vec![0.25, 0.5, 0.5, 0.75],
+    };
+    let (schema, cuboid) = pinned_cuboid();
+    let view_schema = schema.clone();
+    let (output, _) = pinned_stage1();
+    let dir = temp("trailing");
+    let _ = fs::remove_dir_all(&dir);
+    let tier = DiskStage1Cache::new(&dir).unwrap();
+
+    let cases: Vec<(&str, Vec<u8>, Check, Check)> = vec![
+        framed_kind("elt", &elt),
+        framed_kind("yet", &yet),
+        framed_kind("yelt", &yelt),
+        framed_kind("ylt", &ylt),
+        framed_kind("yellt_chunk", &chunk),
+        framed_kind("quantile_grid", &grid),
+        framed_kind("run_manifest", &RunManifest { run: 3, slots: 4 }),
+        (
+            "cuboid",
+            encode_cuboid(&cuboid).unwrap(),
+            Box::new(move |bytes| decode_cuboid(bytes, &schema).map(drop)),
+            Box::new(move |bytes| {
+                load_file(bytes, "views", |p| load_views(p, &view_schema).map(drop))
+            }),
+        ),
+        (
+            "stage1",
+            encode_stage1(1, &output),
+            Box::new(|bytes| decode_stage1(bytes).map(drop)),
+            Box::new(move |bytes| {
+                fs::write(tier.path_for(1), bytes).unwrap();
+                tier.load_entry(1).map(drop)
+            }),
+        ),
+    ];
+    for (name, bytes, decode, load) in cases {
+        decode(&bytes).unwrap_or_else(|e| panic!("{name}: {e}"));
+        load(&bytes).unwrap_or_else(|e| panic!("{name} file: {e}"));
+        // A CRC-valid leading frame whose payload has a byte after its
+        // last field, the rest of the stream as it was.
+        let (kind, payload, used) = codec::unframe(&bytes).unwrap();
+        let mut reframed = codec::frame(kind, &[payload, &[0]].concat());
+        reframed.extend_from_slice(&bytes[used..]);
+        assert!(
+            matches!(decode(&reframed), Err(RiskError::Corrupt(_))),
+            "{name}: a trailing payload byte was accepted"
+        );
+        // A file holding the encoding and one more byte.
+        let longer = [&bytes[..], &[0]].concat();
+        assert!(
+            matches!(load(&longer), Err(RiskError::Corrupt(_))),
+            "{name}: a trailing file byte was accepted"
+        );
+    }
+    fs::remove_dir_all(&dir).unwrap();
 }
 
 proptest! {

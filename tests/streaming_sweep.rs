@@ -276,7 +276,7 @@ fn persisting_sink_spills_each_report_and_pools_analytics() -> RiskResult<()> {
     let solo = session.run(&scenarios[2])?;
     let slot_dir = dir.join("batch-002");
     let encoded = std::fs::read(slot_dir.join(ShardedFilesStore::YLT_FILE))?;
-    let ylt = riskpipe::tables::codec::decode_ylt(&encoded)?;
+    let ylt: riskpipe::tables::Ylt = riskpipe::tables::codec::decode(&encoded)?;
     assert_eq!(ylt, solo.ylt, "persisted YLT must round-trip bit-exactly");
     let measures = std::fs::read_to_string(slot_dir.join(ShardedFilesStore::MEASURES_FILE))?;
     assert!(measures.contains("TVaR 99%"), "{measures}");

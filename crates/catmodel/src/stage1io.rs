@@ -352,36 +352,30 @@ mod tests {
         // then n_books (8) + the first book's total_tiv and n_locs (16).
         let event0 = 24;
         let loc0 = 24 + 37 * out.catalog.len() + 8 + 16;
-        let nan = f64::NAN.to_le_bytes();
-        let patches: [(&str, usize, [u8; 8]); 16] = [
-            ("event rate NaN", event0 + 5, nan),
-            (
-                "event magnitude inf",
-                event0 + 13,
-                f64::INFINITY.to_le_bytes(),
-            ),
-            ("event cx NaN", event0 + 21, nan),
-            (
-                "event cy -inf",
-                event0 + 29,
-                f64::NEG_INFINITY.to_le_bytes(),
-            ),
-            ("loc px NaN", loc0 + 4, nan),
-            ("loc py inf", loc0 + 12, f64::INFINITY.to_le_bytes()),
-            ("loc tiv NaN", loc0 + 20, nan),
-            ("loc tiv zero", loc0 + 20, 0f64.to_le_bytes()),
-            ("loc tiv negative", loc0 + 20, (-5f64).to_le_bytes()),
-            ("loc deductible NaN", loc0 + 29, nan),
-            ("loc deductible negative", loc0 + 29, (-1f64).to_le_bytes()),
-            ("loc limit inf", loc0 + 37, f64::INFINITY.to_le_bytes()),
-            ("loc limit negative", loc0 + 37, (-1f64).to_le_bytes()),
-            // Counts the payload cannot hold: corrupt before anything
-            // is allocated for them.
+        let patches: [(&str, usize, f64); 13] = [
+            ("event rate NaN", event0 + 5, f64::NAN),
+            ("event magnitude inf", event0 + 13, f64::INFINITY),
+            ("event cx NaN", event0 + 21, f64::NAN),
+            ("event cy -inf", event0 + 29, f64::NEG_INFINITY),
+            ("loc px NaN", loc0 + 4, f64::NAN),
+            ("loc py inf", loc0 + 12, f64::INFINITY),
+            ("loc tiv NaN", loc0 + 20, f64::NAN),
+            ("loc tiv zero", loc0 + 20, 0.0),
+            ("loc tiv negative", loc0 + 20, -5.0),
+            ("loc deductible NaN", loc0 + 29, f64::NAN),
+            ("loc deductible negative", loc0 + 29, -1.0),
+            ("loc limit inf", loc0 + 37, f64::INFINITY),
+            ("loc limit negative", loc0 + 37, -1.0),
+        ];
+        // Counts the payload cannot hold: corrupt before anything is
+        // allocated for them.
+        let counts = [
             ("n_events 2^32", 8, (1u64 << 32).to_le_bytes()),
             ("n_books u64::MAX", loc0 - 24, u64::MAX.to_le_bytes()),
             ("n_locs 2^32", loc0 - 8, (1u64 << 32).to_le_bytes()),
         ];
-        for (what, at, value) in patches {
+        let rows = patches.map(|(what, at, value)| (what, at, value.to_le_bytes()));
+        for (what, at, value) in rows.into_iter().chain(counts) {
             let mut p = payload.to_vec();
             p[at..at + 8].copy_from_slice(&value);
             let mut bad = codec::frame(TableKind::Stage1, &p);

@@ -290,6 +290,7 @@ impl<'a> FrameReader<'a> {
     }
 
     /// The next `n` raw bytes.
+    #[inline]
     pub fn take(&mut self, n: usize, what: &str) -> RiskResult<&'a [u8]> {
         if self.rest.len() < n {
             return Err(RiskError::corrupt(format!(

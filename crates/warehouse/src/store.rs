@@ -6,9 +6,10 @@
 //! framed with the same magic/version/CRC envelope as every other
 //! riskpipe table ([`riskpipe_tables::codec`]), so a flipped byte in a
 //! view file is detected at load, never silently aggregated. A cuboid
-//! decodes only against its [`Schema`], so it has no codec schema of
-//! its own: it drives the codec's [`FrameWriter`] / [`FrameReader`]
-//! directly, and its frame, like every other, is consumed exactly.
+//! decodes only against a warehouse [`Schema`], so it is not a codec
+//! `Framed` table: it drives the codec's [`FrameWriter`] /
+//! [`FrameReader`] directly, and its frame, like every other, is
+//! consumed exactly.
 //!
 //! ```text
 //! select    NDIMS × u8        the cuboid's level per dimension

@@ -229,6 +229,7 @@ impl<'a> FrameWriter<'a> {
         // lint: allow(S2) — TableKind is #[repr(u8)], so the discriminant
         // cast is lossless by construction.
         out.push(kind as u8);
+        // The zero pad byte, then the length and CRC placeholders.
         out.resize(start + HEADER_BYTES, 0);
         Self { out, start }
     }
@@ -261,6 +262,7 @@ impl<'a> FrameWriter<'a> {
     pub fn finish(self) {
         let payload = &self.out[self.start + HEADER_BYTES..];
         let (len, crc) = (payload.len() as u64, crc32(payload));
+        // Header bytes 8..16 hold the length, 16..20 the CRC.
         let header = &mut self.out[self.start..self.start + HEADER_BYTES];
         header[8..16].copy_from_slice(&len.to_le_bytes());
         header[16..].copy_from_slice(&crc.to_le_bytes());

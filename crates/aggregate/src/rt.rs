@@ -67,8 +67,11 @@ impl RealTimePricer {
         let mut portfolio = Portfolio::new();
         portfolio.push(layer);
         let engine = CpuParallelEngine::new(Arc::clone(&self.pool));
-        // lint: allow(D3) — reading feeds only the reported elapsed-time
-        // field of PricingResult; premiums are computed from the YLT alone.
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "reading feeds only the reported elapsed-time field of \
+                      PricingResult; premiums are computed from the YLT alone"
+        )]
         let start = Instant::now();
         let ylt = engine.run(&portfolio, yet, &self.opts)?;
         let elapsed = start.elapsed();

@@ -48,9 +48,11 @@ impl LayerTerms {
     }
 
     /// Validate the terms.
-    // The negated comparisons are deliberate: `!(x > 0.0)` also
-    // rejects NaN, which `x <= 0.0` would let through.
-    #[allow(clippy::neg_cmp_op_on_partial_ord)]
+    #[allow(
+        clippy::neg_cmp_op_on_partial_ord,
+        reason = "the negated comparisons are deliberate: `!(x > 0.0)` also rejects \
+                  NaN, which `x <= 0.0` would let through"
+    )]
     pub fn validate(&self) -> RiskResult<()> {
         if self.occ_retention < 0.0 || self.agg_retention < 0.0 {
             return Err(RiskError::invalid("retentions must be non-negative"));

@@ -83,6 +83,8 @@
 //! ```
 
 #![warn(missing_docs)]
+// W1: serving-path library code returns typed errors; a panic aborts a sweep.
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 pub mod dims;
 pub mod drilldown;

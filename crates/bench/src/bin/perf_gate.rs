@@ -16,6 +16,12 @@
 //! run as a chrome trace (the nightly artifact). Slow drift is caught
 //! by the per-PR parent/change riskbench runs, not here.
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "a benchmark harness: wall-clock budgets are what it checks, and \
+              the chrome trace it writes is a regenerable diagnostic"
+)]
+
 use riskpipe_analytics::{DrilldownLayout, ScenarioDims, SweepPlanAnalytics};
 use riskpipe_bench::{model_heavy_small, pricing_sweep};
 use riskpipe_core::{InMemoryStore, RiskSession, ScenarioConfig, SweepSummary};

@@ -102,8 +102,10 @@ impl EventCatalog {
             return Err(RiskError::invalid("total annual rate must be positive"));
         }
         let (m_lo, m_hi) = cfg.magnitude_range;
-        // Negated on purpose: `!(lo < hi)` also rejects NaN bounds.
-        #[allow(clippy::neg_cmp_op_on_partial_ord)]
+        #[allow(
+            clippy::neg_cmp_op_on_partial_ord,
+            reason = "negated on purpose: `!(lo < hi)` also rejects NaN bounds"
+        )]
         if !(m_lo < m_hi) {
             return Err(RiskError::invalid("magnitude range must be increasing"));
         }

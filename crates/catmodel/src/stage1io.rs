@@ -41,6 +41,9 @@
 //!                                         deductible f64, limit f64 } }
 //! ```
 
+// S2: a truncated length, offset or id corrupts an artifact before any CRC.
+#![deny(clippy::cast_possible_truncation)]
+
 use crate::catalog::{CatalogEvent, EventCatalog};
 use crate::eltgen::{Book, Stage1Output};
 use crate::exposure::{ExposureLocation, ExposurePortfolio};
@@ -208,6 +211,10 @@ pub fn decode_stage1_prefix(data: &[u8]) -> RiskResult<(u64, Stage1Output, usize
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "fixtures cast small trial indices"
+)]
 mod tests {
     use super::*;
     use crate::catalog::CatalogConfig;

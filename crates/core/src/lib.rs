@@ -26,6 +26,8 @@
 //! processors for stage 1, thousands for stages 2–3).
 
 #![warn(missing_docs)]
+// W1: serving-path library code returns typed errors; a panic aborts a sweep.
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 pub mod config;
 pub mod elastic;

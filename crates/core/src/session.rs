@@ -1161,6 +1161,10 @@ impl PipelineReport {
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the tests damage persisted files on purpose"
+)]
 mod tests {
     use super::*;
     use crate::stage1cache::DEFAULT_STAGE1_CACHE_CAPACITY;

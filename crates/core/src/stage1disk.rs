@@ -204,6 +204,10 @@ impl DiskStage1Cache {
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the tests plant damaged tier entries"
+)]
 mod tests {
     use super::*;
     use crate::config::ScenarioConfig;

@@ -293,7 +293,11 @@ impl DfaFactors {
 /// The accounting identity for one trial-year: returns
 /// `(underwriting result, net income)`. Shared by the single-year
 /// engine and the multi-year horizon so the two can never drift apart.
-#[allow(clippy::too_many_arguments)]
+#[allow(
+    clippy::too_many_arguments,
+    reason = "the identity takes each of the trial's factor draws by name; a \
+              wrapper struct would only rename them"
+)]
 pub(crate) fn trial_result(
     c: &CompanyConfig,
     cat_gross: f64,

@@ -19,6 +19,8 @@
 //! * execution statistics (tasks run, steals) through relaxed atomics.
 
 #![warn(missing_docs)]
+// W1: serving-path library code returns typed errors; a panic aborts a sweep.
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 pub mod lockwitness;
 mod par;

@@ -41,7 +41,10 @@ pub struct Mutex<T: ?Sized> {
 impl<T> Mutex<T> {
     /// Create a mutex registered under `name` — the lint lock identity
     /// (the binding name the lock is reached through at call sites).
-    #[allow(unused_variables)]
+    #[allow(
+        unused_variables,
+        reason = "`name` is stored only under the lockwitness feature"
+    )]
     pub const fn new(name: &'static str, value: T) -> Self {
         Self {
             #[cfg(feature = "lockwitness")]
@@ -225,9 +228,11 @@ mod witness {
                         .or_default()
                         .insert(acquired.to_string());
                 }
-                // lint: allow(W1) — the witness's contract is to abort
-                // loudly on a bad manifest; it is compiled into debug
-                // and test builds only.
+                #[expect(
+                    clippy::panic,
+                    reason = "the witness's contract is to abort loudly on a bad manifest; \
+                              it is compiled into debug and test builds only"
+                )]
                 _ => panic!("lockwitness: malformed manifest line `{line}`"),
             }
         }
@@ -262,9 +267,12 @@ mod witness {
         static MANIFEST: OnceLock<Manifest> = OnceLock::new();
         MANIFEST.get_or_init(|| {
             let text = match std::env::var("RISKPIPE_LOCK_MANIFEST") {
+                #[expect(
+                    clippy::panic,
+                    reason = "an unreadable manifest must abort the witness run; \
+                              debug/test builds only"
+                )]
                 Ok(path) => std::fs::read_to_string(&path)
-                    // lint: allow(W1) — an unreadable manifest must
-                    // abort the witness run; debug/test builds only.
                     .unwrap_or_else(|e| panic!("lockwitness: cannot read {path}: {e}")),
                 Err(_) => include_str!("../../../lock-order.manifest").to_string(),
             };
@@ -279,15 +287,17 @@ mod witness {
     /// Preflight an acquisition: every currently held lock must have a
     /// manifest-closure edge to `name`. Called before the inner lock
     /// blocks, so violations panic instead of deadlocking.
+    #[expect(
+        clippy::panic,
+        reason = "panicking on violation is the witness's purpose: it fires before the \
+                  inner lock can park, turning a potential deadlock into a loud test \
+                  failure; debug/test builds only"
+    )]
     pub(super) fn on_acquire(name: &'static str) {
         let m = manifest();
         HELD.with(|held| {
             let mut held = held.borrow_mut();
             if !m.locks.contains(name) {
-                // lint: allow(W1) — panicking on violation is the
-                // witness's purpose: it fires before the inner lock
-                // can park, turning a potential deadlock into a loud
-                // test failure. Debug/test builds only.
                 panic!(
                     "lockwitness: lock `{name}` is not in the lock-order manifest — \
                      regenerate it (riskpipe-lint --emit-lock-graph .) or fix the name"
@@ -296,8 +306,6 @@ mod witness {
             for &h in held.iter() {
                 let ordered = h != name && m.closure.get(h).is_some_and(|succ| succ.contains(name));
                 if !ordered {
-                    // lint: allow(W1) — see above: a violation must
-                    // abort before the lock parks. Debug/test only.
                     panic!(
                         "lockwitness: acquiring `{name}` while holding {:?} violates the \
                          lock-order manifest (no `{h}` -> `{name}` edge); this order can \

@@ -89,8 +89,11 @@ impl ThreadPool {
     /// Panics if the OS refuses to spawn a worker thread; use
     /// [`ThreadPool::try_new`] for the typed-error path.
     pub fn new(threads: usize) -> Self {
-        // lint: allow(W1) — documented convenience panic; the typed
-        // path is `try_new`, which core's session builder uses.
+        #[expect(
+            clippy::panic,
+            reason = "documented convenience panic; the typed path is `try_new`, \
+                      which core's session builder uses"
+        )]
         Self::try_new(threads).unwrap_or_else(|e| panic!("failed to spawn pool workers: {e}"))
     }
 
@@ -201,10 +204,14 @@ impl ThreadPool {
             }
         }
         if scope.panicked.load(Ordering::Acquire) {
-            // lint: allow(W1) — deliberate panic *propagation*: a task
-            // panic caught on a worker is re-raised on the scope
-            // caller, mirroring rayon::scope semantics.
-            panic!("a task spawned in ThreadPool::scope panicked");
+            #[expect(
+                clippy::panic,
+                reason = "deliberate panic propagation: a task panic caught on a worker \
+                          is re-raised on the scope caller, mirroring rayon::scope semantics"
+            )]
+            {
+                panic!("a task spawned in ThreadPool::scope panicked");
+            }
         }
         result
     }
@@ -225,8 +232,11 @@ impl ThreadPool {
 impl Default for ThreadPool {
     /// A pool sized to `std::thread::available_parallelism()`.
     fn default() -> Self {
-        // lint: allow(W1) — documented convenience panic; the typed
-        // path is `try_default`, which core's session builder uses.
+        #[expect(
+            clippy::panic,
+            reason = "documented convenience panic; the typed path is `try_default`, \
+                      which core's session builder uses"
+        )]
         Self::try_default().unwrap_or_else(|e| panic!("failed to spawn pool workers: {e}"))
     }
 }
@@ -337,6 +347,10 @@ impl<'scope> Scope<'scope> {
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the tests time the waits they bound"
+)]
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicU64;

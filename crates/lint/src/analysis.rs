@@ -382,7 +382,7 @@ impl FileModel {
     ///
     /// ```text
     /// lint: allow(D1)            — reason text          (em dash)
-    /// lint: allow(D3, S1) - reason text                 (hyphen)
+    /// lint: allow(D1, D2) - reason text                 (hyphen)
     /// lint: calls(run_job) — reason text                (call edge)
     /// ```
     ///
@@ -569,7 +569,7 @@ mod tests {
             "fn f() {\n\
              // lint: allow(D1) — keys merged once per partial\n\
              let a = 1;\n\
-             // lint: allow(D3, S1) -\n\
+             // lint: allow(D2, L1) -\n\
              let b = 2;\n}",
         );
         assert_eq!(m.suppressions.len(), 2);
@@ -578,7 +578,7 @@ mod tests {
         assert!(s0.has_reason);
         assert!(s0.covers.contains(&3));
         let s1 = &m.suppressions[1];
-        assert_eq!(s1.rules, vec!["D3", "S1"]);
+        assert_eq!(s1.rules, vec!["D2", "L1"]);
         assert!(!s1.has_reason);
     }
 

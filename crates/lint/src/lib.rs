@@ -14,26 +14,32 @@
 //!   fold/merge/sink/rollup code (use `BTreeMap` or a sorted drain);
 //! * **D2** — no `sort_by`/`max_by`/`min_by` comparators built on
 //!   `partial_cmp` (use `f64::total_cmp`);
-//! * **D3** — no `Instant::now`/`SystemTime::now` outside designated
-//!   timing modules (timings flow through stats/counter structs only);
 //! * **D4** — no entropy-seeded RNG construction (seeds are explicit);
-//! * **S1** — every `unsafe` site carries a `// SAFETY:` audit comment;
-//! * **S2** — narrowing `as` casts in codec/decode paths need a checked
-//!   conversion or an annotation (graduated from warn to deny once the
-//!   durable-format work landed and the workspace was clean);
 //! * **C1** — no blocking primitive (`lock`, condvar `wait`, channel
 //!   `recv`, `join`, `park`, nested `.scope`) *reachable* from code that
 //!   executes on pool workers — checked over a workspace call graph,
 //!   with the full root→site chain in every finding;
-//! * **C2** — no raw filesystem writes (`fs::write`, `File::create`,
-//!   truncating `OpenOptions`) in persistence paths outside
-//!   `riskpipe_tables::durable`;
 //! * **L1**/**L2**/**L3** — the lock-flow rules over the same call
 //!   graph: no cycle in the workspace lock-order graph, no guard held
 //!   across a spawn/`par_*`/scope boundary or a blocking site, no guard
-//!   held across a call into another crate;
-//! * **W1** — no `unwrap`/`expect`/`panic!` in non-test library code of
-//!   the serving-path crates.
+//!   held across a call into another crate.
+//!
+//! These are the rules clippy cannot say: D1 is scoped by function and
+//! file names, D2 as a `disallowed-methods` entry would also fire inside
+//! every `#[derive(PartialOrd)]`, D4's names come from crates the
+//! offline workspace cannot depend on, and C1 and L1–L3 need the
+//! whole-workspace call and lock graphs. The workspace's other
+//! determinism and safety rules are clippy configuration — the root
+//! `clippy.toml`, the root manifest's `[workspace.lints]` and inner lint
+//! attributes — checked by the `workspace_clean` test's clippy run:
+//!
+//! | rule | clippy lint |
+//! |------|-------------|
+//! | D3 (wall clocks) | `disallowed_methods`: `Instant::now`, `SystemTime::now` |
+//! | C2 (raw fs writes) | `disallowed_methods`: `fs::write`, `File::create`, `OpenOptions::truncate` |
+//! | S1 (unaudited `unsafe`) | `undocumented_unsafe_blocks` |
+//! | S2 (narrowing casts in codecs) | `cast_possible_truncation`, denied per codec module |
+//! | W1 (serving-path panics) | `unwrap_used`, `expect_used`, `panic`, denied per serving crate |
 //!
 //! Every rule is deny-level; the only warn-level finding today is an
 //! unused suppression (`--deny-warnings` fails on those too, and is
@@ -47,7 +53,8 @@
 //! about a tenth of a second in release, so there is no thread
 //! fan-out and no cache to keep coherent.
 //!
-//! Suppression is per-site and auditable:
+//! Suppression is per-site and auditable. The engine's rules take a
+//! comment:
 //!
 //! ```text
 //! // lint: allow(D1) — each key occurs once per partial; entries are
@@ -57,11 +64,14 @@
 //! A suppression must name the rule and carry a non-empty reason after
 //! a dash; a malformed suppression is itself a deny-level finding
 //! (rule `SUP`), and an unused one a warn-level finding — so the audit
-//! trail can never silently rot.
+//! trail can never silently rot. The clippy rules take
+//! `#[expect(<lint>, reason = "…")]`, under the same discipline:
+//! `clippy::allow_attributes_without_reason` is denied workspace-wide
+//! and rustc reports an expectation nothing fulfils.
 //!
 //! The lint crate eats its own dog food: its sources use `BTreeMap`
-//! throughout, bind no wall clocks, and are part of the workspace scan
-//! run by the tier-1 `workspace_clean` test.
+//! throughout and are part of the workspace scan run by the tier-1
+//! `workspace_clean` test.
 
 mod analysis;
 pub mod graph;
@@ -83,33 +93,23 @@ use std::path::{Path, PathBuf};
 pub enum RuleId {
     D1,
     D2,
-    D3,
     D4,
-    S1,
-    S2,
     C1,
-    C2,
     L1,
     L2,
     L3,
-    W1,
     Sup,
 }
 
 impl RuleId {
-    pub const ALL: [RuleId; 13] = [
+    pub const ALL: [RuleId; 8] = [
         RuleId::D1,
         RuleId::D2,
-        RuleId::D3,
         RuleId::D4,
-        RuleId::S1,
-        RuleId::S2,
         RuleId::C1,
-        RuleId::C2,
         RuleId::L1,
         RuleId::L2,
         RuleId::L3,
-        RuleId::W1,
         RuleId::Sup,
     ];
 
@@ -117,16 +117,11 @@ impl RuleId {
         match self {
             RuleId::D1 => "D1",
             RuleId::D2 => "D2",
-            RuleId::D3 => "D3",
             RuleId::D4 => "D4",
-            RuleId::S1 => "S1",
-            RuleId::S2 => "S2",
             RuleId::C1 => "C1",
-            RuleId::C2 => "C2",
             RuleId::L1 => "L1",
             RuleId::L2 => "L2",
             RuleId::L3 => "L3",
-            RuleId::W1 => "W1",
             RuleId::Sup => "SUP",
         }
     }
@@ -138,10 +133,9 @@ impl RuleId {
 
     /// Default severity. New rules enter the catalogue at `Warn` and
     /// graduate to `Deny` once the workspace is clean; every rule in
-    /// the catalogue has graduated (S2 with the durable-format work,
-    /// W1 and L3 when their last sites were burned down), so a new
-    /// rule's warning period is the only reason to add a `Warn` arm
-    /// here.
+    /// the catalogue has graduated (L3 when its last sites were burned
+    /// down), so a new rule's warning period is the only reason to add
+    /// a `Warn` arm here.
     pub fn severity(self) -> Severity {
         Severity::Deny
     }
@@ -163,16 +157,11 @@ impl RuleId {
         match self {
             RuleId::D1 => "no HashMap/HashSet iteration in fold/merge/sink/rollup code",
             RuleId::D2 => "no sort_by/max_by/min_by comparators built on partial_cmp",
-            RuleId::D3 => "no Instant::now/SystemTime::now outside designated timing modules",
             RuleId::D4 => "no entropy-seeded RNG construction (seeds must be explicit)",
-            RuleId::S1 => "every unsafe site carries a // SAFETY: audit comment",
-            RuleId::S2 => "narrowing `as` casts in codec/decode paths need a checked conversion",
             RuleId::C1 => "no blocking primitive reachable from pool-task roots (call-graph rule)",
-            RuleId::C2 => "no raw fs writes in persistence paths outside riskpipe_tables::durable",
             RuleId::L1 => "no cycle in the workspace lock-order graph (call-graph rule)",
             RuleId::L2 => "no guard held across a spawn/par_*/scope boundary or blocking site",
             RuleId::L3 => "no guard held across a call into another crate",
-            RuleId::W1 => "no unwrap/expect/panic! in serving-path library code",
             RuleId::Sup => "suppressions must name a known rule and carry a reason, and be used",
         }
     }
@@ -218,24 +207,12 @@ impl RuleId {
                  \n\
                  FIX   Use `f64::total_cmp` (total order, NaN sorted high/low by\n\
                  sign bit) or an integer/Ord key. Tie-break float keys with a\n\
-                 stable secondary key when equal values must order reproducibly."
-            }
-            RuleId::D3 => {
-                "D3 — wall-clock reads outside designated timing modules (deny)\n\
+                 stable secondary key when equal values must order reproducibly.\n\
                  \n\
-                 WHY   Instant::now/SystemTime::now readings differ every run. They\n\
-                 are fine as *measurements* (stats, counters, benchmark reports) but\n\
-                 poison determinism the moment one flows into a numeric result, a\n\
-                 seed, a cache key, or control flow near the numeric path.\n\
-                 \n\
-                 FIRES on Instant::now/SystemTime::now in any file outside the\n\
-                 designated timing modules (default: crates/bench/ — the benchmark\n\
-                 and perf-gate harness). Inline #[cfg(test)] modules are exempt.\n\
-                 \n\
-                 FIX   Route the timing through the existing stats/counter structs\n\
-                 (ExecStats, Stage1CacheStats...) or telemetry spans in a designated\n\
-                 module, or suppress with a reason documenting exactly where the\n\
-                 reading flows and why it cannot reach numeric output."
+                 NOT CLIPPY  A `disallowed-methods` entry for\n\
+                 `PartialOrd::partial_cmp` also fires inside every\n\
+                 `#[derive(PartialOrd)]` expansion; this rule looks at the\n\
+                 comparator argument of a sort or extremum only."
             }
             RuleId::D4 => {
                 "D4 — entropy-seeded RNG construction (deny)\n\
@@ -249,41 +226,11 @@ impl RuleId {
                  \n\
                  FIX   Construct RNGs from explicit caller-provided seeds (the\n\
                  riskpipe_types::dist generators all take u64 seeds) and derive\n\
-                 per-task streams by mixing stable identifiers into the seed."
-            }
-            RuleId::S1 => {
-                "S1 — unsafe without a SAFETY audit (deny)\n\
+                 per-task streams by mixing stable identifiers into the seed.\n\
                  \n\
-                 WHY   Every unsafe block/fn/impl in the workspace encodes an\n\
-                 invariant the compiler cannot check (disjoint slot ownership in the\n\
-                 pool's scoped spawns, the simulated-GPU launch contract, lifetime\n\
-                 erasure in work-stealing). An unwritten invariant is one refactor\n\
-                 away from being violated silently; the audit comment is the\n\
-                 reviewable contract.\n\
-                 \n\
-                 FIRES on any `unsafe` token without a comment containing `SAFETY`\n\
-                 within the preceding six lines (trailing same-line comments count).\n\
-                 This rule applies in test code too.\n\
-                 \n\
-                 FIX   Write `// SAFETY: <the invariant and why it holds here>`\n\
-                 immediately above the unsafe site."
-            }
-            RuleId::S2 => {
-                "S2 — narrowing casts in codec/decode paths (deny)\n\
-                 \n\
-                 WHY   `x as u32` silently truncates. In codec/decode paths a\n\
-                 truncated length, offset, or id corrupts persisted artifacts in\n\
-                 ways the checksums of a future frame format may not even catch\n\
-                 (the truncation happens before encoding). The rule entered the\n\
-                 catalogue at warn and graduated to deny when the durable-format\n\
-                 work in the ROADMAP landed.\n\
-                 \n\
-                 FIRES on `as u8/u16/u32/i8/i16/i32/f32` inside functions or files\n\
-                 whose name marks them as codec/encode/decode/compress/frame code.\n\
-                 \n\
-                 FIX   Use TryFrom/try_into with an error path, assert the bound\n\
-                 first, or suppress with a reason proving the value fits\n\
-                 (`// lint: allow(S2) — shard count is capped at 4096 above`)."
+                 NOT CLIPPY  The names come from crates (rand, getrandom) the\n\
+                 offline workspace cannot depend on, so no `disallowed-methods`\n\
+                 path can resolve them; a token match is the only check."
             }
             RuleId::C1 => {
                 "C1 — blocking primitives reachable from pool-task roots (deny)\n\
@@ -313,27 +260,6 @@ impl RuleId {
                  (e.g. `// lint: allow(C1) — wake-gate only: 200µs bounded wait,\n\
                  holder never blocks`). The suppression silences every chain\n\
                  through that site — the site is sound or it is not."
-            }
-            RuleId::C2 => {
-                "C2 — raw filesystem writes in persistence paths (deny)\n\
-                 \n\
-                 WHY   Durable artifacts are crash-consistent only because every\n\
-                 byte lands via `riskpipe_tables::durable::write_atomic` (tmp file\n\
-                 + sync_all + rename + parent fsync) or the sharded inflight-then-\n\
-                 rename protocol, with the manifest written last. One bare\n\
-                 `fs::write` in a persistence path reintroduces torn frames that\n\
-                 the crash-recovery tests cannot see until a real crash does.\n\
-                 \n\
-                 FIRES on `fs::write`, `File::create`, and `OpenOptions`\n\
-                 `.truncate(true)` in non-test code whose file stem or enclosing\n\
-                 fn name marks it as persistence code (persist/store/shard/\n\
-                 manifest/snapshot/checkpoint/save/spill), outside the durable\n\
-                 module itself.\n\
-                 \n\
-                 FIX   Route the bytes through `durable::write_atomic`, or\n\
-                 suppress with a written crash-consistency argument (e.g. the\n\
-                 shard writer streams to an `.inflight` name and renames at seal,\n\
-                 so a torn inflight file is unreferenced garbage by construction)."
             }
             RuleId::L1 => {
                 "L1 — cycle in the workspace lock-order graph (deny)\n\
@@ -409,33 +335,13 @@ impl RuleId {
                  resolved definition lives in a different crate (same-crate\n\
                  candidates win — Rust resolution prefers local items).\n\
                  Calls into designated lock-leaf crates (default: riskpipe-obs,\n\
-                 whose registry locks never call back out) are exempt, the\n\
-                 same shape as D3's timing modules.\n\
+                 whose registry locks never call back out) are exempt.\n\
                  \n\
                  FIX   Narrow the guard (copy data out, drop before calling),\n\
                  or suppress with a written argument that the callee takes no\n\
                  lock; promote a genuinely leaf-like callee crate into\n\
                  `lock_leaf_crates` only with an audit that its internal locks\n\
                  never call out."
-            }
-            RuleId::W1 => {
-                "W1 — unwrap/expect/panic! in serving-path library code (deny)\n\
-                 \n\
-                 WHY   A panic inside a pool task aborts the whole pipeline run\n\
-                 and poisons shared mutexes; the serving path should surface\n\
-                 typed errors instead — above all for a value that was decoded\n\
-                 from a frame or a spill file, which a torn write can make\n\
-                 anything.\n\
-                 \n\
-                 FIRES on `.unwrap(`, `.expect(`, and `panic!` in non-test code\n\
-                 under the serving-path crates (core, exec, tables, metrics,\n\
-                 warehouse, analytics, mapreduce, obs).\n\
-                 \n\
-                 FIX   Return a Result (`RiskError::corrupt` for anything read\n\
-                 from a decoded frame) or use unwrap_or/_default. Where the\n\
-                 value is infallible by an invariant established a few lines\n\
-                 up, keep the call under `// lint: allow(W1) — <the invariant,\n\
-                 in words>`; never on a site that reads decoded bytes."
             }
             RuleId::Sup => {
                 "SUP — suppression hygiene (deny for malformed, warn for unused)\n\
@@ -445,11 +351,15 @@ impl RuleId {
                  one that no longer suppresses anything is stale documentation.\n\
                  \n\
                  SYNTAX  // lint: allow(D1) — reason\n\
-                 \t// lint: allow(D3, S1) - reason   (plain hyphen also accepted)\n\
+                 \t// lint: allow(D1, D2) - reason   (plain hyphen also accepted)\n\
                  The comment covers its own line and the next code line.\n\
                  \n\
                  FIRES (deny) on allow() naming an unknown rule or missing the\n\
-                 reason; (warn) on a suppression that matched no finding."
+                 reason; (warn) on a suppression that matched no finding.\n\
+                 \n\
+                 The rules that are clippy lints take #[expect(<lint>, reason =\n\
+                 \"...\")] instead; clippy's allow_attributes_without_reason and\n\
+                 rustc's unfulfilled_lint_expectations are their SUP."
             }
         }
     }
@@ -543,16 +453,9 @@ impl fmt::Display for Finding {
 /// Engine configuration.
 #[derive(Debug, Clone)]
 pub struct Config {
-    /// Path substrings designating timing modules (D3 allowlist).
-    pub timing_modules: Vec<String>,
     /// Directory names skipped during the walk. `fixtures` is excluded
     /// because lint fixture trees are intentionally violating inputs.
     pub exclude_dirs: Vec<String>,
-    /// Path prefixes of the serving-path crates (W1 scope).
-    pub serving_crates: Vec<String>,
-    /// Path substrings of the sanctioned durable-write modules (C2
-    /// exempts them — they *are* the atomic-write protocol).
-    pub durable_modules: Vec<String>,
     /// Function names whose bodies execute on pool workers (C1 roots,
     /// in addition to spawned/`par_*` closures).
     pub root_fns: Vec<String>,
@@ -566,31 +469,12 @@ pub struct Config {
 impl Default for Config {
     fn default() -> Self {
         Self {
-            timing_modules: vec![
-                "crates/bench/".to_string(),
-                // The telemetry subsystem is the one library home for
-                // wall clocks: span timings are diagnostic-only and
-                // never feed loss numerics (enforced by its own docs
-                // and the registry's integers-only discipline).
-                "crates/obs/".to_string(),
-            ],
             exclude_dirs: vec![
                 "target".to_string(),
                 "vendor".to_string(),
                 "fixtures".to_string(),
                 ".git".to_string(),
             ],
-            serving_crates: vec![
-                "crates/core/src/".to_string(),
-                "crates/exec/src/".to_string(),
-                "crates/tables/src/".to_string(),
-                "crates/metrics/src/".to_string(),
-                "crates/warehouse/src/".to_string(),
-                "crates/analytics/src/".to_string(),
-                "crates/mapreduce/src/".to_string(),
-                "crates/obs/src/".to_string(),
-            ],
-            durable_modules: vec!["crates/tables/src/durable.rs".to_string()],
             root_fns: vec![
                 "accept".to_string(),
                 "accept_shared".to_string(),
@@ -625,7 +509,7 @@ pub fn lint_sources(files: &[(String, String)], cfg: &Config) -> Report {
     let mut per_file = Vec::with_capacity(files.len());
     for (path, source) in files {
         let model = FileModel::build(path, lex(source));
-        let raw = rules::run_all(&model, cfg);
+        let raw = rules::run_all(&model);
         summaries.push(summary::summarize(&model, cfg));
         per_file.push((raw, model.suppressions));
     }
@@ -963,6 +847,10 @@ pub fn find_workspace_root(start: &Path) -> Option<PathBuf> {
 }
 
 #[cfg(test)]
+#[path = "../tests/support/clippy.rs"]
+mod clippy_harness;
+
+#[cfg(test)]
 mod tests {
     use super::*;
 
@@ -1007,7 +895,7 @@ mod tests {
     #[test]
     fn wrong_rule_suppression_does_not_silence() {
         let src = "fn f() {\n\
-                   // lint: allow(D3) — wrong rule named\n\
+                   // lint: allow(D2) — wrong rule named\n\
                    let r = thread_rng();\n}";
         let findings = lint_source("crates/x/src/a.rs", src, &Config::default());
         assert!(findings.iter().any(|f| f.rule == RuleId::D4));

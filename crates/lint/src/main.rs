@@ -139,6 +139,11 @@ fn main() -> ExitCode {
     };
 
     if let Some(dir) = &emit_lock_graph {
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the lock graph is developer output regenerated on demand; this \
+                      crate is dependency-free, so riskpipe_tables::durable is out of reach"
+        )]
         let write = || -> std::io::Result<()> {
             std::fs::create_dir_all(dir)?;
             std::fs::write(dir.join("lock-order.dot"), report.lock_graph.render_dot())?;

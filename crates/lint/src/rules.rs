@@ -10,14 +10,11 @@
 //! |------|----------|
 //! | D1   | iteration over `HashMap`/`HashSet` in fold/merge/sink/rollup code without a sorted drain |
 //! | D2   | `sort_by`/`max_by`/`min_by` comparators built on `partial_cmp` |
-//! | D3   | `Instant::now`/`SystemTime::now` outside designated timing modules |
 //! | D4   | entropy-seeded RNG construction (`thread_rng`, `from_entropy`, `OsRng`, …) |
-//! | S1   | `unsafe` without an adjacent `// SAFETY:` audit comment |
-//! | S2   | narrowing `as` casts inside codec/decode code |
 
-use crate::analysis::{is_test_path, FileModel, HashKind};
+use crate::analysis::{FileModel, HashKind};
 use crate::lexer::TokKind;
-use crate::{Config, RuleId, TraceFrame};
+use crate::{RuleId, TraceFrame};
 
 /// A finding before suppression processing.
 #[derive(Debug, Clone)]
@@ -74,65 +71,22 @@ const D2_METHODS: &[&str] = &["sort_by", "sort_unstable_by", "max_by", "min_by"]
 /// Entropy-sourced RNG constructors D4 bans.
 const D4_IDENTS: &[&str] = &["thread_rng", "from_entropy", "OsRng", "getrandom"];
 
-/// Cast targets S2 treats as narrowing.
-const S2_NARROW_TARGETS: &[&str] = &["u8", "u16", "u32", "i8", "i16", "i32", "f32"];
-
-/// File/function-name markers that put code in S2's codec/decode scope.
-const S2_SCOPE_MARKERS: &[&str] = &[
-    "codec",
-    "encode",
-    "decode",
-    "compress",
-    "serial",
-    "frame",
-    "pack",
-    "from_bytes",
-    "to_bytes",
-];
-
-/// How many lines above an `unsafe` token S1 searches for `SAFETY:`.
-const S1_WINDOW: u32 = 6;
-
-/// File/function-name markers that put code in C2's persistence scope.
-const C2_SCOPE_MARKERS: &[&str] = &[
-    "persist",
-    "store",
-    "durable",
-    "manifest",
-    "shard",
-    "snapshot",
-    "checkpoint",
-    "save",
-    "spill",
-];
-
 /// Run every rule over one analysed file. (C1 is the cross-file
 /// reachability rule and lives in [`crate::graph`].)
-pub fn run_all(model: &FileModel, cfg: &Config) -> Vec<RawFinding> {
+pub fn run_all(model: &FileModel) -> Vec<RawFinding> {
     let mut out = Vec::new();
     d1_hash_iteration(model, &mut out);
     d2_partial_cmp(model, &mut out);
-    d3_wall_clock(model, cfg, &mut out);
     d4_entropy_rng(model, &mut out);
-    s1_unsafe_audit(model, &mut out);
-    s2_narrowing_casts(model, &mut out);
-    c2_raw_persistence_writes(model, cfg, &mut out);
-    w1_panic_paths(model, cfg, &mut out);
     out.sort_by_key(|a| (a.line, a.rule));
     out
 }
 
-fn name_matches(name: &str, markers: &[&str]) -> bool {
-    markers.iter().any(|m| name.contains(m))
-}
-
-/// Does any enclosing scope name or the file stem match `markers`?
-fn scoped_by_name(model: &FileModel, line: u32, markers: &[&str]) -> bool {
-    name_matches(&model.stem(), markers)
-        || model
-            .scopes_at(line)
-            .iter()
-            .any(|s| name_matches(s, markers))
+/// Does the file stem or any enclosing scope name mark `line` as
+/// merge-sensitive (D1's scope)?
+fn in_merge_scope(model: &FileModel, line: u32) -> bool {
+    let named = |name: &str| D1_SCOPE_MARKERS.iter().any(|m| name.contains(m));
+    named(&model.stem()) || model.scopes_at(line).into_iter().any(named)
 }
 
 /// Code index of the end of the statement containing `ci` (the `;` at
@@ -284,8 +238,8 @@ fn d1_check_for_loop(model: &FileModel, for_ci: usize) -> Option<RawFinding> {
     }
     // Scope: enclosing names, or a merge-like call in the loop body.
     let body_end = matching_close(model, body_open);
-    let in_scope = scoped_by_name(model, line, D1_SCOPE_MARKERS)
-        || range_has_ident(model, body_open, body_end, D1_MERGE_CALLS);
+    let in_scope =
+        in_merge_scope(model, line) || range_has_ident(model, body_open, body_end, D1_MERGE_CALLS);
     if !in_scope {
         return None;
     }
@@ -344,8 +298,8 @@ fn d1_check_method_chain(model: &FileModel, name_ci: usize) -> Option<RawFinding
     let stmt_start = statement_start(model, name_ci);
     let stmt_end = statement_end(model, name_ci);
     // Scope: enclosing names, or a merge-like call in the statement.
-    let in_scope = scoped_by_name(model, line, D1_SCOPE_MARKERS)
-        || range_has_ident(model, stmt_start, stmt_end, D1_MERGE_CALLS);
+    let in_scope =
+        in_merge_scope(model, line) || range_has_ident(model, stmt_start, stmt_end, D1_MERGE_CALLS);
     if !in_scope {
         return None;
     }
@@ -461,45 +415,6 @@ fn d2_partial_cmp(model: &FileModel, out: &mut Vec<RawFinding>) {
     }
 }
 
-/// **D3** — wall-clock reads outside designated timing modules.
-fn d3_wall_clock(model: &FileModel, cfg: &Config, out: &mut Vec<RawFinding>) {
-    if cfg
-        .timing_modules
-        .iter()
-        .any(|m| model.path.contains(m.as_str()))
-    {
-        return;
-    }
-    for ci in 0..model.code.len() {
-        let t = model.ct(ci).expect("in range");
-        if t.kind != TokKind::Ident || (t.text != "Instant" && t.text != "SystemTime") {
-            continue;
-        }
-        if !(model.ct(ci + 1).is_some_and(|u| u.is_punct("::"))
-            && model.ct(ci + 2).is_some_and(|u| u.is_ident("now")))
-        {
-            continue;
-        }
-        if model.in_test_code(t.line) {
-            continue;
-        }
-        out.push(RawFinding {
-            rule: RuleId::D3,
-            line: t.line,
-            message: format!(
-                "`{}::now()` outside a designated timing module: wall-clock \
-                 readings must flow only into stats/counter structs, never \
-                 into numeric results — move the timing into a designated \
-                 module or suppress with a reason documenting where the \
-                 reading flows",
-                t.text
-            ),
-            trace: Vec::new(),
-            chains: Vec::new(),
-        });
-    }
-}
-
 /// **D4** — entropy-seeded RNG construction.
 fn d4_entropy_rng(model: &FileModel, out: &mut Vec<RawFinding>) {
     for ci in 0..model.code.len() {
@@ -525,193 +440,15 @@ fn d4_entropy_rng(model: &FileModel, out: &mut Vec<RawFinding>) {
     }
 }
 
-/// **S1** — `unsafe` without an adjacent `// SAFETY:` audit.
-fn s1_unsafe_audit(model: &FileModel, out: &mut Vec<RawFinding>) {
-    for (i, t) in model.toks.iter().enumerate() {
-        if t.kind != TokKind::Ident || t.text != "unsafe" {
-            continue;
-        }
-        let lo = t.line.saturating_sub(S1_WINDOW);
-        let audited = model.toks.iter().any(|c| {
-            c.kind == TokKind::Comment
-                && c.line >= lo
-                && c.line <= t.line
-                && c.text.contains("SAFETY")
-        });
-        if audited {
-            continue;
-        }
-        // Describe what kind of unsafe construct this is.
-        let next = model.toks[i + 1..]
-            .iter()
-            .find(|u| u.kind != TokKind::Comment);
-        let what = match next {
-            Some(u) if u.is_ident("impl") => "unsafe impl",
-            Some(u) if u.is_ident("fn") => "unsafe fn",
-            _ => "unsafe block",
-        };
-        out.push(RawFinding {
-            rule: RuleId::S1,
-            line: t.line,
-            message: format!(
-                "{what} without a `// SAFETY:` comment in the preceding \
-                 {S1_WINDOW} lines: every unsafe site must carry a written \
-                 audit of the invariants that make it sound"
-            ),
-            trace: Vec::new(),
-            chains: Vec::new(),
-        });
-    }
-}
-
-/// **S2** — narrowing `as` casts in codec/decode code.
-fn s2_narrowing_casts(model: &FileModel, out: &mut Vec<RawFinding>) {
-    for ci in 0..model.code.len() {
-        let t = model.ct(ci).expect("in range");
-        if t.kind != TokKind::Ident || t.text != "as" {
-            continue;
-        }
-        let Some(target) = model.ct(ci + 1) else {
-            continue;
-        };
-        if target.kind != TokKind::Ident || !S2_NARROW_TARGETS.contains(&target.text.as_str()) {
-            continue;
-        }
-        if model.in_test_code(t.line) || !scoped_by_name(model, t.line, S2_SCOPE_MARKERS) {
-            continue;
-        }
-        out.push(RawFinding {
-            rule: RuleId::S2,
-            line: t.line,
-            message: format!(
-                "narrowing `as {}` cast in codec/decode code: a silent \
-                 truncation here corrupts decoded artifacts — use \
-                 `try_from`/checked conversion, or annotate why the value \
-                 provably fits",
-                target.text
-            ),
-            trace: Vec::new(),
-            chains: Vec::new(),
-        });
-    }
-}
-
-/// **C2** — raw filesystem writes in persistence paths outside the
-/// sanctioned durable module.
-///
-/// Every durable artifact must land via `riskpipe_tables::durable`
-/// (tmp file + `sync_all` + rename + parent fsync) or the sharded
-/// inflight-then-rename protocol built on it. A bare `fs::write`,
-/// `File::create`, or truncating `OpenOptions` in persistence code is
-/// a torn-write waiting for a crash. Scope: non-test code whose file
-/// stem or enclosing fn name marks it as persistence
-/// (persist/store/shard/manifest/…), excluding the durable module
-/// itself.
-fn c2_raw_persistence_writes(model: &FileModel, cfg: &Config, out: &mut Vec<RawFinding>) {
-    if cfg
-        .durable_modules
-        .iter()
-        .any(|m| model.path.contains(m.as_str()))
-        || is_test_path(&model.path)
-    {
-        return;
-    }
-    for ci in 0..model.code.len() {
-        let t = model.ct(ci).expect("in range");
-        if t.kind != TokKind::Ident {
-            continue;
-        }
-        let prev_path = |who: &str| {
-            ci >= 2
-                && model.ct(ci - 1).is_some_and(|u| u.is_punct("::"))
-                && model.ct(ci - 2).is_some_and(|u| u.is_ident(who))
-        };
-        let what = match t.text.as_str() {
-            "write" if prev_path("fs") => "`fs::write`",
-            "create" if prev_path("File") => "`File::create`",
-            "truncate"
-                if ci >= 1
-                    && model.ct(ci - 1).is_some_and(|u| u.is_punct("."))
-                    && model.ct(ci + 1).is_some_and(|u| u.is_punct("("))
-                    && model.ct(ci + 2).is_some_and(|u| u.is_ident("true")) =>
-            {
-                "truncating `OpenOptions`"
-            }
-            _ => continue,
-        };
-        if model.in_test_code(t.line) || !scoped_by_name(model, t.line, C2_SCOPE_MARKERS) {
-            continue;
-        }
-        out.push(RawFinding {
-            rule: RuleId::C2,
-            line: t.line,
-            message: format!(
-                "{what} in a persistence path outside `riskpipe_tables::durable`: \
-                 a crash mid-write leaves a torn artifact that the manifest may \
-                 still reference — route the bytes through `durable::write_atomic` \
-                 (or the inflight-then-rename shard protocol), or suppress with a \
-                 written crash-consistency proof"
-            ),
-            trace: Vec::new(),
-            chains: Vec::new(),
-        });
-    }
-}
-
-/// **W1** — `unwrap`/`expect`/`panic!` in non-test library code of the
-/// serving-path crates.
-fn w1_panic_paths(model: &FileModel, cfg: &Config, out: &mut Vec<RawFinding>) {
-    if !cfg
-        .serving_crates
-        .iter()
-        .any(|p| model.path.starts_with(p.as_str()))
-        || is_test_path(&model.path)
-    {
-        return;
-    }
-    for ci in 0..model.code.len() {
-        let t = model.ct(ci).expect("in range");
-        if t.kind != TokKind::Ident {
-            continue;
-        }
-        let what = match t.text.as_str() {
-            m @ ("unwrap" | "expect")
-                if ci >= 1
-                    && model.ct(ci - 1).is_some_and(|u| u.is_punct("."))
-                    && model.ct(ci + 1).is_some_and(|u| u.is_punct("(")) =>
-            {
-                format!("`.{m}(..)`")
-            }
-            "panic" if model.ct(ci + 1).is_some_and(|u| u.is_punct("!")) => "`panic!`".to_string(),
-            _ => continue,
-        };
-        if model.in_test_code(t.line) {
-            continue;
-        }
-        out.push(RawFinding {
-            rule: RuleId::W1,
-            line: t.line,
-            message: format!(
-                "{what} in non-test library code of a serving-path crate: a \
-                 panic on the worker path aborts the whole pipeline (and poisons \
-                 shared state) — surface a typed error, or document the invariant \
-                 that makes the value infallible"
-            ),
-            trace: Vec::new(),
-            chains: Vec::new(),
-        });
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::analysis::FileModel;
+    use crate::clippy_harness::{verdict, At, BENCH_ROOT, CODEC, CORE};
     use crate::lexer::lex;
 
     fn findings_in(path: &str, src: &str) -> Vec<RawFinding> {
-        let model = FileModel::build(path, lex(src));
-        run_all(&model, &Config::default())
+        run_all(&FileModel::build(path, lex(src)))
     }
 
     #[test]
@@ -747,66 +484,81 @@ mod tests {
         assert_eq!(f[0].rule, RuleId::D1);
     }
 
+    // The rules below are clippy configuration now: these run clippy on
+    // the shared fixtures, staged under the real attributes of the crate
+    // or module each names (see tests/support/clippy.rs).
+
+    const DISALLOWED: &str = "clippy::disallowed_methods";
+
     #[test]
     fn d3_allowlisted_module_is_clean() {
-        let src = "fn t() { let t0 = Instant::now(); }";
-        assert!(findings_in("crates/bench/src/bin/x.rs", src).is_empty());
-        assert_eq!(findings_in("crates/core/src/x.rs", src).len(), 1);
+        let bench = verdict("d3_fire.rs", At::Root(BENCH_ROOT));
+        assert_eq!(bench.count(DISALLOWED), 0, "{bench:?}");
+        assert_eq!(verdict("d3_fire.rs", At::Plain).denied(DISALLOWED), 2);
     }
 
     #[test]
     fn rules_skip_inline_test_modules_except_s1() {
+        // D1, D2 and D4 skip `#[cfg(test)]` modules...
         let src = "#[cfg(test)]\nmod tests {\n\
-                   fn t() { let t0 = Instant::now(); let r = thread_rng(); }\n\
-                   fn u() { unsafe { danger() } }\n}";
+                   fn merge(part: HashMap<u64, f64>, acc: &mut Acc) {\n\
+                   for (k, v) in part {\n    acc.merge(k, v);\n}\n}\n\
+                   fn rank(v: &mut Vec<f64>) { v.sort_by(|a, b| a.partial_cmp(b).unwrap()); }\n\
+                   fn t() { let r = thread_rng(); }\n}";
         let f = findings_in("crates/x/src/a.rs", src);
-        assert_eq!(f.len(), 1);
-        assert_eq!(f[0].rule, RuleId::S1);
+        assert!(f.is_empty(), "{f:?}");
+        // ...while clippy's unsafe audit still fires inside one.
+        let v = verdict("test_mod.rs", At::Root(CORE));
+        assert_eq!(v.denied("clippy::undocumented_unsafe_blocks"), 1, "{v:?}");
     }
 
     #[test]
     fn s1_accepts_nearby_safety_comment() {
-        let src = "fn f() {\n    // SAFETY: slot i is exclusively owned here.\n\
-                   unsafe { write(i) }\n}";
-        assert!(findings_in("crates/x/src/a.rs", src).is_empty());
+        let v = verdict("s1_clean.rs", At::Plain);
+        assert_eq!(v.count("clippy::undocumented_unsafe_blocks"), 0, "{v:?}");
     }
 
     #[test]
     fn c2_fires_only_in_persistence_scope() {
-        let src = "fn persist_frame(dir: &Path, b: &[u8]) {\n\
-                   fs::write(dir.join(\"f.bin\"), b);\n}";
-        let f = findings_in("crates/x/src/a.rs", src);
-        assert_eq!(f.len(), 1, "{f:?}");
-        assert_eq!(f[0].rule, RuleId::C2);
-        let src2 = "fn dump_debug(dir: &Path, b: &[u8]) {\n\
-                    fs::write(dir.join(\"f.bin\"), b);\n}";
-        assert!(findings_in("crates/x/src/a.rs", src2).is_empty());
+        // Every module but the durable layer is persistence scope: clippy
+        // matches the call, whatever the enclosing fn is named.
+        assert_eq!(verdict("c2_fire.rs", At::Plain).denied(DISALLOWED), 2);
     }
 
     #[test]
     fn c2_exempts_the_durable_module_itself() {
-        let src = "fn persist_bytes(tmp: &Path) {\n    let f = File::create(tmp);\n}";
-        assert!(findings_in("crates/tables/src/durable.rs", src).is_empty());
-        assert_eq!(findings_in("crates/tables/src/shard.rs", src).len(), 1);
+        let durable = At::Module("crates/tables/src/durable.rs");
+        assert_eq!(verdict("c2_fire.rs", durable).count(DISALLOWED), 0);
+        let shard = At::Module("crates/tables/src/shard.rs");
+        assert_eq!(verdict("c2_fire.rs", shard).denied(DISALLOWED), 2);
     }
 
     #[test]
     fn w1_scopes_to_serving_crate_library_code() {
-        let src = "fn f(x: Option<u32>) -> u32 { x.unwrap() }";
-        let f = findings_in("crates/core/src/x.rs", src);
-        assert_eq!(f.len(), 1);
-        assert_eq!(f[0].rule, RuleId::W1);
-        assert!(findings_in("crates/bench/src/x.rs", src).is_empty());
-        let test_src = "#[cfg(test)]\nmod tests {\n\
-                        fn f(x: Option<u32>) -> u32 { x.unwrap() }\n}";
-        assert!(findings_in("crates/core/src/x.rs", test_src).is_empty());
+        // Denied in core's library code; silent in a non-serving crate,
+        // in core's integration tests and in a `#[cfg(test)]` module.
+        let library = verdict("w1_fire.rs", At::Root(CORE));
+        let silent = [
+            verdict("w1_fire.rs", At::Root("crates/catmodel/src/lib.rs")),
+            verdict("w1_fire.rs", At::TestOf(CORE)),
+            verdict("test_mod.rs", At::Root(CORE)),
+        ];
+        for lint in [
+            "clippy::unwrap_used",
+            "clippy::expect_used",
+            "clippy::panic",
+        ] {
+            assert_eq!(library.denied(lint), 1, "{lint}: {library:?}");
+            for v in silent {
+                assert_eq!(v.count(lint), 0, "{lint}: {v:?}");
+            }
+        }
     }
 
     #[test]
     fn s2_only_in_codec_scope() {
-        let src = "fn decode_frame(x: u64) -> u32 { x as u32 }";
-        assert_eq!(findings_in("crates/x/src/a.rs", src).len(), 1);
-        let src2 = "fn widen(x: u64) -> u32 { x as u32 }";
-        assert!(findings_in("crates/x/src/a.rs", src2).is_empty());
+        let lint = "clippy::cast_possible_truncation";
+        assert_eq!(verdict("s2_fire.rs", At::Module(CODEC)).denied(lint), 2);
+        assert_eq!(verdict("s2_fire.rs", At::Plain).count(lint), 0);
     }
 }

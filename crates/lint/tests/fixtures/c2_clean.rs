@@ -1,10 +1,15 @@
 // C2 clean fixture: persistence code that routes every byte through
 // the durable layer — tmp + fsync + rename — so no raw write exists
-// for the rule to flag.
-pub fn persist_manifest(dir: &Path, bytes: &[u8]) -> RiskResult<()> {
-    durable::write_atomic(&dir.join("MANIFEST.txt"), bytes)
+// for the rule to flag. `durable` stands in for riskpipe_tables'.
+use std::io;
+use std::path::Path;
+
+mod durable {
+    pub fn write_atomic(_path: &std::path::Path, _bytes: &[u8]) -> std::io::Result<()> {
+        Ok(())
+    }
 }
 
-pub fn persist_snapshot(dir: &Path, rows: &[Row]) -> RiskResult<u64> {
-    durable::write_atomic_with(&dir.join("snapshot.rpt"), |w| encode_rows(w, rows))
+pub fn persist_manifest(dir: &Path, bytes: &[u8]) -> io::Result<()> {
+    durable::write_atomic(&dir.join("MANIFEST.txt"), bytes)
 }

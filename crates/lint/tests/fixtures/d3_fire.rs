@@ -1,6 +1,7 @@
-// D3 firing fixture: wall-clock reads in a file that is not a
-// designated timing module. The same source linted under a
-// crates/bench/ path is exempt (see rule_fixtures.rs).
+// D3 firing fixture: wall-clock reads outside a module that expects
+// them. The same source under the bench binary root's
+// `#![expect(clippy::disallowed_methods)]` is silent (see
+// rule_fixtures.rs).
 use std::time::{Instant, SystemTime};
 
 pub fn measure<T>(work: impl FnOnce() -> T) -> (T, u128) {

@@ -1,7 +1,7 @@
 // S2 firing fixture: narrowing casts inside a decode path — a
 // truncated length corrupts the artifact before any checksum sees it.
-pub fn decode_frame(data: &[u8], declared_len: u64) -> (u32, u8) {
+pub fn decode_frame(data: &[u8], declared_len: u64) -> (u32, u16) {
     let len = declared_len as u32;
-    let kind = data[0] as u8;
-    (len, kind)
+    let width = data.len() as u16;
+    (len, width)
 }

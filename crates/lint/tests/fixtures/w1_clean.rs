@@ -1,6 +1,12 @@
 // W1 clean fixture: the same lookup written as a total function — the
 // error is propagated as a value instead of panicking the serving
-// thread.
+// thread. `RiskError` stands in for riskpipe_types'.
+pub enum RiskError {
+    InvalidInput(String),
+}
+
+pub type RiskResult<T> = Result<T, RiskError>;
+
 pub fn quantile(xs: &[f64], q: f64) -> RiskResult<f64> {
     let idx = (q * (xs.len().saturating_sub(1)) as f64).round() as usize;
     match xs.get(idx) {

@@ -1,12 +1,13 @@
-// W1 firing fixture: panic paths in what rule_fixtures.rs presents as
-// serving-crate library code. The unwrap and the panic! both fire at
-// warn severity; the same source linted under a non-serving or test
-// path stays silent.
+// W1 firing fixture: panic paths in what the clippy harness stages as
+// serving-crate library code. The unwrap, the expect and the panic!
+// are all denied; the same source in a non-serving crate or an
+// integration test stays silent.
 pub fn quantile(xs: &[f64], q: f64) -> f64 {
+    let lo = xs.first().expect("non-empty input");
     let idx = (q * (xs.len() - 1) as f64).round() as usize;
     let v = xs.get(idx).unwrap();
     if !v.is_finite() {
         panic!("non-finite quantile input");
     }
-    *v
+    v.max(*lo)
 }

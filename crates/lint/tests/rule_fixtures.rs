@@ -1,17 +1,40 @@
-//! Per-rule fixture tests: every rule in the catalogue has a firing
-//! fixture that fails without it and a clean fixture that stays
-//! silent. The fixtures live in `tests/fixtures/` — a directory name
-//! the workspace walk excludes, because the firing fixtures are
-//! intentionally violating input, and one cargo never compiles (only
-//! direct children of `tests/` become test binaries).
+//! Per-rule fixture tests: every rule in the catalogue, and every rule
+//! the workspace states as clippy configuration, has a firing fixture
+//! that fails without it and a clean fixture that stays silent. The
+//! fixtures live in `tests/fixtures/` — a directory name the workspace
+//! walk excludes, because the firing fixtures are intentionally
+//! violating input, and one cargo never compiles on its own (only
+//! direct children of `tests/` become test binaries). The clippy
+//! fixtures are compiled by the harness in `tests/support/clippy.rs`.
 //!
 //! The fixtures are read with `fs`, never embedded as string literals:
 //! embedding them would put the violating tokens inside *this* file,
 //! which the workspace pass does scan.
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "the CLI tests stage scratch trees"
+)]
+
+#[path = "support/clippy.rs"]
+mod clippy_harness;
+
+use clippy_harness::{verdict, At, Verdict, BENCH_ROOT, CODEC, CORE, S2_MODULES, SERVING_ROOTS};
 use riskpipe_lint::{lint_source, lint_sources, Config, Finding, RuleId, Severity};
 use std::path::Path;
 use std::process::Command;
+
+const DISALLOWED: &str = "clippy::disallowed_methods";
+const W1: [&str; 3] = [
+    "clippy::unwrap_used",
+    "clippy::expect_used",
+    "clippy::panic",
+];
+
+/// W1's lints, reported at any level.
+fn w1_count(v: &Verdict) -> usize {
+    W1.iter().map(|lint| v.count(lint)).sum()
+}
 
 fn fixture(name: &str) -> String {
     let path = Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -72,27 +95,25 @@ fn d2_clean_total_cmp_passes() {
 
 #[test]
 fn d3_fires_outside_timing_modules() {
-    let findings = lint_fixture("d3_fire.rs", "crates/app/src/stage.rs");
-    let d3: Vec<_> = findings.iter().filter(|f| f.rule == RuleId::D3).collect();
+    let v = verdict("d3_fire.rs", At::Plain);
     assert_eq!(
-        d3.len(),
+        v.denied(DISALLOWED),
         2,
-        "Instant::now and SystemTime::now should both fire: {findings:?}"
+        "Instant::now and SystemTime::now: {v:?}"
     );
 }
 
 #[test]
 fn d3_same_source_is_exempt_in_a_timing_module() {
-    // The very same firing source, linted under the designated timing
-    // module path, is clean — the allowlist is path-based.
-    let findings = lint_fixture("d3_fire.rs", "crates/bench/src/stage.rs");
-    assert!(findings.is_empty(), "{findings:?}");
+    // The very same firing source is clean under a bench binary root's
+    // `#![expect]` (and fulfils it).
+    let v = verdict("d3_fire.rs", At::Root(BENCH_ROOT));
+    assert_eq!(v.count(DISALLOWED), 0, "{v:?}");
 }
 
 #[test]
 fn d3_clean_duration_data_passes() {
-    let findings = lint_fixture("d3_clean.rs", "crates/app/src/stage.rs");
-    assert!(findings.is_empty(), "{findings:?}");
+    assert_eq!(verdict("d3_clean.rs", At::Plain).count(DISALLOWED), 0);
 }
 
 // ---------------------------------------------------------------- D4
@@ -118,38 +139,32 @@ fn d4_clean_explicit_seeds_pass() {
 
 #[test]
 fn s1_fires_on_unaudited_unsafe() {
-    let findings = lint_fixture("s1_fire.rs", "crates/app/src/view.rs");
-    let s1: Vec<_> = findings.iter().filter(|f| f.rule == RuleId::S1).collect();
-    assert_eq!(
-        s1.len(),
-        2,
-        "the unsafe impl and the unsafe block should both fire: {findings:?}"
-    );
+    let v = verdict("s1_fire.rs", At::Plain);
+    let unaudited = v.denied("clippy::undocumented_unsafe_blocks");
+    assert_eq!(unaudited, 2, "the unsafe impl and the unsafe block: {v:?}");
 }
 
 #[test]
 fn s1_clean_audited_unsafe_passes() {
-    let findings = lint_fixture("s1_clean.rs", "crates/app/src/view.rs");
-    assert!(findings.is_empty(), "{findings:?}");
+    let v = verdict("s1_clean.rs", At::Plain);
+    assert_eq!(v.count("clippy::undocumented_unsafe_blocks"), 0, "{v:?}");
 }
 
 // ---------------------------------------------------------------- S2
 
 #[test]
 fn s2_fires_as_deny_on_narrowing_casts_in_decode_code() {
-    let findings = lint_fixture("s2_fire.rs", "crates/app/src/wire.rs");
-    let s2: Vec<_> = findings.iter().filter(|f| f.rule == RuleId::S2).collect();
-    assert_eq!(s2.len(), 2, "{findings:?}");
-    assert!(
-        s2.iter().all(|f| f.severity == Severity::Deny),
-        "S2 graduated from its warning period: {findings:?}"
-    );
+    for module in S2_MODULES {
+        let v = verdict("s2_fire.rs", At::Module(module));
+        let denied = v.denied("clippy::cast_possible_truncation");
+        assert_eq!(denied, 2, "{module} must deny both casts: {v:?}");
+    }
 }
 
 #[test]
 fn s2_clean_checked_and_widening_casts_pass() {
-    let findings = lint_fixture("s2_clean.rs", "crates/app/src/wire.rs");
-    assert!(findings.is_empty(), "{findings:?}");
+    let v = verdict("s2_clean.rs", At::Module(CODEC));
+    assert_eq!(v.count("clippy::cast_possible_truncation"), 0, "{v:?}");
 }
 
 // ---------------------------------------------------------------- C1
@@ -229,28 +244,26 @@ fn c1_root_in_a_test_path_is_exempt() {
 
 #[test]
 fn c2_fires_on_raw_writes_in_persistence_scope() {
-    let findings = lint_fixture("c2_fire.rs", "crates/app/src/store.rs");
-    let c2: Vec<_> = findings.iter().filter(|f| f.rule == RuleId::C2).collect();
+    let v = verdict("c2_fire.rs", At::Plain);
     assert_eq!(
-        c2.len(),
+        v.denied(DISALLOWED),
         2,
-        "fs::write and .truncate(true) should both fire: {findings:?}"
+        "fs::write and .truncate(true): {v:?}"
     );
-    assert!(c2.iter().all(|f| f.severity == Severity::Deny));
 }
 
 #[test]
 fn c2_clean_durable_routed_persistence_passes() {
-    let findings = lint_fixture("c2_clean.rs", "crates/app/src/store.rs");
-    assert!(findings.is_empty(), "{findings:?}");
+    assert_eq!(verdict("c2_clean.rs", At::Plain).count(DISALLOWED), 0);
 }
 
 #[test]
 fn c2_same_source_is_exempt_inside_the_durable_module() {
-    // The firing source, linted as the durable layer itself, is clean
-    // — the exemption is path-based, mirroring D3's timing modules.
-    let findings = lint_fixture("c2_fire.rs", "crates/tables/src/durable.rs");
-    assert!(findings.is_empty(), "{findings:?}");
+    // The firing source is clean under the durable module's own
+    // `#![expect]`, and fulfils it.
+    let v = verdict("c2_fire.rs", At::Module("crates/tables/src/durable.rs"));
+    assert_eq!(v.count(DISALLOWED), 0, "{v:?}");
+    assert_eq!(v.count("unfulfilled_lint_expectations"), 0, "{v:?}");
 }
 
 // ---------------------------------------------------------------- L1
@@ -427,30 +440,27 @@ fn l3_lock_leaf_crates_are_exempt() {
 
 #[test]
 fn w1_warns_on_panic_paths_in_serving_crates() {
-    let findings = lint_fixture("w1_fire.rs", "crates/core/src/stats.rs");
-    let w1: Vec<_> = findings.iter().filter(|f| f.rule == RuleId::W1).collect();
-    assert_eq!(
-        w1.len(),
-        2,
-        "the unwrap and the panic! should both fire: {findings:?}"
-    );
-    assert!(w1.iter().all(|f| f.severity == Severity::Deny));
+    for root in SERVING_ROOTS {
+        let v = verdict("w1_fire.rs", At::Root(root));
+        let denied: usize = W1.iter().map(|lint| v.denied(lint)).sum();
+        assert_eq!(denied, 3, "{root}: the unwrap, expect and panic!: {v:?}");
+    }
 }
 
 #[test]
 fn w1_is_scoped_to_serving_crates_and_library_code() {
-    // Same source outside the serving set: silent.
-    let non_serving = lint_fixture("w1_fire.rs", "crates/catmodel/src/stats.rs");
-    assert!(non_serving.is_empty(), "{non_serving:?}");
-    // Same source in a test path of a serving crate: silent.
-    let test_path = lint_fixture("w1_fire.rs", "crates/core/tests/stats.rs");
-    assert!(test_path.is_empty(), "{test_path:?}");
+    // Silent outside the serving set, and in a serving crate's
+    // integration test.
+    for at in [At::Root("crates/catmodel/src/lib.rs"), At::TestOf(CORE)] {
+        let v = verdict("w1_fire.rs", at);
+        assert_eq!(w1_count(v), 0, "{v:?}");
+    }
 }
 
 #[test]
 fn w1_clean_total_function_passes() {
-    let findings = lint_fixture("w1_clean.rs", "crates/core/src/stats.rs");
-    assert!(findings.is_empty(), "{findings:?}");
+    let v = verdict("w1_clean.rs", At::Root(CORE));
+    assert_eq!(w1_count(v), 0, "{v:?}");
 }
 
 // ------------------------------------------------------ suppressions
@@ -482,6 +492,20 @@ fn bad_suppressions_are_deny_and_do_not_suppress() {
         .filter(|f| f.rule == RuleId::Sup && f.severity == Severity::Deny)
         .collect();
     assert_eq!(sup.len(), 2, "{findings:?}");
+}
+
+#[test]
+fn reasonless_or_unfulfilled_expect_fails_clippy() {
+    // SUP for the clippy rules: a reasonless `#[expect]` is denied even
+    // though what it expects fires, and an expectation nothing fulfils
+    // is reported (CI's `-D warnings` denies it).
+    let v = verdict("sup_expect.rs", At::Root(CORE));
+    assert_eq!(
+        v.denied("clippy::allow_attributes_without_reason"),
+        1,
+        "{v:?}"
+    );
+    assert_eq!(v.count("unfulfilled_lint_expectations"), 1, "{v:?}");
 }
 
 // ------------------------------------------------------- CLI surface
@@ -529,14 +553,11 @@ fn cli_exit_codes_split_warn_from_deny() {
 
 #[test]
 fn cli_exits_nonzero_on_graduated_s2() {
-    let root = env!("CARGO_MANIFEST_DIR");
-    // S2 findings are deny-level since graduation: exit 1 without
-    // needing --deny-warnings.
-    let denied = bin()
-        .args(["--root", root, "tests/fixtures/s2_fire.rs"])
-        .output()
-        .expect("run riskpipe-lint");
-    assert_eq!(denied.status.code(), Some(1));
+    // S2 is denied in codec modules, not warned: `cargo clippy` fails on
+    // the firing fixture without needing `-D warnings`.
+    let v = verdict("s2_fire.rs", At::Module(CODEC));
+    assert_eq!(v.count("clippy::cast_possible_truncation"), 2, "{v:?}");
+    assert_eq!(v.denied("clippy::cast_possible_truncation"), 2, "{v:?}");
 }
 
 #[test]

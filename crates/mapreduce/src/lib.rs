@@ -25,6 +25,8 @@
 //! into per-return-period-band loss columns.
 
 #![warn(missing_docs)]
+// W1: serving-path library code returns typed errors; a panic aborts a sweep.
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 pub mod jobs;
 pub mod kv;

@@ -115,6 +115,13 @@ pub fn run_job<M: Mapper, R: Reducer>(
             for (p, spill) in spills.iter().enumerate() {
                 if !spill.is_empty() {
                     let path = config.work_dir.join(format!("map-{m:04}-part-{p:04}.kv"));
+                    #[expect(
+                        clippy::disallowed_methods,
+                        reason = "a per-job scratch intermediate, not a durable artifact: \
+                                  the reducers read it back within this job, a crashed job \
+                                  is rerun from its input shards, and an fsync plus rename \
+                                  per partition file would tax every shuffle"
+                    )]
                     fs::write(path, spill)?;
                     spill_bytes.fetch_add(spill.len() as u64, Ordering::Relaxed);
                 }

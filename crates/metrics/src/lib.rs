@@ -20,6 +20,8 @@
 //!   YLT (exact small-n path, bounded-error sketched path).
 
 #![warn(missing_docs)]
+// W1: serving-path library code returns typed errors; a panic aborts a sweep.
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 mod bootstrap;
 pub mod convergence;

@@ -318,10 +318,13 @@ impl QuantileSketch {
                 return v;
             }
         }
-        // lint: allow(W1) — both public entry points (`quantile`,
-        // `quantiles`) assert `count > 0` before gathering `items`, and a
-        // non-empty sketch retains at least one item; the documented
-        // panic on an empty sketch is that assert, not this line.
+        #[expect(
+            clippy::expect_used,
+            reason = "both public entry points (`quantile`, `quantiles`) assert \
+                      `count > 0` before gathering `items`, and a non-empty sketch \
+                      retains at least one item; the documented panic on an empty \
+                      sketch is that assert, not this line"
+        )]
         items.last().expect("rank query on empty sketch").0
     }
 
@@ -384,9 +387,12 @@ impl QuantileSketch {
         let n = self.count;
         let start = ((q * n as f64).ceil() as u64).min(n - 1);
         let band = self.rank_band_mean(start, n);
-        // lint: allow(W1) — `count > 0` is asserted above and `start` is
-        // clamped to `n - 1`, so the band `[start, n)` holds at least the
-        // final rank and `rank_band_mean` cannot return `None`.
+        #[expect(
+            clippy::expect_used,
+            reason = "`count > 0` is asserted above and `start` is clamped to `n - 1`, \
+                      so the band `[start, n)` holds at least the final rank and \
+                      `rank_band_mean` cannot return `None`"
+        )]
         band.expect("tail band [min(ceil(q n), n-1), n) is never empty")
     }
 

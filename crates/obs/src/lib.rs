@@ -12,12 +12,13 @@
 //! ## Design rules
 //!
 //! * **Timings are diagnostic-only.** Span durations come from the
-//!   wall clock and never feed loss numerics; this crate is the one
-//!   module the determinism lint (rule D3) designates for
-//!   `Instant::now`. The metrics registry holds *no* time-derived
-//!   values at all — its snapshots are **bit-identical across thread
-//!   counts** because every metric is an unsigned integer updated by
-//!   commutative atomic adds over deterministic quantities.
+//!   wall clock and never feed loss numerics; the recorder's epoch is
+//!   the crate's one `Instant::now`, under an `#[expect]` of the
+//!   workspace's `clippy::disallowed_methods` ban. The metrics
+//!   registry holds *no* time-derived values at all — its snapshots
+//!   are **bit-identical across thread counts** because every metric
+//!   is an unsigned integer updated by commutative atomic adds over
+//!   deterministic quantities.
 //! * **Disabled means free.** All instrumentation sites go through the
 //!   thread-local context ([`install`] / [`current`]); with nothing
 //!   installed, a span site is one thread-local read and a branch
@@ -49,6 +50,8 @@
 //! only ever calls the free functions below.
 
 #![warn(missing_docs)]
+// W1: serving-path library code returns typed errors; a panic aborts a sweep.
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 mod export;
 mod metrics;

@@ -60,7 +60,7 @@ impl ThreadBuf {
     /// buffer is at capacity.
     fn push(&self, kind: EventKind, name: &'static str, key: u64) -> bool {
         // Diagnostic wall-clock only: span timings never feed loss
-        // numerics (see the crate docs and lint rule D3).
+        // numerics (see the crate docs).
         let t_ns = self.epoch.elapsed().as_nanos() as u64;
         let mut events = self.events.lock();
         if events.len() >= self.capacity {
@@ -110,8 +110,11 @@ impl Recorder {
         Self {
             inner: Arc::new(RecorderInner {
                 id: RECORDER_IDS.fetch_add(1, Ordering::Relaxed),
-                // Diagnostic epoch for span timestamps; never feeds
-                // loss numerics (lint rule D3 designates this crate).
+                #[expect(
+                    clippy::disallowed_methods,
+                    reason = "diagnostic epoch for span timestamps; spans never feed \
+                              loss numerics"
+                )]
                 epoch: Instant::now(),
                 capacity: capacity.max(2),
                 threads: Mutex::new(Vec::new()),

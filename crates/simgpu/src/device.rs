@@ -90,8 +90,11 @@ impl DeviceSpec {
         let counters = MemCounters::new();
         let peak_shared = AtomicU64::new(0);
         let first_error: Mutex<Option<RiskError>> = Mutex::new(None);
-        // lint: allow(D3) — reading feeds only the LaunchStats elapsed
-        // diagnostic; kernel results are written by the blocks themselves.
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "reading feeds only the LaunchStats elapsed diagnostic; kernel \
+                      results are written by the blocks themselves"
+        )]
         let start = Instant::now();
         par_for(pool, cfg.grid_blocks as usize, 1, |range| {
             for b in range {

@@ -214,11 +214,16 @@ pub struct GlobalBuf<T> {
     len: usize,
 }
 
-// SAFETY: access discipline is the kernel-launch contract — each index
-// is written by at most one block, and reads of written indices happen
-// only after the launch completes (the pool scope is a happens-before
-// edge). This mirrors CUDA global memory.
+// SAFETY: sending a GlobalBuf moves its boxed slice and its length to
+// the receiving thread; with `T: Send` that is sound, as for a plain
+// `Box<[T]>` — the UnsafeCell adds no thread affinity.
 unsafe impl<T: Send> Send for GlobalBuf<T> {}
+// SAFETY: sharing `&GlobalBuf` across a launch's threads is sound under
+// the kernel-launch contract: each index is written by at most one
+// block, and reads of written indices happen only after the launch
+// completes (the pool scope is a happens-before edge), so no element is
+// ever accessed by two threads without ordering. `T: Send` because a
+// block thread writes the `T` it owns. This mirrors CUDA global memory.
 unsafe impl<T: Send> Sync for GlobalBuf<T> {}
 
 impl<T: Copy + Default> GlobalBuf<T> {

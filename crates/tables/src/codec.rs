@@ -43,6 +43,9 @@
 //! reports where the next frame starts, and [`frame_len`] skips a frame
 //! from its header alone.
 
+// S2: a truncated length, offset or id corrupts an artifact before any CRC.
+#![deny(clippy::cast_possible_truncation)]
+
 use crate::elt::{elt_from_columns, Elt};
 use crate::yellt::YelltChunk;
 use crate::yelt::Yelt;
@@ -117,8 +120,10 @@ const fn build_crc_tables() -> [[u32; 256]; 8] {
     let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
-        // lint: allow(S2) — loop bound keeps i < 256, so the usize
-        // table index always fits u32.
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "loop bound keeps i < 256, so the usize table index always fits u32"
+        )]
         let mut c = i as u32;
         let mut k = 0;
         while k < 8 {
@@ -226,8 +231,6 @@ impl<'a> FrameWriter<'a> {
         let start = out.len();
         out.extend_from_slice(&MAGIC.to_le_bytes());
         out.extend_from_slice(&VERSION.to_le_bytes());
-        // lint: allow(S2) — TableKind is #[repr(u8)], so the discriminant
-        // cast is lossless by construction.
         out.push(kind as u8);
         // The zero pad byte, then the length and CRC placeholders.
         out.resize(start + HEADER_BYTES, 0);
@@ -678,6 +681,10 @@ pub const fn encoded_ylt_len(trials: usize) -> usize {
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "fixtures cast small loop indices"
+)]
 mod tests {
     use super::*;
     use crate::elt::{EltBuilder, EltRecord};
@@ -947,6 +954,10 @@ mod tests {
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "strategies cast small row indices"
+)]
 mod proptests {
     use super::*;
     use crate::elt::{EltBuilder, EltRecord};

@@ -7,14 +7,15 @@
 //! scheme with cheap decode pays for itself in file-space terms without
 //! bringing in a general-purpose compressor dependency.
 
+// S2: a truncated length, offset or id corrupts an artifact before any CRC.
+#![deny(clippy::cast_possible_truncation)]
+
 use riskpipe_types::{RiskError, RiskResult};
 
 /// Append one u64 as LEB128.
 #[inline]
 pub fn put_varint(buf: &mut Vec<u8>, mut v: u64) {
     loop {
-        // lint: allow(S2) — masked to the low 7 bits, so the value
-        // always fits u8.
         let byte = (v & 0x7F) as u8;
         v >>= 7;
         if v == 0 {
@@ -43,6 +44,17 @@ pub fn get_varint(data: &[u8]) -> RiskResult<(u64, usize)> {
     Err(RiskError::corrupt("truncated varint"))
 }
 
+/// A decoded element count, checked against the `remaining` payload
+/// bytes. Every element takes at least one byte, so a valid count can
+/// never exceed them — reject (rather than pre-allocate for) a corrupt
+/// length field.
+fn column_len(n: u64, remaining: usize) -> RiskResult<usize> {
+    usize::try_from(n)
+        .ok()
+        .filter(|&n| n <= remaining)
+        .ok_or_else(|| RiskError::corrupt("implausible compressed column length"))
+}
+
 /// Compress a u32 column with delta + varint coding. Works best when
 /// the column is sorted or nearly so (trial ids within a shard chunk);
 /// still correct — just larger — otherwise (deltas are zigzag-coded).
@@ -64,25 +76,17 @@ pub fn compress_u32s(values: &[u32]) -> Vec<u8> {
 /// bytes_consumed)`.
 pub fn decompress_u32s(data: &[u8]) -> RiskResult<(Vec<u32>, usize)> {
     let (n, mut off) = get_varint(data)?;
-    // Every element takes at least one byte, so a valid count can never
-    // exceed the remaining payload — reject (rather than pre-allocate
-    // for) corrupt length fields.
-    if n > (data.len() - off) as u64 {
-        return Err(RiskError::corrupt("implausible compressed column length"));
-    }
-    let mut out = Vec::with_capacity(n as usize);
+    let n = column_len(n, data.len() - off)?;
+    let mut out = Vec::with_capacity(n);
     let mut prev = 0i64;
     for _ in 0..n {
         let (zz, used) = get_varint(&data[off..])?;
         off += used;
         let delta = ((zz >> 1) as i64) ^ -((zz & 1) as i64);
         let v = prev + delta;
-        if !(0..=u32::MAX as i64).contains(&v) {
-            return Err(RiskError::corrupt("delta-decoded value out of u32 range"));
-        }
-        // lint: allow(S2) — v was range-checked against 0..=u32::MAX on
-        // the lines above; out-of-range input already returned Err.
-        out.push(v as u32);
+        let value = u32::try_from(v)
+            .map_err(|_| RiskError::corrupt("delta-decoded value out of u32 range"))?;
+        out.push(value);
         prev = v;
     }
     Ok((out, off))
@@ -114,10 +118,8 @@ pub fn compress_u64s_sorted(values: &[u64]) -> RiskResult<Vec<u8>> {
 /// bytes_consumed)`.
 pub fn decompress_u64s_sorted(data: &[u8]) -> RiskResult<(Vec<u64>, usize)> {
     let (n, mut off) = get_varint(data)?;
-    if n > (data.len() - off) as u64 {
-        return Err(RiskError::corrupt("implausible compressed column length"));
-    }
-    let mut out = Vec::with_capacity(n as usize);
+    let n = column_len(n, data.len() - off)?;
+    let mut out = Vec::with_capacity(n);
     let mut prev = 0u64;
     for i in 0..n {
         let (delta, used) = get_varint(&data[off..])?;
@@ -149,10 +151,8 @@ pub fn compress_u64s(values: &[u64]) -> Vec<u8> {
 /// bytes_consumed)`.
 pub fn decompress_u64s(data: &[u8]) -> RiskResult<(Vec<u64>, usize)> {
     let (n, mut off) = get_varint(data)?;
-    if n > (data.len() - off) as u64 {
-        return Err(RiskError::corrupt("implausible compressed column length"));
-    }
-    let mut out = Vec::with_capacity(n as usize);
+    let n = column_len(n, data.len() - off)?;
+    let mut out = Vec::with_capacity(n);
     for _ in 0..n {
         let (v, used) = get_varint(&data[off..])?;
         off += used;

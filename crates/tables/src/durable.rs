@@ -24,6 +24,12 @@
 //! leftovers. Another process's temporary cannot be told from a crashed
 //! writer's, so it is swept — see [`remove_stale_tmps`].
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "this module is the atomic-write protocol: its creates and writes \
+              land in tmp files that are fsynced, then renamed"
+)]
+
 use riskpipe_types::RiskResult;
 use std::fs;
 use std::io::Write;

@@ -23,6 +23,8 @@
 //! 5×10¹⁶-entry YELLT example).
 
 #![warn(missing_docs)]
+// W1: serving-path library code returns typed errors; a panic aborts a sweep.
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 pub mod codec;
 pub mod compress;

@@ -146,12 +146,14 @@ impl ShardedWriter {
         let mut writers = Vec::with_capacity(shards as usize);
         let mut buffers = Vec::with_capacity(shards as usize);
         for i in 0..shards {
-            // lint: allow(C2) — this create IS the inflight protocol:
-            // shards stream into `.rpt.inflight` names the manifest
-            // never references, are fsynced, and only then renamed to
-            // their final names by `finish()`; a crash mid-write
-            // leaves only ignorable inflight files, never a torn
-            // artifact a reader could open.
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "this create IS the inflight protocol: shards stream into \
+                          `.rpt.inflight` names the manifest never references, are fsynced, \
+                          and only then renamed to their final names by `finish()`; a crash \
+                          mid-write leaves only ignorable inflight files, never a torn \
+                          artifact a reader could open"
+            )]
             let f = fs::File::create(shard_inflight_path(&dir, i))?;
             writers.push(BufWriter::new(f));
             buffers.push(YelltChunk::with_capacity(chunk_rows));
@@ -341,6 +343,10 @@ pub fn read_table_file<T: Framed>(path: &Path) -> RiskResult<T> {
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the tests damage shard files on purpose"
+)]
 mod tests {
     use super::*;
     use std::sync::atomic::{AtomicU64, Ordering};

@@ -148,9 +148,12 @@ impl Yellt {
         if need_new {
             self.chunks.push(YelltChunk::with_capacity(self.chunk_rows));
         }
-        // lint: allow(W1) — the branch above pushes a chunk whenever the
-        // list is empty (or its last chunk is full), so `last_mut` is
-        // `Some` here by construction; nothing decoded reaches this.
+        #[expect(
+            clippy::expect_used,
+            reason = "the branch above pushes a chunk whenever the list is empty (or \
+                      its last chunk is full), so `last_mut` is `Some` here by \
+                      construction; nothing decoded reaches this"
+        )]
         let last = self.chunks.last_mut().expect("chunk exists");
         last.push(trial, event, location, loss);
         self.rows += 1;

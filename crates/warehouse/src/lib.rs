@@ -62,9 +62,13 @@
 //! ```
 
 #![warn(missing_docs)]
-// Dimension loops (`for d in 0..NDIMS`) index several parallel
-// fixed-size arrays at once; iterator rewrites obscure them.
-#![allow(clippy::needless_range_loop)]
+// W1: serving-path library code returns typed errors; a panic aborts a sweep.
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![allow(
+    clippy::needless_range_loop,
+    reason = "dimension loops (`for d in 0..NDIMS`) index several parallel \
+              fixed-size arrays at once; iterator rewrites obscure them"
+)]
 
 pub mod cube;
 pub mod dimension;

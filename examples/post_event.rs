@@ -39,8 +39,10 @@ fn main() -> RiskResult<()> {
         event.magnitude, event.peril, event.center.x, event.center.y
     );
 
-    // lint: allow(D3) — demo-only latency printout; the estimate itself
-    // is seeded and deterministic.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "demo-only latency printout; the estimate itself is seeded and deterministic"
+    )]
     let t0 = Instant::now();
     let estimate = rapid_estimate(&event, &exposure, &EltGenConfig::default(), 10)?;
     let elapsed = t0.elapsed();

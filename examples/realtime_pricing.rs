@@ -36,8 +36,11 @@ fn main() -> RiskResult<()> {
     );
 
     // Stage-1 inputs for one "typical contract".
-    // lint: allow(D3) — demo-only build-time printout; the catalogue and
-    // ELT are seeded and deterministic.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "demo-only build-time printout; the catalogue and ELT are seeded \
+                  and deterministic"
+    )]
     let t0 = Instant::now();
     let catalog = EventCatalog::generate(&CatalogConfig {
         events: 10_000,
@@ -58,8 +61,10 @@ fn main() -> RiskResult<()> {
         t0.elapsed().as_secs_f64()
     );
 
-    // lint: allow(D3) — demo-only simulation-time printout; the YET is
-    // seeded and deterministic.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "demo-only simulation-time printout; the YET is seeded and deterministic"
+    )]
     let t0 = Instant::now();
     let yet = simulate_yet(&catalog, &YetConfig { trials, seed: 99 }, &pool)?;
     println!(
@@ -101,8 +106,11 @@ fn main() -> RiskResult<()> {
     let reinst = ReinstatementTerms::flat(2, 1.0);
     let terms = reinst.apply_to(LayerTerms::xl(0.5 * mean_event, 100.0 * mean_event))?;
     let portfolio = Portfolio::from_parts(vec![(terms, Arc::clone(&elt_arc))])?;
-    // lint: allow(D3) — demo-only quote-latency printout; the quote is
-    // computed from the deterministic per-layer YLT.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "demo-only quote-latency printout; the quote is computed from the \
+                  deterministic per-layer YLT"
+    )]
     let t0 = Instant::now();
     let layer_ylts = run_per_layer(&portfolio, &yet, &AggregateOptions::default())?;
     let quote = price_with_reinstatements(&terms, &reinst, &layer_ylts[0])?;

@@ -108,8 +108,14 @@ fn main() -> RiskResult<()> {
     std::fs::create_dir_all(&out_dir)?;
     let json_path = out_dir.join("telemetry.json");
     let trace_path = out_dir.join("trace.json");
-    std::fs::write(&json_path, snap.to_json())?;
-    std::fs::write(&trace_path, snap.to_chrome_trace())?;
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "demo output, rewritten by every run"
+    )]
+    {
+        std::fs::write(&json_path, snap.to_json())?;
+        std::fs::write(&trace_path, snap.to_chrome_trace())?;
+    }
     println!(
         "\nwrote {} (schema v{}) and {} — load the trace at chrome://tracing",
         json_path.display(),

@@ -3,6 +3,11 @@
 //! shorter rebuild — and the disk-backed stage-1 cache tier lets a
 //! cold session replay a sweep with zero stage-1 builds, bit-exactly.
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "tests plant torn and damaged files"
+)]
+
 use riskpipe::analytics::{DrilldownLayout, ScenarioDims, SessionAnalytics, SweepPlanAnalytics};
 use riskpipe::core::{
     DiskStage1Cache, RiskSession, ScenarioConfig, ShardedFilesStore, SweepSummary,

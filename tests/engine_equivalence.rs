@@ -392,7 +392,10 @@ fn a_join_of_other_books_is_a_typed_error_on_every_engine() {
 
 /// Strategy: per layer, its ELT membership (event → mean loss) and
 /// terms `(occ_retention, occ_limit, agg_retention, agg_limit, share)`.
-#[allow(clippy::type_complexity)]
+#[allow(
+    clippy::type_complexity,
+    reason = "the strategy's value type is the layer tuple spelled out in the doc above"
+)]
 fn arb_layers() -> impl Strategy<Value = Vec<(Vec<(u32, f64)>, (f64, f64, f64, f64, f64))>> {
     let membership = prop::collection::btree_map(0..60u32, 10.0..4_000.0f64, 1..30)
         .prop_map(|m| m.into_iter().collect());

@@ -1,6 +1,11 @@
 //! Persistence integration: every table survives the encode → file →
 //! decode round trip, and corruption is detected, end to end.
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "tests write damaged bytes on purpose"
+)]
+
 use proptest::prelude::*;
 use riskpipe::aggregate::{AggregateRunner, EngineKind};
 use riskpipe::core::ScenarioConfig;

@@ -1,6 +1,11 @@
 //! Stress and failure-injection tests: the substrate under load and
 //! under sabotage.
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "tests write damaged bytes on purpose"
+)]
+
 use riskpipe::exec::{par_reduce, ThreadPool};
 use riskpipe::mapreduce::LocationRiskJob;
 use riskpipe::simgpu::{BlockCtx, DeviceSpec, GlobalBuf, Kernel, LaunchConfig};

@@ -29,7 +29,8 @@ use crate::join::EventJoin;
 use crate::portfolio::{Layer, Portfolio};
 use riskpipe_exec::ThreadPool;
 use riskpipe_simgpu::{
-    BlockCtx, ConstMem, DeviceSpec, GlobalBuf, Kernel, LaunchConfig, LaunchStats, MemCounters,
+    check_const_mem, BlockCtx, DeviceSpec, GlobalBuf, Kernel, LaunchConfig, LaunchStats,
+    MemCounters,
 };
 use riskpipe_tables::yet::YearEventTable;
 use riskpipe_tables::Ylt;
@@ -48,6 +49,8 @@ const MEAN_BYTES: u64 = 8;
 const GRID_BYTES: u64 = 16;
 /// Bytes of one layer's terms (5 × f64).
 const TERMS_BYTES: u64 = 40;
+/// Threads per block of every launch.
+const BLOCK_THREADS: u32 = 128;
 
 /// Memory strategy of the kernel.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -233,10 +236,6 @@ struct AggKernel<'a> {
     layers: &'a [Layer],
     join: &'a EventJoin,
     yet: &'a YearEventTable,
-    /// Portfolio terms resident in constant memory (capacity-checked at
-    /// engine start; reads are metered, values come from `layers` so
-    /// both kernels apply the very same terms).
-    _terms: ConstMem,
     chunking: GpuChunking,
     trials: usize,
     out_agg: GlobalBuf<f64>,
@@ -306,7 +305,6 @@ pub struct GpuEngine {
     device: DeviceSpec,
     chunking: GpuChunking,
     pool: PoolRef,
-    block_threads: u32,
 }
 
 enum PoolRef {
@@ -321,7 +319,6 @@ impl GpuEngine {
             device,
             chunking,
             pool: PoolRef::Owned(pool),
-            block_threads: 128,
         }
     }
 
@@ -331,14 +328,7 @@ impl GpuEngine {
             device: DeviceSpec::fermi_like(),
             chunking,
             pool: PoolRef::Global(riskpipe_exec::global_pool()),
-            block_threads: 128,
         }
-    }
-
-    /// Override the block size (threads per block).
-    pub fn with_block_threads(mut self, threads: u32) -> Self {
-        self.block_threads = threads;
-        self
     }
 
     /// Run and return both the YLT and the launch statistics (traffic
@@ -364,23 +354,24 @@ impl GpuEngine {
     ) -> RiskResult<(Ylt, LaunchStats)> {
         check_inputs(portfolio, yet, join)?;
         let trials = yet.trials();
-        let mut terms_flat = Vec::with_capacity(portfolio.len() * 5);
-        for l in portfolio.layers() {
-            terms_flat.extend_from_slice(&l.terms.to_array());
-        }
-        let terms = ConstMem::from_f64s(&terms_flat, self.device.const_mem_bytes)?;
+        // Portfolio terms resident in constant memory: capacity-checked
+        // here, reads metered per trial; the values come from `layers`,
+        // so every engine applies the very same terms.
+        check_const_mem(
+            portfolio.len() as u64 * TERMS_BYTES,
+            self.device.const_mem_bytes,
+        )?;
         let kernel = AggKernel {
             layers: portfolio.layers(),
             join,
             yet,
-            _terms: terms,
             chunking: self.chunking,
             trials,
             out_agg: GlobalBuf::new(trials),
             out_max: GlobalBuf::new(trials),
             out_cnt: GlobalBuf::new(trials),
         };
-        let cfg = LaunchConfig::cover(trials, self.block_threads);
+        let cfg = LaunchConfig::cover(trials, BLOCK_THREADS);
         let stats = self.device.launch(&kernel, cfg, self.pool())?;
         let ylt = Ylt::from_columns(
             kernel.out_agg.into_vec(),

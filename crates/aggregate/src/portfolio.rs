@@ -73,21 +73,6 @@ impl Portfolio {
     pub fn total_elt_rows(&self) -> usize {
         self.layers.iter().map(|l| l.elt.len()).sum()
     }
-
-    /// Heap footprint of all ELTs (shared ELTs counted once).
-    pub fn elt_memory_bytes(&self) -> usize {
-        // Deduplicate by Arc pointer identity.
-        let mut seen: Vec<*const Elt> = Vec::new();
-        let mut total = 0;
-        for l in &self.layers {
-            let p = Arc::as_ptr(&l.elt);
-            if !seen.contains(&p) {
-                seen.push(p);
-                total += l.elt.memory_bytes();
-            }
-        }
-        total
-    }
 }
 
 #[cfg(test)]
@@ -138,18 +123,5 @@ mod tests {
     fn empty_elt_rejected() {
         let empty = Arc::new(EltBuilder::new().build().unwrap());
         assert!(Layer::new(LayerId::new(0), LayerTerms::pass_through(), empty).is_err());
-    }
-
-    #[test]
-    fn shared_elts_counted_once() {
-        let shared = elt();
-        let p = Portfolio::from_parts(vec![
-            (LayerTerms::pass_through(), Arc::clone(&shared)),
-            (LayerTerms::pass_through(), Arc::clone(&shared)),
-            (LayerTerms::pass_through(), elt()),
-        ])
-        .unwrap();
-        let one = shared.memory_bytes();
-        assert_eq!(p.elt_memory_bytes(), 2 * one);
     }
 }

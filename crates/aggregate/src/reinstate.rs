@@ -65,7 +65,7 @@ impl ReinstatementTerms {
     /// The aggregate limit implied by `occ_limit` with these
     /// reinstatements: the original limit plus one refill per
     /// reinstatement.
-    pub fn implied_agg_limit(&self, occ_limit: f64) -> f64 {
+    fn implied_agg_limit(&self, occ_limit: f64) -> f64 {
         occ_limit * (self.count() as f64 + 1.0)
     }
 
@@ -85,7 +85,7 @@ impl ReinstatementTerms {
     /// The premium fraction (of the base premium) a single trial
     /// triggers, given the trial's 100%-share aggregate recovery and
     /// the occurrence limit: `Σᵢ cᵢ · clamp(R − (i−1)·L, 0, L) / L`.
-    pub fn premium_fraction(&self, recovered_100: f64, occ_limit: f64) -> f64 {
+    fn premium_fraction(&self, recovered_100: f64, occ_limit: f64) -> f64 {
         debug_assert!(occ_limit > 0.0 && occ_limit.is_finite());
         let mut frac = 0.0;
         for (i, &pct) in self.premium_pcts.iter().enumerate() {

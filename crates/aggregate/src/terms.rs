@@ -81,29 +81,6 @@ impl LayerTerms {
     pub fn apply_aggregate(&self, annual: f64) -> f64 {
         (annual - self.agg_retention).max(0.0).min(self.agg_limit) * self.share
     }
-
-    /// The layer's terms as an 5-element f64 array (constant-memory
-    /// layout for the GPU kernel).
-    pub fn to_array(&self) -> [f64; 5] {
-        [
-            self.occ_retention,
-            self.occ_limit,
-            self.agg_retention,
-            self.agg_limit,
-            self.share,
-        ]
-    }
-
-    /// Inverse of [`LayerTerms::to_array`].
-    pub fn from_array(a: [f64; 5]) -> Self {
-        Self {
-            occ_retention: a[0],
-            occ_limit: a[1],
-            agg_retention: a[2],
-            agg_limit: a[3],
-            share: a[4],
-        }
-    }
 }
 
 #[cfg(test)]
@@ -166,18 +143,6 @@ mod tests {
         .validate()
         .is_err());
         assert!(LayerTerms::xl(10.0, 40.0).validate().is_ok());
-    }
-
-    #[test]
-    fn array_round_trip() {
-        let t = LayerTerms {
-            occ_retention: 1.0,
-            occ_limit: 2.0,
-            agg_retention: 3.0,
-            agg_limit: 4.0,
-            share: 0.25,
-        };
-        assert_eq!(LayerTerms::from_array(t.to_array()), t);
     }
 
     proptest! {

@@ -240,7 +240,7 @@ impl Cluster {
     }
 
     /// Ready cores (busy + free).
-    pub fn ready_cores(&self) -> u32 {
+    fn ready_cores(&self) -> u32 {
         self.ready_node_count * self.spec.cores
     }
 
@@ -252,15 +252,6 @@ impl Cluster {
     /// Free (ready, unclaimed) cores.
     pub fn free_cores(&self) -> u32 {
         self.free_core_count
-    }
-
-    /// Earliest pending `ready_at` among booting nodes.
-    pub fn next_ready_at(&self) -> Option<u64> {
-        self.nodes
-            .iter()
-            .filter(|n| n.state == NodeState::Booting)
-            .map(|n| n.ready_at)
-            .min()
     }
 
     /// Paid capacity so far, in core-milliseconds.
@@ -410,18 +401,5 @@ mod tests {
             boot_ms: 0
         })
         .is_err());
-    }
-
-    #[test]
-    fn next_ready_at_tracks_earliest_boot() {
-        let mut c = cluster(1, 100);
-        assert_eq!(c.next_ready_at(), None);
-        c.boot(1);
-        c.advance_to(50);
-        c.boot(1);
-        assert_eq!(c.next_ready_at(), Some(100));
-        c.advance_to(100);
-        c.activate_ready();
-        assert_eq!(c.next_ready_at(), Some(150));
     }
 }

@@ -195,7 +195,7 @@ pub struct ScheduledPolicy {
 
 impl ScheduledPolicy {
     /// Target nodes at `now`.
-    pub fn target_at(&self, now_ms: u64) -> u32 {
+    fn target_at(&self, now_ms: u64) -> u32 {
         for &(s, e, n) in &self.windows {
             if now_ms >= s && now_ms < e {
                 return n;

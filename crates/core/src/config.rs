@@ -181,7 +181,7 @@ impl ScenarioConfig {
     }
 
     /// As [`ScenarioConfig::build_stage1`] on an explicit pool.
-    pub fn build_stage1_on(&self, pool: &ThreadPool) -> RiskResult<Stage1Bundle> {
+    fn build_stage1_on(&self, pool: &ThreadPool) -> RiskResult<Stage1Bundle> {
         let output = Arc::new(self.build_stage1_output_on(pool)?);
         self.bundle_from_output(output)
     }

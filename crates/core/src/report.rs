@@ -32,12 +32,6 @@ impl TextTable {
         self
     }
 
-    /// Append a row of displayable cells.
-    pub fn row_display(&mut self, cells: &[&dyn fmt::Display]) -> &mut Self {
-        let owned: Vec<String> = cells.iter().map(|c| c.to_string()).collect();
-        self.row(&owned)
-    }
-
     /// Number of data rows.
     pub fn len(&self) -> usize {
         self.rows.len()
@@ -100,10 +94,11 @@ pub fn money(v: f64) -> String {
     if v.abs() >= 1e30 {
         return format!("{v:.3e}");
     }
-    let negative = v < 0.0;
     // Round once at total-cents resolution so 999.999 → 1,000.00 rather
-    // than a 100-cent remainder.
+    // than a 100-cent remainder. The sign follows the rounded amount, so
+    // -0.004 prints 0.00, not -0.00.
     let total_cents = (v.abs() * 100.0).round() as u128;
+    let negative = v < 0.0 && total_cents > 0;
     let whole = total_cents / 100;
     let cents = (total_cents % 100) as u32;
     let mut digits = whole.to_string();
@@ -247,20 +242,14 @@ impl SweepSummary {
     }
 
     /// Mean TVaR99 across scenarios with a finite TVaR99 (0 when none;
-    /// non-finite scenarios are counted by
-    /// [`SweepSummary::non_finite_tvar99`] instead of poisoning the
-    /// mean).
+    /// non-finite scenarios are counted on the summary's `non-finite
+    /// TVaR99` display row instead of poisoning the mean).
     pub fn mean_tvar99(&self) -> f64 {
         if self.tvar99_finite == 0 {
             0.0
         } else {
             self.tvar99_sum / self.tvar99_finite as f64
         }
-    }
-
-    /// How many folded reports carried a non-finite TVaR99.
-    pub fn non_finite_tvar99(&self) -> u64 {
-        self.tvar99_non_finite
     }
 
     /// The largest TVaR99 seen, with its scenario name.
@@ -272,14 +261,8 @@ impl SweepSummary {
 
     /// Mean annual loss over the pooled sweep distribution (exact —
     /// streaming Welford moments, not the sketch).
-    pub fn pooled_mean(&self) -> f64 {
+    fn pooled_mean(&self) -> f64 {
         self.agg_stats.mean()
-    }
-
-    /// Standard deviation of annual loss over the pooled sweep
-    /// distribution (exact).
-    pub fn pooled_sd(&self) -> f64 {
-        self.agg_stats.sd()
     }
 
     /// 99% VaR of the pooled annual aggregate loss (`None` when
@@ -360,16 +343,6 @@ impl SweepSummary {
     pub fn rank_error_bound(&self) -> f64 {
         self.aep.rank_error_bound().max(self.oep.rank_error_bound())
     }
-
-    /// The pooled annual-aggregate-loss sketch (AEP perspective).
-    pub fn aep_sketch(&self) -> &QuantileSketch {
-        &self.aep
-    }
-
-    /// The pooled maximum-occurrence-loss sketch (OEP perspective).
-    pub fn oep_sketch(&self) -> &QuantileSketch {
-        &self.oep
-    }
 }
 
 impl fmt::Display for SweepSummary {
@@ -448,6 +421,12 @@ mod tests {
     }
 
     #[test]
+    fn money_never_prints_negative_zero() {
+        assert_eq!(money(-0.004), "0.00");
+        assert_eq!(money(-0.005), "-0.01");
+    }
+
+    #[test]
     fn money_renders_non_finite_explicitly() {
         // Regression: NaN used to round-trip through `as u128` as 0 and
         // render "0.00"; infinities saturated to a garbage integer.
@@ -509,7 +488,7 @@ mod tests {
         // The mean skips the poisoned scenario instead of going NaN,
         // and the poisoning is surfaced.
         assert_eq!(s.mean_tvar99(), 30.0);
-        assert_eq!(s.non_finite_tvar99(), 1);
+        assert_eq!(s.tvar99_non_finite, 1);
         let text = s.to_string();
         assert!(text.contains("non-finite TVaR99"), "{text}");
     }
@@ -531,7 +510,7 @@ mod tests {
         s.push(&report("blown-up", f64::INFINITY, &[2.0]));
         assert_eq!(s.worst().unwrap().0, "blown-up");
         assert_eq!(s.mean_tvar99(), 80.0);
-        assert_eq!(s.non_finite_tvar99(), 1);
+        assert_eq!(s.tvar99_non_finite, 1);
     }
 
     #[test]
@@ -569,7 +548,7 @@ mod tests {
         // Pooled moments are exact.
         let stats: riskpipe_types::RunningStats = pooled.iter().copied().collect();
         assert!((s.pooled_mean() - stats.mean()).abs() < 1e-9);
-        assert!((s.pooled_sd() - stats.sd()).abs() < 1e-9);
+        assert!((s.agg_stats.sd() - stats.sd()).abs() < 1e-9);
     }
 
     #[test]

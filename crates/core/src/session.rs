@@ -55,7 +55,7 @@ use riskpipe_exec::lockwitness::{Condvar, Mutex};
 use riskpipe_exec::{par_map_collect, par_reduce, suggest_grain, ThreadPool};
 use riskpipe_metrics::RiskMeasures;
 use riskpipe_tables::codec::{self, RunManifest};
-use riskpipe_tables::{durable, shard, Elt, ScaleSpec, YearEventTable, Yelt, Ylt};
+use riskpipe_tables::{durable, shard, Elt, YearEventTable, Yelt, Ylt};
 use riskpipe_types::stats::quantile_sorted;
 use riskpipe_types::{EventId, LocationId, RiskError, RiskResult, RunningStats, TrialId};
 use std::borrow::Cow;
@@ -193,7 +193,7 @@ impl ShardedFilesStore {
 
     /// The directory a given run writes to (see the type docs for the
     /// layout).
-    pub fn run_dir(&self, label: RunLabel<'_>) -> PathBuf {
+    fn run_dir(&self, label: RunLabel<'_>) -> PathBuf {
         let base = if label.run == 0 {
             self.dir.clone()
         } else {
@@ -1133,11 +1133,6 @@ impl std::fmt::Display for PipelineReport {
 }
 
 impl PipelineReport {
-    /// The paper-scale sizing block for context in reports.
-    pub fn paper_scale_context() -> ScaleSpec {
-        ScaleSpec::paper_example()
-    }
-
     /// The aggregate-loss column sorted ascending by `total_cmp`: the
     /// shared [`agg_sorted`](Self::agg_sorted) buffer when the report
     /// still carries it (`len == ylt.trials()`), otherwise one sort of

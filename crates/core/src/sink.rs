@@ -137,7 +137,6 @@ impl ReportSink for &mut SweepSummary {
 /// [`FanoutSink`] member, a [`SweepSummary`].
 pub struct PersistingSink {
     store: Arc<dyn IntermediateStore>,
-    run: u64,
     reports_persisted: u64,
     bytes_persisted: u64,
 }
@@ -146,36 +145,21 @@ impl PersistingSink {
     /// A sink persisting through `store`, labelling artifacts as run 0.
     ///
     /// Successive sweeps through **one** store must be distinguished by
-    /// the caller: either give each sink its own run number via
-    /// [`PersistingSink::with_run`] or reclaim the previous sweep's
-    /// artifacts with the store's `clear_runs` first — two run-0 sinks
-    /// over the same backend write the same per-slot paths, and the
-    /// second sweep overwrites the first's artifacts.
+    /// the caller: reclaim the previous sweep's artifacts with the
+    /// store's `clear_runs` first — two sinks over the same backend
+    /// write the same per-slot paths, and the second sweep overwrites
+    /// the first's artifacts.
     pub fn new(store: Arc<dyn IntermediateStore>) -> Self {
         Self {
             store,
-            run: 0,
             reports_persisted: 0,
             bytes_persisted: 0,
         }
     }
 
-    /// Label persisted artifacts with a different run number (so
-    /// successive persisted sweeps through one store get disjoint
-    /// directories, mirroring [`RunLabel::run`]).
-    pub fn with_run(mut self, run: u64) -> Self {
-        self.run = run;
-        self
-    }
-
     /// The store this sink persists through.
     pub fn store(&self) -> &Arc<dyn IntermediateStore> {
         &self.store
-    }
-
-    /// The run number persisted artifacts are labelled with.
-    pub fn run(&self) -> u64 {
-        self.run
     }
 
     /// Reports persisted so far.
@@ -193,9 +177,7 @@ impl PersistingSink {
     /// borrowed impls: seal the run by writing its manifest, recording
     /// how many slots were persisted.
     fn seal(&mut self) -> RiskResult<()> {
-        let bytes = self
-            .store
-            .finish_run(self.run, self.reports_persisted as usize)?;
+        let bytes = self.store.finish_run(0, self.reports_persisted as usize)?;
         self.bytes_persisted += bytes;
         Ok(())
     }
@@ -206,7 +188,7 @@ impl PersistingSink {
             RunLabel {
                 scenario: &report.scenario_name,
                 slot: Some(slot),
-                run: self.run,
+                run: 0,
             },
             report,
         )?;
@@ -220,7 +202,6 @@ impl std::fmt::Debug for PersistingSink {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("PersistingSink")
             .field("store", &self.store.name())
-            .field("run", &self.run)
             .field("reports_persisted", &self.reports_persisted)
             .field("bytes_persisted", &self.bytes_persisted)
             .finish()

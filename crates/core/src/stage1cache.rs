@@ -8,7 +8,6 @@ use riskpipe_catmodel::{EltGenCounts, Stage1Output};
 use riskpipe_dfa::DfaFactors;
 use riskpipe_exec::lockwitness::Mutex;
 use riskpipe_types::{RiskError, RiskResult};
-use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -124,80 +123,6 @@ impl Default for CacheSlot {
     }
 }
 
-#[derive(Default)]
-struct CacheIndex {
-    map: HashMap<u64, Arc<CacheSlot>>,
-    /// Each retained key's current recency stamp.
-    stamps: HashMap<u64, u64>,
-    /// Recency order as `stamp → key`, ascending = least recently used
-    /// first. Stamps come from a monotonic counter, so marking a key
-    /// most-recently-used is two ordered-map operations — O(log n) —
-    /// instead of the O(n) position scan a recency *list* costs on
-    /// every cache hit (which made hot sweeps quadratic in retained
-    /// entries).
-    recency: BTreeMap<u64, u64>,
-    /// Monotonic recency clock; strictly increases on every insert or
-    /// touch, so stamps never collide.
-    clock: u64,
-}
-
-impl CacheIndex {
-    fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    fn next_stamp(&mut self) -> u64 {
-        self.clock += 1;
-        self.clock
-    }
-
-    /// Mark `key` most-recently-used (no-op for unknown keys).
-    fn touch(&mut self, key: u64) {
-        let Some(&old) = self.stamps.get(&key) else {
-            return;
-        };
-        if self.recency.keys().next_back() == Some(&old) {
-            return;
-        }
-        self.recency.remove(&old);
-        let stamp = self.next_stamp();
-        self.recency.insert(stamp, key);
-        self.stamps.insert(key, stamp);
-    }
-
-    /// Retain `slot` under `key`, most-recently-used.
-    fn insert(&mut self, key: u64, slot: Arc<CacheSlot>) {
-        self.map.insert(key, slot);
-        let stamp = self.next_stamp();
-        self.recency.insert(stamp, key);
-        self.stamps.insert(key, stamp);
-    }
-
-    /// Drop `key` entirely (returns whether it was retained).
-    fn remove(&mut self, key: u64) -> bool {
-        match self.stamps.remove(&key) {
-            Some(stamp) => {
-                self.recency.remove(&stamp);
-                self.map.remove(&key);
-                true
-            }
-            None => false,
-        }
-    }
-
-    /// The least-recently-used key, if any.
-    fn lru_key(&self) -> Option<u64> {
-        self.recency.values().next().copied()
-    }
-
-    fn retained_bytes(&self) -> u64 {
-        self.map
-            .values()
-            .map(|s| s.bytes.load(Ordering::Relaxed) as u64)
-            .sum()
-    }
-}
-
 /// A keyed cache of stage-1 model runs ([`Stage1Output`]: catalogue,
 /// per-contract books, YET), the join of their books and their DFA
 /// factor block ([`ModelRun`]), shared across every scenario a session
@@ -210,7 +135,10 @@ pub(crate) struct Stage1Cache {
     /// on every build — survives the process and is shared across
     /// processes (see [`DiskStage1Cache`]).
     disk: Option<DiskStage1Cache>,
-    index: Mutex<CacheIndex>,
+    /// The retained keys and their slots in recency order, least
+    /// recently used first. At most [`DEFAULT_STAGE1_CACHE_CAPACITY`]
+    /// entries, so a lookup scans a handful of keys.
+    index: Mutex<Vec<(u64, Arc<CacheSlot>)>>,
     hits: AtomicU64,
     misses: AtomicU64,
     evictions: AtomicU64,
@@ -223,7 +151,7 @@ impl Stage1Cache {
     pub(crate) fn new(disk: Option<DiskStage1Cache>) -> Self {
         Self {
             disk,
-            index: Mutex::new("index", CacheIndex::default()),
+            index: Mutex::new("index", Vec::new()),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
@@ -235,9 +163,12 @@ impl Stage1Cache {
 
     /// Whether `key` has a completed build ready to serve.
     pub(crate) fn is_ready(&self, key: u64) -> bool {
-        let slot = match self.index.lock().map.get(&key) {
-            Some(slot) => Arc::clone(slot),
-            None => return false,
+        let slot = {
+            let index = self.index.lock();
+            match index.iter().position(|(k, _)| *k == key) {
+                Some(i) => Arc::clone(&index[i].1),
+                None => return false,
+            }
         };
         let state = slot.state.lock();
         matches!(*state, SlotState::Ready(_))
@@ -277,22 +208,19 @@ impl Stage1Cache {
             // critical section is a few map operations and the wait is
             // bounded and deadlock-free.
             let mut index = self.index.lock();
-            if let Some(slot) = index.map.get(&key) {
-                let slot = Arc::clone(slot);
-                index.touch(key);
+            if let Some(i) = index.iter().position(|(k, _)| *k == key) {
+                // A hit moves the key to the back: most recently used.
+                let entry = index.remove(i);
+                let slot = Arc::clone(&entry.1);
+                index.push(entry);
                 slot
             } else {
                 while index.len() >= DEFAULT_STAGE1_CACHE_CAPACITY {
-                    match index.lru_key() {
-                        Some(old) => {
-                            index.remove(old);
-                            self.evictions.fetch_add(1, Ordering::Relaxed);
-                        }
-                        None => break,
-                    }
+                    index.remove(0);
+                    self.evictions.fetch_add(1, Ordering::Relaxed);
                 }
                 let slot = Arc::new(CacheSlot::default());
-                index.insert(key, Arc::clone(&slot));
+                index.push((key, Arc::clone(&slot)));
                 slot
             }
         };
@@ -423,7 +351,10 @@ impl Stage1Cache {
     pub(crate) fn stats(&self) -> Stage1CacheStats {
         let (entries, bytes) = {
             let index = self.index.lock();
-            (index.map.len(), index.retained_bytes())
+            let bytes = index
+                .iter()
+                .map(|(_, slot)| slot.bytes.load(Ordering::Relaxed) as u64);
+            (index.len(), bytes.sum())
         };
         Stage1CacheStats {
             hits: self.hits.load(Ordering::Relaxed),

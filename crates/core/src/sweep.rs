@@ -50,15 +50,6 @@ use crate::sink::{FanoutSink, PersistingSink, ReportSink};
 use riskpipe_types::RiskResult;
 use std::sync::Arc;
 
-/// What the persistence consumer should write through.
-struct PersistRequest {
-    /// `None` uses the session's configured store.
-    store: Option<Arc<dyn IntermediateStore>>,
-    /// Run label for persisted artifacts (see
-    /// [`PersistingSink::with_run`]).
-    run: u64,
-}
-
 /// A declarative sweep under construction: which scenarios to run and
 /// which consumers receive the report stream. Built by
 /// [`RiskSession::sweep`]; finished by [`SweepPlan::drive`] (or
@@ -68,7 +59,9 @@ pub struct SweepPlan<'s> {
     session: &'s RiskSession,
     scenarios: &'s [ScenarioConfig],
     summary: bool,
-    persist: Option<PersistRequest>,
+    /// The store the persistence consumer writes through, when one was
+    /// requested.
+    persist: Option<Arc<dyn IntermediateStore>>,
     collect: bool,
 }
 
@@ -104,40 +97,17 @@ impl<'s> SweepPlan<'s> {
     /// Request durable per-report artifacts: each report's YLT and
     /// measures are written through the **session's** intermediate
     /// store as they arrive (see [`PersistingSink`]); the outcome
-    /// carries the [`PersistedRun`] handle. Artifacts are labelled run
-    /// 0 unless [`SweepPlan::persist_run`] says otherwise.
+    /// carries the [`PersistedRun`] handle. Artifacts are labelled
+    /// run 0.
     pub fn persist(mut self) -> Self {
-        self.persist.get_or_insert(PersistRequest {
-            store: None,
-            run: 0,
-        });
+        self.persist.get_or_insert_with(|| self.session.store());
         self
     }
 
     /// Like [`SweepPlan::persist`], but writing through `store`
     /// instead of the session's — the plan-level store override.
     pub fn persist_to(mut self, store: Arc<dyn IntermediateStore>) -> Self {
-        match self.persist.as_mut() {
-            Some(req) => req.store = Some(store),
-            None => {
-                self.persist = Some(PersistRequest {
-                    store: Some(store),
-                    run: 0,
-                })
-            }
-        }
-        self
-    }
-
-    /// Label persisted artifacts with `run` (implies
-    /// [`SweepPlan::persist`]); successive persisted sweeps through
-    /// one store need distinct run numbers to get disjoint
-    /// directories.
-    pub fn persist_run(mut self, run: u64) -> Self {
-        match self.persist.as_mut() {
-            Some(req) => req.run = run,
-            None => self.persist = Some(PersistRequest { store: None, run }),
-        }
+        self.persist = Some(store);
         self
     }
 
@@ -187,10 +157,7 @@ impl<'s> SweepPlan<'s> {
         // Each requested consumer is one fan-out member; the collector
         // goes last so it owns what it keeps.
         let mut summary = self.summary.then(SweepSummary::new);
-        let mut persisting = self.persist.map(|req| {
-            let store = req.store.unwrap_or_else(|| session.store());
-            PersistingSink::new(store).with_run(req.run)
-        });
+        let mut persisting = self.persist.map(PersistingSink::new);
         let mut collector = self.collect.then(CollectSink::default);
         let mut fan = FanoutSink::new();
         if let Some(s) = summary.as_mut() {
@@ -218,7 +185,7 @@ impl<'s> SweepPlan<'s> {
             summary,
             persisted: persisting.map(|p| PersistedRun {
                 store: Arc::clone(p.store()),
-                run: p.run(),
+                run: 0,
                 reports: p.reports_persisted(),
                 bytes: p.bytes_persisted(),
             }),
@@ -360,10 +327,5 @@ impl SweepOutcome {
     /// per-sweep numbers.
     pub fn telemetry(&self) -> Option<&riskpipe_obs::TelemetrySnapshot> {
         self.telemetry.as_ref()
-    }
-
-    /// Consume the outcome, keeping the telemetry snapshot.
-    pub fn into_telemetry(self) -> Option<riskpipe_obs::TelemetrySnapshot> {
-        self.telemetry
     }
 }

@@ -43,7 +43,7 @@ impl BPlusTree {
     }
 
     /// An empty tree with a specific fan-out (≥ 4).
-    pub fn with_order(order: usize) -> Self {
+    fn with_order(order: usize) -> Self {
         assert!(order >= 4, "order must be at least 4");
         Self {
             nodes: vec![Node::Leaf {
@@ -249,7 +249,7 @@ impl BPlusTree {
     }
 
     /// Tree height (levels from root to leaf).
-    pub fn height(&self) -> usize {
+    fn height(&self) -> usize {
         let mut h = 1;
         let mut node = self.root;
         loop {

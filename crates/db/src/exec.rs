@@ -1,32 +1,17 @@
 //! Volcano-style query operators: composable row iterators.
 //!
-//! The engine is deliberately minimal — sequential scan, index lookup,
-//! filter, projection and a hash aggregate — which is all the E4
-//! comparison needs, and enough to express the aggregate-analysis
-//! queries both ways.
+//! The engine is deliberately minimal — sequential scan, filter,
+//! projection and a hash aggregate — which is all the E4 comparison
+//! needs, and enough to express the aggregate-analysis queries both
+//! ways. Index probes go straight to the [`BPlusTree`](crate::BPlusTree).
 
-use crate::btree::BPlusTree;
 use crate::heap::HeapFile;
-use crate::value::{Row, Value};
-use riskpipe_types::RiskResult;
+use crate::value::Row;
 use std::collections::HashMap;
 
 /// Sequential scan of a heap file.
 pub fn seq_scan(heap: &HeapFile) -> impl Iterator<Item = Row> + '_ {
     heap.scan().map(|(_, row)| row)
-}
-
-/// Index equality lookup: all rows whose indexed key equals `key`.
-pub fn index_lookup<'a>(
-    heap: &'a HeapFile,
-    index: &'a BPlusTree,
-    key: u64,
-) -> RiskResult<Vec<Row>> {
-    index
-        .get_all(key)
-        .into_iter()
-        .map(|rid| heap.fetch(rid))
-        .collect()
 }
 
 /// Filter combinator.
@@ -69,16 +54,11 @@ pub fn count(rows: impl Iterator<Item = Row>) -> u64 {
     rows.count() as u64
 }
 
-/// Convenience: a `Value::U32` accessor predicate for filters.
-pub fn col_eq_u32(col: usize, v: u32) -> impl Fn(&Row) -> bool {
-    move |r: &Row| matches!(r[col], Value::U32(x) if x == v)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::heap::HeapFile;
-    use crate::value::{ColumnType, Schema};
+    use crate::btree::BPlusTree;
+    use crate::value::{ColumnType, Schema, Value};
 
     fn loaded_heap() -> (HeapFile, BPlusTree) {
         let schema = Schema::new(vec![
@@ -112,18 +92,21 @@ mod tests {
     #[test]
     fn index_lookup_fetches_trial_rows() {
         let (heap, index) = loaded_heap();
-        let rows = index_lookup(&heap, &index, 7).unwrap();
-        assert_eq!(rows.len(), 4);
-        for r in &rows {
-            assert_eq!(r[0].as_u32(), 7);
+        let rids = index.get_all(7);
+        assert_eq!(rids.len(), 4);
+        for rid in rids {
+            assert_eq!(heap.fetch(rid).unwrap()[0].as_u32(), 7);
         }
     }
 
     #[test]
     fn filter_and_project_compose() {
         let (heap, _) = loaded_heap();
-        let out: Vec<Row> =
-            project(filter(seq_scan(&heap), col_eq_u32(1, 2)), vec![0, 2]).collect();
+        let out: Vec<Row> = project(
+            filter(seq_scan(&heap), |r| r[1] == Value::U32(2)),
+            vec![0, 2],
+        )
+        .collect();
         assert_eq!(out.len(), 50); // one event-2 row per trial
         assert_eq!(out[0].len(), 2);
         assert_eq!(out[10][0].as_u32(), 10);

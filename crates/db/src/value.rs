@@ -38,7 +38,7 @@ pub enum Value {
 
 impl Value {
     /// The value's type.
-    pub fn column_type(&self) -> ColumnType {
+    fn column_type(&self) -> ColumnType {
         match self {
             Value::U32(_) => ColumnType::U32,
             Value::U64(_) => ColumnType::U64,
@@ -52,15 +52,6 @@ impl Value {
         match self {
             Value::U32(v) => *v,
             _ => panic!("expected U32, got {self:?}"),
-        }
-    }
-
-    /// As u64.
-    pub fn as_u64(&self) -> u64 {
-        match self {
-            Value::U64(v) => *v,
-            Value::U32(v) => *v as u64,
-            _ => panic!("expected integer, got {self:?}"),
         }
     }
 
@@ -98,21 +89,13 @@ impl Schema {
         self.columns.len()
     }
 
-    /// Index of a named column.
-    pub fn column_index(&self, name: &str) -> RiskResult<usize> {
-        self.columns
-            .iter()
-            .position(|(n, _)| n == name)
-            .ok_or_else(|| RiskError::NotFound(format!("column {name}")))
-    }
-
     /// The columns.
     pub fn columns(&self) -> &[(String, ColumnType)] {
         &self.columns
     }
 
     /// Bytes per encoded row.
-    pub fn row_width(&self) -> usize {
+    fn row_width(&self) -> usize {
         self.columns.iter().map(|(_, t)| t.width()).sum()
     }
 
@@ -188,8 +171,6 @@ mod tests {
     fn schema_lookups() {
         let s = schema();
         assert_eq!(s.arity(), 3);
-        assert_eq!(s.column_index("loss").unwrap(), 2);
-        assert!(s.column_index("nope").is_err());
         assert_eq!(s.row_width(), 16);
     }
 
@@ -211,8 +192,6 @@ mod tests {
     #[test]
     fn value_accessors() {
         assert_eq!(Value::U32(5).as_u32(), 5);
-        assert_eq!(Value::U32(5).as_u64(), 5);
-        assert_eq!(Value::U64(9).as_u64(), 9);
         assert_eq!(Value::F64(2.5).as_f64(), 2.5);
     }
 

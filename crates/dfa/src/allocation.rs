@@ -80,12 +80,6 @@ pub struct CapitalAllocation {
 }
 
 impl CapitalAllocation {
-    /// Total allocated (equals `enterprise_tvar` up to fp association).
-    pub fn total_allocated(&self) -> f64 {
-        let k: KahanSum = self.units.iter().map(|u| u.allocated).collect();
-        k.total()
-    }
-
     /// Enterprise-level diversification benefit
     /// `1 − enterprise TVaR / Σ standalone`.
     pub fn diversification_benefit(&self) -> f64 {
@@ -247,6 +241,13 @@ mod tests {
         (0..n).map(|i| format!("unit-{i}")).collect()
     }
 
+    /// Total allocated: equals `enterprise_tvar` up to fp association
+    /// for every additive method.
+    fn total_allocated(a: &CapitalAllocation) -> f64 {
+        let k: KahanSum = a.units.iter().map(|u| u.allocated).collect();
+        k.total()
+    }
+
     #[test]
     fn co_tvar_is_additive() {
         let units = vec![
@@ -255,7 +256,7 @@ mod tests {
             lognormalish(20_000, 3, 5e5),
         ];
         let a = allocate(&names(3), &units, 0.99, AllocationMethod::CoTvar).unwrap();
-        let rel = (a.total_allocated() - a.enterprise_tvar).abs() / a.enterprise_tvar;
+        let rel = (total_allocated(&a) - a.enterprise_tvar).abs() / a.enterprise_tvar;
         assert!(rel < 1e-12, "relative gap {rel}");
         assert_eq!(a.tail_trials, 200);
     }
@@ -265,7 +266,7 @@ mod tests {
         let units = vec![lognormalish(10_000, 4, 1e6), lognormalish(10_000, 5, 3e6)];
         for m in [AllocationMethod::Covariance, AllocationMethod::Proportional] {
             let a = allocate(&names(2), &units, 0.995, m).unwrap();
-            let rel = (a.total_allocated() - a.enterprise_tvar).abs() / a.enterprise_tvar;
+            let rel = (total_allocated(&a) - a.enterprise_tvar).abs() / a.enterprise_tvar;
             assert!(rel < 1e-9, "{m}: relative gap {rel}");
         }
     }
@@ -339,7 +340,7 @@ mod tests {
         let units = vec![heavy, thin];
         let co = allocate(&names(2), &units, 0.99, AllocationMethod::CoTvar).unwrap();
         let prop = allocate(&names(2), &units, 0.99, AllocationMethod::Proportional).unwrap();
-        let rel = (co.total_allocated() - prop.total_allocated()).abs() / co.total_allocated();
+        let rel = (total_allocated(&co) - total_allocated(&prop)).abs() / total_allocated(&co);
         assert!(rel < 1e-9);
         // co-TVaR sees the tail concentration that proportional dilutes.
         assert!(co.units[0].allocated > prop.units[0].allocated);
@@ -383,7 +384,7 @@ mod tests {
                     AllocationMethod::Proportional,
                 ] {
                     let a = allocate(&names, &cols, alpha, m).unwrap();
-                    let gap = (a.total_allocated() - a.enterprise_tvar).abs();
+                    let gap = (total_allocated(&a) - a.enterprise_tvar).abs();
                     prop_assert!(
                         gap <= 1e-9 * a.enterprise_tvar.abs().max(1.0),
                         "{m}: gap {gap}"

@@ -104,7 +104,7 @@ impl CorrelationMatrix {
     }
 
     /// Lower-triangular Cholesky factor `L` with `L Lᵀ = Σ`.
-    pub fn cholesky(&self) -> RiskResult<Vec<f64>> {
+    fn cholesky(&self) -> RiskResult<Vec<f64>> {
         let k = self.k;
         let mut l = vec![0.0f64; k * k];
         for i in 0..k {

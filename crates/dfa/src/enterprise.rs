@@ -51,7 +51,7 @@ impl EnterpriseRollup {
     /// Validate and return the rank-correlated per-unit loss columns —
     /// the common first step of [`EnterpriseRollup::run`] and
     /// [`EnterpriseRollup::allocate`].
-    pub fn correlated_columns(&self) -> RiskResult<Vec<Vec<f64>>> {
+    fn correlated_columns(&self) -> RiskResult<Vec<Vec<f64>>> {
         if self.units.is_empty() {
             return Err(RiskError::invalid("no business units"));
         }

@@ -20,7 +20,6 @@ pub struct ConvergenceRow {
 #[derive(Debug, Clone)]
 pub struct ConvergenceStudy {
     rows: Vec<ConvergenceRow>,
-    full_estimate: f64,
 }
 
 /// Which metric a study tracks.
@@ -75,35 +74,12 @@ impl ConvergenceStudy {
                 rel_error,
             });
         }
-        Self {
-            rows,
-            full_estimate,
-        }
+        Self { rows }
     }
 
     /// The study rows, in checkpoint order.
     pub fn rows(&self) -> &[ConvergenceRow] {
         &self.rows
-    }
-
-    /// The full-sample estimate the rows are compared against.
-    pub fn full_estimate(&self) -> f64 {
-        self.full_estimate
-    }
-
-    /// Smallest checkpoint whose estimate is within `tol` relative error
-    /// of the full-sample value (and stays within at all later
-    /// checkpoints).
-    pub fn converged_at(&self, tol: f64) -> Option<usize> {
-        let mut candidate = None;
-        for row in &self.rows {
-            if row.rel_error <= tol {
-                candidate.get_or_insert(row.trials);
-            } else {
-                candidate = None;
-            }
-        }
-        candidate
     }
 }
 
@@ -147,15 +123,6 @@ mod tests {
     }
 
     #[test]
-    fn converged_at_finds_stable_prefix() {
-        let losses = lognormal_sample(50_000);
-        let study = ConvergenceStudy::run(&losses, Metric::Mean, &[10, 100, 1_000, 10_000, 50_000]);
-        let at = study.converged_at(0.05);
-        assert!(at.is_some());
-        assert!(at.unwrap() <= 50_000);
-    }
-
-    #[test]
     fn out_of_range_checkpoints_ignored() {
         let losses = vec![1.0, 2.0, 3.0];
         let study = ConvergenceStudy::run(&losses, Metric::Mean, &[0, 2, 5]);
@@ -167,6 +134,6 @@ mod tests {
     fn var_metric_evaluates() {
         let losses: Vec<f64> = (0..1000).map(|i| i as f64).collect();
         let study = ConvergenceStudy::run(&losses, Metric::VarPermille(500), &[1000]);
-        assert!((study.full_estimate() - 499.5).abs() < 1.0);
+        assert!((study.rows()[0].estimate - 499.5).abs() < 1.0);
     }
 }

@@ -141,19 +141,14 @@ impl EpCurve {
         (self.sorted.len() - idx) as f64 / self.sorted.len() as f64
     }
 
-    /// Loss at a return period: the `1 − 1/T` quantile. `T` must exceed
-    /// 1 year and should not exceed the trial count (beyond it, the
-    /// empirical quantile saturates at the sample maximum).
-    pub fn loss_at_return_period(&self, years: f64) -> f64 {
+    /// Probable maximum loss at a return period: the loss at `T` years,
+    /// the `1 − 1/T` quantile. `T` must exceed 1 year and should not
+    /// exceed the trial count (beyond it, the empirical quantile
+    /// saturates at the sample maximum).
+    pub fn pml(&self, years: f64) -> f64 {
         assert!(years > 1.0, "return period must exceed 1 year");
         let q = 1.0 - 1.0 / years;
         quantile_sorted(&self.sorted, q)
-    }
-
-    /// Probable maximum loss at a return period — the industry name for
-    /// [`EpCurve::loss_at_return_period`].
-    pub fn pml(&self, years: f64) -> f64 {
-        self.loss_at_return_period(years)
     }
 
     /// The curve sampled at standard reporting return periods
@@ -162,28 +157,6 @@ impl EpCurve {
         standard_points_from(self.sorted.len() as u64, |q| {
             quantile_sorted(&self.sorted, q)
         })
-    }
-
-    /// The full curve as `n` evenly spaced quantile points (for
-    /// plotting / figure regeneration).
-    pub fn sample_points(&self, n: usize) -> Vec<EpPoint> {
-        assert!(n >= 2);
-        (1..=n)
-            .map(|i| {
-                let q = i as f64 / (n + 1) as f64;
-                let rp = 1.0 / (1.0 - q);
-                EpPoint {
-                    return_period: rp,
-                    probability: 1.0 - q,
-                    loss: quantile_sorted(&self.sorted, q),
-                }
-            })
-            .collect()
-    }
-
-    /// The sorted losses backing the curve.
-    pub fn sorted_losses(&self) -> &[f64] {
-        &self.sorted
     }
 }
 
@@ -245,18 +218,6 @@ mod tests {
     }
 
     #[test]
-    fn sample_points_are_monotone() {
-        let curve = EpCurve::aggregate(&ylt_linear(500));
-        let pts = curve.sample_points(50);
-        assert_eq!(pts.len(), 50);
-        for w in pts.windows(2) {
-            assert!(w[1].loss >= w[0].loss);
-            assert!(w[1].return_period > w[0].return_period);
-            assert!(w[1].probability < w[0].probability);
-        }
-    }
-
-    #[test]
     #[should_panic]
     fn return_period_below_one_year_panics() {
         EpCurve::aggregate(&ylt_linear(10)).pml(1.0);
@@ -272,7 +233,7 @@ mod tests {
     fn from_sorted_matches_from_losses() {
         let losses: Vec<f64> = (0..200).map(|i| ((i * 37) % 97) as f64).collect();
         let a = EpCurve::from_losses(EpKind::Aep, losses.clone());
-        let b = EpCurve::from_sorted(EpKind::Aep, a.sorted_losses().to_vec());
+        let b = EpCurve::from_sorted(EpKind::Aep, a.sorted.clone());
         assert_eq!(a.pml(50.0).to_bits(), b.pml(50.0).to_bits());
         assert_eq!(a.standard_points(), b.standard_points());
     }
@@ -280,7 +241,7 @@ mod tests {
     #[test]
     fn standard_points_from_any_quantile_source() {
         let curve = EpCurve::aggregate(&ylt_linear(300));
-        let via_helper = standard_points_from(300, |q| quantile_sorted(curve.sorted_losses(), q));
+        let via_helper = standard_points_from(300, |q| quantile_sorted(&curve.sorted, q));
         assert_eq!(via_helper, curve.standard_points());
         let rps: Vec<f64> = via_helper.iter().map(|p| p.return_period).collect();
         assert_eq!(rps, vec![2.0, 5.0, 10.0, 25.0, 50.0, 100.0, 250.0]);

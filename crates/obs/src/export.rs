@@ -6,7 +6,7 @@
 //!
 //! ```json
 //! {
-//!   "version": 1,
+//!   "version": 2,
 //!   "dropped": 0,
 //!   "spans": [
 //!     {"thread":0,"seq":0,"depth":0,"name":"sweep.drive","key":0,
@@ -14,7 +14,6 @@
 //!   ],
 //!   "metrics": {
 //!     "counters": {"stage1.builds": 2},
-//!     "gauges": {"sweep.scenarios": 4},
 //!     "histograms": {
 //!       "durable.write_bytes":
 //!         {"bounds":[1024],"counts":[0,1],"total":1,"sum":4096}
@@ -31,7 +30,7 @@ use crate::TelemetrySnapshot;
 use std::fmt::Write;
 
 /// Version tag of the JSON export schema.
-pub const JSON_SCHEMA_VERSION: u32 = 1;
+pub const JSON_SCHEMA_VERSION: u32 = 2;
 
 /// Escape `s` as a JSON string body (no surrounding quotes).
 fn escape_into(out: &mut String, s: &str) {
@@ -73,7 +72,7 @@ impl TelemetrySnapshot {
     /// Serialise the snapshot in the stable JSON schema (version
     /// [`JSON_SCHEMA_VERSION`]). Key order is fixed: `version`,
     /// `dropped`, `spans` (thread-then-sequence order), `metrics`
-    /// (`counters` / `gauges` / `histograms`, each name-ordered).
+    /// (`counters` / `histograms`, each name-ordered).
     pub fn to_json(&self) -> String {
         let mut out = String::with_capacity(256 + self.spans().len() * 96);
         let _ = write!(
@@ -102,15 +101,6 @@ impl TelemetrySnapshot {
         out.push_str("],\"metrics\":{\"counters\":{");
         let m = self.metrics();
         for (i, (name, v)) in m.counters.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push('"');
-            escape_into(&mut out, name);
-            let _ = write!(out, "\":{v}");
-        }
-        out.push_str("},\"gauges\":{");
-        for (i, (name, v)) in m.gauges.iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }
@@ -189,14 +179,12 @@ mod tests {
             let _g = crate::install(&t);
             let _s = crate::span_key("unit.span", 7);
             crate::counter_add("unit.counter", 3);
-            crate::gauge_set("unit.gauge", 9);
             crate::histogram_record("unit.hist", &[10], 4);
         }
         let json = t.snapshot().to_json();
-        assert!(json.starts_with("{\"version\":1,\"dropped\":0,\"spans\":["));
+        assert!(json.starts_with("{\"version\":2,\"dropped\":0,\"spans\":["));
         assert!(json.contains("\"name\":\"unit.span\",\"key\":7"));
         assert!(json.contains("\"counters\":{\"unit.counter\":3}"));
-        assert!(json.contains("\"gauges\":{\"unit.gauge\":9}"));
         assert!(json.contains(
             "\"histograms\":{\"unit.hist\":{\"bounds\":[10],\"counts\":[1,0],\"total\":1,\"sum\":4}}"
         ));
@@ -224,8 +212,8 @@ mod tests {
         let json = t.snapshot().to_json();
         assert_eq!(
             json,
-            "{\"version\":1,\"dropped\":0,\"spans\":[],\"metrics\":\
-             {\"counters\":{},\"gauges\":{},\"histograms\":{}}}"
+            "{\"version\":2,\"dropped\":0,\"spans\":[],\"metrics\":\
+             {\"counters\":{},\"histograms\":{}}}"
         );
     }
 }

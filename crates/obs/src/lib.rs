@@ -58,7 +58,7 @@ mod metrics;
 mod recorder;
 
 pub use export::JSON_SCHEMA_VERSION;
-pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot, MetricsRegistry, MetricsSnapshot};
+pub use metrics::{Counter, Histogram, HistogramSnapshot, MetricsRegistry, MetricsSnapshot};
 pub use recorder::{Recorder, SpanGuard, SpanRecord, DEFAULT_SPAN_CAPACITY};
 
 use std::cell::RefCell;
@@ -78,16 +78,6 @@ impl Telemetry {
     /// ([`DEFAULT_SPAN_CAPACITY`] events per recording thread).
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Telemetry whose per-thread span buffers hold at most `capacity`
-    /// events (a begin and an end each count as one) before the flight
-    /// recorder starts dropping.
-    pub fn with_span_capacity(capacity: usize) -> Self {
-        Self {
-            recorder: Recorder::with_capacity(capacity),
-            metrics: MetricsRegistry::new(),
-        }
     }
 
     /// The span recorder.
@@ -234,17 +224,6 @@ pub fn counter_add(name: &'static str, delta: u64) {
     });
 }
 
-/// Set the gauge `name` on the current telemetry; no-op when none is
-/// installed. For snapshot determinism, call only from coordinating
-/// threads (or use monotonic values).
-pub fn gauge_set(name: &'static str, value: u64) {
-    CURRENT.with(|c| {
-        if let Some(t) = c.borrow().as_ref() {
-            t.metrics.gauge(name).set(value);
-        }
-    });
-}
-
 /// Record `value` into the fixed-bucket histogram `name` (created with
 /// `bounds` on first use) on the current telemetry; no-op when none is
 /// installed.
@@ -267,7 +246,6 @@ mod tests {
             let _s = span("ghost");
             counter_add("ghost", 1);
             histogram_record("ghost", &[1], 1);
-            gauge_set("ghost", 1);
         }
         // Nothing anywhere to snapshot — a fresh telemetry sees none
         // of it.

@@ -1,6 +1,5 @@
-//! The metrics registry: named counters, gauges and fixed-bucket
-//! histograms whose snapshots are **bit-identical across thread
-//! counts**.
+//! The metrics registry: named counters and fixed-bucket histograms
+//! whose snapshots are **bit-identical across thread counts**.
 //!
 //! All metric values are unsigned integers updated with atomic adds
 //! (commutative, associative), so however the pipeline's work is
@@ -10,7 +9,7 @@
 //! derived values**: timings live in the span recorder and are
 //! diagnostic-only.
 //!
-//! Handles ([`Counter`], [`Gauge`], [`Histogram`]) are resolved once
+//! Handles ([`Counter`], [`Histogram`]) are resolved once
 //! through the registry lock and then update lock-free; snapshots are
 //! ordered `BTreeMap`s so exports and comparisons are deterministic.
 
@@ -28,35 +27,6 @@ impl Counter {
     /// Add `delta`.
     pub fn add(&self, delta: u64) {
         self.0.fetch_add(delta, Ordering::Relaxed);
-    }
-
-    /// Add one.
-    pub fn inc(&self) {
-        self.add(1);
-    }
-
-    /// Current value.
-    pub fn get(&self) -> u64 {
-        self.0.load(Ordering::Relaxed)
-    }
-}
-
-/// A named gauge holding one `u64`. Last write wins; for snapshot
-/// determinism, set gauges only from the coordinating thread (all
-/// in-tree sites do).
-#[derive(Clone, Debug)]
-pub struct Gauge(Arc<AtomicU64>);
-
-impl Gauge {
-    /// Set the value.
-    pub fn set(&self, value: u64) {
-        self.0.store(value, Ordering::Relaxed);
-    }
-
-    /// Raise the value to at least `value` (monotonic set — safe from
-    /// any thread without breaking snapshot determinism).
-    pub fn set_max(&self, value: u64) {
-        self.0.fetch_max(value, Ordering::Relaxed);
     }
 
     /// Current value.
@@ -112,7 +82,6 @@ impl std::fmt::Debug for Histogram {
 
 enum Cell {
     Counter(Arc<AtomicU64>),
-    Gauge(Arc<AtomicU64>),
     Histogram(Arc<HistCell>),
 }
 
@@ -145,19 +114,6 @@ impl MetricsRegistry {
         match cell {
             Cell::Counter(c) => Counter(Arc::clone(c)),
             _ => Counter(Arc::new(AtomicU64::new(0))),
-        }
-    }
-
-    /// The gauge named `name`, created at zero on first use. Kind
-    /// clashes behave as for [`MetricsRegistry::counter`].
-    pub fn gauge(&self, name: &str) -> Gauge {
-        let mut map = self.inner.lock();
-        let cell = map
-            .entry(name.to_string())
-            .or_insert_with(|| Cell::Gauge(Arc::new(AtomicU64::new(0))));
-        match cell {
-            Cell::Gauge(g) => Gauge(Arc::clone(g)),
-            _ => Gauge(Arc::new(AtomicU64::new(0))),
         }
     }
 
@@ -200,9 +156,6 @@ impl MetricsRegistry {
                     snap.counters
                         .insert(name.clone(), c.load(Ordering::Relaxed));
                 }
-                Cell::Gauge(g) => {
-                    snap.gauges.insert(name.clone(), g.load(Ordering::Relaxed));
-                }
                 Cell::Histogram(h) => {
                     snap.histograms.insert(
                         name.clone(),
@@ -224,7 +177,7 @@ impl MetricsRegistry {
         let map = self.inner.lock();
         for cell in map.values() {
             match cell {
-                Cell::Counter(c) | Cell::Gauge(c) => c.store(0, Ordering::Relaxed),
+                Cell::Counter(c) => c.store(0, Ordering::Relaxed),
                 Cell::Histogram(h) => {
                     for c in &h.counts {
                         c.store(0, Ordering::Relaxed);
@@ -268,25 +221,18 @@ pub struct HistogramSnapshot {
 pub struct MetricsSnapshot {
     /// Counter values by name.
     pub counters: BTreeMap<String, u64>,
-    /// Gauge values by name.
-    pub gauges: BTreeMap<String, u64>,
     /// Histogram snapshots by name.
     pub histograms: BTreeMap<String, HistogramSnapshot>,
 }
 
 impl MetricsSnapshot {
-    /// Merge `other` into `self`: counters and histogram buckets add,
-    /// gauges keep the maximum. Histograms with mismatched bounds keep
-    /// `self`'s values unchanged. Merging is commutative over counter
-    /// and histogram content, so any merge order yields the same
-    /// result — the determinism contract for multi-registry setups.
+    /// Merge `other` into `self`: counters and histogram buckets add.
+    /// Histograms with mismatched bounds keep `self`'s values
+    /// unchanged. Merging is commutative, so any merge order yields the
+    /// same result — the determinism contract for multi-registry setups.
     pub fn merge(&mut self, other: &MetricsSnapshot) {
         for (name, v) in &other.counters {
             *self.counters.entry(name.clone()).or_insert(0) += v;
-        }
-        for (name, v) in &other.gauges {
-            let slot = self.gauges.entry(name.clone()).or_insert(0);
-            *slot = (*slot).max(*v);
         }
         for (name, h) in &other.histograms {
             match self.histograms.get_mut(name) {
@@ -310,11 +256,6 @@ impl MetricsSnapshot {
         self.counters.get(name).copied().unwrap_or(0)
     }
 
-    /// Value of the gauge `name`, zero if absent.
-    pub fn gauge(&self, name: &str) -> u64 {
-        self.gauges.get(name).copied().unwrap_or(0)
-    }
-
     /// Snapshot of the histogram `name`, if registered.
     pub fn histogram(&self, name: &str) -> Option<&HistogramSnapshot> {
         self.histograms.get(name)
@@ -331,7 +272,7 @@ mod tests {
         let a = reg.counter("x");
         let b = reg.counter("x");
         a.add(2);
-        b.inc();
+        b.add(1);
         assert_eq!(reg.snapshot().counter("x"), 3);
     }
 
@@ -359,7 +300,7 @@ mod tests {
             let h = reg.histogram("v", &[50]);
             handles.push(std::thread::spawn(move || {
                 for i in 0..1000 {
-                    c.inc();
+                    c.add(1);
                     h.record(i % 100);
                 }
             }));
@@ -379,14 +320,12 @@ mod tests {
         let a = {
             let r = MetricsRegistry::new();
             r.counter("c").add(3);
-            r.gauge("g").set(7);
             r.histogram("h", &[10]).record(4);
             r.snapshot()
         };
         let b = {
             let r = MetricsRegistry::new();
             r.counter("c").add(4);
-            r.gauge("g").set(5);
             r.histogram("h", &[10]).record(40);
             r.snapshot()
         };
@@ -396,19 +335,17 @@ mod tests {
         ba.merge(&a);
         assert_eq!(ab, ba);
         assert_eq!(ab.counter("c"), 7);
-        assert_eq!(ab.gauge("g"), 7);
         assert_eq!(ab.histogram("h").expect("h").counts, vec![1, 1]);
     }
 
     #[test]
     fn kind_clash_returns_detached_handle() {
         let reg = MetricsRegistry::new();
-        reg.counter("x").inc();
-        let g = reg.gauge("x");
-        g.set(99);
+        reg.counter("x").add(1);
+        reg.histogram("x", &[10]).record(99);
         // The original counter is untouched.
         assert_eq!(reg.snapshot().counter("x"), 1);
-        assert_eq!(reg.snapshot().gauge("x"), 0);
+        assert_eq!(reg.snapshot().histogram("x"), None);
     }
 
     #[test]

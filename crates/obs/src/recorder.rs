@@ -106,7 +106,7 @@ impl Recorder {
 
     /// A recorder whose per-thread buffers hold at most `capacity`
     /// events (begin and end each count as one) before dropping.
-    pub fn with_capacity(capacity: usize) -> Self {
+    fn with_capacity(capacity: usize) -> Self {
         Self {
             inner: Arc::new(RecorderInner {
                 id: RECORDER_IDS.fetch_add(1, Ordering::Relaxed),
@@ -250,7 +250,7 @@ impl SpanGuard {
     }
 
     /// Whether this guard will record an end event.
-    pub fn is_recording(&self) -> bool {
+    fn is_recording(&self) -> bool {
         self.buf.is_some()
     }
 }

@@ -23,11 +23,6 @@ impl LaunchConfig {
             block_threads,
         }
     }
-
-    /// Total threads in the launch.
-    pub fn total_threads(&self) -> u64 {
-        self.grid_blocks as u64 * self.block_threads as u64
-    }
 }
 
 /// Execution context handed to a kernel for one block.
@@ -80,7 +75,6 @@ mod tests {
         let c = LaunchConfig::cover(1000, 256);
         assert_eq!(c.grid_blocks, 4);
         assert_eq!(c.block_threads, 256);
-        assert_eq!(c.total_threads(), 1024);
         // Zero work still gets one block.
         assert_eq!(LaunchConfig::cover(0, 64).grid_blocks, 1);
         // Exact division.

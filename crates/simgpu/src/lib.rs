@@ -12,8 +12,9 @@
 //! * **capacity-limited fast memories**: each block gets a
 //!   [`SharedMem`] arena that refuses allocations beyond the device's
 //!   per-block shared-memory size (48 KiB on the Fermi-class parts the
-//!   paper's experiments used), and read-only [`ConstMem`] is bounded at
-//!   64 KiB — the constraints that force the paper's *chunking* design;
+//!   paper's experiments used), and read-only constant memory is
+//!   bounded at 64 KiB ([`check_const_mem`]) — the constraints that
+//!   force the paper's *chunking* design;
 //! * **memory-traffic accounting**: explicit [`MemCounters`] tally
 //!   global/shared/constant bytes moved, so the chunking ablation (E8)
 //!   can show *why* staging ELT tiles into shared memory wins;
@@ -34,4 +35,4 @@ mod memory;
 
 pub use device::{DeviceSpec, LaunchStats};
 pub use kernel::{BlockCtx, Kernel, LaunchConfig};
-pub use memory::{ConstMem, GlobalBuf, MemCounters, MemTraffic, SharedMem};
+pub use memory::{check_const_mem, GlobalBuf, MemCounters, MemTraffic, SharedMem};

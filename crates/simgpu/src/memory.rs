@@ -109,12 +109,6 @@ impl SharedMem {
         Ok(vec![0.0; n])
     }
 
-    /// Allocate a zeroed `u32` buffer of `n` elements from the arena.
-    pub fn alloc_u32(&mut self, n: usize) -> RiskResult<Vec<u32>> {
-        self.charge((n * 4) as u64)?;
-        Ok(vec![0; n])
-    }
-
     /// Release `bytes` back to the arena (a kernel reusing its tile
     /// buffer between chunk iterations frees and re-charges).
     pub fn release(&mut self, bytes: u64) {
@@ -150,59 +144,19 @@ impl SharedMem {
     }
 }
 
-/// Read-only constant memory: a bounded, typed broadcast area. The
-/// canonical use is the portfolio's financial terms, read by every
-/// thread of every block.
-#[derive(Debug, Clone)]
-pub struct ConstMem {
-    data: Vec<u8>,
-    capacity: u64,
-}
-
-impl ConstMem {
-    /// Create from raw bytes; fails beyond `capacity`.
-    pub fn from_bytes(data: Vec<u8>, capacity: u64) -> RiskResult<Self> {
-        if data.len() as u64 > capacity {
-            return Err(RiskError::CapacityExceeded {
-                what: "constant memory".into(),
-                requested: data.len() as u64,
-                available: capacity,
-            });
-        }
-        Ok(Self { data, capacity })
+/// Check that `bytes` fit read-only constant memory of `capacity`
+/// bytes: the bounded broadcast area whose canonical use is the
+/// portfolio's financial terms, read by every thread of every block.
+/// Kernels meter those reads themselves ([`MemCounters::const_read`]).
+pub fn check_const_mem(bytes: u64, capacity: u64) -> RiskResult<()> {
+    if bytes > capacity {
+        return Err(RiskError::CapacityExceeded {
+            what: "constant memory".into(),
+            requested: bytes,
+            available: capacity,
+        });
     }
-
-    /// Create from a slice of `f64` values.
-    pub fn from_f64s(values: &[f64], capacity: u64) -> RiskResult<Self> {
-        let mut data = Vec::with_capacity(values.len() * 8);
-        for v in values {
-            data.extend_from_slice(&v.to_le_bytes());
-        }
-        Self::from_bytes(data, capacity)
-    }
-
-    /// Read the `i`-th f64, counting constant-memory traffic.
-    #[inline]
-    pub fn read_f64(&self, i: usize, counters: &MemCounters) -> f64 {
-        counters.const_read(8);
-        let off = i * 8;
-        f64::from_le_bytes(self.data[off..off + 8].try_into().expect("8-byte slice"))
-    }
-
-    /// Number of f64 slots.
-    pub fn len_f64(&self) -> usize {
-        self.data.len() / 8
-    }
-
-    /// Bytes stored.
-    pub fn len_bytes(&self) -> usize {
-        self.data.len()
-    }
-
-    /// Capacity in bytes.
-    pub fn capacity(&self) -> u64 {
-        self.capacity
-    }
+    Ok(())
 }
 
 /// A global-memory output buffer with CUDA-like semantics: any thread
@@ -287,12 +241,6 @@ impl<T: Copy + Default> GlobalBuf<T> {
     pub fn into_vec(self) -> Vec<T> {
         self.data.into_inner().into_vec()
     }
-
-    /// Borrow the contents after a launch (requires `&mut` to prove
-    /// exclusive access).
-    pub fn as_slice_mut(&mut self) -> &mut [T] {
-        self.data.get_mut()
-    }
 }
 
 #[cfg(test)]
@@ -318,14 +266,14 @@ mod tests {
 
     #[test]
     fn shared_mem_enforces_capacity() {
-        let mut s = SharedMem::new(100);
+        let mut s = SharedMem::new(96);
         let _a = s.alloc_f64(10).unwrap(); // 80 bytes
         assert_eq!(s.used(), 80);
         let err = s.alloc_f64(3).unwrap_err(); // would be 104
         assert!(matches!(err, RiskError::CapacityExceeded { .. }));
-        let _b = s.alloc_u32(5).unwrap(); // exactly 100
-        assert_eq!(s.used(), 100);
-        assert_eq!(s.peak(), 100);
+        let _b = s.alloc_f64(2).unwrap(); // exactly 96
+        assert_eq!(s.used(), 96);
+        assert_eq!(s.peak(), 96);
     }
 
     #[test]
@@ -339,22 +287,9 @@ mod tests {
     }
 
     #[test]
-    fn const_mem_round_trips_f64() {
-        let values = [1.5, -2.25, 1e9];
-        let cm = ConstMem::from_f64s(&values, 64 * 1024).unwrap();
-        let c = MemCounters::new();
-        assert_eq!(cm.len_f64(), 3);
-        for (i, &v) in values.iter().enumerate() {
-            assert_eq!(cm.read_f64(i, &c), v);
-        }
-        assert_eq!(c.traffic().const_read, 24);
-    }
-
-    #[test]
     fn const_mem_enforces_capacity() {
-        let big = vec![0.0f64; 10_000];
-        assert!(ConstMem::from_f64s(&big, 64 * 1024).is_err());
-        assert!(ConstMem::from_f64s(&big[..8192], 64 * 1024).is_ok());
+        assert!(check_const_mem(10_000 * 8, 64 * 1024).is_err());
+        assert!(check_const_mem(8192 * 8, 64 * 1024).is_ok());
     }
 
     #[test]

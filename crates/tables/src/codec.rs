@@ -92,7 +92,7 @@ pub enum TableKind {
 
 impl TableKind {
     /// Parse from the header byte.
-    pub fn from_u8(v: u8) -> RiskResult<Self> {
+    fn from_u8(v: u8) -> RiskResult<Self> {
         match v {
             1 => Ok(TableKind::Elt),
             2 => Ok(TableKind::Yet),
@@ -243,7 +243,7 @@ impl<'a> FrameWriter<'a> {
     }
 
     /// Append a column: its element count, then its elements.
-    pub fn put_column<T: LeValue>(&mut self, xs: &[T]) {
+    fn put_column<T: LeValue>(&mut self, xs: &[T]) {
         self.put(xs.len() as u64);
         self.put_elems(xs);
     }
@@ -327,7 +327,7 @@ impl<'a> FrameReader<'a> {
     }
 
     /// A column: its element count, then its elements.
-    pub fn get_column<T: LeValue>(&mut self, what: &str) -> RiskResult<Vec<T>> {
+    fn get_column<T: LeValue>(&mut self, what: &str) -> RiskResult<Vec<T>> {
         let n = self.get_count(what, T::WIDTH)?;
         self.get_elems(n, what)
     }

@@ -17,7 +17,7 @@
 //! have to handle "absent" and "complete"; "torn" cannot happen.
 //!
 //! Leftover `*.rptmp` files are the footprint of an interrupted write;
-//! [`is_tmp_path`] identifies them and [`remove_stale_tmps`] sweeps a
+//! `is_tmp_path` identifies them and [`remove_stale_tmps`] sweeps a
 //! directory. Temporary names carry the writer's `<pid>-<seq>`, and the
 //! sweep skips the current process's: those are writes in flight on
 //! other threads (a failed write removes its own temporary), not
@@ -55,7 +55,7 @@ fn tmp_path_for(path: &Path) -> PathBuf {
 
 /// Whether `path` is an in-flight temporary from an interrupted
 /// [`write_atomic`] (and therefore safe to delete).
-pub fn is_tmp_path(path: &Path) -> bool {
+fn is_tmp_path(path: &Path) -> bool {
     path.file_name()
         .map(|n| n.to_string_lossy().ends_with(TMP_SUFFIX))
         .unwrap_or(false)

@@ -119,13 +119,6 @@ impl EventRowMap {
     pub fn memory_bytes(&self) -> usize {
         self.keys.len() * 4 + self.values.len() * 4
     }
-
-    /// Raw probe arrays `(keys, values, mask)` — exposed so the simulated
-    /// GPU kernel can probe the table exactly as the CPU does, counting
-    /// its global-memory traffic.
-    pub fn raw_parts(&self) -> (&[u32], &[u32], u32) {
-        (&self.keys, &self.values, self.mask)
-    }
 }
 
 #[cfg(test)]

@@ -169,7 +169,7 @@ impl ShardedWriter {
 
     /// Shard index a trial routes to.
     #[inline]
-    pub fn shard_of(&self, trial: u32) -> u32 {
+    fn shard_of(&self, trial: u32) -> u32 {
         trial % self.writers.len() as u32
     }
 
@@ -209,20 +209,6 @@ impl ShardedWriter {
         self.rows += events.len() as u64;
         if self.buffers[s].rows() >= self.chunk_rows {
             self.flush_shard(s)?;
-        }
-        Ok(())
-    }
-
-    /// Append a whole chunk (rows are re-routed individually).
-    pub fn push_chunk(&mut self, chunk: &YelltChunk) -> RiskResult<()> {
-        chunk.validate()?;
-        for i in 0..chunk.rows() {
-            self.push_row(
-                chunk.trials[i],
-                chunk.events[i],
-                LocationId::new(chunk.locations[i]),
-                chunk.losses[i],
-            )?;
         }
         Ok(())
     }
@@ -300,7 +286,7 @@ impl ShardedReader {
 
     /// Path of shard `i` (for external processors such as MapReduce map
     /// tasks).
-    pub fn shard_file(&self, i: u32) -> PathBuf {
+    fn shard_file(&self, i: u32) -> PathBuf {
         shard_path(&self.dir, i)
     }
 

@@ -73,34 +73,34 @@ impl ScaleSpec {
 
     /// YELLT entry bound — the paper's direct product
     /// `contracts × events × locations × trials`.
-    pub fn yellt_entries_bound(&self) -> u128 {
+    fn yellt_entries_bound(&self) -> u128 {
         self.contracts as u128 * self.events as u128 * self.locations as u128 * self.trials as u128
     }
 
     /// Expected YELLT entries actually materialised:
     /// `contracts × trials × events_per_year × locations`.
-    pub fn yellt_entries_expected(&self) -> u128 {
+    fn yellt_entries_expected(&self) -> u128 {
         (self.contracts as f64 * self.trials as f64 * self.events_per_year) as u128
             * self.locations as u128
     }
 
     /// Expected YELT entries: `contracts × trials × events_per_year`.
-    pub fn yelt_entries_expected(&self) -> u128 {
+    fn yelt_entries_expected(&self) -> u128 {
         (self.contracts as f64 * self.trials as f64 * self.events_per_year) as u128
     }
 
     /// YLT entries: `contracts × trials`.
-    pub fn ylt_entries(&self) -> u128 {
+    fn ylt_entries(&self) -> u128 {
         self.contracts as u128 * self.trials as u128
     }
 
     /// Ratio YELLT : YELT (expected) — the paper says ~1000×.
-    pub fn yellt_to_yelt_ratio(&self) -> f64 {
+    fn yellt_to_yelt_ratio(&self) -> f64 {
         self.locations as f64
     }
 
     /// Ratio YELT : YLT (expected) — the paper says ~1000×.
-    pub fn yelt_to_ylt_ratio(&self) -> f64 {
+    fn yelt_to_ylt_ratio(&self) -> f64 {
         self.events_per_year
     }
 
@@ -110,12 +110,12 @@ impl ScaleSpec {
     }
 
     /// Expected YELT bytes.
-    pub fn yelt_bytes_expected(&self) -> u128 {
+    fn yelt_bytes_expected(&self) -> u128 {
         self.yelt_entries_expected() * row_bytes::YELT as u128
     }
 
     /// YLT bytes.
-    pub fn ylt_bytes(&self) -> u128 {
+    fn ylt_bytes(&self) -> u128 {
         self.ylt_entries() * row_bytes::YLT as u128
     }
 

@@ -104,7 +104,7 @@ impl YelltChunk {
     }
 
     /// Bytes of row data in this chunk.
-    pub fn data_bytes(&self) -> usize {
+    fn data_bytes(&self) -> usize {
         self.rows() * YELLT_BYTES_PER_ROW
     }
 }
@@ -129,7 +129,7 @@ impl Yellt {
     }
 
     /// New table with a specific chunk row bound.
-    pub fn with_chunk_rows(chunk_rows: usize) -> Self {
+    fn with_chunk_rows(chunk_rows: usize) -> Self {
         assert!(chunk_rows > 0);
         Self {
             chunks: Vec::new(),
@@ -167,11 +167,6 @@ impl Yellt {
     /// Iterate the chunks (the only read path — strictly streaming).
     pub fn chunks(&self) -> impl Iterator<Item = &YelltChunk> {
         self.chunks.iter()
-    }
-
-    /// Consume into the chunk sequence (for spilling to shards).
-    pub fn into_chunks(self) -> Vec<YelltChunk> {
-        self.chunks
     }
 
     /// Streaming scan: aggregate loss per location. Returns a dense map

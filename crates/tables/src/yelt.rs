@@ -4,7 +4,7 @@
 //! The paper positions the YELT as the intermediate scale: ~1000× smaller
 //! than the YELLT (no location dimension) and orders of magnitude bigger
 //! than the YLT (occurrences, not years). It is scanned for drill-down
-//! analytics (event contribution, seasonality) that the YLT cannot
+//! analytics (per-trial sums, seasonality) that the YLT cannot
 //! answer.
 
 use crate::elt::Elt;
@@ -119,24 +119,6 @@ impl Yelt {
         (out, stats)
     }
 
-    /// Streaming scan: total loss contributed by each event, returned as
-    /// `(event_id, total_loss)` sorted descending by loss. The
-    /// event-contribution drill-down.
-    pub fn scan_event_contribution(&self) -> (Vec<(EventId, f64)>, ScanStats) {
-        use std::collections::HashMap;
-        let mut acc: HashMap<u32, f64> = HashMap::new();
-        let mut stats = ScanStats::default();
-        for (i, &e) in self.event_ids.iter().enumerate() {
-            *acc.entry(e).or_insert(0.0) += self.losses[i];
-        }
-        stats.rows = self.event_ids.len() as u64;
-        stats.bytes = (self.event_ids.len() * (4 + 8)) as u64;
-        let mut v: Vec<(EventId, f64)> =
-            acc.into_iter().map(|(e, l)| (EventId::new(e), l)).collect();
-        v.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.raw().cmp(&b.0.raw())));
-        (v, stats)
-    }
-
     /// Streaming scan: total loss by calendar month (day-of-year folded
     /// into twelve 30/31-day bins). Seasonality is the classic YELT
     /// drill-down — hurricane books peak in Q3, winter-storm books in
@@ -228,18 +210,6 @@ mod tests {
         assert_eq!(sums, vec![30.0, 40.0, 0.0]);
         assert_eq!(stats.rows, 4);
         assert!(stats.bytes > 0);
-    }
-
-    #[test]
-    fn event_contribution_sorted_descending() {
-        let elt = elt_with(&[(1, 10.0), (2, 20.0)]);
-        let yet = yet_with(&[&[(1, 0), (2, 0)], &[(1, 0)]]);
-        let yelt = Yelt::from_yet_elt(&yet, &elt);
-        let (contrib, stats) = yelt.scan_event_contribution();
-        assert_eq!(contrib.len(), 2);
-        assert_eq!(contrib[0], (EventId::new(1), 20.0));
-        assert_eq!(contrib[1], (EventId::new(2), 20.0));
-        assert_eq!(stats.rows, 3);
     }
 
     #[test]

@@ -66,19 +66,6 @@ impl YearEventTable {
         )
     }
 
-    /// Iterate a trial's occurrences as rows.
-    pub fn trial_occurrences(&self, trial: TrialId) -> impl Iterator<Item = Occurrence> + '_ {
-        let (e, d, z) = self.trial_slices(trial);
-        e.iter()
-            .zip(d.iter())
-            .zip(z.iter())
-            .map(|((&e, &d), &z)| Occurrence {
-                event_id: EventId::new(e),
-                day: d,
-                z,
-            })
-    }
-
     /// Raw columns `(offsets, event_ids, days, z_values)` for codecs.
     pub fn columns(&self) -> (&[u64], &[u32], &[u16], &[f64]) {
         (&self.offsets, &self.event_ids, &self.days, &self.z_values)
@@ -215,10 +202,11 @@ mod tests {
         assert_eq!(yet.total_occurrences(), 3);
         assert!((yet.mean_occurrences() - 1.0).abs() < 1e-12);
 
-        let t0: Vec<Occurrence> = yet.trial_occurrences(TrialId::new(0)).collect();
-        assert_eq!(t0, vec![occ(1, 10, 0.5), occ(2, 200, 0.25)]);
-        let t1: Vec<Occurrence> = yet.trial_occurrences(TrialId::new(1)).collect();
-        assert!(t1.is_empty());
+        let (e, d, z) = yet.trial_slices(TrialId::new(0));
+        assert_eq!(e, &[1, 2]);
+        assert_eq!(d, &[10, 200]);
+        assert_eq!(z, &[0.5, 0.25]);
+        assert!(yet.trial_slices(TrialId::new(1)).0.is_empty());
         let (e, d, z) = yet.trial_slices(TrialId::new(2));
         assert_eq!(e, &[3]);
         assert_eq!(d, &[364]);

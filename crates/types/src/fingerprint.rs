@@ -28,7 +28,7 @@ impl Fingerprint {
     }
 
     /// Fold raw bytes.
-    pub fn push_bytes(&mut self, bytes: &[u8]) -> &mut Self {
+    fn push_bytes(&mut self, bytes: &[u8]) -> &mut Self {
         for &b in bytes {
             self.0 ^= b as u64;
             self.0 = self.0.wrapping_mul(FNV_PRIME);

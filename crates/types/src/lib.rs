@@ -20,7 +20,7 @@
 //!   Poisson, gamma, beta, discrete alias method).
 //! * [`special`] — `ln Γ`, regularized incomplete beta and its inverse,
 //!   the normal CDF/quantile.
-//! * [`stats`] — Welford accumulators, quantiles, summaries.
+//! * [`stats`] — Welford accumulators, quantiles, ranks, correlation.
 //! * [`error`] — the crate-family error type [`RiskError`].
 
 #![warn(missing_docs)]

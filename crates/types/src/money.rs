@@ -32,15 +32,6 @@ impl KahanSum {
         }
     }
 
-    /// Start from an initial value.
-    #[inline]
-    pub const fn from_value(v: f64) -> Self {
-        Self {
-            sum: v,
-            compensation: 0.0,
-        }
-    }
-
     /// Add a term (Neumaier's variant, robust when the term exceeds the
     /// running sum in magnitude). Non-finite totals carry through with
     /// IEEE semantics: without the guard, the compensation term would
@@ -86,21 +77,6 @@ impl std::iter::FromIterator<f64> for KahanSum {
     }
 }
 
-/// Sum a slice with compensation. Convenience wrapper over [`KahanSum`].
-#[inline]
-pub fn kahan_sum(values: &[f64]) -> f64 {
-    values.iter().copied().collect::<KahanSum>().total()
-}
-
-/// Round a monetary amount to cents. Used only at reporting boundaries,
-/// never inside simulation loops. Rounding is to the nearest cent of the
-/// IEEE double actually stored (so a literal like `1.005`, stored as
-/// `1.00499…`, rounds down — the standard binary-float behaviour).
-#[inline]
-pub fn round_cents(v: f64) -> f64 {
-    (v * 100.0).round() / 100.0
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -111,7 +87,8 @@ mod tests {
         let tiny = 1e-16;
         let n = 1_000_000usize;
         let mut naive = 1.0f64;
-        let mut kahan = KahanSum::from_value(1.0);
+        let mut kahan = KahanSum::new();
+        kahan.add(1.0);
         for _ in 0..n {
             naive += tiny;
             kahan.add(tiny);
@@ -145,7 +122,8 @@ mod tests {
         k.add(f64::INFINITY);
         k.add(2.0);
         assert_eq!(k.total(), f64::INFINITY);
-        let mut opposed = KahanSum::from_value(f64::INFINITY);
+        let mut opposed = KahanSum::new();
+        opposed.add(f64::INFINITY);
         opposed.add(f64::NEG_INFINITY);
         assert!(opposed.total().is_nan(), "inf + -inf is NaN in IEEE");
         let mut nan = KahanSum::new();
@@ -168,23 +146,13 @@ mod tests {
     #[test]
     fn from_iterator_and_helper_agree() {
         let xs = [1.5, 2.5, 3.25];
-        assert_eq!(kahan_sum(&xs), 7.25);
-    }
-
-    #[test]
-    fn round_cents_reporting_cases() {
-        assert_eq!(round_cents(2.344), 2.34);
-        assert_eq!(round_cents(2.346), 2.35);
-        assert_eq!(round_cents(-2.346), -2.35);
-        assert_eq!(round_cents(100.0), 100.0);
-        // 1.005 is stored as 1.00499…, so it rounds down: binary-float
-        // semantics, documented on the function.
-        assert_eq!(round_cents(1.005), 1.0);
+        let k: KahanSum = xs.iter().copied().collect();
+        assert_eq!(k.total(), 7.25);
     }
 
     #[test]
     fn empty_sum_is_zero() {
         assert_eq!(KahanSum::new().total(), 0.0);
-        assert_eq!(kahan_sum(&[]), 0.0);
+        assert_eq!(std::iter::empty().collect::<KahanSum>().total(), 0.0);
     }
 }

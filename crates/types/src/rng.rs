@@ -124,7 +124,7 @@ impl Pcg64 {
 
     /// Create a generator on a specific stream. Distinct streams yield
     /// statistically independent sequences for the same seed.
-    pub fn with_stream(seed: u64, stream: u64) -> Self {
+    fn with_stream(seed: u64, stream: u64) -> Self {
         // Expand the 64-bit inputs to 128 bits through SplitMix64 so poor
         // seeds (0, 1, small integers) still start well-mixed.
         let s0 = SplitMix64::mix(seed);
@@ -173,7 +173,7 @@ const PHILOX_ROUNDS: usize = 10;
 /// what parallel Monte Carlo needs: any thread can compute the random
 /// numbers for any (trial, draw) coordinate without shared state.
 #[inline]
-pub fn philox4x32(key: [u32; 2], counter: [u32; 4]) -> [u32; 4] {
+fn philox4x32(key: [u32; 2], counter: [u32; 4]) -> [u32; 4] {
     let mut c = counter;
     let mut k = key;
     for _ in 0..PHILOX_ROUNDS {
@@ -204,7 +204,7 @@ pub struct Philox4x32 {
 
 impl Philox4x32 {
     /// Construct from a 64-bit key directly (low word, high word).
-    pub fn from_key(key: u64) -> Self {
+    fn from_key(key: u64) -> Self {
         Self {
             key: [key as u32, (key >> 32) as u32],
             counter: [0; 4],
@@ -216,7 +216,7 @@ impl Philox4x32 {
     /// Derive a generator for a (seed, stream) coordinate pair. The stream
     /// id is mixed into the key, so streams are independent bijections;
     /// typical use keys one stream per simulation trial.
-    pub fn for_stream(seed: u64, stream: u64) -> Self {
+    fn for_stream(seed: u64, stream: u64) -> Self {
         let k = SplitMix64::mix(seed ^ SplitMix64::mix(stream));
         let mut p = Self::from_key(k);
         // Put the raw coordinates in the counter's upper words as extra
@@ -238,15 +238,6 @@ impl Philox4x32 {
         }
         self.consumed = 0;
     }
-
-    /// Skip ahead `blocks` 128-bit blocks in O(1).
-    pub fn skip_blocks(&mut self, blocks: u64) {
-        let cur = (self.counter[0] as u64) | ((self.counter[1] as u64) << 32);
-        let next = cur.wrapping_add(blocks);
-        self.counter[0] = next as u32;
-        self.counter[1] = (next >> 32) as u32;
-        self.consumed = 4;
-    }
 }
 
 impl Rng64 for Philox4x32 {
@@ -254,7 +245,7 @@ impl Rng64 for Philox4x32 {
     fn next_u64(&mut self) -> u64 {
         if self.consumed >= 3 {
             // Need two fresh words; if only one is left, discard it so a
-            // u64 never straddles blocks (keeps skip_blocks exact).
+            // u64 never straddles blocks.
             self.refill();
         }
         let lo = self.buffer[self.consumed as usize] as u64;
@@ -287,12 +278,6 @@ impl SeedStream {
     #[inline]
     pub fn stream(&self, stream: u64) -> Philox4x32 {
         Philox4x32::for_stream(self.seed, stream)
-    }
-
-    /// The generator for a two-level coordinate (e.g. trial × layer).
-    #[inline]
-    pub fn stream2(&self, a: u64, b: u64) -> Philox4x32 {
-        Philox4x32::for_stream(self.seed, SplitMix64::mix(a) ^ b.rotate_left(17))
     }
 
     /// Derive a sub-seed (for seeding nested components such as the
@@ -350,15 +335,18 @@ mod tests {
 
     #[test]
     fn philox_skip_blocks_matches_sequential() {
+        // Skipping ahead is the pure function at a later counter: block
+        // 3 of a stream, computed directly, is draws 6 and 7 of it
+        // (one block = 2 u64 draws = 4 u32 words).
         let mut a = Philox4x32::for_stream(5, 10);
-        let mut b = a.clone();
-        // One block = 2 u64 draws (4 u32 words).
+        let mut counter = a.counter;
+        counter[0] += 3;
+        let block = philox4x32(a.key, counter);
         for _ in 0..6 {
             a.next_u64();
         }
-        b.skip_blocks(3);
-        assert_eq!(a.next_u64(), b.next_u64());
-        assert_eq!(a.next_u64(), b.next_u64());
+        assert_eq!(a.next_u64(), block[0] as u64 | (block[1] as u64) << 32);
+        assert_eq!(a.next_u64(), block[2] as u64 | (block[3] as u64) << 32);
     }
 
     #[test]

@@ -15,7 +15,7 @@ const LN_SQRT_2PI: f64 = 0.918_938_533_204_672_8; // ln(sqrt(2π))
 ///
 /// Absolute error below 1e-13 over the positive reals; the reflection
 /// formula handles `x < 0.5`.
-pub fn ln_gamma(x: f64) -> f64 {
+fn ln_gamma(x: f64) -> f64 {
     const COEF: [f64; 8] = [
         676.520_368_121_885_1,
         -1_259.139_216_722_402_8,
@@ -41,7 +41,7 @@ pub fn ln_gamma(x: f64) -> f64 {
 
 /// Natural log of the beta function `B(a, b)`.
 #[inline]
-pub fn ln_beta(a: f64, b: f64) -> f64 {
+fn ln_beta(a: f64, b: f64) -> f64 {
     ln_gamma(a) + ln_gamma(b) - ln_gamma(a + b)
 }
 
@@ -96,25 +96,13 @@ fn beta_cf(a: f64, b: f64, x: f64) -> f64 {
     h
 }
 
-/// Regularized incomplete beta function `I_x(a, b)`.
+/// Regularized incomplete beta function `I_x(a, b)` — the CDF of the
+/// Beta(a, b) distribution at `x` (`a, b > 0`, `x ∈ [0, 1]`).
 ///
-/// `a, b > 0`, `x ∈ [0, 1]`. This is the CDF of the Beta(a, b)
-/// distribution evaluated at `x`.
-pub fn inc_beta(a: f64, b: f64, x: f64) -> f64 {
-    inc_beta_with(a, b, x, ln_beta(a, b))
-}
-
-/// [`inc_beta`] with `ln_b = ln_beta(a, b)` supplied by the caller —
-/// three Lanczos evaluations a Newton inversion would otherwise repeat
-/// on every iteration. Same operations in the same order, so the
-/// result is bit-identical to [`inc_beta`].
-fn inc_beta_with(a: f64, b: f64, x: f64, ln_b: f64) -> f64 {
-    inc_beta_from_logs(a, b, x, x.ln(), (1.0 - x).ln(), ln_b)
-}
-
-/// [`inc_beta_with`] with `ln_x = x.ln()` and `ln_1mx = (1 - x).ln()`
-/// supplied too: the beta pdf at `x` is built from the same two
-/// logarithms, so a Newton step takes each once.
+/// The caller supplies `ln_b = ln_beta(a, b)`, `ln_x = x.ln()` and
+/// `ln_1mx = (1 - x).ln()`: a Newton inversion would otherwise repeat
+/// three Lanczos evaluations on every iteration, and the beta pdf at
+/// `x` is built from the same two logarithms, so a step takes each once.
 fn inc_beta_from_logs(a: f64, b: f64, x: f64, ln_x: f64, ln_1mx: f64, ln_b: f64) -> f64 {
     debug_assert!(a > 0.0 && b > 0.0, "inc_beta requires a,b > 0");
     if x <= 0.0 {
@@ -268,7 +256,7 @@ pub fn inv_inc_beta(p: f64, a: f64, b: f64) -> f64 {
 
 /// Complementary error function, Chebyshev fit (Numerical Recipes
 /// `erfcc`). Fractional error below 1.2e-7 everywhere.
-pub fn erfc(x: f64) -> f64 {
+fn erfc(x: f64) -> f64 {
     let z = x.abs();
     let t = 1.0 / (1.0 + 0.5 * z);
     let ans = t
@@ -291,12 +279,12 @@ pub fn erfc(x: f64) -> f64 {
 
 /// Standard normal CDF `Φ(x)`.
 #[inline]
-pub fn normal_cdf(x: f64) -> f64 {
+fn normal_cdf(x: f64) -> f64 {
     0.5 * erfc(-x * std::f64::consts::FRAC_1_SQRT_2)
 }
 
 /// Standard normal quantile `Φ⁻¹(p)`, Acklam's rational approximation
-/// refined with one Halley step against [`normal_cdf`]. Absolute error is
+/// refined with one Halley step against `normal_cdf`. Absolute error is
 /// bounded by the CDF's own ~1e-7 accuracy — ample for Monte-Carlo use.
 pub fn normal_icdf(p: f64) -> f64 {
     assert!(
@@ -357,6 +345,12 @@ pub fn normal_icdf(p: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// `I_x(a, b)` from its inputs alone: the CDF oracle the inverse is
+    /// checked against.
+    fn inc_beta(a: f64, b: f64, x: f64) -> f64 {
+        inc_beta_from_logs(a, b, x, x.ln(), (1.0 - x).ln(), ln_beta(a, b))
+    }
 
     #[test]
     fn ln_gamma_matches_factorials() {

@@ -93,15 +93,6 @@ impl RunningStats {
         self.variance().sqrt()
     }
 
-    /// Standard error of the mean.
-    pub fn std_error(&self) -> f64 {
-        if self.n == 0 {
-            0.0
-        } else {
-            self.sd() / (self.n as f64).sqrt()
-        }
-    }
-
     /// Minimum observation (`+inf` when empty).
     pub fn min(&self) -> f64 {
         self.min
@@ -196,7 +187,7 @@ pub fn ranks(xs: &[f64]) -> Vec<f64> {
 }
 
 /// Pearson correlation of two equal-length samples.
-pub fn pearson(xs: &[f64], ys: &[f64]) -> f64 {
+fn pearson(xs: &[f64], ys: &[f64]) -> f64 {
     assert_eq!(xs.len(), ys.len());
     let n = xs.len();
     if n < 2 {
@@ -222,47 +213,6 @@ pub fn pearson(xs: &[f64], ys: &[f64]) -> f64 {
 /// Spearman rank correlation (Pearson correlation of the rank vectors).
 pub fn spearman(xs: &[f64], ys: &[f64]) -> f64 {
     pearson(&ranks(xs), &ranks(ys))
-}
-
-/// A compact distribution summary used in reports.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Summary {
-    /// Number of observations.
-    pub count: usize,
-    /// Sample mean.
-    pub mean: f64,
-    /// Sample standard deviation.
-    pub sd: f64,
-    /// Minimum.
-    pub min: f64,
-    /// Median.
-    pub p50: f64,
-    /// 90th percentile.
-    pub p90: f64,
-    /// 99th percentile.
-    pub p99: f64,
-    /// Maximum.
-    pub max: f64,
-}
-
-impl Summary {
-    /// Summarise a sample (copies and sorts internally).
-    pub fn from_slice(xs: &[f64]) -> Self {
-        assert!(!xs.is_empty(), "summary of empty slice");
-        let mut sorted = xs.to_vec();
-        sort_f64(&mut sorted);
-        let stats: RunningStats = xs.iter().copied().collect();
-        Summary {
-            count: xs.len(),
-            mean: stats.mean(),
-            sd: stats.sd(),
-            min: sorted[0],
-            p50: quantile_sorted(&sorted, 0.5),
-            p90: quantile_sorted(&sorted, 0.9),
-            p99: quantile_sorted(&sorted, 0.99),
-            max: sorted[sorted.len() - 1],
-        }
-    }
 }
 
 #[cfg(test)]
@@ -366,17 +316,5 @@ mod tests {
         let xs = [1.0f64, 2.0, 3.0, 4.0, 5.0];
         let ys: Vec<f64> = xs.iter().map(|x| x.exp()).collect();
         assert!((spearman(&xs, &ys) - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn summary_reports_consistent_fields() {
-        let xs: Vec<f64> = (0..100).map(|i| i as f64).collect();
-        let s = Summary::from_slice(&xs);
-        assert_eq!(s.count, 100);
-        assert_eq!(s.min, 0.0);
-        assert_eq!(s.max, 99.0);
-        assert!((s.p50 - 49.5).abs() < 1e-12);
-        assert!((s.mean - 49.5).abs() < 1e-12);
-        assert!(s.p90 > s.p50 && s.p99 > s.p90);
     }
 }

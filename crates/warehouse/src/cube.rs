@@ -9,9 +9,8 @@
 //!
 //! [`Cuboid`] is generic over its cell ([`Measure`]): the same sorted
 //! key column carries plain count/sum/max [`Cell`]s or sketch-valued
-//! [`SketchCell`](crate::sketchcube::SketchCell)s, and rolling up,
-//! answering a [`Query`] and folding in a delta cuboid are one private
-//! grouping loop over either.
+//! [`SketchCell`](crate::sketchcube::SketchCell)s, and rolling up and
+//! answering a [`Query`] are one private grouping loop over either.
 //!
 //! Fact-scan builds are chunk-deterministic: facts are partitioned into
 //! fixed ranges, each range is aggregated independently (optionally on
@@ -165,8 +164,8 @@ impl KeyCodec {
 /// Per-dimension code tables lifting cell (or fact) codes from one level
 /// selection up to a coarser one — the hierarchy walk resolved once, so
 /// the grouping loops do `NDIMS` array reads per cell instead of
-/// pointer-chasing the hierarchy. The default value is the identity.
-#[derive(Debug, Clone, Default)]
+/// pointer-chasing the hierarchy.
+#[derive(Debug, Clone)]
 pub(crate) struct Lift([Option<Vec<u32>>; NDIMS]);
 
 impl Lift {
@@ -298,7 +297,7 @@ impl Cuboid<Cell> {
 
     /// [`Cuboid::build`] with an explicit chunk grain (tests use small
     /// grains to force multi-chunk merges on small inputs).
-    pub fn build_with_grain(
+    fn build_with_grain(
         schema: &Schema,
         facts: &FactTable,
         select: LevelSelect,
@@ -476,8 +475,9 @@ impl<M: Measure> Cuboid<M> {
         }
         let codec = KeyCodec::new(schema, target)?;
         let lift = Lift::new(schema, self.select, target);
-        let (grouped, _) = Self::group(&[self], &lift, &codec, |_| true);
-        Ok(Self::from_sorted(target, codec, owned(grouped)))
+        let (grouped, _) = self.group(&lift, &codec, |_| true);
+        let cells = grouped.into_iter().map(|(k, cell)| (k, cell.into_owned()));
+        Ok(Self::from_sorted(target, codec, cells))
     }
 
     /// Answer `query` from this cuboid: lift each cell to the query's
@@ -503,8 +503,7 @@ impl<M: Measure> Cuboid<M> {
         }
         let codec = KeyCodec::new(schema, query.select)?;
         let lift = Lift::new(schema, self.select, query.select);
-        let (grouped, cells_merged) =
-            Self::group(&[self], &lift, &codec, |codes| query.accepts(codes));
+        let (grouped, cells_merged) = self.group(&lift, &codec, |codes| query.accepts(codes));
         let rows = grouped.into_iter().map(|(k, cell)| Row {
             codes: codec.decode(k),
             cell,
@@ -521,26 +520,8 @@ impl<M: Measure> Cuboid<M> {
         Ok((rows, cost))
     }
 
-    /// Merge another cuboid of the *same selection* into this one —
-    /// the incremental-maintenance primitive: a delta cuboid built
-    /// from newly arrived facts folds into the materialised view at
-    /// cell cost, no fact rescan. Cells are additive, so the merged
-    /// view equals a full rebuild (up to float association).
-    pub fn merge(&mut self, delta: &Cuboid<M>) -> RiskResult<()> {
-        if delta.select != self.select {
-            return Err(RiskError::invalid(format!(
-                "cannot merge cuboid {:?} into {:?}: selections differ",
-                delta.select.0, self.select.0
-            )));
-        }
-        let (grouped, _) = Self::group(&[self, delta], &Lift::default(), &self.codec, |_| true);
-        (self.keys, self.cells) = owned(grouped).unzip();
-        Ok(())
-    }
-
-    /// The one grouping loop behind [`Cuboid::rollup`],
-    /// [`Cuboid::answer`] and [`Cuboid::merge`]: visit each source's
-    /// cells in key order (sources in the order given), lift their
+    /// The one grouping loop behind [`Cuboid::rollup`] and
+    /// [`Cuboid::answer`]: visit the cells in key order, lift their
     /// codes, drop those `keep` rejects, and group the rest by their
     /// key under `codec` — the first cell landing on a key is borrowed,
     /// and the second makes the group an owned copy of the first that
@@ -551,36 +532,29 @@ impl<M: Measure> Cuboid<M> {
     /// fold from `EMPTY` can produce — a `-0.0` sum, a negative max —
     /// i.e. only for cells that arrived through `decode_cuboid`.)
     fn group<'a>(
-        sources: &[&'a Cuboid<M>],
+        &'a self,
         lift: &Lift,
         codec: &KeyCodec,
         keep: impl Fn(&[u32; NDIMS]) -> bool,
     ) -> (BTreeMap<u64, Cow<'a, M>>, u64) {
         let mut grouped: BTreeMap<u64, Cow<'a, M>> = BTreeMap::new();
         let mut merged = 0;
-        for source in sources {
-            for (&key, cell) in source.keys.iter().zip(&source.cells) {
-                let out = lift.apply(source.codec.decode(key));
-                if keep(&out) {
-                    match grouped.entry(codec.encode(out)) {
-                        Entry::Occupied(mut slot) => {
-                            slot.get_mut().to_mut().merge(cell);
-                            merged += 1;
-                        }
-                        Entry::Vacant(slot) => {
-                            slot.insert(Cow::Borrowed(cell));
-                        }
+        for (&key, cell) in self.keys.iter().zip(&self.cells) {
+            let out = lift.apply(self.codec.decode(key));
+            if keep(&out) {
+                match grouped.entry(codec.encode(out)) {
+                    Entry::Occupied(mut slot) => {
+                        slot.get_mut().to_mut().merge(cell);
+                        merged += 1;
+                    }
+                    Entry::Vacant(slot) => {
+                        slot.insert(Cow::Borrowed(cell));
                     }
                 }
             }
         }
         (grouped, merged)
     }
-}
-
-/// The groups of [`Cuboid::group`] as owned entries, in key order.
-fn owned<M: Measure>(grouped: BTreeMap<u64, Cow<'_, M>>) -> impl Iterator<Item = (u64, M)> + '_ {
-    grouped.into_iter().map(|(k, cell)| (k, cell.into_owned()))
 }
 
 #[cfg(test)]
@@ -791,8 +765,8 @@ mod tests {
         assert!(Cuboid::build(&s, &facts, LevelSelect([9, 0, 0, 0]), None).is_err());
     }
 
-    // Rollup and delta-merge: each property is one generic body, run
-    // over the plain base cuboid and its sketch-valued twin.
+    // Rollup: each property is one generic body, run over the plain
+    // base cuboid and its sketch-valued twin.
 
     fn rollup_setup() -> (Schema, FactTable, Cuboid, SketchCuboid) {
         let s = Schema::standard(24, 4, 18, 3, 6, 3).unwrap();
@@ -891,34 +865,5 @@ mod tests {
         check(&s, &base);
         check(&s, &sketched);
         assert_eq!(base.memory_bytes(), base.cells() * 32);
-    }
-
-    #[test]
-    fn merging_a_delta_equals_building_over_all_facts() {
-        fn check<M: Measure>(
-            s: &Schema,
-            sel: LevelSelect,
-            build: impl Fn(&FactTable, LevelSelect) -> Cuboid<M>,
-            max: impl Fn(&M) -> f64,
-        ) {
-            let first = FactTable::synthetic(s, 4_000, 5);
-            let second = FactTable::synthetic(s, 3_000, 6);
-            let mut view = build(&first, sel);
-            view.merge(&build(&second, sel)).unwrap();
-            let mut all = first.clone();
-            all.extend(&second);
-            assert_same_cells(&view, &build(&all, sel), max);
-            // Only same-selection cuboids merge.
-            assert!(view.merge(&build(&second, LevelSelect::BASE)).is_err());
-        }
-        let s = schema();
-        let sel = LevelSelect([1, 1, 1, 1]);
-        check(
-            &s,
-            sel,
-            |f, sel| Cuboid::build(&s, f, sel, None).unwrap(),
-            |c| c.max,
-        );
-        check(&s, sel, |f, sel| sketch_build(&s, f, sel), |c| c.max);
     }
 }

@@ -108,11 +108,6 @@ impl FactTable {
         self.trials
     }
 
-    /// The four base-level code columns.
-    pub fn code_columns(&self) -> &[Vec<u32>; NDIMS] {
-        &self.codes
-    }
-
     /// The loss column.
     pub fn losses(&self) -> &[f64] {
         &self.losses
@@ -137,23 +132,6 @@ impl FactTable {
     /// Heap footprint in bytes.
     pub fn memory_bytes(&self) -> usize {
         self.codes.iter().map(|c| c.len() * 4).sum::<usize>() + self.losses.len() * 8
-    }
-
-    /// Append another fact table's rows (the weekly batch arriving at
-    /// an existing warehouse). Both tables must conform to the same
-    /// schema; code validity is the builders' invariant, so extension
-    /// is a plain column concatenation.
-    pub fn extend(&mut self, other: &FactTable) {
-        for (dst, src) in self.codes.iter_mut().zip(other.codes.iter()) {
-            dst.extend_from_slice(src);
-        }
-        self.losses.extend_from_slice(&other.losses);
-        self.trials = self.trials.saturating_add(other.trials);
-    }
-
-    /// Bytes a full scan touches (all five columns).
-    pub fn scan_bytes(&self) -> u64 {
-        (self.rows() * (4 * NDIMS + 8)) as u64
     }
 
     /// A deterministic synthetic fact table for tests and benches:
@@ -241,7 +219,7 @@ mod tests {
         let a = FactTable::synthetic(&s, 5_000, 42);
         let b = FactTable::synthetic(&s, 5_000, 42);
         assert_eq!(a.losses(), b.losses());
-        assert_eq!(a.code_columns()[0], b.code_columns()[0]);
+        assert_eq!(a.codes[0], b.codes[0]);
         let c = FactTable::synthetic(&s, 5_000, 43);
         assert_ne!(a.losses(), c.losses());
         for row in 0..a.rows() {
@@ -258,10 +236,7 @@ mod tests {
         let s = schema();
         let t = FactTable::synthetic(&s, 20_000, 7);
         let hot = s.dim(dim::EVENT).cardinality(0) / 5;
-        let hot_rows = t.code_columns()[dim::EVENT]
-            .iter()
-            .filter(|&&e| e < hot)
-            .count();
+        let hot_rows = t.codes[dim::EVENT].iter().filter(|&&e| e < hot).count();
         let frac = hot_rows as f64 / t.rows() as f64;
         assert!(frac > 0.7, "hot fraction {frac}");
     }
@@ -271,7 +246,6 @@ mod tests {
         let s = schema();
         let t = FactTable::synthetic(&s, 1_000, 1);
         assert_eq!(t.memory_bytes(), 1_000 * (4 * NDIMS + 8));
-        assert_eq!(t.scan_bytes(), 1_000 * (4 * NDIMS + 8) as u64);
         assert_eq!(t.trials(), 10);
     }
 }

@@ -53,17 +53,6 @@ pub fn parents(schema: &Schema, select: LevelSelect) -> Vec<LevelSelect> {
     out
 }
 
-/// Upper bound on a cuboid's cell count: the product of level
-/// cardinalities, capped by the fact row count. Used only when exact
-/// counts are not yet available.
-pub fn estimate_cells(schema: &Schema, select: LevelSelect, fact_rows: u64) -> u64 {
-    let mut prod: u128 = 1;
-    for d in 0..NDIMS {
-        prod = prod.saturating_mul(schema.dim(d).cardinality(select.level(d)) as u128);
-    }
-    (prod.min(fact_rows as u128)) as u64
-}
-
 /// The outcome of greedy view selection.
 #[derive(Debug, Clone)]
 pub struct ViewSelection {
@@ -176,6 +165,17 @@ fn greedy<S: PartialOrd>(
 mod tests {
     use super::*;
     use crate::dimension::Schema;
+
+    /// Upper bound on a cuboid's cell count: the product of level
+    /// cardinalities, capped by the fact row count — the sizes the
+    /// selection tests feed the greedy picker without building cuboids.
+    fn estimate_cells(schema: &Schema, select: LevelSelect, fact_rows: u64) -> u64 {
+        let mut prod: u128 = 1;
+        for d in 0..NDIMS {
+            prod = prod.saturating_mul(schema.dim(d).cardinality(select.level(d)) as u128);
+        }
+        (prod.min(fact_rows as u128)) as u64
+    }
 
     fn schema() -> Schema {
         Schema::standard(30, 3, 20, 2, 8, 2).unwrap()

@@ -22,16 +22,14 @@
 //!   parallel aggregation on the [`riskpipe_exec`] pool (sequential and
 //!   parallel builds agree bit-for-bit), rolled up into coarser cuboids
 //!   at cell-count cost instead of fact-scan cost (why pre-computation
-//!   compounds), queried and delta-merged — one grouping loop for all
-//!   three.
+//!   compounds) and queried — one grouping loop for both.
 //! * [`lattice`] — the cuboid lattice and Harinarayan–Rajaraman–Ullman
 //!   greedy view selection under a view-count or space budget.
 //! * [`query`] — queries and the planner: each query is served by the
 //!   smallest materialised view that covers it, with per-query cost
 //!   accounting (experiment E9's measured quantity). A result row fed
 //!   by one cell of its source borrows that cell — an answer costs what
-//!   it reads, not what it copies. New facts fold into the materialised
-//!   views incrementally (delta cuboid + merge), no rebuild.
+//!   it reads, not what it copies.
 //! * [`store`] — views persist through the same CRC-checked frame
 //!   format as every other riskpipe table; corruption is detected at
 //!   load.

@@ -276,36 +276,6 @@ impl Warehouse {
         self.views.remove(&select).is_some()
     }
 
-    /// Incremental maintenance: absorb a batch of new facts (the next
-    /// simulation run's output) into both the fact table and every
-    /// materialised view. Each view is updated by building a *delta*
-    /// cuboid over the new facts only and merging it in — total cost
-    /// `views × new_rows`, not `views × all_rows`. Returns the rows
-    /// read.
-    pub fn append_facts(
-        &mut self,
-        new_facts: &FactTable,
-        pool: Option<&ThreadPool>,
-    ) -> RiskResult<u64> {
-        // Validate the batch against this schema before touching state.
-        for d in 0..NDIMS {
-            let card = self.schema.dim(d).cardinality(0);
-            if new_facts.code_columns()[d].iter().any(|&c| c >= card) {
-                return Err(RiskError::invalid(format!(
-                    "appended facts have out-of-range codes for dimension {d}"
-                )));
-            }
-        }
-        let mut cost = 0u64;
-        for (sel, view) in self.views.iter_mut() {
-            let delta = Cuboid::build(&self.schema, new_facts, *sel, pool)?;
-            view.merge(&delta)?;
-            cost += new_facts.rows() as u64;
-        }
-        self.facts.extend(new_facts);
-        Ok(cost)
-    }
-
     /// Answer `query`, returning result rows (sorted by cell key, or
     /// by descending sum when `top_k` is set) and the cost record.
     pub fn answer(&self, query: &Query) -> RiskResult<(Vec<ResultRow<'_>>, QueryCost)> {
@@ -324,19 +294,6 @@ impl Warehouse {
                 Ok((rows, cost))
             }
         }
-    }
-
-    /// Answer a batch of queries concurrently on `pool` — parallel
-    /// data warehousing's second half: the build parallelises *and* so
-    /// does serving the analyst's query mix (queries only read the
-    /// warehouse). Results are in query order, each as in
-    /// [`Warehouse::answer`].
-    pub fn answer_batch(
-        &self,
-        queries: &[Query],
-        pool: &ThreadPool,
-    ) -> Vec<RiskResult<(Vec<ResultRow<'_>>, QueryCost)>> {
-        riskpipe_exec::par_map_collect(pool, queries.len(), 1, |i| self.answer(&queries[i]))
     }
 
     /// The fallback when no view covers `query`: one pass over the
@@ -511,85 +468,6 @@ mod tests {
         let bad_code =
             Query::group_by(LevelSelect([1, 1, 1, 1])).filter(Filter::slice(dim::GEO, 99));
         assert!(w.answer(&bad_code).is_err());
-    }
-
-    #[test]
-    fn batch_answers_equal_serial_answers() {
-        let w = wh(true);
-        let pool = riskpipe_exec::ThreadPool::new(4);
-        let queries = vec![
-            Query::group_by(LevelSelect([1, 1, 2, 2])),
-            Query::group_by(LevelSelect([2, 1, 0, 3])),
-            Query::group_by(LevelSelect([1, 2, 2, 1])).filter(Filter::slice(dim::GEO, 2)),
-            Query::group_by(LevelSelect([9, 0, 0, 0])), // invalid: stays an error
-            Query::group_by(LevelSelect([1, 1, 1, 1])).top(3),
-        ];
-        let batch = w.answer_batch(&queries, &pool);
-        assert_eq!(batch.len(), queries.len());
-        for (i, (q, b)) in queries.iter().zip(batch.iter()).enumerate() {
-            match (w.answer(q), b) {
-                (Ok((rows, cost)), Ok((brows, bcost))) => {
-                    assert_eq!(&rows, brows, "query {i}");
-                    assert_eq!(&cost, bcost);
-                }
-                (Err(_), Err(_)) => {}
-                other => panic!("query {i}: serial/batch disagree: {other:?}"),
-            }
-        }
-    }
-
-    #[test]
-    fn append_facts_equals_full_rebuild() {
-        let s = Schema::standard(25, 5, 16, 4, 6, 2).unwrap();
-        let first = FactTable::synthetic(&s, 8_000, 77);
-        let second = FactTable::synthetic(&s, 5_000, 78);
-
-        // Incremental path.
-        let mut incr = Warehouse::new(s.clone(), first.clone());
-        incr.materialize(LevelSelect::BASE, None).unwrap();
-        incr.materialize(LevelSelect([1, 1, 1, 1]), None).unwrap();
-        let cost = incr.append_facts(&second, None).unwrap();
-        assert_eq!(cost, 2 * 5_000); // two views × new rows only
-
-        // Rebuild path.
-        let mut all = first.clone();
-        all.extend(&second);
-        let mut full = Warehouse::new(s, all);
-        full.materialize(LevelSelect::BASE, None).unwrap();
-        full.materialize(LevelSelect([1, 1, 1, 1]), None).unwrap();
-
-        for q in [
-            Query::group_by(LevelSelect([1, 1, 1, 1])),
-            Query::group_by(LevelSelect([2, 1, 2, 2])).top(7),
-            Query::group_by(LevelSelect::BASE),
-        ] {
-            let (a, _) = incr.answer(&q).unwrap();
-            let (b, _) = full.answer(&q).unwrap();
-            assert_eq!(a.len(), b.len());
-            for (x, y) in a.iter().zip(b.iter()) {
-                assert_eq!(x.codes, y.codes);
-                assert_eq!(x.cell.count, y.cell.count);
-                let rel = (x.cell.sum - y.cell.sum).abs() / y.cell.sum.abs().max(1.0);
-                assert!(rel < 1e-9);
-                assert_eq!(x.cell.max, y.cell.max);
-            }
-        }
-        // Fact table itself also grew.
-        assert_eq!(incr.facts().rows(), 13_000);
-    }
-
-    #[test]
-    fn append_facts_validates_codes() {
-        let s = Schema::standard(25, 5, 16, 4, 6, 2).unwrap();
-        let mut w = Warehouse::new(
-            s,
-            FactTable::synthetic(&Schema::standard(25, 5, 16, 4, 6, 2).unwrap(), 100, 1),
-        );
-        // A batch from a *bigger* schema has codes out of range.
-        let big = Schema::standard(500, 5, 16, 4, 6, 2).unwrap();
-        let bad = FactTable::synthetic(&big, 200, 2);
-        assert!(w.append_facts(&bad, None).is_err());
-        assert_eq!(w.facts().rows(), 100, "failed append must not mutate");
     }
 
     #[test]

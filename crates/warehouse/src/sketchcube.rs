@@ -79,16 +79,6 @@ impl SketchCell {
     pub fn tvar99(&self) -> Option<f64> {
         (self.count > 0).then(|| self.sketch.tail_mean(0.99))
     }
-
-    /// An EP point: the loss at return period `years` — `None` until
-    /// the pooled count can resolve it.
-    ///
-    /// # Panics
-    /// Panics unless `years > 1`.
-    pub fn ep_loss(&self, years: f64) -> Option<f64> {
-        assert!(years > 1.0, "return period must exceed 1 year");
-        (self.count as f64 >= years).then(|| self.sketch.quantile(1.0 - 1.0 / years))
-    }
 }
 
 impl Measure for SketchCell {

@@ -270,35 +270,4 @@ mod tests {
         let bytes = riskpipe_tables::codec::encode(&ylt);
         assert!(decode_cuboid(&bytes, &s).is_err());
     }
-
-    #[test]
-    fn merge_then_save_equals_rebuild() {
-        let s = Schema::standard(20, 4, 15, 3, 4, 2).unwrap();
-        let first = FactTable::synthetic(&s, 4_000, 5);
-        let second = FactTable::synthetic(&s, 3_000, 6);
-        let sel = LevelSelect([1, 1, 1, 1]);
-        let mut view = Cuboid::build(&s, &first, sel, None).unwrap();
-        let delta = Cuboid::build(&s, &second, sel, None).unwrap();
-        view.merge(&delta).unwrap();
-
-        // Round-trip the merged view and compare against a rebuild
-        // over the concatenated facts.
-        let bytes = encode_cuboid(&view).unwrap();
-        let (loaded, _) = decode_cuboid(&bytes, &s).unwrap();
-        let mut all = crate::fact::FactBuilder::new(&s);
-        for f in [&first, &second] {
-            for r in 0..f.rows() {
-                all.push(f.row_codes(r), f.losses()[r]).unwrap();
-            }
-        }
-        let rebuilt = Cuboid::build(&s, &all.build(), sel, None).unwrap();
-        assert_eq!(loaded.keys(), rebuilt.keys());
-        for i in 0..rebuilt.cells() {
-            let (_, a) = loaded.cell_at(i);
-            let (_, b) = rebuilt.cell_at(i);
-            assert_eq!(a.count, b.count);
-            assert!((a.sum - b.sum).abs() <= 1e-9 * b.sum.abs().max(1.0));
-            assert_eq!(a.max, b.max);
-        }
-    }
 }

@@ -480,12 +480,12 @@ fn reset_windows_cumulative_telemetry() -> RiskResult<()> {
     Ok(())
 }
 
-/// The export schema is pinned: version 1, fixed key order, spans in
+/// The export schema is pinned: version 2, fixed key order, spans in
 /// stitched order, metrics name-ordered; the chrome trace is complete
 /// ("ph":"X") events.
 #[test]
 fn json_export_schema_is_pinned() -> RiskResult<()> {
-    assert_eq!(JSON_SCHEMA_VERSION, 1);
+    assert_eq!(JSON_SCHEMA_VERSION, 2);
 
     let telemetry = Telemetry::new();
     let (scenarios, _) = grid(0x0B9);
@@ -497,7 +497,7 @@ fn json_export_schema_is_pinned() -> RiskResult<()> {
 
     let snap = telemetry.snapshot();
     let json = snap.to_json();
-    assert!(json.starts_with("{\"version\":1,\"dropped\":0,\"spans\":["));
+    assert!(json.starts_with("{\"version\":2,\"dropped\":0,\"spans\":["));
     assert!(json.contains("\"metrics\":{\"counters\":{"));
     assert!(json.contains("\"stage1.builds\":4"));
     assert!(json.contains("\"stage2.scenarios\":4"));

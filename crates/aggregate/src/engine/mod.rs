@@ -1,25 +1,28 @@
 //! The aggregate-analysis engines.
 //!
 //! There are exactly two trial kernels, and every engine's YLT is
-//! bit-identical because both add the same values in the same order
-//! (ascending layer index within an occurrence — the
+//! bit-identical because both add the same paying values in the same
+//! order (ascending layer index within an occurrence — the
 //! [`EventJoin`] ordering invariant):
 //!
 //! * **the host kernel** (`joined_trial`) — occurrences-outer,
 //!   hits-inner over the [`EventJoin`]: one map lookup per occurrence,
 //!   the interpolation cell computed once per occurrence, then a
-//!   contiguous stream over the event's hits. [`SequentialEngine`],
+//!   contiguous, branch-free stream over the event's hits: a hit that
+//!   pays nothing adds a +0.0, which moves no bit. [`SequentialEngine`],
 //!   [`CpuParallelEngine`] and [`run_per_layer`] run it; it is the
 //!   paper's "pre-join once, then scan flat tables" applied to stage 2.
 //! * **the simulated device's kernel** (`engine/gpu.rs`) —
 //!   occurrences-outer, layers-inner with one hash probe per layer, as
-//!   in the GPU companion paper. It stays because that access pattern
-//!   is what experiment E8 meters: over a join both chunking modes
-//!   would fetch each YET row once and staging would have nothing to
-//!   save. It reads hit payloads out of the same [`EventJoin`].
+//!   in the GPU companion paper, branching on every paying hit and
+//!   occurrence. It stays because that access pattern is what
+//!   experiment E8 meters: over a join both chunking modes would fetch
+//!   each YET row once and staging would have nothing to save. It reads
+//!   hit payloads out of the same [`EventJoin`].
 //!
 //! Two kernels, one table: the cross-engine equality tests are a real
-//! cross-kernel oracle, not one function called four ways.
+//! cross-kernel oracle — branch-free against branching — not one
+//! function called four ways.
 //!
 //! ## The traffic model (E8)
 //!
@@ -188,6 +191,14 @@ fn build_join(
 /// Occurrences-outer / hits-inner over the join. Hits arrive in
 /// ascending layer order, so the additions below happen in the order
 /// the one-probe-per-layer kernel performs them.
+///
+/// Branch-free: every hit adds its net, and the count and the maximum
+/// are computed, not branched on. A hit that pays nothing adds +0.0,
+/// which moves no bit: `gross` is ≥ +0.0, so `net = (gross −
+/// retention).max(0.0).min(limit)` is never NaN (`f64::max` drops it)
+/// nor −0.0; every accumulator starts at +0.0 and so never becomes
+/// −0.0, and `max` never has to choose between two zero signs. The YLT
+/// equals the branching kernel's (`engine/gpu.rs`) bit for bit.
 #[inline]
 pub(crate) fn joined_trial(
     layers: &[Layer],
@@ -205,17 +216,11 @@ pub(crate) fn joined_trial(
         join.for_each_hit(event, z, |li, gross| {
             let terms = &layers[li].terms;
             let net = terms.apply_occurrence(gross);
-            if net > 0.0 {
-                scratch[li] += net;
-                occ_total += net * terms.share;
-            }
+            scratch[li] += net;
+            occ_total += net * terms.share;
         });
-        if occ_total > 0.0 {
-            count += 1;
-            if occ_total > max_occ {
-                max_occ = occ_total;
-            }
-        }
+        count += u32::from(occ_total > 0.0);
+        max_occ = max_occ.max(occ_total);
     }
     let mut agg_total = 0.0f64;
     for (layer, &annual) in layers.iter().zip(scratch.iter()) {
@@ -231,7 +236,7 @@ pub(crate) fn joined_trial(
 /// use the per-layer view for marginal pricing and cession allocation.
 ///
 /// The host kernel's hit stream with one accumulator set per layer
-/// instead of one for the portfolio.
+/// instead of one for the portfolio, branch-free like it.
 pub fn run_per_layer(
     portfolio: &Portfolio,
     yet: &YearEventTable,
@@ -255,14 +260,9 @@ pub fn run_per_layer(
             join.for_each_hit(event, z, |li, gross| {
                 let terms = &layers[li].terms;
                 let net = terms.apply_occurrence(gross);
-                if net > 0.0 {
-                    agg[li] += net;
-                    let shared = net * terms.share;
-                    if shared > max_occ[li] {
-                        max_occ[li] = shared;
-                    }
-                    counts[li] += 1;
-                }
+                agg[li] += net;
+                max_occ[li] = max_occ[li].max(net * terms.share);
+                counts[li] += u32::from(net > 0.0);
             });
         }
         for (li, layer) in layers.iter().enumerate() {
@@ -509,10 +509,14 @@ mod per_layer_tests {
         let per_layer = run_per_layer(&p, &yet, &opts).unwrap();
         assert_eq!(per_layer.len(), 2);
         for t in 0..portfolio_ylt.trials() {
-            let sum: f64 = per_layer.iter().map(|y| y.agg_losses()[t]).sum();
+            // Summed as the portfolio kernel sums: from +0.0, in layer order.
+            let sum = per_layer
+                .iter()
+                .fold(0.0f64, |acc, y| acc + y.agg_losses()[t]);
             let whole = portfolio_ylt.agg_losses()[t];
-            assert!(
-                (sum - whole).abs() <= 1e-9 * whole.abs().max(1.0),
+            assert_eq!(
+                sum.to_bits(),
+                whole.to_bits(),
                 "trial {t}: per-layer {sum} vs portfolio {whole}"
             );
         }
@@ -538,6 +542,205 @@ mod per_layer_tests {
                 if layer_ylt.occ_counts()[t] == 0 {
                     assert_eq!(layer_ylt.max_occ_losses()[t], 0.0);
                 }
+            }
+        }
+    }
+}
+
+/// The branch-free host kernel against its branching form on the zero
+/// edge cases: hits whose net is exactly zero, occurrences that pay
+/// nothing, and trials where nothing pays.
+#[cfg(test)]
+mod branch_free_tests {
+    use super::*;
+    use crate::terms::LayerTerms;
+    use proptest::prelude::*;
+    use riskpipe_tables::elt::{EltBuilder, EltRecord};
+    use riskpipe_tables::yet::{Occurrence, YetBuilder};
+    use riskpipe_types::{EventId, LayerId};
+    use std::collections::BTreeMap;
+
+    /// [`joined_trial`] as it was before it went branch-free: only a
+    /// paying hit adds, only a paying occurrence counts and competes for
+    /// the maximum.
+    fn branching_trial(
+        layers: &[Layer],
+        join: &EventJoin,
+        events: &[u32],
+        zs: &[f64],
+        scratch: &mut [f64],
+    ) -> (f64, f64, u32) {
+        scratch.fill(0.0);
+        let mut max_occ = 0.0f64;
+        let mut count = 0u32;
+        for (&event, &z) in events.iter().zip(zs) {
+            let mut occ_total = 0.0f64;
+            join.for_each_hit(event, z, |li, gross| {
+                let terms = &layers[li].terms;
+                let net = terms.apply_occurrence(gross);
+                if net > 0.0 {
+                    scratch[li] += net;
+                    occ_total += net * terms.share;
+                }
+            });
+            if occ_total > 0.0 {
+                count += 1;
+                if occ_total > max_occ {
+                    max_occ = occ_total;
+                }
+            }
+        }
+        let mut agg_total = 0.0f64;
+        for (layer, &annual) in layers.iter().zip(scratch.iter()) {
+            agg_total += layer.terms.apply_aggregate(annual);
+        }
+        (agg_total, max_occ, count)
+    }
+
+    /// The oracle's YLT: [`branching_trial`] over every trial.
+    fn branching_ylt(portfolio: &Portfolio, yet: &YearEventTable, join: &EventJoin) -> Ylt {
+        let layers = portfolio.layers();
+        let mut ylt = Ylt::zeroed(yet.trials());
+        let mut scratch = vec![0.0f64; layers.len()];
+        for t in 0..yet.trials() {
+            let trial = TrialId::new(t as u32);
+            let (events, _days, zs) = yet.trial_slices(trial);
+            let (agg, max_occ, count) = branching_trial(layers, join, events, zs, &mut scratch);
+            ylt.set_trial(trial, agg, max_occ, count);
+        }
+        ylt
+    }
+
+    /// The three columns as bits (`==` on `Ylt` lets `0.0 == -0.0`).
+    fn bits(ylt: &Ylt) -> (Vec<u64>, Vec<u64>, Vec<u32>) {
+        let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect();
+        (
+            bits(ylt.agg_losses()),
+            bits(ylt.max_occ_losses()),
+            ylt.occ_counts().to_vec(),
+        )
+    }
+
+    /// Held by every layer that has a retention, at a gross equal to it:
+    /// its occurrences hit but pay nothing.
+    const DEAD: u32 = 90;
+    /// Held by no layer.
+    const MISS: u32 = 91;
+
+    /// One layer from drawn values. Grosses are quarter units, so a
+    /// retention equal to one is exact. `retention` picks 0, the gross
+    /// of member `pick`, or a quarter above every gross.
+    fn layer(
+        li: usize,
+        members: &BTreeMap<u32, u32>,
+        (retention, pick): (u8, usize),
+        occ_limit: Option<u32>,
+        (agg_retention, agg_limit): (Option<u32>, Option<u32>),
+        share: Option<f64>,
+    ) -> Layer {
+        let grosses: Vec<f64> = members.values().map(|&q| f64::from(q) * 0.25).collect();
+        let occ_retention = match retention {
+            0 => 0.0,
+            1 => grosses[pick % grosses.len()],
+            _ => grosses.iter().copied().fold(0.0, f64::max) + 0.25,
+        };
+        let mut rows: Vec<(u32, f64)> = members.keys().copied().zip(grosses).collect();
+        if occ_retention > 0.0 {
+            rows.push((DEAD, occ_retention));
+        }
+        let mut b = EltBuilder::new();
+        for (event, mean) in rows {
+            b.push(EltRecord {
+                event_id: EventId::new(event),
+                mean_loss: mean,
+                sigma_i: mean * 0.3,
+                sigma_c: mean * 0.1,
+                exposure: mean * 4.0,
+            })
+            .unwrap();
+        }
+        let terms = LayerTerms {
+            occ_retention,
+            occ_limit: occ_limit.map_or(f64::INFINITY, |q| f64::from(q) * 0.25),
+            agg_retention: agg_retention.map_or(0.0, f64::from),
+            agg_limit: agg_limit.map_or(f64::INFINITY, f64::from),
+            share: share.unwrap_or(1.0),
+        };
+        Layer::new(LayerId::new(li as u32), terms, Arc::new(b.build().unwrap())).unwrap()
+    }
+
+    proptest! {
+        /// Mean-payload books with exact values: every engine's YLT, and
+        /// every per-layer YLT, equals the branching kernel's bit for
+        /// bit; the last trial pays nothing and reads as +0.0 / 0.
+        #[test]
+        fn the_branch_free_kernel_equals_the_branching_one_bitwise(
+            layers in prop::collection::vec(
+                (
+                    prop::collection::btree_map(0..24u32, 1..64u32, 1..10),
+                    (0u8..3, 0..64usize),
+                    prop::option::of(1..160u32),
+                    (prop::option::of(1..40u32), prop::option::of(1..80u32)),
+                    prop::option::of(0.01..1.0f64),
+                ),
+                1..5,
+            ),
+            trials in prop::collection::vec(prop::collection::vec(0..26u32, 0..6), 1..600),
+        ) {
+            let mut portfolio = Portfolio::new();
+            for (li, (members, retention, occ_limit, agg, share)) in layers.iter().enumerate() {
+                portfolio.push(layer(li, members, *retention, *occ_limit, *agg, *share));
+            }
+            let mut yb = YetBuilder::new();
+            let event = |e: u32| match e {
+                24 => DEAD,
+                25 => MISS,
+                e => e,
+            };
+            for t in trials.iter().map(Vec::as_slice).chain([[24, 25, 24].as_slice()]) {
+                let occs: Vec<Occurrence> = t
+                    .iter()
+                    .enumerate()
+                    .map(|(day, &e)| Occurrence {
+                        event_id: EventId::new(event(e)),
+                        day: day as u16,
+                        z: 0.5,
+                    })
+                    .collect();
+                yb.push_trial(&occs);
+            }
+            let yet = yb.build();
+            let opts = AggregateOptions {
+                secondary_uncertainty: false,
+                ..AggregateOptions::default()
+            };
+            let join = build_join(&portfolio, &opts, riskpipe_exec::global_pool()).unwrap();
+            let oracle = bits(&branching_ylt(&portfolio, &yet, &join));
+
+            let seq = SequentialEngine.run_prepared(&portfolio, &yet, &join).unwrap();
+            prop_assert_eq!(bits(&seq), oracle.clone(), "sequential");
+            let last = yet.trials() - 1;
+            prop_assert_eq!(
+                (seq.agg_losses()[last].to_bits(), seq.max_occ_losses()[last].to_bits()),
+                (0, 0)
+            );
+            prop_assert_eq!(seq.occ_counts()[last], 0);
+            for threads in [1, 2, 8] {
+                let pool = Arc::new(ThreadPool::new(threads));
+                let par = CpuParallelEngine::new(pool).run_prepared(&portfolio, &yet, &join);
+                prop_assert_eq!(bits(&par.unwrap()), oracle.clone(), "{} threads", threads);
+            }
+            let agreed = engines_agree(&portfolio, &yet, &opts, Arc::new(ThreadPool::new(2)));
+            prop_assert_eq!(bits(&agreed.unwrap()), oracle, "engines_agree");
+
+            // Layer `li`'s per-layer YLT is the one-layer portfolio's.
+            let per_layer = run_per_layer(&portfolio, &yet, &opts).unwrap();
+            for (li, layer) in portfolio.layers().iter().enumerate() {
+                let mut alone = Portfolio::new();
+                alone.push(layer.clone());
+                let join = build_join(&alone, &opts, riskpipe_exec::global_pool()).unwrap();
+                let want = bits(&branching_ylt(&alone, &yet, &join));
+                prop_assert_eq!(bits(&per_layer[li]), want, "layer {}", li);
             }
         }
     }

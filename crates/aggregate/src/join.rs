@@ -16,8 +16,10 @@
 //! the host kernel therefore visits layers in ascending order, which is
 //! exactly the order the one-probe-per-layer kernel (`engine/gpu.rs`)
 //! visits them — so `scratch[layer] += net` and `occ_total += net ·
-//! share` add the same values in the same order, and every engine's YLT
-//! is bit-identical. Nothing else about the layout is observable.
+//! share` add the same paying values in the same order, and every
+//! engine's YLT is bit-identical. (The host kernel also adds each
+//! non-paying hit's net, a +0.0 that leaves every accumulator's bits
+//! as they were.) Nothing else about the layout is observable.
 
 use crate::secondary::{GridCell, SecondaryTable};
 use riskpipe_tables::{Elt, EventRowMap};

@@ -23,8 +23,12 @@ pub struct EventRowMap {
 
 #[inline]
 fn hash_key(k: u32) -> u32 {
-    // Fibonacci hashing: multiply by 2^32/φ and take high bits via the
-    // mask application below (the multiply itself mixes low bits up).
+    // Multiply by the odd constant ⌊2^32/φ⌋; the callers' `& mask` then
+    // keeps the product's *low* log2(cap) bits. Those depend only on the
+    // key's low bits, and multiplying by an odd number is a bijection on
+    // them, so dense catalogue ids `0..cap` land in distinct slots and
+    // never collide. Taking the high bits (textbook Fibonacci hashing)
+    // would give up that guarantee.
     k.wrapping_mul(0x9E37_79B9)
 }
 

@@ -402,6 +402,20 @@ mod tests {
     }
 
     #[test]
+    fn reordered_columns_are_pinned() {
+        // Every bit of one Iman–Conover output: scores, shuffles, the
+        // transform and the gather together.
+        let mut cols = sample_columns(2_000);
+        let target = CorrelationMatrix::exchangeable(3, 0.6).unwrap();
+        iman_conover(&mut cols, &target, 9).unwrap();
+        let mut fp = riskpipe_types::Fingerprint::new("dfa::iman_conover");
+        for x in cols.iter().flatten() {
+            fp.push_f64(*x);
+        }
+        assert_eq!(fp.finish(), 16_442_952_483_788_950_565);
+    }
+
+    #[test]
     fn induced_rank_correlation_near_target() {
         let mut cols = sample_columns(4_000);
         let target = CorrelationMatrix::exchangeable(3, 0.7).unwrap();

@@ -511,6 +511,30 @@ mod tests {
         }
     }
 
+    /// FNV-1a over every bit of the seven columns, in column order.
+    fn block_hash(factors: &DfaFactors) -> u64 {
+        let mut fp = riskpipe_types::Fingerprint::new("dfa::factors");
+        for x in factors.columns().iter().flatten() {
+            fp.push_f64(*x);
+        }
+        fp.finish()
+    }
+
+    #[test]
+    fn factor_block_bits_are_pinned() {
+        // The DFA goldens only see derived metrics; this pins every bit
+        // of the block itself, across chunk seams and at the minimum
+        // trial count.
+        let engine = DfaEngine::typical(CompanyConfig::typical());
+        for (trials, seed, want) in [
+            (2 * TASK_CHUNK + 777, 9, 6_991_784_966_543_476_338),
+            (6, 1, 5_514_008_134_728_824_940),
+        ] {
+            let block = engine.simulate_factors(trials, seed, &serial_map).unwrap();
+            assert_eq!(block_hash(&block), want, "{trials} trials, seed {seed}");
+        }
+    }
+
     #[test]
     fn factor_columns_keep_their_marginals_across_chunk_seams() {
         // The two uncorrelated columns come straight out of the chunked

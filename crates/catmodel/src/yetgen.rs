@@ -11,12 +11,16 @@
 //!
 //! The table is simulated straight into its columns, in two parallel
 //! passes over the same streams. The first draws only each trial's
-//! Poisson count (the first draw of its stream); a prefix sum turns the
+//! Poisson count (the first draws of its stream); a prefix sum turns the
 //! counts into the CSR offsets, and the three columns are allocated once
 //! at their final size. The second hands each grain of trials its
-//! disjoint slices of the columns and redraws the trials into one
-//! per-task scratch buffer, day-sorted, then scattered in place — no
-//! per-trial allocation and no table-sized temporary.
+//! disjoint slices of the columns and simulates the trials' occurrences
+//! into one per-task scratch buffer, day-sorted, then scattered in
+//! place — no per-trial allocation and no table-sized temporary. Pass 2
+//! does not redraw the count: it reads it back from the offsets and
+//! opens the trial's stream already past the `Poisson::draws_for(count)`
+//! draws pass 1 took ([`SeedStream::stream_after`]), so each occurrence
+//! reads the very draws a single pass would have.
 
 use crate::catalog::EventCatalog;
 use riskpipe_exec::{grain_ranges, par_chunks_mut, suggest_grain, ThreadPool};
@@ -53,19 +57,20 @@ impl YetConfig {
     }
 }
 
-/// Simulate one trial's occurrences (deterministic in `(seed, trial)`)
-/// into `occs`, replacing what it held.
+/// Simulate the `count` occurrences of one trial whose Poisson count
+/// pass 1 drew (deterministic in `(seed, trial)`) into `occs`,
+/// replacing what it held.
 fn simulate_trial(
     streams: &SeedStream,
     trial: u64,
+    count: u64,
     freq: &Poisson,
     alias: &AliasTable,
     occs: &mut Vec<Occurrence>,
 ) {
-    let mut rng = streams.stream(trial);
-    let n = freq.sample_count(&mut rng);
+    let mut rng = streams.stream_after(trial, freq.draws_for(count));
     occs.clear();
-    for _ in 0..n {
+    for _ in 0..count {
         let event_index = alias.sample(&mut rng);
         let day = rng.next_below(365) as u16;
         let z = rng.next_f64_open();
@@ -131,12 +136,10 @@ pub fn simulate_yet(
         let base = offsets[range.start];
         let mut occs = Vec::new();
         for t in range.clone() {
-            simulate_trial(&streams, t as u64, &freq, &alias, &mut occs);
+            let count = offsets[t + 1] - offsets[t];
+            simulate_trial(&streams, t as u64, count, &freq, &alias, &mut occs);
             let lo = (offsets[t] - base) as usize;
             let hi = (offsets[t + 1] - base) as usize;
-            // The redraw repeats pass 1's count draw, so `occs` fills
-            // `lo..hi` exactly.
-            debug_assert_eq!(occs.len(), hi - lo);
             for (k, o) in (lo..hi).zip(&occs) {
                 events[k] = o.event_id.raw();
                 days[k] = o.day;

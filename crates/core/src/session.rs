@@ -918,10 +918,9 @@ impl RiskSession {
         riskpipe_obs::counter_add("stage2.join_hits", join.hits() as u64);
         let yelt_rows = {
             let _span = riskpipe_obs::span_key("stage2.yelt_count", key);
-            output
-                .books
-                .first()
-                .map_or(0, |book| yelt_row_count(&output.yet, &book.elt, &self.pool))
+            output.books.first().map_or(0, |book| {
+                yelt_row_count(&output.yet, &book.elt, output.catalog.len(), &self.pool)
+            })
         };
         riskpipe_obs::counter_add("stage2.yelt_counts", 1);
         let dfa_factors = {
@@ -1027,19 +1026,28 @@ impl RiskSession {
 /// Rows of the YELT joining `yet` with `elt` — the occurrences whose
 /// event has a row in the ELT, what `Yelt::from_yet_elt(yet, elt).rows()`
 /// counts — as a parallel integer reduce over the YET's event column.
-fn yelt_row_count(yet: &YearEventTable, elt: &Elt, pool: &ThreadPool) -> usize {
-    let (_, events, _, _) = yet.columns();
-    let grain = suggest_grain(events.len(), pool.thread_count(), 16 * 1024);
+/// Membership is a dense mask over the catalogue's `events` ids, built
+/// once from the ELT's event column, so an occurrence costs one indexed
+/// load, not a hash probe.
+fn yelt_row_count(yet: &YearEventTable, elt: &Elt, events: usize, pool: &ThreadPool) -> usize {
+    let mut in_elt = vec![false; events];
+    for &e in elt.columns().0 {
+        if let Some(slot) = in_elt.get_mut(e as usize) {
+            *slot = true;
+        }
+    }
+    let (_, occurrences, _, _) = yet.columns();
+    let grain = suggest_grain(occurrences.len(), pool.thread_count(), 16 * 1024);
     par_reduce(
         pool,
-        events.len(),
+        occurrences.len(),
         grain,
         || 0,
         |range, rows| {
-            rows + events[range]
+            rows + occurrences[range]
                 .iter()
-                .filter(|&&e| elt.row_of(EventId::new(e)).is_some())
-                .count()
+                .map(|&e| usize::from(in_elt.get(e as usize).copied().unwrap_or(false)))
+                .sum::<usize>()
         },
         |a, b| a + b,
     )

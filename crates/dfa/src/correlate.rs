@@ -17,7 +17,9 @@
 //!
 //! * **Chunk-addressable** (cut at fixed [`TASK_CHUNK`] row
 //!   boundaries): the van der Waerden scores — `normal_icdf(i / (n+1))`
-//!   is a function of the row index alone — and the `M·A` product,
+//!   is a function of the row index alone; a chunk writes its plotting
+//!   positions and inverts them in place, eight lanes at a time, with
+//!   the scalar quantile's bits — and the `M·A` product,
 //!   whose row `r` reads row `r` of `M` and the k×k matrix `A`, each
 //!   output element its own k-term sum in a fixed order.
 //! * **Column-addressable** (one task per column): step 4's rank-sort
@@ -36,7 +38,7 @@
 //! [`DfaEngine::simulate_factors`]: crate::DfaEngine::simulate_factors
 
 use riskpipe_types::rng::{Pcg64, Rng64};
-use riskpipe_types::special::normal_icdf;
+use riskpipe_types::special::normal_icdf_in_place;
 use riskpipe_types::stats::ranks;
 use riskpipe_types::{RiskError, RiskResult};
 
@@ -223,9 +225,11 @@ pub(crate) fn iman_conover_on(
     //    per column (row-major n×k). The scores are a pure function of
     //    the row index; the shuffles share one sequential generator.
     let base_scores: Vec<f64> = map(chunks, &|i| {
-        chunk_rows(i, n)
-            .map(|r| normal_icdf((r + 1) as f64 / (n + 1) as f64))
-            .collect()
+        let mut scores: Vec<f64> = chunk_rows(i, n)
+            .map(|r| (r + 1) as f64 / (n + 1) as f64)
+            .collect();
+        normal_icdf_in_place(&mut scores);
+        scores
     })
     .concat();
     let mut rng = Pcg64::new(seed);

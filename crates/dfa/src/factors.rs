@@ -11,7 +11,12 @@
 //! its own stream and the model's parameters only — no state is carried
 //! from trial `t` to `t + 1` — so `simulate_range(a..b)` yields exactly
 //! elements `a..b` of `simulate(trials)`, bit for bit, whatever else
-//! has or has not been simulated. That is what lets
+//! has or has not been simulated. The normal-quantile models draw each
+//! trial's uniforms from its own stream into the output column (Vasicek
+//! into a 16-trial stack block) and then invert them in lanes of eight
+//! with [`normal_icdf_in_place`], which returns the scalar quantile's
+//! bits for every element wherever it sits in a lane; nothing is carried
+//! across a trial, and no batch crosses the range. That is what lets
 //! [`DfaEngine::simulate_factors`](crate::DfaEngine::simulate_factors)
 //! cut the seven columns into (factor, trial-chunk) tasks and run them
 //! in any order on any number of threads. Nothing in this module is
@@ -22,13 +27,22 @@ use std::ops::Range;
 
 use riskpipe_types::dist::{Distribution, LogNormal, Poisson};
 use riskpipe_types::rng::{Rng64, SeedStream};
-use riskpipe_types::special::normal_icdf;
+use riskpipe_types::special::normal_icdf_in_place;
 use riskpipe_types::{RiskError, RiskResult};
 
 /// Derive the RNG for (factor, trial).
 #[inline]
 fn factor_rng(streams: &SeedStream, factor: u64, trial: u64) -> impl Rng64 {
     streams.stream((factor << 40) ^ trial)
+}
+
+/// The first open uniform of each trial's stream for `factor`, one per
+/// trial of `range`: the input of a single-draw column, which the
+/// column's model then transforms in place.
+fn first_uniforms(streams: &SeedStream, factor: u64, range: Range<usize>) -> Vec<f64> {
+    range
+        .map(|t| factor_rng(streams, factor, t as u64).next_f64_open())
+        .collect()
 }
 
 /// Stable factor indices for stream derivation.
@@ -62,14 +76,13 @@ impl InvestmentModel {
 
     /// Elements `range` of [`Self::simulate`].
     pub(crate) fn simulate_range(&self, range: Range<usize>, streams: &SeedStream) -> Vec<f64> {
-        range
-            .map(|t| {
-                let mut rng = factor_rng(streams, factor_ids::INVESTMENT, t as u64);
-                let z = normal_icdf(rng.next_f64_open());
-                let gross = ((self.mu - 0.5 * self.sigma * self.sigma) + self.sigma * z).exp();
-                self.assets * (gross - 1.0)
-            })
-            .collect()
+        let mut column = first_uniforms(streams, factor_ids::INVESTMENT, range);
+        normal_icdf_in_place(&mut column);
+        for v in &mut column {
+            let gross = ((self.mu - 0.5 * self.sigma * self.sigma) + self.sigma * *v).exp();
+            *v = self.assets * (gross - 1.0);
+        }
+        column
     }
 }
 
@@ -88,6 +101,11 @@ pub struct VasicekModel {
 }
 
 impl VasicekModel {
+    /// Monthly steps per trial.
+    const STEPS: usize = 12;
+    /// Trials per stack block of draws.
+    const BLOCK_TRIALS: usize = 16;
+
     /// Per-trial average short rate over 12 monthly steps.
     pub fn simulate(&self, trials: usize, streams: &SeedStream) -> Vec<f64> {
         self.simulate_range(0..trials, streams)
@@ -97,19 +115,31 @@ impl VasicekModel {
     pub(crate) fn simulate_range(&self, range: Range<usize>, streams: &SeedStream) -> Vec<f64> {
         let dt = 1.0f64 / 12.0;
         let sqdt = dt.sqrt();
-        range
-            .map(|t| {
-                let mut rng = factor_rng(streams, factor_ids::RATES, t as u64);
+        let mut column = Vec::with_capacity(range.len());
+        // Trial-major: a trial's 12 draws sit side by side in draw
+        // order, so the recurrence reads them as its stream gave them.
+        let mut block = [0.0f64; Self::BLOCK_TRIALS * Self::STEPS];
+        for first in range.clone().step_by(Self::BLOCK_TRIALS) {
+            let trials = (range.end - first).min(Self::BLOCK_TRIALS);
+            let draws = &mut block[..trials * Self::STEPS];
+            for (j, year) in draws.chunks_exact_mut(Self::STEPS).enumerate() {
+                let mut rng = factor_rng(streams, factor_ids::RATES, (first + j) as u64);
+                for z in year {
+                    *z = rng.next_f64_open();
+                }
+            }
+            normal_icdf_in_place(draws);
+            for year in draws.chunks_exact(Self::STEPS) {
                 let mut r = self.r0;
                 let mut sum = 0.0;
-                for _ in 0..12 {
-                    let z = normal_icdf(rng.next_f64_open());
+                for &z in year {
                     r += self.kappa * (self.theta - r) * dt + self.sigma * sqdt * z;
                     sum += r;
                 }
-                sum / 12.0
-            })
-            .collect()
+                column.push(sum / 12.0);
+            }
+        }
+        column
     }
 }
 
@@ -131,13 +161,12 @@ impl MarketCycleModel {
 
     /// Elements `range` of [`Self::simulate`].
     pub(crate) fn simulate_range(&self, range: Range<usize>, streams: &SeedStream) -> Vec<f64> {
-        range
-            .map(|t| {
-                let mut rng = factor_rng(streams, factor_ids::CYCLE, t as u64);
-                let z = normal_icdf(rng.next_f64_open());
-                self.mean_factor * (self.sigma * z - 0.5 * self.sigma * self.sigma).exp()
-            })
-            .collect()
+        let mut column = first_uniforms(streams, factor_ids::CYCLE, range);
+        normal_icdf_in_place(&mut column);
+        for v in &mut column {
+            *v = self.mean_factor * (self.sigma * *v - 0.5 * self.sigma * self.sigma).exp();
+        }
+        column
     }
 }
 
@@ -223,13 +252,12 @@ impl ReserveModel {
 
     /// Elements `range` of [`Self::simulate`].
     pub(crate) fn simulate_range(&self, range: Range<usize>, streams: &SeedStream) -> Vec<f64> {
-        let factor = LogNormal::from_mean_cv(1.0, self.cv);
-        range
-            .map(|t| {
-                let mut rng = factor_rng(streams, factor_ids::RESERVE, t as u64);
-                self.reserves * (factor.sample(&mut rng) - 1.0)
-            })
-            .collect()
+        let mut column = first_uniforms(streams, factor_ids::RESERVE, range);
+        LogNormal::from_mean_cv(1.0, self.cv).quantiles_in_place(&mut column);
+        for v in &mut column {
+            *v = self.reserves * (*v - 1.0);
+        }
+        column
     }
 }
 
@@ -262,13 +290,9 @@ impl AttritionalModel {
     /// Elements `range` of [`Self::simulate`]; the caller has run
     /// [`Self::validate`].
     pub(crate) fn simulate_range(&self, range: Range<usize>, streams: &SeedStream) -> Vec<f64> {
-        let d = LogNormal::from_mean_cv(self.expected, self.cv);
-        range
-            .map(|t| {
-                let mut rng = factor_rng(streams, factor_ids::ATTRITIONAL, t as u64);
-                d.sample(&mut rng)
-            })
-            .collect()
+        let mut column = first_uniforms(streams, factor_ids::ATTRITIONAL, range);
+        LogNormal::from_mean_cv(self.expected, self.cv).quantiles_in_place(&mut column);
+        column
     }
 }
 

@@ -19,7 +19,7 @@
 
 use crate::error::{RiskError, RiskResult};
 use crate::rng::Rng64;
-use crate::special::{inv_inc_beta, normal_icdf, BetaNewton};
+use crate::special::{inv_inc_beta, normal_icdf, normal_icdf_in_place, BetaNewton};
 
 /// A real-valued distribution that can be sampled from an [`Rng64`].
 pub trait Distribution {
@@ -114,6 +114,19 @@ impl LogNormal {
     /// The distribution's quantile at `p ∈ (0, 1)`.
     pub fn quantile(&self, p: f64) -> f64 {
         (self.mu + self.sigma * normal_icdf(p)).exp()
+    }
+
+    /// `p ← self.quantile(p)` for every element, bit for bit, with the
+    /// normal quantiles inverted in lanes by
+    /// [`normal_icdf_in_place`].
+    ///
+    /// # Panics
+    /// Unless every element satisfies `0 < p < 1`.
+    pub fn quantiles_in_place(&self, ps: &mut [f64]) {
+        normal_icdf_in_place(ps);
+        for v in ps {
+            *v = (self.mu + self.sigma * *v).exp();
+        }
     }
 }
 
@@ -214,16 +227,34 @@ impl Poisson {
         self.lambda
     }
 
+    /// The means of the ≤32-mean chunks [`Self::sample_count`] samples,
+    /// in order — the one schedule that [`Self::draws_for`] counts too.
+    fn chunks(&self) -> impl Iterator<Item = f64> {
+        let mut remaining = self.lambda;
+        std::iter::from_fn(move || {
+            (remaining > 0.0).then(|| {
+                let chunk = remaining.min(Self::CHUNK);
+                remaining -= chunk;
+                chunk
+            })
+        })
+    }
+
+    /// How many uniforms [`Self::sample_count`] drew when it returned
+    /// `count`: one per event, plus the one per chunk that fell below
+    /// the chunk's limit. A stream that skips this many draws stands
+    /// exactly where the sampler left it.
+    pub fn draws_for(&self, count: u64) -> u64 {
+        count + self.chunks().count() as u64
+    }
+
     /// Draw one event count. Exact for any mean: a Poisson(λ) count
     /// is the sum of independent Poisson(λᵢ) counts with Σλᵢ = λ, so
     /// large means are split into ≤32-mean chunks, each sampled by
     /// Knuth's product method.
     pub fn sample_count<R: Rng64 + ?Sized>(&self, rng: &mut R) -> u64 {
-        let mut remaining = self.lambda;
         let mut total = 0u64;
-        while remaining > 0.0 {
-            let chunk = remaining.min(Self::CHUNK);
-            remaining -= chunk;
+        for chunk in self.chunks() {
             let limit = (-chunk).exp();
             let mut product = rng.next_f64_open();
             while product > limit {
@@ -480,6 +511,37 @@ mod tests {
                 (mean - lambda).abs() <= tol.max(0.05 * lambda.max(0.02)),
                 "lambda {lambda}: mean {mean}"
             );
+        }
+    }
+
+    /// An [`Rng64`] that counts the draws taken from it.
+    struct Counting<R> {
+        inner: R,
+        draws: u64,
+    }
+
+    impl<R: Rng64> Rng64 for Counting<R> {
+        fn next_u64(&mut self) -> u64 {
+            self.draws += 1;
+            self.inner.next_u64()
+        }
+    }
+
+    #[test]
+    fn draws_for_counts_what_sample_count_drew() {
+        // Chunk boundaries included: one chunk at 32, a second tiny one
+        // at 32.5, seven at 200, none at 0.
+        for lambda in [0.0, 0.5, 20.0, 32.0, 32.5, 200.0] {
+            let d = Poisson::new(lambda);
+            let mut rng = Counting {
+                inner: Pcg64::new(lambda.to_bits()),
+                draws: 0,
+            };
+            for _ in 0..2_000 {
+                let before = rng.draws;
+                let count = d.sample_count(&mut rng);
+                assert_eq!(d.draws_for(count), rng.draws - before, "lambda {lambda}");
+            }
         }
     }
 

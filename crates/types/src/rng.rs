@@ -226,6 +226,23 @@ impl Philox4x32 {
         p
     }
 
+    /// Stand a fresh stream where `draws` calls of `next_u64` would
+    /// have left it. A block serves two draws, so the block counter
+    /// advances by `draws / 2` (a 64-bit add over `counter[0..2]`, as
+    /// `refill` counts); an odd count then reads the next block and
+    /// leaves its second half unread.
+    fn skip_fresh(&mut self, draws: u64) {
+        debug_assert_eq!(self.consumed, 4, "only a fresh stream is skipped");
+        let block =
+            (u64::from(self.counter[1]) << 32 | u64::from(self.counter[0])).wrapping_add(draws / 2);
+        self.counter[0] = block as u32;
+        self.counter[1] = (block >> 32) as u32;
+        if draws % 2 == 1 {
+            self.refill();
+            self.consumed = 2;
+        }
+    }
+
     #[inline]
     fn refill(&mut self) {
         self.buffer = philox4x32(self.key, self.counter);
@@ -278,6 +295,17 @@ impl SeedStream {
     #[inline]
     pub fn stream(&self, stream: u64) -> Philox4x32 {
         Philox4x32::for_stream(self.seed, stream)
+    }
+
+    /// The generator for `stream`, already past its first `draws`
+    /// `next_u64` draws: the same state, and so the same sequence from
+    /// here on, as [`Self::stream`] after `draws` calls, at the cost of
+    /// at most one block.
+    #[inline]
+    pub fn stream_after(&self, stream: u64, draws: u64) -> Philox4x32 {
+        let mut rng = self.stream(stream);
+        rng.skip_fresh(draws);
+        rng
     }
 
     /// Derive a sub-seed (for seeding nested components such as the
@@ -347,6 +375,41 @@ mod tests {
         }
         assert_eq!(a.next_u64(), block[0] as u64 | (block[1] as u64) << 32);
         assert_eq!(a.next_u64(), block[2] as u64 | (block[3] as u64) << 32);
+    }
+
+    #[test]
+    fn stream_after_equals_the_stream_advanced_draw_by_draw() {
+        let f = SeedStream::new(0x5EED);
+        for stream in [0, 7, u64::MAX] {
+            for draws in (0..=9).chain([64, 65]) {
+                let mut walked = f.stream(stream);
+                for _ in 0..draws {
+                    walked.next_u64();
+                }
+                let mut skipped = f.stream_after(stream, draws);
+                assert_eq!(skipped.counter, walked.counter, "{stream}/{draws}");
+                assert_eq!(skipped.consumed, walked.consumed, "{stream}/{draws}");
+                for k in 0..16 {
+                    assert_eq!(
+                        skipped.next_u64(),
+                        walked.next_u64(),
+                        "{stream}/{draws}: draw {k} after"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn stream_after_carries_into_the_counters_high_word() {
+        // 2³² blocks wrap counter[0]; the odd draw then reads block
+        // 2³², whose first half is spent.
+        let skipped = SeedStream::new(3).stream_after(11, (1 << 33) + 1);
+        assert_eq!(skipped.counter[..2], [1, 1]);
+        assert_eq!(skipped.consumed, 2);
+        let mut counter = skipped.counter;
+        counter[0] = 0;
+        assert_eq!(skipped.buffer, philox4x32(skipped.key, counter));
     }
 
     #[test]

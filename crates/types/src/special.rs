@@ -6,6 +6,14 @@
 //! models represent per-event loss uncertainty as a beta distribution over
 //! the damage ratio, and aggregate analysis maps a pre-simulated uniform
 //! `z` to a loss through `exposure · F⁻¹_Beta(z; α, β)`.
+//!
+//! The normal quantile comes in two shapes over one algorithm:
+//! [`normal_icdf`] for one value and [`normal_icdf_in_place`] for a
+//! slice, which runs the same stage helpers over blocks of eight values
+//! so that their `exp` calls overlap. Both share one coefficient table
+//! and perform the same IEEE operations per value, in the same order —
+//! Rust never fuses a multiply-add on its own, and every lane calls the
+//! same libm `exp` — so the two agree bit for bit.
 
 use std::f64::consts::PI;
 
@@ -255,12 +263,25 @@ pub fn inv_inc_beta(p: f64, a: f64, b: f64) -> f64 {
 }
 
 /// Complementary error function, Chebyshev fit (Numerical Recipes
-/// `erfcc`). Fractional error below 1.2e-7 everywhere.
-fn erfc(x: f64) -> f64 {
-    let z = x.abs();
-    let t = 1.0 / (1.0 + 0.5 * z);
-    let ans = t
-        * (-z * z - 1.265_512_23
+/// `erfcc`), split around its one `exp` so a batch can issue the `exp`
+/// calls of many values together: [`Erfc::at`] computes everything
+/// before the call, [`Erfc::finish`] everything after it. Fractional
+/// error below 1.2e-7 everywhere.
+#[derive(Debug, Clone, Copy, Default)]
+struct Erfc {
+    /// The argument.
+    x: f64,
+    /// The rational factor `1 / (1 + |x| / 2)`.
+    t: f64,
+    /// `erfc(|x|) = t · exp(exponent)`.
+    exponent: f64,
+}
+
+impl Erfc {
+    fn at(x: f64) -> Self {
+        let z = x.abs();
+        let t = 1.0 / (1.0 + 0.5 * z);
+        let exponent = -z * z - 1.265_512_23
             + t * (1.000_023_68
                 + t * (0.374_091_96
                     + t * (0.096_784_18
@@ -268,29 +289,40 @@ fn erfc(x: f64) -> f64 {
                             + t * (0.278_868_07
                                 + t * (-1.135_203_98
                                     + t * (1.488_515_87
-                                        + t * (-0.822_152_23 + t * 0.170_872_77)))))))))
-            .exp();
-    if x >= 0.0 {
-        ans
-    } else {
-        2.0 - ans
+                                        + t * (-0.822_152_23 + t * 0.170_872_77))))))));
+        Self { x, t, exponent }
+    }
+
+    /// `erfc(x)`, given `exp_exponent = self.exponent.exp()`.
+    #[inline]
+    fn finish(&self, exp_exponent: f64) -> f64 {
+        let ans = self.t * exp_exponent;
+        if self.x >= 0.0 {
+            ans
+        } else {
+            2.0 - ans
+        }
     }
 }
 
-/// Standard normal CDF `Φ(x)`.
-#[inline]
-fn normal_cdf(x: f64) -> f64 {
-    0.5 * erfc(-x * std::f64::consts::FRAC_1_SQRT_2)
-}
+/// Where the lower tail of Acklam's approximation ends (and, mirrored,
+/// where the upper one starts).
+const ACKLAM_P_LOW: f64 = 0.024_25;
 
-/// Standard normal quantile `Φ⁻¹(p)`, Acklam's rational approximation
-/// refined with one Halley step against `normal_cdf`. Absolute error is
-/// bounded by the CDF's own ~1e-7 accuracy — ample for Monte-Carlo use.
-pub fn normal_icdf(p: f64) -> f64 {
+/// The quantile's domain check, shared by the scalar and batched paths.
+#[inline]
+fn check_open_unit(p: f64) {
     assert!(
         p > 0.0 && p < 1.0,
         "normal_icdf requires p in (0,1), got {p}"
     );
+}
+
+/// Stage 1 of `Φ⁻¹(p)`: Acklam's rational estimate — numerator `A`
+/// over denominator `B` in the central region, `C` over `D` in both
+/// tails.
+#[inline]
+fn acklam(p: f64) -> f64 {
     const A: [f64; 6] = [
         -3.969_683_028_665_376e1,
         2.209_460_984_245_205e2,
@@ -320,13 +352,12 @@ pub fn normal_icdf(p: f64) -> f64 {
         2.445_134_137_142_996,
         3.754_408_661_907_416,
     ];
-    const P_LOW: f64 = 0.024_25;
 
-    let x = if p < P_LOW {
+    if p < ACKLAM_P_LOW {
         let q = (-2.0 * p.ln()).sqrt();
         (((((C[0] * q + C[1]) * q + C[2]) * q + C[3]) * q + C[4]) * q + C[5])
             / ((((D[0] * q + D[1]) * q + D[2]) * q + D[3]) * q + 1.0)
-    } else if p <= 1.0 - P_LOW {
+    } else if p <= 1.0 - ACKLAM_P_LOW {
         let q = p - 0.5;
         let r = q * q;
         (((((A[0] * r + A[1]) * r + A[2]) * r + A[3]) * r + A[4]) * r + A[5]) * q
@@ -335,11 +366,97 @@ pub fn normal_icdf(p: f64) -> f64 {
         let q = (-2.0 * (1.0 - p).ln()).sqrt();
         -(((((C[0] * q + C[1]) * q + C[2]) * q + C[3]) * q + C[4]) * q + C[5])
             / ((((D[0] * q + D[1]) * q + D[2]) * q + D[3]) * q + 1.0)
-    };
-    // One Halley refinement against the accurate CDF.
-    let e = normal_cdf(x) - p;
-    let u = e * (2.0 * PI).sqrt() * (x * x / 2.0).exp();
+    }
+}
+
+/// Stage 2: what the Halley step at the estimate `x` takes the `exp`
+/// of — `erfc` at `−x/√2` (for `Φ(x)`) and `x²/2`. Neither exponent
+/// reads the other's `exp`.
+#[inline]
+fn halley_exponents(x: f64) -> (Erfc, f64) {
+    (Erfc::at(-x * std::f64::consts::FRAC_1_SQRT_2), x * x / 2.0)
+}
+
+/// Stage 3: one Halley refinement of `x` against `Φ(x) = erfc / 2`,
+/// given both exponentials.
+#[inline]
+fn halley_step(p: f64, x: f64, erfc: &Erfc, exp_erfc: f64, exp_half_x2: f64) -> f64 {
+    let e = 0.5 * erfc.finish(exp_erfc) - p;
+    let u = e * (2.0 * PI).sqrt() * exp_half_x2;
     x - u / (1.0 + x * u / 2.0)
+}
+
+/// Standard normal quantile `Φ⁻¹(p)`, Acklam's rational approximation
+/// refined with one Halley step against the normal CDF. Absolute error
+/// is bounded by the CDF's own ~1e-7 accuracy — ample for Monte-Carlo
+/// use.
+///
+/// # Panics
+/// Unless `0 < p < 1`.
+pub fn normal_icdf(p: f64) -> f64 {
+    check_open_unit(p);
+    let x = acklam(p);
+    let (erfc, half_x2) = halley_exponents(x);
+    halley_step(p, x, &erfc, erfc.exponent.exp(), half_x2.exp())
+}
+
+/// Values per lane block of [`normal_icdf_in_place`].
+const LANES: usize = 8;
+
+/// `p ← normal_icdf(p)` for every element, bit for bit, eight values at
+/// a time.
+///
+/// One scalar quantile is a single dependency chain — rational function,
+/// `erfc`, `exp`, Halley step — so the core mostly waits on latency.
+/// Here each stage runs as a plain loop over a block of eight values
+/// (the tail is padded with `0.5`), and the two libm `exp` calls of
+/// every value, which do not depend on each other, are issued in one
+/// loop, so sixteen independent calls overlap.
+///
+/// **Why the bits cannot move.** Every lane runs the very helpers the
+/// scalar path runs (`acklam`, the `Erfc` stages and the Halley
+/// step), so each value sees the same IEEE operations in the same order
+/// on the same operands; only *which value* goes next changes. Rust
+/// never contracts `a * b + c` into a fused multiply-add, and each `exp`
+/// is the same libm call per lane, not a vector approximation.
+///
+/// # Panics
+/// Unless every element satisfies `0 < p < 1`, with the scalar's
+/// message; a panic leaves the values of the failing block unchanged.
+pub fn normal_icdf_in_place(ps: &mut [f64]) {
+    let (blocks, tail) = ps.as_chunks_mut::<LANES>();
+    for block in blocks {
+        normal_icdf_lanes(block);
+    }
+    if !tail.is_empty() {
+        let mut padded = [0.5; LANES];
+        padded[..tail.len()].copy_from_slice(tail);
+        normal_icdf_lanes(&mut padded);
+        tail.copy_from_slice(&padded[..tail.len()]);
+    }
+}
+
+/// [`normal_icdf`] over one block, stage by stage.
+fn normal_icdf_lanes(ps: &mut [f64; LANES]) {
+    let mut x = [0.0; LANES];
+    for (x, &p) in x.iter_mut().zip(ps.iter()) {
+        check_open_unit(p);
+        *x = acklam(p);
+    }
+    let mut erfc = [Erfc::default(); LANES];
+    let mut half_x2 = [0.0; LANES];
+    for i in 0..LANES {
+        (erfc[i], half_x2[i]) = halley_exponents(x[i]);
+    }
+    let mut exp_erfc = [0.0; LANES];
+    let mut exp_half_x2 = [0.0; LANES];
+    for i in 0..LANES {
+        exp_erfc[i] = erfc[i].exponent.exp();
+        exp_half_x2[i] = half_x2[i].exp();
+    }
+    for i in 0..LANES {
+        ps[i] = halley_step(ps[i], x[i], &erfc[i], exp_erfc[i], exp_half_x2[i]);
+    }
 }
 
 #[cfg(test)]
@@ -350,6 +467,17 @@ mod tests {
     /// checked against.
     fn inc_beta(a: f64, b: f64, x: f64) -> f64 {
         inc_beta_from_logs(a, b, x, x.ln(), (1.0 - x).ln(), ln_beta(a, b))
+    }
+
+    fn erfc(x: f64) -> f64 {
+        let parts = Erfc::at(x);
+        parts.finish(parts.exponent.exp())
+    }
+
+    /// Standard normal CDF `Φ(x)`: the function the Halley step refines
+    /// against.
+    fn normal_cdf(x: f64) -> f64 {
+        0.5 * erfc(-x * std::f64::consts::FRAC_1_SQRT_2)
     }
 
     #[test]
@@ -457,6 +585,117 @@ mod tests {
     #[should_panic]
     fn normal_icdf_rejects_zero() {
         normal_icdf(0.0);
+    }
+
+    /// Where the quantile's branches and its float range end: the
+    /// smallest normal and a deep-tail `p`, the largest `p` below 1,
+    /// the centre, and `P_LOW` and `1 − P_LOW` with their neighbours.
+    /// Then `p` within 1e-7 of the centre, where the estimate `x` is so
+    /// small that the Halley correction decides most of the bits.
+    fn edge_ps() -> Vec<f64> {
+        let hair = |p: f64| {
+            [
+                f64::from_bits(p.to_bits() - 1),
+                p,
+                f64::from_bits(p.to_bits() + 1),
+            ]
+        };
+        let mut ps = vec![f64::MIN_POSITIVE, 1e-300, 1.0 - f64::EPSILON / 2.0, 0.5];
+        ps.extend(hair(ACKLAM_P_LOW));
+        ps.extend(hair(1.0 - ACKLAM_P_LOW));
+        ps.extend((1..=8).flat_map(|j| [0.5 - j as f64 * 1.25e-8, 0.5 + j as f64 * 1.25e-8]));
+        ps
+    }
+
+    #[test]
+    fn normal_icdf_bits_are_pinned() {
+        // The scalar quantile is the batch's oracle, so its own bits are
+        // pinned: a 4 096-point grid over (0, 1) plus every edge.
+        let grid = (0..4_096).map(|k| (k as f64 + 0.5) / 4_096.0);
+        let mut fp = crate::Fingerprint::new("normal_icdf");
+        for p in grid.chain(edge_ps()) {
+            fp.push_f64(normal_icdf(p));
+        }
+        assert_eq!(fp.finish(), 13_362_518_031_720_520_382);
+    }
+
+    mod batched {
+        use super::*;
+        use crate::dist::LogNormal;
+        use proptest::prelude::*;
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(512))]
+
+            /// Every length from empty through two blocks plus a padded
+            /// tail; each element an edge, a 53-bit `p` in (0, 1) or a
+            /// `p` within 5e-7 of the centre.
+            #[test]
+            fn normal_icdf_in_place_equals_the_scalar_bitwise(
+                picks in prop::collection::vec((1u64..1 << 53, 0usize..48), 0..=17),
+                (mu, sigma) in (-5.0f64..15.0, 0.0f64..3.0),
+            ) {
+                let edges = edge_ps();
+                let ps: Vec<f64> = picks
+                    .iter()
+                    .map(|&(k, pick)| {
+                        let u = k as f64 / (1u64 << 53) as f64;
+                        match edges.get(pick) {
+                            Some(&edge) => edge,
+                            None if pick < 40 => u,
+                            None => 0.5 + (u - 0.5) * 1e-6,
+                        }
+                    })
+                    .collect();
+                let mut zs = ps.clone();
+                normal_icdf_in_place(&mut zs);
+                for (z, &p) in zs.iter().zip(&ps) {
+                    prop_assert_eq!(z.to_bits(), normal_icdf(p).to_bits(), "p = {:e}", p);
+                }
+                let d = LogNormal::new(mu, sigma);
+                let mut qs = ps.clone();
+                d.quantiles_in_place(&mut qs);
+                for (q, &p) in qs.iter().zip(&ps) {
+                    prop_assert_eq!(q.to_bits(), d.quantile(p).to_bits(), "p = {:e}", p);
+                }
+            }
+        }
+
+        #[test]
+        fn every_edge_in_one_batch_equals_the_scalar_bitwise() {
+            let ps = edge_ps();
+            let mut zs = ps.clone();
+            normal_icdf_in_place(&mut zs);
+            for (z, &p) in zs.iter().zip(&ps) {
+                assert_eq!(z.to_bits(), normal_icdf(p).to_bits(), "p = {p:e}");
+            }
+        }
+
+        /// A batch of eleven: a full block, then a padded tail holding
+        /// `bad`.
+        fn batch_with(bad: f64) {
+            let mut ps = [0.3; 11];
+            ps[9] = bad;
+            normal_icdf_in_place(&mut ps);
+        }
+
+        #[test]
+        #[should_panic(expected = "normal_icdf requires p in (0,1), got 0")]
+        fn rejects_zero_inside_a_batch() {
+            batch_with(0.0);
+        }
+
+        #[test]
+        #[should_panic(expected = "normal_icdf requires p in (0,1), got 1")]
+        fn rejects_one_inside_a_batch() {
+            batch_with(1.0);
+        }
+
+        #[test]
+        #[should_panic(expected = "normal_icdf requires p in (0,1), got NaN")]
+        fn rejects_nan_inside_a_batch() {
+            batch_with(f64::NAN);
+        }
     }
 
     #[test]

@@ -167,11 +167,8 @@ pub fn build_secondary<'a>(
     opts: &AggregateOptions,
     pool: &ThreadPool,
 ) -> Option<Vec<SecondaryTable>> {
-    opts.secondary_uncertainty.then(|| {
-        elts.into_iter()
-            .map(|elt| SecondaryTable::build_on(elt, opts.quantile_mode, pool))
-            .collect()
-    })
+    opts.secondary_uncertainty
+        .then(|| SecondaryTable::build_books_on(elts, opts.quantile_mode, pool))
 }
 
 /// The join of a portfolio's ELTs under `opts`, tables built on `pool`.

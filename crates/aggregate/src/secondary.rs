@@ -50,10 +50,11 @@
 //! the interpolation grid is `rows × g` Newton inversions and is
 //! essentially the whole build. So the grid — and only the grid — is
 //! what a tier-attached session persists: after
-//! [`SecondaryTable::build_on`] the leader appends each book's grid to
+//! [`SecondaryTable::build_books_on`] (every book's rows in one parallel
+//! loop) the leader appends each book's grid to
 //! the key's disk entry ([`SecondaryTable::encode_grid_into`], one
 //! CRC-checked frame per book), and a later process that decodes the
-//! entry calls [`SecondaryTable::adopt_grid`] instead of `build_on`:
+//! entry calls [`SecondaryTable::adopt_grid`] instead of building:
 //! the cheap part recomputed from the decoded ELT, the grid taken from
 //! the frame after checking it is one a build over that ELT could have
 //! produced. The adopted table is the built one bit for bit, and the
@@ -164,45 +165,70 @@ impl SecondaryTable {
     }
 
     /// Build the table for an ELT, tabulating rows in parallel on
-    /// `pool`. The table is identical on any pool and thread count.
+    /// `pool`: the one-book case of [`SecondaryTable::build_books_on`].
     pub fn build_on(elt: &Elt, mode: QuantileMode, pool: &ThreadPool) -> Self {
-        let betas = row_betas(elt);
-        let n = betas.len();
-        let cdf_evals = AtomicU64::new(0);
-        let (grid, grid_n) = match mode.grid_points() {
-            None => (Vec::new(), 0),
-            Some(g) => {
-                // Grid over (0,1) excluding the exact endpoints:
-                // u_k = (k + 0.5) / g keeps quantiles finite.
-                let us: Vec<f64> = (0..g).map(|k| (k as f64 + 0.5) / g as f64).collect();
-                // Each row's grid is independent and the Newton
-                // inversions dominate the build, so tasks tabulate
-                // disjoint row blocks straight into the one allocation
-                // (row `i` always lands at `i * g`, so the table, and
-                // thus every engine's output, is deterministic). The
-                // evaluation count is a sum of per-row counts, so it
-                // too is the same on any split.
-                let mut grid = vec![0.0f64; n * g];
-                let rows_per_task = suggest_grain(n, pool.thread_count(), 8);
-                par_chunks_mut(pool, &mut grid, rows_per_task * g, |task, block| {
-                    let first = task * rows_per_task;
+        Self::build_books_on([elt], mode, pool).remove(0)
+    }
+
+    /// One table per ELT, in order, every book's rows tabulated in one
+    /// parallel loop on `pool` — so small books share tasks' worth of
+    /// rows instead of each forking and joining on its own. The tables
+    /// are identical on any pool and thread count.
+    pub fn build_books_on<'a>(
+        elts: impl IntoIterator<Item = &'a Elt>,
+        mode: QuantileMode,
+        pool: &ThreadPool,
+    ) -> Vec<Self> {
+        let elts: Vec<&Elt> = elts.into_iter().collect();
+        let betas: Vec<Vec<Beta>> = elts.iter().map(|elt| row_betas(elt)).collect();
+        let g = mode.grid_points().unwrap_or(0);
+        let mut grids: Vec<Vec<f64>> = betas.iter().map(|b| vec![0.0f64; b.len() * g]).collect();
+        let cdf_evals: Vec<AtomicU64> = elts.iter().map(|_| AtomicU64::new(0)).collect();
+        if g > 0 {
+            // Grid over (0,1) excluding the exact endpoints:
+            // u_k = (k + 0.5) / g keeps quantiles finite.
+            let us: Vec<f64> = (0..g).map(|k| (k as f64 + 0.5) / g as f64).collect();
+            // Each row's grid is independent and the Newton inversions
+            // dominate the build, so tasks tabulate disjoint row blocks
+            // of one book straight into that book's allocation (row `i`
+            // always lands at `i * g`, so the table, and thus every
+            // engine's output, is deterministic). A book's evaluation
+            // count is a sum of per-row counts, so it too is the same
+            // on any split.
+            let rows: usize = betas.iter().map(Vec::len).sum();
+            let rows_per_task = suggest_grain(rows, pool.thread_count(), 8);
+            let mut blocks: Vec<(usize, usize, &mut [f64])> = grids
+                .iter_mut()
+                .enumerate()
+                .flat_map(|(book, grid)| {
+                    grid.chunks_mut(rows_per_task * g)
+                        .enumerate()
+                        .map(move |(i, block)| (book, i * rows_per_task, block))
+                })
+                .collect();
+            par_chunks_mut(pool, &mut blocks, 1, |_, task| {
+                for (book, first, block) in task {
                     let evals: u64 = block
                         .chunks_exact_mut(g)
-                        .enumerate()
-                        .map(|(j, row)| betas[first + j].quantiles_into(&us, row))
+                        .zip(&betas[*book][*first..])
+                        .map(|(row, beta)| beta.quantiles_into(&us, row))
                         .sum();
-                    cdf_evals.fetch_add(evals, Ordering::Relaxed);
-                });
-                (grid, g)
-            }
-        };
-        Self {
-            exposure: elt.columns().4.to_vec(),
-            betas,
-            grid,
-            grid_n,
-            cdf_evals: cdf_evals.into_inner(),
+                    cdf_evals[*book].fetch_add(evals, Ordering::Relaxed);
+                }
+            });
         }
+        elts.into_iter()
+            .zip(betas)
+            .zip(grids)
+            .zip(cdf_evals)
+            .map(|(((elt, betas), grid), cdf_evals)| Self {
+                exposure: elt.columns().4.to_vec(),
+                betas,
+                grid,
+                grid_n: g,
+                cdf_evals: cdf_evals.into_inner(),
+            })
+            .collect()
     }
 
     /// Grid points per row (0 in exact mode).
@@ -323,9 +349,14 @@ mod tests {
     use riskpipe_types::EventId;
 
     fn sample_elt() -> Elt {
+        elt_of(20, 1_000.0)
+    }
+
+    /// `rows` rows of growing mean loss, `scale` per step.
+    fn elt_of(rows: u32, scale: f64) -> Elt {
         let mut b = EltBuilder::new();
-        for i in 1..=20u32 {
-            let mean = 1_000.0 * i as f64;
+        for i in 1..=rows {
+            let mean = scale * i as f64;
             b.push(EltRecord {
                 event_id: EventId::new(i),
                 mean_loss: mean,
@@ -445,6 +476,34 @@ mod tests {
                 let pool = ThreadPool::new(threads);
                 let t = SecondaryTable::build_on(&elt, mode, &pool);
                 assert_eq!(t.grid, reference.grid, "g {g} on {threads} threads");
+            }
+        }
+    }
+
+    #[test]
+    fn books_tabulated_in_one_loop_are_each_books_own_table() {
+        // Blocks never straddle books, so a book's rows, its evaluation
+        // count and its grid land where its lone build puts them —
+        // whatever the pool cuts, and with books smaller than a task.
+        let elts = [elt_of(20, 1_000.0), elt_of(3, 700.0), elt_of(41, 90.0)];
+        let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for mode in [QuantileMode::Exact, QuantileMode::Interpolated(9)] {
+            let alone: Vec<SecondaryTable> = elts
+                .iter()
+                .map(|elt| SecondaryTable::build_on(elt, mode, &ThreadPool::new(1)))
+                .collect();
+            for threads in [1usize, 2, 8] {
+                let pool = ThreadPool::new(threads);
+                let together = SecondaryTable::build_books_on(&elts, mode, &pool);
+                assert_eq!(together.len(), elts.len());
+                for (book, (t, a)) in together.iter().zip(&alone).enumerate() {
+                    let what = format!("{mode:?}, book {book}, {threads} threads");
+                    assert_eq!(bits(&t.grid), bits(&a.grid), "{what}");
+                    assert_eq!(bits(&t.exposure), bits(&a.exposure), "{what}");
+                    assert_eq!(t.betas, a.betas, "{what}");
+                    assert_eq!(t.grid_points(), a.grid_points(), "{what}");
+                    assert_eq!(t.cdf_evals(), a.cdf_evals(), "{what}");
+                }
             }
         }
     }

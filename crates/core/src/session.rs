@@ -50,9 +50,10 @@ use riskpipe_aggregate::{
     build_secondary, AggregateEngine, AggregateOptions, AggregateRunner, EngineKind, EventJoin,
     SecondaryTable,
 };
-use riskpipe_dfa::{CompanyConfig, DfaEngine};
+use riskpipe_catmodel::Stage1Output;
+use riskpipe_dfa::{CompanyConfig, DfaEngine, DfaFactors};
 use riskpipe_exec::lockwitness::{Condvar, Mutex};
-use riskpipe_exec::{par_map_collect, par_reduce, suggest_grain, ThreadPool};
+use riskpipe_exec::{par_chunks_mut, par_reduce, suggest_grain, ThreadPool};
 use riskpipe_metrics::RiskMeasures;
 use riskpipe_tables::codec::{self, RunManifest};
 use riskpipe_tables::{durable, shard, Elt, YearEventTable, Yelt, Ylt};
@@ -845,34 +846,87 @@ impl RiskSession {
     }
 
     /// Stage 1 for one scenario, through the keyed cache: the model run
-    /// (catalogue, books, YET) and the join of its books are built or
-    /// reused under `key` — the caller's precomputed
+    /// (catalogue, books, YET), the join of its books and the DFA factor
+    /// block are built or reused under `key` — the caller's precomputed
     /// [`ScenarioConfig::stage1_key`]. On a hit this is microseconds.
     fn acquire_stage1(&self, key: u64, scenario: &ScenarioConfig) -> RiskResult<Arc<ModelRun>> {
         let _span = riskpipe_obs::span_key("stage1.acquire", key);
-        self.stage1.get_or_build(
-            key,
-            || scenario.build_stage1_counted_on(&self.pool),
-            |acquired| self.derive_model_run(key, scenario.seed, acquired),
-        )
+        self.stage1
+            .get_or_build(key, || self.build_model_run(key, scenario))
     }
 
-    /// Complete a cache entry: the per-book secondary tables — adopted
-    /// from the disk entry when it carried this session's grids, built
-    /// on the session's pool otherwise — joined into the one table
-    /// every scenario sharing `key` reads, then stage 3's factor block
-    /// on the same pool. Between the two sits the disk write-through:
-    /// a fresh build is stored with its grids, and a disk hit whose
-    /// entry lacked them (written with secondary uncertainty off, under
-    /// another grid size, or before the tier carried grids) is
-    /// rewritten with them, so the next process adopts instead of
-    /// inverting. The first book's YELT row count follows the join —
-    /// a count, not a table: no store needs the YELT built, and the
-    /// count depends on the YET and book 0's ELT only. The tables depend
-    /// on the ELTs and the session's options only; the block on `seed`
-    /// (the scenario's, which `key` fingerprints), the YET's trial count
-    /// and the session's company — so the cache key needs nothing added.
-    fn derive_model_run(&self, key: u64, seed: u64, acquired: Acquired) -> RiskResult<ModelRun> {
+    /// A cache miss's whole entry, on both sides of one pool scope.
+    /// Stage 3's factor block has declared inputs — the scenario's trial
+    /// count and seed (both fingerprinted by `key`) and the session's
+    /// company — and reads nothing stage 1 or 2 produce, so it runs as
+    /// its own pool task alongside the chain on this thread: the model
+    /// run loaded or built, then [`Self::derive_model_run`]. The task
+    /// writes into a scope-captured slot, no lock; the scope joins it
+    /// before anything is published, and its trial count is checked
+    /// against the YET's. A chain error wins over a factor error, as
+    /// when the block was the chain's last step.
+    fn build_model_run(&self, key: u64, scenario: &ScenarioConfig) -> RiskResult<ModelRun> {
+        let mut dfa_factors = None;
+        // lint: allow(C1) — a waiting scope caller runs queued tasks
+        // (`ThreadPool::scope`), so a leader on a 1-worker pool runs the
+        // factor task itself instead of parking on it.
+        let chain = self.pool.scope(|s| {
+            s.spawn(|| dfa_factors = Some(self.simulate_dfa_factors(key, scenario)));
+            self.stage1
+                .load_or_build(key, || scenario.build_stage1_counted_on(&self.pool))
+                .and_then(|acquired| self.derive_model_run(key, acquired))
+        });
+        let (output, join, yelt_rows) = chain?;
+        let dfa_factors = dfa_factors
+            .ok_or_else(|| RiskError::InvalidState("the DFA factor task never ran".into()))??;
+        if dfa_factors.trials() != output.yet.trials() {
+            return Err(RiskError::InvalidState(format!(
+                "DFA factor block holds {} trials but the YET has {}",
+                dfa_factors.trials(),
+                output.yet.trials()
+            )));
+        }
+        Ok(ModelRun {
+            output: Arc::new(output),
+            join,
+            yelt_rows,
+            dfa_factors,
+        })
+    }
+
+    /// Stage 3's factor block for `scenario`, its independent pieces
+    /// each a task on the session's pool.
+    fn simulate_dfa_factors(&self, key: u64, scenario: &ScenarioConfig) -> RiskResult<DfaFactors> {
+        let _span = riskpipe_obs::span_key("stage3.dfa_factors", key);
+        let factors = self.dfa.simulate_factors(
+            scenario.trials,
+            scenario.seed ^ 0xDFA,
+            &|slices, task| par_chunks_mut(&self.pool, slices, 1, |i, slice| task(i, slice[0])),
+        )?;
+        riskpipe_obs::counter_add("stage3.dfa_factor_builds", 1);
+        Ok(factors)
+    }
+
+    /// The stage-2 half of a cache entry: the per-book secondary tables
+    /// — adopted from the disk entry when it carried this session's
+    /// grids, built on the session's pool otherwise — joined into the
+    /// one table every scenario sharing `key` reads. Before the join
+    /// sits the disk write-through: a fresh build is stored with its
+    /// grids, and a disk hit whose entry lacked them (written with
+    /// secondary uncertainty off, under another grid size, or before
+    /// the tier carried grids) is rewritten with them, so the next
+    /// process adopts instead of inverting. The first book's YELT row
+    /// count follows the join — a count, not a table: no store needs
+    /// the YELT built, and the count depends on the YET and book 0's
+    /// ELT only. The tables depend on the ELTs and the session's options
+    /// only, so the cache key needs nothing added. Stage 3's factor
+    /// block is not a step of this chain: it runs beside it, from its
+    /// declared inputs ([`Self::build_model_run`]).
+    fn derive_model_run(
+        &self,
+        key: u64,
+        acquired: Acquired,
+    ) -> RiskResult<(Stage1Output, EventJoin, usize)> {
         let Acquired {
             output,
             grids,
@@ -923,20 +977,7 @@ impl RiskSession {
             })
         };
         riskpipe_obs::counter_add("stage2.yelt_counts", 1);
-        let dfa_factors = {
-            let _span = riskpipe_obs::span_key("stage3.dfa_factors", key);
-            self.dfa
-                .simulate_factors(output.yet.trials(), seed ^ 0xDFA, &|n, task| {
-                    par_map_collect(&self.pool, n, 1, task)
-                })?
-        };
-        riskpipe_obs::counter_add("stage3.dfa_factor_builds", 1);
-        Ok(ModelRun {
-            output: Arc::new(output),
-            join,
-            yelt_rows,
-            dfa_factors,
-        })
+        Ok((output, join, yelt_rows))
     }
 
     /// Stages 2 and 3 on an already-acquired model run; only the
@@ -992,9 +1033,16 @@ impl RiskSession {
         // Sort each YLT loss column exactly once and share the buffers:
         // RiskMeasures, the 100-year PML and the report's retained
         // sorted columns (which sinks fold into pooled sketches in one
-        // weighted merge) all read the same two sorts.
-        let agg_sorted = ylt.sorted_agg_losses();
-        let occ_sorted = ylt.sorted_max_occ_losses();
+        // weighted merge) all read the same two sorts — two pool tasks,
+        // the aggregate column's spawned and the occurrence column's
+        // run here.
+        let mut agg_sorted = Vec::new();
+        // lint: allow(C1) — a waiting scope caller runs queued tasks
+        // (`ThreadPool::scope`), so the wait always makes progress.
+        let occ_sorted = self.pool.scope(|s| {
+            s.spawn(|| agg_sorted = ylt.sorted_agg_losses());
+            ylt.sorted_max_occ_losses()
+        });
         let agg_stats: RunningStats = ylt.agg_losses().iter().copied().collect();
         let measures = RiskMeasures::from_sorted(&agg_sorted, &occ_sorted, &agg_stats);
         let pml_100 = if ylt.trials() >= 100 {

@@ -174,14 +174,16 @@ impl Stage1Cache {
         matches!(*state, SlotState::Ready(_))
     }
 
-    /// Look up `key`; on a miss, obtain the model run (disk tier, else
-    /// `build`), hand it to `derive` for the join and factor block
-    /// cached beside it — and for the write-through, which waits for
-    /// the grids `derive` tabulates so they ride in the same entry
-    /// ([`Stage1Cache::disk_store`]) — and retain the result. Nothing
-    /// is published before `derive` returns, so a disk-tier error takes
-    /// the same retry path as a failed build instead of leaving RAM and
-    /// disk disagreeing.
+    /// Look up `key`; on a miss, run `miss` for the whole entry and
+    /// retain the result. The session's `miss` forks the factor block
+    /// into its own pool task and, beside it, obtains the model run
+    /// ([`Stage1Cache::load_or_build`]: disk tier, else a build), the
+    /// join cached beside it and the write-through, which waits for the
+    /// grids the join's tables tabulate so they ride in the same entry
+    /// ([`Stage1Cache::disk_store`]). Nothing is published before
+    /// `miss` returns — the factor task joined — so a disk-tier error
+    /// takes the same retry path as a failed build instead of leaving
+    /// RAM and disk disagreeing.
     ///
     /// This NEVER blocks on another request's build. Pipeline tasks run
     /// on pool workers whose nested scopes *steal and inline other
@@ -194,13 +196,12 @@ impl Stage1Cache {
     /// finishes first publishes. [`RiskSession::run_stream`](crate::RiskSession::run_stream) holds back
     /// same-key followers until the key's first scenario deposits, so
     /// within one streaming/batch call the redundant path never fires
-    /// and stage 1 — `derive` included — runs exactly once per distinct
+    /// and stage 1 — all of `miss` — runs exactly once per distinct
     /// key.
     pub(crate) fn get_or_build(
         &self,
         key: u64,
-        build: impl FnOnce() -> RiskResult<(Stage1Output, EltGenCounts)>,
-        derive: impl FnOnce(Acquired) -> RiskResult<ModelRun>,
+        miss: impl FnOnce() -> RiskResult<ModelRun>,
     ) -> RiskResult<Arc<ModelRun>> {
         let slot = {
             // lint: allow(C1) — index mutex covers map insert/evict
@@ -241,7 +242,7 @@ impl Stage1Cache {
         }
         self.misses.fetch_add(1, Ordering::Relaxed);
         riskpipe_obs::counter_add("stage1.misses", 1);
-        match self.load_or_build(key, build).and_then(derive) {
+        match miss() {
             Ok(run) => {
                 let run = Arc::new(run);
                 // Sized outside the lock: the footprint is a pure
@@ -274,7 +275,7 @@ impl Stage1Cache {
     /// RAM missed: a complete disk entry serves `key` without a build
     /// (bit-identical — stage 1 is a pure function of the key, and the
     /// codec round trip is exact); otherwise build it.
-    fn load_or_build(
+    pub(crate) fn load_or_build(
         &self,
         key: u64,
         build: impl FnOnce() -> RiskResult<(Stage1Output, EltGenCounts)>,

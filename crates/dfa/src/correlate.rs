@@ -12,21 +12,28 @@
 //!
 //! Iman–Conover hands its independent pieces to a [`TaskMap`] (the
 //! session's pool under [`DfaEngine::simulate_factors`], [`serial_map`]
-//! under [`iman_conover`]) and must return the same bits whatever that
-//! map does with them:
+//! under [`iman_conover`]) as disjoint slices of buffers allocated at
+//! final size, and must return the same bits whatever that map does
+//! with them:
 //!
 //! * **Chunk-addressable** (cut at fixed [`TASK_CHUNK`] row
 //!   boundaries): the van der Waerden scores — `normal_icdf(i / (n+1))`
 //!   is a function of the row index alone; a chunk writes its plotting
 //!   positions and inverts them in place, eight lanes at a time, with
-//!   the scalar quantile's bits — and the `M·A` product,
-//!   whose row `r` reads row `r` of `M` and the k×k matrix `A`, each
-//!   output element its own k-term sum in a fixed order.
-//! * **Column-addressable** (one task per column): step 4's rank-sort
-//!   of the score column, sort of the data column and gather. Column
-//!   `c` reads nothing of column `c'`; both sorts use `total_cmp`, so
-//!   ties are bit-equal and the sorted column does not depend on how
-//!   the sort broke them.
+//!   the scalar quantile's bits — and the `M·A` product, kept
+//!   column-major and cut per (column, row chunk): element `(r, c)`
+//!   reads row `r` of `M` and column `c` of the k×k matrix `A`, its own
+//!   k-term sum in a fixed order.
+//! * **Column-addressable** (one task per column, 2k in all): the k
+//!   sorts of the data columns, in place, ride in the same map call as
+//!   the `M·A` chunks — they read nothing else, and only the sorted
+//!   order is used afterwards. Then step 4 runs k tasks, each sorting
+//!   one score column's `(score, row)` pairs and writing every tie
+//!   group's data value straight over that score column, which becomes
+//!   the output. Column `c` reads nothing of column `c'`; both sorts use
+//!   `total_cmp`, so ties are bit-equal, neither the sorted data nor the
+//!   tie groups depend on how the sort broke them, and a group's value
+//!   depends only on its sorted positions.
 //! * **Order-bound, always serial:** the k Fisher–Yates shuffles draw
 //!   from *one* sequential `Pcg64` — column `c`'s permutation starts
 //!   where column `c − 1`'s stopped, so neither the columns nor the
@@ -39,7 +46,6 @@
 
 use riskpipe_types::rng::{Pcg64, Rng64};
 use riskpipe_types::special::normal_icdf_in_place;
-use riskpipe_types::stats::ranks;
 use riskpipe_types::{RiskError, RiskResult};
 
 /// A symmetric positive-definite correlation matrix (dense, small k).
@@ -153,22 +159,20 @@ fn invert_lower(l: &[f64], k: usize) -> Vec<f64> {
 /// any pool.
 pub const TASK_CHUNK: usize = 8_192;
 
-/// How the factor block runs its independent pieces: `map(n, task)`
-/// calls `task(i)` once for every `i in 0..n` — in any order, on any
-/// threads — and returns the results **in index order**. Taking this as
-/// a parameter keeps the crate free of a thread-pool dependency; the
-/// session passes its pool's `par_map_collect`, everything else passes
-/// [`serial_map`].
-pub type TaskMap<'a> = dyn Fn(usize, &(dyn Fn(usize) -> Vec<f64> + Sync)) -> Vec<Vec<f64>> + 'a;
+/// How the factor block runs its independent pieces: `map(slices,
+/// task)` calls `task(i, slices[i])` once for every `i` — in any order,
+/// on any threads. The caller cuts the slices (disjoint pieces of the
+/// output, mostly [`TASK_CHUNK`] rows each), so every task writes its
+/// result in place at final size. Taking this as a parameter keeps the
+/// crate free of a thread-pool dependency; the session hands each slice
+/// to its own pool task, everything else passes [`serial_map`].
+pub type TaskMap<'a> = dyn Fn(&mut [&mut [f64]], &(dyn Fn(usize, &mut [f64]) + Sync)) + 'a;
 
 /// The in-order, single-threaded [`TaskMap`].
-pub fn serial_map(n: usize, task: &(dyn Fn(usize) -> Vec<f64> + Sync)) -> Vec<Vec<f64>> {
-    (0..n).map(task).collect()
-}
-
-/// Rows `i·TASK_CHUNK ..` of an `n`-row table, clipped to `n`.
-pub(crate) fn chunk_rows(i: usize, n: usize) -> std::ops::Range<usize> {
-    i * TASK_CHUNK..((i + 1) * TASK_CHUNK).min(n)
+pub fn serial_map(slices: &mut [&mut [f64]], task: &(dyn Fn(usize, &mut [f64]) + Sync)) {
+    for (i, slice) in slices.iter_mut().enumerate() {
+        task(i, slice);
+    }
 }
 
 /// Reorder `columns` in place so their Spearman rank correlation
@@ -224,14 +228,16 @@ pub(crate) fn iman_conover_on(
     // 1. Score matrix: van der Waerden scores, independently shuffled
     //    per column (row-major n×k). The scores are a pure function of
     //    the row index; the shuffles share one sequential generator.
-    let base_scores: Vec<f64> = map(chunks, &|i| {
-        let mut scores: Vec<f64> = chunk_rows(i, n)
-            .map(|r| (r + 1) as f64 / (n + 1) as f64)
-            .collect();
-        normal_icdf_in_place(&mut scores);
-        scores
-    })
-    .concat();
+    let mut base_scores = vec![0.0f64; n];
+    map(
+        &mut base_scores.chunks_mut(TASK_CHUNK).collect::<Vec<_>>(),
+        &|i, out| {
+            for (r, score) in (i * TASK_CHUNK..).zip(out.iter_mut()) {
+                *score = (r + 1) as f64 / (n + 1) as f64;
+            }
+            normal_icdf_in_place(out);
+        },
+    );
     let mut rng = Pcg64::new(seed);
     let mut m = vec![0.0f64; n * k];
     for c in 0..k {
@@ -291,42 +297,62 @@ pub(crate) fn iman_conover_on(
             a[p * k + c] = s;
         }
     }
-    // Row r of M* reads row r of M only: one task per row chunk.
-    let m_star: Vec<Vec<f64>> = map(chunks, &|i| {
-        let mut out = Vec::with_capacity(chunk_rows(i, n).len() * k);
-        for r in chunk_rows(i, n) {
-            for c in 0..k {
-                let mut s = 0.0;
-                for p in 0..k {
-                    s += m[r * k + p] * a[p * k + c];
-                }
-                out.push(s);
-            }
+    // M* is kept column-major, one score column per data column:
+    // element (r, c) reads row r of M only, so one task per (column,
+    // row chunk). The data columns' sorts (step 4's first half) ride
+    // along, one task each: they read nothing else, and only their
+    // sorted order is used.
+    let mut scores = vec![vec![0.0f64; n]; k];
+    let mut slices: Vec<&mut [f64]> = scores
+        .iter_mut()
+        .flat_map(|column| column.chunks_mut(TASK_CHUNK))
+        .collect();
+    slices.extend(columns.iter_mut().map(Vec::as_mut_slice));
+    map(&mut slices, &|i, out| {
+        if i >= k * chunks {
+            out.sort_unstable_by(f64::total_cmp);
+            return;
         }
-        out
+        let c = i / chunks;
+        for (r, o) in ((i % chunks) * TASK_CHUNK..).zip(out) {
+            let mut s = 0.0;
+            for p in 0..k {
+                s += m[r * k + p] * a[p * k + c];
+            }
+            *o = s;
+        }
     });
     drop(m);
 
     // 4. Reorder each data column to match the ranks of its score
     //    column: the smallest data value goes where the smallest score
-    //    sits, and so on. Column c reads column c only: one task each.
-    let reordered = map(k, &|c| {
-        let mut score_col = Vec::with_capacity(n);
-        for rows in &m_star {
-            score_col.extend(rows.chunks_exact(k).map(|row| row[c]));
-        }
-        let score_ranks = ranks(&score_col); // 1-based average ranks
-        drop(score_col);
-        let mut sorted = columns[c].clone();
-        sorted.sort_unstable_by(f64::total_cmp);
-        score_ranks
-            .iter()
+    //    sits, and so on. Column c reads column c only: one task each,
+    //    which sorts the column's (score, row) pairs once and writes
+    //    each tie group's value straight over the scores, row by row.
+    //    A group at sorted positions i..=j shares the 1-based average
+    //    rank (i + j)/2 + 1, rounded as `stats::ranks` + `round` would.
+    let sorted: &[Vec<f64>] = columns;
+    let mut slices: Vec<&mut [f64]> = scores.iter_mut().map(Vec::as_mut_slice).collect();
+    map(&mut slices, &|c, out| {
+        let mut pairs: Vec<(f64, usize)> = out.iter().copied().zip(0..).collect();
+        pairs.sort_unstable_by(|x, y| x.0.total_cmp(&y.0));
+        let mut i = 0;
+        while i < n {
+            let mut j = i;
+            while j + 1 < n && pairs[j + 1].0 == pairs[i].0 {
+                j += 1;
+            }
+            let rank = (i + j) as f64 / 2.0 + 1.0;
             // rank 1 → smallest.
-            .map(|rank| sorted[(rank.round() as usize - 1).min(n - 1)])
-            .collect()
+            let value = sorted[c][(rank.round() as usize - 1).min(n - 1)];
+            for &(_, row) in &pairs[i..=j] {
+                out[row] = value;
+            }
+            i = j + 1;
+        }
     });
-    for (col, new) in columns.iter_mut().zip(reordered) {
-        *col = new;
+    for (column, reordered) in columns.iter_mut().zip(scores) {
+        *column = reordered;
     }
     Ok(())
 }

@@ -9,9 +9,9 @@
 //!
 //! **Everything here is chunk-addressable.** A trial's value depends on
 //! its own stream and the model's parameters only — no state is carried
-//! from trial `t` to `t + 1` — so `simulate_range(a..b)` yields exactly
-//! elements `a..b` of `simulate(trials)`, bit for bit, whatever else
-//! has or has not been simulated. The normal-quantile models draw each
+//! from trial `t` to `t + 1` — so `fill(a, out)` writes exactly
+//! elements `a..a + out.len()` of `simulate(trials)`, bit for bit,
+//! whatever else has or has not been simulated. The normal-quantile models draw each
 //! trial's uniforms from its own stream into the output column (Vasicek
 //! into a 16-trial stack block) and then invert them in lanes of eight
 //! with [`normal_icdf_in_place`], which returns the scalar quantile's
@@ -22,8 +22,6 @@
 //! in any order on any number of threads. Nothing in this module is
 //! order-bound; the order-bound pieces of the factor block live in
 //! [`correlate`](crate::correlate).
-
-use std::ops::Range;
 
 use riskpipe_types::dist::{Distribution, LogNormal, Poisson};
 use riskpipe_types::rng::{Rng64, SeedStream};
@@ -36,13 +34,20 @@ fn factor_rng(streams: &SeedStream, factor: u64, trial: u64) -> impl Rng64 {
     streams.stream((factor << 40) ^ trial)
 }
 
-/// The first open uniform of each trial's stream for `factor`, one per
-/// trial of `range`: the input of a single-draw column, which the
-/// column's model then transforms in place.
-fn first_uniforms(streams: &SeedStream, factor: u64, range: Range<usize>) -> Vec<f64> {
-    range
-        .map(|t| factor_rng(streams, factor, t as u64).next_f64_open())
-        .collect()
+/// The first open uniform of each trial's stream for `factor`, written
+/// to `out[t - first]` for trial `t`: the input of a single-draw column,
+/// which the column's model then transforms in place.
+fn first_uniforms(streams: &SeedStream, factor: u64, first: usize, out: &mut [f64]) {
+    for (t, u) in (first..).zip(out.iter_mut()) {
+        *u = factor_rng(streams, factor, t as u64).next_f64_open();
+    }
+}
+
+/// `trials` elements from trial 0 of a column `fill` writes in place.
+fn whole_column(trials: usize, fill: impl FnOnce(&mut [f64])) -> Vec<f64> {
+    let mut column = vec![0.0; trials];
+    fill(&mut column);
+    column
 }
 
 /// Stable factor indices for stream derivation.
@@ -71,18 +76,18 @@ pub struct InvestmentModel {
 impl InvestmentModel {
     /// Per-trial investment income (can be negative).
     pub fn simulate(&self, trials: usize, streams: &SeedStream) -> Vec<f64> {
-        self.simulate_range(0..trials, streams)
+        whole_column(trials, |column| self.fill(0, column, streams))
     }
 
-    /// Elements `range` of [`Self::simulate`].
-    pub(crate) fn simulate_range(&self, range: Range<usize>, streams: &SeedStream) -> Vec<f64> {
-        let mut column = first_uniforms(streams, factor_ids::INVESTMENT, range);
-        normal_icdf_in_place(&mut column);
-        for v in &mut column {
+    /// Elements `first..first + column.len()` of [`Self::simulate`],
+    /// written in place.
+    pub(crate) fn fill(&self, first: usize, column: &mut [f64], streams: &SeedStream) {
+        first_uniforms(streams, factor_ids::INVESTMENT, first, column);
+        normal_icdf_in_place(column);
+        for v in column {
             let gross = ((self.mu - 0.5 * self.sigma * self.sigma) + self.sigma * *v).exp();
             *v = self.assets * (gross - 1.0);
         }
-        column
     }
 }
 
@@ -108,38 +113,37 @@ impl VasicekModel {
 
     /// Per-trial average short rate over 12 monthly steps.
     pub fn simulate(&self, trials: usize, streams: &SeedStream) -> Vec<f64> {
-        self.simulate_range(0..trials, streams)
+        whole_column(trials, |column| self.fill(0, column, streams))
     }
 
-    /// Elements `range` of [`Self::simulate`].
-    pub(crate) fn simulate_range(&self, range: Range<usize>, streams: &SeedStream) -> Vec<f64> {
+    /// Elements `first..first + column.len()` of [`Self::simulate`],
+    /// written in place.
+    pub(crate) fn fill(&self, first: usize, column: &mut [f64], streams: &SeedStream) {
         let dt = 1.0f64 / 12.0;
         let sqdt = dt.sqrt();
-        let mut column = Vec::with_capacity(range.len());
         // Trial-major: a trial's 12 draws sit side by side in draw
         // order, so the recurrence reads them as its stream gave them.
         let mut block = [0.0f64; Self::BLOCK_TRIALS * Self::STEPS];
-        for first in range.clone().step_by(Self::BLOCK_TRIALS) {
-            let trials = (range.end - first).min(Self::BLOCK_TRIALS);
-            let draws = &mut block[..trials * Self::STEPS];
+        for (b, out) in column.chunks_mut(Self::BLOCK_TRIALS).enumerate() {
+            let block_first = first + b * Self::BLOCK_TRIALS;
+            let draws = &mut block[..out.len() * Self::STEPS];
             for (j, year) in draws.chunks_exact_mut(Self::STEPS).enumerate() {
-                let mut rng = factor_rng(streams, factor_ids::RATES, (first + j) as u64);
+                let mut rng = factor_rng(streams, factor_ids::RATES, (block_first + j) as u64);
                 for z in year {
                     *z = rng.next_f64_open();
                 }
             }
             normal_icdf_in_place(draws);
-            for year in draws.chunks_exact(Self::STEPS) {
+            for (year, v) in draws.chunks_exact(Self::STEPS).zip(out) {
                 let mut r = self.r0;
                 let mut sum = 0.0;
                 for &z in year {
                     r += self.kappa * (self.theta - r) * dt + self.sigma * sqdt * z;
                     sum += r;
                 }
-                column.push(sum / 12.0);
+                *v = sum / 12.0;
             }
         }
-        column
     }
 }
 
@@ -156,17 +160,17 @@ pub struct MarketCycleModel {
 impl MarketCycleModel {
     /// Per-trial premium adequacy factor.
     pub fn simulate(&self, trials: usize, streams: &SeedStream) -> Vec<f64> {
-        self.simulate_range(0..trials, streams)
+        whole_column(trials, |column| self.fill(0, column, streams))
     }
 
-    /// Elements `range` of [`Self::simulate`].
-    pub(crate) fn simulate_range(&self, range: Range<usize>, streams: &SeedStream) -> Vec<f64> {
-        let mut column = first_uniforms(streams, factor_ids::CYCLE, range);
-        normal_icdf_in_place(&mut column);
-        for v in &mut column {
+    /// Elements `first..first + column.len()` of [`Self::simulate`],
+    /// written in place.
+    pub(crate) fn fill(&self, first: usize, column: &mut [f64], streams: &SeedStream) {
+        first_uniforms(streams, factor_ids::CYCLE, first, column);
+        normal_icdf_in_place(column);
+        for v in column {
             *v = self.mean_factor * (self.sigma * *v - 0.5 * self.sigma * self.sigma).exp();
         }
-        column
     }
 }
 
@@ -184,21 +188,20 @@ pub struct CounterpartyModel {
 impl CounterpartyModel {
     /// Per-trial fraction of recoverables *lost* (0 when no default).
     pub fn simulate(&self, trials: usize, streams: &SeedStream) -> Vec<f64> {
-        self.simulate_range(0..trials, streams)
+        whole_column(trials, |column| self.fill(0, column, streams))
     }
 
-    /// Elements `range` of [`Self::simulate`].
-    pub(crate) fn simulate_range(&self, range: Range<usize>, streams: &SeedStream) -> Vec<f64> {
-        range
-            .map(|t| {
-                let mut rng = factor_rng(streams, factor_ids::COUNTERPARTY, t as u64);
-                if rng.next_f64() < self.default_prob {
-                    1.0 - self.recovery_rate
-                } else {
-                    0.0
-                }
-            })
-            .collect()
+    /// Elements `first..first + column.len()` of [`Self::simulate`],
+    /// written in place.
+    pub(crate) fn fill(&self, first: usize, column: &mut [f64], streams: &SeedStream) {
+        for (t, v) in (first..).zip(column) {
+            let mut rng = factor_rng(streams, factor_ids::COUNTERPARTY, t as u64);
+            *v = if rng.next_f64() < self.default_prob {
+                1.0 - self.recovery_rate
+            } else {
+                0.0
+            };
+        }
     }
 }
 
@@ -216,20 +219,19 @@ pub struct OperationalModel {
 impl OperationalModel {
     /// Per-trial total operational loss.
     pub fn simulate(&self, trials: usize, streams: &SeedStream) -> Vec<f64> {
-        self.simulate_range(0..trials, streams)
+        whole_column(trials, |column| self.fill(0, column, streams))
     }
 
-    /// Elements `range` of [`Self::simulate`].
-    pub(crate) fn simulate_range(&self, range: Range<usize>, streams: &SeedStream) -> Vec<f64> {
+    /// Elements `first..first + column.len()` of [`Self::simulate`],
+    /// written in place.
+    pub(crate) fn fill(&self, first: usize, column: &mut [f64], streams: &SeedStream) {
         let freq = Poisson::new(self.frequency.max(1e-12));
         let sev = LogNormal::from_mean_cv(self.severity_mean, self.severity_cv);
-        range
-            .map(|t| {
-                let mut rng = factor_rng(streams, factor_ids::OPERATIONAL, t as u64);
-                let n = freq.sample_count(&mut rng);
-                (0..n).map(|_| sev.sample(&mut rng)).sum()
-            })
-            .collect()
+        for (t, v) in (first..).zip(column) {
+            let mut rng = factor_rng(streams, factor_ids::OPERATIONAL, t as u64);
+            let n = freq.sample_count(&mut rng);
+            *v = (0..n).map(|_| sev.sample(&mut rng)).sum();
+        }
     }
 }
 
@@ -247,17 +249,17 @@ pub struct ReserveModel {
 impl ReserveModel {
     /// Per-trial adverse development.
     pub fn simulate(&self, trials: usize, streams: &SeedStream) -> Vec<f64> {
-        self.simulate_range(0..trials, streams)
+        whole_column(trials, |column| self.fill(0, column, streams))
     }
 
-    /// Elements `range` of [`Self::simulate`].
-    pub(crate) fn simulate_range(&self, range: Range<usize>, streams: &SeedStream) -> Vec<f64> {
-        let mut column = first_uniforms(streams, factor_ids::RESERVE, range);
-        LogNormal::from_mean_cv(1.0, self.cv).quantiles_in_place(&mut column);
-        for v in &mut column {
+    /// Elements `first..first + column.len()` of [`Self::simulate`],
+    /// written in place.
+    pub(crate) fn fill(&self, first: usize, column: &mut [f64], streams: &SeedStream) {
+        first_uniforms(streams, factor_ids::RESERVE, first, column);
+        LogNormal::from_mean_cv(1.0, self.cv).quantiles_in_place(column);
+        for v in column {
             *v = self.reserves * (*v - 1.0);
         }
-        column
     }
 }
 
@@ -275,7 +277,7 @@ impl AttritionalModel {
     /// Validate and simulate per-trial attritional losses.
     pub fn simulate(&self, trials: usize, streams: &SeedStream) -> RiskResult<Vec<f64>> {
         self.validate()?;
-        Ok(self.simulate_range(0..trials, streams))
+        Ok(whole_column(trials, |column| self.fill(0, column, streams)))
     }
 
     pub(crate) fn validate(&self) -> RiskResult<()> {
@@ -287,12 +289,11 @@ impl AttritionalModel {
         Ok(())
     }
 
-    /// Elements `range` of [`Self::simulate`]; the caller has run
-    /// [`Self::validate`].
-    pub(crate) fn simulate_range(&self, range: Range<usize>, streams: &SeedStream) -> Vec<f64> {
-        let mut column = first_uniforms(streams, factor_ids::ATTRITIONAL, range);
-        LogNormal::from_mean_cv(self.expected, self.cv).quantiles_in_place(&mut column);
-        column
+    /// Elements `first..first + column.len()` of [`Self::simulate`],
+    /// written in place; the caller has run [`Self::validate`].
+    pub(crate) fn fill(&self, first: usize, column: &mut [f64], streams: &SeedStream) {
+        first_uniforms(streams, factor_ids::ATTRITIONAL, first, column);
+        LogNormal::from_mean_cv(self.expected, self.cv).quantiles_in_place(column);
     }
 }
 

@@ -20,9 +20,7 @@
 //! markets, and keeping the alignment preserves drill-down back to the
 //! event level).
 
-use crate::correlate::{
-    chunk_rows, iman_conover_on, serial_map, CorrelationMatrix, TaskMap, TASK_CHUNK,
-};
+use crate::correlate::{iman_conover_on, serial_map, CorrelationMatrix, TaskMap, TASK_CHUNK};
 use crate::factors::{
     AttritionalModel, CounterpartyModel, InvestmentModel, MarketCycleModel, OperationalModel,
     ReserveModel, VasicekModel,
@@ -167,7 +165,8 @@ impl DfaEngine {
     /// seven factor columns for `trials` trials under `seed`, the five
     /// market/underwriting ones already reordered by Iman–Conover. The
     /// independent pieces — each factor column in [`TASK_CHUNK`]-trial
-    /// chunks, then the pieces of Iman–Conover that
+    /// slices, written in place into columns allocated at final size,
+    /// then the pieces of Iman–Conover that
     /// [`correlate`](crate::correlate) lists — run through `map`; the
     /// block is bit-identical for every conforming [`TaskMap`].
     pub fn simulate_factors(
@@ -191,23 +190,25 @@ impl DfaEngine {
         let streams = SeedStream::new(seed);
 
         // Simulate the factor columns, in `DfaFactors::columns` order:
-        // task i is chunk i % chunks of column i / chunks.
+        // slice i is chunk i % chunks of column i / chunks.
         let chunks = trials.div_ceil(TASK_CHUNK);
-        let mut pieces = map(7 * chunks, &|i| {
-            let range = chunk_rows(i % chunks, trials);
+        let mut columns: [Vec<f64>; 7] = std::array::from_fn(|_| vec![0.0; trials]);
+        let mut slices: Vec<&mut [f64]> = columns
+            .iter_mut()
+            .flat_map(|column| column.chunks_mut(TASK_CHUNK))
+            .collect();
+        map(&mut slices, &|i, out| {
+            let first = (i % chunks) * TASK_CHUNK;
             match i / chunks {
-                0 => self.investment.simulate_range(range, &streams),
-                1 => self.rates.simulate_range(range, &streams),
-                2 => self.cycle.simulate_range(range, &streams),
-                3 => attritional.simulate_range(range, &streams),
-                4 => self.reserve.simulate_range(range, &streams),
-                5 => self.counterparty.simulate_range(range, &streams),
-                _ => self.operational.simulate_range(range, &streams),
+                0 => self.investment.fill(first, out, &streams),
+                1 => self.rates.fill(first, out, &streams),
+                2 => self.cycle.fill(first, out, &streams),
+                3 => attritional.fill(first, out, &streams),
+                4 => self.reserve.fill(first, out, &streams),
+                5 => self.counterparty.fill(first, out, &streams),
+                _ => self.operational.fill(first, out, &streams),
             }
-        })
-        .into_iter();
-        let mut columns: [Vec<f64>; 7] =
-            std::array::from_fn(|_| pieces.by_ref().take(chunks).collect::<Vec<_>>().concat());
+        });
 
         // Correlate the market/underwriting columns.
         let shuffle_seed = streams.derive(0xC0_44);
@@ -230,29 +231,27 @@ impl DfaEngine {
         let c = &self.company;
         let [investment, rates, cycle, attritional, reserve_dev, counterparty, operational] =
             &factors.columns;
-        let mut net_income = Vec::with_capacity(trials);
-        let mut ending_capital = Vec::with_capacity(trials);
-        let mut underwriting = Vec::with_capacity(trials);
-        for (t, &cat_gross) in cat_ylt.agg_losses().iter().enumerate() {
-            let (uw, ni) = trial_result(
-                c,
-                cat_gross,
-                cycle[t],
-                attritional[t],
-                reserve_dev[t],
-                counterparty[t],
-                operational[t],
-                investment[t],
-                rates[t],
-            );
-            underwriting.push(uw);
-            net_income.push(ni);
-            ending_capital.push(c.initial_capital + ni);
-        }
+        let net_income = cat_ylt
+            .agg_losses()
+            .iter()
+            .enumerate()
+            .map(|(t, &cat_gross)| {
+                trial_result(
+                    c,
+                    cat_gross,
+                    cycle[t],
+                    attritional[t],
+                    reserve_dev[t],
+                    counterparty[t],
+                    operational[t],
+                    investment[t],
+                    rates[t],
+                )
+                .1
+            })
+            .collect();
         Ok(DfaResult {
             net_income,
-            ending_capital,
-            underwriting_result: underwriting,
             initial_capital: c.initial_capital,
         })
     }
@@ -323,11 +322,8 @@ pub(crate) fn trial_result(
 pub struct DfaResult {
     /// Net income per trial.
     pub net_income: Vec<f64>,
-    /// Ending capital per trial.
-    pub ending_capital: Vec<f64>,
-    /// Underwriting result (pre-investment) per trial.
-    pub underwriting_result: Vec<f64>,
-    /// Starting capital (for ruin).
+    /// Starting capital (for ruin: ending capital is starting capital
+    /// plus net income).
     pub initial_capital: f64,
 }
 
@@ -339,7 +335,11 @@ impl DfaResult {
 
     /// Probability that ending capital is negative.
     pub fn prob_ruin(&self) -> f64 {
-        let ruined = self.ending_capital.iter().filter(|&&c| c < 0.0).count();
+        let ruined = self
+            .net_income
+            .iter()
+            .filter(|&&ni| self.initial_capital + ni < 0.0)
+            .count();
         ruined as f64 / self.trials() as f64
     }
 
@@ -482,10 +482,32 @@ mod tests {
     }
 
     /// A conforming [`TaskMap`] that runs the tasks last to first.
-    fn reverse_map(n: usize, task: &(dyn Fn(usize) -> Vec<f64> + Sync)) -> Vec<Vec<f64>> {
-        let mut out: Vec<Vec<f64>> = (0..n).rev().map(task).collect();
-        out.reverse();
-        out
+    fn reverse_map(slices: &mut [&mut [f64]], task: &(dyn Fn(usize, &mut [f64]) + Sync)) {
+        for (i, slice) in slices.iter_mut().enumerate().rev() {
+            task(i, slice);
+        }
+    }
+
+    /// `(underwriting result, net income)` per trial of `ylt`, from the
+    /// shared accounting identity over `block`.
+    fn trial_statements(engine: &DfaEngine, block: &DfaFactors, ylt: &Ylt) -> Vec<(f64, f64)> {
+        let [investment, rates, cycle, attritional, reserve_dev, counterparty, operational] =
+            block.columns();
+        (0..ylt.trials())
+            .map(|t| {
+                trial_result(
+                    &engine.company,
+                    ylt.agg_losses()[t],
+                    cycle[t],
+                    attritional[t],
+                    reserve_dev[t],
+                    counterparty[t],
+                    operational[t],
+                    investment[t],
+                    rates[t],
+                )
+            })
+            .collect()
     }
 
     fn column_bits(factors: &DfaFactors) -> Vec<Vec<u64>> {
@@ -561,11 +583,16 @@ mod tests {
         let split = engine.apply(&block, &ylt).unwrap();
         let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         assert_eq!(bits(&whole.net_income), bits(&split.net_income));
-        assert_eq!(
-            bits(&whole.underwriting_result),
-            bits(&split.underwriting_result)
-        );
-        assert_eq!(bits(&whole.ending_capital), bits(&split.ending_capital));
+        // Net income is the identity's second half, trial by trial, and
+        // ruin is read off ending capital = starting capital + it.
+        let statements = trial_statements(&engine, &block, &ylt);
+        let ni: Vec<f64> = statements.iter().map(|&(_, ni)| ni).collect();
+        assert_eq!(bits(&ni), bits(&split.net_income));
+        let ruined = ni
+            .iter()
+            .filter(|&&ni| engine.company.initial_capital + ni < 0.0)
+            .count();
+        assert_eq!(split.prob_ruin(), ruined as f64 / 3_000.0);
         // One block serves any YLT of its length.
         let heavier = engine.apply(&block, &cat_ylt(3_000, 9.0)).unwrap();
         assert!(heavier.mean_net_income() < split.mean_net_income());
@@ -589,15 +616,18 @@ mod tests {
     #[test]
     fn underwriting_and_financial_components_add_up() {
         let engine = DfaEngine::typical(CompanyConfig::typical());
-        let result = engine.run(&cat_ylt(1_000, 2.0), 3).unwrap();
+        let ylt = cat_ylt(1_000, 2.0);
+        let result = engine.run(&ylt, 3).unwrap();
+        let block = engine.simulate_factors(1_000, 3, &serial_map).unwrap();
+        let statements = trial_statements(&engine, &block, &ylt);
         // net income − underwriting = financial result, which should be
         // investment-driven: centred near 5% of assets + rate on
         // reserves and identical in distribution across trials.
         let fin: Vec<f64> = result
             .net_income
             .iter()
-            .zip(&result.underwriting_result)
-            .map(|(ni, uw)| ni - uw)
+            .zip(&statements)
+            .map(|(ni, (uw, _))| ni - uw)
             .collect();
         let stats: RunningStats = fin.iter().copied().collect();
         let c = CompanyConfig::typical();

@@ -12,7 +12,7 @@ use riskpipe::core::{
     Stage1CacheStats, SweepSummary,
 };
 use riskpipe::dfa::{serial_map, CompanyConfig, DfaEngine, TASK_CHUNK};
-use riskpipe::exec::par_map_collect;
+use riskpipe::exec::par_chunks_mut;
 use riskpipe::exec::ThreadPool;
 use riskpipe::obs::Telemetry;
 use riskpipe::types::{RiskError, RiskResult};
@@ -679,8 +679,8 @@ fn grids_of_another_size_are_rederived_not_reported_corrupt() -> RiskResult<()> 
 
 #[test]
 fn dfa_factor_block_is_bit_identical_on_any_pool() -> RiskResult<()> {
-    // The session builds the block through its pool's
-    // `par_map_collect`; `DfaEngine::run` builds it serially. Same
+    // The session hands each slice of the block to its own pool task;
+    // `DfaEngine::run` builds it serially. Same
     // columns, bit for bit, at trial counts on both sides of every
     // chunk seam.
     let engine = DfaEngine::typical(CompanyConfig::typical());
@@ -699,7 +699,9 @@ fn dfa_factor_block_is_bit_identical_on_any_pool() -> RiskResult<()> {
     ] {
         let want = bits(trials, &serial_map)?;
         for pool in &pools {
-            let got = bits(trials, &|n, task| par_map_collect(pool, n, 1, task))?;
+            let got = bits(trials, &|slices, task| {
+                par_chunks_mut(pool, slices, 1, |i, slice| task(i, slice[0]))
+            })?;
             assert!(
                 got == want,
                 "{trials} trials on {} threads",
@@ -712,15 +714,45 @@ fn dfa_factor_block_is_bit_identical_on_any_pool() -> RiskResult<()> {
 
 #[test]
 fn too_few_trials_for_dfa_is_a_named_error_not_a_blamed_matrix() -> RiskResult<()> {
-    let session = RiskSession::builder().pool_threads(2).build()?;
-    let err = session
-        .run(&scenario(231).with_trials(3))
-        .expect_err("3 trials cannot carry a 5-column Iman–Conover");
-    assert!(matches!(err, RiskError::InvalidParameter(_)), "{err}");
-    let msg = err.to_string();
-    assert!(msg.contains("at least 6 trials, got 3"), "{msg}");
-    // The failed key is not poisoned, and the minimum really is 6.
-    assert!(session.run(&scenario(231).with_trials(3)).is_err());
-    assert_eq!(session.run(&scenario(231).with_trials(6))?.ylt.trials(), 6);
+    // The factor block is a pool task of its own beside the stage-1
+    // chain. On one worker the leader must run it itself: `run` leads
+    // from the caller's thread, a stream from the only worker.
+    let bad = scenario(231).with_trials(3);
+    for threads in [1, 2] {
+        let session = RiskSession::builder().pool_threads(threads).build()?;
+        let errors = [
+            session.run(&bad),
+            collect_stream(&session, std::slice::from_ref(&bad)).map(|mut r| r.remove(0)),
+            session.run(&bad),
+        ];
+        for err in errors {
+            let err = err.expect_err("3 trials cannot carry a 5-column Iman–Conover");
+            assert!(matches!(err, RiskError::InvalidParameter(_)), "{err}");
+            let msg = err.to_string();
+            assert_eq!(
+                msg, "invalid parameter: DFA needs at least 6 trials, got 3",
+                "{threads} threads"
+            );
+        }
+        // Nothing was published for the failed key — every attempt
+        // missed, and no entry is charged a byte — so it is not
+        // poisoned: the session then runs valid scenarios (the minimum
+        // really is 6) bit for bit as a fresh session does.
+        let stats = session.stage1_cache_stats();
+        assert_eq!(
+            (stats.misses, stats.hits, stats.bytes),
+            (3, 0, 0),
+            "{threads} threads"
+        );
+        for valid in [scenario(231).with_trials(6), scenario(231)] {
+            let fresh = RiskSession::builder().pool_threads(threads).build()?;
+            assert_eq!(
+                result_bits(&session.run(&valid)?),
+                result_bits(&fresh.run(&valid)?),
+                "{threads} threads, {} trials",
+                valid.trials
+            );
+        }
+    }
     Ok(())
 }

@@ -362,23 +362,32 @@ fn span_tree_covers_every_stage_of_a_full_plan() -> RiskResult<()> {
 
     // The secondary tables, the join of the books, the YELT row count
     // and the DFA factor block belong to the cached model run: each
-    // build is a child of its key's `stage1.acquire`, keyed by
-    // `stage1_key` — siblings, tables first.
-    for derived in snap
-        .spans_named("stage2.secondary")
-        .chain(snap.spans_named("stage2.join"))
-        .chain(snap.spans_named("stage2.yelt_count"))
-        .chain(snap.spans_named("stage3.dfa_factors"))
-    {
+    // build is keyed by `stage1_key` and runs inside its key's
+    // `stage1.acquire`. The first three are children of the acquire on
+    // its thread — siblings, tables first. The factor block is a pool
+    // task of its own beside them, so it may run on any thread, at any
+    // depth: only its key and its time window are pinned.
+    let acquire_of = |derived: &riskpipe::obs::SpanRecord| {
+        assert!(scenarios.iter().any(|s| s.stage1_key() == derived.key));
         let parent = snap
             .spans_named("stage1.acquire")
             .find(|a| a.key == derived.key)
             .expect("an acquire span for the same stage-1 key");
-        assert!(scenarios.iter().any(|s| s.stage1_key() == derived.key));
-        assert_eq!(parent.thread, derived.thread);
-        assert_eq!(parent.depth + 1, derived.depth);
         assert!(parent.start_ns <= derived.start_ns);
         assert!(derived.start_ns + derived.dur_ns <= parent.start_ns + parent.dur_ns);
+        parent
+    };
+    for derived in snap
+        .spans_named("stage2.secondary")
+        .chain(snap.spans_named("stage2.join"))
+        .chain(snap.spans_named("stage2.yelt_count"))
+    {
+        let parent = acquire_of(derived);
+        assert_eq!(parent.thread, derived.thread);
+        assert_eq!(parent.depth + 1, derived.depth);
+    }
+    for factors in snap.spans_named("stage3.dfa_factors") {
+        acquire_of(factors);
     }
 
     // Stitched order is deterministic: thread-then-sequence.

@@ -20,10 +20,16 @@
 //!    intensity of 0 and so falls back to the cut-off alone.
 //! 2. **Candidates.** A per-book location index (`index.rs`, built in
 //!    O(locations), dropped with the model) lists the locations within
-//!    that radius, in ascending location index.
-//! 3. **Exact chain.** Each candidate runs `pair_loss` — the one
-//!    place `site_intensity → mean_damage_ratio → location_loss` is
-//!    written — and the survivors are accumulated.
+//!    that radius, in ascending location index (read off a bitset, not
+//!    sorted).
+//! 3. **Exact chain.** The candidates run `for_each_pair_loss` — the
+//!    one place `distance → intensity → mean_damage_ratio →
+//!    location_loss` is written — in lanes of eight: each stage is one
+//!    loop over a block, so the libm calls of different candidates
+//!    overlap instead of queueing behind one another. The survivors
+//!    leave the block one at a time, in candidate order, and are
+//!    accumulated. `rapid_estimate` runs the same kernel over a whole
+//!    book.
 //!
 //! **Skip rule.** A pair is left out only when the chain would have
 //! ended at one of its three early exits (intensity ≤ 0, damage ratio
@@ -35,7 +41,9 @@
 //! event × location loop used, so every floating-point accumulator sees
 //! the same addends in the same order and every ELT row is bit-identical
 //! to that loop's (the loop itself survives as the oracle in
-//! `tests/elt_oracle.rs`).
+//! `tests/elt_oracle.rs`). Lanes do not disturb it: every lane computes
+//! its pair's values with the very calls the one-pair chain makes, and
+//! only the hand-off to the accumulator — which is in order — adds.
 //!
 //! The generator parallelises over (book, event) pairs — each is
 //! independent — in one pool scope for all books of a model run, and
@@ -45,7 +53,7 @@
 use crate::catalog::{CatalogEvent, EventCatalog};
 use crate::exposure::{ExposureLocation, ExposurePortfolio};
 use crate::financial::{location_loss, location_max_loss};
-use crate::hazard::{distance_at_intensity, site_intensity};
+use crate::hazard::{distance_at_intensity, intensity_at_distance};
 use crate::index::ExposureIndex;
 use crate::vulnerability::ConstructionClass;
 use crate::yetgen::{simulate_yet, YetConfig};
@@ -53,6 +61,7 @@ use riskpipe_exec::{par_map_collect, suggest_grain, ThreadPool};
 use riskpipe_tables::elt::{Elt, EltBuilder, EltRecord};
 use riskpipe_tables::yet::YearEventTable;
 use riskpipe_types::{LocationId, RiskResult};
+use std::array::from_fn;
 use std::sync::Arc;
 
 /// Configuration of the ELT generator.
@@ -104,23 +113,74 @@ pub(crate) struct PairLoss {
     pub(crate) loss: f64,
 }
 
-/// The exact hazard → vulnerability → financial chain for one
-/// (event, location) pair, or `None` at any of its three early exits.
-#[inline]
-pub(crate) fn pair_loss(event: &CatalogEvent, loc: &ExposureLocation) -> Option<PairLoss> {
-    let intensity = site_intensity(event, &loc.position);
-    if intensity <= 0.0 {
-        return None;
+/// Candidates per block of [`for_each_pair_loss`].
+const LANES: usize = 8;
+
+/// The exact hazard → vulnerability → financial chain for `event` at
+/// each of `candidates` (indices into `locations`), eight at a time.
+/// `f` gets every pair that passes the chain's three early exits
+/// (intensity ≤ 0, damage ratio ≤ 0, insured loss ≤ 0), one at a time
+/// in candidate order. Returns how many candidates ran the chain.
+///
+/// This is the one place the chain is written. Each of its stages —
+/// distance, intensity, mean damage ratio, loss — runs as one loop over
+/// a block, so the `sqrt`, `ln` / `exp` calls of different lanes do not
+/// wait on each other. Every lane calls the same functions on the same
+/// operands as one pair on its own would, so the values are the same
+/// bits; a lane past an early exit still runs the later stages (on
+/// intensity ≤ 0 the damage ratio is 0, and a zero ratio pays nothing)
+/// and is dropped at the hand-off.
+pub(crate) fn for_each_pair_loss(
+    event: &CatalogEvent,
+    locations: &[ExposureLocation],
+    candidates: impl IntoIterator<Item = usize>,
+    mut f: impl FnMut(&ExposureLocation, PairLoss),
+) -> u64 {
+    let mut block = [0usize; LANES];
+    let mut filled = 0;
+    let mut pairs = 0u64;
+    for i in candidates {
+        block[filled] = i;
+        filled += 1;
+        if filled == LANES {
+            chain_lanes(event, locations, &block, &mut f);
+            pairs += LANES as u64;
+            filled = 0;
+        }
     }
-    let mdr = loc.construction.mean_damage_ratio(intensity);
-    if mdr <= 0.0 {
-        return None;
+    chain_lanes(event, locations, &block[..filled], &mut f);
+    pairs + filled as u64
+}
+
+/// [`for_each_pair_loss`] over one block of at most [`LANES`]
+/// candidates, stage by stage. A short block is padded with its first
+/// location, whose extra lanes are never handed out.
+fn chain_lanes(
+    event: &CatalogEvent,
+    locations: &[ExposureLocation],
+    ids: &[usize],
+    f: &mut impl FnMut(&ExposureLocation, PairLoss),
+) {
+    let Some(&first) = ids.first() else {
+        return;
+    };
+    let locs: [&ExposureLocation; LANES] =
+        from_fn(|lane| &locations[ids.get(lane).copied().unwrap_or(first)]);
+    let distance = locs.map(|loc| event.center.distance_km(&loc.position));
+    // The peril is the event's, so every lane takes the same branch.
+    let intensity = distance.map(|d| intensity_at_distance(event.peril, event.magnitude, d));
+    let mdr: [f64; LANES] =
+        from_fn(|lane| locs[lane].construction.mean_damage_ratio(intensity[lane]));
+    let loss: [f64; LANES] = from_fn(|lane| location_loss(locs[lane], mdr[lane]));
+    for lane in 0..ids.len() {
+        if intensity[lane] > 0.0 && mdr[lane] > 0.0 && loss[lane] > 0.0 {
+            let pair = PairLoss {
+                mdr: mdr[lane],
+                loss: loss[lane],
+            };
+            f(locs[lane], pair);
+        }
     }
-    let loss = location_loss(loc, mdr);
-    if loss <= 0.0 {
-        return None;
-    }
-    Some(PairLoss { mdr, loss })
 }
 
 /// Running loss moments of one event over the locations it damages,
@@ -205,21 +265,15 @@ impl<'a> GroundUpModel<'a> {
     fn for_each_damaged(
         &self,
         event: &CatalogEvent,
-        mut f: impl FnMut(&ExposureLocation, PairLoss),
+        f: impl FnMut(&ExposureLocation, PairLoss),
     ) -> u64 {
         let Some(reach) = distance_at_intensity(event.peril, event.magnitude, self.pay_intensity)
         else {
             return 0;
         };
         let candidates = self.index.within(event.center, reach);
-        let locations = self.exposure.locations();
-        for &i in &candidates {
-            let loc = &locations[i as usize];
-            if let Some(pair) = pair_loss(event, loc) {
-                f(loc, pair);
-            }
-        }
-        candidates.len() as u64
+        let ids = candidates.iter().map(|&i| i as usize);
+        for_each_pair_loss(event, self.exposure.locations(), ids, f)
     }
 
     /// Stream the mean insured loss of every affected location for one
@@ -391,6 +445,123 @@ mod tests {
     use super::*;
     use crate::catalog::CatalogConfig;
     use crate::exposure::ExposureConfig;
+    use crate::geo::GeoPoint;
+    use crate::hazard::site_intensity;
+    use crate::peril::Peril;
+    use riskpipe_types::EventId;
+
+    /// How the scalar chain ends for one pair.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    enum Exit {
+        Intensity,
+        Ratio,
+        Loss,
+        Pays { mdr: u64, loss: u64 },
+    }
+
+    /// The chain one pair at a time, with its early exits as branches:
+    /// the lane kernel's oracle.
+    fn scalar_chain(event: &CatalogEvent, loc: &ExposureLocation) -> Exit {
+        let intensity = site_intensity(event, &loc.position);
+        if intensity <= 0.0 {
+            return Exit::Intensity;
+        }
+        let mdr = loc.construction.mean_damage_ratio(intensity);
+        if mdr <= 0.0 {
+            return Exit::Ratio;
+        }
+        let loss = location_loss(loc, mdr);
+        if loss <= 0.0 {
+            return Exit::Loss;
+        }
+        Exit::Pays {
+            mdr: mdr.to_bits(),
+            loss: loss.to_bits(),
+        }
+    }
+
+    /// Blocks of 0, 1, 7, 8, 9, 16 and 17 candidates whose lanes end at
+    /// every exit of the chain — intensity ≤ 0 (past the footprint),
+    /// damage ratio ≤ 0 (an intensity too small to lift the logistic
+    /// off its floor), insured loss ≤ 0 (a deductible as large as the
+    /// TIV) — or pay, in every lane position: the kernel hands out
+    /// exactly the oracle's survivors, in candidate order, with the
+    /// oracle's bits.
+    #[test]
+    fn lane_kernel_matches_the_scalar_chain_at_every_block_seam() {
+        let event = |peril, magnitude| CatalogEvent {
+            id: EventId::new(0),
+            peril,
+            rate: 0.01,
+            magnitude,
+            center: GeoPoint::new(0.0, 0.0),
+        };
+        // Five kinds of site (km east of the centre, class, deductible
+        // ratio), cycled over a book of 41 with a period prime to the
+        // block width.
+        let kinds: [(f64, ConstructionClass, f64); 5] = [
+            (0.0, ConstructionClass::Masonry, 0.0),
+            (450.0, ConstructionClass::Wood, 0.0),
+            (350.0, ConstructionClass::Steel, 0.0),
+            (5.0, ConstructionClass::Wood, 1.0),
+            (20.0, ConstructionClass::Concrete, 0.0),
+        ];
+        let locations: Vec<ExposureLocation> = (0..41u32)
+            .map(|i| {
+                let (x, construction, ratio) = kinds[i as usize % kinds.len()];
+                let tiv = 1.0e6 + 1_000.0 * f64::from(i);
+                ExposureLocation {
+                    id: LocationId::new(i),
+                    position: GeoPoint::new(x, 0.0),
+                    tiv,
+                    construction,
+                    deductible: tiv * ratio,
+                    limit: tiv * 0.8,
+                }
+            })
+            .collect();
+        // A hurricane so weak that 350 km out its intensity, though
+        // positive, vanishes against the logistic's midpoint (damage
+        // ratio 0), beside two ordinary events.
+        let faint = event(Peril::Hurricane, 1e-14);
+        let events = [
+            faint,
+            event(Peril::Earthquake, 7.0),
+            event(Peril::Hurricane, 8.5),
+        ];
+        let faint_exits: Vec<Exit> = locations[..17]
+            .iter()
+            .map(|l| scalar_chain(&faint, l))
+            .collect();
+        for want in [Exit::Intensity, Exit::Ratio, Exit::Loss] {
+            assert!(faint_exits.contains(&want), "fixture: no {want:?} exit");
+        }
+        for event in &events {
+            let exits: Vec<Exit> = locations.iter().map(|l| scalar_chain(event, l)).collect();
+            let paying = exits.iter().filter(|e| matches!(e, Exit::Pays { .. }));
+            assert!(paying.count() >= 16, "fixture: too few paying sites");
+            for count in [0usize, 1, 7, 8, 9, 16, 17] {
+                for stride in [1usize, 2] {
+                    let candidates: Vec<usize> = (0..count).map(|k| k * stride).collect();
+                    let mut got = Vec::new();
+                    let pairs =
+                        for_each_pair_loss(event, &locations, candidates.clone(), |l, p| {
+                            got.push((l.id, p.mdr.to_bits(), p.loss.to_bits()))
+                        });
+                    let want: Vec<_> = candidates
+                        .iter()
+                        .filter_map(|&i| match exits[i] {
+                            Exit::Pays { mdr, loss } => Some((locations[i].id, mdr, loss)),
+                            _ => None,
+                        })
+                        .collect();
+                    let label = format!("{} {count} candidates, stride {stride}", event.peril);
+                    assert_eq!(pairs, count as u64, "{label}");
+                    assert_eq!(got, want, "{label}");
+                }
+            }
+        }
+    }
 
     fn small_inputs() -> (EventCatalog, ExposurePortfolio) {
         let cat = EventCatalog::generate(&CatalogConfig {

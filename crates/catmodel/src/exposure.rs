@@ -11,6 +11,10 @@ use riskpipe_types::dist::{Distribution, LogNormal, Normal, Uniform};
 use riskpipe_types::rng::{Rng64, SplitMix64};
 use riskpipe_types::{LocationId, RiskError, RiskResult};
 
+/// Locations per block of [`ExposurePortfolio::generate`]'s quantile
+/// inversions.
+const BLOCK: usize = 8;
+
 /// One insured location.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ExposureLocation {
@@ -95,6 +99,15 @@ pub struct ExposurePortfolio {
 
 impl ExposurePortfolio {
     /// Generate from a configuration.
+    ///
+    /// Each location draws, in this order, its cluster (`next_below`),
+    /// the two scatter offsets and its TIV (`next_f64_open` each) and
+    /// its construction class (`next_f64`); the draw order is part of
+    /// the output and fixed. The three normal quantiles are inverted a
+    /// block of eight locations at a time
+    /// ([`Normal::quantiles_in_place`], [`LogNormal::quantiles_in_place`]),
+    /// which returns the scalar quantiles' bits, so the portfolio is
+    /// the one location-at-a-time sampling gives.
     pub fn generate(cfg: &ExposureConfig) -> RiskResult<Self> {
         if cfg.locations == 0 {
             return Err(RiskError::invalid("exposure needs at least one location"));
@@ -125,23 +138,36 @@ impl ExposurePortfolio {
 
         let mut locations = Vec::with_capacity(cfg.locations);
         let mut total_tiv = 0.0;
-        for i in 0..cfg.locations {
-            let centre = centres[rng.next_below(cfg.clusters as u32) as usize];
-            let position = cfg.region.clamp(GeoPoint::new(
-                centre.x + scatter.sample(&mut rng),
-                centre.y + scatter.sample(&mut rng),
-            ));
-            let tiv = tiv_dist.sample(&mut rng);
-            let construction = ConstructionClass::sample(&mut rng);
-            locations.push(ExposureLocation {
-                id: LocationId::new(i as u32),
-                position,
-                tiv,
-                construction,
-                deductible: tiv * cfg.deductible_fraction,
-                limit: tiv * cfg.limit_fraction,
-            });
-            total_tiv += tiv;
+        let mut centre = [GeoPoint::default(); BLOCK];
+        let (mut xs, mut ys, mut tivs) = ([0.0; BLOCK], [0.0; BLOCK], [0.0; BLOCK]);
+        let mut construction = [ConstructionClass::Wood; BLOCK];
+        for first in (0..cfg.locations).step_by(BLOCK) {
+            let n = BLOCK.min(cfg.locations - first);
+            for k in 0..n {
+                centre[k] = centres[rng.next_below(cfg.clusters as u32) as usize];
+                xs[k] = rng.next_f64_open();
+                ys[k] = rng.next_f64_open();
+                tivs[k] = rng.next_f64_open();
+                construction[k] = ConstructionClass::sample(&mut rng);
+            }
+            scatter.quantiles_in_place(&mut xs[..n]);
+            scatter.quantiles_in_place(&mut ys[..n]);
+            tiv_dist.quantiles_in_place(&mut tivs[..n]);
+            for k in 0..n {
+                let position = cfg
+                    .region
+                    .clamp(GeoPoint::new(centre[k].x + xs[k], centre[k].y + ys[k]));
+                let tiv = tivs[k];
+                locations.push(ExposureLocation {
+                    id: LocationId::new((first + k) as u32),
+                    position,
+                    tiv,
+                    construction: construction[k],
+                    deductible: tiv * cfg.deductible_fraction,
+                    limit: tiv * cfg.limit_fraction,
+                });
+                total_tiv += tiv;
+            }
         }
         Self::from_parts(locations, total_tiv)
     }

@@ -5,9 +5,13 @@
 //! looking at the rest of the book: location positions are bucketed on
 //! a uniform grid over the book's bounding box (a counting sort,
 //! O(locations)), stored cell-major as plain columns, and a query scans
-//! only the cell rows the disc's bounding square overlaps. It lives
-//! inside a [`crate::GroundUpModel`] and is dropped with it; nothing
-//! downstream of ELT generation ever sees it.
+//! only the cell rows the disc's bounding square overlaps. A hit sets
+//! one bit in a bitset over location indices (one `u64` word per 64
+//! locations); reading the set bits word by word yields the hits in
+//! ascending location index — the order the loss chain's sums need —
+//! without a sort. The index lives inside a [`crate::GroundUpModel`]
+//! and is dropped with it; nothing downstream of ELT generation ever
+//! sees it.
 //!
 //! Both tests a query applies are *conservative*: a location is left
 //! out only when the distance the loss chain would compute for it
@@ -58,7 +62,7 @@ pub(crate) struct ExposureIndex {
     cell_start: Vec<u32>,
     xs: Vec<f64>,
     ys: Vec<f64>,
-    /// Index of the location in the portfolio; ascending within a cell.
+    /// Index of the location in the portfolio.
     ids: Vec<u32>,
 }
 
@@ -134,7 +138,9 @@ impl ExposureIndex {
         let half = padded(cut);
         let (c0, c1) = (self.col(center.x - half), self.col(center.x + half));
         let (r0, r1) = (self.row(center.y - half), self.row(center.y + half));
-        let mut out = Vec::new();
+        // One bit per location, so reading the words in order lists the
+        // candidates in ascending index whatever cell they came from.
+        let mut words = vec![0u64; self.ids.len().div_ceil(64)];
         for row in r0..=r1 {
             // The cells of one grid row are adjacent in the columns.
             let lo = self.cell_start[row * self.n + c0] as usize;
@@ -144,11 +150,18 @@ impl ExposureIndex {
                 // Same expression as `GeoPoint::distance_km`, unrooted.
                 let (dx, dy) = (center.x - x, center.y - y);
                 if dx * dx + dy * dy <= cut2 {
-                    out.push(id);
+                    words[(id / 64) as usize] |= 1 << (id % 64);
                 }
             }
         }
-        out.sort_unstable();
+        let mut out = Vec::new();
+        for (w, &word) in words.iter().enumerate() {
+            let mut bits = word;
+            while bits != 0 {
+                out.push((w * 64) as u32 + bits.trailing_zeros());
+                bits &= bits - 1;
+            }
+        }
         out
     }
 }
@@ -221,5 +234,46 @@ mod tests {
             [8, 9, 10, 11, 12]
         );
         assert_eq!(index.within(GeoPoint::new(-90.0, 10.0), 2.0), [0u32; 0]);
+    }
+
+    /// The bitset's seams: hits straddling a word boundary (ids 63, 64,
+    /// 65), hits in the last, partial word, a query that hits nothing,
+    /// and a one-location book (a single partial word).
+    #[test]
+    fn bitset_word_seams_read_back_ascending() {
+        // 130 locations = two full words and two bits of a third, on a
+        // line of 1 km steps.
+        let line: Vec<_> = (0..130).map(|i| at(i, i as f64, 0.0)).collect();
+        let index = ExposureIndex::build(&line);
+        assert_eq!(index.within(GeoPoint::new(64.0, 0.0), 1.5), [63, 64, 65]);
+        assert_eq!(
+            index.within(GeoPoint::new(127.5, 0.0), 2.0),
+            [126, 127, 128, 129]
+        );
+        assert_eq!(index.within(GeoPoint::new(129.0, 0.0), 0.5), [129]);
+        assert_eq!(index.within(GeoPoint::new(64.0, 50.0), 1.0), [0u32; 0]);
+        assert_eq!(index.within(GeoPoint::new(64.0, 0.0), 0.25), [64]);
+
+        let single = [at(0, 3.0, 4.0)];
+        let index = ExposureIndex::build(&single);
+        assert_eq!(index.within(GeoPoint::new(0.0, 0.0), 5.0), [0]);
+        assert_eq!(index.within(GeoPoint::new(0.0, 0.0), 4.5), [0u32; 0]);
+    }
+
+    /// Locations whose index order is unrelated to their grid cells:
+    /// the query reads back exactly the disc, ascending, with ids from
+    /// many cells and words interleaved.
+    #[test]
+    fn scattered_ids_read_back_in_index_order() {
+        let scattered: Vec<_> = (0..1_000u32)
+            .map(|i| at(i, ((i * 37) % 100) as f64, ((i * 61) % 97) as f64))
+            .collect();
+        let index = ExposureIndex::build(&scattered);
+        for &(cx, cy, reach) in &[(50.2, 48.7, 20.5), (0.3, 0.1, 30.0), (99.9, 96.4, 70.0)] {
+            let center = GeoPoint::new(cx, cy);
+            let want = disc(&scattered, center, reach);
+            assert!(want.len() > 64, "fixture: only {} hits", want.len());
+            assert_eq!(index.within(center, reach), want, "({cx},{cy}) r={reach}");
+        }
     }
 }

@@ -8,7 +8,7 @@
 //! against the live exposure database.
 
 use crate::catalog::CatalogEvent;
-use crate::eltgen::{pair_loss, EltGenConfig, EventLoss};
+use crate::eltgen::{for_each_pair_loss, EltGenConfig, EventLoss};
 use crate::exposure::ExposurePortfolio;
 use crate::geo::GeoPoint;
 use crate::peril::Peril;
@@ -52,6 +52,9 @@ pub fn rapid_estimate(
     if !event.magnitude.is_finite() || event.magnitude <= 0.0 {
         return Err(RiskError::invalid("magnitude must be positive"));
     }
+    if !(event.center.x.is_finite() && event.center.y.is_finite()) {
+        return Err(RiskError::invalid("event centre must be finite"));
+    }
     // An observed event is a catalogue event that has happened: it
     // has no id and no rate, and the loss chain reads neither.
     let event = CatalogEvent {
@@ -65,15 +68,13 @@ pub fn rapid_estimate(
     // chain — indexing a book pays off only across a catalogue.
     let mut sums = EventLoss::default();
     let mut per_location: Vec<(LocationId, f64)> = Vec::new();
-    for loc in exposure.locations() {
-        let Some(pair) = pair_loss(&event, loc) else {
-            continue;
-        };
+    let locations = exposure.locations();
+    for_each_pair_loss(&event, locations, 0..locations.len(), |loc, pair| {
         sums.absorb(loc, &pair);
         if top_n > 0 {
             per_location.push((loc.id, pair.loss));
         }
-    }
+    });
     let w = cfg.correlation_weight;
     let sigma_i2 = (1.0 - w) * sums.var_sum;
     let sigma_c = w * sums.sd_sum;
@@ -160,6 +161,26 @@ mod tests {
             rapid_estimate(&event_at(c.x, c.y, 7.5), &exp, &EltGenConfig::default(), 0).unwrap();
         assert!(est.mean_loss > 0.0);
         assert!(est.sigma > 0.0);
+    }
+
+    #[test]
+    fn non_finite_centre_rejected() {
+        let exp = exposure();
+        let cfg = EltGenConfig::default();
+        for (x, y) in [
+            (f64::NAN, 500.0),
+            (500.0, f64::NAN),
+            (f64::INFINITY, 500.0),
+            (500.0, f64::INFINITY),
+            (f64::NEG_INFINITY, 0.0),
+            (0.0, f64::NEG_INFINITY),
+        ] {
+            let err = rapid_estimate(&event_at(x, y, 7.0), &exp, &cfg, 3).unwrap_err();
+            assert!(
+                matches!(err, RiskError::InvalidParameter(_)),
+                "({x}, {y}): {err}"
+            );
+        }
     }
 
     #[test]

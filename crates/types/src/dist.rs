@@ -75,6 +75,19 @@ impl Normal {
     pub fn quantile(&self, p: f64) -> f64 {
         self.mean + self.sd * normal_icdf(p)
     }
+
+    /// `p ← self.quantile(p)` for every element, bit for bit, with the
+    /// standard quantiles inverted in lanes by
+    /// [`normal_icdf_in_place`].
+    ///
+    /// # Panics
+    /// Unless every element satisfies `0 < p < 1`.
+    pub fn quantiles_in_place(&self, ps: &mut [f64]) {
+        normal_icdf_in_place(ps);
+        for v in ps {
+            *v = self.mean + self.sd * *v;
+        }
+    }
 }
 
 impl Distribution for Normal {

@@ -621,7 +621,7 @@ mod tests {
 
     mod batched {
         use super::*;
-        use crate::dist::LogNormal;
+        use crate::dist::{LogNormal, Normal};
         use proptest::prelude::*;
 
         proptest! {
@@ -653,6 +653,12 @@ mod tests {
                     prop_assert_eq!(z.to_bits(), normal_icdf(p).to_bits(), "p = {:e}", p);
                 }
                 let d = LogNormal::new(mu, sigma);
+                let mut qs = ps.clone();
+                d.quantiles_in_place(&mut qs);
+                for (q, &p) in qs.iter().zip(&ps) {
+                    prop_assert_eq!(q.to_bits(), d.quantile(p).to_bits(), "p = {:e}", p);
+                }
+                let d = Normal::new(mu, sigma);
                 let mut qs = ps.clone();
                 d.quantiles_in_place(&mut qs);
                 for (q, &p) in qs.iter().zip(&ps) {

@@ -3,12 +3,12 @@
 //!
 //! Exposure generation inverts its normal quantiles in blocks of eight
 //! locations, and ELT generation runs the loss chain over blocks of
-//! eight candidates. Both must produce exactly the bits of the scalar
-//! code they replaced. The portfolios here have a few thousand
-//! locations whose counts are not multiples of eight, so full blocks
-//! and short tails both occur, and the catalogue holds all three
-//! perils. Every pinned value is an FNV-1a hash over the raw bits of
-//! every field; never edit one to make a change pass.
+//! eight candidates. Both must produce exactly the bits that one
+//! location, or one pair, at a time gives. The portfolios here have a
+//! few thousand locations whose counts are not multiples of eight, so
+//! full blocks and short tails both occur, and the catalogue holds all
+//! three perils. Every pinned value is an FNV-1a hash over the raw bits
+//! of every field; never edit one to make a change pass.
 
 use riskpipe_catmodel::eltgen::generate_elts;
 use riskpipe_catmodel::{

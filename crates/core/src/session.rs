@@ -60,7 +60,7 @@ use riskpipe_tables::{durable, shard, Elt, YearEventTable, Yelt, Ylt};
 use riskpipe_types::stats::quantile_sorted;
 use riskpipe_types::{EventId, LocationId, RiskError, RiskResult, RunningStats, TrialId};
 use std::borrow::Cow;
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -751,11 +751,19 @@ impl RiskSession {
             // key's stage-1 model builds exactly once per sweep and no
             // task ever contends on a cache slot another task is
             // filling.
-            let mut leaders: HashMap<u64, usize> = HashMap::new();
+            #[expect(
+                clippy::disallowed_types,
+                reason = "probed by key only, never iterated"
+            )]
+            let mut leaders = std::collections::HashMap::<u64, usize>::new();
+            #[expect(
+                clippy::disallowed_types,
+                reason = "probes and fills the leader table by key, never iterates it"
+            )]
             let spawn_eligible =
                 |pending: &mut VecDeque<usize>,
                  in_window: &mut usize,
-                 leaders: &mut HashMap<u64, usize>| {
+                 leaders: &mut std::collections::HashMap<u64, usize>| {
                     let mut held = VecDeque::with_capacity(pending.len());
                     while let Some(i) = pending.pop_front() {
                         if *in_window >= width {

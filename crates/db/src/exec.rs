@@ -7,7 +7,6 @@
 
 use crate::heap::HeapFile;
 use crate::value::Row;
-use std::collections::HashMap;
 
 /// Sequential scan of a heap file.
 pub fn seq_scan(heap: &HeapFile) -> impl Iterator<Item = Row> + '_ {
@@ -32,12 +31,17 @@ where
 
 /// Hash aggregate: `SELECT group_col, SUM(sum_col) GROUP BY group_col`.
 /// Group keys are u32-valued columns.
+#[expect(
+    clippy::disallowed_types,
+    reason = "E4's hash aggregate; each group sums its rows in scan order, and \
+              callers read groups by key"
+)]
 pub fn hash_aggregate_sum(
     rows: impl Iterator<Item = Row>,
     group_col: usize,
     sum_col: usize,
-) -> HashMap<u32, f64> {
-    let mut acc: HashMap<u32, f64> = HashMap::new();
+) -> std::collections::HashMap<u32, f64> {
+    let mut acc = std::collections::HashMap::new();
     for r in rows {
         *acc.entry(r[group_col].as_u32()).or_insert(0.0) += r[sum_col].as_f64();
     }

@@ -111,6 +111,10 @@ impl YeltTable {
         self.trial_index.reset_io_counters();
         let agg = hash_aggregate_sum(seq_scan(&self.heap), 0, 3);
         let mut out = vec![0.0; self.trials];
+        #[expect(
+            clippy::iter_over_hash_type,
+            reason = "each trial's total lands in its own slot; visit order is invisible"
+        )]
         for (t, v) in agg {
             out[t as usize] = v;
         }

@@ -1,44 +1,22 @@
 //! Per-file token analysis shared by the rules.
 //!
-//! One pass over the token stream produces a [`FileModel`]: named
-//! scopes (functions and named closures, with line ranges), inline
-//! `#[cfg(test)] mod` regions, the set of identifiers bound to hash
-//! containers, and the parsed suppression comments. The rules in
-//! [`crate::rules`] then pattern-match against the model instead of
-//! re-deriving structure.
+//! One pass over the token stream produces a [`FileModel`]: inline
+//! `#[cfg(test)] mod` regions and the parsed suppression comments. The
+//! rules in [`crate::rules`] and the summaries in [`crate::summary`]
+//! then pattern-match against the model instead of re-deriving
+//! structure.
 //!
 //! Everything here is heuristic — a lexer cannot do type inference —
 //! and the heuristics deliberately favour *predictability* over
-//! cleverness: a binding counts as a hash container iff its type
-//! annotation or initialiser says `HashMap`/`HashSet` in this file.
-//! What the heuristics miss, review still catches; what they hit is
-//! machine-checked on every run.
+//! cleverness. What the heuristics miss, review still catches; what
+//! they hit is machine-checked on every run.
 
 use crate::lexer::{Tok, TokKind};
-use std::collections::BTreeMap;
 
 /// Is this a test-only path (an integration-test tree)? Inline
 /// `#[cfg(test)]` modules are tracked separately per file.
 pub fn is_test_path(path: &str) -> bool {
     path.starts_with("tests/") || path.contains("/tests/")
-}
-
-/// How an identifier relates to hash containers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum HashKind {
-    /// The binding *is* a `HashMap`/`HashSet`.
-    Hash,
-    /// The binding is a sequence of hash containers
-    /// (e.g. `Vec<HashMap<..>>`); iterating it yields `Hash` items.
-    SeqOfHash,
-}
-
-/// A named lexical scope (fn or named closure) with its line extent.
-#[derive(Debug, Clone)]
-pub struct Scope {
-    pub name: String,
-    pub start_line: u32,
-    pub end_line: u32,
 }
 
 /// One `// lint: calls(NAME, ...) — reason` comment: an explicit call
@@ -79,12 +57,8 @@ pub struct FileModel {
     pub toks: Vec<Tok>,
     /// Indices into `toks` of non-comment tokens, in order.
     pub code: Vec<usize>,
-    pub scopes: Vec<Scope>,
     /// Line ranges of inline `#[cfg(test)] mod` bodies.
     pub test_ranges: Vec<(u32, u32)>,
-    /// Identifier → hash-container kind (file-global; good enough in
-    /// practice, and a false positive is one suppression away).
-    pub hash_idents: BTreeMap<String, HashKind>,
     pub suppressions: Vec<Suppression>,
     /// Explicit call-edge declarations (see `CallHint`).
     pub call_hints: Vec<CallHint>,
@@ -100,29 +74,15 @@ impl FileModel {
             .collect();
         let mut model = FileModel {
             path: path.to_string(),
-            scopes: Vec::new(),
             test_ranges: Vec::new(),
-            hash_idents: BTreeMap::new(),
             suppressions: Vec::new(),
             call_hints: Vec::new(),
             toks,
             code,
         };
-        model.find_scopes_and_test_ranges();
-        model.find_hash_bindings();
+        model.find_test_ranges();
         model.find_suppressions();
         model
-    }
-
-    /// The file stem, lower-cased (`crates/warehouse/src/lattice.rs` →
-    /// `lattice`).
-    pub fn stem(&self) -> String {
-        self.path
-            .rsplit('/')
-            .next()
-            .unwrap_or(&self.path)
-            .trim_end_matches(".rs")
-            .to_ascii_lowercase()
     }
 
     /// Code token at code-position `ci` (not a raw token index).
@@ -137,36 +97,17 @@ impl FileModel {
             .any(|&(lo, hi)| line >= lo && line <= hi)
     }
 
-    /// Names of every scope containing `line`, innermost last.
-    pub fn scopes_at(&self, line: u32) -> Vec<&str> {
-        self.scopes
-            .iter()
-            .filter(|s| line >= s.start_line && line <= s.end_line)
-            .map(|s| s.name.as_str())
-            .collect()
-    }
-
-    /// Scopes: one pass tracking brace depth. A `fn NAME` or
-    /// `let NAME = [move] |...|` seen at depth *d* names the next block
-    /// opened at depth *d*. `#[cfg(test)]` followed by `mod` marks the
-    /// next block as a test range.
-    fn find_scopes_and_test_ranges(&mut self) {
-        struct Frame {
-            name: Option<String>,
-            is_test: bool,
-            start_line: u32,
-        }
-        let mut scopes: Vec<Scope> = Vec::new();
+    /// Test ranges: one pass tracking brace depth. `#[cfg(test)]`
+    /// followed by `mod` marks the next block opened as a test range.
+    fn find_test_ranges(&mut self) {
         let mut test_ranges: Vec<(u32, u32)> = Vec::new();
-        let mut stack: Vec<Frame> = Vec::new();
-        let mut pending_name: Option<String> = None;
+        // One entry per open block: its start line if it is a test
+        // module's body.
+        let mut stack: Vec<Option<u32>> = Vec::new();
         let mut pending_test = false;
         let mut cfg_test_attr = false;
-
-        let n = self.code.len();
-        let mut ci = 0usize;
-        while ci < n {
-            let t = self.ct(ci).expect("in range").clone();
+        for ci in 0..self.code.len() {
+            let t = self.ct(ci).expect("in range");
             match (t.kind, t.text.as_str()) {
                 // `#[cfg(test)]` — look at the attribute tokens. Also
                 // matches the conjunction form `#[cfg(all(test, ...))]`
@@ -185,71 +126,20 @@ impl FileModel {
                     pending_test = true;
                     cfg_test_attr = false;
                 }
-                (TokKind::Ident, "fn") => {
-                    if let Some(name) = self.ct(ci + 1) {
-                        if name.kind == TokKind::Ident {
-                            pending_name = Some(name.text.to_ascii_lowercase());
-                        }
-                    }
-                }
-                (TokKind::Ident, "let") => {
-                    // `let [mut] NAME = [move] |` names a closure.
-                    let mut j = ci + 1;
-                    if self.ct(j).is_some_and(|t| t.is_ident("mut")) {
-                        j += 1;
-                    }
-                    let name = match self.ct(j) {
-                        Some(t) if t.kind == TokKind::Ident => t.text.to_ascii_lowercase(),
-                        _ => {
-                            ci += 1;
-                            continue;
-                        }
-                    };
-                    if self.ct(j + 1).is_some_and(|t| t.is_punct("=")) {
-                        let mut k = j + 2;
-                        if self.ct(k).is_some_and(|t| t.is_ident("move")) {
-                            k += 1;
-                        }
-                        if self.ct(k).is_some_and(|t| t.is_punct("|")) {
-                            pending_name = Some(name);
-                        }
-                    }
-                }
-                (TokKind::Punct, ";") => {
-                    // A signature without a body (trait method) or a
-                    // closure that never opened a block.
-                    pending_name = None;
-                    pending_test = false;
-                }
+                // `#[cfg(test)] mod name;` opens no block.
+                (TokKind::Punct, ";") => pending_test = false,
                 (TokKind::Punct, "{") => {
-                    stack.push(Frame {
-                        name: pending_name.take(),
-                        is_test: pending_test,
-                        start_line: t.line,
-                    });
+                    stack.push(pending_test.then_some(t.line));
                     pending_test = false;
                 }
                 (TokKind::Punct, "}") => {
-                    if let Some(frame) = stack.pop() {
-                        if let Some(name) = frame.name {
-                            scopes.push(Scope {
-                                name,
-                                start_line: frame.start_line,
-                                end_line: t.line,
-                            });
-                        }
-                        if frame.is_test {
-                            test_ranges.push((frame.start_line, t.line));
-                        }
+                    if let Some(Some(start_line)) = stack.pop() {
+                        test_ranges.push((start_line, t.line));
                     }
                 }
                 _ => {}
             }
-            ci += 1;
         }
-        // Pop order is innermost-first; present outermost-first.
-        scopes.sort_by_key(|s| (s.start_line, std::cmp::Reverse(s.end_line)));
-        self.scopes = scopes;
         self.test_ranges = test_ranges;
     }
 
@@ -262,127 +152,12 @@ impl FileModel {
             .collect()
     }
 
-    /// Register identifiers bound to hash containers:
-    /// * `NAME : <type containing HashMap/HashSet>` — lets, fn params,
-    ///   struct fields alike;
-    /// * `let [mut] NAME = [std::collections::]HashMap::...` —
-    ///   inferred lets;
-    /// * `for NAME in SEQ` where `SEQ` is a registered sequence of hash
-    ///   containers — the loop variable is itself a hash container.
-    fn find_hash_bindings(&mut self) {
-        let mut idents: BTreeMap<String, HashKind> = BTreeMap::new();
-        let n = self.code.len();
-        for ci in 0..n {
-            let t = self.ct(ci).expect("in range").clone();
-            if t.kind != TokKind::Ident {
-                continue;
-            }
-            match t.text.as_str() {
-                "let" => {
-                    let mut j = ci + 1;
-                    if self.ct(j).is_some_and(|t| t.is_ident("mut")) {
-                        j += 1;
-                    }
-                    let Some(name) = self.ct(j).filter(|t| t.kind == TokKind::Ident) else {
-                        continue;
-                    };
-                    let name = name.text.clone();
-                    if self.ct(j + 1).is_some_and(|t| t.is_punct("=")) {
-                        // `let x = HashMap::new()` (with or without a
-                        // `std::collections::` path prefix).
-                        let init = self.code_slice_text(j + 2, j + 8);
-                        if init.starts_with("HashMap::")
-                            || init.starts_with("HashSet::")
-                            || init.starts_with("std::collections::HashMap")
-                            || init.starts_with("std::collections::HashSet")
-                        {
-                            idents.insert(name, HashKind::Hash);
-                        }
-                    }
-                    // `let x: Type = ...` falls through to the generic
-                    // `NAME :` case below on a later iteration.
-                }
-                "for" => {
-                    // `for NAME in SEQ` with SEQ a sequence-of-hash.
-                    let Some(name) = self.ct(ci + 1).filter(|t| t.kind == TokKind::Ident) else {
-                        continue;
-                    };
-                    let name = name.text.clone();
-                    if !self.ct(ci + 2).is_some_and(|t| t.is_ident("in")) {
-                        continue;
-                    }
-                    if let Some(seq) = self.ct(ci + 3) {
-                        if seq.kind == TokKind::Ident
-                            && idents.get(&seq.text) == Some(&HashKind::SeqOfHash)
-                        {
-                            idents.insert(name, HashKind::Hash);
-                        }
-                    }
-                }
-                _ => {
-                    // `NAME : <type>` — scan the type region.
-                    if !self.ct(ci + 1).is_some_and(|t| t.is_punct(":")) {
-                        continue;
-                    }
-                    if let Some(kind) = self.hash_type_after(ci + 2) {
-                        idents.insert(t.text, kind);
-                    }
-                }
-            }
-        }
-        self.hash_idents = idents;
-    }
-
-    /// Inspect a type region starting at code index `start`: collect
-    /// tokens until a depth-0 terminator and decide whether the type
-    /// contains a hash container, and if so whether a sequence wraps it.
-    fn hash_type_after(&self, start: usize) -> Option<HashKind> {
-        let mut angle = 0i32;
-        let mut paren = 0i32;
-        let mut seq_seen = false;
-        for ci in start..(start + 48).min(self.code.len()) {
-            let t = self.ct(ci)?;
-            match (t.kind, t.text.as_str()) {
-                (TokKind::Punct, "<") => angle += 1,
-                (TokKind::Punct, ">") => {
-                    angle -= 1;
-                    if angle < 0 {
-                        return None;
-                    }
-                }
-                (TokKind::Punct, "(") | (TokKind::Punct, "[") => paren += 1,
-                (TokKind::Punct, ")") | (TokKind::Punct, "]") => {
-                    if paren == 0 {
-                        return None; // end of the param list
-                    }
-                    paren -= 1;
-                }
-                (TokKind::Punct, ",") if angle == 0 && paren == 0 => return None,
-                (TokKind::Punct, ";") | (TokKind::Punct, "=") | (TokKind::Punct, "{")
-                    if angle == 0 && paren == 0 =>
-                {
-                    return None
-                }
-                (TokKind::Ident, "Vec") | (TokKind::Ident, "VecDeque") => seq_seen = true,
-                (TokKind::Ident, "HashMap") | (TokKind::Ident, "HashSet") => {
-                    return Some(if seq_seen {
-                        HashKind::SeqOfHash
-                    } else {
-                        HashKind::Hash
-                    });
-                }
-                _ => {}
-            }
-        }
-        None
-    }
-
     /// Parse `lint: allow(...)` and `lint: calls(...)` comments.
     /// Grammar (inside any `//` or `/* */` comment):
     ///
     /// ```text
-    /// lint: allow(D1)            — reason text          (em dash)
-    /// lint: allow(D1, D2) - reason text                 (hyphen)
+    /// lint: allow(D2)            — reason text          (em dash)
+    /// lint: allow(C1, L2) - reason text                 (hyphen)
     /// lint: calls(run_job) — reason text                (call edge)
     /// ```
     ///
@@ -528,19 +303,6 @@ mod tests {
     }
 
     #[test]
-    fn scopes_cover_fn_bodies() {
-        let m = model("fn outer() {\n    fn inner() {\n        1;\n    }\n}\n");
-        assert_eq!(m.scopes_at(3), vec!["outer", "inner"]);
-        assert_eq!(m.scopes_at(1), vec!["outer"]);
-    }
-
-    #[test]
-    fn named_closures_become_scopes() {
-        let m = model("fn f() {\n    let fold_chunk = |i: usize| {\n        i + 1\n    };\n}\n");
-        assert!(m.scopes_at(3).contains(&"fold_chunk"));
-    }
-
-    #[test]
     fn cfg_test_mod_ranges() {
         let m = model("fn a() {}\n#[cfg(test)]\nmod tests {\n    fn b() {}\n}\n");
         assert!(!m.in_test_code(1));
@@ -548,33 +310,17 @@ mod tests {
     }
 
     #[test]
-    fn hash_bindings_from_annotations_and_initialisers() {
-        let m = model(
-            "fn f(acc: &mut HashMap<u64, Cell>) {\n\
-             let inferred = HashMap::new();\n\
-             let seq: Vec<HashMap<u32, f64>> = Vec::new();\n\
-             for part in seq {\n    part;\n}\n\
-             let plain: Vec<u32> = Vec::new();\n}",
-        );
-        assert_eq!(m.hash_idents.get("acc"), Some(&HashKind::Hash));
-        assert_eq!(m.hash_idents.get("inferred"), Some(&HashKind::Hash));
-        assert_eq!(m.hash_idents.get("seq"), Some(&HashKind::SeqOfHash));
-        assert_eq!(m.hash_idents.get("part"), Some(&HashKind::Hash));
-        assert_eq!(m.hash_idents.get("plain"), None);
-    }
-
-    #[test]
     fn suppression_parsing_with_and_without_reason() {
         let m = model(
             "fn f() {\n\
-             // lint: allow(D1) — keys merged once per partial\n\
+             // lint: allow(C1) — bounded wait, holder never blocks\n\
              let a = 1;\n\
              // lint: allow(D2, L1) -\n\
              let b = 2;\n}",
         );
         assert_eq!(m.suppressions.len(), 2);
         let s0 = &m.suppressions[0];
-        assert_eq!(s0.rules, vec!["D1"]);
+        assert_eq!(s0.rules, vec!["C1"]);
         assert!(s0.has_reason);
         assert!(s0.covers.contains(&3));
         let s1 = &m.suppressions[1];
@@ -587,10 +333,10 @@ mod tests {
         // The comment sits above two stacked attributes; it must cover
         // the decorated item line (4), not the attribute lines.
         let m = model(
-            "// lint: allow(D4) — demo stream, not a simulation input\n\
+            "// lint: allow(D2) — demo ranking, NaN-free by construction\n\
              #[cfg(feature = \"demo\")]\n\
              #[inline]\n\
-             fn f() { let r = thread_rng(); }\n",
+             fn f(v: &mut [f64]) { v.sort_by(|a, b| a.partial_cmp(b).unwrap()); }\n",
         );
         assert_eq!(m.suppressions.len(), 1);
         assert!(
@@ -603,7 +349,7 @@ mod tests {
 
     #[test]
     fn trailing_suppression_covers_its_own_line() {
-        let m = model("fn f() {\n    let a = 1; // lint: allow(D4) — seeded upstream\n}\n");
+        let m = model("fn f() {\n    let a = 1; // lint: allow(D2) — keys are never NaN\n}\n");
         assert!(m.suppressions[0].covers.contains(&2));
     }
 }

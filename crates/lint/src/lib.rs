@@ -10,11 +10,8 @@
 //! dependencies — the workspace builds offline) and enforces the rule
 //! catalogue [`RuleId::ALL`]:
 //!
-//! * **D1** — no iteration over `HashMap`/`HashSet` in
-//!   fold/merge/sink/rollup code (use `BTreeMap` or a sorted drain);
 //! * **D2** — no `sort_by`/`max_by`/`min_by` comparators built on
 //!   `partial_cmp` (use `f64::total_cmp`);
-//! * **D4** — no entropy-seeded RNG construction (seeds are explicit);
 //! * **C1** — no blocking primitive (`lock`, condvar `wait`, channel
 //!   `recv`, `join`, `park`, nested `.scope`) *reachable* from code that
 //!   executes on pool workers — checked over a workspace call graph,
@@ -24,18 +21,19 @@
 //!   across a spawn/`par_*`/scope boundary or a blocking site, no guard
 //!   held across a call into another crate.
 //!
-//! These are the rules clippy cannot say: D1 is scoped by function and
-//! file names, D2 as a `disallowed-methods` entry would also fire inside
-//! every `#[derive(PartialOrd)]`, D4's names come from crates the
-//! offline workspace cannot depend on, and C1 and L1–L3 need the
-//! whole-workspace call and lock graphs. The workspace's other
-//! determinism and safety rules are clippy configuration — the root
-//! `clippy.toml`, the root manifest's `[workspace.lints]` and inner lint
-//! attributes — checked by the `workspace_clean` test's clippy run:
+//! These are the rules clippy cannot say: D2 as a `disallowed-methods`
+//! entry would also fire inside every `#[derive(PartialOrd)]`, and C1
+//! and L1–L3 need the whole-workspace call and lock graphs. The
+//! workspace's other determinism and safety rules are clippy
+//! configuration — the root `clippy.toml`, the root manifest's
+//! `[workspace.lints]` and inner lint attributes — checked by the
+//! `workspace_clean` test's clippy run:
 //!
 //! | rule | clippy lint |
 //! |------|-------------|
+//! | D1 (hash-order folds) | `iter_over_hash_type`; `disallowed_types`: `HashMap`, `HashSet` |
 //! | D3 (wall clocks) | `disallowed_methods`: `Instant::now`, `SystemTime::now` |
+//! | D4 (entropy seeds) | `disallowed_types`: `RandomState` |
 //! | C2 (raw fs writes) | `disallowed_methods`: `fs::write`, `File::create`, `OpenOptions::truncate` |
 //! | S1 (unaudited `unsafe`) | `undocumented_unsafe_blocks` |
 //! | S2 (narrowing casts in codecs) | `cast_possible_truncation`, denied per codec module |
@@ -57,8 +55,8 @@
 //! comment:
 //!
 //! ```text
-//! // lint: allow(D1) — each key occurs once per partial; entries are
-//! // sorted before they can reach any output.
+//! // lint: allow(C1) — 200 µs timed wait, entered only after the
+//! // steal found nothing; the timeout bounds any missed wakeup.
 //! ```
 //!
 //! A suppression must name the rule and carry a non-empty reason after
@@ -79,7 +77,7 @@ mod lexer;
 mod rules;
 pub mod summary;
 
-pub use analysis::{FileModel, HashKind, Scope, Suppression};
+pub use analysis::{FileModel, Suppression};
 pub use lexer::{lex, Tok, TokKind};
 pub use rules::RawFinding;
 pub use summary::{FileSummary, FnNode, RootKind};
@@ -91,9 +89,7 @@ use std::path::{Path, PathBuf};
 /// findings about the suppression comments themselves.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum RuleId {
-    D1,
     D2,
-    D4,
     C1,
     L1,
     L2,
@@ -102,10 +98,8 @@ pub enum RuleId {
 }
 
 impl RuleId {
-    pub const ALL: [RuleId; 8] = [
-        RuleId::D1,
+    pub const ALL: [RuleId; 6] = [
         RuleId::D2,
-        RuleId::D4,
         RuleId::C1,
         RuleId::L1,
         RuleId::L2,
@@ -115,9 +109,7 @@ impl RuleId {
 
     pub fn code(self) -> &'static str {
         match self {
-            RuleId::D1 => "D1",
             RuleId::D2 => "D2",
-            RuleId::D4 => "D4",
             RuleId::C1 => "C1",
             RuleId::L1 => "L1",
             RuleId::L2 => "L2",
@@ -155,9 +147,7 @@ impl RuleId {
     /// One-line summary for `--rules` listings.
     pub fn summary(self) -> &'static str {
         match self {
-            RuleId::D1 => "no HashMap/HashSet iteration in fold/merge/sink/rollup code",
             RuleId::D2 => "no sort_by/max_by/min_by comparators built on partial_cmp",
-            RuleId::D4 => "no entropy-seeded RNG construction (seeds must be explicit)",
             RuleId::C1 => "no blocking primitive reachable from pool-task roots (call-graph rule)",
             RuleId::L1 => "no cycle in the workspace lock-order graph (call-graph rule)",
             RuleId::L2 => "no guard held across a spawn/par_*/scope boundary or blocking site",
@@ -169,30 +159,6 @@ impl RuleId {
     /// Full `--explain` text.
     pub fn explain(self) -> &'static str {
         match self {
-            RuleId::D1 => {
-                "D1 — hash-container iteration in merge-sensitive code (deny)\n\
-                 \n\
-                 WHY   std::collections::HashMap/HashSet iterate in an order that is\n\
-                 randomized per process (SipHash keys differ per run). When a fold,\n\
-                 merge, sink, or rollup visits entries in that order, any non-\n\
-                 commutative step — floating-point accumulation, output emission,\n\
-                 first-wins conflict resolution — produces run-dependent artifacts,\n\
-                 which breaks the engine's bit-identical contract (and makes sharded\n\
-                 MapReduce merges untrustworthy).\n\
-                 \n\
-                 FIRES on `for .. in <hash>` and `<hash>.iter()/drain()/keys()/...`\n\
-                 when an enclosing fn/closure/file name looks like fold/merge/sink/\n\
-                 rollup code, or the loop body calls merge/fold/absorb/reduce.\n\
-                 \n\
-                 FIX   Use BTreeMap/BTreeSet, collect::<BTreeMap<_,_>>(), or the\n\
-                 sorted-drain idiom the rule recognises:\n\
-                 \n\
-                 \tlet mut v: Vec<_> = map.into_iter().collect();\n\
-                 \tv.sort_unstable_by_key(|e| e.0);\n\
-                 \n\
-                 Suppress a provably order-independent site with\n\
-                 `// lint: allow(D1) — <why order cannot leak>`."
-            }
             RuleId::D2 => {
                 "D2 — partial_cmp-based comparators (deny)\n\
                  \n\
@@ -213,24 +179,6 @@ impl RuleId {
                  `PartialOrd::partial_cmp` also fires inside every\n\
                  `#[derive(PartialOrd)]` expansion; this rule looks at the\n\
                  comparator argument of a sort or extremum only."
-            }
-            RuleId::D4 => {
-                "D4 — entropy-seeded RNG construction (deny)\n\
-                 \n\
-                 WHY   Every random stream in the pipeline must be replayable: the\n\
-                 paper's workloads (and the goldens) depend on simulations being\n\
-                 bit-identical given a scenario seed. thread_rng/from_entropy/OsRng\n\
-                 draw from process entropy, so two runs can never agree.\n\
-                 \n\
-                 FIRES on thread_rng / from_entropy / OsRng / getrandom tokens.\n\
-                 \n\
-                 FIX   Construct RNGs from explicit caller-provided seeds (the\n\
-                 riskpipe_types::dist generators all take u64 seeds) and derive\n\
-                 per-task streams by mixing stable identifiers into the seed.\n\
-                 \n\
-                 NOT CLIPPY  The names come from crates (rand, getrandom) the\n\
-                 offline workspace cannot depend on, so no `disallowed-methods`\n\
-                 path can resolve them; a token match is the only check."
             }
             RuleId::C1 => {
                 "C1 — blocking primitives reachable from pool-task roots (deny)\n\
@@ -266,7 +214,7 @@ impl RuleId {
                  \n\
                  WHY   Two threads that acquire the same two locks in opposite\n\
                  orders can deadlock: each holds the lock the other wants. The\n\
-                 22 hand-written C1 suppressions permit specific blocking sites;\n\
+                 hand-written C1 suppressions permit specific blocking sites;\n\
                  this rule proves the *order* of the acquisitions they permit is\n\
                  globally consistent — the moral equivalent of lockdep, but at\n\
                  the diff instead of at runtime.\n\
@@ -350,8 +298,8 @@ impl RuleId {
                  One that names no known rule or gives no reason is unreviewable;\n\
                  one that no longer suppresses anything is stale documentation.\n\
                  \n\
-                 SYNTAX  // lint: allow(D1) — reason\n\
-                 \t// lint: allow(D1, D2) - reason   (plain hyphen also accepted)\n\
+                 SYNTAX  // lint: allow(C1) — reason\n\
+                 \t// lint: allow(C1, L2) - reason   (plain hyphen also accepted)\n\
                  The comment covers its own line and the next code line.\n\
                  \n\
                  FIRES (deny) on allow() naming an unknown rule or missing the\n\
@@ -856,19 +804,20 @@ mod tests {
 
     #[test]
     fn suppression_with_reason_silences_a_finding() {
-        let src = "fn f() {\n\
-                   // lint: allow(D4) — demo stream, not a simulation input\n\
-                   let r = thread_rng();\n}";
+        let src = "fn f(v: &mut [f64]) {\n\
+                   // lint: allow(D2) — demo ranking, NaN-free by construction\n\
+                   v.sort_by(|a, b| a.partial_cmp(b).unwrap());\n}";
         let findings = lint_source("crates/x/src/a.rs", src, &Config::default());
         assert!(findings.is_empty(), "{findings:?}");
     }
 
     #[test]
     fn suppression_without_reason_is_deny_and_does_not_suppress() {
-        let src = "fn f() {\n// lint: allow(D4)\nlet r = thread_rng();\n}";
+        let src = "fn f(v: &mut [f64]) {\n// lint: allow(D2)\n\
+                   v.sort_by(|a, b| a.partial_cmp(b).unwrap());\n}";
         let findings = lint_source("crates/x/src/a.rs", src, &Config::default());
         assert_eq!(findings.len(), 2, "{findings:?}");
-        assert!(findings.iter().any(|f| f.rule == RuleId::D4));
+        assert!(findings.iter().any(|f| f.rule == RuleId::D2));
         assert!(findings
             .iter()
             .any(|f| f.rule == RuleId::Sup && f.severity == Severity::Deny));
@@ -876,16 +825,23 @@ mod tests {
 
     #[test]
     fn unknown_rule_in_suppression_is_deny() {
-        let src = "fn f() {\n// lint: allow(D9) — whatever\nlet x = 1;\n}";
-        let findings = lint_source("crates/x/src/a.rs", src, &Config::default());
-        assert!(findings
-            .iter()
-            .any(|f| f.rule == RuleId::Sup && f.severity == Severity::Deny));
+        // D1 and D4 are clippy configuration now: naming them is as
+        // wrong as naming a code that never existed.
+        for code in ["D9", "D1", "D4"] {
+            let src = format!("fn f() {{\n// lint: allow({code}) — whatever\nlet x = 1;\n}}");
+            let findings = lint_source("crates/x/src/a.rs", &src, &Config::default());
+            assert!(
+                findings
+                    .iter()
+                    .any(|f| f.rule == RuleId::Sup && f.severity == Severity::Deny),
+                "{code}: {findings:?}"
+            );
+        }
     }
 
     #[test]
     fn unused_suppression_is_warn() {
-        let src = "fn f() {\n// lint: allow(D4) — stale\nlet x = 1;\n}";
+        let src = "fn f() {\n// lint: allow(D2) — stale\nlet x = 1;\n}";
         let findings = lint_source("crates/x/src/a.rs", src, &Config::default());
         assert_eq!(findings.len(), 1);
         assert_eq!(findings[0].rule, RuleId::Sup);
@@ -894,11 +850,11 @@ mod tests {
 
     #[test]
     fn wrong_rule_suppression_does_not_silence() {
-        let src = "fn f() {\n\
-                   // lint: allow(D2) — wrong rule named\n\
-                   let r = thread_rng();\n}";
+        let src = "fn f(v: &mut [f64]) {\n\
+                   // lint: allow(C1) — wrong rule named\n\
+                   v.sort_by(|a, b| a.partial_cmp(b).unwrap());\n}";
         let findings = lint_source("crates/x/src/a.rs", src, &Config::default());
-        assert!(findings.iter().any(|f| f.rule == RuleId::D4));
+        assert!(findings.iter().any(|f| f.rule == RuleId::D2));
     }
 
     #[test]
@@ -1010,7 +966,7 @@ mod tests {
         for r in RuleId::ALL {
             assert_eq!(RuleId::from_code(r.code()), Some(r));
         }
-        assert_eq!(RuleId::from_code("d1"), Some(RuleId::D1));
+        assert_eq!(RuleId::from_code("d2"), Some(RuleId::D2));
         assert_eq!(RuleId::from_code("Z9"), None);
     }
 }

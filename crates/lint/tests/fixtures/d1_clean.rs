@@ -1,6 +1,6 @@
 // D1 clean fixture: the two sanctioned shapes — BTreeMap throughout,
-// and the explicit sorted-drain idiom over a HashMap accumulator.
-use std::collections::{BTreeMap, HashMap};
+// and the explicit sorted drain over a HashMap accumulator, audited.
+use std::collections::BTreeMap;
 
 pub fn merge_partials(parts: Vec<BTreeMap<u64, f64>>) -> BTreeMap<u64, f64> {
     let mut acc = BTreeMap::new();
@@ -12,8 +12,12 @@ pub fn merge_partials(parts: Vec<BTreeMap<u64, f64>>) -> BTreeMap<u64, f64> {
     acc
 }
 
+#[expect(
+    clippy::disallowed_types,
+    reason = "fixture: the entries are sorted before anything reads them"
+)]
 pub fn fold_counts(events: &[u64]) -> Vec<(u64, u64)> {
-    let mut acc: HashMap<u64, u64> = HashMap::new();
+    let mut acc: std::collections::HashMap<u64, u64> = std::collections::HashMap::new();
     for &e in events {
         *acc.entry(e).or_insert(0) += 1;
     }

@@ -1,6 +1,6 @@
 // D1 firing fixture: a merge-named function iterating a HashMap whose
-// visit order can leak into the folded total. Never compiled — lexed
-// only by rule_fixtures.rs.
+// visit order can leak into the folded total, and a HashSet dedupe whose
+// method chain no iteration lint can see.
 use std::collections::HashMap;
 
 pub fn merge_partials(parts: Vec<HashMap<u64, f64>>) -> f64 {
@@ -11,4 +11,8 @@ pub fn merge_partials(parts: Vec<HashMap<u64, f64>>) -> f64 {
         }
     }
     total
+}
+
+pub fn distinct(ids: &[u64]) -> usize {
+    ids.iter().collect::<std::collections::HashSet<_>>().len()
 }

@@ -1,8 +1,8 @@
 // Unused-suppression fixture: a well-formed, reasoned suppression
 // that no longer matches any finding — the only warn-level finding
 // left in the catalogue, used to pin warn/deny exit-code splitting.
-pub fn stale() -> u64 {
-    // lint: allow(D4) — fixture: stale, the entropy call below was
-    // replaced by a constant long ago.
-    42
+pub fn stale(losses: &[f64]) -> f64 {
+    // lint: allow(D2) — fixture: stale, the partial_cmp sort below was
+    // replaced by a sum long ago.
+    losses.iter().sum()
 }

@@ -1,8 +1,8 @@
 // Suppression fixture: a well-formed, reasoned suppression silences
 // the finding on the next code line — and nothing else.
-pub fn demo_stream() -> f64 {
-    // lint: allow(D4) — fixture: demo-only stream, never a simulation
-    // input; determinism of the output is not asserted anywhere.
-    let mut rng = thread_rng();
-    rng.gen()
+pub fn demo_rank(mut losses: Vec<f64>) -> Vec<f64> {
+    // lint: allow(D2) — fixture: demo-only ranking of NaN-free losses;
+    // determinism of the order is not asserted anywhere.
+    losses.sort_by(|a, b| a.partial_cmp(b).unwrap());
+    losses
 }

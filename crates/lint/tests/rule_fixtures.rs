@@ -25,6 +25,8 @@ use std::path::Path;
 use std::process::Command;
 
 const DISALLOWED: &str = "clippy::disallowed_methods";
+const HASH_ITER: &str = "clippy::iter_over_hash_type";
+const HASH_TYPES: &str = "clippy::disallowed_types";
 const W1: [&str; 3] = [
     "clippy::unwrap_used",
     "clippy::expect_used",
@@ -56,19 +58,20 @@ fn rules_of(findings: &[Finding]) -> Vec<RuleId> {
 
 #[test]
 fn d1_fires_on_hash_iteration_in_merge_code() {
-    let findings = lint_fixture("d1_fire.rs", "crates/app/src/partials.rs");
-    assert!(
-        findings
-            .iter()
-            .any(|f| f.rule == RuleId::D1 && f.severity == Severity::Deny),
-        "{findings:?}"
-    );
+    let v = verdict("d1_fire.rs", At::Plain);
+    assert_eq!(v.denied(HASH_ITER), 1, "the inner loop over a map: {v:?}");
+    // The `use`, the parameter and the dedupe's `HashSet`.
+    assert_eq!(v.denied(HASH_TYPES), 3, "{v:?}");
 }
 
 #[test]
 fn d1_clean_btree_and_sorted_drain_pass() {
-    let findings = lint_fixture("d1_clean.rs", "crates/app/src/partials.rs");
-    assert!(findings.is_empty(), "{findings:?}");
+    // The sorted drain's `#[expect]` is fulfilled, so it is reported
+    // neither as a hash type nor as an unfulfilled expectation.
+    let v = verdict("d1_clean.rs", At::Plain);
+    for lint in [HASH_ITER, HASH_TYPES, "unfulfilled_lint_expectations"] {
+        assert_eq!(v.count(lint), 0, "{lint}: {v:?}");
+    }
 }
 
 // ---------------------------------------------------------------- D2
@@ -120,19 +123,14 @@ fn d3_clean_duration_data_passes() {
 
 #[test]
 fn d4_fires_on_entropy_seeded_rng() {
-    let findings = lint_fixture("d4_fire.rs", "crates/app/src/sim.rs");
-    let d4: Vec<_> = findings.iter().filter(|f| f.rule == RuleId::D4).collect();
-    assert_eq!(
-        d4.len(),
-        2,
-        "thread_rng and from_entropy should both fire: {findings:?}"
-    );
+    // `RandomState`, reached through `hash_map`'s re-export.
+    let v = verdict("entropy_fire.rs", At::Plain);
+    assert_eq!(v.denied(HASH_TYPES), 1, "{v:?}");
 }
 
 #[test]
 fn d4_clean_explicit_seeds_pass() {
-    let findings = lint_fixture("d4_clean.rs", "crates/app/src/sim.rs");
-    assert!(findings.is_empty(), "{findings:?}");
+    assert_eq!(verdict("entropy_clean.rs", At::Plain).count(HASH_TYPES), 0);
 }
 
 // ---------------------------------------------------------------- S1
@@ -475,7 +473,7 @@ fn reasoned_suppression_silences_exactly_its_site() {
 fn suppression_above_an_attribute_stack_binds_to_the_item() {
     // Regression: the allow sits above `#[cfg(...)]`/`#[inline]`; it
     // must skip the attributes and cover the decorated fn, so neither
-    // the D4 on the item nor an unused-suppression warning appears.
+    // the D2 on the item nor an unused-suppression warning appears.
     let findings = lint_fixture("sup_attr.rs", "crates/app/src/demo.rs");
     assert!(findings.is_empty(), "{findings:?}");
 }
@@ -483,8 +481,8 @@ fn suppression_above_an_attribute_stack_binds_to_the_item() {
 #[test]
 fn bad_suppressions_are_deny_and_do_not_suppress() {
     let findings = lint_fixture("bad_suppression.rs", "crates/app/src/demo.rs");
-    // The reasonless allow(D4) does not silence the RNG finding...
-    assert!(rules_of(&findings).contains(&RuleId::D4), "{findings:?}");
+    // The reasonless allow(D2) does not silence the comparator finding...
+    assert!(rules_of(&findings).contains(&RuleId::D2), "{findings:?}");
     // ...and both the reasonless and the unknown-rule suppression are
     // deny-level SUP findings.
     let sup: Vec<_> = findings

@@ -55,6 +55,10 @@ pub enum At {
 
 fn cases() -> Vec<(&'static str, At)> {
     let mut cases = vec![
+        ("d1_fire.rs", At::Plain),
+        ("d1_clean.rs", At::Plain),
+        ("entropy_fire.rs", At::Plain),
+        ("entropy_clean.rs", At::Plain),
         ("d3_fire.rs", At::Plain),
         ("d3_fire.rs", At::Root(BENCH_ROOT)),
         ("d3_clean.rs", At::Plain),
@@ -253,7 +257,14 @@ fn run() -> BTreeMap<String, Verdict> {
         let lint = tail
             .rsplit_once("\"code\":")
             .map_or(String::new(), |s| value(s.1));
-        let (level, file) = (value(tail), field(tail, "file_name"));
+        // The primary span's `file_name` is the last one before its
+        // `is_primary`: a macro expansion (a desugared `for` loop) sits
+        // ahead of it in the span and names other files.
+        let file = tail
+            .split_once("\"is_primary\":true")
+            .and_then(|(span, _)| span.rsplit_once("\"file_name\":"))
+            .map_or(String::new(), |s| value(s.1));
+        let level = value(tail);
         if file.is_empty() {
             continue;
         }

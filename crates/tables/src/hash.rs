@@ -129,7 +129,6 @@ impl EventRowMap {
 mod tests {
     use super::*;
     use proptest::prelude::*;
-    use std::collections::HashMap;
 
     #[test]
     fn insert_and_get() {
@@ -195,13 +194,18 @@ mod tests {
         #[test]
         fn behaves_like_std_hashmap(ops in prop::collection::vec((0u32..1000, 0u32..u32::MAX), 0..500)) {
             let mut ours = EventRowMap::with_capacity(8);
-            let mut std_map: HashMap<u32, u32> = HashMap::new();
+            #[expect(clippy::disallowed_types, reason = "std's map is the oracle")]
+            let mut std_map = std::collections::HashMap::<u32, u32>::new();
             for (k, v) in ops {
                 let expect_prev = std_map.insert(k, v);
                 let got_prev = ours.insert(EventId::new(k), v);
                 prop_assert_eq!(expect_prev, got_prev);
             }
             prop_assert_eq!(ours.len(), std_map.len());
+            #[expect(
+                clippy::iter_over_hash_type,
+                reason = "every entry is checked on its own; order is invisible"
+            )]
             for (k, v) in &std_map {
                 prop_assert_eq!(ours.get(EventId::new(*k)), Some(*v));
             }

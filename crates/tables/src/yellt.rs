@@ -171,6 +171,11 @@ impl Yellt {
 
     /// Streaming scan: aggregate loss per location. Returns a dense map
     /// keyed by location id and the scan counters.
+    #[expect(
+        clippy::disallowed_types,
+        reason = "each location sums its rows in chunk order; callers read \
+                  totals by key"
+    )]
     pub fn scan_loss_by_location(&self) -> (std::collections::HashMap<u32, f64>, ScanStats) {
         let mut acc = std::collections::HashMap::new();
         let mut stats = ScanStats::default();

@@ -88,7 +88,6 @@ id_newtype!(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::HashSet;
 
     #[test]
     fn round_trip_raw() {
@@ -115,7 +114,8 @@ mod tests {
 
     #[test]
     fn hashable_in_sets() {
-        let mut s = HashSet::new();
+        #[expect(clippy::disallowed_types, reason = "the test is of the Hash impl")]
+        let mut s = std::collections::HashSet::new();
         s.insert(LocationId::new(1));
         s.insert(LocationId::new(1));
         s.insert(LocationId::new(2));

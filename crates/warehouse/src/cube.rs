@@ -25,7 +25,6 @@ use riskpipe_exec::{par_map_collect, ThreadPool};
 use riskpipe_types::{RiskError, RiskResult};
 use std::borrow::Cow;
 use std::collections::btree_map::{BTreeMap, Entry};
-use std::collections::HashMap;
 
 /// A choice of hierarchy level per dimension — one node of the cuboid
 /// lattice. `0` is each dimension's finest level; the maximum index is
@@ -297,6 +296,11 @@ impl Cuboid<Cell> {
 
     /// [`Cuboid::build`] with an explicit chunk grain (tests use small
     /// grains to force multi-chunk merges on small inputs).
+    #[expect(
+        clippy::disallowed_types,
+        reason = "per-chunk partials keyed by cell; merged in chunk order and \
+                  sorted by key before emission"
+    )]
     fn build_with_grain(
         schema: &Schema,
         facts: &FactTable,
@@ -304,6 +308,7 @@ impl Cuboid<Cell> {
         pool: Option<&ThreadPool>,
         grain: usize,
     ) -> RiskResult<Self> {
+        use std::collections::HashMap;
         select.check(schema, "level select")?;
         let grain = grain.max(1);
         let codec = KeyCodec::new(schema, select)?;
@@ -335,9 +340,13 @@ impl Cuboid<Cell> {
         // Merge in chunk order (deterministic), then sort cells by key.
         let mut merged: HashMap<u64, Cell> = HashMap::new();
         for part in partials {
-            // lint: allow(D1) — each key occurs at most once per partial, so
-            // per-key merge order is exactly chunk order regardless of the
-            // hash iteration order; entries are sorted by key before emission.
+            #[expect(
+                clippy::iter_over_hash_type,
+                reason = "each key occurs at most once per partial, so per-key \
+                          merge order is exactly chunk order regardless of the \
+                          hash iteration order; entries are sorted by key before \
+                          emission"
+            )]
             for (k, c) in part {
                 merged.entry(k).or_insert(Cell::EMPTY).merge(&c);
             }

@@ -417,11 +417,12 @@ mod tests {
         assert_eq!(s.dim(dim::TIME).cardinality(2), 4);
         // Block mapping covers every group.
         let geo = s.dim(dim::GEO);
-        let regions: std::collections::HashSet<u32> = (0..100).map(|c| geo.code_at(1, c)).collect();
+        let regions: std::collections::BTreeSet<u32> =
+            (0..100).map(|c| geo.code_at(1, c)).collect();
         assert_eq!(regions.len(), 5);
         // Stripe mapping covers every peril.
         let ev = s.dim(dim::EVENT);
-        let perils: std::collections::HashSet<u32> = (0..200).map(|c| ev.code_at(1, c)).collect();
+        let perils: std::collections::BTreeSet<u32> = (0..200).map(|c| ev.code_at(1, c)).collect();
         assert_eq!(perils.len(), 3);
     }
 

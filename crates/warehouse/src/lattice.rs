@@ -190,7 +190,7 @@ mod tests {
         assert_eq!(all[0], LevelSelect([0, 0, 0, 0]));
         assert_eq!(*all.last().unwrap(), LevelSelect::apex(&s));
         // No duplicates.
-        let set: std::collections::HashSet<_> = all.iter().collect();
+        let set: std::collections::BTreeSet<_> = all.iter().collect();
         assert_eq!(set.len(), all.len());
         // Every element valid.
         assert!(all.iter().all(|l| l.is_valid(&s)));
@@ -305,7 +305,7 @@ mod tests {
         let sel = greedy_select(&sizes, 8);
         assert!(sel.picked.len() <= 8);
         assert!(!sel.picked.contains(&LevelSelect([0; NDIMS])));
-        let set: std::collections::HashSet<_> = sel.picked.iter().collect();
+        let set: std::collections::BTreeSet<_> = sel.picked.iter().collect();
         assert_eq!(set.len(), sel.picked.len());
         // Monotone: each pick's benefit no larger than the previous.
         for w in sel.benefits.windows(2) {

@@ -15,7 +15,7 @@ use crate::fact::FactTable;
 use riskpipe_exec::ThreadPool;
 use riskpipe_types::{RiskError, RiskResult};
 use std::borrow::Cow;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 /// A dice filter: keep cells whose code for `dim` (at the query's
 /// level for that dimension) is in `codes`.
@@ -303,7 +303,12 @@ impl Warehouse {
         let codec = KeyCodec::new(&self.schema, query.select)?;
         let lift = Lift::new(&self.schema, LevelSelect::BASE, query.select);
         let losses = self.facts.losses();
-        let mut scanned: HashMap<u64, Cell> = HashMap::new();
+        #[expect(
+            clippy::disallowed_types,
+            reason = "each cell sums its rows in fact order; entries are sorted \
+                      by key before emission"
+        )]
+        let mut scanned = std::collections::HashMap::<u64, Cell>::new();
         for row in 0..self.facts.rows() {
             let out = lift.apply(self.facts.row_codes(row));
             if query.accepts(&out) {

@@ -10,7 +10,7 @@ use riskpipe::exec::ThreadPool;
 use riskpipe::mapreduce::{EventContributionJob, LocationRiskJob};
 use riskpipe::tables::{ShardedReader, ShardedWriter, Yellt};
 use riskpipe::types::{RiskResult, TrialId};
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::path::PathBuf;
 
 struct Fixture {
@@ -102,7 +102,7 @@ fn event_contributions_agree_between_memory_and_mapreduce() {
     let pool = ThreadPool::new(2);
 
     // In-memory reference.
-    let mut mem: HashMap<u32, f64> = HashMap::new();
+    let mut mem: BTreeMap<u32, f64> = BTreeMap::new();
     for chunk in f.yellt.chunks() {
         for i in 0..chunk.rows() {
             *mem.entry(chunk.events[i]).or_insert(0.0) += chunk.losses[i];

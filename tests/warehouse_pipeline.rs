@@ -153,7 +153,7 @@ fn seasonality_rollup_matches_yelt_scan() {
 fn event_contribution_topk_matches_manual_ranking() {
     let (schema, facts, _yelts) = pipeline_facts();
     // Manual: total loss per event across books.
-    let mut totals = std::collections::HashMap::<u32, f64>::new();
+    let mut totals = std::collections::BTreeMap::<u32, f64>::new();
     for row in 0..facts.rows() {
         let codes = facts.row_codes(row);
         *totals.entry(codes[dim::EVENT]).or_insert(0.0) += facts.losses()[row];

@@ -8,19 +8,32 @@
 //! up once to measure its exact footprint (sketch bytes included —
 //! cell counts alone would misprice sketch-heavy views), then
 //! [`greedy_select_budget`] picks by benefit-per-byte until the budget
-//! is spent. Queries ([`Drilldown::answer`]) are planned by the plain
+//! is spent.
+//!
+//! The rollups that size the lattice run as tasks on the pool the
+//! warehouse was built with: the session's pool when a session built
+//! it ([`AnalyticsHandle::rebuild_from_store`](crate::AnalyticsHandle::rebuild_from_store),
+//! a sweep plan's `.warehouse(layout)`), [`riskpipe_exec::global_pool`]
+//! when a bare [`WarehouseSink`](crate::WarehouseSink) did. Each node's
+//! rollup is a pure function of the base cuboid, and the sizes are
+//! collected in `enumerate` order, so the picks are the same on any
+//! pool. Everything else here runs on the calling thread.
+//!
+//! Queries ([`Drilldown::answer`]) are planned by the plain
 //! warehouse's own rule ([`SketchCuboid::smallest_covering`]): the
 //! smallest materialised cuboid that is finer-or-equal on every
 //! dimension serves the query, with per-query cost accounting.
 
 use crate::dims::DrilldownLayout;
 use crate::ingest::IngestStats;
+use riskpipe_exec::{par_map_collect, suggest_grain, ThreadPool};
 use riskpipe_types::RiskResult;
 use riskpipe_warehouse::{
     enumerate, greedy_select_budget, LevelSelect, Query, QueryCost, Schema, SketchCuboid,
     SketchRow, ViewSelection,
 };
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// The queryable stage-3 warehouse: base cuboid + materialised views.
 #[derive(Debug, Clone)]
@@ -29,16 +42,30 @@ pub struct Drilldown {
     base: SketchCuboid,
     views: BTreeMap<LevelSelect, SketchCuboid>,
     stats: IngestStats,
+    /// The pool view sizing runs on; `None` is the global pool.
+    pool: Option<Arc<ThreadPool>>,
 }
 
 impl Drilldown {
-    pub(crate) fn new(layout: DrilldownLayout, base: SketchCuboid, stats: IngestStats) -> Self {
+    pub(crate) fn new(
+        layout: DrilldownLayout,
+        base: SketchCuboid,
+        stats: IngestStats,
+        pool: Option<Arc<ThreadPool>>,
+    ) -> Self {
         Self {
             layout,
             base,
             views: BTreeMap::new(),
             stats,
+            pool,
         }
+    }
+
+    fn pool(&self) -> &ThreadPool {
+        self.pool
+            .as_deref()
+            .unwrap_or_else(|| riskpipe_exec::global_pool())
     }
 
     /// The star schema queries are phrased against.
@@ -106,19 +133,33 @@ impl Drilldown {
     /// Sizes are **measured**, not estimated: every lattice node is
     /// rolled up once — the lattice here is dozens of nodes over
     /// already-aggregated cells, so measuring costs less than one
-    /// mispriced materialisation would.
+    /// mispriced materialisation would. The rollups run as tasks of a
+    /// few nodes each on the warehouse's pool (see the module docs);
+    /// their sizes reach the picker in `enumerate` order, and the first
+    /// failing node in that order is the error.
     pub fn materialize_budget(&mut self, budget_bytes: u64) -> RiskResult<ViewSelection> {
-        let schema = self.layout.schema().clone();
+        let _span = riskpipe_obs::span("warehouse.materialize");
+        let schema = self.layout.schema();
+        let selects = enumerate(schema);
+        let base = &self.base;
+        let pool = self.pool();
+        let grain = suggest_grain(selects.len(), pool.thread_count(), 1);
+        let rolled = par_map_collect(pool, selects.len(), grain, |i| {
+            let select = selects[i];
+            (select != base.select())
+                .then(|| base.rollup(schema, select))
+                .transpose()
+        });
         let mut measured: BTreeMap<LevelSelect, SketchCuboid> = BTreeMap::new();
-        let mut sizes: Vec<(LevelSelect, u64)> = Vec::new();
-        for select in enumerate(&schema) {
-            if select == self.base.select() {
-                sizes.push((select, self.base.memory_bytes() as u64));
-                continue;
+        let mut sizes: Vec<(LevelSelect, u64)> = Vec::with_capacity(selects.len());
+        for (select, cuboid) in selects.into_iter().zip(rolled) {
+            match cuboid? {
+                Some(cuboid) => {
+                    sizes.push((select, cuboid.memory_bytes() as u64));
+                    measured.insert(select, cuboid);
+                }
+                None => sizes.push((select, self.base.memory_bytes() as u64)),
             }
-            let cuboid = self.base.rollup(&schema, select)?;
-            sizes.push((select, cuboid.memory_bytes() as u64));
-            measured.insert(select, cuboid);
         }
         let selection = greedy_select_budget(&sizes, budget_bytes);
         // The base select sits in `sizes` (so the picker sees it) but

@@ -21,7 +21,16 @@
 //! lock, and delivery is input-ordered, so the accumulated cells are
 //! bit-identical on any thread count, and identical whether the YLTs
 //! come from the live sweep or are reloaded from a
-//! [`ShardedFilesStore`](riskpipe_core::ShardedFilesStore) spill.
+//! [`ShardedFilesStore`](riskpipe_core::ShardedFilesStore) spill. (The
+//! reload reads and sorts slots on the session's pool, then folds the
+//! sorted columns here in slot order — see
+//! [`AnalyticsHandle::rebuild_from_store`](crate::AnalyticsHandle::rebuild_from_store).)
+//!
+//! The pool a sink carries is not used while ingesting: it passes to
+//! the finished [`Drilldown`], which sizes its views on it. A sink
+//! built by a session path (the reload, a sweep plan's
+//! `.warehouse(layout)`) carries the session's pool; a bare
+//! [`WarehouseSink::new`] carries [`riskpipe_exec::global_pool`].
 //!
 //! Cubes alongside a durable spill need no special store: put a
 //! `WarehouseSink` and a [`PersistingSink`](riskpipe_core::PersistingSink)
@@ -57,10 +66,15 @@ pub struct WarehouseSink {
     codec: KeyCodec,
     cells: BTreeMap<u64, SketchCell>,
     stats: IngestStats,
+    /// The pool the finished warehouse sizes its views on; `None` is
+    /// the global pool.
+    pool: Option<Arc<ThreadPool>>,
 }
 
 impl WarehouseSink {
-    /// A sink for `layout`.
+    /// A sink for `layout`. Its warehouse sizes views on
+    /// [`riskpipe_exec::global_pool`], as a bare
+    /// [`AggregateRunner`](riskpipe_aggregate::AggregateRunner) runs on it.
     pub fn new(layout: DrilldownLayout) -> RiskResult<Self> {
         let codec = KeyCodec::new(layout.schema(), LevelSelect::BASE)?;
         Ok(Self {
@@ -68,13 +82,23 @@ impl WarehouseSink {
             codec,
             cells: BTreeMap::new(),
             stats: IngestStats::default(),
+            pool: None,
         })
     }
 
-    /// Inert: ingest runs no job, so there is no pool to choose. Kept
-    /// only so `riskbench/src/workloads.rs::warehouse_sink` — its one
-    /// caller, frozen by the benchmark contract — keeps compiling;
-    /// goes when a benchmark-only PR stops calling it.
+    /// A sink whose warehouse sizes views on `pool` — a session's,
+    /// for the paths that build a warehouse from a session.
+    pub(crate) fn on_pool(layout: DrilldownLayout, pool: Arc<ThreadPool>) -> RiskResult<Self> {
+        let mut sink = Self::new(layout)?;
+        sink.pool = Some(pool);
+        Ok(sink)
+    }
+
+    /// Inert: a bare sink's warehouse stays on the global pool (see
+    /// the module docs). Kept only so
+    /// `riskbench/src/workloads.rs::warehouse_sink` — its one caller,
+    /// frozen by the benchmark contract — keeps compiling; goes when a
+    /// benchmark-only PR stops calling it.
     #[doc(hidden)]
     pub fn with_pool(self, _pool: Arc<ThreadPool>) -> Self {
         self
@@ -109,8 +133,15 @@ impl WarehouseSink {
     /// Ingest a delivered report: its shared sorted column when it
     /// still carries one, else one sort of its YLT.
     fn ingest_report(&mut self, slot: usize, report: &PipelineReport) -> RiskResult<()> {
+        self.ingest_sorted(slot, &report.sorted_agg())
+    }
+
+    /// The pre-sorted twin of [`WarehouseSink::ingest`]: ingest slot
+    /// `slot` from its aggregate column already sorted ascending by
+    /// `total_cmp` (the reload sorts each slot on a pool worker).
+    pub(crate) fn ingest_sorted(&mut self, slot: usize, sorted: &[f64]) -> RiskResult<()> {
         let _span = riskpipe_obs::span_key("warehouse.ingest", slot as u64);
-        self.fold_sorted(slot, &report.sorted_agg())
+        self.fold_sorted(slot, sorted)
     }
 
     /// Fold slot `slot`'s ascending sorted aggregate column into its
@@ -151,7 +182,7 @@ impl WarehouseSink {
             LevelSelect::BASE,
             self.cells.into_iter().collect(),
         )?;
-        Ok(Drilldown::new(self.layout, base, self.stats))
+        Ok(Drilldown::new(self.layout, base, self.stats, self.pool))
     }
 }
 

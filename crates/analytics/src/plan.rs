@@ -89,7 +89,7 @@ impl WarehousePlan<'_> {
             self.plan.scenarios().len(),
             &self.layout,
         )?;
-        let mut sink = WarehouseSink::new(self.layout)?;
+        let mut sink = WarehouseSink::on_pool(self.layout, self.plan.session().shared_pool())?;
         let sweep = self.plan.drive_with(&mut sink)?;
         let mut drilldown = sink.finish()?;
         let selection = match self.budget {

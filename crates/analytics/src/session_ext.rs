@@ -10,6 +10,7 @@ use crate::dims::DrilldownLayout;
 use crate::drilldown::Drilldown;
 use crate::ingest::WarehouseSink;
 use riskpipe_core::{RiskSession, ShardedFilesStore};
+use riskpipe_exec::par_map_collect;
 use riskpipe_types::{RiskError, RiskResult};
 
 /// A sweep/layout compatibility check shared by every path that builds
@@ -70,16 +71,37 @@ impl AnalyticsHandle<'_> {
 
     /// Rebuild the warehouse from a prior run's persisted reports (a
     /// [`ShardedFilesStore`] spill written by a `PersistingSink`)
-    /// instead of re-running the sweep. The reloaded YLTs are
-    /// bit-exact, and ingestion iterates slots in input order, so the
-    /// rebuilt cells are bit-identical to the live-sink path.
+    /// instead of re-running the sweep.
+    ///
+    /// Each slot's read, CRC check, decode and aggregate-column sort is
+    /// one task on the session's pool. The tasks run in waves of
+    /// `T = pool.thread_count()` slots, so at most `T` reloaded YLTs
+    /// are alive at once. After each wave the calling thread folds the
+    /// sorted columns into the warehouse in slot order, so the rebuilt
+    /// cells are bit-identical to the live-sink path on any pool (the
+    /// reloaded YLTs are bit-exact, and a sort by `total_cmp` has one
+    /// result). When several slots fail to load, the error is the
+    /// lowest-numbered slot's. The returned [`Drilldown`] sizes its
+    /// views on the session's pool too. With telemetry attached to the
+    /// session, the call records one `warehouse.rebuild` span on the
+    /// calling thread.
     pub fn rebuild_from_store(&self, store: &ShardedFilesStore, run: u64) -> RiskResult<Drilldown> {
+        let _ctx = self.session.telemetry().map(riskpipe_obs::install);
+        let _span = riskpipe_obs::span("warehouse.rebuild");
         let slots = store.persisted_report_slots(run)?;
         self.check(slots)?;
-        let mut sink = WarehouseSink::new(self.layout.clone())?;
-        for slot in 0..slots {
-            let ylt = store.load_report_ylt(Some(slot), run)?;
-            sink.ingest(slot, &ylt)?;
+        let pool = self.session.pool();
+        let wave = pool.thread_count().max(1);
+        let mut sink = WarehouseSink::on_pool(self.layout.clone(), self.session.shared_pool())?;
+        for first in (0..slots).step_by(wave) {
+            let width = wave.min(slots - first);
+            let columns = par_map_collect(pool, width, 1, |i| -> RiskResult<Vec<f64>> {
+                let ylt = store.load_report_ylt(Some(first + i), run)?;
+                Ok(ylt.sorted_agg_losses())
+            });
+            for (i, column) in columns.into_iter().enumerate() {
+                sink.ingest_sorted(first + i, &column?)?;
+            }
         }
         sink.finish()
     }

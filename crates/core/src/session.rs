@@ -264,6 +264,9 @@ impl ShardedFilesStore {
             RiskError::Io(ioe) if ioe.kind() == std::io::ErrorKind::NotFound => {
                 RiskError::corrupt(format!("missing persisted report {}", path.display()))
             }
+            // A failed CRC or a truncated frame names the file, so a
+            // rebuild over many slots says which one is damaged.
+            RiskError::Corrupt(msg) => RiskError::corrupt(format!("{}: {msg}", path.display())),
             other => other,
         })
     }
@@ -568,6 +571,14 @@ impl RiskSession {
     /// The session's pool.
     pub fn pool(&self) -> &ThreadPool {
         &self.pool
+    }
+
+    /// A shared handle on the session's pool, for results that keep
+    /// working on it after the call that made them returns (a stage-3
+    /// warehouse sizes its views on the pool of the session that built
+    /// it).
+    pub fn shared_pool(&self) -> Arc<ThreadPool> {
+        Arc::clone(&self.pool)
     }
 
     /// The stage-2 engine scenarios run on.

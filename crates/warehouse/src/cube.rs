@@ -24,7 +24,6 @@ use crate::query::{Query, QueryCost, Row, Source};
 use riskpipe_exec::{par_map_collect, ThreadPool};
 use riskpipe_types::{RiskError, RiskResult};
 use std::borrow::Cow;
-use std::collections::btree_map::{BTreeMap, Entry};
 
 /// A choice of hierarchy level per dimension — one node of the cuboid
 /// lattice. `0` is each dimension's finest level; the maximum index is
@@ -484,8 +483,7 @@ impl<M: Measure> Cuboid<M> {
         }
         let codec = KeyCodec::new(schema, target)?;
         let lift = Lift::new(schema, self.select, target);
-        let (grouped, _) = self.group(&lift, &codec, |_| true);
-        let cells = grouped.into_iter().map(|(k, cell)| (k, cell.into_owned()));
+        let (cells, _) = self.group(&lift, &codec, |_| true, |k, cell| (k, cell.into_owned()));
         Ok(Self::from_sorted(target, codec, cells))
     }
 
@@ -512,12 +510,16 @@ impl<M: Measure> Cuboid<M> {
         }
         let codec = KeyCodec::new(schema, query.select)?;
         let lift = Lift::new(schema, self.select, query.select);
-        let (grouped, cells_merged) = self.group(&lift, &codec, |codes| query.accepts(codes));
-        let rows = grouped.into_iter().map(|(k, cell)| Row {
-            codes: codec.decode(k),
-            cell,
-        });
-        let rows = query.cut(rows.collect());
+        let (rows, cells_merged) = self.group(
+            &lift,
+            &codec,
+            |codes| query.accepts(codes),
+            |k, cell| Row {
+                codes: codec.decode(k),
+                cell,
+            },
+        );
+        let rows = query.cut(rows);
         let cost = QueryCost {
             source: Source::Materialized(self.select),
             cells_read: self.cells() as u64,
@@ -530,37 +532,50 @@ impl<M: Measure> Cuboid<M> {
     }
 
     /// The one grouping loop behind [`Cuboid::rollup`] and
-    /// [`Cuboid::answer`]: visit the cells in key order, lift their
-    /// codes, drop those `keep` rejects, and group the rest by their
-    /// key under `codec` — the first cell landing on a key is borrowed,
-    /// and the second makes the group an owned copy of the first that
-    /// it and later ones merge into in visit order, which is what makes
-    /// every caller deterministic. Returns the groups and how many
-    /// cells were merged into an earlier one. (Starting each group from
-    /// [`Cell::EMPTY`], as the fact scans do, differs only for cells no
-    /// fold from `EMPTY` can produce — a `-0.0` sum, a negative max —
-    /// i.e. only for cells that arrived through `decode_cuboid`.)
-    fn group<'a>(
+    /// [`Cuboid::answer`]. Visit the cells in key order, lift their
+    /// codes, drop those `keep` rejects, and pair each survivor's key
+    /// under `codec` with its cell index. Lifting to a coarser grain
+    /// can break key order, so the pairs are stable-sorted by key when
+    /// they are not already ascending (a group-by at the cuboid's own
+    /// grain never sorts). Each run of equal keys is then one group:
+    /// its first cell is borrowed, and the second makes the group an
+    /// owned copy of the first that it and later ones merge into. The
+    /// sort is stable, so a run lists its cells in visit order, and
+    /// that fixed merge order is what makes every caller
+    /// deterministic. Returns what `emit` makes of each group's key and
+    /// cell, in ascending key order, and how many cells were merged
+    /// into an earlier one. (Starting each group from [`Cell::EMPTY`],
+    /// as the fact scans do, differs only for cells no fold from
+    /// `EMPTY` can produce — a `-0.0` sum, a negative max — i.e. only
+    /// for cells that arrived through `decode_cuboid`.)
+    fn group<'a, T>(
         &'a self,
         lift: &Lift,
         codec: &KeyCodec,
         keep: impl Fn(&[u32; NDIMS]) -> bool,
-    ) -> (BTreeMap<u64, Cow<'a, M>>, u64) {
-        let mut grouped: BTreeMap<u64, Cow<'a, M>> = BTreeMap::new();
-        let mut merged = 0;
-        for (&key, cell) in self.keys.iter().zip(&self.cells) {
+        emit: impl Fn(u64, Cow<'a, M>) -> T,
+    ) -> (Vec<T>, u64) {
+        let mut picks: Vec<(u64, usize)> = Vec::with_capacity(self.keys.len());
+        for (i, &key) in self.keys.iter().enumerate() {
             let out = lift.apply(self.codec.decode(key));
             if keep(&out) {
-                match grouped.entry(codec.encode(out)) {
-                    Entry::Occupied(mut slot) => {
-                        slot.get_mut().to_mut().merge(cell);
-                        merged += 1;
-                    }
-                    Entry::Vacant(slot) => {
-                        slot.insert(Cow::Borrowed(cell));
-                    }
-                }
+                picks.push((codec.encode(out), i));
             }
+        }
+        if !picks.is_sorted_by_key(|&(key, _)| key) {
+            picks.sort_by_key(|&(key, _)| key);
+        }
+        let runs = picks.chunk_by(|a, b| a.0 == b.0);
+        let mut grouped = Vec::with_capacity(runs.clone().count());
+        let mut merged = 0;
+        for run in runs {
+            let (key, first) = run[0];
+            let mut cell = Cow::Borrowed(&self.cells[first]);
+            for &(_, i) in &run[1..] {
+                cell.to_mut().merge(&self.cells[i]);
+            }
+            merged += run.len() as u64 - 1;
+            grouped.push(emit(key, cell));
         }
         (grouped, merged)
     }
@@ -570,7 +585,12 @@ impl<M: Measure> Cuboid<M> {
 mod tests {
     use super::*;
     use crate::dimension::{dim, Schema};
+    use crate::lattice::enumerate;
+    use crate::query::Filter;
     use crate::sketchcube::{SketchCell, SketchCuboid};
+    use proptest::prelude::*;
+    use proptest::test_runner::TestRng;
+    use std::collections::btree_map::{BTreeMap, Entry};
 
     fn schema() -> Schema {
         Schema::standard(20, 4, 15, 3, 6, 2).unwrap()
@@ -874,5 +894,218 @@ mod tests {
         check(&s, &base);
         check(&s, &sketched);
         assert_eq!(base.memory_bytes(), base.cells() * 32);
+    }
+
+    // The grouping loop before it sorted: a `BTreeMap` keyed by output
+    // key, the first cell borrowed and later ones merged into an owned
+    // copy in visit order. Kept as the oracle `Cuboid::group` must
+    // match on groups, merge order and bits.
+
+    fn btree_group<'a, M: Measure>(
+        cuboid: &'a Cuboid<M>,
+        lift: &Lift,
+        codec: &KeyCodec,
+        keep: impl Fn(&[u32; NDIMS]) -> bool,
+    ) -> (BTreeMap<u64, Cow<'a, M>>, u64) {
+        let mut grouped: BTreeMap<u64, Cow<'a, M>> = BTreeMap::new();
+        let mut merged = 0;
+        for (&key, cell) in cuboid.keys.iter().zip(&cuboid.cells) {
+            let out = lift.apply(cuboid.codec.decode(key));
+            if keep(&out) {
+                match grouped.entry(codec.encode(out)) {
+                    Entry::Occupied(mut slot) => {
+                        slot.get_mut().to_mut().merge(cell);
+                        merged += 1;
+                    }
+                    Entry::Vacant(slot) => {
+                        slot.insert(Cow::Borrowed(cell));
+                    }
+                }
+            }
+        }
+        (grouped, merged)
+    }
+
+    /// [`Cuboid::answer`] over the oracle grouping.
+    fn oracle_answer<'a, M: Measure>(
+        cuboid: &'a Cuboid<M>,
+        s: &Schema,
+        query: &Query,
+    ) -> (Vec<Row<'a, M>>, QueryCost) {
+        let codec = KeyCodec::new(s, query.select).unwrap();
+        let lift = Lift::new(s, cuboid.select, query.select);
+        let (grouped, cells_merged) = btree_group(cuboid, &lift, &codec, |c| query.accepts(c));
+        let rows = grouped.into_iter().map(|(k, cell)| Row {
+            codes: codec.decode(k),
+            cell,
+        });
+        let rows = query.cut(rows.collect());
+        let cost = QueryCost {
+            source: Source::Materialized(cuboid.select),
+            cells_read: cuboid.cells() as u64,
+            facts_read: 0,
+            rows_out: rows.len() as u64,
+            rows_borrowed: rows.iter().filter(|r| r.is_borrowed()).count() as u64,
+            cells_merged,
+        };
+        (rows, cost)
+    }
+
+    /// [`Cuboid::rollup`]'s `(key, cell)` entries over the oracle
+    /// grouping.
+    fn oracle_rollup<M: Measure>(
+        cuboid: &Cuboid<M>,
+        s: &Schema,
+        target: LevelSelect,
+    ) -> Vec<(u64, M)> {
+        let codec = KeyCodec::new(s, target).unwrap();
+        let lift = Lift::new(s, cuboid.select, target);
+        let (grouped, _) = btree_group(cuboid, &lift, &codec, |_| true);
+        grouped
+            .into_iter()
+            .map(|(k, c)| (k, c.into_owned()))
+            .collect()
+    }
+
+    /// One random dice per call: up to two filters, each on a random
+    /// dimension, accepting a random non-empty set of codes at
+    /// `select`'s level (a single code is a slice). Sometimes a top-k
+    /// cut too.
+    fn random_query(s: &Schema, select: LevelSelect, rng: &mut TestRng) -> Query {
+        let mut query = Query::group_by(select);
+        for _ in 0..rng.next_u64() % 3 {
+            let d = (rng.next_u64() % NDIMS as u64) as usize;
+            let card = u64::from(s.dim(d).cardinality(select.level(d)));
+            let picks = 1 + rng.next_u64() % card.min(4);
+            let codes = (0..picks).map(|_| (rng.next_u64() % card) as u32).collect();
+            query = query.filter(Filter { dim: d, codes });
+        }
+        if rng.next_u64().is_multiple_of(4) {
+            query = query.top(1 + (rng.next_u64() % 5) as usize);
+        }
+        query
+    }
+
+    /// A base cuboid of `cells` random cells (duplicate codes keep the
+    /// first), over a schema small enough that coarse selects pool many
+    /// cells and a filter often empties a query.
+    fn random_base<M: Measure>(
+        s: &Schema,
+        cells: &[([u32; 4], Vec<u32>)],
+        cell_of: impl Fn(&[u32]) -> M,
+    ) -> Cuboid<M> {
+        let codec = KeyCodec::new(s, LevelSelect::BASE).unwrap();
+        let mut entries = BTreeMap::new();
+        for (codes, values) in cells {
+            entries
+                .entry(codec.encode(*codes))
+                .or_insert_with(|| cell_of(values));
+        }
+        Cuboid::from_entries(s, LevelSelect::BASE, entries.into_iter().collect()).unwrap()
+    }
+
+    /// Every select of the lattice, answered under a random dice and
+    /// rolled up, against the oracle: rows (codes, borrowed or owned,
+    /// cell bits), cost record and rollup cells must all agree.
+    fn check_against_oracle<M: Measure>(
+        s: &Schema,
+        base: &Cuboid<M>,
+        seed: u64,
+        bits: impl Fn(&M) -> Vec<u64>,
+    ) -> Result<(), String> {
+        let mut rng = TestRng::new(seed);
+        for select in enumerate(s) {
+            let query = random_query(s, select, &mut rng);
+            let (rows, cost) = base.answer(s, &query).unwrap();
+            let (want, want_cost) = oracle_answer(base, s, &query);
+            prop_assert_eq!(cost, want_cost, "{:?}", query);
+            prop_assert_eq!(rows.len(), want.len());
+            for (got, want) in rows.iter().zip(&want) {
+                prop_assert_eq!(got.codes, want.codes);
+                prop_assert_eq!(got.is_borrowed(), want.is_borrowed());
+                prop_assert_eq!(bits(&got.cell), bits(&want.cell));
+            }
+            let rolled = base.rollup(s, select).unwrap();
+            let want = oracle_rollup(base, s, select);
+            prop_assert_eq!(rolled.keys().len(), want.len());
+            for ((key, cell), (want_key, want_cell)) in
+                rolled.keys().iter().zip(rolled.measures()).zip(&want)
+            {
+                prop_assert_eq!(key, want_key);
+                prop_assert_eq!(bits(cell), bits(want_cell));
+            }
+        }
+        Ok(())
+    }
+
+    fn small_schema() -> Schema {
+        Schema::standard(6, 2, 4, 2, 3, 1).unwrap()
+    }
+
+    /// Random base cells: codes in range for [`small_schema`], and a
+    /// short column of raw values each.
+    fn random_cells() -> impl Strategy<Value = Vec<([u32; 4], Vec<u32>)>> {
+        let codes = (0u32..6, 0u32..4, 0u32..3, 0u32..365).prop_map(|(g, e, c, t)| [g, e, c, t]);
+        prop::collection::vec((codes, prop::collection::vec(0u32..100_000, 1..40)), 0..80)
+    }
+
+    /// A plain cell of signed sum and max, some maxima negative zero:
+    /// a cell `decode_cuboid` could hand back.
+    fn plain_cell(v: &[u32]) -> Cell {
+        let max = if v[0].is_multiple_of(7) {
+            -0.0
+        } else {
+            f64::from(v[v.len() - 1]) - 20_000.0
+        };
+        Cell {
+            count: v.len() as u64,
+            sum: (f64::from(v[0]) - 50_000.0) * 1.25e-3,
+            max,
+        }
+    }
+
+    /// A sketch cell of capacity 8, so that merged cells compact and
+    /// the merge order shows in the retained values.
+    fn sketch_cell(v: &[u32]) -> SketchCell {
+        let mut column: Vec<f64> = v.iter().map(|&x| f64::from(x) * 0.5).collect();
+        riskpipe_types::stats::sort_f64(&mut column);
+        let mut cell = SketchCell::empty(8);
+        cell.absorb_sorted(&column);
+        cell
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn grouping_matches_the_btree_oracle_on_plain_cells(
+            cells in random_cells(),
+            seed in any::<u64>(),
+        ) {
+            let s = small_schema();
+            let base = random_base(&s, &cells, plain_cell);
+            check_against_oracle(&s, &base, seed, |c: &Cell| {
+                vec![c.count, c.sum.to_bits(), c.max.to_bits()]
+            })?;
+        }
+    }
+
+    proptest! {
+        // Sketch merges are the slow part of a case in debug builds.
+        #![proptest_config(ProptestConfig::with_cases(16))]
+
+        #[test]
+        fn grouping_matches_the_btree_oracle_on_sketch_cells(
+            cells in random_cells(),
+            seed in any::<u64>(),
+        ) {
+            let s = small_schema();
+            let base = random_base(&s, &cells, sketch_cell);
+            check_against_oracle(&s, &base, seed, |c: &SketchCell| {
+                let mut out = vec![c.count, c.sum.to_bits(), c.max.to_bits()];
+                out.extend(format!("{:?}", c.sketch).bytes().map(u64::from));
+                out
+            })?;
+        }
     }
 }

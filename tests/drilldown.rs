@@ -139,37 +139,99 @@ fn drilldown_cells_bit_identical_across_threads_and_pinned() {
     }
 }
 
+/// Everything a pool could move in a warehouse: every base cell (codes,
+/// count, sum and max bits, the whole sketch), the budgeted view
+/// selection (picks, benefits, costs, bytes held) and the rows of the
+/// acceptance queries and riskbench's four shapes.
+#[derive(Debug, PartialEq)]
+struct WarehousePrint {
+    base: Vec<([u32; 4], u64, u64, u64, String)>,
+    selection: (Vec<[u8; 4]>, Vec<u64>, u64, u64, usize),
+    rows: Vec<Vec<CompactedSig>>,
+}
+
+fn warehouse_print(wh: &mut Drilldown) -> WarehousePrint {
+    let base = (0..wh.base().cells())
+        .map(|i| {
+            let (codes, cell) = wh.base().cell_at(i);
+            let sketch = format!("{:?}", cell.sketch);
+            (
+                codes,
+                cell.count,
+                cell.sum.to_bits(),
+                cell.max.to_bits(),
+                sketch,
+            )
+        })
+        .collect();
+    let budget = wh.base().memory_bytes() as u64 * 7 / 10;
+    let sel = wh.materialize_budget(budget).unwrap();
+    let picks = sel.picked.iter().map(|s| s.0).collect();
+    let selection = (
+        picks,
+        sel.benefits,
+        sel.cost_before,
+        sel.cost_after,
+        wh.memory_bytes(),
+    );
+    let rows = queries()
+        .into_iter()
+        .chain(bench_shapes())
+        .map(|q| compacted_signature(&wh.answer(&q).unwrap().0))
+        .collect();
+    WarehousePrint {
+        base,
+        selection,
+        rows,
+    }
+}
+
 #[test]
 fn live_sink_and_rebuild_agree_bitwise() {
     let (scenarios, dims) = fixture();
-    let session = RiskSession::builder().pool_threads(2).build().unwrap();
-    let layout = DrilldownLayout::new(dims, session.engine()).unwrap();
-    let handle = session.analytics(layout.clone());
+    let mut reference: Option<WarehousePrint> = None;
+    for threads in [1usize, 2, 8] {
+        let session = RiskSession::builder()
+            .pool_threads(threads)
+            .build()
+            .unwrap();
+        let layout = DrilldownLayout::new(dims.clone(), session.engine()).unwrap();
 
-    // Path A: live WarehouseSink, riding the same pass as a durable
-    // ShardedFilesStore spill.
-    let dir = temp("spill");
-    let files = Arc::new(ShardedFilesStore::new(&dir, 2).unwrap());
-    let outcome = session
-        .sweep(&scenarios)
-        .persist_to(files.clone())
-        .warehouse(layout.clone())
-        .drive()
-        .unwrap();
-    let persisted = outcome.persisted().expect("persistence was requested");
-    assert_eq!(persisted.reports(), scenarios.len() as u64);
-    let live = outcome.into_drilldown();
+        // Path A: live WarehouseSink, riding the same pass as a durable
+        // ShardedFilesStore spill.
+        let dir = temp("spill");
+        let files = Arc::new(ShardedFilesStore::new(&dir, 2).unwrap());
+        let outcome = session
+            .sweep(&scenarios)
+            .persist_to(files.clone())
+            .warehouse(layout.clone())
+            .drive()
+            .unwrap();
+        let persisted = outcome.persisted().expect("persistence was requested");
+        assert_eq!(persisted.reports(), scenarios.len() as u64);
+        let mut live = outcome.into_drilldown();
 
-    // Path C: rebuild from the spill alone.
-    let rebuilt = handle.rebuild_from_store(&files, 0).unwrap();
-    assert_eq!(rebuilt.ingest_stats().reports, scenarios.len() as u64);
+        // Path C: rebuild from the spill alone, slots reloaded in waves
+        // on the session's pool.
+        let mut rebuilt = session
+            .analytics(layout)
+            .rebuild_from_store(&files, 0)
+            .unwrap();
+        assert_eq!(rebuilt.ingest_stats(), live.ingest_stats());
+        assert_eq!(rebuilt.ingest_stats().reports, scenarios.len() as u64);
 
-    for q in queries() {
-        let want = signature(&live.answer(&q).unwrap().0);
-        let got = signature(&rebuilt.answer(&q).unwrap().0);
-        assert_eq!(got, want, "rebuild path drifted for {q:?}");
+        let want = warehouse_print(&mut live);
+        let got = warehouse_print(&mut rebuilt);
+        assert_eq!(
+            got, want,
+            "rebuild drifted from the live sink on {threads} threads"
+        );
+        match &reference {
+            None => reference = Some(want),
+            Some(first) => assert_eq!(&want, first, "{threads} threads drifted from 1"),
+        }
+        std::fs::remove_dir_all(&dir).ok();
     }
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]

@@ -117,6 +117,43 @@ fn deleted_middle_slot_is_corrupt_not_a_smaller_rebuild() {
     fs::remove_dir_all(&dir).ok();
 }
 
+/// A damaged slot names its file, and when several are damaged the
+/// rebuild reports the lowest-numbered one, whatever the pool width
+/// (one slot per wave on 1 thread, both damaged slots in one wave on
+/// 8).
+#[test]
+fn damaged_slot_frames_name_the_lowest_slot_on_any_pool() {
+    let dir = temp("flip");
+    let store = persist_grid(&dir, 0xD4);
+    let (_, dims) = grid(0xD4);
+    for slot in ["batch-001", "batch-003"] {
+        let path = dir.join(slot).join(ShardedFilesStore::YLT_FILE);
+        let mut bytes = fs::read(&path).unwrap();
+        let mid = bytes.len() / 2;
+        bytes[mid] ^= 0x10;
+        fs::write(&path, &bytes).unwrap();
+    }
+    for threads in [1usize, 2, 8] {
+        let session = RiskSession::builder()
+            .pool_threads(threads)
+            .build()
+            .unwrap();
+        let layout = DrilldownLayout::new(dims.clone(), session.engine()).unwrap();
+        let err = session
+            .analytics(layout)
+            .rebuild_from_store(&store, 0)
+            .expect_err("a damaged slot must not rebuild");
+        match &err {
+            RiskError::Corrupt(msg) => {
+                assert!(msg.contains("batch-001"), "{threads} threads: {msg}");
+                assert!(!msg.contains("batch-003"), "{threads} threads: {msg}");
+            }
+            other => panic!("{threads} threads: {other:?}"),
+        }
+    }
+    fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn missing_run_manifest_means_sweep_never_completed() {
     let dir = temp("manifest");

@@ -6,7 +6,7 @@
 //! built without one records nothing anywhere, and the JSON export
 //! schema stays pinned at version 1.
 
-use riskpipe::analytics::{DrilldownLayout, ScenarioDims, SweepPlanAnalytics};
+use riskpipe::analytics::{DrilldownLayout, ScenarioDims, SessionAnalytics, SweepPlanAnalytics};
 use riskpipe::catmodel::financial::location_loss;
 use riskpipe::catmodel::site_intensity;
 use riskpipe::core::{InMemoryStore, RiskSession, ScenarioConfig, ShardedFilesStore};
@@ -396,6 +396,63 @@ fn span_tree_covers_every_stage_of_a_full_plan() -> RiskResult<()> {
         .windows(2)
         .all(|w| (w[0].thread, w[0].seq) < (w[1].thread, w[1].seq)));
 
+    std::fs::remove_dir_all(&dir).ok();
+    Ok(())
+}
+
+/// The read side of stage 3 records one span per call, each on the
+/// calling thread: `warehouse.rebuild` around a reload (installed from
+/// the session's handle; the slot folds are its children there, while
+/// the reads run on the pool) and `warehouse.materialize` around view
+/// sizing (recorded under whatever context the caller installed).
+#[test]
+fn rebuild_and_view_sizing_record_one_span_per_call() -> RiskResult<()> {
+    let telemetry = Telemetry::new();
+    let (scenarios, dims) = grid(0x0BB);
+    let dir = temp("rebuild");
+    let store = Arc::new(ShardedFilesStore::new(&dir, 2)?);
+    let session = RiskSession::builder()
+        .pool_threads(2)
+        .telemetry(telemetry.clone())
+        .build()?;
+    let layout = DrilldownLayout::new(dims, session.engine())?;
+    session
+        .sweep(&scenarios)
+        .persist_to(store.clone())
+        .drive()?;
+    telemetry.reset();
+
+    for call in 1..=2usize {
+        let mut wh = session
+            .analytics(layout.clone())
+            .rebuild_from_store(&store, 0)?;
+        {
+            let _ctx = riskpipe::obs::install(&telemetry);
+            wh.materialize_budget(64 * 1024)?;
+        }
+        let snap = telemetry.snapshot();
+        assert_eq!(snap.spans_named("warehouse.rebuild").count(), call);
+        assert_eq!(snap.spans_named("warehouse.materialize").count(), call);
+        assert_eq!(
+            snap.spans_named("warehouse.ingest").count(),
+            call * scenarios.len()
+        );
+        let rebuild = snap
+            .spans_named("warehouse.rebuild")
+            .last()
+            .expect("a rebuild span");
+        for ingest in snap.spans_named("warehouse.ingest") {
+            assert_eq!(ingest.thread, rebuild.thread);
+        }
+        let ingest = snap
+            .spans_named("warehouse.ingest")
+            .find(|s| s.start_ns >= rebuild.start_ns)
+            .expect("this call's slot folds");
+        assert_eq!(ingest.depth, rebuild.depth + 1);
+        for sizing in snap.spans_named("warehouse.materialize") {
+            assert_eq!(sizing.thread, rebuild.thread);
+        }
+    }
     std::fs::remove_dir_all(&dir).ok();
     Ok(())
 }

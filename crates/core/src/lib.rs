@@ -43,7 +43,7 @@ pub use elastic::{Deadline, ElasticModel, ProcessorPlan, StageThroughput};
 pub use report::{money, SweepSummary, TextTable};
 pub use session::{
     InMemoryStore, IntermediateStore, PipelineReport, RiskSession, RiskSessionBuilder, RunLabel,
-    ShardedFilesStore,
+    ShardedFilesStore, StagedWrite,
 };
 pub use sink::{FanoutSink, PersistingSink, ReportSink};
 pub use stage1cache::Stage1CacheStats;

@@ -387,7 +387,7 @@ impl fmt::Display for SweepSummary {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
     #[test]
@@ -440,7 +440,7 @@ mod tests {
     }
 
     /// A minimal report carrying the given TVaR99 and YLT columns.
-    fn report(name: &str, tvar99: f64, agg: &[f64]) -> crate::PipelineReport {
+    pub(crate) fn report(name: &str, tvar99: f64, agg: &[f64]) -> crate::PipelineReport {
         let trials = agg.len();
         let mut ylt = riskpipe_tables::Ylt::zeroed(trials);
         for (t, &x) in agg.iter().enumerate() {

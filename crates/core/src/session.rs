@@ -61,7 +61,7 @@ use riskpipe_types::stats::quantile_sorted;
 use riskpipe_types::{EventId, LocationId, RiskError, RiskResult, RunningStats, TrialId};
 use std::borrow::Cow;
 use std::collections::{BTreeMap, VecDeque};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -84,6 +84,11 @@ pub struct RunLabel<'a> {
     pub run: u64,
 }
 
+/// A report's durable writes, staged by
+/// [`IntermediateStore::stage_report`]: it owns everything it writes
+/// (the report may drop before it runs) and returns the bytes it wrote.
+pub type StagedWrite = Box<dyn FnOnce() -> RiskResult<u64> + Send>;
+
 /// A backend for stage-2 YELT intermediates and persisted reports.
 /// Implementations must be callable from multiple scenarios at once (a
 /// sweep persists concurrently). A store only stores: new durable
@@ -98,6 +103,15 @@ pub struct RunLabel<'a> {
 /// streams it ([`ShardedFilesStore`]) while one that does not reads
 /// nothing ([`InMemoryStore`]). The report's row count and footprint
 /// come from the stage-1 cache, counted once per key.
+///
+/// Persisted reports are written in two steps. [`stage_report`]
+/// runs on the delivering thread while the report is alive and turns
+/// it into owned bytes; the [`StagedWrite`] it returns runs later, on
+/// the [`PersistingSink`](crate::PersistingSink)'s writer thread, one
+/// slot at a time in slot order. So the encode stays with the report
+/// and only the durable writes move off the delivering thread.
+///
+/// [`stage_report`]: IntermediateStore::stage_report
 pub trait IntermediateStore: Send + Sync {
     /// Backend name for reports.
     fn name(&self) -> &'static str;
@@ -109,13 +123,18 @@ pub trait IntermediateStore: Send + Sync {
     fn persist_yelt(&self, label: RunLabel<'_>, yet: &YearEventTable, elt: &Elt)
         -> RiskResult<u64>;
 
-    /// Persist one completed report's YLT and risk measures — the
-    /// sink-side artifact a [`PersistingSink`](crate::PersistingSink)
-    /// writes per delivered report so the report itself can drop.
-    /// Returns the bytes written durably; the default keeps nothing
-    /// (0), so existing custom backends compile unchanged.
-    fn persist_report(&self, _label: RunLabel<'_>, _report: &PipelineReport) -> RiskResult<u64> {
-        Ok(0)
+    /// Stage one completed report's YLT and risk measures for
+    /// persistence — the sink-side artifact a
+    /// [`PersistingSink`](crate::PersistingSink) writes per delivered
+    /// report so the report itself can drop. Staging runs on the
+    /// delivering thread and only borrows the report: it encodes what
+    /// the store keeps into owned bytes and returns the durable writes
+    /// as a [`StagedWrite`], which the sink runs later on its writer
+    /// thread, in slot order, returning the bytes written durably.
+    /// `None` means there is nothing durable to write; that is the
+    /// default, so existing custom backends compile unchanged.
+    fn stage_report(&self, _label: RunLabel<'_>, _report: &PipelineReport) -> Option<StagedWrite> {
+        None
     }
 
     /// Remove everything this store persisted — all runs' artifacts —
@@ -243,7 +262,7 @@ impl ShardedFilesStore {
     }
 
     /// Read back one persisted report's YLT (written by
-    /// [`IntermediateStore::persist_report`] via a
+    /// [`IntermediateStore::stage_report`] via a
     /// [`PersistingSink`](crate::PersistingSink)) — the reload path
     /// stage-3 analytics use to rebuild drill-down views from a prior
     /// run's spill instead of re-running the sweep. The decode is
@@ -324,6 +343,19 @@ impl ShardedFilesStore {
     pub const RUN_MANIFEST_FILE: &'static str = "RUN_MANIFEST.bin";
 }
 
+/// [`durable::write_atomic`], with the file's path in front of an I/O
+/// error's message (its [`std::io::ErrorKind`] is kept), so a failed
+/// write over many slots says which file it was.
+fn write_naming_path(path: &Path, bytes: &[u8]) -> RiskResult<()> {
+    durable::write_atomic(path, bytes).map_err(|e| match e {
+        RiskError::Io(e) => RiskError::Io(std::io::Error::new(
+            e.kind(),
+            format!("{}: {e}", path.display()),
+        )),
+        other => other,
+    })
+}
+
 impl IntermediateStore for ShardedFilesStore {
     fn name(&self) -> &'static str {
         "sharded-files"
@@ -355,23 +387,28 @@ impl IntermediateStore for ShardedFilesStore {
         Ok(manifest.rows * riskpipe_tables::yellt::YELLT_BYTES_PER_ROW as u64)
     }
 
-    fn persist_report(&self, label: RunLabel<'_>, report: &PipelineReport) -> RiskResult<u64> {
+    fn stage_report(&self, label: RunLabel<'_>, report: &PipelineReport) -> Option<StagedWrite> {
         let dir = self.run_dir(label);
-        let encoded = codec::encode(&report.ylt);
+        // Sized to the frame: a buffer grown by doubling holds ≈ 1.6
+        // frames of capacity, and two staged frames are alive at once.
+        let mut encoded = Vec::with_capacity(codec::encoded_ylt_len(report.ylt.trials()));
+        codec::encode_into(&mut encoded, &report.ylt);
         let measures = format!(
             "scenario: {}\ntrials: {}\n{}\n",
             report.scenario_name,
             report.ylt.trials(),
             report.measures
         );
-        let bytes = (encoded.len() + measures.len()) as u64;
-        // Both artifacts go through the durable write path (tmp +
-        // fsync + atomic rename): a kill at any byte boundary leaves
-        // either the previous slot state or a detectably-absent file,
-        // never a torn one.
-        shard::write_table_file(&dir.join(Self::YLT_FILE), &encoded)?;
-        durable::write_atomic(&dir.join(Self::MEASURES_FILE), measures.as_bytes())?;
-        Ok(bytes)
+        Some(Box::new(move || {
+            let bytes = (encoded.len() + measures.len()) as u64;
+            // Both artifacts go through the durable write path (tmp +
+            // fsync + atomic rename): a kill at any byte boundary
+            // leaves either the previous slot state or a
+            // detectably-absent file, never a torn one.
+            write_naming_path(&dir.join(Self::YLT_FILE), &encoded)?;
+            write_naming_path(&dir.join(Self::MEASURES_FILE), measures.as_bytes())?;
+            Ok(bytes)
+        }))
     }
 
     fn clear_runs(&self) -> RiskResult<()> {

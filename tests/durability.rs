@@ -243,6 +243,87 @@ fn interrupted_write_leftovers_are_inert_and_reclaimed() {
     fs::remove_dir_all(&dir).ok();
 }
 
+/// Every file under `dir`, recursively.
+fn files_under(dir: &std::path::Path) -> Vec<PathBuf> {
+    let mut out = Vec::new();
+    for entry in fs::read_dir(dir).unwrap() {
+        let path = entry.unwrap().path();
+        if path.is_dir() {
+            out.extend(files_under(&path));
+        } else {
+            out.push(path);
+        }
+    }
+    out
+}
+
+/// A persisted write that fails names its file, and the sweep seals
+/// nothing. Each broken slot's `YLT.bin` path is planted as a
+/// directory before the sweep, so the write's final rename fails. The
+/// writes run behind delivery but in slot order, so on any pool width
+/// the error is the lowest broken slot's, the slots before it are
+/// whole under their final names, and no temporary is left behind.
+#[test]
+fn a_failed_persisted_write_names_its_file_and_seals_nothing() {
+    let scenarios: Vec<ScenarioConfig> = (0..6)
+        .map(|i| {
+            ScenarioConfig::small()
+                .with_seed(0xD8)
+                .with_trials(300)
+                .with_name(format!("attach-{i}"))
+                .with_attachment_factor(0.25 + 0.25 * i as f64)
+        })
+        .collect();
+    for broken in [&[2usize][..], &[2, 4]] {
+        for threads in [1usize, 2, 8] {
+            let dir = temp("eisdir");
+            for slot in broken {
+                let ylt = dir
+                    .join(format!("batch-{slot:03}"))
+                    .join(ShardedFilesStore::YLT_FILE);
+                fs::create_dir_all(&ylt).unwrap();
+            }
+            let store = Arc::new(ShardedFilesStore::new(&dir, 2).unwrap());
+            let session = RiskSession::builder()
+                .pool_threads(threads)
+                .build()
+                .unwrap();
+            let err = session
+                .sweep(&scenarios)
+                .summary()
+                .persist_to(store.clone())
+                .drive()
+                .expect_err("a slot whose write fails must fail the sweep");
+            let what = format!("{broken:?} on {threads} threads: {err}");
+            match &err {
+                RiskError::Io(e) => {
+                    let msg = e.to_string();
+                    assert!(msg.contains("batch-002"), "{what}");
+                    assert!(msg.contains(ShardedFilesStore::YLT_FILE), "{what}");
+                    assert!(!msg.contains("batch-004"), "{what}");
+                    assert_eq!(e.kind(), std::io::ErrorKind::IsADirectory, "{what}");
+                }
+                other => panic!("{what}: {other:?}"),
+            }
+            assert!(
+                !dir.join(ShardedFilesStore::RUN_MANIFEST_FILE).exists(),
+                "{what}: a failed sweep was sealed"
+            );
+            assert!(store.persisted_report_slots(0).is_err(), "{what}");
+            let tmps: Vec<_> = files_under(&dir)
+                .into_iter()
+                .filter(|p| p.to_string_lossy().ends_with(".rptmp"))
+                .collect();
+            assert!(tmps.is_empty(), "{what}: left {tmps:?}");
+            for slot in 0..2 {
+                let ylt = store.load_report_ylt(Some(slot), 0).unwrap();
+                assert_eq!(ylt.trials(), 300, "{what}: slot {slot}");
+            }
+            fs::remove_dir_all(&dir).ok();
+        }
+    }
+}
+
 // ---------------------------------------------------------------------
 // The disk-backed stage-1 tier: cold sessions replay warm sweeps with
 // zero stage-1 builds and bit-identical results.

@@ -17,7 +17,7 @@ use riskpipe::core::{
 };
 use riskpipe::metrics::RiskMeasures;
 use riskpipe::prelude::{LevelSelect, Query, RiskResult};
-use riskpipe::types::TrialId;
+use riskpipe::types::{RiskError, TrialId};
 use std::cell::RefCell;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -356,6 +356,86 @@ fn one_drive_feeds_summary_persistence_and_warehouse_from_one_pass() -> RiskResu
     for dir in [plan_dir, ref_dir] {
         std::fs::remove_dir_all(&dir).ok();
     }
+    Ok(())
+}
+
+/// Every file under `dir`, recursively, with its length, in path
+/// order.
+fn listing(dir: &std::path::Path) -> Vec<(PathBuf, u64)> {
+    let mut out = Vec::new();
+    for entry in std::fs::read_dir(dir).unwrap() {
+        let entry = entry.unwrap();
+        let path = entry.path();
+        if path.is_dir() {
+            out.extend(listing(&path));
+        } else {
+            out.push((path, entry.metadata().unwrap().len()));
+        }
+    }
+    out.sort();
+    out
+}
+
+/// A drive aborted by another member after persistence has handed over
+/// slots 0 and 1: the drive returns that member's error and seals
+/// nothing, both handed-over slots are whole under their final names
+/// (dropping the sink waited for the write in flight), and nothing is
+/// written after the drive returns.
+#[test]
+fn an_aborted_drive_leaves_only_whole_files_and_no_writer() -> RiskResult<()> {
+    let scenarios = pricing_sweep(0x5B, 5);
+    let dir = temp("abort");
+    let store = Arc::new(ShardedFilesStore::new(&dir, 2)?);
+    let session = RiskSession::builder().pool_threads(2).build()?;
+    let stop_at_1 = |slot: usize, _: PipelineReport| -> RiskResult<()> {
+        if slot == 1 {
+            Err(RiskError::invalid("the extra sink stops at slot 1"))
+        } else {
+            Ok(())
+        }
+    };
+    let err = session
+        .sweep(&scenarios)
+        .summary()
+        .persist_to(store.clone())
+        .drive_with(stop_at_1)
+        .expect_err("the extra sink's error aborts the drive");
+    assert!(err.to_string().contains("stops at slot 1"), "{err}");
+    assert!(!dir.join(ShardedFilesStore::RUN_MANIFEST_FILE).exists());
+    assert!(store.persisted_report_slots(0).is_err());
+
+    let before = listing(&dir);
+    let names: Vec<String> = before
+        .iter()
+        .map(|(p, _)| p.strip_prefix(&dir).unwrap().display().to_string())
+        .collect();
+    assert_eq!(
+        names,
+        [
+            "batch-000/MEASURES.txt",
+            "batch-000/YLT.bin",
+            "batch-001/MEASURES.txt",
+            "batch-001/YLT.bin"
+        ],
+        "exactly the two handed-over slots, and no temporary"
+    );
+    for (slot, scenario) in scenarios.iter().enumerate().take(2) {
+        let ylt = store.load_report_ylt(Some(slot), 0)?;
+        assert_eq!(ylt, session.run(scenario)?.ylt, "slot {slot}");
+        let measures = std::fs::read_to_string(
+            dir.join(format!("batch-{slot:03}"))
+                .join(ShardedFilesStore::MEASURES_FILE),
+        )
+        .unwrap();
+        assert!(measures.starts_with(&format!("scenario: attach-{slot}\ntrials: 300\n")));
+    }
+    std::thread::sleep(std::time::Duration::from_millis(50));
+    assert_eq!(
+        listing(&dir),
+        before,
+        "a write landed after the drive returned"
+    );
+    std::fs::remove_dir_all(&dir).ok();
     Ok(())
 }
 

@@ -148,6 +148,17 @@ fn metrics_snapshots_are_bit_identical_across_thread_counts() -> RiskResult<()> 
         m.counter("stage2.secondary_evals") >= elt_rows as u64,
         "every inverted row evaluates its start point"
     );
+    // ... and a row's solves share one descent: at most 12.7 beta CDF
+    // evaluations per grid cell (33 cells per row). On this grid a
+    // shared trail runs 4.50 per cell, and solving every cell from
+    // scratch 23.56.
+    let cells = m.counter("stage2.join_hits") * 33;
+    assert!(
+        m.counter("stage2.secondary_evals") as f64 <= 12.7 * cells as f64,
+        "{} beta CDF evaluations over {cells} grid cells: a row's solves \
+         stopped sharing their descent",
+        m.counter("stage2.secondary_evals")
+    );
     // ELT generation reports its work as counts: the damaging pairs
     // are exactly the exhaustive loop's, and the pairs that ran the
     // exact chain lie between them and the full product.
@@ -334,6 +345,7 @@ fn span_tree_covers_every_stage_of_a_full_plan() -> RiskResult<()> {
         ("stage2.persist_yelt", n),
         ("stage3.dfa", n),
         ("warehouse.ingest", n),
+        ("persist.handoff", n), // one write handed to the writer per report
     ];
     for (name, want) in exact {
         assert_eq!(
@@ -389,6 +401,31 @@ fn span_tree_covers_every_stage_of_a_full_plan() -> RiskResult<()> {
     for factors in snap.spans_named("stage3.dfa_factors") {
         acquire_of(factors);
     }
+
+    // Each handoff is keyed by its slot and waits on the delivering
+    // thread, inside the persisting member's delivery span; the
+    // reports' durable writes run on the sink's writer thread.
+    let mut slots: Vec<u64> = snap.spans_named("persist.handoff").map(|h| h.key).collect();
+    slots.sort_unstable();
+    assert_eq!(slots, (0..n as u64).collect::<Vec<_>>());
+    for handoff in snap.spans_named("persist.handoff") {
+        assert!(
+            snap.spans_named("sink.deliver")
+                .any(|d| d.thread == handoff.thread
+                    && d.depth + 1 == handoff.depth
+                    && d.start_ns <= handoff.start_ns
+                    && handoff.start_ns + handoff.dur_ns <= d.start_ns + d.dur_ns),
+            "a persist.handoff outside any delivery"
+        );
+    }
+    let delivering = snap.spans_named("persist.handoff").next().unwrap().thread;
+    assert_eq!(
+        snap.spans_named("durable.write")
+            .filter(|w| w.thread == delivering)
+            .count(),
+        1,
+        "only the run manifest is written on the delivering thread"
+    );
 
     // Stitched order is deterministic: thread-then-sequence.
     let spans = snap.spans();

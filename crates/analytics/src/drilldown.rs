@@ -122,11 +122,6 @@ impl Drilldown {
         Ok(())
     }
 
-    /// Drop a materialised view.
-    pub fn evict(&mut self, select: LevelSelect) -> bool {
-        self.views.remove(&select).is_some()
-    }
-
     /// Greedy view selection under `budget_bytes` of view storage
     /// (HRU benefit-per-byte; the base cuboid is always kept and costs
     /// nothing against the budget). Replaces the current view set.

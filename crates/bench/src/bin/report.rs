@@ -23,6 +23,9 @@ use riskpipe_aggregate::{
     AggregateEngine, AggregateOptions, CpuParallelEngine, EventJoin, GpuChunking, GpuEngine,
     QuantileMode, RealTimePricer, SecondaryTable, SequentialEngine,
 };
+use riskpipe_bench::bootstrap::{bootstrap_ci, BootstrapConfig};
+use riskpipe_bench::convergence::{ConvergenceStudy, Metric};
+use riskpipe_bench::elastic::{Deadline, ElasticModel, StageThroughput};
 use riskpipe_bench::{build_fixture, FixtureSize};
 use riskpipe_catmodel::{
     CatalogConfig, EltGenConfig, EventCatalog, ExposureConfig, ExposurePortfolio, GroundUpModel,
@@ -32,13 +35,13 @@ use riskpipe_cloud::{
     PipelineWeekSpec, Policy, ReactivePolicy, ScheduledPolicy, SimConfig, SimResult, Stage, DAY_MS,
     HOUR_MS, WEEK_MS,
 };
-use riskpipe_core::{Deadline, ElasticModel, StageThroughput, TextTable};
+use riskpipe_core::TextTable;
 use riskpipe_db::YeltTable;
 use riskpipe_dfa::{CompanyConfig, DfaEngine};
 use riskpipe_exec::ThreadPool;
 use riskpipe_mapreduce::{CubeBuildJob, LocationRiskJob};
 use riskpipe_metrics::tvar;
-use riskpipe_metrics::{bootstrap_ci, BootstrapConfig, ConvergenceStudy, EpCurve, RiskMeasures};
+use riskpipe_metrics::{EpCurve, RiskMeasures};
 use riskpipe_simgpu::DeviceSpec;
 use riskpipe_tables::sizing::human_bytes;
 use riskpipe_tables::{ScaleSpec, ShardedReader, ShardedWriter, Yellt, Yelt};
@@ -376,24 +379,6 @@ fn e3() {
         human_bytes((fixture.yet.trials() * 20) as u128),
     ]);
     println!("{table}");
-
-    // Column compressibility of the YELLT (what the sharded store could
-    // save with the delta+varint codec in `tables::compress`).
-    use riskpipe_tables::compress::ratio_u32;
-    let mut trials_col = Vec::new();
-    let mut events_col = Vec::new();
-    let mut locs_col = Vec::new();
-    for chunk in yellt.chunks() {
-        trials_col.extend_from_slice(&chunk.trials);
-        events_col.extend_from_slice(&chunk.events);
-        locs_col.extend_from_slice(&chunk.locations);
-    }
-    println!(
-        "\nYELLT column compressibility (delta+varint): trials {:.1}x, events {:.1}x, locations {:.1}x",
-        ratio_u32(&trials_col),
-        ratio_u32(&events_col),
-        ratio_u32(&locs_col)
-    );
 
     let ratio_1 = yellt.rows() as f64 / yelt.rows() as f64;
     let ratio_2 = yelt.rows() as f64 / fixture.yet.trials() as f64;
@@ -735,7 +720,7 @@ fn e7() {
     let losses = ylt.agg_losses();
     let study = ConvergenceStudy::run(
         losses,
-        riskpipe_metrics::convergence::Metric::TvarPermille(990),
+        Metric::TvarPermille(990),
         &[1_000, 5_000, 10_000, 25_000, 50_000, 100_000],
     );
     let mut conv = TextTable::new(&["trials", "TVaR99 estimate", "rel. error vs full"]);

@@ -78,7 +78,7 @@ pub fn bootstrap_ci(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::measures::tvar;
+    use riskpipe_metrics::tvar;
 
     fn sample() -> Vec<f64> {
         // Deterministic skewed sample.

@@ -3,7 +3,7 @@
 //! simulation trials you can run the better you can manage your
 //! aggregate risk".
 
-use crate::measures::{tvar_sorted, var_sorted};
+use riskpipe_metrics::{tvar_sorted, var_sorted};
 
 /// One row of a convergence study.
 #[derive(Debug, Clone, Copy, PartialEq)]

@@ -1,15 +1,31 @@
 //! # riskpipe-bench
 //!
 //! The experiment harness: shared fixtures for the two binaries in
-//! `src/bin/`. `report <id>...` regenerates the paper's quantitative
-//! claims as tables (E1–E10 plus the ablation; each report function's
-//! doc names its claim, and `report all` writes every one to
-//! `reports/<id>.txt`). `perf_gate` holds the sweep shapes E11–E13
-//! (and riskbench's `cold_models` / `deep_trials`) to wall-clock
-//! budgets and pinned counters. Per-PR timing of those shapes is
-//! riskbench's job (`riskbench/`), not this crate's.
+//! `src/bin/`, and the modules only one experiment uses. `report
+//! <id>...` regenerates the paper's quantitative claims as tables
+//! (E1–E10 plus the ablation; each report function's doc names its
+//! claim, and `report all` writes every one to `reports/<id>.txt`).
+//! `perf_gate` holds the sweep shapes E11–E13 (and riskbench's
+//! `cold_models` / `deep_trials`) to wall-clock budgets and pinned
+//! counters. Per-PR timing of those shapes is riskbench's job
+//! (`riskbench/`), not this crate's.
+//!
+//! The single-experiment modules:
+//!
+//! * [`elastic`] — E6's processor-burst arithmetic over measured
+//!   stage throughputs;
+//! * [`bootstrap`] and [`convergence`] — E7's bootstrap confidence
+//!   intervals and trial-count convergence study.
+//!
+//! The experiment crates (`riskpipe-db`, `-cloud`, `-mapreduce`,
+//! `-simgpu`) are this crate's dependencies, not the `riskpipe`
+//! umbrella's.
 
 #![warn(missing_docs)]
+
+pub mod bootstrap;
+pub mod convergence;
+pub mod elastic;
 
 use riskpipe_aggregate::{LayerTerms, Portfolio};
 use riskpipe_catmodel::{

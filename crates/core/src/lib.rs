@@ -21,16 +21,13 @@
 //! [`RiskSession::run_stream`] (input-order delivery at O(pool width)
 //! peak memory). Scenarios sharing a catalogue seed/config fingerprint
 //! ([`ScenarioConfig::stage1_key`]) reuse one cached stage-1 model run
-//! (LRU over eight keys, plus an optional disk tier). [`elastic`] converts measured
-//! throughputs into the paper's processor-burst arithmetic (<10
-//! processors for stage 1, thousands for stages 2–3).
+//! (LRU over eight keys, plus an optional disk tier).
 
 #![warn(missing_docs)]
 // W1: serving-path library code returns typed errors; a panic aborts a sweep.
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 pub mod config;
-pub mod elastic;
 pub mod report;
 pub mod session;
 pub mod sink;
@@ -39,7 +36,6 @@ pub mod stage1disk;
 pub mod sweep;
 
 pub use config::{ScenarioConfig, Stage1Bundle};
-pub use elastic::{Deadline, ElasticModel, ProcessorPlan, StageThroughput};
 pub use report::{money, SweepSummary, TextTable};
 pub use session::{
     InMemoryStore, IntermediateStore, PipelineReport, RiskSession, RiskSessionBuilder, RunLabel,

@@ -61,7 +61,7 @@ use riskpipe_types::stats::quantile_sorted;
 use riskpipe_types::{EventId, LocationId, RiskError, RiskResult, RunningStats, TrialId};
 use std::borrow::Cow;
 use std::collections::{BTreeMap, VecDeque};
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -343,19 +343,6 @@ impl ShardedFilesStore {
     pub const RUN_MANIFEST_FILE: &'static str = "RUN_MANIFEST.bin";
 }
 
-/// [`durable::write_atomic`], with the file's path in front of an I/O
-/// error's message (its [`std::io::ErrorKind`] is kept), so a failed
-/// write over many slots says which file it was.
-fn write_naming_path(path: &Path, bytes: &[u8]) -> RiskResult<()> {
-    durable::write_atomic(path, bytes).map_err(|e| match e {
-        RiskError::Io(e) => RiskError::Io(std::io::Error::new(
-            e.kind(),
-            format!("{}: {e}", path.display()),
-        )),
-        other => other,
-    })
-}
-
 impl IntermediateStore for ShardedFilesStore {
     fn name(&self) -> &'static str {
         "sharded-files"
@@ -405,8 +392,8 @@ impl IntermediateStore for ShardedFilesStore {
             // fsync + atomic rename): a kill at any byte boundary
             // leaves either the previous slot state or a
             // detectably-absent file, never a torn one.
-            write_naming_path(&dir.join(Self::YLT_FILE), &encoded)?;
-            write_naming_path(&dir.join(Self::MEASURES_FILE), measures.as_bytes())?;
+            durable::write_atomic(&dir.join(Self::YLT_FILE), &encoded)?;
+            durable::write_atomic(&dir.join(Self::MEASURES_FILE), measures.as_bytes())?;
             Ok(bytes)
         }))
     }

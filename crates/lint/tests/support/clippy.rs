@@ -32,11 +32,7 @@ pub const SERVING_ROOTS: [&str; 8] = [
 ];
 
 /// The codec modules that deny S2's lint.
-pub const S2_MODULES: [&str; 3] = [
-    CODEC,
-    "crates/tables/src/compress.rs",
-    "crates/catmodel/src/stage1io.rs",
-];
+pub const S2_MODULES: [&str; 2] = [CODEC, "crates/catmodel/src/stage1io.rs"];
 
 /// The lint context a fixture is compiled in.
 #[derive(Clone, Copy)]

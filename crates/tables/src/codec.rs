@@ -34,9 +34,8 @@
 //! | QuantileGrid | rows u64, g u64 (scalars), cells f64 | `rows × g == cells` |
 //! | RunManifest | run u64, slots u64 (scalars) | — |
 //!
-//! The stage-1 header (`riskpipe-catmodel::stage1io`) and a warehouse
-//! cuboid (`riskpipe-warehouse::store`) need outside context to decode,
-//! so they drive the writer and reader themselves.
+//! The stage-1 header (`riskpipe-catmodel::stage1io`) needs outside
+//! context to decode, so it drives the writer and reader itself.
 //!
 //! Frames may be concatenated in one file (a shard holds one per YELLT
 //! chunk, a stage-1 cache entry one per table): [`decode_prefix`]
@@ -61,6 +60,9 @@ pub const VERSION: u16 = 1;
 pub const HEADER_BYTES: usize = 4 + 2 + 1 + 1 + 8 + 4;
 
 /// Table kinds carried in frame headers.
+///
+/// Kind 6 is retired (it was the warehouse cuboid) and never reused:
+/// a kind-6 frame reads as an unknown kind.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(u8)]
 pub enum TableKind {
@@ -74,9 +76,6 @@ pub enum TableKind {
     Ylt = 4,
     /// A chunk of year-event-location-loss rows.
     YelltChunk = 5,
-    /// A materialised warehouse cuboid (payload layout owned by
-    /// `riskpipe-warehouse::store`).
-    Cuboid = 6,
     /// The leading frame of a cached stage-1 output (payload layout
     /// owned by `riskpipe-catmodel::stage1io`).
     Stage1 = 7,
@@ -99,7 +98,6 @@ impl TableKind {
             3 => Ok(TableKind::Yelt),
             4 => Ok(TableKind::Ylt),
             5 => Ok(TableKind::YelltChunk),
-            6 => Ok(TableKind::Cuboid),
             7 => Ok(TableKind::Stage1),
             8 => Ok(TableKind::RunManifest),
             9 => Ok(TableKind::QuantileGrid),
@@ -249,7 +247,7 @@ impl<'a> FrameWriter<'a> {
     }
 
     /// Append raw payload bytes.
-    pub fn put_bytes(&mut self, bytes: &[u8]) {
+    fn put_bytes(&mut self, bytes: &[u8]) {
         self.out.extend_from_slice(bytes);
     }
 
@@ -296,7 +294,7 @@ impl<'a> FrameReader<'a> {
 
     /// The next `n` raw bytes.
     #[inline]
-    pub fn take(&mut self, n: usize, what: &str) -> RiskResult<&'a [u8]> {
+    fn take(&mut self, n: usize, what: &str) -> RiskResult<&'a [u8]> {
         if self.rest.len() < n {
             return Err(RiskError::corrupt(format!(
                 "truncated {what}: need {n} bytes, have {}",
@@ -333,19 +331,13 @@ impl<'a> FrameReader<'a> {
     }
 
     /// `n` elements with no count before them.
-    pub fn get_elems<T: LeValue>(&mut self, n: usize, what: &str) -> RiskResult<Vec<T>> {
+    fn get_elems<T: LeValue>(&mut self, n: usize, what: &str) -> RiskResult<Vec<T>> {
         // A hostile count must not wrap into a bounds check that passes.
         let bytes = n.checked_mul(T::WIDTH).ok_or_else(|| {
             RiskError::corrupt(format!("{what}: {n} elements overflow the byte count"))
         })?;
         let column = self.take(bytes, what)?;
         Ok(column.chunks_exact(T::WIDTH).map(T::read_le).collect())
-    }
-
-    /// The unread rest of the payload, for a decoder that reports how
-    /// much it used (the caller then [`take`](FrameReader::take)s that).
-    pub fn remaining(&self) -> &'a [u8] {
-        self.rest
     }
 
     /// End the payload: an unread byte is corruption.
@@ -926,6 +918,13 @@ mod tests {
         let bytes = encode(&sample_elt());
         assert!(decode::<YearEventTable>(&bytes).is_err());
         assert!(decode::<Ylt>(&bytes).is_err());
+        // Kind 6 (the retired warehouse cuboid) behind a valid CRC.
+        let mut retired = frame(TableKind::Ylt, &[1, 2, 3]);
+        retired[6] = 6;
+        match unframe(&retired) {
+            Err(RiskError::Corrupt(msg)) => assert_eq!(msg, "unknown table kind 6"),
+            other => panic!("kind 6 must be unknown, got {other:?}"),
+        }
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! Crash-safe file writes: tmp file + fsync + atomic rename.
 //!
-//! Every durable artifact in the pipeline (per-slot `YLT.bin`, shard
-//! manifests, warehouse view files, the stage-1 disk tier) goes through
-//! [`write_atomic`]. The contract is the classic one:
+//! Every durable artifact in the pipeline (per-slot `YLT.bin` and
+//! `MEASURES.txt`, run and shard manifests, the stage-1 disk tier) goes
+//! through [`write_atomic`]. The contract is the classic one:
 //!
 //! 1. the bytes are written to a sibling temporary file in the *same*
 //!    directory (so the final rename never crosses a filesystem),
@@ -71,20 +71,22 @@ fn sync_dir(dir: &Path) {
 
 /// Durably write `bytes` to `path`: tmp file in the same directory,
 /// `sync_all`, atomic rename, parent-dir fsync. On any error the tmp
-/// file is removed and the previous contents of `path` (if any) are
-/// untouched.
+/// file is removed, the previous contents of `path` (if any) are
+/// untouched, and the returned [`RiskError::Io`](riskpipe_types::RiskError::Io)
+/// keeps the failure's [`std::io::ErrorKind`] with `path` leading its
+/// message, so a failed write among many files says which one it was.
 pub fn write_atomic(path: &Path, bytes: &[u8]) -> RiskResult<()> {
     // Telemetry: one write span (key = payload bytes) wrapping the
     // whole protocol, with the two stable-storage syncs bracketed by
     // their own fsync spans. No-ops unless a recorder is installed.
     let _write_span = riskpipe_obs::span_key("durable.write", bytes.len() as u64);
-    if let Some(parent) = path.parent() {
-        if !parent.as_os_str().is_empty() {
-            fs::create_dir_all(parent)?;
-        }
-    }
     let tmp = tmp_path_for(path);
     let result = (|| -> std::io::Result<()> {
+        if let Some(parent) = path.parent() {
+            if !parent.as_os_str().is_empty() {
+                fs::create_dir_all(parent)?;
+            }
+        }
         let mut f = fs::File::create(&tmp)?;
         f.write_all(bytes)?;
         {
@@ -111,7 +113,8 @@ pub fn write_atomic(path: &Path, bytes: &[u8]) -> RiskResult<()> {
         }
         Err(e) => {
             let _ = fs::remove_file(&tmp);
-            Err(e.into())
+            let named = std::io::Error::new(e.kind(), format!("{}: {e}", path.display()));
+            Err(named.into())
         }
     }
 }
@@ -284,7 +287,14 @@ mod tests {
         // Make the final path a directory so the rename must fail.
         let clash = dir.join("b.bin");
         fs::create_dir_all(&clash).unwrap();
-        assert!(write_atomic(&clash, b"x").is_err());
+        match write_atomic(&clash, b"x") {
+            Err(riskpipe_types::RiskError::Io(e)) => {
+                let msg = e.to_string();
+                assert!(msg.starts_with(&clash.display().to_string()), "{msg}");
+                assert_eq!(e.kind(), std::io::ErrorKind::IsADirectory, "{msg}");
+            }
+            other => panic!("expected an i/o error, got {other:?}"),
+        }
         // The original file is untouched and no tmp residue remains.
         assert_eq!(fs::read(&p).unwrap(), b"previous");
         assert_eq!(remove_stale_tmps(&dir).unwrap(), 0);

@@ -27,7 +27,6 @@
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 pub mod codec;
-pub mod compress;
 pub mod durable;
 pub mod elt;
 pub mod hash;

@@ -411,6 +411,7 @@ impl<M: Measure> Cuboid<M> {
     }
 
     /// The cells, parallel to [`Cuboid::keys`].
+    #[cfg(test)]
     pub(crate) fn measures(&self) -> &[M] {
         &self.cells
     }
@@ -547,7 +548,7 @@ impl<M: Measure> Cuboid<M> {
     /// into an earlier one. (Starting each group from [`Cell::EMPTY`],
     /// as the fact scans do, differs only for cells no fold from
     /// `EMPTY` can produce — a `-0.0` sum, a negative max — i.e. only
-    /// for cells that arrived through `decode_cuboid`.)
+    /// for cells a caller handed to [`Cuboid::from_entries`].)
     fn group<'a, T>(
         &'a self,
         lift: &Lift,
@@ -1050,7 +1051,7 @@ mod tests {
     }
 
     /// A plain cell of signed sum and max, some maxima negative zero:
-    /// a cell `decode_cuboid` could hand back.
+    /// a cell [`Cuboid::from_entries`] accepts.
     fn plain_cell(v: &[u32]) -> Cell {
         let max = if v[0].is_multiple_of(7) {
             -0.0

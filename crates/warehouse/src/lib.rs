@@ -30,13 +30,14 @@
 //!   accounting (experiment E9's measured quantity). A result row fed
 //!   by one cell of its source borrows that cell — an answer costs what
 //!   it reads, not what it copies.
-//! * [`store`] — views persist through the same CRC-checked frame
-//!   format as every other riskpipe table; corruption is detected at
-//!   load.
 //! * [`sketchcube`] — the sketch-valued cell: a mergeable quantile
 //!   sketch of the cell's pooled losses beside count/sum/max, so
 //!   slices of a `Cuboid<SketchCell>` answer VaR99/TVaR99/EP points,
 //!   not just sums (the stage-3 drill-down subsystem builds on these).
+//!
+//! Views are never persisted: the one stage-3 artifact on disk is the
+//! sweep's YLT spill, and `riskpipe-analytics` rebuilds its views from
+//! that.
 //!
 //! ## Quickstart
 //!
@@ -74,7 +75,6 @@ pub mod fact;
 pub mod lattice;
 pub mod query;
 pub mod sketchcube;
-pub mod store;
 
 pub use cube::{Cell, Cuboid, KeyCodec, LevelSelect, Measure};
 pub use dimension::{dim, Dimension, Level, Schema, NDIMS};
@@ -82,4 +82,3 @@ pub use fact::{FactBuilder, FactTable};
 pub use lattice::{enumerate, greedy_select, greedy_select_budget, ViewSelection};
 pub use query::{Filter, Query, QueryCost, ResultRow, Row, Source, Warehouse};
 pub use sketchcube::{SketchCell, SketchCuboid, SketchRow};
-pub use store::{decode_cuboid, encode_cuboid, load_views, save_views};

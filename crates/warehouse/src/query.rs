@@ -271,11 +271,6 @@ impl Warehouse {
         Ok(total)
     }
 
-    /// Drop a materialised view.
-    pub fn evict(&mut self, select: LevelSelect) -> bool {
-        self.views.remove(&select).is_some()
-    }
-
     /// Answer `query`, returning result rows (sorted by cell key, or
     /// by descending sum when `top_k` is set) and the cost record.
     pub fn answer(&self, query: &Query) -> RiskResult<(Vec<ResultRow<'_>>, QueryCost)> {
@@ -454,9 +449,6 @@ mod tests {
         assert_eq!(w.materialized().len(), 3);
         // Re-materialising is free.
         assert_eq!(w.materialize(LevelSelect::BASE, None).unwrap(), 0);
-        // Evict works.
-        assert!(w.evict(LevelSelect::BASE));
-        assert!(!w.evict(LevelSelect::BASE));
     }
 
     #[test]

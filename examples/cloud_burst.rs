@@ -5,12 +5,12 @@
 //! cargo run --release --example cloud_burst
 //! ```
 
-use riskpipe::cloud::{
+use riskpipe::types::RiskResult;
+use riskpipe_cloud::{
     peak_deadline_demand, pipeline_week, simulate, total_work_core_ms, FixedPolicy,
     PipelineWeekSpec, Policy, ReactivePolicy, ScheduledPolicy, SimConfig, Stage, DAY_MS, HOUR_MS,
     WEEK_MS,
 };
-use riskpipe::types::RiskResult;
 
 fn main() -> RiskResult<()> {
     let spec = PipelineWeekSpec::default();

@@ -10,7 +10,7 @@
 //! 2. **Portfolio risk management** ([`aggregate`]): Monte-Carlo
 //!    aggregate analysis of a portfolio of reinsurance layers against a
 //!    pre-simulated Year-Event Table, on sequential, multi-core and
-//!    simulated-GPU ([`simgpu`]) engines → Year-Loss Tables (YLTs).
+//!    simulated-GPU engines → Year-Loss Tables (YLTs).
 //! 3. **Dynamic financial analysis** ([`dfa`]): catastrophe YLTs combined
 //!    with investment, interest-rate, market-cycle, counterparty,
 //!    reserve and operational risks → enterprise risk metrics
@@ -18,12 +18,18 @@
 //!
 //! Data management follows the paper's thesis: columnar tables that are
 //! *scanned*, never randomly accessed ([`tables`]), held either in large
-//! accumulated memory or in sharded distributed file space processed
-//! MapReduce-style ([`mapreduce`]); a small relational engine ([`db`]) is
-//! included as the baseline the paper argues against. Stage-3 analytics
-//! pre-compute aggregates in a parallel data [`warehouse`], and the
-//! pipeline's bursty processor demand is priced by the elastic-[`cloud`]
-//! provisioning simulator.
+//! accumulated memory or in sharded file space. Stage-3 analytics
+//! pre-compute aggregates in a parallel data [`warehouse`] and serve
+//! drill-downs over them ([`analytics`]).
+//!
+//! This crate re-exports the pipeline only. The experiments around it
+//! live in `riskpipe-bench`, whose `report` binary runs them: it
+//! depends on the experiment crates — the relational baseline
+//! (`riskpipe-db`), the MapReduce runtime (`riskpipe-mapreduce`), the
+//! simulated GPU device (`riskpipe-simgpu`, which also backs
+//! [`aggregate`]'s GPU engines) and the elastic-cloud provisioning
+//! simulator (`riskpipe-cloud`) — and holds the modules only one
+//! experiment uses.
 //!
 //! ## Quickstart
 //!
@@ -62,15 +68,11 @@
 pub use riskpipe_aggregate as aggregate;
 pub use riskpipe_analytics as analytics;
 pub use riskpipe_catmodel as catmodel;
-pub use riskpipe_cloud as cloud;
 pub use riskpipe_core as core;
-pub use riskpipe_db as db;
 pub use riskpipe_dfa as dfa;
 pub use riskpipe_exec as exec;
-pub use riskpipe_mapreduce as mapreduce;
 pub use riskpipe_metrics as metrics;
 pub use riskpipe_obs as obs;
-pub use riskpipe_simgpu as simgpu;
 pub use riskpipe_tables as tables;
 pub use riskpipe_types as types;
 pub use riskpipe_warehouse as warehouse;
@@ -83,7 +85,6 @@ pub mod prelude {
         WarehouseOutcome, WarehousePlan, WarehouseSink,
     };
     pub use riskpipe_catmodel::Stage1Output;
-    pub use riskpipe_cloud::{pipeline_week, simulate, PipelineWeekSpec, SimConfig};
     pub use riskpipe_core::{
         FanoutSink, InMemoryStore, IntermediateStore, PersistedRun, PersistingSink, PipelineReport,
         ReportSink, RiskSession, RiskSessionBuilder, ScenarioConfig, ShardedFilesStore,

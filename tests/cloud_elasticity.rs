@@ -2,11 +2,11 @@
 //! assertions, plus cross-checks between the discrete-event simulator
 //! and the E6 analytic elasticity model.
 
-use riskpipe::cloud::{
+use riskpipe_cloud::{
     peak_deadline_demand, pipeline_week, simulate, total_work_core_ms, FixedPolicy,
     PipelineWeekSpec, ReactivePolicy, ScheduledPolicy, SimConfig, Stage, DAY_MS, HOUR_MS, WEEK_MS,
 };
-use riskpipe::cloud::{JobSpec, NodeSpec};
+use riskpipe_cloud::{JobSpec, NodeSpec};
 
 fn peak_nodes(jobs: &[JobSpec], cfg: &SimConfig) -> u32 {
     ((peak_deadline_demand(jobs, WEEK_MS) as f64 * 1.25) as u64).div_ceil(cfg.node.cores as u64)
@@ -80,7 +80,7 @@ fn busy_core_time_is_conserved_across_policies() {
     let total = total_work_core_ms(&jobs);
     let peak = peak_nodes(&jobs, &cfg);
     for mut p in [
-        Box::new(FixedPolicy::new(peak)) as Box<dyn riskpipe::cloud::Policy>,
+        Box::new(FixedPolicy::new(peak)) as Box<dyn riskpipe_cloud::Policy>,
         Box::new(ReactivePolicy::new(2, peak)),
     ] {
         let r = simulate(&jobs, p.as_mut(), &cfg).unwrap();
@@ -110,7 +110,7 @@ fn boot_latency_visible_in_reactive_wait_times() {
     };
     let r_slow = run(&slow);
     let r_fast = run(&fast);
-    let span = |r: &riskpipe::cloud::SimResult| {
+    let span = |r: &riskpipe_cloud::SimResult| {
         r.jobs
             .iter()
             .find(|j| j.stage == Stage::PortfolioRollup)

@@ -4,8 +4,8 @@
 //! cost shape.
 
 use riskpipe::core::ScenarioConfig;
-use riskpipe::db::YeltTable;
 use riskpipe::tables::Yelt;
+use riskpipe_db::YeltTable;
 
 #[test]
 fn relational_and_columnar_agree_and_costs_diverge() {
@@ -51,7 +51,7 @@ fn relational_and_columnar_agree_and_costs_diverge() {
 
     // And the relational row-store is bulkier than the columnar layout.
     let columnar_bytes = col_stats.bytes;
-    let rowstore_bytes = (table.pages() * riskpipe::db::PAGE_SIZE) as u64;
+    let rowstore_bytes = (table.pages() * riskpipe_db::PAGE_SIZE) as u64;
     assert!(
         rowstore_bytes > columnar_bytes,
         "row store {rowstore_bytes} vs columnar {columnar_bytes}"

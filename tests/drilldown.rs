@@ -10,13 +10,13 @@ use proptest::prelude::*;
 use riskpipe::analytics::{band_bounds, band_of_return_period, rp_bands, RETURN_PERIOD_BANDS};
 use riskpipe::core::ShardedFilesStore;
 use riskpipe::exec::ThreadPool;
-use riskpipe::mapreduce::YltFactJob;
 use riskpipe::prelude::*;
 use riskpipe::tables::{ShardedReader, ShardedWriter};
 use riskpipe::warehouse::{
     dim, enumerate, KeyCodec, LevelSelect, SketchCell, SketchCuboid, SketchRow, Source,
     ViewSelection,
 };
+use riskpipe_mapreduce::YltFactJob;
 use riskpipe_types::stats::sort_f64;
 use riskpipe_types::{Fingerprint, LocationId, TrialId};
 use std::path::PathBuf;

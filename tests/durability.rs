@@ -263,6 +263,9 @@ fn files_under(dir: &std::path::Path) -> Vec<PathBuf> {
 /// writes run behind delivery but in slot order, so on any pool width
 /// the error is the lowest broken slot's, the slots before it are
 /// whole under their final names, and no temporary is left behind.
+/// The seal itself is a durable write too: with `RUN_MANIFEST.bin`
+/// planted as a directory, every slot lands and the error names the
+/// manifest.
 #[test]
 fn a_failed_persisted_write_names_its_file_and_seals_nothing() {
     let scenarios: Vec<ScenarioConfig> = (0..6)
@@ -321,6 +324,39 @@ fn a_failed_persisted_write_names_its_file_and_seals_nothing() {
             }
             fs::remove_dir_all(&dir).ok();
         }
+    }
+    for threads in [1usize, 2, 8] {
+        let dir = temp("eisdir-seal");
+        let seal = dir.join(ShardedFilesStore::RUN_MANIFEST_FILE);
+        fs::create_dir_all(&seal).unwrap();
+        let store = Arc::new(ShardedFilesStore::new(&dir, 2).unwrap());
+        let session = RiskSession::builder()
+            .pool_threads(threads)
+            .build()
+            .unwrap();
+        let err = session
+            .sweep(&scenarios)
+            .persist_to(store.clone())
+            .drive()
+            .expect_err("a failed seal must fail the sweep");
+        let what = format!("seal on {threads} threads: {err}");
+        match &err {
+            RiskError::Io(e) => {
+                assert!(
+                    e.to_string().starts_with(&seal.display().to_string()),
+                    "{what}"
+                );
+                assert_eq!(e.kind(), std::io::ErrorKind::IsADirectory, "{what}");
+            }
+            other => panic!("{what}: {other:?}"),
+        }
+        assert!(seal.is_dir(), "{what}");
+        assert!(store.persisted_report_slots(0).is_err(), "{what}");
+        for slot in 0..scenarios.len() {
+            let ylt = store.load_report_ylt(Some(slot), 0).unwrap();
+            assert_eq!(ylt.trials(), 300, "{what}: slot {slot}");
+        }
+        fs::remove_dir_all(&dir).ok();
     }
 }
 

@@ -7,9 +7,9 @@ use riskpipe::catmodel::{
     GroundUpModel, YetConfig,
 };
 use riskpipe::exec::ThreadPool;
-use riskpipe::mapreduce::{EventContributionJob, LocationRiskJob};
 use riskpipe::tables::{ShardedReader, ShardedWriter, Yellt};
 use riskpipe::types::{RiskResult, TrialId};
+use riskpipe_mapreduce::{EventContributionJob, LocationRiskJob};
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 

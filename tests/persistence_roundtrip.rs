@@ -195,7 +195,6 @@ const BYTE_PINS: &[(&str, usize, u32)] = &[
     ("yelt", 156, 0xa8285898),
     ("ylt", 124, 0x7ef10041),
     ("yellt_chunk", 152, 0xbca9936c),
-    ("cuboid", 1168, 0xc03940f0),
     ("stage1", 60884, 0x8e1a6c2b),
     ("run_manifest", 36, 0x39ba46be),
     ("quantile_grid", 92, 0x3c6a5954),
@@ -250,15 +249,6 @@ fn pinned_tables() -> (
     (elt, yet, ylt, chunk)
 }
 
-/// A small mid-level warehouse cuboid and its schema.
-fn pinned_cuboid() -> (riskpipe::warehouse::Schema, riskpipe::warehouse::Cuboid) {
-    use riskpipe::warehouse::{Cuboid, FactTable, LevelSelect, Schema};
-    let schema = Schema::standard(6, 2, 5, 2, 3, 2).unwrap();
-    let facts = FactTable::synthetic(&schema, 200, 5);
-    let cuboid = Cuboid::build(&schema, &facts, LevelSelect([1, 1, 1, 1]), None).unwrap();
-    (schema, cuboid)
-}
-
 /// A two-book scenario small enough to encode in a test.
 fn pinned_scenario() -> ScenarioConfig {
     let mut scenario = ScenarioConfig::small().with_seed(0xB17E).with_trials(200);
@@ -289,12 +279,10 @@ fn pinned_stage1() -> (
 fn every_frame_kind_is_byte_pinned() {
     use riskpipe::core::{DiskStage1Cache, RiskSession, ShardedFilesStore};
     use riskpipe::tables::codec::{QuantileGrid, RunManifest};
-    use riskpipe::warehouse::encode_cuboid;
     use std::sync::Arc;
 
     let (elt, yet, ylt, chunk) = pinned_tables();
     let yelt = Yelt::from_yet_elt(&yet, &elt);
-    let (_, cuboid) = pinned_cuboid();
     let grid: Vec<f64> = (0..6).map(|i| i as f64 / 8.0).collect();
     let (output, tables) = pinned_stage1();
 
@@ -304,7 +292,6 @@ fn every_frame_kind_is_byte_pinned() {
         ("yelt".into(), codec::encode(&yelt)),
         ("ylt".into(), codec::encode(&ylt)),
         ("yellt_chunk".into(), codec::encode(&chunk)),
-        ("cuboid".into(), encode_cuboid(&cuboid).unwrap()),
         (
             "stage1".into(),
             riskpipe::catmodel::stage1io::encode_stage1(0x5EED, &output),
@@ -410,7 +397,6 @@ fn a_trailing_byte_after_any_frame_kind_is_corrupt() {
     use riskpipe::catmodel::stage1io::{decode_stage1, encode_stage1};
     use riskpipe::core::DiskStage1Cache;
     use riskpipe::tables::codec::{QuantileGrid, RunManifest};
-    use riskpipe::warehouse::{decode_cuboid, encode_cuboid, load_views};
 
     let (elt, yet, ylt, chunk) = pinned_tables();
     let yelt = Yelt::from_yet_elt(&yet, &elt);
@@ -419,8 +405,6 @@ fn a_trailing_byte_after_any_frame_kind_is_corrupt() {
         g: 2,
         cells: vec![0.25, 0.5, 0.5, 0.75],
     };
-    let (schema, cuboid) = pinned_cuboid();
-    let view_schema = schema.clone();
     let (output, _) = pinned_stage1();
     let dir = temp("trailing");
     let _ = fs::remove_dir_all(&dir);
@@ -434,14 +418,6 @@ fn a_trailing_byte_after_any_frame_kind_is_corrupt() {
         framed_kind("yellt_chunk", &chunk),
         framed_kind("quantile_grid", &grid),
         framed_kind("run_manifest", &RunManifest { run: 3, slots: 4 }),
-        (
-            "cuboid",
-            encode_cuboid(&cuboid).unwrap(),
-            Box::new(move |bytes| decode_cuboid(bytes, &schema).map(drop)),
-            Box::new(move |bytes| {
-                load_file(bytes, "views", |p| load_views(p, &view_schema).map(drop))
-            }),
-        ),
         (
             "stage1",
             encode_stage1(1, &output),

@@ -7,10 +7,10 @@
 )]
 
 use riskpipe::exec::{par_reduce, ThreadPool};
-use riskpipe::mapreduce::LocationRiskJob;
-use riskpipe::simgpu::{BlockCtx, DeviceSpec, GlobalBuf, Kernel, LaunchConfig};
 use riskpipe::tables::{shard, ShardedReader, ShardedWriter};
 use riskpipe::types::{LocationId, RiskResult};
+use riskpipe_mapreduce::LocationRiskJob;
+use riskpipe_simgpu::{BlockCtx, DeviceSpec, GlobalBuf, Kernel, LaunchConfig};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -152,36 +152,6 @@ fn concurrent_pipelines_do_not_interfere() {
 }
 
 #[test]
-fn warehouse_view_file_corruption_is_detected() {
-    use riskpipe::warehouse::{
-        encode_cuboid, load_views, save_views, Cuboid, FactTable, LevelSelect, Schema,
-    };
-    let schema = Schema::standard(40, 5, 30, 3, 8, 2).unwrap();
-    let facts = FactTable::synthetic(&schema, 5_000, 31);
-    let base = Cuboid::build(&schema, &facts, LevelSelect::BASE, None).unwrap();
-    let mid = Cuboid::build(&schema, &facts, LevelSelect([1, 1, 1, 1]), None).unwrap();
-
-    let path = temp("views").with_extension("bin");
-    save_views(&path, &[&base, &mid]).unwrap();
-    assert_eq!(load_views(&path, &schema).unwrap().len(), 2);
-
-    // Flip one byte in the middle of the file: the CRC-checked frame
-    // must refuse to load rather than return perturbed aggregates.
-    let mut bytes = std::fs::read(&path).unwrap();
-    let mid_payload = bytes.len() / 2;
-    bytes[mid_payload] ^= 0x10;
-    std::fs::write(&path, &bytes).unwrap();
-    assert!(load_views(&path, &schema).is_err());
-
-    // Truncation after the first frame: the intact prefix is not
-    // enough either (the partial second frame errors).
-    let first_len = encode_cuboid(&base).unwrap().len();
-    std::fs::write(&path, &std::fs::read(&path).unwrap()[..first_len + 7]).unwrap();
-    assert!(load_views(&path, &schema).is_err());
-    std::fs::remove_file(&path).ok();
-}
-
-#[test]
 fn warehouse_key_packing_capacity_is_enforced() {
     use riskpipe::types::RiskError;
     use riskpipe::warehouse::{Dimension, KeyCodec, Level, LevelSelect, Schema};
@@ -208,7 +178,7 @@ fn warehouse_key_packing_capacity_is_enforced() {
 
 #[test]
 fn cloud_simulator_handles_degenerate_and_hostile_configs() {
-    use riskpipe::cloud::{simulate, FixedPolicy, JobSpec, NodeSpec, Policy, SimConfig, Stage};
+    use riskpipe_cloud::{simulate, FixedPolicy, JobSpec, NodeSpec, Policy, SimConfig, Stage};
     let job = |tasks: u32| JobSpec {
         name: "j".into(),
         stage: Stage::AdHoc,
@@ -236,8 +206,8 @@ fn cloud_simulator_handles_degenerate_and_hostile_configs() {
         fn name(&self) -> &str {
             "thrasher"
         }
-        fn act(&mut self, obs: &riskpipe::cloud::Observation) -> riskpipe::cloud::Action {
-            riskpipe::cloud::Action {
+        fn act(&mut self, obs: &riskpipe_cloud::Observation) -> riskpipe_cloud::Action {
+            riskpipe_cloud::Action {
                 boot: u32::from(obs.ready_nodes + obs.booting_nodes < 2),
                 retire_idle: 1,
             }

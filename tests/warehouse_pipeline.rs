@@ -7,12 +7,12 @@ use riskpipe::catmodel::{
     GroundUpModel, YetConfig,
 };
 use riskpipe::exec::ThreadPool;
-use riskpipe::mapreduce::CubeBuildJob;
 use riskpipe::tables::{ShardedReader, ShardedWriter, Yelt};
 use riskpipe::types::{EventId, LocationId, TrialId};
 use riskpipe::warehouse::{
     dim, Cuboid, FactBuilder, FactTable, Filter, LevelSelect, Query, Schema, Source, Warehouse,
 };
+use riskpipe_mapreduce::CubeBuildJob;
 
 const LOCATIONS: u32 = 150;
 const EVENTS: u32 = 1_500;

@@ -180,6 +180,8 @@ impl Drilldown {
         let (rows, cost) = source.answer(self.layout.schema(), query)?;
         // Deterministic quantities only: a pure function of the
         // retained cuboids and the query.
+        riskpipe_obs::counter_add("warehouse.answer.queries", 1);
+        riskpipe_obs::counter_add("warehouse.answer.cells_read", cost.cells_read);
         riskpipe_obs::counter_add("warehouse.answer.rows_borrowed", cost.rows_borrowed);
         riskpipe_obs::counter_add("warehouse.answer.cells_merged", cost.cells_merged);
         Ok((rows, cost))

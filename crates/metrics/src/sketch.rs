@@ -44,15 +44,20 @@
 //!
 //! Everything that lands in a level is ascending — a `merge_sorted`
 //! column, the alternate picks of a sorted buffer, another sketch's
-//! level — so a level is a concatenation of ascending runs, and
-//! compaction *merges* them (one pass to find them, pairwise merges)
-//! instead of sorting the buffer from scratch; a level already in
-//! order, the common case when the cells pooled are bands of one loss
-//! column, costs one scan. Only a `push`-built level, whose runs are
-//! single values, falls back to a full sort. The schedule, the parity
-//! and the tracked error are untouched: only how the sorted order is
-//! obtained differs, and the sorted order of floats is unique to the
-//! bit.
+//! level — so a level is a concatenation of a few ascending runs. Each
+//! level records where its runs start as values arrive (a [`Runs`]:
+//! every append compares only its junction with the level's last
+//! value, and a merged level carries the other sketch's offsets
+//! across), so compaction *merges* the runs it already knows instead of
+//! sorting the buffer or scanning it for them; a level in order, the
+//! common case when the cells pooled are bands of one loss column,
+//! costs nothing before its picks are taken. Only a `push`-built level,
+//! whose runs are single values, falls back to a full sort. Quantile
+//! queries merge the levels' runs the same way. The offsets are exactly
+//! the descents a scan of the level would find, and the schedule, the
+//! parity and the tracked error are untouched: only how the sorted
+//! order is obtained differs, and the sorted order of floats is unique
+//! to the bit.
 //!
 //! Non-finite values order by [`f64::total_cmp`] exactly as the batch
 //! helpers do: `-inf` first, `NaN` last — so a poisoned stream
@@ -71,8 +76,8 @@ pub struct QuantileSketch {
     /// retained items.
     count: u64,
     /// `levels[i]` holds items of weight `2^i`: between compactions a
-    /// concatenation of ascending runs (see [`sort_runs`]).
-    levels: Vec<Vec<f64>>,
+    /// concatenation of ascending runs, whose starts it tracks.
+    levels: Vec<Level>,
     /// Compactions performed so far — drives the parity alternation.
     compactions: u64,
     /// Exact running sum of per-compaction worst-case rank
@@ -107,7 +112,7 @@ impl QuantileSketch {
         Self {
             k,
             count: 0,
-            levels: vec![Vec::new()],
+            levels: vec![Level::default()],
             compactions: 0,
             err_ranks: 0,
             min: f64::INFINITY,
@@ -158,16 +163,17 @@ impl QuantileSketch {
             .iter()
             .enumerate()
             .rev()
-            .find(|(_, items)| !items.is_empty())
+            .find(|(_, items)| !items.values.is_empty())
             .map(|(level, _)| (1u128 << level) - 1)
             .unwrap_or(0);
         (self.err_ranks + resolution) as f64 / self.count as f64
     }
 
     /// Retained items across all levels (the memory footprint is this
-    /// many `f64`s plus per-level `Vec` headers).
+    /// many `f64`s plus a fixed header per level: a `Vec` and its run
+    /// offsets).
     pub fn retained(&self) -> usize {
-        self.levels.iter().map(Vec::len).sum()
+        self.levels.iter().map(|level| level.values.len()).sum()
     }
 
     /// Fold one value in.
@@ -179,7 +185,9 @@ impl QuantileSketch {
             self.max = x;
         }
         self.count += 1;
-        self.levels[0].push(x);
+        let level = &mut self.levels[0];
+        level.junction(x);
+        level.values.push(x);
         self.compact_overfull();
     }
 
@@ -194,7 +202,9 @@ impl QuantileSketch {
     /// column in as one weighted bulk merge: the column lands in the
     /// level-0 buffer in a single append and compaction runs once at
     /// the end instead of every `k` pushes — one merge of the column
-    /// with whatever the level held rather than `n/k` small sorts.
+    /// with whatever the level held rather than `n/k` small sorts. One
+    /// scan on entry finds the column's runs (a single one for
+    /// ascending input), so the level knows them when it compacts.
     ///
     /// While no compaction triggers (the level-0 buffer stays within
     /// `k`), the resulting state is **identical** to pushing the same
@@ -207,6 +217,12 @@ impl QuantileSketch {
     /// `SweepSummary` does) and determinism across thread counts is
     /// preserved.
     ///
+    /// Ascending input is the contract. A release build handed a
+    /// column out of order still folds it as it stands — its runs and
+    /// extrema are found on entry — into the state the same values
+    /// appended one by one and compacted on the same schedule would
+    /// reach.
+    ///
     /// # Panics
     /// Panics (debug only) if `sorted` is not ascending.
     pub fn merge_sorted(&mut self, sorted: &[f64]) {
@@ -217,14 +233,25 @@ impl QuantileSketch {
         let Some((&first, &last)) = sorted.first().zip(sorted.last()) else {
             return;
         };
-        if self.count == 0 || first.total_cmp(&self.min).is_lt() {
-            self.min = first;
+        let runs = Runs::scan(sorted);
+        let (lo, hi) = if runs == Runs::default() {
+            (first, last)
+        } else {
+            sorted.iter().fold((first, last), |(lo, hi), &x| {
+                (
+                    if x.total_cmp(&lo).is_lt() { x } else { lo },
+                    if x.total_cmp(&hi).is_gt() { x } else { hi },
+                )
+            })
+        };
+        if self.count == 0 || lo.total_cmp(&self.min).is_lt() {
+            self.min = lo;
         }
-        if self.count == 0 || last.total_cmp(&self.max).is_gt() {
-            self.max = last;
+        if self.count == 0 || hi.total_cmp(&self.max).is_gt() {
+            self.max = hi;
         }
         self.count += sorted.len() as u64;
-        self.levels[0].extend_from_slice(sorted);
+        self.levels[0].append(sorted, runs);
         self.compact_overfull();
     }
 
@@ -249,10 +276,10 @@ impl QuantileSketch {
             self.max = other.max;
         }
         while self.levels.len() < other.levels.len() {
-            self.levels.push(Vec::new());
+            self.levels.push(Level::default());
         }
-        for (level, items) in other.levels.iter().enumerate() {
-            self.levels[level].extend_from_slice(items);
+        for (level, items) in self.levels.iter_mut().zip(&other.levels) {
+            level.append(&items.values, items.runs);
         }
         self.count += other.count;
         self.compactions += other.compactions;
@@ -267,43 +294,69 @@ impl QuantileSketch {
     fn compact_overfull(&mut self) {
         let mut level = 0;
         while level < self.levels.len() {
-            if self.levels[level].len() > self.k {
+            if self.levels[level].values.len() > self.k {
                 self.compact(level);
             }
             level += 1;
         }
     }
 
-    /// Sort level `level` and promote alternate items (parity flips per
-    /// compaction) to `level + 1` at doubled weight. An odd buffer
-    /// holds its largest item back so weight is conserved exactly.
+    /// Sort level `level` by merging its runs and promote alternate
+    /// items (parity flips per compaction) to `level + 1` at doubled
+    /// weight, as one more run there. An odd buffer holds its largest
+    /// item back so weight is conserved exactly.
     fn compact(&mut self, level: usize) {
         if self.levels.len() == level + 1 {
-            self.levels.push(Vec::new());
+            self.levels.push(Level::default());
         }
-        let mut buf = std::mem::take(&mut self.levels[level]);
-        sort_runs(&mut buf, |&x| x);
+        let Level {
+            values: mut buf,
+            runs,
+        } = std::mem::take(&mut self.levels[level]);
+        debug_assert_eq!(
+            runs,
+            Runs::scan(&buf),
+            "level {level}: tracked runs drifted"
+        );
+        merge_runs(&mut buf, &runs, |&x| x);
         let even_len = buf.len() & !1;
         let start = (self.compactions % 2) as usize;
         let promoted = &mut self.levels[level + 1];
-        promoted.reserve(even_len / 2);
-        promoted.extend(buf[start..even_len].iter().step_by(2));
+        promoted.junction(buf[start]);
+        promoted.values.reserve(even_len / 2);
+        let pairs = buf[..even_len].chunks_exact(2);
+        promoted.values.extend(pairs.map(|pair| pair[start]));
         if buf.len() > even_len {
-            self.levels[level].push(buf[even_len]);
+            self.levels[level].values.push(buf[even_len]);
         }
         self.compactions += 1;
         self.err_ranks += 1u128 << level;
     }
 
     /// All retained items with their weights, sorted ascending by
-    /// `total_cmp`.
+    /// `total_cmp`: the levels laid end to end, then their known runs
+    /// merged (a level whose first value does not descend from the
+    /// level before it continues that level's last run).
     fn weighted_sorted(&self) -> Vec<(f64, u64)> {
         let mut items: Vec<(f64, u64)> = Vec::with_capacity(self.retained());
-        for (level, values) in self.levels.iter().enumerate() {
+        let mut runs = Runs::default();
+        for (level, Level { values, runs: own }) in self.levels.iter().enumerate() {
+            debug_assert_eq!(
+                *own,
+                Runs::scan(values),
+                "level {level}: tracked runs drifted"
+            );
+            let Some(&first) = values.first() else {
+                continue;
+            };
+            if let Some(&(last, _)) = items.last() {
+                runs.junction(items.len(), first, last);
+            }
+            runs.carry(items.len(), own);
             let w = 1u64 << level;
             items.extend(values.iter().map(|&v| (v, w)));
         }
-        sort_runs(&mut items, |item| item.0);
+        merge_runs(&mut items, &runs, |item| item.0);
         debug_assert_eq!(items.iter().map(|&(_, w)| w).sum::<u64>(), self.count);
         items
     }
@@ -456,7 +509,7 @@ impl QuantileSketch {
     }
 }
 
-/// Most ascending runs [`sort_runs`] merges; a buffer with more is
+/// Most ascending runs [`merge_runs`] merges; a buffer with more is
 /// sorted from scratch. Measured (2 vCPU, release, 1 025 / 2 049 /
 /// 4 097 items, 400 distinct buffers each) as a fraction of
 /// `sort_unstable_by`'s time: runs drawn from one distribution, where
@@ -464,37 +517,130 @@ impl QuantileSketch {
 /// 1.03–1.11 at 8, 1.4–1.5 at 16; runs whose ranges half-overlap their
 /// neighbours' — 0.35 at 2, 0.55 at 8, 0.65 at 16. Eight is three full
 /// merge rounds: break-even on the worst input, a win on any more
-/// ordered one. (riskbench's `rebuild_query` compacts one run 92 % of
-/// the time, two or three 7.9 %, never more than nine.)
+/// ordered one. riskbench's `rebuild_query` compacts 10 135 levels per
+/// rep (seeds 2817, 4404 and 2833 alike): 92 % hold one run, which
+/// costs no comparison before the picks now that levels track their
+/// runs, 7 % two, 0.8 % three to eight, none more; of the 228 sorted
+/// item lists its `var99` / `tvar99` digests gather, 84 % are one run
+/// and none is past the cap.
 const MAX_MERGE_RUNS: usize = 8;
 
-/// Sort `buf` ascending by `key` under [`f64::total_cmp`], given how
-/// level buffers come to be: every producer appends an ascending
-/// sequence (a `merge_sorted` column, the alternate picks of a sorted
-/// buffer, another sketch's level), so a buffer is a concatenation of a
-/// few ascending runs. One pass finds them and adjacent pairs are
-/// merged until one is left; a buffer of more than [`MAX_MERGE_RUNS`]
-/// runs (built by `push`) is sorted outright. `total_cmp`-equal floats
-/// are bit-equal, so either way leaves the same keys in the same
-/// places.
-fn sort_runs<T: Copy>(buf: &mut Vec<T>, key: impl Fn(&T) -> f64) {
-    // Run `r` is `buf[bounds[r]..bounds[r + 1]]`.
-    let mut bounds = [0usize; MAX_MERGE_RUNS + 1];
-    let mut runs = 1;
-    for i in 1..buf.len() {
-        if key(&buf[i]).total_cmp(&key(&buf[i - 1])).is_lt() {
-            if runs == MAX_MERGE_RUNS {
-                buf.sort_unstable_by(|a, b| key(a).total_cmp(&key(b)));
-                return;
+/// Where a buffer's ascending runs start after the first: the descents,
+/// offsets `i` with `buf[i] < buf[i - 1]` under [`f64::total_cmp`], in
+/// order. Inline, with no heap allocation: at most
+/// `MAX_MERGE_RUNS − 1` offsets, and past that only the mark that there
+/// are more (the buffer is then sorted outright).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct Runs {
+    starts: [u32; MAX_MERGE_RUNS - 1],
+    /// Offsets recorded in `starts`, or [`Runs::OVERFLOW`].
+    len: u8,
+}
+
+impl Runs {
+    const OVERFLOW: u8 = u8::MAX;
+
+    /// The descents of `values`, found by one scan.
+    fn scan(values: &[f64]) -> Self {
+        let mut runs = Self::default();
+        for (i, pair) in values.windows(2).enumerate() {
+            if pair[1].total_cmp(&pair[0]).is_lt() {
+                runs.mark(i + 1);
+                if runs.len == Self::OVERFLOW {
+                    break;
+                }
             }
-            bounds[runs] = i;
-            runs += 1;
+        }
+        runs
+    }
+
+    /// The recorded offsets, or `None` past the cap.
+    fn starts(&self) -> Option<&[u32]> {
+        (self.len != Self::OVERFLOW).then(|| &self.starts[..usize::from(self.len)])
+    }
+
+    /// Record a descent at offset `at`, after every one recorded so far.
+    fn mark(&mut self, at: usize) {
+        let len = usize::from(self.len);
+        match u32::try_from(at) {
+            Ok(at) if len < self.starts.len() => {
+                self.starts[len] = at;
+                self.len += 1;
+            }
+            _ => self.overflow(),
         }
     }
-    bounds[runs] = buf.len();
-    if runs == 1 {
+
+    fn overflow(&mut self) {
+        *self = Self {
+            starts: [0; MAX_MERGE_RUNS - 1],
+            len: Self::OVERFLOW,
+        };
+    }
+
+    /// A value `first` appended at offset `at` after `last`.
+    fn junction(&mut self, at: usize, first: f64, last: f64) {
+        if first.total_cmp(&last).is_lt() {
+            self.mark(at);
+        }
+    }
+
+    /// `inner`'s descents, for a buffer appended at offset `at`.
+    fn carry(&mut self, at: usize, inner: &Runs) {
+        match inner.starts() {
+            Some(starts) => starts.iter().for_each(|&s| self.mark(at + s as usize)),
+            None => self.overflow(),
+        }
+    }
+}
+
+/// One level of a sketch: its values and where their runs start.
+#[derive(Debug, Clone, Default)]
+struct Level {
+    values: Vec<f64>,
+    runs: Runs,
+}
+
+impl Level {
+    /// Note a descent if `first`, about to be appended, is below the
+    /// level's last value.
+    fn junction(&mut self, first: f64) {
+        if let Some(&last) = self.values.last() {
+            self.runs.junction(self.values.len(), first, last);
+        }
+    }
+
+    /// Append `xs`, whose own descents are `inner`.
+    fn append(&mut self, xs: &[f64], inner: Runs) {
+        let Some(&first) = xs.first() else {
+            return;
+        };
+        self.junction(first);
+        self.runs.carry(self.values.len(), &inner);
+        self.values.extend_from_slice(xs);
+    }
+}
+
+/// Sort `buf` ascending by `key` under [`f64::total_cmp`], given where
+/// its ascending runs start: adjacent pairs of runs are merged until one
+/// is left, and a buffer of more than [`MAX_MERGE_RUNS`] runs is sorted
+/// outright. `total_cmp`-equal floats are bit-equal, so either way
+/// leaves the same keys in the same places.
+fn merge_runs<T: Copy>(buf: &mut Vec<T>, runs: &Runs, key: impl Fn(&T) -> f64) {
+    let Some(starts) = runs.starts() else {
+        buf.sort_unstable_by(|a, b| key(a).total_cmp(&key(b)));
+        return;
+    };
+    if starts.is_empty() {
         return;
     }
+    // Run `r` is `buf[bounds[r]..bounds[r + 1]]`.
+    let mut bounds = [0usize; MAX_MERGE_RUNS + 1];
+    for (bound, &start) in bounds[1..].iter_mut().zip(starts) {
+        *bound = start as usize;
+    }
+    let mut runs = starts.len() + 1;
+    bounds[runs] = buf.len();
     let mut merged: Vec<T> = Vec::with_capacity(buf.len());
     while runs > 1 {
         merged.clear();
@@ -841,13 +987,14 @@ mod tests {
     // Oracle: compaction by run-merge against compaction by full sort.
     // -----------------------------------------------------------------
 
-    /// What `sort_runs` replaced, kept as the reference.
+    /// What merging known runs replaced, kept as the reference.
     fn reference_sort<T: Copy>(buf: &mut [T], key: impl Fn(&T) -> f64) {
         buf.sort_unstable_by(|a, b| key(a).total_cmp(&key(b)));
     }
 
     /// The sketch as it was before compaction merged runs: the same
-    /// schedule and parity, every overfull level sorted from scratch.
+    /// schedule and parity, every overfull level sorted from scratch,
+    /// nothing tracked.
     #[derive(Clone)]
     struct RefSketch {
         k: usize,
@@ -945,7 +1092,9 @@ mod tests {
         assert_eq!(sk.max.to_bits(), reference.max.to_bits(), "{what}: max");
         assert_eq!(sk.levels.len(), reference.levels.len(), "{what}: levels");
         for (level, (a, b)) in sk.levels.iter().zip(&reference.levels).enumerate() {
-            assert_eq!(bits(a), bits(b), "{what}: level {level}");
+            assert_eq!(bits(&a.values), bits(b), "{what}: level {level}");
+            let scanned = Runs::scan(&a.values);
+            assert_eq!(a.runs, scanned, "{what}: level {level}'s tracked runs");
         }
     }
 
@@ -993,8 +1142,9 @@ mod tests {
     }
 
     fn assert_sorts_like_reference(buf: &[f64], what: &str) {
+        let runs = Runs::scan(buf);
         let (mut merged, mut sorted) = (buf.to_vec(), buf.to_vec());
-        sort_runs(&mut merged, |&x| x);
+        merge_runs(&mut merged, &runs, |&x| x);
         reference_sort(&mut sorted, |&x| x);
         assert_eq!(bits(&merged), bits(&sorted), "{what}: {buf:?}");
 
@@ -1006,7 +1156,7 @@ mod tests {
             weighted.map(|(i, &x)| (x, 1u64 << (i % 5))).collect()
         };
         let (mut merged, mut sorted) = (weigh(buf), weigh(buf));
-        sort_runs(&mut merged, |item| item.0);
+        merge_runs(&mut merged, &runs, |item| item.0);
         reference_sort(&mut sorted, |item| item.0);
         let keys = |items: &[(f64, u64)]| -> Vec<u64> {
             items.iter().map(|item| item.0.to_bits()).collect()
@@ -1111,11 +1261,231 @@ mod tests {
                 };
                 let (sk, reference) = &pool[i];
                 assert_same_state(sk, reference, &format!("seed {seed} step {step} ({what})"));
-                let retained: Vec<f64> = sk.levels.concat();
+                let retained: Vec<f64> = sk.levels.iter().flat_map(|l| l.values.clone()).collect();
                 assert_sorts_like_reference(&retained, "retained items");
             }
             // The sequences went somewhere: several levels deep.
             assert!(pool.iter().any(|(sk, _)| sk.levels.len() >= 4), "k={k}");
+        }
+    }
+
+    /// A sketch and its reference, driven in lockstep and compared
+    /// after every operation.
+    #[derive(Clone)]
+    struct Twin(QuantileSketch, RefSketch);
+
+    impl Twin {
+        fn new(k: usize) -> Self {
+            Self(QuantileSketch::new(k), RefSketch::new(k))
+        }
+
+        fn push(&mut self, x: f64, what: &str) {
+            self.0.push(x);
+            self.1.fold(&[x]);
+            assert_same_state(&self.0, &self.1, what);
+        }
+
+        fn merge_sorted(&mut self, column: &[f64], what: &str) {
+            self.0.merge_sorted(column);
+            self.1.fold(column);
+            assert_same_state(&self.0, &self.1, what);
+        }
+
+        fn merge(&mut self, other: &Twin, what: &str) {
+            self.0.merge(&other.0);
+            self.1.merge(&other.1);
+            assert_same_state(&self.0, &self.1, what);
+        }
+    }
+
+    /// `runs` ascending columns, each starting below where the one
+    /// before it ended (so every seam between them is a descent) and
+    /// overlapping it, `len` values in all.
+    fn descending_columns(runs: usize, len: usize) -> Vec<Vec<f64>> {
+        (0..runs)
+            .map(|r| {
+                let n = len / runs + usize::from(r < len % runs);
+                let base = (runs - r) as f64;
+                (0..n).map(|j| base + j as f64 * 0.75).collect()
+            })
+            .collect()
+    }
+
+    #[test]
+    fn merged_levels_of_1_7_8_and_9_plus_runs_compact_like_the_reference() {
+        for k in [8usize, 16, 64] {
+            for runs in [1, 2, 7, 8, 9, 12, 2 * k] {
+                for warm in [false, true] {
+                    let what = format!("k={k} runs={runs} warm={warm}");
+                    let (mut left, mut right) = (Twin::new(k), Twin::new(k));
+                    if warm {
+                        // Compacted levels above, so the merge carries
+                        // runs there too.
+                        let column: Vec<f64> = (0..3 * k + 1).map(|i| i as f64 * 0.5).collect();
+                        left.merge_sorted(&column, &what);
+                        right.merge_sorted(&column[k..], &what);
+                    }
+                    // Split the runs across the two sides at the middle
+                    // value, most often inside a run: the seam the
+                    // merge meets is then no descent.
+                    let len = (k + 1).max(runs).min(2 * k);
+                    let mut seen = 0;
+                    for column in descending_columns(runs, len) {
+                        let cut = (len / 2).saturating_sub(seen).min(column.len());
+                        left.merge_sorted(&column[..cut], &what);
+                        right.merge_sorted(&column[cut..], &what);
+                        seen += column.len();
+                    }
+                    if !warm {
+                        let level0 = [&left, &right].map(|twin| twin.0.levels[0].values.clone());
+                        let descents = Runs::scan(&level0.concat()).starts().map(<[u32]>::len);
+                        let want = (runs <= MAX_MERGE_RUNS).then_some(runs - 1);
+                        assert_eq!(descents, want, "{what}: runs the merge meets");
+                    }
+                    left.merge(&right, &what);
+                    assert!(left.0.compactions > 0, "{what}: nothing compacted");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn push_built_descending_streams_compact_like_the_reference() {
+        for k in [8usize, 16, 64] {
+            let mut twin = Twin::new(k);
+            for i in (0..6 * k).rev() {
+                twin.push(i as f64, &format!("k={k} push {i}"));
+            }
+            // Several overflowing level-0 compactions, each promoting a
+            // run that sits below the last.
+            assert!(twin.0.levels.len() >= 3, "k={k}");
+            let mut other = Twin::new(k);
+            for i in (0..2 * k).rev() {
+                other.push(i as f64 * 3.0, &format!("k={k} other push {i}"));
+            }
+            twin.merge(&other, &format!("k={k} merge of descending streams"));
+        }
+    }
+
+    #[test]
+    fn awkward_junctions_are_descents_exactly_under_total_cmp() {
+        let nan = f64::NAN;
+        let (inf, neg_inf) = (f64::INFINITY, f64::NEG_INFINITY);
+        // (last value before the seam, first value after it).
+        let seams = [
+            (2.0, 2.0),
+            (0.0, -0.0),
+            (-0.0, 0.0),
+            (0.0, 0.0),
+            (nan, 1.0),
+            (nan, nan),
+            (1.0, nan),
+            (1.0, -nan),
+            (-nan, -nan),
+            (inf, neg_inf),
+            (inf, inf),
+            (neg_inf, inf),
+            (inf, nan),
+            (nan, inf),
+        ];
+        for k in [8usize, 16, 64] {
+            let mut rng = Lcg(k as u64 + 0xA11);
+            for (s, &(last, first)) in seams.iter().enumerate() {
+                let what = format!("k={k} seam {s} ({last:?} then {first:?})");
+                // Columns ending in `last` and starting at `first`, long
+                // enough together to compact.
+                let side = k / 2 + 1;
+                let column = |rng: &mut Lcg, keep: &dyn Fn(f64) -> bool| {
+                    let mut xs: Vec<f64> = Vec::new();
+                    while xs.len() < side - 1 {
+                        let x = rng.value();
+                        if keep(x) {
+                            xs.push(x);
+                        }
+                    }
+                    sort_f64(&mut xs);
+                    xs
+                };
+                let below = column(&mut rng, &|x: f64| x.total_cmp(&last).is_le());
+                let above = column(&mut rng, &|x: f64| x.total_cmp(&first).is_ge());
+                let before = [below, vec![last]].concat();
+                let after = [vec![first], above].concat();
+
+                // The seam met by a merge of two levels …
+                let (mut left, mut right) = (Twin::new(k), Twin::new(k));
+                left.merge_sorted(&before, &what);
+                right.merge_sorted(&after, &what);
+                left.merge(&right, &what);
+                // … by a column folded onto a level …
+                let mut folded = Twin::new(k);
+                folded.merge_sorted(&before, &what);
+                folded.merge_sorted(&after, &what);
+                // … and by single pushes.
+                let mut pushed = Twin::new(k);
+                for &x in before.iter().chain(&after) {
+                    pushed.push(x, &what);
+                }
+                for twin in [&left, &folded, &pushed] {
+                    assert!(twin.0.compactions > 0, "{what}: nothing compacted");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn empty_and_single_value_columns_keep_the_runs() {
+        for k in [8usize, 16, 64] {
+            let mut rng = Lcg(k as u64 + 0xE5);
+            let mut twin = Twin::new(k);
+            for step in 0..40 * k {
+                let what = format!("k={k} step {step}");
+                match rng.below(3) {
+                    0 => twin.merge_sorted(&[], &what),
+                    1 => twin.merge_sorted(&[rng.value()], &what),
+                    _ => {
+                        let len = rng.below(4);
+                        let column = rng.sorted_column(len);
+                        twin.merge_sorted(&column, &what);
+                    }
+                }
+            }
+            assert!(twin.0.levels.len() >= 3, "k={k}");
+        }
+    }
+
+    #[test]
+    fn merging_a_clone_into_itself_compacts_like_the_reference() {
+        for k in [8usize, 16, 64] {
+            let mut rng = Lcg(k as u64 + 0xC10);
+            let mut twin = Twin::new(k);
+            for step in 0..12 {
+                let what = format!("k={k} step {step}");
+                let len = rng.below(k);
+                let column = rng.sorted_column(len);
+                twin.merge_sorted(&column, &what);
+                twin.push(rng.value(), &what);
+                let copy = twin.clone();
+                twin.merge(&copy, &format!("{what}: merged into itself"));
+            }
+            assert!(twin.0.levels.len() >= 4, "k={k}");
+        }
+    }
+
+    /// `merge_sorted`'s contract is ascending input, asserted in debug
+    /// builds. A release build given a column out of order still folds
+    /// it as it stands: the state is the reference's, which appends the
+    /// values in the order given and sorts every compaction outright.
+    #[cfg(not(debug_assertions))]
+    #[test]
+    fn release_merge_sorted_of_an_unsorted_column_reaches_the_reference_state() {
+        for k in [8usize, 16, 64] {
+            let mut rng = Lcg(k as u64 + 0x0DD);
+            let mut twin = Twin::new(k);
+            for step in 0..200 {
+                let column: Vec<f64> = (0..rng.below(3 * k)).map(|_| rng.value()).collect();
+                twin.merge_sorted(&column, &format!("k={k} step {step}"));
+            }
+            assert!(twin.0.levels.len() >= 3, "k={k}");
         }
     }
 

@@ -241,11 +241,13 @@ fn elt_counters_show_the_footprint_walk_is_selective() -> RiskResult<()> {
 }
 
 /// Each answered drill-down query reports how its rows came to be: a
-/// query a view serves at its own grain borrows every row and merges
-/// nothing; one rolled up from the base owns every row and merged the
-/// cells behind them. The operator's signal that the view set does not
-/// fit the query mix — and, being counts of cells, the same on 1, 2 and
-/// 8 threads.
+/// query a view serves at its own grain reads the view's cells, borrows
+/// every row and merges nothing; one rolled up from the base reads every
+/// base cell, owns every row and merged the cells behind them. With the
+/// queries and cells read counted, the merged share of the cells read —
+/// the operator's signal that the view set does not fit the query mix —
+/// comes from telemetry alone, and, being counts of cells, is the same
+/// on 1, 2 and 8 threads.
 #[test]
 fn answer_counters_tell_borrowed_rows_from_merged_cells() -> RiskResult<()> {
     let by_book = LevelSelect([0, 0, 3, 1]);
@@ -271,17 +273,23 @@ fn answer_counters_tell_borrowed_rows_from_merged_cells() -> RiskResult<()> {
         let counters = || {
             let m = telemetry.snapshot().metrics().clone();
             (
+                m.counter("warehouse.answer.queries"),
+                m.counter("warehouse.answer.cells_read"),
                 m.counter("warehouse.answer.rows_borrowed"),
                 m.counter("warehouse.answer.cells_merged"),
             )
         };
-        assert_eq!(counters(), (0, 0), "the sweep answers no query");
+        assert_eq!(counters(), (0, 0, 0, 0), "the sweep answers no query");
 
         let (rows, cost) = wh.answer(&Query::group_by(by_book))?;
         assert_eq!(cost.source, Source::Materialized(by_book));
         assert!(rows.iter().all(|r| r.is_borrowed()));
         let view_served = counters();
-        assert_eq!(view_served, (4, 0), "one borrowed row per book");
+        assert_eq!(
+            view_served,
+            (1, 4, 4, 0),
+            "the view's 4 cells read, one borrowed row per book"
+        );
 
         let (rows, cost) = wh.answer(&Query::group_by(by_layer))?;
         assert_eq!(cost.source, Source::Materialized(LevelSelect::BASE));
@@ -290,8 +298,8 @@ fn answer_counters_tell_borrowed_rows_from_merged_cells() -> RiskResult<()> {
         let rolled_up = counters();
         assert_eq!(
             rolled_up,
-            (4, base_cells - 4),
-            "every base cell but each row's first is merged"
+            (2, 4 + base_cells, 4, base_cells - 4),
+            "every base cell read, and all but each row's first merged"
         );
         seen.push((view_served, rolled_up));
     }

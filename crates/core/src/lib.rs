@@ -7,7 +7,7 @@
 //!    ELTs, plus the YET pre-simulation;
 //! 2. **portfolio risk management** (`riskpipe-aggregate`): Monte-Carlo
 //!    aggregate analysis → YLT (and optionally a YELT/YELLT spill to
-//!    an [`session::IntermediateStore`]);
+//!    an [`IntermediateStore`]);
 //! 3. **dynamic financial analysis** (`riskpipe-dfa`): the cat YLT
 //!    joined with every other enterprise risk.
 //!
@@ -22,6 +22,13 @@
 //! peak memory). Scenarios sharing a catalogue seed/config fingerprint
 //! ([`ScenarioConfig::stage1_key`]) reuse one cached stage-1 model run
 //! (LRU over eight keys, plus an optional disk tier).
+//!
+//! The facade is split by concern: [`session`] holds the builder,
+//! [`RiskSession::run`] and the per-scenario stages 2–3; [`store`]
+//! holds the [`IntermediateStore`] backends; the streaming core behind
+//! [`RiskSession::run_stream`] and the stage-1 cache behind
+//! [`Stage1CacheStats`] (with the functions that build its entries)
+//! each have a private module of their own.
 
 #![warn(missing_docs)]
 // W1: serving-path library code returns typed errors; a panic aborts a sweep.
@@ -33,15 +40,15 @@ pub mod session;
 pub mod sink;
 mod stage1cache;
 pub mod stage1disk;
+pub mod store;
+mod stream;
 pub mod sweep;
 
 pub use config::{ScenarioConfig, Stage1Bundle};
 pub use report::{money, SweepSummary, TextTable};
-pub use session::{
-    InMemoryStore, IntermediateStore, PipelineReport, RiskSession, RiskSessionBuilder, RunLabel,
-    ShardedFilesStore, StagedWrite,
-};
+pub use session::{PipelineReport, RiskSession, RiskSessionBuilder};
 pub use sink::{FanoutSink, PersistingSink, ReportSink};
 pub use stage1cache::Stage1CacheStats;
 pub use stage1disk::DiskStage1Cache;
+pub use store::{InMemoryStore, IntermediateStore, RunLabel, ShardedFilesStore, StagedWrite};
 pub use sweep::{PersistedRun, SweepOutcome, SweepPlan};

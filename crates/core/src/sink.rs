@@ -54,7 +54,8 @@
 //! [`PersistingSink`] for the rules.
 
 use crate::report::SweepSummary;
-use crate::session::{IntermediateStore, PipelineReport, RunLabel, StagedWrite};
+use crate::session::PipelineReport;
+use crate::store::{IntermediateStore, RunLabel, StagedWrite};
 use riskpipe_types::{RiskError, RiskResult};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{sync_channel, SyncSender};
@@ -343,7 +344,6 @@ impl PersistingSink {
     /// then hand the write to the writer.
     fn deliver(&mut self, slot: usize, report: &PipelineReport) -> RiskResult<()> {
         let label = RunLabel {
-            scenario: &report.scenario_name,
             slot: Some(slot),
             run: 0,
         };
@@ -524,11 +524,11 @@ mod tests {
             "scripted"
         }
 
-        fn persist_yelt(&self, _: RunLabel<'_>, _: &YearEventTable, _: &Elt) -> RiskResult<u64> {
+        fn persist_yelt(&self, _: RunLabel, _: &YearEventTable, _: &Elt) -> RiskResult<u64> {
             Ok(0)
         }
 
-        fn stage_report(&self, label: RunLabel<'_>, _: &PipelineReport) -> Option<StagedWrite> {
+        fn stage_report(&self, label: RunLabel, _: &PipelineReport) -> Option<StagedWrite> {
             let (write, slot) = (self.write, label.slot.unwrap_or(0));
             Some(Box::new(move || write(slot)))
         }

@@ -1,14 +1,26 @@
 //! The stage-1 cache: a session's keyed store of model runs, the join of
 //! their books and their DFA factor block, with LRU eviction in RAM and
-//! an optional write-through disk tier.
+//! an optional write-through disk tier — and the functions that build a
+//! run on a miss, each taking only its declared inputs.
+//!
+//! The cache is one lock over published entries. A lookup that finds
+//! its key serves the entry; one that does not builds the whole run
+//! with no lock held, then publishes it, evicting the least recently
+//! used entry if the cache is full. Nothing is inserted before a build
+//! succeeds, so a failed build leaves the cache exactly as it found it.
+//! Concurrent misses on one key each build (builds are pure functions of
+//! the key); the first to publish keeps the entry.
 
+use crate::config::ScenarioConfig;
 use crate::stage1disk::DiskStage1Cache;
-use riskpipe_aggregate::{EventJoin, SecondaryTable};
+use riskpipe_aggregate::{build_secondary, AggregateOptions, EventJoin, SecondaryTable};
 use riskpipe_catmodel::{EltGenCounts, Stage1Output};
-use riskpipe_dfa::DfaFactors;
+use riskpipe_dfa::{DfaEngine, DfaFactors};
 use riskpipe_exec::lockwitness::Mutex;
+use riskpipe_exec::{par_chunks_mut, par_reduce, suggest_grain, ThreadPool};
+use riskpipe_tables::{Elt, YearEventTable};
 use riskpipe_types::{RiskError, RiskResult};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Distinct stage-1 model runs a session retains in RAM, least recently
@@ -27,7 +39,8 @@ pub struct Stage1CacheStats {
     pub misses: u64,
     /// Entries displaced by the LRU capacity bound.
     pub evictions: u64,
-    /// Distinct keys currently retained.
+    /// Published entries currently retained, one per distinct key. A
+    /// build in progress — or one that failed — holds no entry.
     pub entries: usize,
     /// Estimated bytes currently retained (observability only; nothing
     /// bounds it but the entry count). Each
@@ -38,10 +51,11 @@ pub struct Stage1CacheStats {
     /// [`DfaFactors::memory_bytes`] of its stage-3 factor block
     /// (7 × 8 B × trials).
     pub bytes: u64,
-    /// Stage-1 model runs actually built (a RAM miss the disk tier
-    /// also missed, plus redundant racer builds). With a warm disk
-    /// tier this stays at zero — the number the "cold process replays
-    /// a sweep with zero rebuilds" guarantee pins.
+    /// Stage-1 model runs actually built: a RAM miss the disk tier also
+    /// missed. Racer builds count too — two misses on one key that
+    /// overlap both build, and only the first to publish is kept. With a
+    /// warm disk tier this stays at zero — the number the "cold process
+    /// replays a sweep with zero rebuilds" guarantee pins.
     pub builds: u64,
     /// RAM misses served by the disk tier
     /// ([`RiskSessionBuilder::stage1_disk_cache`](crate::RiskSessionBuilder::stage1_disk_cache)) instead of a build.
@@ -58,8 +72,9 @@ pub struct Stage1CacheStats {
 /// the event-major join of its books, a pure function of the books'
 /// ELTs and the session's fixed [`AggregateOptions`], and the DFA
 /// factor block, a pure function of the key's seed and trial count and
-/// the session's fixed company. Built once by the key's leader,
-/// `Arc`-shared with every follower.
+/// the session's fixed company. Built once per key by
+/// [`Stage1Cache::build_model_run`], `Arc`-shared with every scenario
+/// of the key.
 pub(crate) struct ModelRun {
     pub(crate) output: Arc<Stage1Output>,
     /// The books joined in book order — the table the engines read.
@@ -83,50 +98,20 @@ impl ModelRun {
 /// A model run as a RAM miss obtained it, before anything is derived
 /// from it: freshly built, or decoded from the disk tier together with
 /// whatever grids its entry carried.
-pub(crate) struct Acquired {
-    pub(crate) output: Stage1Output,
+struct Acquired {
+    output: Stage1Output,
     /// One secondary table per book, adopted from the disk entry's grid
     /// frames; empty after a build, and when the entry carried none.
-    pub(crate) grids: Vec<SecondaryTable>,
+    grids: Vec<SecondaryTable>,
     /// Whether the disk tier already holds an entry for the key (a disk
     /// hit). A build still has to be written through.
-    pub(crate) on_disk: bool,
-}
-
-/// One key's cache entry. `Building` marks an in-progress build so
-/// concurrent requesters know not to expect a value yet; they build
-/// redundantly rather than wait (see [`Stage1Cache::get_or_build`]).
-#[derive(Default)]
-enum SlotState {
-    #[default]
-    Empty,
-    Building,
-    Ready(Arc<ModelRun>),
-}
-
-struct CacheSlot {
-    state: Mutex<SlotState>,
-    /// Estimated bytes of the published entry (0 while `Building`) —
-    /// readable without the state lock so summing them under the index
-    /// lock never orders against a slot lock.
-    bytes: AtomicUsize,
-}
-
-impl Default for CacheSlot {
-    fn default() -> Self {
-        Self {
-            // The witness lock name is the binding the lock is reached
-            // through (`slot.state`), matching the lint identity.
-            state: Mutex::new("state", SlotState::default()),
-            bytes: AtomicUsize::new(0),
-        }
-    }
+    on_disk: bool,
 }
 
 /// A keyed cache of stage-1 model runs ([`Stage1Output`]: catalogue,
 /// per-contract books, YET), the join of their books and their DFA
 /// factor block ([`ModelRun`]), shared across every scenario a session
-/// executes. Keys come from [`ScenarioConfig::stage1_key`](crate::ScenarioConfig::stage1_key) — a stable
+/// executes. Keys come from [`ScenarioConfig::stage1_key`] — a stable
 /// fingerprint of the generating configs — so a sweep that varies only
 /// pricing terms (or report names) regenerates nothing. Eviction is
 /// LRU over [`DEFAULT_STAGE1_CACHE_CAPACITY`] entries.
@@ -135,10 +120,11 @@ pub(crate) struct Stage1Cache {
     /// on every build — survives the process and is shared across
     /// processes (see [`DiskStage1Cache`]).
     disk: Option<DiskStage1Cache>,
-    /// The retained keys and their slots in recency order, least
-    /// recently used first. At most [`DEFAULT_STAGE1_CACHE_CAPACITY`]
-    /// entries, so a lookup scans a handful of keys.
-    index: Mutex<Vec<(u64, Arc<CacheSlot>)>>,
+    /// The published entries — key, run and the bytes it is charged —
+    /// in recency order, least recently used first. At most
+    /// [`DEFAULT_STAGE1_CACHE_CAPACITY`] entries, so a lookup scans a
+    /// handful of keys. The cache's only lock.
+    index: Mutex<Vec<(u64, Arc<ModelRun>, usize)>>,
     hits: AtomicU64,
     misses: AtomicU64,
     evictions: AtomicU64,
@@ -161,121 +147,135 @@ impl Stage1Cache {
         }
     }
 
-    /// Whether `key` has a completed build ready to serve.
+    /// Whether `key` has a published entry ready to serve.
     pub(crate) fn is_ready(&self, key: u64) -> bool {
-        let slot = {
-            let index = self.index.lock();
-            match index.iter().position(|(k, _)| *k == key) {
-                Some(i) => Arc::clone(&index[i].1),
-                None => return false,
-            }
-        };
-        let state = slot.state.lock();
-        matches!(*state, SlotState::Ready(_))
+        self.index.lock().iter().any(|(k, ..)| *k == key)
     }
 
     /// Look up `key`; on a miss, run `miss` for the whole entry and
-    /// retain the result. The session's `miss` forks the factor block
-    /// into its own pool task and, beside it, obtains the model run
-    /// ([`Stage1Cache::load_or_build`]: disk tier, else a build), the
-    /// join cached beside it and the write-through, which waits for the
-    /// grids the join's tables tabulate so they ride in the same entry
-    /// ([`Stage1Cache::disk_store`]). Nothing is published before
-    /// `miss` returns — the factor task joined — so a disk-tier error
-    /// takes the same retry path as a failed build instead of leaving
-    /// RAM and disk disagreeing.
+    /// publish the result. The session's `miss` is
+    /// [`Stage1Cache::build_model_run`]. A miss holds no lock while
+    /// `miss` runs, and only a successful run is published — inserted
+    /// as the most recently used entry, evicting the least recently
+    /// used one if the cache is full. A failed run publishes and evicts
+    /// nothing, so a later request simply misses again and retries.
     ///
     /// This NEVER blocks on another request's build. Pipeline tasks run
     /// on pool workers whose nested scopes *steal and inline other
-    /// pipeline tasks while they wait*; if a request could park on a
-    /// "someone is building" lock, a builder that inlined a same-key
-    /// task would block on its own stack (and two builders could
-    /// deadlock on each other's keys). Instead a request that finds the
-    /// slot `Building` performs its own redundant build — correct
-    /// because builds are pure functions of the key — and whichever
-    /// finishes first publishes. [`RiskSession::run_stream`](crate::RiskSession::run_stream) holds back
-    /// same-key followers until the key's first scenario deposits, so
-    /// within one streaming/batch call the redundant path never fires
-    /// and stage 1 — all of `miss` — runs exactly once per distinct
-    /// key.
+    /// pipeline tasks while they wait*; if a request could park until
+    /// "someone else's build" finished, a builder that inlined a
+    /// same-key task would block on its own stack (and two builders
+    /// could deadlock on each other's keys). Instead a request that
+    /// finds no entry builds — correct because builds are pure
+    /// functions of the key — and whichever racer publishes first keeps
+    /// the entry; a later racer returns its own (bit-identical) run.
+    /// [`RiskSession::run_stream`](crate::RiskSession::run_stream) holds
+    /// back same-key followers until the key's first scenario deposits,
+    /// so within one streaming/batch call no two requests race and
+    /// stage 1 — all of `miss` — runs exactly once per distinct key.
     pub(crate) fn get_or_build(
         &self,
         key: u64,
         miss: impl FnOnce() -> RiskResult<ModelRun>,
     ) -> RiskResult<Arc<ModelRun>> {
-        let slot = {
-            // lint: allow(C1) — index mutex covers map insert/evict
+        let hit = {
+            // lint: allow(C1) — index mutex covers lookup and LRU
             // bookkeeping only; builds never run under it, so the
-            // critical section is a few map operations and the wait is
-            // bounded and deadlock-free.
+            // critical section is a few vector operations and the wait
+            // is bounded and deadlock-free.
             let mut index = self.index.lock();
-            if let Some(i) = index.iter().position(|(k, _)| *k == key) {
+            index.iter().position(|(k, ..)| *k == key).map(|i| {
                 // A hit moves the key to the back: most recently used.
                 let entry = index.remove(i);
-                let slot = Arc::clone(&entry.1);
+                let run = Arc::clone(&entry.1);
                 index.push(entry);
-                slot
-            } else {
-                while index.len() >= DEFAULT_STAGE1_CACHE_CAPACITY {
-                    index.remove(0);
-                    self.evictions.fetch_add(1, Ordering::Relaxed);
-                }
-                let slot = Arc::new(CacheSlot::default());
-                index.push((key, Arc::clone(&slot)));
-                slot
-            }
+                run
+            })
         };
-        {
-            // lint: allow(C1) — slot state mutex is tag-only (see the
-            // fn doc: a `Building` tag triggers a redundant build, it
-            // is never waited on), so no holder can park this worker.
-            let mut state = slot.state.lock();
-            match &*state {
-                SlotState::Ready(run) => {
-                    self.hits.fetch_add(1, Ordering::Relaxed);
-                    riskpipe_obs::counter_add("stage1.hits", 1);
-                    return Ok(Arc::clone(run));
-                }
-                SlotState::Building => {} // redundant build below
-                SlotState::Empty => *state = SlotState::Building,
-            }
+        // Counted after the guard drops: the counter takes the
+        // telemetry registry's lock, which must not nest under `index`.
+        if let Some(run) = hit {
+            self.hits.fetch_add(1, Ordering::Relaxed);
+            riskpipe_obs::counter_add("stage1.hits", 1);
+            return Ok(run);
         }
         self.misses.fetch_add(1, Ordering::Relaxed);
         riskpipe_obs::counter_add("stage1.misses", 1);
-        match miss() {
-            Ok(run) => {
-                let run = Arc::new(run);
-                // Sized outside the lock: the footprint is a pure
-                // accessor and the critical section stays tag-only.
-                let run_bytes = run.memory_bytes();
-                // lint: allow(C1) — tag-only publish after an unlocked
-                // load or build; bounded critical section, no nested
-                // waits.
-                let mut state = slot.state.lock();
-                if !matches!(*state, SlotState::Ready(_)) {
-                    *state = SlotState::Ready(Arc::clone(&run));
-                    slot.bytes.store(run_bytes, Ordering::Relaxed);
-                }
-                Ok(run)
+        let run = Arc::new(miss()?);
+        // Sized outside the lock: the footprint is a pure accessor.
+        let bytes = run.memory_bytes();
+        // lint: allow(C1) — publish after an unlocked load or build: a
+        // scan and at most a few vector operations, no nested waits.
+        let mut index = self.index.lock();
+        if !index.iter().any(|(k, ..)| *k == key) {
+            while index.len() >= DEFAULT_STAGE1_CACHE_CAPACITY {
+                index.remove(0);
+                self.evictions.fetch_add(1, Ordering::Relaxed);
             }
-            Err(e) => {
-                // Re-open the slot so a later request retries, unless a
-                // concurrent build already published.
-                // lint: allow(C1) — tag-only rollback of a failed load
-                // or build; bounded critical section, no nested waits.
-                let mut state = slot.state.lock();
-                if matches!(*state, SlotState::Building) {
-                    *state = SlotState::Empty;
-                }
-                Err(e)
-            }
+            index.push((key, Arc::clone(&run), bytes));
         }
+        Ok(run)
+    }
+
+    /// A cache miss's whole entry, on both sides of one pool scope.
+    /// Stage 3's factor block has declared inputs — the scenario's trial
+    /// count and seed (both fingerprinted by `key`) and the session's
+    /// `dfa` engine — and reads nothing stage 1 or 2 produce, so it runs
+    /// as its own pool task ([`simulate_dfa_factors`]) alongside the
+    /// chain on this thread: the model run loaded or built
+    /// ([`Stage1Cache::load_or_build`]), then
+    /// [`Stage1Cache::derive_model_run`]. The task writes into a
+    /// scope-captured slot, no lock; the scope joins it before anything
+    /// is published, and its trial count is checked against the YET's.
+    /// A chain error wins over a factor error, as when the block was the
+    /// chain's last step.
+    pub(crate) fn build_model_run(
+        &self,
+        key: u64,
+        scenario: &ScenarioConfig,
+        dfa: &DfaEngine,
+        options: &AggregateOptions,
+        pool: &ThreadPool,
+    ) -> RiskResult<ModelRun> {
+        let mut dfa_factors = None;
+        // lint: allow(C1) — a waiting scope caller runs queued tasks
+        // (`ThreadPool::scope`), so a leader on a 1-worker pool runs the
+        // factor task itself instead of parking on it.
+        let chain = pool.scope(|s| {
+            s.spawn(|| {
+                dfa_factors = Some(simulate_dfa_factors(
+                    key,
+                    scenario.trials,
+                    scenario.seed,
+                    dfa,
+                    pool,
+                ));
+            });
+            self.load_or_build(key, || scenario.build_stage1_counted_on(pool))
+                .and_then(|acquired| self.derive_model_run(key, acquired, options, pool))
+        });
+        let (output, join, yelt_rows) = chain?;
+        let dfa_factors = dfa_factors
+            .ok_or_else(|| RiskError::InvalidState("the DFA factor task never ran".into()))??;
+        if dfa_factors.trials() != output.yet.trials() {
+            return Err(RiskError::InvalidState(format!(
+                "DFA factor block holds {} trials but the YET has {}",
+                dfa_factors.trials(),
+                output.yet.trials()
+            )));
+        }
+        Ok(ModelRun {
+            output: Arc::new(output),
+            join,
+            yelt_rows,
+            dfa_factors,
+        })
     }
 
     /// RAM missed: a complete disk entry serves `key` without a build
     /// (bit-identical — stage 1 is a pure function of the key, and the
     /// codec round trip is exact); otherwise build it.
-    pub(crate) fn load_or_build(
+    fn load_or_build(
         &self,
         key: u64,
         build: impl FnOnce() -> RiskResult<(Stage1Output, EltGenCounts)>,
@@ -292,6 +292,77 @@ impl Stage1Cache {
             grids: Vec::new(),
             on_disk: false,
         })
+    }
+
+    /// The stage-2 half of a cache entry: the per-book secondary tables
+    /// — adopted from the disk entry when it carried the grids `options`
+    /// tabulate, built on `pool` otherwise — joined into the one table
+    /// every scenario sharing `key` reads. Before the join sits the disk
+    /// write-through: a fresh build is stored with its grids, and a disk
+    /// hit whose entry lacked them (written with secondary uncertainty
+    /// off, under another grid size, or before the tier carried grids)
+    /// is rewritten with them, so the next process adopts instead of
+    /// inverting. The first book's YELT row count follows the join — a
+    /// count, not a table: no store needs the YELT built, and the count
+    /// depends on the YET and book 0's ELT only. The tables depend on
+    /// the ELTs and the session's options only, so the cache key needs
+    /// nothing added.
+    fn derive_model_run(
+        &self,
+        key: u64,
+        acquired: Acquired,
+        options: &AggregateOptions,
+        pool: &ThreadPool,
+    ) -> RiskResult<(Stage1Output, EventJoin, usize)> {
+        let Acquired {
+            output,
+            grids,
+            on_disk,
+        } = acquired;
+        let elts = || output.books.iter().map(|book| &*book.elt);
+        // The grid size the session tabulates, if it tabulates one.
+        let grid_points = options
+            .secondary_uncertainty
+            .then(|| options.quantile_mode.grid_points())
+            .flatten();
+        let adopted = grid_points.is_some_and(|g| {
+            !grids.is_empty() && grids.iter().all(|table| table.grid_points() == g)
+        });
+        let secondary = if adopted {
+            Some(grids)
+        } else {
+            let _span = options
+                .secondary_uncertainty
+                .then(|| riskpipe_obs::span_key("stage2.secondary", key));
+            let built = build_secondary(elts(), options, pool);
+            if let Some(tables) = &built {
+                riskpipe_obs::counter_add("stage2.secondary_builds", 1);
+                riskpipe_obs::counter_add(
+                    "stage2.secondary_evals",
+                    tables.iter().map(SecondaryTable::cdf_evals).sum(),
+                );
+            }
+            built
+        };
+        // A session that tabulates no grid leaves a disk entry as it
+        // found it: the grids there are another session's to use.
+        if !on_disk || (grid_points.is_some() && !adopted) {
+            self.disk_store(key, &output, secondary.as_deref().unwrap_or_default())?;
+        }
+        let join = {
+            let _span = riskpipe_obs::span_key("stage2.join", key);
+            EventJoin::build(elts(), secondary)?
+        };
+        riskpipe_obs::counter_add("stage2.join_builds", 1);
+        riskpipe_obs::counter_add("stage2.join_hits", join.hits() as u64);
+        let yelt_rows = {
+            let _span = riskpipe_obs::span_key("stage2.yelt_count", key);
+            output.books.first().map_or(0, |book| {
+                yelt_row_count(&output.yet, &book.elt, output.catalog.len(), pool)
+            })
+        };
+        riskpipe_obs::counter_add("stage2.yelt_counts", 1);
+        Ok((output, join, yelt_rows))
     }
 
     /// Consult the disk tier for `key`. A corrupt or key-mismatched
@@ -319,7 +390,7 @@ impl Stage1Cache {
 
     /// Write `output` and its books' `tables` (their grids; empty for
     /// none) through to the disk tier, if attached.
-    pub(crate) fn disk_store(
+    fn disk_store(
         &self,
         key: u64,
         output: &Stage1Output,
@@ -352,9 +423,7 @@ impl Stage1Cache {
     pub(crate) fn stats(&self) -> Stage1CacheStats {
         let (entries, bytes) = {
             let index = self.index.lock();
-            let bytes = index
-                .iter()
-                .map(|(_, slot)| slot.bytes.load(Ordering::Relaxed) as u64);
+            let bytes = index.iter().map(|(.., bytes)| *bytes as u64);
             (index.len(), bytes.sum())
         };
         Stage1CacheStats {
@@ -368,4 +437,52 @@ impl Stage1Cache {
             disk_writes: self.disk_writes.load(Ordering::Relaxed),
         }
     }
+}
+
+/// Stage 3's factor block for a key's `trials` and scenario `seed`,
+/// from `dfa`'s company, its independent pieces each a task on `pool`.
+/// Reads nothing stage 1 produces.
+fn simulate_dfa_factors(
+    key: u64,
+    trials: usize,
+    seed: u64,
+    dfa: &DfaEngine,
+    pool: &ThreadPool,
+) -> RiskResult<DfaFactors> {
+    let _span = riskpipe_obs::span_key("stage3.dfa_factors", key);
+    let factors = dfa.simulate_factors(trials, seed ^ 0xDFA, &|slices, task| {
+        par_chunks_mut(pool, slices, 1, |i, slice| task(i, slice[0]))
+    })?;
+    riskpipe_obs::counter_add("stage3.dfa_factor_builds", 1);
+    Ok(factors)
+}
+
+/// Rows of the YELT joining `yet` with `elt` — the occurrences whose
+/// event has a row in the ELT, what `Yelt::from_yet_elt(yet, elt).rows()`
+/// counts — as a parallel integer reduce over the YET's event column.
+/// Membership is a dense mask over the catalogue's `events` ids, built
+/// once from the ELT's event column, so an occurrence costs one indexed
+/// load, not a hash probe.
+fn yelt_row_count(yet: &YearEventTable, elt: &Elt, events: usize, pool: &ThreadPool) -> usize {
+    let mut in_elt = vec![false; events];
+    for &e in elt.columns().0 {
+        if let Some(slot) = in_elt.get_mut(e as usize) {
+            *slot = true;
+        }
+    }
+    let (_, occurrences, _, _) = yet.columns();
+    let grain = suggest_grain(occurrences.len(), pool.thread_count(), 16 * 1024);
+    par_reduce(
+        pool,
+        occurrences.len(),
+        grain,
+        || 0,
+        |range, rows| {
+            rows + occurrences[range]
+                .iter()
+                .map(|&e| usize::from(in_elt.get(e as usize).copied().unwrap_or(false)))
+                .sum::<usize>()
+        },
+        |a, b| a + b,
+    )
 }

@@ -45,8 +45,9 @@
 
 use crate::config::ScenarioConfig;
 use crate::report::SweepSummary;
-use crate::session::{IntermediateStore, PipelineReport, RiskSession};
+use crate::session::{PipelineReport, RiskSession};
 use crate::sink::{FanoutSink, PersistingSink, ReportSink};
+use crate::store::IntermediateStore;
 use riskpipe_types::RiskResult;
 use std::sync::Arc;
 

@@ -24,7 +24,7 @@
 //! kernel's hit stream has — so loss arithmetic is bit-identical to the
 //! other engines although the loop is a different one.
 
-use super::{build_join, check_inputs, AggregateEngine, AggregateOptions};
+use super::{build_join, check_group, check_inputs, AggregateEngine, AggregateOptions};
 use crate::join::EventJoin;
 use crate::portfolio::{Layer, Portfolio};
 use riskpipe_exec::ThreadPool;
@@ -397,13 +397,20 @@ impl AggregateEngine for GpuEngine {
         }
     }
 
-    fn run_prepared(
+    /// One launch per portfolio: the device kernel prices one scenario
+    /// at a time, which keeps it the per-scenario oracle of the host
+    /// kernel's groups.
+    fn run_group(
         &self,
-        portfolio: &Portfolio,
+        portfolios: &[&Portfolio],
         yet: &YearEventTable,
         join: &EventJoin,
-    ) -> RiskResult<Ylt> {
-        self.launch(portfolio, yet, join).map(|(ylt, _)| ylt)
+    ) -> RiskResult<Vec<Ylt>> {
+        check_group(portfolios, yet, join)?;
+        portfolios
+            .iter()
+            .map(|portfolio| self.launch(portfolio, yet, join).map(|(ylt, _)| ylt))
+            .collect()
     }
 }
 

@@ -9,16 +9,24 @@
 //!   hits-inner over the [`EventJoin`]: one map lookup per occurrence,
 //!   the interpolation cell computed once per occurrence, then a
 //!   contiguous, branch-free stream over the event's hits: a hit that
-//!   pays nothing adds a +0.0, which moves no bit. [`SequentialEngine`],
-//!   [`CpuParallelEngine`] and [`run_per_layer`] run it; it is the
-//!   paper's "pre-join once, then scan flat tables" applied to stage 2.
+//!   pays nothing adds a +0.0, which moves no bit. It prices a *group*
+//!   of scenarios — the same books under K term sets — in one scan,
+//!   with one accumulator set per scenario ([`run_block`]), so the
+//!   lookup, the cell and the interpolation of every hit are paid once
+//!   for all K. [`SequentialEngine`] runs it over the whole trial range
+//!   as one block, [`CpuParallelEngine`] splits the range into blocks
+//!   across the pool, and [`run_per_layer`] runs its hit stream with
+//!   one accumulator set per layer; it is the paper's "pre-join once,
+//!   then scan flat tables" applied to stage 2.
 //! * **the simulated device's kernel** (`engine/gpu.rs`) —
 //!   occurrences-outer, layers-inner with one hash probe per layer, as
 //!   in the GPU companion paper, branching on every paying hit and
 //!   occurrence. It stays because that access pattern is what
 //!   experiment E8 meters: over a join both chunking modes would fetch
 //!   each YET row once and staging would have nothing to save. It reads
-//!   hit payloads out of the same [`EventJoin`].
+//!   hit payloads out of the same [`EventJoin`] and prices one scenario
+//!   per launch, so it is also the per-scenario oracle of the host
+//!   kernel's groups.
 //!
 //! Two kernels, one table: the cross-engine equality tests are a real
 //! cross-kernel oracle — branch-free against branching — not one
@@ -47,12 +55,14 @@ pub use par::CpuParallelEngine;
 pub use seq::SequentialEngine;
 
 use crate::join::EventJoin;
-use crate::portfolio::{Layer, Portfolio};
+use crate::portfolio::Portfolio;
 use crate::secondary::{QuantileMode, SecondaryTable};
+use crate::terms::LayerTerms;
 use riskpipe_exec::ThreadPool;
 use riskpipe_tables::yet::YearEventTable;
 use riskpipe_tables::{Elt, Ylt};
 use riskpipe_types::{RiskError, RiskResult, TrialId};
+use std::ops::Range;
 use std::sync::Arc;
 
 /// Options shared by all engines.
@@ -77,11 +87,13 @@ impl Default for AggregateOptions {
 
 /// An aggregate-analysis engine: portfolio × YET → YLT.
 ///
-/// There is one engine path: [`AggregateEngine::run_prepared`] runs the
-/// trial loop over an [`EventJoin`] the caller already holds (the
-/// session's stage-1 cache builds one per model run), and the provided
-/// [`AggregateEngine::run`] is "build the tables the options ask for,
-/// join them, then delegate".
+/// There is one engine path: [`AggregateEngine::run_group`] prices the
+/// portfolios of one model run — the same books under different layer
+/// terms — over an [`EventJoin`] the caller already holds (the
+/// session's stage-1 cache builds one per model run).
+/// [`AggregateEngine::run_prepared`] is the group of one, and the
+/// provided [`AggregateEngine::run`] is "build the tables the options
+/// ask for, join them, then delegate".
 pub trait AggregateEngine {
     /// Engine name for reports.
     fn name(&self) -> &'static str;
@@ -92,20 +104,42 @@ pub trait AggregateEngine {
         riskpipe_exec::global_pool()
     }
 
-    /// Run the analysis over a prepared join of the portfolio's ELTs
-    /// (whether it carries secondary uncertainty was decided when it
-    /// was built).
+    /// Run the analysis for every portfolio in `portfolios` over one
+    /// prepared join of their books (whether it carries secondary
+    /// uncertainty was decided when it was built): one YLT per
+    /// portfolio, in order, each bit-identical to the portfolio's own
+    /// [`AggregateEngine::run_prepared`]. The host engines price the
+    /// whole group in one scan of the trials ([`run_block`], one pass
+    /// per eight portfolios); the simulated GPU launches once per
+    /// portfolio.
     ///
     /// # Errors
-    /// [`RiskError::InvalidParameter`] when the portfolio or YET is empty,
-    /// or when `join` does not hold exactly one layer per portfolio
-    /// layer with exactly one row per row of that layer's ELT.
+    /// [`RiskError::InvalidParameter`] when `portfolios` or the YET is
+    /// empty, or when `join` does not hold exactly one layer per layer
+    /// of every portfolio with exactly one row per row of that layer's
+    /// ELT.
+    fn run_group(
+        &self,
+        portfolios: &[&Portfolio],
+        yet: &YearEventTable,
+        join: &EventJoin,
+    ) -> RiskResult<Vec<Ylt>>;
+
+    /// Run the analysis over a prepared join of the portfolio's ELTs:
+    /// [`AggregateEngine::run_group`] with one portfolio.
+    ///
+    /// # Errors
+    /// As [`AggregateEngine::run_group`].
     fn run_prepared(
         &self,
         portfolio: &Portfolio,
         yet: &YearEventTable,
         join: &EventJoin,
-    ) -> RiskResult<Ylt>;
+    ) -> RiskResult<Ylt> {
+        let mut ylts = self.run_group(&[portfolio], yet, join)?;
+        ylts.pop()
+            .ok_or_else(|| RiskError::InvalidState("a group of one returned no YLT".into()))
+    }
 
     /// Run the analysis, building the secondary tables `opts` asks for
     /// on [`AggregateEngine::pool`] and joining them first.
@@ -181,13 +215,86 @@ fn build_join(
     EventJoin::build(layer_elts(portfolio), tables)
 }
 
-/// One trial of aggregate analysis on the host: `scratch` must hold one
-/// slot per layer; it is reset here. Returns `(aggregate_loss,
-/// max_occurrence_loss, loss_causing_occurrences)`.
+/// [`check_inputs`] for every portfolio of a group, which must not be
+/// empty.
+pub(crate) fn check_group(
+    portfolios: &[&Portfolio],
+    yet: &YearEventTable,
+    join: &EventJoin,
+) -> RiskResult<()> {
+    if portfolios.is_empty() {
+        return Err(RiskError::invalid("no portfolio to price"));
+    }
+    portfolios
+        .iter()
+        .try_for_each(|portfolio| check_inputs(portfolio, yet, join))
+}
+
+/// The term sets of a group of scenarios, one per scenario, each
+/// checked to hold one entry per layer of the join.
+pub(crate) struct TermSets(Vec<Vec<LayerTerms>>);
+
+impl TermSets {
+    /// Copy and check `sets` (one term set per scenario).
+    ///
+    /// # Errors
+    /// [`RiskError::InvalidParameter`] when `sets` is empty or a set
+    /// does not hold exactly one entry per joined layer.
+    pub(crate) fn new(join: &EventJoin, sets: &[&[LayerTerms]]) -> RiskResult<Self> {
+        if sets.is_empty() {
+            return Err(RiskError::invalid("no term set to price"));
+        }
+        let layers = join.layers();
+        if let Some(set) = sets.iter().find(|set| set.len() != layers) {
+            return Err(RiskError::invalid(format!(
+                "a term set of {} layers for a join over {layers}",
+                set.len()
+            )));
+        }
+        Ok(Self(sets.iter().map(|set| set.to_vec()).collect()))
+    }
+
+    /// The group's portfolios' terms.
+    pub(crate) fn of(join: &EventJoin, portfolios: &[&Portfolio]) -> RiskResult<Self> {
+        let sets: Vec<Vec<LayerTerms>> = portfolios
+            .iter()
+            .map(|p| p.layers().iter().map(|l| l.terms).collect())
+            .collect();
+        let sets: Vec<&[LayerTerms]> = sets.iter().map(Vec::as_slice).collect();
+        Self::new(join, &sets)
+    }
+
+    /// Scenarios in the group.
+    pub(crate) fn len(&self) -> usize {
+        self.0.len()
+    }
+
+    /// Scenarios `first..first + N`'s terms, layer-major: entry `li`
+    /// holds layer `li`'s terms for each of the `N` lanes.
+    fn lanes<const N: usize>(&self, first: usize) -> Vec<[LayerTerms; N]> {
+        let layers = self.0.first().map_or(0, Vec::len);
+        (0..layers)
+            .map(|li| std::array::from_fn(|lane| self.0[first + lane][li]))
+            .collect()
+    }
+}
+
+/// Scenarios one pass of the kernel prices at once; a larger group
+/// takes one pass per `MAX_LANES` of its scenarios.
+const MAX_LANES: usize = 8;
+
+/// One trial of aggregate analysis on the host, for `N` scenarios at
+/// once (`terms[li]` holds layer `li`'s terms per scenario, `annual` is
+/// the per-layer scratch; both one entry per layer). Returns, per
+/// scenario, `(aggregate_loss, max_occurrence_loss,
+/// loss_causing_occurrences)`.
 ///
-/// Occurrences-outer / hits-inner over the join. Hits arrive in
-/// ascending layer order, so the additions below happen in the order
-/// the one-probe-per-layer kernel performs them.
+/// Occurrences-outer / hits-inner over the join: one lookup and one
+/// interpolation cell per occurrence, then each hit's gross loss is
+/// priced under every scenario's terms. Hits arrive in ascending layer
+/// order, so each scenario's accumulators see the additions the
+/// one-probe-per-layer kernel performs, in its order; scenarios never
+/// share an accumulator, so a group's YLTs are its members' lone ones.
 ///
 /// Branch-free: every hit adds its net, and the count and the maximum
 /// are computed, not branched on. A hit that pays nothing adds +0.0,
@@ -197,33 +304,158 @@ fn build_join(
 /// −0.0, and `max` never has to choose between two zero signs. The YLT
 /// equals the branching kernel's (`engine/gpu.rs`) bit for bit.
 #[inline]
-pub(crate) fn joined_trial(
-    layers: &[Layer],
+fn joined_trial<const N: usize>(
     join: &EventJoin,
+    terms: &[[LayerTerms; N]],
     events: &[u32],
     zs: &[f64],
-    scratch: &mut [f64],
-) -> (f64, f64, u32) {
-    debug_assert_eq!(scratch.len(), layers.len());
-    scratch.fill(0.0);
-    let mut max_occ = 0.0f64;
-    let mut count = 0u32;
+    annual: &mut [[f64; N]],
+) -> [(f64, f64, u32); N] {
+    debug_assert_eq!(annual.len(), terms.len());
+    annual.fill([0.0; N]);
+    let mut max_occ = [0.0f64; N];
+    let mut count = [0u32; N];
     for (&event, &z) in events.iter().zip(zs) {
-        let mut occ_total = 0.0f64;
+        let mut occ_total = [0.0f64; N];
         join.for_each_hit(event, z, |li, gross| {
-            let terms = &layers[li].terms;
-            let net = terms.apply_occurrence(gross);
-            scratch[li] += net;
-            occ_total += net * terms.share;
+            let (terms, annual) = (&terms[li], &mut annual[li]);
+            for s in 0..N {
+                let net = terms[s].apply_occurrence(gross);
+                annual[s] += net;
+                occ_total[s] += net * terms[s].share;
+            }
         });
-        count += u32::from(occ_total > 0.0);
-        max_occ = max_occ.max(occ_total);
+        for s in 0..N {
+            count[s] += u32::from(occ_total[s] > 0.0);
+            max_occ[s] = max_occ[s].max(occ_total[s]);
+        }
     }
-    let mut agg_total = 0.0f64;
-    for (layer, &annual) in layers.iter().zip(scratch.iter()) {
-        agg_total += layer.terms.apply_aggregate(annual);
+    std::array::from_fn(|s| {
+        let mut agg_total = 0.0f64;
+        for (terms, annual) in terms.iter().zip(annual.iter()) {
+            agg_total += terms[s].apply_aggregate(annual[s]);
+        }
+        (agg_total, max_occ[s], count[s])
+    })
+}
+
+/// One scenario's YLT rows for a block of trials.
+pub(crate) type YltRows<'a> = (&'a mut [f64], &'a mut [f64], &'a mut [u32]);
+
+/// One pass of the kernel over a block of trials starting at `first`
+/// for the `N` scenarios from `lane0` on; `rows[s]` receives scenario
+/// `lane0 + s`'s rows.
+fn fill_lanes<const N: usize>(
+    join: &EventJoin,
+    yet: &YearEventTable,
+    first: usize,
+    terms: &TermSets,
+    lane0: usize,
+    rows: &mut [YltRows<'_>],
+) {
+    let terms = terms.lanes::<N>(lane0);
+    let mut annual = vec![[0.0f64; N]; terms.len()];
+    let len = rows.first().map_or(0, |r| r.0.len());
+    for j in 0..len {
+        let (events, _days, zs) = yet.trial_slices(TrialId::new((first + j) as u32));
+        let priced = joined_trial(join, &terms, events, zs, &mut annual);
+        for ((aggs, max_occs, counts), (agg, max_occ, count)) in rows.iter_mut().zip(priced) {
+            (aggs[j], max_occs[j], counts[j]) = (agg, max_occ, count);
+        }
     }
-    (agg_total, max_occ, count)
+}
+
+/// The host kernel over a block of consecutive trials starting at
+/// `first`: `rows[s]` receives scenario `s`'s rows, all `rows` being
+/// one length. The one trial loop every host engine runs: one pass per
+/// [`MAX_LANES`] scenarios, the kernel instantiated for the pass's
+/// width.
+pub(crate) fn fill_block(
+    join: &EventJoin,
+    yet: &YearEventTable,
+    first: usize,
+    terms: &TermSets,
+    rows: &mut [YltRows<'_>],
+) {
+    debug_assert_eq!(rows.len(), terms.len());
+    for (pass, rows) in rows.chunks_mut(MAX_LANES).enumerate() {
+        let lane0 = pass * MAX_LANES;
+        let fill = match rows.len() {
+            1 => fill_lanes::<1>,
+            2 => fill_lanes::<2>,
+            3 => fill_lanes::<3>,
+            4 => fill_lanes::<4>,
+            5 => fill_lanes::<5>,
+            6 => fill_lanes::<6>,
+            7 => fill_lanes::<7>,
+            _ => fill_lanes::<MAX_LANES>,
+        };
+        fill(join, yet, first, terms, lane0, rows);
+    }
+}
+
+/// `ylts`' columns cut into blocks of `grain` trials: `blocks[b][s]` is
+/// scenario `s`'s rows of block `b`.
+pub(crate) fn ylt_blocks(ylts: &mut [Ylt], grain: usize) -> Vec<Vec<YltRows<'_>>> {
+    let mut blocks: Vec<Vec<YltRows<'_>>> = Vec::new();
+    for ylt in ylts {
+        let (agg, max_occ, counts) = ylt.columns_mut();
+        let cut = agg
+            .chunks_mut(grain)
+            .zip(max_occ.chunks_mut(grain))
+            .zip(counts.chunks_mut(grain));
+        for (b, ((agg, max_occ), counts)) in cut.enumerate() {
+            if b == blocks.len() {
+                blocks.push(Vec::new());
+            }
+            blocks[b].push((agg, max_occ, counts));
+        }
+    }
+    blocks
+}
+
+/// Price `terms.len()` scenarios over trials `trials` of `yet` in one
+/// scan of `join` (one pass over the trials per eight term sets) — the
+/// host kernel with one accumulator set per term set. Returns one YLT per term set, in order, with `trials.len()`
+/// rows: row `j` is trial `trials.start + j`. Each scenario's values
+/// are added in the order its lone run adds them, so every YLT is
+/// bit-identical to the corresponding rows of a group of one.
+///
+/// # Errors
+/// [`RiskError::InvalidParameter`] when `terms` is empty, a term set
+/// does not hold one entry per joined layer, or `trials` reaches past
+/// the YET.
+pub fn run_block(
+    join: &EventJoin,
+    yet: &YearEventTable,
+    trials: Range<usize>,
+    terms: &[&[LayerTerms]],
+) -> RiskResult<Vec<Ylt>> {
+    if trials.end > yet.trials() || trials.start > trials.end {
+        return Err(RiskError::invalid(format!(
+            "trials {trials:?} of a YET of {}",
+            yet.trials()
+        )));
+    }
+    let terms = TermSets::new(join, terms)?;
+    Ok(scan(join, yet, trials, &terms))
+}
+
+/// [`run_block`] over checked terms: one block of all of `trials`.
+pub(crate) fn scan(
+    join: &EventJoin,
+    yet: &YearEventTable,
+    trials: Range<usize>,
+    terms: &TermSets,
+) -> Vec<Ylt> {
+    let mut ylts: Vec<Ylt> = (0..terms.len())
+        .map(|_| Ylt::zeroed(trials.len()))
+        .collect();
+    let grain = trials.len().max(1);
+    if let Some(rows) = ylt_blocks(&mut ylts, grain).first_mut() {
+        fill_block(join, yet, trials.start, terms, rows);
+    }
+    ylts
 }
 
 /// Per-layer aggregate analysis: one YLT per portfolio layer, in a
@@ -391,13 +623,13 @@ impl AggregateEngine for AggregateRunner {
         }
     }
 
-    fn run_prepared(
+    fn run_group(
         &self,
-        portfolio: &Portfolio,
+        portfolios: &[&Portfolio],
         yet: &YearEventTable,
         join: &EventJoin,
-    ) -> RiskResult<Ylt> {
-        self.with_engine(|engine| engine.run_prepared(portfolio, yet, join))
+    ) -> RiskResult<Vec<Ylt>> {
+        self.with_engine(|engine| engine.run_group(portfolios, yet, join))
     }
 }
 
@@ -550,7 +782,7 @@ mod per_layer_tests {
 #[cfg(test)]
 mod branch_free_tests {
     use super::*;
-    use crate::terms::LayerTerms;
+    use crate::portfolio::Layer;
     use proptest::prelude::*;
     use riskpipe_tables::elt::{EltBuilder, EltRecord};
     use riskpipe_tables::yet::{Occurrence, YetBuilder};
@@ -740,5 +972,199 @@ mod branch_free_tests {
                 prop_assert_eq!(bits(&per_layer[li]), want, "layer {}", li);
             }
         }
+    }
+}
+
+/// A group scan against lone runs: K term sets priced in one scan give
+/// each set's lone YLT bit for bit, whatever the block boundaries, the
+/// engine or the pool width.
+#[cfg(test)]
+mod group_tests {
+    use super::*;
+    use crate::portfolio::Layer;
+    use proptest::prelude::*;
+    use riskpipe_tables::elt::{EltBuilder, EltRecord};
+    use riskpipe_tables::yet::{Occurrence, YetBuilder};
+    use riskpipe_types::rng::{Rng64, SplitMix64};
+    use riskpipe_types::{EventId, LayerId};
+
+    const LAYERS: usize = 3;
+    /// Held by no ELT.
+    const MISS: u32 = 10_000;
+
+    /// Three layers over two books and a YET whose last two trials pay
+    /// nothing: one is empty, one holds only events no book holds.
+    fn fixture(seed: u64) -> (Portfolio, YearEventTable) {
+        let mut rng = SplitMix64::new(seed);
+        let books: Vec<Arc<Elt>> = (0..2)
+            .map(|_| {
+                let mut b = EltBuilder::new();
+                for e in 0..120u32 {
+                    if rng.next_u64().is_multiple_of(3) {
+                        continue;
+                    }
+                    let mean = 20.0 + rng.next_f64() * 900.0;
+                    b.push(EltRecord {
+                        event_id: EventId::new(e),
+                        mean_loss: mean,
+                        sigma_i: mean * 0.3,
+                        sigma_c: mean * 0.1,
+                        exposure: mean * 5.0,
+                    })
+                    .unwrap();
+                }
+                Arc::new(b.build().unwrap())
+            })
+            .collect();
+        let mut p = Portfolio::new();
+        for li in 0..LAYERS {
+            let elt = Arc::clone(&books[li % books.len()]);
+            let layer = Layer::new(LayerId::new(li as u32), LayerTerms::pass_through(), elt);
+            p.push(layer.unwrap());
+        }
+        let mut yb = YetBuilder::new();
+        for _ in 0..240 {
+            let n = (rng.next_u64() % 6) as usize;
+            let occs: Vec<Occurrence> = (0..n)
+                .map(|day| Occurrence {
+                    event_id: EventId::new((rng.next_u64() % 130) as u32),
+                    day: day as u16,
+                    z: rng.next_f64_open(),
+                })
+                .collect();
+            yb.push_trial(&occs);
+        }
+        yb.push_trial(&[]);
+        let miss = |day| Occurrence {
+            event_id: EventId::new(MISS),
+            day,
+            z: 0.5,
+        };
+        yb.push_trial(&[miss(1), miss(2)]);
+        (p, yb.build())
+    }
+
+    /// Terms from drawn picks: zero, finite and infinite limits, zero
+    /// and positive retentions.
+    fn terms((ret, occ_limit, agg_ret, agg_limit, share): (u8, u8, u8, u8, f64)) -> LayerTerms {
+        let pick = |i: u8, values: [f64; 3]| values[usize::from(i)];
+        LayerTerms {
+            occ_retention: pick(ret, [0.0, 30.0, 400.0]),
+            occ_limit: pick(occ_limit, [0.0, f64::INFINITY, 250.0]),
+            agg_retention: pick(agg_ret, [0.0, 100.0, 1_000.0]),
+            agg_limit: pick(agg_limit, [0.0, f64::INFINITY, 2_000.0]),
+            share,
+        }
+    }
+
+    fn term_set() -> impl Strategy<Value = Vec<LayerTerms>> {
+        prop::collection::vec(
+            (0u8..3, 0u8..3, 0u8..3, 0u8..3, 0.05..1.0f64).prop_map(terms),
+            LAYERS,
+        )
+    }
+
+    /// The three columns as bits (`==` on `Ylt` lets `0.0 == -0.0`).
+    fn bits(ylt: &Ylt) -> (Vec<u64>, Vec<u64>, Vec<u32>) {
+        let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect();
+        (
+            bits(ylt.agg_losses()),
+            bits(ylt.max_occ_losses()),
+            ylt.occ_counts().to_vec(),
+        )
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        #[test]
+        fn a_group_prices_each_term_set_as_its_lone_run(
+            seed in any::<u64>(),
+            sets in prop::collection::vec(term_set(), 1..=9),
+            secondary in any::<bool>(),
+        ) {
+            let (base, yet) = fixture(seed);
+            let trials = yet.trials();
+            let opts = AggregateOptions {
+                secondary_uncertainty: secondary,
+                ..AggregateOptions::default()
+            };
+            let join = build_join(&base, &opts, riskpipe_exec::global_pool()).unwrap();
+            let refs: Vec<&[LayerTerms]> = sets.iter().map(Vec::as_slice).collect();
+            let lone: Vec<_> = refs
+                .iter()
+                .map(|set| bits(&run_block(&join, &yet, 0..trials, &[set]).unwrap()[0]))
+                .collect();
+            let group = run_block(&join, &yet, 0..trials, &refs).unwrap();
+            prop_assert_eq!(group.len(), sets.len());
+            for (s, ylt) in group.iter().enumerate() {
+                prop_assert_eq!(bits(ylt), lone[s].clone(), "term set {}", s);
+                // The trials where nothing pays read +0.0 / 0.
+                for t in [trials - 2, trials - 1] {
+                    prop_assert_eq!(ylt.agg_losses()[t].to_bits(), 0);
+                    prop_assert_eq!(ylt.max_occ_losses()[t].to_bits(), 0);
+                    prop_assert_eq!(ylt.occ_counts()[t], 0);
+                }
+            }
+            // A block is the same rows of the whole range.
+            let mid = trials / 3..trials - trials / 4;
+            for (s, block) in run_block(&join, &yet, mid.clone(), &refs).unwrap().iter().enumerate() {
+                prop_assert_eq!(block.agg_losses(), &group[s].agg_losses()[mid.clone()]);
+                prop_assert_eq!(block.occ_counts(), &group[s].occ_counts()[mid.clone()]);
+            }
+
+            // The engines' groups, over portfolios of the sets that are
+            // valid layer terms, against the device kernel's lone runs.
+            let portfolios: Vec<Portfolio> = sets
+                .iter()
+                .filter(|set| set.iter().all(|t| t.validate().is_ok()))
+                .map(|set| {
+                    let parts = base.layers().iter().zip(set);
+                    Portfolio::from_parts(parts.map(|(l, &t)| (t, Arc::clone(&l.elt))).collect())
+                        .unwrap()
+                })
+                .collect();
+            if portfolios.is_empty() {
+                return Ok(());
+            }
+            let group: Vec<&Portfolio> = portfolios.iter().collect();
+            let pool = Arc::new(ThreadPool::new(2));
+            let gpu = GpuEngine::new(
+                riskpipe_simgpu::DeviceSpec::fermi_like(),
+                GpuChunking::SharedTiles,
+                Arc::clone(&pool),
+            );
+            let oracle: Vec<_> = portfolios
+                .iter()
+                .map(|p| bits(&gpu.run_prepared(p, &yet, &join).unwrap()))
+                .collect();
+            let seq = SequentialEngine.run_group(&group, &yet, &join).unwrap();
+            prop_assert_eq!(seq.iter().map(bits).collect::<Vec<_>>(), oracle.clone());
+            for threads in [1, 2, 8] {
+                let par = CpuParallelEngine::new(Arc::new(ThreadPool::new(threads)))
+                    .run_group(&group, &yet, &join)
+                    .unwrap();
+                prop_assert_eq!(
+                    par.iter().map(bits).collect::<Vec<_>>(),
+                    oracle.clone(),
+                    "{} threads", threads
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn malformed_groups_are_rejected() {
+        let (p, yet) = fixture(5);
+        let opts = AggregateOptions::default();
+        let join = build_join(&p, &opts, riskpipe_exec::global_pool()).unwrap();
+        let set = [LayerTerms::pass_through(); LAYERS];
+        let trials = yet.trials();
+        assert!(run_block(&join, &yet, 0..trials, &[]).is_err());
+        assert!(run_block(&join, &yet, 0..trials, &[&set[..2]]).is_err());
+        assert!(run_block(&join, &yet, 0..trials + 1, &[&set]).is_err());
+        assert!(SequentialEngine.run_group(&[], &yet, &join).is_err());
+        let empty = run_block(&join, &yet, 3..3, &[&set, &set]).unwrap();
+        assert!(empty.iter().all(|ylt| ylt.trials() == 0));
     }
 }

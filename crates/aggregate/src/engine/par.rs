@@ -2,18 +2,20 @@
 //! pool — the paper's "accumulation of large memory" strategy on a
 //! many-core host.
 
-use super::{check_inputs, joined_trial, AggregateEngine};
+use super::{check_group, fill_block, ylt_blocks, AggregateEngine, TermSets};
 use crate::join::EventJoin;
 use crate::portfolio::Portfolio;
 use riskpipe_exec::{par_chunks_mut, suggest_grain, ThreadPool};
 use riskpipe_tables::yet::YearEventTable;
 use riskpipe_tables::Ylt;
-use riskpipe_types::{RiskResult, TrialId};
+use riskpipe_types::RiskResult;
 use std::sync::Arc;
 
 /// Aggregate analysis across a thread pool. Trials are embarrassingly
 /// parallel (each reads shared immutable tables and writes its own YLT
-/// row), so the engine scales linearly until memory bandwidth saturates.
+/// row), so the engine splits the trial range into blocks of the host
+/// kernel across the pool and scales linearly until memory bandwidth
+/// saturates.
 pub struct CpuParallelEngine {
     pool: PoolRef,
 }
@@ -51,40 +53,25 @@ impl AggregateEngine for CpuParallelEngine {
         }
     }
 
-    fn run_prepared(
+    fn run_group(
         &self,
-        portfolio: &Portfolio,
+        portfolios: &[&Portfolio],
         yet: &YearEventTable,
         join: &EventJoin,
-    ) -> RiskResult<Ylt> {
-        check_inputs(portfolio, yet, join)?;
+    ) -> RiskResult<Vec<Ylt>> {
+        check_group(portfolios, yet, join)?;
+        let terms = TermSets::of(join, portfolios)?;
         let trials = yet.trials();
-        let layers = portfolio.layers();
         let pool = self.pool();
         let grain = suggest_grain(trials, pool.thread_count(), 256);
-        let mut ylt = Ylt::zeroed(trials);
-        // Each task owns one grain-sized block of all three YLT columns
-        // and writes its trials' rows in place.
-        let (agg, max_occ, counts) = ylt.columns_mut();
-        let mut blocks: Vec<_> = agg
-            .chunks_mut(grain)
-            .zip(max_occ.chunks_mut(grain))
-            .zip(counts.chunks_mut(grain))
-            .collect();
+        let mut ylts: Vec<Ylt> = (0..terms.len()).map(|_| Ylt::zeroed(trials)).collect();
+        // Each task owns one grain-sized block of trials — its rows of
+        // every scenario's three YLT columns — and scans it once.
+        let mut blocks = ylt_blocks(&mut ylts, grain);
         par_chunks_mut(pool, &mut blocks, 1, |block_idx, block| {
-            let ((agg, max_occ), counts) = &mut block[0];
-            // Per-task scratch: one accumulator per layer, reused across
-            // the block's trials (no per-trial allocation).
-            let mut scratch = vec![0.0f64; layers.len()];
-            let base = block_idx * grain;
-            for j in 0..agg.len() {
-                let trial = TrialId::new((base + j) as u32);
-                let (events, _days, zs) = yet.trial_slices(trial);
-                (agg[j], max_occ[j], counts[j]) =
-                    joined_trial(layers, join, events, zs, &mut scratch);
-            }
+            fill_block(join, yet, block_idx * grain, &terms, &mut block[0]);
         });
-        Ok(ylt)
+        Ok(ylts)
     }
 }
 

@@ -1,14 +1,15 @@
 //! The sequential reference engine — the baseline of the paper's "15×
 //! faster than the sequential counterpart" comparison.
 
-use super::{check_inputs, joined_trial, AggregateEngine};
+use super::{check_group, scan, AggregateEngine, TermSets};
 use crate::join::EventJoin;
 use crate::portfolio::Portfolio;
 use riskpipe_tables::yet::YearEventTable;
 use riskpipe_tables::Ylt;
-use riskpipe_types::{RiskResult, TrialId};
+use riskpipe_types::RiskResult;
 
-/// Single-threaded aggregate analysis.
+/// Single-threaded aggregate analysis: the whole trial range is one
+/// block of the host kernel.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SequentialEngine;
 
@@ -17,24 +18,15 @@ impl AggregateEngine for SequentialEngine {
         "sequential"
     }
 
-    fn run_prepared(
+    fn run_group(
         &self,
-        portfolio: &Portfolio,
+        portfolios: &[&Portfolio],
         yet: &YearEventTable,
         join: &EventJoin,
-    ) -> RiskResult<Ylt> {
-        check_inputs(portfolio, yet, join)?;
-        let trials = yet.trials();
-        let layers = portfolio.layers();
-        let mut ylt = Ylt::zeroed(trials);
-        let mut scratch = vec![0.0f64; layers.len()];
-        for t in 0..trials {
-            let trial = TrialId::new(t as u32);
-            let (events, _days, zs) = yet.trial_slices(trial);
-            let (agg, max_occ, count) = joined_trial(layers, join, events, zs, &mut scratch);
-            ylt.set_trial(trial, agg, max_occ, count);
-        }
-        Ok(ylt)
+    ) -> RiskResult<Vec<Ylt>> {
+        check_group(portfolios, yet, join)?;
+        let terms = TermSets::of(join, portfolios)?;
+        Ok(scan(join, yet, 0..yet.trials(), &terms))
     }
 }
 

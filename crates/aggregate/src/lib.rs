@@ -47,7 +47,7 @@ pub mod secondary;
 pub mod terms;
 
 pub use engine::{
-    build_secondary, engines_agree, run_per_layer, AggregateEngine, AggregateOptions,
+    build_secondary, engines_agree, run_block, run_per_layer, AggregateEngine, AggregateOptions,
     AggregateRunner, CpuParallelEngine, EngineKind, GpuChunking, GpuEngine, SequentialEngine,
 };
 pub use join::EventJoin;

@@ -21,7 +21,8 @@
 //! [`RiskSession::run_stream`] (input-order delivery at O(pool width)
 //! peak memory). Scenarios sharing a catalogue seed/config fingerprint
 //! ([`ScenarioConfig::stage1_key`]) reuse one cached stage-1 model run
-//! (LRU over eight keys, plus an optional disk tier).
+//! (LRU over eight keys, plus an optional disk tier), and consecutive
+//! ones are priced by one scan of the trials.
 //!
 //! The facade is split by concern: [`session`] holds the builder,
 //! [`RiskSession::run`] and the per-scenario stages 2–3; [`store`]

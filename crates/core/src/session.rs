@@ -46,7 +46,9 @@ use crate::report::{money, TextTable};
 use crate::stage1cache::{ModelRun, Stage1Cache, Stage1CacheStats};
 use crate::stage1disk::DiskStage1Cache;
 use crate::store::{InMemoryStore, IntermediateStore, RunLabel};
-use riskpipe_aggregate::{AggregateEngine, AggregateOptions, AggregateRunner, EngineKind};
+use riskpipe_aggregate::{
+    AggregateEngine, AggregateOptions, AggregateRunner, EngineKind, Portfolio,
+};
 use riskpipe_dfa::{CompanyConfig, DfaEngine};
 use riskpipe_exec::ThreadPool;
 use riskpipe_metrics::RiskMeasures;
@@ -300,7 +302,12 @@ impl RiskSession {
         let _span = riskpipe_obs::span("session.run");
         let run = self.next_run_id();
         let model = self.acquire_stage1(scenario.stage1_key(), scenario)?;
-        self.finish_pipeline(scenario, None, run, &model)
+        let scanned = self.scan_group(std::slice::from_ref(scenario), 0, &model);
+        let (bundle, ylt) = scanned
+            .into_iter()
+            .next()
+            .ok_or_else(|| RiskError::InvalidState("a group of one scanned nothing".into()))??;
+        self.finish_scenario(scenario, None, run, &model, &bundle, ylt)
     }
 
     /// Start declaring a sweep over `scenarios`: the returned
@@ -334,26 +341,67 @@ impl RiskSession {
         })
     }
 
-    /// Stages 2 and 3 on an already-acquired model run; only the
-    /// portfolio's layer terms are derived per scenario.
-    pub(crate) fn finish_pipeline(
+    /// Stage 2 for a group of scenarios over one acquired model run:
+    /// each member's layer terms (its [`Stage1Bundle`]), then **one**
+    /// scan of the trials pricing every member whose terms are good
+    /// ([`AggregateEngine::run_group`]) — the join lookup, the grid cell
+    /// and the interpolation of every hit are paid once for the group.
+    /// Entry `i` is member `i`'s bundle and YLT, or its error. The
+    /// `stage2.engine` span is the scan's, keyed by `span_key` (the
+    /// group's first sweep slot when streaming, 0 for single runs).
+    pub(crate) fn scan_group(
+        &self,
+        scenarios: &[ScenarioConfig],
+        span_key: u64,
+        model: &ModelRun,
+    ) -> Vec<RiskResult<(Stage1Bundle, Ylt)>> {
+        let bundles: Vec<RiskResult<Stage1Bundle>> = scenarios
+            .iter()
+            .map(|s| s.bundle_from_output(Arc::clone(&model.output)))
+            .collect();
+        let portfolios: Vec<&Portfolio> = bundles.iter().flatten().map(|b| &b.portfolio).collect();
+        let scan = if portfolios.is_empty() {
+            Ok(Vec::new())
+        } else {
+            let _engine_span = riskpipe_obs::span_key("stage2.engine", span_key);
+            riskpipe_obs::counter_add("stage2.scans", 1);
+            self.runner
+                .run_group(&portfolios, &model.output.yet, &model.join)
+        };
+        // A failed scan's error goes to the first member it priced: a
+        // sweep never delivers past it.
+        let (mut ylts, mut error) = match scan {
+            Ok(ylts) => (ylts.into_iter(), None),
+            Err(e) => (Vec::new().into_iter(), Some(e)),
+        };
+        bundles
+            .into_iter()
+            .map(|bundle| {
+                let bundle = bundle?;
+                match ylts.next() {
+                    Some(ylt) => Ok((bundle, ylt)),
+                    None => Err(error.take().unwrap_or_else(|| {
+                        RiskError::InvalidState("the group's scan priced no YLT".into())
+                    })),
+                }
+            })
+            .collect()
+    }
+
+    /// The rest of one scenario's pipeline once its group's scan has
+    /// priced its YLT: the YELT hand-off, stage 3 and the report.
+    pub(crate) fn finish_scenario(
         &self,
         scenario: &ScenarioConfig,
         slot: Option<usize>,
         run: u64,
         model: &ModelRun,
+        bundle: &Stage1Bundle,
+        ylt: Ylt,
     ) -> RiskResult<PipelineReport> {
-        let bundle: Stage1Bundle = scenario.bundle_from_output(Arc::clone(&model.output))?;
         // Span keys: the sweep slot when streaming, 0 for single runs.
         let span_key = slot.map_or(0, |s| s as u64);
-
-        // ---------------- stage 2: aggregate analysis ----------------
-        let portfolio = bundle.portfolio();
-        let yet = bundle.year_event_table();
-        let ylt = {
-            let _engine_span = riskpipe_obs::span_key("stage2.engine", span_key);
-            self.runner.run_prepared(&portfolio, &yet, &model.join)?
-        };
+        let yet = &bundle.output.yet;
 
         // The first book's YELT (the drill-down table; at scale this is
         // the artifact that decides memory vs files) goes to the store
@@ -365,7 +413,7 @@ impl RiskSession {
         let yelt_file_bytes = {
             let _persist_span = riskpipe_obs::span_key("stage2.persist_yelt", span_key);
             self.store
-                .persist_yelt(RunLabel { slot, run }, &yet, &bundle.output.books[0].elt)?
+                .persist_yelt(RunLabel { slot, run }, yet, &bundle.output.books[0].elt)?
         };
         riskpipe_obs::counter_add("stage2.scenarios", 1);
         riskpipe_obs::counter_add("stage2.yelt_rows", yelt_rows as u64);
@@ -400,7 +448,7 @@ impl RiskSession {
         };
         Ok(PipelineReport {
             scenario_name: scenario.name.clone(),
-            elt_rows: portfolio.total_elt_rows(),
+            elt_rows: bundle.portfolio.total_elt_rows(),
             yet_occurrences: yet.total_occurrences(),
             yelt_rows,
             yelt_memory_bytes,

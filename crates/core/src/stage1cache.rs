@@ -32,7 +32,9 @@ pub(crate) const DEFAULT_STAGE1_CACHE_CAPACITY: usize = 8;
 /// for tests pinning "stage 1 built exactly once per distinct key".
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Stage1CacheStats {
-    /// Lookups served from a cached [`Stage1Output`].
+    /// Lookups served from a cached [`Stage1Output`]. A streaming
+    /// group's followers count one each: the entry their group acquired
+    /// serves them.
     pub hits: u64,
     /// Lookups the RAM cache could not serve: served by the disk tier
     /// or built.
@@ -169,10 +171,11 @@ impl Stage1Cache {
     /// finds no entry builds — correct because builds are pure
     /// functions of the key — and whichever racer publishes first keeps
     /// the entry; a later racer returns its own (bit-identical) run.
-    /// [`RiskSession::run_stream`](crate::RiskSession::run_stream) holds
-    /// back same-key followers until the key's first scenario deposits,
-    /// so within one streaming/batch call no two requests race and
-    /// stage 1 — all of `miss` — runs exactly once per distinct key.
+    /// [`RiskSession::run_stream`](crate::RiskSession::run_stream)
+    /// acquires once per group of same-key scenarios and holds back a
+    /// later group of a key until the key's entry is published, so
+    /// within one streaming/batch call no two requests race and stage 1
+    /// — all of `miss` — runs exactly once per distinct key.
     pub(crate) fn get_or_build(
         &self,
         key: u64,
@@ -215,6 +218,17 @@ impl Stage1Cache {
             index.push((key, Arc::clone(&run), bytes));
         }
         Ok(run)
+    }
+
+    /// Count `n` scenarios served by an entry their group already
+    /// acquired ([`RiskSession::run_stream`](crate::RiskSession::run_stream)'s
+    /// same-key followers): one hit each, as each one's own lookup of
+    /// the published entry would have been.
+    pub(crate) fn count_followers(&self, n: u64) {
+        if n > 0 {
+            self.hits.fetch_add(n, Ordering::Relaxed);
+            riskpipe_obs::counter_add("stage1.hits", n);
+        }
     }
 
     /// A cache miss's whole entry, on both sides of one pool scope.

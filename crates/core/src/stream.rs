@@ -1,10 +1,18 @@
 //! The streaming core every execution shape drives:
 //! [`RiskSession::run_stream`] runs scenarios concurrently on the
-//! session's pool, at most pool width in flight, and delivers their
-//! reports in input order. Its one piece of cache policy is the leader
-//! gate: while a key has no published stage-1 entry, only one scenario
-//! of that key is in flight, so each distinct key is built once per
-//! sweep.
+//! session's pool and delivers their reports in input order.
+//!
+//! Its unit of work is a **group**: a run of consecutive scenarios with
+//! one stage-1 key, cut so its loss columns stay within
+//! [`GROUP_COLUMN_BYTES`]. A group acquires the key's model run once and
+//! prices all of its members in one scan of the trials; then each
+//! member's stage 3 and report finish in slot order. Groups are a
+//! function of the scenario list alone, never of pool width or timing.
+//!
+//! Its one piece of cache policy is the leader gate: while a key has no
+//! published stage-1 entry, only one group of that key is in flight, so
+//! each distinct key is built once per sweep even when its scenarios
+//! fill several groups or are not adjacent.
 
 use crate::config::ScenarioConfig;
 use crate::session::{PipelineReport, RiskSession};
@@ -12,8 +20,103 @@ use crate::sink::ReportSink;
 use riskpipe_exec::lockwitness::{Condvar, Mutex};
 use riskpipe_types::{RiskError, RiskResult};
 use std::collections::{BTreeMap, VecDeque};
+use std::ops::Range;
+
+/// The loss columns one group may price at once: a YLT row is 20 B
+/// (aggregate f64, maximum-occurrence f64, count u32), so a group of K
+/// scenarios of T trials holds 20 B × T × K until its members' reports
+/// take them. 400 KiB is four 5 000-trial YLTs, about what two in-flight
+/// scenarios' reports hold at that size, so grouping leaves a sweep's
+/// peak memory near its ungrouped O(pool width) reports; a group always
+/// holds at least one scenario.
+const GROUP_COLUMN_BYTES: usize = 400 << 10;
+
+/// Bytes of one YLT row.
+const YLT_ROW_BYTES: usize = 20;
+
+/// Cut `scenarios` (with their stage-1 `keys`) into groups: maximal runs
+/// of consecutive same-key scenarios, each split so that its loss
+/// columns stay within [`GROUP_COLUMN_BYTES`]. Same key means same trial
+/// count, so the split is by count within a run.
+fn groups(scenarios: &[ScenarioConfig], keys: &[u64]) -> Vec<Range<usize>> {
+    let mut groups: Vec<Range<usize>> = Vec::new();
+    for (i, scenario) in scenarios.iter().enumerate() {
+        let row_bytes = YLT_ROW_BYTES.saturating_mul(scenario.trials).max(1);
+        let cap = (GROUP_COLUMN_BYTES / row_bytes).max(1);
+        match groups.last_mut() {
+            Some(g) if keys[g.start] == keys[i] && g.len() < cap => g.end = i + 1,
+            _ => groups.push(i..i + 1),
+        }
+    }
+    groups
+}
+
+/// What a sweep's group tasks hand its control loop, and the signal
+/// that something arrived.
+struct Deposits {
+    state: Mutex<StreamState>,
+    completed: Condvar,
+}
+
+struct StreamState {
+    /// Deposited, undelivered results, by slot.
+    ready: BTreeMap<usize, RiskResult<PipelineReport>>,
+    /// A group acquired its key since the control loop last looked: a
+    /// held group of the key may now start.
+    published: bool,
+}
+
+impl Deposits {
+    fn deposit(&self, slot: usize, result: RiskResult<PipelineReport>) {
+        // lint: allow(C1) — result deposit: map insert + notify under a
+        // micro critical section; no holder blocks under the mutex.
+        self.state.lock().ready.insert(slot, result);
+        self.completed.notify_all();
+    }
+
+    fn publish(&self) {
+        // lint: allow(C1) — flag write + notify under the same micro
+        // critical section.
+        self.state.lock().published = true;
+        self.completed.notify_all();
+    }
+}
 
 impl RiskSession {
+    /// One group's task (`key` is its members' stage-1 key): acquire
+    /// the key's model run once, price every member in one scan, then
+    /// finish each member's stage 3 and report in slot order, each
+    /// deposited as soon as it is finished. It never blocks, so a task
+    /// stolen into another task's nested scope just finishes inline.
+    fn price_group(
+        &self,
+        scenarios: &[ScenarioConfig],
+        group: Range<usize>,
+        key: u64,
+        run: u64,
+        deposits: &Deposits,
+    ) {
+        let members = &scenarios[group.clone()];
+        let model = match self.acquire_stage1(key, &members[0]) {
+            Ok(model) => model,
+            // The sweep stops at the group's first slot, so no later
+            // member is ever waited for.
+            Err(e) => return deposits.deposit(group.start, Err(e)),
+        };
+        // The key's entry is ready: a held group of the key may start
+        // now, beside this group's scan and stage 3.
+        deposits.publish();
+        self.stage1.count_followers(members.len() as u64 - 1);
+        let scanned = self.scan_group(members, group.start as u64, &model);
+        for (slot, scan) in group.zip(scanned) {
+            let _scenario_span = riskpipe_obs::span_key("sweep.scenario", slot as u64);
+            let report = scan.and_then(|(bundle, ylt)| {
+                self.finish_scenario(&scenarios[slot], Some(slot), run, &model, &bundle, ylt)
+            });
+            deposits.deposit(slot, report);
+        }
+    }
+
     /// The streaming execution core: run many scenarios concurrently on
     /// the shared pool, delivering each completed [`PipelineReport`] to
     /// `sink` **in input order** and dropping it afterwards.
@@ -25,21 +128,27 @@ impl RiskSession {
     /// [`PersistingSink`](crate::PersistingSink) writing each report
     /// durably as it arrives.
     ///
-    /// In-flight scenarios are capped at the pool width, and a report
-    /// that finishes ahead of a slower earlier slot waits in a reorder
-    /// buffer no larger than that cap — so peak memory is O(pool width)
-    /// reports regardless of how many scenarios the sweep spans,
+    /// Consecutive scenarios that share a stage-1 key run as one group
+    /// (see the module docs): one acquire, one scan pricing every
+    /// member, then each member's stage 3, its report deposited as soon
+    /// as it is finished. A group starts when its scenarios fit in a
+    /// window of pool-width scenarios in flight (alone, when it is wider
+    /// than the window), and a report that finishes ahead of a slower
+    /// earlier slot waits in a reorder buffer — so peak memory is
+    /// O(pool width) reports or one group's, regardless of how many
+    /// scenarios the sweep spans,
     /// instead of the O(batch) a collected `Vec` costs. Results are
     /// bitwise identical to running each scenario alone on any thread
-    /// count: every stage is seeded from the scenario, so scheduling
-    /// cannot leak between slots.
+    /// count: every stage is seeded from the scenario, and a group's
+    /// scan keeps one accumulator set per member, so neither scheduling
+    /// nor grouping can leak between slots.
     ///
     /// Delivery happens on the calling thread (the sink needs neither
     /// `Send` nor `Sync`), and the window only reopens once the sink
     /// returns — a slow sink therefore backpressures the sweep rather
     /// than letting reports pile up. The first failing scenario's
     /// error — or the first error the sink returns — aborts the sweep:
-    /// no further scenarios start, in-flight ones drain, and the error
+    /// no further groups start, in-flight ones drain, and the error
     /// is returned. On success, returns the number of reports
     /// delivered.
     pub fn run_stream<S>(&self, scenarios: &[ScenarioConfig], mut sink: S) -> RiskResult<usize>
@@ -52,126 +161,87 @@ impl RiskSession {
         }
         // Scope the session's telemetry over the whole sweep: the
         // coordinator runs on this thread, and `Scope::spawn` hands the
-        // installed context to every per-scenario pool task.
+        // installed context to every group's pool task.
         let _obs = self.install_telemetry();
         let _sweep_span = riskpipe_obs::span_key("sweep.run_stream", n as u64);
         let run = self.next_run_id();
         let width = self.pool().thread_count().min(n);
         let keys: Vec<u64> = scenarios.iter().map(|s| s.stage1_key()).collect();
 
-        struct StreamState {
-            /// Deposited, undelivered results, by slot.
-            ready: BTreeMap<usize, RiskResult<PipelineReport>>,
-            /// Slots deposited since the control loop last looked.
-            arrivals: Vec<usize>,
-            /// A stage-1 build published since the control loop last
-            /// looked — gated same-key followers may now be eligible.
-            stage1_published: bool,
-        }
-        let state = Mutex::new(
-            "state",
-            StreamState {
-                ready: BTreeMap::new(),
-                arrivals: Vec::new(),
-                stage1_published: false,
-            },
-        );
-        let completed = Condvar::new();
+        let deposits = Deposits {
+            state: Mutex::new(
+                "state",
+                StreamState {
+                    ready: BTreeMap::new(),
+                    published: false,
+                },
+            ),
+            completed: Condvar::new(),
+        };
         let mut delivered = 0usize;
         let mut failure: Option<RiskError> = None;
 
         self.pool().scope(|scope| {
-            // Per-scenario tasks never block (acquire stage 1 →
-            // publish → finish → deposit → notify), so one being stolen
-            // into another task's nested stage scope just finishes
-            // inline — all window and cache bookkeeping lives on this
-            // calling thread.
-            let spawn_slot = |i: usize| {
-                let scenario = &scenarios[i];
-                let key = keys[i];
-                let state = &state;
-                let completed = &completed;
-                scope.spawn(move || {
-                    let _scenario_span = riskpipe_obs::span_key("sweep.scenario", i as u64);
-                    let result = self.acquire_stage1(key, scenario).and_then(|model| {
-                        // The key's cache entry is ready: wake the
-                        // control loop so same-key followers start
-                        // now instead of after this scenario's
-                        // stages 2–3.
-                        // lint: allow(C1) — StreamState mutex is a
-                        // micro critical section (flag write +
-                        // notify); no holder parks or spawns under
-                        // it, so acquisition is bounded.
-                        state.lock().stage1_published = true;
-                        completed.notify_all();
-                        self.finish_pipeline(scenario, Some(i), run, &model)
-                    });
-                    // lint: allow(C1) — result deposit: map insert +
-                    // notify under a micro critical section; no holder
-                    // blocks under the StreamState mutex.
-                    let mut st = state.lock();
-                    st.ready.insert(i, result);
-                    st.arrivals.push(i);
-                    completed.notify_all();
-                });
-            };
-
-            // Slots not yet started, in input order.
-            let mut pending: VecDeque<usize> = (0..n).collect();
-            // Started minus delivered — the O(pool width) memory bound.
+            // Groups not yet started, in input order.
+            let mut pending: VecDeque<Range<usize>> = groups(scenarios, &keys).into();
+            // Started minus delivered scenarios — the O(pool width)
+            // memory bound: at most the window's width, or one group
+            // wider than it.
             let mut in_window = 0usize;
-            // Slots leading their key: started while the key had no
-            // published entry, and not yet deposited. A same-key
-            // follower holds back until the leader's stage-1 build
-            // publishes (or, if it fails, until its deposit drops the
-            // lead so the next same-key slot can retry as leader), so
-            // each distinct key's stage-1 model builds exactly once per
-            // sweep and no two tasks build the same key. A leader is in
-            // the window, so the list is never longer than its width.
-            let mut leaders: Vec<usize> = Vec::with_capacity(width);
+            // Started groups with a slot not yet delivered. While its
+            // key has no published entry, a group holds back if one of
+            // its key is here: that group is acquiring the key, and the
+            // held one starts once the entry is published and finds it,
+            // so each distinct key's stage-1 model builds exactly once
+            // per sweep and no two tasks build the same key. A group
+            // whose acquire fails never publishes: the sweep stops at
+            // its first slot, which is earlier than any held group of
+            // its key, so nothing retries the build.
+            let mut started: Vec<Range<usize>> = Vec::with_capacity(width);
             let spawn_eligible =
-                |pending: &mut VecDeque<usize>, in_window: &mut usize, leaders: &mut Vec<usize>| {
+                |pending: &mut VecDeque<Range<usize>>,
+                 in_window: &mut usize,
+                 started: &mut Vec<Range<usize>>| {
                     let mut held = VecDeque::with_capacity(pending.len());
-                    while let Some(i) = pending.pop_front() {
-                        if *in_window >= width {
-                            held.push_back(i);
+                    while let Some(group) = pending.pop_front() {
+                        // A group starts when it fits in the window, or
+                        // alone when it is wider than the window.
+                        if *in_window > 0 && *in_window + group.len() > width {
+                            held.push_back(group);
                             break;
                         }
-                        let key = keys[i];
+                        let key = keys[group.start];
                         let gated = !self.stage1.is_ready(key);
-                        if gated && leaders.iter().any(|&leader| keys[leader] == key) {
-                            held.push_back(i);
+                        if gated && started.iter().any(|g| keys[g.start] == key) {
+                            held.push_back(group);
                             continue;
                         }
-                        if gated {
-                            leaders.push(i);
-                        }
-                        spawn_slot(i);
-                        *in_window += 1;
+                        started.push(group.clone());
+                        *in_window += group.len();
+                        let deposits = &deposits;
+                        scope.spawn(move || self.price_group(scenarios, group, key, run, deposits));
                     }
                     // Whatever could not start keeps its input order.
                     held.append(pending);
                     *pending = held;
                 };
 
-            spawn_eligible(&mut pending, &mut in_window, &mut leaders);
+            spawn_eligible(&mut pending, &mut in_window, &mut started);
             while delivered < n {
-                let (arrivals, deliverable) = {
-                    let mut st = state.lock();
-                    while st.arrivals.is_empty() && !st.stage1_published {
-                        completed.wait(&mut st);
+                let deliverable = {
+                    let mut st = deposits.state.lock();
+                    while !st.ready.contains_key(&delivered) && !st.published {
+                        deposits.completed.wait(&mut st);
                     }
-                    st.stage1_published = false;
-                    let arrivals = std::mem::take(&mut st.arrivals);
+                    st.published = false;
                     let mut deliverable = Vec::new();
                     let mut cursor = delivered;
                     while let Some(result) = st.ready.remove(&cursor) {
                         deliverable.push(result);
                         cursor += 1;
                     }
-                    (arrivals, deliverable)
+                    deliverable
                 };
-                leaders.retain(|leader| !arrivals.contains(leader));
                 for result in deliverable {
                     match result {
                         Ok(report) => {
@@ -192,7 +262,8 @@ impl RiskSession {
                     // already in flight before `scope` returns.
                     break;
                 }
-                spawn_eligible(&mut pending, &mut in_window, &mut leaders);
+                started.retain(|g| g.end > delivered);
+                spawn_eligible(&mut pending, &mut in_window, &mut started);
             }
         });
         match failure {
@@ -210,5 +281,37 @@ impl RiskSession {
                 Ok(delivered)
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn groups_are_same_key_runs_cut_by_column_bytes() {
+        let s =
+            |seed: u64, trials: usize| ScenarioConfig::small().with_seed(seed).with_trials(trials);
+        // 400 KiB / (20 B × 5 000) = 4 scenarios per group.
+        let scenarios = [
+            s(1, 200),
+            s(1, 200),
+            s(2, 200),
+            s(1, 200),
+            s(3, 5_000),
+            s(3, 5_000),
+            s(3, 5_000),
+            s(3, 5_000),
+            s(3, 5_000),
+            s(4, 30_000),
+            s(4, 30_000),
+        ];
+        let keys: Vec<u64> = scenarios.iter().map(|s| s.stage1_key()).collect();
+        // A YLT larger than the cap is a group of its own.
+        assert_eq!(
+            groups(&scenarios, &keys),
+            [0..2, 2..3, 3..4, 4..8, 8..9, 9..10, 10..11]
+        );
+        assert!(groups(&[], &[]).is_empty());
     }
 }

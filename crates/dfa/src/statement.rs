@@ -27,7 +27,7 @@ use crate::factors::{
 };
 use riskpipe_tables::Ylt;
 use riskpipe_types::rng::SeedStream;
-use riskpipe_types::stats::{quantile_sorted, tail_mean_sorted};
+use riskpipe_types::stats::{quantile_sorted, tail_mean_unsorted};
 use riskpipe_types::{RiskError, RiskResult, RunningStats};
 
 /// Balance-sheet and underwriting configuration of the company.
@@ -356,11 +356,12 @@ impl DfaResult {
         quantile_sorted(&losses, alpha)
     }
 
-    /// `alpha`-TVaR of the net loss.
+    /// `alpha`-TVaR of the net loss. Only the tail is sorted
+    /// ([`tail_mean_unsorted`]): a sweep computes this once per
+    /// scenario.
     pub fn tvar_net_loss(&self, alpha: f64) -> f64 {
         let mut losses: Vec<f64> = self.net_income.iter().map(|&x| -x).collect();
-        losses.sort_unstable_by(f64::total_cmp);
-        tail_mean_sorted(&losses, alpha)
+        tail_mean_unsorted(&mut losses, alpha)
     }
 
     /// Economic capital: TVaR₉₉ of net loss above its mean.

@@ -12,7 +12,8 @@
 //! * [`ThreadPool::scope`] lets tasks borrow from the caller's stack: the
 //!   scope blocks until all of its tasks complete, and while blocked it
 //!   *executes queued tasks itself* so nested scopes cannot deadlock the
-//!   pool;
+//!   pool; with nothing to run it parks, and the task that completes the
+//!   scope unparks exactly its caller;
 //! * a panic inside a task is caught, recorded, and re-raised from the
 //!   scope that spawned it.
 
@@ -175,35 +176,29 @@ impl ThreadPool {
     pub fn scope<'scope, R>(&'scope self, f: impl FnOnce(&Scope<'scope>) -> R) -> R {
         let scope = Scope {
             pool: self,
-            pending: Arc::new(AtomicUsize::new(0)),
-            panicked: Arc::new(AtomicBool::new(false)),
+            state: Arc::new(ScopeState {
+                pending: AtomicUsize::new(0),
+                panicked: AtomicBool::new(false),
+                caller: std::thread::current(),
+            }),
             _marker: PhantomData,
         };
         let result = f(&scope);
         // Wait for completion, helping with queued work meanwhile.
-        while scope.pending.load(Ordering::Acquire) != 0 {
+        while scope.state.pending.load(Ordering::Acquire) != 0 {
             if let Some(job) = self.shared.find_job(None) {
                 self.shared.stats.record_helper_run();
                 job();
             } else {
-                // lint: allow(C1) — same sleep_lock discipline as
-                // `inject`: held only across the pending recheck and a
-                // timed wait, never while executing a job.
-                let mut guard = self.shared.sleep_lock.lock();
-                if scope.pending.load(Ordering::Acquire) == 0 {
-                    break;
-                }
-                // Short timeout: completion is signalled through `wake`,
-                // but the timeout bounds any missed-wakeup window.
-                let wake = &self.shared.wake;
-                // lint: allow(C1) — 200 µs timed wait, entered only
-                // after `find_job` found nothing to steal; the timeout
-                // bounds any missed-wakeup window, so a scope waiter
-                // can never park indefinitely on queued work.
-                wake.wait_for(&mut guard, Duration::from_micros(200));
+                // The task that completes the scope unparks this thread
+                // (and only this one); a completion between the check
+                // above and the park leaves the token set, so the park
+                // returns at once. The timeout bounds how long queued
+                // work can wait for this helper.
+                std::thread::park_timeout(Duration::from_micros(200));
             }
         }
-        if scope.panicked.load(Ordering::Acquire) {
+        if scope.state.panicked.load(Ordering::Acquire) {
             #[expect(
                 clippy::panic,
                 reason = "deliberate panic propagation: a task panic caught on a worker \
@@ -304,12 +299,21 @@ fn worker_loop(worker: Worker<Job>, shared: Arc<PoolShared>) {
     }
 }
 
+/// What a scope's tasks share with its caller.
+struct ScopeState {
+    /// Spawned tasks not yet finished.
+    pending: AtomicUsize,
+    panicked: AtomicBool,
+    /// The thread waiting in [`ThreadPool::scope`], unparked by the task
+    /// that finishes last.
+    caller: std::thread::Thread,
+}
+
 /// A scope handle for spawning borrowed tasks; created by
 /// [`ThreadPool::scope`].
 pub struct Scope<'scope> {
     pool: &'scope ThreadPool,
-    pending: Arc<AtomicUsize>,
-    panicked: Arc<AtomicBool>,
+    state: Arc<ScopeState>,
     _marker: PhantomData<fn(&'scope ()) -> &'scope ()>,
 }
 
@@ -319,21 +323,24 @@ impl<'scope> Scope<'scope> {
     where
         F: FnOnce() + Send + 'scope,
     {
-        self.pending.fetch_add(1, Ordering::AcqRel);
-        let pending = Arc::clone(&self.pending);
-        let panicked = Arc::clone(&self.panicked);
+        self.state.pending.fetch_add(1, Ordering::AcqRel);
+        let state = Arc::clone(&self.state);
         let telemetry = riskpipe_obs::current();
         let wrapped: Box<dyn FnOnce() + Send + 'scope> = Box::new(move || {
             let result = panic::catch_unwind(AssertUnwindSafe(|| run_task(telemetry, f)));
             if result.is_err() {
-                panicked.store(true, Ordering::Release);
+                state.panicked.store(true, Ordering::Release);
             }
-            pending.fetch_sub(1, Ordering::AcqRel);
+            if state.pending.fetch_sub(1, Ordering::AcqRel) == 1 {
+                state.caller.unpark();
+            }
         });
         // SAFETY: `ThreadPool::scope` does not return until `pending`
-        // reaches zero, i.e. until this closure has run to completion, so
-        // all `'scope` borrows inside the closure remain valid for the
-        // closure's whole execution. Erasing the lifetime to 'static is
+        // reaches zero, i.e. until this closure has run `f` to
+        // completion; after its decrement the closure touches only its
+        // own `Arc` of the scope state, never a `'scope` borrow. So all
+        // `'scope` borrows inside the closure remain valid for as long
+        // as the closure uses them. Erasing the lifetime to 'static is
         // therefore sound — the same argument rayon::scope makes.
         let job: Job =
             unsafe { std::mem::transmute::<Box<dyn FnOnce() + Send + 'scope>, Job>(wrapped) };
@@ -510,6 +517,45 @@ mod tests {
         let snap = telemetry.snapshot();
         assert_eq!(snap.metrics().counter("exec.test.ghost"), 0);
         assert!(snap.spans().is_empty());
+    }
+
+    /// A scope whose last task finishes on a worker returns as soon as
+    /// it does: the task wakes the caller, which does not sleep out its
+    /// park timeout. Each scope's task starts on a worker (the caller
+    /// waits for it to start, so there is nothing left to steal) and
+    /// spins 20 µs; the median delay from the task's end to the scope's
+    /// return is then the wakeup latency, not the timeout's remaining
+    /// ≈ 180 µs.
+    #[test]
+    fn the_last_task_wakes_the_scope_caller() {
+        let pool = ThreadPool::new(2);
+        let mut delays: Vec<Duration> = (0..300)
+            .map(|_| {
+                let started = AtomicBool::new(false);
+                let mut ended = None;
+                pool.scope(|s| {
+                    s.spawn(|| {
+                        started.store(true, Ordering::Release);
+                        let spin = std::time::Instant::now();
+                        while spin.elapsed() < Duration::from_micros(20) {
+                            std::hint::spin_loop();
+                        }
+                        ended = Some(std::time::Instant::now());
+                    });
+                    while !started.load(Ordering::Acquire) {
+                        std::hint::spin_loop();
+                    }
+                });
+                let returned = std::time::Instant::now();
+                returned.duration_since(ended.expect("the task ran"))
+            })
+            .collect();
+        delays.sort_unstable();
+        let median = delays[delays.len() / 2];
+        assert!(
+            median < Duration::from_micros(100),
+            "median wakeup {median:?} after the last task finished"
+        );
     }
 
     #[test]

@@ -156,11 +156,30 @@ pub fn quantile_sorted(sorted: &[f64], q: f64) -> f64 {
 /// the discrete tail-conditional expectation used by TVaR.
 pub fn tail_mean_sorted(sorted: &[f64], q: f64) -> f64 {
     assert!(!sorted.is_empty());
-    let n = sorted.len();
-    let start = ((q * n as f64).ceil() as usize).min(n - 1);
-    let tail = &sorted[start..];
+    let tail = &sorted[tail_start(sorted.len(), q)..];
     let k: KahanSum = tail.iter().copied().collect();
     k.total() / tail.len() as f64
+}
+
+/// [`tail_mean_sorted`] of `values` once sorted by `total_cmp`, without
+/// sorting all of them: `values` is partitioned at the tail's first
+/// rank and only the tail is sorted. `total_cmp` is a total order, so
+/// the sorted tail — and the sum over it — is bit for bit the one a full
+/// sort gives. Leaves `values` partitioned.
+pub fn tail_mean_unsorted(values: &mut [f64], q: f64) -> f64 {
+    assert!(!values.is_empty());
+    let start = tail_start(values.len(), q);
+    values.select_nth_unstable_by(start, f64::total_cmp);
+    let tail = &mut values[start..];
+    tail.sort_unstable_by(f64::total_cmp);
+    let k: KahanSum = tail.iter().copied().collect();
+    k.total() / tail.len() as f64
+}
+
+/// The first rank of the tail at or above the `q`-quantile of `n`
+/// sorted values (never past the last one).
+fn tail_start(n: usize, q: f64) -> usize {
+    ((q * n as f64).ceil() as usize).min(n - 1)
 }
 
 /// Average ranks (1-based; ties get the average of their positions), the
@@ -218,6 +237,32 @@ pub fn spearman(xs: &[f64], ys: &[f64]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn tail_mean_unsorted_equals_the_sorted_tail_mean_bitwise() {
+        let mut rng = crate::rng::SplitMix64::new(17);
+        for n in [1usize, 2, 3, 99, 100, 101, 1_000] {
+            // Ties, signed zeros and a wide range of magnitudes.
+            let values: Vec<f64> = (0..n)
+                .map(|i| match i % 7 {
+                    0 => 0.0,
+                    1 => -0.0,
+                    2 => 42.0,
+                    _ => (crate::rng::Rng64::next_f64(&mut rng) - 0.3) * 1e6,
+                })
+                .collect();
+            let mut sorted = values.clone();
+            sorted.sort_unstable_by(f64::total_cmp);
+            for q in [0.0, 0.5, 0.9, 0.99, 0.999] {
+                let mut scratch = values.clone();
+                assert_eq!(
+                    tail_mean_unsorted(&mut scratch, q).to_bits(),
+                    tail_mean_sorted(&sorted, q).to_bits(),
+                    "n = {n}, q = {q}"
+                );
+            }
+        }
+    }
 
     #[test]
     fn welford_matches_closed_form() {

@@ -483,3 +483,43 @@ proptest! {
         }
     }
 }
+
+/// Prefix stability: the YLT of `n` trials is bit for bit the first `n`
+/// rows of the YLT of `N > n` trials with the same seed, on every engine
+/// and pool width. It holds because trial `t`'s occurrences come from
+/// its own random stream, seeded by `t` itself, and every kernel prices
+/// each trial from its own occurrences alone. The DFA factor block is
+/// *not* prefix-stable: Iman–Conover reorders each factor column by
+/// ranks taken over all trials, so the stage-3 figures of `n` trials are
+/// not those of the first `n` of `N`.
+#[test]
+fn a_shorter_run_is_a_prefix_of_a_longer_one() {
+    let (n, long) = (700, 1_000);
+    let stage1 = |trials| {
+        ScenarioConfig::small()
+            .with_seed(36)
+            .with_trials(trials)
+            .build_stage1()
+            .unwrap()
+    };
+    let (short, long) = (stage1(n), stage1(long));
+    let portfolio = short.portfolio();
+    let join = join_of(&portfolio, &AggregateOptions::default());
+    let (short_yet, long_yet) = (short.year_event_table(), long.year_event_table());
+    for threads in [1, 2, 8] {
+        let pool = Arc::new(ThreadPool::new(threads));
+        for kind in EngineKind::ALL {
+            let runner = AggregateRunner::new(kind).with_pool(Arc::clone(&pool));
+            let head = runner.run_prepared(&portfolio, &short_yet, &join).unwrap();
+            let whole = runner.run_prepared(&portfolio, &long_yet, &join).unwrap();
+            let (agg, max_occ, counts) = whole.columns();
+            let prefix = Ylt::from_columns(
+                agg[..n].to_vec(),
+                max_occ[..n].to_vec(),
+                counts[..n].to_vec(),
+            )
+            .unwrap();
+            assert_bits_eq(&head, &prefix, &format!("{kind:?} on {threads} threads"));
+        }
+    }
+}

@@ -106,6 +106,7 @@ fn metrics_snapshots_are_bit_identical_across_thread_counts() -> RiskResult<()> 
     assert_eq!(m.counter("stage1.builds"), 4, "one build per distinct key");
     assert_eq!(m.counter("stage1.misses"), 4);
     assert_eq!(m.counter("stage2.scenarios"), 4);
+    assert_eq!(m.counter("stage2.scans"), 4, "distinct keys: one scan each");
     assert_eq!(
         m.counter("stage2.secondary_builds"),
         4,
@@ -349,7 +350,7 @@ fn span_tree_covers_every_stage_of_a_full_plan() -> RiskResult<()> {
         ("stage2.join", n),        // … joined once each
         ("stage2.yelt_count", n),  // … its first book's YELT counted once
         ("stage3.dfa_factors", n), // … and one DFA factor block each
-        ("stage2.engine", n),
+        ("stage2.engine", n),      // … and one scan each
         ("stage2.persist_yelt", n),
         ("stage3.dfa", n),
         ("warehouse.ingest", n),
@@ -591,6 +592,47 @@ fn reset_windows_cumulative_telemetry() -> RiskResult<()> {
     Ok(())
 }
 
+/// Consecutive scenarios of one stage-1 key are priced by one scan: a
+/// sweep of two keys, three attachment points each, makes two scans —
+/// one `stage2.engine` span per scan, keyed by its group's first slot —
+/// and each key acquires once, its followers counted as hits. The
+/// counters are the same on 1, 2 and 8 threads.
+#[test]
+fn one_scan_prices_every_scenario_of_a_key() -> RiskResult<()> {
+    let base = |seed: u64| ScenarioConfig::small().with_seed(seed).with_trials(300);
+    let scenarios: Vec<ScenarioConfig> = [0x0C1, 0x0C2]
+        .into_iter()
+        .flat_map(|seed| {
+            (0..3).map(move |a| base(seed).with_attachment_factor(0.5 + 0.25 * f64::from(a)))
+        })
+        .collect();
+    let mut seen = Vec::new();
+    for threads in [1, 2, 8] {
+        let telemetry = Telemetry::new();
+        let session = RiskSession::builder()
+            .pool_threads(threads)
+            .telemetry(telemetry.clone())
+            .build()?;
+        session.sweep(&scenarios).summary().drive()?;
+        let snap = telemetry.snapshot();
+        let m = snap.metrics();
+        assert_eq!(m.counter("stage2.scans"), 2);
+        assert_eq!(m.counter("stage2.scenarios"), 6);
+        assert_eq!(m.counter("stage1.builds"), 2);
+        assert_eq!(m.counter("stage1.hits"), 4, "two followers per key");
+        let mut scans: Vec<u64> = snap.spans_named("stage2.engine").map(|s| s.key).collect();
+        scans.sort_unstable();
+        assert_eq!(scans, [0, 3], "one scan per group, keyed by its first slot");
+        assert_eq!(snap.spans_named("stage1.acquire").count(), 2);
+        assert_eq!(snap.spans_named("sweep.scenario").count(), 6);
+        assert_eq!(snap.spans_named("stage3.dfa").count(), 6);
+        seen.push(m.clone());
+    }
+    assert_eq!(seen[0], seen[1], "1-thread vs 2-thread metrics diverged");
+    assert_eq!(seen[1], seen[2], "2-thread vs 8-thread metrics diverged");
+    Ok(())
+}
+
 /// The export schema is pinned: version 2, fixed key order, spans in
 /// stitched order, metrics name-ordered; the chrome trace is complete
 /// ("ph":"X") events.
@@ -612,6 +654,7 @@ fn json_export_schema_is_pinned() -> RiskResult<()> {
     assert!(json.contains("\"metrics\":{\"counters\":{"));
     assert!(json.contains("\"stage1.builds\":4"));
     assert!(json.contains("\"stage2.scenarios\":4"));
+    assert!(json.contains("\"stage2.scans\":4"));
     assert!(json.contains("\"name\":\"sweep.run_stream\""));
     assert!(json.contains("\"histograms\":{"));
     assert!(json.ends_with("}}}"));

@@ -4,10 +4,12 @@
 //!
 //! Its unit of work is a **group**: a run of consecutive scenarios with
 //! one stage-1 key, cut so its loss columns stay within
-//! [`GROUP_COLUMN_BYTES`]. A group acquires the key's model run once and
-//! prices all of its members in one scan of the trials; then each
-//! member's stage 3 and report finish in slot order. Groups are a
-//! function of the scenario list alone, never of pool width or timing.
+//! [`GROUP_COLUMN_BYTES`], except that a run may always pair up: a
+//! group holds at least two scenarios when its run has two. A group
+//! acquires the key's model run once and prices all of its members in
+//! one scan of the trials; then each member's stage 3 and report finish
+//! in slot order. Groups are a function of the scenario list alone,
+//! never of pool width or timing.
 //!
 //! Its one piece of cache policy is the leader gate: while a key has no
 //! published stage-1 entry, only one group of that key is in flight, so
@@ -27,22 +29,31 @@ use std::ops::Range;
 /// scenarios of T trials holds 20 B × T × K until its members' reports
 /// take them. 400 KiB is four 5 000-trial YLTs, about what two in-flight
 /// scenarios' reports hold at that size, so grouping leaves a sweep's
-/// peak memory near its ungrouped O(pool width) reports; a group always
-/// holds at least one scenario.
+/// peak memory near its ungrouped O(pool width) reports.
+///
+/// The cap never cuts a run below pairs: K ≥ 2 whatever the trial
+/// count. The ungrouped window already holds two YLTs on a pool of two
+/// or more threads, so a pair of large YLTs costs those pools nothing;
+/// a 1-thread pool holds one YLT more than it did ungrouped.
 const GROUP_COLUMN_BYTES: usize = 400 << 10;
+
+/// Scenarios a group of one run may always hold, whatever their YLTs
+/// weigh (see [`GROUP_COLUMN_BYTES`]).
+const GROUP_FLOOR: usize = 2;
 
 /// Bytes of one YLT row.
 const YLT_ROW_BYTES: usize = 20;
 
 /// Cut `scenarios` (with their stage-1 `keys`) into groups: maximal runs
 /// of consecutive same-key scenarios, each split so that its loss
-/// columns stay within [`GROUP_COLUMN_BYTES`]. Same key means same trial
-/// count, so the split is by count within a run.
+/// columns stay within [`GROUP_COLUMN_BYTES`] or it holds at most
+/// [`GROUP_FLOOR`] scenarios. Same key means same trial count, so the
+/// split is by count within a run.
 fn groups(scenarios: &[ScenarioConfig], keys: &[u64]) -> Vec<Range<usize>> {
     let mut groups: Vec<Range<usize>> = Vec::new();
     for (i, scenario) in scenarios.iter().enumerate() {
         let row_bytes = YLT_ROW_BYTES.saturating_mul(scenario.trials).max(1);
-        let cap = (GROUP_COLUMN_BYTES / row_bytes).max(1);
+        let cap = (GROUP_COLUMN_BYTES / row_bytes).max(GROUP_FLOOR);
         match groups.last_mut() {
             Some(g) if keys[g.start] == keys[i] && g.len() < cap => g.end = i + 1,
             _ => groups.push(i..i + 1),
@@ -307,10 +318,19 @@ mod tests {
             s(4, 30_000),
         ];
         let keys: Vec<u64> = scenarios.iter().map(|s| s.stage1_key()).collect();
-        // A YLT larger than the cap is a group of its own.
+        // YLTs larger than the cap (20 B × 30 000 is over 400 KiB) still
+        // pair up.
         assert_eq!(
             groups(&scenarios, &keys),
-            [0..2, 2..3, 3..4, 4..8, 8..9, 9..10, 10..11]
+            [0..2, 2..3, 3..4, 4..8, 8..9, 9..11]
+        );
+        // A run of three such is a pair and a single.
+        let mut three = scenarios.to_vec();
+        three.push(s(4, 30_000));
+        let keys: Vec<u64> = three.iter().map(|s| s.stage1_key()).collect();
+        assert_eq!(
+            groups(&three, &keys),
+            [0..2, 2..3, 3..4, 4..8, 8..9, 9..11, 11..12]
         );
         assert!(groups(&[], &[]).is_empty());
     }

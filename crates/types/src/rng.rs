@@ -12,7 +12,10 @@
 //!   function of those coordinates, so the sequential, multi-threaded and
 //!   simulated-GPU aggregate engines produce *identical* year-loss tables
 //!   regardless of scheduling. This mirrors actual GPU practice (Philox is
-//!   cuRAND's default counter-based generator).
+//!   cuRAND's default counter-based generator). The stream wrapper
+//!   computes four consecutive blocks per refill, whose independent
+//!   multiply chains the core overlaps; a stream read once takes its one
+//!   block through [`SeedStream::first_draw`] instead.
 //!
 //! All generators implement the minimal [`Rng64`] trait; distributions in
 //! [`crate::dist`] are generic over it.
@@ -31,14 +34,13 @@ pub trait Rng64 {
     /// Uniform `f64` in `[0, 1)` with 53-bit resolution.
     #[inline]
     fn next_f64(&mut self) -> f64 {
-        // 53 high bits / 2^53.
-        (self.next_u64() >> 11) as f64 * (1.0 / 9_007_199_254_740_992.0)
+        unit_f64(self.next_u64())
     }
 
     /// Uniform `f64` in the *open* interval `(0, 1)` — safe for `ln`/ICDF.
     #[inline]
     fn next_f64_open(&mut self) -> f64 {
-        ((self.next_u64() >> 11) as f64 + 0.5) * (1.0 / 9_007_199_254_740_992.0)
+        open_unit_f64(self.next_u64())
     }
 
     /// Uniform integer in `[0, bound)` using Lemire's multiply-shift
@@ -59,6 +61,20 @@ pub trait Rng64 {
         }
         (m >> 32) as u32
     }
+}
+
+/// The `f64` in `[0, 1)` that [`Rng64::next_f64`] makes of a draw: its
+/// 53 high bits / 2⁵³.
+#[inline]
+pub fn unit_f64(draw: u64) -> f64 {
+    (draw >> 11) as f64 * (1.0 / 9_007_199_254_740_992.0)
+}
+
+/// The `f64` in `(0, 1)` that [`Rng64::next_f64_open`] makes of a draw:
+/// its 53 high bits, plus one half, / 2⁵³.
+#[inline]
+pub fn open_unit_f64(draw: u64) -> f64 {
+    ((draw >> 11) as f64 + 0.5) * (1.0 / 9_007_199_254_740_992.0)
 }
 
 impl<R: Rng64 + ?Sized> Rng64 for &mut R {
@@ -190,85 +206,110 @@ fn philox4x32(key: [u32; 2], counter: [u32; 4]) -> [u32; 4] {
     c
 }
 
+/// Philox blocks a [`Philox4x32`] refill computes at once.
+const PHILOX_BATCH: usize = 4;
+
+/// The two `u64` draws of one Philox block: words 0–1, then words 2–3,
+/// each low word first.
+#[inline]
+fn block_draws(words: [u32; 4]) -> [u64; 2] {
+    [
+        u64::from(words[0]) | u64::from(words[1]) << 32,
+        u64::from(words[2]) | u64::from(words[3]) << 32,
+    ]
+}
+
 /// A streaming wrapper over the Philox bijection: fixes a key (derived
-/// from seed and stream id) and walks the counter, buffering the four
-/// 32-bit words of each block.
+/// from seed and stream id) and walks a 64-bit block counter. Block `b`
+/// of the stream is the bijection at counter `[b as u32, (b >> 32) as
+/// u32, stream as u32, (stream >> 32) as u32]` and serves two `u64`
+/// draws. A refill computes four consecutive blocks at once and
+/// buffers their eight draws, so the sequence is the block-by-block
+/// one; a stream that reads one draw should come from
+/// [`SeedStream::first_draw`], which computes one block.
 #[derive(Debug, Clone)]
 pub struct Philox4x32 {
     key: [u32; 2],
-    counter: [u32; 4],
-    buffer: [u32; 4],
-    /// Number of buffered words already consumed (4 = buffer exhausted).
-    consumed: u8,
+    /// The stream coordinate: the counter's upper two words.
+    stream: [u32; 2],
+    /// The block the next refill computes first.
+    block: u64,
+    /// The draws of the last refill's blocks, in stream order.
+    buffer: [u64; 2 * PHILOX_BATCH],
+    /// Draws of `buffer` already consumed (`buffer.len()` = exhausted).
+    next: usize,
 }
 
 impl Philox4x32 {
-    /// Construct from a 64-bit key directly (low word, high word).
-    fn from_key(key: u64) -> Self {
+    /// Derive a generator for a (seed, stream) coordinate pair. The stream
+    /// id is mixed into the key, so streams are independent bijections;
+    /// typical use keys one stream per simulation trial. The raw
+    /// coordinate also fills the counter's upper words as extra
+    /// separation; the lower two words are the block counter.
+    fn for_stream(seed: u64, stream: u64) -> Self {
+        let key = SplitMix64::mix(seed ^ SplitMix64::mix(stream));
         Self {
             key: [key as u32, (key >> 32) as u32],
-            counter: [0; 4],
-            buffer: [0; 4],
-            consumed: 4,
+            stream: [stream as u32, (stream >> 32) as u32],
+            block: 0,
+            buffer: [0; 2 * PHILOX_BATCH],
+            next: 2 * PHILOX_BATCH,
         }
     }
 
-    /// Derive a generator for a (seed, stream) coordinate pair. The stream
-    /// id is mixed into the key, so streams are independent bijections;
-    /// typical use keys one stream per simulation trial.
-    fn for_stream(seed: u64, stream: u64) -> Self {
-        let k = SplitMix64::mix(seed ^ SplitMix64::mix(stream));
-        let mut p = Self::from_key(k);
-        // Put the raw coordinates in the counter's upper words as extra
-        // separation; the lower two words remain the block counter.
-        p.counter[2] = stream as u32;
-        p.counter[3] = (stream >> 32) as u32;
-        p
+    /// The bijection's counter for block `block` of this stream.
+    #[inline]
+    fn counter(&self, block: u64) -> [u32; 4] {
+        [
+            block as u32,
+            (block >> 32) as u32,
+            self.stream[0],
+            self.stream[1],
+        ]
     }
 
     /// Stand a fresh stream where `draws` calls of `next_u64` would
     /// have left it. A block serves two draws, so the block counter
-    /// advances by `draws / 2` (a 64-bit add over `counter[0..2]`, as
-    /// `refill` counts); an odd count then reads the next block and
-    /// leaves its second half unread.
+    /// advances by `draws / 2` (a 64-bit add, carrying into the
+    /// counter's second word); an odd count then refills at that block
+    /// and leaves its first draw spent.
     fn skip_fresh(&mut self, draws: u64) {
-        debug_assert_eq!(self.consumed, 4, "only a fresh stream is skipped");
-        let block =
-            (u64::from(self.counter[1]) << 32 | u64::from(self.counter[0])).wrapping_add(draws / 2);
-        self.counter[0] = block as u32;
-        self.counter[1] = (block >> 32) as u32;
+        debug_assert_eq!(
+            self.next,
+            self.buffer.len(),
+            "only a fresh stream is skipped"
+        );
+        self.block = self.block.wrapping_add(draws / 2);
         if draws % 2 == 1 {
             self.refill();
-            self.consumed = 2;
+            self.next = 1;
         }
     }
 
-    #[inline]
+    /// Compute the next [`PHILOX_BATCH`] blocks into `buffer`. The
+    /// blocks are independent, so the core overlaps their multiply
+    /// chains; kept out of line, so `next_u64` stays small where it is
+    /// inlined.
+    #[inline(never)]
     fn refill(&mut self) {
-        self.buffer = philox4x32(self.key, self.counter);
-        // 64-bit increment over counter[0..2]; the upper words hold the
-        // stream coordinate and are never touched.
-        let (lo, carry) = self.counter[0].overflowing_add(1);
-        self.counter[0] = lo;
-        if carry {
-            self.counter[1] = self.counter[1].wrapping_add(1);
+        for i in 0..PHILOX_BATCH {
+            let words = philox4x32(self.key, self.counter(self.block.wrapping_add(i as u64)));
+            self.buffer[2 * i..2 * i + 2].copy_from_slice(&block_draws(words));
         }
-        self.consumed = 0;
+        self.block = self.block.wrapping_add(PHILOX_BATCH as u64);
+        self.next = 0;
     }
 }
 
 impl Rng64 for Philox4x32 {
     #[inline]
     fn next_u64(&mut self) -> u64 {
-        if self.consumed >= 3 {
-            // Need two fresh words; if only one is left, discard it so a
-            // u64 never straddles blocks.
+        if self.next >= self.buffer.len() {
             self.refill();
         }
-        let lo = self.buffer[self.consumed as usize] as u64;
-        let hi = self.buffer[self.consumed as usize + 1] as u64;
-        self.consumed += 2;
-        lo | (hi << 32)
+        let draw = self.buffer[self.next];
+        self.next += 1;
+        draw
     }
 }
 
@@ -297,10 +338,19 @@ impl SeedStream {
         Philox4x32::for_stream(self.seed, stream)
     }
 
+    /// The first `next_u64` draw of [`Self::stream`]`(stream)`, from
+    /// the one block that holds it: what a stream read once needs,
+    /// without the rest of a refill's blocks.
+    #[inline]
+    pub fn first_draw(&self, stream: u64) -> u64 {
+        let rng = self.stream(stream);
+        block_draws(philox4x32(rng.key, rng.counter(0)))[0]
+    }
+
     /// The generator for `stream`, already past its first `draws`
-    /// `next_u64` draws: the same state, and so the same sequence from
-    /// here on, as [`Self::stream`] after `draws` calls, at the cost of
-    /// at most one block.
+    /// `next_u64` draws: the same sequence from here on as
+    /// [`Self::stream`] after `draws` calls, at the cost of at most one
+    /// refill.
     #[inline]
     pub fn stream_after(&self, stream: u64, draws: u64) -> Philox4x32 {
         let mut rng = self.stream(stream);
@@ -361,20 +411,59 @@ mod tests {
         assert_ne!(x, y);
     }
 
+    /// Draw `draw` of `stream` under `seed`, straight from the
+    /// bijection, one block at a time: block `draw / 2` of the stream,
+    /// its words 0–1 for an even draw and 2–3 for an odd one, low word
+    /// first.
+    fn reference_draw(seed: u64, stream: u64, draw: u64) -> u64 {
+        let key = SplitMix64::mix(seed ^ SplitMix64::mix(stream));
+        let block = draw / 2;
+        let words = philox4x32(
+            [key as u32, (key >> 32) as u32],
+            [
+                block as u32,
+                (block >> 32) as u32,
+                stream as u32,
+                (stream >> 32) as u32,
+            ],
+        );
+        let half = 2 * (draw % 2) as usize;
+        u64::from(words[half]) | u64::from(words[half + 1]) << 32
+    }
+
+    #[test]
+    fn batched_streams_equal_the_block_by_block_reference() {
+        // Skips cover every offset into a four-block refill, both
+        // halves of a block, a whole refill and the carry into the
+        // counter's high word.
+        let seed = 0xB10C;
+        let f = SeedStream::new(seed);
+        for stream in [0, 7, u64::MAX] {
+            assert_eq!(f.first_draw(stream), reference_draw(seed, stream, 0));
+            for skip in (0..=17).chain([64, 65, (1 << 33) + 1]) {
+                let mut rng = f.stream_after(stream, skip);
+                for k in 0..40 {
+                    assert_eq!(
+                        rng.next_u64(),
+                        reference_draw(seed, stream, skip + k),
+                        "stream {stream}, skip {skip}: draw {k} after"
+                    );
+                }
+            }
+        }
+    }
+
     #[test]
     fn philox_skip_blocks_matches_sequential() {
         // Skipping ahead is the pure function at a later counter: block
         // 3 of a stream, computed directly, is draws 6 and 7 of it
         // (one block = 2 u64 draws = 4 u32 words).
         let mut a = Philox4x32::for_stream(5, 10);
-        let mut counter = a.counter;
-        counter[0] += 3;
-        let block = philox4x32(a.key, counter);
         for _ in 0..6 {
             a.next_u64();
         }
-        assert_eq!(a.next_u64(), block[0] as u64 | (block[1] as u64) << 32);
-        assert_eq!(a.next_u64(), block[2] as u64 | (block[3] as u64) << 32);
+        assert_eq!(a.next_u64(), reference_draw(5, 10, 6));
+        assert_eq!(a.next_u64(), reference_draw(5, 10, 7));
     }
 
     #[test]
@@ -387,8 +476,6 @@ mod tests {
                     walked.next_u64();
                 }
                 let mut skipped = f.stream_after(stream, draws);
-                assert_eq!(skipped.counter, walked.counter, "{stream}/{draws}");
-                assert_eq!(skipped.consumed, walked.consumed, "{stream}/{draws}");
                 for k in 0..16 {
                     assert_eq!(
                         skipped.next_u64(),
@@ -402,14 +489,20 @@ mod tests {
 
     #[test]
     fn stream_after_carries_into_the_counters_high_word() {
-        // 2³² blocks wrap counter[0]; the odd draw then reads block
-        // 2³², whose first half is spent.
-        let skipped = SeedStream::new(3).stream_after(11, (1 << 33) + 1);
-        assert_eq!(skipped.counter[..2], [1, 1]);
-        assert_eq!(skipped.consumed, 2);
-        let mut counter = skipped.counter;
-        counter[0] = 0;
-        assert_eq!(skipped.buffer, philox4x32(skipped.key, counter));
+        // 2³² blocks wrap the counter's low word; the odd draw then
+        // reads block 2³², whose first half is spent, and the stream
+        // goes on through block 2³² + 1. A dropped carry would read
+        // block 0, which differs.
+        let draws = (1 << 33) + 1;
+        let mut skipped = SeedStream::new(3).stream_after(11, draws);
+        for k in 0..4 {
+            assert_eq!(
+                skipped.next_u64(),
+                reference_draw(3, 11, draws + k),
+                "draw {k}"
+            );
+        }
+        assert_ne!(reference_draw(3, 11, draws), reference_draw(3, 11, 1));
     }
 
     #[test]

@@ -9,7 +9,9 @@
 use riskpipe::analytics::{DrilldownLayout, ScenarioDims, SessionAnalytics, SweepPlanAnalytics};
 use riskpipe::catmodel::financial::location_loss;
 use riskpipe::catmodel::site_intensity;
-use riskpipe::core::{InMemoryStore, RiskSession, ScenarioConfig, ShardedFilesStore};
+use riskpipe::core::{
+    InMemoryStore, PipelineReport, RiskSession, ScenarioConfig, ShardedFilesStore,
+};
 use riskpipe::obs::JSON_SCHEMA_VERSION;
 use riskpipe::prelude::{MetricsSnapshot, Query, RiskResult, Telemetry};
 use riskpipe::tables::Yelt;
@@ -630,6 +632,59 @@ fn one_scan_prices_every_scenario_of_a_key() -> RiskResult<()> {
     }
     assert_eq!(seen[0], seen[1], "1-thread vs 2-thread metrics diverged");
     assert_eq!(seen[1], seen[2], "2-thread vs 8-thread metrics diverged");
+    Ok(())
+}
+
+/// A report's YLT columns and risk measures, as bits.
+fn report_bits(report: &PipelineReport) -> (Vec<u64>, Vec<u64>, Vec<u32>, [u64; 6]) {
+    let (agg, max_occ, counts) = report.ylt.columns();
+    let m = &report.measures;
+    (
+        agg.iter().map(|x| x.to_bits()).collect(),
+        max_occ.iter().map(|x| x.to_bits()).collect(),
+        counts.to_vec(),
+        [m.mean, m.sd, m.var99, m.tvar99, m.var996, m.oep_pml100].map(f64::to_bits),
+    )
+}
+
+/// YLTs over the group cap still pair up: two same-key 30 000-trial
+/// scenarios (20 B × 30 000 each, over the 400 KiB cap) make one scan
+/// and one build on 1, 2 and 8 threads, and each report is bit for bit
+/// the scenario's lone `run`.
+#[test]
+fn a_pair_of_large_ylts_is_priced_in_one_scan() -> RiskResult<()> {
+    let scenarios: Vec<ScenarioConfig> = [0.5, 0.75]
+        .into_iter()
+        .map(|a| {
+            ScenarioConfig::small()
+                .with_seed(0x0C3)
+                .with_trials(30_000)
+                .with_attachment_factor(a)
+        })
+        .collect();
+    let lone = RiskSession::builder().pool_threads(1).build()?;
+    let want = scenarios
+        .iter()
+        .map(|s| lone.run(s).map(|r| report_bits(&r)))
+        .collect::<RiskResult<Vec<_>>>()?;
+    for threads in [1, 2, 8] {
+        let telemetry = Telemetry::new();
+        let session = RiskSession::builder()
+            .pool_threads(threads)
+            .telemetry(telemetry.clone())
+            .build()?;
+        let mut got = Vec::new();
+        session.run_stream(&scenarios, |_, report| {
+            got.push(report_bits(&report));
+            Ok(())
+        })?;
+        assert_eq!(got, want, "{threads} threads");
+        let snap = telemetry.snapshot();
+        let m = snap.metrics();
+        assert_eq!(m.counter("stage2.scans"), 1, "{threads} threads");
+        assert_eq!(m.counter("stage1.builds"), 1, "{threads} threads");
+        assert_eq!(snap.spans_named("stage2.engine").count(), 1);
+    }
     Ok(())
 }
 

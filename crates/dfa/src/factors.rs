@@ -24,27 +24,14 @@
 //! [`correlate`](crate::correlate).
 
 use riskpipe_types::dist::{Distribution, LogNormal, Poisson};
-use riskpipe_types::rng::{open_unit_f64, unit_f64, Rng64, SeedStream};
+use riskpipe_types::rng::{Rng64, SeedStream};
 use riskpipe_types::special::normal_icdf_in_place;
 use riskpipe_types::{RiskError, RiskResult};
-
-/// The stream coordinate of (factor, trial).
-#[inline]
-fn factor_stream(factor: u64, trial: u64) -> u64 {
-    (factor << 40) ^ trial
-}
 
 /// Derive the RNG for (factor, trial).
 #[inline]
 fn factor_rng(streams: &SeedStream, factor: u64, trial: u64) -> impl Rng64 {
-    streams.stream(factor_stream(factor, trial))
-}
-
-/// The first draw of (factor, trial)'s stream, from its one block: all
-/// a single-draw column reads of a trial.
-#[inline]
-fn factor_first_draw(streams: &SeedStream, factor: u64, trial: u64) -> u64 {
-    streams.first_draw(factor_stream(factor, trial))
+    streams.stream((factor << 40) ^ trial)
 }
 
 /// The first open uniform of each trial's stream for `factor`, written
@@ -52,7 +39,7 @@ fn factor_first_draw(streams: &SeedStream, factor: u64, trial: u64) -> u64 {
 /// which the column's model then transforms in place.
 fn first_uniforms(streams: &SeedStream, factor: u64, first: usize, out: &mut [f64]) {
     for (t, u) in (first..).zip(out.iter_mut()) {
-        *u = open_unit_f64(factor_first_draw(streams, factor, t as u64));
+        *u = factor_rng(streams, factor, t as u64).next_f64_open();
     }
 }
 
@@ -208,8 +195,8 @@ impl CounterpartyModel {
     /// written in place.
     pub(crate) fn fill(&self, first: usize, column: &mut [f64], streams: &SeedStream) {
         for (t, v) in (first..).zip(column) {
-            let draw = factor_first_draw(streams, factor_ids::COUNTERPARTY, t as u64);
-            *v = if unit_f64(draw) < self.default_prob {
+            let mut rng = factor_rng(streams, factor_ids::COUNTERPARTY, t as u64);
+            *v = if rng.next_f64() < self.default_prob {
                 1.0 - self.recovery_rate
             } else {
                 0.0

@@ -13,9 +13,10 @@
 //!   simulated-GPU aggregate engines produce *identical* year-loss tables
 //!   regardless of scheduling. This mirrors actual GPU practice (Philox is
 //!   cuRAND's default counter-based generator). The stream wrapper
-//!   computes four consecutive blocks per refill, whose independent
-//!   multiply chains the core overlaps; a stream read once takes its one
-//!   block through [`SeedStream::first_draw`] instead.
+//!   computes one block on its first refill, two on its second and four
+//!   consecutive blocks on each later one, so a short stream pays for
+//!   about the blocks it reads and a long one gets batches whose
+//!   independent multiply chains the core overlaps.
 //!
 //! All generators implement the minimal [`Rng64`] trait; distributions in
 //! [`crate::dist`] are generic over it.
@@ -34,13 +35,14 @@ pub trait Rng64 {
     /// Uniform `f64` in `[0, 1)` with 53-bit resolution.
     #[inline]
     fn next_f64(&mut self) -> f64 {
-        unit_f64(self.next_u64())
+        // 53 high bits / 2^53.
+        (self.next_u64() >> 11) as f64 * (1.0 / 9_007_199_254_740_992.0)
     }
 
     /// Uniform `f64` in the *open* interval `(0, 1)` — safe for `ln`/ICDF.
     #[inline]
     fn next_f64_open(&mut self) -> f64 {
-        open_unit_f64(self.next_u64())
+        ((self.next_u64() >> 11) as f64 + 0.5) * (1.0 / 9_007_199_254_740_992.0)
     }
 
     /// Uniform integer in `[0, bound)` using Lemire's multiply-shift
@@ -61,20 +63,6 @@ pub trait Rng64 {
         }
         (m >> 32) as u32
     }
-}
-
-/// The `f64` in `[0, 1)` that [`Rng64::next_f64`] makes of a draw: its
-/// 53 high bits / 2⁵³.
-#[inline]
-pub fn unit_f64(draw: u64) -> f64 {
-    (draw >> 11) as f64 * (1.0 / 9_007_199_254_740_992.0)
-}
-
-/// The `f64` in `(0, 1)` that [`Rng64::next_f64_open`] makes of a draw:
-/// its 53 high bits, plus one half, / 2⁵³.
-#[inline]
-pub fn open_unit_f64(draw: u64) -> f64 {
-    ((draw >> 11) as f64 + 0.5) * (1.0 / 9_007_199_254_740_992.0)
 }
 
 impl<R: Rng64 + ?Sized> Rng64 for &mut R {
@@ -188,7 +176,9 @@ const PHILOX_ROUNDS: usize = 10;
 /// bits. `philox4x32(key, counter)` is a pure function, which is exactly
 /// what parallel Monte Carlo needs: any thread can compute the random
 /// numbers for any (trial, draw) coordinate without shared state.
-#[inline]
+/// Always inlined, so a refill's blocks sit in one body, where the
+/// compiler interleaves (and vectorises) their independent rounds.
+#[inline(always)]
 fn philox4x32(key: [u32; 2], counter: [u32; 4]) -> [u32; 4] {
     let mut c = counter;
     let mut k = key;
@@ -206,7 +196,7 @@ fn philox4x32(key: [u32; 2], counter: [u32; 4]) -> [u32; 4] {
     c
 }
 
-/// Philox blocks a [`Philox4x32`] refill computes at once.
+/// The most Philox blocks a [`Philox4x32`] refill computes at once.
 const PHILOX_BATCH: usize = 4;
 
 /// The two `u64` draws of one Philox block: words 0–1, then words 2–3,
@@ -223,10 +213,14 @@ fn block_draws(words: [u32; 4]) -> [u64; 2] {
 /// from seed and stream id) and walks a 64-bit block counter. Block `b`
 /// of the stream is the bijection at counter `[b as u32, (b >> 32) as
 /// u32, stream as u32, (stream >> 32) as u32]` and serves two `u64`
-/// draws. A refill computes four consecutive blocks at once and
-/// buffers their eight draws, so the sequence is the block-by-block
-/// one; a stream that reads one draw should come from
-/// [`SeedStream::first_draw`], which computes one block.
+/// draws. Refills grow: the first computes one block, the second two
+/// consecutive blocks, and each later one four, buffering their eight
+/// draws. Most streams a trial opens are read once or twice (a factor
+/// column's uniform, a zero Poisson count) or a few times (twelve
+/// monthly rates, an operational year), so they pay for about the blocks they
+/// read, while a long stream gets the four-block refills, whose
+/// independent multiply chains the core overlaps. The sequence is the
+/// block-by-block one whatever the refill sizes.
 #[derive(Debug, Clone)]
 pub struct Philox4x32 {
     key: [u32; 2],
@@ -234,9 +228,13 @@ pub struct Philox4x32 {
     stream: [u32; 2],
     /// The block the next refill computes first.
     block: u64,
-    /// The draws of the last refill's blocks, in stream order.
+    /// The blocks the next refill computes: 1, 2, then [`PHILOX_BATCH`].
+    batch: usize,
+    /// The draws of the last refill's blocks, in stream order, at the
+    /// end of the buffer (a one-block refill fills its last two slots).
     buffer: [u64; 2 * PHILOX_BATCH],
-    /// Draws of `buffer` already consumed (`buffer.len()` = exhausted).
+    /// The index of the next draw in `buffer` (`buffer.len()` =
+    /// exhausted).
     next: usize,
 }
 
@@ -252,6 +250,7 @@ impl Philox4x32 {
             key: [key as u32, (key >> 32) as u32],
             stream: [stream as u32, (stream >> 32) as u32],
             block: 0,
+            batch: 1,
             buffer: [0; 2 * PHILOX_BATCH],
             next: 2 * PHILOX_BATCH,
         }
@@ -272,32 +271,44 @@ impl Philox4x32 {
     /// have left it. A block serves two draws, so the block counter
     /// advances by `draws / 2` (a 64-bit add, carrying into the
     /// counter's second word); an odd count then refills at that block
-    /// and leaves its first draw spent.
+    /// (the stream's first refill: one block) and leaves its first draw
+    /// spent.
     fn skip_fresh(&mut self, draws: u64) {
-        debug_assert_eq!(
-            self.next,
-            self.buffer.len(),
+        debug_assert!(
+            self.batch == 1 && self.next == self.buffer.len(),
             "only a fresh stream is skipped"
         );
         self.block = self.block.wrapping_add(draws / 2);
         if draws % 2 == 1 {
             self.refill();
-            self.next = 1;
+            self.next += 1;
         }
     }
 
-    /// Compute the next [`PHILOX_BATCH`] blocks into `buffer`. The
-    /// blocks are independent, so the core overlaps their multiply
-    /// chains; kept out of line, so `next_u64` stays small where it is
-    /// inlined.
+    /// Refill `buffer` with the next `batch` blocks. Kept out of line,
+    /// so `next_u64` stays small where it is inlined.
     #[inline(never)]
     fn refill(&mut self) {
-        for i in 0..PHILOX_BATCH {
-            let words = philox4x32(self.key, self.counter(self.block.wrapping_add(i as u64)));
-            self.buffer[2 * i..2 * i + 2].copy_from_slice(&block_draws(words));
+        match self.batch {
+            1 => self.fill::<1>(),
+            2 => self.fill::<2>(),
+            _ => self.fill::<PHILOX_BATCH>(),
         }
-        self.block = self.block.wrapping_add(PHILOX_BATCH as u64);
-        self.next = 0;
+    }
+
+    /// Compute the next `N` blocks into the last `2 * N` slots of
+    /// `buffer`. The blocks are independent, so the core overlaps
+    /// their multiply chains.
+    #[inline(always)]
+    fn fill<const N: usize>(&mut self) {
+        let start = self.buffer.len() - 2 * N;
+        for i in 0..N {
+            let words = philox4x32(self.key, self.counter(self.block.wrapping_add(i as u64)));
+            self.buffer[start + 2 * i..start + 2 * i + 2].copy_from_slice(&block_draws(words));
+        }
+        self.block = self.block.wrapping_add(N as u64);
+        self.batch = (2 * N).min(PHILOX_BATCH);
+        self.next = start;
     }
 }
 
@@ -338,19 +349,10 @@ impl SeedStream {
         Philox4x32::for_stream(self.seed, stream)
     }
 
-    /// The first `next_u64` draw of [`Self::stream`]`(stream)`, from
-    /// the one block that holds it: what a stream read once needs,
-    /// without the rest of a refill's blocks.
-    #[inline]
-    pub fn first_draw(&self, stream: u64) -> u64 {
-        let rng = self.stream(stream);
-        block_draws(philox4x32(rng.key, rng.counter(0)))[0]
-    }
-
     /// The generator for `stream`, already past its first `draws`
     /// `next_u64` draws: the same sequence from here on as
     /// [`Self::stream`] after `draws` calls, at the cost of at most one
-    /// refill.
+    /// block.
     #[inline]
     pub fn stream_after(&self, stream: u64, draws: u64) -> Philox4x32 {
         let mut rng = self.stream(stream);
@@ -433,13 +435,13 @@ mod tests {
 
     #[test]
     fn batched_streams_equal_the_block_by_block_reference() {
-        // Skips cover every offset into a four-block refill, both
-        // halves of a block, a whole refill and the carry into the
-        // counter's high word.
+        // Each stream's refills compute one block, then two, then four
+        // at a time; the skips cover both halves of the first block,
+        // every offset into the refills after it, a long skip and the
+        // carry into the counter's high word.
         let seed = 0xB10C;
         let f = SeedStream::new(seed);
         for stream in [0, 7, u64::MAX] {
-            assert_eq!(f.first_draw(stream), reference_draw(seed, stream, 0));
             for skip in (0..=17).chain([64, 65, (1 << 33) + 1]) {
                 let mut rng = f.stream_after(stream, skip);
                 for k in 0..40 {
@@ -450,6 +452,39 @@ mod tests {
                     );
                 }
             }
+        }
+    }
+
+    #[test]
+    fn refills_compute_one_block_then_two_then_four() {
+        // The refill sizes are a cost the draws do not show: a stream
+        // read once or twice computes one block, one read up to six
+        // times three, and a long one four at a time after those.
+        let f = SeedStream::new(1);
+        let blocks_computed = |skip: u64, draws: u64| {
+            let mut rng = f.stream_after(9, skip);
+            for _ in 0..draws {
+                rng.next_u64();
+            }
+            rng.block - skip / 2
+        };
+        let fresh = [
+            (0, 0),
+            (1, 1),
+            (2, 1),
+            (3, 3),
+            (6, 3),
+            (7, 7),
+            (14, 7),
+            (15, 11),
+        ];
+        for (draws, blocks) in fresh {
+            assert_eq!(blocks_computed(0, draws), blocks, "{draws} draws");
+        }
+        // An odd skip's refill is the stream's first: one block, whose
+        // second draw is the first read.
+        for (draws, blocks) in [(1, 1), (2, 3), (5, 3), (6, 7)] {
+            assert_eq!(blocks_computed(5, draws), blocks, "{draws} draws after 5");
         }
     }
 

@@ -14,19 +14,28 @@
 //! monotone in `z` and identical across all engines (they share the
 //! table), preserving cross-engine bit-equality.
 //!
-//! ## One descent per grid row
+//! ## One descent per grid row, eight rows at a time
 //!
-//! A row's `g` inversions are one call, [`Beta::quantiles_into`], and
-//! they share their work. Each solve starts at the mean inside the
-//! bracket `(0, 1)` and mostly bisects, so solves for neighbouring
-//! abscissae walk the same ladder of iterates before they part. The
-//! row's solves run in abscissa order over one trail of iterates: when
-//! step `i` of a solve lands on an `x` with the same bits as the
-//! trail's step `i`, the CDF and pdf there are read from the trail, not
-//! evaluated. They are pure functions of the row's beta and that `x`, so
-//! each cell is bit-identical to a lone `Beta::quantile`. On the
-//! benchmark's models a 33-point row runs ≈ 4.5 CDF evaluations per
-//! cell instead of ≈ 22 (`stage2.secondary_evals` counts them).
+//! A row's `g` inversions share their work. Each solve starts at the
+//! mean inside the bracket `(0, 1)` and mostly bisects, so solves for
+//! neighbouring abscissae walk the same ladder of iterates before they
+//! part. The row's solves run in abscissa order over one trail of
+//! iterates: when step `i` of a solve lands on an `x` with the same bits
+//! as the trail's step `i`, the CDF and pdf there are read from the
+//! trail, not evaluated. They are pure functions of the row's beta and
+//! that `x`, so each cell is bit-identical to a lone `Beta::quantile`.
+//! On the benchmark's models a 33-point row runs ≈ 4.5 CDF evaluations
+//! per cell instead of ≈ 22 (`stage2.secondary_evals` counts them).
+//!
+//! What is left is a chain of dependent evaluations per row, so rows
+//! run side by side: a task's block of rows is one call,
+//! [`Beta::quantile_rows`], which solves eight rows in lanes. Each lane
+//! keeps its own row's trail and step control; once every busy lane
+//! needs an evaluation, the eight are evaluated together (each libm
+//! call once per lane in a loop, the continued fraction in lockstep),
+//! and a lane whose row ends takes the block's next row at once. A
+//! lane runs exactly the operations of a lone solve, so the cells and
+//! the evaluation count are what one solver per row produces.
 //!
 //! ## Who builds the table, and when
 //!
@@ -190,11 +199,11 @@ impl SecondaryTable {
             let us: Vec<f64> = (0..g).map(|k| (k as f64 + 0.5) / g as f64).collect();
             // Each row's grid is independent and the Newton inversions
             // dominate the build, so tasks tabulate disjoint row blocks
-            // of one book straight into that book's allocation (row `i`
-            // always lands at `i * g`, so the table, and thus every
-            // engine's output, is deterministic). A book's evaluation
-            // count is a sum of per-row counts, so it too is the same
-            // on any split.
+            // of one book straight into that book's allocation, one
+            // `quantile_rows` call per block (row `i` always lands at
+            // `i * g`, so the table, and thus every engine's output, is
+            // deterministic). A book's evaluation count is a sum of
+            // per-row counts, so it too is the same on any split.
             let rows: usize = betas.iter().map(Vec::len).sum();
             let rows_per_task = suggest_grain(rows, pool.thread_count(), 8);
             let mut blocks: Vec<(usize, usize, &mut [f64])> = grids
@@ -208,11 +217,8 @@ impl SecondaryTable {
                 .collect();
             par_chunks_mut(pool, &mut blocks, 1, |_, task| {
                 for (book, first, block) in task {
-                    let evals: u64 = block
-                        .chunks_exact_mut(g)
-                        .zip(&betas[*book][*first..])
-                        .map(|(row, beta)| beta.quantiles_into(&us, row))
-                        .sum();
+                    let rows = &betas[*book][*first..*first + block.len() / g];
+                    let evals = Beta::quantile_rows(rows, &us, block);
                     cdf_evals[*book].fetch_add(evals, Ordering::Relaxed);
                 }
             });
@@ -505,6 +511,61 @@ mod tests {
                     assert_eq!(t.cdf_evals(), a.cdf_evals(), "{what}");
                 }
             }
+        }
+    }
+
+    /// `rows` rows whose damage-ratio betas differ from row to row:
+    /// exposure, spread and correlated share cycle with the row index.
+    fn varied_elt(rows: u32, scale: f64) -> Elt {
+        let mut b = EltBuilder::new();
+        for i in 1..=rows {
+            let mean = scale * i as f64;
+            b.push(EltRecord {
+                event_id: EventId::new(i),
+                mean_loss: mean,
+                sigma_i: mean * (0.1 + 0.15 * (i % 5) as f64),
+                sigma_c: mean * 0.05 * (i % 3) as f64,
+                exposure: mean * (1.5 + (i % 7) as f64),
+            })
+            .unwrap();
+        }
+        b.build().unwrap()
+    }
+
+    #[test]
+    fn a_books_evaluation_count_is_the_sum_of_its_rows_lone_counts() {
+        // Books of 5, 8, 9, 18, 11, 20, 14 and 23 rows: every remainder
+        // mod 8 (one book smaller than a lane block), so blocks end with
+        // lanes idle and padding, on every pool width.
+        let sizes = [5u32, 8, 9, 18, 11, 20, 14, 23];
+        let elts: Vec<Elt> = (1..)
+            .zip(sizes)
+            .map(|(k, rows)| varied_elt(rows, 50.0 * k as f64))
+            .collect();
+        let g = 33;
+        let us: Vec<f64> = (0..g).map(|k| (k as f64 + 0.5) / g as f64).collect();
+        // Each row alone: its start point plus the trail misses of its
+        // own solves.
+        let lone: Vec<u64> = elts
+            .iter()
+            .map(|elt| {
+                let mut row = vec![0.0; g];
+                row_betas(elt)
+                    .iter()
+                    .map(|beta| Beta::quantile_rows(std::slice::from_ref(beta), &us, &mut row))
+                    .sum()
+            })
+            .collect();
+        // What one scalar solver per row, over its own trail, counted on
+        // these books: every evaluation a lane runs is one a lone solve
+        // runs too, and none is run twice.
+        assert_eq!(lone, [760, 1_221, 1_370, 2_684, 1_674, 2_993, 2_079, 3_437]);
+        for threads in [1usize, 2, 8] {
+            let pool = ThreadPool::new(threads);
+            let tables =
+                SecondaryTable::build_books_on(&elts, QuantileMode::Interpolated(33), &pool);
+            let counts: Vec<u64> = tables.iter().map(SecondaryTable::cdf_evals).collect();
+            assert_eq!(counts, lone, "{threads} threads");
         }
     }
 

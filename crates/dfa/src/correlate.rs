@@ -37,9 +37,11 @@
 //! * **Order-bound, always serial:** the k Fisher–Yates shuffles draw
 //!   from *one* sequential `Pcg64` — column `c`'s permutation starts
 //!   where column `c − 1`'s stopped, so neither the columns nor the
-//!   swaps within one can be reordered — and the k² score-correlation
-//!   entries are each a running floating-point sum over all `n` rows:
-//!   splitting a sum into per-chunk partials changes its rounding.
+//!   swaps within one can be reordered — and the k(k+1)/2 distinct
+//!   score-correlation entries (the matrix is symmetric; the lower
+//!   triangle mirrors the upper) are each a running floating-point sum
+//!   over all `n` rows: splitting a sum into per-chunk partials changes
+//!   its rounding.
 //!   Both are O(n·k) with tiny constants next to the pieces above.
 //!
 //! [`DfaEngine::simulate_factors`]: crate::DfaEngine::simulate_factors
@@ -254,15 +256,18 @@ pub(crate) fn iman_conover_on(
     drop(base_scores);
 
     // 2. Current correlation of the scores. Each entry is one running
-    //    sum over all rows, in row order.
+    //    sum over all rows, in row order. The matrix is symmetric and
+    //    IEEE `×` commutes, so entry (b, a) is entry (a, b)'s bits: the
+    //    upper triangle is summed and mirrored.
     let mut cur = vec![0.0f64; k * k];
     for a in 0..k {
-        for b in 0..k {
+        for b in a..k {
             let mut s = 0.0;
             for r in 0..n {
                 s += m[r * k + a] * m[r * k + b];
             }
             cur[a * k + b] = s / (n as f64 - 1.0);
+            cur[b * k + a] = cur[a * k + b];
         }
     }
     // Normalise to a unit diagonal (scores are near-unit variance).

@@ -19,7 +19,7 @@
 
 use crate::error::{RiskError, RiskResult};
 use crate::rng::Rng64;
-use crate::special::{inv_inc_beta, normal_icdf, normal_icdf_in_place, BetaNewton};
+use crate::special::{inv_inc_beta, inv_inc_beta_rows, normal_icdf, normal_icdf_in_place};
 
 /// A real-valued distribution that can be sampled from an [`Rng64`].
 pub trait Distribution {
@@ -340,25 +340,34 @@ impl Beta {
         inv_inc_beta(u.clamp(Self::EPS, 1.0 - Self::EPS), self.a, self.b)
     }
 
-    /// `out[k] = self.quantile(us[k])` for every `k`, bit for bit, with
-    /// everything that does not depend on `u` evaluated once for the
-    /// batch: `ln B(a, b)` and the start iterate at the mean. The
-    /// abscissae are solved in order over one trail of iterates, so a
-    /// CDF evaluation an earlier solve already ran at the same step and
-    /// the same `x` bits is reused, not repeated (see `BetaNewton` in
-    /// [`crate::special`]). The tabulation kernel of the
-    /// secondary-uncertainty grid. Returns the CDF evaluations it ran,
-    /// the start point's included.
+    /// `out[r · g + k] = betas[r].quantile(us[k])` for every row `r` and
+    /// abscissa `k` (`g = us.len()`), bit for bit: the tabulation kernel
+    /// of the secondary-uncertainty grid. Returns the CDF evaluations it
+    /// ran, every row's start point included.
+    ///
+    /// Everything that does not depend on `u` is evaluated once per row:
+    /// `ln B(a, b)` and the start iterate at the mean. A row's abscissae
+    /// are solved in order over one trail of iterates, so a CDF
+    /// evaluation an earlier solve of the row already ran at the same
+    /// step and the same `x` bits is reused, not repeated. Eight rows are
+    /// solved side by side, and the iterates they need next are
+    /// evaluated together, one libm call per lane in each loop; a lane
+    /// takes the next row as soon as its own ends (see
+    /// `inv_inc_beta_rows` in [`crate::special`]).
     ///
     /// # Panics
-    /// If `us` and `out` differ in length.
-    pub fn quantiles_into(&self, us: &[f64], out: &mut [f64]) -> u64 {
-        assert_eq!(us.len(), out.len(), "one output slot per abscissa");
-        let mut newton = BetaNewton::new(self.a, self.b);
-        for (q, &u) in out.iter_mut().zip(us) {
-            *q = newton.solve(u.clamp(Self::EPS, 1.0 - Self::EPS));
-        }
-        newton.evals()
+    /// If `out` does not hold `betas.len() × us.len()` cells.
+    pub fn quantile_rows(betas: &[Beta], us: &[f64], out: &mut [f64]) -> u64 {
+        assert_eq!(
+            betas.len() * us.len(),
+            out.len(),
+            "one output cell per row and abscissa"
+        );
+        let ps: Vec<f64> = us
+            .iter()
+            .map(|u| u.clamp(Self::EPS, 1.0 - Self::EPS))
+            .collect();
+        inv_inc_beta_rows(betas.iter().map(|beta| (beta.a, beta.b)), &ps, out)
     }
 }
 
@@ -633,32 +642,65 @@ mod tests {
         let descending: Vec<f64> = grid(33).into_iter().rev().collect();
         let duplicated: Vec<f64> = grid(17).iter().flat_map(|&u| [u, u]).collect();
         let mut shuffled = grid(33);
-        for (i, beta) in betas.iter().enumerate() {
-            let us = match i % 9 {
-                0 => grid(2),
-                1 => grid(17),
-                2 => grid(33),
-                3 => grid(65),
-                4 => grid(129),
-                5 => {
-                    for k in (1..shuffled.len()).rev() {
-                        shuffled.swap(k, rng.next_below(k as u32 + 1) as usize);
-                    }
-                    shuffled.clone()
+        let mut abscissae = |shape: usize, rng: &mut SplitMix64| match shape {
+            0 => grid(2),
+            1 => grid(17),
+            2 => grid(33),
+            3 => grid(65),
+            4 => grid(129),
+            5 => {
+                for k in (1..shuffled.len()).rev() {
+                    shuffled.swap(k, rng.next_below(k as u32 + 1) as usize);
                 }
-                6 => descending.clone(),
-                7 => duplicated.clone(),
-                _ => edges.clone(),
-            };
-            let mut out = vec![0.0; us.len()];
-            beta.quantiles_into(&us, &mut out);
-            for (k, (q, &u)) in out.iter().zip(&us).enumerate() {
-                assert_eq!(
-                    q.to_bits(),
-                    beta.quantile(u).to_bits(),
-                    "{beta:?}, cell {k} of {} at {u}",
-                    us.len()
-                );
+                shuffled.clone()
+            }
+            6 => descending.clone(),
+            7 => duplicated.clone(),
+            _ => edges.clone(),
+        };
+        let check = |rows: &[Beta], us: &[f64], out: &[f64], what: &str| {
+            for (r, beta) in rows.iter().enumerate() {
+                for (k, &u) in us.iter().enumerate() {
+                    assert_eq!(
+                        out[r * us.len() + k].to_bits(),
+                        beta.quantile(u).to_bits(),
+                        "{what}: {beta:?}, row {r}, cell {k} of {} at {u}",
+                        us.len()
+                    );
+                }
+            }
+        };
+        // Each beta alone, then each grid shape's betas in blocks of
+        // 0, 1, …, 17 rows: lanes refill mid-block, idle lanes pad the
+        // last rounds, and a block's count is its rows' lone counts.
+        for shape in 0..9 {
+            let rows: Vec<Beta> = betas.iter().skip(shape).step_by(9).copied().collect();
+            let mut lone_evals = Vec::new();
+            for beta in &rows {
+                let us = abscissae(shape, &mut rng);
+                let mut out = vec![0.0; us.len()];
+                lone_evals.push(Beta::quantile_rows(
+                    std::slice::from_ref(beta),
+                    &us,
+                    &mut out,
+                ));
+                check(std::slice::from_ref(beta), &us, &out, "alone");
+            }
+            let mut first = 0;
+            for size in (0..=17).cycle() {
+                if first == rows.len() {
+                    break;
+                }
+                let block = &rows[first..(first + size).min(rows.len())];
+                let us = abscissae(shape, &mut rng);
+                let mut out = vec![f64::NAN; block.len() * us.len()];
+                let evals = Beta::quantile_rows(block, &us, &mut out);
+                check(block, &us, &out, &format!("block of {size}"));
+                if shape != 5 {
+                    let lone: u64 = lone_evals[first..first + block.len()].iter().sum();
+                    assert_eq!(evals, lone, "block of {size} at row {first}, shape {shape}");
+                }
+                first += block.len();
             }
         }
     }
@@ -667,19 +709,28 @@ mod tests {
     fn one_batch_runs_fewer_evaluations_than_one_per_abscissa() {
         // A `price_sweep`-shaped row on the default 33-point grid: the
         // solves share most of their descent.
-        let beta = Beta::new(0.105, 7.6);
+        let beta = [Beta::new(0.105, 7.6)];
         let us = grid(33);
         let mut out = vec![0.0; 33];
-        let batched = beta.quantiles_into(&us, &mut out);
+        let batched = Beta::quantile_rows(&beta, &us, &mut out);
         let one_by_one: u64 = us
             .iter()
             .zip(&mut out)
-            .map(|(u, q)| beta.quantiles_into(std::slice::from_ref(u), std::slice::from_mut(q)))
+            .map(|(u, q)| {
+                Beta::quantile_rows(&beta, std::slice::from_ref(u), std::slice::from_mut(q))
+            })
             .sum();
         assert!(
             batched * 2 < one_by_one,
             "{batched} evaluations batched vs {one_by_one} one by one"
         );
+    }
+
+    #[test]
+    fn quantile_rows_without_abscissae_evaluates_nothing() {
+        let betas = [Beta::new(0.105, 7.6), Beta::new(2.0, 3.0)];
+        assert_eq!(Beta::quantile_rows(&betas, &[], &mut []), 0);
+        assert_eq!(Beta::quantile_rows(&[], &grid(33), &mut []), 0);
     }
 
     #[test]

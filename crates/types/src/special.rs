@@ -14,6 +14,13 @@
 //! and perform the same IEEE operations per value, in the same order —
 //! Rust never fuses a multiply-add on its own, and every lane calls the
 //! same libm `exp` — so the two agree bit for bit.
+//!
+//! The beta quantile likewise: [`inv_inc_beta`] solves one target, and
+//! `inv_inc_beta_rows` (behind `Beta::quantile_rows`) tabulates rows of
+//! targets eight rows at a time. Both run one step function
+//! (`BetaNewton::advance`) and one CDF evaluator (`iterates`, of which
+//! the lone evaluation is the width-1 case), so they agree bit for bit
+//! too.
 
 use std::f64::consts::PI;
 
@@ -53,78 +60,38 @@ fn ln_beta(a: f64, b: f64) -> f64 {
     ln_gamma(a) + ln_gamma(b) - ln_gamma(a + b)
 }
 
-/// Continued-fraction evaluation for the incomplete beta (modified Lentz).
-fn beta_cf(a: f64, b: f64, x: f64) -> f64 {
-    const MAX_ITER: usize = 300;
-    const EPS: f64 = 3e-16;
-    const FPMIN: f64 = 1e-300;
-
-    let qab = a + b;
-    let qap = a + 1.0;
-    let qam = a - 1.0;
-    let mut c = 1.0;
-    let mut d = 1.0 - qab * x / qap;
-    if d.abs() < FPMIN {
-        d = FPMIN;
-    }
-    d = 1.0 / d;
-    let mut h = d;
-    for m in 1..=MAX_ITER {
-        let m = m as f64;
-        let m2 = 2.0 * m;
-        // Even step.
-        let aa = m * (b - m) * x / ((qam + m2) * (a + m2));
-        d = 1.0 + aa * d;
-        if d.abs() < FPMIN {
-            d = FPMIN;
-        }
-        c = 1.0 + aa / c;
-        if c.abs() < FPMIN {
-            c = FPMIN;
-        }
-        d = 1.0 / d;
-        h *= d * c;
-        // Odd step.
-        let aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2));
-        d = 1.0 + aa * d;
-        if d.abs() < FPMIN {
-            d = FPMIN;
-        }
-        c = 1.0 + aa / c;
-        if c.abs() < FPMIN {
-            c = FPMIN;
-        }
-        d = 1.0 / d;
-        let del = d * c;
-        h *= del;
-        if (del - 1.0).abs() < EPS {
-            break;
-        }
-    }
-    h
+/// A Beta(a, b) distribution's shape, with `ln B(a, b)` evaluated once:
+/// a Newton inversion would otherwise repeat three Lanczos evaluations
+/// on every iteration.
+#[derive(Debug, Clone, Copy)]
+struct Shape {
+    a: f64,
+    b: f64,
+    ln_b: f64,
 }
 
-/// Regularized incomplete beta function `I_x(a, b)` — the CDF of the
-/// Beta(a, b) distribution at `x` (`a, b > 0`, `x ∈ [0, 1]`).
-///
-/// The caller supplies `ln_b = ln_beta(a, b)`, `ln_x = x.ln()` and
-/// `ln_1mx = (1 - x).ln()`: a Newton inversion would otherwise repeat
-/// three Lanczos evaluations on every iteration, and the beta pdf at
-/// `x` is built from the same two logarithms, so a step takes each once.
-fn inc_beta_from_logs(a: f64, b: f64, x: f64, ln_x: f64, ln_1mx: f64, ln_b: f64) -> f64 {
-    debug_assert!(a > 0.0 && b > 0.0, "inc_beta requires a,b > 0");
-    if x <= 0.0 {
-        return 0.0;
+impl Shape {
+    /// What an idle lane holds: [`iterates`] never evaluates it.
+    const PAD: Self = Self {
+        a: 1.0,
+        b: 1.0,
+        ln_b: 0.0,
+    };
+
+    fn new(a: f64, b: f64) -> Self {
+        debug_assert!(a > 0.0 && b > 0.0, "inc_beta requires a,b > 0");
+        Self {
+            a,
+            b,
+            ln_b: ln_beta(a, b),
+        }
     }
-    if x >= 1.0 {
-        return 1.0;
-    }
-    let ln_bt = a * ln_x + b * ln_1mx - ln_b;
-    let bt = ln_bt.exp();
-    if x < (a + 1.0) / (a + b + 2.0) {
-        bt * beta_cf(a, b, x) / a
-    } else {
-        1.0 - bt * beta_cf(b, a, 1.0 - x) / b
+
+    /// Where every solve starts: the mean, clamped into `(0, 1)` —
+    /// robust for the moderate `(a, b)` that moment-matched damage
+    /// ratios produce.
+    fn start_x(&self) -> f64 {
+        (self.a / (self.a + self.b)).clamp(1e-12, 1.0 - 1e-12)
     }
 }
 
@@ -147,20 +114,245 @@ impl Iterate {
         pdf: f64::NAN,
     };
 
-    fn at(a: f64, b: f64, ln_b: f64, x: f64) -> Self {
-        let (ln_x, ln_1mx) = (x.ln(), (1.0 - x).ln());
-        let cdf = inc_beta_from_logs(a, b, x, ln_x, ln_1mx, ln_b);
-        let ln_pdf = (a - 1.0) * ln_x + (b - 1.0) * ln_1mx - ln_b;
-        Self {
-            x,
+    /// The iterate at `x`: [`iterates`] at width 1.
+    fn at(shape: &Shape, x: f64) -> Self {
+        iterates(&[*shape], &[x], 1)[0]
+    }
+}
+
+/// The iterates at `x[i]` of the Beta distributions `shape[i]`, for the
+/// first `n` lanes (the rest are padding and come back unspecified).
+///
+/// Each libm call runs once per lane in its own loop — `ln x`, then
+/// `ln(1 − x)`, then the lockstep continued fraction, then both `exp`s
+/// — so the lanes' calls, which do not depend on each other, overlap.
+/// The CDF is the regularized incomplete beta `I_x(a, b)`; the beta
+/// pdf at `x` is built from the same two logarithms.
+///
+/// **Why the bits cannot move.** Each lane sees the IEEE operations of
+/// a lone evaluation, in the same order, on the same operands: the
+/// lockstep continued fraction freezes a lane by select once it has
+/// converged and carries its state unchanged into narrower lanes, Rust
+/// never contracts `a * b + c` into a fused multiply-add, and every
+/// `ln` / `exp` is the same libm call per lane.
+/// Width 1 is [`Iterate::at`], so the scalar solve and the lanes share
+/// this one formulation.
+fn iterates<const N: usize>(shape: &[Shape; N], x: &[f64; N], n: usize) -> [Iterate; N] {
+    let mut ln_x = [0.0; N];
+    for i in 0..n {
+        ln_x[i] = x[i].ln();
+    }
+    let mut ln_1mx = [0.0; N];
+    for i in 0..n {
+        ln_1mx[i] = (1.0 - x[i]).ln();
+    }
+    // The fraction converges fast below the mean-ish split point; above
+    // it, `I_x(a, b) = 1 − I_{1−x}(b, a)` evaluates the mirror image.
+    // Lanes at or past the ends of `[0, 1]` have their CDF without it.
+    let mut mirrored = [false; N];
+    let (mut cf_a, mut cf_b, mut cf_x) = ([1.0; N], [1.0; N], [0.5; N]);
+    let mut skip = [true; N];
+    for i in 0..n {
+        let Shape { a, b, .. } = shape[i];
+        mirrored[i] = x[i] >= (a + 1.0) / (a + b + 2.0);
+        (cf_a[i], cf_b[i], cf_x[i]) = if mirrored[i] {
+            (b, a, 1.0 - x[i])
+        } else {
+            (a, b, x[i])
+        };
+        skip[i] = x[i] <= 0.0 || x[i] >= 1.0;
+    }
+    let cf = beta_cf(cf_a, cf_b, cf_x, skip);
+    let mut bt = [0.0; N];
+    let mut pdf = [0.0; N];
+    for i in 0..n {
+        let Shape { a, b, ln_b } = shape[i];
+        bt[i] = (a * ln_x[i] + b * ln_1mx[i] - ln_b).exp();
+        pdf[i] = ((a - 1.0) * ln_x[i] + (b - 1.0) * ln_1mx[i] - ln_b).exp();
+    }
+    let mut out = [Iterate::EMPTY; N];
+    for i in 0..n {
+        let Shape { a, b, .. } = shape[i];
+        let cdf = if x[i] <= 0.0 {
+            0.0
+        } else if x[i] >= 1.0 {
+            1.0
+        } else if mirrored[i] {
+            1.0 - bt[i] * cf[i] / b
+        } else {
+            bt[i] * cf[i] / a
+        };
+        out[i] = Iterate {
+            x: x[i],
             cdf,
-            pdf: ln_pdf.exp().max(1e-290),
+            pdf: pdf[i].max(1e-290),
+        };
+    }
+    out
+}
+
+/// The incomplete beta's continued fraction (modified Lentz) for
+/// Beta(`a[i]`, `b[i]`) at `x[i]`, in `N` lanes; the lanes `skip` masks
+/// out come back unspecified. See [`Lentz`].
+fn beta_cf<const N: usize>(a: [f64; N], b: [f64; N], x: [f64; N], skip: [bool; N]) -> [f64; N] {
+    let d = std::array::from_fn(|i| 1.0 / not_tiny(1.0 - (a[i] + b[i]) * x[i] / (a[i] + 1.0)));
+    let mut cf = Lentz {
+        a,
+        b,
+        x,
+        c: [1.0; N],
+        d,
+        h: d,
+        done: std::array::from_fn(|i| if skip[i] { !0 } else { 0 }),
+    };
+    cf.finish(1);
+    cf.h
+}
+
+/// Lentz's guard against a vanishing denominator: one this close to 0
+/// is taken as `FPMIN`. A select, not a branch.
+#[inline(always)]
+fn not_tiny(v: f64) -> f64 {
+    const FPMIN: f64 = 1e-300;
+    if v.abs() < FPMIN {
+        FPMIN
+    } else {
+        v
+    }
+}
+
+/// The continued fraction's state in `N` lockstep lanes.
+///
+/// A round runs every lane's even and odd step. A lane that has
+/// converged — `done` all ones — or that was masked out from the start
+/// keeps its `c`, `d` and `h` by a bitwise select, and the FPMIN clamps
+/// are selects too, so a round is branch-free. Lanes converge unevenly:
+/// most stop after a few rounds while one often runs several more. So
+/// once at most half the lanes are live, they move — state and round
+/// number — into lanes half as wide (down to two) and carry on there.
+/// A lane runs the same operations on the same operands at any width,
+/// so where it runs moves no bit.
+struct Lentz<const N: usize> {
+    a: [f64; N],
+    b: [f64; N],
+    x: [f64; N],
+    c: [f64; N],
+    d: [f64; N],
+    h: [f64; N],
+    done: [u64; N],
+}
+
+impl<const N: usize> Lentz<N> {
+    /// Rounds a lane runs at most.
+    const MAX_ITER: usize = 300;
+
+    fn live(&self) -> usize {
+        self.done.iter().filter(|&&done| done == 0).count()
+    }
+
+    /// Run every lane until it converges or round `MAX_ITER` ends,
+    /// from round `m` on.
+    fn finish(&mut self, m: usize) {
+        if N > 4 {
+            let m = self.rounds(m, 4);
+            self.narrow::<4>(m);
+        } else if N > 2 {
+            let m = self.rounds(m, 2);
+            self.narrow::<2>(m);
+        } else {
+            self.rounds(m, 0);
+        }
+    }
+
+    /// Run rounds from `m` on while more than `live` lanes are live;
+    /// returns the next round's number.
+    fn rounds(&mut self, mut m: usize, live: usize) -> usize {
+        const EPS: f64 = 3e-16;
+        let keep = |done: u64, old: f64, new: f64| {
+            f64::from_bits((old.to_bits() & done) | (new.to_bits() & !done))
+        };
+        while m <= Self::MAX_ITER && self.live() > live {
+            let (mf, m2) = (m as f64, 2.0 * m as f64);
+            for i in 0..N {
+                let (a, b, x) = (self.a[i], self.b[i], self.x[i]);
+                let (qab, qap, qam) = (a + b, a + 1.0, a - 1.0);
+                // Even step.
+                let aa = mf * (b - mf) * x / ((qam + m2) * (a + m2));
+                let d_even = 1.0 / not_tiny(1.0 + aa * self.d[i]);
+                let c_even = not_tiny(1.0 + aa / self.c[i]);
+                let h_even = self.h[i] * (d_even * c_even);
+                // Odd step.
+                let aa = -(a + mf) * (qab + mf) * x / ((a + m2) * (qap + m2));
+                let d_odd = 1.0 / not_tiny(1.0 + aa * d_even);
+                let c_odd = not_tiny(1.0 + aa / c_even);
+                let del = d_odd * c_odd;
+                let done = self.done[i];
+                self.c[i] = keep(done, self.c[i], c_odd);
+                self.d[i] = keep(done, self.d[i], d_odd);
+                self.h[i] = keep(done, self.h[i], h_even * del);
+                self.done[i] = done | if (del - 1.0).abs() < EPS { !0 } else { 0 };
+            }
+            m += 1;
+        }
+        m
+    }
+
+    /// Finish the live lanes — at most `M` of them — in `M` lanes, from
+    /// round `m` on.
+    fn narrow<const M: usize>(&mut self, m: usize) {
+        if m > Self::MAX_ITER || self.live() == 0 {
+            return;
+        }
+        let mut narrow = Lentz {
+            a: [1.0; M],
+            b: [1.0; M],
+            x: [0.5; M],
+            c: [1.0; M],
+            d: [1.0; M],
+            h: [1.0; M],
+            done: [!0; M],
+        };
+        let mut from = [0; M];
+        let mut n = 0;
+        for i in (0..N).filter(|&i| self.done[i] == 0) {
+            from[n] = i;
+            narrow.a[n] = self.a[i];
+            narrow.b[n] = self.b[i];
+            narrow.x[n] = self.x[i];
+            narrow.c[n] = self.c[i];
+            narrow.d[n] = self.d[i];
+            narrow.h[n] = self.h[i];
+            narrow.done[n] = 0;
+            n += 1;
+        }
+        narrow.finish(m);
+        for (&i, &h) in from[..n].iter().zip(&narrow.h) {
+            self.h[i] = h;
         }
     }
 }
 
 /// Most steps one solve takes — and so the trail's length.
 const MAX_STEPS: usize = 100;
+
+/// One quantile solve in flight: its target, its bracket, the iterate
+/// it stands on and how many steps it has taken.
+#[derive(Debug, Clone, Copy)]
+struct Solve {
+    p: f64,
+    lo: f64,
+    hi: f64,
+    it: Iterate,
+    step: usize,
+}
+
+/// What a solve needs next.
+enum Step {
+    /// It has ended on this quantile.
+    Done(f64),
+    /// Its next iterate is at this `x`, which the trail does not hold.
+    Evaluate(f64),
+}
 
 /// The Beta(a, b) quantile solver: a bracketed Newton iteration from
 /// the mean, plus the trail of the iterates its solves have visited.
@@ -179,14 +371,16 @@ const MAX_STEPS: usize = 100;
 /// 72–81 % of the CDF evaluations. The start point, both tolerances,
 /// the bisection rule and the step cap decide the bits; none of them
 /// depends on the trail.
+///
+/// The step control is [`BetaNewton::advance`], which runs a solve up
+/// to its next evaluation; who evaluates is the caller's choice — the
+/// lone [`BetaNewton::solve`] one iterate at a time, the lanes of
+/// [`inv_inc_beta_rows`] eight rows' iterates at once.
 #[derive(Debug)]
-pub(crate) struct BetaNewton {
-    a: f64,
-    b: f64,
-    ln_b: f64,
-    /// The mean, clamped into `(0, 1)`: robust for the moderate
-    /// `(a, b)` that moment-matched damage ratios produce. Evaluated
-    /// once, it serves any number of targets.
+struct BetaNewton {
+    shape: Shape,
+    /// The iterate at [`Shape::start_x`]. Evaluated once, it serves any
+    /// number of targets.
     start: Iterate,
     /// `trail[i]` is the iterate some solve reached after `i + 1` steps.
     trail: [Iterate; MAX_STEPS],
@@ -195,64 +389,119 @@ pub(crate) struct BetaNewton {
 }
 
 impl BetaNewton {
+    /// A solver of no distribution yet: what an idle lane holds.
+    const BLANK: Self = Self {
+        shape: Shape::PAD,
+        start: Iterate::EMPTY,
+        trail: [Iterate::EMPTY; MAX_STEPS],
+        evals: 0,
+    };
+
     /// A solver for Beta(a, b) with an empty trail.
-    pub(crate) fn new(a: f64, b: f64) -> Self {
-        debug_assert!(a > 0.0 && b > 0.0);
-        let ln_b = ln_beta(a, b);
-        let x = (a / (a + b)).clamp(1e-12, 1.0 - 1e-12);
-        Self {
-            a,
-            b,
-            ln_b,
-            start: Iterate::at(a, b, ln_b, x),
-            trail: [Iterate::EMPTY; MAX_STEPS],
-            evals: 1,
+    fn new(a: f64, b: f64) -> Self {
+        let shape = Shape::new(a, b);
+        let mut newton = Self {
+            shape,
+            ..Self::BLANK
+        };
+        newton.restart(Iterate::at(&shape, shape.start_x()));
+        newton
+    }
+
+    /// Empty the trail, given the iterate at the start point of the
+    /// solver's shape.
+    fn restart(&mut self, start: Iterate) {
+        self.start = start;
+        self.trail = [Iterate::EMPTY; MAX_STEPS];
+        self.evals = 1;
+    }
+
+    /// A solve of `I_x(a, b) = p` from the start point. A target at or
+    /// past an end of `[0, 1]` is a solve that has already ended there.
+    fn begin(&self, p: f64) -> Solve {
+        let (it, step) = if p <= 0.0 {
+            (
+                Iterate {
+                    x: 0.0,
+                    ..self.start
+                },
+                MAX_STEPS,
+            )
+        } else if p >= 1.0 {
+            (
+                Iterate {
+                    x: 1.0,
+                    ..self.start
+                },
+                MAX_STEPS,
+            )
+        } else {
+            (self.start, 0)
+        };
+        Solve {
+            p,
+            lo: 0.0,
+            hi: 1.0,
+            it,
+            step,
         }
     }
 
-    /// CDF evaluations this solver has run, the start point's included.
-    pub(crate) fn evals(&self) -> u64 {
-        self.evals
-    }
-
-    /// Solve `I_x(a, b) = p` with a bracketed Newton iteration (the beta
-    /// pdf is the derivative; a bisection fallback keeps it
-    /// unconditionally convergent). Accuracy ~1e-12 in `x`. Each step's
-    /// iterate comes from the trail when its `x` matches bit for bit.
-    pub(crate) fn solve(&mut self, p: f64) -> f64 {
-        if p <= 0.0 {
-            return 0.0;
-        }
-        if p >= 1.0 {
-            return 1.0;
-        }
-        let (mut lo, mut hi) = (0.0f64, 1.0f64);
-        let mut it = self.start;
-        for step in 0..MAX_STEPS {
-            let f = it.cdf - p;
-            if f > 0.0 {
-                hi = it.x;
-            } else {
-                lo = it.x;
-            }
+    /// Run `s` — a bracketed Newton iteration (the beta pdf is the
+    /// derivative; a bisection fallback keeps it unconditionally
+    /// convergent; accuracy ~1e-12 in `x`) — until it ends or its next
+    /// step lands on an `x` the trail does not hold at that step.
+    /// Trail hits are taken on the way.
+    fn advance(&self, s: &mut Solve) -> Step {
+        while s.step < MAX_STEPS {
+            let f = s.it.cdf - s.p;
+            // Selects, not branches: which side the iterate falls on is
+            // a coin toss to the branch predictor.
+            let above = f > 0.0;
+            s.hi = if above { s.it.x } else { s.hi };
+            s.lo = if above { s.lo } else { s.it.x };
             if f.abs() < 1e-14 {
-                break;
+                return Step::Done(s.it.x);
             }
-            let mut next = it.x - f / it.pdf;
-            if !next.is_finite() || next <= lo || next >= hi {
-                next = 0.5 * (lo + hi);
+            // A Newton step outside the bracket — or not finite, which
+            // fails both comparisons — bisects instead.
+            let newton = s.it.x - f / s.it.pdf;
+            let inside = newton > s.lo && newton < s.hi;
+            let next = if inside { newton } else { 0.5 * (s.lo + s.hi) };
+            if (next - s.it.x).abs() < 1e-15 {
+                return Step::Done(next);
             }
-            if (next - it.x).abs() < 1e-15 {
-                return next;
-            }
-            let slot = &mut self.trail[step];
+            let slot = self.trail[s.step];
             if slot.x.to_bits() != next.to_bits() {
-                *slot = Iterate::at(self.a, self.b, self.ln_b, next);
-                self.evals += 1;
+                return Step::Evaluate(next);
             }
-            it = *slot;
+            s.it = slot;
+            s.step += 1;
         }
-        it.x
+        Step::Done(s.it.x)
+    }
+
+    /// Take `it`, evaluated at the `x` that [`BetaNewton::advance`] last
+    /// asked for, as `s`'s next iterate, and keep it on the trail.
+    fn record(&mut self, s: &mut Solve, it: Iterate) {
+        self.trail[s.step] = it;
+        self.evals += 1;
+        s.it = it;
+        s.step += 1;
+    }
+
+    /// Solve `I_x(a, b) = p`, one evaluation at a time.
+    fn solve(&mut self, p: f64) -> f64 {
+        let mut s = self.begin(p);
+        loop {
+            match self.advance(&mut s) {
+                Step::Done(q) => return q,
+                Step::Evaluate(x) => {
+                    let it = Iterate::at(&self.shape, x);
+                    self.record(&mut s, it);
+                }
+            }
+        }
     }
 }
 
@@ -260,6 +509,147 @@ impl BetaNewton {
 /// — one `BetaNewton::solve` with an empty trail.
 pub fn inv_inc_beta(p: f64, a: f64, b: f64) -> f64 {
     BetaNewton::new(a, b).solve(p)
+}
+
+/// Rows of a block that [`inv_inc_beta_rows`] solves side by side.
+const ROW_LANES: usize = 8;
+
+/// What one lane of [`inv_inc_beta_rows`] is doing.
+#[derive(Debug, Clone, Copy)]
+enum Phase {
+    /// The block has no rows left for it.
+    Idle,
+    /// Its row's start point at this `x` awaits evaluation.
+    Start(f64),
+    /// It is solving its row's abscissa `k`.
+    Cell { k: usize, solve: Solve },
+}
+
+/// One lane: a row's solver and trail, and where it stands.
+#[derive(Debug)]
+struct Lane {
+    newton: BetaNewton,
+    /// The row the lane solves, as an index into the block.
+    row: usize,
+    phase: Phase,
+}
+
+impl Lane {
+    /// Take the block's next row, or go idle when there is none.
+    fn load(&mut self, rows: &mut impl Iterator<Item = (usize, (f64, f64))>) {
+        self.phase = match rows.next() {
+            Some((row, (a, b))) => {
+                self.row = row;
+                self.newton.shape = Shape::new(a, b);
+                Phase::Start(self.newton.shape.start_x())
+            }
+            None => Phase::Idle,
+        };
+    }
+
+    /// Run the lane until it needs an iterate — its `x` — refilling
+    /// from `rows` whenever its row ends, writing every finished cell
+    /// to `out` and adding every finished row's evaluations to `evals`.
+    /// `None` once the block has no rows left for it.
+    fn next_x(
+        &mut self,
+        rows: &mut impl Iterator<Item = (usize, (f64, f64))>,
+        ps: &[f64],
+        out: &mut [f64],
+        evals: &mut u64,
+    ) -> Option<f64> {
+        loop {
+            let (k, next_p) = match &mut self.phase {
+                Phase::Idle => return None,
+                Phase::Start(x) => return Some(*x),
+                Phase::Cell { k, solve } => match self.newton.advance(solve) {
+                    Step::Evaluate(x) => return Some(x),
+                    Step::Done(q) => {
+                        out[self.row * ps.len() + *k] = q;
+                        (*k + 1, ps.get(*k + 1))
+                    }
+                },
+            };
+            match next_p {
+                Some(&p) => {
+                    let solve = self.newton.begin(p);
+                    self.phase = Phase::Cell { k, solve };
+                }
+                None => {
+                    *evals += self.newton.evals;
+                    self.load(rows);
+                }
+            }
+        }
+    }
+
+    /// Hand the lane the iterate at the `x` it asked for.
+    fn deliver(&mut self, it: Iterate, ps: &[f64]) {
+        match &mut self.phase {
+            Phase::Start(_) => {
+                self.newton.restart(it);
+                let solve = self.newton.begin(ps[0]);
+                self.phase = Phase::Cell { k: 0, solve };
+            }
+            Phase::Cell { solve, .. } => self.newton.record(solve, it),
+            Phase::Idle => unreachable!("an idle lane asked for no iterate"),
+        }
+    }
+}
+
+/// `out[r · g + k] = inv_inc_beta(ps[k], a_r, b_r)` for every row
+/// `(a_r, b_r)` of `shapes` and every abscissa (`g = ps.len()`), bit
+/// for bit; returns the CDF evaluations run, every row's start point
+/// included (none without abscissae).
+///
+/// Each row is one [`BetaNewton`] solving its abscissae in order over
+/// its own trail, exactly as a lone solver would. Eight lanes run eight
+/// rows: each lane advances its solve until it needs an iterate the
+/// trail does not hold, and once every live lane has asked, the round's
+/// iterates are evaluated together by [`iterates`]. A lane whose row
+/// ends takes the block's next row at once; lanes go idle only when
+/// no row is left. Only asked-for iterates are evaluated and counted,
+/// so the count is the sum of the rows' lone counts.
+///
+/// # Panics
+/// If `out` is shorter than `shapes` × `ps`.
+pub(crate) fn inv_inc_beta_rows(
+    shapes: impl IntoIterator<Item = (f64, f64)>,
+    ps: &[f64],
+    out: &mut [f64],
+) -> u64 {
+    if ps.is_empty() {
+        return 0;
+    }
+    let mut rows = shapes.into_iter().enumerate();
+    let mut lanes: [Lane; ROW_LANES] = std::array::from_fn(|_| Lane {
+        newton: BetaNewton::BLANK,
+        row: 0,
+        phase: Phase::Idle,
+    });
+    for lane in &mut lanes {
+        lane.load(&mut rows);
+    }
+    let mut evals = 0;
+    loop {
+        let mut shape = [Shape::PAD; ROW_LANES];
+        let mut x = [0.5; ROW_LANES];
+        let mut asking = [0usize; ROW_LANES];
+        let mut n = 0;
+        for (l, lane) in lanes.iter_mut().enumerate() {
+            if let Some(lane_x) = lane.next_x(&mut rows, ps, out, &mut evals) {
+                (shape[n], x[n], asking[n]) = (lane.newton.shape, lane_x, l);
+                n += 1;
+            }
+        }
+        if n == 0 {
+            return evals;
+        }
+        let its = iterates(&shape, &x, n);
+        for (&l, &it) in asking[..n].iter().zip(&its) {
+            lanes[l].deliver(it, ps);
+        }
+    }
 }
 
 /// Complementary error function, Chebyshev fit (Numerical Recipes
@@ -466,7 +856,7 @@ mod tests {
     /// `I_x(a, b)` from its inputs alone: the CDF oracle the inverse is
     /// checked against.
     fn inc_beta(a: f64, b: f64, x: f64) -> f64 {
-        inc_beta_from_logs(a, b, x, x.ln(), (1.0 - x).ln(), ln_beta(a, b))
+        Iterate::at(&Shape::new(a, b), x).cdf
     }
 
     fn erfc(x: f64) -> f64 {

@@ -6,7 +6,7 @@ use riskpipe_catmodel::{
     Stage1Output, YetConfig,
 };
 use riskpipe_exec::ThreadPool;
-use riskpipe_tables::yet::YearEventTable;
+use riskpipe_tables::{Elt, YearEventTable};
 use riskpipe_types::{Fingerprint, RiskError, RiskResult};
 use std::sync::Arc;
 
@@ -187,21 +187,34 @@ impl ScenarioConfig {
     }
 
     /// Derive the ready-to-run bundle from an already-built (possibly
-    /// cached and shared) stage-1 output. Cheap: layer terms are a few
-    /// scalars per book and the portfolio shares ELTs via `Arc`.
+    /// shared) stage-1 output. Cheap: layer terms are a few scalars per
+    /// book and the portfolio shares ELTs via `Arc`.
     ///
     /// Layer terms: attach above `attachment_factor` × the book's mean
     /// event loss, with a limit an order of magnitude wider.
     pub fn bundle_from_output(&self, output: Arc<Stage1Output>) -> RiskResult<Stage1Bundle> {
-        let mut parts = Vec::with_capacity(output.books.len());
-        for book in &output.books {
-            let mean_event_loss = book.elt.total_mean_loss() / book.elt.len().max(1) as f64;
-            let attach = self.attachment_factor * mean_event_loss;
-            let limit = 20.0 * mean_event_loss;
-            parts.push((LayerTerms::xl(attach, limit), Arc::clone(&book.elt)));
-        }
-        let portfolio = Portfolio::from_parts(parts)?;
+        let portfolio = self.portfolio_over(output.books.iter().map(|book| &book.elt))?;
         Ok(Stage1Bundle { output, portfolio })
+    }
+
+    /// The scenario's portfolio over a model run's ELTs, one layer per
+    /// book in book order — the one place the layer-terms formula
+    /// lives: attach above `attachment_factor` × the book's mean event
+    /// loss, with a limit an order of magnitude wider.
+    pub(crate) fn portfolio_over<'a>(
+        &self,
+        elts: impl IntoIterator<Item = &'a Arc<Elt>>,
+    ) -> RiskResult<Portfolio> {
+        let parts = elts
+            .into_iter()
+            .map(|elt| {
+                let mean_event_loss = elt.total_mean_loss() / elt.len().max(1) as f64;
+                let attach = self.attachment_factor * mean_event_loss;
+                let limit = 20.0 * mean_event_loss;
+                (LayerTerms::xl(attach, limit), Arc::clone(elt))
+            })
+            .collect();
+        Portfolio::from_parts(parts)
     }
 }
 

@@ -41,7 +41,7 @@
 //! assert_eq!(report.ylt.trials(), 200);
 //! ```
 
-use crate::config::{ScenarioConfig, Stage1Bundle};
+use crate::config::ScenarioConfig;
 use crate::report::{money, TextTable};
 use crate::stage1cache::{ModelRun, Stage1Cache, Stage1CacheStats};
 use crate::stage1disk::DiskStage1Cache;
@@ -303,11 +303,11 @@ impl RiskSession {
         let run = self.next_run_id();
         let model = self.acquire_stage1(scenario.stage1_key(), scenario)?;
         let scanned = self.scan_group(std::slice::from_ref(scenario), 0, &model);
-        let (bundle, ylt) = scanned
+        let ylt = scanned
             .into_iter()
             .next()
             .ok_or_else(|| RiskError::InvalidState("a group of one scanned nothing".into()))??;
-        self.finish_scenario(scenario, None, run, &model, &bundle, ylt)
+        self.finish_scenario(scenario, None, run, &model, ylt)
     }
 
     /// Start declaring a sweep over `scenarios`: the returned
@@ -325,9 +325,9 @@ impl RiskSession {
         self.runs.fetch_add(1, Ordering::Relaxed)
     }
 
-    /// Stage 1 for one scenario, through the keyed cache: the model run
-    /// (catalogue, books, YET), the join of its books and the DFA factor
-    /// block are built or reused under `key` — the caller's precomputed
+    /// Stage 1 for one scenario, through the keyed cache: the model run's
+    /// YET and ELTs, the join of its books and the DFA factor block are
+    /// built or reused under `key` — the caller's precomputed
     /// [`ScenarioConfig::stage1_key`]. On a hit this is microseconds.
     pub(crate) fn acquire_stage1(
         &self,
@@ -342,11 +342,12 @@ impl RiskSession {
     }
 
     /// Stage 2 for a group of scenarios over one acquired model run:
-    /// each member's layer terms (its [`Stage1Bundle`]), then **one**
-    /// scan of the trials pricing every member whose terms are good
+    /// each member's portfolio over the entry's ELTs
+    /// ([`ScenarioConfig::portfolio_over`]), then **one** scan of the
+    /// trials pricing every member whose terms are good
     /// ([`AggregateEngine::run_group`]) — the join lookup, the grid cell
     /// and the interpolation of every hit are paid once for the group.
-    /// Entry `i` is member `i`'s bundle and YLT, or its error. The
+    /// Entry `i` is member `i`'s YLT, or its error. The
     /// `stage2.engine` span is the scan's, keyed by `span_key` (the
     /// group's first sweep slot when streaming, 0 for single runs).
     pub(crate) fn scan_group(
@@ -354,19 +355,18 @@ impl RiskSession {
         scenarios: &[ScenarioConfig],
         span_key: u64,
         model: &ModelRun,
-    ) -> Vec<RiskResult<(Stage1Bundle, Ylt)>> {
-        let bundles: Vec<RiskResult<Stage1Bundle>> = scenarios
+    ) -> Vec<RiskResult<Ylt>> {
+        let portfolios: Vec<RiskResult<Portfolio>> = scenarios
             .iter()
-            .map(|s| s.bundle_from_output(Arc::clone(&model.output)))
+            .map(|s| s.portfolio_over(&model.elts))
             .collect();
-        let portfolios: Vec<&Portfolio> = bundles.iter().flatten().map(|b| &b.portfolio).collect();
-        let scan = if portfolios.is_empty() {
+        let priced: Vec<&Portfolio> = portfolios.iter().flatten().collect();
+        let scan = if priced.is_empty() {
             Ok(Vec::new())
         } else {
             let _engine_span = riskpipe_obs::span_key("stage2.engine", span_key);
             riskpipe_obs::counter_add("stage2.scans", 1);
-            self.runner
-                .run_group(&portfolios, &model.output.yet, &model.join)
+            self.runner.run_group(&priced, &model.yet, &model.join)
         };
         // A failed scan's error goes to the first member it priced: a
         // sweep never delivers past it.
@@ -374,12 +374,12 @@ impl RiskSession {
             Ok(ylts) => (ylts.into_iter(), None),
             Err(e) => (Vec::new().into_iter(), Some(e)),
         };
-        bundles
+        portfolios
             .into_iter()
-            .map(|bundle| {
-                let bundle = bundle?;
+            .map(|portfolio| {
+                portfolio?;
                 match ylts.next() {
-                    Some(ylt) => Ok((bundle, ylt)),
+                    Some(ylt) => Ok(ylt),
                     None => Err(error.take().unwrap_or_else(|| {
                         RiskError::InvalidState("the group's scan priced no YLT".into())
                     })),
@@ -396,12 +396,11 @@ impl RiskSession {
         slot: Option<usize>,
         run: u64,
         model: &ModelRun,
-        bundle: &Stage1Bundle,
         ylt: Ylt,
     ) -> RiskResult<PipelineReport> {
         // Span keys: the sweep slot when streaming, 0 for single runs.
         let span_key = slot.map_or(0, |s| s as u64);
-        let yet = &bundle.output.yet;
+        let yet = &model.yet;
 
         // The first book's YELT (the drill-down table; at scale this is
         // the artifact that decides memory vs files) goes to the store
@@ -413,7 +412,7 @@ impl RiskSession {
         let yelt_file_bytes = {
             let _persist_span = riskpipe_obs::span_key("stage2.persist_yelt", span_key);
             self.store
-                .persist_yelt(RunLabel { slot, run }, yet, &bundle.output.books[0].elt)?
+                .persist_yelt(RunLabel { slot, run }, yet, &model.elts[0])?
         };
         riskpipe_obs::counter_add("stage2.scenarios", 1);
         riskpipe_obs::counter_add("stage2.yelt_rows", yelt_rows as u64);
@@ -448,7 +447,7 @@ impl RiskSession {
         };
         Ok(PipelineReport {
             scenario_name: scenario.name.clone(),
-            elt_rows: bundle.portfolio.total_elt_rows(),
+            elt_rows: model.elts.iter().map(|elt| elt.len()).sum(),
             yet_occurrences: yet.total_occurrences(),
             yelt_rows,
             yelt_memory_bytes,

@@ -1,7 +1,8 @@
-//! The stage-1 cache: a session's keyed store of model runs, the join of
-//! their books and their DFA factor block, with LRU eviction in RAM and
-//! an optional write-through disk tier — and the functions that build a
-//! run on a miss, each taking only its declared inputs.
+//! The stage-1 cache: a session's keyed store of what stages 2 and 3
+//! read of each model run — its YET and its books' ELTs — with the join
+//! of the books and the DFA factor block, LRU eviction in RAM and an
+//! optional write-through disk tier; and the functions that build a run
+//! on a miss, each taking only its declared inputs.
 //!
 //! The cache is one lock over published entries. A lookup that finds
 //! its key serves the entry; one that does not builds the whole run
@@ -32,7 +33,7 @@ pub(crate) const DEFAULT_STAGE1_CACHE_CAPACITY: usize = 8;
 /// for tests pinning "stage 1 built exactly once per distinct key".
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Stage1CacheStats {
-    /// Lookups served from a cached [`Stage1Output`]. A streaming
+    /// Lookups served from a published entry. A streaming
     /// group's followers count one each: the entry their group acquired
     /// serves them.
     pub hits: u64,
@@ -45,13 +46,15 @@ pub struct Stage1CacheStats {
     /// build in progress — or one that failed — holds no entry.
     pub entries: usize,
     /// Estimated bytes currently retained (observability only; nothing
-    /// bounds it but the entry count). Each
-    /// entry is charged its model run's [`Stage1Output::memory_bytes`]
-    /// plus the [`EventJoin::memory_bytes`] of the join of its books
-    /// cached beside it (quantile grids included when the session's
-    /// options switch secondary uncertainty on) plus the
+    /// bounds it but the entry count). Each entry is charged what it
+    /// keeps: the YET's [`YearEventTable::memory_bytes`], each book's
+    /// [`Elt::memory_bytes`], the [`EventJoin::memory_bytes`] of the
+    /// join of its books (quantile grids included when the session's
+    /// options switch secondary uncertainty on) and the
     /// [`DfaFactors::memory_bytes`] of its stage-3 factor block
-    /// (7 × 8 B × trials).
+    /// (7 × 8 B × trials). The catalogue and the exposures are not
+    /// kept, so not charged; a key built in this session and one
+    /// loaded from the disk tier are charged the same.
     pub bytes: u64,
     /// Stage-1 model runs actually built: a RAM miss the disk tier also
     /// missed. Racer builds count too — two misses on one key that
@@ -69,16 +72,23 @@ pub struct Stage1CacheStats {
     pub disk_writes: u64,
 }
 
-/// What one cache entry holds: a stage-1 model run plus everything
-/// stages 2 and 3 derive from it that no scenario's terms can change —
-/// the event-major join of its books, a pure function of the books'
-/// ELTs and the session's fixed [`AggregateOptions`], and the DFA
-/// factor block, a pure function of the key's seed and trial count and
-/// the session's fixed company. Built once per key by
+/// What one cache entry holds: the parts of a stage-1 model run that
+/// stages 2 and 3 read — the YET and the books' ELTs — plus everything
+/// they derive from it that no scenario's terms can change: the
+/// event-major join of the books, a pure function of the ELTs and the
+/// session's fixed [`AggregateOptions`], and the DFA factor block, a
+/// pure function of the key's seed and trial count and the session's
+/// fixed company. The catalogue and the books' exposures are not kept:
+/// nothing after stage 1 reads them, so they drop before the entry is
+/// published (the disk tier still stores them). Built once per key by
 /// [`Stage1Cache::build_model_run`], `Arc`-shared with every scenario
 /// of the key.
 pub(crate) struct ModelRun {
-    pub(crate) output: Arc<Stage1Output>,
+    /// The pre-simulated YET every scenario of the key scans.
+    pub(crate) yet: Arc<YearEventTable>,
+    /// The books' ELTs in book order: each scenario layers its terms
+    /// over them ([`ScenarioConfig::portfolio_over`]).
+    pub(crate) elts: Vec<Arc<Elt>>,
     /// The books joined in book order — the table the engines read.
     pub(crate) join: EventJoin,
     /// Rows of the first book's YELT (the YET joined with book 0's
@@ -91,11 +101,24 @@ pub(crate) struct ModelRun {
 }
 
 impl ModelRun {
-    /// What the entry is charged in [`Stage1CacheStats::bytes`].
+    /// What the entry is charged in [`Stage1CacheStats::bytes`]: the
+    /// four tables it keeps.
     fn memory_bytes(&self) -> usize {
-        self.output.memory_bytes() + self.join.memory_bytes() + self.dfa_factors.memory_bytes()
+        self.yet.memory_bytes()
+            + self
+                .elts
+                .iter()
+                .map(|elt| elt.memory_bytes())
+                .sum::<usize>()
+            + self.join.memory_bytes()
+            + self.dfa_factors.memory_bytes()
     }
 }
+
+/// What [`Stage1Cache::derive_model_run`] keeps of a model run for its
+/// entry: the YET, the books' ELTs in book order, the join and the YELT
+/// row count.
+type Derived = (Arc<YearEventTable>, Vec<Arc<Elt>>, EventJoin, usize);
 
 /// A model run as a RAM miss obtained it, before anything is derived
 /// from it: freshly built, or decoded from the disk tier together with
@@ -110,13 +133,13 @@ struct Acquired {
     on_disk: bool,
 }
 
-/// A keyed cache of stage-1 model runs ([`Stage1Output`]: catalogue,
-/// per-contract books, YET), the join of their books and their DFA
-/// factor block ([`ModelRun`]), shared across every scenario a session
-/// executes. Keys come from [`ScenarioConfig::stage1_key`] — a stable
-/// fingerprint of the generating configs — so a sweep that varies only
-/// pricing terms (or report names) regenerates nothing. Eviction is
-/// LRU over [`DEFAULT_STAGE1_CACHE_CAPACITY`] entries.
+/// A keyed cache of what stages 2 and 3 read of each stage-1 model run
+/// — its YET and its books' ELTs — with the join of the books and the
+/// DFA factor block ([`ModelRun`]), shared across every scenario a
+/// session executes. Keys come from [`ScenarioConfig::stage1_key`] — a
+/// stable fingerprint of the generating configs — so a sweep that
+/// varies only pricing terms (or report names) regenerates nothing.
+/// Eviction is LRU over [`DEFAULT_STAGE1_CACHE_CAPACITY`] entries.
 pub(crate) struct Stage1Cache {
     /// Optional durable tier consulted on RAM miss and written through
     /// on every build — survives the process and is shared across
@@ -268,18 +291,19 @@ impl Stage1Cache {
             self.load_or_build(key, || scenario.build_stage1_counted_on(pool))
                 .and_then(|acquired| self.derive_model_run(key, acquired, options, pool))
         });
-        let (output, join, yelt_rows) = chain?;
+        let (yet, elts, join, yelt_rows) = chain?;
         let dfa_factors = dfa_factors
             .ok_or_else(|| RiskError::InvalidState("the DFA factor task never ran".into()))??;
-        if dfa_factors.trials() != output.yet.trials() {
+        if dfa_factors.trials() != yet.trials() {
             return Err(RiskError::InvalidState(format!(
                 "DFA factor block holds {} trials but the YET has {}",
                 dfa_factors.trials(),
-                output.yet.trials()
+                yet.trials()
             )));
         }
         Ok(ModelRun {
-            output: Arc::new(output),
+            yet,
+            elts,
             join,
             yelt_rows,
             dfa_factors,
@@ -320,14 +344,16 @@ impl Stage1Cache {
     /// count, not a table: no store needs the YELT built, and the count
     /// depends on the YET and book 0's ELT only. The tables depend on
     /// the ELTs and the session's options only, so the cache key needs
-    /// nothing added.
+    /// nothing added. The whole output is held only until then: what
+    /// returns is the YET, the ELTs in book order, the join and the
+    /// count, and the catalogue and the exposures drop here.
     fn derive_model_run(
         &self,
         key: u64,
         acquired: Acquired,
         options: &AggregateOptions,
         pool: &ThreadPool,
-    ) -> RiskResult<(Stage1Output, EventJoin, usize)> {
+    ) -> RiskResult<Derived> {
         let Acquired {
             output,
             grids,
@@ -376,7 +402,9 @@ impl Stage1Cache {
             })
         };
         riskpipe_obs::counter_add("stage2.yelt_counts", 1);
-        Ok((output, join, yelt_rows))
+        let Stage1Output { books, yet, .. } = output;
+        let elts = books.into_iter().map(|book| book.elt).collect();
+        Ok((yet, elts, join, yelt_rows))
     }
 
     /// Consult the disk tier for `key`. A corrupt or key-mismatched
@@ -499,4 +527,73 @@ fn yelt_row_count(yet: &YearEventTable, elt: &Elt, events: usize, pool: &ThreadP
         },
         |a, b| a + b,
     )
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::{RiskSession, ScenarioConfig};
+    use riskpipe_catmodel::ExposureLocation;
+    use riskpipe_exec::ThreadPool;
+    use riskpipe_types::RiskResult;
+    use std::sync::Arc;
+
+    #[test]
+    fn an_entry_is_charged_what_it_keeps_whether_built_or_loaded() -> RiskResult<()> {
+        let dir = std::env::temp_dir().join(format!("riskpipe-s1charge-{}", std::process::id()));
+        // Exposure-heavy, as the benchmark's cold keys are: the books'
+        // locations far outweigh their ELTs.
+        let scenario = ScenarioConfig {
+            events: 500,
+            contracts: 2,
+            locations_per_contract: 10_000,
+            trials: 200,
+            ..ScenarioConfig::small()
+        };
+        // A session over the tier at `dir`: its stats after one run, and
+        // the join and factor-block bytes of the entry it published.
+        let charge = || -> RiskResult<_> {
+            let session = RiskSession::builder()
+                .pool_threads(2)
+                .stage1_disk_cache(&dir)
+                .build()?;
+            session.run(&scenario)?;
+            let run = Arc::clone(&session.stage1.index.lock()[0].1);
+            Ok((
+                session.stage1_cache_stats(),
+                run.join.memory_bytes() + run.dfa_factors.memory_bytes(),
+            ))
+        };
+        let (built, derived) = charge()?;
+        let (warm, _) = charge()?;
+        std::fs::remove_dir_all(&dir).ok();
+        assert_eq!((built.builds, built.disk_writes), (1, 1));
+        assert_eq!((warm.builds, warm.disk_hits, warm.disk_writes), (0, 1, 0));
+        assert_eq!(
+            warm.bytes, built.bytes,
+            "a disk hit must be charged as a build"
+        );
+
+        // The charge is the YET, the ELTs, the join and the factor block.
+        let output = scenario.build_stage1_output_on(&ThreadPool::new(2))?;
+        let elts: usize = output
+            .books
+            .iter()
+            .map(|book| book.elt.memory_bytes())
+            .sum();
+        let charged = built.bytes as usize;
+        assert_eq!(charged, output.yet.memory_bytes() + elts + derived);
+        // Beside the same join and factor block, the whole output would
+        // be charged more by at least its exposures.
+        let exposures: usize = output
+            .books
+            .iter()
+            .map(|book| book.exposure.len() * std::mem::size_of::<ExposureLocation>())
+            .sum();
+        assert!(
+            charged + exposures <= output.memory_bytes() + derived,
+            "charged {charged} B, exposures {exposures} B, whole output {} B",
+            output.memory_bytes()
+        );
+        Ok(())
+    }
 }

@@ -30,6 +30,13 @@
 //! measured workload reads a disk-warm key deep enough for it to
 //! matter.
 //!
+//! The frame is the whole [`Stage1Output`], exposures and catalogue
+//! included, so it stays a complete stage-1 record any reader can
+//! decode. The RAM entry a load feeds keeps less: once the grids are
+//! adopted, the join built and the YELT rows counted, the session's
+//! cache keeps only the YET and the ELTs of the decoded output and
+//! drops the catalogue and the exposures, exactly as after a build.
+//!
 //! A corrupt or truncated entry — any frame, grid frames included — is
 //! surfaced by [`DiskStage1Cache::load_entry`] as `RiskError::corrupt`;
 //! the cache in front treats that as a miss, deletes the bad file and

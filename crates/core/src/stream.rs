@@ -121,8 +121,8 @@ impl RiskSession {
         let scanned = self.scan_group(members, group.start as u64, &model);
         for (slot, scan) in group.zip(scanned) {
             let _scenario_span = riskpipe_obs::span_key("sweep.scenario", slot as u64);
-            let report = scan.and_then(|(bundle, ylt)| {
-                self.finish_scenario(&scenarios[slot], Some(slot), run, &model, &bundle, ylt)
+            let report = scan.and_then(|ylt| {
+                self.finish_scenario(&scenarios[slot], Some(slot), run, &model, ylt)
             });
             deposits.deposit(slot, report);
         }

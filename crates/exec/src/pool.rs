@@ -15,7 +15,7 @@
 //!   pool; with nothing to run it parks, and the task that completes the
 //!   scope unparks exactly its caller;
 //! * a panic inside a task is caught, recorded, and re-raised from the
-//!   scope that spawned it.
+//!   scope that spawned it, carrying the first panicking task's message.
 
 use crate::lockwitness::{Condvar, Mutex};
 use crate::stats::ExecStats;
@@ -23,7 +23,7 @@ use crossbeam_deque::{Injector, Stealer, Worker};
 use std::marker::PhantomData;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -172,13 +172,14 @@ impl ThreadPool {
 
     /// Run `f` with a [`Scope`] that can spawn tasks borrowing from the
     /// enclosing stack frame. Returns when every spawned task has
-    /// finished. If any task panicked, the panic is re-raised here.
+    /// finished. If any task panicked, the panic is re-raised here, with
+    /// the first panicking task's message appended.
     pub fn scope<'scope, R>(&'scope self, f: impl FnOnce(&Scope<'scope>) -> R) -> R {
         let scope = Scope {
             pool: self,
             state: Arc::new(ScopeState {
                 pending: AtomicUsize::new(0),
-                panicked: AtomicBool::new(false),
+                panic: OnceLock::new(),
                 caller: std::thread::current(),
             }),
             _marker: PhantomData,
@@ -198,14 +199,14 @@ impl ThreadPool {
                 std::thread::park_timeout(Duration::from_micros(200));
             }
         }
-        if scope.state.panicked.load(Ordering::Acquire) {
+        if let Some(message) = scope.state.panic.get() {
             #[expect(
                 clippy::panic,
                 reason = "deliberate panic propagation: a task panic caught on a worker \
                           is re-raised on the scope caller, mirroring rayon::scope semantics"
             )]
             {
-                panic!("a task spawned in ThreadPool::scope panicked");
+                panic!("a task spawned in ThreadPool::scope panicked: {message}");
             }
         }
         result
@@ -258,6 +259,18 @@ impl std::fmt::Debug for ThreadPool {
     }
 }
 
+/// A panic payload's message: the `&str` or `String` a `panic!`
+/// carries, or a placeholder for any other payload.
+fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+    if let Some(message) = payload.downcast_ref::<&str>() {
+        (*message).to_owned()
+    } else if let Some(message) = payload.downcast_ref::<String>() {
+        message.clone()
+    } else {
+        "(a non-string panic payload)".to_owned()
+    }
+}
+
 /// Run one pool task under the spawner's telemetry context (when the
 /// spawner had one installed): the context is installed on the
 /// executing worker for the task's duration and a `pool.task` span
@@ -303,7 +316,9 @@ fn worker_loop(worker: Worker<Job>, shared: Arc<PoolShared>) {
 struct ScopeState {
     /// Spawned tasks not yet finished.
     pending: AtomicUsize,
-    panicked: AtomicBool,
+    /// The first panicking task's message (its `&str` or `String`
+    /// payload); set at all means a task panicked.
+    panic: OnceLock<String>,
     /// The thread waiting in [`ThreadPool::scope`], unparked by the task
     /// that finishes last.
     caller: std::thread::Thread,
@@ -328,8 +343,9 @@ impl<'scope> Scope<'scope> {
         let telemetry = riskpipe_obs::current();
         let wrapped: Box<dyn FnOnce() + Send + 'scope> = Box::new(move || {
             let result = panic::catch_unwind(AssertUnwindSafe(|| run_task(telemetry, f)));
-            if result.is_err() {
-                state.panicked.store(true, Ordering::Release);
+            if let Err(payload) = result {
+                // Only the first panic's message is kept.
+                let _ = state.panic.set(panic_message(payload.as_ref()));
             }
             if state.pending.fetch_sub(1, Ordering::AcqRel) == 1 {
                 state.caller.unpark();
@@ -437,7 +453,10 @@ mod tests {
                 s.spawn(|| panic!("boom"));
             });
         }));
-        assert!(result.is_err());
+        // The re-raised panic carries the task's own message.
+        let payload = result.expect_err("the scope must re-raise the task's panic");
+        let message = panic_message(payload.as_ref());
+        assert!(message.contains("boom"), "{message}");
         // The pool survives the panic and remains usable.
         let v = pool.scope(|_| 7);
         assert_eq!(v, 7);

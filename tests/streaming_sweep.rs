@@ -443,8 +443,10 @@ fn cache_bytes_charge_the_join_and_eviction_drops_it() -> RiskResult<()> {
         secondary_uncertainty: false,
         ..AggregateOptions::default()
     };
-    // What an entry for `s` must be charged under `opts`: the model run
-    // plus the join of its books plus the DFA factor block.
+    // What an entry for `s` must be charged under `opts`: what it keeps
+    // of the model run (the YET and the books' ELTs; not the catalogue
+    // or the exposures) plus the join of its books plus the DFA factor
+    // block.
     let entry_bytes = |s: &ScenarioConfig, opts: &AggregateOptions| -> RiskResult<u64> {
         let output = s.build_stage1()?.output;
         let elts = || output.books.iter().map(|book| &*book.elt);
@@ -456,7 +458,8 @@ fn cache_bytes_charge_the_join_and_eviction_drops_it() -> RiskResult<()> {
             &serial_map,
         )?;
         assert_eq!(factors.memory_bytes(), 7 * 8 * s.trials);
-        Ok((output.memory_bytes() + join.memory_bytes() + factors.memory_bytes()) as u64)
+        let kept = output.yet.memory_bytes() + elts().map(|elt| elt.memory_bytes()).sum::<usize>();
+        Ok((kept + join.memory_bytes() + factors.memory_bytes()) as u64)
     };
 
     // With secondary uncertainty the join carries every book's quantile

@@ -50,11 +50,11 @@ impl LayerTerms {
     /// Validate the terms.
     #[allow(
         clippy::neg_cmp_op_on_partial_ord,
-        reason = "the negated comparisons are deliberate: `!(x > 0.0)` also rejects \
-                  NaN, which `x <= 0.0` would let through"
+        reason = "the negated comparisons are deliberate: `!(x >= 0.0)` and `!(x > 0.0)` \
+                  also reject NaN, which `x < 0.0` and `x <= 0.0` would let through"
     )]
     pub fn validate(&self) -> RiskResult<()> {
-        if self.occ_retention < 0.0 || self.agg_retention < 0.0 {
+        if !(self.occ_retention >= 0.0) || !(self.agg_retention >= 0.0) {
             return Err(RiskError::invalid("retentions must be non-negative"));
         }
         if !(self.occ_limit > 0.0) || !(self.agg_limit > 0.0) {
@@ -143,6 +143,22 @@ mod tests {
         .validate()
         .is_err());
         assert!(LayerTerms::xl(10.0, 40.0).validate().is_ok());
+    }
+
+    #[test]
+    fn nan_retentions_are_rejected_not_priced_to_zero() {
+        // `apply_occurrence`'s `.max(0.0)` would turn a NaN retention's
+        // every loss into 0.0: the terms must not validate.
+        assert!(LayerTerms::xl(f64::NAN, 10.0).validate().is_err());
+        assert!(LayerTerms {
+            agg_retention: f64::NAN,
+            ..LayerTerms::pass_through()
+        }
+        .validate()
+        .is_err());
+        // Zero and infinite retentions are terms, not errors.
+        assert!(LayerTerms::xl(0.0, 10.0).validate().is_ok());
+        assert!(LayerTerms::xl(f64::INFINITY, 10.0).validate().is_ok());
     }
 
     proptest! {

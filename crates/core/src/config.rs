@@ -201,19 +201,41 @@ impl ScenarioConfig {
     /// book in book order — the one place the layer-terms formula
     /// lives: attach above `attachment_factor` × the book's mean event
     /// loss, with a limit an order of magnitude wider.
+    ///
+    /// # Errors
+    /// A book no catalogue event damages (its ELT is empty, so its
+    /// limit would be 0) and terms that do not validate (a NaN or
+    /// negative attachment factor) fail with an error naming the
+    /// scenario and the book.
     pub(crate) fn portfolio_over<'a>(
         &self,
         elts: impl IntoIterator<Item = &'a Arc<Elt>>,
     ) -> RiskResult<Portfolio> {
         let parts = elts
             .into_iter()
-            .map(|elt| {
-                let mean_event_loss = elt.total_mean_loss() / elt.len().max(1) as f64;
+            .enumerate()
+            .map(|(book, elt)| {
+                let context = |why: String| {
+                    RiskError::invalid(format!("scenario {:?}, book {book}: {why}", self.name))
+                };
+                if elt.is_empty() {
+                    return Err(context(
+                        "no catalogue event damages the book, so its ELT is empty and its \
+                         layer has no limit"
+                            .into(),
+                    ));
+                }
+                let mean_event_loss = elt.total_mean_loss() / elt.len() as f64;
                 let attach = self.attachment_factor * mean_event_loss;
                 let limit = 20.0 * mean_event_loss;
-                (LayerTerms::xl(attach, limit), Arc::clone(elt))
+                let terms = LayerTerms::xl(attach, limit);
+                terms.validate().map_err(|e| match e {
+                    RiskError::InvalidParameter(why) => context(why),
+                    other => other,
+                })?;
+                Ok((terms, Arc::clone(elt)))
             })
-            .collect();
+            .collect::<RiskResult<_>>()?;
         Portfolio::from_parts(parts)
     }
 }
@@ -281,6 +303,35 @@ mod tests {
         let mut cfg = ScenarioConfig::small();
         cfg.events = 0;
         assert!(cfg.build_stage1().is_err());
+    }
+
+    #[test]
+    fn undamaged_books_and_nan_attachments_name_the_scenario_and_book() {
+        let pool = ThreadPool::new(1);
+        // A one- or two-event catalogue leaves some book undamaged.
+        for events in [1, 2] {
+            let mut cfg = ScenarioConfig::small().with_trials(10).with_name("sparse");
+            cfg.events = events;
+            let output = cfg.build_stage1_output_on(&pool).unwrap();
+            let book = output.books.iter().position(|b| b.elt.is_empty()).unwrap();
+            let err = cfg.bundle_from_output(Arc::new(output)).unwrap_err();
+            assert_eq!(
+                err.to_string(),
+                format!(
+                    "invalid parameter: scenario \"sparse\", book {book}: no catalogue event \
+                     damages the book, so its ELT is empty and its layer has no limit"
+                )
+            );
+        }
+        let cfg = ScenarioConfig::small()
+            .with_trials(10)
+            .with_name("unpriced")
+            .with_attachment_factor(f64::NAN);
+        let err = cfg.build_stage1().unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "invalid parameter: scenario \"unpriced\", book 0: retentions must be non-negative"
+        );
     }
 
     #[test]

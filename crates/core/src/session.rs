@@ -177,13 +177,16 @@ impl RiskSessionBuilder {
     /// A zero-thread pool ([`RiskSessionBuilder::pool_threads`]`(0)`)
     /// is rejected here with [`RiskError::invalid`] instead of being
     /// silently "fixed" at run time (the [`ShardedFilesStore::new`](crate::ShardedFilesStore::new)
-    /// zero-shards precedent).
+    /// zero-shards precedent), and so is a company that fails
+    /// [`CompanyConfig::validate`] — a non-finite field would otherwise
+    /// surface as a silent number in every report's DFA figures.
     pub fn build(self) -> RiskResult<RiskSession> {
         if let PoolChoice::Sized(0) = self.pool {
             return Err(RiskError::invalid(
                 "session pool needs at least one thread (pool_threads(0))",
             ));
         }
+        self.company.validate()?;
         let pool = match self.pool {
             PoolChoice::Sized(n) => Arc::new(ThreadPool::try_new(n)?),
             PoolChoice::Shared(pool) => pool,
@@ -583,6 +586,8 @@ mod tests {
         assert_eq!(session.store_name(), "in-memory");
         assert!(session.pool().thread_count() >= 1);
         assert_eq!(session.stage1_cache_stats(), Stage1CacheStats::default());
+        let sized = RiskSession::builder().pool_threads(3).build().unwrap();
+        assert_eq!(sized.pool().thread_count(), 3);
     }
 
     #[test]
@@ -691,6 +696,19 @@ mod tests {
         assert!(err.is_err());
         let msg = format!("{}", err.err().unwrap());
         assert!(msg.contains("pool"), "{msg}");
+    }
+
+    #[test]
+    fn invalid_company_rejected_at_build_time() {
+        // Every field's rule lives in `CompanyConfig::validate` (tested
+        // field by field in riskpipe-dfa); the builder applies it.
+        let mut company = CompanyConfig::typical();
+        company.initial_capital = f64::NAN;
+        let err = RiskSession::builder().company(company).build().unwrap_err();
+        assert!(err.to_string().contains("initial_capital"), "{err}");
+        let mut company = CompanyConfig::typical();
+        company.reserves = -1.0;
+        assert!(RiskSession::builder().company(company).build().is_err());
     }
 
     #[test]

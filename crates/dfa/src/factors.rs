@@ -280,10 +280,15 @@ impl AttritionalModel {
         Ok(whole_column(trials, |column| self.fill(0, column, streams)))
     }
 
+    #[expect(
+        clippy::neg_cmp_op_on_partial_ord,
+        reason = "`!(x > 0.0)` also rejects NaN, which `x <= 0.0` would let through"
+    )]
     pub(crate) fn validate(&self) -> RiskResult<()> {
-        if self.expected <= 0.0 || self.cv <= 0.0 {
+        let finite = self.expected.is_finite() && self.cv.is_finite();
+        if !finite || !(self.expected > 0.0) || !(self.cv > 0.0) {
             return Err(RiskError::invalid(
-                "attritional parameters must be positive",
+                "attritional parameters must be positive and finite",
             ));
         }
         Ok(())

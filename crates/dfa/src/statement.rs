@@ -67,9 +67,40 @@ impl CompanyConfig {
         }
     }
 
-    fn validate(&self) -> RiskResult<()> {
-        if self.gross_premium <= 0.0 || self.initial_capital <= 0.0 {
+    /// Check every field: each must be finite; premium and capital
+    /// positive; invested assets and reserves non-negative; the expense
+    /// ratio in `[0, 1)`, the ceded fraction in `[0, 1]`; and the
+    /// attritional parameters as [`AttritionalModel`] requires them. A
+    /// NaN fails every check (a NaN capital would otherwise read as a
+    /// company that never ruins).
+    #[expect(
+        clippy::neg_cmp_op_on_partial_ord,
+        reason = "the negated comparisons are deliberate: `!(x > 0.0)` and `!(x >= 0.0)` \
+                  also reject NaN, which `x <= 0.0` and `x < 0.0` would let through"
+    )]
+    pub fn validate(&self) -> RiskResult<()> {
+        let fields = [
+            ("gross_premium", self.gross_premium),
+            ("expense_ratio", self.expense_ratio),
+            ("initial_capital", self.initial_capital),
+            ("invested_assets", self.invested_assets),
+            ("reserves", self.reserves),
+            ("ceded_fraction", self.ceded_fraction),
+            ("attritional_expected", self.attritional_expected),
+            ("attritional_cv", self.attritional_cv),
+        ];
+        if let Some((name, value)) = fields.iter().find(|(_, x)| !x.is_finite()) {
+            return Err(RiskError::invalid(format!(
+                "company {name} must be finite, got {value}"
+            )));
+        }
+        if !(self.gross_premium > 0.0) || !(self.initial_capital > 0.0) {
             return Err(RiskError::invalid("premium and capital must be positive"));
+        }
+        if !(self.invested_assets >= 0.0) || !(self.reserves >= 0.0) {
+            return Err(RiskError::invalid(
+                "invested assets and reserves must be non-negative",
+            ));
         }
         if !(0.0..1.0).contains(&self.expense_ratio) {
             return Err(RiskError::invalid("expense ratio must be in [0,1)"));
@@ -77,7 +108,11 @@ impl CompanyConfig {
         if !(0.0..=1.0).contains(&self.ceded_fraction) {
             return Err(RiskError::invalid("ceded fraction must be in [0,1]"));
         }
-        Ok(())
+        AttritionalModel {
+            expected: self.attritional_expected,
+            cv: self.attritional_cv,
+        }
+        .validate()
     }
 }
 
@@ -462,6 +497,50 @@ mod tests {
         assert!(e2.run(&cat_ylt(100, 1.0), 0).is_err());
         // Too few trials.
         assert!(engine.run(&Ylt::zeroed(1), 0).is_err());
+    }
+
+    #[test]
+    fn every_company_field_must_be_finite_and_signed_right() {
+        type Field = fn(&mut CompanyConfig) -> &mut f64;
+        let fields: [(&str, Field); 8] = [
+            ("gross_premium", |c| &mut c.gross_premium),
+            ("expense_ratio", |c| &mut c.expense_ratio),
+            ("initial_capital", |c| &mut c.initial_capital),
+            ("invested_assets", |c| &mut c.invested_assets),
+            ("reserves", |c| &mut c.reserves),
+            ("ceded_fraction", |c| &mut c.ceded_fraction),
+            ("attritional_expected", |c| &mut c.attritional_expected),
+            ("attritional_cv", |c| &mut c.attritional_cv),
+        ];
+        assert!(CompanyConfig::typical().validate().is_ok());
+        let engine = DfaEngine::typical(CompanyConfig::typical());
+        let block = engine.simulate_factors(6, 1, &serial_map).unwrap();
+        for (name, field) in fields {
+            // Negative is out of range for every field.
+            for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -1.0] {
+                let mut company = CompanyConfig::typical();
+                *field(&mut company) = bad;
+                let err = company.validate().expect_err(name);
+                assert!(matches!(err, RiskError::InvalidParameter(_)), "{name}");
+                if !bad.is_finite() {
+                    assert!(err.to_string().contains(name), "{name}: {err}");
+                }
+                // `apply` keeps the check for engines built by hand.
+                let mut bad_engine = engine.clone();
+                bad_engine.company = company;
+                assert!(bad_engine.apply(&block, &Ylt::zeroed(6)).is_err(), "{name}");
+            }
+        }
+        // Zero is legal for the assets, the reserves and the two ratios only.
+        for (name, field) in fields {
+            let mut company = CompanyConfig::typical();
+            *field(&mut company) = 0.0;
+            let legal = matches!(
+                name,
+                "invested_assets" | "reserves" | "expense_ratio" | "ceded_fraction"
+            );
+            assert_eq!(company.validate().is_ok(), legal, "{name} = 0");
+        }
     }
 
     #[test]

@@ -9,10 +9,15 @@
 //! a cross-kernel oracle: the fixtures below are the shapes a join
 //! could plausibly get wrong.
 
+#[allow(dead_code, reason = "each test binary uses part of the shared oracle")]
+#[macro_use]
+mod oracle;
+
+use oracle::{model, Case, Shape};
 use proptest::prelude::*;
 use riskpipe::aggregate::{
-    build_secondary, engines_agree, AggregateEngine, AggregateOptions, AggregateRunner, EngineKind,
-    EventJoin, Layer, LayerTerms, Portfolio, QuantileMode, SecondaryTable,
+    build_secondary, AggregateEngine, AggregateOptions, AggregateRunner, EngineKind, EventJoin,
+    Layer, LayerTerms, Portfolio, QuantileMode, SecondaryTable,
 };
 use riskpipe::core::ScenarioConfig;
 use riskpipe::exec::ThreadPool;
@@ -23,83 +28,25 @@ use riskpipe::types::rng::{Rng64, SplitMix64};
 use riskpipe::types::{EventId, LayerId, RiskError};
 use std::sync::Arc;
 
-#[test]
-fn all_engines_agree_on_scenario_with_secondary_uncertainty() {
-    let stage1 = ScenarioConfig::small()
-        .with_seed(31)
-        .build_stage1()
-        .unwrap();
-    let pool = Arc::new(ThreadPool::new(4));
-    let ylt = engines_agree(
-        &stage1.portfolio(),
-        &stage1.year_event_table(),
-        &AggregateOptions::default(),
-        pool,
-    )
-    .expect("engines diverged");
-    assert_eq!(ylt.trials(), 2_000);
-    assert!(ylt.mean_annual_loss() > 0.0);
+/// Every engine's `run` under option shape `options` (of
+/// [`oracle::option_shapes`]) against the sequential reference.
+fn every_engine(options: usize, seed: u64) -> [Case; 4] {
+    let options = oracle::option_shapes()[options];
+    let case = Case {
+        options,
+        threads: 4,
+        ..Case::new(vec![model(seed)], Shape::Run)
+    };
+    EngineKind::ALL.map(|engine| Case {
+        engine,
+        ..case.clone()
+    })
 }
 
-#[test]
-fn all_engines_agree_without_secondary_uncertainty() {
-    let stage1 = ScenarioConfig::small()
-        .with_seed(32)
-        .build_stage1()
-        .unwrap();
-    let pool = Arc::new(ThreadPool::new(2));
-    engines_agree(
-        &stage1.portfolio(),
-        &stage1.year_event_table(),
-        &AggregateOptions {
-            secondary_uncertainty: false,
-            ..AggregateOptions::default()
-        },
-        pool,
-    )
-    .expect("engines diverged");
-}
-
-#[test]
-fn all_engines_agree_with_exact_quantiles() {
-    // The exact beta-inverse path is slower, so shrink the scenario.
-    let stage1 = ScenarioConfig::small()
-        .with_seed(33)
-        .with_trials(300)
-        .build_stage1()
-        .unwrap();
-    let pool = Arc::new(ThreadPool::new(4));
-    engines_agree(
-        &stage1.portfolio(),
-        &stage1.year_event_table(),
-        &AggregateOptions {
-            secondary_uncertainty: true,
-            quantile_mode: QuantileMode::Exact,
-        },
-        pool,
-    )
-    .expect("engines diverged");
-}
-
-/// The option shapes the engines distinguish: secondary uncertainty
-/// on (default grid), off, exact, and the smallest legal grid (where
-/// every `z` is at or next to a clamp edge).
-fn option_shapes() -> [AggregateOptions; 4] {
-    [
-        AggregateOptions::default(),
-        AggregateOptions {
-            secondary_uncertainty: false,
-            ..AggregateOptions::default()
-        },
-        AggregateOptions {
-            secondary_uncertainty: true,
-            quantile_mode: QuantileMode::Exact,
-        },
-        AggregateOptions {
-            secondary_uncertainty: true,
-            quantile_mode: QuantileMode::Interpolated(2),
-        },
-    ]
+pinned! {
+    all_engines_agree_on_scenario_with_secondary_uncertainty => every_engine(0, 31);
+    all_engines_agree_without_secondary_uncertainty => every_engine(1, 32);
+    all_engines_agree_with_exact_quantiles => every_engine(2, 33);
 }
 
 /// The join of a portfolio's ELTs under `opts`, as a session's cache
@@ -127,7 +74,7 @@ fn assert_bits_eq(a: &Ylt, b: &Ylt, what: &str) {
 /// engine bit for bit; returns nothing — the assertion is the point.
 fn assert_all_engines_bitwise_equal(portfolio: &Portfolio, yet: &YearEventTable, what: &str) {
     let pool = Arc::new(ThreadPool::new(3));
-    for opts in option_shapes() {
+    for opts in oracle::option_shapes() {
         let run = |kind| {
             AggregateRunner::new(kind)
                 .with_options(opts)
@@ -281,7 +228,7 @@ fn prepared_join_runs_equal_option_runs_bitwise_on_every_engine() {
         .unwrap();
     let (portfolio, yet) = (stage1.portfolio(), stage1.year_event_table());
     let pool = Arc::new(ThreadPool::new(3));
-    for opts in option_shapes() {
+    for opts in oracle::option_shapes() {
         // Built once, on a pool none of the runners use: the join is a
         // pure function of (ELTs, mode).
         let join = join_of(&portfolio, &opts);

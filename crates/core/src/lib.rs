@@ -46,8 +46,8 @@ mod stream;
 pub mod sweep;
 
 pub use config::{ScenarioConfig, Stage1Bundle};
-pub use report::{money, SweepSummary, TextTable};
-pub use session::{PipelineReport, RiskSession, RiskSessionBuilder};
+pub use report::{money, PipelineReport, SweepSummary, TextTable};
+pub use session::{RiskSession, RiskSessionBuilder};
 pub use sink::{FanoutSink, PersistingSink, ReportSink};
 pub use stage1cache::Stage1CacheStats;
 pub use stage1disk::DiskStage1Cache;

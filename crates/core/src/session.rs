@@ -42,7 +42,7 @@
 //! ```
 
 use crate::config::ScenarioConfig;
-use crate::report::{money, TextTable};
+use crate::report::PipelineReport;
 use crate::stage1cache::{ModelRun, Stage1Cache, Stage1CacheStats};
 use crate::stage1disk::DiskStage1Cache;
 use crate::store::{InMemoryStore, IntermediateStore, RunLabel};
@@ -55,7 +55,6 @@ use riskpipe_metrics::RiskMeasures;
 use riskpipe_tables::{codec, Yelt, Ylt};
 use riskpipe_types::stats::quantile_sorted;
 use riskpipe_types::{RiskError, RiskResult, RunningStats};
-use std::borrow::Cow;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -477,100 +476,6 @@ impl std::fmt::Debug for RiskSession {
             .field("stage1_cache", &self.stage1.stats())
             .field("telemetry", &self.telemetry.is_some())
             .finish()
-    }
-}
-
-/// Everything a scenario run produced, plus a rendered summary.
-#[derive(Debug, Clone)]
-pub struct PipelineReport {
-    /// Scenario name.
-    pub scenario_name: String,
-    /// Total ELT rows across the portfolio.
-    pub elt_rows: usize,
-    /// YET occurrences.
-    pub yet_occurrences: usize,
-    /// YELT rows (book 0).
-    pub yelt_rows: usize,
-    /// What the book-0 YELT would occupy in memory
-    /// ([`Yelt::memory_bytes_for`]; the session never builds it).
-    pub yelt_memory_bytes: u64,
-    /// YELT bytes written to shard files (0 for in-memory runs).
-    pub yelt_file_bytes: u64,
-    /// Encoded YLT size.
-    pub ylt_encoded_bytes: u64,
-    /// Portfolio risk measures.
-    pub measures: RiskMeasures,
-    /// 100-year aggregate PML (when trials allow).
-    pub pml_100: Option<f64>,
-    /// DFA probability of ruin.
-    pub prob_ruin: f64,
-    /// DFA mean net income.
-    pub mean_net_income: f64,
-    /// DFA economic capital.
-    pub economic_capital: f64,
-    /// The YLT's aggregate-loss column, sorted ascending by
-    /// `total_cmp` — the report path sorts each column exactly once
-    /// and shares the buffer, so streaming sinks fold pooled analytics
-    /// with one weighted sketch merge instead of re-sorting per
-    /// consumer. May be empty on reports that outlive delivery
-    /// (a collecting [`SweepPlan`](crate::SweepPlan) clears it to keep
-    /// collected sweeps at one copy per column); consumers read it through
-    /// [`PipelineReport::sorted_agg`], which falls back to sorting
-    /// [`PipelineReport::ylt`] when `agg_sorted.len() != ylt.trials()`.
-    pub agg_sorted: Vec<f64>,
-    /// The maximum-occurrence column, likewise sorted (and likewise
-    /// possibly empty; read it through [`PipelineReport::sorted_occ`]).
-    pub occ_sorted: Vec<f64>,
-    /// The portfolio YLT (for downstream analysis).
-    pub ylt: Ylt,
-}
-
-impl std::fmt::Display for PipelineReport {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        writeln!(f, "pipeline report: {}", self.scenario_name)?;
-        let mut data = TextTable::new(&["table", "size"]);
-        data.row(&["ELT rows (portfolio)".into(), self.elt_rows.to_string()]);
-        data.row(&["YET occurrences".into(), self.yet_occurrences.to_string()]);
-        data.row(&["YELT rows (book 0)".into(), self.yelt_rows.to_string()]);
-        data.row(&[
-            "YELT memory".into(),
-            riskpipe_tables::sizing::human_bytes(self.yelt_memory_bytes as u128),
-        ]);
-        data.row(&[
-            "YLT encoded".into(),
-            riskpipe_tables::sizing::human_bytes(self.ylt_encoded_bytes as u128),
-        ]);
-        writeln!(f, "{data}")?;
-        writeln!(f, "{}", self.measures)?;
-        if let Some(pml) = self.pml_100 {
-            writeln!(f, "AEP PML 100y     : {:>16}", money(pml))?;
-        }
-        writeln!(f, "P(ruin)          : {:>16.4}", self.prob_ruin)?;
-        writeln!(f, "mean net income  : {:>16}", money(self.mean_net_income))?;
-        write!(f, "economic capital : {:>16}", money(self.economic_capital))
-    }
-}
-
-impl PipelineReport {
-    /// The aggregate-loss column sorted ascending by `total_cmp`: the
-    /// shared [`agg_sorted`](Self::agg_sorted) buffer when the report
-    /// still carries it (`len == ylt.trials()`), otherwise one sort of
-    /// [`ylt`](Self::ylt). The one place that fallback rule lives.
-    pub fn sorted_agg(&self) -> Cow<'_, [f64]> {
-        if self.agg_sorted.len() == self.ylt.trials() {
-            Cow::Borrowed(&self.agg_sorted)
-        } else {
-            Cow::Owned(self.ylt.sorted_agg_losses())
-        }
-    }
-
-    /// The maximum-occurrence twin of [`sorted_agg`](Self::sorted_agg).
-    pub fn sorted_occ(&self) -> Cow<'_, [f64]> {
-        if self.occ_sorted.len() == self.ylt.trials() {
-            Cow::Borrowed(&self.occ_sorted)
-        } else {
-            Cow::Owned(self.ylt.sorted_max_occ_losses())
-        }
     }
 }
 

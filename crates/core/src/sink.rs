@@ -53,8 +53,7 @@
 //! never sealed, and no writer outlives its sink: see
 //! [`PersistingSink`] for the rules.
 
-use crate::report::SweepSummary;
-use crate::session::PipelineReport;
+use crate::report::{PipelineReport, SweepSummary};
 use crate::store::{IntermediateStore, RunLabel, StagedWrite};
 use riskpipe_types::{RiskError, RiskResult};
 use std::sync::atomic::{AtomicU64, Ordering};

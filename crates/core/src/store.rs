@@ -5,7 +5,7 @@
 //! ([`ShardedFilesStore`]) — and the [`RunLabel`] that keeps runs and
 //! sweep slots apart.
 
-use crate::session::PipelineReport;
+use crate::report::PipelineReport;
 use riskpipe_tables::codec::{self, RunManifest};
 use riskpipe_tables::{durable, shard, Elt, YearEventTable, Ylt};
 use riskpipe_types::{EventId, LocationId, RiskError, RiskResult, TrialId};

@@ -17,7 +17,8 @@
 //! fill several groups or are not adjacent.
 
 use crate::config::ScenarioConfig;
-use crate::session::{PipelineReport, RiskSession};
+use crate::report::PipelineReport;
+use crate::session::RiskSession;
 use crate::sink::ReportSink;
 use riskpipe_exec::lockwitness::{Condvar, Mutex};
 use riskpipe_types::{RiskError, RiskResult};

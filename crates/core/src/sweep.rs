@@ -44,8 +44,8 @@
 //!   stringly-keyed results.
 
 use crate::config::ScenarioConfig;
-use crate::report::SweepSummary;
-use crate::session::{PipelineReport, RiskSession};
+use crate::report::{PipelineReport, SweepSummary};
+use crate::session::RiskSession;
 use crate::sink::{FanoutSink, PersistingSink, ReportSink};
 use crate::store::IntermediateStore;
 use riskpipe_types::RiskResult;

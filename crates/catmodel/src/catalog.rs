@@ -157,8 +157,8 @@ impl EventCatalog {
     }
 
     /// Assemble a catalogue from event records — the one door into the
-    /// type, used by [`EventCatalog::generate`] and by the decode path
-    /// of the stage-1 disk cache ([`crate::stage1io`]). Event ids must
+    /// type, used by [`EventCatalog::generate`] and by the
+    /// stage-1 output decoder ([`crate::stage1io`]). Event ids must
     /// be dense `0..n` in order (the invariant [`EventCatalog::event`]
     /// indexes by), every event's `rate`, `magnitude` and `center` must
     /// be finite, and `total_rate` is carried verbatim so a round trip

@@ -174,7 +174,7 @@ impl ExposurePortfolio {
 
     /// Assemble a portfolio from location records — the one door into
     /// the type, used by [`ExposurePortfolio::generate`] and by the
-    /// decode path of the stage-1 disk cache ([`crate::stage1io`]).
+    /// stage-1 output decoder ([`crate::stage1io`]).
     /// `total_tiv` is carried verbatim so a round trip is bit-exact
     /// rather than re-derived from a float sum.
     ///

@@ -1,5 +1,12 @@
-//! Frame codec for a complete [`Stage1Output`] — the on-disk format of
-//! the stage-1 cache tier.
+//! Frame codec for a complete [`Stage1Output`], catalogue and exposures
+//! included.
+//!
+//! This is not the stage-1 disk tier's format: a tier entry
+//! (`riskpipe-core::stage1disk`) holds only what a session keeps of a
+//! model run — the ELTs and the YET — behind a header frame of its own.
+//! The whole-output encoding is kept for the benchmark harness's
+//! stage-1 encode and decode rows (`riskbench`), until those rows move
+//! onto the tier's entry (ROADMAP item 30).
 //!
 //! The encoding is a run of [`riskpipe_tables::codec`] frames written
 //! into one buffer: a leading [`TableKind::Stage1`] frame carries the
@@ -19,12 +26,7 @@
 //! YET frame            riskpipe_tables::codec schema
 //! ```
 //!
-//! That is the whole of [`encode_stage1`] / [`decode_stage1`]. A
-//! disk-tier *entry* (`riskpipe-core::stage1disk`) is this encoding
-//! followed by zero or `n_books` quantile-grid frames — derived data
-//! this crate knows nothing about, appended to the same buffer — which
-//! is what [`decode_stage1_prefix`] is for: it decodes the same frames
-//! and reports where they end.
+//! That is the whole of [`encode_stage1`] / [`decode_stage1`].
 //!
 //! Stage-1 header payload, little-endian:
 //!
@@ -173,21 +175,6 @@ fn decode_header(
 /// invalid tables — always with `RiskError::corrupt`-family errors,
 /// never a panic.
 pub fn decode_stage1(data: &[u8]) -> RiskResult<(u64, Stage1Output)> {
-    let (key, output, used) = decode_stage1_prefix(data)?;
-    if used != data.len() {
-        return Err(RiskError::corrupt(format!(
-            "stage1 stream has {} trailing bytes",
-            data.len() - used
-        )));
-    }
-    Ok((key, output))
-}
-
-/// [`decode_stage1`] for a stream that may go on: decodes the stage-1
-/// encoding at the front of `data` and also returns the bytes it
-/// consumed, leaving what follows (a disk-tier entry's quantile-grid
-/// frames) to the caller — who then owes the exact-consumption check.
-pub fn decode_stage1_prefix(data: &[u8]) -> RiskResult<(u64, Stage1Output, usize)> {
     let (mut r, mut off) = FrameReader::open(data, TableKind::Stage1)?;
     let (key, catalog, exposures) = decode_header(&mut r)?;
     r.finish()?;
@@ -202,12 +189,18 @@ pub fn decode_stage1_prefix(data: &[u8]) -> RiskResult<(u64, Stage1Output, usize
     }
     let (yet, used) = codec::decode_prefix::<YearEventTable>(&data[off..])?;
     off += used;
+    if off != data.len() {
+        return Err(RiskError::corrupt(format!(
+            "stage1 stream has {} trailing bytes",
+            data.len() - off
+        )));
+    }
     let output = Stage1Output {
         catalog: Arc::new(catalog),
         books,
         yet: Arc::new(yet),
     };
-    Ok((key, output, off))
+    Ok((key, output))
 }
 
 #[cfg(test)]

@@ -13,7 +13,7 @@
 //! the key); the first to publish keeps the entry.
 
 use crate::config::ScenarioConfig;
-use crate::stage1disk::DiskStage1Cache;
+use crate::stage1disk::{DiskStage1Cache, TierEntry};
 use riskpipe_aggregate::{build_secondary, AggregateOptions, EventJoin, SecondaryTable};
 use riskpipe_catmodel::{EltGenCounts, Stage1Output};
 use riskpipe_dfa::{DfaEngine, DfaFactors};
@@ -79,8 +79,8 @@ pub struct Stage1CacheStats {
 /// session's fixed [`AggregateOptions`], and the DFA factor block, a
 /// pure function of the key's seed and trial count and the session's
 /// fixed company. The catalogue and the books' exposures are not kept:
-/// nothing after stage 1 reads them, so they drop before the entry is
-/// published (the disk tier still stores them). Built once per key by
+/// nothing after stage 1 reads them, so a build drops them as soon as
+/// stage 1 returns (and the disk tier never stores them). Built once per key by
 /// [`Stage1Cache::build_model_run`], `Arc`-shared with every scenario
 /// of the key.
 pub(crate) struct ModelRun {
@@ -121,13 +121,11 @@ impl ModelRun {
 type Derived = (Arc<YearEventTable>, Vec<Arc<Elt>>, EventJoin, usize);
 
 /// A model run as a RAM miss obtained it, before anything is derived
-/// from it: freshly built, or decoded from the disk tier together with
-/// whatever grids its entry carried.
+/// from it: decoded from the disk tier together with whatever grids its
+/// entry carried, or freshly built (no grids) — the same shape either
+/// way, with no catalogue or exposure.
 struct Acquired {
-    output: Stage1Output,
-    /// One secondary table per book, adopted from the disk entry's grid
-    /// frames; empty after a build, and when the entry carried none.
-    grids: Vec<SecondaryTable>,
+    entry: TierEntry,
     /// Whether the disk tier already holds an entry for the key (a disk
     /// hit). A build still has to be written through.
     on_disk: bool,
@@ -312,22 +310,28 @@ impl Stage1Cache {
 
     /// RAM missed: a complete disk entry serves `key` without a build
     /// (bit-identical — stage 1 is a pure function of the key, and the
-    /// codec round trip is exact); otherwise build it.
+    /// codec round trip is exact); otherwise build it, keeping the YET
+    /// and the ELTs and dropping the catalogue and the exposures here,
+    /// before anything is derived.
     fn load_or_build(
         &self,
         key: u64,
         build: impl FnOnce() -> RiskResult<(Stage1Output, EltGenCounts)>,
     ) -> RiskResult<Acquired> {
-        if let Some((output, grids)) = self.disk_load(key)? {
+        if let Some(entry) = self.disk_load(key)? {
             return Ok(Acquired {
-                output,
-                grids,
+                entry,
                 on_disk: true,
             });
         }
-        Ok(Acquired {
-            output: self.timed_build(key, build)?,
+        let Stage1Output { books, yet, .. } = self.timed_build(key, build)?;
+        let entry = TierEntry {
+            yet,
+            elts: books.into_iter().map(|book| book.elt).collect(),
             grids: Vec::new(),
+        };
+        Ok(Acquired {
+            entry,
             on_disk: false,
         })
     }
@@ -344,9 +348,8 @@ impl Stage1Cache {
     /// count, not a table: no store needs the YELT built, and the count
     /// depends on the YET and book 0's ELT only. The tables depend on
     /// the ELTs and the session's options only, so the cache key needs
-    /// nothing added. The whole output is held only until then: what
-    /// returns is the YET, the ELTs in book order, the join and the
-    /// count, and the catalogue and the exposures drop here.
+    /// nothing added. What returns is the YET, the ELTs in book order,
+    /// the join and the count.
     fn derive_model_run(
         &self,
         key: u64,
@@ -355,11 +358,10 @@ impl Stage1Cache {
         pool: &ThreadPool,
     ) -> RiskResult<Derived> {
         let Acquired {
-            output,
-            grids,
+            entry: TierEntry { yet, elts, grids },
             on_disk,
         } = acquired;
-        let elts = || output.books.iter().map(|book| &*book.elt);
+        let books = || elts.iter().map(|elt| &**elt);
         // The grid size the session tabulates, if it tabulates one.
         let grid_points = options
             .secondary_uncertainty
@@ -374,7 +376,7 @@ impl Stage1Cache {
             let _span = options
                 .secondary_uncertainty
                 .then(|| riskpipe_obs::span_key("stage2.secondary", key));
-            let built = build_secondary(elts(), options, pool);
+            let built = build_secondary(books(), options, pool);
             if let Some(tables) = &built {
                 riskpipe_obs::counter_add("stage2.secondary_builds", 1);
                 riskpipe_obs::counter_add(
@@ -387,23 +389,20 @@ impl Stage1Cache {
         // A session that tabulates no grid leaves a disk entry as it
         // found it: the grids there are another session's to use.
         if !on_disk || (grid_points.is_some() && !adopted) {
-            self.disk_store(key, &output, secondary.as_deref().unwrap_or_default())?;
+            self.disk_store(key, &yet, &elts, secondary.as_deref().unwrap_or_default())?;
         }
         let join = {
             let _span = riskpipe_obs::span_key("stage2.join", key);
-            EventJoin::build(elts(), secondary)?
+            EventJoin::build(books(), secondary)?
         };
         riskpipe_obs::counter_add("stage2.join_builds", 1);
         riskpipe_obs::counter_add("stage2.join_hits", join.hits() as u64);
         let yelt_rows = {
             let _span = riskpipe_obs::span_key("stage2.yelt_count", key);
-            output.books.first().map_or(0, |book| {
-                yelt_row_count(&output.yet, &book.elt, output.catalog.len(), pool)
-            })
+            elts.first()
+                .map_or(0, |elt| yelt_row_count(&yet, elt, pool))
         };
         riskpipe_obs::counter_add("stage2.yelt_counts", 1);
-        let Stage1Output { books, yet, .. } = output;
-        let elts = books.into_iter().map(|book| book.elt).collect();
         Ok((yet, elts, join, yelt_rows))
     }
 
@@ -411,11 +410,11 @@ impl Stage1Cache {
     /// entry — a damaged grid frame included — self-heals: the bad file
     /// is removed and the lookup reports a miss, so the caller rebuilds
     /// and the write-through atomically replaces it.
-    fn disk_load(&self, key: u64) -> RiskResult<Option<(Stage1Output, Vec<SecondaryTable>)>> {
+    fn disk_load(&self, key: u64) -> RiskResult<Option<TierEntry>> {
         let Some(disk) = &self.disk else {
             return Ok(None);
         };
-        match disk.load_entry(key) {
+        match disk.load(key) {
             Ok(Some(entry)) => {
                 self.disk_hits.fetch_add(1, Ordering::Relaxed);
                 riskpipe_obs::counter_add("stage1.disk_hits", 1);
@@ -430,16 +429,17 @@ impl Stage1Cache {
         }
     }
 
-    /// Write `output` and its books' `tables` (their grids; empty for
-    /// none) through to the disk tier, if attached.
+    /// Write the model run `yet` + `elts` and its books' `tables` (their
+    /// grids; empty for none) through to the disk tier, if attached.
     fn disk_store(
         &self,
         key: u64,
-        output: &Stage1Output,
+        yet: &YearEventTable,
+        elts: &[Arc<Elt>],
         tables: &[SecondaryTable],
     ) -> RiskResult<()> {
         if let Some(disk) = &self.disk {
-            disk.store_entry(key, output, tables)?;
+            disk.store_entry(key, yet, elts, tables)?;
             self.disk_writes.fetch_add(1, Ordering::Relaxed);
             riskpipe_obs::counter_add("stage1.disk_writes", 1);
         }
@@ -502,15 +502,14 @@ fn simulate_dfa_factors(
 /// Rows of the YELT joining `yet` with `elt` — the occurrences whose
 /// event has a row in the ELT, what `Yelt::from_yet_elt(yet, elt).rows()`
 /// counts — as a parallel integer reduce over the YET's event column.
-/// Membership is a dense mask over the catalogue's `events` ids, built
-/// once from the ELT's event column, so an occurrence costs one indexed
-/// load, not a hash probe.
-fn yelt_row_count(yet: &YearEventTable, elt: &Elt, events: usize, pool: &ThreadPool) -> usize {
-    let mut in_elt = vec![false; events];
-    for &e in elt.columns().0 {
-        if let Some(slot) = in_elt.get_mut(e as usize) {
-            *slot = true;
-        }
+/// Membership is a dense mask over event ids up to the ELT's largest,
+/// built once from the ELT's event column, so an occurrence costs one
+/// indexed load, not a hash probe; an id past the mask is in no row.
+fn yelt_row_count(yet: &YearEventTable, elt: &Elt, pool: &ThreadPool) -> usize {
+    let ids = elt.columns().0;
+    let mut in_elt = vec![false; ids.iter().max().map_or(0, |&e| e as usize + 1)];
+    for &e in ids {
+        in_elt[e as usize] = true;
     }
     let (_, occurrences, _, _) = yet.columns();
     let grain = suggest_grain(occurrences.len(), pool.thread_count(), 16 * 1024);
@@ -532,30 +531,42 @@ fn yelt_row_count(yet: &YearEventTable, elt: &Elt, events: usize, pool: &ThreadP
 #[cfg(test)]
 mod tests {
     use crate::{RiskSession, ScenarioConfig};
+    use riskpipe_aggregate::AggregateOptions;
     use riskpipe_catmodel::ExposureLocation;
     use riskpipe_exec::ThreadPool;
+    use riskpipe_tables::codec::{self, QuantileGrid, TierHeader};
     use riskpipe_types::RiskResult;
+    use std::path::Path;
     use std::sync::Arc;
 
-    #[test]
-    fn an_entry_is_charged_what_it_keeps_whether_built_or_loaded() -> RiskResult<()> {
-        let dir = std::env::temp_dir().join(format!("riskpipe-s1charge-{}", std::process::id()));
-        // Exposure-heavy, as the benchmark's cold keys are: the books'
-        // locations far outweigh their ELTs.
-        let scenario = ScenarioConfig {
+    /// Exposure-heavy, as the benchmark's cold keys are: the books'
+    /// locations far outweigh their ELTs.
+    fn exposure_heavy() -> ScenarioConfig {
+        ScenarioConfig {
             events: 500,
             contracts: 2,
             locations_per_contract: 10_000,
             trials: 200,
             ..ScenarioConfig::small()
-        };
-        // A session over the tier at `dir`: its stats after one run, and
-        // the join and factor-block bytes of the entry it published.
+        }
+    }
+
+    /// A session over the tier at `dir`.
+    fn tiered(dir: &Path) -> RiskResult<RiskSession> {
+        RiskSession::builder()
+            .pool_threads(2)
+            .stage1_disk_cache(dir)
+            .build()
+    }
+
+    #[test]
+    fn an_entry_is_charged_what_it_keeps_whether_built_or_loaded() -> RiskResult<()> {
+        let dir = std::env::temp_dir().join(format!("riskpipe-s1charge-{}", std::process::id()));
+        let scenario = exposure_heavy();
+        // One run's stats, and the join and factor-block bytes of the
+        // entry it published.
         let charge = || -> RiskResult<_> {
-            let session = RiskSession::builder()
-                .pool_threads(2)
-                .stage1_disk_cache(&dir)
-                .build()?;
+            let session = tiered(&dir)?;
             session.run(&scenario)?;
             let run = Arc::clone(&session.stage1.index.lock()[0].1);
             Ok((
@@ -593,6 +604,46 @@ mod tests {
             charged + exposures <= output.memory_bytes() + derived,
             "charged {charged} B, exposures {exposures} B, whole output {} B",
             output.memory_bytes()
+        );
+        Ok(())
+    }
+
+    #[test]
+    fn a_tier_entry_is_the_model_run_and_its_grids_with_no_exposure_byte() -> RiskResult<()> {
+        let dir = std::env::temp_dir().join(format!("riskpipe-s1entry-{}", std::process::id()));
+        let scenario = exposure_heavy();
+        tiered(&dir)?.run(&scenario)?;
+        let entry = std::fs::read(dir.join(format!("stage1-{:016x}.rps", scenario.stage1_key())));
+        std::fs::remove_dir_all(&dir).ok();
+
+        // Each part's length from the codec's own encoding of it.
+        let output = scenario.build_stage1_output_on(&ThreadPool::new(2))?;
+        let g = AggregateOptions::default().quantile_mode.grid_points();
+        let header = TierHeader {
+            key: scenario.stage1_key(),
+            books: output.books.len() as u64,
+            trials: output.yet.trials() as u64,
+        };
+        let mut want = codec::encode(&header).len() + codec::encode(&*output.yet).len();
+        for book in &output.books {
+            let rows = book.elt.len();
+            let grid = g.map(|g| QuantileGrid {
+                rows,
+                g,
+                cells: vec![0.5; rows * g],
+            });
+            want += codec::encode(&*book.elt).len() + grid.map_or(0, |q| codec::encode(&q).len());
+        }
+        assert_eq!(entry?.len(), want);
+        // The exposures alone would outweigh the whole entry.
+        let exposures: usize = output
+            .books
+            .iter()
+            .map(|book| book.exposure.len() * std::mem::size_of::<ExposureLocation>())
+            .sum();
+        assert!(
+            exposures > want,
+            "{exposures} B of exposures, {want} B entry"
         );
         Ok(())
     }

@@ -33,12 +33,13 @@
 //! | YELLT chunk | trials u32, events u32, locations u32, losses f64 | `YelltChunk::validate` |
 //! | QuantileGrid | rows u64, g u64 (scalars), cells f64 | `rows × g == cells` |
 //! | RunManifest | run u64, slots u64 (scalars) | — |
+//! | TierHeader | key u64, books u64, trials u64 (scalars) | — |
 //!
-//! The stage-1 header (`riskpipe-catmodel::stage1io`) needs outside
-//! context to decode, so it drives the writer and reader itself.
+//! The stage-1 output header (`riskpipe-catmodel::stage1io`) needs
+//! outside context to decode, so it drives the writer and reader itself.
 //!
 //! Frames may be concatenated in one file (a shard holds one per YELLT
-//! chunk, a stage-1 cache entry one per table): [`decode_prefix`]
+//! chunk, a stage-1 disk-tier entry one per table): [`decode_prefix`]
 //! reports where the next frame starts, and [`frame_len`] skips a frame
 //! from its header alone.
 
@@ -76,8 +77,9 @@ pub enum TableKind {
     Ylt = 4,
     /// A chunk of year-event-location-loss rows.
     YelltChunk = 5,
-    /// The leading frame of a cached stage-1 output (payload layout
-    /// owned by `riskpipe-catmodel::stage1io`).
+    /// The leading frame of an encoded stage-1 output, catalogue and
+    /// exposures included (payload layout owned by
+    /// `riskpipe-catmodel::stage1io`).
     Stage1 = 7,
     /// A per-run manifest enumerating the slots a sweep persisted
     /// ([`RunManifest`]). Written last, so its presence certifies the
@@ -87,6 +89,9 @@ pub enum TableKind {
     /// ([`QuantileGrid`]), carried at the tail of a stage-1 disk-tier
     /// entry and adopted by `riskpipe-aggregate::secondary`.
     QuantileGrid = 9,
+    /// The leading frame of a stage-1 disk-tier entry ([`TierHeader`]):
+    /// the key and the shape of the frames that follow it.
+    TierHeader = 10,
 }
 
 impl TableKind {
@@ -101,6 +106,7 @@ impl TableKind {
             7 => Ok(TableKind::Stage1),
             8 => Ok(TableKind::RunManifest),
             9 => Ok(TableKind::QuantileGrid),
+            10 => Ok(TableKind::TierHeader),
             _ => Err(RiskError::corrupt(format!("unknown table kind {v}"))),
         }
     }
@@ -600,6 +606,39 @@ impl Framed for RunManifest {
     }
 }
 
+/// The leading frame of a stage-1 disk-tier entry: the cache key the
+/// entry was written for, its book count (the ELT frames that follow,
+/// one per book) and the trial count of the YET frame after them. The
+/// entry's reader checks each against what follows; decoding checks
+/// nothing.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct TierHeader {
+    /// The `ScenarioConfig::stage1_key` the entry was written for.
+    pub key: u64,
+    /// ELT frames that follow, one per book.
+    pub books: u64,
+    /// Trials of the YET frame after the ELTs.
+    pub trials: u64,
+}
+
+impl Framed for TierHeader {
+    const KIND: TableKind = TableKind::TierHeader;
+
+    fn put(&self, w: &mut FrameWriter<'_>) {
+        w.put(self.key);
+        w.put(self.books);
+        w.put(self.trials);
+    }
+
+    fn get(r: &mut FrameReader<'_>) -> RiskResult<Self> {
+        Ok(Self {
+            key: r.get("tier.key")?,
+            books: r.get("tier.books")?,
+            trials: r.get("tier.trials")?,
+        })
+    }
+}
+
 /// One book's inverted secondary-uncertainty quantile grid as a
 /// stage-1 disk-tier entry carries it: `rows × g` cells, row-major.
 /// `rows` is framed beside the cell column so a decoder can tell a
@@ -882,6 +921,24 @@ mod tests {
     }
 
     #[test]
+    fn tier_header_round_trip() {
+        let header = TierHeader {
+            key: 0x5EED,
+            books: 4,
+            trials: 2_000,
+        };
+        let bytes = encode(&header);
+        assert_eq!(bytes.len(), HEADER_BYTES + 24);
+        assert_eq!(decode::<TierHeader>(&bytes).unwrap(), header);
+        // A run manifest is not a tier header, and neither is a header
+        // with a byte after its last field.
+        assert!(decode::<TierHeader>(&encode(&RunManifest { run: 1, slots: 2 })).is_err());
+        let mut long = bytes[HEADER_BYTES..].to_vec();
+        long.push(0);
+        assert!(decode::<TierHeader>(&frame(TableKind::TierHeader, &long)).is_err());
+    }
+
+    #[test]
     fn huge_len_header_is_corrupt_not_panic() {
         let mut bytes = encode(&sample_elt());
         // Overwrite the len field (bytes 8..16) with u64::MAX.
@@ -1091,6 +1148,7 @@ mod proptests {
             trials in prop::collection::vec(prop::collection::vec(0u32..64, 0..4), 1..6),
             g in 1usize..4,
             manifest in (any::<u64>(), any::<u64>()),
+            key in any::<u64>(),
             bit in 0u8..8,
         ) {
             let flip = 1u8 << bit;
@@ -1129,6 +1187,8 @@ mod proptests {
             damage_is_detected(&chunk, flip)?;
             damage_is_detected(&QuantileGrid { rows: cells.len() / g, g, cells }, flip)?;
             damage_is_detected(&RunManifest { run: manifest.0, slots: manifest.1 }, flip)?;
+            let header = TierHeader { key, books: rows.len() as u64, trials: trials.len() as u64 };
+            damage_is_detected(&header, flip)?;
         }
     }
 }

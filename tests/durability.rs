@@ -516,8 +516,8 @@ fn damage_in_any_frame_of_a_tier_entry_heals_with_exactly_one_rebuild() {
         .find(|p| p.extension().is_some_and(|x| x == "rps"))
         .expect("tier holds entries");
     let intact = fs::read(&entry).unwrap();
-    // Entry = stage-1 frame, one ELT frame per book, the YET frame,
-    // one grid frame per book.
+    // Entry = header frame, one ELT frame per book, the YET frame, one
+    // grid frame per book.
     let mut starts = vec![0usize];
     while *starts.last().unwrap() < intact.len() {
         let at = *starts.last().unwrap();
@@ -532,7 +532,7 @@ fn damage_in_any_frame_of_a_tier_entry_heals_with_exactly_one_rebuild() {
         bytes
     };
     let damaged: [(&str, Vec<u8>); 7] = [
-        ("bit flip in the stage-1 frame", flip(mid(0))),
+        ("bit flip in the header frame", flip(mid(0))),
         ("bit flip in an ELT frame", flip(mid(2))),
         ("bit flip in the YET frame", flip(mid(1 + books))),
         ("bit flip in the first grid frame", flip(mid(2 + books))),
@@ -564,6 +564,59 @@ fn damage_in_any_frame_of_a_tier_entry_heals_with_exactly_one_rebuild() {
     assert_eq!((stats.builds, stats.disk_hits), (0, n_keys));
     assert_eq!((stats.disk_writes, inversions), (0, 0));
     assert_eq!(after, reference);
+    fs::remove_dir_all(&tier).ok();
+}
+
+#[test]
+fn an_entry_in_the_older_layout_heals_like_a_corrupt_one() {
+    use riskpipe::aggregate::{QuantileMode, SecondaryTable};
+    use riskpipe::catmodel::stage1io::encode_stage1;
+    let tier = temp("oldlayout");
+    let (mut scenarios, _) = grid(0xD7);
+    scenarios.truncate(3);
+    let sweep = || {
+        let session = RiskSession::builder()
+            .pool_threads(2)
+            .stage1_disk_cache(&tier)
+            .build()
+            .unwrap();
+        let outcome = session.sweep(&scenarios).summary().drive().unwrap();
+        (
+            summary_bits(outcome.summary().unwrap()),
+            session.stage1_cache_stats(),
+        )
+    };
+    let (reference, cold) = sweep();
+    assert_eq!((cold.builds, cold.disk_writes), (3, 3));
+
+    // Plant, for the first key, the entry the tier wrote before it
+    // dropped the exposures: the whole encoded stage-1 output, then
+    // each book's grid at the default size.
+    let key = scenarios[0].stage1_key();
+    let path = DiskStage1Cache::new(&tier).unwrap().path_for(key);
+    let clean = fs::read(&path).unwrap();
+    let pool = riskpipe::exec::ThreadPool::new(2);
+    let output = scenarios[0].build_stage1_output_on(&pool).unwrap();
+    let mut old = encode_stage1(key, &output);
+    for book in &output.books {
+        SecondaryTable::build_on(&book.elt, QuantileMode::default(), &pool)
+            .encode_grid_into(&mut old);
+    }
+    assert!(old.len() > clean.len());
+    fs::write(&path, &old).unwrap();
+
+    let (healed, stats) = sweep();
+    assert_eq!(
+        (stats.builds, stats.disk_writes, stats.disk_hits),
+        (1, 1, 2),
+        "only the old entry's key rebuilds, and its entry is rewritten"
+    );
+    assert_eq!(
+        fs::read(&path).unwrap(),
+        clean,
+        "the rewrite is a clean build's entry"
+    );
+    assert_eq!(healed, reference, "healing changed the answer");
     fs::remove_dir_all(&tier).ok();
 }
 

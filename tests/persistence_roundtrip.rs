@@ -198,6 +198,7 @@ const BYTE_PINS: &[(&str, usize, u32)] = &[
     ("stage1", 60884, 0x8e1a6c2b),
     ("run_manifest", 36, 0x39ba46be),
     ("quantile_grid", 92, 0x3c6a5954),
+    ("tier_header", 44, 0x0109c2d0),
     ("tier_entry", 61140, 0xc6f654f6),
     ("spill/MANIFEST.txt", 59, 0xa9f76b4a),
     ("spill/shard-0000.rpt", 72, 0x8771e09a),
@@ -278,7 +279,7 @@ fn pinned_stage1() -> (
 #[test]
 fn every_frame_kind_is_byte_pinned() {
     use riskpipe::core::{DiskStage1Cache, RiskSession, ShardedFilesStore};
-    use riskpipe::tables::codec::{QuantileGrid, RunManifest};
+    use riskpipe::tables::codec::{QuantileGrid, RunManifest, TierHeader};
     use std::sync::Arc;
 
     let (elt, yet, ylt, chunk) = pinned_tables();
@@ -308,13 +309,23 @@ fn every_frame_kind_is_byte_pinned() {
                 cells: grid,
             }),
         ),
+        (
+            "tier_header".into(),
+            codec::encode(&TierHeader {
+                key: 0x5EED,
+                books: 2,
+                trials: 200,
+            }),
+        ),
     ];
 
     // A stage-1 disk-tier entry with grids, as the tier writes it.
     let dir = temp("pins");
     let _ = fs::remove_dir_all(&dir);
     let tier = DiskStage1Cache::new(dir.join("tier")).unwrap();
-    tier.store_entry(0x5EED, &output, &tables).unwrap();
+    let elts: Vec<_> = output.books.iter().map(|b| Arc::clone(&b.elt)).collect();
+    tier.store_entry(0x5EED, &output.yet, &elts, &tables)
+        .unwrap();
     encoded.push((
         "tier_entry".into(),
         fs::read(tier.path_for(0x5EED)).unwrap(),
@@ -396,7 +407,8 @@ fn framed_kind<T: Framed + 'static>(
 fn a_trailing_byte_after_any_frame_kind_is_corrupt() {
     use riskpipe::catmodel::stage1io::{decode_stage1, encode_stage1};
     use riskpipe::core::DiskStage1Cache;
-    use riskpipe::tables::codec::{QuantileGrid, RunManifest};
+    use riskpipe::tables::codec::{QuantileGrid, RunManifest, TierHeader};
+    use std::sync::Arc;
 
     let (elt, yet, ylt, chunk) = pinned_tables();
     let yelt = Yelt::from_yet_elt(&yet, &elt);
@@ -405,10 +417,20 @@ fn a_trailing_byte_after_any_frame_kind_is_corrupt() {
         g: 2,
         cells: vec![0.25, 0.5, 0.5, 0.75],
     };
-    let (output, _) = pinned_stage1();
+    let (output, tables) = pinned_stage1();
     let dir = temp("trailing");
     let _ = fs::remove_dir_all(&dir);
     let tier = DiskStage1Cache::new(&dir).unwrap();
+    let elts: Vec<_> = output.books.iter().map(|b| Arc::clone(&b.elt)).collect();
+    tier.store_entry(1, &output.yet, &elts, &tables).unwrap();
+    let entry = fs::read(tier.path_for(1)).unwrap();
+    // A tier entry decodes only as a file of the tier.
+    let tier_load = |tier: DiskStage1Cache| -> Check {
+        Box::new(move |bytes| {
+            fs::write(tier.path_for(1), bytes).unwrap();
+            tier.load(1).map(drop)
+        })
+    };
 
     let cases: Vec<(&str, Vec<u8>, Check, Check)> = vec![
         framed_kind("elt", &elt),
@@ -418,14 +440,31 @@ fn a_trailing_byte_after_any_frame_kind_is_corrupt() {
         framed_kind("yellt_chunk", &chunk),
         framed_kind("quantile_grid", &grid),
         framed_kind("run_manifest", &RunManifest { run: 3, slots: 4 }),
+        framed_kind(
+            "tier_header",
+            &TierHeader {
+                key: 1,
+                books: 2,
+                trials: 200,
+            },
+        ),
+        // The whole stage-1 output is no tier entry: its file load is
+        // `stage1io`'s own decode.
         (
             "stage1",
             encode_stage1(1, &output),
             Box::new(|bytes| decode_stage1(bytes).map(drop)),
-            Box::new(move |bytes| {
-                fs::write(tier.path_for(1), bytes).unwrap();
-                tier.load_entry(1).map(drop)
+            Box::new(|bytes| {
+                load_file(bytes, "stage1", |p| {
+                    decode_stage1(&fs::read(p).unwrap()).map(drop)
+                })
             }),
+        ),
+        (
+            "tier_entry",
+            entry,
+            tier_load(tier.clone()),
+            tier_load(tier),
         ),
     ];
     for (name, bytes, decode, load) in cases {

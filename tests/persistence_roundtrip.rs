@@ -199,7 +199,7 @@ const BYTE_PINS: &[(&str, usize, u32)] = &[
     ("run_manifest", 36, 0x39ba46be),
     ("quantile_grid", 92, 0x3c6a5954),
     ("tier_header", 44, 0x0109c2d0),
-    ("tier_entry", 61140, 0xc6f654f6),
+    ("tier_entry", 59270, 0xb8b99847),
     ("spill/MANIFEST.txt", 59, 0xa9f76b4a),
     ("spill/shard-0000.rpt", 72, 0x8771e09a),
     ("spill/shard-0001.rpt", 72, 0x392fe211),

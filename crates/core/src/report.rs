@@ -115,7 +115,7 @@ pub fn money(v: f64) -> String {
 }
 
 /// An online accumulator over a streaming sweep's reports: folds each
-/// [`PipelineReport`](crate::PipelineReport) into headline aggregates
+/// [`PipelineReport`] into headline aggregates
 /// *and* into mergeable streaming sketches of the pooled loss
 /// distributions, then lets the report drop — the sink-side half of
 /// the O(pool-width)-memory contract of

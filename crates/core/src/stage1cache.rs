@@ -80,9 +80,9 @@ pub struct Stage1CacheStats {
 /// pure function of the key's seed and trial count and the session's
 /// fixed company. The catalogue and the books' exposures are not kept:
 /// nothing after stage 1 reads them, so a build drops them as soon as
-/// stage 1 returns (and the disk tier never stores them). Built once per key by
-/// [`Stage1Cache::build_model_run`], `Arc`-shared with every scenario
-/// of the key.
+/// stage 1 returns, and the disk tier never stores them. Built once per
+/// key by [`Stage1Cache::build_model_run`], `Arc`-shared with every
+/// scenario of the key.
 pub(crate) struct ModelRun {
     /// The pre-simulated YET every scenario of the key scans.
     pub(crate) yet: Arc<YearEventTable>,

@@ -51,12 +51,16 @@ pub fn band_of_return_period(rp: f64) -> u32 {
 }
 
 /// Quantise an attachment factor into a coarse pricing band (steps of
-/// 0.25, capped at band 15). Non-positive and non-finite factors land
-/// in band 0.
+/// 0.25, capped at band 15). A factor of +∞ lands in band 15: a layer
+/// attached at infinity sits above every finite attachment, so it
+/// belongs with the dearest layers, not the cheapest. Non-positive
+/// factors (−∞ included) land in band 0, and so does NaN, which
+/// `LayerTerms::validate` rejects before any report reaches a band.
 pub fn attachment_band(factor: f64) -> u32 {
-    if !factor.is_finite() || factor <= 0.0 {
+    if factor.is_nan() || factor <= 0.0 {
         return 0;
     }
+    // `as` saturates: +∞ / 0.25 becomes `u32::MAX`, capped to 15.
     ((factor / 0.25) as u32).min(15)
 }
 
@@ -252,7 +256,9 @@ mod tests {
         assert_eq!(attachment_band(0.5), 2);
         assert_eq!(attachment_band(-1.0), 0);
         assert_eq!(attachment_band(f64::NAN), 0);
+        assert_eq!(attachment_band(f64::NEG_INFINITY), 0);
         assert_eq!(attachment_band(1e9), 15);
+        assert_eq!(attachment_band(f64::INFINITY), 15);
     }
 
     #[test]

@@ -45,10 +45,20 @@
 //! its pair's values with the very calls the one-pair chain makes, and
 //! only the hand-off to the accumulator — which is in order — adds.
 //!
-//! The generator parallelises over (book, event) pairs — each is
-//! independent — in one pool scope for all books of a model run, and
-//! assembles the per-event rows into the columnar ELTs at the end:
-//! exactly the paper's stream-then-aggregate shape.
+//! **Book by book.** [`generate_elts`] is the one driver: it takes the
+//! books' exposures from a lazy source, one at a time, and for each
+//! builds the book's model (and its location index), generates its ELT
+//! in one pool scope over the book's events — each event's row is
+//! independent — and assembles the rows into the columnar ELT: exactly
+//! the paper's stream-then-aggregate shape. Only then does it hand the
+//! exposure to the caller's sink, and only then does it ask for the next
+//! one. So at most one book's exposure and index are alive at a time
+//! unless the sink keeps them: the exposures are a stage's few very
+//! large tables (48 B per location; ≈ 480 MB for the paper's 10 000
+//! contracts × 1 000 locations), while an ELT is a row per damaging
+//! event. A session keeps none ([`Stage1Output::build`] keeps them
+//! all). Each book's ELT is a pure function of the catalogue, its
+//! exposure and [`EltGenConfig`], so the order changes no bit.
 
 use crate::catalog::{CatalogEvent, EventCatalog};
 use crate::exposure::{ExposureLocation, ExposurePortfolio};
@@ -319,47 +329,51 @@ impl<'a> GroundUpModel<'a> {
 
     /// Generate the full ELT, parallelised over events.
     pub fn generate_elt(&self, pool: &ThreadPool) -> RiskResult<Elt> {
-        let (elts, _) = generate_elts(std::slice::from_ref(self), pool)?;
-        Ok(elts.into_iter().next().expect("one ELT per model"))
+        Ok(self.generate_counted(pool)?.0)
     }
-}
 
-/// Generate one ELT per model — the books of one model run — in a
-/// single pool scope over every (book, event) pair, with the work the
-/// generation did.
-pub fn generate_elts(
-    models: &[GroundUpModel<'_>],
-    pool: &ThreadPool,
-) -> RiskResult<(Vec<Elt>, EltGenCounts)> {
-    // Event `e` of model `m` is task `ends[m - 1] + e`.
-    let ends: Vec<usize> = models
-        .iter()
-        .scan(0usize, |end, m| {
-            *end += m.catalog.len();
-            Some(*end)
-        })
-        .collect();
-    let total = ends.last().copied().unwrap_or(0);
-    let grain = suggest_grain(total, pool.thread_count(), 16);
-    let rows = par_map_collect(pool, total, grain, |task| {
-        let m = ends.partition_point(|&end| end <= task);
-        let first = if m == 0 { 0 } else { ends[m - 1] };
-        models[m].event_row(task - first)
-    });
-    let mut rows = rows.into_iter();
-    let mut counts = EltGenCounts::default();
-    let mut elts = Vec::with_capacity(models.len());
-    for model in models {
-        let events = model.catalog.len();
+    /// The full ELT, one pool scope over the catalogue's events, with
+    /// the work its generation did.
+    fn generate_counted(&self, pool: &ThreadPool) -> RiskResult<(Elt, EltGenCounts)> {
+        let events = self.catalog.len();
+        let grain = suggest_grain(events, pool.thread_count(), 16);
+        let rows = par_map_collect(pool, events, grain, |event| self.event_row(event));
+        let mut counts = EltGenCounts::default();
         let mut builder = EltBuilder::with_capacity(events);
-        for (record, row_counts) in rows.by_ref().take(events) {
+        for (record, row_counts) in rows {
             counts.pairs += row_counts.pairs;
             counts.damaging += row_counts.damaging;
             if let Some(record) = record {
                 builder.push(record)?;
             }
         }
-        elts.push(builder.build()?);
+        Ok((builder.build()?, counts))
+    }
+}
+
+/// Generate one ELT per book of `exposures`, book by book, with the
+/// work the generation did. For each book in turn: take its exposure
+/// from `exposures` (a lazy source is asked for book *b* + 1 only after
+/// book *b* is done), build its [`GroundUpModel`], generate its ELT on
+/// `pool`, drop the model and its location index, and hand the exposure
+/// to `keep` by value — which drops it, or keeps it. The first error,
+/// from the source or a book, ends the run.
+pub fn generate_elts(
+    catalog: &EventCatalog,
+    exposures: impl IntoIterator<Item = RiskResult<ExposurePortfolio>>,
+    cfg: EltGenConfig,
+    pool: &ThreadPool,
+    mut keep: impl FnMut(ExposurePortfolio),
+) -> RiskResult<(Vec<Elt>, EltGenCounts)> {
+    let mut counts = EltGenCounts::default();
+    let mut elts = Vec::new();
+    for exposure in exposures {
+        let exposure = exposure?;
+        let (elt, book) = GroundUpModel::new(catalog, &exposure, cfg).generate_counted(pool)?;
+        counts.pairs += book.pairs;
+        counts.damaging += book.damaging;
+        elts.push(elt);
+        keep(exposure);
     }
     Ok((elts, counts))
 }
@@ -387,29 +401,29 @@ pub struct Stage1Output {
 }
 
 impl Stage1Output {
-    /// Run stage 1 end-to-end: one ELT per exposure portfolio (all
-    /// generated in one pool scope) plus the YET pre-simulation.
-    /// Returns the ELT generation's work counts beside the output.
+    /// Run stage 1 end-to-end: one ELT per exposure portfolio, book by
+    /// book ([`generate_elts`], which hands each exposure back here to
+    /// be kept in its book), then the YET pre-simulation. A caller
+    /// that keeps no exposure runs [`generate_elts`] itself, so that
+    /// only one book's exposure is ever alive; this output keeps them
+    /// all. Returns the ELT generation's work counts beside the output.
     pub fn build(
         catalog: EventCatalog,
-        exposures: Vec<ExposurePortfolio>,
+        exposures: impl IntoIterator<Item = RiskResult<ExposurePortfolio>>,
         elt_cfg: EltGenConfig,
         yet_cfg: YetConfig,
         pool: &ThreadPool,
     ) -> RiskResult<(Self, EltGenCounts)> {
         let catalog = Arc::new(catalog);
-        let (elts, counts) = {
-            let models: Vec<GroundUpModel<'_>> = exposures
-                .iter()
-                .map(|exposure| GroundUpModel::new(&catalog, exposure, elt_cfg))
-                .collect();
-            generate_elts(&models, pool)?
-        };
-        let books = exposures
+        let mut kept = Vec::new();
+        let (elts, counts) = generate_elts(&catalog, exposures, elt_cfg, pool, |exposure| {
+            kept.push(Arc::new(exposure));
+        })?;
+        let books = kept
             .into_iter()
             .zip(elts)
             .map(|(exposure, elt)| Book {
-                exposure: Arc::new(exposure),
+                exposure,
                 elt: Arc::new(elt),
             })
             .collect();
@@ -667,13 +681,81 @@ mod tests {
         assert!(found);
     }
 
+    /// Every column of an ELT as raw bits.
+    fn elt_bits(elt: &Elt) -> Vec<Vec<u64>> {
+        let (ids, mean, sigma_i, sigma_c, exposure) = elt.columns();
+        let mut bits = vec![ids.iter().map(|&id| u64::from(id)).collect::<Vec<_>>()];
+        for column in [mean, sigma_i, sigma_c, exposure] {
+            bits.push(column.iter().map(|v| v.to_bits()).collect());
+        }
+        bits
+    }
+
+    /// The driver holds one book at a time. Over four books of a lazy
+    /// source, it asks for book b + 1's exposure only after it has
+    /// handed book b's exposure, by value, to the sink — a driver that
+    /// generated every exposure before the first ELT would hand book 0
+    /// over with all four asked for. Its ELTs and counts are
+    /// `Stage1Output::build`'s, bit for bit, and the sink got the very
+    /// portfolios the source made.
+    #[test]
+    fn books_run_one_at_a_time_and_match_the_kept_output() {
+        let (cat, _) = small_inputs();
+        let book = |b: usize| {
+            ExposurePortfolio::generate(&ExposureConfig {
+                locations: 150 + 37 * b,
+                seed: 40 + b as u64,
+                ..ExposureConfig::default()
+            })
+        };
+        let asked = std::cell::Cell::new(0usize);
+        let source = (0..4).map(|b| {
+            asked.set(asked.get() + 1);
+            book(b)
+        });
+        let mut handed = Vec::new();
+        let cfg = EltGenConfig::default();
+        let pool = ThreadPool::new(2);
+        let (elts, counts) = generate_elts(&cat, source, cfg, &pool, |exposure| {
+            handed.push((asked.get(), exposure));
+        })
+        .unwrap();
+        let asked_when_handed: Vec<usize> = handed.iter().map(|(n, _)| *n).collect();
+        assert_eq!(
+            asked_when_handed,
+            [1, 2, 3, 4],
+            "more than one book in flight"
+        );
+        for (b, (_, exposure)) in handed.iter().enumerate() {
+            assert_eq!(
+                exposure.locations(),
+                book(b).unwrap().locations(),
+                "book {b}"
+            );
+        }
+
+        let yet_cfg = YetConfig {
+            trials: 20,
+            seed: 3,
+        };
+        let (out, want) = Stage1Output::build(cat, (0..4).map(book), cfg, yet_cfg, &pool).unwrap();
+        assert_eq!(counts, want);
+        assert!(counts.damaging > 0);
+        assert_eq!(elts.len(), out.books.len());
+        for (b, (elt, kept)) in elts.iter().zip(&out.books).enumerate() {
+            assert!(!elt.is_empty(), "book {b}: fixture has no rows");
+            assert_eq!(elt_bits(elt), elt_bits(&kept.elt), "book {b}");
+            assert_eq!(kept.exposure.locations(), book(b).unwrap().locations());
+        }
+    }
+
     #[test]
     fn stage1_build_produces_books_and_yet() {
         let (cat, exp) = small_inputs();
         let pool = ThreadPool::new(2);
         let (out, counts) = Stage1Output::build(
             cat,
-            vec![exp],
+            [Ok(exp)],
             EltGenConfig::default(),
             YetConfig {
                 trials: 50,

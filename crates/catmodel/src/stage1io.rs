@@ -239,7 +239,7 @@ mod tests {
         .unwrap();
         Stage1Output::build(
             catalog,
-            vec![expo_a, expo_b],
+            [Ok(expo_a), Ok(expo_b)],
             EltGenConfig::default(),
             YetConfig {
                 trials: 50,

@@ -13,7 +13,7 @@
 use riskpipe_catmodel::eltgen::generate_elts;
 use riskpipe_catmodel::{
     rapid_estimate, CatalogConfig, EltGenConfig, EventCatalog, ExposureConfig, ExposurePortfolio,
-    GroundUpModel, ObservedEvent, Peril,
+    ObservedEvent, Peril,
 };
 use riskpipe_exec::ThreadPool;
 use riskpipe_tables::elt::Elt;
@@ -120,14 +120,10 @@ fn generated_portfolios_are_pinned() {
 
 #[test]
 fn elts_and_counts_are_pinned() {
-    let books = portfolios();
     let cat = catalog();
-    let models: Vec<_> = books
-        .iter()
-        .map(|b| GroundUpModel::new(&cat, b, EltGenConfig::default()))
-        .collect();
     let pool = ThreadPool::new(2);
-    let (elts, counts) = generate_elts(&models, &pool).unwrap();
+    let books = portfolios().map(Ok);
+    let (elts, counts) = generate_elts(&cat, books, EltGenConfig::default(), &pool, drop).unwrap();
     let got = [elt_hash(&elts[0]), elt_hash(&elts[1])];
     assert_eq!(
         (elts[0].len(), elts[1].len(), counts.pairs, counts.damaging),

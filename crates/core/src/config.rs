@@ -1,9 +1,10 @@
 //! Scenario configuration: one knob set sizing the whole pipeline.
 
 use riskpipe_aggregate::{LayerTerms, Portfolio};
+use riskpipe_catmodel::eltgen::generate_elts;
 use riskpipe_catmodel::{
-    CatalogConfig, EltGenConfig, EltGenCounts, EventCatalog, ExposureConfig, ExposurePortfolio,
-    Stage1Output, YetConfig,
+    simulate_yet, CatalogConfig, EltGenConfig, EltGenCounts, EventCatalog, ExposureConfig,
+    ExposurePortfolio, Stage1Output, YetConfig,
 };
 use riskpipe_exec::ThreadPool;
 use riskpipe_tables::{Elt, YearEventTable};
@@ -145,32 +146,47 @@ impl ScenarioConfig {
         fp.finish()
     }
 
+    /// Stage 1's inputs: the catalogue, and each contract's exposure
+    /// in book order, generated only when the iterator reaches it.
+    fn stage1_inputs(
+        &self,
+    ) -> RiskResult<(
+        EventCatalog,
+        impl Iterator<Item = RiskResult<ExposurePortfolio>> + '_,
+    )> {
+        self.validate()?;
+        let catalog = EventCatalog::generate(&self.catalog_config())?;
+        let exposures =
+            (0..self.contracts).map(|c| ExposurePortfolio::generate(&self.exposure_config(c)));
+        Ok((catalog, exposures))
+    }
+
     /// Run the cacheable part of stage 1: generate the catalogue, one
     /// exposure portfolio and ELT per contract, and the YET. Everything
     /// here is a pure function of [`ScenarioConfig::stage1_key`].
     pub fn build_stage1_output_on(&self, pool: &ThreadPool) -> RiskResult<Stage1Output> {
-        Ok(self.build_stage1_counted_on(pool)?.0)
+        let (catalog, exposures) = self.stage1_inputs()?;
+        let cfg = EltGenConfig::default();
+        let (output, _) = Stage1Output::build(catalog, exposures, cfg, self.yet_config(), pool)?;
+        Ok(output)
     }
 
-    /// [`ScenarioConfig::build_stage1_output_on`] together with the
-    /// work counts of its ELT generation — what the session feeds the
-    /// `stage1.elt_pairs` / `stage1.elt_damaging` counters from.
-    pub fn build_stage1_counted_on(
+    /// What a session keeps of the same stage 1: each book's ELT, in
+    /// book order, and the YET — the same bits as
+    /// [`ScenarioConfig::build_stage1_output_on`]'s — with the work
+    /// counts of the ELT generation (the `stage1.elt_pairs` /
+    /// `stage1.elt_damaging` counters). The books run one at a time and
+    /// each exposure drops as soon as its ELT exists, so one book's
+    /// exposure and location index are the most this holds at once.
+    pub(crate) fn build_elts_and_yet_on(
         &self,
         pool: &ThreadPool,
-    ) -> RiskResult<(Stage1Output, EltGenCounts)> {
-        self.validate()?;
-        let catalog = EventCatalog::generate(&self.catalog_config())?;
-        let exposures: Vec<ExposurePortfolio> = (0..self.contracts)
-            .map(|c| ExposurePortfolio::generate(&self.exposure_config(c)))
-            .collect::<RiskResult<_>>()?;
-        Stage1Output::build(
-            catalog,
-            exposures,
-            EltGenConfig::default(),
-            self.yet_config(),
-            pool,
-        )
+    ) -> RiskResult<(Vec<Elt>, YearEventTable, EltGenCounts)> {
+        let (catalog, exposures) = self.stage1_inputs()?;
+        let cfg = EltGenConfig::default();
+        let (elts, counts) = generate_elts(&catalog, exposures, cfg, pool, drop)?;
+        let yet = simulate_yet(&catalog, &self.yet_config(), pool)?;
+        Ok((elts, yet, counts))
     }
 
     /// Run stage 1 for this scenario: the model run

@@ -15,7 +15,7 @@
 use crate::config::ScenarioConfig;
 use crate::stage1disk::{DiskStage1Cache, TierEntry};
 use riskpipe_aggregate::{build_secondary, AggregateOptions, EventJoin, SecondaryTable};
-use riskpipe_catmodel::{EltGenCounts, Stage1Output};
+use riskpipe_catmodel::EltGenCounts;
 use riskpipe_dfa::{DfaEngine, DfaFactors};
 use riskpipe_exec::lockwitness::Mutex;
 use riskpipe_exec::{par_chunks_mut, par_reduce, suggest_grain, ThreadPool};
@@ -286,7 +286,7 @@ impl Stage1Cache {
                     pool,
                 ));
             });
-            self.load_or_build(key, || scenario.build_stage1_counted_on(pool))
+            self.load_or_build(key, || scenario.build_elts_and_yet_on(pool))
                 .and_then(|acquired| self.derive_model_run(key, acquired, options, pool))
         });
         let (yet, elts, join, yelt_rows) = chain?;
@@ -310,13 +310,16 @@ impl Stage1Cache {
 
     /// RAM missed: a complete disk entry serves `key` without a build
     /// (bit-identical — stage 1 is a pure function of the key, and the
-    /// codec round trip is exact); otherwise build it, keeping the YET
-    /// and the ELTs and dropping the catalogue and the exposures here,
-    /// before anything is derived.
+    /// codec round trip is exact); otherwise build it. The session's
+    /// `build` ([`ScenarioConfig::build_elts_and_yet_on`]) runs the
+    /// books one at a time and returns only the ELTs and the YET: each
+    /// book's exposure and location index drop as soon as its ELT
+    /// exists, and the catalogue when stage 1 returns, so a cold key
+    /// never holds more than one book's exposure, and a disk hit none.
     fn load_or_build(
         &self,
         key: u64,
-        build: impl FnOnce() -> RiskResult<(Stage1Output, EltGenCounts)>,
+        build: impl FnOnce() -> RiskResult<(Vec<Elt>, YearEventTable, EltGenCounts)>,
     ) -> RiskResult<Acquired> {
         if let Some(entry) = self.disk_load(key)? {
             return Ok(Acquired {
@@ -324,10 +327,10 @@ impl Stage1Cache {
                 on_disk: true,
             });
         }
-        let Stage1Output { books, yet, .. } = self.timed_build(key, build)?;
+        let (elts, yet) = self.timed_build(key, build)?;
         let entry = TierEntry {
-            yet,
-            elts: books.into_iter().map(|book| book.elt).collect(),
+            yet: Arc::new(yet),
+            elts: elts.into_iter().map(Arc::new).collect(),
             grids: Vec::new(),
         };
         Ok(Acquired {
@@ -451,15 +454,15 @@ impl Stage1Cache {
     fn timed_build(
         &self,
         key: u64,
-        build: impl FnOnce() -> RiskResult<(Stage1Output, EltGenCounts)>,
-    ) -> RiskResult<Stage1Output> {
+        build: impl FnOnce() -> RiskResult<(Vec<Elt>, YearEventTable, EltGenCounts)>,
+    ) -> RiskResult<(Vec<Elt>, YearEventTable)> {
         let _build_span = riskpipe_obs::span_key("stage1.build", key);
-        let (output, elt) = build()?;
+        let (elts, yet, elt) = build()?;
         self.builds.fetch_add(1, Ordering::Relaxed);
         riskpipe_obs::counter_add("stage1.builds", 1);
         riskpipe_obs::counter_add("stage1.elt_pairs", elt.pairs);
         riskpipe_obs::counter_add("stage1.elt_damaging", elt.damaging);
-        Ok(output)
+        Ok((elts, yet))
     }
 
     pub(crate) fn stats(&self) -> Stage1CacheStats {

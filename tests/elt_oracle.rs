@@ -132,7 +132,8 @@ fn assert_matches_oracle(
     let mut pairs_seen = None;
     for threads in [1usize, 2, 8] {
         let pool = ThreadPool::new(threads);
-        let (elts, counts) = generate_elts(std::slice::from_ref(&model), &pool).unwrap();
+        let book = [Ok(exposure.clone())];
+        let (elts, counts) = generate_elts(catalog, book, cfg, &pool, drop).unwrap();
         let got_rows: Vec<_> = elts[0].iter().map(|r| record_bits(&r)).collect();
         assert_eq!(
             got_rows, want_rows,

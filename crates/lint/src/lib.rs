@@ -194,8 +194,8 @@ impl RuleId {
                  (definitions, call sites, `use` aliases, closures attached to\n\
                  their spawning expression); pass 2 runs reachability from the\n\
                  pool-task roots — `Scope::spawn` closures, `par_*` helper\n\
-                 closures, and the worker-executed fns `accept`/`accept_shared`/\n\
-                 `build_stage1_output_on` — to Mutex `lock`, RwLock `read`/`write`,\n\
+                 closures, and the worker-executed fns `accept` and\n\
+                 `accept_shared` — to Mutex `lock`, RwLock `read`/`write`,\n\
                  condvar `wait*`, channel `recv*`, argless `join`, `thread::park`,\n\
                  and nested `.scope(..)` sites. Every finding prints the full call\n\
                  chain root → … → blocking site. Linking is name-based and\n\
@@ -426,7 +426,6 @@ impl Default for Config {
             root_fns: vec![
                 "accept".to_string(),
                 "accept_shared".to_string(),
-                "build_stage1_output_on".to_string(),
             ],
             lock_leaf_crates: vec!["crates/obs/".to_string()],
         }

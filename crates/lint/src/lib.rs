@@ -423,10 +423,7 @@ impl Default for Config {
                 "fixtures".to_string(),
                 ".git".to_string(),
             ],
-            root_fns: vec![
-                "accept".to_string(),
-                "accept_shared".to_string(),
-            ],
+            root_fns: vec!["accept".to_string(), "accept_shared".to_string()],
             lock_leaf_crates: vec!["crates/obs/".to_string()],
         }
     }

@@ -45,7 +45,7 @@
 //! its pair's values with the very calls the one-pair chain makes, and
 //! only the hand-off to the accumulator — which is in order — adds.
 //!
-//! **Book by book.** [`generate_elts`] is the one driver: it takes the
+//! **Book by book.** [`generate_elts`] is the one ELT loop: it takes the
 //! books' exposures from a lazy source, one at a time, and for each
 //! builds the book's model (and its location index), generates its ELT
 //! in one pool scope over the book's events — each event's row is
@@ -691,9 +691,9 @@ mod tests {
         bits
     }
 
-    /// The driver holds one book at a time. Over four books of a lazy
+    /// The loop holds one book at a time. Over four books of a lazy
     /// source, it asks for book b + 1's exposure only after it has
-    /// handed book b's exposure, by value, to the sink — a driver that
+    /// handed book b's exposure, by value, to the sink — a loop that
     /// generated every exposure before the first ELT would hand book 0
     /// over with all four asked for. Its ELTs and counts are
     /// `Stage1Output::build`'s, bit for bit, and the sink got the very

@@ -4,20 +4,26 @@
 //! [`WarehouseSink`](crate::WarehouseSink) accumulated, plus any
 //! coarser views materialised from it. View selection runs the HRU
 //! greedy algorithm under a **byte** budget
-//! ([`Drilldown::materialize_budget`]): every lattice node is rolled
-//! up once to measure its exact footprint (sketch bytes included —
-//! cell counts alone would misprice sketch-heavy views), then
-//! [`greedy_select_budget`] picks by benefit-per-byte until the budget
-//! is spent.
+//! ([`Drilldown::materialize_budget`]): each lattice node is rolled up
+//! from the base to measure its exact footprint (sketch bytes included
+//! — cell counts alone would misprice sketch-heavy views) and dropped
+//! as soon as it is measured, then [`greedy_select_budget`] picks by
+//! benefit-per-byte until the budget is spent, and only the picks are
+//! rolled up again to be kept. Sizing holds one rollup per worker, not
+//! the lattice.
 //!
-//! The rollups that size the lattice run as tasks on the pool the
-//! warehouse was built with: the session's pool when a session built
-//! it ([`AnalyticsHandle::rebuild_from_store`](crate::AnalyticsHandle::rebuild_from_store),
+//! Every view, budgeted or [`Drilldown::materialize`]d one at a time,
+//! is rolled up from the base and never from another view, so a view's
+//! cells are the same bits whichever views came before it.
+//!
+//! The rollups run as tasks on the pool the warehouse was built with:
+//! the session's pool when a session built it
+//! ([`AnalyticsHandle::rebuild_from_store`](crate::AnalyticsHandle::rebuild_from_store),
 //! a sweep plan's `.warehouse(layout)`), [`riskpipe_exec::global_pool`]
-//! when a bare [`WarehouseSink`](crate::WarehouseSink) did. Each node's
-//! rollup is a pure function of the base cuboid, and the sizes are
-//! collected in `enumerate` order, so the picks are the same on any
-//! pool. Everything else here runs on the calling thread.
+//! when a bare [`WarehouseSink`](crate::WarehouseSink) did. Each
+//! node's rollup is a pure function of the base cuboid, and the sizes
+//! are collected in `enumerate` order, so the picks are the same on
+//! any pool. Everything else here runs on the calling thread.
 //!
 //! Queries ([`Drilldown::answer`]) are planned by the plain
 //! warehouse's own rule ([`SketchCuboid::smallest_covering`]): the
@@ -109,15 +115,16 @@ impl Drilldown {
         SketchCuboid::smallest_covering(retained, select).unwrap_or(&self.base)
     }
 
-    /// Materialise one view, derived from the smallest retained finer
-    /// cuboid (cell cost, not ingest cost).
+    /// Materialise one view, rolled up from the base. Every view comes
+    /// from the base, never from a coarser retained view: a sketch cell
+    /// rolled up from an already-compacted view is not the cell rolled
+    /// up from the base, so a view's bits would depend on which views
+    /// were materialised before it.
     pub fn materialize(&mut self, select: LevelSelect) -> RiskResult<()> {
         if select == self.base.select() || self.views.contains_key(&select) {
             return Ok(());
         }
-        let view = self
-            .source_for(select)
-            .rollup(self.layout.schema(), select)?;
+        let view = self.base.rollup(self.layout.schema(), select)?;
         self.views.insert(select, view);
         Ok(())
     }
@@ -126,46 +133,49 @@ impl Drilldown {
     /// (HRU benefit-per-byte; the base cuboid is always kept and costs
     /// nothing against the budget). Replaces the current view set.
     /// Sizes are **measured**, not estimated: every lattice node is
-    /// rolled up once — the lattice here is dozens of nodes over
+    /// rolled up from the base once and its footprint recorded, and the
+    /// cuboid is dropped before the task rolls up its next node, so
+    /// sizing holds at most one rollup per thread running its tasks
+    /// (the pool's workers and the caller, which helps while it
+    /// waits), never the lattice. The lattice here is dozens of nodes over
     /// already-aggregated cells, so measuring costs less than one
-    /// mispriced materialisation would. The rollups run as tasks of a
-    /// few nodes each on the warehouse's pool (see the module docs);
-    /// their sizes reach the picker in `enumerate` order, and the first
+    /// mispriced materialisation would. The picks are then rolled up
+    /// from the base again, also on the pool (see the module docs).
+    /// Sizes reach the picker in `enumerate` order, and the first
     /// failing node in that order is the error.
     pub fn materialize_budget(&mut self, budget_bytes: u64) -> RiskResult<ViewSelection> {
         let _span = riskpipe_obs::span("warehouse.materialize");
         let schema = self.layout.schema();
-        let selects = enumerate(schema);
         let base = &self.base;
         let pool = self.pool();
-        let grain = suggest_grain(selects.len(), pool.thread_count(), 1);
-        let rolled = par_map_collect(pool, selects.len(), grain, |i| {
+        let selects = enumerate(schema);
+        let grain = |len| suggest_grain(len, pool.thread_count(), 1);
+        let sized = par_map_collect(pool, selects.len(), grain(selects.len()), |i| {
             let select = selects[i];
-            (select != base.select())
-                .then(|| base.rollup(schema, select))
-                .transpose()
+            let bytes = if select == base.select() {
+                base.memory_bytes()
+            } else {
+                base.rollup(schema, select)?.memory_bytes()
+            };
+            Ok((select, bytes as u64))
         });
-        let mut measured: BTreeMap<LevelSelect, SketchCuboid> = BTreeMap::new();
-        let mut sizes: Vec<(LevelSelect, u64)> = Vec::with_capacity(selects.len());
-        for (select, cuboid) in selects.into_iter().zip(rolled) {
-            match cuboid? {
-                Some(cuboid) => {
-                    sizes.push((select, cuboid.memory_bytes() as u64));
-                    measured.insert(select, cuboid);
-                }
-                None => sizes.push((select, self.base.memory_bytes() as u64)),
-            }
-        }
+        let sizes: Vec<(LevelSelect, u64)> = sized.into_iter().collect::<RiskResult<_>>()?;
         let selection = greedy_select_budget(&sizes, budget_bytes);
-        // The base select sits in `sizes` (so the picker sees it) but
-        // never in `measured` — it is always retained as `self.base`,
-        // not as a view. `filter_map` drops it here instead of
-        // panicking if the picker ever returns it.
-        self.views = selection
-            .picked
+        let picked = &selection.picked;
+        let built = par_map_collect(pool, picked.len(), grain(picked.len()), |i| {
+            base.rollup(schema, picked[i])
+        });
+        let views = picked
             .iter()
-            .filter_map(|sel| measured.remove(sel).map(|cuboid| (*sel, cuboid)))
-            .collect();
+            .copied()
+            .zip(built)
+            .map(|(select, view)| Ok((select, view?)))
+            .collect::<RiskResult<_>>()?;
+        // Deterministic: every non-base node sized plus every view built
+        // (the picker never picks the base).
+        let rollups = sizes.len() - 1 + picked.len();
+        riskpipe_obs::counter_add("warehouse.materialize.rollups", rollups as u64);
+        self.views = views;
         Ok(selection)
     }
 

@@ -6,6 +6,9 @@
 //! are pinned below; re-pin via the `print_drilldown_golden` probe
 //! after an intentional numerical change.
 
+mod compacting;
+
+use compacting::{compacting_layout, compacting_ylts, ylt_of};
 use proptest::prelude::*;
 use riskpipe::analytics::{band_bounds, band_of_return_period, rp_bands, RETURN_PERIOD_BANDS};
 use riskpipe::core::ShardedFilesStore;
@@ -18,7 +21,7 @@ use riskpipe::warehouse::{
 };
 use riskpipe_mapreduce::YltFactJob;
 use riskpipe_types::stats::sort_f64;
-use riskpipe_types::{Fingerprint, LocationId, TrialId};
+use riskpipe_types::{Fingerprint, LocationId};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -272,50 +275,23 @@ fn print_drilldown_golden() {
 // sketch compacts or in how a query pools compacted cells.
 // ---------------------------------------------------------------------
 
-/// Trials per slot of the compacting fixture: the rp < 2y band alone
-/// holds half of them, ten times the default `sketch_k`.
-const COMPACTING_TRIALS: usize = 20_000;
-
-/// Slot `slot`'s loss column: heavy-tailed, with duplicate plateaus and
-/// — the higher the attachment — a growing mass of zero-loss years.
-/// Integer arithmetic plus exactly rounded `*` / `-` only, so the bits
-/// are the same on every platform.
-fn compacting_column(slot: usize, attach: u32) -> Vec<f64> {
-    (0..COMPACTING_TRIALS)
-        .map(|i| {
-            let x = ((i * 104_729 + slot * 7_919) % 99_991) as f64;
-            let ground_up = (x * x * x * 1e-6).floor() * (1.0 + slot as f64);
-            (ground_up - 2.0e7 * attach as f64).max(0.0)
-        })
-        .collect()
+/// The compacting fixture with no view materialised yet. No pipeline
+/// run behind it: the pins move only with the sketch, the cuboid
+/// algebra or view selection.
+fn compacting_base() -> Drilldown {
+    let layout = compacting_layout();
+    let ylts = compacting_ylts(&layout);
+    let mut sink = WarehouseSink::new(layout).unwrap();
+    for (slot, ylt) in ylts.iter().enumerate() {
+        sink.ingest(slot, ylt).unwrap();
+    }
+    sink.finish().unwrap()
 }
 
-/// riskbench's `rebuild_query` grid in miniature: 2 regions × 2 perils
-/// × 3 attachment points, one 20 000-trial column each, at the default
-/// `sketch_k`, with views picked under riskbench's budget (70 % of the
-/// base). No pipeline run behind it: the pins move only with the
-/// sketch, the cuboid algebra or view selection.
+/// [`compacting_base`] with views picked under riskbench's budget
+/// (70 % of the base).
 fn compacting_warehouse() -> (Drilldown, ViewSelection) {
-    let mut dims = Vec::new();
-    for region in 0..2u32 {
-        for peril in 0..2u32 {
-            for attachment_band in 0..3u32 {
-                dims.push(ScenarioDims {
-                    region,
-                    peril,
-                    attachment_band,
-                });
-            }
-        }
-    }
-    let layout = DrilldownLayout::new(dims.clone(), EngineKind::CpuParallel).unwrap();
-    assert_eq!(layout.sketch_k(), DrilldownLayout::DEFAULT_SKETCH_K);
-    let mut sink = WarehouseSink::new(layout).unwrap();
-    for (slot, d) in dims.iter().enumerate() {
-        let ylt = ylt_of(&compacting_column(slot, d.attachment_band));
-        sink.ingest(slot, &ylt).unwrap();
-    }
-    let mut wh = sink.finish().unwrap();
+    let mut wh = compacting_base();
     let budget = wh.base().memory_bytes() as u64 * 7 / 10;
     let selection = wh.materialize_budget(budget).unwrap();
     (wh, selection)
@@ -471,6 +447,68 @@ fn compacted_cells_through_the_four_bench_shapes_are_pinned() {
     }
 }
 
+/// Every bit of every row: codes, count, sum and max bits, and the
+/// whole sketch (its `Debug` text prints each retained value exactly).
+fn row_bits(rows: &[SketchRow<'_>]) -> Vec<([u32; 4], u64, u64, u64, String)> {
+    rows.iter()
+        .map(|r| {
+            (
+                r.codes,
+                r.cell.count,
+                r.cell.sum.to_bits(),
+                r.cell.max.to_bits(),
+                format!("{:?}", r.cell.sketch),
+            )
+        })
+        .collect()
+}
+
+/// `(first, then)` pairs where `first` is a view finer than `then` and
+/// smaller than the base, so a planner that rolled `then` up from the
+/// smallest retained covering cuboid would pool `first`'s compacted
+/// cells instead of the base's. Every `then` is one of the budget's
+/// picks.
+const VIEW_ORDER_PAIRS: [([u8; 4], [u8; 4]); 3] = [
+    ([0, 0, 2, 1], [1, 1, 2, 1]),
+    ([1, 1, 2, 0], [1, 1, 2, 1]),
+    ([0, 1, 1, 1], [1, 1, 1, 1]),
+];
+
+#[test]
+fn a_view_has_the_same_bits_whichever_views_came_before_it() {
+    let (picked, _) = compacting_warehouse();
+    let unviewed = compacting_base();
+    for (first, then) in VIEW_ORDER_PAIRS.map(|(a, b)| (LevelSelect(a), LevelSelect(b))) {
+        let query = Query::group_by(then);
+        // Served from the view at its own grain: one borrowed cell per
+        // row, so the rows are the view's cells.
+        let view_rows = |wh: &Drilldown| {
+            let (rows, cost) = wh.answer(&query).unwrap();
+            assert_eq!(cost.source, Source::Materialized(then), "{then:?}");
+            assert_eq!(cost.rows_borrowed, rows.len() as u64, "{then:?}");
+            row_bits(&rows)
+        };
+
+        let mut after = compacting_base();
+        after.materialize(first).unwrap();
+        after.materialize(then).unwrap();
+        let mut alone = compacting_base();
+        alone.materialize(then).unwrap();
+        let (served, cost) = unviewed.answer(&query).unwrap();
+        assert_eq!(cost.source, Source::Materialized(LevelSelect::BASE));
+        assert!(picked.views().contains(&then), "{then:?} is a budget pick");
+
+        let want = view_rows(&alone);
+        assert_eq!(
+            view_rows(&after),
+            want,
+            "{then:?} after {first:?} differs from {then:?} alone"
+        );
+        assert_eq!(row_bits(&served), want, "{then:?} from the base");
+        assert_eq!(view_rows(&picked), want, "{then:?} as a budget pick");
+    }
+}
+
 #[test]
 #[ignore = "probe: prints the compacted-sketch goldens to pin after an intentional numerical change"]
 fn print_compacted_golden() {
@@ -513,14 +551,6 @@ fn oracle_layout(slots: usize) -> DrilldownLayout {
         })
         .collect();
     DrilldownLayout::new(dims, EngineKind::CpuParallel).unwrap()
-}
-
-fn ylt_of(losses: &[f64]) -> Ylt {
-    let mut ylt = Ylt::zeroed(losses.len());
-    for (t, &x) in losses.iter().enumerate() {
-        ylt.set_trial(TrialId::new(t as u32), x, x / 2.0, 1);
-    }
-    ylt
 }
 
 /// The reference ingest, assembled from public APIs: band every trial

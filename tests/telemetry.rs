@@ -15,7 +15,7 @@ use riskpipe::core::{
 use riskpipe::obs::JSON_SCHEMA_VERSION;
 use riskpipe::prelude::{MetricsSnapshot, Query, RiskResult, Telemetry};
 use riskpipe::tables::Yelt;
-use riskpipe::warehouse::{LevelSelect, Source};
+use riskpipe::warehouse::{enumerate, LevelSelect, Source};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -453,55 +453,70 @@ fn span_tree_covers_every_stage_of_a_full_plan() -> RiskResult<()> {
 /// the session's handle; the slot folds are its children there, while
 /// the reads run on the pool) and `warehouse.materialize` around view
 /// sizing (recorded under whatever context the caller installed).
+/// `warehouse.materialize.rollups` counts one rollup per non-base
+/// lattice node sized and one per view built, the same on every pool.
 #[test]
 fn rebuild_and_view_sizing_record_one_span_per_call() -> RiskResult<()> {
-    let telemetry = Telemetry::new();
     let (scenarios, dims) = grid(0x0BB);
-    let dir = temp("rebuild");
-    let store = Arc::new(ShardedFilesStore::new(&dir, 2)?);
-    let session = RiskSession::builder()
-        .pool_threads(2)
-        .telemetry(telemetry.clone())
-        .build()?;
-    let layout = DrilldownLayout::new(dims, session.engine())?;
-    session
-        .sweep(&scenarios)
-        .persist_to(store.clone())
-        .drive()?;
-    telemetry.reset();
+    let mut rollups_per_call = Vec::new();
+    for threads in [1usize, 2, 8] {
+        let telemetry = Telemetry::new();
+        let dir = temp("rebuild");
+        let store = Arc::new(ShardedFilesStore::new(&dir, 2)?);
+        let session = RiskSession::builder()
+            .pool_threads(threads)
+            .telemetry(telemetry.clone())
+            .build()?;
+        let layout = DrilldownLayout::new(dims.clone(), session.engine())?;
+        session
+            .sweep(&scenarios)
+            .persist_to(store.clone())
+            .drive()?;
+        telemetry.reset();
 
-    for call in 1..=2usize {
-        let mut wh = session
-            .analytics(layout.clone())
-            .rebuild_from_store(&store, 0)?;
-        {
-            let _ctx = riskpipe::obs::install(&telemetry);
-            wh.materialize_budget(64 * 1024)?;
+        let mut rollups = 0;
+        for call in 1..=2usize {
+            let mut wh = session
+                .analytics(layout.clone())
+                .rebuild_from_store(&store, 0)?;
+            {
+                let _ctx = riskpipe::obs::install(&telemetry);
+                wh.materialize_budget(64 * 1024)?;
+            }
+            assert!(!wh.views().is_empty(), "the budget buys a view");
+            rollups = enumerate(wh.schema()).len() as u64 - 1 + wh.views().len() as u64;
+            let snap = telemetry.snapshot();
+            assert_eq!(snap.spans_named("warehouse.rebuild").count(), call);
+            assert_eq!(snap.spans_named("warehouse.materialize").count(), call);
+            assert_eq!(
+                snap.spans_named("warehouse.ingest").count(),
+                call * scenarios.len()
+            );
+            assert_eq!(
+                snap.metrics().counter("warehouse.materialize.rollups"),
+                call as u64 * rollups,
+                "{threads} threads, call {call}"
+            );
+            let rebuild = snap
+                .spans_named("warehouse.rebuild")
+                .last()
+                .expect("a rebuild span");
+            for ingest in snap.spans_named("warehouse.ingest") {
+                assert_eq!(ingest.thread, rebuild.thread);
+            }
+            let ingest = snap
+                .spans_named("warehouse.ingest")
+                .find(|s| s.start_ns >= rebuild.start_ns)
+                .expect("this call's slot folds");
+            assert_eq!(ingest.depth, rebuild.depth + 1);
+            for sizing in snap.spans_named("warehouse.materialize") {
+                assert_eq!(sizing.thread, rebuild.thread);
+            }
         }
-        let snap = telemetry.snapshot();
-        assert_eq!(snap.spans_named("warehouse.rebuild").count(), call);
-        assert_eq!(snap.spans_named("warehouse.materialize").count(), call);
-        assert_eq!(
-            snap.spans_named("warehouse.ingest").count(),
-            call * scenarios.len()
-        );
-        let rebuild = snap
-            .spans_named("warehouse.rebuild")
-            .last()
-            .expect("a rebuild span");
-        for ingest in snap.spans_named("warehouse.ingest") {
-            assert_eq!(ingest.thread, rebuild.thread);
-        }
-        let ingest = snap
-            .spans_named("warehouse.ingest")
-            .find(|s| s.start_ns >= rebuild.start_ns)
-            .expect("this call's slot folds");
-        assert_eq!(ingest.depth, rebuild.depth + 1);
-        for sizing in snap.spans_named("warehouse.materialize") {
-            assert_eq!(sizing.thread, rebuild.thread);
-        }
+        rollups_per_call.push(rollups);
+        std::fs::remove_dir_all(&dir).ok();
     }
-    std::fs::remove_dir_all(&dir).ok();
+    assert_eq!(rollups_per_call, vec![rollups_per_call[0]; 3]);
     Ok(())
 }
 

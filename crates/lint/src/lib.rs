@@ -2,10 +2,10 @@
 //!
 //! Every artifact this engine produces is contractually bit-identical
 //! across engines, thread counts, and live/rebuild paths (the pinned
-//! goldens in `tests/golden_metrics.rs`, `tests/sweep_plan.rs`,
-//! `tests/drilldown.rs`). The goldens catch a nondeterminism bug *after
-//! the fact*; this pass catches the patterns that cause them *at the
-//! diff*. It tokenizes every `.rs` file in `crates/`, `src/`,
+//! goldens in `tests/golden_metrics.rs` and `tests/drilldown.rs`, and
+//! the session oracle, `tests/oracle/mod.rs`). The goldens catch a
+//! nondeterminism bug *after the fact*; this pass catches the patterns
+//! that cause them *at the diff*. It tokenizes every `.rs` file in `crates/`, `src/`,
 //! `examples/` and `tests/` with a hand-rolled lexer (no external
 //! dependencies — the workspace builds offline) and enforces the rule
 //! catalogue [`RuleId::ALL`]:

@@ -26,8 +26,10 @@
 //!    from the sketches, never from a fact rescan;
 //! 4. **rebuild from the spill**: the same warehouse is reconstructed
 //!    from the plan's own persisted artifacts and the drill-down cells
-//!    match the live sink bit for bit (pinned in tests/sweep_plan.rs
-//!    and tests/drilldown.rs across 1/2/8 threads too).
+//!    match the live sink bit for bit (pinned in tests/drilldown.rs
+//!    across 1/2/8 threads too; the session oracle, tests/oracle/mod.rs,
+//!    checks the live base cells of every drawn `.warehouse` plan, and
+//!    the pipeline goldens are in tests/golden_metrics.rs).
 
 use riskpipe::core::money;
 use riskpipe::prelude::*;

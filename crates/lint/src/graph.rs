@@ -11,16 +11,19 @@
 //! `get`, …) keeps the noise floor workable; those names are so common
 //! that an edge through them carries no signal.
 //!
-//! Reachability is a multi-source BFS from every root node, recording
-//! parent pointers so each finding can print the *shortest* call chain
-//! root → … → blocking site. Findings are anchored at the blocking
-//! site itself: one suppression there silences every chain through it,
-//! which is exactly the audit granularity the rule wants (the site is
-//! sound or it is not — how many paths reach it is irrelevant).
+//! The linker and its deduplicated call adjacency are built once per
+//! run, and every call-graph rule walks it with one multi-source BFS,
+//! `reach_from`: C1 forward from the roots, so each finding can print
+//! the *shortest* call chain root → … → blocking site; the lock rules
+//! backward from the lock and boundary sites. C1 findings are anchored
+//! at the blocking site itself: one suppression there silences every
+//! chain through it, which is exactly the audit granularity the rule
+//! wants (the site is sound or it is not — how many paths reach it is
+//! irrelevant).
 
 use crate::summary::{BlockKind, FileSummary, FnNode, GuardSpan};
-use crate::{Config, RawFinding, RuleId, TraceFrame};
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use crate::{RawFinding, RuleId, TraceFrame, LOCK_LEAF_CRATE};
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Method/function names too generic to carry call-graph signal. An
 /// edge is never created *into* a definition with one of these names
@@ -118,13 +121,18 @@ fn linkable(name: &str) -> bool {
 
 /// The flattened, name-linked view of all summaries that both the C1
 /// reachability pass and the L1/L2/L3 lock-flow pass walk: node ids,
-/// the name→definition index, and alias-aware call resolution.
+/// the name→definition index, alias-aware call resolution, and the
+/// call adjacency both ways.
 struct Linker<'a> {
     summaries: &'a [FileSummary],
     /// Node id → (file index, fn index).
     nodes: Vec<(usize, usize)>,
     /// Name → definition nodes (non-test, linkable names only).
     index: BTreeMap<&'a str, Vec<usize>>,
+    /// Node id → the distinct nodes its calls link to, in call order.
+    callees: Vec<Vec<usize>>,
+    /// Node id → the distinct nodes whose calls link to it, ascending.
+    callers: Vec<Vec<usize>>,
 }
 
 impl<'a> Linker<'a> {
@@ -142,11 +150,31 @@ impl<'a> Linker<'a> {
                 index.entry(f.name.as_str()).or_default().push(id);
             }
         }
-        Linker {
+        let mut lk = Linker {
             summaries,
             nodes,
             index,
+            callees: Vec::new(),
+            callers: Vec::new(),
+        };
+        let n = lk.nodes.len();
+        let mut callees: Vec<Vec<usize>> = vec![Vec::new(); n];
+        let mut callers: Vec<Vec<usize>> = vec![Vec::new(); n];
+        for (id, out) in callees.iter_mut().enumerate() {
+            let (fi, _) = lk.nodes[id];
+            let mut seen: BTreeSet<usize> = BTreeSet::new();
+            for call in &lk.fun(id).calls {
+                for &t in lk.resolve(fi, &call.name) {
+                    if seen.insert(t) {
+                        out.push(t);
+                        callers[t].push(id);
+                    }
+                }
+            }
         }
+        lk.callees = callees;
+        lk.callers = callers;
+        lk
     }
 
     fn fun(&self, id: usize) -> &'a FnNode {
@@ -183,51 +211,72 @@ impl<'a> Linker<'a> {
     }
 }
 
-/// Run the C1 reachability check over all summaries. Returns raw
+/// Run every call-graph rule over all summaries, on one linked graph:
+/// C1 reachability, then the L1/L2/L3 lock-flow analysis. Returns raw
 /// findings grouped by file path, ready for the per-file suppression
-/// pass.
-pub fn check(summaries: &[FileSummary]) -> BTreeMap<String, Vec<RawFinding>> {
+/// pass, plus the lock-order graph for `--emit-lock-graph`.
+pub fn check(summaries: &[FileSummary]) -> (BTreeMap<String, Vec<RawFinding>>, LockGraph) {
     let lk = Linker::build(summaries);
+    let mut out: BTreeMap<String, Vec<RawFinding>> = BTreeMap::new();
+    blocking_reach(&lk, &mut out);
+    let graph = lock_flow(&lk, &mut out);
+    (out, graph)
+}
 
-    // Multi-source BFS from the roots; parent pointers give shortest
-    // chains. Node order is deterministic (files arrive sorted, fns in
-    // token order), so chains are stable across runs.
-    let mut parent: Vec<Option<usize>> = vec![None; lk.nodes.len()];
-    let mut visited = vec![false; lk.nodes.len()];
-    let mut queue: VecDeque<usize> = VecDeque::new();
-    for (id, seen) in visited.iter_mut().enumerate() {
-        if lk.fun(id).root.is_some() {
-            *seen = true;
-            queue.push_back(id);
+/// How [`reach_from`] reached a node: it is a source itself, or it was
+/// first reached from the given neighbour.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Hop {
+    Here,
+    Via(usize),
+}
+
+/// Multi-source BFS from `sources` over `adj`: each node's [`Hop`],
+/// and the reached nodes in visit order. Over the callers adjacency,
+/// `Via` names the next hop toward the nearest source; over the callees
+/// adjacency, the caller one step nearer the root. Sources come in
+/// ascending node id and the adjacency keeps call order, so every
+/// choice is deterministic and shortest-path.
+fn reach_from(sources: &[usize], adj: &[Vec<usize>]) -> (Vec<Option<Hop>>, Vec<usize>) {
+    let mut hop: Vec<Option<Hop>> = vec![None; adj.len()];
+    let mut order: Vec<usize> = Vec::new();
+    for &s in sources {
+        if hop[s].is_none() {
+            hop[s] = Some(Hop::Here);
+            order.push(s);
         }
     }
-    while let Some(id) = queue.pop_front() {
-        let (fi, _) = lk.nodes[id];
-        for call in &lk.fun(id).calls {
-            for &t in lk.resolve(fi, &call.name) {
-                if !visited[t] {
-                    visited[t] = true;
-                    parent[t] = Some(id);
-                    queue.push_back(t);
-                }
+    let mut next = 0;
+    while let Some(&v) = order.get(next) {
+        next += 1;
+        for &u in &adj[v] {
+            if hop[u].is_none() {
+                hop[u] = Some(Hop::Via(v));
+                order.push(u);
             }
         }
     }
+    (hop, order)
+}
 
-    // Every blocking site in a reached node is a finding.
-    let mut out: BTreeMap<String, Vec<RawFinding>> = BTreeMap::new();
-    for (id, &seen) in visited.iter().enumerate() {
-        if !seen {
-            continue;
-        }
+/// C1: every blocking site in a node reachable from a pool-task root,
+/// with the shortest root → … → site chain. Node order is deterministic
+/// (files arrive sorted, fns in token order), so chains are stable
+/// across runs.
+fn blocking_reach(lk: &Linker, out: &mut BTreeMap<String, Vec<RawFinding>>) {
+    let roots: Vec<usize> = (0..lk.nodes.len())
+        .filter(|&id| lk.fun(id).root.is_some())
+        .collect();
+    let (reach, _) = reach_from(&roots, &lk.callees);
+    for (id, hop) in reach.iter().enumerate() {
         let node = lk.fun(id);
-        if node.blocking.is_empty() {
+        if hop.is_none() || node.blocking.is_empty() {
             continue;
         }
         // Chain root → … → this node.
         let mut chain = vec![id];
         let mut cur = id;
-        while let Some(p) = parent[cur] {
+        while let Some(Hop::Via(p)) = reach[cur] {
             chain.push(p);
             cur = p;
         }
@@ -268,7 +317,6 @@ pub fn check(summaries: &[FileSummary]) -> BTreeMap<String, Vec<RawFinding>> {
                 });
         }
     }
-    out
 }
 
 /// One "held → acquired" edge of the workspace lock-order graph, with
@@ -282,9 +330,8 @@ pub struct LockEdge {
 
 /// The workspace lock-order graph the L1/L2/L3 pass derives. Nodes are
 /// lock identities (receiver binding names), edges record "a thread
-/// acquired `acquired` while holding `held`". Exported as DOT for
-/// humans and as the witness manifest the runtime `lockwitness`
-/// feature asserts against.
+/// acquired `acquired` while holding `held`". Exported as the witness
+/// manifest the runtime `lockwitness` feature asserts against.
 #[derive(Debug, Clone, Default)]
 pub struct LockGraph {
     /// Every lock identity seen in non-test code, sorted.
@@ -294,27 +341,6 @@ pub struct LockGraph {
 }
 
 impl LockGraph {
-    /// GraphViz DOT rendering (deterministic, one edge per line).
-    pub fn render_dot(&self) -> String {
-        let mut out = String::from("digraph lock_order {\n");
-        for l in &self.locks {
-            out.push_str(&format!("  \"{l}\";\n"));
-        }
-        for e in &self.edges {
-            let at = e
-                .chain
-                .last()
-                .map(|f| format!("{}:{}", f.path, f.line))
-                .unwrap_or_default();
-            out.push_str(&format!(
-                "  \"{}\" -> \"{}\" [label=\"{}\"];\n",
-                e.held, e.acquired, at
-            ));
-        }
-        out.push_str("}\n");
-        out
-    }
-
     /// The runtime witness manifest: the line-based format
     /// `riskpipe_exec::lockwitness` loads and asserts observed
     /// acquisition orders against (via the manifest's transitive
@@ -332,38 +358,6 @@ impl LockGraph {
         }
         out
     }
-}
-
-/// How a node reaches a lock (or an L2 boundary) through the call
-/// graph: it contains the site itself, or the next hop toward one.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum Hop {
-    Here,
-    Via(usize),
-}
-
-/// Reverse BFS from `sources`: for every node that transitively
-/// reaches a source through calls, the next hop toward it. Source
-/// order is ascending node id, so next-hop choices are deterministic
-/// and shortest-path.
-fn reach_from(sources: &[usize], radj: &[Vec<usize>], n: usize) -> Vec<Option<Hop>> {
-    let mut hop: Vec<Option<Hop>> = vec![None; n];
-    let mut queue: VecDeque<usize> = VecDeque::new();
-    for &s in sources {
-        if hop[s].is_none() {
-            hop[s] = Some(Hop::Here);
-            queue.push_back(s);
-        }
-    }
-    while let Some(v) = queue.pop_front() {
-        for &u in &radj[v] {
-            if hop[u].is_none() {
-                hop[u] = Some(Hop::Via(v));
-                queue.push_back(u);
-            }
-        }
-    }
-    hop
 }
 
 /// The crate a workspace-relative path belongs to (`crates/<name>`),
@@ -385,31 +379,12 @@ fn is_boundary(kind: BlockKind) -> bool {
     !matches!(kind, BlockKind::Mutex | BlockKind::RwLock)
 }
 
-/// Run the lock-flow analysis: compose per-fn guard spans through the
+/// The lock-flow analysis: compose per-fn guard spans through the
 /// call graph into the workspace lock-order graph, then fire
 /// L1 (order cycle), L2 (guard held across a boundary), and
-/// L3 (guard held across a cross-crate call). Returns findings grouped
-/// by path plus the graph for `--emit-lock-graph`.
-pub fn lock_analysis(
-    summaries: &[FileSummary],
-    cfg: &Config,
-) -> (BTreeMap<String, Vec<RawFinding>>, LockGraph) {
-    let lk = Linker::build(summaries);
+/// L3 (guard held across a cross-crate call).
+fn lock_flow(lk: &Linker, out: &mut BTreeMap<String, Vec<RawFinding>>) -> LockGraph {
     let n = lk.nodes.len();
-
-    // Forward + reverse call adjacency (deduped, deterministic).
-    let mut radj: Vec<Vec<usize>> = vec![Vec::new(); n];
-    for id in 0..n {
-        let (fi, _) = lk.nodes[id];
-        let mut seen: BTreeSet<usize> = BTreeSet::new();
-        for call in &lk.fun(id).calls {
-            for &t in lk.resolve(fi, &call.name) {
-                if seen.insert(t) {
-                    radj[t].push(id);
-                }
-            }
-        }
-    }
 
     // Lock universe: every identity acquired in non-test code. `_`
     // (unknown receiver) carries no identity and joins no edges.
@@ -438,7 +413,7 @@ pub fn lock_analysis(
     };
     let lock_reach: BTreeMap<&str, Vec<Option<Hop>>> = locks
         .iter()
-        .map(|l| (l.as_str(), reach_from(&direct_acquirers(l), &radj, n)))
+        .map(|l| (l.as_str(), reach_from(&direct_acquirers(l), &lk.callers).0))
         .collect();
     let boundary_sources: Vec<usize> = (0..n)
         .filter(|&id| {
@@ -446,7 +421,7 @@ pub fn lock_analysis(
             !f.is_test && (!f.spawns.is_empty() || f.blocking.iter().any(|b| is_boundary(b.kind)))
         })
         .collect();
-    let boundary_reach = reach_from(&boundary_sources, &radj, n);
+    let (boundary_reach, _) = reach_from(&boundary_sources, &lk.callers);
 
     // Walk a next-hop chain from `start` to the node satisfying
     // `stop`, appending def frames, then the site frame `stop` yields.
@@ -479,7 +454,6 @@ pub fn lock_analysis(
     // wins; iteration order is node id → guard → event, so evidence is
     // stable across runs.
     let mut edges: BTreeMap<(String, String), Vec<TraceFrame>> = BTreeMap::new();
-    let mut out: BTreeMap<String, Vec<RawFinding>> = BTreeMap::new();
     for id in 0..n {
         let f = lk.fun(id);
         if f.is_test {
@@ -618,11 +592,7 @@ pub fn lock_analysis(
                 }
                 let foreign = targets.iter().all(|&t| {
                     let tc = crate_of(lk.path(t));
-                    tc != home
-                        && !cfg
-                            .lock_leaf_crates
-                            .iter()
-                            .any(|c| lk.path(t).starts_with(c.as_str()))
+                    tc != home && !lk.path(t).starts_with(LOCK_LEAF_CRATE)
                 });
                 if foreign {
                     let mut trace = vec![guard_frame(id, g)];
@@ -694,42 +664,22 @@ pub fn lock_analysis(
         if scc.len() < 2 || !reach[start][start] {
             continue;
         }
-        // Shortest cycle through `start` inside the SCC.
-        let in_scc = |j: usize| scc.contains(&j);
-        let mut parent: Vec<Option<usize>> = vec![None; k];
-        let mut seen = vec![false; k];
-        let mut queue: VecDeque<usize> = VecDeque::new();
-        seen[start] = true;
-        queue.push_back(start);
-        let mut closer = None;
-        'bfs: while let Some(v) = queue.pop_front() {
-            for j in 0..k {
-                if !adj[v][j] || !in_scc(j) {
-                    continue;
-                }
-                if j == start {
-                    closer = Some(v);
-                    break 'bfs;
-                }
-                if !seen[j] {
-                    seen[j] = true;
-                    parent[j] = Some(v);
-                    queue.push_back(j);
-                }
-            }
+        // Shortest cycle through `start` inside the SCC: the first node
+        // the walk from `start` visits with an edge back to it closes it.
+        let scc_adj: Vec<Vec<usize>> = (0..k)
+            .map(|v| (0..k).filter(|&j| adj[v][j] && scc.contains(&j)).collect())
+            .collect();
+        let (parent, order) = reach_from(&[start], &scc_adj);
+        let Some(&closer) = order.iter().find(|&&v| adj[v][start]) else {
+            continue;
+        };
+        let mut cycle = vec![closer];
+        let mut cur = closer;
+        while let Some(Hop::Via(p)) = parent[cur] {
+            cycle.push(p);
+            cur = p;
         }
-        let Some(closer) = closer else { continue };
-        let mut cycle = vec![start];
-        {
-            let mut path_back = Vec::new();
-            let mut cur = closer;
-            while cur != start {
-                path_back.push(cur);
-                cur = parent[cur].expect("BFS parent");
-            }
-            path_back.reverse();
-            cycle.extend(path_back);
-        }
+        cycle.reverse();
         cycle.push(start);
         let chains: Vec<Vec<TraceFrame>> = cycle
             .windows(2)
@@ -757,7 +707,7 @@ pub fn lock_analysis(
             });
     }
 
-    let graph = LockGraph {
+    LockGraph {
         locks: locks.into_iter().collect(),
         edges: edges
             .into_iter()
@@ -767,8 +717,7 @@ pub fn lock_analysis(
                 chain,
             })
             .collect(),
-    };
-    (out, graph)
+    }
 }
 
 #[cfg(test)]
@@ -777,15 +726,13 @@ mod tests {
     use crate::analysis::FileModel;
     use crate::lexer::lex;
     use crate::summary::summarize;
-    use crate::Config;
 
     fn graph_findings(files: &[(&str, &str)]) -> BTreeMap<String, Vec<RawFinding>> {
-        let cfg = Config::default();
         let summaries: Vec<FileSummary> = files
             .iter()
-            .map(|(p, s)| summarize(&FileModel::build(p, lex(s)), &cfg))
+            .map(|(p, s)| summarize(&FileModel::build(p, lex(s))))
             .collect();
-        check(&summaries)
+        check(&summaries).0
     }
 
     #[test]

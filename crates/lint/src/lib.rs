@@ -39,9 +39,8 @@
 //! | S2 (narrowing casts in codecs) | `cast_possible_truncation`, denied per codec module |
 //! | W1 (serving-path panics) | `unwrap_used`, `expect_used`, `panic`, denied per serving crate |
 //!
-//! Every rule is deny-level; the only warn-level finding today is an
-//! unused suppression (`--deny-warnings` fails on those too, and is
-//! what CI runs).
+//! There is one severity: every finding fails the run, an unused
+//! suppression included.
 //!
 //! The engine is two sequential passes: pass 1 lexes and summarises
 //! each file in turn (definitions, call sites, aliases, blocking
@@ -60,9 +59,8 @@
 //! ```
 //!
 //! A suppression must name the rule and carry a non-empty reason after
-//! a dash; a malformed suppression is itself a deny-level finding
-//! (rule `SUP`), and an unused one a warn-level finding — so the audit
-//! trail can never silently rot. The clippy rules take
+//! a dash; a malformed or unused suppression is itself a finding (rule
+//! `SUP`) — so the audit trail can never silently rot. The clippy rules take
 //! `#[expect(<lint>, reason = "…")]`, under the same discipline:
 //! `clippy::allow_attributes_without_reason` is denied workspace-wide
 //! and rustc reports an expectation nothing fulfils.
@@ -123,15 +121,6 @@ impl RuleId {
         RuleId::ALL.into_iter().find(|r| r.code() == code)
     }
 
-    /// Default severity. New rules enter the catalogue at `Warn` and
-    /// graduate to `Deny` once the workspace is clean; every rule in
-    /// the catalogue has graduated (L3 when its last sites were burned
-    /// down), so a new rule's warning period is the only reason to add
-    /// a `Warn` arm here.
-    pub fn severity(self) -> Severity {
-        Severity::Deny
-    }
-
     /// The catalogue's codes, space-separated, for "known rules"
     /// messages. `SUP` can be explained but is not a rule a suppression
     /// can name, so the suppression message leaves it out.
@@ -160,7 +149,7 @@ impl RuleId {
     pub fn explain(self) -> &'static str {
         match self {
             RuleId::D2 => {
-                "D2 — partial_cmp-based comparators (deny)\n\
+                "D2 — partial_cmp-based comparators\n\
                  \n\
                  WHY   `partial_cmp` on floats returns None for NaN, so comparators\n\
                  built on it either panic (unwrap) or fall back to an arbitrary\n\
@@ -181,7 +170,7 @@ impl RuleId {
                  comparator argument of a sort or extremum only."
             }
             RuleId::C1 => {
-                "C1 — blocking primitives reachable from pool-task roots (deny)\n\
+                "C1 — blocking primitives reachable from pool-task roots\n\
                  \n\
                  WHY   The pool has a fixed worker count and tasks spawn tasks. A\n\
                  worker that parks on a lock, condvar, channel, or join that only\n\
@@ -210,7 +199,7 @@ impl RuleId {
                  through that site — the site is sound or it is not."
             }
             RuleId::L1 => {
-                "L1 — cycle in the workspace lock-order graph (deny)\n\
+                "L1 — cycle in the workspace lock-order graph\n\
                  \n\
                  WHY   Two threads that acquire the same two locks in opposite\n\
                  orders can deadlock: each holds the lock the other wants. The\n\
@@ -244,7 +233,7 @@ impl RuleId {
             }
             RuleId::L2 => {
                 "L2 — guard held across a spawn/par_*/scope boundary or a\n\
-                 C1-class blocking site (deny)\n\
+                 C1-class blocking site\n\
                  \n\
                  WHY   The pool inline-steals: a thread inside `.scope(..)`\n\
                  (and any worker between tasks) executes *other queued tasks*.\n\
@@ -270,7 +259,7 @@ impl RuleId {
                  never touched by work reachable from the boundary."
             }
             RuleId::L3 => {
-                "L3 — guard held across a call into another crate (deny)\n\
+                "L3 — guard held across a call into another crate\n\
                  \n\
                  WHY   A cross-crate call made while holding a lock makes the\n\
                  lock order depend on a callee the holder's crate does not\n\
@@ -282,17 +271,15 @@ impl RuleId {
                  FIRES when a tracked guard is live across a call whose every\n\
                  resolved definition lives in a different crate (same-crate\n\
                  candidates win — Rust resolution prefers local items).\n\
-                 Calls into designated lock-leaf crates (default: riskpipe-obs,\n\
-                 whose registry locks never call back out) are exempt.\n\
+                 Calls into the audited lock-leaf crate riskpipe-obs, whose\n\
+                 registry locks never call back out, are exempt.\n\
                  \n\
                  FIX   Narrow the guard (copy data out, drop before calling),\n\
                  or suppress with a written argument that the callee takes no\n\
-                 lock; promote a genuinely leaf-like callee crate into\n\
-                 `lock_leaf_crates` only with an audit that its internal locks\n\
-                 never call out."
+                 lock."
             }
             RuleId::Sup => {
-                "SUP — suppression hygiene (deny for malformed, warn for unused)\n\
+                "SUP — suppression hygiene\n\
                  \n\
                  WHY   Suppressions are the audit trail that keeps the pass honest.\n\
                  One that names no known rule or gives no reason is unreviewable;\n\
@@ -302,8 +289,8 @@ impl RuleId {
                  \t// lint: allow(C1, L2) - reason   (plain hyphen also accepted)\n\
                  The comment covers its own line and the next code line.\n\
                  \n\
-                 FIRES (deny) on allow() naming an unknown rule or missing the\n\
-                 reason; (warn) on a suppression that matched no finding.\n\
+                 FIRES on allow() naming an unknown rule or missing the\n\
+                 reason, and on a suppression that matched no finding.\n\
                  \n\
                  The rules that are clippy lints take #[expect(<lint>, reason =\n\
                  \"...\")] instead; clippy's allow_attributes_without_reason and\n\
@@ -319,23 +306,6 @@ impl fmt::Display for RuleId {
     }
 }
 
-/// Finding severity. `Deny` findings fail the build; `Warn` findings
-/// are reported (and fail only under `--deny-warnings`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum Severity {
-    Warn,
-    Deny,
-}
-
-impl Severity {
-    pub fn as_str(self) -> &'static str {
-        match self {
-            Severity::Warn => "warn",
-            Severity::Deny => "deny",
-        }
-    }
-}
-
 /// One frame of a C1 call-chain trace: a function definition (or the
 /// final blocking site) on the path from a pool-task root.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -347,11 +317,10 @@ pub struct TraceFrame {
     pub name: String,
 }
 
-/// One reportable finding.
+/// One reportable finding. Every finding fails the run.
 #[derive(Debug, Clone)]
 pub struct Finding {
     pub rule: RuleId,
-    pub severity: Severity,
     /// Workspace-relative path with `/` separators.
     pub path: String,
     pub line: u32,
@@ -360,8 +329,7 @@ pub struct Finding {
     /// for the per-file rules).
     pub trace: Vec<TraceFrame>,
     /// The chains closing a lock-order cycle (L1 only): one chain per
-    /// edge, holder site → … → nested acquisition. JSON schema v3
-    /// reports these under `chains`.
+    /// edge, holder site → … → nested acquisition.
     pub chains: Vec<Vec<TraceFrame>>,
 }
 
@@ -369,12 +337,8 @@ impl fmt::Display for Finding {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "{}:{}: [{}/{}] {}",
-            self.path,
-            self.line,
-            self.rule,
-            self.severity.as_str(),
-            self.message
+            "{}:{}: [{}] {}",
+            self.path, self.line, self.rule, self.message
         )?;
         for (i, frame) in self.trace.iter().enumerate() {
             let head = if i == 0 { "chain:" } else { "   ->" };
@@ -398,55 +362,37 @@ impl fmt::Display for Finding {
     }
 }
 
-/// Engine configuration.
-#[derive(Debug, Clone)]
-pub struct Config {
-    /// Directory names skipped during the walk. `fixtures` is excluded
-    /// because lint fixture trees are intentionally violating inputs.
-    pub exclude_dirs: Vec<String>,
-    /// Function names whose bodies execute on pool workers (C1 roots,
-    /// in addition to spawned/`par_*` closures).
-    pub root_fns: Vec<String>,
-    /// Path prefixes of crates audited as lock *leaves*: their internal
-    /// locks never call back out of the crate, so a guard held across a
-    /// call into them creates no opaque order edge (L3 exempts them —
-    /// the telemetry registry is the canonical case).
-    pub lock_leaf_crates: Vec<String>,
-}
+/// Directory names skipped during the walk. `fixtures` is excluded
+/// because lint fixture trees are intentionally violating inputs.
+const EXCLUDED_DIRS: [&str; 4] = ["target", "vendor", "fixtures", ".git"];
 
-impl Default for Config {
-    fn default() -> Self {
-        Self {
-            exclude_dirs: vec![
-                "target".to_string(),
-                "vendor".to_string(),
-                "fixtures".to_string(),
-                ".git".to_string(),
-            ],
-            root_fns: vec!["accept".to_string(), "accept_shared".to_string()],
-            lock_leaf_crates: vec!["crates/obs/".to_string()],
-        }
-    }
-}
+/// Function names whose bodies execute on pool workers (C1 roots, in
+/// addition to spawned/`par_*` closures).
+const ROOT_FNS: [&str; 2] = ["accept", "accept_shared"];
+
+/// Path prefix of the crate audited as a lock *leaf*: its internal
+/// locks never call back out of the crate, so a guard held across a
+/// call into it creates no opaque order edge (L3 exempts it — the
+/// telemetry registry is the canonical case).
+const LOCK_LEAF_CRATE: &str = "crates/obs/";
 
 /// The roots (relative to the workspace root) a full workspace pass
 /// scans.
-pub const WORKSPACE_SCAN_ROOTS: [&str; 4] = ["crates", "src", "examples", "tests"];
+const WORKSPACE_SCAN_ROOTS: [&str; 4] = ["crates", "src", "examples", "tests"];
 
 /// Lint one file's source text. Returns the post-suppression findings
 /// (including any `SUP` findings about the suppressions themselves).
 /// The call-graph pass runs file-locally here, so single-file C1
 /// chains still fire; cross-file chains need [`lint_sources`].
-pub fn lint_source(path: &str, source: &str, cfg: &Config) -> Vec<Finding> {
-    let report = lint_sources(&[(path.to_string(), source.to_string())], cfg);
-    report.findings
+pub fn lint_source(path: &str, source: &str) -> Vec<Finding> {
+    lint_sources(&[(path.to_string(), source.to_string())]).findings
 }
 
 /// Lint a set of already-read sources as one workspace: per-file rules
 /// plus the cross-file call-graph passes (C1 reachability and the
 /// L1/L2/L3 lock-flow analysis), then per-file suppression processing
 /// over the combined findings.
-pub fn lint_sources(files: &[(String, String)], cfg: &Config) -> Report {
+pub fn lint_sources(files: &[(String, String)]) -> Report {
     // Pass 1, file by file in input order. Only the summary, the raw
     // per-file findings and the suppressions outlive a file's tokens.
     let mut summaries = Vec::with_capacity(files.len());
@@ -454,14 +400,10 @@ pub fn lint_sources(files: &[(String, String)], cfg: &Config) -> Report {
     for (path, source) in files {
         let model = FileModel::build(path, lex(source));
         let raw = rules::run_all(&model);
-        summaries.push(summary::summarize(&model, cfg));
+        summaries.push(summary::summarize(&model));
         per_file.push((raw, model.suppressions));
     }
-    let mut graph_findings = graph::check(&summaries);
-    let (lock_findings, lock_graph) = graph::lock_analysis(&summaries, cfg);
-    for (path, mut extra) in lock_findings {
-        graph_findings.entry(path).or_default().append(&mut extra);
-    }
+    let (mut graph_findings, lock_graph) = graph::check(&summaries);
 
     let mut report = Report {
         findings: Vec::new(),
@@ -503,7 +445,6 @@ fn apply_suppressions(
         }
         findings.push(Finding {
             rule: f.rule,
-            severity: f.rule.severity(),
             path: path.to_string(),
             line: f.line,
             message: f.message,
@@ -518,7 +459,6 @@ fn apply_suppressions(
             if RuleId::from_code(r).is_none() {
                 findings.push(Finding {
                     rule: RuleId::Sup,
-                    severity: Severity::Deny,
                     path: path.to_string(),
                     line: sup.line,
                     message: format!(
@@ -533,7 +473,6 @@ fn apply_suppressions(
         if !sup.has_reason {
             findings.push(Finding {
                 rule: RuleId::Sup,
-                severity: Severity::Deny,
                 path: path.to_string(),
                 line: sup.line,
                 message: "suppression carries no reason — write \
@@ -545,7 +484,6 @@ fn apply_suppressions(
         } else if !used[si] && sup.rules.iter().all(|r| RuleId::from_code(r).is_some()) {
             findings.push(Finding {
                 rule: RuleId::Sup,
-                severity: Severity::Warn,
                 path: path.to_string(),
                 line: sup.line,
                 message: format!(
@@ -569,26 +507,11 @@ pub struct Report {
     pub findings: Vec<Finding>,
     pub files_scanned: usize,
     /// The workspace lock-order graph the L1/L2/L3 pass derived —
-    /// exported by `--emit-lock-graph` as DOT plus the runtime witness
-    /// manifest.
+    /// exported by `--emit-lock-graph` as the runtime witness manifest.
     pub lock_graph: graph::LockGraph,
 }
 
 impl Report {
-    pub fn deny_count(&self) -> usize {
-        self.findings
-            .iter()
-            .filter(|f| f.severity == Severity::Deny)
-            .count()
-    }
-
-    pub fn warn_count(&self) -> usize {
-        self.findings
-            .iter()
-            .filter(|f| f.severity == Severity::Warn)
-            .count()
-    }
-
     /// Human-readable report.
     pub fn render_text(&self) -> String {
         let mut out = String::new();
@@ -597,102 +520,12 @@ impl Report {
             out.push('\n');
         }
         out.push_str(&format!(
-            "riskpipe-lint: {} file(s) scanned, {} deny, {} warn\n",
+            "riskpipe-lint: {} file(s) scanned, {} finding(s)\n",
             self.files_scanned,
-            self.deny_count(),
-            self.warn_count()
+            self.findings.len()
         ));
         out
     }
-
-    /// Machine-readable report (stable JSON, hand-rolled — no deps).
-    /// Schema v3: findings carry a `trace` array (the C1 call chain)
-    /// when non-empty, and a `chains` array-of-arrays (the root→site
-    /// chains closing an L1 cycle, one per cycle edge) when non-empty.
-    pub fn render_json(&self) -> String {
-        let mut out = String::from("{\n");
-        out.push_str("  \"version\": 3,\n");
-        out.push_str(&format!("  \"files_scanned\": {},\n", self.files_scanned));
-        out.push_str(&format!(
-            "  \"counts\": {{\"deny\": {}, \"warn\": {}}},\n",
-            self.deny_count(),
-            self.warn_count()
-        ));
-        out.push_str("  \"findings\": [");
-        for (i, f) in self.findings.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "\n    {{\"rule\": \"{}\", \"severity\": \"{}\", \"path\": \"{}\", \
-                 \"line\": {}, \"message\": \"{}\"",
-                f.rule,
-                f.severity.as_str(),
-                json_escape(&f.path),
-                f.line,
-                json_escape(&f.message)
-            ));
-            if !f.trace.is_empty() {
-                out.push_str(", \"trace\": [");
-                for (j, frame) in f.trace.iter().enumerate() {
-                    if j > 0 {
-                        out.push_str(", ");
-                    }
-                    out.push_str(&format!(
-                        "{{\"path\": \"{}\", \"line\": {}, \"name\": \"{}\"}}",
-                        json_escape(&frame.path),
-                        frame.line,
-                        json_escape(&frame.name)
-                    ));
-                }
-                out.push(']');
-            }
-            if !f.chains.is_empty() {
-                out.push_str(", \"chains\": [");
-                for (ci, chain) in f.chains.iter().enumerate() {
-                    if ci > 0 {
-                        out.push_str(", ");
-                    }
-                    out.push('[');
-                    for (j, frame) in chain.iter().enumerate() {
-                        if j > 0 {
-                            out.push_str(", ");
-                        }
-                        out.push_str(&format!(
-                            "{{\"path\": \"{}\", \"line\": {}, \"name\": \"{}\"}}",
-                            json_escape(&frame.path),
-                            frame.line,
-                            json_escape(&frame.name)
-                        ));
-                    }
-                    out.push(']');
-                }
-                out.push(']');
-            }
-            out.push('}');
-        }
-        if !self.findings.is_empty() {
-            out.push_str("\n  ");
-        }
-        out.push_str("]\n}\n");
-        out
-    }
-}
-
-pub(crate) fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// Collect the `.rs` files a scan of `paths` (relative to `root`)
@@ -700,11 +533,7 @@ pub(crate) fn json_escape(s: &str) -> String {
 /// A path that does not exist, or a scan that finds no file at all, is
 /// an error: a typo in a CI step must not turn the gate into "0 files
 /// scanned, 0 findings".
-pub fn collect_rs_files(
-    root: &Path,
-    paths: &[PathBuf],
-    cfg: &Config,
-) -> std::io::Result<Vec<PathBuf>> {
+pub fn collect_rs_files(root: &Path, paths: &[PathBuf]) -> std::io::Result<Vec<PathBuf>> {
     let mut out = Vec::new();
     for p in paths {
         let abs = if p.is_absolute() {
@@ -715,7 +544,7 @@ pub fn collect_rs_files(
         if abs.is_file() {
             out.push(abs);
         } else if abs.is_dir() {
-            walk_dir(&abs, cfg, &mut out)?;
+            walk_dir(&abs, &mut out)?;
         } else {
             return Err(std::io::Error::new(
                 std::io::ErrorKind::NotFound,
@@ -734,16 +563,16 @@ pub fn collect_rs_files(
     Ok(out)
 }
 
-fn walk_dir(dir: &Path, cfg: &Config, out: &mut Vec<PathBuf>) -> std::io::Result<()> {
+fn walk_dir(dir: &Path, out: &mut Vec<PathBuf>) -> std::io::Result<()> {
     for entry in std::fs::read_dir(dir)? {
         let entry = entry?;
         let path = entry.path();
         let name = entry.file_name().to_string_lossy().to_string();
         if path.is_dir() {
-            if cfg.exclude_dirs.iter().any(|d| d == &name) {
+            if EXCLUDED_DIRS.contains(&name.as_str()) {
                 continue;
             }
-            walk_dir(&path, cfg, out)?;
+            walk_dir(&path, out)?;
         } else if name.ends_with(".rs") {
             out.push(path);
         }
@@ -753,8 +582,8 @@ fn walk_dir(dir: &Path, cfg: &Config, out: &mut Vec<PathBuf>) -> std::io::Result
 
 /// Lint `paths` (files or directories, relative to `root`) as one
 /// workspace: every collected file feeds the shared call graph.
-pub fn lint_paths(root: &Path, paths: &[PathBuf], cfg: &Config) -> std::io::Result<Report> {
-    let files = collect_rs_files(root, paths, cfg)?;
+pub fn lint_paths(root: &Path, paths: &[PathBuf]) -> std::io::Result<Report> {
+    let files = collect_rs_files(root, paths)?;
     let mut sources: Vec<(String, String)> = Vec::with_capacity(files.len());
     for file in &files {
         let rel = file
@@ -764,13 +593,13 @@ pub fn lint_paths(root: &Path, paths: &[PathBuf], cfg: &Config) -> std::io::Resu
             .replace('\\', "/");
         sources.push((rel, std::fs::read_to_string(file)?));
     }
-    Ok(lint_sources(&sources, cfg))
+    Ok(lint_sources(&sources))
 }
 
 /// Lint the whole workspace under `root` (the standard scan roots).
-pub fn lint_workspace(root: &Path, cfg: &Config) -> std::io::Result<Report> {
+pub fn lint_workspace(root: &Path) -> std::io::Result<Report> {
     let paths: Vec<PathBuf> = WORKSPACE_SCAN_ROOTS.iter().map(PathBuf::from).collect();
-    lint_paths(root, &paths, cfg)
+    lint_paths(root, &paths)
 }
 
 /// Find the workspace root: walk up from `start` to the first
@@ -803,7 +632,7 @@ mod tests {
         let src = "fn f(v: &mut [f64]) {\n\
                    // lint: allow(D2) — demo ranking, NaN-free by construction\n\
                    v.sort_by(|a, b| a.partial_cmp(b).unwrap());\n}";
-        let findings = lint_source("crates/x/src/a.rs", src, &Config::default());
+        let findings = lint_source("crates/x/src/a.rs", src);
         assert!(findings.is_empty(), "{findings:?}");
     }
 
@@ -811,12 +640,10 @@ mod tests {
     fn suppression_without_reason_is_deny_and_does_not_suppress() {
         let src = "fn f(v: &mut [f64]) {\n// lint: allow(D2)\n\
                    v.sort_by(|a, b| a.partial_cmp(b).unwrap());\n}";
-        let findings = lint_source("crates/x/src/a.rs", src, &Config::default());
+        let findings = lint_source("crates/x/src/a.rs", src);
         assert_eq!(findings.len(), 2, "{findings:?}");
         assert!(findings.iter().any(|f| f.rule == RuleId::D2));
-        assert!(findings
-            .iter()
-            .any(|f| f.rule == RuleId::Sup && f.severity == Severity::Deny));
+        assert!(findings.iter().any(|f| f.rule == RuleId::Sup));
     }
 
     #[test]
@@ -825,23 +652,20 @@ mod tests {
         // wrong as naming a code that never existed.
         for code in ["D9", "D1", "D4"] {
             let src = format!("fn f() {{\n// lint: allow({code}) — whatever\nlet x = 1;\n}}");
-            let findings = lint_source("crates/x/src/a.rs", &src, &Config::default());
+            let findings = lint_source("crates/x/src/a.rs", &src);
             assert!(
-                findings
-                    .iter()
-                    .any(|f| f.rule == RuleId::Sup && f.severity == Severity::Deny),
+                findings.iter().any(|f| f.rule == RuleId::Sup),
                 "{code}: {findings:?}"
             );
         }
     }
 
     #[test]
-    fn unused_suppression_is_warn() {
+    fn unused_suppression_is_a_finding() {
         let src = "fn f() {\n// lint: allow(D2) — stale\nlet x = 1;\n}";
-        let findings = lint_source("crates/x/src/a.rs", src, &Config::default());
+        let findings = lint_source("crates/x/src/a.rs", src);
         assert_eq!(findings.len(), 1);
         assert_eq!(findings[0].rule, RuleId::Sup);
-        assert_eq!(findings[0].severity, Severity::Warn);
     }
 
     #[test]
@@ -849,80 +673,37 @@ mod tests {
         let src = "fn f(v: &mut [f64]) {\n\
                    // lint: allow(C1) — wrong rule named\n\
                    v.sort_by(|a, b| a.partial_cmp(b).unwrap());\n}";
-        let findings = lint_source("crates/x/src/a.rs", src, &Config::default());
+        let findings = lint_source("crates/x/src/a.rs", src);
         assert!(findings.iter().any(|f| f.rule == RuleId::D2));
     }
 
     #[test]
-    fn json_escapes_and_counts() {
-        let report = Report {
-            findings: vec![Finding {
-                rule: RuleId::D2,
-                severity: Severity::Deny,
-                path: "a\\b.rs".into(),
-                line: 3,
-                message: "say \"hi\"".into(),
-                trace: Vec::new(),
-                chains: Vec::new(),
-            }],
-            files_scanned: 1,
-            ..Report::default()
-        };
-        let json = report.render_json();
-        assert!(json.contains("\"version\": 3"));
-        assert!(json.contains("\"rule\": \"D2\""));
-        assert!(json.contains("a\\\\b.rs"));
-        assert!(json.contains("say \\\"hi\\\""));
-        assert!(json.contains("\"counts\": {\"deny\": 1, \"warn\": 0}"));
-        // No trace → no trace key; no chains → no chains key.
-        assert!(!json.contains("\"trace\""));
-        assert!(!json.contains("\"chains\""));
-    }
-
-    #[test]
-    fn json_v3_trace_field_and_text_chain() {
-        let finding = Finding {
-            rule: RuleId::C1,
-            severity: Severity::Deny,
-            path: "crates/x/src/b.rs".into(),
-            line: 9,
-            message: "blocking".into(),
-            chains: Vec::new(),
-            trace: vec![
-                TraceFrame {
-                    path: "crates/x/src/a.rs".into(),
-                    line: 3,
-                    name: "task closure in `drive`".into(),
-                },
-                TraceFrame {
-                    path: "crates/x/src/b.rs".into(),
-                    line: 9,
-                    name: "`m.lock()` (Mutex acquisition)".into(),
-                },
-            ],
-        };
-        let text = finding.to_string();
-        assert!(text.contains("chain: crates/x/src/a.rs:3 task closure"));
-        assert!(text.contains("-> crates/x/src/b.rs:9"));
-        let report = Report {
-            findings: vec![finding],
-            files_scanned: 2,
-            ..Report::default()
-        };
-        let json = report.render_json();
-        assert!(json.contains("\"trace\": [{\"path\": \"crates/x/src/a.rs\", \"line\": 3"));
-    }
-
-    #[test]
-    fn json_v3_chains_field_and_text_rendering() {
+    fn text_renders_the_trace_every_chain_and_the_count() {
         let frame = |p: &str, l: u32, n: &str| TraceFrame {
             path: p.into(),
             line: l,
             name: n.into(),
         };
-        let finding = Finding {
+        let c1 = Finding {
+            rule: RuleId::C1,
+            path: "crates/x/src/b.rs".into(),
+            line: 9,
+            message: "blocking".into(),
+            chains: Vec::new(),
+            trace: vec![
+                frame("crates/x/src/a.rs", 3, "task closure in `drive`"),
+                frame("crates/x/src/b.rs", 9, "`m.lock()` (Mutex acquisition)"),
+            ],
+        };
+        let text = c1.to_string();
+        assert!(
+            text.starts_with("crates/x/src/b.rs:9: [C1] blocking"),
+            "{text}"
+        );
+        assert!(text.contains("chain: crates/x/src/a.rs:3 task closure"));
+        assert!(text.contains("-> crates/x/src/b.rs:9"));
+        let l1 = Finding {
             rule: RuleId::L1,
-            severity: Severity::Deny,
             path: "crates/x/src/a.rs".into(),
             line: 4,
             message: "lock-order cycle".into(),
@@ -938,22 +719,18 @@ mod tests {
                 ],
             ],
         };
-        let text = finding.to_string();
+        let text = l1.to_string();
         assert!(text.contains("chain 1: crates/x/src/a.rs:2"), "{text}");
         assert!(text.contains("chain 2: crates/x/src/b.rs:7"), "{text}");
         let report = Report {
-            findings: vec![finding],
+            findings: vec![c1, l1],
             files_scanned: 2,
             ..Report::default()
         };
-        let json = report.render_json();
+        let text = report.render_text();
         assert!(
-            json.contains("\"chains\": [[{\"path\": \"crates/x/src/a.rs\", \"line\": 2"),
-            "{json}"
-        );
-        assert!(
-            json.contains("[{\"path\": \"crates/x/src/b.rs\", \"line\": 7"),
-            "{json}"
+            text.ends_with("riskpipe-lint: 2 file(s) scanned, 2 finding(s)\n"),
+            "{text}"
         );
     }
 

@@ -3,17 +3,15 @@
 //! ```text
 //! riskpipe-lint                      # lint the whole workspace
 //! riskpipe-lint crates/warehouse     # lint one subtree
-//! riskpipe-lint --json               # machine-readable output (v3)
 //! riskpipe-lint --explain L1         # why a rule exists and how to fix
 //! riskpipe-lint --rules              # list the catalogue
-//! riskpipe-lint --deny-warnings      # warn findings also fail (CI)
 //! ```
 //!
-//! Exit codes: 0 clean, 1 findings at failing severity, 2 usage or I/O
-//! error (a PATH that does not exist, or a scan that finds no file, is
-//! a usage error — never a clean run).
+//! Exit codes: 0 clean, 1 any finding, 2 usage or I/O error (a PATH
+//! that does not exist, or a scan that finds no file, is a usage error
+//! — never a clean run).
 
-use riskpipe_lint::{find_workspace_root, lint_paths, Config, Finding, RuleId, Severity};
+use riskpipe_lint::{find_workspace_root, lint_paths, lint_workspace, RuleId};
 use std::path::PathBuf;
 use std::process::ExitCode;
 
@@ -30,14 +28,9 @@ ARGS:
 OPTIONS:
     --root <DIR>      workspace root (default: nearest ancestor with a
                       [workspace] Cargo.toml)
-    --json            emit the machine-readable JSON report (schema v3:
-                      C1/L2/L3 findings carry a call-chain `trace`,
-                      L1 findings carry the cycle's `chains`)
-    --deny-warnings   exit nonzero on warn-level findings too (unused
-                      suppressions, and any rule in its warning period)
-    --emit-lock-graph <DIR>  write the workspace lock-order graph as
-                      lock-order.dot + lock-order.manifest (the runtime
-                      lockwitness asserts against the manifest)
+    --emit-lock-graph <DIR>  write the workspace lock-order graph to
+                      DIR/lock-order.manifest (the runtime lockwitness
+                      asserts against it)
     --explain <RULE>  print the rationale and fix guidance for one rule
     --rules           list the rule catalogue
     -h, --help        this text
@@ -45,8 +38,6 @@ OPTIONS:
 
 fn main() -> ExitCode {
     let mut args = std::env::args().skip(1);
-    let mut json = false;
-    let mut deny_warnings = false;
     let mut root: Option<PathBuf> = None;
     let mut paths: Vec<PathBuf> = Vec::new();
     let mut emit_lock_graph: Option<PathBuf> = None;
@@ -59,12 +50,7 @@ fn main() -> ExitCode {
             }
             "--rules" => {
                 for r in RuleId::ALL {
-                    println!(
-                        "{:4} [{}]  {}",
-                        r.code(),
-                        r.severity().as_str(),
-                        r.summary()
-                    );
+                    println!("{:4} {}", r.code(), r.summary());
                 }
                 return ExitCode::SUCCESS;
             }
@@ -87,8 +73,6 @@ fn main() -> ExitCode {
                     }
                 }
             }
-            "--json" => json = true,
-            "--deny-warnings" => deny_warnings = true,
             "--emit-lock-graph" => {
                 let Some(dir) = args.next() else {
                     eprintln!("--emit-lock-graph needs a directory");
@@ -123,14 +107,12 @@ fn main() -> ExitCode {
         }
     };
 
-    if paths.is_empty() {
-        paths = riskpipe_lint::WORKSPACE_SCAN_ROOTS
-            .iter()
-            .map(PathBuf::from)
-            .collect();
-    }
-
-    let report = match lint_paths(&root, &paths, &Config::default()) {
+    let scan = if paths.is_empty() {
+        lint_workspace(&root)
+    } else {
+        lint_paths(&root, &paths)
+    };
+    let report = match scan {
         Ok(r) => r,
         Err(e) => {
             eprintln!("riskpipe-lint: {e}");
@@ -146,7 +128,6 @@ fn main() -> ExitCode {
         )]
         let write = || -> std::io::Result<()> {
             std::fs::create_dir_all(dir)?;
-            std::fs::write(dir.join("lock-order.dot"), report.lock_graph.render_dot())?;
             std::fs::write(
                 dir.join("lock-order.manifest"),
                 report.lock_graph.render_manifest(),
@@ -167,14 +148,8 @@ fn main() -> ExitCode {
         );
     }
 
-    if json {
-        print!("{}", report.render_json());
-    } else {
-        print!("{}", report.render_text());
-    }
-
-    let fails = |f: &Finding| deny_warnings || f.severity == Severity::Deny;
-    if report.findings.iter().any(fails) {
+    print!("{}", report.render_text());
+    if !report.findings.is_empty() {
         ExitCode::FAILURE
     } else {
         ExitCode::SUCCESS

@@ -16,7 +16,6 @@
 
 use crate::analysis::{is_test_path, FileModel};
 use crate::lexer::TokKind;
-use crate::Config;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Why a function node is a reachability root (code that executes on
@@ -203,7 +202,7 @@ fn finish_guard(fns: &mut [FnNode], g: ActiveGuard) {
 }
 
 /// Extract the pass-1 summary from an analysed file.
-pub fn summarize(model: &FileModel, cfg: &Config) -> FileSummary {
+pub fn summarize(model: &FileModel) -> FileSummary {
     let file_test = is_test_path(&model.path);
     let rwlocks = rwlock_idents(model);
     let mut fns: Vec<FnNode> = Vec::new();
@@ -283,7 +282,7 @@ pub fn summarize(model: &FileModel, cfg: &Config) -> FileSummary {
             (TokKind::Punct, "{") => {
                 let node = pending_fn.take().map(|(name, line)| {
                     let is_test = file_test || model.in_test_code(line);
-                    let root = (!is_test && cfg.root_fns.iter().any(|r| r == &name))
+                    let root = (!is_test && crate::ROOT_FNS.contains(&name.as_str()))
                         .then_some(RootKind::RootFn);
                     fns.push(FnNode {
                         display: format!("`{name}`"),
@@ -735,7 +734,7 @@ mod tests {
 
     fn summary(path: &str, src: &str) -> FileSummary {
         let model = FileModel::build(path, lex(src));
-        summarize(&model, &Config::default())
+        summarize(&model)
     }
 
     #[test]

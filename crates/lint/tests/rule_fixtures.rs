@@ -20,7 +20,7 @@
 mod clippy_harness;
 
 use clippy_harness::{verdict, At, Verdict, BENCH_ROOT, CODEC, CORE, S2_MODULES, SERVING_ROOTS};
-use riskpipe_lint::{lint_source, lint_sources, Config, Finding, RuleId, Severity};
+use riskpipe_lint::{lint_source, lint_sources, Finding, RuleId};
 use std::path::Path;
 use std::process::Command;
 
@@ -47,7 +47,7 @@ fn fixture(name: &str) -> String {
 
 /// Lint a fixture as if it lived at `as_path` in the workspace.
 fn lint_fixture(name: &str, as_path: &str) -> Vec<Finding> {
-    lint_source(as_path, &fixture(name), &Config::default())
+    lint_source(as_path, &fixture(name))
 }
 
 fn rules_of(findings: &[Finding]) -> Vec<RuleId> {
@@ -85,7 +85,6 @@ fn d2_fires_on_partial_cmp_comparators() {
         2,
         "sort_by and max_by should both fire: {findings:?}"
     );
-    assert!(d2.iter().all(|f| f.severity == Severity::Deny));
 }
 
 #[test]
@@ -165,6 +164,15 @@ fn s2_clean_checked_and_widening_casts_pass() {
     assert_eq!(v.count("clippy::cast_possible_truncation"), 0, "{v:?}");
 }
 
+#[test]
+fn clippy_harness_denies_graduated_s2() {
+    // S2 is denied in codec modules, not warned: `cargo clippy` fails on
+    // the firing fixture without needing `-D warnings`.
+    let v = verdict("s2_fire.rs", At::Module(CODEC));
+    assert_eq!(v.count("clippy::cast_possible_truncation"), 2, "{v:?}");
+    assert_eq!(v.denied("clippy::cast_possible_truncation"), 2, "{v:?}");
+}
+
 // ---------------------------------------------------------------- C1
 
 /// Lint the cross-file firing pair as two workspace files.
@@ -179,7 +187,7 @@ fn lint_c1_pair() -> Vec<Finding> {
             fixture("c1_fire_leaf.rs"),
         ),
     ];
-    lint_sources(&files, &Config::default()).findings
+    lint_sources(&files).findings
 }
 
 #[test]
@@ -188,7 +196,6 @@ fn c1_cross_file_chain_fires_two_hops_from_the_pool_task() {
     let c1: Vec<_> = findings.iter().filter(|f| f.rule == RuleId::C1).collect();
     assert_eq!(c1.len(), 1, "{findings:?}");
     let f = c1[0];
-    assert_eq!(f.severity, Severity::Deny);
     // The finding anchors at the blocking site in the leaf file...
     assert_eq!(f.path, "crates/app/src/gate.rs");
     assert!(f.message.contains("2 hop(s)"), "{}", f.message);
@@ -234,7 +241,7 @@ fn c1_root_in_a_test_path_is_exempt() {
             fixture("c1_fire_leaf.rs"),
         ),
     ];
-    let findings = lint_sources(&files, &Config::default()).findings;
+    let findings = lint_sources(&files).findings;
     assert!(findings.is_empty(), "{findings:?}");
 }
 
@@ -272,7 +279,7 @@ fn lint_l1_pair(alpha: &str, beta: &str) -> riskpipe_lint::Report {
         ("crates/app/src/alpha.rs".to_string(), fixture(alpha)),
         ("crates/app/src/beta.rs".to_string(), fixture(beta)),
     ];
-    lint_sources(&files, &Config::default())
+    lint_sources(&files)
 }
 
 #[test]
@@ -285,7 +292,6 @@ fn l1_cross_file_cycle_fires_with_one_chain_per_edge() {
         .collect();
     assert_eq!(l1.len(), 1, "one finding per cycle: {:?}", report.findings);
     let f = l1[0];
-    assert_eq!(f.severity, Severity::Deny);
     assert!(f.message.contains("lock-order cycle"), "{}", f.message);
     assert!(
         f.message.contains("journal") && f.message.contains("registry"),
@@ -314,7 +320,7 @@ fn l1_cross_file_cycle_fires_with_one_chain_per_edge() {
 }
 
 #[test]
-fn l1_text_and_json_v3_render_every_chain() {
+fn l1_text_renders_every_chain() {
     let report = lint_l1_pair("l1_fire_alpha.rs", "l1_fire_beta.rs");
     let f = report
         .findings
@@ -324,9 +330,6 @@ fn l1_text_and_json_v3_render_every_chain() {
     let text = f.to_string();
     assert!(text.contains("chain 1:"), "{text}");
     assert!(text.contains("chain 2:"), "{text}");
-    let json = report.render_json();
-    assert!(json.contains("\"version\": 3"), "{json}");
-    assert!(json.contains("\"chains\": [["), "{json}");
 }
 
 #[test]
@@ -356,7 +359,6 @@ fn l2_fires_on_guard_across_spawn_and_across_recv() {
         l2.len() >= 2,
         "both the spawn hold and the recv hold should fire: {findings:?}"
     );
-    assert!(l2.iter().all(|f| f.severity == Severity::Deny));
     assert!(
         l2.iter().any(|f| f.message.contains("`queue`")),
         "{findings:?}"
@@ -377,7 +379,7 @@ fn l2_clean_guard_scoped_out_before_the_boundary_passes() {
 // ---------------------------------------------------------------- L3
 
 #[test]
-fn l3_warns_on_guard_across_cross_crate_call() {
+fn l3_fires_on_guard_across_cross_crate_call() {
     let files = vec![
         (
             "crates/feed/src/publish.rs".to_string(),
@@ -388,11 +390,10 @@ fn l3_warns_on_guard_across_cross_crate_call() {
             fixture("l3_fire_callee.rs"),
         ),
     ];
-    let findings = lint_sources(&files, &Config::default()).findings;
+    let findings = lint_sources(&files).findings;
     let l3: Vec<_> = findings.iter().filter(|f| f.rule == RuleId::L3).collect();
     assert_eq!(l3.len(), 1, "{findings:?}");
     let f = l3[0];
-    assert_eq!(f.severity, Severity::Deny);
     assert!(f.message.contains("cross-crate"), "{}", f.message);
     assert!(f.message.contains("`outbox`"), "{}", f.message);
 }
@@ -411,15 +412,14 @@ fn l3_same_crate_call_is_silent() {
             fixture("l3_fire_callee.rs"),
         ),
     ];
-    let findings = lint_sources(&files, &Config::default()).findings;
+    let findings = lint_sources(&files).findings;
     assert!(findings.is_empty(), "{findings:?}");
 }
 
 #[test]
 fn l3_lock_leaf_crates_are_exempt() {
-    // The callee linted under the configured lock-leaf prefix
-    // (crates/obs by default): its locks never call back out, so the
-    // hold creates no opaque edge.
+    // The callee linted under the lock-leaf crate, crates/obs: its
+    // locks never call back out, so the hold creates no opaque edge.
     let files = vec![
         (
             "crates/feed/src/publish.rs".to_string(),
@@ -430,14 +430,14 @@ fn l3_lock_leaf_crates_are_exempt() {
             fixture("l3_fire_callee.rs"),
         ),
     ];
-    let findings = lint_sources(&files, &Config::default()).findings;
+    let findings = lint_sources(&files).findings;
     assert!(findings.is_empty(), "{findings:?}");
 }
 
 // ---------------------------------------------------------------- W1
 
 #[test]
-fn w1_warns_on_panic_paths_in_serving_crates() {
+fn w1_fires_on_panic_paths_in_serving_crates() {
     for root in SERVING_ROOTS {
         let v = verdict("w1_fire.rs", At::Root(root));
         let denied: usize = W1.iter().map(|lint| v.denied(lint)).sum();
@@ -473,7 +473,7 @@ fn reasoned_suppression_silences_exactly_its_site() {
 fn suppression_above_an_attribute_stack_binds_to_the_item() {
     // Regression: the allow sits above `#[cfg(...)]`/`#[inline]`; it
     // must skip the attributes and cover the decorated fn, so neither
-    // the D2 on the item nor an unused-suppression warning appears.
+    // the D2 on the item nor an unused-suppression finding appears.
     let findings = lint_fixture("sup_attr.rs", "crates/app/src/demo.rs");
     assert!(findings.is_empty(), "{findings:?}");
 }
@@ -484,11 +484,8 @@ fn bad_suppressions_are_deny_and_do_not_suppress() {
     // The reasonless allow(D2) does not silence the comparator finding...
     assert!(rules_of(&findings).contains(&RuleId::D2), "{findings:?}");
     // ...and both the reasonless and the unknown-rule suppression are
-    // deny-level SUP findings.
-    let sup: Vec<_> = findings
-        .iter()
-        .filter(|f| f.rule == RuleId::Sup && f.severity == Severity::Deny)
-        .collect();
+    // SUP findings.
+    let sup: Vec<_> = findings.iter().filter(|f| f.rule == RuleId::Sup).collect();
     assert_eq!(sup.len(), 2, "{findings:?}");
 }
 
@@ -512,54 +509,32 @@ fn bin() -> Command {
     Command::new(env!("CARGO_BIN_EXE_riskpipe-lint"))
 }
 
+/// Run the binary; return its exit code and stdout.
+fn run(args: &[&str]) -> (Option<i32>, String) {
+    let out = bin().args(args).output().expect("run riskpipe-lint");
+    let stdout = String::from_utf8(out.stdout).expect("utf8");
+    (out.status.code(), stdout)
+}
+
 #[test]
-fn cli_json_report_on_a_firing_fixture() {
+fn cli_reports_a_firing_fixture_and_exits_1() {
     let root = env!("CARGO_MANIFEST_DIR");
-    let out = bin()
-        .args(["--root", root, "--json", "tests/fixtures/d2_fire.rs"])
-        .output()
-        .expect("run riskpipe-lint");
-    assert_eq!(out.status.code(), Some(1), "deny findings exit 1");
-    let json = String::from_utf8(out.stdout).expect("utf8");
-    assert!(json.contains("\"version\": 3"), "{json}");
-    assert!(json.contains("\"rule\": \"D2\""), "{json}");
-    assert!(json.contains("\"severity\": \"deny\""), "{json}");
-    assert!(json.contains("tests/fixtures/d2_fire.rs"), "{json}");
+    let (code, text) = run(&["--root", root, "tests/fixtures/d2_fire.rs"]);
+    assert_eq!(code, Some(1), "{text}");
+    assert!(text.contains("tests/fixtures/d2_fire.rs:"), "{text}");
+    assert!(text.contains("[D2]"), "{text}");
 }
 
 #[test]
-fn cli_exit_codes_split_warn_from_deny() {
+fn cli_unused_suppression_exits_1_with_no_flag() {
     let root = env!("CARGO_MANIFEST_DIR");
-    // An unused suppression is warn-level: exit 0 by default...
-    let warn_only = bin()
-        .args(["--root", root, "tests/fixtures/sup_unused.rs"])
-        .output()
-        .expect("run riskpipe-lint");
-    assert_eq!(warn_only.status.code(), Some(0));
-    // ...and exit 1 under --deny-warnings.
-    let denied = bin()
-        .args([
-            "--root",
-            root,
-            "--deny-warnings",
-            "tests/fixtures/sup_unused.rs",
-        ])
-        .output()
-        .expect("run riskpipe-lint");
-    assert_eq!(denied.status.code(), Some(1));
+    let (code, text) = run(&["--root", root, "tests/fixtures/sup_unused.rs"]);
+    assert_eq!(code, Some(1), "{text}");
+    assert!(text.contains("[SUP] unused suppression"), "{text}");
 }
 
 #[test]
-fn cli_exits_nonzero_on_graduated_s2() {
-    // S2 is denied in codec modules, not warned: `cargo clippy` fails on
-    // the firing fixture without needing `-D warnings`.
-    let v = verdict("s2_fire.rs", At::Module(CODEC));
-    assert_eq!(v.count("clippy::cast_possible_truncation"), 2, "{v:?}");
-    assert_eq!(v.denied("clippy::cast_possible_truncation"), 2, "{v:?}");
-}
-
-#[test]
-fn cli_json_v3_carries_the_c1_call_chain_trace() {
+fn cli_prints_the_c1_call_chain_and_exits_1() {
     // The fixture pair must live under a src/ layout — tests/fixtures
     // paths spawn no C1 roots — so stage a tiny workspace in tmp.
     let tmp = Path::new(env!("CARGO_TARGET_TMPDIR")).join("c1_cli");
@@ -567,25 +542,18 @@ fn cli_json_v3_carries_the_c1_call_chain_trace() {
     std::fs::create_dir_all(&src).expect("mkdir");
     std::fs::write(src.join("drive.rs"), fixture("c1_fire_root.rs")).expect("write");
     std::fs::write(src.join("gate.rs"), fixture("c1_fire_leaf.rs")).expect("write");
-    let out = bin()
-        .args([
-            "--root",
-            tmp.to_str().expect("utf8 path"),
-            "--json",
-            "crates",
-        ])
-        .output()
-        .expect("run riskpipe-lint");
-    assert_eq!(out.status.code(), Some(1));
-    let json = String::from_utf8(out.stdout).expect("utf8");
-    assert!(json.contains("\"version\": 3"), "{json}");
-    assert!(json.contains("\"rule\": \"C1\""), "{json}");
-    assert!(json.contains("\"trace\": ["), "{json}");
+    let (code, text) = run(&["--root", tmp.to_str().expect("utf8 path"), "crates"]);
+    assert_eq!(code, Some(1), "{text}");
+    assert!(text.contains("crates/app/src/gate.rs:9: [C1]"), "{text}");
+    assert!(text.contains("chain: crates/app/src/drive.rs:7"), "{text}");
     assert!(
-        json.contains("\"path\": \"crates/app/src/drive.rs\""),
-        "{json}"
+        text.contains("-> crates/app/src/gate.rs:4 `stage_kernel`"),
+        "{text}"
     );
-    assert!(json.contains("\"name\": \"`stage_kernel`\""), "{json}");
+    assert!(
+        text.contains("-> crates/app/src/gate.rs:9 `inner.lock()`"),
+        "{text}"
+    );
 }
 
 #[test]

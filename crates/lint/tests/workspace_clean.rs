@@ -1,14 +1,12 @@
 //! Tier-1 gate: the real workspace must carry zero lint findings —
-//! deny *and* warn, including the cross-file C1 reachability and L1–L3
-//! lock-flow rules — and the two-pass engine must stay fast enough to
-//! sit in the inner CI loop. Every rule has graduated to deny, so the
-//! only warn a scan can produce is an unused suppression, and that is
-//! stale documentation to delete, not debt to carry: this test is the
-//! same gate as CI's `--deny-warnings` step. The rules the workspace
-//! states as clippy configuration are gated here too, by running the
-//! same clippy command CI once ran as its own step.
+//! including the cross-file C1 reachability and L1–L3 lock-flow rules
+//! and unused suppressions — and the two-pass engine must stay fast
+//! enough to sit in the inner CI loop: this test is the same gate as
+//! CI's `riskpipe-lint` step. The rules the workspace states as clippy
+//! configuration are gated here too, by running the same clippy command
+//! CI once ran as its own step.
 
-use riskpipe_lint::{lint_workspace, Config, RuleId, Severity};
+use riskpipe_lint::{lint_workspace, RuleId};
 use std::path::{Path, PathBuf};
 use std::process::Command;
 use std::time::Duration;
@@ -34,7 +32,7 @@ fn workspace_has_no_deny_findings() {
                   artifact depends on the reading"
     )]
     let started = std::time::Instant::now();
-    let report = lint_workspace(&root, &Config::default()).expect("lint workspace");
+    let report = lint_workspace(&root).expect("lint workspace");
     let elapsed = started.elapsed();
 
     assert!(
@@ -54,28 +52,20 @@ fn workspace_has_no_deny_findings() {
     }
     assert!(
         report.findings.is_empty(),
-        "{} deny / {} warn lint finding(s) — fix the site or add a reasoned \
+        "{} lint finding(s) — fix the site or add a reasoned \
          `// lint: allow(<rule>)` (see `riskpipe-lint --explain <rule>`)",
-        report.deny_count(),
-        report.warn_count()
+        report.findings.len()
     );
 }
 
 #[test]
 fn reachability_rules_are_active_at_deny() {
-    // The workspace gate above is only meaningful if C1 actually
-    // participates at deny severity; a severity downgrade must not
-    // slip through a refactor silently. Same for the lock-flow rules:
-    // the workspace is at zero for all of them, and only deny keeps it
-    // there.
-    assert_eq!(RuleId::C1.severity(), Severity::Deny);
-    assert_eq!(RuleId::L1.severity(), Severity::Deny);
-    assert_eq!(RuleId::L2.severity(), Severity::Deny);
-    assert_eq!(RuleId::L3.severity(), Severity::Deny);
-    assert!(RuleId::ALL.contains(&RuleId::C1));
-    assert!(RuleId::ALL.contains(&RuleId::L1));
-    assert!(RuleId::ALL.contains(&RuleId::L2));
-    assert!(RuleId::ALL.contains(&RuleId::L3));
+    // The workspace gate above is only meaningful if the call-graph
+    // rules actually run: every finding fails, so a rule dropped from
+    // the catalogue must not slip through a refactor silently.
+    for rule in [RuleId::C1, RuleId::L1, RuleId::L2, RuleId::L3] {
+        assert!(RuleId::ALL.contains(&rule), "{rule}");
+    }
 }
 
 #[test]
@@ -109,7 +99,7 @@ fn committed_lock_manifest_matches_the_derived_graph() {
     // derived graph drifts from the committed file, regenerate with
     //     cargo run -p riskpipe-lint -- --emit-lock-graph .
     let root = workspace_root();
-    let report = lint_workspace(&root, &Config::default()).expect("lint workspace");
+    let report = lint_workspace(&root).expect("lint workspace");
     let committed = std::fs::read_to_string(root.join("lock-order.manifest"))
         .expect("lock-order.manifest at the workspace root");
     let derived = report.lock_graph.render_manifest();

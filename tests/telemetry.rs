@@ -4,7 +4,7 @@
 //! writes), its metrics registry snapshots **bit-identically across
 //! thread counts** (timings are spans-only, never metrics), a session
 //! built without one records nothing anywhere, and the JSON export
-//! schema stays pinned at version 1.
+//! schema stays pinned at version 2.
 
 use riskpipe::analytics::{DrilldownLayout, ScenarioDims, SessionAnalytics, SweepPlanAnalytics};
 use riskpipe::catmodel::financial::location_loss;

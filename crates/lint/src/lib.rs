@@ -677,14 +677,19 @@ mod tests {
         assert!(findings.iter().any(|f| f.rule == RuleId::D2));
     }
 
-    #[test]
-    fn text_renders_the_trace_every_chain_and_the_count() {
-        let frame = |p: &str, l: u32, n: &str| TraceFrame {
+    fn frame(p: &str, l: u32, n: &str) -> TraceFrame {
+        TraceFrame {
             path: p.into(),
             line: l,
             name: n.into(),
-        };
-        let c1 = Finding {
+        }
+    }
+
+    // This test and the next keep the names they had when a JSON report
+    // sat beside the text one; the text rendering they check is unchanged.
+    #[test]
+    fn json_v3_trace_field_and_text_chain() {
+        let finding = Finding {
             rule: RuleId::C1,
             path: "crates/x/src/b.rs".into(),
             line: 9,
@@ -695,14 +700,28 @@ mod tests {
                 frame("crates/x/src/b.rs", 9, "`m.lock()` (Mutex acquisition)"),
             ],
         };
-        let text = c1.to_string();
+        let text = finding.to_string();
         assert!(
             text.starts_with("crates/x/src/b.rs:9: [C1] blocking"),
             "{text}"
         );
         assert!(text.contains("chain: crates/x/src/a.rs:3 task closure"));
         assert!(text.contains("-> crates/x/src/b.rs:9"));
-        let l1 = Finding {
+        let report = Report {
+            findings: vec![finding],
+            files_scanned: 2,
+            ..Report::default()
+        };
+        let text = report.render_text();
+        assert!(
+            text.ends_with("riskpipe-lint: 2 file(s) scanned, 1 finding(s)\n"),
+            "{text}"
+        );
+    }
+
+    #[test]
+    fn json_v3_chains_field_and_text_rendering() {
+        let finding = Finding {
             rule: RuleId::L1,
             path: "crates/x/src/a.rs".into(),
             line: 4,
@@ -719,17 +738,17 @@ mod tests {
                 ],
             ],
         };
-        let text = l1.to_string();
+        let text = finding.to_string();
         assert!(text.contains("chain 1: crates/x/src/a.rs:2"), "{text}");
         assert!(text.contains("chain 2: crates/x/src/b.rs:7"), "{text}");
         let report = Report {
-            findings: vec![c1, l1],
-            files_scanned: 2,
+            findings: vec![finding.clone(), finding],
+            files_scanned: 3,
             ..Report::default()
         };
         let text = report.render_text();
         assert!(
-            text.ends_with("riskpipe-lint: 2 file(s) scanned, 2 finding(s)\n"),
+            text.ends_with("riskpipe-lint: 3 file(s) scanned, 2 finding(s)\n"),
             "{text}"
         );
     }

@@ -4,26 +4,27 @@
 //! [`WarehouseSink`](crate::WarehouseSink) accumulated, plus any
 //! coarser views materialised from it. View selection runs the HRU
 //! greedy algorithm under a **byte** budget
-//! ([`Drilldown::materialize_budget`]): each lattice node is rolled up
-//! from the base to measure its exact footprint (sketch bytes included
-//! — cell counts alone would misprice sketch-heavy views) and dropped
-//! as soon as it is measured, then [`greedy_select_budget`] picks by
+//! ([`Drilldown::materialize_budget`]): each lattice node's exact
+//! footprint (sketch bytes included — cell counts alone would misprice
+//! sketch-heavy views) is computed from the base without rolling the
+//! node up ([`SketchCuboid::rollup_memory_bytes`]: the rollup's key
+//! grouping, and each group's sketch size folded from its sources'
+//! per-level item counts), then [`greedy_select_budget`] picks by
 //! benefit-per-byte until the budget is spent, and only the picks are
-//! rolled up again to be kept. Sizing holds one rollup per worker, not
-//! the lattice.
+//! rolled up. Sizing builds no cuboid.
 //!
 //! Every view, budgeted or [`Drilldown::materialize`]d one at a time,
 //! is rolled up from the base and never from another view, so a view's
 //! cells are the same bits whichever views came before it.
 //!
-//! The rollups run as tasks on the pool the warehouse was built with:
-//! the session's pool when a session built it
+//! The picks' rollups run as tasks on the pool the warehouse was built
+//! with: the session's pool when a session built it
 //! ([`AnalyticsHandle::rebuild_from_store`](crate::AnalyticsHandle::rebuild_from_store),
 //! a sweep plan's `.warehouse(layout)`), [`riskpipe_exec::global_pool`]
 //! when a bare [`WarehouseSink`](crate::WarehouseSink) did. Each
-//! node's rollup is a pure function of the base cuboid, and the sizes
-//! are collected in `enumerate` order, so the picks are the same on
-//! any pool. Everything else here runs on the calling thread.
+//! rollup is a pure function of the base cuboid, so the views are the
+//! same on any pool. Everything else here, sizing included, runs on
+//! the calling thread.
 //!
 //! Queries ([`Drilldown::answer`]) are planned by the plain
 //! warehouse's own rule ([`SketchCuboid::smallest_covering`]): the
@@ -132,37 +133,28 @@ impl Drilldown {
     /// Greedy view selection under `budget_bytes` of view storage
     /// (HRU benefit-per-byte; the base cuboid is always kept and costs
     /// nothing against the budget). Replaces the current view set.
-    /// Sizes are **measured**, not estimated: every lattice node is
-    /// rolled up from the base once and its footprint recorded, and the
-    /// cuboid is dropped before the task rolls up its next node, so
-    /// sizing holds at most one rollup per thread running its tasks
-    /// (the pool's workers and the caller, which helps while it
-    /// waits), never the lattice. The lattice here is dozens of nodes over
-    /// already-aggregated cells, so measuring costs less than one
-    /// mispriced materialisation would. The picks are then rolled up
-    /// from the base again, also on the pool (see the module docs).
+    /// Sizes are **exact**, not estimated, and cost no rollup: each
+    /// lattice node's size is
+    /// [`rollup_memory_bytes`](SketchCuboid::rollup_memory_bytes) of the
+    /// base — the `memory_bytes` its rollup would have, from the
+    /// rollup's own key grouping and the sketches' per-level item
+    /// counts — computed on the calling thread. Only the picks are
+    /// rolled up from the base, on the pool (see the module docs).
     /// Sizes reach the picker in `enumerate` order, and the first
     /// failing node in that order is the error.
     pub fn materialize_budget(&mut self, budget_bytes: u64) -> RiskResult<ViewSelection> {
         let _span = riskpipe_obs::span("warehouse.materialize");
         let schema = self.layout.schema();
         let base = &self.base;
-        let pool = self.pool();
-        let selects = enumerate(schema);
-        let grain = |len| suggest_grain(len, pool.thread_count(), 1);
-        let sized = par_map_collect(pool, selects.len(), grain(selects.len()), |i| {
-            let select = selects[i];
-            let bytes = if select == base.select() {
-                base.memory_bytes()
-            } else {
-                base.rollup(schema, select)?.memory_bytes()
-            };
-            Ok((select, bytes as u64))
-        });
-        let sizes: Vec<(LevelSelect, u64)> = sized.into_iter().collect::<RiskResult<_>>()?;
+        let sizes: Vec<(LevelSelect, u64)> = enumerate(schema)
+            .into_iter()
+            .map(|select| Ok((select, base.rollup_memory_bytes(schema, select)? as u64)))
+            .collect::<RiskResult<_>>()?;
         let selection = greedy_select_budget(&sizes, budget_bytes);
         let picked = &selection.picked;
-        let built = par_map_collect(pool, picked.len(), grain(picked.len()), |i| {
+        let pool = self.pool();
+        let grain = suggest_grain(picked.len(), pool.thread_count(), 1);
+        let built = par_map_collect(pool, picked.len(), grain, |i| {
             base.rollup(schema, picked[i])
         });
         let views = picked
@@ -171,10 +163,8 @@ impl Drilldown {
             .zip(built)
             .map(|(select, view)| Ok((select, view?)))
             .collect::<RiskResult<_>>()?;
-        // Deterministic: every non-base node sized plus every view built
-        // (the picker never picks the base).
-        let rollups = sizes.len() - 1 + picked.len();
-        riskpipe_obs::counter_add("warehouse.materialize.rollups", rollups as u64);
+        // Deterministic: the views built, the only rollups run.
+        riskpipe_obs::counter_add("warehouse.materialize.rollups", picked.len() as u64);
         self.views = views;
         Ok(selection)
     }

@@ -20,7 +20,7 @@
 //! The gap between a unit's standalone TVaR and its co-TVaR share is
 //! that unit's diversification benefit in capital terms.
 
-use riskpipe_types::stats::tail_mean_sorted;
+use riskpipe_types::stats::{sort_f64, tail_mean_sorted};
 use riskpipe_types::{KahanSum, RiskError, RiskResult};
 
 /// Allocation method.
@@ -143,7 +143,7 @@ pub fn allocate(
         .iter()
         .map(|col| {
             let mut s = col.clone();
-            s.sort_unstable_by(f64::total_cmp);
+            sort_f64(&mut s);
             tail_mean_sorted(&s, alpha)
         })
         .collect();

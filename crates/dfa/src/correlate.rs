@@ -30,10 +30,12 @@
 //!   order is used afterwards. Then step 4 runs k tasks, each sorting
 //!   one score column's `(score, row)` pairs and writing every tie
 //!   group's data value straight over that score column, which becomes
-//!   the output. Column `c` reads nothing of column `c'`; both sorts use
-//!   `total_cmp`, so ties are bit-equal, neither the sorted data nor the
-//!   tie groups depend on how the sort broke them, and a group's value
-//!   depends only on its sorted positions.
+//!   the output. Column `c` reads nothing of column `c'`; both sorts
+//!   order by `total_cmp`'s integer key (the data by
+//!   `stats::sort_f64`, the pairs by key then row), so the sorted data
+//!   is unique to the bit, the tie groups (tested on the scores) do not
+//!   depend on how the sort broke ties, and a group's value depends only
+//!   on its sorted positions.
 //! * **Order-bound, always serial:** the k Fisher–Yates shuffles draw
 //!   from *one* sequential `Pcg64` — column `c`'s permutation starts
 //!   where column `c − 1`'s stopped, so neither the columns nor the
@@ -48,6 +50,7 @@
 
 use riskpipe_types::rng::{Pcg64, Rng64};
 use riskpipe_types::special::normal_icdf_in_place;
+use riskpipe_types::stats::{from_total_order_key, sort_f64, total_order_key};
 use riskpipe_types::{RiskError, RiskResult};
 
 /// A symmetric positive-definite correlation matrix (dense, small k).
@@ -315,7 +318,7 @@ pub(crate) fn iman_conover_on(
     slices.extend(columns.iter_mut().map(Vec::as_mut_slice));
     map(&mut slices, &|i, out| {
         if i >= k * chunks {
-            out.sort_unstable_by(f64::total_cmp);
+            sort_f64(out);
             return;
         }
         let c = i / chunks;
@@ -332,19 +335,24 @@ pub(crate) fn iman_conover_on(
     // 4. Reorder each data column to match the ranks of its score
     //    column: the smallest data value goes where the smallest score
     //    sits, and so on. Column c reads column c only: one task each,
-    //    which sorts the column's (score, row) pairs once and writes
-    //    each tie group's value straight over the scores, row by row.
+    //    which sorts the column's (score, row) pairs once — by the
+    //    score's `total_cmp` key, then the row — and writes each tie
+    //    group's value straight over the scores, row by row. Ties are
+    //    tested on the scores themselves, so -0.0 and +0.0 (two keys,
+    //    one value) still share a group.
     //    A group at sorted positions i..=j shares the 1-based average
     //    rank (i + j)/2 + 1, rounded as `stats::ranks` + `round` would.
     let sorted: &[Vec<f64>] = columns;
     let mut slices: Vec<&mut [f64]> = scores.iter_mut().map(Vec::as_mut_slice).collect();
     map(&mut slices, &|c, out| {
-        let mut pairs: Vec<(f64, usize)> = out.iter().copied().zip(0..).collect();
-        pairs.sort_unstable_by(|x, y| x.0.total_cmp(&y.0));
+        let mut pairs: Vec<(u64, usize)> =
+            out.iter().map(|&s| total_order_key(s)).zip(0..).collect();
+        pairs.sort_unstable();
+        let score = |p: usize| from_total_order_key(pairs[p].0);
         let mut i = 0;
         while i < n {
             let mut j = i;
-            while j + 1 < n && pairs[j + 1].0 == pairs[i].0 {
+            while j + 1 < n && score(j + 1) == score(i) {
                 j += 1;
             }
             let rank = (i + j) as f64 / 2.0 + 1.0;

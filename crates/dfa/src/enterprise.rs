@@ -10,7 +10,7 @@
 
 use crate::correlate::{iman_conover, CorrelationMatrix};
 use riskpipe_tables::Ylt;
-use riskpipe_types::stats::tail_mean_sorted;
+use riskpipe_types::stats::{sort_f64, tail_mean_sorted};
 use riskpipe_types::{RiskError, RiskResult};
 
 /// One business unit and its catastrophe/aggregate loss profile.
@@ -103,7 +103,7 @@ impl EnterpriseRollup {
             }
         }
         let mut sorted = enterprise_losses.clone();
-        sorted.sort_unstable_by(f64::total_cmp);
+        sort_f64(&mut sorted);
         let enterprise_tvar99 = tail_mean_sorted(&sorted, 0.99);
         let sum_standalone: f64 = standalone_tvar99.iter().map(|(_, t)| t).sum();
         let diversification_benefit = if sum_standalone > 0.0 {

@@ -27,7 +27,7 @@ use crate::factors::{
 };
 use riskpipe_tables::Ylt;
 use riskpipe_types::rng::SeedStream;
-use riskpipe_types::stats::{quantile_sorted, tail_mean_unsorted};
+use riskpipe_types::stats::{quantile_sorted, sort_f64, tail_mean_unsorted};
 use riskpipe_types::{RiskError, RiskResult, RunningStats};
 
 /// Balance-sheet and underwriting configuration of the company.
@@ -387,7 +387,7 @@ impl DfaResult {
     /// `alpha`-VaR of the *net loss* (−net income).
     pub fn var_net_loss(&self, alpha: f64) -> f64 {
         let mut losses: Vec<f64> = self.net_income.iter().map(|&x| -x).collect();
-        losses.sort_unstable_by(f64::total_cmp);
+        sort_f64(&mut losses);
         quantile_sorted(&losses, alpha)
     }
 

@@ -8,7 +8,7 @@
 //! distribution.
 
 use riskpipe_tables::Ylt;
-use riskpipe_types::stats::quantile_sorted;
+use riskpipe_types::stats::{quantile_sorted, sort_f64};
 
 /// The standard reporting return periods (years) EP tables are sampled
 /// at.
@@ -106,7 +106,7 @@ impl EpCurve {
     /// Build from a raw loss sample (sorted internally).
     pub fn from_losses(kind: EpKind, mut losses: Vec<f64>) -> Self {
         assert!(!losses.is_empty(), "EP curve needs at least one loss");
-        losses.sort_unstable_by(f64::total_cmp);
+        sort_f64(&mut losses);
         Self::from_sorted(kind, losses)
     }
 

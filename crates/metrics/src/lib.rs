@@ -31,4 +31,4 @@ pub use ep::{
     STANDARD_RETURN_PERIODS,
 };
 pub use measures::{tvar, tvar_sorted, var, var_sorted, RiskMeasures};
-pub use sketch::QuantileSketch;
+pub use sketch::{QuantileSketch, SketchShape};

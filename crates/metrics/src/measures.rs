@@ -1,13 +1,13 @@
 //! VaR and TVaR: quantile and tail-conditional risk measures.
 
 use riskpipe_tables::Ylt;
-use riskpipe_types::stats::{quantile_sorted, tail_mean_sorted};
+use riskpipe_types::stats::{quantile_sorted, sort_f64, tail_mean_sorted};
 
 /// Value-at-Risk at level `alpha` (e.g. 0.99): the `alpha`-quantile of
 /// the loss distribution. Input need not be sorted.
 pub fn var(losses: &[f64], alpha: f64) -> f64 {
     let mut sorted = losses.to_vec();
-    sorted.sort_unstable_by(f64::total_cmp);
+    sort_f64(&mut sorted);
     var_sorted(&sorted, alpha)
 }
 
@@ -22,7 +22,7 @@ pub fn var_sorted(sorted: &[f64], alpha: f64) -> f64 {
 /// sorted.
 pub fn tvar(losses: &[f64], alpha: f64) -> f64 {
     let mut sorted = losses.to_vec();
-    sorted.sort_unstable_by(f64::total_cmp);
+    sort_f64(&mut sorted);
     tvar_sorted(&sorted, alpha)
 }
 

@@ -5,6 +5,7 @@
 //! single-occurrence loss (for occurrence exceedance curves), and the
 //! number of loss-causing occurrences.
 
+use riskpipe_types::stats::sort_f64;
 use riskpipe_types::{RiskError, RiskResult, TrialId};
 
 /// Columnar year-loss table.
@@ -130,14 +131,14 @@ impl Ylt {
     /// Sorted copy of the aggregate losses (ascending) for quantiles.
     pub fn sorted_agg_losses(&self) -> Vec<f64> {
         let mut v = self.agg_loss.clone();
-        v.sort_unstable_by(f64::total_cmp);
+        sort_f64(&mut v);
         v
     }
 
     /// Sorted copy of the max-occurrence losses (ascending).
     pub fn sorted_max_occ_losses(&self) -> Vec<f64> {
         let mut v = self.max_occ_loss.clone();
-        v.sort_unstable_by(f64::total_cmp);
+        sort_f64(&mut v);
         v
     }
 

@@ -124,9 +124,50 @@ impl FromIterator<f64> for RunningStats {
     }
 }
 
-/// Sort a slice of `f64` with total ordering (NaNs last).
+/// Sort a slice of `f64` ascending by [`f64::total_cmp`]: `-inf` below
+/// every finite value and `+inf` above, `-0.0` before `+0.0`, and a NaN
+/// by its sign bit — a NaN with the sign bit set (what x86-64 arithmetic
+/// makes of `0.0 / 0.0`) before everything, one without it
+/// ([`f64::NAN`]) after everything.
+///
+/// The sort runs on integers: every value is mapped in place to its
+/// [`total_order_key`], the keys are sorted, and the values are mapped
+/// back. The key is a bijection whose order is `total_cmp`'s, and
+/// `total_cmp` is a strict total order, so the result is bit for bit
+/// the one `sort_unstable_by(f64::total_cmp)` leaves, with no extra
+/// memory.
 pub fn sort_f64(xs: &mut [f64]) {
-    xs.sort_unstable_by(f64::total_cmp);
+    by_total_order_key(xs, |keys| keys.sort_unstable_by_key(|k| k.to_bits()));
+}
+
+/// The `u64` whose unsigned order is [`f64::total_cmp`]'s order of
+/// `x`: the transform `total_cmp` applies before its signed compare (a
+/// negative value's bits below the sign flipped), with the sign bit
+/// flipped too, so negatives land below positives. A bijection;
+/// [`from_total_order_key`] inverts it.
+pub fn total_order_key(x: f64) -> u64 {
+    let bits = x.to_bits();
+    bits ^ ((((bits as i64) >> 63) as u64) | SIGN_BIT)
+}
+
+/// The value whose [`total_order_key`] is `key`.
+pub fn from_total_order_key(key: u64) -> f64 {
+    f64::from_bits(key ^ ((((!key as i64) >> 63) as u64) | SIGN_BIT))
+}
+
+const SIGN_BIT: u64 = 1 << 63;
+
+/// Run `f` over `xs` with every value replaced by the bits of its
+/// [`total_order_key`], then map them back. Ordering the slice by
+/// `to_bits()` inside `f` orders the values by `total_cmp`.
+fn by_total_order_key(xs: &mut [f64], f: impl FnOnce(&mut [f64])) {
+    for x in xs.iter_mut() {
+        *x = f64::from_bits(total_order_key(*x));
+    }
+    f(xs);
+    for x in xs.iter_mut() {
+        *x = from_total_order_key(x.to_bits());
+    }
 }
 
 /// Linear-interpolated quantile (R type-7, the numpy default) on an
@@ -163,15 +204,18 @@ pub fn tail_mean_sorted(sorted: &[f64], q: f64) -> f64 {
 
 /// [`tail_mean_sorted`] of `values` once sorted by `total_cmp`, without
 /// sorting all of them: `values` is partitioned at the tail's first
-/// rank and only the tail is sorted. `total_cmp` is a total order, so
-/// the sorted tail — and the sum over it — is bit for bit the one a full
-/// sort gives. Leaves `values` partitioned.
+/// rank and only the tail is sorted, both on the values'
+/// [`total_order_key`]s, as [`sort_f64`] sorts. `total_cmp` is a total
+/// order, so the sorted tail — and the sum over it — is bit for bit the
+/// one a full sort gives. Leaves `values` partitioned.
 pub fn tail_mean_unsorted(values: &mut [f64], q: f64) -> f64 {
     assert!(!values.is_empty());
     let start = tail_start(values.len(), q);
-    values.select_nth_unstable_by(start, f64::total_cmp);
-    let tail = &mut values[start..];
-    tail.sort_unstable_by(f64::total_cmp);
+    by_total_order_key(values, |keys| {
+        keys.select_nth_unstable_by_key(start, |k| k.to_bits());
+        keys[start..].sort_unstable_by_key(|k| k.to_bits());
+    });
+    let tail = &values[start..];
     let k: KahanSum = tail.iter().copied().collect();
     k.total() / tail.len() as f64
 }
@@ -262,6 +306,97 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// A value from the corners `total_cmp` orders: signed zeros and
+    /// infinities, subnormals, both signs of [`f64::NAN`], NaNs with a
+    /// payload (quiet and signalling), the NaN x86-64 arithmetic makes,
+    /// a few values that repeat, or any bit pattern at all.
+    fn awkward(rng: &mut crate::rng::SplitMix64) -> f64 {
+        use crate::rng::Rng64;
+        let runtime_nan = std::hint::black_box(0.0f64) / std::hint::black_box(0.0);
+        let corners = [
+            0.0,
+            -0.0,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::from_bits(1),
+            -f64::from_bits(1),
+            f64::from_bits(0x000F_FFFF_FFFF_FFFF),
+            f64::NAN,
+            -f64::NAN,
+            f64::from_bits(0x7FF0_0000_0000_0001),
+            f64::from_bits(0x7FF8_0000_DEAD_BEEF),
+            f64::from_bits(0xFFF0_0000_0000_0001),
+            f64::from_bits(0xFFFF_FFFF_FFFF_FFFF),
+            runtime_nan,
+            f64::MIN_POSITIVE,
+            f64::MAX,
+            f64::MIN,
+        ];
+        match rng.next_u64() % 4 {
+            0 => corners[(rng.next_u64() % corners.len() as u64) as usize],
+            1 => (rng.next_u64() % 5) as f64 - 2.0,
+            2 => f64::from_bits(rng.next_u64()),
+            _ => (rng.next_f64() - 0.5) * 1e6,
+        }
+    }
+
+    fn bits(xs: &[f64]) -> Vec<u64> {
+        xs.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// `cases` slices of lengths 0–64, then one of 20 000 values, each
+    /// sorted by [`sort_f64`] and by `total_cmp` directly.
+    fn sort_f64_matches_total_cmp(seed: u64, cases: usize) {
+        use crate::rng::SplitMix64;
+        let mut rng = SplitMix64::new(seed);
+        for case in 0..=cases {
+            let len = if case == cases { 20_000 } else { case % 65 };
+            let xs: Vec<f64> = (0..len).map(|_| awkward(&mut rng)).collect();
+            let (mut got, mut want) = (xs.clone(), xs.clone());
+            sort_f64(&mut got);
+            want.sort_unstable_by(f64::total_cmp);
+            assert_eq!(bits(&got), bits(&want), "case {case}: {xs:?}");
+            for pair in xs.windows(2) {
+                let (a, b) = (pair[0], pair[1]);
+                let by_key = total_order_key(a).cmp(&total_order_key(b));
+                assert_eq!(by_key, a.total_cmp(&b), "{a:?} vs {b:?}");
+                assert_eq!(
+                    from_total_order_key(total_order_key(a)).to_bits(),
+                    a.to_bits()
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn sort_f64_equals_the_total_cmp_sort_bitwise() {
+        sort_f64_matches_total_cmp(0x50F7, 650);
+    }
+
+    /// The same property over sixteen times the cases and its own seed:
+    /// `cargo test --release -p riskpipe-types sort_f64 -- --ignored`.
+    #[test]
+    #[ignore = "nightly: sixteen times the cases; run with --ignored"]
+    fn sort_f64_equals_the_total_cmp_sort_bitwise_nightly() {
+        sort_f64_matches_total_cmp(0x50F7_2417, 16 * 650);
+    }
+
+    #[test]
+    fn a_nan_sorts_by_its_sign_bit() {
+        let runtime_nan = std::hint::black_box(0.0f64) / std::hint::black_box(0.0);
+        // x86-64's default NaN carries the sign bit; aarch64's does not.
+        #[cfg(target_arch = "x86_64")]
+        assert!(runtime_nan.is_sign_negative());
+        let mut xs = [1.0, f64::NAN, runtime_nan, f64::NEG_INFINITY, -f64::NAN];
+        sort_f64(&mut xs);
+        let sign_set = runtime_nan.is_sign_negative();
+        let nans_first = if sign_set { 2 } else { 1 };
+        assert!(xs[..nans_first].iter().all(|x| x.is_nan()));
+        assert_eq!(xs[nans_first], f64::NEG_INFINITY);
+        assert!(xs[nans_first + 2..].iter().all(|x| x.is_nan()));
+        assert_eq!(xs[4].to_bits(), f64::NAN.to_bits());
     }
 
     #[test]

@@ -207,6 +207,13 @@ pub trait Measure: Clone {
     /// Heap footprint in bytes — what a space-budgeted view selection
     /// charges for the cell.
     fn memory_bytes(&self) -> usize;
+    /// The [`Measure::memory_bytes`] of the cell that merging `rest`, in
+    /// order, into a copy of `first` would make — what a rollup's cell
+    /// costs, known without building it
+    /// ([`Cuboid::rollup_memory_bytes`]).
+    fn pooled_bytes<'a>(first: &'a Self, rest: impl Iterator<Item = &'a Self>) -> usize
+    where
+        Self: 'a;
 }
 
 /// The plain aggregate measures of one cell.
@@ -260,6 +267,11 @@ impl Measure for Cell {
     fn memory_bytes(&self) -> usize {
         24
     }
+
+    /// Every cell is the same size.
+    fn pooled_bytes<'a>(first: &'a Self, _rest: impl Iterator<Item = &'a Self>) -> usize {
+        first.memory_bytes()
+    }
 }
 
 /// A materialised cuboid: sorted keys and their cells, in parallel
@@ -277,6 +289,9 @@ pub struct Cuboid<M = Cell> {
 
 /// Default fact rows per aggregation chunk.
 pub const DEFAULT_BUILD_GRAIN: usize = 64 * 1024;
+
+/// What a cuboid charges per cell for its key.
+const KEY_BYTES: usize = std::mem::size_of::<u64>();
 
 impl Cuboid<Cell> {
     /// Group the fact table by `select`, sequentially or on `pool`.
@@ -447,7 +462,7 @@ impl<M: Measure> Cuboid<M> {
     /// Heap footprint in bytes (keys plus every cell) — the quantity a
     /// byte-budgeted view selection charges.
     pub fn memory_bytes(&self) -> usize {
-        self.keys.len() * 8 + self.cells.iter().map(M::memory_bytes).sum::<usize>()
+        self.keys.len() * KEY_BYTES + self.cells.iter().map(M::memory_bytes).sum::<usize>()
     }
 
     /// The planner's pick rule, for materialising and for answering
@@ -475,6 +490,32 @@ impl<M: Measure> Cuboid<M> {
     /// finer-or-equal to `target` on every dimension (a cuboid can only
     /// be rolled *up*). Repeated rollups are bit-identical.
     pub fn rollup(&self, schema: &Schema, target: LevelSelect) -> RiskResult<Cuboid<M>> {
+        let (codec, lift) = self.rollup_to(schema, target)?;
+        let (cells, _) = self.group(&lift, &codec, |_| true, |k, cell| (k, cell.into_owned()));
+        Ok(Self::from_sorted(target, codec, cells))
+    }
+
+    /// The [`Cuboid::memory_bytes`] of [`Cuboid::rollup`]`(schema,
+    /// target)`, exactly, without building it: the same grouping picks
+    /// out each run of cells the rollup would pool, and
+    /// [`Measure::pooled_bytes`] prices the run instead of merging it.
+    /// Fails as the rollup does.
+    pub fn rollup_memory_bytes(&self, schema: &Schema, target: LevelSelect) -> RiskResult<usize> {
+        let (codec, lift) = self.rollup_to(schema, target)?;
+        let picks = self.picks(&lift, &codec, |_| true);
+        let runs = picks.chunk_by(|a, b| a.0 == b.0);
+        Ok(runs
+            .map(|run| {
+                let rest = run[1..].iter().map(|&(_, i)| &self.cells[i]);
+                KEY_BYTES + M::pooled_bytes(&self.cells[run[0].1], rest)
+            })
+            .sum())
+    }
+
+    /// The codec and lift of a rollup to `target`, once `target` is
+    /// checked to be a valid select no finer than this cuboid's on any
+    /// dimension.
+    fn rollup_to(&self, schema: &Schema, target: LevelSelect) -> RiskResult<(KeyCodec, Lift)> {
         target.check(schema, "rollup target")?;
         if !self.select.finer_eq(&target) {
             return Err(RiskError::invalid(format!(
@@ -482,10 +523,10 @@ impl<M: Measure> Cuboid<M> {
                 self.select.0, target.0
             )));
         }
-        let codec = KeyCodec::new(schema, target)?;
-        let lift = Lift::new(schema, self.select, target);
-        let (cells, _) = self.group(&lift, &codec, |_| true, |k, cell| (k, cell.into_owned()));
-        Ok(Self::from_sorted(target, codec, cells))
+        Ok((
+            KeyCodec::new(schema, target)?,
+            Lift::new(schema, self.select, target),
+        ))
     }
 
     /// Answer `query` from this cuboid: lift each cell to the query's
@@ -533,12 +574,9 @@ impl<M: Measure> Cuboid<M> {
     }
 
     /// The one grouping loop behind [`Cuboid::rollup`] and
-    /// [`Cuboid::answer`]. Visit the cells in key order, lift their
-    /// codes, drop those `keep` rejects, and pair each survivor's key
-    /// under `codec` with its cell index. Lifting to a coarser grain
-    /// can break key order, so the pairs are stable-sorted by key when
-    /// they are not already ascending (a group-by at the cuboid's own
-    /// grain never sorts). Each run of equal keys is then one group:
+    /// [`Cuboid::answer`]. The groups are the runs of equal keys in
+    /// [`Cuboid::picks`] (which [`Cuboid::rollup_memory_bytes`] prices
+    /// without merging them). Each run is one group:
     /// its first cell is borrowed, and the second makes the group an
     /// owned copy of the first that it and later ones merge into. The
     /// sort is stable, so a run lists its cells in visit order, and
@@ -556,16 +594,7 @@ impl<M: Measure> Cuboid<M> {
         keep: impl Fn(&[u32; NDIMS]) -> bool,
         emit: impl Fn(u64, Cow<'a, M>) -> T,
     ) -> (Vec<T>, u64) {
-        let mut picks: Vec<(u64, usize)> = Vec::with_capacity(self.keys.len());
-        for (i, &key) in self.keys.iter().enumerate() {
-            let out = lift.apply(self.codec.decode(key));
-            if keep(&out) {
-                picks.push((codec.encode(out), i));
-            }
-        }
-        if !picks.is_sorted_by_key(|&(key, _)| key) {
-            picks.sort_by_key(|&(key, _)| key);
-        }
+        let picks = self.picks(lift, codec, keep);
         let runs = picks.chunk_by(|a, b| a.0 == b.0);
         let mut grouped = Vec::with_capacity(runs.clone().count());
         let mut merged = 0;
@@ -579,6 +608,32 @@ impl<M: Measure> Cuboid<M> {
             grouped.push(emit(key, cell));
         }
         (grouped, merged)
+    }
+
+    /// Visit the cells in key order, lift their codes, drop those
+    /// `keep` rejects, and pair each survivor's key under `codec` with
+    /// its cell index. Lifting to a coarser grain can break key order,
+    /// so the pairs are stable-sorted by key when they are not already
+    /// ascending (a group-by at the cuboid's own grain never sorts):
+    /// equal keys then sit in runs that list their cells in visit
+    /// order.
+    fn picks(
+        &self,
+        lift: &Lift,
+        codec: &KeyCodec,
+        keep: impl Fn(&[u32; NDIMS]) -> bool,
+    ) -> Vec<(u64, usize)> {
+        let mut picks: Vec<(u64, usize)> = Vec::with_capacity(self.keys.len());
+        for (i, &key) in self.keys.iter().enumerate() {
+            let out = lift.apply(self.codec.decode(key));
+            if keep(&out) {
+                picks.push((codec.encode(out), i));
+            }
+        }
+        if !picks.is_sorted_by_key(|&(key, _)| key) {
+            picks.sort_by_key(|&(key, _)| key);
+        }
+        picks
     }
 }
 
@@ -854,12 +909,16 @@ mod tests {
     fn rollup_rejects_downward_moves() {
         fn check<M: Measure>(s: &Schema, base: &Cuboid<M>) {
             let coarse = base.rollup(s, LevelSelect([1, 1, 1, 1])).unwrap();
-            // Down on geo.
-            assert!(coarse.rollup(s, LevelSelect([0, 1, 1, 1])).is_err());
-            // Incomparable (down on one, up on another).
-            assert!(coarse.rollup(s, LevelSelect([0, 2, 2, 2])).is_err());
-            // Invalid level.
-            assert!(base.rollup(s, LevelSelect([7, 0, 0, 0])).is_err());
+            // Down on geo; incomparable (down on one, up on another);
+            // an invalid level. Sizing fails where the rollup does.
+            for (from, to) in [
+                (&coarse, [0, 1, 1, 1]),
+                (&coarse, [0, 2, 2, 2]),
+                (base, [7, 0, 0, 0]),
+            ] {
+                assert!(from.rollup(s, LevelSelect(to)).is_err());
+                assert!(from.rollup_memory_bytes(s, LevelSelect(to)).is_err());
+            }
         }
         let (s, _facts, base, sketched) = rollup_setup();
         check(&s, &base);
@@ -1007,7 +1066,8 @@ mod tests {
 
     /// Every select of the lattice, answered under a random dice and
     /// rolled up, against the oracle: rows (codes, borrowed or owned,
-    /// cell bits), cost record and rollup cells must all agree.
+    /// cell bits), cost record and rollup cells must all agree, and the
+    /// rollup's size must be what sizing it without building says.
     fn check_against_oracle<M: Measure>(
         s: &Schema,
         base: &Cuboid<M>,
@@ -1027,6 +1087,8 @@ mod tests {
                 prop_assert_eq!(bits(&got.cell), bits(&want.cell));
             }
             let rolled = base.rollup(s, select).unwrap();
+            let sized = base.rollup_memory_bytes(s, select).unwrap();
+            prop_assert_eq!(sized, rolled.memory_bytes(), "{:?}", select);
             let want = oracle_rollup(base, s, select);
             prop_assert_eq!(rolled.keys().len(), want.len());
             for ((key, cell), (want_key, want_cell)) in

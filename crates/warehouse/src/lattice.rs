@@ -6,9 +6,13 @@
 //! Efficiently", SIGMOD 1996) — picks the `k` views whose
 //! materialisation most reduces the total cost of answering the whole
 //! lattice, assuming each cuboid is answered from its cheapest
-//! materialised ancestor. We run it with *exact* cell counts (derived
-//! by rolling the base cuboid up, which is cheap) rather than
-//! estimates.
+//! materialised ancestor. We run it with *exact* sizes rather than
+//! estimates, and without building the nodes to measure them:
+//! [`Cuboid::rollup_memory_bytes`](crate::Cuboid::rollup_memory_bytes)
+//! groups the base cuboid's keys as the rollup would and prices each
+//! group from its cells' sizes (a sketch cell's from its sketches'
+//! per-level item counts), so only the views picked are ever rolled
+//! up.
 
 use crate::cube::LevelSelect;
 use crate::dimension::{Schema, NDIMS};

@@ -103,6 +103,15 @@ impl Measure for SketchCell {
     fn memory_bytes(&self) -> usize {
         24 + self.sketch.retained() * 8
     }
+
+    /// The sketches' shapes folded in merge order: how many values the
+    /// pooled sketch retains follows from how many each level of each
+    /// source holds, not from the values.
+    fn pooled_bytes<'a>(first: &'a Self, rest: impl Iterator<Item = &'a Self>) -> usize {
+        let mut shape = first.sketch.shape();
+        rest.for_each(|cell| shape.merge(&cell.sketch));
+        24 + shape.retained() * 8
+    }
 }
 
 #[cfg(test)]

@@ -347,12 +347,16 @@ fn signature_digest(sigs: &[CompactedSig]) -> u64 {
 }
 
 /// `memory_bytes()` of every lattice node rolled up from the base, in
-/// `enumerate` order — the sizes `materialize_budget` prices with.
+/// `enumerate` order — the sizes `materialize_budget` prices with,
+/// which it reads off `rollup_memory_bytes` without rolling up: the two
+/// must agree on every node.
 fn lattice_bytes(wh: &Drilldown) -> Vec<([u8; 4], usize)> {
     enumerate(wh.schema())
         .into_iter()
         .map(|select| {
             let node = wh.base().rollup(wh.schema(), select).unwrap();
+            let sized = wh.base().rollup_memory_bytes(wh.schema(), select);
+            assert_eq!(sized.unwrap(), node.memory_bytes(), "{select:?}");
             (select.0, node.memory_bytes())
         })
         .collect()

@@ -15,7 +15,7 @@ use riskpipe::core::{
 use riskpipe::obs::JSON_SCHEMA_VERSION;
 use riskpipe::prelude::{MetricsSnapshot, Query, RiskResult, Telemetry};
 use riskpipe::tables::Yelt;
-use riskpipe::warehouse::{enumerate, LevelSelect, Source};
+use riskpipe::warehouse::{LevelSelect, Source};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -453,8 +453,9 @@ fn span_tree_covers_every_stage_of_a_full_plan() -> RiskResult<()> {
 /// the session's handle; the slot folds are its children there, while
 /// the reads run on the pool) and `warehouse.materialize` around view
 /// sizing (recorded under whatever context the caller installed).
-/// `warehouse.materialize.rollups` counts one rollup per non-base
-/// lattice node sized and one per view built, the same on every pool.
+/// `warehouse.materialize.rollups` counts the rollups that run, which
+/// are the views built (sizing rolls nothing up), the same on every
+/// pool.
 #[test]
 fn rebuild_and_view_sizing_record_one_span_per_call() -> RiskResult<()> {
     let (scenarios, dims) = grid(0x0BB);
@@ -484,7 +485,8 @@ fn rebuild_and_view_sizing_record_one_span_per_call() -> RiskResult<()> {
                 wh.materialize_budget(64 * 1024)?;
             }
             assert!(!wh.views().is_empty(), "the budget buys a view");
-            rollups = enumerate(wh.schema()).len() as u64 - 1 + wh.views().len() as u64;
+            // Sizing rolls nothing up: the only rollups are the views.
+            rollups = wh.views().len() as u64;
             let snap = telemetry.snapshot();
             assert_eq!(snap.spans_named("warehouse.rebuild").count(), call);
             assert_eq!(snap.spans_named("warehouse.materialize").count(), call);

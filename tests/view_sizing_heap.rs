@@ -1,9 +1,13 @@
-//! View sizing holds one rollup per worker, not the lattice.
-//! `Drilldown::materialize_budget` measures every lattice node by
-//! rolling it up from the base; on the compacting fixture the 31
-//! non-base nodes hold 5 358 112 B together, against 250 232 B for the
-//! four views the budget keeps. A counting global allocator watches the
-//! live-byte high-water across the call.
+//! View sizing holds only the views it picks.
+//! `Drilldown::materialize_budget` sizes every lattice node without
+//! rolling it up (the rollup's key grouping, and each pooled sketch's
+//! size folded from its sources' per-level item counts) and rolls up
+//! only its picks. On the compacting fixture the 31 non-base nodes would
+//! hold 5 358 112 B together, against 250 232 B for the four views the
+//! budget keeps; the call's high-water above its entry must stay within
+//! those four views plus 64 KiB of working memory (the grouping's
+//! `(key, cell)` pairs, the shapes, the pool's bookkeeping). A counting
+//! global allocator watches the live-byte high-water across the call.
 //!
 //! This binary holds one test, so no other test allocates while it
 //! measures.
@@ -85,6 +89,12 @@ const PICKS: [[u8; 4]; 4] = [[1, 1, 2, 1], [0, 0, 2, 1], [1, 1, 2, 0], [1, 1, 1,
 /// entries of `GOLDEN_LATTICE_BYTES` in `tests/drilldown.rs`).
 const NON_BASE_LATTICE_BYTES: usize = 5_358_112;
 
+/// The bytes of the four picks (their entries in `GOLDEN_LATTICE_BYTES`).
+const PICKED_BYTES: usize = 250_232;
+
+/// What the call may hold above its entry besides the views it keeps.
+const WORKING_BYTES: usize = 64 * 1024;
+
 #[test]
 fn view_sizing_holds_under_half_the_lattice_on_a_two_thread_pool() -> RiskResult<()> {
     // The warehouse is rebuilt from a spill, as riskbench's
@@ -133,6 +143,13 @@ fn view_sizing_holds_under_half_the_lattice_on_a_two_thread_pool() -> RiskResult
     );
     let picks: Vec<[u8; 4]> = selection.picked.iter().map(|s| s.0).collect();
     assert_eq!(picks, PICKS.to_vec());
+    let picked = wh.memory_bytes() - wh.base().memory_bytes();
+    assert_eq!(picked, PICKED_BYTES);
+    assert!(
+        high_water <= picked + WORKING_BYTES,
+        "view sizing held {high_water} B, more than the {picked} B of its picks \
+         plus {WORKING_BYTES} B"
+    );
     std::fs::remove_dir_all(&dir).ok();
     Ok(())
 }

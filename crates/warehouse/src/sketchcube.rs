@@ -101,7 +101,7 @@ impl Measure for SketchCell {
 
     /// Approximate: the three scalars plus the sketch's retained values.
     fn memory_bytes(&self) -> usize {
-        24 + self.sketch.retained() * 8
+        cell_bytes(self.sketch.retained())
     }
 
     /// The sketches' shapes folded in merge order: how many values the
@@ -110,8 +110,14 @@ impl Measure for SketchCell {
     fn pooled_bytes<'a>(first: &'a Self, rest: impl Iterator<Item = &'a Self>) -> usize {
         let mut shape = first.sketch.shape();
         rest.for_each(|cell| shape.merge(&cell.sketch));
-        24 + shape.retained() * 8
+        cell_bytes(shape.retained())
     }
+}
+
+/// What a sketch cell retaining `retained` values is charged: 24 B of
+/// scalars and 8 B per value.
+fn cell_bytes(retained: usize) -> usize {
+    24 + retained * 8
 }
 
 #[cfg(test)]

@@ -119,6 +119,9 @@ fn view_sizing_holds_under_half_the_lattice_on_a_two_thread_pool() -> RiskResult
     spill.finish()?;
     drop(spill);
     let mut wh = session.analytics(layout).rebuild_from_store(&store, 0)?;
+    // The spill has done its job: remove it before any assertion can
+    // fail and leave it behind.
+    std::fs::remove_dir_all(&dir).ok();
     let budget = wh.base().memory_bytes() as u64 * 7 / 10;
 
     let entry = LIVE.load(Ordering::Relaxed);
@@ -150,6 +153,5 @@ fn view_sizing_holds_under_half_the_lattice_on_a_two_thread_pool() -> RiskResult
         "view sizing held {high_water} B, more than the {picked} B of its picks \
          plus {WORKING_BYTES} B"
     );
-    std::fs::remove_dir_all(&dir).ok();
     Ok(())
 }
